@@ -17,18 +17,18 @@
 //!   [`morsel::morsels`] and concatenating per-morsel outputs
 //!   reproduces the sequential scan order exactly.
 //! * **Sequential is the `threads = 1` case** — a pool sized at one
-//!   thread runs tasks inline on the caller with no channels, no
-//!   spawning and no behavioral difference. Setting the
-//!   `TELEIOS_THREADS` environment variable to `1` therefore turns
-//!   the whole engine back into the seed's sequential code path.
+//!   thread runs tasks inline on the caller with no spawning and no
+//!   behavioral difference. Setting the `TELEIOS_THREADS` environment
+//!   variable to `1` therefore turns the whole engine back into the
+//!   seed's sequential code path.
 //! * **Panic transparency** — a panicking task does not poison the
 //!   pool; [`WorkerPool::run`] re-raises the payload of the earliest
 //!   failing task (matching sequential panic semantics), while
-//!   [`WorkerPool::try_run_bounded`] hands every payload back to the
-//!   caller for per-task isolation (the supervisor's contract).
+//!   [`WorkerPool::try_run`] hands every payload back to the caller
+//!   for per-task isolation (the supervisor's contract).
 //! * **Cooperative cancellation** — a [`CancelToken`] passed to
-//!   [`WorkerPool::try_run_bounded_cancellable`] is checked between
-//!   morsels only: in-flight tasks finish, queued tasks are skipped
+//!   [`WorkerPool::try_run_cancellable`] is checked between morsels
+//!   only: in-flight tasks finish, unclaimed tasks are skipped
 //!   (`None` slots), and nothing is ever killed. Long-running tasks
 //!   that want finer-grained cancellation poll the same token at
 //!   their own safe points.
@@ -39,31 +39,29 @@
 //!   ([`LockWitness`]), cross-validating at runtime the acyclicity
 //!   that `teleios-lint`'s L6 rule proves statically from source.
 //!
-//! * **Two dispatch policies, one contract** — [`WorkerPool::run`]
-//!   partitions statically (a shared channel in submission order);
-//!   [`WorkerPool::run_stealing`] preloads per-worker [`StealDeque`]s
-//!   and lets idle workers steal, winning on skewed morsel costs. Both
-//!   return results by task index, so every determinism rule above
-//!   applies to either policy and operators can switch via
-//!   [`pool::Dispatch`] without touching their merge discipline.
+//! * **One executor** — [`WorkerPool::run`], [`WorkerPool::try_run`]
+//!   and [`WorkerPool::try_run_cancellable`] are three views of one
+//!   private executor: `std::thread::scope` workers claim task indices
+//!   from a single shared counter, so the claim order is dynamic (a
+//!   slow morsel never strands the ones behind it) while the output
+//!   order is not. E13b (retired, EXPERIMENTS.md) records why the
+//!   channel-queue and work-stealing dispatchers this replaced were
+//!   not worth keeping apart.
 //!
-//! The `loom` feature swaps the [`CancelToken`]'s and [`StealDeque`]'s
-//! atomics and mutexes for the `teleios-loom` modeled primitives so
-//! `tests/loom.rs` can exhaustively interleave the first-wins cancel
-//! protocol and the deque's owner/thief races; it changes no public
-//! API and is never enabled in normal builds (`scripts/check.sh
-//! --full` runs it).
+//! The `loom` feature swaps the [`CancelToken`]'s atomics and mutex
+//! for the `teleios-loom` modeled primitives so `tests/loom.rs` can
+//! exhaustively interleave the first-wins cancel protocol and the
+//! pool's claim counter; it changes no public API and is never
+//! enabled in normal builds (`scripts/check.sh --full` runs it).
 
 pub mod cancel;
 pub mod morsel;
 pub mod ordered_lock;
 pub mod pool;
 pub mod spawn;
-pub mod steal;
 
 pub use cancel::CancelToken;
 pub use morsel::{fixed_morsels, morsels, DEFAULT_MORSEL_CELLS};
 pub use ordered_lock::{LockWitness, OrderedMutex, OrderedMutexGuard};
-pub use pool::{default_threads, Dispatch, PoolStats, WorkerPool};
+pub use pool::{default_threads, PoolStats, WorkerPool};
 pub use spawn::spawn_named;
-pub use steal::{Steal, StealDeque};

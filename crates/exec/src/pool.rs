@@ -1,9 +1,11 @@
-//! Scoped worker pool built on `crossbeam` scope + channels.
+//! Scoped worker pool built on `std::thread::scope`.
 //!
 //! The pool is a lightweight value (`Copy`): it records a thread
 //! count and spins up scoped workers per call, so it can borrow the
 //! caller's data (columns, chunks, arrays) without `Arc` plumbing.
-//! Results always come back in task-submission order.
+//! Workers claim task indices from one shared counter, so a slow task
+//! never strands the tasks behind it; results always come back in
+//! task-submission order.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -14,7 +16,6 @@ use std::thread;
 use crate::cancel::CancelToken;
 use crate::morsel::morsels;
 use crate::ordered_lock::OrderedMutex;
-use crate::steal::{Steal, StealDeque};
 
 /// Worker count from the environment: `TELEIOS_THREADS` when set to a
 /// positive integer, otherwise [`std::thread::available_parallelism`].
@@ -33,57 +34,14 @@ fn available() -> usize {
     thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Observability for a pool run: how many workers served it, the
-/// bounded queue's capacity and peak depth (static dispatch), and the
-/// steal/execute/idle counters (stealing dispatch).
+/// Observability for a pool run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker threads that served the run (1 = inline on the caller).
     pub workers: usize,
-    /// Capacity of the bounded task queue (0 = unbounded or stealing).
-    pub queue_capacity: usize,
-    /// Peak queued-but-not-yet-claimed task count observed (sampled by
-    /// the producer after each enqueue — the bounded channel guarantees
-    /// it never exceeds `queue_capacity`). Always 0 under stealing
-    /// dispatch, which has no central queue.
-    pub max_queue_depth: usize,
     /// Tasks that actually executed (cancellation-skipped tasks are
     /// not counted).
     pub tasks_executed: usize,
-    /// Executed tasks whose index was stolen from another worker's
-    /// deque rather than popped from the claimant's own. Always 0
-    /// under static dispatch.
-    pub tasks_stolen: usize,
-    /// Idle probe rounds: a worker found every deque empty or
-    /// CAS-contended and yielded before re-probing. Always 0 under
-    /// static dispatch.
-    pub idle_polls: usize,
-}
-
-impl PoolStats {
-    /// Fraction of executed tasks that were stolen — the load-balance
-    /// signal E13b prints per kernel. 0.0 when nothing executed.
-    pub fn steal_ratio(&self) -> f64 {
-        if self.tasks_executed == 0 {
-            0.0
-        } else {
-            self.tasks_stolen as f64 / self.tasks_executed as f64
-        }
-    }
-}
-
-/// How a pool entry point distributes tasks over workers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Tasks flow through a shared channel in submission order; each
-    /// worker takes the next one. Fair for uniform costs, but a slow
-    /// task at the tail leaves the other workers idle behind it.
-    Static,
-    /// Tasks are preloaded into per-worker deques; idle workers steal
-    /// from the busiest end of their neighbors' ranges. Wins on skewed
-    /// morsel costs (the default for the strabon probe loops).
-    #[default]
-    Stealing,
 }
 
 /// A morsel-driven worker pool. `Copy` and stateless between calls:
@@ -134,51 +92,23 @@ impl WorkerPool {
         if self.threads <= 1 || tasks.len() <= 1 {
             return tasks.into_iter().map(|f| f()).collect();
         }
-        let (slots, _) = self.dispatch(tasks, None, None);
-        let mut out = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                // No cancel token was passed, so every task ran.
-                None => unreachable!("uncancellable run skipped a task"),
-                Some(Ok(v)) => out.push(v),
-                Some(Err(payload)) => resume_unwind(payload),
-            }
-        }
-        out
+        let (results, _) = self.try_run(tasks);
+        results
+            .into_iter()
+            .map(|result| result.unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     }
 
-    /// Run `tasks` through a bounded queue of `queue_capacity` slots,
-    /// returning per-task results (`Err` carries a panic payload) in
-    /// task order, plus queue statistics.
-    ///
-    /// The producer blocks while the queue is full, so memory for
-    /// in-flight work is bounded by `queue_capacity + workers`
-    /// regardless of how many tasks are submitted. With one thread
-    /// the tasks run inline, each still isolated by `catch_unwind`.
-    pub fn try_run_bounded<T, F>(
-        &self,
-        queue_capacity: usize,
-        tasks: Vec<F>,
-    ) -> (Vec<thread::Result<T>>, PoolStats)
+    /// Run `tasks`, returning per-task results (`Err` carries a panic
+    /// payload) in task order plus the run's [`PoolStats`]. A
+    /// panicking task never takes its neighbors down — the
+    /// supervisor's per-scene isolation contract.
+    pub fn try_run<T, F>(&self, tasks: Vec<F>) -> (Vec<thread::Result<T>>, PoolStats)
     where
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        let queue_capacity = queue_capacity.max(1);
-        if self.threads <= 1 {
-            let results: Vec<thread::Result<T>> = tasks
-                .into_iter()
-                .map(|f| catch_unwind(AssertUnwindSafe(f)))
-                .collect();
-            let stats = PoolStats {
-                workers: 1,
-                queue_capacity,
-                tasks_executed: results.len(),
-                ..PoolStats::default()
-            };
-            return (results, stats);
-        }
-        let (slots, stats) = self.dispatch(tasks, Some(queue_capacity), None);
+        let (slots, stats) = self.execute(tasks, None);
         let results = slots
             .into_iter()
             .map(|slot| match slot {
@@ -190,18 +120,16 @@ impl WorkerPool {
         (results, stats)
     }
 
-    /// Like [`Self::try_run_bounded`], but checks `cancel` between
-    /// morsels: once the token fires, the producer stops enqueuing and
-    /// every worker skips the tasks it claims, so in-flight work drains
-    /// instead of running to completion. Skipped tasks come back as
-    /// `None` in their submission-order slot; completed ones as
-    /// `Some(result)`. Tasks already executing when the token fires
-    /// are *not* interrupted — cancellation inside a task is the
-    /// task's own business (the NOA chain checks the same token at
-    /// stage boundaries).
-    pub fn try_run_bounded_cancellable<T, F>(
+    /// Like [`Self::try_run`], but checks `cancel` before every claim:
+    /// once a worker observes the fired token it stops claiming, so
+    /// in-flight work drains instead of running to completion. Tasks
+    /// nobody claimed come back as `None` in their submission-order
+    /// slot; completed ones as `Some(result)`. Tasks already executing
+    /// when the token fires are *not* interrupted — cancellation
+    /// inside a task is the task's own business (the NOA chain checks
+    /// the same token at stage boundaries).
+    pub fn try_run_cancellable<T, F>(
         &self,
-        queue_capacity: usize,
         tasks: Vec<F>,
         cancel: &CancelToken,
     ) -> (Vec<Option<thread::Result<T>>>, PoolStats)
@@ -209,161 +137,22 @@ impl WorkerPool {
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        let queue_capacity = queue_capacity.max(1);
-        if self.threads <= 1 {
-            let results: Vec<Option<thread::Result<T>>> = tasks
-                .into_iter()
-                .map(|f| {
-                    if cancel.is_cancelled() {
-                        None
-                    } else {
-                        Some(catch_unwind(AssertUnwindSafe(f)))
-                    }
-                })
-                .collect();
-            let stats = PoolStats {
-                workers: 1,
-                queue_capacity,
-                tasks_executed: results.iter().filter(|s| s.is_some()).count(),
-                ..PoolStats::default()
-            };
-            return (results, stats);
-        }
-        self.dispatch(tasks, Some(queue_capacity), Some(cancel))
+        self.execute(tasks, Some(cancel))
     }
 
-    /// Run `tasks` under the given [`Dispatch`] policy and return their
-    /// results in task order. [`Dispatch::Static`] is [`Self::run`];
-    /// [`Dispatch::Stealing`] is [`Self::run_stealing`]. Both keep the
-    /// ordered-output contract, so callers can switch policy without
-    /// touching their merge discipline.
-    pub fn run_with<T, F>(&self, dispatch: Dispatch, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        match dispatch {
-            Dispatch::Static => self.run(tasks),
-            Dispatch::Stealing => self.run_stealing(tasks),
-        }
-    }
-
-    /// Run `tasks` on the work-stealing scheduler and return their
-    /// results in task order.
+    /// The one executor. Every task closure is parked in a mutex slot
+    /// and workers claim slot indices from a shared counter, in
+    /// submission order; each worker hands its `(index, outcome)`
+    /// pairs back through `join` and the caller scatters them into
+    /// submission order. With one worker the same claim loop runs
+    /// inline on the caller.
     ///
-    /// Same contract as [`Self::run`] — results land by task index, a
-    /// panicking task's payload is re-raised choosing the earliest
-    /// failing task, and one thread (or fewer than two tasks) runs
-    /// inline on the caller — but workers claim tasks dynamically:
-    /// each worker owns a preloaded deque of a contiguous index range
-    /// and, once it drains its own, steals from its neighbors. Only
-    /// the *claim order* is dynamic; the output order is not, so the
-    /// `parallel ≡ sequential` property carries over unchanged.
-    pub fn run_stealing<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        if self.threads <= 1 || tasks.len() <= 1 {
-            return tasks.into_iter().map(|f| f()).collect();
-        }
-        let (slots, _) = self.dispatch_stealing(tasks, None);
-        let mut out = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                // No cancel token was passed, so every task ran.
-                None => unreachable!("uncancellable stealing run skipped a task"),
-                Some(Ok(v)) => out.push(v),
-                Some(Err(payload)) => resume_unwind(payload),
-            }
-        }
-        out
-    }
-
-    /// Like [`Self::run_stealing`], but returns per-task results
-    /// (`Err` carries a panic payload) in task order plus the run's
-    /// [`PoolStats`] — including the steal/execute/idle counters that
-    /// E13b turns into a steal-ratio column.
-    pub fn try_run_stealing<T, F>(
+    /// A worker checks `cancel` *before* claiming, so the claimed
+    /// indices always form a prefix of submission order and the `None`
+    /// (never-claimed) slots a suffix.
+    fn execute<T, F>(
         &self,
         tasks: Vec<F>,
-    ) -> (Vec<thread::Result<T>>, PoolStats)
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        if self.threads <= 1 || tasks.len() <= 1 {
-            let results: Vec<thread::Result<T>> = tasks
-                .into_iter()
-                .map(|f| catch_unwind(AssertUnwindSafe(f)))
-                .collect();
-            let stats = PoolStats {
-                workers: 1,
-                tasks_executed: results.len(),
-                ..PoolStats::default()
-            };
-            return (results, stats);
-        }
-        let (slots, stats) = self.dispatch_stealing(tasks, None);
-        let results = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Some(outcome) => outcome,
-                // No cancel token was passed, so every task ran.
-                None => unreachable!("uncancellable stealing run skipped a task"),
-            })
-            .collect();
-        (results, stats)
-    }
-
-    /// Like [`Self::try_run_stealing`], but checks `cancel` at every
-    /// claim: once the token fires, workers keep draining the deques
-    /// (claiming is cheap) and skip execution, so skipped tasks come
-    /// back as `None` in their submission-order slot — the same
-    /// drain-don't-finish semantics as
-    /// [`Self::try_run_bounded_cancellable`]. The idle loop a worker
-    /// enters when every deque is contended polls the token via
-    /// [`CancelToken::poll_cancellable`], never a bare sleep, so a
-    /// fired deadline interrupts the spin immediately.
-    pub fn try_run_stealing_cancellable<T, F>(
-        &self,
-        tasks: Vec<F>,
-        cancel: &CancelToken,
-    ) -> (Vec<Option<thread::Result<T>>>, PoolStats)
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        if self.threads <= 1 || tasks.len() <= 1 {
-            let results: Vec<Option<thread::Result<T>>> = tasks
-                .into_iter()
-                .map(|f| {
-                    if cancel.is_cancelled() {
-                        None
-                    } else {
-                        Some(catch_unwind(AssertUnwindSafe(f)))
-                    }
-                })
-                .collect();
-            let stats = PoolStats {
-                workers: 1,
-                tasks_executed: results.iter().filter(|s| s.is_some()).count(),
-                ..PoolStats::default()
-            };
-            return (results, stats);
-        }
-        self.dispatch_stealing(tasks, Some(cancel))
-    }
-
-    /// Shared parallel executor. `bound` selects a bounded task queue
-    /// (capacity in tasks) or an unbounded one (everything enqueued up
-    /// front). Results come back indexed in submission order; a `None`
-    /// slot means the task was skipped because `cancel` fired before a
-    /// worker executed it (only possible when `cancel` is `Some`).
-    fn dispatch<T, F>(
-        &self,
-        tasks: Vec<F>,
-        bound: Option<usize>,
         cancel: Option<&CancelToken>,
     ) -> (Vec<Option<thread::Result<T>>>, PoolStats)
     where
@@ -371,250 +160,200 @@ impl WorkerPool {
         F: FnOnce() -> T + Send,
     {
         let n = tasks.len();
-        let workers = self.threads.min(n.max(1));
-        let (task_tx, task_rx) = match bound {
-            Some(cap) => crossbeam::channel::bounded::<(usize, F)>(cap),
-            None => crossbeam::channel::unbounded::<(usize, F)>(),
-        };
-        let (res_tx, res_rx) =
-            crossbeam::channel::unbounded::<(usize, Option<thread::Result<T>>)>();
-
-        let mut max_queue_depth = 0usize;
-        let executed = AtomicUsize::new(0);
-        let scope_result = crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                let task_rx = task_rx.clone();
-                let res_tx = res_tx.clone();
-                let executed = &executed;
-                scope.spawn(move |_| {
-                    let mut ran = 0usize;
-                    for (i, task) in task_rx.iter() {
-                        // Check between morsels: a claimed-but-not-yet
-                        // started task is skipped once the token fires,
-                        // so the batch drains instead of running every
-                        // queued kernel to completion.
-                        let outcome = match cancel {
-                            Some(token) if token.is_cancelled() => None,
-                            _ => {
-                                ran += 1;
-                                Some(catch_unwind(AssertUnwindSafe(task)))
-                            }
-                        };
-                        if res_tx.send((i, outcome)).is_err() {
-                            break;
-                        }
-                    }
-                    executed.fetch_add(ran, Ordering::SeqCst);
-                });
-            }
-            drop(res_tx);
-            // Produce on the caller thread; a bounded queue applies
-            // backpressure here while workers drain it. A fired cancel
-            // token stops production — unsubmitted tasks stay `None`.
-            for pair in tasks.into_iter().enumerate() {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
+        let workers = self.threads.min(n).max(1);
+        let parked: Vec<OrderedMutex<Option<F>>> =
+            tasks.into_iter().map(|f| OrderedMutex::new("pool.task", Some(f))).collect();
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut done = Vec::new();
+            while !cancel.is_some_and(CancelToken::is_cancelled) {
+                let i = next.fetch_add(1, Ordering::SeqCst);
+                let Some(task) = parked.get(i).and_then(|slot| slot.lock().take()) else {
                     break;
-                }
-                if task_tx.send(pair).is_err() {
-                    break; // all workers gone; unreachable in practice
-                }
-                max_queue_depth = max_queue_depth.max(task_tx.len());
+                };
+                done.push((i, catch_unwind(AssertUnwindSafe(task))));
             }
-            drop(task_tx);
-
-            let mut slots: Vec<Option<thread::Result<T>>> =
-                (0..n).map(|_| None).collect();
-            for (i, outcome) in res_rx.iter() {
-                if i < slots.len() {
-                    slots[i] = outcome;
-                }
-            }
-            slots
-        });
-
-        let stats = PoolStats {
-            workers,
-            queue_capacity: bound.unwrap_or(0),
-            max_queue_depth,
-            tasks_executed: executed.load(Ordering::SeqCst),
-            ..PoolStats::default()
+            done
         };
-        match scope_result {
-            Ok(slots) => (slots, stats),
-            // Workers only run caught code; a scope-level panic would
-            // mean the channel plumbing itself failed.
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    /// Work-stealing parallel executor. Every task closure is parked
-    /// in a mutex slot; per-worker [`StealDeque`]s are preloaded with
-    /// contiguous morsels of task *indices* (pushed in reverse, so
-    /// each owner pops its range in ascending submission order while
-    /// thieves take the far end). A worker drains its own deque, then
-    /// steals round-robin from its neighbors; since nothing is pushed
-    /// after the preload, a full probe round of `Empty` results is
-    /// stable and the worker can exit. `Retry` (a lost CAS) means work
-    /// may remain: the worker yields — through
-    /// [`CancelToken::poll_cancellable`] when a token is present, so
-    /// the spin stays cancellable — and probes again.
-    ///
-    /// Results come back indexed in submission order; a `None` slot
-    /// means the task was claimed after `cancel` fired and was skipped
-    /// (only possible when `cancel` is `Some`).
-    fn dispatch_stealing<T, F>(
-        &self,
-        tasks: Vec<F>,
-        cancel: Option<&CancelToken>,
-    ) -> (Vec<Option<thread::Result<T>>>, PoolStats)
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let n = tasks.len();
-        let workers = self.threads.min(n.max(1));
-        // The deques hand out each index exactly once; taking the
-        // closure out of its slot is a second, independent
-        // exactly-once guarantee (a misbehaving claim would find the
-        // slot already empty rather than run a task twice).
-        let task_slots: Vec<OrderedMutex<Option<F>>> = tasks
-            .into_iter()
-            .map(|f| OrderedMutex::new("pool.steal_task", Some(f)))
-            .collect();
-        let deques: Vec<StealDeque> = morsels(n, workers)
-            .into_iter()
-            .map(|r| {
-                let d = StealDeque::new(r.len());
-                for i in r.rev() {
-                    d.push(i);
-                }
-                d
+        let joined = if workers == 1 {
+            vec![Ok(worker())]
+        } else {
+            thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&worker)).collect();
+                handles.into_iter().map(thread::ScopedJoinHandle::join).collect()
             })
-            .collect();
-        let (res_tx, res_rx) =
-            crossbeam::channel::unbounded::<(usize, Option<thread::Result<T>>)>();
-
-        let executed = AtomicUsize::new(0);
-        let stolen = AtomicUsize::new(0);
-        let idle = AtomicUsize::new(0);
-        let scope_result = crossbeam::thread::scope(|scope| {
-            for w in 0..workers {
-                let res_tx = res_tx.clone();
-                let deques = &deques;
-                let task_slots = &task_slots;
-                let executed = &executed;
-                let stolen = &stolen;
-                let idle = &idle;
-                scope.spawn(move |_| {
-                    let mut my_executed = 0usize;
-                    let mut my_stolen = 0usize;
-                    let mut my_idle = 0usize;
-                    loop {
-                        // Claim: own deque first, then round-robin
-                        // steals starting at the next neighbor.
-                        let mut claim = deques[w].pop().map(|i| (i, false));
-                        if claim.is_none() {
-                            let mut contended = false;
-                            for k in 1..workers {
-                                match deques[(w + k) % workers].steal() {
-                                    Steal::Task(i) => {
-                                        claim = Some((i, true));
-                                        break;
-                                    }
-                                    Steal::Retry => contended = true,
-                                    Steal::Empty => {}
-                                }
-                            }
-                            if claim.is_none() {
-                                if !contended {
-                                    // Every deque observed Empty and no
-                                    // pushes can happen: all work is
-                                    // claimed, so this worker is done.
-                                    break;
-                                }
-                                // Lost a CAS race somewhere — work may
-                                // remain. Yield cancellably and probe
-                                // again.
-                                my_idle += 1;
-                                match cancel {
-                                    Some(token) => {
-                                        token.poll_cancellable(1);
-                                    }
-                                    None => thread::yield_now(),
-                                }
-                                continue;
-                            }
-                        }
-                        let Some((i, was_stolen)) = claim else { break };
-                        let Some(task) = task_slots[i].lock().take() else {
-                            // Unreachable: the deque protocol hands out
-                            // each index once. Skipping is still safe.
-                            continue;
-                        };
-                        let outcome = match cancel {
-                            Some(token) if token.is_cancelled() => None,
-                            _ => {
-                                my_executed += 1;
-                                if was_stolen {
-                                    my_stolen += 1;
-                                }
-                                Some(catch_unwind(AssertUnwindSafe(task)))
-                            }
-                        };
-                        if res_tx.send((i, outcome)).is_err() {
-                            break;
-                        }
-                    }
-                    executed.fetch_add(my_executed, Ordering::SeqCst);
-                    stolen.fetch_add(my_stolen, Ordering::SeqCst);
-                    idle.fetch_add(my_idle, Ordering::SeqCst);
-                });
-            }
-            drop(res_tx);
-            // Each of the `n` indices is claimed by exactly one worker
-            // and produces exactly one result message, so the receive
-            // loop ends when the last worker hangs up.
-            let mut slots: Vec<Option<thread::Result<T>>> =
-                (0..n).map(|_| None).collect();
-            for (i, outcome) in res_rx.iter() {
-                if i < slots.len() {
-                    slots[i] = outcome;
-                }
-            }
-            slots
-        });
-
-        let stats = PoolStats {
-            workers,
-            tasks_executed: executed.load(Ordering::SeqCst),
-            tasks_stolen: stolen.load(Ordering::SeqCst),
-            idle_polls: idle.load(Ordering::SeqCst),
-            ..PoolStats::default()
         };
-        match scope_result {
-            Ok(slots) => (slots, stats),
-            // Workers only run caught code; a scope-level panic would
-            // mean the deque or channel plumbing itself failed.
-            Err(payload) => resume_unwind(payload),
+
+        let mut slots: Vec<Option<thread::Result<T>>> = (0..n).map(|_| None).collect();
+        let mut tasks_executed = 0;
+        for done in joined {
+            match done {
+                Ok(pairs) => {
+                    tasks_executed += pairs.len();
+                    for (i, outcome) in pairs {
+                        slots[i] = Some(outcome);
+                    }
+                }
+                // Workers only run caught code; a worker-level panic
+                // would mean the claim loop itself failed.
+                Err(payload) => resume_unwind(payload),
+            }
         }
+        (slots, PoolStats { workers, tasks_executed })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    /// The pool contract, at every thread count: one table of
+    /// properties instead of one copy per entry point.
+    #[test]
+    fn pool_contract_holds_at_every_thread_count() {
+        for threads in 1..=8usize {
+            let pool = WorkerPool::with_threads(threads);
+
+            // Results come back in task order, whatever the claim order
+            // (skewed costs: early tasks spin longest).
+            let tasks: Vec<_> = (0..50usize)
+                .map(|i| {
+                    move || {
+                        let mut acc = 0u64;
+                        for k in 0..((50 - i) * 200) as u64 {
+                            acc = acc.wrapping_add(k);
+                        }
+                        (i, acc)
+                    }
+                })
+                .collect();
+            let got: Vec<usize> = pool.run(tasks).into_iter().map(|(i, _)| i).collect();
+            assert_eq!(got, (0..50).collect::<Vec<usize>>(), "threads={threads}");
+
+            // `run` re-raises the earliest failing task's payload.
+            let tasks: Vec<_> = (0..8usize)
+                .map(|i| {
+                    move || {
+                        assert!(i != 3 && i != 6, "boom at {i}");
+                        i
+                    }
+                })
+                .collect();
+            let err = catch_unwind(AssertUnwindSafe(|| pool.run(tasks)))
+                .expect_err("pool must re-raise the task panic");
+            assert_eq!(panic_message(&*err), "boom at 3", "threads={threads}");
+
+            // `try_run` isolates a panic to its own slot.
+            let tasks: Vec<_> = (0..10usize)
+                .map(|i| {
+                    move || {
+                        assert!(i != 4, "scene 4 exploded");
+                        i
+                    }
+                })
+                .collect();
+            let (results, stats) = pool.try_run(tasks);
+            assert_eq!(stats, PoolStats { workers: threads.min(10), tasks_executed: 10 });
+            for (i, r) in results.into_iter().enumerate() {
+                match r {
+                    Ok(v) => assert_eq!(v, i, "threads={threads}"),
+                    Err(p) => {
+                        assert_eq!(i, 4, "threads={threads}");
+                        assert_eq!(panic_message(&*p), "scene 4 exploded");
+                    }
+                }
+            }
+
+            // A token that never fires skips nothing.
+            let token = CancelToken::new();
+            let tasks: Vec<_> = (0..20).map(|i| move || i * 2).collect();
+            let (slots, stats) = pool.try_run_cancellable(tasks, &token);
+            let got: Vec<i32> = slots
+                .into_iter()
+                .map(|s| s.expect("no task skipped").expect("no panic"))
+                .collect();
+            assert_eq!(got, (0..20).map(|i| i * 2).collect::<Vec<i32>>(), "threads={threads}");
+            assert_eq!(stats.tasks_executed, 20, "threads={threads}");
+
+            // A token fired up front: nothing starts, every slot is None.
+            let token = CancelToken::new();
+            token.cancel("batch deadline");
+            let ran = AtomicUsize::new(0);
+            let tasks: Vec<_> = (0..32)
+                .map(|i| {
+                    let ran = &ran;
+                    move || {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        i
+                    }
+                })
+                .collect();
+            let (slots, stats) = pool.try_run_cancellable(tasks, &token);
+            assert_eq!(slots.len(), 32, "threads={threads}");
+            assert!(slots.iter().all(Option::is_none), "threads={threads}");
+            assert_eq!(ran.load(Ordering::SeqCst), 0, "threads={threads}");
+            assert_eq!(stats.tasks_executed, 0, "threads={threads}");
+
+            // A token fired mid-run by task 3: no worker claims after
+            // observing it, so the executed slots are a prefix that
+            // includes 3, the skipped ones a `None` suffix, and every
+            // other worker finishes at most one task past the firing one.
+            let token = CancelToken::new();
+            let ran = AtomicUsize::new(0);
+            let tasks: Vec<_> = (0..64usize)
+                .map(|i| {
+                    let (ran, fire) = (&ran, token.clone());
+                    move || {
+                        if i == 3 {
+                            fire.cancel("task 3 pulled the plug");
+                        }
+                        // Later tasks hold their worker until the token
+                        // has fired, which pins the interleaving.
+                        while !fire.is_cancelled() && i > 3 {
+                            thread::yield_now();
+                        }
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        i
+                    }
+                })
+                .collect();
+            let (slots, stats) = pool.try_run_cancellable(tasks, &token);
+            let executed = slots.iter().take_while(|s| s.is_some()).count();
+            assert!(slots[executed..].iter().all(Option::is_none), "threads={threads}");
+            assert!((4..4 + threads).contains(&executed), "threads={threads} ran {executed}");
+            assert_eq!(ran.load(Ordering::SeqCst), executed, "threads={threads}");
+            assert_eq!(stats.tasks_executed, executed, "threads={threads}");
+        }
+    }
 
     #[test]
-    fn results_come_back_in_task_order() {
-        for threads in 1..=8 {
-            let pool = WorkerPool::with_threads(threads);
-            let tasks: Vec<_> =
-                (0..50).map(|i| move || i * i).collect();
-            let got = pool.run(tasks);
-            let expect: Vec<i32> = (0..50).map(|i| i * i).collect();
-            assert_eq!(got, expect, "threads={threads}");
-        }
+    fn one_thread_or_one_task_runs_inline_on_the_caller() {
+        let caller = thread::current().id();
+        let on_caller = move || thread::current().id() == caller;
+        let token = CancelToken::new();
+
+        let one = WorkerPool::with_threads(1);
+        assert_eq!(one.run(vec![on_caller; 3]), vec![true; 3]);
+        let (results, stats) = one.try_run(vec![on_caller; 3]);
+        assert!(results.into_iter().all(|r| r.expect("no panic")));
+        assert_eq!(stats.workers, 1);
+        let (slots, _) = one.try_run_cancellable(vec![on_caller; 3], &token);
+        assert!(slots.into_iter().all(|s| s.expect("not skipped").expect("no panic")));
+
+        let four = WorkerPool::with_threads(4);
+        assert_eq!(four.run(vec![on_caller]), vec![true]);
+        let (results, stats) = four.try_run(vec![on_caller]);
+        assert!(results.into_iter().all(|r| r.expect("no panic")));
+        assert_eq!(stats.workers, 1);
+        assert_eq!(four.run(vec![on_caller; 8]), vec![false; 8]);
     }
 
     #[test]
@@ -631,269 +370,6 @@ mod tests {
             .collect();
         let total: u64 = pool.run(tasks).into_iter().sum();
         assert_eq!(total, data.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn run_reraises_earliest_panic() {
-        let pool = WorkerPool::with_threads(4);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 3 {
-                        panic!("boom at 3");
-                    }
-                    if i == 6 {
-                        panic!("boom at 6");
-                    }
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(tasks.into_iter().map(|f| move || f()).collect::<Vec<_>>())
-        }))
-        .expect_err("pool must re-raise the task panic");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_string)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert_eq!(msg, "boom at 3");
-    }
-
-    #[test]
-    fn bounded_queue_never_exceeds_capacity() {
-        let pool = WorkerPool::with_threads(4);
-        let done = AtomicUsize::new(0);
-        let tasks: Vec<_> = (0..200)
-            .map(|i| {
-                let done = &done;
-                move || {
-                    done.fetch_add(1, Ordering::SeqCst);
-                    i
-                }
-            })
-            .collect();
-        let (results, stats) = pool.try_run_bounded(8, tasks);
-        assert_eq!(done.load(Ordering::SeqCst), 200);
-        assert_eq!(stats.workers, 4);
-        assert_eq!(stats.queue_capacity, 8);
-        assert!(
-            stats.max_queue_depth <= stats.queue_capacity,
-            "queue depth {} exceeded capacity {}",
-            stats.max_queue_depth,
-            stats.queue_capacity
-        );
-        let got: Vec<i32> = results.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(got, (0..200).collect::<Vec<i32>>());
-    }
-
-    #[test]
-    fn bounded_run_isolates_panics_per_task() {
-        for threads in [1usize, 4] {
-            let pool = WorkerPool::with_threads(threads);
-            let tasks: Vec<_> = (0..10)
-                .map(|i| {
-                    move || {
-                        assert!(i != 4, "scene 4 exploded");
-                        i
-                    }
-                })
-                .collect();
-            let (results, _) = pool.try_run_bounded(4, tasks);
-            assert_eq!(results.len(), 10);
-            for (i, r) in results.into_iter().enumerate() {
-                if i == 4 {
-                    assert!(r.is_err(), "threads={threads}");
-                } else {
-                    assert_eq!(r.unwrap(), i, "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cancellable_run_completes_when_token_never_fires() {
-        for threads in [1usize, 4] {
-            let pool = WorkerPool::with_threads(threads);
-            let token = CancelToken::new();
-            let tasks: Vec<_> = (0..20).map(|i| move || i * 2).collect();
-            let (slots, _) = pool.try_run_bounded_cancellable(4, tasks, &token);
-            let got: Vec<i32> = slots
-                .into_iter()
-                .map(|s| s.expect("no task skipped").expect("no panic"))
-                .collect();
-            assert_eq!(got, (0..20).map(|i| i * 2).collect::<Vec<i32>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pre_cancelled_token_skips_every_task() {
-        for threads in [1usize, 4] {
-            let pool = WorkerPool::with_threads(threads);
-            let token = CancelToken::new();
-            token.cancel("batch deadline");
-            let ran = AtomicUsize::new(0);
-            let tasks: Vec<_> = (0..32)
-                .map(|i| {
-                    let ran = &ran;
-                    move || {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                        i
-                    }
-                })
-                .collect();
-            let (slots, _) = pool.try_run_bounded_cancellable(4, tasks, &token);
-            assert_eq!(slots.len(), 32, "threads={threads}");
-            assert!(slots.iter().all(Option::is_none), "threads={threads}");
-            assert_eq!(ran.load(Ordering::SeqCst), 0, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn mid_run_cancellation_drains_without_running_the_tail() {
-        let pool = WorkerPool::with_threads(2);
-        let token = CancelToken::new();
-        let ran = AtomicUsize::new(0);
-        let fire = token.clone();
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64usize)
-            .map(|i| {
-                let ran = &ran;
-                let fire = fire.clone();
-                Box::new(move || {
-                    if i == 3 {
-                        fire.cancel("task 3 pulled the plug");
-                    }
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let (slots, _) = pool.try_run_bounded_cancellable(4, tasks, &token);
-        assert_eq!(slots.len(), 64);
-        let executed = ran.load(Ordering::SeqCst);
-        // The task that fired the token still ran; the queued tail did
-        // not (queue capacity bounds how much was already in flight).
-        assert!(executed < 64, "cancellation should skip the tail, ran {executed}");
-        assert!(slots.iter().filter(|s| s.is_some()).count() == executed);
-        // Slot 3 definitely completed (it fired the token after running).
-        assert!(slots[3].is_some());
-    }
-
-    #[test]
-    fn stealing_results_come_back_in_task_order() {
-        for threads in 1..=8 {
-            let pool = WorkerPool::with_threads(threads);
-            // Skewed costs: early tasks spin longest, so a static split
-            // would leave worker 0 the straggler.
-            let tasks: Vec<_> = (0..50usize)
-                .map(|i| {
-                    move || {
-                        let mut acc = 0u64;
-                        for k in 0..((50 - i) * 200) as u64 {
-                            acc = acc.wrapping_add(k);
-                        }
-                        (i, acc)
-                    }
-                })
-                .collect();
-            let got: Vec<usize> = pool.run_stealing(tasks).into_iter().map(|(i, _)| i).collect();
-            assert_eq!(got, (0..50).collect::<Vec<usize>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn stealing_stats_count_every_task_exactly_once() {
-        let pool = WorkerPool::with_threads(4);
-        let tasks: Vec<_> = (0..128).map(|i| move || i).collect();
-        let (results, stats) = pool.try_run_stealing(tasks);
-        assert_eq!(stats.workers, 4);
-        assert_eq!(stats.tasks_executed, 128);
-        assert!(stats.tasks_stolen <= stats.tasks_executed);
-        assert_eq!(stats.queue_capacity, 0, "stealing has no central queue");
-        assert!((0.0..=1.0).contains(&stats.steal_ratio()));
-        let got: Vec<i32> = results.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(got, (0..128).collect::<Vec<i32>>());
-    }
-
-    #[test]
-    fn run_stealing_reraises_earliest_panic() {
-        let pool = WorkerPool::with_threads(4);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 2 {
-                        panic!("steal boom at 2");
-                    }
-                    if i == 5 {
-                        panic!("steal boom at 5");
-                    }
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_stealing(tasks.into_iter().map(|f| move || f()).collect::<Vec<_>>())
-        }))
-        .expect_err("stealing pool must re-raise the task panic");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_string)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert_eq!(msg, "steal boom at 2");
-    }
-
-    #[test]
-    fn stealing_pre_cancelled_token_skips_every_task() {
-        for threads in [1usize, 4] {
-            let pool = WorkerPool::with_threads(threads);
-            let token = CancelToken::new();
-            token.cancel("batch deadline");
-            let ran = AtomicUsize::new(0);
-            let tasks: Vec<_> = (0..32)
-                .map(|i| {
-                    let ran = &ran;
-                    move || {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                        i
-                    }
-                })
-                .collect();
-            let (slots, stats) = pool.try_run_stealing_cancellable(tasks, &token);
-            assert_eq!(slots.len(), 32, "threads={threads}");
-            assert!(slots.iter().all(Option::is_none), "threads={threads}");
-            assert_eq!(ran.load(Ordering::SeqCst), 0, "threads={threads}");
-            assert_eq!(stats.tasks_executed, 0, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn stealing_cancellable_run_completes_when_token_never_fires() {
-        for threads in [1usize, 4] {
-            let pool = WorkerPool::with_threads(threads);
-            let token = CancelToken::new();
-            let tasks: Vec<_> = (0..20).map(|i| move || i * 2).collect();
-            let (slots, stats) = pool.try_run_stealing_cancellable(tasks, &token);
-            let got: Vec<i32> = slots
-                .into_iter()
-                .map(|s| s.expect("no task skipped").expect("no panic"))
-                .collect();
-            assert_eq!(got, (0..20).map(|i| i * 2).collect::<Vec<i32>>(), "threads={threads}");
-            assert_eq!(stats.tasks_executed, 20, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn run_with_matches_both_policies() {
-        let pool = WorkerPool::with_threads(4);
-        for dispatch in [Dispatch::Static, Dispatch::Stealing] {
-            let tasks: Vec<_> = (0..64).map(|i| move || i + 1).collect();
-            let got = pool.run_with(dispatch, tasks);
-            assert_eq!(got, (1..=64).collect::<Vec<i32>>(), "{dispatch:?}");
-        }
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //!    `poll_cancellable`: a poll loop racing a canceller either
 //!    observes the cancel or completes, and always observes it once
 //!    `cancel` has returned.
-//! 4. **Bounded-queue submit/drain/cancel** — the two token checks of
-//!    `try_run_bounded_cancellable` (producer-side before enqueue,
-//!    worker-side per claim), modeled over a loom mutex queue:
-//!    enqueues always form a clean prefix, and skips always form a
-//!    clean suffix, in every interleaving.
+//! 4. **Pool claim counter** — the claim loop of the pool's executor
+//!    (check the token, then `fetch_add` the shared counter), two
+//!    workers racing a canceller: every index is claimed at most once,
+//!    exactly once when the token never fires, and the unclaimed
+//!    (skipped) indices always form a suffix of claim order.
 //! 5. **Watchdog registry register/timeout/complete** — the deadline
 //!    watchdog's in-flight registry protocol (worker registers, works,
 //!    deregisters; watchdog snapshots and cancels the snapshot),
@@ -34,21 +34,10 @@
 //!    witness's plain-`std` bookkeeping records both: every schedule
 //!    yields the same single edge, no cycle, and no leaked hold — the
 //!    witness itself is race-free.
-//! 7. **Deque last-element owner/thief race** — `StealDeque::pop`
-//!    decrements bottom while a thief CASes top on the same single
-//!    element: in every schedule exactly one side claims it and the
-//!    deque ends empty (the classic Chase-Lev double-claim hazard).
-//! 8. **Two thieves, one element** — two racing `steal` loops: the
-//!    top CAS arbitrates, exactly one thief gets `Task`, the loser's
-//!    `Retry` resolves to `Empty` on re-probe.
-//! 9. **Cancellable steal spin** — the worker probe loop of
-//!    `dispatch_stealing`: `Retry` yields through
-//!    [`CancelToken::poll_cancellable`], so a fired deadline always
-//!    breaks the spin, and a cancel-exit never strands the element
-//!    (a lost CAS implies the rival claimed it).
 #![cfg(feature = "loom")]
 
-use teleios_exec::{CancelToken, LockWitness, OrderedMutex, Steal, StealDeque};
+use teleios_exec::{CancelToken, LockWitness, OrderedMutex};
+use teleios_loom::sync::atomic::{AtomicUsize, Ordering};
 use teleios_loom::sync::{Arc, Mutex};
 use teleios_loom::thread;
 
@@ -125,43 +114,43 @@ fn poll_wakeup_vs_cancel() {
     });
 }
 
-#[test]
-fn bounded_queue_producer_halts_on_cancel() {
-    // Producer half of try_run_bounded_cancellable: the token is
-    // checked before every enqueue, so whatever interleaving the
-    // canceller gets, the queue is always a clean prefix [0, 1, ..].
-    teleios_loom::model(|| {
-        let token = CancelToken::new();
-        let queue: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let producer_token = token.clone();
-        let producer_queue = Arc::clone(&queue);
-        let tp = thread::spawn(move || {
-            for i in 0..3usize {
-                if producer_token.is_cancelled() {
-                    return i; // halted before enqueueing i
-                }
-                producer_queue.lock().unwrap().push(i);
-            }
-            3
-        });
-        let canceller = token.clone();
-        let tc = thread::spawn(move || {
-            canceller.cancel("halt submissions");
-        });
-        let halted_at = tp.join().unwrap();
-        tc.join().unwrap();
-        let q = queue.lock().unwrap();
-        let expected: Vec<usize> = (0..q.len()).collect();
-        assert_eq!(*q, expected, "enqueues must form a clean prefix");
-        assert_eq!(
-            q.len(),
-            halted_at,
-            "everything the producer enqueued before halting is in the queue"
-        );
-        if halted_at < 3 {
-            assert!(token.is_cancelled(), "producer halted without a cancel");
+/// The claim loop of `WorkerPool`'s executor over `tasks` slots: check
+/// the token, then claim the next index. Returns the indices claimed.
+fn claim_loop(next: &AtomicUsize, token: &CancelToken, tasks: usize) -> Vec<usize> {
+    let mut claimed = Vec::new();
+    while !token.is_cancelled() {
+        let i = next.fetch_add(1, Ordering::SeqCst);
+        if i >= tasks {
+            break;
         }
-    });
+        claimed.push(i);
+    }
+    claimed
+}
+
+#[test]
+fn claim_counter_claims_once_and_skips_a_suffix() {
+    const TASKS: usize = 2;
+    for cancel in [false, true] {
+        teleios_loom::model(move || {
+            let token = CancelToken::new();
+            let next = Arc::new(AtomicUsize::new(0));
+            let (rival_next, rival_token) = (Arc::clone(&next), token.clone());
+            let rival = thread::spawn(move || claim_loop(&rival_next, &rival_token, TASKS));
+            let canceller = token.clone();
+            let tc = thread::spawn(move || cancel && canceller.cancel("batch deadline"));
+            let mut claimed = claim_loop(&next, &token, TASKS);
+            claimed.extend(rival.join().unwrap());
+            tc.join().unwrap();
+            claimed.sort_unstable();
+            // Claimed exactly once each, and a clean prefix — so what a
+            // fired token skipped is a suffix of claim order.
+            assert_eq!(claimed, (0..claimed.len()).collect::<Vec<usize>>());
+            if claimed.len() < TASKS {
+                assert!(token.is_cancelled(), "a task was skipped without a cancel");
+            }
+        });
+    }
 }
 
 #[test]
@@ -285,155 +274,5 @@ fn lock_witness_sees_an_inversion_the_schedule_survived() {
         let cycles = witness.cycles();
         assert_eq!(cycles.len(), 1, "inversion not witnessed: {cycles:?}");
         assert!(witness.nothing_held());
-    });
-}
-
-#[test]
-fn deque_last_element_owner_vs_thief() {
-    // The Chase-Lev double-claim hazard: the owner pops the last
-    // element (decrementing bottom) while a thief CASes top for the
-    // same slot. In every schedule exactly one side must win.
-    teleios_loom::model(|| {
-        let deque = Arc::new(StealDeque::new(1));
-        deque.push(42);
-        let thief_deque = Arc::clone(&deque);
-        let thief = thread::spawn(move || loop {
-            match thief_deque.steal() {
-                Steal::Task(v) => return Some(v),
-                Steal::Empty => return None,
-                // A lost CAS means top moved: someone claimed the
-                // element — the re-probe resolves to Empty.
-                Steal::Retry => {}
-            }
-        });
-        let popped = deque.pop();
-        let stolen = thief.join().unwrap();
-        match (popped, stolen) {
-            (Some(v), None) | (None, Some(v)) => assert_eq!(v, 42),
-            (Some(_), Some(_)) => panic!("last element claimed twice"),
-            (None, None) => panic!("last element vanished unclaimed"),
-        }
-        assert!(deque.is_empty(), "deque must end empty");
-        assert_eq!(deque.pop(), None);
-    });
-}
-
-#[test]
-fn deque_two_thieves_race_one_element() {
-    // Two racing steal loops over a single element: the top CAS is
-    // the sole arbiter, so exactly one thief gets Task and the other
-    // ends on Empty after its Retry.
-    teleios_loom::model(|| {
-        let deque = Arc::new(StealDeque::new(1));
-        deque.push(9);
-        let thieves: Vec<_> = (0..2)
-            .map(|_| {
-                let deque = Arc::clone(&deque);
-                thread::spawn(move || loop {
-                    match deque.steal() {
-                        Steal::Task(v) => return Some(v),
-                        Steal::Empty => return None,
-                        Steal::Retry => {}
-                    }
-                })
-            })
-            .collect();
-        let claims: Vec<usize> = thieves
-            .into_iter()
-            .filter_map(|h| h.join().unwrap())
-            .collect();
-        assert_eq!(claims, vec![9], "exactly one thief claims the element");
-        assert!(deque.is_empty());
-    });
-}
-
-#[test]
-fn steal_loop_cancellation_is_observed() {
-    // The worker probe loop of dispatch_stealing, raced against a
-    // rival thief and a canceller: Retry yields through
-    // poll_cancellable, so a fired deadline breaks the spin — and
-    // because Retry implies a lost CAS (the rival advanced top), a
-    // cancel-exit can never strand the element unclaimed.
-    teleios_loom::model(|| {
-        let deque = Arc::new(StealDeque::new(1));
-        deque.push(5);
-        let token = CancelToken::new();
-        let rival_deque = Arc::clone(&deque);
-        let rival = thread::spawn(move || loop {
-            match rival_deque.steal() {
-                Steal::Task(v) => return Some(v),
-                Steal::Empty => return None,
-                Steal::Retry => {}
-            }
-        });
-        let canceller = token.clone();
-        let tc = thread::spawn(move || {
-            canceller.cancel("deadline");
-        });
-        let mut cancelled_out = false;
-        let mine = loop {
-            match deque.steal() {
-                Steal::Task(v) => break Some(v),
-                Steal::Empty => break None,
-                Steal::Retry => {
-                    if token.poll_cancellable(1) {
-                        cancelled_out = true;
-                        break None;
-                    }
-                }
-            }
-        };
-        let rivals = rival.join().unwrap();
-        tc.join().unwrap();
-        let claims = [mine, rivals].iter().flatten().count();
-        assert_eq!(claims, 1, "the element is claimed exactly once in every schedule");
-        if cancelled_out {
-            assert!(token.is_cancelled(), "cancel-exit without a published cancel");
-            assert_eq!(rivals, Some(5), "a lost CAS means the rival holds the element");
-        }
-        assert!(deque.is_empty());
-    });
-}
-
-#[test]
-fn bounded_queue_worker_skips_form_a_suffix() {
-    // Worker half of try_run_bounded_cancellable: the token is checked
-    // per claimed task; executed tasks become Some, skipped tasks
-    // None. Because the flag is monotone (first-wins swap, never
-    // reset), the Nones must form a suffix in every interleaving — a
-    // Some after a None would mean the cancel "unhappened".
-    teleios_loom::model(|| {
-        let token = CancelToken::new();
-        let worker_token = token.clone();
-        let tw = thread::spawn(move || {
-            (0..3usize)
-                .map(|i| {
-                    if worker_token.is_cancelled() {
-                        None
-                    } else {
-                        Some(i)
-                    }
-                })
-                .collect::<Vec<Option<usize>>>()
-        });
-        let canceller = token.clone();
-        let tc = thread::spawn(move || {
-            canceller.cancel("drain");
-        });
-        let results = tw.join().unwrap();
-        tc.join().unwrap();
-        let first_skip = results.iter().position(|r| r.is_none());
-        if let Some(k) = first_skip {
-            assert!(
-                results[k..].iter().all(|r| r.is_none()),
-                "skips must be a suffix, got {results:?}"
-            );
-            assert!(token.is_cancelled());
-        }
-        for (i, r) in results.iter().enumerate() {
-            if let Some(v) = r {
-                assert_eq!(*v, i, "executed slots keep task order");
-            }
-        }
     });
 }

@@ -109,7 +109,7 @@ impl<T> RTree<T> {
     }
 
     /// Bulk-load entries with STR packing, parallelizing the two sort
-    /// passes on `pool`'s work-stealing scheduler.
+    /// passes on `pool`.
     ///
     /// Produces the same tree as [`RTree::bulk_load`]: the x-sort runs
     /// as per-chunk stable sorts merged with ties favoring the earlier
@@ -128,7 +128,7 @@ impl<T> RTree<T> {
         }
         // Parallel stable x-sort: contiguous chunks, one per worker.
         let chunk = len.div_ceil(pool.threads());
-        let sorted: Vec<Vec<(Envelope, T)>> = pool.run_stealing(
+        let sorted: Vec<Vec<(Envelope, T)>> = pool.run(
             chunk_every(items, chunk)
                 .into_iter()
                 .map(|mut c| {
@@ -141,10 +141,10 @@ impl<T> RTree<T> {
         );
         let items = merge_by_center_x(sorted);
         // Parallel strips: y-sort + leaf packing per strip, one strip
-        // per task (stealing absorbs the short final strip).
+        // per task (the shared claim counter absorbs the short final strip).
         let (_, per_strip) = str_strip_layout(len);
         let leaves: Vec<Node<T>> = pool
-            .run_stealing(
+            .run(
                 chunk_every(items, per_strip)
                     .into_iter()
                     .map(|mut strip| {

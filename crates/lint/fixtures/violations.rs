@@ -107,7 +107,7 @@ impl FixtureLocks {
 // ---- L7: a pool-dispatched closure blocks without a doorway ----
 
 pub fn l7_blocking_dispatch(pool: &FixturePool) {
-    pool.try_run_bounded(2, || {
+    pool.try_run(|| {
         std::thread::sleep(std::time::Duration::from_millis(1));
     });
 }
@@ -149,7 +149,7 @@ pub fn decoy_consistent_locks(locks: &FixtureLocks) {
 }
 
 pub fn decoy_cancellable_dispatch(pool: &FixturePool, token: &FixtureToken) {
-    pool.try_run_bounded(2, || {
+    pool.try_run(|| {
         token.sleep_cancellable(std::time::Duration::from_millis(1));
     });
 }
@@ -163,22 +163,22 @@ pub fn decoy_question_mark() -> Result<u8, FixtureError> {
     Ok(0)
 }
 
-// ---- L7/L5 through the stealing scheduler; plus stealing decoys ----
+// ---- L7 through `pool.run`, a second L5; plus dispatch decoys ----
 
-pub fn l7_blocking_stealing_dispatch(pool: &FixturePool) {
-    pool.run_stealing(|| {
+pub fn l7_blocking_pool_run(pool: &FixturePool) {
+    pool.run(|| {
         std::thread::sleep(std::time::Duration::from_millis(1));
     });
 }
 
-pub fn l5_steal_deque_relaxed(top: &std::sync::atomic::AtomicUsize) -> usize {
+pub fn l5_claim_counter_relaxed(top: &std::sync::atomic::AtomicUsize) -> usize {
     top.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-// ---- decoys: stealing-era calls that must stay silent ----
+// ---- decoys: dispatch-shaped calls that must stay silent ----
 
-pub fn decoy_cancellable_stealing(pool: &FixturePool, token: &FixtureToken) {
-    pool.try_run_stealing_cancellable(
+pub fn decoy_cancellable_multiline(pool: &FixturePool, token: &FixtureToken) {
+    pool.try_run_cancellable(
         || {
             token.sleep_cancellable(std::time::Duration::from_millis(1));
         },
@@ -186,8 +186,8 @@ pub fn decoy_cancellable_stealing(pool: &FixturePool, token: &FixtureToken) {
     );
 }
 
-pub fn decoy_non_pool_run_with(chain: &FixtureChain) {
-    chain.run_with(|| {
+pub fn decoy_non_pool_run(chain: &FixtureChain) {
+    chain.run(|| {
         std::thread::sleep(std::time::Duration::from_millis(1));
     });
 }
@@ -299,7 +299,7 @@ pub struct FixtureShared {
 
 pub fn l11_guard_across_dispatch(shared: &FixtureShared, pool: &FixturePool) {
     let held = shared.state.lock();
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
     drop(held);
 }
 
@@ -314,26 +314,26 @@ pub fn l11_guard_across_aliased_sleep(shared: &FixtureShared) {
 pub fn decoy_guard_dropped_before_block(shared: &FixtureShared, pool: &FixturePool) {
     let held = shared.state.lock();
     drop(held);
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
 }
 
 pub fn decoy_guard_scoped(shared: &FixtureShared, pool: &FixturePool) {
     {
         let _held = shared.state.lock();
     }
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
 }
 
 pub fn decoy_read_guard_across(shared: &FixtureShared, pool: &FixturePool) {
     let snap = shared.table.read();
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
     drop(snap);
 }
 
 // ---- L12: a pool-dispatched path spins without polling ----
 
 pub fn l12_dispatch_then_spin(pool: &FixturePool, token: &FixtureToken) {
-    pool.try_run_stealing_cancellable(|| {}, token);
+    pool.try_run_cancellable(|| {}, token);
     let mut n = 0;
     while n < 1000 {
         n += 1;
@@ -347,21 +347,21 @@ fn spin_wait(flag: &std::sync::atomic::AtomicBool) {
 }
 
 pub fn l12_dispatch_into_callee(pool: &FixturePool, flag: &std::sync::atomic::AtomicBool) {
-    pool.try_run_bounded_cancellable(2, |_c| {});
+    pool.try_run_cancellable(|_c| {});
     spin_wait(flag);
 }
 
 // ---- L12 decoys: polling loops, `for` loops, undispatched spins ----
 
 pub fn decoy_loop_polls(pool: &FixturePool, token: &FixtureToken) {
-    pool.try_run_bounded_cancellable(2, |_c| {});
+    pool.try_run_cancellable(|_c| {});
     while !token.is_cancelled() {
         std::hint::spin_loop();
     }
 }
 
 pub fn decoy_for_loop(pool: &FixturePool) {
-    pool.try_run_bounded_cancellable(2, |_c| {});
+    pool.try_run_cancellable(|_c| {});
     for _ in 0..3 {
         std::hint::spin_loop();
     }

@@ -31,7 +31,7 @@ pub fn alpha_take_ingest(s: &AlphaShared) {
 // ---- L7: dispatch reaching raw blocking in the other crate ----
 
 pub fn alpha_dispatch_direct(pool: &AlphaPool) {
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
     fix_beta::beta_backoff();
 }
 
@@ -40,7 +40,7 @@ pub fn alpha_dispatch_direct(pool: &AlphaPool) {
 // crate even though resolution went through fix_beta.
 
 pub fn alpha_dispatch_reexported(pool: &AlphaPool, rx: &AlphaRx) {
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
     fix_beta::relay_stall(rx);
 }
 
@@ -52,7 +52,7 @@ pub fn alpha_stall(rx: &AlphaRx) {
 // `use fix_beta::*` at the top of this file.
 
 pub fn alpha_dispatch_glob(pool: &AlphaPool) {
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
     beta_glob_stall();
 }
 
@@ -67,7 +67,7 @@ pub fn alpha_hold_guard_across_sync(s: &AlphaShared, f: &BetaFile) {
 // ---- L12: cancellable-dispatched loop, no poll on its path ----
 
 pub fn alpha_cancellable_worker(pool: &AlphaPool, token: &AlphaToken, flag: &AlphaFlag) {
-    pool.try_run_stealing_cancellable(|| {}, token);
+    pool.try_run_cancellable(|| {}, token);
     while !flag.is_done() {
         fix_beta::beta_churn();
     }
@@ -78,7 +78,7 @@ pub fn alpha_cancellable_worker(pool: &AlphaPool, token: &AlphaToken, flag: &Alp
 // completing a crate-dependency cycle the SCC fixpoint must resolve.
 
 pub fn decoy_alpha_worker_polls(pool: &AlphaPool, token: &AlphaToken, flag: &AlphaFlag) {
-    pool.try_run_stealing_cancellable(|| {}, token);
+    pool.try_run_cancellable(|| {}, token);
     while !flag.is_done() {
         if fix_beta::beta_poll(token) {
             break;
@@ -97,6 +97,6 @@ pub fn alpha_poll_gate(token: &AlphaToken) -> bool {
 use std::mem::take;
 
 pub fn decoy_alpha_std_import(pool: &AlphaPool, v: &mut Vec<u8>) {
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
     let _v = take(v);
 }

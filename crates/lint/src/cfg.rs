@@ -737,7 +737,7 @@ impl Builder<'_, '_> {
                         });
                     } else if dotted
                         && called
-                        && (name == "run" || name == "run_with")
+                        && name == "run"
                         && graph::receiver_name(toks, i - 1)
                             .is_some_and(|r| r.to_lowercase().contains("pool"))
                     {
@@ -1233,7 +1233,7 @@ pub fn maybe(s: &S, pool: &P, ok: bool) {
     if ok {
         drop(g);
     }
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
 }
 "#;
         assert_eq!(fired(src, Rule::GuardAcrossBlocking), vec![(7, 10)]);
@@ -1249,7 +1249,7 @@ pub fn maybe(s: &S, pool: &P, ok: bool) {
     } else {
         drop(g);
     }
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
 }
 "#;
         assert_eq!(fired(src, Rule::GuardAcrossBlocking), vec![]);
@@ -1287,7 +1287,7 @@ pub fn flush(s: &S, b: &B) {
     fn loop_with_an_unpolled_continue_path_fires() {
         let src = r#"
 pub fn worker(pool: &P, t: &T, flag: bool) {
-    pool.try_run_stealing_cancellable(|| {}, t);
+    pool.try_run_cancellable(|| {}, t);
     let mut i = 0;
     while i < 10 {
         if flag {
@@ -1309,7 +1309,7 @@ fn poll_budget(t: &T) -> bool {
     t.is_cancelled()
 }
 pub fn worker(pool: &P, t: &T) {
-    pool.try_run_stealing_cancellable(|| {}, t);
+    pool.try_run_cancellable(|| {}, t);
     loop {
         if poll_budget(t) {
             break;

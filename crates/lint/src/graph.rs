@@ -183,13 +183,7 @@ pub(crate) fn call_shape_at(toks: &[Tok<'_>], i: usize) -> Option<CallShape> {
 /// The pool-dispatch methods whose task closures must stay
 /// cancellable (L7) — and, for the `*_cancellable` subset, put loops
 /// in scope for L12.
-pub(crate) const DISPATCH_METHODS: [&str; 5] = [
-    "try_run_bounded",
-    "try_run_bounded_cancellable",
-    "run_stealing",
-    "try_run_stealing",
-    "try_run_stealing_cancellable",
-];
+pub(crate) const DISPATCH_METHODS: [&str; 2] = ["try_run", "try_run_cancellable"];
 
 /// Is token `i` the `.` of a pool-dispatch call? Returns the method
 /// name.
@@ -202,16 +196,11 @@ pub(crate) fn dispatch_method_at(toks: &[Tok<'_>], i: usize) -> Option<&'static 
         return None;
     }
     match m {
-        "try_run_bounded" => Some("try_run_bounded"),
-        "try_run_bounded_cancellable" => Some("try_run_bounded_cancellable"),
-        "run_stealing" => Some("run_stealing"),
-        "try_run_stealing" => Some("try_run_stealing"),
-        "try_run_stealing_cancellable" => Some("try_run_stealing_cancellable"),
-        // `.run(..)` / `.run_with(..)` are dispatches only on a
-        // pool-ish receiver — `chain.run(..)` and friends are
-        // ordinary calls.
+        "try_run" => Some("try_run"),
+        "try_run_cancellable" => Some("try_run_cancellable"),
+        // `.run(..)` is a dispatch only on a pool-ish receiver —
+        // `chain.run(..)` and friends are ordinary calls.
         "run" if pool_receiver(toks, i) => Some("run"),
-        "run_with" if pool_receiver(toks, i) => Some("run_with"),
         _ => None,
     }
 }
@@ -402,7 +391,7 @@ impl S {
     fn cancel_safety_fires_on_sleep_in_dispatch_closure() {
         let src = "\
 fn dispatch(pool: &P) {
-    pool.try_run_bounded(4, || {
+    pool.try_run(|| {
         std::thread::sleep(std::time::Duration::from_millis(5));
     });
 }";
@@ -419,7 +408,7 @@ fn backoff() {
     std::thread::sleep(std::time::Duration::from_millis(5));
 }
 fn dispatch(pool: &P) {
-    pool.try_run_bounded_cancellable(4, |_t| {
+    pool.try_run_cancellable(|_t| {
         backoff();
     });
 }";
@@ -434,7 +423,7 @@ fn dispatch(pool: &P) {
     fn cancel_safety_accepts_the_doorways_and_plain_run() {
         let ok = "\
 fn dispatch(pool: &P, cancel: &C) {
-    pool.try_run_bounded_cancellable(4, |t| {
+    pool.try_run_cancellable(|t| {
         t.sleep_cancellable(std::time::Duration::from_millis(5));
         t.poll_cancellable(|| done());
     });
@@ -470,7 +459,7 @@ fn attempt(id: u64) -> u64 {
 }
 fn run_batch(pool: &P, ids: Vec<u64>) {
     let tasks: Vec<_> = ids.into_iter().map(|id| move || attempt(id)).collect();
-    pool.try_run_bounded_cancellable(8, tasks);
+    pool.try_run_cancellable(tasks);
 }";
         let f = scan(src);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -484,7 +473,7 @@ fn run_batch(pool: &P, ids: Vec<u64>) {
     fn cancel_safety_flags_recv_in_closure() {
         let src = "\
 fn drain(pool: &P, rx: &R) {
-    pool.try_run_bounded(2, move || {
+    pool.try_run(move || {
         let _msg = rx.recv();
     });
 }";

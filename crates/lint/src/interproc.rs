@@ -45,8 +45,7 @@ const POLLS: [&str; 3] = ["is_cancelled", "poll_cancellable", "sleep_cancellable
 
 /// The dispatch methods that hand the task a `CancelToken` — only
 /// their paths owe L12 an iteration-wise poll.
-const CANCELLABLE_DISPATCHES: [&str; 2] =
-    ["try_run_bounded_cancellable", "try_run_stealing_cancellable"];
+const CANCELLABLE_DISPATCHES: [&str; 1] = ["try_run_cancellable"];
 
 /// Ubiquitous std/collection method names: a `.len()` in crate A must
 /// not resolve to some crate B's `fn len` just because B is the only
@@ -963,7 +962,7 @@ mod tests {
     fn cancel_safety_follows_calls_across_crates() {
         let alpha = lib(
             "alpha",
-            "pub fn dispatch(pool: &P) {\n    pool.try_run_bounded_cancellable(4, |_t| {\n        teleios_beta::backoff();\n    });\n}",
+            "pub fn dispatch(pool: &P) {\n    pool.try_run_cancellable(|_t| {\n        teleios_beta::backoff();\n    });\n}",
         );
         let beta = lib(
             "beta",
@@ -981,7 +980,7 @@ mod tests {
     fn cancel_safety_chases_reexport_chains() {
         let alpha = lib(
             "alpha",
-            "use teleios_facade::stall;\npub fn dispatch(pool: &P) {\n    pool.try_run_bounded(4, || stall());\n}",
+            "use teleios_facade::stall;\npub fn dispatch(pool: &P) {\n    pool.try_run(|| stall());\n}",
         );
         let facade = lib("facade", "pub use teleios_beta::stall;\n");
         let beta = lib(
@@ -1048,7 +1047,7 @@ mod tests {
         );
         let alpha = lib(
             "alpha",
-            "pub fn worker(pool: &P, t: &T) {\n    pool.try_run_stealing_cancellable(|| {}, t);\n    loop {\n        if teleios_beta::poll_budget(t) {\n            break;\n        }\n    }\n}",
+            "pub fn worker(pool: &P, t: &T) {\n    pool.try_run_cancellable(|| {}, t);\n    loop {\n        if teleios_beta::poll_budget(t) {\n            break;\n        }\n    }\n}",
         );
         assert!(hits(&[alpha.clone(), polling], Rule::LoopCancelPoll).is_empty());
         let silent = lib("beta", "pub fn poll_budget(t: &T) -> bool {\n    t.is_done()\n}");
@@ -1064,7 +1063,7 @@ mod tests {
         // the workspace fn of the same name (which would block).
         let alpha = lib(
             "alpha",
-            "use std::mem::take;\npub fn dispatch(pool: &P, v: &mut Vec<u8>) {\n    pool.try_run_bounded(4, || {});\n    let _v = take(v);\n}",
+            "use std::mem::take;\npub fn dispatch(pool: &P, v: &mut Vec<u8>) {\n    pool.try_run(|| {});\n    let _v = take(v);\n}",
         );
         let beta = lib(
             "beta",
@@ -1088,7 +1087,7 @@ mod tests {
         );
         let gamma = lib(
             "gamma",
-            "pub fn worker(pool: &P, t: &T) {\n    pool.try_run_stealing_cancellable(|| {}, t);\n    loop {\n        if teleios_alpha::ping(t, 3) {\n            break;\n        }\n    }\n}",
+            "pub fn worker(pool: &P, t: &T) {\n    pool.try_run_cancellable(|| {}, t);\n    loop {\n        if teleios_alpha::ping(t, 3) {\n            break;\n        }\n    }\n}",
         );
         assert!(hits(&[alpha, beta, gamma], Rule::LoopCancelPoll).is_empty());
     }

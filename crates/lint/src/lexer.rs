@@ -28,18 +28,6 @@ impl LineIndex {
         LineIndex { starts }
     }
 
-    /// Rebuild from a saved line-start table (the summary cache stores
-    /// the table so cached files need not be re-read to map offsets).
-    pub fn from_starts(starts: Vec<usize>) -> LineIndex {
-        LineIndex {
-            starts: if starts.is_empty() { vec![0] } else { starts },
-        }
-    }
-
-    pub fn starts(&self) -> &[usize] {
-        &self.starts
-    }
-
     /// Byte offset of the start of 1-based `line`.
     pub fn line_start(&self, line: usize) -> usize {
         self.starts.get(line.saturating_sub(1)).copied().unwrap_or(0)
@@ -626,13 +614,10 @@ mod tests {
     }
 
     #[test]
-    fn line_index_round_trips_through_starts() {
+    fn line_index_maps_offsets_to_lines() {
         let idx = LineIndex::new("ab\ncd\nef");
-        let rebuilt = LineIndex::from_starts(idx.starts().to_vec());
-        assert_eq!(rebuilt.line_col(4), (2, 2));
-        assert_eq!(rebuilt.line_start(3), 6);
-        // An empty table degrades to single-line mapping.
-        assert_eq!(LineIndex::from_starts(Vec::new()).line_col(5), (1, 6));
+        assert_eq!(idx.line_col(4), (2, 2));
+        assert_eq!(idx.line_start(3), 6);
     }
 
     #[test]

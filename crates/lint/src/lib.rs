@@ -16,8 +16,9 @@
 //! and pure: local token rules plus an effect summary (locks
 //! acquired/released, blocking calls, txn begin/commit, `CancelToken`
 //! polls, dispatch sites, imports/re-exports) extracted from the
-//! token stream and CFG — so it parallelizes ([`par`]) and caches
-//! ([`cache`]) freely. **Link** ([`interproc`]) stitches the
+//! token stream and CFG; the scan runs it once per file, serially
+//! (a cold pass over the whole workspace is ~1 % of the check.sh
+//! budget). **Link** ([`interproc`]) stitches the
 //! summaries into one workspace-wide call graph — Tarjan SCCs over
 //! the crate-dependency DAG, fixpoint inside cycles, `pub use`
 //! re-export chains chased to the defining crate — and runs the
@@ -55,22 +56,18 @@
 //! line above — and a marker that stops matching anything is itself
 //! reported (`unused-allow`), so stale waivers can't accumulate.
 
-pub(crate) mod cache;
 pub(crate) mod cfg;
 pub mod graph;
 pub(crate) mod interproc;
 pub mod lexer;
 pub mod mask;
-pub(crate) mod par;
 pub mod render;
 pub mod rules;
 pub mod summary;
 pub mod workspace;
 
 pub use rules::{analyze, scan_file, FilePolicy, Finding, Rule, SourceFile};
-pub use workspace::{
-    find_workspace_root, scan_workspace, scan_workspace_with, ScanOptions, ScanStats,
-};
+pub use workspace::{find_workspace_root, scan_workspace, ScanStats};
 
 /// The seeded-violation fixture used by the self-test.
 pub const FIXTURE: &str = include_str!("../fixtures/violations.rs");

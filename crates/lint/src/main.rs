@@ -1,27 +1,18 @@
 #![forbid(unsafe_code)]
 //! Driver: `teleios-lint [--root <path>] [--self-test] [--strict]
-//! [--format human|json|github] [--jobs <n> | --serial]
-//! [--cache <dir>] [--changed-since <rev>] [--timings] [<file>...]`.
+//! [--format human|json|github] [--timings]`.
 //!
 //! Default mode scans every workspace member and exits non-zero on
 //! any violated invariant (warnings — `unused-allow` — fail only
 //! under `--strict`); `--self-test` runs the analyzer over the seeded
 //! fixtures — the single-file crate and the two-crate cross-crate
 //! workspace — and verifies each rule fires at its exact
-//! `file:line:col` (and that the decoys stay silent).
-//!
-//! The summarize phase runs one task per file on the worker pool
-//! (`--jobs`/`--serial` control the width; findings are byte-
-//! identical either way). `--cache <dir>` keeps content-fingerprinted
-//! per-file summaries so warm runs skip the lex/CFG work.
-//! `--changed-since <rev>` (or naming files directly) re-summarizes
-//! only the changed set and links everything else from the cache on
-//! trust. `--timings` reports per-phase and per-rule wall-clock plus
-//! the cache hit rate on stderr.
+//! `file:line:col` (and that the decoys stay silent). `--timings`
+//! reports per-phase and per-rule wall-clock on stderr.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
-use teleios_lint::{Finding, ScanOptions, ScanStats};
+use teleios_lint::{Finding, ScanStats};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -33,8 +24,7 @@ enum Format {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: teleios-lint [--root <workspace-dir>] [--self-test] [--strict] \
-         [--format human|json|github] [--jobs <n> | --serial] [--cache <dir>] \
-         [--changed-since <rev>] [--timings] [<file>...]"
+         [--format human|json|github] [--timings]"
     );
     ExitCode::from(2)
 }
@@ -55,57 +45,7 @@ fn render(findings: &[Finding], format: Format) {
     }
 }
 
-/// Workspace-relative label for a user-named path (absolute, or
-/// relative to the invocation directory).
-fn to_label(root: &Path, arg: &str) -> String {
-    let p = PathBuf::from(arg);
-    let abs = if p.is_absolute() {
-        p
-    } else {
-        std::env::current_dir().unwrap_or_default().join(p)
-    };
-    let abs = abs.canonicalize().unwrap_or(abs);
-    let root = root.canonicalize().unwrap_or_else(|_| root.to_path_buf());
-    abs.strip_prefix(&root)
-        .unwrap_or(&abs)
-        .to_string_lossy()
-        .replace('\\', "/")
-}
-
-/// `.rs` files changed since `rev` (committed, staged, unstaged, or
-/// untracked), as workspace-relative labels.
-fn git_changed(root: &Path, rev: &str) -> Result<Vec<String>, String> {
-    let run = |args: &[&str]| -> Result<String, String> {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(args)
-            .output()
-            .map_err(|e| format!("running git: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "git {} failed: {}",
-                args.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
-        }
-        Ok(String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let diff = run(&["diff", "--name-only", rev, "--"])?;
-    let untracked = run(&["ls-files", "--others", "--exclude-standard"])?;
-    let mut files: Vec<String> = diff
-        .lines()
-        .chain(untracked.lines())
-        .map(str::trim)
-        .filter(|l| l.ends_with(".rs"))
-        .map(|l| l.replace('\\', "/"))
-        .collect();
-    files.sort();
-    files.dedup();
-    Ok(files)
-}
-
-fn print_timings(stats: &ScanStats, cached: bool) {
+fn print_timings(stats: &ScanStats) {
     eprintln!("teleios-lint timings ({} files):", stats.files);
     let mut total: u128 = 0;
     for (name, us) in &stats.phases {
@@ -113,18 +53,6 @@ fn print_timings(stats: &ScanStats, cached: bool) {
         total += us;
     }
     eprintln!("    {:<24} {:>9.2}ms", "total", total as f64 / 1000.0);
-    if cached {
-        let looked = stats.cache_hits + stats.cache_misses;
-        let rate = if looked == 0 {
-            0.0
-        } else {
-            stats.cache_hits as f64 * 100.0 / looked as f64
-        };
-        eprintln!(
-            "    cache: {} hit(s), {} miss(es) — {rate:.0}% hit rate",
-            stats.cache_hits, stats.cache_misses
-        );
-    }
 }
 
 fn main() -> ExitCode {
@@ -132,10 +60,6 @@ fn main() -> ExitCode {
     let mut self_test = false;
     let mut strict = false;
     let mut format = Format::Human;
-    let mut jobs: usize = 0;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut changed_since: Option<String> = None;
-    let mut named_files: Vec<String> = Vec::new();
     let mut timings = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -152,19 +76,6 @@ fn main() -> ExitCode {
                 Some("github") => format = Format::Github,
                 _ => return usage(),
             },
-            "--jobs" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => jobs = n,
-                _ => return usage(),
-            },
-            "--serial" => jobs = 1,
-            "--cache" => match args.next() {
-                Some(d) => cache_dir = Some(PathBuf::from(d)),
-                None => return usage(),
-            },
-            "--changed-since" => match args.next() {
-                Some(rev) => changed_since = Some(rev),
-                None => return usage(),
-            },
             "--timings" => timings = true,
             "--help" | "-h" => {
                 println!("teleios-lint: TELEIOS workspace invariant checker");
@@ -173,16 +84,9 @@ fn main() -> ExitCode {
                 println!("  --self-test           verify rules L1-L12 + crate-attrs fire on the seeded fixtures (single-file + cross-crate)");
                 println!("  --strict              treat warnings (unused-allow) as errors");
                 println!("  --format <fmt>        human (default) | json | github annotations");
-                println!("  --jobs <n>            summarize-phase worker threads (default: available parallelism)");
-                println!("  --serial              single-threaded scan (same findings, byte-identical)");
-                println!("  --cache <dir>         content-fingerprint summary cache for warm runs");
-                println!("  --changed-since <rev> re-summarize only files git reports changed since <rev>;");
-                println!("                        everything else links from the cache on trust");
-                println!("  --timings             per-phase/per-rule wall-clock + cache hit rate on stderr");
-                println!("  <file>...             explicit changed set (same cache-trust linking)");
+                println!("  --timings             per-phase/per-rule wall-clock on stderr");
                 return ExitCode::SUCCESS;
             }
-            other if !other.starts_with('-') => named_files.push(arg),
             _ => return usage(),
         }
     }
@@ -218,30 +122,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut changed: Option<Vec<String>> = None;
-    if let Some(rev) = &changed_since {
-        match git_changed(&root, rev) {
-            Ok(labels) => changed = Some(labels),
-            Err(e) => {
-                eprintln!("teleios-lint: --changed-since: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if !named_files.is_empty() {
-        let set = changed.get_or_insert_with(Vec::new);
-        set.extend(named_files.iter().map(|f| to_label(&root, f)));
-        set.sort();
-        set.dedup();
-    }
-    if changed.is_some() && cache_dir.is_none() {
-        eprintln!(
-            "teleios-lint: note: changed-set mode without --cache re-reads every file (nothing to link against)"
-        );
-    }
-
-    let opts = ScanOptions { jobs, cache_dir: cache_dir.clone(), changed };
-    match teleios_lint::scan_workspace_with(&root, &opts) {
+    match teleios_lint::scan_workspace(&root) {
         // A clean scan of zero files means the root was wrong, not that
         // the workspace is clean — a mispathed CI invocation must fail.
         Ok((_, stats)) if stats.files == 0 => {
@@ -251,7 +132,7 @@ fn main() -> ExitCode {
         Ok((findings, stats)) => {
             let file_count = stats.files;
             if timings {
-                print_timings(&stats, cache_dir.is_some());
+                print_timings(&stats);
             }
             let errors = findings.iter().filter(|f| !f.rule.is_warning()).count();
             let warnings = findings.len() - errors;

@@ -2,8 +2,7 @@
 //! workspace (or a single file, via [`scan_file`]) and runs two
 //! phases:
 //!
-//! **Summarize** (per file, independent — parallel and cacheable, see
-//! [`crate::summary`]):
+//! **Summarize** (per file, independent — see [`crate::summary`]):
 //!
 //! - per-token rules L1/L2/L3/L5/L9 over the [`crate::lexer`] stream,
 //!   alias-aware via each file's `use` map;
@@ -218,8 +217,7 @@ pub(crate) struct FileCtx<'a> {
 /// Per-file finding collector for the summarize phase: applies this
 /// file's allow markers and records which markers suppressed
 /// something. The surviving findings and the used-marker set travel
-/// in the [`FileSummary`] — so a cached summary carries its local
-/// diagnostics without re-reading the file.
+/// in the [`FileSummary`], so the link phase never re-reads the file.
 pub(crate) struct LocalSink<'a> {
     label: &'a str,
     idx: &'a LineIndex,
@@ -329,17 +327,11 @@ impl Diagnostics {
 /// one crate; the interprocedural rules link all crates together.
 pub fn analyze(files: &[SourceFile]) -> Vec<Finding> {
     let sums: Vec<FileSummary> = files.iter().map(crate::summary::summarize).collect();
-    link(&sums)
+    link_timed(&sums, &mut Vec::new())
 }
 
-/// The link phase over pre-computed (possibly cached) summaries.
-pub(crate) fn link(sums: &[FileSummary]) -> Vec<Finding> {
-    let mut phases = Vec::new();
-    link_timed(sums, &mut phases)
-}
-
-/// [`link`], recording per-rule wall-clock into `phases` as
-/// `(name, microseconds)` for `--timings`.
+/// The link phase over pre-computed summaries, recording per-rule
+/// wall-clock into `phases` as `(name, microseconds)` for `--timings`.
 pub(crate) fn link_timed(
     sums: &[FileSummary],
     phases: &mut Vec<(&'static str, u128)>,

@@ -10,21 +10,14 @@
 //! file's summary into a workspace-wide call graph and runs the
 //! cross-crate rules over it.
 //!
-//! Because `summarize` reads nothing but its own file, the phase is
-//! embarrassingly parallel (see `par.rs`) and its output is cacheable
-//! by content fingerprint (see `cache.rs`): a warm run re-summarizes
-//! only edited files and re-links from cache.
+//! `summarize` reads nothing but its own file, so the scan is one
+//! serial pass over the files followed by one link.
 
 use crate::cfg::{self, Cfg};
 use crate::graph;
 use crate::lexer::{self, ident_at, in_test, is_ident, is_punct, AllowMarker, LineIndex};
 use crate::rules::{self, FileCtx, FilePolicy, Finding, LocalSink, SourceFile};
 use std::collections::BTreeSet;
-
-/// Bumped whenever the summary structure or its serialized form
-/// changes; part of the content fingerprint, so a stale cache entry
-/// from an older lint can never be deserialized.
-pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// One lock acquisition: the lock's name, the byte offset of the
 /// site, and the byte offset of the last token at which the guard is
@@ -94,14 +87,12 @@ pub(crate) struct FnEffects {
     pub cfg: Option<Cfg>,
 }
 
-/// The complete analysis product of one file. Owns everything —
-/// serializable to the summary cache and safe to move across the
-/// worker pool.
+/// The complete analysis product of one file. Owns everything it
+/// needs, so the link phase never goes back to the source.
 #[derive(Debug, Clone)]
 pub(crate) struct FileSummary {
     pub label: String,
     pub crate_name: String,
-    pub is_crate_root: bool,
     pub policy: FilePolicy,
     pub idx: LineIndex,
     /// Byte ranges of `#[cfg(test)]` regions.
@@ -126,46 +117,6 @@ pub(crate) struct FileSummary {
     pub reexports: Vec<(String, Vec<String>)>,
     /// Glob-imported path prefixes (`use teleios_core::*`).
     pub globs: Vec<Vec<String>>,
-    /// FNV-1a 64 over the raw source plus every workspace coordinate
-    /// that feeds the analysis. Two files with equal fingerprints
-    /// produce equal summaries.
-    pub fingerprint: u64,
-}
-
-/// FNV-1a 64 — tiny, dependency-free, stable across platforms.
-pub(crate) struct Fnv(pub u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-/// Fingerprint of one input file: raw content plus the workspace
-/// coordinates (label, crate, policy, root status) and the summary
-/// format version.
-pub(crate) fn fingerprint(file: &SourceFile) -> u64 {
-    let mut h = Fnv::new();
-    h.eat(&FORMAT_VERSION.to_le_bytes());
-    h.eat(file.label.as_bytes());
-    h.eat(&[0xff]);
-    h.eat(file.crate_name.as_bytes());
-    h.eat(&[
-        0xff,
-        u8::from(file.policy.substrate),
-        u8::from(file.policy.bin_target),
-        u8::from(file.policy.fs_doorway),
-        u8::from(file.is_crate_root),
-    ]);
-    h.eat(file.raw.as_bytes());
-    h.0
 }
 
 /// Summarize one file: run the local rules and extract the effect
@@ -273,7 +224,6 @@ pub(crate) fn summarize(file: &SourceFile) -> FileSummary {
     FileSummary {
         label: file.label.clone(),
         crate_name: file.crate_name.clone(),
-        is_crate_root: file.is_crate_root,
         policy: file.policy,
         idx,
         regions,
@@ -289,7 +239,6 @@ pub(crate) fn summarize(file: &SourceFile) -> FileSummary {
         imports,
         reexports,
         globs,
-        fingerprint: fingerprint(file),
     }
 }
 
@@ -314,7 +263,7 @@ fn work(s: &S, pool: &P, rx: &R) {
     let g = s.meta.lock();
     helper();
     drop(g);
-    pool.try_run_bounded(2, || {});
+    pool.try_run(|| {});
     let _m = rx.recv();
     wal::replay();
 }
@@ -327,13 +276,13 @@ mod wal;
         assert!(!f.is_test);
         assert_eq!(f.acqs.len(), 1);
         assert_eq!(f.acqs[0].lock, "meta");
-        assert_eq!(f.dispatches, vec![("try_run_bounded".to_string(), src.find(".try_run").unwrap())]);
+        assert_eq!(f.dispatches, vec![("try_run".to_string(), src.find(".try_run").unwrap())]);
         assert_eq!(f.l7_blocks.len(), 1);
         assert!(f.l7_blocks[0].0.contains("recv"));
         let names: Vec<&str> = f.calls.iter().map(|c| c.name.as_str()).collect();
         assert!(names.contains(&"helper"), "{names:?}");
         assert!(names.contains(&"replay"), "{names:?}");
-        assert!(!names.contains(&"try_run_bounded"), "{names:?}");
+        assert!(!names.contains(&"try_run"), "{names:?}");
         assert_eq!(sum.mods, vec!["wal".to_string()]);
         assert!(f.cfg.is_some());
     }
@@ -357,21 +306,6 @@ mod tests {
         assert!(sum.fns[1].l7_blocks.is_empty());
         assert!(sum.fns[1].cfg.is_none());
         assert!(sum.local.is_empty());
-    }
-
-    #[test]
-    fn fingerprint_tracks_content_and_coordinates() {
-        let a = file("fn f() {}\n");
-        assert_eq!(summarize(&a).fingerprint, fingerprint(&a));
-        let mut b = a.clone();
-        b.raw.push(' ');
-        assert_ne!(fingerprint(&a), fingerprint(&b));
-        let mut c = a.clone();
-        c.crate_name = "y".to_string();
-        assert_ne!(fingerprint(&a), fingerprint(&c));
-        let mut d = a.clone();
-        d.policy.substrate = true;
-        assert_ne!(fingerprint(&a), fingerprint(&d));
     }
 
     #[test]

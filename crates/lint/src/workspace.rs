@@ -1,13 +1,13 @@
 //! Workspace walking and the two-phase scan driver: enumerate member
 //! crates, derive each file's [`FilePolicy`] from where it lives,
-//! summarize every file (morsel-parallel, optionally through the
-//! content-fingerprint cache), and link the summaries so the
+//! summarize every file in walk order, and link the summaries so the
 //! interprocedural rules (lock-order, cancel-safety, the
 //! path-sensitive flow rules, swallowed-result) see the whole
-//! workspace at once.
+//! workspace at once. The scan is serial: a cold pass over the whole
+//! workspace costs about 1 % of the check.sh budget (EXPERIMENTS.md,
+//! "E13b (retired)").
 
 use crate::rules::{FilePolicy, Finding, SourceFile};
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -124,19 +124,8 @@ fn members(root: &Path) -> io::Result<Vec<Member>> {
     Ok(out)
 }
 
-/// One workspace source file's coordinates, known before its content
-/// is read — what a summarize task needs to go from path to
-/// [`crate::summary::FileSummary`] on its own.
-struct FileMeta {
-    path: PathBuf,
-    label: String,
-    crate_name: String,
-    is_crate_root: bool,
-    policy: FilePolicy,
-}
-
-fn enumerate(root: &Path) -> io::Result<Vec<FileMeta>> {
-    let mut metas: Vec<FileMeta> = Vec::new();
+fn enumerate(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let mut sources: Vec<SourceFile> = Vec::new();
     for member in members(root)? {
         let crate_root = member.dir.join("src").join("lib.rs");
         let mut files = Vec::new();
@@ -151,33 +140,16 @@ fn enumerate(root: &Path) -> io::Result<Vec<FileMeta>> {
             if member.name == "root" && label.starts_with("crates/") {
                 continue;
             }
-            metas.push(FileMeta {
+            sources.push(SourceFile {
+                raw: fs::read_to_string(&file)?,
                 policy: policy_for(&member.name, &label),
                 is_crate_root: file == crate_root,
                 crate_name: member.name.clone(),
                 label,
-                path: file,
             });
         }
     }
-    Ok(metas)
-}
-
-/// How [`scan_workspace_with`] runs.
-#[derive(Debug, Clone, Default)]
-pub struct ScanOptions {
-    /// Worker threads for the summarize phase; `0` = available
-    /// parallelism. Results are in file order regardless, so parallel
-    /// and serial scans emit byte-identical findings.
-    pub jobs: usize,
-    /// Summary cache directory: per-file entries keyed by label hash,
-    /// validated by content fingerprint, rewritten on miss.
-    pub cache_dir: Option<PathBuf>,
-    /// Explicit changed set (workspace-relative labels): only these
-    /// files are read and re-summarized; every other file's summary
-    /// is taken from `cache_dir` on trust (falling back to a fresh
-    /// read when absent). Backs `--changed-since` / file-list mode.
-    pub changed: Option<Vec<String>>,
+    Ok(sources)
 }
 
 /// What a scan did, for `--timings` and the budget gate.
@@ -185,111 +157,23 @@ pub struct ScanOptions {
 pub struct ScanStats {
     /// Files in the analyzed set.
     pub files: usize,
-    /// Summaries served from the cache.
-    pub cache_hits: usize,
-    /// Summaries computed fresh.
-    pub cache_misses: usize,
     /// `(phase, microseconds)` in execution order: walk, summarize,
-    /// cache-store, then the per-rule link breakdown.
+    /// then the per-rule link breakdown.
     pub phases: Vec<(&'static str, u128)>,
-}
-
-enum Outcome {
-    Hit(crate::summary::FileSummary),
-    Miss(crate::summary::FileSummary),
-    Io(io::Error),
 }
 
 /// Load every member crate's sources and run the full rule set over
 /// them. Returns sorted findings (empty means the workspace holds all
-/// invariants) plus the number of files scanned.
-pub fn scan_workspace(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
-    let (findings, stats) = scan_workspace_with(root, &ScanOptions::default())?;
-    Ok((findings, stats.files))
-}
-
-/// [`scan_workspace`] with explicit parallelism, caching, and
-/// changed-set control. Summarize runs one task per file on the
-/// worker pool; linking is serial and global. Findings are sorted and
-/// independent of `jobs`.
-pub fn scan_workspace_with(
-    root: &Path,
-    opts: &ScanOptions,
-) -> io::Result<(Vec<Finding>, ScanStats)> {
+/// invariants) plus what the scan did.
+pub fn scan_workspace(root: &Path) -> io::Result<(Vec<Finding>, ScanStats)> {
     let t_walk = Instant::now();
-    let metas = enumerate(root)?;
-    let mut stats = ScanStats { files: metas.len(), ..ScanStats::default() };
+    let sources = enumerate(root)?;
+    let mut stats = ScanStats { files: sources.len(), ..ScanStats::default() };
     stats.phases.push(("walk", t_walk.elapsed().as_micros()));
 
-    let changed: Option<BTreeSet<&str>> =
-        opts.changed.as_ref().map(|v| v.iter().map(String::as_str).collect());
-    let jobs = if opts.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        opts.jobs
-    };
-
     let t_sum = Instant::now();
-    let cache_dir = opts.cache_dir.as_deref();
-    let tasks: Vec<_> = metas
-        .into_iter()
-        .map(|meta| {
-            let unchanged = changed.as_ref().is_some_and(|set| !set.contains(meta.label.as_str()));
-            move || -> Outcome {
-                // File-list mode, file outside the named set: trust
-                // the cache without touching the source at all.
-                if unchanged {
-                    if let Some(sum) =
-                        cache_dir.and_then(|d| crate::cache::load_any(d, &meta.label))
-                    {
-                        return Outcome::Hit(sum);
-                    }
-                }
-                let raw = match fs::read_to_string(&meta.path) {
-                    Ok(raw) => raw,
-                    Err(e) => return Outcome::Io(e),
-                };
-                let file = SourceFile {
-                    label: meta.label,
-                    raw,
-                    crate_name: meta.crate_name,
-                    is_crate_root: meta.is_crate_root,
-                    policy: meta.policy,
-                };
-                if let Some(dir) = cache_dir {
-                    let fp = crate::summary::fingerprint(&file);
-                    if let Some(sum) = crate::cache::load(dir, &file.label, fp) {
-                        return Outcome::Hit(sum);
-                    }
-                }
-                Outcome::Miss(crate::summary::summarize(&file))
-            }
-        })
-        .collect();
-    let outcomes = crate::par::run_tasks(jobs, tasks);
+    let sums: Vec<_> = sources.iter().map(crate::summary::summarize).collect();
     stats.phases.push(("summarize", t_sum.elapsed().as_micros()));
-
-    let t_store = Instant::now();
-    let mut sums = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        match outcome {
-            Outcome::Hit(sum) => {
-                stats.cache_hits += 1;
-                sums.push(sum);
-            }
-            Outcome::Miss(sum) => {
-                stats.cache_misses += 1;
-                if let Some(dir) = cache_dir {
-                    crate::cache::store(dir, &sum)?;
-                }
-                sums.push(sum);
-            }
-            Outcome::Io(e) => return Err(e),
-        }
-    }
-    if cache_dir.is_some() {
-        stats.phases.push(("cache-store", t_store.elapsed().as_micros()));
-    }
 
     let findings = crate::rules::link_timed(&sums, &mut stats.phases);
     Ok((findings, stats))

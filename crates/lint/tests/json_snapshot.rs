@@ -1,10 +1,7 @@
-//! Pins the `--format json` schema byte-for-byte and the scan's
-//! determinism contract through the real binary: the JSON emitted for
-//! a fixed mini workspace is an exact snapshot (so any schema change
-//! is a deliberate test edit, not an accident a downstream consumer
-//! discovers), a parallel scan is byte-identical to `--serial`, and a
-//! warm `--cache` run reports a full hit rate while still emitting
-//! the same bytes.
+//! Pins the `--format json` schema byte-for-byte through the real
+//! binary: the JSON emitted for a fixed mini workspace is an exact
+//! snapshot, so any schema change is a deliberate test edit, not an
+//! accident a downstream consumer discovers.
 
 use std::fs;
 use std::path::PathBuf;
@@ -59,37 +56,6 @@ fn json_output_matches_the_pinned_snapshot() {
         String::from_utf8_lossy(&out.stdout),
         SNAPSHOT,
         "json schema drifted — if intentional, update SNAPSHOT"
-    );
-    fs::remove_dir_all(&root).unwrap();
-}
-
-#[test]
-fn parallel_scan_is_byte_identical_to_serial() {
-    let root = mini_workspace("par");
-    let serial = run(&root, &["--format", "json", "--serial"]);
-    let parallel = run(&root, &["--format", "json", "--jobs", "8"]);
-    assert_eq!(serial.stdout, parallel.stdout, "findings must not depend on --jobs");
-    assert_eq!(serial.status.code(), parallel.status.code());
-    fs::remove_dir_all(&root).unwrap();
-}
-
-#[test]
-fn warm_cache_run_hits_fully_and_emits_the_same_bytes() {
-    let root = mini_workspace("cache");
-    let cache = root.join("lint-cache");
-    let cache_arg = cache.to_string_lossy().into_owned();
-    let cold = run(&root, &["--format", "json", "--cache", &cache_arg, "--timings"]);
-    let warm = run(&root, &["--format", "json", "--cache", &cache_arg, "--timings"]);
-    assert_eq!(cold.stdout, warm.stdout, "cached summaries must link identically");
-    let cold_err = String::from_utf8_lossy(&cold.stderr);
-    let warm_err = String::from_utf8_lossy(&warm.stderr);
-    assert!(
-        cold_err.contains("0 hit(s)"),
-        "first run misses everything: {cold_err}"
-    );
-    assert!(
-        warm_err.contains("0 miss(es)") && warm_err.contains("100% hit rate"),
-        "second run serves every summary from the cache: {warm_err}"
     );
     fs::remove_dir_all(&root).unwrap();
 }

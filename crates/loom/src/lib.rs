@@ -3,13 +3,14 @@
 //! # teleios-loom — a vendored, loom-style interleaving model checker
 //!
 //! The exec/cancel layer's correctness arguments ("first cancel wins",
-//! "a fired token drains the bounded queue") are statements about *all*
-//! interleavings, but ordinary tests only sample a few schedules. This
-//! crate supplies the missing tool: a miniature model checker in the
-//! spirit of [`loom`](https://github.com/tokio-rs/loom), vendored
-//! because the build is fully offline. It exhaustively enumerates the
-//! schedules of a small multi-threaded model by depth-first search over
-//! scheduling choices, replaying the model once per schedule.
+//! "what a fired token skips is a suffix of claim order") are
+//! statements about *all* interleavings, but ordinary tests only
+//! sample a few schedules. This crate supplies the missing tool: a
+//! miniature model checker in the spirit of
+//! [`loom`](https://github.com/tokio-rs/loom), vendored because the
+//! build is fully offline. It exhaustively enumerates the schedules of
+//! a small multi-threaded model by depth-first search over scheduling
+//! choices, replaying the model once per schedule.
 //!
 //! ## How it works
 //!

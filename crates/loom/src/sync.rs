@@ -75,28 +75,6 @@ pub mod atomic {
             yield_point();
             self.0.fetch_add(v, StdOrdering::SeqCst)
         }
-
-        /// Modeled CAS: one yield point, then an atomic
-        /// compare-and-swap at `SeqCst` (both orderings are ignored —
-        /// the model promotes everything to `SeqCst`). This is the
-        /// arbitration primitive of the work-stealing deque: the
-        /// owner's pop and a thief's steal race on the last element by
-        /// CASing `top`, and exactly one of them wins.
-        pub fn compare_exchange(
-            &self,
-            current: usize,
-            new: usize,
-            _success: Ordering,
-            _failure: Ordering,
-        ) -> Result<usize, usize> {
-            yield_point();
-            self.0.compare_exchange(
-                current,
-                new,
-                StdOrdering::SeqCst,
-                StdOrdering::SeqCst,
-            )
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! classes, `rdfs:subClassOf` axioms, labels, and transitive-closure
 //! subsumption.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use teleios_rdf::store::TripleStore;
 use teleios_rdf::term::Term;
 use teleios_rdf::vocab::{rdf, rdfs};
@@ -22,8 +22,11 @@ pub fn concept(local: &str) -> String {
 /// An ontology: concepts plus subclass axioms.
 #[derive(Debug, Clone, Default)]
 pub struct Ontology {
-    /// Direct superclasses per class IRI.
-    supers: HashMap<String, HashSet<String>>,
+    /// Direct superclasses per class IRI. Ordered, because [`Self::emit`]
+    /// walks them while the store's dictionary assigns ids in insertion
+    /// order: a hash-ordered walk made ids (and the persisted bytes)
+    /// differ from run to run.
+    supers: BTreeMap<String, BTreeSet<String>>,
     /// Human labels.
     labels: HashMap<String, String>,
 }
@@ -227,6 +230,22 @@ mod tests {
         assert_eq!(o2.len(), o.len());
         assert!(o2.is_subclass_of(&concept("ForestFire"), &concept("Concept")));
         assert_eq!(o2.label(&concept("Urban")), Some("Urban"));
+    }
+
+    #[test]
+    fn emit_assigns_the_same_dictionary_ids_to_every_fresh_store() {
+        // Two instances, so a hash-ordered walk (each `HashMap` has its
+        // own random keys) would hand the two stores different ids.
+        let sequences: Vec<Vec<(u32, Term)>> = (0..2)
+            .map(|_| {
+                let mut st = TripleStore::new();
+                Ontology::teleios().emit(&mut st);
+                let dict = st.dictionary();
+                (0..dict.len() as u32).map(|id| (id, dict.term(id).clone())).collect()
+            })
+            .collect();
+        assert!(!sequences[0].is_empty());
+        assert_eq!(sequences[0], sequences[1]);
     }
 
     #[test]

@@ -543,10 +543,9 @@ pub fn hash_join(
 /// Both phases are morsel-parallel yet bit-identical to the
 /// sequential join: the build side is partitioned into ordered
 /// morsels whose local hash tables hash-partition their keys, and the
-/// per-partition maps merge in parallel on the work-stealing
-/// scheduler — each partition merging its morsels in morsel order, so
-/// every key's RowId list stays ascending, exactly as the sequential
-/// build produces. Probe morsels emit `(build, probe)` row pairs that
+/// per-partition maps merge in parallel — each partition merging its
+/// morsels in morsel order, so every key's RowId list stays ascending,
+/// exactly as the sequential build produces. Probe morsels emit `(build, probe)` row pairs that
 /// concatenate in morsel order (the sequential probe order). The
 /// partition count never changes which rows match, only which of the
 /// disjoint maps holds a key.
@@ -610,11 +609,11 @@ pub fn hash_join_with(
                 by_part[p].push(map);
             }
         }
-        // Merge each partition independently on the stealing scheduler:
-        // skewed key distributions make partition costs uneven, which
-        // is exactly where stealing beats a static split. Merging in
-        // morsel order keeps per-key row ids ascending.
-        ht = pool.run_stealing(
+        // Merge each partition independently, one task per partition:
+        // skewed key distributions make partition costs uneven, and the
+        // pool's workers claim tasks dynamically. Merging in morsel
+        // order keeps per-key row ids ascending.
+        ht = pool.run(
             by_part
                 .into_iter()
                 .map(|maps| {

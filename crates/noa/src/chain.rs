@@ -8,10 +8,9 @@
 use crate::hotspot::HotspotClassifier;
 use crate::shapefile::{mask_to_features, HotspotFeature};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use teleios_exec::CancelToken;
+use teleios_exec::{CancelToken, WorkerPool};
 use teleios_geo::Envelope;
 use teleios_ingest::georef;
 use teleios_ingest::raster::{GeoRaster, GeoTransform};
@@ -229,64 +228,35 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl ProcessingChain {
-    /// Run the chain over a batch of scenes in parallel (one worker per
-    /// scene, scoped threads), with per-scene panic isolation: a worker
-    /// panic becomes an `Err` for that scene only and NEVER aborts the
-    /// process. Outputs come back in input order. NOA's service processes
-    /// each rapid-scan timestep's scenes concurrently — this is that
-    /// path; `teleios-resilience::Supervisor` adds retry and degraded
-    /// modes on top of it.
+    /// Run the chain over a batch of scenes on the worker pool, with
+    /// per-scene panic isolation: a worker panic becomes an `Err` for
+    /// that scene only and NEVER aborts the process. Outputs come back
+    /// in input order. NOA's service processes each rapid-scan
+    /// timestep's scenes concurrently — this is that path;
+    /// `teleios-resilience::Supervisor` adds retry and degraded modes
+    /// on top of it.
     pub fn run_many_isolated(
         &self,
         catalog: &Catalog,
         scenes: &[(String, GeoRaster)],
     ) -> Vec<Result<ChainOutput>> {
-        let run = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = scenes
-                .iter()
-                .map(|(id, raster)| {
-                    let chain = self.clone();
-                    let catalog = catalog.clone();
-                    scope.spawn(move |_| {
-                        catch_unwind(AssertUnwindSafe(|| chain.run(&catalog, id, raster)))
-                            .unwrap_or_else(|payload| {
-                                Err(DbError::Execution(format!(
-                                    "chain worker panicked on {id}: {}",
-                                    panic_message(payload.as_ref())
-                                )))
-                            })
-                    })
+        let tasks: Vec<_> = scenes
+            .iter()
+            .map(|(id, raster)| move || self.run(catalog, id, raster))
+            .collect();
+        let (results, _) = WorkerPool::default().try_run(tasks);
+        results
+            .into_iter()
+            .zip(scenes)
+            .map(|(result, (id, _))| {
+                result.unwrap_or_else(|payload| {
+                    Err(DbError::Execution(format!(
+                        "chain worker panicked on {id}: {}",
+                        panic_message(payload.as_ref())
+                    )))
                 })
-                .collect();
-            handles
-                .into_iter()
-                .zip(scenes)
-                .map(|(h, (id, _))| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(DbError::Execution(format!(
-                            "chain worker for {id} could not be joined: {}",
-                            panic_message(payload.as_ref())
-                        )))
-                    })
-                })
-                .collect::<Vec<Result<ChainOutput>>>()
-        });
-        match run {
-            Ok(results) => results,
-            // Unreachable in practice (workers catch their own panics),
-            // but still: degrade to per-scene errors, never abort.
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                scenes
-                    .iter()
-                    .map(|(id, _)| {
-                        Err(DbError::Execution(format!(
-                            "chain worker pool panicked while {id} was in flight: {msg}"
-                        )))
-                    })
-                    .collect()
-            }
-        }
+            })
+            .collect()
     }
 
     /// All-or-nothing batch wrapper over [`Self::run_many_isolated`]:

@@ -160,8 +160,8 @@ pub struct BatchReport {
     pub scenes: Vec<SceneReport>,
     /// Wall-clock time for the whole batch.
     pub wall_clock: Duration,
-    /// Worker-pool statistics for the run (worker count, queue
-    /// capacity, peak queue depth).
+    /// Worker-pool statistics for the run (worker count, scenes
+    /// started).
     pub pool: PoolStats,
 }
 
@@ -206,11 +206,9 @@ impl BatchReport {
         self.scenes.iter().find(|s| s.product_id == product_id)
     }
 
-    /// One-line summary for logs and experiment tables. When the batch
-    /// ran on the work-stealing scheduler and any morsel migrated, the
-    /// line carries the steal count as a load-balance signal.
+    /// One-line summary for logs and experiment tables.
     pub fn summary(&self) -> String {
-        let mut line = format!(
+        format!(
             "{} scenes: {} ok, {} retried, {} degraded, {} failed, {} timeout in {:.1?}",
             self.scenes.len(),
             self.ok_count(),
@@ -219,14 +217,7 @@ impl BatchReport {
             self.failed_count(),
             self.timeout_count(),
             self.wall_clock
-        );
-        if self.pool.tasks_stolen > 0 {
-            line.push_str(&format!(
-                " ({} of {} tasks stolen)",
-                self.pool.tasks_stolen, self.pool.tasks_executed
-            ));
-        }
-        line
+        )
     }
 }
 
@@ -546,10 +537,9 @@ impl Supervisor {
         report
     }
 
-    /// Supervise a batch on a bounded worker pool: `workers` threads
-    /// (the executor default when zero) drain a task queue capped at
-    /// `2 × workers` entries, so memory for in-flight scenes stays
-    /// bounded no matter how large the archive is. A single watchdog
+    /// Supervise a batch on the worker pool: `workers` threads (the
+    /// executor default when zero) claim scenes in input order, so at
+    /// most `workers` scenes are in flight at once. A single watchdog
     /// thread polices every in-flight attempt's deadline budget plus
     /// the whole-batch deadline; a single circuit breaker is shared by
     /// all scenes, so a chain variant that keeps timing out is skipped
@@ -564,7 +554,6 @@ impl Supervisor {
         let t0 = Instant::now();
         let workers = if self.workers == 0 { default_threads() } else { self.workers };
         let pool = WorkerPool::with_threads(workers);
-        let queue_capacity = 2 * workers.max(1);
         let registry = AttemptRegistry::default();
         let breaker = CircuitBreaker::new(self.breaker_threshold);
         let batch_token = CancelToken::new();
@@ -595,8 +584,7 @@ impl Supervisor {
                 }
             })
             .collect();
-        let (outcomes, pool_stats) =
-            pool.try_run_bounded_cancellable(queue_capacity, tasks, &batch_token);
+        let (outcomes, pool_stats) = pool.try_run_cancellable(tasks, &batch_token);
         if let Some(watchdog) = watchdog {
             watchdog.stop();
         }

@@ -1,11 +1,10 @@
-//! Batch supervision on the bounded worker pool.
+//! Batch supervision on the fixed-size worker pool.
 //!
-//! `Supervisor::run_batch` used to spawn one thread per scene; it now
-//! drains the batch through a fixed-size `teleios_exec::WorkerPool`
-//! behind a bounded task queue. These tests pin the new guarantees: a
-//! 200-scene batch on a 4-worker pool never exceeds the queue bound,
-//! keeps input order, and loses no healthy scene — with or without
-//! poisoned scenes in the mix.
+//! `Supervisor::run_batch` drains the batch through a fixed-size
+//! `teleios_exec::WorkerPool`. These tests pin the guarantees: a
+//! 200-scene batch on a 4-worker pool runs on exactly 4 workers, keeps
+//! input order, and loses no healthy scene — with or without poisoned
+//! scenes in the mix.
 
 use teleios_geo::{Coord, Envelope};
 use teleios_ingest::raster::GeoRaster;
@@ -35,7 +34,7 @@ fn scenes(n: usize) -> Vec<(String, GeoRaster)> {
 }
 
 #[test]
-fn large_batch_on_small_pool_respects_queue_bound() {
+fn large_batch_on_small_pool_keeps_input_order() {
     let batch = scenes(200);
     let supervisor = Supervisor::new(RetryPolicy::no_backoff(1)).with_workers(4);
     let report = supervisor.run_batch(&Catalog::new(), &ProcessingChain::operational(), &batch);
@@ -47,20 +46,13 @@ fn large_batch_on_small_pool_respects_queue_bound() {
     for (i, scene) in report.scenes.iter().enumerate() {
         assert_eq!(scene.product_id, format!("batch{i:03}"));
     }
-    // Pool shape: 4 workers, queue capped at 2× workers, and the
-    // producer never stacked more than the cap in flight.
+    // Pool shape: 4 workers, every scene started.
     assert_eq!(report.pool.workers, 4);
-    assert_eq!(report.pool.queue_capacity, 8);
-    assert!(
-        report.pool.max_queue_depth <= report.pool.queue_capacity,
-        "queue depth {} exceeded capacity {}",
-        report.pool.max_queue_depth,
-        report.pool.queue_capacity
-    );
+    assert_eq!(report.pool.tasks_executed, 200);
 }
 
 #[test]
-fn poisoned_scenes_on_bounded_pool_lose_no_healthy_scene() {
+fn poisoned_scenes_on_pool_lose_no_healthy_scene() {
     let batch = scenes(40);
     let mut plan = FaultPlan::new();
     plan.inject("batch007", Fault::WorkerPanic).inject("batch023", Fault::WorkerPanic);
@@ -92,5 +84,4 @@ fn default_worker_count_follows_executor_default() {
     let report = supervisor.run_batch(&Catalog::new(), &ProcessingChain::operational(), &batch);
     assert_eq!(report.ok_count(), 3);
     assert!(report.pool.workers >= 1, "pool ran with no workers");
-    assert!(report.pool.max_queue_depth <= report.pool.queue_capacity);
 }

@@ -46,7 +46,6 @@ pub fn evaluate_query(engine: &mut Strabon, query: &Query) -> Result<Solutions> 
                 vars: &vars,
                 rdfs_inference: config.rdfs_inference,
                 pool,
-                dispatch: config.dispatch,
             };
             let seeds = vec![vars.empty_binding()];
             let mut rows = eval_group(&env, &q.where_clause, seeds, config.optimize_bgp, config.use_spatial_index);
@@ -181,7 +180,6 @@ pub fn evaluate_query(engine: &mut Strabon, query: &Query) -> Result<Solutions> 
                 vars: &vars,
                 rdfs_inference: config.rdfs_inference,
                 pool,
-                dispatch: config.dispatch,
             };
             let seeds = vec![vars.empty_binding()];
             let rows = eval_group(&env, &q.where_clause, seeds, config.optimize_bgp, config.use_spatial_index);
@@ -225,7 +223,6 @@ pub fn evaluate_construct(
         vars: &vars,
         rdfs_inference: config.rdfs_inference,
         pool,
-        dispatch: config.dispatch,
     };
     let seeds = vec![vars.empty_binding()];
     let rows = eval_group(&env, &q.where_clause, seeds, config.optimize_bgp, config.use_spatial_index);
@@ -468,7 +465,6 @@ pub fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
         vars: &vars,
         rdfs_inference: config.rdfs_inference,
         pool,
-        dispatch: config.dispatch,
     };
     let restrictions = group_restrictions(env_ref(&env), where_clause, config.use_spatial_index);
 
@@ -752,7 +748,7 @@ fn eval_bgp(
 pub const PAR_BINDING_THRESHOLD: usize = 256;
 
 /// Morsels per worker for the parallel probe/filter paths: finer than
-/// one-per-worker so the stealing scheduler has slack to rebalance
+/// one-per-worker so the pool's claim counter has slack to rebalance
 /// when some bindings fan out much harder than others.
 const MORSELS_PER_WORKER: usize = 4;
 
@@ -761,7 +757,7 @@ const MORSELS_PER_WORKER: usize = 4;
 /// parallel over the seed side — per-morsel outputs concatenate in
 /// morsel order, reproducing the sequential scan exactly (the pool's
 /// determinism contract), so results are identical at every thread
-/// count and dispatch policy.
+/// count.
 fn probe_pattern(
     env: &Env<'_>,
     pat: &PatternTriple,
@@ -791,7 +787,7 @@ fn probe_pattern(
         }
     })
     .collect();
-    env.pool.run_with(env.dispatch, tasks).into_iter().flatten().collect()
+    env.pool.run(tasks).into_iter().flatten().collect()
 }
 
 /// Estimated cost of a pattern given currently bound variable slots.
@@ -1043,7 +1039,7 @@ fn apply_filter(
         }
     })
     .collect();
-    env.pool.run_with(env.dispatch, tasks).into_iter().flatten().collect()
+    env.pool.run(tasks).into_iter().flatten().collect()
 }
 
 /// Recognize `strdf:pred(?v, CONST)` / `strdf:distance(?v, CONST) < d`

@@ -10,7 +10,7 @@ use crate::spatial::SpatialSidecar;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
-use teleios_exec::{Dispatch, WorkerPool};
+use teleios_exec::WorkerPool;
 use teleios_geo::algorithm::{area, buffer, clip, distance as geodist, predicates};
 use teleios_geo::Geometry;
 use teleios_rdf::dictionary::TermId;
@@ -110,8 +110,6 @@ pub struct Env<'a> {
     /// Worker pool for the morsel-parallel probe/filter paths
     /// (one-thread pools evaluate inline — the exact sequential path).
     pub pool: WorkerPool,
-    /// Dispatch policy for those paths when the pool is parallel.
-    pub dispatch: Dispatch,
 }
 
 impl Env<'_> {
@@ -510,7 +508,6 @@ mod tests {
             vars: &vars,
             rdfs_inference: false,
             pool: WorkerPool::with_threads(1),
-            dispatch: Dispatch::Static,
         };
         eval_expression(&env, &vec![], expr)
     }

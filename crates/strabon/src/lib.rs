@@ -56,7 +56,7 @@ pub mod parser;
 pub mod spatial;
 pub mod update;
 
-use teleios_exec::{Dispatch, WorkerPool};
+use teleios_exec::WorkerPool;
 use teleios_rdf::store::TripleStore;
 use teleios_rdf::term::Term;
 
@@ -98,7 +98,7 @@ impl std::error::Error for StrabonError {}
 pub type Result<T> = std::result::Result<T, StrabonError>;
 
 /// Engine configuration toggles (the ablation knobs of E3/E4, plus
-/// the parallelism knobs of E13b).
+/// the thread count of E13).
 #[derive(Debug, Clone, Copy)]
 pub struct StrabonConfig {
     /// Reorder BGP triple patterns by estimated selectivity.
@@ -114,10 +114,6 @@ pub struct StrabonConfig {
     /// path. Results are identical at every setting (morsel-order
     /// concatenation — see `teleios-exec`'s determinism contract).
     pub threads: usize,
-    /// How the pool distributes morsels when `threads > 1`. Stealing
-    /// (the default) wins on skewed binding costs; `Static` is the
-    /// ablation baseline.
-    pub dispatch: Dispatch,
 }
 
 impl Default for StrabonConfig {
@@ -127,7 +123,6 @@ impl Default for StrabonConfig {
             use_spatial_index: true,
             rdfs_inference: false,
             threads: 0,
-            dispatch: Dispatch::Stealing,
         }
     }
 }

@@ -43,8 +43,7 @@ impl SpatialSidecar {
     }
 
     /// Build the index if not yet built, bulk-loading the R-tree on
-    /// `pool`'s work-stealing scheduler
-    /// ([`RTree::bulk_load_with`] — identical tree, parallel sorts).
+    /// `pool` ([`RTree::bulk_load_with`] — identical tree, parallel sorts).
     /// A one-thread pool takes the serial path exactly.
     pub fn ensure_built_with(&mut self, store: &TripleStore, pool: &WorkerPool) {
         if self.built {

@@ -99,7 +99,6 @@ fn execute_modify(
             vars: &vars,
             rdfs_inference: config.rdfs_inference,
             pool,
-            dispatch: config.dispatch,
         };
         let seeds = vec![vars.empty_binding()];
         let solutions = eval_group(

@@ -4,11 +4,10 @@
 //! any other thread count partitions BGP probe loops and FILTER
 //! passes into ordered morsels whose outputs concatenate in morsel
 //! order — so every configuration must return *bit-identical*
-//! `Solutions`, row order included, under both dispatch policies.
+//! `Solutions`, row order included.
 //! Fixtures are sized past `PAR_BINDING_THRESHOLD` so the parallel
 //! paths genuinely engage.
 
-use teleios_exec::Dispatch;
 use teleios_rdf::term::Term;
 use teleios_strabon::eval::PAR_BINDING_THRESHOLD;
 use teleios_strabon::{Solutions, Strabon, StrabonConfig};
@@ -71,14 +70,12 @@ fn archive(n: usize, config: StrabonConfig) -> Strabon {
     db
 }
 
-/// The three configurations under test: exact sequential, parallel
-/// static dispatch, parallel stealing dispatch.
-fn configs() -> [(&'static str, StrabonConfig); 3] {
+/// The two configurations under test: exact sequential and parallel.
+fn configs() -> [(&'static str, StrabonConfig); 2] {
     let base = StrabonConfig::default();
     [
         ("sequential", StrabonConfig { threads: 1, ..base }),
-        ("static x4", StrabonConfig { threads: 4, dispatch: Dispatch::Static, ..base }),
-        ("stealing x4", StrabonConfig { threads: 4, dispatch: Dispatch::Stealing, ..base }),
+        ("parallel x4", StrabonConfig { threads: 4, ..base }),
     ]
 }
 
@@ -104,7 +101,7 @@ fn assert_all_equal(results: &[(&'static str, Solutions)]) {
 }
 
 #[test]
-fn bgp_join_identical_across_dispatch_policies() {
+fn bgp_join_identical_across_thread_counts() {
     let n = 2 * PAR_BINDING_THRESHOLD;
     let query = format!(
         "PREFIX noa: <{NOA}>\n\
@@ -120,7 +117,7 @@ fn bgp_join_identical_across_dispatch_policies() {
 }
 
 #[test]
-fn spatial_filter_identical_across_dispatch_policies() {
+fn spatial_filter_identical_across_thread_counts() {
     let n = 2 * PAR_BINDING_THRESHOLD;
     let query = format!(
         "PREFIX noa: <{NOA}>\nPREFIX strdf: <{STRDF}>\n\
@@ -137,7 +134,7 @@ fn spatial_filter_identical_across_dispatch_policies() {
 }
 
 #[test]
-fn value_filter_identical_across_dispatch_policies() {
+fn value_filter_identical_across_thread_counts() {
     let n = 2 * PAR_BINDING_THRESHOLD;
     let query = format!(
         "PREFIX noa: <{NOA}>\n\

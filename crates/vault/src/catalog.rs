@@ -3,19 +3,19 @@
 //! One record per registered external file, produced by the cheap
 //! header-only parse at registration time. The catalog answers the
 //! discovery queries ("which files cover this window / this period?")
-//! without touching payloads, and serializes to JSON for persistence.
+//! without touching payloads; `crate::persist` carries it across a
+//! restart.
 
 use crate::format::{
     decode_gtf1_header, decode_sev1_header, decode_shp1_count, FormatKind,
 };
 use crate::{Result, VaultError};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use teleios_geo::{Coord, Envelope};
 
 /// Metadata extracted from an external file's header.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileRecord {
     /// File name in the repository.
     pub name: String,
@@ -80,7 +80,7 @@ pub fn extract_metadata(name: &str, bytes: &Bytes) -> Result<FileRecord> {
 }
 
 /// The metadata catalog: name → record.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VaultCatalog {
     records: BTreeMap<String, FileRecord>,
 }
@@ -139,17 +139,6 @@ impl VaultCatalog {
                     .is_some_and(|a| a >= start && a < end)
             })
             .collect()
-    }
-
-    /// Serialize to JSON. (Serialization of this plain map cannot fail;
-    /// an empty object is returned defensively rather than panicking.)
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(json: &str) -> Result<VaultCatalog> {
-        serde_json::from_str(json).map_err(|e| VaultError::Malformed(format!("catalog json: {e}")))
     }
 }
 
@@ -214,17 +203,6 @@ mod tests {
         let hits = cat.acquired_between("2007-08-25T12:00:00Z", "2007-08-25T12:30:00Z");
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].name, "a.sev1");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut cat = VaultCatalog::new();
-        cat.register(record("a.sev1", (1.0, 2.0, 3.0, 4.0), "2007-08-25T12:00:00Z"));
-        let json = cat.to_json();
-        let cat2 = VaultCatalog::from_json(&json).unwrap();
-        assert_eq!(cat2.len(), 1);
-        assert_eq!(cat2.get("a.sev1"), cat.get("a.sev1"));
-        assert!(VaultCatalog::from_json("not json").is_err());
     }
 
     #[test]

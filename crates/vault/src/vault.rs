@@ -5,7 +5,6 @@ use crate::catalog::{extract_metadata, VaultCatalog};
 use crate::format::{decode_gtf1, decode_sev1, decode_shp1, FormatKind, Shp1Record};
 use crate::repository::Repository;
 use crate::{Result, VaultError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use teleios_geo::Envelope;
 use teleios_monet::array::{Dim, NdArray};
@@ -40,27 +39,6 @@ pub struct VaultStats {
     pub decode_failures: usize,
     /// Quarantine retries attempted via [`DataVault::retry_quarantined`].
     pub retries: usize,
-}
-
-/// Serialization envelope for [`DataVault::export_catalog`]: the
-/// metadata catalog flattened at the top level (so the JSON stays
-/// readable by [`VaultCatalog::from_json`]) plus the quarantine list.
-#[derive(Serialize)]
-struct VaultExportRef<'a> {
-    #[serde(flatten)]
-    catalog: &'a VaultCatalog,
-    quarantine: &'a BTreeSet<String>,
-}
-
-/// Owned counterpart for [`DataVault::import_catalog`]. `quarantine`
-/// defaults to empty so exports written before quarantine persistence
-/// existed still import.
-#[derive(Deserialize)]
-struct VaultExport {
-    #[serde(flatten)]
-    catalog: VaultCatalog,
-    #[serde(default)]
-    quarantine: BTreeSet<String>,
 }
 
 /// The Data Vault: external repository + metadata catalog + array store.
@@ -107,35 +85,12 @@ impl DataVault {
         &self.catalog
     }
 
-    /// Persist the metadata catalog and the quarantine list as JSON
-    /// (what survives a restart: the repository files plus this
-    /// export; payloads re-materialize on demand, and known-bad files
-    /// stay fenced off instead of re-stalling the first post-restart
-    /// batch).
-    pub fn export_catalog(&self) -> String {
-        let export = VaultExportRef { catalog: &self.catalog, quarantine: &self.quarantine };
-        serde_json::to_string_pretty(&export).unwrap_or_else(|_| self.catalog.to_json())
-    }
-
-    /// Restore a previously exported catalog, replacing the current one
-    /// (including the quarantine list; exports from before quarantine
-    /// persistence restore with an empty list). Records referring to
-    /// files missing from the repository are kept (accessing them
-    /// errors), matching a vault pointed at a partially restored
-    /// archive.
-    pub fn import_catalog(&mut self, json: &str) -> Result<usize> {
-        let export: VaultExport = serde_json::from_str(json)
-            .map_err(|e| VaultError::Malformed(format!("catalog json: {e}")))?;
-        let n = export.catalog.len();
-        self.catalog = export.catalog;
-        self.quarantine = export.quarantine;
-        self.stats.quarantined = self.quarantine.len();
-        Ok(n)
-    }
-
     /// Persist the metadata catalog and quarantine list to a storage
-    /// backend as one transaction (the durable successor to
-    /// [`Self::export_catalog`]); returns the commit sequence number.
+    /// backend as one transaction; returns the commit sequence number.
+    /// What survives a restart is the repository files plus this
+    /// state: payloads re-materialize on demand, and known-bad files
+    /// stay fenced off instead of re-stalling the first post-restart
+    /// batch.
     pub fn persist_to(
         &self,
         backend: &mut dyn teleios_store::StorageBackend,
@@ -147,7 +102,8 @@ impl DataVault {
     /// [`Self::persist_to`], replacing the current ones. Returns
     /// `false` (and changes nothing) if the backend holds no vault
     /// state. Records referring to files missing from the repository
-    /// are kept, same as [`Self::import_catalog`].
+    /// are kept (accessing them errors), matching a vault pointed at a
+    /// partially restored archive.
     pub fn restore_from(
         &mut self,
         backend: &dyn teleios_store::StorageBackend,
@@ -562,22 +518,23 @@ mod tests {
     }
 
     #[test]
-    fn catalog_survives_export_import() {
+    fn catalog_survives_persist_restore() {
         let v = vault_with(5, IngestionPolicy::Lazy, 0);
-        let json = v.export_catalog();
+        let mut backend = teleios_store::MemoryBackend::new();
+        v.persist_to(&mut backend).unwrap();
         // A fresh vault over the same repository restores discovery
         // without re-registering.
         let mut v2 = DataVault::new(v.repository().clone(), Catalog::new(), IngestionPolicy::Lazy, 0);
-        assert_eq!(v2.import_catalog(&json).unwrap(), 5);
+        assert!(!v2.restore_from(&teleios_store::MemoryBackend::new()).unwrap());
+        assert!(v2.restore_from(&backend).unwrap());
         assert_eq!(v2.catalog().len(), 5);
         assert_eq!(v2.stats().registrations, 0); // no header parses needed
         let a = v2.array_for("scene-002.sev1").unwrap();
         assert_eq!(a.data()[0], 2.0);
-        assert!(v2.import_catalog("garbage").is_err());
     }
 
     #[test]
-    fn quarantine_survives_export_import() {
+    fn quarantine_survives_persist_restore() {
         let mut repo = Repository::new();
         repo.put("good.sev1", scene_bytes(4, 4, (0.0, 0.0, 1.0, 1.0), 1.0));
         repo.put("bad.sev1", corrupt(&scene_bytes(4, 4, (1.0, 0.0, 2.0, 1.0), 2.0)));
@@ -586,10 +543,12 @@ mod tests {
         assert!(v.array_for("bad.sev1").is_err());
         assert!(v.is_quarantined("bad.sev1"));
 
-        let json = v.export_catalog();
+        let mut backend = teleios_store::MemoryBackend::new();
+        v.persist_to(&mut backend).unwrap();
         let mut v2 =
             DataVault::new(v.repository().clone(), Catalog::new(), IngestionPolicy::Lazy, 0);
-        assert_eq!(v2.import_catalog(&json).unwrap(), 2);
+        assert!(v2.restore_from(&backend).unwrap());
+        assert_eq!(v2.catalog().len(), 2);
         // The restored vault fences the bad file off immediately,
         // without re-decoding it first.
         assert!(v2.is_quarantined("bad.sev1"));
@@ -597,22 +556,6 @@ mod tests {
         assert!(matches!(v2.array_for("bad.sev1"), Err(VaultError::Quarantined(_))));
         assert_eq!(v2.stats().decode_failures, 0);
         assert!(v2.array_for("good.sev1").is_ok());
-    }
-
-    #[test]
-    fn bare_catalog_import_clears_quarantine() {
-        let mut repo = Repository::new();
-        repo.put("bad.sev1", corrupt(&scene_bytes(4, 4, (0.0, 0.0, 1.0, 1.0), 2.0)));
-        let mut v = DataVault::new(repo, Catalog::new(), IngestionPolicy::Lazy, 0);
-        v.register_all().unwrap();
-        let _ = v.array_for("bad.sev1");
-        assert!(v.is_quarantined("bad.sev1"));
-        // A pre-quarantine-persistence export (the bare catalog JSON)
-        // imports with an empty quarantine list.
-        let bare = v.catalog().to_json();
-        assert_eq!(v.import_catalog(&bare).unwrap(), 1);
-        assert!(!v.is_quarantined("bad.sev1"));
-        assert_eq!(v.stats().quarantined, 0);
     }
 
     fn corrupt(bytes: &bytes::Bytes) -> bytes::Bytes {

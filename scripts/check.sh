@@ -4,19 +4,19 @@
 #   scripts/check.sh --quick   build + tier-1 tests only
 #   scripts/check.sh           default gate: the above, plus the
 #                              teleios-lint workspace invariants,
-#                              clippy, and the E14/E13b/E16 smoke
-#                              runs (a hung-stage, wedged-deque, or
-#                              broken-recovery regression fails this
-#                              gate instead of hanging it)
+#                              clippy, the E14/E16 smoke runs (a
+#                              hung-stage or broken-recovery
+#                              regression fails this gate instead of
+#                              hanging it), and the E0 benchmark's
+#                              self-test
 #   scripts/check.sh --full    default gate, plus the exhaustive
 #                              WAL-truncation recovery sweep and the loom
 #                              model-checking suite: exhaustive
 #                              interleaving of the exec/cancel races
 #                              (first-wins cancel, reason publication,
-#                              poll wakeup, bounded-queue halt/drain,
+#                              poll wakeup, the pool's claim counter,
 #                              watchdog-registry protocol, lock-order
-#                              witness, steal-deque owner/thief and
-#                              cancellation races) under `--features loom`,
+#                              witness) under `--features loom`,
 #                              bounded by a timeout so a scheduler
 #                              regression fails rather than wedges
 #
@@ -61,20 +61,17 @@ cargo run --release -p teleios-lint -- --self-test
 # The lint is part of the inner loop, so it gets a perf budget of its
 # own: a CFG-engine regression that makes the scan crawl should fail
 # the gate, not silently tax every future run. Override with
-# TELEIOS_LINT_BUDGET_MS for slow CI hardware. The summary cache keeps
-# warm runs well under budget; on overrun the scan is re-run with
-# --timings so the log shows which phase (or rule) blew up.
+# TELEIOS_LINT_BUDGET_MS for slow CI hardware. On overrun the scan is
+# re-run with --timings so the log shows which phase (or rule) blew up.
 lint_budget_ms="${TELEIOS_LINT_BUDGET_MS:-10000}"
-lint_cache_dir="${TELEIOS_LINT_CACHE_DIR:-target/lint-cache}"
-echo "==> teleios-lint --strict (budget ${lint_budget_ms}ms, cache ${lint_cache_dir})"
+echo "==> teleios-lint --strict (budget ${lint_budget_ms}ms)"
 lint_start_ns=$(date +%s%N)
-cargo run --release -q -p teleios-lint -- --strict --format github --cache "$lint_cache_dir"
+cargo run --release -q -p teleios-lint -- --strict --format github
 lint_elapsed_ms=$(( ($(date +%s%N) - lint_start_ns) / 1000000 ))
 echo "    lint scan took ${lint_elapsed_ms}ms"
 if [ "$lint_elapsed_ms" -gt "$lint_budget_ms" ]; then
     echo "teleios-lint exceeded its ${lint_budget_ms}ms budget (${lint_elapsed_ms}ms); timing breakdown:" >&2
-    cargo run --release -q -p teleios-lint -- --strict --format github \
-        --cache "$lint_cache_dir" --timings >/dev/null || true
+    cargo run --release -q -p teleios-lint -- --strict --format github --timings >/dev/null || true
     exit 1
 fi
 
@@ -87,17 +84,16 @@ cargo clippy --workspace --all-targets
 echo "==> E14 smoke (timeout budgets)"
 timeout 300 cargo run --release -p teleios-bench --bin exp_timeout_budgets -- --smoke
 
-# The stealing scheduler must return bit-identical results to static
-# dispatch (the bin asserts it) and must not deadlock on a skewed
-# workload — the timeout turns a wedged deque into a failure.
-echo "==> E13b smoke (work-stealing dispatch)"
-timeout 300 cargo run --release -p teleios-bench --bin exp_work_stealing -- --smoke
-
 # The storage engine must recover the exact committed state after
 # every injected crash (the bin asserts bit-identical recovery per
 # row); the timeout turns a wedged replay loop into a failure.
 echo "==> E16 smoke (durability / crash recovery)"
 timeout 300 cargo run --release -p teleios-bench --bin exp_durability -- --smoke
+
+# The E0 benchmark's own unit and integration tests (every workload
+# correct at smoke scale, digests frozen, negative controls fail).
+echo "==> E0 self-test"
+timeout 600 python3 crates/e0/run.py --self-test
 
 if [ "$full" -eq 1 ]; then
     # Exhaustive schedule exploration is exponential in yield points;

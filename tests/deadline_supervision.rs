@@ -192,15 +192,16 @@ fn quarantine_survives_a_catalog_round_trip_under_supervision() {
     // Round-trip the catalog into a fresh vault over the same
     // repository bytes: the quarantine entry must survive, and the
     // quarantined file must stay refused until retried.
-    let json = obs.vault.export_catalog();
+    let mut backend = teleios_store::MemoryBackend::new();
+    obs.vault.persist_to(&mut backend).unwrap();
     let mut vault2 = DataVault::new(
         obs.vault.repository().clone(),
         Catalog::new(),
         IngestionPolicy::Lazy,
         64,
     );
-    let imported = vault2.import_catalog(&json).unwrap();
-    assert!(imported > 0);
+    assert!(vault2.restore_from(&backend).unwrap());
+    assert!(!vault2.catalog().is_empty());
     assert!(vault2.is_quarantined(&bad_file));
     assert!(vault2.array_for(&bad_file).is_err());
     // The healthy scene's file is untouched by the round trip.
