@@ -3,6 +3,7 @@
 //! and the paper's database tier inherits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use teleios_exec::WorkerPool;
 use teleios_monet::exec::{filter, filter_rowwise, Chunk};
 use teleios_monet::sql::ast::{BinOp, Expr};
 use teleios_monet::table::{ColumnDef, Table};
@@ -57,15 +58,16 @@ fn bench_exec(c: &mut Criterion) {
     let mut group = c.benchmark_group("E11_column_vs_row");
     group.sample_size(10);
     let pred = predicate();
+    let pool = WorkerPool::default();
     for n in [100_000usize, 1_000_000] {
         let data = chunk(n);
         // Both paths agree.
         assert_eq!(
-            filter(&data, &pred).expect("columnar").num_rows(),
+            filter(&pool, &data, &pred).expect("columnar").num_rows(),
             filter_rowwise(&data, &pred).expect("rowwise").num_rows()
         );
         group.bench_with_input(BenchmarkId::new("columnar", n), &n, |b, _| {
-            b.iter(|| filter(&data, &pred).expect("filter"));
+            b.iter(|| filter(&pool, &data, &pred).expect("filter"));
         });
         group.bench_with_input(BenchmarkId::new("rowwise", n), &n, |b, _| {
             b.iter(|| filter_rowwise(&data, &pred).expect("filter"));

@@ -1,12 +1,13 @@
 //! E13 — morsel-driven parallel execution: threads × input-size sweep.
 //!
-//! Measures the worker-pool speedup of the parallel operators over
-//! their sequential (one-thread) twins, which are bit-identical by
-//! construction (see `crates/monet/tests/parallel_equivalence.rs`):
+//! Measures the worker-pool speedup of the morsel kernels over the
+//! same kernels on a one-thread pool (`WorkerPool::with_threads(1)`,
+//! the inline baseline), which are bit-identical by construction (see
+//! `crates/monet/tests/parallel_equivalence.rs`):
 //!
-//! * monet candidate-list selection (`Column::par_select`),
-//! * monet group-by aggregation (`exec::aggregate_with`),
-//! * monet hash join (`exec::hash_join_with`),
+//! * monet candidate-list selection (`Column::select`),
+//! * monet group-by aggregation (`exec::aggregate`),
+//! * monet hash join (`exec::hash_join`),
 //! * SciQL/NdArray reduce (`NdArray::sum_with`) and map
 //!   (`NdArray::map_with`) — the kernels under every per-pixel NOA
 //!   chain stage.
@@ -20,7 +21,7 @@ use teleios_bench::{fmt_duration, time_avg};
 use teleios_exec::WorkerPool;
 use teleios_monet::array::NdArray;
 use teleios_monet::column::{CmpOp, Column};
-use teleios_monet::exec::{aggregate_with, hash_join_with, AggSpec, Chunk};
+use teleios_monet::exec::{aggregate, hash_join, AggSpec, Chunk};
 use teleios_monet::sql::ast::{AggFunc, Expr};
 use teleios_monet::value::Value;
 
@@ -104,10 +105,12 @@ fn main() {
     for n in [262_144usize, 1_048_576, 4_194_304] {
         let column = Column::from_doubles(doubles(1, n));
         let needle = Value::Double(0.0);
-        let expect = column.select(CmpOp::Gt, &needle, None).expect("select");
+        let expect = column
+            .select(CmpOp::Gt, &needle, None, &WorkerPool::with_threads(1))
+            .expect("select");
         let reps = if n >= 4_194_304 { 3 } else { 5 };
         rows.push(sweep("select", n, reps, |pool| {
-            let got = column.par_select(CmpOp::Gt, &needle, None, pool).expect("par_select");
+            let got = column.select(CmpOp::Gt, &needle, None, pool).expect("select");
             assert_eq!(got.len(), expect.len());
         }));
         rows.last().expect("row").print(&table);
@@ -129,7 +132,7 @@ fn main() {
         ];
         let reps = if n >= 4_194_304 { 3 } else { 5 };
         rows.push(sweep("group-by", n, reps, |pool| {
-            let out = aggregate_with(pool, &chunk, &group_by, &aggs).expect("aggregate");
+            let out = aggregate(pool, &chunk, &group_by, &aggs).expect("aggregate");
             assert_eq!(out.num_rows(), 64);
         }));
         rows.last().expect("row").print(&table);
@@ -145,7 +148,7 @@ fn main() {
         let lk = Expr::Column("l.k".into());
         let rk = Expr::Column("r.k".into());
         rows.push(sweep("hash-join", n, 3, |pool| {
-            let out = hash_join_with(pool, &left, &right, &lk, &rk).expect("join");
+            let out = hash_join(pool, &left, &right, &lk, &rk).expect("join");
             assert!(out.num_rows() >= n); // ~4 matches per probe row
         }));
         rows.last().expect("row").print(&table);

@@ -12,15 +12,20 @@
 //! Design rules (every consumer relies on them):
 //!
 //! * **Determinism** — operators built on [`WorkerPool::run`] must be
-//!   bit-identical to their sequential counterparts. The pool returns
-//!   results in task order, so partitioning the input into ordered
-//!   [`morsel::morsels`] and concatenating per-morsel outputs
-//!   reproduces the sequential scan order exactly.
-//! * **Sequential is the `threads = 1` case** — a pool sized at one
-//!   thread runs tasks inline on the caller with no spawning and no
-//!   behavioral difference. Setting the `TELEIOS_THREADS` environment
-//!   variable to `1` therefore turns the whole engine back into the
-//!   seed's sequential code path.
+//!   bit-identical at every thread count. The pool returns results in
+//!   task order, so partitioning the input into ordered morsels and
+//!   merging per-morsel outputs in order ([`morsel::concat`])
+//!   reproduces the scan order of the whole input exactly.
+//! * **One fork site; sequential is the `threads = 1` case** —
+//!   [`WorkerPool::morsels_for`] is the only place that decides
+//!   "inline or morsel-parallel": a one-thread pool, or an input under
+//!   the kernel's threshold, gets a single range, and a single task
+//!   runs inline on the caller with no spawning. A kernel is therefore
+//!   one range body plus one in-order merge, never a sequential loop
+//!   and a parallel copy of it, and setting the `TELEIOS_THREADS`
+//!   environment variable to `1` turns the whole engine into the
+//!   sequential code path (`scripts/check.sh` greps that no other
+//!   crate tests the thread count).
 //! * **Panic transparency** — a panicking task does not poison the
 //!   pool; [`WorkerPool::run`] re-raises the payload of the earliest
 //!   failing task (matching sequential panic semantics), while
@@ -61,7 +66,7 @@ pub mod pool;
 pub mod spawn;
 
 pub use cancel::CancelToken;
-pub use morsel::{fixed_morsels, morsels, DEFAULT_MORSEL_CELLS};
+pub use morsel::{concat, fixed_morsels, morsels, DEFAULT_MORSEL_CELLS};
 pub use ordered_lock::{LockWitness, OrderedMutex, OrderedMutexGuard};
 pub use pool::{default_threads, PoolStats, WorkerPool};
 pub use spawn::spawn_named;

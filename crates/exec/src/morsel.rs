@@ -60,6 +60,18 @@ pub fn fixed_morsels(len: usize, chunk: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// In-order merge of per-morsel outputs. The first run is extended
+/// with the rest, so the single run of an inline execution comes back
+/// as is, without a copy.
+pub fn concat<T>(runs: Vec<Vec<T>>) -> Vec<T> {
+    let mut runs = runs.into_iter();
+    let mut out = runs.next().unwrap_or_default();
+    for run in runs {
+        out.extend(run);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,10 +71,27 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Morsel ranges for an input of `len` elements, one per worker
-    /// (fewer when `len < threads`).
-    pub fn morsels_for(&self, len: usize) -> Vec<Range<usize>> {
-        morsels(len, self.threads)
+    /// Ordered ranges covering `0..len` exactly — the one place that
+    /// decides "inline or morsel-parallel" for every kernel.
+    ///
+    /// A one-thread pool, or an input under `min_parallel` items (the
+    /// caller's per-item-cost threshold), gets the single range
+    /// `0..len`, empty input included; [`Self::run`] executes a single
+    /// task inline on the caller, so a kernel written as one range
+    /// body plus an in-order merge *is* its own sequential path.
+    /// Otherwise the input splits into at most `threads * per_worker`
+    /// near-equal morsels (`per_worker > 1` gives the claim counter
+    /// slack to rebalance skewed items).
+    pub fn morsels_for(
+        &self,
+        len: usize,
+        min_parallel: usize,
+        per_worker: usize,
+    ) -> Vec<Range<usize>> {
+        if self.threads <= 1 || len < min_parallel.max(1) {
+            return std::iter::once(0..len).collect();
+        }
+        morsels(len, self.threads.saturating_mul(per_worker))
     }
 
     /// Run `tasks` and return their results in task order.
@@ -356,12 +373,44 @@ mod tests {
         assert_eq!(four.run(vec![on_caller; 8]), vec![false; 8]);
     }
 
+    /// The one inline-or-parallel decision, as a table: a single
+    /// `0..len` range at one thread or under the threshold (empty
+    /// input included), an ordered exact cover of at most
+    /// `threads * per_worker` non-empty morsels otherwise.
+    #[test]
+    fn morsels_for_forks_on_threads_and_threshold_only() {
+        const T: usize = 64;
+        for threads in 1..=8usize {
+            let pool = WorkerPool::with_threads(threads);
+            for len in [0, 1, T - 1, T, T + 1, 10 * T] {
+                for per_worker in [1usize, 4] {
+                    let ms = pool.morsels_for(len, T, per_worker);
+                    let case = format!("threads={threads} len={len} per_worker={per_worker}");
+                    if threads == 1 || len < T {
+                        assert_eq!((ms.len(), &ms[0]), (1, &(0..len)), "{case}");
+                        continue;
+                    }
+                    assert_eq!(ms.len(), (threads * per_worker).min(len), "{case}");
+                    let mut next = 0;
+                    for m in &ms {
+                        assert_eq!(m.start, next, "{case}");
+                        assert!(!m.is_empty(), "{case}");
+                        next = m.end;
+                    }
+                    assert_eq!(next, len, "{case}");
+                }
+            }
+        }
+        // A zero threshold still hands empty input one (empty) range.
+        assert_eq!(WorkerPool::with_threads(4).morsels_for(0, 0, 1).as_slice(), &[0..0][..]);
+    }
+
     #[test]
     fn borrows_caller_data() {
         let data: Vec<u64> = (0..10_000).collect();
         let pool = WorkerPool::with_threads(4);
         let tasks: Vec<_> = pool
-            .morsels_for(data.len())
+            .morsels_for(data.len(), 0, 1)
             .into_iter()
             .map(|r| {
                 let slice = &data[r.start..r.end];

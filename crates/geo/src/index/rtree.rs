@@ -12,14 +12,13 @@
 use crate::coord::{Coord, Envelope};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use teleios_exec::WorkerPool;
+use teleios_exec::{concat, WorkerPool};
 
 const MAX_ENTRIES: usize = 16;
 const MIN_ENTRIES: usize = 4;
 
-/// Entry count below which [`RTree::bulk_load_with`] delegates to the
-/// serial [`RTree::bulk_load`]: under this size the sorts are too
-/// cheap to amortize task setup.
+/// Entry count below which [`RTree::bulk_load_with`] sorts inline:
+/// under this size the sorts are too cheap to amortize task setup.
 pub const PAR_BULK_LOAD_THRESHOLD: usize = 4096;
 
 #[derive(Debug, Clone)]
@@ -85,12 +84,29 @@ impl<T> RTree<T> {
         self.root.envelope()
     }
 
-    /// Bulk-load entries with Sort-Tile-Recursive packing.
-    pub fn bulk_load(mut items: Vec<(Envelope, T)>) -> Self {
+    /// Bulk-load entries with Sort-Tile-Recursive packing on the
+    /// default worker pool. See [`RTree::bulk_load_with`].
+    pub fn bulk_load(items: Vec<(Envelope, T)>) -> Self
+    where
+        T: Send,
+    {
+        Self::bulk_load_with(&WorkerPool::default(), items)
+    }
+
+    /// Bulk-load entries with STR packing, both sort passes cut along
+    /// `pool`'s morsels — a single inline one under
+    /// [`PAR_BULK_LOAD_THRESHOLD`] entries or at one thread.
+    ///
+    /// The tree is the same at every pool size: the x-sort runs as
+    /// per-morsel stable sorts merged with ties favoring the earlier
+    /// morsel (morsels are contiguous input ranges, so the merge
+    /// reproduces the global stable sort), and the per-strip y-sort +
+    /// leaf packing concatenates in strip order.
+    pub fn bulk_load_with(pool: &WorkerPool, items: Vec<(Envelope, T)>) -> Self
+    where
+        T: Send,
+    {
         let len = items.len();
-        if len == 0 {
-            return Self::new();
-        }
         if len <= MAX_ENTRIES {
             let mut leaf = Node::Leaf { env: Envelope::EMPTY, entries: items };
             leaf.recompute_env();
@@ -98,69 +114,42 @@ impl<T> RTree<T> {
         }
         // STR: sort by centre x, slice into vertical strips, sort each
         // strip by centre y, pack runs of MAX_ENTRIES into leaves.
-        items.sort_by(cmp_center_x);
-        let (_, per_strip) = str_strip_layout(len);
-        let mut leaves: Vec<Node<T>> = Vec::with_capacity(len.div_ceil(MAX_ENTRIES));
-        for mut strip in chunk_every(items, per_strip) {
-            strip.sort_by(cmp_center_y);
-            leaves.extend(pack_leaves(strip));
-        }
-        RTree { root: pack_upward(leaves), len }
-    }
-
-    /// Bulk-load entries with STR packing, parallelizing the two sort
-    /// passes on `pool`.
-    ///
-    /// Produces the same tree as [`RTree::bulk_load`]: the x-sort runs
-    /// as per-chunk stable sorts merged with ties favoring the earlier
-    /// chunk (chunks are contiguous input ranges, so the merge
-    /// reproduces the global stable sort), and the per-strip y-sort +
-    /// leaf packing runs one strip per task with results concatenated
-    /// in strip order. Inputs below [`PAR_BULK_LOAD_THRESHOLD`] — or a
-    /// one-thread pool — take the serial path directly.
-    pub fn bulk_load_with(pool: &WorkerPool, items: Vec<(Envelope, T)>) -> Self
-    where
-        T: Send,
-    {
-        let len = items.len();
-        if pool.threads() <= 1 || len < PAR_BULK_LOAD_THRESHOLD {
-            return Self::bulk_load(items);
-        }
-        // Parallel stable x-sort: contiguous chunks, one per worker.
-        let chunk = len.div_ceil(pool.threads());
-        let sorted: Vec<Vec<(Envelope, T)>> = pool.run(
-            chunk_every(items, chunk)
+        let mut rest = items.into_iter();
+        let runs: Vec<Vec<(Envelope, T)>> = pool.run(
+            pool.morsels_for(len, PAR_BULK_LOAD_THRESHOLD, 1)
                 .into_iter()
-                .map(|mut c| {
+                .map(|r| {
+                    let mut run: Vec<_> = rest.by_ref().take(r.len()).collect();
                     move || {
-                        c.sort_by(cmp_center_x);
-                        c
+                        run.sort_by(cmp_center_x);
+                        run
                     }
                 })
                 .collect(),
         );
-        let items = merge_by_center_x(sorted);
-        // Parallel strips: y-sort + leaf packing per strip, one strip
-        // per task (the shared claim counter absorbs the short final strip).
         let (_, per_strip) = str_strip_layout(len);
-        let leaves: Vec<Node<T>> = pool
-            .run(
-                chunk_every(items, per_strip)
-                    .into_iter()
-                    .map(|mut strip| {
-                        move || {
+        let mut strips = chunk_every(merge_by_center_x(runs), per_strip).into_iter();
+        // The threshold counts entries; in strips it is that many
+        // entries' worth.
+        let leaves: Vec<Vec<Node<T>>> = pool.run(
+            pool.morsels_for(strips.len(), PAR_BULK_LOAD_THRESHOLD.div_ceil(per_strip), 1)
+                .into_iter()
+                .map(|r| {
+                    let mine: Vec<_> = strips.by_ref().take(r.len()).collect();
+                    move || {
+                        let mut leaves = Vec::new();
+                        for mut strip in mine {
                             strip.sort_by(cmp_center_y);
-                            pack_leaves(strip)
+                            leaves.extend(pack_leaves(strip));
                         }
-                    })
-                    .collect(),
-            )
-            .into_iter()
-            .flatten()
-            .collect();
+                        leaves
+                    }
+                })
+                .collect(),
+        );
         // The upward pack touches only ~len/16 nodes per level; serial
         // is already memory-bound here.
-        RTree { root: pack_upward(leaves), len }
+        RTree { root: pack_upward(concat(leaves)), len }
     }
 
     /// Insert one entry (Guttman insertion with quadratic split).
@@ -266,7 +255,7 @@ impl<T> RTree<T> {
     /// Keep only entries whose value satisfies `pred`; rebuilds the tree.
     pub fn retain<F: FnMut(&Envelope, &T) -> bool>(&mut self, mut pred: F)
     where
-        T: Clone,
+        T: Clone + Send,
     {
         let mut kept: Vec<(Envelope, T)> = Vec::with_capacity(self.len);
         collect_entries(&self.root, &mut |env, v| {
@@ -314,8 +303,8 @@ fn cmp_center_y<T>(a: &(Envelope, T), b: &(Envelope, T)) -> Ordering {
 }
 
 /// Split `items` into owned runs of `size` (the last may be shorter),
-/// preserving order. Owned (rather than borrowed) runs let the
-/// parallel bulk load move each run into its task.
+/// preserving order. Owned (rather than borrowed) runs let the bulk
+/// load move each run into its task.
 fn chunk_every<E>(items: Vec<E>, size: usize) -> Vec<Vec<E>> {
     let size = size.max(1);
     let mut out = Vec::with_capacity(items.len().div_ceil(size).max(1));
@@ -334,7 +323,10 @@ fn chunk_every<E>(items: Vec<E>, size: usize) -> Vec<Vec<E>> {
 /// sorted run. Ties — and NaN centres, which compare as ties — pick
 /// the earliest chunk; since chunks are contiguous input ranges this
 /// reproduces the global stable sort exactly.
-fn merge_by_center_x<T>(chunks: Vec<Vec<(Envelope, T)>>) -> Vec<(Envelope, T)> {
+fn merge_by_center_x<T>(mut chunks: Vec<Vec<(Envelope, T)>>) -> Vec<(Envelope, T)> {
+    if chunks.len() <= 1 {
+        return chunks.pop().unwrap_or_default();
+    }
     let total = chunks.iter().map(Vec::len).sum();
     let mut iters: Vec<_> = chunks.into_iter().map(|c| c.into_iter().peekable()).collect();
     let mut out: Vec<(Envelope, T)> = Vec::with_capacity(total);
@@ -739,28 +731,34 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bulk_load_matches_serial_structure() {
+    fn bulk_load_builds_the_same_tree_at_every_thread_count() {
         // Grid data has heavy centre-x ties (100 columns), stressing
-        // the tie-stability of the chunk merge.
-        let items = grid(10_000);
-        let serial = RTree::bulk_load(items.clone());
-        for threads in [2usize, 3, 4, 8] {
-            let pool = WorkerPool::with_threads(threads);
-            let par = RTree::bulk_load_with(&pool, items.clone());
-            assert_eq!(par.len(), serial.len(), "threads={threads}");
-            assert_eq!(par.height(), serial.height(), "threads={threads}");
+        // the tie-stability of the run merge. Sizes straddle the
+        // single-leaf cutoff and the parallel threshold.
+        const T: usize = PAR_BULK_LOAD_THRESHOLD;
+        for n in [0, MAX_ENTRIES, MAX_ENTRIES + 1, T - 1, T, T + 1, 10_000] {
+            let items = grid(n);
+            let one = RTree::bulk_load_with(&WorkerPool::with_threads(1), items.clone());
+            assert_eq!(one.len(), n);
             // Identical tree structure implies identical traversal
             // order, not just an equal entry set.
             let mut a = Vec::new();
-            serial.for_each(|_, &v| a.push(v));
-            let mut b = Vec::new();
-            par.for_each(|_, &v| b.push(v));
-            assert_eq!(a, b, "threads={threads}");
+            one.for_each(|_, &v| a.push(v));
+            for threads in [2usize, 3, 4, 8] {
+                let pool = WorkerPool::with_threads(threads);
+                let many = RTree::bulk_load_with(&pool, items.clone());
+                assert_eq!(many.len(), one.len(), "n={n} threads={threads}");
+                assert_eq!(many.height(), one.height(), "n={n} threads={threads}");
+                assert_eq!(many.envelope(), one.envelope(), "n={n} threads={threads}");
+                let mut b = Vec::new();
+                many.for_each(|_, &v| b.push(v));
+                assert_eq!(a, b, "n={n} threads={threads}");
+            }
         }
     }
 
     #[test]
-    fn parallel_bulk_load_answers_same_window_queries() {
+    fn bulk_load_answers_window_queries_like_a_scan() {
         let mut state = 7u64;
         let mut next = || {
             state ^= state << 13;
@@ -777,9 +775,8 @@ mod tests {
                 (Envelope::new(Coord::new(x, y), Coord::new(x + w, y + h)), i)
             })
             .collect();
-        let serial = RTree::bulk_load(items.clone());
-        let pool = WorkerPool::with_threads(4);
-        let par = RTree::bulk_load_with(&pool, items.clone());
+        let serial = RTree::bulk_load_with(&WorkerPool::with_threads(1), items.clone());
+        let par = RTree::bulk_load_with(&WorkerPool::with_threads(4), items.clone());
         for (x0, y0, x1, y1) in
             [(0.0, 0.0, 25.0, 25.0), (40.0, 10.0, 70.0, 30.0), (90.0, 90.0, 100.0, 100.0)]
         {
@@ -797,16 +794,6 @@ mod tests {
             assert_eq!(a, scan);
             assert_eq!(b, scan);
         }
-    }
-
-    #[test]
-    fn parallel_bulk_load_below_threshold_takes_serial_path() {
-        let items = grid(100); // < PAR_BULK_LOAD_THRESHOLD
-        let pool = WorkerPool::with_threads(8);
-        let par = RTree::bulk_load_with(&pool, items.clone());
-        let serial = RTree::bulk_load(items);
-        assert_eq!(par.height(), serial.height());
-        assert_eq!(par.len(), serial.len());
     }
 
     #[test]

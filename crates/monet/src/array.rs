@@ -9,6 +9,7 @@
 
 use crate::error::DbError;
 use crate::Result;
+use std::ops::Range;
 use teleios_exec::{fixed_morsels, WorkerPool, DEFAULT_MORSEL_CELLS};
 
 /// Minimum cell count before element-wise array operators split work
@@ -203,33 +204,43 @@ impl NdArray {
         self.map_with(&WorkerPool::default(), f)
     }
 
-    /// [`Self::map`] with an explicit worker pool. Row-major chunks of
-    /// the output are filled by independent workers; a one-thread pool
-    /// (or a small array) runs the plain sequential loop.
+    /// [`Self::map`] with an explicit worker pool: independent workers
+    /// fill row-major morsels of the output (`fill_cells`).
     pub fn map_with<F: Fn(f64) -> f64 + Sync>(&self, pool: &WorkerPool, f: F) -> NdArray {
+        let (data, _) = self.fill_cells(pool, |r, dst| {
+            for (o, &v) in dst.iter_mut().zip(&self.data[r]) {
+                *o = f(v);
+            }
+        });
+        NdArray { dims: self.dims.clone(), data }
+    }
+
+    /// The one element-wise kernel. A fresh buffer of `self.len()`
+    /// cells is cut along `pool`'s row-major morsels — a single one
+    /// under [`PAR_CELL_THRESHOLD`] cells or at one thread, run inline
+    /// — and `fill(range, dst)` writes each piece; the per-morsel
+    /// results come back in row-major order. Cells are independent, so
+    /// the buffer is bit-identical at every thread count.
+    fn fill_cells<R: Send>(
+        &self,
+        pool: &WorkerPool,
+        fill: impl Fn(Range<usize>, &mut [f64]) -> R + Sync,
+    ) -> (Vec<f64>, Vec<R>) {
         let n = self.data.len();
-        if pool.threads() <= 1 || n < PAR_CELL_THRESHOLD {
-            return NdArray {
-                dims: self.dims.clone(),
-                data: self.data.iter().map(|&v| f(v)).collect(),
-            };
-        }
         let mut out = vec![0.0f64; n];
-        let size = n.div_ceil(pool.threads());
-        let f = &f;
-        pool.run(
-            out.chunks_mut(size)
-                .zip(self.data.chunks(size))
-                .map(|(dst, src)| {
-                    move || {
-                        for (o, &v) in dst.iter_mut().zip(src) {
-                            *o = f(v);
-                        }
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-        NdArray { dims: self.dims.clone(), data: out }
+        let mut rest = out.as_mut_slice();
+        let fill = &fill;
+        let tasks: Vec<_> = pool
+            .morsels_for(n, PAR_CELL_THRESHOLD, 1)
+            .into_iter()
+            .map(|r| {
+                let (dst, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+                rest = tail;
+                move || fill(r, dst)
+            })
+            .collect();
+        let results = pool.run(tasks);
+        (out, results)
     }
 
     /// Fallible element-wise map (parallel like [`Self::map`]); the
@@ -243,9 +254,9 @@ impl NdArray {
     }
 
     /// [`Self::try_map`] with an explicit worker pool. Each worker
-    /// stops at its chunk's first error; collecting chunk results in
-    /// row-major order returns the same error the sequential loop hits
-    /// first.
+    /// stops at its morsel's first error; scanning the morsel results
+    /// in row-major order returns the error the first failing cell
+    /// raised.
     pub fn try_map_with<E, F>(
         &self,
         pool: &WorkerPool,
@@ -255,34 +266,14 @@ impl NdArray {
         E: Send,
         F: Fn(f64) -> std::result::Result<f64, E> + Sync,
     {
-        let n = self.data.len();
-        if pool.threads() <= 1 || n < PAR_CELL_THRESHOLD {
-            let mut data = Vec::with_capacity(n);
-            for &v in &self.data {
-                data.push(f(v)?);
+        let (data, results) = self.fill_cells(pool, |r, dst| {
+            for (o, &v) in dst.iter_mut().zip(&self.data[r]) {
+                *o = f(v)?;
             }
-            return Ok(NdArray { dims: self.dims.clone(), data });
-        }
-        let mut out = vec![0.0f64; n];
-        let size = n.div_ceil(pool.threads());
-        let f = &f;
-        let results: Vec<std::result::Result<(), E>> = pool.run(
-            out.chunks_mut(size)
-                .zip(self.data.chunks(size))
-                .map(|(dst, src)| {
-                    move || {
-                        for (o, &v) in dst.iter_mut().zip(src) {
-                            *o = f(v)?;
-                        }
-                        Ok(())
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-        for res in results {
-            res?;
-        }
-        Ok(NdArray { dims: self.dims.clone(), data: out })
+            Ok(())
+        });
+        results.into_iter().collect::<std::result::Result<(), E>>()?;
+        Ok(NdArray { dims: self.dims.clone(), data })
     }
 
     /// Element-wise combination of two same-shape arrays, on the
@@ -310,29 +301,13 @@ impl NdArray {
                 other.shape()
             )));
         }
-        let n = self.data.len();
-        if pool.threads() <= 1 || n < PAR_CELL_THRESHOLD {
-            return Ok(NdArray {
-                dims: self.dims.clone(),
-                data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
-            });
-        }
-        let mut out = vec![0.0f64; n];
-        let size = n.div_ceil(pool.threads());
-        let f = &f;
-        pool.run(
-            out.chunks_mut(size)
-                .zip(self.data.chunks(size).zip(other.data.chunks(size)))
-                .map(|(dst, (a, b))| {
-                    move || {
-                        for ((o, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                            *o = f(x, y);
-                        }
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-        Ok(NdArray { dims: self.dims.clone(), data: out })
+        let (data, _) = self.fill_cells(pool, |r, dst| {
+            let pairs = self.data[r.clone()].iter().zip(&other.data[r]);
+            for (o, (&a, &b)) in dst.iter_mut().zip(pairs) {
+                *o = f(a, b);
+            }
+        });
+        Ok(NdArray { dims: self.dims.clone(), data })
     }
 
     /// Fold over all cells. Inherently sequential (arbitrary
@@ -360,28 +335,18 @@ impl NdArray {
         self.chunked_sum(pool, |v| v)
     }
 
-    /// Chunked, deterministic `Σ f(v)` shared by sum and std_dev.
+    /// Chunked, deterministic `Σ f(v)` shared by sum and std_dev: one
+    /// partial per fixed-size chunk (a single chunk is the plain left
+    /// fold), combined left-to-right.
     fn chunked_sum<F: Fn(f64) -> f64 + Sync>(&self, pool: &WorkerPool, f: F) -> f64 {
-        let n = self.data.len();
-        if n <= DEFAULT_MORSEL_CELLS {
-            return self.data.iter().map(|&v| f(v)).sum();
-        }
         let data = &self.data;
         let f = &f;
-        let chunks = fixed_morsels(n, DEFAULT_MORSEL_CELLS);
-        let partials: Vec<f64> = if pool.threads() <= 1 {
-            chunks
+        let partials: Vec<f64> = pool.run(
+            fixed_morsels(data.len(), DEFAULT_MORSEL_CELLS)
                 .into_iter()
-                .map(|r| data[r].iter().map(|&v| f(v)).sum())
-                .collect()
-        } else {
-            pool.run(
-                chunks
-                    .into_iter()
-                    .map(|r| move || data[r].iter().map(|&v| f(v)).sum::<f64>())
-                    .collect(),
-            )
-        };
+                .map(|r| move || data[r].iter().map(|&v| f(v)).sum::<f64>())
+                .collect(),
+        );
         partials.into_iter().sum()
     }
 
@@ -414,13 +379,9 @@ impl NdArray {
         pool: &WorkerPool,
         combine: fn(f64, f64) -> f64,
     ) -> Option<f64> {
-        let n = self.data.len();
-        if pool.threads() <= 1 || n <= DEFAULT_MORSEL_CELLS {
-            return self.data.iter().copied().filter(|v| !v.is_nan()).reduce(combine);
-        }
         let data = &self.data;
         let partials: Vec<Option<f64>> = pool.run(
-            fixed_morsels(n, DEFAULT_MORSEL_CELLS)
+            fixed_morsels(data.len(), DEFAULT_MORSEL_CELLS)
                 .into_iter()
                 .map(|r| {
                     move || data[r].iter().copied().filter(|v| !v.is_nan()).reduce(combine)

@@ -5,7 +5,7 @@ use crate::error::DbError;
 use crate::exec::{self, Chunk};
 use crate::sql::ast::Statement;
 use crate::sql::parser::parse_statement;
-use crate::sql::planner::{execute_select_with, TableProvider};
+use crate::sql::planner::{execute_select, TableProvider};
 use crate::table::{ColumnDef, Table};
 use crate::value::Value;
 use crate::Result;
@@ -132,9 +132,6 @@ pub struct Catalog {
 struct CatalogInner {
     tables: RwLock<HashMap<String, Table>>,
     arrays: RwLock<HashMap<String, NdArray>>,
-    /// `SET THREADS` override; `None` means the environment default.
-    /// Shared by all clones of the handle, like the table map.
-    threads: RwLock<Option<usize>>,
 }
 
 impl Catalog {
@@ -266,23 +263,6 @@ impl Catalog {
         names
     }
 
-    // ----- session settings ------------------------------------------
-
-    /// The `SET THREADS` override in effect (`None` = default).
-    pub fn session_threads(&self) -> Option<usize> {
-        *self.inner.threads.read()
-    }
-
-    /// The worker pool queries on this handle run on: the `SET
-    /// THREADS` override when one is set, else the environment-driven
-    /// default (`TELEIOS_THREADS`, then available parallelism).
-    pub fn session_pool(&self) -> WorkerPool {
-        match self.session_threads() {
-            Some(n) => WorkerPool::with_threads(n),
-            None => WorkerPool::default(),
-        }
-    }
-
     // ----- SQL entry point -------------------------------------------
 
     /// Parse and execute one SQL statement.
@@ -290,12 +270,8 @@ impl Catalog {
         match parse_statement(sql)? {
             Statement::Select(select) => {
                 let chunk =
-                    execute_select_with(&self.session_pool(), &CatalogProvider(self), &select)?;
+                    execute_select(&WorkerPool::default(), &CatalogProvider(self), &select)?;
                 Ok(chunk.into())
-            }
-            Statement::SetThreads { threads } => {
-                *self.inner.threads.write() = threads;
-                Ok(ResultSet::empty())
             }
             Statement::CreateTable { name, columns } => {
                 let schema = columns
@@ -671,39 +647,5 @@ mod tests {
             .execute("SELECT COUNT(*) AS n, MIN(cloud) AS lo, MAX(cloud) AS hi FROM products")
             .unwrap();
         assert_eq!(rs.rows[0], vec![Value::Int(5), Value::Double(0.1), Value::Double(0.8)]);
-    }
-
-    #[test]
-    fn set_threads_scopes_the_session_pool() {
-        let cat = setup();
-        assert_eq!(cat.session_threads(), None);
-
-        cat.execute("SET THREADS 2").unwrap();
-        assert_eq!(cat.session_threads(), Some(2));
-        assert_eq!(cat.session_pool().threads(), 2);
-        // The override is shared by clones of the handle, like tables.
-        assert_eq!(cat.clone().session_threads(), Some(2));
-
-        // Queries still produce identical results under the override —
-        // the pool only changes how the work is partitioned.
-        let rs = cat
-            .execute("SELECT level, COUNT(*) AS n FROM products GROUP BY level ORDER BY level")
-            .unwrap();
-        assert_eq!(rs.rows.len(), 3);
-        assert_eq!(rs.rows[1], vec![Value::Str("L1".into()), Value::Int(2)]);
-
-        cat.execute("SET THREADS DEFAULT").unwrap();
-        assert_eq!(cat.session_threads(), None);
-    }
-
-    #[test]
-    fn set_threads_sequential_matches_default() {
-        let cat = setup();
-        let sql = "SELECT sat, AVG(cloud) AS avg_cloud FROM products GROUP BY sat ORDER BY sat";
-        let default_rows = cat.execute(sql).unwrap().rows;
-        cat.execute("SET THREADS 1").unwrap();
-        assert_eq!(cat.execute(sql).unwrap().rows, default_rows);
-        cat.execute("SET THREADS 4").unwrap();
-        assert_eq!(cat.execute(sql).unwrap().rows, default_rows);
     }
 }

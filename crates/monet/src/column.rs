@@ -10,7 +10,7 @@ use crate::error::DbError;
 use crate::value::{DataType, Value};
 use crate::Result;
 use std::cmp::Ordering;
-use teleios_exec::WorkerPool;
+use teleios_exec::{concat, WorkerPool};
 
 /// Row identifier within a column/table.
 pub type RowId = u32;
@@ -58,6 +58,13 @@ pub struct Column {
     data: ColumnData,
     /// `None` means "no nulls"; otherwise `validity[i]` is false for NULL.
     validity: Option<Vec<bool>>,
+}
+
+/// One morsel of a selection's input: a run of row ids, or a piece of
+/// a candidate list.
+enum Span<'a> {
+    Rows(std::ops::Range<usize>),
+    Cands(&'a [RowId]),
 }
 
 #[derive(Debug, Clone)]
@@ -189,115 +196,14 @@ impl Column {
     /// Vectorized selection against a constant: returns the sorted row ids
     /// (from `cands` if given, else the whole column) whose value matches.
     /// NULL rows never match.
-    pub fn select(&self, op: CmpOp, value: &Value, cands: Option<&[RowId]>) -> Result<Vec<RowId>> {
-        let mut out = Vec::new();
-        macro_rules! run {
-            ($data:expr, $conv:expr) => {{
-                let needle = $conv(value).ok_or_else(|| DbError::TypeMismatch {
-                    expected: self.data_type().to_string(),
-                    found: value
-                        .data_type()
-                        .map_or("NULL".to_string(), |t| t.to_string()),
-                })?;
-                match cands {
-                    Some(list) => {
-                        for &rid in list {
-                            let i = rid as usize;
-                            if !self.is_null(i) {
-                                if let Some(ord) = partial_cmp_total(&$data[i], &needle) {
-                                    if op.matches(ord) {
-                                        out.push(rid);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        for (i, v) in $data.iter().enumerate() {
-                            if !self.is_null(i) {
-                                if let Some(ord) = partial_cmp_total(v, &needle) {
-                                    if op.matches(ord) {
-                                        out.push(i as RowId);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }};
-        }
-        match &self.data {
-            ColumnData::Int(data) => {
-                // Allow comparing an INT column against a DOUBLE constant.
-                if let Value::Double(needle) = *value {
-                    let sel = |i: usize| -> bool {
-                        (data[i] as f64)
-                            .partial_cmp(&needle)
-                            .is_some_and(|o| op.matches(o))
-                    };
-                    match cands {
-                        Some(list) => {
-                            for &rid in list {
-                                if !self.is_null(rid as usize) && sel(rid as usize) {
-                                    out.push(rid);
-                                }
-                            }
-                        }
-                        None => {
-                            for i in 0..data.len() {
-                                if !self.is_null(i) && sel(i) {
-                                    out.push(i as RowId);
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    run!(data, Value::as_i64)
-                }
-            }
-            ColumnData::Double(data) => {
-                let needle = value.as_f64().ok_or_else(|| DbError::TypeMismatch {
-                    expected: "DOUBLE".into(),
-                    found: value.data_type().map_or("NULL".to_string(), |t| t.to_string()),
-                })?;
-                match cands {
-                    Some(list) => {
-                        for &rid in list {
-                            let i = rid as usize;
-                            if !self.is_null(i)
-                                && data[i].partial_cmp(&needle).is_some_and(|o| op.matches(o))
-                            {
-                                out.push(rid);
-                            }
-                        }
-                    }
-                    None => {
-                        for (i, v) in data.iter().enumerate() {
-                            if !self.is_null(i)
-                                && v.partial_cmp(&needle).is_some_and(|o| op.matches(o))
-                            {
-                                out.push(i as RowId);
-                            }
-                        }
-                    }
-                }
-            }
-            ColumnData::Str(data) => run!(data, |v: &Value| v.as_str().map(str::to_string)),
-            ColumnData::Bool(data) => run!(data, Value::as_bool),
-        }
-        Ok(out)
-    }
-
-    /// Parallel [`Self::select`]: the row space (or candidate list) is
-    /// partitioned into contiguous, ordered morsels, each worker runs
-    /// the sequential kernel over its morsel, and the per-worker
-    /// sorted RowId runs are concatenated in morsel order. Because
-    /// morsels are disjoint ascending ranges, that concatenation *is*
-    /// the k-way merge — the output is bit-identical to `select`.
     ///
-    /// Inputs below [`PAR_ROW_THRESHOLD`] rows, or a pool with one
-    /// thread, fall through to the sequential kernel directly.
-    pub fn par_select(
+    /// The row space (or candidate list) is cut into `pool`'s ordered
+    /// morsels — a single one under [`PAR_ROW_THRESHOLD`] rows or at
+    /// one thread, run inline — and the per-morsel sorted RowId runs
+    /// concatenate in morsel order. Morsels are disjoint ascending
+    /// spans, so that concatenation *is* the k-way merge: the output
+    /// is bit-identical at every thread count.
+    pub fn select(
         &self,
         op: CmpOp,
         value: &Value,
@@ -305,38 +211,75 @@ impl Column {
         pool: &WorkerPool,
     ) -> Result<Vec<RowId>> {
         let n = cands.map_or(self.len(), <[RowId]>::len);
-        if pool.threads() <= 1 || n < PAR_ROW_THRESHOLD {
-            return self.select(op, value, cands);
-        }
-        let parts = pool.morsels_for(n);
-        let runs: Vec<Result<Vec<RowId>>> = match cands {
-            Some(list) => pool.run(
-                parts
-                    .into_iter()
-                    .map(|r| {
-                        let sub = &list[r.start..r.end];
-                        move || self.select(op, value, Some(sub))
-                    })
-                    .collect(),
-            ),
-            None => pool.run(
-                parts
-                    .into_iter()
-                    .map(|r| {
-                        move || {
-                            let ids: Vec<RowId> =
-                                (r.start as RowId..r.end as RowId).collect();
-                            self.select(op, value, Some(&ids))
-                        }
-                    })
-                    .collect(),
-            ),
+        let runs: Vec<Result<Vec<RowId>>> = pool.run(
+            pool.morsels_for(n, PAR_ROW_THRESHOLD, 1)
+                .into_iter()
+                .map(|r| {
+                    let span = match cands {
+                        Some(list) => Span::Cands(&list[r]),
+                        None => Span::Rows(r),
+                    };
+                    move || self.select_span(op, value, span)
+                })
+                .collect(),
+        );
+        Ok(concat(runs.into_iter().collect::<Result<_>>()?))
+    }
+
+    /// The selection kernel over one morsel.
+    fn select_span(&self, op: CmpOp, value: &Value, span: Span<'_>) -> Result<Vec<RowId>> {
+        let mismatch = || DbError::TypeMismatch {
+            expected: self.data_type().to_string(),
+            found: value.data_type().map_or("NULL".to_string(), |t| t.to_string()),
         };
+        Ok(match &self.data {
+            ColumnData::Int(data) => match *value {
+                // Allow comparing an INT column against a DOUBLE constant.
+                Value::Double(needle) => self.scan(data, span, |&v| {
+                    (v as f64).partial_cmp(&needle).is_some_and(|o| op.matches(o))
+                }),
+                _ => {
+                    let needle = value.as_i64().ok_or_else(mismatch)?;
+                    self.scan(data, span, |v| op.matches(v.cmp(&needle)))
+                }
+            },
+            ColumnData::Double(data) => {
+                let needle = value.as_f64().ok_or_else(mismatch)?;
+                self.scan(data, span, |v| v.partial_cmp(&needle).is_some_and(|o| op.matches(o)))
+            }
+            ColumnData::Str(data) => {
+                let needle = value.as_str().ok_or_else(mismatch)?;
+                self.scan(data, span, |v| op.matches(v.as_str().cmp(needle)))
+            }
+            ColumnData::Bool(data) => {
+                let needle = value.as_bool().ok_or_else(mismatch)?;
+                self.scan(data, span, |v| op.matches(v.cmp(&needle)))
+            }
+        })
+    }
+
+    /// Row ids of `span` whose value is non-NULL and passes `keep`,
+    /// ascending.
+    fn scan<T>(&self, data: &[T], span: Span<'_>, keep: impl Fn(&T) -> bool) -> Vec<RowId> {
         let mut out = Vec::new();
-        for run in runs {
-            out.extend(run?);
+        match span {
+            Span::Rows(r) => {
+                let first = r.start;
+                for (i, v) in data[r].iter().enumerate() {
+                    if !self.is_null(first + i) && keep(v) {
+                        out.push((first + i) as RowId);
+                    }
+                }
+            }
+            Span::Cands(list) => {
+                for &rid in list {
+                    if !self.is_null(rid as usize) && keep(&data[rid as usize]) {
+                        out.push(rid);
+                    }
+                }
+            }
         }
-        Ok(out)
+        out
     }
 
     /// Range selection `lo <= x <= hi` (both optional); NULLs excluded.
@@ -345,16 +288,17 @@ impl Column {
         lo: Option<&Value>,
         hi: Option<&Value>,
         cands: Option<&[RowId]>,
+        pool: &WorkerPool,
     ) -> Result<Vec<RowId>> {
         let mut result = match lo {
-            Some(v) => self.select(CmpOp::Ge, v, cands)?,
+            Some(v) => self.select(CmpOp::Ge, v, cands, pool)?,
             None => match cands {
                 Some(c) => c.to_vec(),
                 None => (0..self.len() as RowId).collect(),
             },
         };
         if let Some(v) = hi {
-            result = self.select(CmpOp::Le, v, Some(&result))?;
+            result = self.select(CmpOp::Le, v, Some(&result), pool)?;
         }
         Ok(result)
     }
@@ -499,14 +443,13 @@ impl Column {
     }
 }
 
-#[inline]
-fn partial_cmp_total<T: PartialOrd>(a: &T, b: &T) -> Option<Ordering> {
-    a.partial_cmp(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pool() -> WorkerPool {
+        WorkerPool::with_threads(4)
+    }
 
     fn int_col() -> Column {
         Column::from_ints(vec![5, 3, 8, 3, 9, 1])
@@ -541,22 +484,22 @@ mod tests {
     #[test]
     fn select_eq() {
         let c = int_col();
-        assert_eq!(c.select(CmpOp::Eq, &Value::Int(3), None).unwrap(), vec![1, 3]);
+        assert_eq!(c.select(CmpOp::Eq, &Value::Int(3), None, &pool()).unwrap(), vec![1, 3]);
     }
 
     #[test]
     fn select_ops() {
         let c = int_col();
-        assert_eq!(c.select(CmpOp::Lt, &Value::Int(4), None).unwrap(), vec![1, 3, 5]);
-        assert_eq!(c.select(CmpOp::Ge, &Value::Int(8), None).unwrap(), vec![2, 4]);
-        assert_eq!(c.select(CmpOp::Ne, &Value::Int(3), None).unwrap(), vec![0, 2, 4, 5]);
+        assert_eq!(c.select(CmpOp::Lt, &Value::Int(4), None, &pool()).unwrap(), vec![1, 3, 5]);
+        assert_eq!(c.select(CmpOp::Ge, &Value::Int(8), None, &pool()).unwrap(), vec![2, 4]);
+        assert_eq!(c.select(CmpOp::Ne, &Value::Int(3), None, &pool()).unwrap(), vec![0, 2, 4, 5]);
     }
 
     #[test]
     fn select_with_candidates_narrows() {
         let c = int_col();
-        let first = c.select(CmpOp::Gt, &Value::Int(2), None).unwrap(); // 0,1,2,3,4
-        let second = c.select(CmpOp::Lt, &Value::Int(6), Some(&first)).unwrap();
+        let first = c.select(CmpOp::Gt, &Value::Int(2), None, &pool()).unwrap(); // 0,1,2,3,4
+        let second = c.select(CmpOp::Lt, &Value::Int(6), Some(&first), &pool()).unwrap();
         assert_eq!(second, vec![0, 1, 3]);
     }
 
@@ -566,21 +509,21 @@ mod tests {
         c.push(Value::Int(1)).unwrap();
         c.push(Value::Null).unwrap();
         c.push(Value::Int(1)).unwrap();
-        assert_eq!(c.select(CmpOp::Eq, &Value::Int(1), None).unwrap(), vec![0, 2]);
-        assert_eq!(c.select(CmpOp::Ne, &Value::Int(0), None).unwrap(), vec![0, 2]);
+        assert_eq!(c.select(CmpOp::Eq, &Value::Int(1), None, &pool()).unwrap(), vec![0, 2]);
+        assert_eq!(c.select(CmpOp::Ne, &Value::Int(0), None, &pool()).unwrap(), vec![0, 2]);
     }
 
     #[test]
     fn select_int_column_against_double_constant() {
         let c = int_col();
-        assert_eq!(c.select(CmpOp::Gt, &Value::Double(7.5), None).unwrap(), vec![2, 4]);
+        assert_eq!(c.select(CmpOp::Gt, &Value::Double(7.5), None, &pool()).unwrap(), vec![2, 4]);
     }
 
     #[test]
     fn select_range_inclusive() {
         let c = int_col();
         let r = c
-            .select_range(Some(&Value::Int(3)), Some(&Value::Int(8)), None)
+            .select_range(Some(&Value::Int(3)), Some(&Value::Int(8)), None, &pool())
             .unwrap();
         assert_eq!(r, vec![0, 1, 2, 3]);
     }
@@ -588,7 +531,16 @@ mod tests {
     #[test]
     fn select_type_error() {
         let c = int_col();
-        assert!(c.select(CmpOp::Eq, &Value::Str("x".into()), None).is_err());
+        assert!(c.select(CmpOp::Eq, &Value::Str("x".into()), None, &pool()).is_err());
+        // A zero-row column still runs the kernel once, at any pool size.
+        let empty = Column::new(DataType::Int);
+        for threads in [1, 4] {
+            let pool = WorkerPool::with_threads(threads);
+            let err = empty.select(CmpOp::Eq, &Value::Str("x".into()), None, &pool);
+            assert!(matches!(err, Err(DbError::TypeMismatch { .. })), "threads={threads}");
+            let none = empty.select(CmpOp::Eq, &Value::Int(1), Some(&[]), &pool);
+            assert_eq!(none.unwrap(), Vec::<RowId>::new(), "threads={threads}");
+        }
     }
 
     #[test]
@@ -649,13 +601,13 @@ mod tests {
     #[test]
     fn string_selection() {
         let c = Column::from_strs(vec!["b".into(), "a".into(), "c".into(), "a".into()]);
-        assert_eq!(c.select(CmpOp::Eq, &Value::Str("a".into()), None).unwrap(), vec![1, 3]);
-        assert_eq!(c.select(CmpOp::Gt, &Value::Str("a".into()), None).unwrap(), vec![0, 2]);
+        assert_eq!(c.select(CmpOp::Eq, &Value::Str("a".into()), None, &pool()).unwrap(), vec![1, 3]);
+        assert_eq!(c.select(CmpOp::Gt, &Value::Str("a".into()), None, &pool()).unwrap(), vec![0, 2]);
     }
 
     #[test]
     fn bool_selection() {
         let c = Column::from_bools(vec![true, false, true]);
-        assert_eq!(c.select(CmpOp::Eq, &Value::Bool(true), None).unwrap(), vec![0, 2]);
+        assert_eq!(c.select(CmpOp::Eq, &Value::Bool(true), None, &pool()).unwrap(), vec![0, 2]);
     }
 }

@@ -15,7 +15,7 @@ use crate::value::{DataType, Value};
 use crate::Result;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use teleios_exec::WorkerPool;
+use teleios_exec::{concat, WorkerPool};
 
 /// A bundle of equal-length named columns flowing between operators.
 #[derive(Debug, Clone)]
@@ -453,26 +453,17 @@ fn compile_conjuncts(expr: &Expr, out: &mut Vec<(String, CmpOp, Value)>) -> bool
 }
 
 /// Filter a chunk, using the columnar candidate-list fast path when the
-/// predicate is a conjunction of simple comparisons. Selection passes
-/// run on the default worker pool (`TELEIOS_THREADS` override, else
-/// available parallelism); see [`filter_with`] for an explicit pool.
-pub fn filter(chunk: &Chunk, predicate: &Expr) -> Result<Chunk> {
-    filter_with(&WorkerPool::default(), chunk, predicate)
-}
-
-/// [`filter`] with an explicit worker pool. A one-thread pool is the
-/// exact sequential code path; results are identical at every pool
-/// size (each candidate-narrowing pass is a morsel-parallel
-/// [`Column::par_select`], which is bit-identical to `select`).
-pub fn filter_with(pool: &WorkerPool, chunk: &Chunk, predicate: &Expr) -> Result<Chunk> {
+/// predicate is a conjunction of simple comparisons. Each
+/// candidate-narrowing pass is a [`Column::select`] on `pool`, so the
+/// result is identical at every pool size.
+pub fn filter(pool: &WorkerPool, chunk: &Chunk, predicate: &Expr) -> Result<Chunk> {
     let mut conjuncts = Vec::new();
     if compile_conjuncts(predicate, &mut conjuncts) && !conjuncts.is_empty() {
         // Columnar path: run each conjunct as a candidate-narrowing pass.
         let mut cands: Option<Vec<RowId>> = None;
         for (col_name, op, value) in &conjuncts {
             let idx = chunk.resolve(col_name)?;
-            let selected =
-                chunk.column(idx).par_select(*op, value, cands.as_deref(), pool)?;
+            let selected = chunk.column(idx).select(*op, value, cands.as_deref(), pool)?;
             cands = Some(selected);
             if cands.as_ref().is_some_and(Vec::is_empty) {
                 break;
@@ -527,29 +518,18 @@ pub fn project(chunk: &Chunk, exprs: &[(Expr, String)]) -> Result<Chunk> {
     Ok(Chunk::new(names, cols))
 }
 
-/// Hash equi-join of two chunks on key expressions, on the default
-/// worker pool. See [`hash_join_with`].
-pub fn hash_join(
-    left: &Chunk,
-    right: &Chunk,
-    left_key: &Expr,
-    right_key: &Expr,
-) -> Result<Chunk> {
-    hash_join_with(&WorkerPool::default(), left, right, left_key, right_key)
-}
-
-/// Hash equi-join with an explicit worker pool.
+/// Hash equi-join of two chunks on key expressions.
 ///
-/// Both phases are morsel-parallel yet bit-identical to the
-/// sequential join: the build side is partitioned into ordered
-/// morsels whose local hash tables hash-partition their keys, and the
-/// per-partition maps merge in parallel — each partition merging its
-/// morsels in morsel order, so every key's RowId list stays ascending,
-/// exactly as the sequential build produces. Probe morsels emit `(build, probe)` row pairs that
-/// concatenate in morsel order (the sequential probe order). The
-/// partition count never changes which rows match, only which of the
-/// disjoint maps holds a key.
-pub fn hash_join_with(
+/// Both phases run over `pool`'s ordered morsels (a single inline one
+/// under [`PAR_ROW_THRESHOLD`] rows or at one thread) and are
+/// bit-identical at every pool size: each build morsel hash-partitions
+/// its keys into local maps, and the per-partition maps merge in
+/// parallel — each partition merging its morsels in morsel order, so
+/// every key's RowId list stays ascending. Probe morsels emit
+/// `(build, probe)` row pairs that concatenate in morsel order (the
+/// row order of the probe side). The partition count never changes
+/// which rows match, only which of the disjoint maps holds a key.
+pub fn hash_join(
     pool: &WorkerPool,
     left: &Chunk,
     right: &Chunk,
@@ -564,126 +544,92 @@ pub fn hash_join_with(
             (right, left, right_key, left_key, false)
         };
 
-    let build_n = build.num_rows();
-    let nparts =
-        if pool.threads() <= 1 || build_n < PAR_ROW_THRESHOLD { 1 } else { pool.threads() };
-    let mut ht: Vec<HashMap<HashableValue, Vec<RowId>>> =
-        (0..nparts).map(|_| HashMap::new()).collect();
-    if nparts == 1 {
-        for i in 0..build_n {
-            let k = eval_expr(build, i, build_key)?;
-            if k.is_null() {
-                continue;
-            }
-            ht[0].entry(HashableValue(k)).or_default().push(i as RowId);
-        }
-    } else {
-        // Each morsel builds nparts disjoint key-partitioned maps.
-        let partials: Vec<Result<Vec<HashMap<HashableValue, Vec<RowId>>>>> = pool.run(
-            pool.morsels_for(build_n)
-                .into_iter()
-                .map(|r| {
-                    move || {
-                        let mut local: Vec<HashMap<HashableValue, Vec<RowId>>> =
-                            (0..nparts).map(|_| HashMap::new()).collect();
-                        for i in r {
-                            let k = eval_expr(build, i, build_key)?;
-                            if k.is_null() {
-                                continue;
-                            }
-                            let hk = HashableValue(k);
-                            let p = partition_of(&hk, nparts);
-                            local[p].entry(hk).or_default().push(i as RowId);
+    // Each morsel hash-partitions its keys into `nparts` local maps
+    // (one partition per morsel, so the merge below has a task each).
+    type KeyMap = HashMap<HashableValue, Vec<RowId>>;
+    let build_morsels = pool.morsels_for(build.num_rows(), PAR_ROW_THRESHOLD, 1);
+    let nparts = build_morsels.len();
+    let partials: Vec<Result<Vec<KeyMap>>> = pool.run(
+        build_morsels
+            .into_iter()
+            .map(|r| {
+                move || {
+                    let mut local: Vec<KeyMap> = (0..nparts).map(|_| HashMap::new()).collect();
+                    for i in r {
+                        let k = eval_expr(build, i, build_key)?;
+                        if k.is_null() {
+                            continue;
                         }
-                        Ok(local)
+                        let hk = HashableValue(k);
+                        let p = partition_of(&hk, nparts);
+                        local[p].entry(hk).or_default().push(i as RowId);
                     }
-                })
-                .collect(),
-        );
-        // Transpose [morsel][partition] -> per-partition morsel lists,
-        // preserving morsel order within each partition.
-        let mut by_part: Vec<Vec<HashMap<HashableValue, Vec<RowId>>>> =
-            (0..nparts).map(|_| Vec::new()).collect();
-        for partial in partials {
-            for (p, map) in partial?.into_iter().enumerate() {
-                by_part[p].push(map);
-            }
-        }
-        // Merge each partition independently, one task per partition:
-        // skewed key distributions make partition costs uneven, and the
-        // pool's workers claim tasks dynamically. Merging in morsel
-        // order keeps per-key row ids ascending.
-        ht = pool.run(
-            by_part
-                .into_iter()
-                .map(|maps| {
-                    move || {
-                        let mut part: HashMap<HashableValue, Vec<RowId>> = HashMap::new();
-                        for m in maps {
-                            for (k, mut rids) in m {
-                                part.entry(k).or_default().append(&mut rids);
-                            }
-                        }
-                        part
-                    }
-                })
-                .collect(),
-        );
-    }
-
-    let probe_n = probe.num_rows();
-    let mut build_rows: Vec<RowId> = Vec::new();
-    let mut probe_rows: Vec<RowId> = Vec::new();
-    if pool.threads() <= 1 || probe_n < PAR_ROW_THRESHOLD {
-        for j in 0..probe_n {
-            let k = eval_expr(probe, j, probe_key)?;
-            if k.is_null() {
-                continue;
-            }
-            let hk = HashableValue(k);
-            if let Some(matches) = ht[partition_of(&hk, nparts)].get(&hk) {
-                for &i in matches {
-                    build_rows.push(i);
-                    probe_rows.push(j as RowId);
+                    Ok(local)
                 }
-            }
-        }
-    } else {
-        let ht_ref = &ht;
-        let partials: Vec<Result<(Vec<RowId>, Vec<RowId>)>> = pool.run(
-            pool.morsels_for(probe_n)
-                .into_iter()
-                .map(|r| {
-                    move || {
-                        let mut b: Vec<RowId> = Vec::new();
-                        let mut p: Vec<RowId> = Vec::new();
-                        for j in r {
-                            let k = eval_expr(probe, j, probe_key)?;
-                            if k.is_null() {
-                                continue;
-                            }
-                            let hk = HashableValue(k);
-                            if let Some(matches) = ht_ref[partition_of(&hk, nparts)].get(&hk) {
-                                for &i in matches {
-                                    b.push(i);
-                                    p.push(j as RowId);
-                                }
-                            }
-                        }
-                        Ok((b, p))
-                    }
-                })
-                .collect(),
-        );
-        for partial in partials {
-            let (mut b, mut p) = partial?;
-            build_rows.append(&mut b);
-            probe_rows.append(&mut p);
+            })
+            .collect(),
+    );
+    // Transpose [morsel][partition] -> per-partition morsel lists,
+    // preserving morsel order within each partition.
+    let mut by_part: Vec<Vec<KeyMap>> = (0..nparts).map(|_| Vec::new()).collect();
+    for partial in partials {
+        for (p, map) in partial?.into_iter().enumerate() {
+            by_part[p].push(map);
         }
     }
+    // Merge each partition independently, one task per partition:
+    // skewed key distributions make partition costs uneven, and the
+    // pool's workers claim tasks dynamically. Merging into the first
+    // morsel's map in morsel order keeps per-key row ids ascending.
+    let ht: Vec<KeyMap> = pool.run(
+        by_part
+            .into_iter()
+            .map(|maps| {
+                move || {
+                    let mut maps = maps.into_iter();
+                    let mut part = maps.next().unwrap_or_default();
+                    for m in maps {
+                        for (k, mut rids) in m {
+                            part.entry(k).or_default().append(&mut rids);
+                        }
+                    }
+                    part
+                }
+            })
+            .collect(),
+    );
 
-    let build_chunk = build.take(&build_rows);
-    let probe_chunk = probe.take(&probe_rows);
+    let ht_ref = &ht;
+    let partials: Vec<Result<(Vec<RowId>, Vec<RowId>)>> = pool.run(
+        pool.morsels_for(probe.num_rows(), PAR_ROW_THRESHOLD, 1)
+            .into_iter()
+            .map(|r| {
+                move || {
+                    let mut b: Vec<RowId> = Vec::new();
+                    let mut p: Vec<RowId> = Vec::new();
+                    for j in r {
+                        let k = eval_expr(probe, j, probe_key)?;
+                        if k.is_null() {
+                            continue;
+                        }
+                        let hk = HashableValue(k);
+                        if let Some(matches) = ht_ref[partition_of(&hk, nparts)].get(&hk) {
+                            for &i in matches {
+                                b.push(i);
+                                p.push(j as RowId);
+                            }
+                        }
+                    }
+                    Ok((b, p))
+                }
+            })
+            .collect(),
+    );
+    let (build_runs, probe_runs): (Vec<_>, Vec<_>) =
+        partials.into_iter().collect::<Result<Vec<_>>>()?.into_iter().unzip();
+
+    let build_chunk = build.take(&concat(build_runs));
+    let probe_chunk = probe.take(&concat(probe_runs));
     Ok(if build_is_left {
         build_chunk.zip_concat(&probe_chunk)
     } else {
@@ -785,21 +731,16 @@ pub struct AggSpec {
     pub name: String,
 }
 
-/// Group-by aggregation on the default worker pool. With empty
-/// `group_by` produces a single row. See [`aggregate_with`].
-pub fn aggregate(chunk: &Chunk, group_by: &[Expr], aggs: &[AggSpec]) -> Result<Chunk> {
-    aggregate_with(&WorkerPool::default(), chunk, group_by, aggs)
-}
-
-/// Group-by aggregation with an explicit worker pool.
+/// Group-by aggregation. With empty `group_by` produces a single row.
 ///
-/// Grouping runs as thread-local partial group maps over ordered
-/// morsels; merging the partials in morsel order reproduces both the
-/// sequential first-encounter group order and each group's ascending
-/// row-id list, so the output chunk is bit-identical to the
-/// sequential run. Per-group aggregate evaluation then fans out over
-/// the pool, one task per group, collected in group order.
-pub fn aggregate_with(
+/// Grouping builds one partial group map per ordered morsel of `pool`
+/// (a single inline one under [`PAR_ROW_THRESHOLD`] rows or at one
+/// thread); merging the partials in morsel order reproduces both the
+/// first-encounter group order and each group's ascending row-id
+/// list, so the output chunk is bit-identical at every pool size.
+/// Per-group aggregate evaluation then fans out under the same
+/// threshold, one task per group, collected in group order.
+pub fn aggregate(
     pool: &WorkerPool,
     chunk: &Chunk,
     group_by: &[Expr],
@@ -807,26 +748,13 @@ pub fn aggregate_with(
 ) -> Result<Chunk> {
     // Group rows by key tuple.
     let n = chunk.num_rows();
-    let mut groups: HashMap<Vec<HashableValue>, Vec<RowId>> = HashMap::new();
-    let mut order: Vec<Vec<HashableValue>> = Vec::new();
-    if pool.threads() <= 1 || n < PAR_ROW_THRESHOLD {
-        for i in 0..n {
-            let key: Vec<HashableValue> = group_by
-                .iter()
-                .map(|e| eval_expr(chunk, i, e).map(HashableValue))
-                .collect::<Result<_>>()?;
-            if !groups.contains_key(&key) {
-                order.push(key.clone());
-            }
-            groups.entry(key).or_default().push(i as RowId);
-        }
-    } else {
-        type Partial = (Vec<Vec<HashableValue>>, HashMap<Vec<HashableValue>, Vec<RowId>>);
-        let partials: Vec<Result<Partial>> = pool.run(
-            pool.morsels_for(n)
+    type Partial = (Vec<Vec<HashableValue>>, HashMap<Vec<HashableValue>, Vec<RowId>>);
+    let mut partials = pool
+        .run(
+            pool.morsels_for(n, PAR_ROW_THRESHOLD, 1)
                 .into_iter()
                 .map(|r| {
-                    move || {
+                    move || -> Result<Partial> {
                         let mut local_groups: HashMap<Vec<HashableValue>, Vec<RowId>> =
                             HashMap::new();
                         let mut local_order: Vec<Vec<HashableValue>> = Vec::new();
@@ -844,23 +772,24 @@ pub fn aggregate_with(
                     }
                 })
                 .collect(),
-        );
-        // Merge partials in morsel order: global first-encounter order
-        // and ascending per-group row ids, exactly as sequential.
-        for partial in partials {
-            let (local_order, mut local_groups) = partial?;
-            for key in local_order {
-                let Some(mut rids) = local_groups.remove(&key) else {
-                    continue;
-                };
-                match groups.entry(key) {
-                    Entry::Occupied(mut e) => {
-                        e.get_mut().append(&mut rids);
-                    }
-                    Entry::Vacant(e) => {
-                        order.push(e.key().clone());
-                        e.insert(rids);
-                    }
+        )
+        .into_iter();
+    // Merge the later partials into the first in morsel order: global
+    // first-encounter order and ascending per-group row ids.
+    let (mut order, mut groups) = partials.next().transpose()?.unwrap_or_default();
+    for partial in partials {
+        let (local_order, mut local_groups) = partial?;
+        for key in local_order {
+            let Some(mut rids) = local_groups.remove(&key) else {
+                continue;
+            };
+            match groups.entry(key) {
+                Entry::Occupied(mut e) => {
+                    e.get_mut().append(&mut rids);
+                }
+                Entry::Vacant(e) => {
+                    order.push(e.key().clone());
+                    e.insert(rids);
                 }
             }
         }
@@ -880,44 +809,33 @@ pub fn aggregate_with(
     }
     names.extend(aggs.iter().map(|a| a.name.clone()));
 
-    // Compute output rows, one task per group when it pays off.
-    let out_rows: Vec<Vec<Value>> =
-        if pool.threads() <= 1 || order.len() <= 1 || n < PAR_ROW_THRESHOLD {
-            let mut rows = Vec::with_capacity(order.len());
-            for key in &order {
-                let rids = &groups[key];
-                let mut row: Vec<Value> = key.iter().map(|h| h.0.clone()).collect();
-                for agg in aggs {
-                    row.push(eval_aggregate(chunk, rids, agg)?);
-                }
-                rows.push(row);
-            }
-            rows
-        } else {
-            let groups_ref = &groups;
-            let results: Vec<Result<Vec<Value>>> = pool.run(
-                order
-                    .iter()
-                    .map(|key| {
-                        move || {
-                            let rids = groups_ref
-                                .get(key)
-                                .map(|v| v.as_slice())
-                                .unwrap_or(&[]);
-                            let mut row: Vec<Value> =
-                                key.iter().map(|h| h.0.clone()).collect();
-                            for agg in aggs {
-                                row.push(eval_aggregate(chunk, rids, agg)?);
-                            }
-                            Ok(row)
+    // Compute output rows. The threshold counts rows; in groups it is
+    // that many rows' worth at the average group size. One task per
+    // group: group sizes are skewed, and the pool's workers claim
+    // tasks dynamically.
+    let (order_ref, groups_ref) = (&order, &groups);
+    let rows_per_group = n.div_ceil(order.len().max(1)).max(1);
+    let min_groups = PAR_ROW_THRESHOLD.div_ceil(rows_per_group);
+    let results: Vec<Result<Vec<Vec<Value>>>> = pool.run(
+        pool.morsels_for(order.len(), min_groups, usize::MAX)
+            .into_iter()
+            .map(|r| {
+                move || {
+                    let mut rows = Vec::with_capacity(r.len());
+                    for key in &order_ref[r] {
+                        let rids = groups_ref.get(key).map_or(&[][..], Vec::as_slice);
+                        let mut row: Vec<Value> = key.iter().map(|h| h.0.clone()).collect();
+                        for agg in aggs {
+                            row.push(eval_aggregate(chunk, rids, agg)?);
                         }
-                    })
-                    .collect(),
-            );
-            results.into_iter().collect::<Result<Vec<_>>>()?
-        };
-
-    rows_to_chunk(names, out_rows)
+                        rows.push(row);
+                    }
+                    Ok(rows)
+                }
+            })
+            .collect(),
+    );
+    rows_to_chunk(names, concat(results.into_iter().collect::<Result<_>>()?))
 }
 
 fn eval_aggregate(chunk: &Chunk, rids: &[RowId], agg: &AggSpec) -> Result<Value> {
@@ -1072,6 +990,10 @@ mod tests {
         Chunk::from_table(&t, "t")
     }
 
+    fn pool() -> WorkerPool {
+        WorkerPool::with_threads(4)
+    }
+
     fn col(name: &str) -> Expr {
         Expr::Column(name.into())
     }
@@ -1096,7 +1018,7 @@ mod tests {
             Expr::binary(BinOp::Gt, col("score"), lit(0.3)),
             Expr::binary(BinOp::Lt, col("id"), lit(2i64)),
         );
-        let out = filter(&c, &pred).unwrap();
+        let out = filter(&pool(), &c, &pred).unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.row(0)[0], Value::Int(1));
     }
@@ -1105,7 +1027,7 @@ mod tests {
     fn filter_matches_rowwise_reference() {
         let c = chunk();
         let pred = Expr::binary(BinOp::Ge, col("score"), lit(0.5));
-        let a = filter(&c, &pred).unwrap();
+        let a = filter(&pool(), &c, &pred).unwrap();
         let b = filter_rowwise(&c, &pred).unwrap();
         assert_eq!(a.num_rows(), b.num_rows());
         for i in 0..a.num_rows() {
@@ -1118,7 +1040,7 @@ mod tests {
         let c = chunk();
         // 0.3 < score  ≡  score > 0.3
         let pred = Expr::binary(BinOp::Lt, lit(0.3), col("score"));
-        let out = filter(&c, &pred).unwrap();
+        let out = filter(&pool(), &c, &pred).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 
@@ -1126,7 +1048,7 @@ mod tests {
     fn filter_null_never_matches() {
         let c = chunk();
         let pred = Expr::binary(BinOp::Ge, col("score"), lit(0.0));
-        let out = filter(&c, &pred).unwrap();
+        let out = filter(&pool(), &c, &pred).unwrap();
         assert_eq!(out.num_rows(), 3); // row 4 has NULL score
     }
 
@@ -1139,7 +1061,7 @@ mod tests {
             Expr::binary(BinOp::Eq, col("tag"), lit("gamma")),
             Expr::binary(BinOp::Gt, col("score"), lit(0.8)),
         );
-        let out = filter(&c, &pred).unwrap();
+        let out = filter(&pool(), &c, &pred).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 
@@ -1175,7 +1097,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = hash_join(&left, &right, &col("t.id"), &col("r.id")).unwrap();
+        let out = hash_join(&pool(), &left, &right, &col("t.id"), &col("r.id")).unwrap();
         assert_eq!(out.num_rows(), 3); // id=1 once, id=3 twice
         // Every output row satisfies the key equality.
         for i in 0..out.num_rows() {
@@ -1188,7 +1110,7 @@ mod tests {
     fn hash_join_skips_nulls() {
         let left = rows_to_chunk(vec!["l.k".into()], vec![vec![Value::Null], vec![1.into()]]).unwrap();
         let right = rows_to_chunk(vec!["r.k".into()], vec![vec![Value::Null], vec![1.into()]]).unwrap();
-        let out = hash_join(&left, &right, &col("l.k"), &col("r.k")).unwrap();
+        let out = hash_join(&pool(), &left, &right, &col("l.k"), &col("r.k")).unwrap();
         assert_eq!(out.num_rows(), 1);
     }
 
@@ -1201,7 +1123,7 @@ mod tests {
         )
         .unwrap();
         let pred = Expr::binary(BinOp::Eq, col("t.id"), col("r.id"));
-        let a = hash_join(&left, &right, &col("t.id"), &col("r.id")).unwrap();
+        let a = hash_join(&pool(), &left, &right, &col("t.id"), &col("r.id")).unwrap();
         let b = nested_loop_join(&left, &right, &pred).unwrap();
         assert_eq!(a.num_rows(), b.num_rows());
     }
@@ -1210,6 +1132,7 @@ mod tests {
     fn aggregate_global() {
         let c = chunk();
         let out = aggregate(
+            &pool(),
             &c,
             &[],
             &[
@@ -1230,6 +1153,7 @@ mod tests {
     fn aggregate_group_by() {
         let c = chunk();
         let out = aggregate(
+            &pool(),
             &c,
             &[col("tag")],
             &[
@@ -1253,6 +1177,7 @@ mod tests {
     fn aggregate_count_expr_skips_nulls() {
         let c = chunk();
         let out = aggregate(
+            &pool(),
             &c,
             &[],
             &[AggSpec { func: AggFunc::Count, expr: Some(col("score")), name: "n".into() }],
@@ -1261,18 +1186,32 @@ mod tests {
         assert_eq!(out.row(0)[0], Value::Int(3));
     }
 
+    /// Zero-row chunks still run every kernel body once, whatever
+    /// the pool size.
     #[test]
-    fn aggregate_empty_input_one_row() {
+    fn empty_input_runs_the_kernels_once() {
         let c = chunk();
-        let empty = filter(&c, &Expr::binary(BinOp::Gt, col("id"), lit(100i64))).unwrap();
-        let out = aggregate(
-            &empty,
-            &[],
-            &[AggSpec { func: AggFunc::Count, expr: None, name: "n".into() }],
-        )
-        .unwrap();
-        assert_eq!(out.num_rows(), 1);
-        assert_eq!(out.row(0)[0], Value::Int(0));
+        for threads in [1, 4] {
+            let pool = WorkerPool::with_threads(threads);
+            let empty =
+                filter(&pool, &c, &Expr::binary(BinOp::Gt, col("id"), lit(100i64))).unwrap();
+            assert_eq!(empty.num_rows(), 0);
+            // The needle is still type-checked against the column.
+            let bad = filter(&pool, &empty, &Expr::binary(BinOp::Eq, col("id"), lit("x")));
+            assert!(matches!(bad, Err(DbError::TypeMismatch { .. })), "threads={threads}");
+            // Global aggregate over zero rows still yields one row.
+            let count = [AggSpec { func: AggFunc::Count, expr: None, name: "n".into() }];
+            let out = aggregate(&pool, &empty, &[], &count).unwrap();
+            assert_eq!(out.num_rows(), 1);
+            assert_eq!(out.row(0)[0], Value::Int(0));
+            // A grouped one yields none.
+            assert_eq!(aggregate(&pool, &empty, &[col("tag")], &count).unwrap().num_rows(), 0);
+            for (l, r) in [(&empty, &c), (&c, &empty), (&empty, &empty)] {
+                let out = hash_join(&pool, l, r, &col("id"), &col("id")).unwrap();
+                assert_eq!(out.num_rows(), 0, "threads={threads}");
+                assert_eq!(out.num_cols(), 6);
+            }
+        }
     }
 
     #[test]
@@ -1323,7 +1262,7 @@ mod tests {
             Expr::binary(BinOp::Gt, col("score"), lit(0.5)),
             Expr::binary(BinOp::Eq, col("tag"), lit("gamma")),
         );
-        let out = filter(&c, &pred).unwrap();
+        let out = filter(&pool(), &c, &pred).unwrap();
         assert_eq!(out.num_rows(), 2);
         // NULL AND FALSE => FALSE (not an error), nothing extra matches.
         let pred2 = Expr::binary(
@@ -1331,7 +1270,7 @@ mod tests {
             Expr::binary(BinOp::Gt, col("score"), lit(0.5)),
             Expr::binary(BinOp::Eq, col("tag"), lit("nope")),
         );
-        assert_eq!(filter(&c, &pred2).unwrap().num_rows(), 0);
+        assert_eq!(filter(&pool(), &c, &pred2).unwrap().num_rows(), 0);
     }
 
     #[test]
@@ -1342,19 +1281,19 @@ mod tests {
             lo: Box::new(lit(2i64)),
             hi: Box::new(lit(3i64)),
         };
-        assert_eq!(filter(&c, &pred).unwrap().num_rows(), 2);
+        assert_eq!(filter(&pool(), &c, &pred).unwrap().num_rows(), 2);
         let pred2 = Expr::InList {
             expr: Box::new(col("tag")),
             list: vec![lit("alpha"), lit("gamma")],
             negated: false,
         };
-        assert_eq!(filter(&c, &pred2).unwrap().num_rows(), 3);
+        assert_eq!(filter(&pool(), &c, &pred2).unwrap().num_rows(), 3);
         let pred3 = Expr::InList {
             expr: Box::new(col("tag")),
             list: vec![lit("alpha")],
             negated: true,
         };
-        assert_eq!(filter(&c, &pred3).unwrap().num_rows(), 2);
+        assert_eq!(filter(&pool(), &c, &pred3).unwrap().num_rows(), 2);
     }
 
     #[test]

@@ -268,14 +268,6 @@ pub enum Statement {
         /// Optional predicate.
         where_clause: Option<Expr>,
     },
-    /// `SET THREADS n` / `SET THREADS DEFAULT` — session worker-pool
-    /// override for subsequent queries on the same catalog handle.
-    SetThreads {
-        /// `Some(n)` pins query execution at `n` worker threads;
-        /// `None` (the `DEFAULT` form) restores the environment-driven
-        /// default pool size.
-        threads: Option<usize>,
-    },
 }
 
 #[cfg(test)]

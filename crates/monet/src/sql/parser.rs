@@ -173,24 +173,7 @@ impl Parser {
             let where_clause = if self.accept_kw("WHERE") { Some(self.expr()?) } else { None };
             return Ok(Statement::Update { table, assignments, where_clause });
         }
-        if self.accept_kw("SET") {
-            self.expect_kw("THREADS")?;
-            if self.accept_kw("DEFAULT") {
-                return Ok(Statement::SetThreads { threads: None });
-            }
-            return match self.advance() {
-                TokenKind::Int(n) if n >= 1 => {
-                    Ok(Statement::SetThreads { threads: Some(n as usize) })
-                }
-                TokenKind::Int(n) => {
-                    Err(self.err(format!("SET THREADS needs a count of at least 1, got {n}")))
-                }
-                other => {
-                    Err(self.err(format!("expected thread count or DEFAULT, found {other:?}")))
-                }
-            };
-        }
-        Err(self.err("expected SELECT, CREATE, DROP, INSERT, DELETE, UPDATE or SET"))
+        Err(self.err("expected SELECT, CREATE, DROP, INSERT, DELETE or UPDATE"))
     }
 
     fn select(&mut self) -> Result<Select> {
@@ -657,6 +640,7 @@ mod tests {
         assert!(matches!(e, DbError::Parse { .. }));
         assert!(parse_statement("SELECT a FROM").is_err());
         assert!(parse_statement("FOO BAR").is_err());
+        assert!(parse_statement("SET THREADS 4").is_err());
         assert!(parse_statement("SELECT a FROM t LIMIT 'x'").is_err());
     }
 
@@ -676,29 +660,5 @@ mod tests {
     fn boolean_literals() {
         let s = sel("SELECT * FROM t WHERE flag = TRUE");
         assert!(s.where_clause.is_some());
-    }
-
-    #[test]
-    fn set_threads_forms() {
-        assert_eq!(
-            parse_statement("SET THREADS 4").unwrap(),
-            Statement::SetThreads { threads: Some(4) }
-        );
-        assert_eq!(
-            parse_statement("set threads 1;").unwrap(),
-            Statement::SetThreads { threads: Some(1) }
-        );
-        assert_eq!(
-            parse_statement("SET THREADS DEFAULT").unwrap(),
-            Statement::SetThreads { threads: None }
-        );
-    }
-
-    #[test]
-    fn set_threads_rejects_bad_counts() {
-        assert!(parse_statement("SET THREADS 0").is_err());
-        assert!(parse_statement("SET THREADS 'four'").is_err());
-        assert!(parse_statement("SET THREADS").is_err());
-        assert!(parse_statement("SET WORKERS 4").is_err());
     }
 }

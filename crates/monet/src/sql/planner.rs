@@ -20,18 +20,10 @@ pub trait TableProvider {
     fn table(&self, name: &str) -> Result<Table>;
 }
 
-/// Execute a SELECT against a table provider on the default worker
-/// pool. See [`execute_select_with`] for an explicit pool (what
-/// `SET THREADS` routes through).
-pub fn execute_select(provider: &dyn TableProvider, select: &Select) -> Result<Chunk> {
-    execute_select_with(&WorkerPool::default(), provider, select)
-}
-
-/// Execute a SELECT against a table provider with an explicit worker
-/// pool. The pool reaches every parallel operator the plan lowers to
-/// (selection, hash join, aggregation); a one-thread pool is the exact
-/// sequential code path.
-pub fn execute_select_with(
+/// Execute a SELECT against a table provider. `pool` reaches every
+/// parallel operator the plan lowers to (selection, hash join,
+/// aggregation); the result is identical at every pool size.
+pub fn execute_select(
     pool: &WorkerPool,
     provider: &dyn TableProvider,
     select: &Select,
@@ -79,7 +71,7 @@ pub fn execute_select_with(
             for (ci, c) in conjuncts.iter().enumerate() {
                 if let Some((lk, rk)) = as_equi_join_keys(c, &current, &remaining[idx].chunk) {
                     let rhs = remaining.remove(idx);
-                    current = exec::hash_join_with(pool, &current, &rhs.chunk, &lk, &rk)?;
+                    current = exec::hash_join(pool, &current, &rhs.chunk, &lk, &rk)?;
                     conjuncts.remove(ci);
                     attached = true;
                     break 'outer;
@@ -98,7 +90,7 @@ pub fn execute_select_with(
         .into_iter()
         .reduce(|a, b| Expr::binary(BinOp::And, a, b))
     {
-        current = exec::filter_with(pool, &current, &pred)?;
+        current = exec::filter(pool, &current, &pred)?;
     }
 
     // 5. Aggregate or plain projection.
@@ -246,9 +238,9 @@ fn plan_aggregate(pool: &WorkerPool, select: &Select, input: &Chunk) -> Result<C
         None => None,
     };
 
-    let mut agg_chunk = exec::aggregate_with(pool, input, &select.group_by, &aggs)?;
+    let mut agg_chunk = exec::aggregate(pool, input, &select.group_by, &aggs)?;
     if let Some(h) = having {
-        agg_chunk = exec::filter_with(pool, &agg_chunk, &h)?;
+        agg_chunk = exec::filter(pool, &agg_chunk, &h)?;
     }
     if !select.order_by.is_empty() {
         // ORDER BY over aliases or aggregate labels: rewrite aliases to the

@@ -1,16 +1,17 @@
-//! Parallel ≡ sequential equivalence tests.
+//! Thread-count equivalence tests.
 //!
-//! Every morsel-parallel operator must be *bit-identical* to its
-//! sequential counterpart at any thread count — a one-thread pool runs
-//! the exact sequential code path, so these tests compare pools of
-//! 1–8 threads against each other on inputs large enough to cross the
-//! parallel thresholds (`PAR_ROW_THRESHOLD`, `PAR_CELL_THRESHOLD`).
+//! Every kernel is one range body cut along the pool's morsels, so
+//! its output must be *bit-identical* at any thread count. These tests
+//! compare pools of 1–8 threads against each other (and `select`
+//! against a linear scan) on inputs straddling each threshold
+//! (`PAR_ROW_THRESHOLD`, `PAR_CELL_THRESHOLD`, `DEFAULT_MORSEL_CELLS`),
+//! empty input included.
 
 use proptest::prelude::*;
-use teleios_exec::WorkerPool;
+use teleios_exec::{WorkerPool, DEFAULT_MORSEL_CELLS};
 use teleios_monet::array::{NdArray, PAR_CELL_THRESHOLD};
 use teleios_monet::column::{CmpOp, Column, PAR_ROW_THRESHOLD};
-use teleios_monet::exec::{aggregate_with, filter_with, hash_join_with, AggSpec, Chunk};
+use teleios_monet::exec::{aggregate, filter, hash_join, AggSpec, Chunk};
 use teleios_monet::sql::ast::{AggFunc, BinOp, Expr};
 use teleios_monet::value::Value;
 
@@ -64,78 +65,95 @@ fn big_chunk(seed: u64, rows: usize, key_range: u64) -> Chunk {
     )
 }
 
+/// Sizes on both sides of a threshold `t`, plus the empty input.
+fn straddle(t: usize) -> [usize; 5] {
+    [0, t - 1, t, t + 1, 2 * t + 123]
+}
+
 #[test]
-fn par_select_matches_select_at_all_thread_counts() {
-    let mut mix = Mix(7);
-    let n = 2 * PAR_ROW_THRESHOLD + 123;
-    let vals: Vec<f64> = (0..n).map(|_| mix.double()).collect();
-    let column = Column::from_doubles(vals);
-    let needle = Value::Double(0.0);
-    for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-        let sequential = column.select(op, &needle, None).unwrap();
+fn select_matches_a_linear_scan_at_all_thread_counts() {
+    let needle = 0.0;
+    for n in straddle(PAR_ROW_THRESHOLD) {
+        let mut mix = Mix(7);
+        let vals: Vec<f64> = (0..n).map(|_| mix.double()).collect();
+        let column = Column::from_doubles(vals.clone());
         // Narrowing candidates: every third row.
         let cands: Vec<u32> = (0..n as u32).step_by(3).collect();
-        let sequential_narrowed = column.select(op, &needle, Some(&cands)).unwrap();
+        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            let keep = |i: &u32| vals[*i as usize].partial_cmp(&needle).is_some_and(|o| op.matches(o));
+            let expect: Vec<u32> = (0..n as u32).filter(keep).collect();
+            let expect_narrowed: Vec<u32> = cands.iter().copied().filter(keep).collect();
+            for t in THREAD_COUNTS {
+                let pool = WorkerPool::with_threads(t);
+                assert_eq!(
+                    column.select(op, &Value::Double(needle), None, &pool).unwrap(),
+                    expect,
+                    "op {op:?} over {n} rows at {t} threads"
+                );
+                assert_eq!(
+                    column.select(op, &Value::Double(needle), Some(&cands), &pool).unwrap(),
+                    expect_narrowed,
+                    "op {op:?} with candidates over {n} rows at {t} threads"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn filter_is_identical_at_all_thread_counts() {
+    let pred = Expr::binary(
+        BinOp::And,
+        Expr::binary(BinOp::Gt, col("v"), lit(-250.0)),
+        Expr::binary(BinOp::Lt, col("k"), lit(48i64)),
+    );
+    for rows in straddle(PAR_ROW_THRESHOLD) {
+        let chunk = big_chunk(11, rows, 64);
+        let one = filter(&WorkerPool::with_threads(1), &chunk, &pred).unwrap();
+        assert_eq!(one.num_rows() > 0, rows > 0);
         for t in THREAD_COUNTS {
-            let pool = WorkerPool::with_threads(t);
-            assert_eq!(
-                column.par_select(op, &needle, None, &pool).unwrap(),
-                sequential,
-                "op {op:?} at {t} threads"
-            );
-            assert_eq!(
-                column.par_select(op, &needle, Some(&cands), &pool).unwrap(),
-                sequential_narrowed,
-                "op {op:?} with candidates at {t} threads"
+            let many = filter(&WorkerPool::with_threads(t), &chunk, &pred).unwrap();
+            assert!(chunks_equal(&one, &many), "filter of {rows} rows diverged at {t} threads");
+        }
+    }
+}
+
+#[test]
+fn hash_join_is_identical_at_all_thread_counts() {
+    // The build side is the smaller one, so both phases cross the
+    // threshold independently.
+    for (left_rows, right_rows) in [
+        (0, PAR_ROW_THRESHOLD + 500),
+        (PAR_ROW_THRESHOLD - 1, PAR_ROW_THRESHOLD),
+        (PAR_ROW_THRESHOLD + 1, 300),
+        (PAR_ROW_THRESHOLD + 1000, PAR_ROW_THRESHOLD + 500),
+    ] {
+        let left = big_chunk(21, left_rows, 500);
+        let right = {
+            let mut mix = Mix(22);
+            let keys: Vec<i64> = (0..right_rows).map(|_| mix.int(500)).collect();
+            let vals: Vec<f64> = (0..right_rows).map(|_| mix.double()).collect();
+            Chunk::new(
+                vec!["r.k".into(), "r.w".into()],
+                vec![Column::from_ints(keys), Column::from_doubles(vals)],
+            )
+        };
+        let join = |t| {
+            hash_join(&WorkerPool::with_threads(t), &left, &right, &col("t.k"), &col("r.k")).unwrap()
+        };
+        let one = join(1);
+        assert_eq!(one.num_rows() > 0, left_rows > 0);
+        for t in THREAD_COUNTS {
+            assert!(
+                chunks_equal(&one, &join(t)),
+                "join {left_rows}x{right_rows} diverged at {t} threads"
             );
         }
     }
 }
 
 #[test]
-fn parallel_filter_matches_sequential() {
-    let chunk = big_chunk(11, 2 * PAR_ROW_THRESHOLD, 64);
-    let pred = Expr::binary(
-        BinOp::And,
-        Expr::binary(BinOp::Gt, col("v"), lit(-250.0)),
-        Expr::binary(BinOp::Lt, col("k"), lit(48i64)),
-    );
-    let sequential = filter_with(&WorkerPool::with_threads(1), &chunk, &pred).unwrap();
-    assert!(sequential.num_rows() > 0);
-    for t in THREAD_COUNTS {
-        let parallel = filter_with(&WorkerPool::with_threads(t), &chunk, &pred).unwrap();
-        assert!(chunks_equal(&sequential, &parallel), "filter diverged at {t} threads");
-    }
-}
-
-#[test]
-fn parallel_hash_join_matches_sequential() {
-    let left = big_chunk(21, PAR_ROW_THRESHOLD + 1000, 500);
-    let right = {
-        let mut mix = Mix(22);
-        let rows = PAR_ROW_THRESHOLD + 500;
-        let keys: Vec<i64> = (0..rows).map(|_| mix.int(500)).collect();
-        let vals: Vec<f64> = (0..rows).map(|_| mix.double()).collect();
-        Chunk::new(
-            vec!["r.k".into(), "r.w".into()],
-            vec![Column::from_ints(keys), Column::from_doubles(vals)],
-        )
-    };
-    let sequential =
-        hash_join_with(&WorkerPool::with_threads(1), &left, &right, &col("t.k"), &col("r.k"))
-            .unwrap();
-    assert!(sequential.num_rows() > 0);
-    for t in THREAD_COUNTS {
-        let parallel =
-            hash_join_with(&WorkerPool::with_threads(t), &left, &right, &col("t.k"), &col("r.k"))
-                .unwrap();
-        assert!(chunks_equal(&sequential, &parallel), "join diverged at {t} threads");
-    }
-}
-
-#[test]
-fn parallel_aggregate_matches_sequential() {
-    let chunk = big_chunk(31, 2 * PAR_ROW_THRESHOLD, 64);
+fn aggregate_is_identical_at_all_thread_counts() {
     let aggs = vec![
         AggSpec { func: AggFunc::Count, expr: None, name: "n".into() },
         AggSpec { func: AggFunc::Sum, expr: Some(col("v")), name: "s".into() },
@@ -143,76 +161,73 @@ fn parallel_aggregate_matches_sequential() {
         AggSpec { func: AggFunc::Max, expr: Some(col("v")), name: "hi".into() },
         AggSpec { func: AggFunc::Avg, expr: Some(col("v")), name: "m".into() },
     ];
-    let group_by = [col("k")];
-    let sequential =
-        aggregate_with(&WorkerPool::with_threads(1), &chunk, &group_by, &aggs).unwrap();
-    assert_eq!(sequential.num_rows(), 64);
-    for t in THREAD_COUNTS {
-        let parallel =
-            aggregate_with(&WorkerPool::with_threads(t), &chunk, &group_by, &aggs).unwrap();
-        // Bit-identical includes the first-encounter group order.
-        assert!(chunks_equal(&sequential, &parallel), "group-by diverged at {t} threads");
-    }
-}
-
-#[test]
-fn parallel_global_aggregate_matches_sequential() {
-    let chunk = big_chunk(41, 2 * PAR_ROW_THRESHOLD, 64);
-    let aggs = vec![AggSpec { func: AggFunc::Sum, expr: Some(col("v")), name: "s".into() }];
-    let sequential = aggregate_with(&WorkerPool::with_threads(1), &chunk, &[], &aggs).unwrap();
-    for t in THREAD_COUNTS {
-        let parallel = aggregate_with(&WorkerPool::with_threads(t), &chunk, &[], &aggs).unwrap();
-        assert!(chunks_equal(&sequential, &parallel), "global agg diverged at {t} threads");
+    for rows in straddle(PAR_ROW_THRESHOLD) {
+        let chunk = big_chunk(31, rows, 64);
+        // Grouped (bit-identical includes the first-encounter group
+        // order) and global (one row even over zero rows).
+        for (group_by, groups) in [(vec![col("k")], 64.min(rows)), (vec![], 1)] {
+            let one = aggregate(&WorkerPool::with_threads(1), &chunk, &group_by, &aggs).unwrap();
+            assert_eq!(one.num_rows(), groups);
+            for t in THREAD_COUNTS {
+                let many =
+                    aggregate(&WorkerPool::with_threads(t), &chunk, &group_by, &aggs).unwrap();
+                assert!(
+                    chunks_equal(&one, &many),
+                    "aggregate of {rows} rows into {groups} group(s) diverged at {t} threads"
+                );
+            }
+        }
     }
 }
 
 fn big_array(seed: u64, cells: usize) -> NdArray {
     let mut mix = Mix(seed);
     let data: Vec<f64> = (0..cells).map(|_| mix.double()).collect();
-    NdArray::matrix(cells / 128, 128, data).unwrap()
+    NdArray::matrix(1, cells, data).unwrap()
 }
 
 #[test]
-fn parallel_array_map_and_zip_map_match_sequential() {
-    let cells = 2 * PAR_CELL_THRESHOLD;
-    let a = big_array(51, cells);
-    let b = big_array(52, cells);
-    let seq_map = a.map_with(&WorkerPool::with_threads(1), |v| v * 0.5 + 1.0);
-    let seq_zip = a.zip_map_with(&WorkerPool::with_threads(1), &b, |x, y| x.max(y) - x * y).unwrap();
-    for t in THREAD_COUNTS {
-        let pool = WorkerPool::with_threads(t);
-        let par_map = a.map_with(&pool, |v| v * 0.5 + 1.0);
-        assert_eq!(seq_map.data(), par_map.data(), "map diverged at {t} threads");
-        let par_zip = a.zip_map_with(&pool, &b, |x, y| x.max(y) - x * y).unwrap();
-        assert_eq!(seq_zip.data(), par_zip.data(), "zip_map diverged at {t} threads");
+fn array_map_and_zip_map_are_identical_at_all_thread_counts() {
+    for cells in straddle(PAR_CELL_THRESHOLD) {
+        let a = big_array(51, cells);
+        let b = big_array(52, cells);
+        let expect_map: Vec<f64> = a.data().iter().map(|v| v * 0.5 + 1.0).collect();
+        let expect_zip: Vec<f64> =
+            a.data().iter().zip(b.data()).map(|(x, y)| x.max(*y) - x * y).collect();
+        for t in THREAD_COUNTS {
+            let pool = WorkerPool::with_threads(t);
+            let map = a.map_with(&pool, |v| v * 0.5 + 1.0);
+            assert_eq!(map.shape(), a.shape());
+            assert_eq!(map.data(), expect_map, "map of {cells} cells diverged at {t} threads");
+            let zip = a.zip_map_with(&pool, &b, |x, y| x.max(y) - x * y).unwrap();
+            assert_eq!(zip.data(), expect_zip, "zip_map of {cells} cells diverged at {t} threads");
+        }
     }
 }
 
 #[test]
-fn parallel_array_reductions_match_sequential() {
-    let a = big_array(61, 3 * PAR_CELL_THRESHOLD);
-    let pool1 = WorkerPool::with_threads(1);
-    let seq_sum = a.sum_with(&pool1);
-    let seq_min = a.min_with(&pool1);
-    let seq_max = a.max_with(&pool1);
-    for t in THREAD_COUNTS {
-        let pool = WorkerPool::with_threads(t);
-        // to_bits: the sums must agree exactly, not just approximately.
-        assert_eq!(a.sum_with(&pool).to_bits(), seq_sum.to_bits(), "sum diverged at {t} threads");
-        assert_eq!(a.min_with(&pool), seq_min, "min diverged at {t} threads");
-        assert_eq!(a.max_with(&pool), seq_max, "max diverged at {t} threads");
+fn array_reductions_are_identical_at_all_thread_counts() {
+    for cells in straddle(DEFAULT_MORSEL_CELLS) {
+        let a = big_array(61, cells);
+        let pool1 = WorkerPool::with_threads(1);
+        let (sum, min, max) = (a.sum_with(&pool1), a.min_with(&pool1), a.max_with(&pool1));
+        assert_eq!(min.is_some(), cells > 0);
+        if cells <= DEFAULT_MORSEL_CELLS {
+            // One chunk is the plain left fold.
+            assert_eq!(sum.to_bits(), a.data().iter().sum::<f64>().to_bits());
+        }
+        for t in THREAD_COUNTS {
+            let pool = WorkerPool::with_threads(t);
+            // to_bits: the sums must agree exactly, not just approximately.
+            assert_eq!(a.sum_with(&pool).to_bits(), sum.to_bits(), "sum of {cells} at {t} threads");
+            assert_eq!(a.min_with(&pool), min, "min of {cells} at {t} threads");
+            assert_eq!(a.max_with(&pool), max, "max of {cells} at {t} threads");
+        }
     }
 }
 
 #[test]
-fn parallel_try_map_reports_the_first_error() {
-    let cells = 2 * PAR_CELL_THRESHOLD;
-    let mut data = vec![1.0f64; cells];
-    // Errors scattered across chunks; the earliest one must win.
-    data[cells - 1] = -1.0;
-    data[PAR_CELL_THRESHOLD + 7] = -1.0;
-    data[137] = -1.0;
-    let a = NdArray::matrix(cells / 128, 128, data).unwrap();
+fn try_map_reports_the_first_error_at_all_thread_counts() {
     let f = |v: f64| {
         if v < 0.0 {
             Err(format!("negative cell {v}"))
@@ -220,26 +235,35 @@ fn parallel_try_map_reports_the_first_error() {
             Ok(v.sqrt())
         }
     };
-    let sequential = a.try_map_with(&WorkerPool::with_threads(1), f);
-    assert!(sequential.is_err());
-    for t in THREAD_COUNTS {
-        let parallel = a.try_map_with(&WorkerPool::with_threads(t), f);
-        assert_eq!(
-            sequential.as_ref().err(),
-            parallel.as_ref().err(),
-            "error choice diverged at {t} threads"
-        );
+    for cells in straddle(PAR_CELL_THRESHOLD) {
+        let mut data = vec![1.0f64; cells];
+        // Distinct errors scattered across morsels; the earliest cell
+        // must win.
+        let bad = [cells.saturating_sub(1), cells / 2 + 7, 137.min(cells / 3)];
+        for (k, &i) in bad.iter().enumerate().filter(|(_, &i)| i < cells) {
+            data[i] = -1.0 - k as f64;
+        }
+        let a = NdArray::matrix(1, cells, data).unwrap();
+        let expect = a.data().iter().find(|v| **v < 0.0).map(|v| format!("negative cell {v}"));
+        for t in THREAD_COUNTS {
+            let pool = WorkerPool::with_threads(t);
+            assert_eq!(
+                a.try_map_with(&pool, f).err(),
+                expect,
+                "error choice over {cells} cells diverged at {t} threads"
+            );
+            // And the all-healthy case round-trips.
+            let ok = a.map_with(&pool, f64::abs).try_map_with(&pool, f).unwrap();
+            assert_eq!(ok.shape(), a.shape());
+        }
     }
-    // And the all-healthy case round-trips.
-    let ok = a.map(|v| v.abs()).try_map_with(&WorkerPool::with_threads(4), f).unwrap();
-    assert_eq!(ok.shape(), a.shape());
 }
 
 proptest! {
-    // Randomized small/medium inputs: mostly below the thresholds
-    // (checking the sequential fallback) with the occasional crossing.
+    // Randomized small inputs, below the thresholds: the inline side
+    // of the fork at every pool size.
     #[test]
-    fn prop_par_select_matches(
+    fn prop_select_matches(
         vals in proptest::collection::vec(-100i64..100, 0..300),
         needle in -100i64..100,
         threads in 1usize..=8,
@@ -249,8 +273,8 @@ proptest! {
         for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge] {
             let v = Value::Int(needle);
             prop_assert_eq!(
-                column.par_select(op, &v, None, &pool).unwrap(),
-                column.select(op, &v, None).unwrap()
+                column.select(op, &v, None, &pool).unwrap(),
+                column.select(op, &v, None, &WorkerPool::with_threads(1)).unwrap()
             );
         }
     }

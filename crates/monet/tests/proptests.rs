@@ -5,6 +5,7 @@ use teleios_monet::array::NdArray;
 use teleios_monet::catalog::Catalog;
 use teleios_monet::column::{CmpOp, Column};
 use teleios_monet::value::Value;
+use teleios_exec::WorkerPool;
 
 fn values_strategy() -> impl Strategy<Value = Vec<i64>> {
     proptest::collection::vec(-1000i64..1000, 0..200)
@@ -22,7 +23,7 @@ proptest! {
             (CmpOp::Gt, Box::new(move |v| v > needle)),
             (CmpOp::Ge, Box::new(move |v| v >= needle)),
         ] {
-            let got = col.select(op, &Value::Int(needle), None).unwrap();
+            let got = col.select(op, &Value::Int(needle), None, &WorkerPool::default()).unwrap();
             let expect: Vec<u32> = vals
                 .iter()
                 .enumerate()
@@ -37,10 +38,11 @@ proptest! {
     fn column_candidates_compose(vals in values_strategy(), lo in -500i64..0, hi in 0i64..500) {
         let col = Column::from_ints(vals.clone());
         // select(ge lo) then select(le hi) over candidates == range select.
-        let first = col.select(CmpOp::Ge, &Value::Int(lo), None).unwrap();
-        let narrowed = col.select(CmpOp::Le, &Value::Int(hi), Some(&first)).unwrap();
+        let pool = WorkerPool::default();
+        let first = col.select(CmpOp::Ge, &Value::Int(lo), None, &pool).unwrap();
+        let narrowed = col.select(CmpOp::Le, &Value::Int(hi), Some(&first), &pool).unwrap();
         let range = col
-            .select_range(Some(&Value::Int(lo)), Some(&Value::Int(hi)), None)
+            .select_range(Some(&Value::Int(lo)), Some(&Value::Int(hi)), None, &pool)
             .unwrap();
         prop_assert_eq!(narrowed, range);
     }

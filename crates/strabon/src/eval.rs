@@ -18,6 +18,7 @@ use crate::expr::{
 use crate::ast::Query;
 use crate::{Result, Solutions, Strabon};
 use std::collections::{HashMap, HashSet};
+use teleios_exec::concat;
 use teleios_geo::Envelope;
 use teleios_rdf::dictionary::TermId;
 use teleios_rdf::strdf;
@@ -30,7 +31,7 @@ pub fn evaluate_query(engine: &mut Strabon, query: &Query) -> Result<Solutions> 
     // Build the sidecar first so the rest can take shared borrows.
     let config = engine.config;
     let pool = engine.pool();
-    engine.spatial.ensure_built_with(&engine.store, &pool);
+    engine.spatial.ensure_built(&engine.store, &pool);
     match query {
         Query::Select(q) => {
             let mut vars = VarTable::default();
@@ -202,7 +203,7 @@ pub fn evaluate_construct(
 ) -> Result<Vec<(Term, Term, Term)>> {
     let config = engine.config;
     let pool = engine.pool();
-    engine.spatial.ensure_built_with(&engine.store, &pool);
+    engine.spatial.ensure_built(&engine.store, &pool);
     let mut vars = VarTable::default();
     collect_group_vars(&q.where_clause, &mut vars);
     // Template-only variables would never bind; reject them up front.
@@ -448,7 +449,7 @@ pub(crate) fn group_restrictions(
 pub fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
     let config = engine.config;
     let pool = engine.pool();
-    engine.spatial.ensure_built_with(&engine.store, &pool);
+    engine.spatial.ensure_built(&engine.store, &pool);
     let where_clause = match query {
         Query::Select(q) => &q.where_clause,
         Query::Ask(q) => &q.where_clause,
@@ -466,7 +467,7 @@ pub fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
         rdfs_inference: config.rdfs_inference,
         pool,
     };
-    let restrictions = group_restrictions(env_ref(&env), where_clause, config.use_spatial_index);
+    let restrictions = group_restrictions(&env, where_clause, config.use_spatial_index);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -485,30 +486,22 @@ pub fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
         }
     }
 
-    // Walk the group, rendering each BGP run's chosen order.
+    // Walk the group, rendering each BGP run's chosen order. `bound`
+    // carries over from run to run, as the bindings do in evaluation.
     let mut bgp: Vec<&PatternTriple> = Vec::new();
     let mut step = 1usize;
-    let flush = |bgp: &mut Vec<&PatternTriple>, out: &mut String, step: &mut usize| {
-        if bgp.is_empty() {
-            return;
-        }
-        let order: Vec<usize> = plan_order(env_ref(&env), bgp, config.optimize_bgp, &restrictions);
-        let mut bound: HashSet<usize> = HashSet::new();
+    let mut bound: HashSet<usize> = HashSet::new();
+    let mut flush = |bgp: &mut Vec<&PatternTriple>, out: &mut String, step: &mut usize| {
+        let order = bgp_order(&env, bgp, bound.clone(), config.optimize_bgp, &restrictions);
         for &pi in &order {
-            let est = estimate_pattern(env_ref(&env), bgp[pi], &bound, &restrictions);
+            let est = estimate_pattern(&env, bgp[pi], &bound, &restrictions);
             out.push_str(&format!(
                 "{:>3}. match {} (est {})\n",
                 step,
                 render_pattern(bgp[pi]),
                 est
             ));
-            for v in [&bgp[pi].s, &bgp[pi].p, &bgp[pi].o] {
-                if let Some(name) = v.var() {
-                    if let Some(slot) = vars.get(name) {
-                        bound.insert(slot);
-                    }
-                }
-            }
+            bind_pattern_vars(&env, bgp[pi], &mut bound);
             *step += 1;
         }
         bgp.clear();
@@ -541,23 +534,21 @@ pub fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
     Ok(out)
 }
 
-// `Env` is not `Copy`; this keeps the closure captures readable.
-fn env_ref<'a, 'b>(env: &'b Env<'a>) -> &'b Env<'a> {
-    env
-}
-
-/// The greedy order the evaluator would choose for a BGP.
-fn plan_order(
+/// The order [`eval_bgp`] joins `patterns` in, given the variable
+/// slots already `bound` when the run starts: syntactic, or (when
+/// `optimize`) greedy — repeatedly the pattern with the smallest
+/// estimate given the variables bound so far.
+fn bgp_order(
     env: &Env<'_>,
     patterns: &[&PatternTriple],
+    mut bound: HashSet<usize>,
     optimize: bool,
     restrictions: &HashMap<usize, HashSet<TermId>>,
 ) -> Vec<usize> {
-    if !optimize {
-        return (0..patterns.len()).collect();
-    }
-    let mut bound: HashSet<usize> = HashSet::new();
     let mut remaining: Vec<usize> = (0..patterns.len()).collect();
+    if !optimize {
+        return remaining;
+    }
     let mut order = Vec::with_capacity(patterns.len());
     while !remaining.is_empty() {
         let Some((pick_pos, _)) = remaining
@@ -568,16 +559,19 @@ fn plan_order(
             break; // unreachable: the loop guard keeps `remaining` non-empty
         };
         let pi = remaining.remove(pick_pos);
-        for v in [&patterns[pi].s, &patterns[pi].p, &patterns[pi].o] {
-            if let Some(name) = v.var() {
-                if let Some(slot) = env.vars.get(name) {
-                    bound.insert(slot);
-                }
-            }
-        }
+        bind_pattern_vars(env, patterns[pi], &mut bound);
         order.push(pi);
     }
     order
+}
+
+/// Mark the variables of `pat` as bound.
+fn bind_pattern_vars(env: &Env<'_>, pat: &PatternTriple, bound: &mut HashSet<usize>) {
+    for v in [&pat.s, &pat.p, &pat.o] {
+        if let Some(slot) = v.var().and_then(|name| env.vars.get(name)) {
+            bound.insert(slot);
+        }
+    }
 }
 
 fn render_pattern(p: &PatternTriple) -> String {
@@ -694,42 +688,11 @@ fn eval_bgp(
     if seeds.is_empty() {
         return seeds;
     }
-    // Determine evaluation order.
-    let order: Vec<usize> = if optimize {
-        // Greedy: repeatedly take the pattern with the smallest estimate
-        // given the variables bound so far.
-        let mut bound: HashSet<usize> = HashSet::new();
-        // Variables bound in the seeds (use the first seed's shape; all
-        // seeds of a group share it).
-        for (slot, v) in seeds[0].iter().enumerate() {
-            if v.is_some() {
-                bound.insert(slot);
-            }
-        }
-        let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-        let mut order = Vec::with_capacity(patterns.len());
-        while !remaining.is_empty() {
-            let Some((pick_pos, _)) = remaining
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &pi)| estimate_pattern(env, patterns[pi], &bound, restrictions))
-            else {
-                break; // unreachable: the loop guard keeps `remaining` non-empty
-            };
-            let pi = remaining.remove(pick_pos);
-            for v in [&patterns[pi].s, &patterns[pi].p, &patterns[pi].o] {
-                if let Some(name) = v.var() {
-                    if let Some(slot) = env.vars.get(name) {
-                        bound.insert(slot);
-                    }
-                }
-            }
-            order.push(pi);
-        }
-        order
-    } else {
-        (0..patterns.len()).collect()
-    };
+    // Variables bound in the seeds (use the first seed's shape; all
+    // seeds of a group share it).
+    let bound: HashSet<usize> =
+        seeds[0].iter().enumerate().filter(|(_, v)| v.is_some()).map(|(slot, _)| slot).collect();
+    let order = bgp_order(env, patterns, bound, optimize, restrictions);
 
     let mut results = seeds;
     for &pi in &order {
@@ -742,20 +705,20 @@ fn eval_bgp(
 }
 
 /// Binding count below which BGP probing and FILTER evaluation stay
-/// sequential: under this size the join itself is cheaper than task
+/// inline: under this size the join itself is cheaper than task
 /// setup. Public so the parallel-equivalence tests can size their
 /// data to cross it.
 pub const PAR_BINDING_THRESHOLD: usize = 256;
 
-/// Morsels per worker for the parallel probe/filter paths: finer than
+/// Morsels per worker for the probe/filter kernels: finer than
 /// one-per-worker so the pool's claim counter has slack to rebalance
 /// when some bindings fan out much harder than others.
 const MORSELS_PER_WORKER: usize = 4;
 
 /// One join step: extend every seed binding with the matches of
-/// `pat`. Above [`PAR_BINDING_THRESHOLD`] the probe runs morsel-
-/// parallel over the seed side — per-morsel outputs concatenate in
-/// morsel order, reproducing the sequential scan exactly (the pool's
+/// `pat`. The seed side is cut along the pool's morsels — a single
+/// inline one under [`PAR_BINDING_THRESHOLD`] or at one thread — and
+/// the per-morsel outputs concatenate in morsel order (the pool's
 /// determinism contract), so results are identical at every thread
 /// count.
 fn probe_pattern(
@@ -764,30 +727,22 @@ fn probe_pattern(
     results: Vec<Binding>,
     restrictions: &HashMap<usize, HashSet<TermId>>,
 ) -> Vec<Binding> {
-    if env.pool.threads() <= 1 || results.len() < PAR_BINDING_THRESHOLD {
-        let mut next = Vec::with_capacity(results.len());
-        for b in &results {
-            extend_with_pattern(env, pat, b, restrictions, &mut next);
-        }
-        return next;
-    }
     let results = &results;
-    let tasks: Vec<_> = teleios_exec::morsels(
-        results.len(),
-        env.pool.threads() * MORSELS_PER_WORKER,
-    )
-    .into_iter()
-    .map(|r| {
-        move || {
-            let mut out = Vec::new();
-            for b in &results[r] {
-                extend_with_pattern(env, pat, b, restrictions, &mut out);
+    let tasks: Vec<_> = env
+        .pool
+        .morsels_for(results.len(), PAR_BINDING_THRESHOLD, MORSELS_PER_WORKER)
+        .into_iter()
+        .map(|r| {
+            move || {
+                let mut out = Vec::with_capacity(r.len());
+                for b in &results[r] {
+                    extend_with_pattern(env, pat, b, restrictions, &mut out);
+                }
+                out
             }
-            out
-        }
-    })
-    .collect();
-    env.pool.run(tasks).into_iter().flatten().collect()
+        })
+        .collect();
+    concat(env.pool.run(tasks))
 }
 
 /// Estimated cost of a pattern given currently bound variable slots.
@@ -999,9 +954,10 @@ fn subclass_closure(
 
 /// Apply a FILTER, using the spatial sidecar to pre-filter when
 /// possible. The exact predicate pass (geometry intersections,
-/// arithmetic) runs morsel-parallel above [`PAR_BINDING_THRESHOLD`];
-/// the envelope pre-filter stays sequential — it is hash probes, far
-/// cheaper than the task setup it would amortize.
+/// arithmetic) runs over the pool's morsels, parallel from
+/// [`PAR_BINDING_THRESHOLD`] bindings up; the envelope pre-filter
+/// stays sequential — it is hash probes, far cheaper than the task
+/// setup it would amortize.
 fn apply_filter(
     env: &Env<'_>,
     filter: &Expression,
@@ -1017,29 +973,24 @@ fn apply_filter(
             });
         }
     }
-    if env.pool.threads() <= 1 || bindings.len() < PAR_BINDING_THRESHOLD {
-        bindings.retain(|b| eval_filter(env, b, filter));
-        return bindings;
-    }
-    // Morsel-order concatenation of the survivors reproduces the
-    // sequential retain exactly.
-    let bindings_ref = &bindings;
-    let tasks: Vec<_> = teleios_exec::morsels(
-        bindings.len(),
-        env.pool.threads() * MORSELS_PER_WORKER,
-    )
-    .into_iter()
-    .map(|r| {
-        move || {
-            bindings_ref[r]
-                .iter()
-                .filter(|b| eval_filter(env, b, filter))
-                .cloned()
-                .collect::<Vec<Binding>>()
-        }
-    })
-    .collect();
-    env.pool.run(tasks).into_iter().flatten().collect()
+    // Morsel-order concatenation of the survivors is one retain over
+    // the whole list.
+    let bindings = &bindings;
+    let tasks: Vec<_> = env
+        .pool
+        .morsels_for(bindings.len(), PAR_BINDING_THRESHOLD, MORSELS_PER_WORKER)
+        .into_iter()
+        .map(|r| {
+            move || {
+                bindings[r]
+                    .iter()
+                    .filter(|b| eval_filter(env, b, filter))
+                    .cloned()
+                    .collect::<Vec<Binding>>()
+            }
+        })
+        .collect();
+    concat(env.pool.run(tasks))
 }
 
 /// Recognize `strdf:pred(?v, CONST)` / `strdf:distance(?v, CONST) < d`

@@ -36,16 +36,10 @@ impl SpatialSidecar {
         self.built
     }
 
-    /// Build the index from the store's dictionary if not yet built
-    /// (serial R-tree packing — see [`Self::ensure_built_with`]).
-    pub fn ensure_built(&mut self, store: &TripleStore) {
-        self.ensure_built_with(store, &WorkerPool::with_threads(1));
-    }
-
-    /// Build the index if not yet built, bulk-loading the R-tree on
-    /// `pool` ([`RTree::bulk_load_with`] — identical tree, parallel sorts).
-    /// A one-thread pool takes the serial path exactly.
-    pub fn ensure_built_with(&mut self, store: &TripleStore, pool: &WorkerPool) {
+    /// Build the index from the store's dictionary if not yet built,
+    /// bulk-loading the R-tree on `pool` ([`RTree::bulk_load_with`] —
+    /// the same tree at every pool size).
+    pub fn ensure_built(&mut self, store: &TripleStore, pool: &WorkerPool) {
         if self.built {
             return;
         }
@@ -112,7 +106,7 @@ mod tests {
     fn builds_and_finds_candidates() {
         let st = store_with_points(10);
         let mut sc = SpatialSidecar::default();
-        sc.ensure_built(&st);
+        sc.ensure_built(&st, &WorkerPool::with_threads(2));
         assert_eq!(sc.len(), 10);
         let q = Envelope::new(
             teleios_geo::Coord::new(2.5, -1.0),
@@ -126,7 +120,7 @@ mod tests {
     fn geometry_lookup() {
         let st = store_with_points(3);
         let mut sc = SpatialSidecar::default();
-        sc.ensure_built(&st);
+        sc.ensure_built(&st, &WorkerPool::with_threads(2));
         let lit = strdf::geometry_literal_wgs84(&Geometry::Point(Point::new(1.0, 0.0)));
         let id = st.id_of(&lit).unwrap();
         let g = sc.geometry(id).unwrap();
@@ -137,7 +131,7 @@ mod tests {
     fn invalidate_clears() {
         let st = store_with_points(2);
         let mut sc = SpatialSidecar::default();
-        sc.ensure_built(&st);
+        sc.ensure_built(&st, &WorkerPool::with_threads(2));
         assert!(sc.is_built());
         sc.invalidate();
         assert!(!sc.is_built());
@@ -153,7 +147,7 @@ mod tests {
             &Term::literal("POINT (1 2)"), // plain literal, not strdf:WKT
         );
         let mut sc = SpatialSidecar::default();
-        sc.ensure_built(&st);
+        sc.ensure_built(&st, &WorkerPool::with_threads(2));
         assert!(sc.is_empty());
     }
 
@@ -166,7 +160,7 @@ mod tests {
             &Term::typed_literal("NOT WKT", teleios_rdf::vocab::strdf::WKT),
         );
         let mut sc = SpatialSidecar::default();
-        sc.ensure_built(&st);
+        sc.ensure_built(&st, &WorkerPool::with_threads(2));
         assert!(sc.is_empty());
     }
 }

@@ -75,7 +75,7 @@ fn execute_modify(
 ) -> Result<usize> {
     let config = engine.config;
     let pool = engine.pool();
-    engine.spatial.ensure_built_with(&engine.store, &pool);
+    engine.spatial.ensure_built(&engine.store, &pool);
 
     let mut vars = VarTable::default();
     collect_group_vars(where_clause, &mut vars);

@@ -576,6 +576,35 @@ fn explain_shows_plan() {
     assert!(conf_pos < type_pos, "syntactic order must be preserved:\n{plan2}");
 }
 
+/// EXPLAIN must print the order the evaluator runs: a BGP run after a
+/// FILTER starts with the earlier runs' variables already bound.
+#[test]
+fn explain_orders_later_runs_with_earlier_bindings() {
+    let mut db = Strabon::new();
+    let iri = |s: String| Term::iri(format!("http://example.org/{s}"));
+    let (rare, p, q) = (iri("Rare".into()), iri("p".into()), iri("q".into()));
+    let type_p = Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
+    for i in 0..40 {
+        db.insert(&iri(format!("s{i}")), &p, &iri(format!("o{i}")));
+        if i < 10 {
+            db.insert(&iri(format!("o{i}")), &q, &iri(format!("z{i}")));
+        }
+        if i < 2 {
+            db.insert(&iri(format!("s{i}")), &type_p, &rare);
+        }
+    }
+    let query = "PREFIX ex: <http://example.org/> SELECT ?s ?z WHERE { \
+                   ?s a ex:Rare . FILTER(?s != ex:s1) ?o ex:q ?z . ?s ex:p ?o }";
+    // With ?s unbound the 10 ex:q triples would go before the 40 ex:p
+    // ones; with ?s bound by the first run, ex:p (40/8+1) goes first.
+    let plan = db.query_plan_for_test(query);
+    let p_pos = plan.find("/p>").expect("ex:p in plan");
+    let q_pos = plan.find("/q>").expect("ex:q in plan");
+    assert!(p_pos < q_pos, "?s is bound when the second run is ordered:\n{plan}");
+    assert!(plan.contains("?s <http://example.org/p> ?o (est 6)"), "{plan}");
+    assert_eq!(db.query(query).unwrap().len(), 1);
+}
+
 trait ExplainExt {
     fn query_plan_for_test(&mut self, q: &str) -> String;
 }

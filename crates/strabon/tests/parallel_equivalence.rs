@@ -1,12 +1,11 @@
-//! Parallel ≡ sequential equivalence for the strabon evaluator.
+//! Thread-count equivalence for the strabon evaluator.
 //!
-//! `StrabonConfig::threads = 1` runs the exact sequential code path;
-//! any other thread count partitions BGP probe loops and FILTER
-//! passes into ordered morsels whose outputs concatenate in morsel
-//! order — so every configuration must return *bit-identical*
-//! `Solutions`, row order included.
-//! Fixtures are sized past `PAR_BINDING_THRESHOLD` so the parallel
-//! paths genuinely engage.
+//! BGP probe loops and FILTER passes are one body cut along the
+//! pool's ordered morsels (a single inline one at
+//! `StrabonConfig::threads = 1` or under `PAR_BINDING_THRESHOLD`),
+//! whose outputs concatenate in morsel order — so every configuration
+//! must return *bit-identical* `Solutions`, row order included.
+//! Fixtures are sized on both sides of `PAR_BINDING_THRESHOLD`.
 
 use teleios_rdf::term::Term;
 use teleios_strabon::eval::PAR_BINDING_THRESHOLD;
@@ -36,7 +35,6 @@ impl Mix {
 
 /// An archive of `n` products, each with one hotspot carrying a
 /// confidence and a point geometry scattered over a 4°×4° window.
-/// `n` is chosen by callers to exceed [`PAR_BINDING_THRESHOLD`].
 fn archive(n: usize, config: StrabonConfig) -> Strabon {
     let mut db = Strabon::with_config(config);
     let mut mix = Mix(0x7e1e_105);
@@ -70,39 +68,46 @@ fn archive(n: usize, config: StrabonConfig) -> Strabon {
     db
 }
 
-/// The two configurations under test: exact sequential and parallel.
-fn configs() -> [(&'static str, StrabonConfig); 2] {
+/// Archive sizes (= binding counts after the first pattern) on both
+/// sides of the threshold.
+const SIZES: [usize; 4] = [
+    PAR_BINDING_THRESHOLD - 1,
+    PAR_BINDING_THRESHOLD,
+    PAR_BINDING_THRESHOLD + 1,
+    2 * PAR_BINDING_THRESHOLD,
+];
+
+/// The configurations under test; the first is the inline baseline.
+fn configs() -> [(&'static str, StrabonConfig); 4] {
     let base = StrabonConfig::default();
     [
-        ("sequential", StrabonConfig { threads: 1, ..base }),
-        ("parallel x4", StrabonConfig { threads: 4, ..base }),
+        ("threads 1", StrabonConfig { threads: 1, ..base }),
+        ("threads 2", StrabonConfig { threads: 2, ..base }),
+        ("threads 4", StrabonConfig { threads: 4, ..base }),
+        ("threads 8", StrabonConfig { threads: 8, ..base }),
     ]
 }
 
-fn run_all(n: usize, query: &str) -> Vec<(&'static str, Solutions)> {
-    configs()
-        .into_iter()
-        .map(|(label, config)| {
-            let mut db = archive(n, config);
-            (label, db.query(query).expect(label))
-        })
-        .collect()
-}
-
-fn assert_all_equal(results: &[(&'static str, Solutions)]) {
-    let (base_label, base) = &results[0];
+/// Run `query` under every configuration on an archive of `n`
+/// products, assert the `Solutions` are equal, and return them.
+fn identical_solutions(n: usize, query: &str) -> Solutions {
+    let mut results = configs().into_iter().map(|(label, config)| {
+        let mut db = archive(n, config);
+        (label, db.query(query).expect(label))
+    });
+    let (base_label, base) = results.next().expect("configs");
     assert!(!base.is_empty(), "{base_label}: fixture query returned nothing");
-    for (label, sols) in &results[1..] {
+    for (label, sols) in results {
         assert_eq!(
             base, sols,
-            "{label} diverged from {base_label} (row order is part of the contract)"
+            "{label} diverged from {base_label} at n={n} (row order is part of the contract)"
         );
     }
+    base
 }
 
 #[test]
 fn bgp_join_identical_across_thread_counts() {
-    let n = 2 * PAR_BINDING_THRESHOLD;
     let query = format!(
         "PREFIX noa: <{NOA}>\n\
          SELECT ?h ?img ?c WHERE {{\n\
@@ -110,15 +115,14 @@ fn bgp_join_identical_across_thread_counts() {
            ?img noa:isAcquiredBy <http://teleios.di.uoa.gr/satellites/MSG2> .\n\
          }}"
     );
-    let results = run_all(n, &query);
-    // Two thirds of the images carry the satellite pattern.
-    assert!(results[0].1.len() > n / 2);
-    assert_all_equal(&results);
+    for n in SIZES {
+        // Two thirds of the images carry the satellite pattern.
+        assert!(identical_solutions(n, &query).len() > n / 2);
+    }
 }
 
 #[test]
 fn spatial_filter_identical_across_thread_counts() {
-    let n = 2 * PAR_BINDING_THRESHOLD;
     let query = format!(
         "PREFIX noa: <{NOA}>\nPREFIX strdf: <{STRDF}>\n\
          SELECT ?h WHERE {{\n\
@@ -127,15 +131,14 @@ fn spatial_filter_identical_across_thread_counts() {
             \"POLYGON ((22 37, 24 37, 24 39, 22 39, 22 37))\"^^strdf:WKT))\n\
          }}"
     );
-    let results = run_all(n, &query);
-    // The window covers a quarter of the scatter region.
-    assert!(results[0].1.len() > n / 10);
-    assert_all_equal(&results);
+    for n in SIZES {
+        // The window covers a quarter of the scatter region.
+        assert!(identical_solutions(n, &query).len() > n / 10);
+    }
 }
 
 #[test]
 fn value_filter_identical_across_thread_counts() {
-    let n = 2 * PAR_BINDING_THRESHOLD;
     let query = format!(
         "PREFIX noa: <{NOA}>\n\
          SELECT ?h ?c WHERE {{\n\
@@ -143,15 +146,15 @@ fn value_filter_identical_across_thread_counts() {
            FILTER(?c > 0.5)\n\
          }}"
     );
-    let results = run_all(n, &query);
-    assert!(results[0].1.len() > n / 4);
-    assert_all_equal(&results);
+    for n in SIZES {
+        assert!(identical_solutions(n, &query).len() > n / 4);
+    }
 }
 
 #[test]
 fn spatial_filter_matches_with_index_disabled() {
-    // The parallel FILTER pass must agree with the sequential exact
-    // evaluation both with and without the R-tree pre-filter.
+    // The FILTER pass must agree with the one-thread exact evaluation
+    // both with and without the R-tree pre-filter.
     let n = 2 * PAR_BINDING_THRESHOLD;
     let query = format!(
         "PREFIX noa: <{NOA}>\nPREFIX strdf: <{STRDF}>\n\

@@ -4,7 +4,8 @@
 #   scripts/check.sh --quick   build + tier-1 tests only
 #   scripts/check.sh           default gate: the above, plus the
 #                              teleios-lint workspace invariants,
-#                              clippy, the E14/E16 smoke runs (a
+#                              the one-fork-site grep, clippy, the
+#                              E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
 #                              regression fails this gate instead of
 #                              hanging it), and the E0 benchmark's
@@ -73,6 +74,13 @@ if [ "$lint_elapsed_ms" -gt "$lint_budget_ms" ]; then
     echo "teleios-lint exceeded its ${lint_budget_ms}ms budget (${lint_elapsed_ms}ms); timing breakdown:" >&2
     cargo run --release -q -p teleios-lint -- --strict --format github --timings >/dev/null || true
     exit 1
+fi
+
+# The inline-or-parallel fork lives in WorkerPool::morsels_for only: a
+# kernel that tests the thread count itself has grown a second body.
+echo "==> one fork site (no thread-count tests outside crates/exec)"
+if grep -rnE 'threads\(\) *(<= *1|== *1)' crates/*/src --include='*.rs' | grep -v '^crates/exec/'; then
+    echo "thread-count test outside crates/exec: route it through WorkerPool::morsels_for" >&2; exit 1
 fi
 
 echo "==> cargo clippy --workspace --all-targets"
