@@ -555,6 +555,43 @@ impl Observatory {
         Ok(build_fire_map(&mut self.strabon, region)?)
     }
 
+    /// One product's refined mask — its surviving hotspot geometries
+    /// rasterized onto the product's grid — with that grid and the
+    /// acquisition time.
+    fn refined_mask(&mut self, product_id: &str) -> Result<(NdArray, GeoTransform, String)> {
+        let raster = self.raster_for(product_id)?;
+        let survivors =
+            teleios_noa::refine::surviving_hotspot_geometries(&mut self.strabon, product_id)?;
+        let polys: Vec<&teleios_geo::geometry::Polygon> = survivors.iter().collect();
+        let mask = teleios_noa::refine::features_to_mask(
+            &polys,
+            &raster.geo,
+            raster.rows(),
+            raster.cols(),
+        );
+        Ok((mask, raster.geo, raster.acquisition))
+    }
+
+    /// Derive the scar features of `masks` and publish them under
+    /// `event_id`, valid from the first to the last acquisition in
+    /// `times`. Returns the number of features published.
+    fn publish_scars(
+        &mut self,
+        masks: &[NdArray],
+        geo: &GeoTransform,
+        mut times: Vec<String>,
+        event_id: &str,
+    ) -> Result<usize> {
+        times.sort();
+        let period = teleios_rdf::strdf::Period::new(
+            times.first().cloned().unwrap_or_default(),
+            times.last().cloned().unwrap_or_default(),
+        );
+        let features = teleios_noa::burnt::burnt_area_features(masks, geo)?;
+        teleios_noa::burnt::publish_burnt_area(&features, event_id, &period, &mut self.strabon);
+        Ok(features.len())
+    }
+
     /// Derive and publish a burnt-area product from the refined hotspot
     /// masks of the given (same-grid) products. The valid-time period
     /// spans the first to the last acquisition. Returns the number of
@@ -564,34 +601,17 @@ impl Observatory {
         let mut geo = None;
         let mut times: Vec<String> = Vec::new();
         for id in product_ids {
-            let raster = self.raster_for(id)?;
-            // Refined masks: surviving hotspot geometries rasterized.
-            let survivors =
-                teleios_noa::refine::surviving_hotspot_geometries(&mut self.strabon, id)?;
-            let polys: Vec<&teleios_geo::geometry::Polygon> = survivors.iter().collect();
-            masks.push(teleios_noa::refine::features_to_mask(
-                &polys,
-                &raster.geo,
-                raster.rows(),
-                raster.cols(),
-            ));
-            geo.get_or_insert(raster.geo);
-            times.push(raster.acquisition.clone());
+            let (mask, g, t) = self.refined_mask(id)?;
+            masks.push(mask);
+            geo.get_or_insert(g);
+            times.push(t);
         }
         let geo = geo.ok_or_else(|| {
             ObservatoryError::Database(teleios_monet::DbError::Execution(
                 "burnt-area derivation needs at least one product".into(),
             ))
         })?;
-        times.sort();
-        let period = teleios_rdf::strdf::Period::new(
-            times.first().cloned().unwrap_or_default(),
-            times.last().cloned().unwrap_or_default(),
-        );
-        let features = teleios_noa::burnt::burnt_area_features(&masks, &geo)?;
-        let n = features.len();
-        teleios_noa::burnt::publish_burnt_area(&features, event_id, &period, &mut self.strabon);
-        Ok(n)
+        self.publish_scars(&masks, &geo, times, event_id)
     }
 
     /// Supervised burnt-area derivation: each product's refined mask is
@@ -623,20 +643,7 @@ impl Observatory {
                 });
                 continue;
             }
-            let mut mask_pass = || -> Result<(NdArray, GeoTransform, String)> {
-                let raster = self.raster_for(id)?;
-                let survivors =
-                    teleios_noa::refine::surviving_hotspot_geometries(&mut self.strabon, id)?;
-                let polys: Vec<&teleios_geo::geometry::Polygon> = survivors.iter().collect();
-                let mask = teleios_noa::refine::features_to_mask(
-                    &polys,
-                    &raster.geo,
-                    raster.rows(),
-                    raster.cols(),
-                );
-                Ok((mask, raster.geo, raster.acquisition))
-            };
-            let outcome = match catch_unwind(AssertUnwindSafe(&mut mask_pass)) {
+            let outcome = match catch_unwind(AssertUnwindSafe(|| self.refined_mask(id))) {
                 Ok(Ok((mask, g, t))) => {
                     masks.push(mask);
                     geo.get_or_insert(g);
@@ -650,22 +657,11 @@ impl Observatory {
             };
             products.push(ProductReport { product_id: id.clone(), outcome });
         }
-        let Some(geo) = geo else {
-            // No mask survived; report the losses instead of erroring.
-            return Ok(BurntAreaReport {
-                products,
-                features_published: 0,
-                wall_clock: started.elapsed(),
-            });
+        // No mask survived: report the losses instead of erroring.
+        let features_published = match geo {
+            Some(geo) => self.publish_scars(&masks, &geo, times, event_id)?,
+            None => 0,
         };
-        times.sort();
-        let period = teleios_rdf::strdf::Period::new(
-            times.first().cloned().unwrap_or_default(),
-            times.last().cloned().unwrap_or_default(),
-        );
-        let features = teleios_noa::burnt::burnt_area_features(&masks, &geo)?;
-        let features_published = features.len();
-        teleios_noa::burnt::publish_burnt_area(&features, event_id, &period, &mut self.strabon);
         Ok(BurntAreaReport { products, features_published, wall_clock: started.elapsed() })
     }
 

@@ -204,12 +204,6 @@ impl Envelope {
         self.width() * self.height()
     }
 
-    /// Half the perimeter; used by R-tree split heuristics.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Centre point of the envelope.
     #[inline]
     pub fn center(&self) -> Coord {

@@ -3,23 +3,27 @@
 //! and L12 `loop-cancel-poll`.
 //!
 //! [`build`] parses one function body — over the [`crate::lexer`]
-//! token stream, with [`crate::graph`] supplying call shapes — into
-//! basic blocks with edges for `if`/`else if`/`else`, `if let`/
-//! `while let`/`let-else`, `match` arms, the three loop forms,
-//! `return`, `break`/`continue`, and `?`-propagation.
-//! Dataflow-relevant occurrences (transaction begin/commit/rollback,
-//! exclusive guard acquisition and `drop`, blocking calls,
-//! cancellation polls, function exits) become [`Event`]s in lexical
-//! order inside each block, anchored at byte offsets so a CFG stored
-//! in a [`crate::summary::FileSummary`] stands alone — no token
-//! stream needed at link time.
+//! token stream — into basic blocks with edges for `if`/`else if`/
+//! `else`, `if let`/`while let`/`let-else`, `match` arms, the three
+//! loop forms, `return`, `break`/`continue`, and `?`-propagation.
+//! Every occurrence any concurrency rule cares about (transaction
+//! begin/commit/rollback, lock acquisition and `drop`, blocking calls,
+//! pool dispatches, cancellation polls, call sites, function exits)
+//! becomes an [`Event`] in lexical order inside its block, anchored at
+//! byte offsets so a CFG stored in a [`crate::summary::FileSummary`]
+//! stands alone — no token stream needed at link time. The builder's
+//! `scan_events` is the *only* recognizer of these occurrences: the
+//! path-sensitive rules walk the blocks, while L6/L7 and the link
+//! phase read the same events flattened into source order
+//! ([`Cfg::stream`]). The blocking / dispatch / poll words live in one
+//! table ([`VOCAB`]).
 //!
-//! Call sites the builder cannot judge locally become [`Event::Call`]
-//! placeholders; the link phase ([`crate::interproc`]) resolves each
-//! against the workspace call graph and rewrites it via
-//! [`resolve_calls`] into the `Poll` and/or `Blocking` events its
-//! callee's effect summary implies — that is how a guard held across
-//! a call into another crate's fsync path gets caught.
+//! Call sites become [`Event::Call`] placeholders; the link phase
+//! ([`crate::interproc`]) resolves each against the workspace call
+//! graph and rewrites it via [`resolve_calls`] into the `Poll` and/or
+//! `Blocking` events its callee's effect summary implies — that is
+//! how a guard held across a call into another crate's fsync path
+//! gets caught.
 //!
 //! On top of the graph sits a small forward dataflow framework:
 //! gen/kill facts per block, joined along edges and iterated over a
@@ -36,8 +40,9 @@
 //! innermost loop, and nested `fn` items are skipped (each gets its
 //! own CFG).
 
-use crate::graph;
-use crate::lexer::{enclosing_block_end, ident_at, is_ident, is_punct, stmt_start, Tok, TokKind};
+use crate::lexer::{
+    enclosing_block_end, ident_at, is_ident, is_punct, stmt_end, stmt_start, Tok, TokKind,
+};
 use crate::rules::{Diagnostics, FileCtx, Rule};
 use crate::summary::FileSummary;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -55,23 +60,38 @@ pub(crate) enum Event {
     /// whether it succeeds or errors (the backends `take()` the
     /// transaction first).
     TxnEnd { recv: String },
-    /// `let g = lock.lock()` / `.write()` — an exclusive guard bound
-    /// to a name. `scope_end` is the byte offset of the `}` closing
-    /// the binding's block.
-    Acquire { binding: String, lock: String, off: usize, scope_end: usize },
+    /// `lock.lock()` / `.write()` (exclusive) or `.read()` (shared).
+    /// Lock identity is the receiver field/binding name, so two
+    /// instances of one type share a node. `off` anchors the receiver,
+    /// `call_off` the method; the guard is held through `until_off`:
+    /// the `}` closing the enclosing block when `let`-bound, the
+    /// statement end for temporaries (including `let _ =`). `binding`
+    /// is the name a `let` gave the guard — only named guards can be
+    /// `drop`ped, so only they are tracked path-sensitively (L11).
+    Acquire {
+        lock: String,
+        binding: Option<String>,
+        exclusive: bool,
+        off: usize,
+        call_off: usize,
+        until_off: usize,
+    },
     /// `drop(g)`.
     DropGuard { binding: String },
     /// A call that can stall other threads or outlive a deadline:
     /// pool dispatch, `thread::sleep`, channel `recv`, fsync barrier,
     /// WAL commit — or, after [`resolve_calls`], a call whose effect
-    /// summary says it may transitively block.
-    Blocking { desc: String, off: usize },
+    /// summary says it may transitively block. `desc` backticks its
+    /// code part; L7 prints it without them.
+    Blocking { desc: String, off: usize, class: Stall },
     /// A cancellation poll: `is_cancelled` / `poll_cancellable` /
     /// `sleep_cancellable`, or (after [`resolve_calls`]) a call to a
     /// workspace function that transitively polls.
     Poll,
-    /// An unresolved call site: judged at link time against the
-    /// callee's effect summary, then rewritten by [`resolve_calls`].
+    /// An unresolved call site — `.method()`, bare `f()`, or
+    /// path-qualified `a::b::f()` (leading segments in `qual`): judged
+    /// at link time against the callee's effect summary, then
+    /// rewritten by [`resolve_calls`].
     Call { name: String, qual: Vec<String>, method: bool, off: usize },
     /// `?` — an Err early exit out of the function.
     Question { off: usize },
@@ -79,6 +99,21 @@ pub(crate) enum Event {
     Ret { off: usize },
     /// Falling off the end of the function body.
     EndOfFn,
+}
+
+/// What kind of stall a [`Event::Blocking`] is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Stall {
+    /// A raw wait no deadline can interrupt — `thread::sleep`, channel
+    /// `recv` / `recv_timeout`: the narrow vocabulary L7 forbids
+    /// inside pool-dispatched work.
+    Raw,
+    /// A pool dispatch; `cancellable` ones hand the task a
+    /// `CancelToken`, so only their paths owe L12 a poll per iteration.
+    Dispatch { cancellable: bool },
+    /// Everything else that stalls other threads: fsync barriers, WAL
+    /// commits, `sleep_cancellable`, calls that may block.
+    Barrier,
 }
 
 /// A basic block: events in lexical order plus `(target, is_back)`
@@ -98,6 +133,25 @@ pub(crate) struct Cfg {
 }
 
 impl Cfg {
+    /// The function's effect stream: every lock acquisition, blocking
+    /// site and call site in source order — the flat view L6, L7 and
+    /// the link phase read.
+    pub(crate) fn stream(&self) -> Vec<&Event> {
+        let mut sited: Vec<(usize, &Event)> = self
+            .blocks
+            .iter()
+            .flat_map(|b| &b.events)
+            .filter_map(|e| match e {
+                Event::Acquire { off, .. }
+                | Event::Blocking { off, .. }
+                | Event::Call { off, .. } => Some((*off, e)),
+                _ => None,
+            })
+            .collect();
+        sited.sort_by_key(|(off, _)| *off);
+        sited.into_iter().map(|(_, e)| e).collect()
+    }
+
     fn preds(&self) -> Vec<Vec<usize>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
         for (b, block) in self.blocks.iter().enumerate() {
@@ -135,7 +189,7 @@ pub(crate) struct CallVerdict {
 /// checks then run unchanged over the resolved graph.
 pub(crate) fn resolve_calls(
     cfg: &Cfg,
-    mut verdict: impl FnMut(&str, &[String], bool) -> CallVerdict,
+    mut verdict: impl FnMut(&str, usize) -> CallVerdict,
 ) -> Cfg {
     let blocks = cfg
         .blocks
@@ -143,13 +197,13 @@ pub(crate) fn resolve_calls(
         .map(|b| {
             let mut events = Vec::with_capacity(b.events.len());
             for ev in &b.events {
-                if let Event::Call { name, qual, method, off } = ev {
-                    let v = verdict(name, qual, *method);
+                if let Event::Call { name, off, .. } = ev {
+                    let v = verdict(name, *off);
                     if v.polls {
                         events.push(Event::Poll);
                     }
                     if let Some(desc) = v.block {
-                        events.push(Event::Blocking { desc, off: *off });
+                        events.push(Event::Blocking { desc, off: *off, class: Stall::Barrier });
                     }
                 } else {
                     events.push(ev.clone());
@@ -598,170 +652,252 @@ impl Builder<'_, '_> {
     }
 
     /// Append the events of the straight-line token run `[lo, hi)` to
-    /// block `cur`.
+    /// block `cur`. A call-shaped token can be several things at once
+    /// — `x.commit()` is a blocking barrier, a call into the
+    /// workspace's `commit`, and the end of a transaction — and yields
+    /// its events in that order: vocabulary, call site, structure.
     fn scan_events(&mut self, cur: usize, lo: usize, hi: usize) {
         let ctx = self.ctx;
         let toks = ctx.toks;
-        let hi = hi.min(toks.len());
-        let mut i = lo;
-        while i < hi {
+        let events = &mut self.blocks[cur].events;
+        for i in lo..hi.min(toks.len()) {
             if is_punct(toks, i, b'?') {
                 let ev = Event::Question { off: toks[i].off };
-                match self.blocks[cur].events.last() {
+                match events.last() {
                     // `begin()?`: the Err path never opened a
                     // transaction — order the exit before the open.
                     Some(Event::Begin { close, .. }) if i >= 1 && toks[i - 1].off == *close => {
-                        let at = self.blocks[cur].events.len() - 1;
-                        self.blocks[cur].events.insert(at, ev);
+                        events.insert(events.len() - 1, ev);
                     }
-                    _ => self.blocks[cur].events.push(ev),
+                    _ => events.push(ev),
                 }
-                i += 1;
                 continue;
             }
-            let Some(name) = ident_at(toks, i) else {
-                i += 1;
-                continue;
-            };
+            let Some(name) = ident_at(toks, i) else { continue };
+            let off = toks[i].off;
             let dotted = i >= 1 && is_punct(toks, i - 1, b'.');
             let called = is_punct(toks, i + 1, b'(');
             let empty_args = called && is_punct(toks, i + 2, b')');
-            match name {
-                "begin" if dotted && empty_args => {
-                    let ev = Event::Begin {
-                        recv: recv_name(toks, i),
-                        off: toks[recv_anchor(toks, i)].off,
-                        close: toks[i + 2].off,
-                    };
-                    self.blocks[cur].events.push(ev);
+            let mut dispatch = false;
+
+            let word = VOCAB.iter().find(|w| {
+                w.name == name
+                    && match w.shape {
+                        Shape::Method => dotted && called,
+                        Shape::MethodNoArgs => dotted && empty_args,
+                        Shape::Any => called,
+                    }
+            });
+            if let Some(word) = word {
+                if word.polls {
+                    events.push(Event::Poll);
                 }
-                "commit" if dotted && empty_args => {
-                    // Dual role: a WAL commit is an fsync barrier
-                    // (blocking) *and* it closes the transaction.
-                    self.blocks[cur].events.push(Event::Blocking {
-                        desc: "the WAL commit `commit()`".to_string(),
-                        off: toks[i].off,
+                if let Some((class, what)) = word.stall {
+                    dispatch = matches!(class, Stall::Dispatch { .. });
+                    events.push(Event::Blocking { desc: format!("{what}`{name}()`"), off, class });
+                }
+            } else if dotted
+                && called
+                && name == "run"
+                && receiver_name(toks, i - 1).is_some_and(|r| r.to_lowercase().contains("pool"))
+            {
+                // `.run(..)` is a dispatch only on a pool-ish receiver
+                // — `chain.run(..)` and friends are ordinary calls.
+                dispatch = true;
+                events.push(Event::Blocking {
+                    desc: "the pool dispatch `run()`".to_string(),
+                    off,
+                    class: Stall::Dispatch { cancellable: false },
+                });
+            } else if called {
+                // `thread::sleep(..)` through a module path or alias,
+                // or a `use`-imported (possibly renamed) bare `sleep`.
+                let path_call =
+                    i >= 3 && is_punct(toks, i - 1, b':') && is_punct(toks, i - 2, b':');
+                let via_path = name == "sleep"
+                    && path_call
+                    && ident_at(toks, i - 3).is_some_and(|seg| {
+                        seg == "thread" || ctx.aliases.resolves_to(seg, &["std", "thread"])
                     });
-                    self.blocks[cur].events.push(Event::TxnEnd { recv: recv_name(toks, i) });
+                let via_use = !path_call
+                    && !dotted
+                    && ctx.aliases.resolves_to(name, &["std", "thread", "sleep"]);
+                if via_path || via_use {
+                    events.push(Event::Blocking {
+                        desc: "`std::thread::sleep`".to_string(),
+                        off: if via_path { toks[i - 3].off } else { off },
+                        class: Stall::Raw,
+                    });
                 }
-                "rollback" if dotted && empty_args => {
-                    let ev = Event::TxnEnd { recv: recv_name(toks, i) };
-                    self.blocks[cur].events.push(ev);
+            }
+
+            // The dispatch method itself is not an ordinary call: its
+            // internals belong to the substrate.
+            if !dispatch {
+                if let Some((qual, method)) = call_shape_at(toks, i) {
+                    events.push(Event::Call { name: name.to_string(), qual, method, off });
                 }
-                // Exclusive guard acquisition: only `let`-bound
-                // guards on a plain-ident lock outlive their
-                // statement. Shared `.read()` guards are exempt —
-                // L11 targets guards that stall every other thread.
-                "lock" | "write" if dotted && empty_args => {
-                    let Some(lock) = (i >= 2).then(|| ident_at(toks, i - 2)).flatten() else {
-                        i += 1;
+            }
+
+            match name {
+                "begin" if dotted && empty_args => events.push(Event::Begin {
+                    recv: recv_name(toks, i),
+                    off: toks[recv_anchor(toks, i)].off,
+                    close: toks[i + 2].off,
+                }),
+                // A WAL commit closes the transaction whether or not
+                // the fsync succeeds.
+                "commit" | "rollback" if dotted && empty_args => {
+                    events.push(Event::TxnEnd { recv: recv_name(toks, i) });
+                }
+                "lock" | "read" | "write" if dotted && empty_args => {
+                    let Some(lock) = i.checked_sub(2).and_then(|r| ident_at(toks, r)) else {
                         continue;
                     };
                     let s = stmt_start(toks, i);
-                    if is_ident(toks, s, "let") {
-                        let mut b = s + 1;
-                        if is_ident(toks, b, "mut") {
-                            b += 1;
-                        }
-                        if let Some(binding) = ident_at(toks, b) {
-                            let bound = is_punct(toks, b + 1, b'=') || is_punct(toks, b + 1, b':');
-                            if binding != "_" && bound {
-                                let ev = Event::Acquire {
-                                    binding: binding.to_string(),
-                                    lock: lock.to_string(),
-                                    off: toks[i].off,
-                                    scope_end: graph::off_at(toks, enclosing_block_end(toks, i)),
-                                };
-                                self.blocks[cur].events.push(ev);
-                            }
-                        }
-                    }
+                    let is_let = is_ident(toks, s, "let");
+                    let b = if is_ident(toks, s + 1, "mut") { s + 2 } else { s + 1 };
+                    let binding = ident_at(toks, b).filter(|n| {
+                        is_let
+                            && *n != "_"
+                            && (is_punct(toks, b + 1, b'=') || is_punct(toks, b + 1, b':'))
+                    });
+                    let let_bound =
+                        is_let && !(is_ident(toks, s + 1, "_") && is_punct(toks, s + 2, b'='));
+                    let until =
+                        if let_bound { enclosing_block_end(toks, i) } else { stmt_end(toks, i) };
+                    events.push(Event::Acquire {
+                        lock: lock.to_string(),
+                        binding: binding.map(str::to_string),
+                        exclusive: name != "read",
+                        off: toks[i - 2].off,
+                        call_off: off,
+                        until_off: toks[until].off,
+                    });
                 }
-                "drop" if !dotted && called => {
+                "drop" if !dotted && called && is_punct(toks, i + 3, b')') => {
                     if let Some(binding) = ident_at(toks, i + 2) {
-                        if is_punct(toks, i + 3, b')') {
-                            let ev = Event::DropGuard { binding: binding.to_string() };
-                            self.blocks[cur].events.push(ev);
-                        }
+                        events.push(Event::DropGuard { binding: binding.to_string() });
                     }
                 }
-                "sleep_cancellable" if dotted && called => {
-                    self.blocks[cur].events.push(Event::Poll);
-                    self.blocks[cur].events.push(Event::Blocking {
-                        desc: "`sleep_cancellable()`".to_string(),
-                        off: toks[i].off,
-                    });
-                }
-                "poll_cancellable" | "is_cancelled" if called => {
-                    self.blocks[cur].events.push(Event::Poll);
-                }
-                "sync_all" | "sync_data" if dotted && empty_args => {
-                    self.blocks[cur].events.push(Event::Blocking {
-                        desc: format!("the fsync barrier `{name}()`"),
-                        off: toks[i].off,
-                    });
-                }
-                "recv" if dotted && empty_args => {
-                    self.blocks[cur].events.push(Event::Blocking {
-                        desc: "channel `recv()`".to_string(),
-                        off: toks[i].off,
-                    });
-                }
-                "recv_timeout" if dotted && called => {
-                    self.blocks[cur].events.push(Event::Blocking {
-                        desc: "channel `recv_timeout()`".to_string(),
-                        off: toks[i].off,
-                    });
-                }
-                "sleep" if called => {
-                    let path_call = i >= 3 && is_punct(toks, i - 1, b':') && is_punct(toks, i - 2, b':');
-                    let via_path = path_call
-                        && ident_at(toks, i - 3).is_some_and(|seg| {
-                            seg == "thread" || ctx.aliases.resolves_to(seg, &["std", "thread"])
-                        });
-                    let via_use = !path_call
-                        && !dotted
-                        && ctx.aliases.resolves_to("sleep", &["std", "thread", "sleep"]);
-                    if via_path || via_use {
-                        self.blocks[cur].events.push(Event::Blocking {
-                            desc: "`std::thread::sleep`".to_string(),
-                            off: if via_path { toks[i - 3].off } else { toks[i].off },
-                        });
-                    }
-                }
-                _ => {
-                    if dotted && called && graph::DISPATCH_METHODS.contains(&name) {
-                        self.blocks[cur].events.push(Event::Blocking {
-                            desc: format!("the pool dispatch `{name}()`"),
-                            off: toks[i].off,
-                        });
-                    } else if dotted
-                        && called
-                        && name == "run"
-                        && graph::receiver_name(toks, i - 1)
-                            .is_some_and(|r| r.to_lowercase().contains("pool"))
-                    {
-                        self.blocks[cur].events.push(Event::Blocking {
-                            desc: format!("the pool dispatch `{name}()`"),
-                            off: toks[i].off,
-                        });
-                    } else if called {
-                        // Everything else is an unresolved call site,
-                        // judged at link time against the callee's
-                        // effect summary.
-                        if let Some(shape) = graph::call_shape_at(toks, i) {
-                            self.blocks[cur].events.push(Event::Call {
-                                name: shape.name,
-                                qual: shape.qual,
-                                method: shape.method,
-                                off: toks[i].off,
-                            });
-                        }
-                    }
-                }
+                _ => {}
             }
-            i += 1;
         }
+    }
+}
+
+/// How a [`VOCAB`] word must be written to count.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// `.name(..)`
+    Method,
+    /// `.name()`
+    MethodNoArgs,
+    /// `name(..)`, however it is reached
+    Any,
+}
+
+/// One word of the blocking / dispatch / poll vocabulary: how it must
+/// be written, whether it polls the `CancelToken`, and how it stalls
+/// (the class plus the words in front of `` `name()` `` in
+/// diagnostics).
+struct Word {
+    name: &'static str,
+    shape: Shape,
+    polls: bool,
+    stall: Option<(Stall, &'static str)>,
+}
+
+const fn word(
+    name: &'static str,
+    shape: Shape,
+    polls: bool,
+    stall: Option<(Stall, &'static str)>,
+) -> Word {
+    Word { name, shape, polls, stall }
+}
+
+/// The vocabulary. `thread::sleep` (alias-aware) and `.run(..)` on a
+/// pool receiver are recognized structurally in `scan_events`.
+const VOCAB: [Word; 10] = {
+    const DISPATCH: &str = "the pool dispatch ";
+    const FSYNC: &str = "the fsync barrier ";
+    [
+        word("is_cancelled", Shape::Any, true, None),
+        word("poll_cancellable", Shape::Any, true, None),
+        word("sleep_cancellable", Shape::Method, true, Some((Stall::Barrier, ""))),
+        word("commit", Shape::MethodNoArgs, false, Some((Stall::Barrier, "the WAL commit "))),
+        word("sync_all", Shape::MethodNoArgs, false, Some((Stall::Barrier, FSYNC))),
+        word("sync_data", Shape::MethodNoArgs, false, Some((Stall::Barrier, FSYNC))),
+        word("recv", Shape::MethodNoArgs, false, Some((Stall::Raw, "channel "))),
+        word("recv_timeout", Shape::Method, false, Some((Stall::Raw, "channel "))),
+        word("try_run", Shape::Method, false, Some((Stall::Dispatch { cancellable: false }, DISPATCH))),
+        word(
+            "try_run_cancellable",
+            Shape::Method,
+            false,
+            Some((Stall::Dispatch { cancellable: true }, DISPATCH)),
+        ),
+    ]
+};
+
+/// The shape of a call site at token `i`, as `(qual, method)`:
+/// `.method()`, bare `f()`, or path-qualified `a::b::f()` (leading
+/// segments in `qual`). `Type::assoc()` calls and uppercase names
+/// (tuple-struct / enum constructors) are skipped — they never
+/// resolve to workspace `fn` items (constructors like `new` collide
+/// across modules) — and so are the lock methods, which
+/// [`Event::Acquire`] covers.
+fn call_shape_at(toks: &[Tok<'_>], i: usize) -> Option<(Vec<String>, bool)> {
+    let name = ident_at(toks, i)?;
+    if !is_punct(toks, i + 1, b'(') || matches!(name, "lock" | "read" | "write") {
+        return None;
+    }
+    // `fn f(` is a declaration, not a call.
+    if i > 0 && ident_at(toks, i - 1) == Some("fn") {
+        return None;
+    }
+    if name.chars().next().is_some_and(|c| !c.is_ascii_lowercase() && c != '_') {
+        return None;
+    }
+    if i > 0 && is_punct(toks, i - 1, b'.') {
+        return Some((Vec::new(), true));
+    }
+    let mut qual: Vec<String> = Vec::new();
+    let mut j = i;
+    while j >= 3 && is_punct(toks, j - 1, b':') && is_punct(toks, j - 2, b':') {
+        // `<T as Trait>::f()` is not resolvable from tokens.
+        qual.push(ident_at(toks, j - 3)?.to_string());
+        j -= 3;
+    }
+    qual.reverse();
+    if qual.iter().any(|s| s.chars().next().is_some_and(|c| c.is_ascii_uppercase())) {
+        return None; // `Type::assoc()`
+    }
+    Some((qual, false))
+}
+
+/// The name the receiver expression of `.method()` ends with: the
+/// ident just before the `.`, or the call name for `f(..).method()`.
+fn receiver_name<'a>(toks: &[Tok<'a>], dot: usize) -> Option<&'a str> {
+    if let Some(r) = ident_at(toks, dot.checked_sub(1)?) {
+        return Some(r);
+    }
+    if !is_punct(toks, dot - 1, b')') {
+        return None;
+    }
+    let mut depth = 0i32;
+    let mut k = dot - 1;
+    loop {
+        if is_punct(toks, k, b')') {
+            depth += 1;
+        } else if is_punct(toks, k, b'(') {
+            depth -= 1;
+            if depth == 0 {
+                return ident_at(toks, k.checked_sub(1)?);
+            }
+        }
+        k = k.checked_sub(1)?;
     }
 }
 
@@ -790,29 +926,33 @@ fn recv_anchor(toks: &[Tok<'_>], call: usize) -> usize {
 // The forward dataflow framework
 // ---------------------------------------------------------------
 
-/// Worklist iteration to fixpoint. `transfer` computes a block's out
-/// fact from its in fact; `merge` joins an out fact into a successor's
-/// in fact (receiving the edge kind and the successor block, so a
-/// join can filter what survives a back edge) and reports whether the
-/// fact changed. Facts must grow monotonically for termination.
-fn forward_fixpoint<F: Clone>(
+/// Worklist iteration to fixpoint over may-facts (`name → V`, union
+/// join: present on *any* path in counts). `step` applies one event
+/// to a fact; `survives` filters what an out fact carries along an
+/// edge (it receives the edge kind and the successor block, so a rule
+/// can drop what dies on a back edge). The first value to reach a
+/// name wins, so facts only grow and the iteration terminates.
+fn forward_fixpoint<V: Clone>(
     cfg: &Cfg,
-    init: F,
-    bottom: F,
-    transfer: impl Fn(&Block, &F) -> F,
-    merge: impl Fn(&mut F, &F, bool, &Block) -> bool,
-) -> Vec<F> {
+    step: impl Fn(&mut BTreeMap<String, V>, &Event),
+    survives: impl Fn(&V, bool, &Block) -> bool,
+) -> Vec<BTreeMap<String, V>> {
     let n = cfg.blocks.len();
-    let mut ins: Vec<F> = vec![bottom; n];
-    ins[0] = init;
+    let mut ins: Vec<BTreeMap<String, V>> = vec![BTreeMap::new(); n];
     let mut work: VecDeque<usize> = (0..n).collect();
     let mut queued = vec![true; n];
     while let Some(b) = work.pop_front() {
         queued[b] = false;
-        let out = transfer(&cfg.blocks[b], &ins[b]);
+        let mut out = ins[b].clone();
+        cfg.blocks[b].events.iter().for_each(|ev| step(&mut out, ev));
         for &(t, back) in &cfg.blocks[b].succs {
-            let changed = merge(&mut ins[t], &out, back, &cfg.blocks[t]);
-            if changed && !queued[t] {
+            let before = ins[t].len();
+            for (name, v) in &out {
+                if survives(v, back, &cfg.blocks[t]) && !ins[t].contains_key(name) {
+                    ins[t].insert(name.clone(), v.clone());
+                }
+            }
+            if ins[t].len() > before && !queued[t] {
                 queued[t] = true;
                 work.push_back(t);
             }
@@ -830,20 +970,16 @@ fn forward_fixpoint<F: Clone>(
 /// into an exit leaks there.
 type TxnFact = BTreeMap<String, usize>;
 
-fn txn_transfer(block: &Block, fact: &TxnFact) -> TxnFact {
-    let mut f = fact.clone();
-    for ev in &block.events {
-        match ev {
-            Event::Begin { recv, off, .. } => {
-                f.entry(recv.clone()).or_insert(*off);
-            }
-            Event::TxnEnd { recv } => {
-                f.remove(recv);
-            }
-            _ => {}
+fn txn_step(f: &mut TxnFact, ev: &Event) {
+    match ev {
+        Event::Begin { recv, off, .. } => {
+            f.entry(recv.clone()).or_insert(*off);
         }
+        Event::TxnEnd { recv } => {
+            f.remove(recv);
+        }
+        _ => {}
     }
-    f
 }
 
 pub(crate) fn check_txn_leak(sum: &FileSummary, fi: usize, cfg: &Cfg, diag: &mut Diagnostics) {
@@ -854,54 +990,23 @@ pub(crate) fn check_txn_leak(sum: &FileSummary, fi: usize, cfg: &Cfg, diag: &mut
     {
         return;
     }
-    let ins = forward_fixpoint(
-        cfg,
-        TxnFact::new(),
-        TxnFact::new(),
-        txn_transfer,
-        |tin, out, _back, _target| {
-            let mut changed = false;
-            for (k, v) in out {
-                if !tin.contains_key(k) {
-                    tin.insert(k.clone(), *v);
-                    changed = true;
-                }
-            }
-            changed
-        },
-    );
+    let ins = forward_fixpoint(cfg, txn_step, |_, _, _| true);
     // Replay each block's events over its in fact; report the first
     // leaking exit per begin site.
     let mut leaks: BTreeMap<usize, (String, String)> = BTreeMap::new();
+    let line = |off: &usize| sum.idx.line_col(*off).0;
     for (b, block) in cfg.blocks.iter().enumerate() {
         let mut f = ins[b].clone();
         for ev in &block.events {
-            match ev {
-                Event::Begin { recv, off, .. } => {
-                    f.entry(recv.clone()).or_insert(*off);
-                }
-                Event::TxnEnd { recv } => {
-                    f.remove(recv);
-                }
-                Event::Question { off } | Event::Ret { off } => {
-                    let (line, _) = sum.idx.line_col(*off);
-                    let exit = if matches!(ev, Event::Question { .. }) {
-                        format!("the `?` on line {line}")
-                    } else {
-                        format!("the `return` on line {line}")
-                    };
-                    for (recv, &site) in &f {
-                        leaks.entry(site).or_insert_with(|| (recv.clone(), exit.clone()));
-                    }
-                }
-                Event::EndOfFn => {
-                    for (recv, &site) in &f {
-                        leaks.entry(site).or_insert_with(|| {
-                            (recv.clone(), "falling off the end of the function".to_string())
-                        });
-                    }
-                }
-                _ => {}
+            txn_step(&mut f, ev);
+            let exit = match ev {
+                Event::Question { off } => format!("the `?` on line {}", line(off)),
+                Event::Ret { off } => format!("the `return` on line {}", line(off)),
+                Event::EndOfFn => "falling off the end of the function".to_string(),
+                _ => continue,
+            };
+            for (recv, &site) in &f {
+                leaks.entry(site).or_insert_with(|| (recv.clone(), exit.clone()));
             }
         }
     }
@@ -928,91 +1033,55 @@ struct Held {
 /// binding name → guard. May-analysis: held on any path in counts.
 type GuardFact = BTreeMap<String, Held>;
 
-fn guard_transfer(block: &Block, fact: &GuardFact) -> GuardFact {
-    let mut f = fact.clone();
-    for ev in &block.events {
-        match ev {
-            Event::Acquire { binding, lock, off, scope_end } => {
-                f.insert(
-                    binding.clone(),
-                    Held { lock: lock.clone(), off: *off, scope_end: *scope_end },
-                );
-            }
-            Event::DropGuard { binding } => {
-                f.remove(binding);
-            }
-            Event::Blocking { off, .. } => {
-                // A guard whose lexical scope closed before this
-                // point was released when its block ended.
-                f.retain(|_, g| g.scope_end >= *off);
-            }
-            _ => {}
+/// Apply one event to the live-guard fact. Only exclusive guards a
+/// `let` named are tracked: shared `.read()` guards are exempt — L11
+/// targets guards that stall every other thread — and temporaries die
+/// with their statement.
+fn guard_step(f: &mut GuardFact, ev: &Event) {
+    match ev {
+        Event::Acquire { lock, binding: Some(b), exclusive: true, call_off, until_off, .. } => {
+            f.insert(b.clone(), Held { lock: lock.clone(), off: *call_off, scope_end: *until_off });
         }
+        Event::DropGuard { binding } => {
+            f.remove(binding);
+        }
+        Event::Blocking { off, .. } => {
+            // A guard whose lexical scope closed before this
+            // point was released when its block ended.
+            f.retain(|_, g| g.scope_end >= *off);
+        }
+        _ => {}
     }
-    f
 }
 
 pub(crate) fn check_guard_blocking(sum: &FileSummary, fi: usize, cfg: &Cfg, diag: &mut Diagnostics) {
     if !cfg
         .blocks
         .iter()
-        .any(|b| b.events.iter().any(|e| matches!(e, Event::Acquire { .. })))
+        .any(|b| b.events.iter().any(|e| matches!(e, Event::Acquire { binding: Some(_), .. })))
     {
         return;
     }
-    let ins = forward_fixpoint(
-        cfg,
-        GuardFact::new(),
-        GuardFact::new(),
-        guard_transfer,
-        |tin, out, back, target| {
-            let mut changed = false;
-            for (binding, g) in out {
-                // A guard acquired inside the loop body died when the
-                // body's iteration ended — it does not survive the
-                // back edge into the head.
-                if back {
-                    if let Some((kw_off, _)) = target.head {
-                        if g.off > kw_off {
-                            continue;
-                        }
-                    }
-                }
-                if !tin.contains_key(binding) {
-                    tin.insert(binding.clone(), g.clone());
-                    changed = true;
-                }
-            }
-            changed
-        },
-    );
+    // A guard acquired inside a loop body died when the body's
+    // iteration ended — it does not survive the back edge into the head.
+    let ins = forward_fixpoint(cfg, guard_step, |g: &Held, back, target| {
+        !(back && target.head.is_some_and(|(kw_off, _)| g.off > kw_off))
+    });
     let mut reported: BTreeSet<(usize, String)> = BTreeSet::new();
     for (b, block) in cfg.blocks.iter().enumerate() {
         let mut f = ins[b].clone();
         for ev in &block.events {
-            match ev {
-                Event::Acquire { binding, lock, off, scope_end } => {
-                    f.insert(
-                        binding.clone(),
-                        Held { lock: lock.clone(), off: *off, scope_end: *scope_end },
-                    );
-                }
-                Event::DropGuard { binding } => {
-                    f.remove(binding);
-                }
-                Event::Blocking { desc, off } => {
-                    f.retain(|_, g| g.scope_end >= *off);
-                    for (binding, g) in &f {
-                        if reported.insert((*off, binding.clone())) {
-                            let (line, _) = sum.idx.line_col(g.off);
-                            diag.emit(sum, fi, *off, Rule::GuardAcrossBlocking, format!(
-                                "exclusive guard `{binding}` on `{}` (acquired on line {line}) is still held across {desc}: drop or scope the guard before blocking",
-                                g.lock
-                            ));
-                        }
+            guard_step(&mut f, ev);
+            if let Event::Blocking { desc, off, .. } = ev {
+                for (binding, g) in &f {
+                    if reported.insert((*off, binding.clone())) {
+                        let (line, _) = sum.idx.line_col(g.off);
+                        diag.emit(sum, fi, *off, Rule::GuardAcrossBlocking, format!(
+                            "exclusive guard `{binding}` on `{}` (acquired on line {line}) is still held across {desc}: drop or scope the guard before blocking",
+                            g.lock
+                        ));
                     }
                 }
-                _ => {}
             }
         }
     }
@@ -1022,7 +1091,7 @@ pub(crate) fn check_guard_blocking(sum: &FileSummary, fi: usize, cfg: &Cfg, diag
 // L12 loop-cancel-poll
 // ---------------------------------------------------------------
 
-fn has_poll(block: &Block) -> bool {
+pub(crate) fn has_poll(block: &Block) -> bool {
     block.events.iter().any(|e| matches!(e, Event::Poll))
 }
 
@@ -1110,6 +1179,25 @@ mod tests {
             .filter(|f| f.rule == rule)
             .map(|f| (f.line, f.col))
             .collect()
+    }
+
+    #[test]
+    fn call_shapes_cover_bare_method_and_qualified() {
+        let toks = crate::lexer::lex("fn f() { g(); h.m(); a::b::c(); Vec::new(); x.lock(); }").toks;
+        let shapes: Vec<(&str, Vec<String>, bool)> = (0..toks.len())
+            .filter_map(|i| {
+                let (qual, method) = super::call_shape_at(&toks, i)?;
+                Some((crate::lexer::ident_at(&toks, i)?, qual, method))
+            })
+            .collect();
+        assert_eq!(
+            shapes,
+            vec![
+                ("g", vec![], false),
+                ("m", vec![], true),
+                ("c", vec!["a".to_string(), "b".to_string()], false),
+            ]
+        );
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Phase two: link every file's [`FileSummary`] into a workspace-wide
 //! call graph and run the interprocedural concurrency rules over it.
 //!
-//! Resolution works bottom-up over the crate-dependency graph. The
-//! graph is condensed with Tarjan's SCC algorithm — dependency cycles
-//! (legal between dev-dependencies, and deliberately present in the
-//! self-test fixture workspace) get a fixpoint iteration inside the
-//! component, so facts converge even when crate A's helper calls into
-//! crate B and back.
+//! Every rule here reads the same material: each function's effect
+//! stream ([`crate::cfg::Cfg::stream`] — acquisitions, blocking sites,
+//! call sites in source order) and one `resolved` table mapping every
+//! call site to the workspace functions it may land on.
 //!
 //! A call site resolves to workspace `fn` items through, in order:
 //! `crate::`/`self::`/`super::` paths, the file's `use`-alias map
@@ -18,18 +16,31 @@
 //! caller's crate first, then — excluding ubiquitous std method names
 //! — to a unique hit in the crate's dependency closure.
 //!
-//! The facts computed over the linked graph:
+//! The facts over the linked graph are all instances of one worklist
+//! fixpoint ([`Linker::propagate`]), so recursion and dependency
+//! cycles between crates (legal between dev-dependencies, and
+//! deliberately present in the self-test fixture workspace) need no
+//! special case:
 //!
 //! - **polls**: does a function transitively reach a `CancelToken`
 //!   poll? (feeds L12 and the CFG call resolution);
-//! - **may-block**: the first blocking primitive a function can reach
-//!   (feeds L11's cross-crate call verdicts);
+//! - **may-block**: the nearest blocking primitive a function can
+//!   reach (feeds L11's cross-crate call verdicts);
+//! - **raw blocks**: the nearest raw sleep/recv a pool-dispatched task
+//!   can reach, with the call chain for the L7 diagnostic;
 //! - **lock sets**: every lock a call into a function may acquire
 //!   (feeds the workspace lock-order graph, L6);
-//! - **L7 blocking sites**: the raw sleep/recv a pool-dispatched
-//!   task can reach, with the call chain for the diagnostic.
+//! - **dispatch reach**: the functions on a cancellable-dispatched
+//!   path, the scope of L12.
+//!
+//! Known approximations, chosen to avoid false positives: self-edges
+//! of the lock graph (re-acquiring the same name) are skipped since
+//! different instances commonly share field names, and held-ness does
+//! not propagate through functions *returning* guards (e.g. a
+//! `lock_state()` accessor) — only through calls made while a guard is
+//! live in the caller.
 
-use crate::cfg::{self, CallVerdict, Event};
+use crate::cfg::{self, CallVerdict, Event, Stall};
 use crate::rules::{Diagnostics, Rule};
 use crate::summary::FileSummary;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -40,12 +51,6 @@ type FnKey = (usize, usize);
 /// Path segments that never name a workspace member, even when a
 /// member shares the name (`teleios-core` vs `::core`).
 const EXCLUDED_SEGS: [&str; 6] = ["std", "core", "alloc", "crate", "self", "super"];
-
-const POLLS: [&str; 3] = ["is_cancelled", "poll_cancellable", "sleep_cancellable"];
-
-/// The dispatch methods that hand the task a `CancelToken` — only
-/// their paths owe L12 an iteration-wise poll.
-const CANCELLABLE_DISPATCHES: [&str; 1] = ["try_run_cancellable"];
 
 /// Ubiquitous std/collection method names: a `.len()` in crate A must
 /// not resolve to some crate B's `fn len` just because B is the only
@@ -96,15 +101,14 @@ struct Linker<'a> {
     mods: HashMap<&'a str, BTreeSet<&'a str>>,
     /// transitive dependency closure per crate.
     dep_closure: HashMap<&'a str, BTreeSet<&'a str>>,
-    /// SCCs of the crate graph, dependencies-first.
-    sccs: Vec<Vec<&'a str>>,
-    /// per non-test fn: resolved targets of each summary call site,
-    /// aligned with `FnEffects::calls`.
-    resolved: HashMap<FnKey, Vec<Vec<FnKey>>>,
-    /// fns that transitively poll the CancelToken.
-    polls: HashSet<FnKey>,
-    /// fn → the first blocking primitive it can reach, if any.
-    any_block: HashMap<FnKey, Option<String>>,
+    /// The effect stream of every non-test fn with a body.
+    streams: BTreeMap<FnKey, Vec<&'a Event>>,
+    /// Resolved targets of every call site, keyed by the calling fn
+    /// and the call's byte offset.
+    resolved: HashMap<(FnKey, usize), Vec<FnKey>>,
+    /// The call graph in both directions, edges in source order.
+    callees: HashMap<FnKey, Vec<FnKey>>,
+    callers: HashMap<FnKey, Vec<FnKey>>,
 }
 
 impl<'a> Linker<'a> {
@@ -112,6 +116,7 @@ impl<'a> Linker<'a> {
         let members: BTreeSet<&str> = sums.iter().map(|s| s.crate_name.as_str()).collect();
 
         let mut fns_by_crate: HashMap<&str, HashMap<&str, Vec<FnKey>>> = HashMap::new();
+        let mut streams: BTreeMap<FnKey, Vec<&Event>> = BTreeMap::new();
         for (fi, s) in sums.iter().enumerate() {
             for (k, f) in s.fns.iter().enumerate() {
                 if f.is_test {
@@ -123,6 +128,9 @@ impl<'a> Linker<'a> {
                     .entry(f.name.as_str())
                     .or_default()
                     .push((fi, k));
+                if let Some(cfg) = &f.cfg {
+                    streams.insert((fi, k), cfg.stream());
+                }
             }
         }
 
@@ -143,7 +151,7 @@ impl<'a> Linker<'a> {
 
         let mut deps: BTreeMap<&str, BTreeSet<&str>> =
             members.iter().map(|&m| (m, BTreeSet::new())).collect();
-        for s in sums {
+        for (fi, s) in sums.iter().enumerate() {
             let c = s.crate_name.as_str();
             let mut firsts: Vec<&str> = Vec::new();
             for (_, path) in &s.imports {
@@ -155,9 +163,11 @@ impl<'a> Linker<'a> {
             for (_, path) in &s.reexports {
                 firsts.extend(path.first().map(String::as_str));
             }
-            for f in &s.fns {
-                for call in &f.calls {
-                    firsts.extend(call.qual.first().map(String::as_str));
+            for (_, stream) in streams.range((fi, 0)..(fi + 1, 0)) {
+                for ev in stream {
+                    if let Event::Call { qual, .. } = ev {
+                        firsts.extend(qual.first().map(String::as_str));
+                    }
                 }
             }
             for r in &s.fn_returns {
@@ -192,8 +202,6 @@ impl<'a> Linker<'a> {
             dep_closure.insert(m, seen);
         }
 
-        let sccs = tarjan_sccs(&members, &deps);
-
         let mut lk = Linker {
             sums,
             members,
@@ -202,20 +210,29 @@ impl<'a> Linker<'a> {
             imports,
             mods,
             dep_closure,
-            sccs,
+            streams,
             resolved: HashMap::new(),
-            polls: HashSet::new(),
-            any_block: HashMap::new(),
+            callees: HashMap::new(),
+            callers: HashMap::new(),
         };
-        lk.precompute_resolutions();
-        lk.compute_polls();
-        lk.compute_any_block();
+        lk.resolve_all();
         lk
     }
 
     // -----------------------------------------------------------
     // Name resolution
     // -----------------------------------------------------------
+
+    /// The workspace crate a `use` / `pub use` path written in crate
+    /// `from` starts in: `from` itself for `crate`/`self`/`super`
+    /// paths, the member its first segment names otherwise — `None`
+    /// for `std` and other external paths.
+    fn home_of(&self, from: &'a str, path: &[String]) -> Option<&'a str> {
+        match path.first()?.as_str() {
+            "crate" | "self" | "super" => Some(from),
+            first => member_of(&self.members, first),
+        }
+    }
 
     /// The workspace crate a bare path segment names from `fi`'s
     /// scope, if any.
@@ -224,14 +241,10 @@ impl<'a> Linker<'a> {
         if matches!(seg, "crate" | "self" | "super") {
             return Some(caller);
         }
+        // A `std`/external import is exclusive: the name is taken, and
+        // it is not ours.
         if let Some(path) = self.imports[fi].get(seg) {
-            return match path.first().map(String::as_str) {
-                Some("crate" | "self" | "super") => Some(caller),
-                Some(first) => member_of(&self.members, first),
-                // A `std`/external import is exclusive: the name is
-                // taken, and it is not ours.
-                None => None,
-            };
+            return self.home_of(caller, path);
         }
         if self.mods.get(caller).is_some_and(|m| m.contains(seg)) {
             return Some(caller);
@@ -259,12 +272,9 @@ impl<'a> Linker<'a> {
             return Vec::new();
         }
         if let Some(path) = self.reexports.get(krate).and_then(|m| m.get(name)) {
-            let target = match path.first().map(String::as_str) {
-                Some("crate" | "self" | "super") | None => krate,
-                // `pub use inner::thing` (module-relative) stays in
-                // this crate; `pub use teleios_store::open` hops.
-                Some(first) => member_of(&self.members, first).unwrap_or(krate),
-            };
+            // `pub use inner::thing` (module-relative) stays in this
+            // crate; `pub use teleios_store::open` hops.
+            let target = self.home_of(krate, path).unwrap_or(krate);
             let real = path.last().map_or(name, String::as_str);
             return self.lookup_inner(target, real, seen);
         }
@@ -301,21 +311,12 @@ impl<'a> Linker<'a> {
             return hit.unwrap_or_default();
         }
         if qual.is_empty() {
+            // The import is exclusive: a std binding ends resolution
+            // even though the name matches nothing.
             if let Some(path) = self.imports[fi].get(name) {
-                let target = match path.first().map(String::as_str) {
-                    Some("crate" | "self" | "super") => Some(caller),
-                    Some(first) => member_of(&self.members, first),
-                    None => None,
-                };
-                // The import is exclusive: a std binding ends
-                // resolution even though the name matches nothing.
-                return match target {
-                    Some(t) => {
-                        let real = path.last().map_or(name, String::as_str);
-                        self.lookup_fn(t, real)
-                    }
-                    None => Vec::new(),
-                };
+                let real = path.last().map_or(name, String::as_str);
+                let home = self.home_of(caller, path);
+                return home.map_or_else(Vec::new, |t| self.lookup_fn(t, real));
             }
             let v = self.lookup_fn(caller, name);
             if !v.is_empty() {
@@ -339,224 +340,145 @@ impl<'a> Linker<'a> {
         }
     }
 
-    fn precompute_resolutions(&mut self) {
-        let mut resolved: HashMap<FnKey, Vec<Vec<FnKey>>> = HashMap::new();
-        for (fi, s) in self.sums.iter().enumerate() {
-            for (k, f) in s.fns.iter().enumerate() {
-                if f.is_test {
-                    continue;
+    /// Resolve every call site once; everything downstream reads the
+    /// `resolved` table and the two edge maps built from it.
+    fn resolve_all(&mut self) {
+        for (&key, stream) in &self.streams {
+            for ev in stream {
+                let Event::Call { name, qual, method, off } = ev else { continue };
+                let targets = self.resolve(key.0, name, qual, *method);
+                for &t in &targets {
+                    let out = self.callees.entry(key).or_default();
+                    if !out.contains(&t) {
+                        out.push(t);
+                        self.callers.entry(t).or_default().push(key);
+                    }
                 }
-                let targets = f
-                    .calls
-                    .iter()
-                    .map(|c| self.resolve(fi, &c.name, &c.qual, c.method))
-                    .collect();
-                resolved.insert((fi, k), targets);
+                self.resolved.insert((key, *off), targets);
             }
         }
-        self.resolved = resolved;
+    }
+
+    fn targets(&self, key: FnKey, call_off: usize) -> &[FnKey] {
+        self.resolved.get(&(key, call_off)).map_or(&[], Vec::as_slice)
+    }
+
+    fn name(&self, (fi, k): FnKey) -> &'a str {
+        self.sums[fi].fns[k].name.as_str()
+    }
+
+    /// The substrate owns its threads and blocks on purpose: its
+    /// internals are outside L7/L11/L12, and calling into it is only a
+    /// finding when the call is itself a dispatch.
+    fn substrate(&self, (fi, _): FnKey) -> bool {
+        self.sums[fi].policy.substrate
     }
 
     // -----------------------------------------------------------
     // Facts
     // -----------------------------------------------------------
 
-    /// Which fns transitively poll the CancelToken: seeded from
-    /// direct poll calls, closed bottom-up over the crate SCCs (with
-    /// a fixpoint inside each component), then a final global sweep
-    /// in case resolution produced an edge outside the declared
-    /// dependency graph.
-    fn compute_polls(&mut self) {
-        let mut polls: HashSet<FnKey> = HashSet::new();
-        let mut by_crate: HashMap<&str, Vec<FnKey>> = HashMap::new();
-        for (fi, s) in self.sums.iter().enumerate() {
-            for (k, f) in s.fns.iter().enumerate() {
-                if f.is_test {
-                    continue;
-                }
-                by_crate.entry(s.crate_name.as_str()).or_default().push((fi, k));
-                if f.calls.iter().any(|c| POLLS.contains(&c.name.as_str())) {
-                    polls.insert((fi, k));
-                }
-            }
-        }
-        let sweep = |keys: &[FnKey], polls: &mut HashSet<FnKey>| loop {
-            let mut changed = false;
-            for &key in keys {
-                if polls.contains(&key) {
-                    continue;
-                }
-                let reaches = self
-                    .resolved
-                    .get(&key)
-                    .is_some_and(|ts| ts.iter().flatten().any(|t| polls.contains(t)));
-                if reaches {
-                    polls.insert(key);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        };
-        for scc in &self.sccs {
-            let keys: Vec<FnKey> = scc
-                .iter()
-                .flat_map(|c| by_crate.get(c).into_iter().flatten())
-                .copied()
-                .collect();
-            sweep(&keys, &mut polls);
-        }
-        let all: Vec<FnKey> = {
-            let mut v: Vec<FnKey> = by_crate.values().flatten().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        sweep(&all, &mut polls);
-        self.polls = polls;
+    /// One seed per function with a body, from its effect stream.
+    fn seeds<T>(&self, seed: impl Fn(FnKey, &[&'a Event]) -> Option<T>) -> BTreeMap<FnKey, T> {
+        self.streams.iter().filter_map(|(&k, s)| Some((k, seed(k, s)?))).collect()
     }
 
-    /// Precompute the may-block fact for every fn (memoized DFS;
-    /// cycles resolve to "no" — the false-negative bias every lint
-    /// rule here shares).
-    fn compute_any_block(&mut self) {
-        let mut memo: HashMap<FnKey, Option<String>> = HashMap::new();
-        for (fi, s) in self.sums.iter().enumerate() {
-            for k in 0..s.fns.len() {
-                let mut visiting = HashSet::new();
-                self.any_block_of((fi, k), &mut memo, &mut visiting);
-            }
-        }
-        self.any_block = memo;
-    }
-
-    fn any_block_of(
+    /// Least fixpoint of a fact over the resolved call graph, by
+    /// worklist. `facts` holds the seeds; whenever a function's fact
+    /// moves, `join(to, to's fact, from's fact)` folds it into each
+    /// neighbour along `edges` — `self.callers` carries a fact up ("may
+    /// reach"), `self.callees` down ("is reached from") — and reports
+    /// whether that moved too. Joins must be monotone ("keep mine if
+    /// set, else take theirs"; "union"), which is all termination
+    /// needs, so recursion and crate cycles are not a special case.
+    /// Seeds and edges are visited in source order: a keep-first fact
+    /// settles on the nearest witness, deterministically.
+    fn propagate<T: Default>(
         &self,
-        key: FnKey,
-        memo: &mut HashMap<FnKey, Option<String>>,
-        visiting: &mut HashSet<FnKey>,
-    ) -> Option<String> {
-        if let Some(m) = memo.get(&key) {
-            return m.clone();
-        }
-        if !visiting.insert(key) {
-            return None;
-        }
-        let (fi, k) = key;
-        let f = &self.sums[fi].fns[k];
-        let mut result: Option<String> = None;
-        // The substrate blocks by design; calling into it is only a
-        // finding when the call is itself a dispatch (a direct
-        // Blocking event), not for its internals.
-        if !self.sums[fi].policy.substrate && !f.is_test {
-            if let Some(cfg) = &f.cfg {
-                'outer: for b in &cfg.blocks {
-                    for ev in &b.events {
-                        match ev {
-                            Event::Blocking { desc, .. } => {
-                                result = Some(desc.clone());
-                                break 'outer;
-                            }
-                            Event::Call { name, qual, method, .. } => {
-                                for t in self.resolve(fi, name, qual, *method) {
-                                    if let Some(inner) = self.any_block_of(t, memo, visiting) {
-                                        result = Some(inner);
-                                        break 'outer;
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
+        edges: &HashMap<FnKey, Vec<FnKey>>,
+        mut facts: BTreeMap<FnKey, T>,
+        join: impl Fn(FnKey, &mut T, &T) -> bool,
+    ) -> BTreeMap<FnKey, T> {
+        let mut work: VecDeque<FnKey> = facts.keys().copied().collect();
+        let mut queued: HashSet<FnKey> = work.iter().copied().collect();
+        while let Some(from) = work.pop_front() {
+            queued.remove(&from);
+            for &to in edges.get(&from).into_iter().flatten() {
+                if to == from {
+                    continue;
+                }
+                let mut mine = facts.remove(&to).unwrap_or_default();
+                let moved = facts.get(&from).is_some_and(|theirs| join(to, &mut mine, theirs));
+                facts.insert(to, mine);
+                if moved && queued.insert(to) {
+                    work.push_back(to);
                 }
             }
         }
-        visiting.remove(&key);
-        memo.insert(key, result.clone());
-        result
+        facts
+    }
+
+    /// Keep-first join for witness facts outside the substrate.
+    fn nearest<T: Clone>(&self, to: FnKey, mine: &mut Option<T>, theirs: &Option<T>) -> bool {
+        let take = !self.substrate(to) && mine.is_none() && theirs.is_some();
+        if take {
+            *mine = theirs.clone();
+        }
+        take
     }
 
     // -----------------------------------------------------------
     // L6 lock-order — the workspace lock-acquisition graph
     // -----------------------------------------------------------
 
-    /// Transitive closure of the lock names `key`'s function may
-    /// acquire, each with a representative `(file, byte offset)`
-    /// site.
-    fn locks_of(
-        &self,
-        key: FnKey,
-        memo: &mut HashMap<FnKey, BTreeMap<String, (usize, usize)>>,
-        visiting: &mut HashSet<FnKey>,
-    ) -> BTreeMap<String, (usize, usize)> {
-        if let Some(m) = memo.get(&key) {
-            return m.clone();
-        }
-        if !visiting.insert(key) {
-            return BTreeMap::new();
-        }
-        let (fi, k) = key;
-        let f = &self.sums[fi].fns[k];
-        let mut out: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for a in &f.acqs {
-            out.entry(a.lock.clone()).or_insert((fi, a.off));
-        }
-        if let Some(res) = self.resolved.get(&key) {
-            for ts in res {
-                for &t in ts {
-                    for (n, site) in self.locks_of(t, memo, visiting) {
-                        out.entry(n).or_insert(site);
-                    }
-                }
-            }
-        }
-        visiting.remove(&key);
-        memo.insert(key, out.clone());
-        out
-    }
-
     /// L6 — build the workspace lock-acquisition graph (edges through
     /// same-crate *and* cross-crate calls) and report every distinct
     /// cycle with `file:line` for each edge.
     fn lock_order(&self, diag: &mut Diagnostics) {
-        let mut memo: HashMap<FnKey, BTreeMap<String, (usize, usize)>> = HashMap::new();
-        for (fi, s) in self.sums.iter().enumerate() {
-            for (k, f) in s.fns.iter().enumerate() {
-                if !f.is_test {
-                    let mut visiting = HashSet::new();
-                    self.locks_of((fi, k), &mut memo, &mut visiting);
+        // Every lock a call into a function may acquire, each with a
+        // representative `(file, byte offset)` site.
+        type Locks = BTreeMap<String, (usize, usize)>;
+        let own = |key: FnKey, stream: &[&Event]| {
+            let mut locks = Locks::new();
+            for ev in stream {
+                if let Event::Acquire { lock, off, .. } = ev {
+                    locks.entry(lock.clone()).or_insert((key.0, *off));
                 }
             }
-        }
+            (!locks.is_empty()).then_some(locks)
+        };
+        let locks = self.propagate(&self.callers, self.seeds(own), |_, mine: &mut Locks, theirs| {
+            let before = mine.len();
+            for (lock, site) in theirs {
+                mine.entry(lock.clone()).or_insert(*site);
+            }
+            mine.len() > before
+        });
         // Edges: lock A held while lock B is acquired (directly, or
         // inside a call made while A is held, wherever it resolves).
         let mut edges: BTreeMap<(String, String), (usize, usize)> = BTreeMap::new();
-        for (fi, s) in self.sums.iter().enumerate() {
-            for (k, f) in s.fns.iter().enumerate() {
-                if f.is_test {
-                    continue;
-                }
-                for a in &f.acqs {
-                    for b in &f.acqs {
-                        if b.off > a.off && b.off <= a.until_off && b.lock != a.lock {
-                            edges
-                                .entry((a.lock.clone(), b.lock.clone()))
-                                .or_insert((fi, b.off));
+        for (&key, stream) in &self.streams {
+            for held in stream {
+                let Event::Acquire { lock: a, off, until_off, .. } = held else { continue };
+                let mut edge = |b: &String, site: (usize, usize)| {
+                    if b != a {
+                        edges.entry((a.clone(), b.clone())).or_insert(site);
+                    }
+                };
+                let while_held = |o: &usize| o > off && o <= until_off;
+                for ev in stream {
+                    if let Event::Acquire { lock: b, off: boff, .. } = ev {
+                        if while_held(boff) {
+                            edge(b, (key.0, *boff));
                         }
                     }
-                    let Some(res) = self.resolved.get(&(fi, k)) else { continue };
-                    for (ci, c) in f.calls.iter().enumerate() {
-                        if c.off > a.off && c.off <= a.until_off {
-                            for t in &res[ci] {
-                                if let Some(locks) = memo.get(t) {
-                                    for (lname, &site) in locks {
-                                        if *lname != a.lock {
-                                            edges
-                                                .entry((a.lock.clone(), lname.clone()))
-                                                .or_insert(site);
-                                        }
-                                    }
-                                }
+                }
+                for ev in stream {
+                    let Event::Call { off: coff, .. } = ev else { continue };
+                    if while_held(coff) {
+                        for t in self.targets(key, *coff) {
+                            for (b, &site) in locks.get(t).into_iter().flatten() {
+                                edge(b, site);
                             }
                         }
                     }
@@ -602,54 +524,6 @@ impl<'a> Linker<'a> {
     // L7 cancel-safety — across crate boundaries
     // -----------------------------------------------------------
 
-    /// First raw blocking call reachable from `key`'s function
-    /// through resolved calls, if any.
-    fn blocks_in(
-        &self,
-        key: FnKey,
-        memo: &mut HashMap<FnKey, Option<Site>>,
-        visiting: &mut HashSet<FnKey>,
-    ) -> Option<Site> {
-        if let Some(m) = memo.get(&key) {
-            return m.clone();
-        }
-        if !visiting.insert(key) {
-            return None;
-        }
-        let (fi, k) = key;
-        let f = &self.sums[fi].fns[k];
-        let mut result: Option<Site> = None;
-        if !self.sums[fi].policy.substrate && !f.is_test {
-            if let Some((desc, off)) = f.l7_blocks.first() {
-                result = Some(Site {
-                    fi,
-                    off: *off,
-                    desc: desc.clone(),
-                    chain: vec![f.name.clone()],
-                });
-            }
-            if result.is_none() {
-                if let Some(res) = self.resolved.get(&key) {
-                    'calls: for (ci, ts) in res.iter().enumerate() {
-                        if f.calls[ci].name == f.name {
-                            continue;
-                        }
-                        for &t in ts {
-                            if let Some(mut s) = self.blocks_in(t, memo, visiting) {
-                                s.chain.insert(0, f.name.clone());
-                                result = Some(s);
-                                break 'calls;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        visiting.remove(&key);
-        memo.insert(key, result.clone());
-        result
-    }
-
     /// L7 — closures handed to pool dispatch must not reach raw
     /// blocking calls, followed through the workspace call graph; the
     /// cancellable doorways (`sleep_cancellable`, `poll_cancellable`)
@@ -657,44 +531,59 @@ impl<'a> Linker<'a> {
     /// built into a Vec before the dispatch call, so the whole
     /// dispatching function is the scope that must stay non-blocking.
     fn cancel_safety(&self, diag: &mut Diagnostics) {
-        let mut memo: HashMap<FnKey, Option<Site>> = HashMap::new();
+        // The nearest raw blocking call each function can reach, with
+        // the call chain that reaches it.
+        let own = |key: FnKey, stream: &[&'a Event]| {
+            let first = stream.iter().find_map(|ev| match ev {
+                Event::Blocking { desc, off, class: Stall::Raw } => Some((desc.as_str(), *off)),
+                _ => None,
+            })?;
+            let site = Site { fi: key.0, off: first.1, desc: first.0, chain: vec![self.name(key)] };
+            (!self.substrate(key)).then_some(Some(site))
+        };
+        let raw = self.propagate(&self.callers, self.seeds(own), |to, mine, theirs| {
+            let via = theirs.clone().map(|mut s: Site<'a>| {
+                s.chain.insert(0, self.name(to));
+                s
+            });
+            self.nearest(to, mine, &via)
+        });
         let mut emitted: BTreeSet<(usize, usize)> = BTreeSet::new();
-        let mut dispatchers: BTreeMap<FnKey, &str> = BTreeMap::new();
-        for (fi, s) in self.sums.iter().enumerate() {
-            // The substrate owns its threads and blocks on purpose.
-            if s.policy.substrate {
+        let mut report = |site: &Site<'a>, entry: &str| {
+            if !emitted.insert((site.fi, site.off)) {
+                return;
+            }
+            let via = if site.chain.is_empty() {
+                String::new()
+            } else {
+                format!(" via `{}`", site.chain.join("` -> `"))
+            };
+            diag.emit(&self.sums[site.fi], site.fi, site.off, Rule::CancelSafety, format!(
+                "{} blocks a pool-dispatched task (entered from `{entry}`{via}): wait through CancelToken::sleep_cancellable / poll_cancellable so deadlines can interrupt it",
+                site.desc.replace('`', "")
+            ));
+        };
+        for (&key, stream) in &self.streams {
+            let dispatch =
+                |ev: &&Event| matches!(ev, Event::Blocking { class: Stall::Dispatch { .. }, .. });
+            if self.substrate(key) || !stream.iter().any(dispatch) {
                 continue;
             }
-            for (k, f) in s.fns.iter().enumerate() {
-                if !f.is_test && !f.dispatches.is_empty() {
-                    dispatchers.insert((fi, k), f.name.as_str());
-                }
-            }
-        }
-        for (&(fi, k), &entry) in &dispatchers {
-            let f = &self.sums[fi].fns[k];
-            let Some(res) = self.resolved.get(&(fi, k)) else { continue };
-            // Walk blocking sites and calls in token order, as they
-            // appear in the dispatching function's body.
-            let (mut bi, mut ci) = (0usize, 0usize);
-            while bi < f.l7_blocks.len() || ci < f.calls.len() {
-                let take_block = ci >= f.calls.len()
-                    || (bi < f.l7_blocks.len() && f.l7_blocks[bi].1 <= f.calls[ci].off);
-                if take_block {
-                    let (desc, off) = &f.l7_blocks[bi];
-                    bi += 1;
-                    report_l7(self.sums, fi, *off, desc, entry, &[], &mut emitted, diag);
-                } else {
-                    for &t in &res[ci] {
-                        let mut visiting = HashSet::new();
-                        if let Some(site) = self.blocks_in(t, &mut memo, &mut visiting) {
-                            report_l7(
-                                self.sums, site.fi, site.off, &site.desc, entry, &site.chain,
-                                &mut emitted, diag,
-                            );
+            // Blocking sites and calls in source order, as they appear
+            // in the dispatching function's body.
+            for ev in stream {
+                match ev {
+                    Event::Blocking { desc, off, class: Stall::Raw } => {
+                        let own = Site { fi: key.0, off: *off, desc, chain: Vec::new() };
+                        report(&own, self.name(key));
+                    }
+                    Event::Call { off, .. } => {
+                        let reached = self.targets(key, *off).iter().filter_map(|t| raw.get(t));
+                        for site in reached.flatten() {
+                            report(site, self.name(key));
                         }
                     }
-                    ci += 1;
+                    _ => {}
                 }
             }
         }
@@ -704,127 +593,79 @@ impl<'a> Linker<'a> {
     // The path-sensitive rules (L10/L11/L12) over resolved CFGs
     // -----------------------------------------------------------
 
-    /// Functions on a cancellable-dispatched path: every function
-    /// containing a `*_cancellable` dispatch site, plus (transitively)
-    /// every workspace function they call. Maps the fn to the
-    /// dispatcher's name for the diagnostic.
-    fn dispatch_reach(&self) -> HashMap<FnKey, &'a str> {
-        let mut reach: HashMap<FnKey, &str> = HashMap::new();
-        let mut queue: VecDeque<FnKey> = VecDeque::new();
-        for (fi, s) in self.sums.iter().enumerate() {
-            if s.policy.substrate {
-                continue;
-            }
-            for (k, f) in s.fns.iter().enumerate() {
-                if f.is_test {
-                    continue;
-                }
-                if f.dispatches.iter().any(|(m, _)| CANCELLABLE_DISPATCHES.contains(&m.as_str()))
-                    && reach.insert((fi, k), f.name.as_str()).is_none()
-                {
-                    queue.push_back((fi, k));
-                }
-            }
-        }
-        while let Some(key) = queue.pop_front() {
-            let Some(&entry) = reach.get(&key) else { continue };
-            let Some(res) = self.resolved.get(&key) else { continue };
-            for ts in res {
-                for &t in ts {
-                    if self.sums[t.0].policy.substrate || self.sums[t.0].fns[t.1].is_test {
-                        continue;
-                    }
-                    if !reach.contains_key(&t) {
-                        reach.insert(t, entry);
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-        reach
-    }
-
     /// Run L10/L11/L12 over every function's CFG, with call sites
     /// resolved against the workspace facts: a call to a polling fn
     /// becomes a `Poll` event; a cross-crate call to a fn that may
-    /// block becomes a `Blocking` event with the chain described.
+    /// block becomes a `Blocking` event with the primitive described.
     fn flow_rules(&self, diag: &mut Diagnostics) {
-        let reach = self.dispatch_reach();
-        for (fi, s) in self.sums.iter().enumerate() {
-            let mut verdicts: HashMap<(String, Vec<String>, bool), CallVerdict> = HashMap::new();
-            for (k, f) in s.fns.iter().enumerate() {
-                let Some(cfg) = &f.cfg else { continue };
-                let resolved_cfg = cfg::resolve_calls(cfg, |name, qual, method| {
-                    let vkey = (name.to_string(), qual.to_vec(), method);
-                    if let Some(v) = verdicts.get(&vkey) {
-                        return v.clone();
-                    }
-                    let targets = self.resolve(fi, name, qual, method);
-                    let polls = targets.iter().any(|t| self.polls.contains(t));
-                    let mut block = None;
-                    for t in &targets {
-                        // Same-crate blocking is already visible to
-                        // the CFG's own events; the summary adds what
-                        // another crate would hide.
-                        if self.sums[t.0].crate_name != s.crate_name {
-                            if let Some(inner) = self.any_block.get(t).cloned().flatten() {
-                                block = Some(format!(
-                                    "a call to `{name}` that may block on {inner}"
-                                ));
-                                break;
-                            }
-                        }
-                    }
-                    let v = CallVerdict { polls, block };
-                    verdicts.insert(vkey, v.clone());
-                    v
-                });
-                cfg::check_txn_leak(s, fi, &resolved_cfg, diag);
-                // The substrate owns raw blocking by design; its own
-                // internals are outside L11/L12 (mirrors L7's policy).
-                if !s.policy.substrate {
-                    cfg::check_guard_blocking(s, fi, &resolved_cfg, diag);
-                    if let Some(entry) = reach.get(&(fi, k)) {
-                        cfg::check_loop_polls(s, fi, &resolved_cfg, &f.name, entry, diag);
-                    }
+        let cfg_of = |(fi, k): FnKey| self.sums[fi].fns[k].cfg.as_ref();
+        // Which fns transitively poll the CancelToken.
+        let polls = self.propagate(
+            &self.callers,
+            self.seeds(|key, _| cfg_of(key)?.blocks.iter().any(cfg::has_poll).then_some(true)),
+            |_, mine, _| !std::mem::replace(mine, true),
+        );
+        // fn → the nearest blocking primitive it can reach.
+        let first_block = |key: FnKey, stream: &[&'a Event]| {
+            let desc = stream.iter().find_map(|ev| match ev {
+                Event::Blocking { desc, .. } => Some(desc.as_str()),
+                _ => None,
+            })?;
+            (!self.substrate(key)).then_some(Some(desc))
+        };
+        let may_block = self.propagate(&self.callers, self.seeds(first_block), |to, mine, theirs| {
+            self.nearest(to, mine, theirs)
+        });
+        // Functions on a cancellable-dispatched path — every function
+        // containing a `*_cancellable` dispatch site plus, transitively,
+        // every workspace function it calls — mapped to the
+        // dispatcher's name for the diagnostic.
+        let dispatcher = |key: FnKey, stream: &[&'a Event]| {
+            let cancellable = |ev: &&Event| {
+                matches!(ev, Event::Blocking { class: Stall::Dispatch { cancellable: true }, .. })
+            };
+            (!self.substrate(key) && stream.iter().any(cancellable)).then(|| Some(self.name(key)))
+        };
+        let reach = self.propagate(&self.callees, self.seeds(dispatcher), |to, mine, theirs| {
+            self.nearest(to, mine, theirs)
+        });
+
+        for &key in self.streams.keys() {
+            let (fi, s) = (key.0, &self.sums[key.0]);
+            let Some(cfg) = cfg_of(key) else { continue };
+            let resolved_cfg = cfg::resolve_calls(cfg, |name, off| {
+                let targets = self.targets(key, off);
+                // Same-crate blocking is already visible to the CFG's
+                // own events; the summary adds what another crate
+                // would hide.
+                let inner = targets
+                    .iter()
+                    .filter(|t| self.sums[t.0].crate_name != s.crate_name)
+                    .find_map(|t| may_block.get(t).copied().flatten());
+                CallVerdict {
+                    polls: targets.iter().any(|t| polls.get(t) == Some(&true)),
+                    block: inner.map(|on| format!("a call to `{name}` that may block on {on}")),
+                }
+            });
+            cfg::check_txn_leak(s, fi, &resolved_cfg, diag);
+            if !s.policy.substrate {
+                cfg::check_guard_blocking(s, fi, &resolved_cfg, diag);
+                if let Some(Some(entry)) = reach.get(&key) {
+                    cfg::check_loop_polls(s, fi, &resolved_cfg, self.name(key), entry, diag);
                 }
             }
         }
     }
 }
 
-/// One blocking call reachable from a dispatch, with the call chain
-/// that reaches it.
+/// One raw blocking call reachable from a dispatch, with the call
+/// chain that reaches it.
 #[derive(Clone)]
-struct Site {
+struct Site<'a> {
     fi: usize,
     off: usize,
-    desc: String,
-    chain: Vec<String>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn report_l7(
-    sums: &[FileSummary],
-    fi: usize,
-    off: usize,
-    desc: &str,
-    entry: &str,
-    chain: &[String],
-    emitted: &mut BTreeSet<(usize, usize)>,
-    diag: &mut Diagnostics,
-) {
-    if !emitted.insert((fi, off)) {
-        return;
-    }
-    let via = if chain.is_empty() {
-        String::new()
-    } else {
-        format!(" via `{}`", chain.join("` -> `"))
-    };
-    diag.emit(&sums[fi], fi, off, Rule::CancelSafety, format!(
-        "{desc} blocks a pool-dispatched task (entered from `{entry}`{via}): wait through CancelToken::sleep_cancellable / poll_cancellable so deadlines can interrupt it"
-    ));
+    desc: &'a str,
+    chain: Vec<&'a str>,
 }
 
 /// The workspace member a path segment names: an exact member name
@@ -843,70 +684,6 @@ fn member_of<'a>(members: &BTreeSet<&'a str>, seg: &str) -> Option<&'a str> {
         }
     }
     None
-}
-
-/// Tarjan's strongly-connected components over the crate graph.
-/// Edges point dependent → dependency, so components are emitted
-/// dependencies-first — the bottom-up linking order.
-fn tarjan_sccs<'a>(
-    members: &BTreeSet<&'a str>,
-    deps: &BTreeMap<&'a str, BTreeSet<&'a str>>,
-) -> Vec<Vec<&'a str>> {
-    struct St<'a> {
-        index: HashMap<&'a str, usize>,
-        low: HashMap<&'a str, usize>,
-        on: HashSet<&'a str>,
-        stack: Vec<&'a str>,
-        counter: usize,
-        out: Vec<Vec<&'a str>>,
-    }
-    fn strong<'a>(v: &'a str, deps: &BTreeMap<&'a str, BTreeSet<&'a str>>, st: &mut St<'a>) {
-        st.index.insert(v, st.counter);
-        st.low.insert(v, st.counter);
-        st.counter += 1;
-        st.stack.push(v);
-        st.on.insert(v);
-        for &w in deps.get(v).into_iter().flatten() {
-            if !st.index.contains_key(w) {
-                strong(w, deps, st);
-                let lw = st.low.get(w).copied().unwrap_or(0);
-                if st.low.get(v).is_some_and(|&lv| lw < lv) {
-                    st.low.insert(v, lw);
-                }
-            } else if st.on.contains(w) {
-                let iw = st.index.get(w).copied().unwrap_or(0);
-                if st.low.get(v).is_some_and(|&lv| iw < lv) {
-                    st.low.insert(v, iw);
-                }
-            }
-        }
-        if st.low.get(v) == st.index.get(v) {
-            let mut comp = Vec::new();
-            while let Some(w) = st.stack.pop() {
-                st.on.remove(w);
-                comp.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            comp.sort_unstable();
-            st.out.push(comp);
-        }
-    }
-    let mut st = St {
-        index: HashMap::new(),
-        low: HashMap::new(),
-        on: HashSet::new(),
-        stack: Vec::new(),
-        counter: 0,
-        out: Vec::new(),
-    };
-    for &v in members {
-        if !st.index.contains_key(v) {
-            strong(v, deps, &mut st);
-        }
-    }
-    st.out
 }
 
 fn bfs_path<'a>(
@@ -942,7 +719,7 @@ fn bfs_path<'a>(
 
 #[cfg(test)]
 mod tests {
-    use crate::rules::{analyze, FilePolicy, Finding, Rule, SourceFile};
+    use crate::rules::{analyze, scan_file, FilePolicy, Finding, Rule, SourceFile};
 
     fn lib(krate: &str, src: &str) -> SourceFile {
         SourceFile {
@@ -956,6 +733,177 @@ mod tests {
 
     fn hits(files: &[SourceFile], rule: Rule) -> Vec<Finding> {
         analyze(files).into_iter().filter(|f| f.rule == rule).collect()
+    }
+
+    fn scan(src: &str) -> Vec<Finding> {
+        scan_file("fixture.rs", src, FilePolicy::default())
+    }
+
+    #[test]
+    fn lock_order_cycle_fires_with_both_edges() {
+        let src = "\
+struct S { a: std::sync::Mutex<u8>, b: std::sync::Mutex<u8> }
+impl S {
+    fn ab(&self) {
+        let ga = self.a.lock();
+        let gb = self.b.lock();
+        drop(gb);
+        drop(ga);
+    }
+    fn ba(&self) {
+        let gb = self.b.lock();
+        let ga = self.a.lock();
+        drop(ga);
+        drop(gb);
+    }
+}";
+        let f = scan(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::LockOrder);
+        assert!(f[0].msg.contains("a -> b"), "{}", f[0].msg);
+        assert!(f[0].msg.contains("b -> a"), "{}", f[0].msg);
+        assert!(f[0].msg.contains("fixture.rs:"), "{}", f[0].msg);
+    }
+
+    #[test]
+    fn lock_order_sees_through_same_crate_calls() {
+        let src = "\
+struct S { a: std::sync::Mutex<u8>, b: std::sync::Mutex<u8> }
+impl S {
+    fn outer(&self) {
+        let ga = self.a.lock();
+        self.helper();
+        drop(ga);
+    }
+    fn helper(&self) {
+        let gb = self.b.lock();
+        drop(gb);
+    }
+    fn inverse(&self) {
+        let gb = self.b.lock();
+        let ga = self.a.lock();
+        drop(ga);
+        drop(gb);
+    }
+}";
+        let f = scan(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::LockOrder);
+    }
+
+    #[test]
+    fn consistent_order_and_sequential_locks_are_clean() {
+        let consistent = "\
+struct S { a: std::sync::Mutex<u8>, b: std::sync::Mutex<u8> }
+impl S {
+    fn one(&self) { let ga = self.a.lock(); let gb = self.b.lock(); drop(gb); drop(ga); }
+    fn two(&self) { let ga = self.a.lock(); let gb = self.b.lock(); drop(gb); drop(ga); }
+}";
+        assert!(scan(consistent).is_empty());
+        // Statement-temporary guards don't overlap.
+        let sequential = "\
+struct S { a: std::sync::Mutex<u8>, b: std::sync::Mutex<u8> }
+impl S {
+    fn one(&self) { *self.a.lock().unwrap_or_else(|e| e.into_inner()) += 1; *self.b.lock().unwrap_or_else(|e| e.into_inner()) += 1; }
+    fn two(&self) { *self.b.lock().unwrap_or_else(|e| e.into_inner()) += 1; *self.a.lock().unwrap_or_else(|e| e.into_inner()) += 1; }
+}";
+        assert!(scan(sequential).is_empty());
+    }
+
+    #[test]
+    fn cancel_safety_fires_on_sleep_in_dispatch_closure() {
+        let src = "\
+fn dispatch(pool: &P) {
+    pool.try_run(|| {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    });
+}";
+        let f = scan(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::CancelSafety);
+        assert!(f[0].msg.contains("dispatch"), "{}", f[0].msg);
+    }
+
+    #[test]
+    fn cancel_safety_sees_through_same_crate_calls() {
+        let src = "\
+fn backoff() {
+    std::thread::sleep(std::time::Duration::from_millis(5));
+}
+fn dispatch(pool: &P) {
+    pool.try_run_cancellable(|_t| {
+        backoff();
+    });
+}";
+        let f = scan(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::CancelSafety);
+        assert!(f[0].msg.contains("via `backoff`"), "{}", f[0].msg);
+        assert_eq!(f[0].line, 2);
+    }
+
+    #[test]
+    fn cancel_safety_accepts_the_doorways_and_plain_run() {
+        let ok = "\
+fn dispatch(pool: &P, cancel: &C) {
+    pool.try_run_cancellable(|t| {
+        t.sleep_cancellable(std::time::Duration::from_millis(5));
+        t.poll_cancellable(|| done());
+    });
+}";
+        assert!(scan(ok).is_empty());
+        // `.run(` on a non-pool receiver is not a dispatch.
+        let chain = "\
+fn go(chain: &Chain) {
+    chain.run(|| {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    });
+}";
+        assert!(scan(chain).is_empty());
+        // ... but on a pool it is.
+        let pool_run = "\
+fn go(worker_pool: &P) {
+    worker_pool.run(|| {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    });
+}";
+        assert_eq!(scan(pool_run).len(), 1);
+    }
+
+    #[test]
+    fn cancel_safety_covers_tasks_built_before_the_dispatch_call() {
+        // The closure Vec is constructed first and the *variable* is
+        // passed to the pool — the blocking call never appears inside
+        // the dispatch call's argument list, only in the same fn body.
+        let src = "\
+fn attempt(id: u64) -> u64 {
+    std::thread::sleep(std::time::Duration::from_millis(5));
+    id
+}
+fn run_batch(pool: &P, ids: Vec<u64>) {
+    let tasks: Vec<_> = ids.into_iter().map(|id| move || attempt(id)).collect();
+    pool.try_run_cancellable(tasks);
+}";
+        let f = scan(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::CancelSafety);
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].msg.contains("run_batch"), "{}", f[0].msg);
+        assert!(f[0].msg.contains("via `attempt`"), "{}", f[0].msg);
+    }
+
+    #[test]
+    fn cancel_safety_flags_recv_in_closure() {
+        let src = "\
+fn drain(pool: &P, rx: &R) {
+    pool.try_run(move || {
+        let _msg = rx.recv();
+    });
+}";
+        let f = scan(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::CancelSafety);
+        assert!(f[0].msg.contains("recv"), "{}", f[0].msg);
     }
 
     #[test]

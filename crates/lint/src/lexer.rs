@@ -1,10 +1,12 @@
-//! Token stream over masked source: the shared substrate for every
-//! rule. [`crate::mask`] first blanks comments and string/char
-//! literals (length-preserving, so byte offsets survive); this module
-//! then produces idents and punctuation with byte offsets and brace
-//! nesting depth, locates `#[cfg(test)]` / `#[test]` regions, parses
-//! `// teleios-lint: allow(<rule>)` markers, and resolves `use`
-//! aliases (`use std::thread as t;`) so the rules see through renamed
+//! Token stream over raw source: the shared substrate for every
+//! rule. One pass skips comments and string/char literals — so
+//! `"thread::spawn"` in a string or `panic!` in a doc comment never
+//! tokenizes — and produces idents and punctuation with raw-source
+//! byte offsets and brace nesting depth, plus the span of every `//`
+//! comment. On top of that the module locates `#[cfg(test)]` /
+//! `#[test]` regions, reads `// teleios-lint: allow(<rule>)` markers
+//! out of the comment spans, and resolves `use` aliases
+//! (`use std::thread as t;`) so the rules see through renamed
 //! imports — the false-negative class the original line-pattern core
 //! could not.
 
@@ -48,9 +50,9 @@ pub enum TokKind<'a> {
     Punct(u8),
 }
 
-/// One token: kind, byte offset into the (masked) source, and the
-/// number of unclosed `{` at that point. An opening `{` carries the
-/// depth *outside* it and its matching `}` carries that same depth, so
+/// One token: kind, byte offset into the source, and the number of
+/// unclosed `{` at that point. An opening `{` carries the depth
+/// *outside* it and its matching `}` carries that same depth, so
 /// "the close of the block containing token `i`" is the first `}`
 /// after `i` whose depth is `toks[i].depth - 1`.
 #[derive(Debug, Clone, Copy)]
@@ -60,49 +62,157 @@ pub struct Tok<'a> {
     pub depth: usize,
 }
 
-/// Tokenize masked source. Numbers, identifiers, and keywords all
-/// come out as `Ident` — the rules only ever compare against known
-/// names, so the conflation is harmless and keeps the lexer tiny.
-pub fn lex(masked: &str) -> Vec<Tok<'_>> {
-    let b = masked.as_bytes();
+/// What [`lex`] makes of one file: the code tokens, and the byte span
+/// of every `//` comment (doc comments included) for the allow-marker
+/// reader.
+#[derive(Debug, Default)]
+pub struct Lexed<'a> {
+    pub toks: Vec<Tok<'a>>,
+    pub comments: Vec<(usize, usize)>,
+}
+
+fn is_ident_char(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_'
+}
+
+/// Index just past the literal opened by the quote `q` at `open`
+/// (backslash escapes honoured), or the end of input.
+fn skip_quoted(b: &[u8], open: usize, q: u8) -> usize {
+    let mut j = open + 1;
+    while j < b.len() {
+        match b[j] {
+            b'\\' => j += 2,
+            c if c == q => return j + 1,
+            _ => j += 1,
+        }
+    }
+    b.len()
+}
+
+/// Index just past the raw string whose opening `"` is at `quote` and
+/// which closes with `"` plus `hashes` `#`s.
+fn skip_raw_string(b: &[u8], quote: usize, hashes: usize) -> usize {
+    let mut k = quote + 1;
+    while k < b.len() {
+        let end = k + 1 + hashes;
+        if b[k] == b'"' && end <= b.len() && b[k + 1..end].iter().all(|h| *h == b'#') {
+            return end;
+        }
+        k += 1;
+    }
+    b.len()
+}
+
+/// Index just past a (possibly nested) block comment opening at `i`.
+fn skip_block_comment(b: &[u8], mut i: usize) -> usize {
+    let mut depth = 0usize;
+    while i < b.len() {
+        if b[i] == b'/' && b.get(i + 1) == Some(&b'*') {
+            depth += 1;
+            i += 2;
+        } else if b[i] == b'*' && b.get(i + 1) == Some(&b'/') {
+            depth -= 1;
+            i += 2;
+            if depth == 0 {
+                break;
+            }
+        } else {
+            i += 1;
+        }
+    }
+    i
+}
+
+/// If the word `b[start..end]` is a literal prefix (`r""`, `r#""#`,
+/// `b""`, `br#""#`, `b''`), the index just past the whole literal.
+fn prefixed_literal_end(b: &[u8], start: usize, end: usize) -> Option<usize> {
+    let word = &b[start..end];
+    if !matches!(word, b"r" | b"b" | b"br" | b"rb") {
+        return None;
+    }
+    let hashes = b[end..].iter().take_while(|c| **c == b'#').count();
+    match b.get(end + hashes)? {
+        b'\'' if word == b"b" && hashes == 0 => Some(skip_quoted(b, end, b'\'')),
+        b'"' if word == b"b" && hashes == 0 => Some(skip_quoted(b, end, b'"')),
+        b'"' if word != b"b" => Some(skip_raw_string(b, end + hashes, hashes)),
+        _ => None,
+    }
+}
+
+/// Tokenize source, skipping comments, string / raw-string literals,
+/// and char / byte literals (lifetimes and loop labels stay: a `'` and
+/// an ident). Numbers, identifiers, and keywords all come out as
+/// `Ident` — the rules only ever compare against known names, so the
+/// conflation is harmless and keeps the lexer tiny. A raw identifier
+/// `r#type` yields just `type`.
+pub fn lex(src: &str) -> Lexed<'_> {
+    let b = src.as_bytes();
     let n = b.len();
-    let mut toks = Vec::new();
+    let mut out = Lexed::default();
     let mut i = 0usize;
     let mut depth = 0usize;
     while i < n {
         let c = b[i];
-        if c.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        if c.is_ascii_alphanumeric() || c == b'_' {
+        if c == b'/' && b.get(i + 1) == Some(&b'/') {
             let start = i;
-            while i < n && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+            while i < n && b[i] != b'\n' {
                 i += 1;
             }
-            toks.push(Tok {
-                kind: TokKind::Ident(&masked[start..i]),
-                off: start,
-                depth,
-            });
+            out.comments.push((start, i));
             continue;
         }
-        if c.is_ascii() {
+        if c == b'/' && b.get(i + 1) == Some(&b'*') {
+            i = skip_block_comment(b, i);
+            continue;
+        }
+        if is_ident_char(c) {
+            let start = i;
+            while i < n && is_ident_char(b[i]) {
+                i += 1;
+            }
+            if let Some(end) = prefixed_literal_end(b, start, i) {
+                i = end;
+                continue;
+            }
+            let raw_ident = &b[start..i] == b"r"
+                && b.get(i) == Some(&b'#')
+                && b.get(i + 1).is_some_and(|c| is_ident_char(*c));
+            if raw_ident {
+                i += 1;
+                continue;
+            }
+            out.toks.push(Tok { kind: TokKind::Ident(&src[start..i]), off: start, depth });
+            continue;
+        }
+        if c == b'"' {
+            i = skip_quoted(b, i, b'"');
+            continue;
+        }
+        if c == b'\'' {
+            // Char literal vs. lifetime/label: a literal is `'\...'`,
+            // `'x'`, or a single non-ASCII scalar quoted; anything
+            // else (`'a`, `'static`, `'_`) is a lifetime.
+            if b.get(i + 1) == Some(&b'\\') || b.get(i + 1).is_some_and(|c| *c >= 0x80) {
+                i = skip_quoted(b, i, b'\'');
+                continue;
+            }
+            if b.get(i + 2) == Some(&b'\'') {
+                i += 3;
+                continue;
+            }
+        }
+        if c.is_ascii() && !c.is_ascii_whitespace() {
             if c == b'}' {
                 depth = depth.saturating_sub(1);
             }
-            toks.push(Tok {
-                kind: TokKind::Punct(c),
-                off: i,
-                depth,
-            });
+            out.toks.push(Tok { kind: TokKind::Punct(c), off: i, depth });
             if c == b'{' {
                 depth += 1;
             }
         }
         i += 1;
     }
-    toks
+    out
 }
 
 pub fn ident_at<'a>(toks: &[Tok<'a>], i: usize) -> Option<&'a str> {
@@ -217,44 +327,24 @@ pub struct AllowMarker {
     pub name: String,
 }
 
-/// Parse allow markers. Only the literal form `// teleios-lint:
-/// allow(<name>)` inside an actual `//` comment counts: `masked` (the
-/// same-length blanked copy) proves the text sits in a comment or
-/// string, doc-comment lines (`///`, `//!`) are prose, and an odd
-/// number of `"` before the marker means it lives inside a string
-/// literal (e.g. a test snippet), not a comment.
-pub fn allow_markers(raw: &str, masked: &str) -> Vec<AllowMarker> {
+/// Read allow markers out of the `//` comment spans [`lex`] recorded.
+/// Only the literal form `// teleios-lint: allow(<name>)` inside an
+/// ordinary line comment counts: doc comments (`///`, `//!`) are
+/// prose, and text inside a string literal is not a comment at all.
+pub fn allow_markers(raw: &str, comments: &[(usize, usize)], idx: &LineIndex) -> Vec<AllowMarker> {
     const PAT: &str = "// teleios-lint: allow(";
-    let mut markers = Vec::new();
-    for ((i, line), masked_line) in raw.lines().enumerate().zip(masked.lines()) {
-        let Some(p) = line.find(PAT) else {
-            continue;
-        };
-        let trimmed = line.trim_start();
-        if trimmed.starts_with("//!") || trimmed.starts_with("///") {
-            continue;
+    let marker = |&(start, end): &(usize, usize)| {
+        let text = &raw[start..end];
+        if text.starts_with("///") || text.starts_with("//!") {
+            return None;
         }
-        // Inside a comment or string, masking has blanked the text; if
-        // it survives in the masked copy it is live code (impossible
-        // for this pattern, but cheap to assert).
-        let probe = p + 3;
-        if masked_line.as_bytes().get(probe).copied() == Some(b't') {
-            continue;
-        }
-        if line[..p].bytes().filter(|b| *b == b'"').count() % 2 == 1 {
-            continue;
-        }
-        let after = &line[p + PAT.len()..];
-        let Some(q) = after.find(')') else { continue };
-        let name = &after[..q];
-        markers.push(AllowMarker {
-            line: i + 1,
-            col: p + 1,
-            rule: Rule::from_name(name),
-            name: name.to_string(),
-        });
-    }
-    markers
+        let p = text.find(PAT)?;
+        let after = &text[p + PAT.len()..];
+        let name = &after[..after.find(')')?];
+        let (line, col) = idx.line_col(start + p);
+        Some(AllowMarker { line, col, rule: Rule::from_name(name), name: name.to_string() })
+    };
+    comments.iter().filter_map(marker).collect()
 }
 
 /// `use` declarations of a file, resolved to flat paths: maps each
@@ -482,10 +572,10 @@ pub fn stmt_end(toks: &[Tok<'_>], i: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mask::mask_code;
 
     fn lexed(src: &str) -> Vec<String> {
-        lex(&mask_code(src))
+        lex(src)
+            .toks
             .into_iter()
             .map(|t| match t.kind {
                 TokKind::Ident(s) => s.to_string(),
@@ -496,7 +586,7 @@ mod tests {
 
     #[test]
     fn idents_and_puncts_with_offsets() {
-        let toks = lex("a.b()");
+        let toks = lex("a.b()").toks;
         assert_eq!(toks.len(), 5);
         assert_eq!(toks[0].off, 0);
         assert_eq!(toks[2].off, 2);
@@ -505,7 +595,7 @@ mod tests {
 
     #[test]
     fn depth_tracks_braces() {
-        let toks = lex("fn f() { let x = { 1 }; }");
+        let toks = lex("fn f() { let x = { 1 }; }").toks;
         // `fn` at depth 0, `x` at depth 1, `1` at depth 2.
         assert_eq!(toks[0].depth, 0);
         let x = toks.iter().find(|t| t.kind == TokKind::Ident("x")).unwrap();
@@ -527,16 +617,73 @@ mod tests {
         assert_eq!(closes, vec![1, 0]);
     }
 
+    /// Which of `words` survive lexing `src` as ident tokens.
+    fn surviving<'a>(src: &str, words: &[&'a str]) -> Vec<&'a str> {
+        let toks = lexed(src);
+        words.iter().copied().filter(|w| toks.iter().any(|t| t == w)).collect()
+    }
+
     #[test]
-    fn masked_strings_do_not_tokenize() {
+    fn comments_and_literals_do_not_tokenize() {
         assert!(!lexed("let s = \"panic!\";").contains(&"panic".to_string()));
+        // Line and (nested) block comments; code around them survives.
+        assert_eq!(
+            surviving(
+                "a // x.unwrap()\nb /* panic! /* nested */ still */ c",
+                &["a", "b", "c", "unwrap", "panic", "nested", "still"]
+            ),
+            vec!["a", "b", "c"]
+        );
+        // Strings and raw strings.
+        assert_eq!(
+            surviving(
+                r##"let s = "thread::spawn"; let r = r#"println!("x")"#; code();"##,
+                &["spawn", "println", "code"]
+            ),
+            vec!["code"]
+        );
+        // An escaped quote does not close the string.
+        assert_eq!(
+            surviving(r#"let s = "a\"b.unwrap()"; after();"#, &["unwrap", "after"]),
+            vec!["after"]
+        );
+        // Byte strings and byte chars, prefix included.
+        assert_eq!(
+            surviving(r#"let x = b"unwrap"; let y = b'u'; keep();"#, &["unwrap", "u", "b", "keep"]),
+            vec!["keep"]
+        );
+    }
+
+    #[test]
+    fn char_literals_skipped_lifetimes_kept() {
+        let src = r#"let q = '"'; fn f<'a>(x: &'a str) -> &'a str { x } let e = '\''; "no string opened".len();"#;
+        let toks = lexed(src);
+        assert_eq!(toks.iter().filter(|t| *t == "a").count(), 3, "lifetimes preserved: {toks:?}");
+        assert!(
+            !toks.contains(&"opened".to_string()),
+            "the quote char literal must not open a string: {toks:?}"
+        );
+        assert!(toks.contains(&"len".to_string()), "code after the string survives: {toks:?}");
+    }
+
+    #[test]
+    fn offsets_are_raw_source_offsets() {
+        let src = "let a = \"x\"; // c\nb.unwrap();";
+        let lexed = lex(src);
+        let unwrap = lexed.toks.iter().find(|t| t.kind == TokKind::Ident("unwrap")).unwrap();
+        assert_eq!(Some(unwrap.off), src.find("unwrap"));
+        assert_eq!(lexed.comments, vec![(src.find("//").unwrap(), src.find('\n').unwrap())]);
+    }
+
+    #[test]
+    fn raw_identifiers_yield_the_name() {
+        assert_eq!(lexed("let r#type = 1; r#type + 1"), ["let", "type", "=", "1", ";", "type", "+", "1"]);
     }
 
     #[test]
     fn use_alias_simple_and_renamed() {
         let src = "use std::thread as t;\nuse std::thread::spawn;\n";
-        let masked = mask_code(src);
-        let toks = lex(&masked);
+        let toks = lex(src).toks;
         let aliases = use_aliases(&toks);
         assert!(aliases.resolves_to("t", &["std", "thread"]));
         assert!(aliases.resolves_to("spawn", &["std", "thread", "spawn"]));
@@ -546,7 +693,7 @@ mod tests {
     #[test]
     fn use_alias_groups_and_self() {
         let src = "use std::sync::{Arc, Mutex as M, atomic::{AtomicBool, Ordering}};\nuse std::sync::mpsc::{self, Receiver};\n";
-        let aliases = use_aliases(&lex(&mask_code(src)));
+        let aliases = use_aliases(&lex(src).toks);
         assert!(aliases.resolves_to("Arc", &["std", "sync", "Arc"]));
         assert!(aliases.resolves_to("M", &["std", "sync", "Mutex"]));
         assert!(aliases.resolves_to("Ordering", &["std", "sync", "atomic", "Ordering"]));
@@ -557,7 +704,7 @@ mod tests {
     #[test]
     fn use_alias_renamed_single_segment_tail() {
         let src = "use alpha::beta as gamma;\n";
-        let aliases = use_aliases(&lex(&mask_code(src)));
+        let aliases = use_aliases(&lex(src).toks);
         assert!(aliases.resolves_to("gamma", &["alpha", "beta"]));
         assert_eq!(aliases.resolve("beta"), None, "the original name is not bound");
     }
@@ -565,7 +712,7 @@ mod tests {
     #[test]
     fn use_alias_nested_groups_with_rename() {
         let src = "use a::{b::{c, d as e}, f};\n";
-        let aliases = use_aliases(&lex(&mask_code(src)));
+        let aliases = use_aliases(&lex(src).toks);
         assert!(aliases.resolves_to("c", &["a", "b", "c"]));
         assert!(aliases.resolves_to("e", &["a", "b", "d"]));
         assert!(aliases.resolves_to("f", &["a", "f"]));
@@ -575,7 +722,7 @@ mod tests {
     #[test]
     fn glob_imports_recorded_not_bound() {
         let src = "use teleios_store::*;\nuse a::b::{c, d::*};\n";
-        let aliases = use_aliases(&lex(&mask_code(src)));
+        let aliases = use_aliases(&lex(src).toks);
         assert_eq!(
             aliases.globs(),
             &[
@@ -590,7 +737,7 @@ mod tests {
     #[test]
     fn pub_use_recorded_as_reexport() {
         let src = "pub use crate::inner::thing;\npub(crate) use a::helper as h;\nuse b::private_thing;\n";
-        let aliases = use_aliases(&lex(&mask_code(src)));
+        let aliases = use_aliases(&lex(src).toks);
         let re = aliases.reexports();
         assert_eq!(re.len(), 2, "plain use is not a re-export: {re:?}");
         assert_eq!(re[0].0, "thing");
@@ -606,7 +753,7 @@ mod tests {
     #[test]
     fn pub_use_group_self_as() {
         let src = "pub use a::b::{self as bb, c};\n";
-        let aliases = use_aliases(&lex(&mask_code(src)));
+        let aliases = use_aliases(&lex(src).toks);
         assert!(aliases.resolves_to("bb", &["a", "b"]));
         assert!(aliases.resolves_to("c", &["a", "b", "c"]));
         assert_eq!(aliases.resolve("b"), None, "`self as` binds only the alias");
@@ -623,8 +770,7 @@ mod tests {
     #[test]
     fn use_ranges_cover_the_declaration() {
         let src = "use std::thread as t;\nfn f() { t::spawn(|| {}); }";
-        let masked = mask_code(src);
-        let toks = lex(&masked);
+        let toks = lex(src).toks;
         let aliases = use_aliases(&toks);
         // The `thread` token inside the use statement is in-range; the
         // `t` usage in the body is not.
@@ -648,15 +794,14 @@ mod tests {
         // A variable named `use` can't exist, but `use` appearing in a
         // non-item position (masked doc text aside) must not parse.
         let src = "fn f(x: u8) -> u8 { x }";
-        let aliases = use_aliases(&lex(&mask_code(src)));
+        let aliases = use_aliases(&lex(src).toks);
         assert_eq!(aliases.resolve("x"), None);
     }
 
     #[test]
     fn stmt_and_block_helpers() {
         let src = "fn f() { let a = g(); h(); }";
-        let masked = mask_code(src);
-        let toks = lex(&masked);
+        let toks = lex(src).toks;
         let g = toks.iter().position(|t| t.kind == TokKind::Ident("g")).unwrap();
         let start = stmt_start(&toks, g);
         assert_eq!(ident_at(&toks, start), Some("let"));
@@ -667,10 +812,14 @@ mod tests {
         assert_eq!(close, toks.len() - 1);
     }
 
+    fn markers_of(src: &str) -> Vec<AllowMarker> {
+        allow_markers(src, &lex(src).comments, &LineIndex::new(src))
+    }
+
     #[test]
     fn allow_markers_parse_known_and_unknown() {
         let src = "fn f() {\n    panic!(\"x\"); // teleios-lint: allow(no-panic) — deliberate\n    // teleios-lint: allow(bogus-rule)\n}\n";
-        let markers = allow_markers(src, &mask_code(src));
+        let markers = markers_of(src);
         assert_eq!(markers.len(), 2);
         assert_eq!(markers[0].line, 2);
         assert_eq!(markers[0].rule, Some(Rule::NoPanic));
@@ -682,9 +831,20 @@ mod tests {
     #[test]
     fn allow_markers_skip_doc_comments_and_strings() {
         let doc = "//! usable as `// teleios-lint: allow(no-panic)` markers\nfn f() {}\n";
-        assert!(allow_markers(doc, &mask_code(doc)).is_empty());
+        assert!(markers_of(doc).is_empty());
         let in_string = "fn f() -> &'static str {\n    \"x // teleios-lint: allow(no-panic) y\"\n}\n";
-        assert!(allow_markers(in_string, &mask_code(in_string)).is_empty());
+        assert!(markers_of(in_string).is_empty());
+        // Only the comment counts, whatever quotes precede it on the
+        // line: a `'"'` char literal or an unbalanced quote inside a
+        // raw string must not hide the marker.
+        for src in [
+            "let q = '\"'; let v = x.unwrap(); // teleios-lint: allow(no-panic)\n",
+            "let r = r#\"one \" quote\"#; x.unwrap(); // teleios-lint: allow(no-panic)\n",
+        ] {
+            let m = markers_of(src);
+            assert_eq!(m.len(), 1, "{src}");
+            assert_eq!((m[0].line, m[0].col, m[0].rule), (1, src.find("//").unwrap() + 1, Some(Rule::NoPanic)));
+        }
     }
 
     #[test]

@@ -10,19 +10,22 @@
 //! `teleios-loom` model checker's SeqCst model stays faithful), locks
 //! are acquired in one global order, and pool-dispatched work stays
 //! cancellable. This crate turns those conventions into a mechanical
-//! gate: a pure-std scanner that masks comments/strings, lexes what
-//! remains into a token stream ([`lexer`]), resolves `use` aliases,
-//! and runs in two phases. **Summarize** ([`summary`]) is per-file
-//! and pure: local token rules plus an effect summary (locks
-//! acquired/released, blocking calls, txn begin/commit, `CancelToken`
-//! polls, dispatch sites, imports/re-exports) extracted from the
-//! token stream and CFG; the scan runs it once per file, serially
-//! (a cold pass over the whole workspace is ~1 % of the check.sh
-//! budget). **Link** ([`interproc`]) stitches the
-//! summaries into one workspace-wide call graph — Tarjan SCCs over
-//! the crate-dependency DAG, fixpoint inside cycles, `pub use`
-//! re-export chains chased to the defining crate — and runs the
-//! interprocedural rules over it, reporting violations as
+//! gate: a pure-std scanner in four stages. **Lex** ([`lexer`]): one
+//! pass over the raw source yields the token stream — comments and
+//! string/char literals skipped, `//` comment spans kept for the
+//! allow markers — and resolves `use` aliases. **Events** (`cfg`):
+//! each function body becomes a control-flow graph whose blocks hold
+//! its event stream — locks acquired, blocking calls, pool dispatches,
+//! `CancelToken` polls, txn begin/commit, call sites — recognized in
+//! one place. **Summarize** ([`summary`]) is per-file and pure: the
+//! local token rules plus those per-function CFGs and the file's
+//! imports/re-exports; the scan runs it once per file, serially (a
+//! cold pass over the whole workspace is a few percent of the
+//! check.sh budget). **Link** (`interproc`) resolves every call site
+//! once into a workspace-wide call graph — `pub use` re-export chains
+//! chased to the defining crate — closes the cross-crate facts over it
+//! with one worklist fixpoint (crate-dependency cycles included), and
+//! runs the interprocedural rules, reporting violations as
 //! `path:line:col` diagnostics.
 //!
 //! Rules (stable names usable in `// teleios-lint: allow(<name>)`):
@@ -57,10 +60,8 @@
 //! reported (`unused-allow`), so stale waivers can't accumulate.
 
 pub(crate) mod cfg;
-pub mod graph;
 pub(crate) mod interproc;
 pub mod lexer;
-pub mod mask;
 pub mod render;
 pub mod rules;
 pub mod summary;
@@ -74,7 +75,8 @@ pub const FIXTURE: &str = include_str!("../fixtures/violations.rs");
 
 /// The two-crate fixture workspace used by self-test phase two:
 /// `fix_alpha` and `fix_beta` depend on each other (so the linker's
-/// SCC fixpoint runs on every self-test), and every interprocedural
+/// fixpoint crosses a crate cycle on every self-test), and every
+/// interprocedural
 /// rule has a seeded violation that only exists across the crate
 /// boundary.
 pub const XCRATE_ALPHA: &str = include_str!("../fixtures/xcrate_alpha.rs");
@@ -139,6 +141,42 @@ pub const FIXTURE_EXPECTED: &[(usize, usize, Rule)] = &[
     (344, 5, Rule::LoopCancelPoll),
 ];
 
+fn fixture_file(label: &str, raw: &str, crate_name: &str, is_crate_root: bool) -> SourceFile {
+    SourceFile {
+        label: label.to_string(),
+        raw: raw.to_string(),
+        crate_name: crate_name.to_string(),
+        is_crate_root,
+        policy: FilePolicy::default(),
+    }
+}
+
+/// One self-test phase: `files` must produce exactly `expected`, in
+/// order. Appends the per-finding lines plus `ok_line` on a match, or
+/// one line per missing / unexpected finding.
+fn check_phase(
+    files: &[SourceFile],
+    expected: &[(&str, usize, usize, Rule)],
+    ok_line: impl Fn(usize) -> String,
+    ok: &mut Vec<String>,
+    err: &mut Vec<String>,
+) {
+    let findings = analyze(files);
+    let key = |f: &Finding| (f.path.clone(), f.line, f.col, f.rule);
+    let got: Vec<_> = findings.iter().map(key).collect();
+    let want: Vec<_> = expected.iter().map(|&(p, l, c, r)| (p.to_string(), l, c, r)).collect();
+    if got == want {
+        ok.extend(findings.iter().map(|f| format!("  fires as expected: {f}")));
+        ok.push(ok_line(findings.len()));
+        return;
+    }
+    for w in want.iter().filter(|w| !got.contains(w)) {
+        err.push(format!("  missing: {} {}:{} rule {}", w.0, w.1, w.2, w.3.name()));
+    }
+    let unexpected = findings.iter().filter(|f| !want.contains(&key(f)));
+    err.extend(unexpected.map(|f| format!("  unexpected: {f}")));
+}
+
 /// Run the full analysis over the embedded fixtures and check the
 /// findings against the pinned expectations exactly — file, line,
 /// column, and rule. Phase one scans the single-file fixture (as its
@@ -148,92 +186,35 @@ pub const FIXTURE_EXPECTED: &[(usize, usize, Rule)] = &[
 /// fires across a crate boundary. Returns human-readable report
 /// lines; `Err` lines describe every mismatch.
 pub fn run_self_test() -> Result<Vec<String>, Vec<String>> {
-    let findings = analyze(&[SourceFile {
-        label: "fixtures/violations.rs".to_string(),
-        raw: FIXTURE.to_string(),
-        crate_name: "fixture".to_string(),
-        is_crate_root: true,
-        policy: FilePolicy::default(),
-    }]);
-    let got: Vec<(usize, usize, Rule)> =
-        findings.iter().map(|f| (f.line, f.col, f.rule)).collect();
-    let expected: Vec<(usize, usize, Rule)> = FIXTURE_EXPECTED.to_vec();
-    let mut ok_lines: Vec<String> = Vec::new();
-    let mut err_lines: Vec<String> = Vec::new();
-    if got == expected {
-        ok_lines.extend(findings.iter().map(|f| format!("  fires as expected: {f}")));
-        ok_lines.push(format!(
-            "self-test OK: {} seeded violations caught at exact line:col, 0 false positives from decoys",
-            findings.len()
-        ));
-    } else {
-        err_lines.push("self-test FAILED".to_string());
-        for (line, col, rule) in &expected {
-            if !got.contains(&(*line, *col, *rule)) {
-                err_lines.push(format!(
-                    "  missing: fixture {line}:{col} rule {}",
-                    rule.name()
-                ));
-            }
-        }
-        for f in &findings {
-            if !expected.contains(&(f.line, f.col, f.rule)) {
-                err_lines.push(format!("  unexpected: {f}"));
-            }
-        }
-    }
-
-    // Phase two: the cross-crate fixture workspace.
-    let xfindings = analyze(&[
-        SourceFile {
-            label: "fixtures/xcrate_alpha.rs".to_string(),
-            raw: XCRATE_ALPHA.to_string(),
-            crate_name: "fix_alpha".to_string(),
-            is_crate_root: false,
-            policy: FilePolicy::default(),
+    let (mut ok, mut err) = (Vec::new(), Vec::new());
+    const SINGLE: &str = "fixtures/violations.rs";
+    let expected: Vec<_> = FIXTURE_EXPECTED.iter().map(|&(l, c, r)| (SINGLE, l, c, r)).collect();
+    check_phase(
+        &[fixture_file(SINGLE, FIXTURE, "fixture", true)],
+        &expected,
+        |n| {
+            format!("self-test OK: {n} seeded violations caught at exact line:col, 0 false positives from decoys")
         },
-        SourceFile {
-            label: "fixtures/xcrate_beta.rs".to_string(),
-            raw: XCRATE_BETA.to_string(),
-            crate_name: "fix_beta".to_string(),
-            is_crate_root: false,
-            policy: FilePolicy::default(),
+        &mut ok,
+        &mut err,
+    );
+    check_phase(
+        &[
+            fixture_file("fixtures/xcrate_alpha.rs", XCRATE_ALPHA, "fix_alpha", false),
+            fixture_file("fixtures/xcrate_beta.rs", XCRATE_BETA, "fix_beta", false),
+        ],
+        XCRATE_EXPECTED,
+        |n| {
+            format!("self-test phase 2 OK: {n} cross-crate violations caught at exact file:line:col, 0 false positives from decoys")
         },
-    ]);
-    let xgot: Vec<(&str, usize, usize, Rule)> = xfindings
-        .iter()
-        .map(|f| (f.path.as_str(), f.line, f.col, f.rule))
-        .collect();
-    let xexpected: Vec<(&str, usize, usize, Rule)> = XCRATE_EXPECTED.to_vec();
-    if xgot == xexpected {
-        ok_lines.extend(xfindings.iter().map(|f| format!("  fires as expected: {f}")));
-        ok_lines.push(format!(
-            "self-test phase 2 OK: {} cross-crate violations caught at exact file:line:col, 0 false positives from decoys",
-            xfindings.len()
-        ));
+        &mut ok,
+        &mut err,
+    );
+    if err.is_empty() {
+        Ok(ok)
     } else {
-        if err_lines.is_empty() {
-            err_lines.push("self-test FAILED".to_string());
-        }
-        for (path, line, col, rule) in &xexpected {
-            if !xgot.contains(&(*path, *line, *col, *rule)) {
-                err_lines.push(format!(
-                    "  missing: {path} {line}:{col} rule {}",
-                    rule.name()
-                ));
-            }
-        }
-        for f in &xfindings {
-            if !xexpected.contains(&(f.path.as_str(), f.line, f.col, f.rule)) {
-                err_lines.push(format!("  unexpected: {f}"));
-            }
-        }
-    }
-
-    if err_lines.is_empty() {
-        Ok(ok_lines)
-    } else {
-        Err(err_lines)
+        err.insert(0, "self-test FAILED".to_string());
+        Err(err)
     }
 }
 

@@ -95,44 +95,31 @@ pub enum Rule {
     UnusedAllow,
 }
 
+/// Every rule with its stable name.
+const RULE_NAMES: [(Rule, &str); 14] = [
+    (Rule::NoThreadSpawn, "no-thread-spawn"),
+    (Rule::NoPanic, "no-panic"),
+    (Rule::NoPrintln, "no-println"),
+    (Rule::ErrorImpls, "error-impls"),
+    (Rule::NoRelaxed, "no-relaxed"),
+    (Rule::CrateAttrs, "crate-attrs"),
+    (Rule::LockOrder, "lock-order"),
+    (Rule::CancelSafety, "cancel-safety"),
+    (Rule::SwallowedResult, "swallowed-result"),
+    (Rule::NoDirectFs, "no-direct-fs"),
+    (Rule::TxnLeak, "txn-leak"),
+    (Rule::GuardAcrossBlocking, "guard-across-blocking"),
+    (Rule::LoopCancelPoll, "loop-cancel-poll"),
+    (Rule::UnusedAllow, "unused-allow"),
+];
+
 impl Rule {
     pub fn name(self) -> &'static str {
-        match self {
-            Rule::NoThreadSpawn => "no-thread-spawn",
-            Rule::NoPanic => "no-panic",
-            Rule::NoPrintln => "no-println",
-            Rule::ErrorImpls => "error-impls",
-            Rule::NoRelaxed => "no-relaxed",
-            Rule::CrateAttrs => "crate-attrs",
-            Rule::LockOrder => "lock-order",
-            Rule::CancelSafety => "cancel-safety",
-            Rule::SwallowedResult => "swallowed-result",
-            Rule::NoDirectFs => "no-direct-fs",
-            Rule::TxnLeak => "txn-leak",
-            Rule::GuardAcrossBlocking => "guard-across-blocking",
-            Rule::LoopCancelPoll => "loop-cancel-poll",
-            Rule::UnusedAllow => "unused-allow",
-        }
+        RULE_NAMES.iter().find(|(r, _)| *r == self).map_or("", |(_, n)| n)
     }
 
     pub fn from_name(name: &str) -> Option<Rule> {
-        match name {
-            "no-thread-spawn" => Some(Rule::NoThreadSpawn),
-            "no-panic" => Some(Rule::NoPanic),
-            "no-println" => Some(Rule::NoPrintln),
-            "error-impls" => Some(Rule::ErrorImpls),
-            "no-relaxed" => Some(Rule::NoRelaxed),
-            "crate-attrs" => Some(Rule::CrateAttrs),
-            "lock-order" => Some(Rule::LockOrder),
-            "cancel-safety" => Some(Rule::CancelSafety),
-            "swallowed-result" => Some(Rule::SwallowedResult),
-            "no-direct-fs" => Some(Rule::NoDirectFs),
-            "txn-leak" => Some(Rule::TxnLeak),
-            "guard-across-blocking" => Some(Rule::GuardAcrossBlocking),
-            "loop-cancel-poll" => Some(Rule::LoopCancelPoll),
-            "unused-allow" => Some(Rule::UnusedAllow),
-            _ => None,
-        }
+        RULE_NAMES.iter().find(|(_, n)| *n == name).map(|(r, _)| *r)
     }
 
     /// Warnings don't fail the gate unless `--strict` is set.
@@ -204,7 +191,7 @@ pub struct SourceFile {
 }
 
 /// Everything the summarize phase needs about one file, borrowed
-/// from the masked/lexed arenas in [`crate::summary::summarize`].
+/// from the lexed token arena in [`crate::summary::summarize`].
 pub(crate) struct FileCtx<'a> {
     pub raw: &'a str,
     pub toks: &'a [Tok<'a>],
@@ -226,6 +213,12 @@ pub(crate) struct LocalSink<'a> {
     pub(crate) used: BTreeSet<usize>,
 }
 
+/// The marker (by index) that waives a `rule` finding on `line`: one
+/// on the same line or the line above.
+fn waiver(markers: &[AllowMarker], rule: Rule, line: usize) -> Option<usize> {
+    markers.iter().position(|m| m.rule == Some(rule) && (m.line == line || m.line + 1 == line))
+}
+
 impl<'a> LocalSink<'a> {
     pub(crate) fn new(
         label: &'a str,
@@ -237,11 +230,7 @@ impl<'a> LocalSink<'a> {
 
     pub(crate) fn emit(&mut self, off: usize, rule: Rule, msg: String) {
         let (line, col) = self.idx.line_col(off);
-        if let Some(mi) = self
-            .markers
-            .iter()
-            .position(|m| m.rule == Some(rule) && (m.line == line || m.line + 1 == line))
-        {
+        if let Some(mi) = waiver(self.markers, rule, line) {
             self.used.insert(mi);
             return;
         }
@@ -279,11 +268,7 @@ impl Diagnostics {
         msg: String,
     ) {
         let (line, col) = sum.idx.line_col(off);
-        if let Some(mi) = sum
-            .markers
-            .iter()
-            .position(|m| m.rule == Some(rule) && (m.line == line || m.line + 1 == line))
-        {
+        if let Some(mi) = waiver(&sum.markers, rule, line) {
             self.used[fi].insert(mi);
             return;
         }
@@ -359,6 +344,128 @@ pub fn scan_file(path: &str, raw: &str, policy: FilePolicy) -> Vec<Finding> {
     }])
 }
 
+/// One row of the forbidden-path table behind L1/L5/L9: any of `items`
+/// under `module`. The written path must spell at least the last
+/// `tail` segments (`fs::write`, bare `OpenOptions`) after its head is
+/// canonicalised through the file's `use` aliases; diagnostics name
+/// the last `show` segments and anchor on the first of the `tail`.
+struct Forbidden {
+    rule: Rule,
+    module: &'static [&'static str],
+    items: &'static [&'static str],
+    tail: usize,
+    show: usize,
+    why: &'static str,
+}
+
+const WRITABLE_HANDLE: &str =
+    " outside crates/store: writable file handles go through teleios-store's Medium";
+
+const FORBIDDEN: [Forbidden; 5] = [
+    // L1 — OS threads.
+    Forbidden {
+        rule: Rule::NoThreadSpawn,
+        module: &["std", "thread"],
+        items: &["spawn", "Builder"],
+        tail: 2,
+        show: 3,
+        why: ": OS threads belong to teleios-exec (WorkerPool / spawn_named)",
+    },
+    // L9 — direct filesystem mutation outside the storage doorway.
+    // Reads stay free; writes, renames, removals, and writable-open
+    // handles must go through teleios-store's Medium so the WAL's
+    // crash-consistency contract holds.
+    Forbidden {
+        rule: Rule::NoDirectFs,
+        module: &["std", "fs"],
+        items: &[
+            "write", "rename", "remove_file", "remove_dir", "remove_dir_all", "create_dir",
+            "create_dir_all", "copy", "hard_link", "set_permissions",
+        ],
+        tail: 2,
+        show: 3,
+        why: " outside crates/store: filesystem mutation goes through teleios-store's Medium",
+    },
+    Forbidden {
+        rule: Rule::NoDirectFs,
+        module: &["std", "fs", "File"],
+        items: &["create", "create_new", "options"],
+        tail: 2,
+        show: 2,
+        why: WRITABLE_HANDLE,
+    },
+    Forbidden {
+        rule: Rule::NoDirectFs,
+        module: &["std", "fs"],
+        items: &["OpenOptions"],
+        tail: 1,
+        show: 1,
+        why: WRITABLE_HANDLE,
+    },
+    // L5 — relaxed atomics.
+    Forbidden {
+        rule: Rule::NoRelaxed,
+        module: &["std", "sync", "atomic", "Ordering"],
+        items: &["Relaxed"],
+        tail: 2,
+        show: 2,
+        why: " outside crates/exec: the loom model assumes SeqCst",
+    },
+];
+
+/// L1/L5/L9 at the path whose first segment is token `i`: canonicalise
+/// the head through the `use` aliases and look every prefix of the
+/// result up in [`FORBIDDEN`].
+fn forbidden_paths(ctx: &FileCtx<'_>, i: usize, sink: &mut LocalSink<'_>) {
+    let toks = ctx.toks;
+    let Some(head) = ident_at(toks, i) else { return };
+    let path_prev = i >= 2 && is_punct(toks, i - 1, b':') && is_punct(toks, i - 2, b':');
+    if path_prev && i >= 3 && ident_at(toks, i - 3).is_some() {
+        return; // a later segment: its head already covered it
+    }
+    // The canonical path, and for each segment the token that wrote it
+    // (an alias stands for every segment it expands to).
+    let alias = ctx.aliases.resolve(head).filter(|_| !path_prev);
+    let mut path: Vec<(&str, usize)> = match alias {
+        Some(full) => full.iter().map(|s| (s.as_str(), i)).collect(),
+        None => vec![(head, i)],
+    };
+    let mut j = i;
+    while is_punct(toks, j + 1, b':') && is_punct(toks, j + 2, b':') {
+        let Some(seg) = ident_at(toks, j + 3) else { break };
+        j += 3;
+        path.push((seg, j));
+    }
+    for row in &FORBIDDEN {
+        let exempt = match row.rule {
+            Rule::NoDirectFs => ctx.policy.fs_doorway,
+            _ => ctx.policy.substrate,
+        };
+        let required = &row.module[row.module.len() + 1 - row.tail..];
+        for k in row.tail..=path.len() {
+            let (item, _) = path[k - 1];
+            let under = path[k - row.tail..k - 1].iter().map(|(s, _)| s);
+            if exempt || !row.items.contains(&item) || !under.eq(required) {
+                continue;
+            }
+            let (canon, at) = path[k - row.tail];
+            let off = toks[at].off;
+            // L5 applies inside tests too: the loom model is
+            // SeqCst-only everywhere.
+            if row.rule != Rule::NoRelaxed && in_test(&ctx.regions, off) {
+                continue;
+            }
+            let shown: Vec<&str> = row.module.iter().copied().chain([item]).collect();
+            let shown = shown[shown.len() - row.show..].join("::");
+            let via = match ident_at(toks, at) {
+                Some(written) if written != canon => format!(" via alias `{written}`"),
+                _ => String::new(),
+            };
+            sink.emit(off, row.rule, format!("{shown}{via}{}", row.why));
+        }
+    }
+}
+
 /// L1/L2/L3/L5/L9: the per-token rules.
 pub(crate) fn token_rules(ctx: &FileCtx<'_>, sink: &mut LocalSink<'_>) {
     let toks = ctx.toks;
@@ -369,162 +476,35 @@ pub(crate) fn token_rules(ctx: &FileCtx<'_>, sink: &mut LocalSink<'_>) {
         if ctx.aliases.in_use_stmt(i) {
             continue;
         }
-        let tested = in_test(&ctx.regions, off);
-        let seg = ident_at(toks, i);
-        let path_next = is_punct(toks, i + 1, b':') && is_punct(toks, i + 2, b':');
-        let path_prev = i >= 2 && is_punct(toks, i - 1, b':') && is_punct(toks, i - 2, b':');
-
-        // L1 — thread::spawn / thread::Builder, aliases included.
-        if !ctx.policy.substrate && !tested {
-            if let Some(seg) = seg {
-                if path_next {
-                    if let Some(what @ ("spawn" | "Builder")) = ident_at(toks, i + 3) {
-                        if seg == "thread" {
-                            sink.emit(off, Rule::NoThreadSpawn, format!(
-                                "std::thread::{what}: OS threads belong to teleios-exec (WorkerPool / spawn_named)"
-                            ));
-                        } else if ctx.aliases.resolves_to(seg, &["std", "thread"]) {
-                            sink.emit(off, Rule::NoThreadSpawn, format!(
-                                "std::thread::{what} via alias `{seg}`: OS threads belong to teleios-exec (WorkerPool / spawn_named)"
-                            ));
-                        }
-                    }
-                }
-                if !path_prev
-                    && ctx.aliases.resolves_to(seg, &["std", "thread", "spawn"])
-                    && is_punct(toks, i + 1, b'(')
-                {
-                    sink.emit(off, Rule::NoThreadSpawn, format!(
-                        "std::thread::spawn via alias `{seg}`: OS threads belong to teleios-exec (WorkerPool / spawn_named)"
-                    ));
-                }
-                if !path_prev && ctx.aliases.resolves_to(seg, &["std", "thread", "Builder"]) {
-                    sink.emit(off, Rule::NoThreadSpawn, format!(
-                        "std::thread::Builder via `use` as `{seg}`: OS threads belong to teleios-exec (WorkerPool / spawn_named)"
-                    ));
-                }
-            }
+        forbidden_paths(ctx, i, sink);
+        if ctx.policy.bin_target || in_test(&ctx.regions, off) {
+            continue;
         }
-
         // L2 — unwrap/expect/panic!/todo!/unimplemented!
-        if !ctx.policy.bin_target && !tested {
-            if let Some(name @ ("unwrap" | "expect")) = seg {
-                // `self.expect(..)` is a parser combinator method in
-                // the WKT/SQL/SPARQL parsers, not Option/Result::expect
-                // (`self` is never an Option in this workspace).
-                let own_method = name == "expect" && i >= 2 && is_ident(toks, i - 2, "self");
-                if !own_method && i > 0 && is_punct(toks, i - 1, b'.') && is_punct(toks, i + 1, b'(') {
-                    sink.emit(off, Rule::NoPanic, format!(
-                        ".{name}() in library code: return a typed error instead"
-                    ));
-                }
-            }
-            if let Some(name @ ("panic" | "todo" | "unimplemented")) = seg {
-                if is_punct(toks, i + 1, b'!') {
-                    sink.emit(off, Rule::NoPanic, format!(
-                        "{name}! in library code: return a typed error instead"
-                    ));
-                }
+        if let Some(name @ ("unwrap" | "expect")) = ident_at(toks, i) {
+            // `self.expect(..)` is a parser combinator method in
+            // the WKT/SQL/SPARQL parsers, not Option/Result::expect
+            // (`self` is never an Option in this workspace).
+            let own_method = name == "expect" && i >= 2 && is_ident(toks, i - 2, "self");
+            if !own_method && i > 0 && is_punct(toks, i - 1, b'.') && is_punct(toks, i + 1, b'(') {
+                sink.emit(off, Rule::NoPanic, format!(
+                    ".{name}() in library code: return a typed error instead"
+                ));
             }
         }
-
+        if let Some(name @ ("panic" | "todo" | "unimplemented")) = ident_at(toks, i) {
+            if is_punct(toks, i + 1, b'!') {
+                sink.emit(off, Rule::NoPanic, format!(
+                    "{name}! in library code: return a typed error instead"
+                ));
+            }
+        }
         // L3 — println!/eprintln!
-        if !ctx.policy.bin_target && !tested {
-            if let Some(name @ ("println" | "eprintln")) = seg {
-                if is_punct(toks, i + 1, b'!') {
-                    sink.emit(off, Rule::NoPrintln, format!(
-                        "{name}! in library code: route output through the caller or a report type"
-                    ));
-                }
-            }
-        }
-
-        // L9 — direct filesystem mutation outside the storage
-        // doorway. Reads stay free; writes, renames, removals, and
-        // writable-open handles must go through teleios-store's
-        // Medium so the WAL's crash-consistency contract holds.
-        if !ctx.policy.fs_doorway && !tested {
-            const FS_MUTATORS: [&str; 10] = [
-                "write",
-                "rename",
-                "remove_file",
-                "remove_dir",
-                "remove_dir_all",
-                "create_dir",
-                "create_dir_all",
-                "copy",
-                "hard_link",
-                "set_permissions",
-            ];
-            if let Some(seg) = seg {
-                if path_next {
-                    if let Some(what) = ident_at(toks, i + 3) {
-                        if FS_MUTATORS.contains(&what)
-                            && (seg == "fs" || ctx.aliases.resolves_to(seg, &["std", "fs"]))
-                        {
-                            sink.emit(off, Rule::NoDirectFs, format!(
-                                "std::fs::{what} outside crates/store: filesystem mutation goes through teleios-store's Medium"
-                            ));
-                        }
-                        if matches!(what, "create" | "create_new" | "options")
-                            && (seg == "File"
-                                || ctx.aliases.resolves_to(seg, &["std", "fs", "File"]))
-                        {
-                            sink.emit(off, Rule::NoDirectFs, format!(
-                                "File::{what} outside crates/store: writable file handles go through teleios-store's Medium"
-                            ));
-                        }
-                    }
-                }
-                if seg == "OpenOptions"
-                    || (!path_prev
-                        && ctx.aliases.resolves_to(seg, &["std", "fs", "OpenOptions"]))
-                {
-                    sink.emit(off, Rule::NoDirectFs,
-                        "OpenOptions outside crates/store: writable file handles go through teleios-store's Medium".to_string());
-                }
-                if !path_prev
-                    && is_punct(toks, i + 1, b'(')
-                    && ctx.aliases.resolve(seg).is_some_and(|p| {
-                        p.len() == 3
-                            && p[0] == "std"
-                            && p[1] == "fs"
-                            && FS_MUTATORS.contains(&p[2].as_str())
-                    })
-                {
-                    sink.emit(off, Rule::NoDirectFs, format!(
-                        "std::fs mutation via alias `{seg}`: filesystem mutation goes through teleios-store's Medium"
-                    ));
-                }
-            }
-        }
-
-        // L5 — Ordering::Relaxed, aliases included. Applies inside
-        // tests too: the loom model is SeqCst-only everywhere.
-        if !ctx.policy.substrate {
-            if let Some(seg) = seg {
-                if seg == "Ordering" && path_next && is_ident(toks, i + 3, "Relaxed") {
-                    sink.emit(off, Rule::NoRelaxed,
-                        "Ordering::Relaxed outside crates/exec: the loom model assumes SeqCst".to_string());
-                } else if seg != "Ordering"
-                    && path_next
-                    && is_ident(toks, i + 3, "Relaxed")
-                    && ctx.aliases.resolve(seg).is_some_and(|p| p.last().map(String::as_str) == Some("Ordering"))
-                {
-                    sink.emit(off, Rule::NoRelaxed, format!(
-                        "Ordering::Relaxed via alias `{seg}`: the loom model assumes SeqCst"
-                    ));
-                } else if !path_prev
-                    && !path_next
-                    && ctx.aliases.resolve(seg).is_some_and(|p| {
-                        p.last().map(String::as_str) == Some("Relaxed")
-                            && p.iter().any(|s| s == "Ordering")
-                    })
-                {
-                    sink.emit(off, Rule::NoRelaxed, format!(
-                        "Ordering::Relaxed via `use` of `{seg}`: the loom model assumes SeqCst"
-                    ));
-                }
+        if let Some(name @ ("println" | "eprintln")) = ident_at(toks, i) {
+            if is_punct(toks, i + 1, b'!') {
+                sink.emit(off, Rule::NoPrintln, format!(
+                    "{name}! in library code: route output through the caller or a report type"
+                ));
             }
         }
     }
@@ -668,7 +648,7 @@ pub(crate) fn collect_type_aliases(ctx: &FileCtx<'_>) -> Vec<(String, Vec<String
 /// (crate-alias) `Result`, and the crate of a qualified
 /// `teleios_<crate>::Result`. Resolution against the workspace enum
 /// set happens at link time.
-pub(crate) fn fn_return_raw(ctx: &FileCtx<'_>, f: &crate::graph::FnDef) -> Option<FnReturn> {
+pub(crate) fn fn_return_raw(ctx: &FileCtx<'_>, f: &crate::summary::FnDef) -> Option<FnReturn> {
     let toks = ctx.toks;
     let stop = f.sig_end;
     // Locate the return arrow at paren/angle depth zero (skipping
@@ -943,47 +923,82 @@ mod tests {
         scan(src).into_iter().map(|f| (f.line, f.rule)).collect()
     }
 
+    /// Every row of the forbidden-path table, every item, in every
+    /// spelling: the full path, the item `use`d by name, the item and
+    /// its module under renamed aliases, the bare module-qualified
+    /// form — then inside `#[cfg(test)]` and under the exempting
+    /// policy.
     #[test]
-    fn l1_fires_on_thread_spawn_and_builder() {
-        assert_eq!(
-            rules_hit("fn f() {\n    std::thread::spawn(|| {});\n}"),
-            vec![(2, Rule::NoThreadSpawn)]
-        );
-        assert_eq!(
-            rules_hit("fn f() {\n    thread::Builder::new();\n}"),
-            vec![(2, Rule::NoThreadSpawn)]
-        );
+    fn forbidden_path_table_fires_in_every_spelling() {
+        for row in &FORBIDDEN {
+            let module = row.module.join("::");
+            let parent = row.module[row.module.len() - 1];
+            for item in row.items {
+                let body = |path: &str| format!("fn f() {{\n    let _x = {path};\n}}\n");
+                let spellings = [
+                    ("full path", body(&format!("{module}::{item}")), false),
+                    ("use", format!("use {module}::{item};\n{}", body(item)), false),
+                    ("renamed item", format!("use {module}::{item} as zz;\n{}", body("zz")), true),
+                    (
+                        "renamed module",
+                        format!("use {module} as zz;\n{}", body(&format!("zz::{item}"))),
+                        true,
+                    ),
+                ];
+                for (what, src, aliased) in &spellings {
+                    let f = scan(src);
+                    let line = src.lines().count() - 1;
+                    let hits: Vec<_> = f.iter().map(|f| (f.line, f.rule)).collect();
+                    assert_eq!(hits, vec![(line, row.rule)], "{what} of {module}::{item}: {f:?}");
+                    // The alias is named when the anchor segment was
+                    // written through it (`zz::OpenOptions` anchors on
+                    // the item itself).
+                    let via = *aliased && (row.tail > 1 || *what == "renamed item");
+                    assert_eq!(f[0].msg.contains("via alias `zz`"), via, "{what}: {}", f[0].msg);
+                    assert!(f[0].msg.ends_with(row.why), "{what}: {}", f[0].msg);
+                }
+                // `fs::write`, `File::create`, `Ordering::Relaxed`: the
+                // tail alone is enough, imported or not.
+                if row.tail == 2 {
+                    let f = scan(&body(&format!("{parent}::{item}")));
+                    assert_eq!(f.len(), 1, "tail form of {module}::{item}: {f:?}");
+                }
+                let full = &spellings[0].1;
+                // Test code is exempt — except from L5: the loom model
+                // is SeqCst-only everywhere.
+                let in_test = format!("#[cfg(test)]\nmod tests {{\n{full}}}\n");
+                assert_eq!(scan(&in_test).len(), usize::from(row.rule == Rule::NoRelaxed), "{in_test}");
+                // The substrate may own threads and relaxed atomics;
+                // the storage doorway may mutate the filesystem — and
+                // neither exemption covers the other's rules.
+                let substrate = FilePolicy { substrate: true, ..FilePolicy::default() };
+                let doorway = FilePolicy { fs_doorway: true, ..FilePolicy::default() };
+                let is_fs = row.rule == Rule::NoDirectFs;
+                assert_eq!(scan_file("x.rs", full, substrate).len(), usize::from(is_fs), "{full}");
+                assert_eq!(scan_file("x.rs", full, doorway).len(), usize::from(!is_fs), "{full}");
+            }
+        }
     }
 
     #[test]
-    fn l1_sees_through_aliased_imports() {
-        assert_eq!(
-            rules_hit("use std::thread as t;\nfn f() {\n    t::spawn(|| {});\n}"),
-            vec![(3, Rule::NoThreadSpawn)]
-        );
-        assert_eq!(
-            rules_hit("use std::thread::spawn;\nfn f() {\n    spawn(|| {});\n}"),
-            vec![(3, Rule::NoThreadSpawn)]
-        );
-        assert_eq!(
-            rules_hit("use std::thread::spawn as go;\nfn f() {\n    go(|| {});\n}"),
-            vec![(3, Rule::NoThreadSpawn)]
-        );
-        assert_eq!(
-            rules_hit("use std::thread::Builder as B;\nfn f() {\n    B::new();\n}"),
-            vec![(3, Rule::NoThreadSpawn)]
-        );
+    fn forbidden_paths_leave_lookalikes_alone() {
         // An unrelated alias named like the std items must not fire.
         assert!(scan("use crate::jobs::spawn;\nfn f() {\n    spawn(|| {});\n}").is_empty());
-    }
-
-    #[test]
-    fn l1_exempt_for_substrate_and_tests() {
-        let src = "fn f() {\n    std::thread::spawn(|| {});\n}";
-        let f = scan_file("x.rs", src, FilePolicy { substrate: true, ..FilePolicy::default() });
-        assert!(f.is_empty());
-        let test_src = "#[cfg(test)]\nmod tests {\n    fn g() { std::thread::spawn(|| {}); }\n}";
-        assert!(scan(test_src).is_empty());
+        // A `Relaxed` not imported from an Ordering is not ours.
+        assert!(scan("use crate::policy::Relaxed;\nfn f() {\n    let _p = Relaxed;\n}").is_empty());
+        // An unrelated `write` (fmt, io) must not fire.
+        assert!(scan("use std::fmt::Write;\nfn f(s: &mut String) {\n    s.write_str(\"x\").ok();\n}").is_empty());
+        // Reads are free everywhere.
+        assert!(scan("fn f(p: &str) -> std::io::Result<Vec<u8>> {\n    std::fs::read(p)\n}").is_empty());
+        assert!(scan("fn f(p: &str) -> std::io::Result<String> {\n    std::fs::read_to_string(p)\n}").is_empty());
+        // Import lines declare, they don't use.
+        assert!(scan("use std::fs::{write, OpenOptions};\nuse std::thread::spawn;\n").is_empty());
+        // An allow marker justifies a deliberate site.
+        let marked = "fn f(p: &str) -> std::io::Result<()> {\n    // teleios-lint: allow(no-direct-fs) — legacy export\n    std::fs::write(p, b\"{}\")\n}";
+        assert!(scan(marked).is_empty());
+        // One finding per offending path, anchored on the module segment.
+        let f = scan("fn f(p: &str) -> std::io::Result<std::fs::File> {\n    std::fs::OpenOptions::new().append(true).open(p)\n}");
+        assert_eq!(f.iter().map(|f| (f.line, f.col, f.rule)).collect::<Vec<_>>(), vec![(2, 14, Rule::NoDirectFs)]);
     }
 
     #[test]
@@ -1037,28 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn l5_fires_everywhere_except_substrate() {
-        let src = "fn f(b: &AtomicBool) {\n    b.load(Ordering::Relaxed);\n}";
-        assert_eq!(rules_hit(src), vec![(2, Rule::NoRelaxed)]);
-        let f = scan_file("x.rs", src, FilePolicy { substrate: true, ..FilePolicy::default() });
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn l5_sees_through_aliased_imports() {
-        assert_eq!(
-            rules_hit("use std::sync::atomic::Ordering as O;\nfn f(b: &AtomicBool) {\n    b.load(O::Relaxed);\n}"),
-            vec![(3, Rule::NoRelaxed)]
-        );
-        assert_eq!(
-            rules_hit("use std::sync::atomic::Ordering::Relaxed;\nfn f(b: &AtomicBool) {\n    b.load(Relaxed);\n}"),
-            vec![(3, Rule::NoRelaxed)]
-        );
-        // A `Relaxed` not imported from an Ordering is not ours.
-        assert!(scan("use crate::policy::Relaxed;\nfn f() {\n    let _p = Relaxed;\n}").is_empty());
-    }
-
-    #[test]
     fn l8_swallowed_workspace_result() {
         let src = "enum DbError { X }\nfn load() -> Result<u8, DbError> { Err(DbError::X) }\nfn f() {\n    let _ = load();\n}";
         assert_eq!(rules_hit(src), vec![(4, Rule::SwallowedResult)]);
@@ -1109,61 +1102,6 @@ mod tests {
         assert!(scan(bound).is_empty());
         let test = "#[cfg(test)]\nmod tests {\n    fn t(file: &std::fs::File) { let _ = file.sync_all(); }\n}";
         assert!(scan(test).is_empty());
-    }
-
-    #[test]
-    fn l9_fires_on_fs_mutation() {
-        assert_eq!(
-            rules_hit("fn f(p: &std::path::Path) -> std::io::Result<()> {\n    std::fs::write(p, b\"x\")\n}"),
-            vec![(2, Rule::NoDirectFs)]
-        );
-        assert_eq!(
-            rules_hit("fn f(a: &str, b: &str) -> std::io::Result<()> {\n    std::fs::rename(a, b)\n}"),
-            vec![(2, Rule::NoDirectFs)]
-        );
-        assert_eq!(
-            rules_hit("fn f(p: &str) -> std::io::Result<std::fs::File> {\n    std::fs::File::create(p)\n}"),
-            vec![(2, Rule::NoDirectFs)]
-        );
-        assert_eq!(
-            rules_hit("fn f(p: &str) -> std::io::Result<std::fs::File> {\n    std::fs::OpenOptions::new().append(true).open(p)\n}"),
-            vec![(2, Rule::NoDirectFs)]
-        );
-    }
-
-    #[test]
-    fn l9_sees_through_aliased_imports() {
-        assert_eq!(
-            rules_hit("use std::fs as disk;\nfn f(p: &str) -> std::io::Result<()> {\n    disk::write(p, b\"x\")\n}"),
-            vec![(3, Rule::NoDirectFs)]
-        );
-        assert_eq!(
-            rules_hit("use std::fs::write;\nfn f(p: &str) -> std::io::Result<()> {\n    write(p, b\"x\")\n}"),
-            vec![(3, Rule::NoDirectFs)]
-        );
-        assert_eq!(
-            rules_hit("use std::fs::File as F;\nfn f(p: &str) -> std::io::Result<F> {\n    F::create(p)\n}"),
-            vec![(3, Rule::NoDirectFs)]
-        );
-        // An unrelated `write` (fmt, io) must not fire.
-        assert!(scan("use std::fmt::Write;\nfn f(s: &mut String) {\n    s.write_str(\"x\").ok();\n}").is_empty());
-    }
-
-    #[test]
-    fn l9_exemptions_reads_doorway_and_tests() {
-        // Reads are free everywhere.
-        assert!(scan("fn f(p: &str) -> std::io::Result<Vec<u8>> {\n    std::fs::read(p)\n}").is_empty());
-        assert!(scan("fn f(p: &str) -> std::io::Result<String> {\n    std::fs::read_to_string(p)\n}").is_empty());
-        // The storage doorway may mutate.
-        let src = "fn f(p: &str) -> std::io::Result<()> {\n    std::fs::write(p, b\"x\")\n}";
-        let f = scan_file("x.rs", src, FilePolicy { fs_doorway: true, ..FilePolicy::default() });
-        assert!(f.is_empty());
-        // Test code may mutate (scratch dirs).
-        let test = "#[cfg(test)]\nmod tests {\n    fn t() { std::fs::write(\"t\", b\"x\").ok(); }\n}";
-        assert!(scan(test).is_empty());
-        // An allow marker justifies a deliberate site.
-        let marked = "fn f(p: &str) -> std::io::Result<()> {\n    // teleios-lint: allow(no-direct-fs) — legacy export\n    std::fs::write(p, b\"{}\")\n}";
-        assert!(scan(marked).is_empty());
     }
 
     #[test]

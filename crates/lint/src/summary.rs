@@ -4,38 +4,59 @@
 //! The summary carries two kinds of material. The *local* findings
 //! (per-token rules, L4, crate attributes) are final: they never
 //! change whatever the rest of the workspace looks like. The *effect*
-//! material (per-function lock acquisitions, call sites, blocking
-//! sites, pool dispatches, CFGs, plus the file's import/re-export
-//! surface) is raw input for [`crate::interproc`], which links every
-//! file's summary into a workspace-wide call graph and runs the
-//! cross-crate rules over it.
+//! material (one event stream per function — lock acquisitions, call
+//! sites, blocking sites, pool dispatches, polls — held in its CFG,
+//! plus the file's import/re-export surface) is raw input for
+//! [`crate::interproc`], which links every file's summary into a
+//! workspace-wide call graph and runs the cross-crate rules over it.
 //!
 //! `summarize` reads nothing but its own file, so the scan is one
 //! serial pass over the files followed by one link.
 
 use crate::cfg::{self, Cfg};
-use crate::graph;
-use crate::lexer::{self, ident_at, in_test, is_ident, is_punct, AllowMarker, LineIndex};
+use crate::lexer::{self, ident_at, in_test, is_ident, is_punct, AllowMarker, LineIndex, Tok};
 use crate::rules::{self, FileCtx, FilePolicy, Finding, LocalSink, SourceFile};
 use std::collections::BTreeSet;
 
-/// One lock acquisition: the lock's name, the byte offset of the
-/// site, and the byte offset of the last token at which the guard is
-/// still held.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct AcqS {
-    pub lock: String,
-    pub off: usize,
-    pub until_off: usize,
+/// One `fn` item: its name, the token index of the name, the token
+/// range of its `{...}` body (absent for trait declarations), and the
+/// index of the body-open `{` / terminating `;` (the signature end).
+pub(crate) struct FnDef {
+    pub name: String,
+    pub name_idx: usize,
+    pub body: Option<(usize, usize)>,
+    pub sig_end: usize,
 }
 
-/// One unresolved call site (shape per [`graph::call_shape_at`]).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CallS {
-    pub name: String,
-    pub qual: Vec<String>,
-    pub method: bool,
-    pub off: usize,
+/// Every `fn` item in a token stream, at any nesting depth.
+pub(crate) fn extract_fns(toks: &[Tok<'_>]) -> Vec<FnDef> {
+    let mut fns = Vec::new();
+    for i in 0..toks.len() {
+        // `fn(u8) -> u8` pointer types have no name.
+        let (true, Some(name)) = (is_ident(toks, i, "fn"), ident_at(toks, i + 1)) else { continue };
+        let d = toks[i].depth;
+        let mut sig_end = toks.len();
+        let mut body = None;
+        for j in i + 2..toks.len() {
+            if toks[j].depth < d {
+                break;
+            }
+            if toks[j].depth == d && is_punct(toks, j, b';') {
+                sig_end = j;
+                break;
+            }
+            if toks[j].depth == d && is_punct(toks, j, b'{') {
+                sig_end = j;
+                let close = (j + 1..toks.len())
+                    .find(|&k| is_punct(toks, k, b'}') && toks[k].depth == d)
+                    .unwrap_or(toks.len().saturating_sub(1));
+                body = Some((j, close));
+                break;
+            }
+        }
+        fns.push(FnDef { name: name.to_string(), name_idx: i + 1, body, sig_end });
+    }
+    fns
 }
 
 /// The raw return-type facts of one function, resolved against the
@@ -75,15 +96,8 @@ pub(crate) struct FnEffects {
     /// Defined inside a `#[cfg(test)]` region — exempt from every
     /// rule and never a call-resolution target.
     pub is_test: bool,
-    pub acqs: Vec<AcqS>,
-    pub calls: Vec<CallS>,
-    /// Raw blocking sites in the narrow L7 vocabulary, as
-    /// `(description, byte offset)` in token order.
-    pub l7_blocks: Vec<(String, usize)>,
-    /// Pool-dispatch sites, as `(method name, byte offset)`.
-    pub dispatches: Vec<(String, usize)>,
-    /// Control-flow graph of the body (absent for trait declarations
-    /// and test functions).
+    /// Control-flow graph of the body, holding the function's event
+    /// stream (absent for trait declarations and test functions).
     pub cfg: Option<Cfg>,
 }
 
@@ -122,8 +136,8 @@ pub(crate) struct FileSummary {
 /// Summarize one file: run the local rules and extract the effect
 /// material. Pure — reads nothing but `file`.
 pub(crate) fn summarize(file: &SourceFile) -> FileSummary {
-    let masked = crate::mask::mask_code(&file.raw);
-    let toks = lexer::lex(&masked);
+    let lexed = lexer::lex(&file.raw);
+    let toks = lexed.toks;
     let ctx = FileCtx {
         raw: &file.raw,
         idx: LineIndex::new(&file.raw),
@@ -132,7 +146,7 @@ pub(crate) fn summarize(file: &SourceFile) -> FileSummary {
         toks: &toks,
         policy: file.policy,
     };
-    let markers = lexer::allow_markers(&file.raw, &masked);
+    let markers = lexer::allow_markers(&file.raw, &lexed.comments, &ctx.idx);
 
     let mut sink = LocalSink::new(&file.label, &ctx.idx, &markers);
     rules::token_rules(&ctx, &mut sink);
@@ -142,60 +156,17 @@ pub(crate) fn summarize(file: &SourceFile) -> FileSummary {
     }
     let (local, used_markers) = sink.into_parts();
 
-    let defs = graph::extract_fns(&toks);
-    let mut fns: Vec<FnEffects> = defs
+    let defs = extract_fns(&toks);
+    let fns: Vec<FnEffects> = defs
         .iter()
         .map(|f| {
             let name_off = toks.get(f.name_idx).map_or(0, |t| t.off);
-            let body_off = f.body.map(|(o, _)| toks[o].off);
-            FnEffects {
-                name: f.name.clone(),
-                is_test: in_test(&ctx.regions, name_off)
-                    || body_off.is_some_and(|o| in_test(&ctx.regions, o)),
-                acqs: Vec::new(),
-                calls: Vec::new(),
-                l7_blocks: Vec::new(),
-                dispatches: Vec::new(),
-                cfg: None,
-            }
+            let is_test = in_test(&ctx.regions, name_off)
+                || f.body.is_some_and(|(o, _)| in_test(&ctx.regions, toks[o].off));
+            let cfg = f.body.filter(|_| !is_test).map(|body| cfg::build(&ctx, body));
+            FnEffects { name: f.name.clone(), is_test, cfg }
         })
         .collect();
-
-    for i in 0..toks.len() {
-        let off = toks[i].off;
-        if in_test(&ctx.regions, off) {
-            continue;
-        }
-        let Some(owner) = graph::fn_containing(&defs, i) else { continue };
-        if fns[owner].is_test {
-            continue;
-        }
-        if let Some(m) = graph::dispatch_method_at(&toks, i) {
-            fns[owner].dispatches.push((m.to_string(), off));
-        }
-        if let Some((boff, desc)) = graph::direct_block_at(&ctx, i) {
-            fns[owner].l7_blocks.push((desc.to_string(), boff));
-        }
-        if let Some((lock, aoff, until_off)) = graph::acq_at(&toks, i) {
-            fns[owner].acqs.push(AcqS { lock, off: aoff, until_off });
-        }
-        // The dispatch method ident itself is not an ordinary call —
-        // it is already recorded as a dispatch.
-        if graph::dispatch_call_ident(&toks, i) {
-            continue;
-        }
-        if let Some(s) = graph::call_shape_at(&toks, i) {
-            fns[owner].calls.push(CallS { name: s.name, qual: s.qual, method: s.method, off });
-        }
-    }
-    for (k, f) in defs.iter().enumerate() {
-        if fns[k].is_test {
-            continue;
-        }
-        if let Some(body) = f.body {
-            fns[k].cfg = Some(cfg::build(&ctx, body));
-        }
-    }
 
     let fn_returns: Vec<FnReturn> =
         defs.iter().filter_map(|f| rules::fn_return_raw(&ctx, f)).collect();
@@ -257,7 +228,19 @@ mod tests {
     }
 
     #[test]
+    fn extract_fns_names_and_bodies() {
+        let toks = lexer::lex("fn a() { b(); }\nimpl S {\n    fn m(&self) -> u8 { 0 }\n}\ntrait T { fn decl(&self); }").toks;
+        let fns = extract_fns(&toks);
+        let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["a", "m", "decl"]);
+        assert!(fns[0].body.is_some());
+        assert!(fns[1].body.is_some());
+        assert!(fns[2].body.is_none());
+    }
+
+    #[test]
     fn effects_cover_locks_calls_blocks_and_dispatches() {
+        use crate::cfg::{Event, Stall};
         let src = "\
 fn work(s: &S, pool: &P, rx: &R) {
     let g = s.meta.lock();
@@ -274,17 +257,40 @@ mod wal;
         let f = &sum.fns[0];
         assert_eq!(f.name, "work");
         assert!(!f.is_test);
-        assert_eq!(f.acqs.len(), 1);
-        assert_eq!(f.acqs[0].lock, "meta");
-        assert_eq!(f.dispatches, vec![("try_run".to_string(), src.find(".try_run").unwrap())]);
-        assert_eq!(f.l7_blocks.len(), 1);
-        assert!(f.l7_blocks[0].0.contains("recv"));
-        let names: Vec<&str> = f.calls.iter().map(|c| c.name.as_str()).collect();
+        let stream = f.cfg.as_ref().expect("a body has a CFG").stream();
+        let locks: Vec<&str> = stream
+            .iter()
+            .filter_map(|e| match e {
+                Event::Acquire { lock, .. } => Some(lock.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(locks, vec!["meta"]);
+        let blocks: Vec<(Stall, usize)> = stream
+            .iter()
+            .filter_map(|e| match e {
+                Event::Blocking { class, off, .. } => Some((*class, *off)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            blocks,
+            vec![
+                (Stall::Dispatch { cancellable: false }, src.find("try_run").unwrap()),
+                (Stall::Raw, src.find("recv").unwrap()),
+            ]
+        );
+        let names: Vec<&str> = stream
+            .iter()
+            .filter_map(|e| match e {
+                Event::Call { name, .. } => Some(name.as_str()),
+                _ => None,
+            })
+            .collect();
         assert!(names.contains(&"helper"), "{names:?}");
         assert!(names.contains(&"replay"), "{names:?}");
         assert!(!names.contains(&"try_run"), "{names:?}");
         assert_eq!(sum.mods, vec!["wal".to_string()]);
-        assert!(f.cfg.is_some());
     }
 
     #[test]
@@ -303,8 +309,7 @@ mod tests {
         assert_eq!(sum.fns.len(), 2);
         assert!(!sum.fns[0].is_test);
         assert!(sum.fns[1].is_test);
-        assert!(sum.fns[1].l7_blocks.is_empty());
-        assert!(sum.fns[1].cfg.is_none());
+        assert!(sum.fns[1].cfg.is_none(), "no CFG, so no events");
         assert!(sum.local.is_empty());
     }
 

@@ -97,6 +97,40 @@ fn strict_json_output_carries_the_unused_allow_finding() {
     fs::remove_dir_all(&root).unwrap();
 }
 
+/// A marker is read out of the line's `//` comment, whatever quotes
+/// sit in the code before it: a `'"'` char literal on the same line
+/// must neither hide the marker (leaving the finding live) nor keep a
+/// dead marker from being reported.
+#[test]
+fn marker_after_a_quote_char_literal_is_honoured() {
+    let root = mini_workspace("quote");
+    let lib = root.join("crates").join("demo").join("src").join("lib.rs");
+    let live = "#![forbid(unsafe_code)]\n\
+         #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]\n\
+         pub fn quoted() -> u32 {\n\
+             let q = '\"'; let v = Some(41u32).unwrap(); // teleios-lint: allow(no-panic)\n\
+             v + u32::from(q == '\"')\n\
+         }\n";
+    fs::write(&lib, live).unwrap();
+    let strict = run(&root, &["--strict"]);
+    assert!(
+        strict.status.success(),
+        "the marker suppresses the unwrap on its line: {}",
+        String::from_utf8_lossy(&strict.stderr)
+    );
+
+    // Same line without the unwrap: now the marker is the stale one.
+    fs::write(&lib, live.replace("Some(41u32).unwrap()", "41u32")).unwrap();
+    let strict = run(&root, &["--strict"]);
+    assert_eq!(strict.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&strict.stderr).contains("unused-allow"),
+        "a dead marker after a quote literal is still reported"
+    );
+
+    fs::remove_dir_all(&root).unwrap();
+}
+
 #[test]
 fn removing_the_stale_marker_passes_strict() {
     let root = mini_workspace("clean");

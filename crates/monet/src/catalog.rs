@@ -167,11 +167,6 @@ impl Catalog {
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
-    /// True when the table exists.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.inner.tables.read().contains_key(&Self::key(name))
-    }
-
     /// Table names, sorted.
     pub fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self
@@ -254,13 +249,6 @@ impl Catalog {
     /// True when the array exists.
     pub fn has_array(&self, name: &str) -> bool {
         self.inner.arrays.read().contains_key(&Self::key(name))
-    }
-
-    /// Array names, sorted.
-    pub fn array_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.arrays.read().keys().cloned().collect();
-        names.sort();
-        names
     }
 
     // ----- SQL entry point -------------------------------------------

@@ -333,11 +333,6 @@ impl Column {
         Column { data, validity }
     }
 
-    /// Iterate values (NULL-aware).
-    pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-
     /// Direct access to integer data for hot loops; `None` when the column
     /// is not an INT column or contains NULLs.
     pub fn as_int_slice(&self) -> Option<&[i64]> {

@@ -69,11 +69,6 @@ impl Table {
         &self.columns[idx]
     }
 
-    /// Column by name.
-    pub fn column_by_name(&self, name: &str) -> Result<&Column> {
-        Ok(&self.columns[self.column_index(name)?])
-    }
-
     /// Append one row.
     pub fn insert_row(&mut self, values: Vec<Value>) -> Result<()> {
         if values.len() != self.schema.len() {
@@ -136,33 +131,6 @@ impl Table {
         for col in &mut self.columns {
             *col = col.gather(&keep);
         }
-    }
-
-    /// All row ids.
-    pub fn all_rows(&self) -> Vec<RowId> {
-        (0..self.num_rows() as RowId).collect()
-    }
-
-    /// Overwrite one cell (type-checked; NULL always allowed).
-    pub fn set_value(&mut self, row: usize, col: usize, value: Value) -> Result<()> {
-        let d = &self.schema[col];
-        let value = if value.is_null() {
-            Value::Null
-        } else {
-            value.clone().coerce(d.ty).ok_or_else(|| DbError::TypeMismatch {
-                expected: d.ty.to_string(),
-                found: value.data_type().map_or("NULL".to_string(), |t| t.to_string()),
-            })?
-        };
-        // Columns have no in-place setter; rebuild the column cell-wise.
-        // Updates rewrite whole columns in a column store anyway.
-        let mut rebuilt = Column::new(d.ty);
-        for i in 0..self.num_rows() {
-            let v = if i == row { value.clone() } else { self.columns[col].get(i) };
-            rebuilt.push(v)?; // cannot fail: validated above
-        }
-        self.columns[col] = rebuilt;
-        Ok(())
     }
 
     /// Apply per-row assignments: for every row id in `rows`, set the

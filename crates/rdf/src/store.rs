@@ -138,11 +138,6 @@ impl TripleStore {
         }
     }
 
-    /// Count the matches of a pattern without materializing terms.
-    pub fn count_pattern(&self, pat: &TriplePattern) -> usize {
-        self.match_pattern(pat).len()
-    }
-
     /// Selectivity estimate used by the BGP optimizer.
     ///
     /// For patterns with at least one bound position the exact match

@@ -189,7 +189,10 @@ impl<M: Medium> DurableBackend<M> {
             tx: None,
             seq: applied_seq,
             wal_len,
-            commits_since_snapshot: 0,
+            // Replayed transactions are commits the last checkpoint does
+            // not cover: a store that crashes more often than every
+            // `snapshot_every` commits must still reach a checkpoint.
+            commits_since_snapshot: report.transactions_replayed,
             poisoned: false,
             snapshot_error: None,
             stats: StoreStats { wal_bytes: wal_len, ..StoreStats::default() },
@@ -517,6 +520,37 @@ mod tests {
         let snaps = snapshots_on(b.medium()).unwrap();
         assert_eq!(snaps.len(), 2, "pruned to keep_snapshots: {snaps:?}");
         assert!(snaps.values().any(|&s| s == 10));
+    }
+
+    #[test]
+    fn crashing_more_often_than_the_interval_still_checkpoints() {
+        let config = DurableConfig { snapshot_every: Some(4), keep_snapshots: 2 };
+        let mut m = MemMedium::new();
+        let mut one_life_wal = 0;
+        for life in 0..6u8 {
+            let mut b = DurableBackend::open(m, config).unwrap();
+            // Replay never reaches a whole interval, and the log never
+            // outgrows what a single life appends.
+            assert!(b.recovery().transactions_replayed < 4, "life {life}: {:?}", b.recovery());
+            if life > 0 {
+                assert!(b.stats().wal_bytes <= one_life_wal, "life {life}: WAL keeps growing");
+            }
+            for i in 0..3u8 {
+                b.begin().unwrap();
+                b.put("ks", &[life, i], &[i; 8]).unwrap();
+                b.commit().unwrap();
+            }
+            match life {
+                0 => one_life_wal = b.stats().wal_bytes,
+                // 3 replayed + 1 committed = the interval.
+                1 => assert_eq!(b.stats().snapshots_written, 1, "the second life checkpoints"),
+                _ => {}
+            }
+            m = b.into_medium();
+            m.crash();
+        }
+        let b = DurableBackend::open(m, config).unwrap();
+        assert_eq!(b.scan("ks").unwrap().len(), 18, "nothing lost across the lives");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 #   scripts/check.sh --quick   build + tier-1 tests only
 #   scripts/check.sh           default gate: the above, plus the
 #                              teleios-lint workspace invariants,
-#                              the one-fork-site grep, clippy, the
+#                              the one-fork-site and one-vocabulary
+#                              greps, clippy, the
 #                              E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
 #                              regression fails this gate instead of
@@ -61,10 +62,12 @@ cargo run --release -p teleios-lint -- --self-test
 
 # The lint is part of the inner loop, so it gets a perf budget of its
 # own: a CFG-engine regression that makes the scan crawl should fail
-# the gate, not silently tax every future run. Override with
+# the gate, not silently tax every future run. The scan measures
+# ~0.1 s (EXPERIMENTS.md, "lint link phase"), so the default budget
+# fails a ~20x pass-structure regression. Override with
 # TELEIOS_LINT_BUDGET_MS for slow CI hardware. On overrun the scan is
 # re-run with --timings so the log shows which phase (or rule) blew up.
-lint_budget_ms="${TELEIOS_LINT_BUDGET_MS:-10000}"
+lint_budget_ms="${TELEIOS_LINT_BUDGET_MS:-2000}"
 echo "==> teleios-lint --strict (budget ${lint_budget_ms}ms)"
 lint_start_ns=$(date +%s%N)
 cargo run --release -q -p teleios-lint -- --strict --format github
@@ -82,6 +85,18 @@ echo "==> one fork site (no thread-count tests outside crates/exec)"
 if grep -rnE 'threads\(\) *(<= *1|== *1)' crates/*/src --include='*.rs' | grep -v '^crates/exec/'; then
     echo "thread-count test outside crates/exec: route it through WorkerPool::morsels_for" >&2; exit 1
 fi
+
+# The lint's blocking / dispatch / poll words live in one table
+# (cfg.rs VOCAB): a second file spelling one of them as a literal has
+# grown a second recognizer. ("sync_all" is left out on purpose: L8's
+# discarded-barrier list is a different vocabulary.)
+echo "==> one lint vocabulary (each blocking word in one file)"
+for word in recv_timeout try_run_cancellable sleep_cancellable; do
+    files=$(grep -rlF "\"$word\"" crates/lint/src --include='*.rs' | wc -l)
+    if [ "$files" -ne 1 ]; then
+        echo "\"$word\" appears as a literal in $files files under crates/lint/src, expected 1" >&2; exit 1
+    fi
+done
 
 echo "==> cargo clippy --workspace --all-targets"
 cargo clippy --workspace --all-targets
