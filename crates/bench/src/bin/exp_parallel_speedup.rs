@@ -19,6 +19,7 @@
 use teleios_bench::report::{self, Align, Table};
 use teleios_bench::{fmt_duration, time_avg};
 use teleios_exec::WorkerPool;
+use teleios_geo::SplitMix64;
 use teleios_monet::array::NdArray;
 use teleios_monet::column::{CmpOp, Column};
 use teleios_monet::exec::{aggregate, hash_join, AggSpec, Chunk};
@@ -27,31 +28,14 @@ use teleios_monet::value::Value;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Deterministic value stream (splitmix64), so every pool size sees
-/// the same workload without a rand dependency in the hot loop.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn double(&mut self) -> f64 {
-        (self.next() % 2_000_000) as f64 / 1000.0 - 1000.0
-    }
-
-    fn int(&mut self, modulus: u64) -> i64 {
-        (self.next() % modulus) as i64
-    }
+/// Fixture values in `[-1000, 1000)` at millesimal steps.
+fn double(rng: &mut SplitMix64) -> f64 {
+    rng.below(2_000_000) as f64 / 1000.0 - 1000.0
 }
 
 fn doubles(seed: u64, n: usize) -> Vec<f64> {
-    let mut mix = Mix(seed);
-    (0..n).map(|_| mix.double()).collect()
+    let mut rng = SplitMix64::new(seed);
+    (0..n).map(|_| double(&mut rng)).collect()
 }
 
 struct Row {
@@ -118,9 +102,9 @@ fn main() {
 
     // --- monet: group-by aggregation ---------------------------------
     for n in [262_144usize, 1_048_576, 4_194_304] {
-        let mut mix = Mix(2);
-        let keys: Vec<i64> = (0..n).map(|_| mix.int(64)).collect();
-        let vals: Vec<f64> = (0..n).map(|_| mix.double()).collect();
+        let mut rng = SplitMix64::new(2);
+        let keys: Vec<i64> = (0..n).map(|_| rng.below(64) as i64).collect();
+        let vals: Vec<f64> = (0..n).map(|_| double(&mut rng)).collect();
         let chunk = Chunk::new(
             vec!["t.k".into(), "t.v".into()],
             vec![Column::from_ints(keys), Column::from_doubles(vals)],
@@ -140,9 +124,9 @@ fn main() {
 
     // --- monet: hash join --------------------------------------------
     for n in [131_072usize, 524_288] {
-        let mut mix = Mix(3);
-        let build: Vec<i64> = (0..n).map(|_| mix.int(n as u64 / 4)).collect();
-        let probe: Vec<i64> = (0..n).map(|_| mix.int(n as u64 / 4)).collect();
+        let mut rng = SplitMix64::new(3);
+        let build: Vec<i64> = (0..n).map(|_| rng.below(n / 4) as i64).collect();
+        let probe: Vec<i64> = (0..n).map(|_| rng.below(n / 4) as i64).collect();
         let left = Chunk::new(vec!["l.k".into()], vec![Column::from_ints(build)]);
         let right = Chunk::new(vec!["r.k".into()], vec![Column::from_ints(probe)]);
         let lk = Expr::Column("l.k".into());

@@ -3,15 +3,12 @@
 //! Shared fixtures for the TELEIOS experiment suite (E1–E11).
 //!
 //! Every experiment in `EXPERIMENTS.md` builds its workload through the
-//! generators here, so Criterion benches (`benches/`) and the
-//! table-printing harness binaries (`src/bin/exp_*.rs`) measure exactly
-//! the same thing.
+//! generators here, so the table-printing harness binaries
+//! (`src/bin/exp_*.rs`) measure exactly the same thing.
 
 pub mod report;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use teleios_geo::{Coord, Envelope};
+use teleios_geo::{Coord, Envelope, SplitMix64};
 use teleios_ingest::seviri::{self, FireEvent, Scene, SceneSpec, SurfaceKind};
 use teleios_rdf::strdf::geometry_literal_wgs84;
 use teleios_rdf::term::Term;
@@ -34,6 +31,7 @@ pub fn bench_surface(c: Coord) -> SurfaceKind {
 }
 
 /// A deterministic fire scene at the given raster size.
+#[allow(clippy::expect_used)]
 pub fn fire_scene(size: usize, seed: u64) -> Scene {
     let mut spec = SceneSpec::new(seed, size, size, bench_bbox());
     spec.cloud_cover = 0.02;
@@ -60,7 +58,7 @@ pub fn fire_scene(size: usize, seed: u64) -> Scene {
 /// query has stable selectivity across scales.
 pub fn build_archive(n_products: usize, n_sites: usize, config: StrabonConfig) -> Strabon {
     let mut db = Strabon::with_config(config);
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = SplitMix64::new(7);
     let bbox = bench_bbox();
     let type_p = Term::iri(rdf::TYPE);
     let geom_p = Term::iri(strdf::HAS_GEOMETRY);
@@ -88,13 +86,13 @@ pub fn build_archive(n_products: usize, n_sites: usize, config: StrabonConfig) -
         // 10th product sits at the window centre.
         let (cx, cy) = if i % 10 == 0 {
             (
-                center.x + rng.random_range(-0.15..0.15),
-                center.y + rng.random_range(-0.15..0.15),
+                center.x + rng.range(-0.15, 0.15),
+                center.y + rng.range(-0.15, 0.15),
             )
         } else {
             (
-                rng.random_range(bbox.min.x..bbox.max.x),
-                rng.random_range(bbox.min.y..bbox.max.y),
+                rng.range(bbox.min.x, bbox.max.x),
+                rng.range(bbox.min.y, bbox.max.y),
             )
         };
         let fp = Envelope::new(Coord::new(cx - 0.2, cy - 0.2), Coord::new(cx + 0.2, cy + 0.2));
@@ -112,7 +110,7 @@ pub fn build_archive(n_products: usize, n_sites: usize, config: StrabonConfig) -
         let h = Term::iri(format!("http://teleios.di.uoa.gr/products/scene_{i:06}/hotspot/0"));
         db.insert(&h, &type_p, &Term::iri(noa::HOTSPOT));
         db.insert(&h, &derived_p, &img);
-        db.insert(&h, &conf_p, &Term::double(rng.random_range(0.3..1.0)));
+        db.insert(&h, &conf_p, &Term::double(rng.range(0.3, 1.0)));
         let blob = blob_polygon(Coord::new(cx, cy), 0.05, 32, &mut rng);
         db.insert(
             &h,
@@ -137,8 +135,8 @@ pub fn build_archive(n_products: usize, n_sites: usize, config: StrabonConfig) -
             &Term::iri("http://dbpedia.org/ontology/ArchaeologicalSite"),
         );
         let c = Coord::new(
-            center.x + rng.random_range(-0.3..0.3),
-            center.y + rng.random_range(-0.3..0.3),
+            center.x + rng.range(-0.3, 0.3),
+            center.y + rng.range(-0.3, 0.3),
         );
         db.insert(
             &site,
@@ -157,12 +155,12 @@ pub fn blob_polygon(
     center: Coord,
     radius: f64,
     n: usize,
-    rng: &mut StdRng,
+    rng: &mut SplitMix64,
 ) -> teleios_geo::geometry::Polygon {
     let mut pts: Vec<Coord> = (0..n)
         .map(|i| {
             let theta = (i as f64) * std::f64::consts::TAU / (n as f64);
-            let r = radius * rng.random_range(0.6..1.0);
+            let r = radius * rng.range(0.6, 1.0);
             Coord::new(center.x + r * theta.cos(), center.y + r * theta.sin())
         })
         .collect();

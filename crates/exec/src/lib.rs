@@ -66,7 +66,7 @@ pub mod pool;
 pub mod spawn;
 
 pub use cancel::CancelToken;
-pub use morsel::{concat, fixed_morsels, morsels, DEFAULT_MORSEL_CELLS};
+pub use morsel::{concat, fixed_morsels, DEFAULT_MORSEL_CELLS};
 pub use ordered_lock::{LockWitness, OrderedMutex, OrderedMutexGuard};
 pub use pool::{default_threads, PoolStats, WorkerPool};
 pub use spawn::spawn_named;

@@ -3,8 +3,9 @@
 //!
 //! Two flavors exist because they serve different determinism needs:
 //!
-//! * [`morsels`] splits `0..len` into at most `parts` near-equal
-//!   ranges — used when per-element work is order-insensitive or
+//! * `morsels` (behind [`crate::WorkerPool::morsels_for`]) splits
+//!   `0..len` into at most `parts` near-equal ranges — used when
+//!   per-element work is order-insensitive or
 //!   exactly reconstructible by in-order concatenation (selection,
 //!   probing, element-wise maps).
 //! * [`fixed_morsels`] splits into chunks of a **thread-count
@@ -26,7 +27,7 @@ pub const DEFAULT_MORSEL_CELLS: usize = 65_536;
 /// Concatenating the ranges in order always reproduces `0..len`, so
 /// any per-morsel computation whose outputs concatenate in morsel
 /// order is identical to the sequential scan.
-pub fn morsels(len: usize, parts: usize) -> Vec<Range<usize>> {
+pub(crate) fn morsels(len: usize, parts: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
     }

@@ -17,7 +17,8 @@
 //!   ([`algorithm`]),
 //! * an STR-packed, dynamically insertable R-tree ([`index::rtree`]),
 //! * coordinate reference system support for EPSG:4326 and EPSG:3857
-//!   ([`crs`]).
+//!   ([`crs`]),
+//! * the seeded generator behind every synthetic dataset ([`rng`]).
 //!
 //! ## Example
 //!
@@ -36,11 +37,13 @@ pub mod crs;
 pub mod error;
 pub mod geometry;
 pub mod index;
+pub mod rng;
 pub mod wkt;
 
 pub use coord::{Coord, Envelope};
 pub use error::GeoError;
 pub use geometry::{Geometry, LineString, Point, Polygon};
+pub use rng::SplitMix64;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, GeoError>;

@@ -9,9 +9,8 @@ use crate::sql::planner::{execute_select, TableProvider};
 use crate::table::{ColumnDef, Table};
 use crate::value::Value;
 use crate::Result;
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use teleios_exec::WorkerPool;
 
 /// A materialized query result.
@@ -134,6 +133,17 @@ struct CatalogInner {
     arrays: RwLock<HashMap<String, NdArray>>,
 }
 
+// A holder that panicked leaves the maps structurally valid (at worst
+// one table mid-`with_table_mut`), so poisoning is recovered from
+// instead of failing every later query on the shared catalog.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(|p| p.into_inner())
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(|p| p.into_inner())
+}
+
 impl Catalog {
     /// Empty catalog.
     pub fn new() -> Catalog {
@@ -148,7 +158,7 @@ impl Catalog {
 
     /// Create a table; errors when the name is taken.
     pub fn create_table(&self, name: &str, schema: Vec<ColumnDef>) -> Result<()> {
-        let mut tables = self.inner.tables.write();
+        let mut tables = write(&self.inner.tables);
         let key = Self::key(name);
         if tables.contains_key(&key) {
             return Err(DbError::TableExists(name.to_string()));
@@ -159,9 +169,7 @@ impl Catalog {
 
     /// Drop a table; errors when absent.
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        self.inner
-            .tables
-            .write()
+        write(&self.inner.tables)
             .remove(&Self::key(name))
             .map(|_| ())
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
@@ -169,10 +177,7 @@ impl Catalog {
 
     /// Table names, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .inner
-            .tables
-            .read()
+        let mut names: Vec<String> = read(&self.inner.tables)
             .values()
             .map(|t| t.name().to_string())
             .collect();
@@ -182,9 +187,7 @@ impl Catalog {
 
     /// Snapshot (clone) of a table.
     pub fn table(&self, name: &str) -> Result<Table> {
-        self.inner
-            .tables
-            .read()
+        read(&self.inner.tables)
             .get(&Self::key(name))
             .cloned()
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
@@ -192,7 +195,7 @@ impl Catalog {
 
     /// Append rows to a table.
     pub fn insert(&self, name: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
-        let mut tables = self.inner.tables.write();
+        let mut tables = write(&self.inner.tables);
         let t = tables
             .get_mut(&Self::key(name))
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
@@ -201,7 +204,7 @@ impl Catalog {
 
     /// Mutate a table in place under the write lock.
     pub fn with_table_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> R) -> Result<R> {
-        let mut tables = self.inner.tables.write();
+        let mut tables = write(&self.inner.tables);
         let t = tables
             .get_mut(&Self::key(name))
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
@@ -212,7 +215,7 @@ impl Catalog {
 
     /// Register an array; errors when the name is taken.
     pub fn create_array(&self, name: &str, array: NdArray) -> Result<()> {
-        let mut arrays = self.inner.arrays.write();
+        let mut arrays = write(&self.inner.arrays);
         let key = Self::key(name);
         if arrays.contains_key(&key) {
             return Err(DbError::ArrayExists(name.to_string()));
@@ -223,14 +226,12 @@ impl Catalog {
 
     /// Replace (or create) an array.
     pub fn put_array(&self, name: &str, array: NdArray) {
-        self.inner.arrays.write().insert(Self::key(name), array);
+        write(&self.inner.arrays).insert(Self::key(name), array);
     }
 
     /// Snapshot (clone) of an array.
     pub fn array(&self, name: &str) -> Result<NdArray> {
-        self.inner
-            .arrays
-            .read()
+        read(&self.inner.arrays)
             .get(&Self::key(name))
             .cloned()
             .ok_or_else(|| DbError::UnknownArray(name.to_string()))
@@ -238,9 +239,7 @@ impl Catalog {
 
     /// Drop an array; errors when absent.
     pub fn drop_array(&self, name: &str) -> Result<()> {
-        self.inner
-            .arrays
-            .write()
+        write(&self.inner.arrays)
             .remove(&Self::key(name))
             .map(|_| ())
             .ok_or_else(|| DbError::UnknownArray(name.to_string()))
@@ -248,7 +247,7 @@ impl Catalog {
 
     /// True when the array exists.
     pub fn has_array(&self, name: &str) -> bool {
-        self.inner.arrays.read().contains_key(&Self::key(name))
+        read(&self.inner.arrays).contains_key(&Self::key(name))
     }
 
     // ----- SQL entry point -------------------------------------------

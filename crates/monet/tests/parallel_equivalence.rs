@@ -7,7 +7,7 @@
 //! (`PAR_ROW_THRESHOLD`, `PAR_CELL_THRESHOLD`, `DEFAULT_MORSEL_CELLS`),
 //! empty input included.
 
-use proptest::prelude::*;
+use teleios_check::{forall, SplitMix64};
 use teleios_exec::{WorkerPool, DEFAULT_MORSEL_CELLS};
 use teleios_monet::array::{NdArray, PAR_CELL_THRESHOLD};
 use teleios_monet::column::{CmpOp, Column, PAR_ROW_THRESHOLD};
@@ -17,26 +17,9 @@ use teleios_monet::value::Value;
 
 const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
-/// Deterministic pseudo-random stream (splitmix64) so the large
-/// fixtures need no RNG dependency and never flake.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn int(&mut self, modulus: u64) -> i64 {
-        (self.next() % modulus) as i64
-    }
-
-    fn double(&mut self) -> f64 {
-        (self.next() % 2_000_000) as f64 / 1000.0 - 1000.0
-    }
+/// Fixture values in `[-1000, 1000)` at millesimal steps.
+fn double(rng: &mut SplitMix64) -> f64 {
+    rng.below(2_000_000) as f64 / 1000.0 - 1000.0
 }
 
 fn chunks_equal(a: &Chunk, b: &Chunk) -> bool {
@@ -55,10 +38,10 @@ fn lit(v: impl Into<Value>) -> Expr {
 
 /// A two-column chunk (int key, double value) big enough to cross the
 /// row-parallel threshold.
-fn big_chunk(seed: u64, rows: usize, key_range: u64) -> Chunk {
-    let mut mix = Mix(seed);
-    let keys: Vec<i64> = (0..rows).map(|_| mix.int(key_range)).collect();
-    let vals: Vec<f64> = (0..rows).map(|_| mix.double()).collect();
+fn big_chunk(seed: u64, rows: usize, key_range: usize) -> Chunk {
+    let mut rng = SplitMix64::new(seed);
+    let keys: Vec<i64> = (0..rows).map(|_| rng.below(key_range) as i64).collect();
+    let vals: Vec<f64> = (0..rows).map(|_| double(&mut rng)).collect();
     Chunk::new(
         vec!["t.k".into(), "t.v".into()],
         vec![Column::from_ints(keys), Column::from_doubles(vals)],
@@ -74,8 +57,8 @@ fn straddle(t: usize) -> [usize; 5] {
 fn select_matches_a_linear_scan_at_all_thread_counts() {
     let needle = 0.0;
     for n in straddle(PAR_ROW_THRESHOLD) {
-        let mut mix = Mix(7);
-        let vals: Vec<f64> = (0..n).map(|_| mix.double()).collect();
+        let mut rng = SplitMix64::new(7);
+        let vals: Vec<f64> = (0..n).map(|_| double(&mut rng)).collect();
         let column = Column::from_doubles(vals.clone());
         // Narrowing candidates: every third row.
         let cands: Vec<u32> = (0..n as u32).step_by(3).collect();
@@ -130,9 +113,9 @@ fn hash_join_is_identical_at_all_thread_counts() {
     ] {
         let left = big_chunk(21, left_rows, 500);
         let right = {
-            let mut mix = Mix(22);
-            let keys: Vec<i64> = (0..right_rows).map(|_| mix.int(500)).collect();
-            let vals: Vec<f64> = (0..right_rows).map(|_| mix.double()).collect();
+            let mut rng = SplitMix64::new(22);
+            let keys: Vec<i64> = (0..right_rows).map(|_| rng.below(500) as i64).collect();
+            let vals: Vec<f64> = (0..right_rows).map(|_| double(&mut rng)).collect();
             Chunk::new(
                 vec!["r.k".into(), "r.w".into()],
                 vec![Column::from_ints(keys), Column::from_doubles(vals)],
@@ -181,8 +164,8 @@ fn aggregate_is_identical_at_all_thread_counts() {
 }
 
 fn big_array(seed: u64, cells: usize) -> NdArray {
-    let mut mix = Mix(seed);
-    let data: Vec<f64> = (0..cells).map(|_| mix.double()).collect();
+    let mut rng = SplitMix64::new(seed);
+    let data: Vec<f64> = (0..cells).map(|_| double(&mut rng)).collect();
     NdArray::matrix(1, cells, data).unwrap()
 }
 
@@ -259,40 +242,41 @@ fn try_map_reports_the_first_error_at_all_thread_counts() {
     }
 }
 
-proptest! {
-    // Randomized small inputs, below the thresholds: the inline side
-    // of the fork at every pool size.
-    #[test]
-    fn prop_select_matches(
-        vals in proptest::collection::vec(-100i64..100, 0..300),
-        needle in -100i64..100,
-        threads in 1usize..=8,
-    ) {
-        let column = Column::from_ints(vals);
-        let pool = WorkerPool::with_threads(threads);
-        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge] {
-            let v = Value::Int(needle);
-            prop_assert_eq!(
-                column.select(op, &v, None, &pool).unwrap(),
-                column.select(op, &v, None, &WorkerPool::with_threads(1)).unwrap()
-            );
-        }
-    }
+// Randomized small inputs, below the thresholds: the inline side of
+// the fork at every pool size.
+#[test]
+fn prop_select_matches() {
+    forall(
+        |g| (g.vec(0..300, |g| g.int(-100..100)), g.int(-100..100), g.size(1..9)),
+        |(vals, needle, threads)| {
+            let column = Column::from_ints(vals);
+            let pool = WorkerPool::with_threads(threads);
+            for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge] {
+                let v = Value::Int(needle);
+                assert_eq!(
+                    column.select(op, &v, None, &pool).unwrap(),
+                    column.select(op, &v, None, &WorkerPool::with_threads(1)).unwrap()
+                );
+            }
+        },
+    );
+}
 
-    #[test]
-    fn prop_array_kernels_match(
-        data in proptest::collection::vec(-100.0f64..100.0, 1..256),
-        threads in 1usize..=8,
-    ) {
-        let a = NdArray::matrix(1, data.len(), data).unwrap();
-        let pool = WorkerPool::with_threads(threads);
-        let pool1 = WorkerPool::with_threads(1);
-        prop_assert_eq!(a.map_with(&pool, |v| v * 3.0).data(), a.map_with(&pool1, |v| v * 3.0).data());
-        prop_assert_eq!(a.sum_with(&pool).to_bits(), a.sum_with(&pool1).to_bits());
-        prop_assert_eq!(a.min_with(&pool), a.min_with(&pool1));
-        prop_assert_eq!(a.max_with(&pool), a.max_with(&pool1));
-        let z = a.zip_map_with(&pool, &a, |x, y| x + y).unwrap();
-        let z1 = a.zip_map_with(&pool1, &a, |x, y| x + y).unwrap();
-        prop_assert_eq!(z.data(), z1.data());
-    }
+#[test]
+fn prop_array_kernels_match() {
+    forall(
+        |g| (g.vec(1..256, |g| g.float(-100.0..100.0)), g.size(1..9)),
+        |(data, threads)| {
+            let a = NdArray::matrix(1, data.len(), data).unwrap();
+            let pool = WorkerPool::with_threads(threads);
+            let pool1 = WorkerPool::with_threads(1);
+            assert_eq!(a.map_with(&pool, |v| v * 3.0).data(), a.map_with(&pool1, |v| v * 3.0).data());
+            assert_eq!(a.sum_with(&pool).to_bits(), a.sum_with(&pool1).to_bits());
+            assert_eq!(a.min_with(&pool), a.min_with(&pool1));
+            assert_eq!(a.max_with(&pool), a.max_with(&pool1));
+            let z = a.zip_map_with(&pool, &a, |x, y| x + y).unwrap();
+            let z1 = a.zip_map_with(&pool1, &a, |x, y| x + y).unwrap();
+            assert_eq!(z.data(), z1.data());
+        },
+    );
 }

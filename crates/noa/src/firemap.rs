@@ -43,28 +43,29 @@ impl FireMap {
     }
 
     /// GeoJSON FeatureCollection rendering — what a rapid-mapping GIS
-    /// client ingests. Layers become a `layer` property on each feature.
+    /// client ingests, one feature per line. Layers become a `layer`
+    /// property on each feature.
     pub fn to_geojson(&self) -> String {
-        use serde_json::{json, Value};
-        let features: Vec<Value> = self
+        let r = &self.region;
+        let mut out = String::from("{\"type\":\"FeatureCollection\",\"bbox\":");
+        json_numbers(&mut out, &[r.min.x, r.min.y, r.max.x, r.max.y]);
+        out.push_str(",\"features\":[");
+        let features = self
             .layers
             .iter()
-            .flat_map(|layer| {
-                layer.features.iter().map(move |(g, label)| {
-                    json!({
-                        "type": "Feature",
-                        "properties": { "layer": layer.name, "label": label },
-                        "geometry": geometry_to_geojson(g),
-                    })
-                })
-            })
-            .collect();
-        serde_json::to_string_pretty(&json!({
-            "type": "FeatureCollection",
-            "bbox": [self.region.min.x, self.region.min.y, self.region.max.x, self.region.max.y],
-            "features": features,
-        }))
-        .unwrap_or_else(|_| String::from("{\"type\":\"FeatureCollection\",\"features\":[]}"))
+            .flat_map(|layer| layer.features.iter().map(move |f| (&layer.name, f)));
+        for (i, (layer, (g, label))) in features.enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str("{\"type\":\"Feature\",\"properties\":{\"layer\":");
+            json_string(&mut out, layer);
+            out.push_str(",\"label\":");
+            json_string(&mut out, label);
+            out.push_str("},\"geometry\":");
+            out.push_str(&geometry_to_geojson(g));
+            out.push('}');
+        }
+        out.push_str("\n]}");
+        out
     }
 
     /// Text rendering (the demo's "visualization of the results").
@@ -86,49 +87,91 @@ impl FireMap {
     }
 }
 
-fn coords_json(coords: &[Coord]) -> serde_json::Value {
-    serde_json::Value::Array(
-        coords
-            .iter()
-            .map(|c| serde_json::json!([c.x, c.y]))
-            .collect(),
-    )
+/// Append `s` as a JSON string literal.
+fn json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
-fn polygon_rings_json(p: &Polygon) -> serde_json::Value {
-    let mut rings = vec![coords_json(p.exterior.coords())];
-    rings.extend(p.interiors.iter().map(|r: &LineString| coords_json(r.coords())));
-    serde_json::Value::Array(rings)
+/// Append a JSON array of numbers (JSON has no NaN or infinity: `null`).
+fn json_numbers(out: &mut String, values: &[f64]) {
+    json_array(out, values, |out, v| {
+        if v.is_finite() {
+            out.push_str(&format!("{v:?}"));
+        } else {
+            out.push_str("null");
+        }
+    });
 }
 
-/// Convert a geometry to its GeoJSON `geometry` object.
-pub fn geometry_to_geojson(g: &Geometry) -> serde_json::Value {
-    use serde_json::json;
-    match g {
-        Geometry::Point(p) => json!({ "type": "Point", "coordinates": [p.x(), p.y()] }),
+/// Append a JSON array, writing each element with `item`.
+fn json_array<T>(out: &mut String, items: &[T], item: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, it) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, it);
+    }
+    out.push(']');
+}
+
+fn coords_json(out: &mut String, coords: &[Coord]) {
+    json_array(out, coords, |out, c| json_numbers(out, &[c.x, c.y]));
+}
+
+fn polygon_rings_json(out: &mut String, p: &Polygon) {
+    let rings: Vec<&LineString> = std::iter::once(&p.exterior).chain(&p.interiors).collect();
+    json_array(out, &rings, |out, r| coords_json(out, r.coords()));
+}
+
+/// Convert a geometry to its GeoJSON `geometry` object (as JSON text).
+pub fn geometry_to_geojson(g: &Geometry) -> String {
+    let mut body = String::new();
+    let out = &mut body;
+    let kind = match g {
+        Geometry::Point(p) => {
+            json_numbers(out, &[p.x(), p.y()]);
+            "Point"
+        }
         Geometry::LineString(l) => {
-            json!({ "type": "LineString", "coordinates": coords_json(l.coords()) })
+            coords_json(out, l.coords());
+            "LineString"
         }
         Geometry::Polygon(p) => {
-            json!({ "type": "Polygon", "coordinates": polygon_rings_json(p) })
+            polygon_rings_json(out, p);
+            "Polygon"
         }
-        Geometry::MultiPoint(ps) => json!({
-            "type": "MultiPoint",
-            "coordinates": ps.iter().map(|p| json!([p.x(), p.y()])).collect::<Vec<_>>(),
-        }),
-        Geometry::MultiLineString(ls) => json!({
-            "type": "MultiLineString",
-            "coordinates": ls.iter().map(|l| coords_json(l.coords())).collect::<Vec<_>>(),
-        }),
-        Geometry::MultiPolygon(ps) => json!({
-            "type": "MultiPolygon",
-            "coordinates": ps.iter().map(polygon_rings_json).collect::<Vec<_>>(),
-        }),
-        Geometry::GeometryCollection(gs) => json!({
-            "type": "GeometryCollection",
-            "geometries": gs.iter().map(geometry_to_geojson).collect::<Vec<_>>(),
-        }),
-    }
+        Geometry::MultiPoint(ps) => {
+            json_array(out, ps, |out, p| json_numbers(out, &[p.x(), p.y()]));
+            "MultiPoint"
+        }
+        Geometry::MultiLineString(ls) => {
+            json_array(out, ls, |out, l| coords_json(out, l.coords()));
+            "MultiLineString"
+        }
+        Geometry::MultiPolygon(ps) => {
+            json_array(out, ps, polygon_rings_json);
+            "MultiPolygon"
+        }
+        Geometry::GeometryCollection(gs) => {
+            json_array(out, gs, |out, g| out.push_str(&geometry_to_geojson(g)));
+            "GeometryCollection"
+        }
+    };
+    let member = if kind == "GeometryCollection" { "geometries" } else { "coordinates" };
+    format!("{{\"type\":\"{kind}\",\"{member}\":{body}}}")
 }
 
 /// One stSPARQL layer query: features of `class` with geometry
@@ -276,41 +319,93 @@ mod tests {
         assert_eq!(map.layer("hotspots").unwrap().features.len(), 1);
     }
 
+    /// Brackets and braces outside string literals nest and close.
+    fn is_balanced(json: &str) -> bool {
+        let mut stack = Vec::new();
+        let mut chars = json.chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' => loop {
+                    match chars.next() {
+                        Some('\\') => drop(chars.next()),
+                        Some('"') => break,
+                        Some(_) => {}
+                        None => return false,
+                    }
+                },
+                '[' => stack.push(']'),
+                '{' => stack.push('}'),
+                ']' | '}' => {
+                    let expected = stack.pop();
+                    if expected != Some(c) {
+                        return false;
+                    }
+                }
+                _ => {}
+            }
+        }
+        stack.is_empty()
+    }
+
     #[test]
-    fn geojson_rendering_is_valid_json() {
+    fn geojson_rendering_is_one_feature_per_line() {
         let (mut db, world) = db_with_world();
         let map = build_fire_map(&mut db, &world.spec.bbox).unwrap();
         let geojson = map.to_geojson();
-        let parsed: serde_json::Value = serde_json::from_str(&geojson).unwrap();
-        assert_eq!(parsed["type"], "FeatureCollection");
-        let features = parsed["features"].as_array().unwrap();
+        assert!(geojson.starts_with("{\"type\":\"FeatureCollection\",\"bbox\":["));
+        assert!(is_balanced(&geojson));
+        let features: Vec<&str> =
+            geojson.lines().filter(|l| l.starts_with("{\"type\":\"Feature\",")).collect();
+        assert!(map.num_features() > 0);
         assert_eq!(features.len(), map.num_features());
-        // Every feature has a geometry type and a layer property.
+        // Every feature has a layer property and a typed geometry.
         for f in features {
-            assert!(f["geometry"]["type"].is_string());
-            assert!(f["properties"]["layer"].is_string());
+            assert!(f.contains("\"properties\":{\"layer\":\""), "{f}");
+            assert!(f.contains("\"geometry\":{\"type\":\""), "{f}");
         }
+    }
+
+    #[test]
+    fn geojson_escapes_labels_and_nulls_non_finite_numbers() {
+        let point = |x, y| Geometry::Point(teleios_geo::geometry::Point::new(x, y));
+        let map = FireMap {
+            region: Envelope::new(Coord::new(0.0, 0.0), Coord::new(1.0, 1.5)),
+            layers: vec![MapLayer {
+                name: "hot\"spots\\".into(),
+                features: vec![(point(0.5, f64::NAN), "line\nbreak\ttab\u{1}".into())],
+            }],
+        };
+        let geojson = map.to_geojson();
+        assert!(is_balanced(&geojson));
+        assert!(geojson.contains("\"bbox\":[0.0,0.0,1.0,1.5]"));
+        assert!(geojson.contains(r#""layer":"hot\"spots\\""#));
+        assert!(geojson.contains(r#""label":"line\nbreak\ttab\u0001""#));
+        assert!(geojson.contains("\"coordinates\":[0.5,null]"));
     }
 
     #[test]
     fn geometry_to_geojson_shapes() {
         use teleios_geo::wkt;
         let cases = [
-            ("POINT (1 2)", "Point"),
-            ("LINESTRING (0 0, 1 1)", "LineString"),
-            ("POLYGON ((0 0, 1 0, 1 1, 0 0))", "Polygon"),
-            ("MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)))", "MultiPolygon"),
-            ("GEOMETRYCOLLECTION (POINT (1 2))", "GeometryCollection"),
+            ("POINT (1 2)", r#"{"type":"Point","coordinates":[1.0,2.0]}"#),
+            ("LINESTRING (0 0, 1 1)", r#"{"type":"LineString","coordinates":[[0.0,0.0],[1.0,1.0]]}"#),
+            (
+                "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)))",
+                r#"{"type":"MultiPolygon","coordinates":[[[[0.0,0.0],[1.0,0.0],[1.0,1.0],[0.0,0.0]]]]}"#,
+            ),
+            (
+                "GEOMETRYCOLLECTION (POINT (1 2))",
+                r#"{"type":"GeometryCollection","geometries":[{"type":"Point","coordinates":[1.0,2.0]}]}"#,
+            ),
+            // A polygon with a hole has two rings.
+            (
+                "POLYGON ((0 0, 9 0, 9 9, 0 0), (1 1, 2 1, 2 2, 1 1))",
+                r#"{"type":"Polygon","coordinates":[[[0.0,0.0],[9.0,0.0],[9.0,9.0],[0.0,0.0]],[[1.0,1.0],[2.0,1.0],[2.0,2.0],[1.0,1.0]]]}"#,
+            ),
         ];
         for (wkt_text, expect) in cases {
-            let g = wkt::parse(wkt_text).unwrap();
-            let j = geometry_to_geojson(&g);
-            assert_eq!(j["type"], expect, "for {wkt_text}");
+            assert_eq!(geometry_to_geojson(&wkt::parse(wkt_text).unwrap()), expect);
         }
-        // Polygon with a hole has two rings.
-        let d = wkt::parse("POLYGON ((0 0, 9 0, 9 9, 0 0), (1 1, 2 1, 2 2, 1 1))").unwrap();
-        let j = geometry_to_geojson(&d);
-        assert_eq!(j["coordinates"].as_array().unwrap().len(), 2);
     }
 
     #[test]

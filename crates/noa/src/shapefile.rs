@@ -7,7 +7,7 @@
 //! service distributes as ESRI shapefiles; here they are in-memory
 //! geometries ready for stRDF publication.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 use teleios_geo::algorithm::area::centroid;
 use teleios_geo::geometry::{LineString, Polygon};
 use teleios_geo::{Coord, Geometry};
@@ -100,17 +100,19 @@ pub fn mask_to_features(mask: &NdArray, geo: &GeoTransform) -> Result<Vec<Hotspo
 /// interior on the left, then chained into closed rings. The ring with
 /// the largest absolute area is the exterior; the rest are holes.
 fn polygonize_component(cells: &[(usize, usize)], geo: &GeoTransform) -> Result<Polygon> {
-    use std::collections::HashSet;
     let cell_set: HashSet<(i64, i64)> =
         cells.iter().map(|&(r, c)| (r as i64, c as i64)).collect();
 
     // Directed boundary edges start → end (integer corner coordinates
-    // (col, row); y grows downward with row).
-    let mut edges: HashMap<(i64, i64), Vec<(i64, i64)>> = HashMap::new();
+    // (col, row); y grows downward with row). The map is ordered and
+    // filled in cell order, so ring order and each ring's first vertex
+    // — and with them the feature's WKT — repeat from run to run.
+    let mut edges: BTreeMap<(i64, i64), Vec<(i64, i64)>> = BTreeMap::new();
     let mut add = |from: (i64, i64), to: (i64, i64)| {
         edges.entry(from).or_default().push(to);
     };
-    for &(r, c) in &cell_set {
+    for &(r, c) in cells {
+        let (r, c) = (r as i64, c as i64);
         // South neighbour missing: bottom edge, travelling east.
         if !cell_set.contains(&(r + 1, c)) {
             add((c, r + 1), (c + 1, r + 1));

@@ -1,70 +1,88 @@
 //! Property-based tests for the RDF layer: Turtle roundtrips and store
 //! index consistency under random workloads.
 
-use proptest::prelude::*;
+use teleios_check::{forall, Gen};
 use teleios_rdf::store::TripleStore;
 use teleios_rdf::term::Term;
 use teleios_rdf::triple::TriplePattern;
 use teleios_rdf::turtle;
 
-fn iri_strategy() -> impl Strategy<Value = Term> {
-    "[a-z][a-z0-9]{0,8}".prop_map(|local| Term::iri(format!("http://example.org/{local}")))
+const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+const LOWER_DIGITS: &str = "abcdefghijklmnopqrstuvwxyz0123456789";
+
+fn iri(g: &mut Gen) -> Term {
+    let local = g.string(LOWER, 1..2) + &g.string(LOWER_DIGITS, 0..9);
+    Term::iri(format!("http://example.org/{local}"))
 }
 
-fn literal_strategy() -> impl Strategy<Value = Term> {
-    prop_oneof![
+fn literal(g: &mut Gen) -> Term {
+    match g.below(5) {
         // Plain strings including characters that need escaping.
-        "[ -~]{0,20}".prop_map(Term::literal),
-        any::<i64>().prop_map(Term::int),
-        (-1.0e6f64..1.0e6).prop_map(Term::double),
-        any::<bool>().prop_map(Term::boolean),
-        ("[a-z]{1,8}", "[a-z]{2}").prop_map(|(s, l)| Term::lang_literal(s, l)),
-    ]
-}
-
-fn term_strategy() -> impl Strategy<Value = Term> {
-    prop_oneof![iri_strategy(), literal_strategy()]
-}
-
-fn triples_strategy() -> impl Strategy<Value = Vec<(Term, Term, Term)>> {
-    proptest::collection::vec((iri_strategy(), iri_strategy(), term_strategy()), 0..60)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Writing a store to Turtle and reading it back preserves content.
-    #[test]
-    fn turtle_roundtrip(triples in triples_strategy()) {
-        let mut store = TripleStore::new();
-        for (s, p, o) in &triples {
-            store.insert_terms(s, p, o);
+        0 => {
+            let printable: String = (' '..='~').collect();
+            Term::literal(g.string(&printable, 0..21))
         }
+        1 => Term::int(g.int(i64::MIN..i64::MAX)),
+        2 => Term::double(g.float(-1.0e6..1.0e6)),
+        3 => Term::boolean(g.bool()),
+        _ => Term::lang_literal(g.string(LOWER, 1..9), g.string(LOWER, 2..3)),
+    }
+}
+
+fn term(g: &mut Gen) -> Term {
+    if g.bool() {
+        iri(g)
+    } else {
+        literal(g)
+    }
+}
+
+type Triples = Vec<(Term, Term, Term)>;
+
+fn triples(g: &mut Gen) -> Triples {
+    g.vec(0..60, |g| (iri(g), iri(g), term(g)))
+}
+
+fn store_of(triples: &Triples) -> TripleStore {
+    let mut store = TripleStore::new();
+    for (s, p, o) in triples {
+        store.insert_terms(s, p, o);
+    }
+    store
+}
+
+/// Writing a store to Turtle and reading it back preserves content.
+#[test]
+fn turtle_roundtrip() {
+    forall(triples, |triples| {
+        let store = store_of(&triples);
         let text = turtle::write_store(&store);
         let mut store2 = TripleStore::new();
         turtle::parse_into(&text, &mut store2).unwrap();
-        prop_assert_eq!(store.len(), store2.len());
+        assert_eq!(store.len(), store2.len());
         for t in store.iter() {
             let (s, p, o) = (
                 store.term(t.s).clone(),
                 store.term(t.p).clone(),
                 store.term(t.o).clone(),
             );
-            prop_assert_eq!(
+            assert_eq!(
                 store2.match_terms(Some(&s), Some(&p), Some(&o)).len(),
                 1,
-                "missing {} {} {}", s, p, o
+                "missing {} {} {}",
+                s,
+                p,
+                o
             );
         }
-    }
+    });
+}
 
-    /// Pattern matching agrees with a linear scan for every shape.
-    #[test]
-    fn pattern_matching_matches_scan(triples in triples_strategy()) {
-        let mut store = TripleStore::new();
-        for (s, p, o) in &triples {
-            store.insert_terms(s, p, o);
-        }
+/// Pattern matching agrees with a linear scan for every shape.
+#[test]
+fn pattern_matching_matches_scan() {
+    forall(triples, |triples| {
+        let store = store_of(&triples);
         let all: Vec<_> = store.iter().collect();
         // Probe with ids taken from the stored triples (plus wildcards).
         for probe in all.iter().take(10) {
@@ -82,27 +100,26 @@ proptest! {
                 let mut from_scan: Vec<_> =
                     all.iter().filter(|t| pat.matches(t)).copied().collect();
                 from_scan.sort();
-                prop_assert_eq!(&from_index, &from_scan);
+                assert_eq!(&from_index, &from_scan);
                 // The estimate never undercounts the true matches for
                 // the index-backed shapes.
-                prop_assert!(store.estimate_pattern(&pat) >= from_scan.len());
+                assert!(store.estimate_pattern(&pat) >= from_scan.len());
             }
         }
-    }
+    });
+}
 
-    /// Removing everything returns the store to empty with consistent
-    /// indexes.
-    #[test]
-    fn remove_all_empties_store(triples in triples_strategy()) {
-        let mut store = TripleStore::new();
-        for (s, p, o) in &triples {
-            store.insert_terms(s, p, o);
-        }
+/// Removing everything returns the store to empty with consistent
+/// indexes.
+#[test]
+fn remove_all_empties_store() {
+    forall(triples, |triples| {
+        let mut store = store_of(&triples);
         let all: Vec<_> = store.iter().collect();
         for t in &all {
-            prop_assert!(store.remove(t));
+            assert!(store.remove(t));
         }
-        prop_assert!(store.is_empty());
-        prop_assert_eq!(store.match_pattern(&TriplePattern::any()).len(), 0);
-    }
+        assert!(store.is_empty());
+        assert_eq!(store.match_pattern(&TriplePattern::any()).len(), 0);
+    });
 }

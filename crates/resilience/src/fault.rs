@@ -36,12 +36,11 @@
 //! the same scene selection — including the [`DURABILITY_KINDS`]
 //! palette).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 use teleios_exec::OrderedMutex;
+use teleios_geo::SplitMix64;
 use teleios_monet::DbError;
 use teleios_noa::chain::{ChainStage, ProcessingChain, StageHook};
 use teleios_noa::HotspotClassifier;
@@ -194,12 +193,12 @@ impl FaultPlan {
     /// on identical populations (E14 sweeps hang faults this way). An
     /// empty palette yields an empty plan.
     pub fn seeded_with(seed: u64, ids: &[String], rate: f64, kinds: &[Fault]) -> FaultPlan {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let rate = rate.clamp(0.0, 1.0);
         let mut plan = FaultPlan::new();
         let mut next = 0usize;
         for id in ids {
-            if rng.random_bool(rate) && !kinds.is_empty() {
+            if rng.chance(rate) && !kinds.is_empty() {
                 plan.faults.insert(id.clone(), kinds[next % kinds.len()]);
                 next += 1;
             }
@@ -265,27 +264,21 @@ impl FaultPlan {
                     .collect()
             };
             for name in names {
-                let Some(bytes) = repository.get(&name).cloned() else {
+                let Some(mut raw) = repository.remove(&name) else {
                     continue;
                 };
-                match fault {
-                    Fault::CorruptPayload => {
-                        let mut raw = bytes.to_vec();
-                        if let Some(last) = raw.last_mut() {
-                            *last ^= 0x01;
-                        }
-                        repository.put(name, bytes::Bytes::from(raw));
-                        applied += 1;
+                // `is_data_fault` admits exactly these two kinds.
+                if *fault == Fault::CorruptPayload {
+                    if let Some(last) = raw.last_mut() {
+                        *last ^= 0x01;
                     }
-                    Fault::TruncateHeader => {
-                        // Keep the magic plus half the checksum: enough
-                        // to identify the format, not enough to parse.
-                        let cut = bytes.len().min(9);
-                        repository.put(name, bytes.slice(0..cut));
-                        applied += 1;
-                    }
-                    _ => {}
+                } else {
+                    // Keep the magic plus half the checksum: enough
+                    // to identify the format, not enough to parse.
+                    raw.truncate(9);
                 }
+                repository.put(name, raw);
+                applied += 1;
             }
         }
         applied
@@ -419,7 +412,7 @@ mod tests {
         assert_eq!(plan.len(), 2);
     }
 
-    fn scene_file(fill: f64) -> bytes::Bytes {
+    fn scene_file(fill: f64) -> Vec<u8> {
         let h = Sev1Header {
             rows: 4,
             cols: 4,
@@ -459,7 +452,7 @@ mod tests {
         assert_eq!(plan.apply_to_repository(&mut repo), 0);
     }
 
-    fn gtf1_file(fill: f64) -> bytes::Bytes {
+    fn gtf1_file(fill: f64) -> Vec<u8> {
         let h = teleios_vault::format::Gtf1Header {
             rows: 4,
             cols: 4,
@@ -469,7 +462,7 @@ mod tests {
         teleios_vault::format::encode_gtf1(&h, &vec![fill; 16]).unwrap()
     }
 
-    fn shp1_file() -> bytes::Bytes {
+    fn shp1_file() -> Vec<u8> {
         teleios_vault::format::encode_shp1(&[teleios_vault::format::Shp1Record {
             wkt: "POINT (21.6 37.4)".into(),
             label: "hotspot".into(),
@@ -482,15 +475,15 @@ mod tests {
         repo.put("s0.sev1", scene_file(1.0));
         repo.put("s0.gtf1", gtf1_file(300.0));
         repo.put("s0.shp1", shp1_file());
-        let clean_gtf1 = repo.get("s0.gtf1").cloned().unwrap();
-        let clean_shp1 = repo.get("s0.shp1").cloned().unwrap();
+        let clean_gtf1 = repo.get("s0.gtf1").unwrap().to_vec();
+        let clean_shp1 = repo.get("s0.shp1").unwrap().to_vec();
 
         let mut plan = FaultPlan::new();
         plan.inject("s0", Fault::CorruptPayload);
         // All three products of the scene are mutated.
         assert_eq!(plan.apply_to_repository(&mut repo), 3);
-        assert_ne!(repo.get("s0.gtf1").cloned().unwrap(), clean_gtf1);
-        assert_ne!(repo.get("s0.shp1").cloned().unwrap(), clean_shp1);
+        assert_ne!(repo.get("s0.gtf1").unwrap(), clean_gtf1);
+        assert_ne!(repo.get("s0.shp1").unwrap(), clean_shp1);
         // The corruption is exactly what the format checksums catch.
         assert!(teleios_vault::format::decode_gtf1(repo.get("s0.gtf1").unwrap()).is_err());
         assert!(teleios_vault::format::decode_shp1(repo.get("s0.shp1").unwrap()).is_err());
@@ -501,13 +494,13 @@ mod tests {
         let mut repo = Repository::new();
         repo.put("s0.sev1", scene_file(1.0));
         repo.put("s0.gtf1", gtf1_file(300.0));
-        let clean_sev1 = repo.get("s0.sev1").cloned().unwrap();
+        let clean_sev1 = repo.get("s0.sev1").unwrap().to_vec();
 
         let mut plan = FaultPlan::new();
         plan.inject("s0.gtf1", Fault::TruncateHeader);
         assert_eq!(plan.apply_to_repository(&mut repo), 1);
         // The sibling raw acquisition is untouched.
-        assert_eq!(repo.get("s0.sev1").cloned().unwrap(), clean_sev1);
+        assert_eq!(repo.get("s0.sev1").unwrap(), clean_sev1);
         assert_eq!(repo.get("s0.gtf1").unwrap().len(), 9);
     }
 

@@ -161,11 +161,21 @@ impl<'a> Reader<'a> {
             .map_err(|_| StoreError::Codec("invalid utf-8 in string field".into()))
     }
 
+    /// The next `N` bytes as a fixed-size array (for `from_be_bytes`
+    /// / `from_le_bytes`).
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// Everything not yet consumed.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     pub fn f64(&mut self) -> Result<f64> {
-        let raw = self.take(8)?;
-        let mut bits = [0u8; 8];
-        bits.copy_from_slice(raw);
-        Ok(f64::from_bits(u64::from_le_bytes(bits)))
+        Ok(f64::from_bits(u64::from_le_bytes(self.array()?)))
     }
 }
 

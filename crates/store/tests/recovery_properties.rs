@@ -11,6 +11,7 @@
 //! in-flight commit (its commit record is durable — the classic
 //! unacknowledged-but-committed window every WAL engine has).
 
+use teleios_check::SplitMix64;
 use teleios_store::backend::full_state;
 use teleios_store::wal::WAL_FILE;
 use teleios_store::{
@@ -18,45 +19,22 @@ use teleios_store::{
     StoreError, WriteFault,
 };
 
-/// Deterministic xorshift64* so the suite needs no external RNG crate
-/// and every run replays the identical script.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 const KEYSPACES: [&str; 3] = ["vault/catalog", "rdf/spo", "monet/col"];
 
 /// One scripted transaction: a few puts and deletes over the shared
 /// keyspaces. Returns true if the txn carries at least one op.
-fn scripted_txn(rng: &mut Rng, backend: &mut dyn StorageBackend) -> bool {
+fn scripted_txn(rng: &mut SplitMix64, backend: &mut dyn StorageBackend) -> bool {
     backend.begin().unwrap();
-    let n_ops = 1 + rng.below(4) as usize;
+    let n_ops = 1 + rng.below(4);
     let mut any = false;
     for _ in 0..n_ops {
-        let ks = KEYSPACES[rng.below(3) as usize];
+        let ks = KEYSPACES[rng.below(3)];
         let key = format!("k{:03}", rng.below(24));
         if rng.below(5) == 0 {
             backend.delete(ks, key.as_bytes()).unwrap();
         } else {
-            let len = 1 + rng.below(48) as usize;
-            let fill = (rng.next() & 0xff) as u8;
+            let len = 1 + rng.below(48);
+            let fill = rng.below(256) as u8;
             backend.put(ks, key.as_bytes(), &vec![fill; len]).unwrap();
         }
         any = true;
@@ -74,7 +52,7 @@ fn open_no_autosnap(medium: MemMedium) -> DurableBackend<MemMedium> {
 /// Returns (final medium, checkpoints) where checkpoints[0] is the
 /// empty pre-commit state at WAL length 0.
 fn run_script(seed: u64, n_txns: usize) -> (MemMedium, Vec<(usize, KeyspaceState)>) {
-    let mut rng = Rng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut b = open_no_autosnap(MemMedium::new());
     let mut checkpoints = vec![(0usize, KeyspaceState::new())];
     for _ in 0..n_txns {
@@ -169,7 +147,7 @@ fn wal_concatenated_with_itself_replays_identically() {
 fn crash_fault_before_every_commit_recovers_previous_state() {
     let n = 20usize;
     for crash_at in 1..=n {
-        let mut rng = Rng::new(77);
+        let mut rng = SplitMix64::new(77);
         let mut b = open_no_autosnap(MemMedium::new());
         let mut states = vec![KeyspaceState::new()];
         for k in 1..=n {
@@ -201,7 +179,7 @@ fn torn_sync_at_every_byte_of_the_commit_frame() {
     // run 5 committed txns, then tear the 6th commit's sync at every
     // possible surviving byte count
     let setup = |keep: Option<usize>| -> (MemMedium, KeyspaceState, KeyspaceState, usize) {
-        let mut rng = Rng::new(99);
+        let mut rng = SplitMix64::new(99);
         let mut b = open_no_autosnap(MemMedium::new());
         for _ in 0..5 {
             scripted_txn(&mut rng, &mut b);
@@ -252,7 +230,7 @@ fn torn_sync_at_every_byte_of_the_commit_frame() {
 #[test]
 fn short_fsync_poisons_and_never_resurrects() {
     for fail_at in 1..=12usize {
-        let mut rng = Rng::new(123);
+        let mut rng = SplitMix64::new(123);
         let mut b = open_no_autosnap(MemMedium::new());
         let mut last_acked = KeyspaceState::new();
         for k in 1..=fail_at {
@@ -288,7 +266,7 @@ fn short_fsync_poisons_and_never_resurrects() {
 
 #[test]
 fn crash_during_snapshot_publish_is_atomic() {
-    let mut rng = Rng::new(5);
+    let mut rng = SplitMix64::new(5);
     let mut b = open_no_autosnap(MemMedium::new());
     for _ in 0..8 {
         scripted_txn(&mut rng, &mut b);
@@ -310,7 +288,7 @@ fn crash_between_snapshot_publish_and_wal_reset_is_exact() {
     // clone-surgery: fabricate the disk state where the snapshot
     // landed but the WAL reset never happened — the full old WAL is
     // still there alongside the new snapshot
-    let mut rng = Rng::new(6);
+    let mut rng = SplitMix64::new(6);
     let mut b = open_no_autosnap(MemMedium::new());
     for _ in 0..10 {
         scripted_txn(&mut rng, &mut b);
@@ -339,8 +317,8 @@ fn crash_between_snapshot_publish_and_wal_reset_is_exact() {
 
 #[test]
 fn durable_backend_is_equivalent_to_memory_backend() {
-    let mut rng_a = Rng::new(314);
-    let mut rng_b = Rng::new(314);
+    let mut rng_a = SplitMix64::new(314);
+    let mut rng_b = SplitMix64::new(314);
     let mut mem = MemoryBackend::new();
     let mut dur = open_no_autosnap(MemMedium::new());
     for round in 0..50 {
@@ -370,7 +348,7 @@ fn recovery_with_periodic_snapshots_under_truncation() {
     // same sweep idea, but with auto-snapshots every 4 commits: the
     // WAL keeps resetting, so recovery = newest snapshot + short tail
     let config = DurableConfig { snapshot_every: Some(4), keep_snapshots: 2 };
-    let mut rng = Rng::new(2718);
+    let mut rng = SplitMix64::new(2718);
     let mut b = DurableBackend::open(MemMedium::new(), config).unwrap();
     let mut acked = Vec::new();
     for _ in 0..17 {
@@ -400,9 +378,9 @@ fn fs_medium_end_to_end_restart() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../target/store-scratch/recovery-e2e"
     );
-    let _ = std::fs::remove_dir_all(root); // teleios-lint: allow(swallowed-result)
+    let _ = std::fs::remove_dir_all(root);
     let config = DurableConfig { snapshot_every: Some(5), keep_snapshots: 2 };
-    let mut rng = Rng::new(161803);
+    let mut rng = SplitMix64::new(161803);
     let mut b = DurableBackend::open(FsMedium::open(root).unwrap(), config).unwrap();
     for _ in 0..12 {
         scripted_txn(&mut rng, &mut b);

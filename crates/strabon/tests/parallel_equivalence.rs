@@ -7,6 +7,7 @@
 //! must return *bit-identical* `Solutions`, row order included.
 //! Fixtures are sized on both sides of `PAR_BINDING_THRESHOLD`.
 
+use teleios_check::SplitMix64;
 use teleios_rdf::term::Term;
 use teleios_strabon::eval::PAR_BINDING_THRESHOLD;
 use teleios_strabon::{Solutions, Strabon, StrabonConfig};
@@ -15,29 +16,11 @@ const NOA: &str = "http://teleios.di.uoa.gr/ontologies/noaOntology.owl#";
 const STRDF: &str = "http://strdf.di.uoa.gr/ontology#";
 const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 
-/// Deterministic pseudo-random stream (splitmix64), so the fixture
-/// needs no RNG dependency and never flakes.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() % 1_000_000) as f64 / 1_000_000.0
-    }
-}
-
 /// An archive of `n` products, each with one hotspot carrying a
 /// confidence and a point geometry scattered over a 4°×4° window.
 fn archive(n: usize, config: StrabonConfig) -> Strabon {
     let mut db = Strabon::with_config(config);
-    let mut mix = Mix(0x7e1e_105);
+    let mut rng = SplitMix64::new(0x7e1e_105);
     let type_p = Term::iri(RDF_TYPE);
     let geom_p = Term::iri(format!("{STRDF}hasGeometry"));
     let conf_p = Term::iri(format!("{NOA}hasConfidence"));
@@ -56,9 +39,9 @@ fn archive(n: usize, config: StrabonConfig) -> Strabon {
         }
         db.insert(&h, &type_p, &hotspot_c);
         db.insert(&h, &derived_p, &img);
-        db.insert(&h, &conf_p, &Term::double(mix.unit()));
-        let x = 21.0 + mix.unit() * 4.0;
-        let y = 36.0 + mix.unit() * 4.0;
+        db.insert(&h, &conf_p, &Term::double(rng.unit()));
+        let x = rng.range(21.0, 25.0);
+        let y = rng.range(36.0, 40.0);
         db.insert(
             &h,
             &geom_p,

@@ -1,6 +1,6 @@
 //! Property-based tests for the stSPARQL engine.
 
-use proptest::prelude::*;
+use teleios_check::forall;
 use teleios_geo::{Coord, Envelope};
 use teleios_rdf::strdf::geometry_literal_wgs84;
 use teleios_rdf::term::Term;
@@ -38,141 +38,164 @@ fn window_query(env: &Envelope) -> String {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The spatial index is an optimization, never a semantics change:
-    /// indexed and scan evaluation agree on every random workload.
-    #[test]
-    fn indexed_and_scan_results_agree(
-        points in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..60),
-        wx in -50.0f64..40.0, wy in -50.0f64..40.0, w in 0.5f64..20.0,
-    ) {
-        let env = Envelope::new(Coord::new(wx, wy), Coord::new(wx + w, wy + w));
-        let q = window_query(&env);
-        let mut indexed = point_store(&points, StrabonConfig::default());
-        let mut scan = point_store(
-            &points,
-            StrabonConfig { rdfs_inference: false, optimize_bgp: false, use_spatial_index: false, ..StrabonConfig::default() },
-        );
-        let a = indexed.query(&q).unwrap();
-        let b = scan.query(&q).unwrap();
-        let mut ra: Vec<String> = a.rows.iter().map(|r| format!("{:?}", r)).collect();
-        let mut rb: Vec<String> = b.rows.iter().map(|r| format!("{:?}", r)).collect();
-        ra.sort();
-        rb.sort();
-        prop_assert_eq!(ra, rb);
-        // And both match a direct geometric count.
-        let expect = points
-            .iter()
-            .filter(|&&(x, y)| env.contains_coord(Coord::new(x, y)))
-            .count();
-        prop_assert_eq!(a.len(), expect);
-    }
-
-    /// DELETE DATA after INSERT DATA returns the store to its old size.
-    #[test]
-    fn insert_delete_roundtrip(n in 1usize..30) {
-        let mut db = Strabon::new();
-        let before = db.len();
-        let mut stmt = String::from("INSERT DATA {\n");
-        for i in 0..n {
-            stmt.push_str(&format!("<http://x/s{i}> <http://x/p> {i} .\n"));
-        }
-        stmt.push('}');
-        let added = db.update(&stmt).unwrap();
-        prop_assert_eq!(added, n);
-        let removed = db.update(&stmt.replace("INSERT", "DELETE")).unwrap();
-        prop_assert_eq!(removed, n);
-        prop_assert_eq!(db.len(), before);
-    }
-
-    /// ORDER BY ?v returns numerically sorted literals.
-    #[test]
-    fn order_by_sorts_numbers(vals in proptest::collection::vec(-1000i64..1000, 1..40)) {
-        let mut db = Strabon::new();
-        for (i, v) in vals.iter().enumerate() {
-            db.insert(
-                &Term::iri(format!("http://x/s{i}")),
-                &Term::iri("http://x/value"),
-                &Term::int(*v),
+/// The spatial index is an optimization, never a semantics change:
+/// indexed and scan evaluation agree on every random workload.
+#[test]
+fn indexed_and_scan_results_agree() {
+    forall(
+        |g| {
+            let points = g.vec(0..60, |g| (g.float(-50.0..50.0), g.float(-50.0..50.0)));
+            (points, g.float(-50.0..40.0), g.float(-50.0..40.0), g.float(0.5..20.0))
+        },
+        |(points, wx, wy, w)| {
+            let env = Envelope::new(Coord::new(wx, wy), Coord::new(wx + w, wy + w));
+            let q = window_query(&env);
+            let mut indexed = point_store(&points, StrabonConfig::default());
+            let mut scan = point_store(
+                &points,
+                StrabonConfig {
+                    rdfs_inference: false,
+                    optimize_bgp: false,
+                    use_spatial_index: false,
+                    ..StrabonConfig::default()
+                },
             );
-        }
-        let sols = db
-            .query("SELECT ?v WHERE { ?s <http://x/value> ?v } ORDER BY ?v")
-            .unwrap();
-        let got: Vec<i64> = sols
-            .rows
-            .iter()
-            .map(|r| r[0].as_ref().unwrap().as_i64().unwrap())
-            .collect();
-        let mut expect: Vec<i64> = vals.clone();
-        expect.sort_unstable();
-        expect.dedup(); // identical literals intern to one triple per subject...
-        // Subjects differ, so duplicates survive; only exact (s, p, o)
-        // duplicates collapse. Recompute accordingly.
-        let mut expect: Vec<i64> = vals.clone();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
+            let a = indexed.query(&q).unwrap();
+            let b = scan.query(&q).unwrap();
+            let mut ra: Vec<String> = a.rows.iter().map(|r| format!("{:?}", r)).collect();
+            let mut rb: Vec<String> = b.rows.iter().map(|r| format!("{:?}", r)).collect();
+            ra.sort();
+            rb.sort();
+            assert_eq!(ra, rb);
+            // And both match a direct geometric count.
+            let expect = points
+                .iter()
+                .filter(|&&(x, y)| env.contains_coord(Coord::new(x, y)))
+                .count();
+            assert_eq!(a.len(), expect);
+        },
+    );
+}
 
-    /// LIMIT/OFFSET paginate without loss or duplication.
-    #[test]
-    fn pagination_partitions_results(n in 1usize..40, page in 1usize..10) {
-        let mut db = Strabon::new();
-        for i in 0..n {
-            db.insert(
-                &Term::iri(format!("http://x/s{i:03}")),
-                &Term::iri("http://x/p"),
-                &Term::int(i as i64),
-            );
-        }
-        let mut collected = Vec::new();
-        let mut offset = 0;
-        loop {
+/// DELETE DATA after INSERT DATA returns the store to its old size.
+#[test]
+fn insert_delete_roundtrip() {
+    forall(
+        |g| g.size(1..30),
+        |n| {
+            let mut db = Strabon::new();
+            let before = db.len();
+            let mut stmt = String::from("INSERT DATA {\n");
+            for i in 0..n {
+                stmt.push_str(&format!("<http://x/s{i}> <http://x/p> {i} .\n"));
+            }
+            stmt.push('}');
+            let added = db.update(&stmt).unwrap();
+            assert_eq!(added, n);
+            let removed = db.update(&stmt.replace("INSERT", "DELETE")).unwrap();
+            assert_eq!(removed, n);
+            assert_eq!(db.len(), before);
+        },
+    );
+}
+
+/// ORDER BY ?v returns numerically sorted literals.
+#[test]
+fn order_by_sorts_numbers() {
+    forall(
+        |g| g.vec(1..40, |g| g.int(-1000..1000)),
+        |vals| {
+            let mut db = Strabon::new();
+            for (i, v) in vals.iter().enumerate() {
+                db.insert(
+                    &Term::iri(format!("http://x/s{i}")),
+                    &Term::iri("http://x/value"),
+                    &Term::int(*v),
+                );
+            }
             let sols = db
+                .query("SELECT ?v WHERE { ?s <http://x/value> ?v } ORDER BY ?v")
+                .unwrap();
+            let got: Vec<i64> = sols
+                .rows
+                .iter()
+                .map(|r| r[0].as_ref().unwrap().as_i64().unwrap())
+                .collect();
+            // Subjects differ, so duplicate values survive; only exact
+            // (s, p, o) duplicates would collapse.
+            let mut expect = vals;
+            expect.sort_unstable();
+            assert_eq!(got, expect);
+        },
+    );
+}
+
+/// LIMIT/OFFSET paginate without loss or duplication.
+#[test]
+fn pagination_partitions_results() {
+    forall(
+        |g| (g.size(1..40), g.size(1..10)),
+        |(n, page)| {
+            let mut db = Strabon::new();
+            for i in 0..n {
+                db.insert(
+                    &Term::iri(format!("http://x/s{i:03}")),
+                    &Term::iri("http://x/p"),
+                    &Term::int(i as i64),
+                );
+            }
+            let mut collected = Vec::new();
+            let mut offset = 0;
+            loop {
+                let sols = db
+                    .query(&format!(
+                        "SELECT ?s WHERE {{ ?s <http://x/p> ?v }} ORDER BY ?s LIMIT {page} OFFSET {offset}"
+                    ))
+                    .unwrap();
+                if sols.is_empty() {
+                    break;
+                }
+                for r in &sols.rows {
+                    collected.push(format!("{:?}", r[0]));
+                }
+                offset += page;
+            }
+            assert_eq!(collected.len(), n);
+            let mut dedup = collected.clone();
+            dedup.sort();
+            dedup.dedup();
+            assert_eq!(dedup.len(), n);
+        },
+    );
+}
+
+/// FILTER conjunction equals sequential FILTERs.
+#[test]
+fn filter_conjunction_equivalence() {
+    forall(
+        |g| (g.vec(1..40, |g| g.int(0..100)), g.int(0..50), g.int(50..100)),
+        |(vals, lo, hi)| {
+            let mut db = Strabon::new();
+            for (i, v) in vals.iter().enumerate() {
+                db.insert(
+                    &Term::iri(format!("http://x/s{i}")),
+                    &Term::iri("http://x/value"),
+                    &Term::int(*v),
+                );
+            }
+            let a = db
                 .query(&format!(
-                    "SELECT ?s WHERE {{ ?s <http://x/p> ?v }} ORDER BY ?s LIMIT {page} OFFSET {offset}"
+                    "SELECT ?s WHERE {{ ?s <http://x/value> ?v . FILTER(?v >= {lo} && ?v <= {hi}) }}"
                 ))
                 .unwrap();
-            if sols.is_empty() {
-                break;
-            }
-            for r in &sols.rows {
-                collected.push(format!("{:?}", r[0]));
-            }
-            offset += page;
-        }
-        prop_assert_eq!(collected.len(), n);
-        let mut dedup = collected.clone();
-        dedup.sort();
-        dedup.dedup();
-        prop_assert_eq!(dedup.len(), n);
-    }
-
-    /// FILTER conjunction equals sequential FILTERs.
-    #[test]
-    fn filter_conjunction_equivalence(vals in proptest::collection::vec(0i64..100, 1..40), lo in 0i64..50, hi in 50i64..100) {
-        let mut db = Strabon::new();
-        for (i, v) in vals.iter().enumerate() {
-            db.insert(
-                &Term::iri(format!("http://x/s{i}")),
-                &Term::iri("http://x/value"),
-                &Term::int(*v),
-            );
-        }
-        let a = db
-            .query(&format!(
-                "SELECT ?s WHERE {{ ?s <http://x/value> ?v . FILTER(?v >= {lo} && ?v <= {hi}) }}"
-            ))
-            .unwrap();
-        let b = db
-            .query(&format!(
-                "SELECT ?s WHERE {{ ?s <http://x/value> ?v . FILTER(?v >= {lo}) FILTER(?v <= {hi}) }}"
-            ))
-            .unwrap();
-        prop_assert_eq!(a.len(), b.len());
-        let expect = vals.iter().filter(|&&v| v >= lo && v <= hi).count();
-        prop_assert_eq!(a.len(), expect);
-    }
+            let b = db
+                .query(&format!(
+                    "SELECT ?s WHERE {{ ?s <http://x/value> ?v . FILTER(?v >= {lo}) FILTER(?v <= {hi}) }}"
+                ))
+                .unwrap();
+            assert_eq!(a.len(), b.len());
+            let expect = vals.iter().filter(|&&v| v >= lo && v <= hi).count();
+            assert_eq!(a.len(), expect);
+        },
+    );
 }

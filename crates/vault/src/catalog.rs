@@ -9,8 +9,7 @@
 use crate::format::{
     decode_gtf1_header, decode_sev1_header, decode_shp1_count, FormatKind,
 };
-use crate::{Result, VaultError};
-use bytes::Bytes;
+use crate::Result;
 use std::collections::BTreeMap;
 use teleios_geo::{Coord, Envelope};
 
@@ -41,7 +40,7 @@ impl FileRecord {
 }
 
 /// Extract a metadata record from a file's bytes (header-only parse).
-pub fn extract_metadata(name: &str, bytes: &Bytes) -> Result<FileRecord> {
+pub fn extract_metadata(name: &str, bytes: &[u8]) -> Result<FileRecord> {
     match FormatKind::from_name(name)? {
         FormatKind::Sev1 => {
             let h = decode_sev1_header(bytes)?;

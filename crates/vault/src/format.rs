@@ -14,7 +14,7 @@
 //! matching the vault's just-in-time philosophy.
 
 use crate::{Result, VaultError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use teleios_store::codec::Reader;
 
 /// 64-bit FNV-1a hash used as the payload checksum of all three formats.
 pub fn payload_checksum(bytes: &[u8]) -> u64 {
@@ -85,72 +85,36 @@ pub struct Sev1Header {
 }
 
 /// Encode a `.sev1` file: header plus row-major band-major f64 payload.
-pub fn encode_sev1(header: &Sev1Header, payload: &[f64]) -> Result<Bytes> {
-    let expect = (header.rows * header.cols * header.bands) as usize;
-    if payload.len() != expect {
-        return Err(VaultError::Malformed(format!(
-            "payload has {} cells, header implies {expect}",
-            payload.len()
-        )));
-    }
-    let mut body = BytesMut::with_capacity(payload.len() * 8);
-    for &v in payload {
-        body.put_f64(v);
-    }
-    let mut out = BytesMut::with_capacity(72 + body.len());
-    out.put_slice(FormatKind::Sev1.magic());
-    out.put_u64(payload_checksum(&body));
-    out.put_u32(header.rows);
-    out.put_u32(header.cols);
-    out.put_u32(header.bands);
+pub fn encode_sev1(header: &Sev1Header, payload: &[f64]) -> Result<Vec<u8>> {
+    check_cells(payload, &[header.rows, header.cols, header.bands])?;
+    let mut out = start_file(FormatKind::Sev1, 72 + payload.len() * 8);
+    put_u32(&mut out, header.rows);
+    put_u32(&mut out, header.cols);
+    put_u32(&mut out, header.bands);
     put_string(&mut out, &header.acquisition);
-    out.put_f64(header.bbox.0);
-    out.put_f64(header.bbox.1);
-    out.put_f64(header.bbox.2);
-    out.put_f64(header.bbox.3);
-    out.put_slice(&body);
-    Ok(out.freeze())
+    let (x0, y0, x1, y1) = header.bbox;
+    put_cells(&mut out, &[x0, y0, x1, y1]);
+    Ok(finish_file(out, payload))
 }
 
 /// Parse only the header of a `.sev1` file (cheap metadata extraction;
 /// the payload checksum is NOT verified here).
-pub fn decode_sev1_header(bytes: &Bytes) -> Result<Sev1Header> {
-    let mut buf = bytes.clone();
-    check_magic(&mut buf, FormatKind::Sev1)?;
-    if buf.remaining() < 8 + 12 {
-        return Err(VaultError::Malformed("truncated sev1 header".into()));
-    }
-    let _checksum = buf.get_u64();
-    let rows = buf.get_u32();
-    let cols = buf.get_u32();
-    let bands = buf.get_u32();
-    let acquisition = get_string(&mut buf)?;
-    if buf.remaining() < 32 {
-        return Err(VaultError::Malformed("truncated sev1 bbox".into()));
-    }
-    let bbox = (buf.get_f64(), buf.get_f64(), buf.get_f64(), buf.get_f64());
+pub fn decode_sev1_header(bytes: &[u8]) -> Result<Sev1Header> {
+    sev1_header(&mut open_file(bytes, FormatKind::Sev1)?.1)
+}
+
+fn sev1_header(r: &mut Fields) -> Result<Sev1Header> {
+    let (rows, cols, bands) = (r.u32()?, r.u32()?, r.u32()?);
+    let acquisition = r.string()?;
+    let bbox = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
     Ok(Sev1Header { rows, cols, bands, acquisition, bbox })
 }
 
 /// Parse the full `.sev1` file: header plus checksum-verified payload.
-pub fn decode_sev1(bytes: &Bytes) -> Result<(Sev1Header, Vec<f64>)> {
-    let header = decode_sev1_header(bytes)?;
-    let header_len = 4 + 8 + 12 + 4 + header.acquisition.len() + 32;
-    let n = (header.rows as usize) * (header.cols as usize) * (header.bands as usize);
-    if bytes.len() < header_len + n * 8 {
-        return Err(VaultError::Malformed(format!(
-            "payload truncated: need {} bytes, have {}",
-            n * 8,
-            bytes.len().saturating_sub(header_len)
-        )));
-    }
-    let expected = bytes.slice(4..12).get_u64();
-    let mut buf = bytes.slice(header_len..header_len + n * 8);
-    verify_checksum("sev1", expected, &buf)?;
-    let mut payload = Vec::with_capacity(n);
-    for _ in 0..n {
-        payload.push(buf.get_f64());
-    }
+pub fn decode_sev1(bytes: &[u8]) -> Result<(Sev1Header, Vec<f64>)> {
+    let (checksum, mut r) = open_file(bytes, FormatKind::Sev1)?;
+    let header = sev1_header(&mut r)?;
+    let payload = r.cells("sev1", checksum, &[header.rows, header.cols, header.bands])?;
     Ok((header, payload))
 }
 
@@ -178,62 +142,33 @@ impl Gtf1Header {
 }
 
 /// Encode a `.gtf1` file.
-pub fn encode_gtf1(header: &Gtf1Header, payload: &[f64]) -> Result<Bytes> {
-    let expect = (header.rows * header.cols) as usize;
-    if payload.len() != expect {
-        return Err(VaultError::Malformed(format!(
-            "payload has {} cells, header implies {expect}",
-            payload.len()
-        )));
-    }
-    let mut body = BytesMut::with_capacity(payload.len() * 8);
-    for &v in payload {
-        body.put_f64(v);
-    }
-    let mut out = BytesMut::with_capacity(72 + body.len());
-    out.put_slice(FormatKind::Gtf1.magic());
-    out.put_u64(payload_checksum(&body));
-    out.put_u32(header.rows);
-    out.put_u32(header.cols);
-    out.put_u32(header.epsg);
-    out.put_f64(header.transform.0);
-    out.put_f64(header.transform.1);
-    out.put_f64(header.transform.2);
-    out.put_f64(header.transform.3);
-    out.put_slice(&body);
-    Ok(out.freeze())
+pub fn encode_gtf1(header: &Gtf1Header, payload: &[f64]) -> Result<Vec<u8>> {
+    check_cells(payload, &[header.rows, header.cols])?;
+    let mut out = start_file(FormatKind::Gtf1, 56 + payload.len() * 8);
+    put_u32(&mut out, header.rows);
+    put_u32(&mut out, header.cols);
+    put_u32(&mut out, header.epsg);
+    let (ox, oy, pw, ph) = header.transform;
+    put_cells(&mut out, &[ox, oy, pw, ph]);
+    Ok(finish_file(out, payload))
 }
 
 /// Parse only the header of a `.gtf1` file (checksum not verified).
-pub fn decode_gtf1_header(bytes: &Bytes) -> Result<Gtf1Header> {
-    let mut buf = bytes.clone();
-    check_magic(&mut buf, FormatKind::Gtf1)?;
-    if buf.remaining() < 8 + 12 + 32 {
-        return Err(VaultError::Malformed("truncated gtf1 header".into()));
-    }
-    let _checksum = buf.get_u64();
-    let rows = buf.get_u32();
-    let cols = buf.get_u32();
-    let epsg = buf.get_u32();
-    let transform = (buf.get_f64(), buf.get_f64(), buf.get_f64(), buf.get_f64());
+pub fn decode_gtf1_header(bytes: &[u8]) -> Result<Gtf1Header> {
+    gtf1_header(&mut open_file(bytes, FormatKind::Gtf1)?.1)
+}
+
+fn gtf1_header(r: &mut Fields) -> Result<Gtf1Header> {
+    let (rows, cols, epsg) = (r.u32()?, r.u32()?, r.u32()?);
+    let transform = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
     Ok(Gtf1Header { rows, cols, transform, epsg })
 }
 
 /// Parse the full `.gtf1` file: header plus checksum-verified payload.
-pub fn decode_gtf1(bytes: &Bytes) -> Result<(Gtf1Header, Vec<f64>)> {
-    let header = decode_gtf1_header(bytes)?;
-    let header_len = 4 + 8 + 12 + 32;
-    let n = (header.rows as usize) * (header.cols as usize);
-    if bytes.len() < header_len + n * 8 {
-        return Err(VaultError::Malformed("gtf1 payload truncated".into()));
-    }
-    let expected = bytes.slice(4..12).get_u64();
-    let mut buf = bytes.slice(header_len..header_len + n * 8);
-    verify_checksum("gtf1", expected, &buf)?;
-    let mut payload = Vec::with_capacity(n);
-    for _ in 0..n {
-        payload.push(buf.get_f64());
-    }
+pub fn decode_gtf1(bytes: &[u8]) -> Result<(Gtf1Header, Vec<f64>)> {
+    let (checksum, mut r) = open_file(bytes, FormatKind::Gtf1)?;
+    let header = gtf1_header(&mut r)?;
+    let payload = r.cells("gtf1", checksum, &[header.rows, header.cols])?;
     Ok((header, payload))
 }
 
@@ -247,57 +182,96 @@ pub struct Shp1Record {
 }
 
 /// Encode a `.shp1` file.
-pub fn encode_shp1(records: &[Shp1Record]) -> Bytes {
-    let mut body = BytesMut::new();
+pub fn encode_shp1(records: &[Shp1Record]) -> Vec<u8> {
+    let mut out = start_file(FormatKind::Shp1, 16);
+    put_u32(&mut out, records.len() as u32);
+    let body = out.len();
     for r in records {
-        put_string(&mut body, &r.wkt);
-        put_string(&mut body, &r.label);
+        put_string(&mut out, &r.wkt);
+        put_string(&mut out, &r.label);
     }
-    let mut out = BytesMut::with_capacity(16 + body.len());
-    out.put_slice(FormatKind::Shp1.magic());
-    out.put_u64(payload_checksum(&body));
-    out.put_u32(records.len() as u32);
-    out.put_slice(&body);
-    out.freeze()
+    seal(out, body)
 }
 
 /// Parse a `.shp1` file. The "header" is the record count; record data
 /// doubles as payload and is checksum-verified before parsing.
-pub fn decode_shp1(bytes: &Bytes) -> Result<Vec<Shp1Record>> {
-    let mut buf = bytes.clone();
-    check_magic(&mut buf, FormatKind::Shp1)?;
-    if buf.remaining() < 8 + 4 {
-        return Err(VaultError::Malformed("truncated shp1 header".into()));
-    }
-    let expected = buf.get_u64();
-    let n = buf.get_u32() as usize;
-    verify_checksum("shp1", expected, &buf)?;
-    let mut out = Vec::with_capacity(n);
+pub fn decode_shp1(bytes: &[u8]) -> Result<Vec<Shp1Record>> {
+    let (checksum, mut r) = open_file(bytes, FormatKind::Shp1)?;
+    let n = r.u32()? as usize;
+    verify_checksum("shp1", checksum, r.rest())?;
+    // The count is outside the checksum: a record is at least two
+    // length words, so a flipped count cannot size the allocation.
+    let mut out = Vec::with_capacity(n.min(r.rest().len() / 8));
     for _ in 0..n {
-        let wkt = get_string(&mut buf)?;
-        let label = get_string(&mut buf)?;
+        let wkt = r.string()?;
+        let label = r.string()?;
         out.push(Shp1Record { wkt, label });
     }
     Ok(out)
 }
 
 /// Record count of a `.shp1` file without decoding (or verifying) records.
-pub fn decode_shp1_count(bytes: &Bytes) -> Result<u32> {
-    let mut buf = bytes.clone();
-    check_magic(&mut buf, FormatKind::Shp1)?;
-    if buf.remaining() < 8 + 4 {
-        return Err(VaultError::Malformed("truncated shp1 header".into()));
-    }
-    let _checksum = buf.get_u64();
-    Ok(buf.get_u32())
+pub fn decode_shp1_count(bytes: &[u8]) -> Result<u32> {
+    open_file(bytes, FormatKind::Shp1)?.1.u32()
 }
 
-fn check_magic(buf: &mut Bytes, kind: FormatKind) -> Result<()> {
-    if buf.remaining() < 4 {
-        return Err(VaultError::Malformed("file too short for magic".into()));
+/// Cell count implied by header dimensions, `None` on overflow.
+fn cell_count(dims: &[u32]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d as usize))
+}
+
+fn check_cells(payload: &[f64], dims: &[u32]) -> Result<()> {
+    if cell_count(dims) == Some(payload.len()) {
+        return Ok(());
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
+    Err(VaultError::Malformed(format!(
+        "payload has {} cells, header implies {dims:?}",
+        payload.len()
+    )))
+}
+
+/// Magic plus a checksum slot that [`seal`] fills in.
+fn start_file(kind: FormatKind, capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(kind.magic());
+    out.extend_from_slice(&[0; 8]);
+    out
+}
+
+/// Append the payload cells and seal the file.
+fn finish_file(mut out: Vec<u8>, payload: &[f64]) -> Vec<u8> {
+    let body = out.len();
+    put_cells(&mut out, payload);
+    seal(out, body)
+}
+
+/// Write the checksum of `out[body..]` into the slot after the magic.
+fn seal(mut out: Vec<u8>, body: usize) -> Vec<u8> {
+    let checksum = payload_checksum(&out[body..]);
+    out[4..12].copy_from_slice(&checksum.to_be_bytes());
+    out
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
+fn put_cells(out: &mut Vec<u8>, cells: &[f64]) {
+    for v in cells {
+        out.extend_from_slice(&v.to_be_bytes());
+    }
+}
+
+fn put_string(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Check the magic and read the stored checksum; the cursor is left on
+/// the first header field.
+fn open_file(bytes: &[u8], kind: FormatKind) -> Result<(u64, Fields<'_>)> {
+    let mut r = Fields(Reader::new(bytes));
+    let magic: [u8; 4] = r.array("magic")?;
     if &magic != kind.magic() {
         return Err(VaultError::Malformed(format!(
             "bad magic {:?}, expected {:?}",
@@ -305,25 +279,54 @@ fn check_magic(buf: &mut Bytes, kind: FormatKind) -> Result<()> {
             kind.magic()
         )));
     }
-    Ok(())
+    let checksum = u64::from_be_bytes(r.array("checksum")?);
+    Ok((checksum, r))
 }
 
-fn put_string(out: &mut BytesMut, s: &str) {
-    out.put_u32(s.len() as u32);
-    out.put_slice(s.as_bytes());
-}
+/// Big-endian field reads over the store's bounds-checked cursor:
+/// running out of bytes is `Malformed`, never a panic.
+struct Fields<'a>(Reader<'a>);
 
-fn get_string(buf: &mut Bytes) -> Result<String> {
-    if buf.remaining() < 4 {
-        return Err(VaultError::Malformed("truncated string length".into()));
+impl<'a> Fields<'a> {
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        self.0.array().map_err(|_| VaultError::Malformed(format!("truncated {what}")))
     }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(VaultError::Malformed("truncated string body".into()));
+
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_be_bytes(self.array("u32 field")?))
     }
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|e| VaultError::Malformed(format!("bad utf8: {e}")))
+
+    fn f64(&mut self) -> Result<f64> {
+        Ok(f64::from_be_bytes(self.array("f64 field")?))
+    }
+
+    fn string(&mut self) -> Result<String> {
+        let len = self.u32()? as usize;
+        let raw = self.0.take(len).map_err(|_| VaultError::Malformed("truncated string body".into()))?;
+        String::from_utf8(raw.to_vec()).map_err(|e| VaultError::Malformed(format!("bad utf8: {e}")))
+    }
+
+    /// Everything after the cursor.
+    fn rest(&self) -> &'a [u8] {
+        self.0.rest()
+    }
+
+    /// The checksum-verified payload of a raster whose header declared
+    /// `dims`. The dimensions are untrusted: sizes are computed checked.
+    fn cells(&self, kind: &str, checksum: u64, dims: &[u32]) -> Result<Vec<f64>> {
+        let rest = self.rest();
+        let raw = cell_count(dims)
+            .and_then(|n| n.checked_mul(8))
+            .and_then(|len| rest.get(..len))
+            .ok_or_else(|| {
+                VaultError::Malformed(format!(
+                    "{kind} payload truncated: header implies {dims:?} cells, have {} bytes",
+                    rest.len()
+                ))
+            })?;
+        verify_checksum(kind, checksum, raw)?;
+        Ok(raw.as_chunks().0.iter().map(|c| f64::from_be_bytes(*c)).collect())
+    }
 }
 
 #[cfg(test)]
@@ -375,10 +378,10 @@ mod tests {
     fn sev1_truncated_payload_rejected() {
         let h = sev1_header();
         let bytes = encode_sev1(&h, &[0.0; 12]).unwrap();
-        let cut = bytes.slice(0..bytes.len() - 8);
-        assert!(decode_sev1(&cut).is_err());
+        let cut = &bytes[..bytes.len() - 8];
+        assert!(decode_sev1(cut).is_err());
         // The header still parses.
-        assert!(decode_sev1_header(&cut).is_ok());
+        assert!(decode_sev1_header(cut).is_ok());
     }
 
     #[test]
@@ -425,10 +428,10 @@ mod tests {
 
     #[test]
     fn garbage_rejected_everywhere() {
-        let garbage = Bytes::from_static(b"xx");
-        assert!(decode_sev1_header(&garbage).is_err());
-        assert!(decode_gtf1_header(&garbage).is_err());
-        assert!(decode_shp1(&garbage).is_err());
+        let garbage = b"xx";
+        assert!(decode_sev1_header(garbage).is_err());
+        assert!(decode_gtf1_header(garbage).is_err());
+        assert!(decode_shp1(garbage).is_err());
     }
 
     #[test]
@@ -442,10 +445,9 @@ mod tests {
         let h = sev1_header();
         let payload: Vec<f64> = (0..12).map(|v| v as f64).collect();
         let bytes = encode_sev1(&h, &payload).unwrap();
-        let mut raw = bytes.to_vec();
-        let last = raw.len() - 1;
-        raw[last] ^= 0x01;
-        let corrupt = Bytes::from(raw);
+        let mut corrupt = bytes;
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0x01;
         // The header still parses (checksums are not verified there)...
         assert!(decode_sev1_header(&corrupt).is_ok());
         // ...but full materialization reports corruption, not garbage data.
@@ -455,22 +457,116 @@ mod tests {
     #[test]
     fn gtf1_bit_flip_detected_as_corrupt() {
         let h = Gtf1Header { rows: 4, cols: 4, transform: (21.0, 40.0, 0.1, 0.1), epsg: 4326 };
-        let bytes = encode_gtf1(&h, &vec![2.5; 16]).unwrap();
-        let mut raw = bytes.to_vec();
+        let mut raw = encode_gtf1(&h, &[2.5; 16]).unwrap();
         raw[60] ^= 0x80; // a payload byte (header is 56 bytes)
-        assert!(matches!(decode_gtf1(&Bytes::from(raw)), Err(VaultError::Corrupt(_))));
+        assert!(matches!(decode_gtf1(&raw), Err(VaultError::Corrupt(_))));
     }
 
     #[test]
     fn shp1_bit_flip_detected_as_corrupt() {
-        let bytes = encode_shp1(&[Shp1Record {
+        let mut corrupt = encode_shp1(&[Shp1Record {
             wkt: "POINT (1 2)".into(),
             label: "hotspot".into(),
         }]);
-        let mut raw = bytes.to_vec();
-        raw[20] ^= 0x04; // inside the first record's WKT
-        let corrupt = Bytes::from(raw);
+        corrupt[20] ^= 0x04; // inside the first record's WKT
         assert!(decode_shp1_count(&corrupt).is_ok());
         assert!(matches!(decode_shp1(&corrupt), Err(VaultError::Corrupt(_))));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn gtf1_header() -> Gtf1Header {
+        Gtf1Header { rows: 2, cols: 1, transform: (21.0, 40.0, 0.5, 0.25), epsg: 4326 }
+    }
+
+    fn shp1_records() -> Vec<Shp1Record> {
+        vec![Shp1Record { wkt: "POINT (1 2)".into(), label: "h\u{e9}".into() }]
+    }
+
+    /// The wire format of each kind, byte for byte: big-endian fields,
+    /// FNV-1a of the payload after the magic.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let header = Sev1Header {
+            rows: 1,
+            cols: 2,
+            bands: 1,
+            acquisition: "T0".into(),
+            bbox: (20.0, 35.0, 25.5, -40.0),
+        };
+        assert_eq!(
+            hex(&encode_sev1(&header, &[1.5, -2.0]).unwrap()),
+            "534556319db8a490125079120000000100000002000000010000000254304034000000000000\
+             40418000000000004039800000000000c0440000000000003ff8000000000000c000000000000000"
+        );
+        assert_eq!(
+            hex(&encode_gtf1(&gtf1_header(), &[0.0, 300.25]).unwrap()),
+            "4754463152c0bc5700a04f7b0000000200000001000010e640350000000000004044000000000000\
+             3fe00000000000003fd000000000000000000000000000004072c40000000000"
+        );
+        assert_eq!(
+            hex(&encode_shp1(&shp1_records())),
+            "534850311abe745f8ceb90cd000000010000000b504f494e542028312032290000000368c3a9"
+        );
+    }
+
+    /// Decode `bytes` as every kind; a panic fails the calling test.
+    fn decode_all(bytes: &[u8]) {
+        let _ = (decode_sev1(bytes), decode_sev1_header(bytes));
+        let _ = (decode_gtf1(bytes), decode_gtf1_header(bytes));
+        let _ = (decode_shp1(bytes), decode_shp1_count(bytes));
+    }
+
+    #[test]
+    fn truncations_and_byte_flips_error_or_decode_but_never_panic() {
+        let files = [
+            encode_sev1(&sev1_header(), &[0.5; 12]).unwrap(),
+            encode_gtf1(&gtf1_header(), &[0.0, 300.25]).unwrap(),
+            encode_shp1(&shp1_records()),
+        ];
+        for file in &files {
+            for cut in 0..file.len() {
+                decode_all(&file[..cut]);
+            }
+            // A proper prefix is never a whole file.
+            assert!(decode_sev1(&file[..file.len() - 1]).is_err());
+            assert!(decode_gtf1(&file[..file.len() - 1]).is_err());
+            assert!(decode_shp1(&file[..file.len() - 1]).is_err());
+            for at in 0..file.len() {
+                for bit in 0..8 {
+                    let mut flipped = file.clone();
+                    flipped[at] ^= 1 << bit;
+                    decode_all(&flipped);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crafted_huge_dimensions_and_counts_are_malformed() {
+        // rows = cols = bands = 0xFFFFFFFF: the cell count overflows usize.
+        let mut sev1 = encode_sev1(&sev1_header(), &[0.5; 12]).unwrap();
+        sev1[12..24].fill(0xff);
+        assert!(matches!(decode_sev1(&sev1), Err(VaultError::Malformed(_))));
+        // The header-only parse reports what the file claims.
+        assert_eq!(decode_sev1_header(&sev1).unwrap().rows, u32::MAX);
+
+        // rows * cols fits usize, the byte length does not.
+        let mut gtf1 = encode_gtf1(&gtf1_header(), &[0.0, 300.25]).unwrap();
+        gtf1[12..20].fill(0xff);
+        assert!(matches!(decode_gtf1(&gtf1), Err(VaultError::Malformed(_))));
+
+        // The record count sits outside the checksum: 4 G records
+        // claimed, one present. No 4 G-slot allocation, no panic.
+        let mut shp1 = encode_shp1(&shp1_records());
+        shp1[12..16].fill(0xff);
+        assert!(matches!(decode_shp1(&shp1), Err(VaultError::Malformed(_))));
+        assert_eq!(decode_shp1_count(&shp1).unwrap(), u32::MAX);
+
+        // Encoders check the same product.
+        let huge = Sev1Header { rows: u32::MAX, cols: u32::MAX, bands: u32::MAX, ..sev1_header() };
+        assert!(encode_sev1(&huge, &[]).is_err());
     }
 }

@@ -5,13 +5,12 @@
 //! the vault experiments: reading a file's *header* is cheap, converting
 //! its *payload* is proportional to its size.
 
-use bytes::Bytes;
 use std::collections::BTreeMap;
 
 /// An in-memory file repository: name → raw bytes.
 #[derive(Debug, Clone, Default)]
 pub struct Repository {
-    files: BTreeMap<String, Bytes>,
+    files: BTreeMap<String, Vec<u8>>,
 }
 
 impl Repository {
@@ -21,17 +20,17 @@ impl Repository {
     }
 
     /// Store (or replace) a file.
-    pub fn put(&mut self, name: impl Into<String>, bytes: Bytes) {
+    pub fn put(&mut self, name: impl Into<String>, bytes: Vec<u8>) {
         self.files.insert(name.into(), bytes);
     }
 
     /// Fetch a file's bytes.
-    pub fn get(&self, name: &str) -> Option<&Bytes> {
-        self.files.get(name)
+    pub fn get(&self, name: &str) -> Option<&[u8]> {
+        self.files.get(name).map(Vec::as_slice)
     }
 
     /// Remove a file.
-    pub fn remove(&mut self, name: &str) -> Option<Bytes> {
+    pub fn remove(&mut self, name: &str) -> Option<Vec<u8>> {
         self.files.remove(name)
     }
 
@@ -52,7 +51,7 @@ impl Repository {
 
     /// Total stored bytes.
     pub fn total_bytes(&self) -> usize {
-        self.files.values().map(Bytes::len).sum()
+        self.files.values().map(Vec::len).sum()
     }
 }
 
@@ -63,10 +62,10 @@ mod tests {
     #[test]
     fn put_get_remove() {
         let mut r = Repository::new();
-        r.put("a.sev1", Bytes::from_static(b"123"));
-        r.put("b.sev1", Bytes::from_static(b"4567"));
+        r.put("a.sev1", b"123".to_vec());
+        r.put("b.sev1", b"4567".to_vec());
         assert_eq!(r.len(), 2);
-        assert_eq!(r.get("a.sev1").unwrap().as_ref(), b"123");
+        assert_eq!(r.get("a.sev1").unwrap(), b"123");
         assert_eq!(r.total_bytes(), 7);
         assert_eq!(r.names().collect::<Vec<_>>(), vec!["a.sev1", "b.sev1"]);
         assert!(r.remove("a.sev1").is_some());
@@ -77,8 +76,8 @@ mod tests {
     #[test]
     fn replace_overwrites() {
         let mut r = Repository::new();
-        r.put("a", Bytes::from_static(b"1"));
-        r.put("a", Bytes::from_static(b"22"));
+        r.put("a", b"1".to_vec());
+        r.put("a", b"22".to_vec());
         assert_eq!(r.len(), 1);
         assert_eq!(r.total_bytes(), 2);
     }

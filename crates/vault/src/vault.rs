@@ -152,9 +152,8 @@ impl DataVault {
         let bytes = self
             .repository
             .get(name)
-            .ok_or_else(|| VaultError::UnknownFile(name.to_string()))?
-            .clone();
-        let record = match extract_metadata(name, &bytes) {
+            .ok_or_else(|| VaultError::UnknownFile(name.to_string()))?;
+        let record = match extract_metadata(name, bytes) {
             Ok(r) => r,
             Err(e) => {
                 self.note_decode_failure(name);
@@ -312,7 +311,7 @@ impl DataVault {
 
     /// Decode one file's payload. Raster formats yield the array to
     /// store; geometry sets are validated and yield `None`.
-    fn decode_payload(name: &str, bytes: &bytes::Bytes) -> Result<Option<NdArray>> {
+    fn decode_payload(name: &str, bytes: &[u8]) -> Result<Option<NdArray>> {
         match FormatKind::from_name(name)? {
             FormatKind::Sev1 => {
                 let (h, payload) = decode_sev1(bytes)?;
@@ -346,9 +345,8 @@ impl DataVault {
         let bytes = self
             .repository
             .get(name)
-            .ok_or_else(|| VaultError::UnknownFile(name.to_string()))?
-            .clone();
-        let array = match Self::decode_payload(name, &bytes) {
+            .ok_or_else(|| VaultError::UnknownFile(name.to_string()))?;
+        let array = match Self::decode_payload(name, bytes) {
             Ok(Some(array)) => array,
             Ok(None) => return Ok(()), // validated geometry set
             Err(e) => {
@@ -400,7 +398,7 @@ mod tests {
     use crate::format::{encode_sev1, encode_shp1, Sev1Header};
     use teleios_geo::Coord;
 
-    fn scene_bytes(rows: u32, cols: u32, bbox: (f64, f64, f64, f64), fill: f64) -> bytes::Bytes {
+    fn scene_bytes(rows: u32, cols: u32, bbox: (f64, f64, f64, f64), fill: f64) -> Vec<u8> {
         let h = Sev1Header {
             rows,
             cols,
@@ -537,7 +535,7 @@ mod tests {
     fn quarantine_survives_persist_restore() {
         let mut repo = Repository::new();
         repo.put("good.sev1", scene_bytes(4, 4, (0.0, 0.0, 1.0, 1.0), 1.0));
-        repo.put("bad.sev1", corrupt(&scene_bytes(4, 4, (1.0, 0.0, 2.0, 1.0), 2.0)));
+        repo.put("bad.sev1", corrupt(scene_bytes(4, 4, (1.0, 0.0, 2.0, 1.0), 2.0)));
         let mut v = DataVault::new(repo, Catalog::new(), IngestionPolicy::Lazy, 0);
         v.register_all().unwrap();
         assert!(v.array_for("bad.sev1").is_err());
@@ -558,18 +556,17 @@ mod tests {
         assert!(v2.array_for("good.sev1").is_ok());
     }
 
-    fn corrupt(bytes: &bytes::Bytes) -> bytes::Bytes {
-        let mut raw = bytes.to_vec();
+    fn corrupt(mut raw: Vec<u8>) -> Vec<u8> {
         let last = raw.len() - 1;
         raw[last] ^= 0x01; // bit-flip in the payload region
-        bytes::Bytes::from(raw)
+        raw
     }
 
     #[test]
     fn lazy_corrupt_payload_quarantined_not_panicking() {
         let mut repo = Repository::new();
         repo.put("good.sev1", scene_bytes(4, 4, (0.0, 0.0, 1.0, 1.0), 1.0));
-        repo.put("bad.sev1", corrupt(&scene_bytes(4, 4, (1.0, 0.0, 2.0, 1.0), 2.0)));
+        repo.put("bad.sev1", corrupt(scene_bytes(4, 4, (1.0, 0.0, 2.0, 1.0), 2.0)));
         let mut v = DataVault::new(repo, Catalog::new(), IngestionPolicy::Lazy, 0);
         // Registration is header-only, so both files register cleanly.
         assert_eq!(v.register_all().unwrap(), 2);
@@ -589,7 +586,7 @@ mod tests {
     fn eager_corrupt_payload_quarantined_not_panicking() {
         let mut repo = Repository::new();
         repo.put("good.sev1", scene_bytes(4, 4, (0.0, 0.0, 1.0, 1.0), 1.0));
-        repo.put("bad.sev1", corrupt(&scene_bytes(4, 4, (1.0, 0.0, 2.0, 1.0), 2.0)));
+        repo.put("bad.sev1", corrupt(scene_bytes(4, 4, (1.0, 0.0, 2.0, 1.0), 2.0)));
         let mut v = DataVault::new(repo, Catalog::new(), IngestionPolicy::Eager, 0);
         // The sweep survives the corrupt file: one clean registration.
         assert_eq!(v.register_all().unwrap(), 1);
@@ -604,7 +601,7 @@ mod tests {
         for policy in [IngestionPolicy::Lazy, IngestionPolicy::Eager] {
             let mut repo = Repository::new();
             let full = scene_bytes(4, 4, (0.0, 0.0, 1.0, 1.0), 1.0);
-            repo.put("cut.sev1", full.slice(0..9)); // magic + half the checksum
+            repo.put("cut.sev1", full[..9].to_vec()); // magic + half the checksum
             let mut v = DataVault::new(repo, Catalog::new(), policy, 0);
             assert_eq!(v.register_all().unwrap(), 0);
             assert!(v.is_quarantined("cut.sev1"), "policy {policy:?}");
@@ -616,7 +613,7 @@ mod tests {
     fn retry_quarantined_after_repair() {
         let good = scene_bytes(4, 4, (0.0, 0.0, 1.0, 1.0), 7.0);
         let mut repo = Repository::new();
-        repo.put("flaky.sev1", corrupt(&good));
+        repo.put("flaky.sev1", corrupt(good.clone()));
         let mut v = DataVault::new(repo, Catalog::new(), IngestionPolicy::Lazy, 0);
         v.register_all().unwrap();
         assert!(v.array_for("flaky.sev1").is_err());
@@ -638,7 +635,7 @@ mod tests {
     fn corrupt_shp1_records_quarantined() {
         let clean = encode_shp1(&[Shp1Record { wkt: "POINT (1 2)".into(), label: "fire".into() }]);
         let mut repo = Repository::new();
-        repo.put("geoms.shp1", corrupt(&clean));
+        repo.put("geoms.shp1", corrupt(clean));
         let mut v = DataVault::new(repo, Catalog::new(), IngestionPolicy::Lazy, 0);
         // Header (record count) parses, so registration succeeds...
         assert_eq!(v.register_all().unwrap(), 1);

@@ -6,7 +6,7 @@
 #                              teleios-lint workspace invariants,
 #                              the one-fork-site and one-vocabulary
 #                              greps, clippy, the
-#                              E14/E16 smoke runs (a
+#                              E11/E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
 #                              regression fails this gate instead of
 #                              hanging it), and the E0 benchmark's
@@ -22,7 +22,9 @@
 #                              bounded by a timeout so a scheduler
 #                              regression fails rather than wedges
 #
-# Run from anywhere inside the repo; requires only the Rust toolchain.
+# Run from anywhere inside the repo; requires only the Rust toolchain
+# (every cargo call is --offline: the workspace has no dependency
+# outside itself, and the first check keeps it that way).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,11 +39,19 @@ for arg in "$@"; do
     esac
 done
 
+# A dependency cargo would have to fetch breaks tier-1 wherever there
+# is no registry — which is where PRs are built.
+echo "==> zero external dependencies"
+if awk '/^\[/ { deps = /dependencies\]$/ } deps && /^[A-Za-z0-9_-]+ *(=|\.)/ && !/^teleios-/ { print FILENAME ": " $0; bad = 1 } END { exit !bad }' \
+    Cargo.toml crates/*/Cargo.toml; then
+    echo "a Cargo.toml names a dependency that is not a teleios-* workspace crate" >&2; exit 1
+fi
+
 echo "==> cargo build --release"
-cargo build --release
+cargo build --release --offline
 
 echo "==> cargo test -q"
-cargo test -q
+cargo test -q --offline
 
 if [ "$quick" -eq 1 ]; then
     echo "==> quick checks passed (lint, clippy + E14 smoke skipped)"
@@ -58,7 +68,7 @@ fi
 # when CI runs this gate. --strict fails on stale allow markers so
 # suppressions can't outlive the code they excused.
 echo "==> teleios-lint --self-test"
-cargo run --release -p teleios-lint -- --self-test
+cargo run --release --offline -p teleios-lint -- --self-test
 
 # The lint is part of the inner loop, so it gets a perf budget of its
 # own: a CFG-engine regression that makes the scan crawl should fail
@@ -70,12 +80,12 @@ cargo run --release -p teleios-lint -- --self-test
 lint_budget_ms="${TELEIOS_LINT_BUDGET_MS:-2000}"
 echo "==> teleios-lint --strict (budget ${lint_budget_ms}ms)"
 lint_start_ns=$(date +%s%N)
-cargo run --release -q -p teleios-lint -- --strict --format github
+cargo run --release --offline -q -p teleios-lint -- --strict --format github
 lint_elapsed_ms=$(( ($(date +%s%N) - lint_start_ns) / 1000000 ))
 echo "    lint scan took ${lint_elapsed_ms}ms"
 if [ "$lint_elapsed_ms" -gt "$lint_budget_ms" ]; then
     echo "teleios-lint exceeded its ${lint_budget_ms}ms budget (${lint_elapsed_ms}ms); timing breakdown:" >&2
-    cargo run --release -q -p teleios-lint -- --strict --format github --timings >/dev/null || true
+    cargo run --release --offline -q -p teleios-lint -- --strict --format github --timings >/dev/null || true
     exit 1
 fi
 
@@ -99,19 +109,24 @@ for word in recv_timeout try_run_cancellable sleep_cancellable; do
 done
 
 echo "==> cargo clippy --workspace --all-targets"
-cargo clippy --workspace --all-targets
+cargo clippy --offline --workspace --all-targets
+
+# E11's only home: the bin asserts the columnar and row-wise filters
+# keep the same rows before it times them.
+echo "==> E11 smoke (column-at-a-time vs row-at-a-time)"
+timeout 300 cargo run --release --offline -p teleios-bench --bin exp_column_vs_row
 
 # Deadline supervision must bound a wedged stage: if cancellation
 # regresses, the smoke run wedges and the timeout turns that into a
 # failure rather than a hung gate.
 echo "==> E14 smoke (timeout budgets)"
-timeout 300 cargo run --release -p teleios-bench --bin exp_timeout_budgets -- --smoke
+timeout 300 cargo run --release --offline -p teleios-bench --bin exp_timeout_budgets -- --smoke
 
 # The storage engine must recover the exact committed state after
 # every injected crash (the bin asserts bit-identical recovery per
 # row); the timeout turns a wedged replay loop into a failure.
 echo "==> E16 smoke (durability / crash recovery)"
-timeout 300 cargo run --release -p teleios-bench --bin exp_durability -- --smoke
+timeout 300 cargo run --release --offline -p teleios-bench --bin exp_durability -- --smoke
 
 # The E0 benchmark's own unit and integration tests (every workload
 # correct at smoke scale, digests frozen, negative controls fail).
@@ -122,13 +137,13 @@ if [ "$full" -eq 1 ]; then
     # Exhaustive schedule exploration is exponential in yield points;
     # the models are small, but a scheduler bug could loop — bound it.
     echo "==> loom model checking (exec/cancel)"
-    timeout 600 cargo test --release -p teleios-exec --features loom --test loom
+    timeout 600 cargo test --release --offline -p teleios-exec --features loom --test loom
 
     # The exhaustive WAL-truncation sweep: recovery at every byte
     # offset of multi-seed logs (the fast per-commit sweep already ran
     # in tier 1; this is the #[ignore]d large variant).
     echo "==> store recovery property sweep (exhaustive)"
-    timeout 600 cargo test --release -p teleios-store --test recovery_properties -- --ignored
+    timeout 600 cargo test --release --offline -p teleios-store --test recovery_properties -- --ignored
 fi
 
 echo "==> all checks passed"

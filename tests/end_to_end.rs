@@ -213,3 +213,34 @@ fn observatory_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// Two polygonizations of one mask give the same `.shp1` file, byte
+/// for byte: feature order, ring order and each ring's first vertex
+/// are functions of the mask, not of a hash seed.
+#[test]
+fn hotspot_shapefile_bytes_repeat_across_builds() {
+    use teleios::geo::{wkt, SplitMix64};
+    use teleios::ingest::raster::GeoTransform;
+    use teleios::monet::array::NdArray;
+    use teleios::noa::shapefile::mask_to_features;
+    use teleios::vault::format::{encode_shp1, Shp1Record};
+
+    // Half-full noise: dozens of components with holes and pinch corners.
+    let mut rng = SplitMix64::new(5);
+    let cells = (0..32 * 32).map(|_| if rng.chance(0.5) { 1.0 } else { 0.0 }).collect();
+    let mask = NdArray::matrix(32, 32, cells).unwrap();
+    let geo = GeoTransform { origin_x: 21.0, origin_y: 39.0, pixel_w: 0.05, pixel_h: 0.05 };
+    let shp1 = || {
+        let records: Vec<Shp1Record> = mask_to_features(&mask, &geo)
+            .unwrap()
+            .iter()
+            .map(|f| Shp1Record { wkt: wkt::write(&f.geometry()), label: format!("hotspot-{}", f.id) })
+            .collect();
+        assert!(records.len() > 20 && records.iter().any(|r| r.wkt.contains("), (")));
+        encode_shp1(&records)
+    };
+    let first = shp1();
+    for _ in 0..4 {
+        assert_eq!(shp1(), first);
+    }
+}

@@ -193,7 +193,7 @@ fn quarantined_scene_recovers_after_repair_and_retry() {
     let ids = acquire_scenes(&mut obs, 2);
     let victim = ids[1].clone();
     let file = format!("{victim}.sev1");
-    let pristine = obs.vault.repository().get(&file).unwrap().clone();
+    let pristine = obs.vault.repository().get(&file).unwrap().to_vec();
 
     let mut plan = FaultPlan::new();
     plan.inject(victim.clone(), Fault::CorruptPayload);
