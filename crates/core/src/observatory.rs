@@ -792,6 +792,19 @@ mod tests {
     }
 
     #[test]
+    fn handed_out_arrays_are_isolated_from_the_observatory() {
+        let mut obs = observatory();
+        let id = obs.acquire_scene(&AcquisitionSpec::small_test(4)).unwrap();
+        let (truth, raster) = (obs.truth_for(&id).unwrap(), obs.raster_for(&id).unwrap());
+        let mut scribbled = obs.truth_for(&id).unwrap();
+        scribbled.data_mut().iter_mut().for_each(|c| *c = 7.0);
+        let mut scribbled = obs.raster_for(&id).unwrap().data;
+        scribbled.data_mut().iter_mut().for_each(|c| *c = 7.0);
+        assert_eq!(obs.truth_for(&id).unwrap(), truth);
+        assert_eq!(obs.raster_for(&id).unwrap(), raster);
+    }
+
+    #[test]
     fn refinement_improves_precision() {
         let mut obs = observatory();
         let mut spec = AcquisitionSpec::small_test(4);

@@ -43,22 +43,31 @@ pub fn georeference(
     cols: usize,
     fill: f64,
 ) -> Result<GeoRaster> {
-    let bands = raster.bands();
-    let mut out = NdArray::filled(
-        vec![Dim::new("band", bands), Dim::new("y", rows), Dim::new("x", cols)],
-        fill,
-    );
-    for r in 0..rows {
-        for c in 0..cols {
-            let center = target.pixel_center(r, c);
-            if let Some((sr, sc)) = raster.geo.locate(center, raster.rows(), raster.cols()) {
-                for b in 0..bands {
-                    let v = raster.data.get(&[b, sr, sc])?;
-                    out.set(&[b, r, c], v)?;
-                }
+    let (bands, src_rows, src_cols) = (raster.bands(), raster.rows(), raster.cols());
+    // The source row of every target row and the source column of every
+    // target column, once: a pixel centre's latitude depends only on its
+    // row and its longitude only on its column.
+    let row_of: Vec<Option<usize>> = (0..rows)
+        .map(|r| raster.geo.locate_row(target.pixel_center(r, 0).y, src_rows))
+        .collect();
+    let col_of: Vec<(usize, usize)> = (0..cols)
+        .filter_map(|c| Some((c, raster.geo.locate_col(target.pixel_center(0, c).x, src_cols)?)))
+        .collect();
+    let source = raster.data.data();
+    let mut out = vec![fill; bands * rows * cols];
+    for (at, to) in out.chunks_exact_mut(cols.max(1)).enumerate() {
+        let (band, row) = (at / rows, at % rows);
+        if let Some(sr) = row_of[row] {
+            let from = &source[(band * src_rows + sr) * src_cols..][..src_cols];
+            for &(c, sc) in &col_of {
+                to[c] = from[sc];
             }
         }
     }
+    let out = NdArray::from_vec(
+        vec![Dim::new("band", bands), Dim::new("y", rows), Dim::new("x", cols)],
+        out,
+    )?;
     GeoRaster::new(out, *target, raster.acquisition.clone(), raster.satellite.clone())
 }
 
@@ -127,6 +136,16 @@ mod tests {
         assert_eq!(g.get(0, 0, 1).unwrap(), 0.0);
         assert_eq!(g.get(0, 0, 2).unwrap(), 1.0);
         assert_eq!(g.get(0, 2, 0).unwrap(), 8.0);
+    }
+
+    #[test]
+    fn georeference_of_a_degenerate_transform_is_all_fill() {
+        // A single-point bbox fits a zero pixel size; every pixel centre
+        // is then the origin and locates at 0/0.
+        let mut r = raster();
+        r.geo = GeoTransform::fit(&Envelope::from_coord(Coord::new(20.0, 40.0)), 8, 8);
+        let g = georeference(&r, &r.geo.clone(), 4, 4, -1.0).unwrap();
+        assert!(g.data.data().iter().all(|&v| v == -1.0));
     }
 
     #[test]

@@ -46,14 +46,20 @@ impl GeoTransform {
     }
 
     /// Pixel (row, col) containing a geographic coordinate, if inside
-    /// the given raster shape.
+    /// the given raster shape. `None` for a non-finite coordinate or a
+    /// degenerate transform (zero or NaN pixel size).
     pub fn locate(&self, c: Coord, rows: usize, cols: usize) -> Option<(usize, usize)> {
-        let col = ((c.x - self.origin_x) / self.pixel_w).floor();
-        let row = ((self.origin_y - c.y) / self.pixel_h).floor();
-        if col < 0.0 || row < 0.0 || col >= cols as f64 || row >= rows as f64 {
-            return None;
-        }
-        Some((row as usize, col as usize))
+        self.locate_row(c.y, rows).zip(self.locate_col(c.x, cols))
+    }
+
+    /// Row containing latitude `y`, if inside a raster of `rows` rows.
+    pub fn locate_row(&self, y: f64, rows: usize) -> Option<usize> {
+        index_in(((self.origin_y - y) / self.pixel_h).floor(), rows)
+    }
+
+    /// Column containing longitude `x`, if inside a raster of `cols` columns.
+    pub fn locate_col(&self, x: f64, cols: usize) -> Option<usize> {
+        index_in(((x - self.origin_x) / self.pixel_w).floor(), cols)
     }
 
     /// Envelope of the full raster.
@@ -63,6 +69,12 @@ impl GeoTransform {
             Coord::new(self.origin_x + cols as f64 * self.pixel_w, self.origin_y),
         )
     }
+}
+
+/// `at` as an index below `size`; `None` when negative, past the end or
+/// not finite (NaN fails every range test and casts to 0).
+fn index_in(at: f64, size: usize) -> Option<usize> {
+    (at.is_finite() && at >= 0.0 && at < size as f64).then_some(at as usize)
 }
 
 /// A georeferenced multiband raster: the in-database image.
@@ -125,12 +137,19 @@ impl GeoRaster {
         self.data.get(&[band, row, col])
     }
 
-    /// One band as a 2-D array (y, x).
+    /// One band as a 2-D array (y, x): one contiguous run of the
+    /// (band, y, x) cells.
     pub fn band(&self, band: usize) -> Result<NdArray> {
-        let s = self.data.slice(&[(band, band + 1), (0, self.rows()), (0, self.cols())])?;
+        if band >= self.bands() {
+            return Err(DbError::ShapeMismatch(format!(
+                "band {band} out of bounds ({} bands)",
+                self.bands()
+            )));
+        }
+        let cells = self.rows() * self.cols();
         NdArray::from_vec(
             vec![Dim::new("y", self.rows()), Dim::new("x", self.cols())],
-            s.data().to_vec(),
+            self.data.data()[band * cells..(band + 1) * cells].to_vec(),
         )
     }
 }
@@ -168,6 +187,22 @@ mod tests {
         assert_eq!(t.locate(Coord::new(19.0, 39.0), 10, 10), None);
         assert_eq!(t.locate(Coord::new(21.0, 41.0), 10, 10), None);
         assert_eq!(t.locate(Coord::new(26.0, 39.0), 10, 10), None);
+    }
+
+    #[test]
+    fn locate_rejects_non_finite_coordinates_and_degenerate_transforms() {
+        let t = transform();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(t.locate(Coord::new(bad, 39.0), 10, 10), None);
+            assert_eq!(t.locate(Coord::new(21.0, bad), 10, 10), None);
+        }
+        // An empty or single-point bbox fits a zero pixel size: 0/0 is
+        // NaN, which used to pass every range test and cast to cell 0.
+        let p = Coord::new(21.0, 39.0);
+        assert_eq!(GeoTransform::fit(&Envelope::EMPTY, 4, 4).locate(p, 4, 4), None);
+        assert_eq!(GeoTransform::fit(&Envelope::from_coord(p), 4, 4).locate(p, 4, 4), None);
+        let nan = GeoTransform { pixel_w: f64::NAN, ..t };
+        assert_eq!(nan.locate(p, 10, 10), None);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::error::DbError;
 use crate::Result;
 use std::ops::Range;
+use std::sync::Arc;
 use teleios_exec::{fixed_morsels, WorkerPool, DEFAULT_MORSEL_CELLS};
 
 /// Minimum cell count before element-wise array operators split work
@@ -32,18 +33,67 @@ impl Dim {
     }
 }
 
-/// A dense row-major n-dimensional array of `f64` cells.
+/// A dense row-major n-dimensional array of `f64` cells. Clones share
+/// one cell buffer; [`NdArray::data_mut`] and [`NdArray::set`] copy it
+/// on the first write, so no holder ever sees another's mutation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NdArray {
     dims: Vec<Dim>,
-    data: Vec<f64>,
+    data: Arc<Vec<f64>>,
+}
+
+/// The one cell walker: visit the rectangular region `ranges` of a
+/// row-major array of `shape` in storage order, one contiguous run at
+/// a time, as `visit(coordinate of the run's first cell, its linear
+/// offset, its length)`. A run is a segment of the innermost
+/// dimension; with `fold` it also takes in every trailing dimension
+/// the region covers whole (a band of a `(band, y, x)` array is one
+/// run). `ranges` must lie inside `shape`; an empty region has no runs.
+fn walk_runs(
+    shape: &[usize],
+    ranges: &[(usize, usize)],
+    fold: bool,
+    mut visit: impl FnMut(&[usize], usize, usize) -> Result<()>,
+) -> Result<()> {
+    if ranges.iter().any(|(start, end)| start >= end) {
+        return Ok(());
+    }
+    // Dimensions `outer..` are inside the run; the odometer steps the rest.
+    let mut outer = shape.len().saturating_sub(1);
+    while fold && outer > 0 && ranges[outer] == (0, shape[outer]) {
+        outer -= 1;
+    }
+    let mut strides = vec![1usize; shape.len()];
+    for k in (1..shape.len()).rev() {
+        strides[k - 1] = strides[k] * shape[k];
+    }
+    let mut coord: Vec<usize> = ranges.iter().map(|(start, _)| *start).collect();
+    let mut offset: usize = coord.iter().zip(&strides).map(|(c, s)| c * s).sum();
+    let len = ranges[outer..].iter().map(|(start, end)| end - start).product();
+    loop {
+        visit(&coord, offset, len)?;
+        let mut k = outer;
+        loop {
+            if k == 0 {
+                return Ok(());
+            }
+            k -= 1;
+            coord[k] += 1;
+            offset += strides[k];
+            if coord[k] < ranges[k].1 {
+                break;
+            }
+            offset -= (ranges[k].1 - ranges[k].0) * strides[k];
+            coord[k] = ranges[k].0;
+        }
+    }
 }
 
 impl NdArray {
     /// Array filled with `fill`.
     pub fn filled(dims: Vec<Dim>, fill: f64) -> NdArray {
         let n = dims.iter().map(|d| d.size).product();
-        NdArray { dims, data: vec![fill; n] }
+        NdArray { dims, data: vec![fill; n].into() }
     }
 
     /// Zero-filled array.
@@ -60,7 +110,7 @@ impl NdArray {
                 data.len()
             )));
         }
-        Ok(NdArray { dims, data })
+        Ok(NdArray { dims, data: data.into() })
     }
 
     /// Convenience: 2-D array with dims `y` (rows) then `x` (columns).
@@ -98,9 +148,9 @@ impl NdArray {
         &self.data
     }
 
-    /// Mutable raw data.
+    /// Mutable raw data (copies the buffer first if a clone shares it).
     pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// Index of a dimension by name.
@@ -141,13 +191,12 @@ impl NdArray {
     /// Set a cell.
     pub fn set(&mut self, idx: &[usize], v: f64) -> Result<()> {
         let lin = self.linear_index(idx)?;
-        self.data[lin] = v;
+        self.data_mut()[lin] = v;
         Ok(())
     }
 
-    /// Rectangular slice: `ranges[i]` is the half-open `(start, end)` per
-    /// dimension. Returns a new array with the same dimension names.
-    pub fn slice(&self, ranges: &[(usize, usize)]) -> Result<NdArray> {
+    /// Errors unless `ranges` is one in-bounds half-open range per dimension.
+    fn check_ranges(&self, ranges: &[(usize, usize)]) -> Result<()> {
         if ranges.len() != self.dims.len() {
             return Err(DbError::ShapeMismatch(format!(
                 "slice rank {} != array rank {}",
@@ -163,37 +212,44 @@ impl NdArray {
                 )));
             }
         }
-        let out_dims: Vec<Dim> = self
+        Ok(())
+    }
+
+    /// Visit the region `ranges` (as in [`Self::slice`]) in row-major
+    /// order, one innermost-dimension segment at a time:
+    /// `visit(coordinate of the segment's first cell, its offset into
+    /// [`Self::data`], its length)`. Only the last coordinate changes
+    /// within a segment.
+    pub fn walk_rows(
+        &self,
+        ranges: &[(usize, usize)],
+        visit: impl FnMut(&[usize], usize, usize) -> Result<()>,
+    ) -> Result<()> {
+        self.check_ranges(ranges)?;
+        walk_runs(&self.shape(), ranges, false, visit)
+    }
+
+    /// Rectangular slice: `ranges[i]` is the half-open `(start, end)` per
+    /// dimension. Returns a new array with the same dimension names
+    /// (sharing this one's buffer when the slice is all of it).
+    pub fn slice(&self, ranges: &[(usize, usize)]) -> Result<NdArray> {
+        self.check_ranges(ranges)?;
+        let shape = self.shape();
+        if ranges.iter().zip(&shape).all(|(r, &size)| *r == (0, size)) {
+            return Ok(self.clone());
+        }
+        let dims: Vec<Dim> = self
             .dims
             .iter()
             .zip(ranges)
             .map(|(d, (s, e))| Dim::new(d.name.clone(), e - s))
             .collect();
-        let mut out = NdArray::zeros(out_dims);
-        let mut idx: Vec<usize> = ranges.iter().map(|(s, _)| *s).collect();
-        let mut out_idx = vec![0usize; idx.len()];
-        if out.is_empty() {
-            return Ok(out);
-        }
-        loop {
-            let v = self.get(&idx)?; // in range: bounds checked above
-            out.set(&out_idx, v)?;
-            // Odometer increment.
-            let mut k = idx.len();
-            loop {
-                if k == 0 {
-                    return Ok(out);
-                }
-                k -= 1;
-                idx[k] += 1;
-                out_idx[k] += 1;
-                if idx[k] < ranges[k].1 {
-                    break;
-                }
-                idx[k] = ranges[k].0;
-                out_idx[k] = 0;
-            }
-        }
+        let mut data = Vec::with_capacity(dims.iter().map(|d| d.size).product());
+        walk_runs(&shape, ranges, true, |_, offset, len| {
+            data.extend_from_slice(&self.data[offset..offset + len]);
+            Ok(())
+        })?;
+        Ok(NdArray { dims, data: data.into() })
     }
 
     /// Element-wise map into a new array, on the default worker pool
@@ -212,7 +268,7 @@ impl NdArray {
                 *o = f(v);
             }
         });
-        NdArray { dims: self.dims.clone(), data }
+        NdArray { dims: self.dims.clone(), data: data.into() }
     }
 
     /// The one element-wise kernel. A fresh buffer of `self.len()`
@@ -273,7 +329,7 @@ impl NdArray {
             Ok(())
         });
         results.into_iter().collect::<std::result::Result<(), E>>()?;
-        Ok(NdArray { dims: self.dims.clone(), data })
+        Ok(NdArray { dims: self.dims.clone(), data: data.into() })
     }
 
     /// Element-wise combination of two same-shape arrays, on the
@@ -307,7 +363,7 @@ impl NdArray {
                 *o = f(a, b);
             }
         });
-        Ok(NdArray { dims: self.dims.clone(), data })
+        Ok(NdArray { dims: self.dims.clone(), data: data.into() })
     }
 
     /// Fold over all cells. Inherently sequential (arbitrary
@@ -430,32 +486,17 @@ impl NdArray {
             .zip(tile_shape)
             .map(|(d, &t)| d.size / t)
             .collect();
-        let total: usize = counts.iter().product();
-        let mut out = Vec::with_capacity(total);
-        let mut tile_idx = vec![0usize; counts.len()];
-        for _ in 0..total {
-            let origin: Vec<usize> = tile_idx
-                .iter()
-                .zip(tile_shape)
-                .map(|(&i, &t)| i * t)
-                .collect();
-            let ranges: Vec<(usize, usize)> = origin
-                .iter()
-                .zip(tile_shape)
-                .map(|(&o, &t)| (o, o + t))
-                .collect();
+        // The tile grid under a trailing unit dimension: every run is one tile.
+        let grid: Vec<(usize, usize)> = counts.iter().map(|&n| (0, n)).chain([(0, 1)]).collect();
+        let grid_shape: Vec<usize> = grid.iter().map(|&(_, n)| n).collect();
+        let mut out = Vec::with_capacity(counts.iter().product());
+        walk_runs(&grid_shape, &grid, false, |tile, _, _| {
+            let ranges: Vec<(usize, usize)> =
+                tile.iter().zip(tile_shape).map(|(&i, &t)| (i * t, (i + 1) * t)).collect();
+            let origin = ranges.iter().map(|&(start, _)| start).collect();
             out.push((origin, self.slice(&ranges)?));
-            // Odometer over tile counts.
-            let mut k = tile_idx.len();
-            while k > 0 {
-                k -= 1;
-                tile_idx[k] += 1;
-                if tile_idx[k] < counts[k] {
-                    break;
-                }
-                tile_idx[k] = 0;
-            }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -471,7 +512,7 @@ impl NdArray {
             return Err(DbError::ShapeMismatch("kernel sides must be odd".into()));
         }
         let (hr, hc) = (kr as isize / 2, kc as isize / 2);
-        let mut out = NdArray::zeros(self.dims.clone());
+        let mut out = vec![0.0f64; rows * cols];
         for r in 0..rows as isize {
             for c in 0..cols as isize {
                 let mut acc = 0.0;
@@ -484,10 +525,10 @@ impl NdArray {
                         }
                     }
                 }
-                out.data[(r * cols as isize + c) as usize] = acc;
+                out[(r * cols as isize + c) as usize] = acc;
             }
         }
-        Ok(out)
+        Ok(NdArray { dims: self.dims.clone(), data: out.into() })
     }
 
     /// Histogram of cell values into `bins` equal-width buckets over
@@ -498,7 +539,7 @@ impl NdArray {
             return h;
         }
         let w = (hi - lo) / bins as f64;
-        for &v in &self.data {
+        for &v in self.data.iter() {
             let b = (((v - lo) / w).floor() as isize).clamp(0, bins as isize - 1) as usize;
             h[b] += 1;
         }

@@ -229,7 +229,8 @@ impl Catalog {
         write(&self.inner.arrays).insert(Self::key(name), array);
     }
 
-    /// Snapshot (clone) of an array.
+    /// Snapshot of an array: it shares the stored cells until either
+    /// side writes (copy-on-write), so later catalog updates never show.
     pub fn array(&self, name: &str) -> Result<NdArray> {
         read(&self.inner.arrays)
             .get(&Self::key(name))
@@ -533,6 +534,21 @@ mod tests {
         assert_eq!(cat.array("img").unwrap().sum(), 20.0);
         cat.drop_array("img").unwrap();
         assert!(cat.array("img").is_err());
+    }
+
+    #[test]
+    fn array_snapshots_are_isolated_from_the_catalog_and_each_other() {
+        let cat = Catalog::new();
+        cat.create_array("img", NdArray::matrix(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap()).unwrap();
+        let (mut mine, theirs) = (cat.array("img").unwrap(), cat.array("img").unwrap());
+        mine.set(&[0, 0], 9.0).unwrap();
+        mine.data_mut()[3] = 8.0;
+        assert_eq!(theirs.data(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(cat.array("img").unwrap(), theirs);
+        // Replacing the stored array leaves earlier snapshots as they were.
+        cat.put_array("img", mine.clone());
+        assert_eq!(theirs.data(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(cat.array("img").unwrap().data(), &[9.0, 2.0, 3.0, 8.0]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use teleios_check::{forall, Gen};
 use teleios_exec::WorkerPool;
-use teleios_monet::array::NdArray;
+use teleios_monet::array::{Dim, NdArray};
 use teleios_monet::catalog::Catalog;
 use teleios_monet::column::{CmpOp, Column};
 use teleios_monet::value::Value;
@@ -125,40 +125,111 @@ fn sql_group_by_partitions() {
     );
 }
 
-#[test]
-fn array_slice_then_sum_is_partial_sum() {
-    forall(
-        |g| (g.size(1..12), g.size(1..12), g.size(0..12), g.size(0..12)),
-        |(rows, cols, r0, c0)| {
-            let a = NdArray::matrix(rows, cols, (0..rows * cols).map(|v| v as f64).collect()).unwrap();
-            let r0 = r0 % rows;
-            let c0 = c0 % cols;
-            let s = a.slice(&[(r0, rows), (c0, cols)]).unwrap();
-            let mut expect = 0.0;
-            for r in r0..rows {
-                for c in c0..cols {
-                    expect += a.get(&[r, c]).unwrap();
-                }
+/// A rank 1–4 array of distinct cells (a misplaced cell always shows)
+/// and, per dimension, a range that is empty, full, a prefix or interior.
+fn array_and_ranges(g: &mut Gen) -> (Vec<usize>, Vec<(usize, usize)>) {
+    let shape = g.vec(1..5, |g| g.size(1..6));
+    let ranges = shape
+        .iter()
+        .map(|&size| match g.below(4) {
+            0 => (0, size),
+            1 => (0, g.size(0..size + 1)),
+            2 => {
+                let at = g.size(0..size + 1);
+                (at, at)
             }
-            assert!((s.sum() - expect).abs() < 1e-9);
+            _ => {
+                let start = g.size(0..size);
+                (start, g.size(start..size + 1))
+            }
+        })
+        .collect();
+    (shape, ranges)
+}
+
+fn ramp(shape: &[usize]) -> NdArray {
+    let dims = shape.iter().enumerate().map(|(i, &n)| Dim::new(format!("d{i}"), n)).collect();
+    NdArray::from_vec(dims, (0..shape.iter().product::<usize>()).map(|v| v as f64).collect()).unwrap()
+}
+
+/// The cell-at-a-time reference the run walker replaced: every
+/// coordinate of `ranges` in row-major order.
+fn coordinates(ranges: &[(usize, usize)]) -> Vec<Vec<usize>> {
+    ranges.iter().fold(vec![Vec::new()], |prefixes, &(start, end)| {
+        prefixes
+            .iter()
+            .flat_map(|p| (start..end).map(move |i| p.iter().copied().chain([i]).collect()))
+            .collect()
+    })
+}
+
+fn slice_by_cells(a: &NdArray, ranges: &[(usize, usize)]) -> Vec<f64> {
+    coordinates(ranges).iter().map(|c| a.get(c).unwrap()).collect()
+}
+
+#[test]
+fn array_slice_matches_cell_at_a_time_reference() {
+    forall(array_and_ranges, |(shape, ranges)| {
+        let a = ramp(&shape);
+        let s = a.slice(&ranges).unwrap();
+        assert_eq!(s.shape(), ranges.iter().map(|(start, end)| end - start).collect::<Vec<_>>());
+        assert_eq!(s.data(), slice_by_cells(&a, &ranges));
+        assert!(s.dims().iter().zip(a.dims()).all(|(x, y)| x.name == y.name));
+        // `walk_rows` visits the same cells, with their coordinates.
+        let mut walked = Vec::new();
+        a.walk_rows(&ranges, |start, offset, len| {
+            assert_eq!(a.linear_index(start).unwrap(), offset);
+            walked.extend_from_slice(&a.data()[offset..offset + len]);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(walked, s.data());
+    });
+}
+
+#[test]
+fn array_tiles_match_cell_at_a_time_reference() {
+    forall(
+        |g| {
+            let (shape, _) = array_and_ranges(g);
+            let tile = shape.iter().map(|&size| g.size(1..size + 2)).collect::<Vec<_>>();
+            (shape, tile)
+        },
+        |(shape, tile)| {
+            let a = ramp(&shape);
+            let grid: Vec<(usize, usize)> = shape.iter().zip(&tile).map(|(&n, &t)| (0, n / t)).collect();
+            let expect: Vec<(Vec<usize>, Vec<f64>)> = coordinates(&grid)
+                .into_iter()
+                .map(|at| {
+                    let origin: Vec<usize> = at.iter().zip(&tile).map(|(&i, &t)| i * t).collect();
+                    let ranges: Vec<_> = origin.iter().zip(&tile).map(|(&o, &t)| (o, o + t)).collect();
+                    let cells = slice_by_cells(&a, &ranges);
+                    (origin, cells)
+                })
+                .collect();
+            let got = a.tiles(&tile).unwrap();
+            assert!(got.iter().all(|(_, t)| t.shape() == tile));
+            let got: Vec<_> = got.into_iter().map(|(origin, t)| (origin, t.data().to_vec())).collect();
+            assert_eq!(got, expect);
         },
     );
 }
 
+/// Clones share one buffer; a write through any holder is seen by no other.
 #[test]
-fn array_tiles_partition_sum() {
-    forall(
-        |g| (g.size(1..8), g.size(1..8), g.size(1..4)),
-        |(rows, cols, t)| {
-            let a = NdArray::matrix(rows, cols, (0..rows * cols).map(|v| (v % 7) as f64).collect())
-                .unwrap();
-            if rows % t == 0 && cols % t == 0 {
-                let tiles = a.tiles(&[t, t]).unwrap();
-                let total: f64 = tiles.iter().map(|(_, tile)| tile.sum()).sum();
-                assert!((total - a.sum()).abs() < 1e-9);
-            }
-        },
-    );
+fn array_clones_are_isolated_by_copy_on_write() {
+    forall(array_and_ranges, |(shape, ranges)| {
+        let a = ramp(&shape);
+        let before = a.data().to_vec();
+        let (mut by_clone, mut by_slice) = (a.clone(), a.slice(&ranges).unwrap());
+        by_clone.data_mut().iter_mut().for_each(|v| *v = -1.0);
+        by_slice.data_mut().iter_mut().for_each(|v| *v = -2.0);
+        let mut by_set = a.clone();
+        by_set.set(&vec![0; shape.len()], -3.0).unwrap();
+        assert_eq!(a.data(), before);
+        assert!(by_clone.data().iter().all(|&v| v == -1.0));
+        assert_eq!(by_set.data()[1..], before[1..]);
+    });
 }
 
 #[test]

@@ -68,37 +68,27 @@ pub fn contextual_filter(mask: &NdArray, min_neighbors: usize) -> Result<NdArray
     if mask.ndim() != 2 {
         return Err(DbError::ShapeMismatch("contextual filter expects a 2-D mask".into()));
     }
-    let rows = mask.shape()[0];
-    let cols = mask.shape()[1];
-    let mut out = mask.clone();
+    let (rows, cols) = (mask.shape()[0], mask.shape()[1]);
+    let cells = mask.data();
+    let mut out = cells.to_vec();
     for r in 0..rows {
         for c in 0..cols {
-            if mask.get(&[r, c])? <= 0.0 {
+            if cells[r * cols + c] <= 0.0 {
                 continue;
             }
-            let mut n = 0usize;
-            for dr in -1i64..=1 {
-                for dc in -1i64..=1 {
-                    if dr == 0 && dc == 0 {
-                        continue;
-                    }
-                    let (rr, cc) = (r as i64 + dr, c as i64 + dc);
-                    if rr >= 0
-                        && rr < rows as i64
-                        && cc >= 0
-                        && cc < cols as i64
-                        && mask.get(&[rr as usize, cc as usize])? > 0.0
-                    {
-                        n += 1;
-                    }
-                }
-            }
+            // Positive cells of the 3x3 window clipped to the mask,
+            // less the centre itself.
+            let n = (r.saturating_sub(1)..(r + 2).min(rows))
+                .flat_map(|rr| &cells[rr * cols + c.saturating_sub(1)..rr * cols + (c + 2).min(cols)])
+                .filter(|&&v| v > 0.0)
+                .count()
+                - 1;
             if n < min_neighbors {
-                out.set(&[r, c], 0.0)?;
+                out[r * cols + c] = 0.0;
             }
         }
     }
-    Ok(out)
+    NdArray::from_vec(mask.dims().to_vec(), out)
 }
 
 /// Extract the list of positive cells of a binary mask as (row, col).

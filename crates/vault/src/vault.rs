@@ -375,9 +375,13 @@ impl DataVault {
     }
 
     fn evict_if_needed(&mut self) {
-        if self.cache_capacity == 0 {
+        if self.cache_capacity == 0 || self.lru.len() <= self.cache_capacity {
             return;
         }
+        // Arrays dropped through the shared catalog are not resident:
+        // forget them before counting, or a ghost evicts a live array.
+        let db = &self.db;
+        self.lru.retain(|name| db.has_array(name));
         while self.lru.len() > self.cache_capacity {
             let victim = self.lru.remove(0);
             if self.db.drop_array(&victim).is_ok() {
@@ -388,7 +392,7 @@ impl DataVault {
 
     /// Number of arrays currently resident.
     pub fn resident_arrays(&self) -> usize {
-        self.lru.len()
+        self.lru.iter().filter(|name| self.db.has_array(name)).count()
     }
 }
 
@@ -462,6 +466,37 @@ mod tests {
         // Re-access of the evicted scene re-materializes.
         v.array_for("scene-000.sev1").unwrap();
         assert_eq!(v.stats().materializations, 4);
+    }
+
+    #[test]
+    fn arrays_dropped_through_the_shared_catalog_leave_no_ghost() {
+        let mut v = vault_with(4, IngestionPolicy::Lazy, 2);
+        v.array_for("scene-000.sev1").unwrap();
+        v.array_for("scene-001.sev1").unwrap();
+        // A client of the same database drops a cached array.
+        v.database().drop_array(&DataVault::array_name("scene-000.sev1")).unwrap();
+        assert_eq!(v.resident_arrays(), 1);
+        // Two live arrays fit a cache of two: nothing is evicted for the ghost.
+        v.array_for("scene-002.sev1").unwrap();
+        assert_eq!(v.stats().evictions, 0);
+        assert_eq!(v.resident_arrays(), 2);
+        assert!(v.database().has_array(&DataVault::array_name("scene-001.sev1")));
+        // The next one does evict, and it evicts the oldest live array.
+        v.array_for("scene-003.sev1").unwrap();
+        assert_eq!(v.stats().evictions, 1);
+        assert!(!v.database().has_array(&DataVault::array_name("scene-001.sev1")));
+        assert!(v.database().has_array(&DataVault::array_name("scene-002.sev1")));
+    }
+
+    #[test]
+    fn a_mutated_hit_never_changes_the_cached_array() {
+        let mut v = vault_with(2, IngestionPolicy::Lazy, 0);
+        let mut mine = v.array_for("scene-001.sev1").unwrap();
+        mine.data_mut().iter_mut().for_each(|c| *c = -7.0);
+        mine.set(&[0, 0, 0], -8.0).unwrap();
+        let again = v.array_for("scene-001.sev1").unwrap();
+        assert!(again.data().iter().all(|&c| c == 1.0));
+        assert_eq!(v.database().array(&DataVault::array_name("scene-001.sev1")).unwrap(), again);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 #   scripts/check.sh --quick   build + tier-1 tests only
 #   scripts/check.sh           default gate: the above, plus the
 #                              teleios-lint workspace invariants,
-#                              the one-fork-site and one-vocabulary
-#                              greps, clippy, the
-#                              E11/E14/E16 smoke runs (a
+#                              the one-fork-site, one-cell-walker
+#                              and one-vocabulary greps, clippy, the
+#                              E6/E11/E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
 #                              regression fails this gate instead of
 #                              hanging it), and the E0 benchmark's
@@ -96,6 +96,14 @@ if grep -rnE 'threads\(\) *(<= *1|== *1)' crates/*/src --include='*.rs' | grep -
     echo "thread-count test outside crates/exec: route it through WorkerPool::morsels_for" >&2; exit 1
 fi
 
+# Rectangular regions of an array are walked by walk_runs in
+# monet/array.rs only: an odometer anywhere else is a second cell
+# walker, re-linearizing an index per cell.
+echo "==> one cell walker (the odometer idiom lives in monet/array.rs)"
+if grep -rnE '\[k\] *\+= *1' crates/*/src --include='*.rs' | grep -v '^crates/monet/src/array.rs:'; then
+    echo "odometer loop outside crates/monet/src/array.rs: walk the region with NdArray::walk_rows / slice" >&2; exit 1
+fi
+
 # The lint's blocking / dispatch / poll words live in one table
 # (cfg.rs VOCAB): a second file spelling one of them as a literal has
 # grown a second recognizer. ("sync_all" is left out on purpose: L8's
@@ -110,6 +118,11 @@ done
 
 echo "==> cargo clippy --workspace --all-targets"
 cargo clippy --offline --workspace --all-targets
+
+# SciQL must answer exactly what the native array code does (the bin
+# asserts it per size before it times either).
+echo "==> E6 smoke (SciQL vs native array code)"
+timeout 300 cargo run --release --offline -p teleios-bench --bin exp_sciql_vs_native
 
 # E11's only home: the bin asserts the columnar and row-wise filters
 # keep the same rows before it times them.
