@@ -11,6 +11,7 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 use crate::cancel::CancelToken;
@@ -19,7 +20,8 @@ use crate::ordered_lock::OrderedMutex;
 
 /// Worker count from the environment: `TELEIOS_THREADS` when set to a
 /// positive integer, otherwise [`std::thread::available_parallelism`].
-/// Read on every call so harnesses can sweep thread counts in-process.
+/// The variable is read on every call so harnesses can sweep thread
+/// counts in-process; the fallback (cgroup file reads) is read once.
 pub fn default_threads() -> usize {
     match std::env::var("TELEIOS_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
@@ -31,7 +33,8 @@ pub fn default_threads() -> usize {
 }
 
 fn available() -> usize {
-    thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1))
 }
 
 /// Observability for a pool run.

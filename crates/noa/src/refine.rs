@@ -69,6 +69,14 @@ pub fn refinement_updates(landmass_wkt: &Term) -> [String; 2] {
     refinement_updates_scoped(landmass_wkt, None)
 }
 
+/// Continuation of a `?h a <class>` pattern that keeps one product's
+/// hotspots only; empty for every product.
+fn scope_clause(product_id: Option<&str>) -> String {
+    product_id.map_or(String::new(), |pid| {
+        format!(" ; noa:isDerivedFrom <http://teleios.di.uoa.gr/products/{pid}>")
+    })
+}
+
 /// The scenario-2 updates, optionally restricted to the hotspots of one
 /// product (`?h noa:isDerivedFrom <product>`). `None` refines every
 /// hotspot in the store, exactly like [`refinement_updates`];
@@ -78,12 +86,7 @@ pub fn refinement_updates_scoped(
     landmass_wkt: &Term,
     product_id: Option<&str>,
 ) -> [String; 2] {
-    let scope = match product_id {
-        Some(pid) => format!(
-            " ; noa:isDerivedFrom <http://teleios.di.uoa.gr/products/{pid}>"
-        ),
-        None => String::new(),
-    };
+    let scope = scope_clause(product_id);
     let refute = format!(
         "PREFIX noa: <{noa_ns}>\n\
          PREFIX strdf: <{strdf_ns}>\n\
@@ -117,12 +120,6 @@ pub fn refinement_updates_scoped(
     [refute, clip]
 }
 
-/// Backwards-compatible single-statement view (the refute step).
-pub fn refinement_update(landmass_wkt: &Term) -> String {
-    let [refute, _] = refinement_updates(landmass_wkt);
-    refute
-}
-
 /// Outcome of a refinement pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefineStats {
@@ -136,25 +133,13 @@ pub struct RefineStats {
     pub clipped: usize,
 }
 
-/// Execute the refinement against a landmass literal.
+/// Execute the refinement against a landmass literal, over every
+/// hotspot in the store.
 pub fn refine_against_landmass(
     db: &mut Strabon,
     landmass_wkt: &Term,
 ) -> Result<RefineStats, StrabonError> {
-    let count = |db: &mut Strabon, class: &str| -> Result<usize, StrabonError> {
-        let sols = db.query(&format!(
-            "SELECT ?h WHERE {{ ?h a <{class}> }}"
-        ))?;
-        Ok(sols.len())
-    };
-    let before = count(db, noa::HOTSPOT)?;
-    let [refute, clip] = refinement_updates(landmass_wkt);
-    db.update(&refute)?;
-    // Each clipped hotspot contributes one delete plus one insert.
-    let clipped = db.update(&clip)? / 2;
-    let kept = count(db, noa::HOTSPOT)?;
-    let refuted = count(db, REFUTED_HOTSPOT)?;
-    Ok(RefineStats { before, kept, refuted, clipped })
+    refine_scoped(db, landmass_wkt, None)
 }
 
 /// Execute the refinement for one product only: the scenario-2 updates
@@ -166,17 +151,24 @@ pub fn refine_product_against_landmass(
     landmass_wkt: &Term,
     product_id: &str,
 ) -> Result<RefineStats, StrabonError> {
+    refine_scoped(db, landmass_wkt, Some(product_id))
+}
+
+fn refine_scoped(
+    db: &mut Strabon,
+    landmass_wkt: &Term,
+    product_id: Option<&str>,
+) -> Result<RefineStats, StrabonError> {
+    let scope = scope_clause(product_id);
     let count = |db: &mut Strabon, class: &str| -> Result<usize, StrabonError> {
         let sols = db.query(&format!(
-            "PREFIX noa: <{}>\n\
-             SELECT ?h WHERE {{ ?h a <{class}> ; \
-             noa:isDerivedFrom <http://teleios.di.uoa.gr/products/{product_id}> }}",
+            "PREFIX noa: <{}>\nSELECT ?h WHERE {{ ?h a <{class}>{scope} }}",
             noa::NS,
         ))?;
         Ok(sols.len())
     };
     let before = count(db, noa::HOTSPOT)?;
-    let [refute, clip] = refinement_updates_scoped(landmass_wkt, Some(product_id));
+    let [refute, clip] = refinement_updates_scoped(landmass_wkt, product_id);
     db.update(&refute)?;
     // Each clipped hotspot contributes one delete plus one insert.
     let clipped = db.update(&clip)? / 2;
@@ -304,7 +296,6 @@ mod tests {
         assert!(refute.contains("RefutedHotspot"));
         assert!(clip.contains("strdf:intersection"));
         assert!(clip.contains("BIND"));
-        assert_eq!(refinement_update(&landmass()), refute);
     }
 
     #[test]

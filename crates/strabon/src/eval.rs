@@ -1,240 +1,187 @@
-//! stSPARQL algebra evaluation.
+//! stSPARQL evaluation: one pipeline under every statement.
 //!
-//! Basic graph patterns evaluate as index nested-loop joins over the
-//! store's SPO/POS/OSP orderings. Two optimizations are toggleable via
-//! [`crate::StrabonConfig`]:
+//! SELECT, ASK, CONSTRUCT, `DELETE/INSERT … WHERE` and EXPLAIN all take
+//! the same steps:
 //!
-//! * **BGP join ordering** — patterns are reordered greedily by
-//!   estimated selectivity given the variables already bound (E4);
-//! * **spatial pre-filtering** — FILTERs of the shape
-//!   `strdf:pred(?g, CONST)` (or `strdf:distance(?g, CONST) < d`) first
-//!   probe the R-tree sidecar for envelope candidates and run the exact
-//!   geometry predicate only on survivors (E3).
+//! 1. `prepare` catches the spatial sidecar up with the dictionary,
+//!    collects the statement's variables and builds its one [`Env`];
+//! 2. `plan_group` cuts the WHERE group into BGP runs, computes each
+//!    FILTER's spatial restriction (`strdf:pred(?g, CONST)` or
+//!    `strdf:distance(?g, CONST) < d` probe the R-tree sidecar for
+//!    envelope candidates — E3), orders each run greedily by estimated
+//!    selectivity under the variables bound so far (E4) and recurses
+//!    into nested groups, once per statement;
+//! 3. `walk` executes that `Plan` as index nested-loop joins over
+//!    the store's SPO/POS/OSP orderings — or `render` prints it,
+//!    which is all EXPLAIN is, so the two cannot disagree;
+//! 4. `finish` applies SELECT's solution modifiers.
+//!
+//! [`crate::StrabonConfig`] toggles the join ordering and the spatial
+//! push-down; both only ever change the plan, never the answer.
 
 use crate::ast::*;
 use crate::expr::{
-    eval_expression, eval_filter, order_terms, Binding, Bound, Env, VarTable,
+    eval_expression, eval_filter, order_terms, spatial_function, Binding, Bound, Env, VarTable,
 };
-use crate::ast::Query;
-use crate::{Result, Solutions, Strabon};
+use crate::{Result, Solutions, Strabon, StrabonError};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use teleios_exec::concat;
-use teleios_geo::Envelope;
 use teleios_rdf::dictionary::TermId;
 use teleios_rdf::strdf;
 use teleios_rdf::term::Term;
 use teleios_rdf::triple::TriplePattern;
 use teleios_rdf::vocab;
 
+/// Step 1 of every statement: catch the sidecar up with the store,
+/// register the variables of the WHERE clause, then of a SELECT's
+/// projection and ORDER BY, reject template variables the WHERE clause
+/// cannot bind, and build the statement's environment.
+pub(crate) fn prepare<'a, 't>(
+    engine: &'a mut Strabon,
+    where_clause: &GroupPattern,
+    select: Option<&SelectQuery>,
+    templates: impl IntoIterator<Item = &'t TemplateTriple>,
+) -> Result<Env<'a>> {
+    let pool = engine.pool();
+    engine.spatial.catch_up(&engine.store, &pool);
+    let engine: &'a Strabon = engine;
+    let mut vars = VarTable::default();
+    collect_group_vars(where_clause, &mut vars);
+    if let Some(q) = select {
+        collect_projection_vars(&q.projection, &mut vars);
+        for k in &q.order_by {
+            collect_expr_vars(&k.expr, &mut vars);
+        }
+    }
+    for t in templates {
+        for v in [&t.s, &t.p, &t.o] {
+            if let Some(name) = v.var().filter(|name| vars.get(name).is_none()) {
+                return Err(StrabonError::Eval(format!(
+                    "template variable ?{name} is not bound by the WHERE clause"
+                )));
+            }
+        }
+    }
+    Ok(Env { store: &engine.store, spatial: &engine.spatial, vars, config: engine.config, pool })
+}
+
+/// Steps 2 and 3: plan the WHERE clause, walk it from the one empty
+/// solution.
+pub(crate) fn solve(env: &Env<'_>, where_clause: &GroupPattern) -> Vec<Binding> {
+    let plan = plan_group(env, where_clause, &mut HashSet::new());
+    walk(env, &plan, vec![env.vars.empty_binding()])
+}
+
 /// Evaluate a parsed query against the engine.
 pub fn evaluate_query(engine: &mut Strabon, query: &Query) -> Result<Solutions> {
-    // Build the sidecar first so the rest can take shared borrows.
-    let config = engine.config;
-    let pool = engine.pool();
-    engine.spatial.ensure_built(&engine.store, &pool);
     match query {
         Query::Select(q) => {
-            let mut vars = VarTable::default();
-            collect_group_vars(&q.where_clause, &mut vars);
-            collect_projection_vars(&q.projection, &mut vars);
-            for k in &q.order_by {
-                collect_expr_vars(&k.expr, &mut vars);
-            }
-            let (store, spatial) = (&engine.store, &engine.spatial);
-            let env = Env {
-                store,
-                spatial,
-                vars: &vars,
-                rdfs_inference: config.rdfs_inference,
-                pool,
-            };
-            let seeds = vec![vars.empty_binding()];
-            let mut rows = eval_group(&env, &q.where_clause, seeds, config.optimize_bgp, config.use_spatial_index);
-
-            // ORDER BY.
-            if !q.order_by.is_empty() {
-                let keys: Vec<Vec<Option<Term>>> = rows
-                    .iter()
-                    .map(|b| {
-                        q.order_by
-                            .iter()
-                            .map(|k| eval_expression(&env, b, &k.expr))
-                            .collect()
-                    })
-                    .collect();
-                let mut order: Vec<usize> = (0..rows.len()).collect();
-                order.sort_by(|&x, &y| {
-                    for (i, k) in q.order_by.iter().enumerate() {
-                        let ord = order_terms(&keys[x][i], &keys[y][i]);
-                        let ord = if k.desc { ord.reverse() } else { ord };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                rows = order.into_iter().map(|i| rows[i].clone()).collect();
-            }
-
-            // Aggregation path: GROUP BY or an aggregate in the
-            // projection collapses bindings into per-group rows.
-            if !q.group_by.is_empty() || projection_has_aggregate(&q.projection) {
-                let mut out_rows = eval_aggregation(&env, q, &rows)?;
-                let out_vars = match &q.projection {
-                    Projection::All => q.group_by.clone(),
-                    Projection::Vars(items) => items
-                        .iter()
-                        .map(|i| match i {
-                            ProjectionItem::Var(v) => v.clone(),
-                            ProjectionItem::Expr { var, .. } => var.clone(),
-                        })
-                        .collect(),
-                };
-                if q.distinct {
-                    let mut seen = HashSet::new();
-                    out_rows.retain(|r| {
-                        let key: Vec<String> = r
-                            .iter()
-                            .map(|t| t.as_ref().map_or(String::new(), |t| t.to_string()))
-                            .collect();
-                        seen.insert(key)
-                    });
-                }
-                if q.offset > 0 {
-                    out_rows.drain(0..q.offset.min(out_rows.len()));
-                }
-                if let Some(n) = q.limit {
-                    out_rows.truncate(n);
-                }
-                return Ok(Solutions { vars: out_vars, rows: out_rows });
-            }
-
-            // Projection.
-            let (out_vars, mut out_rows): (Vec<String>, Vec<Vec<Option<Term>>>) =
-                match &q.projection {
-                    Projection::All => {
-                        let names = vars.names().to_vec();
-                        let rows = rows
-                            .iter()
-                            .map(|b| {
-                                b.iter()
-                                    .map(|x| x.as_ref().map(|v| v.term(store).clone()))
-                                    .collect()
-                            })
-                            .collect();
-                        (names, rows)
-                    }
-                    Projection::Vars(items) => {
-                        let names: Vec<String> = items
-                            .iter()
-                            .map(|i| match i {
-                                ProjectionItem::Var(v) => v.clone(),
-                                ProjectionItem::Expr { var, .. } => var.clone(),
-                            })
-                            .collect();
-                        let rows = rows
-                            .iter()
-                            .map(|b| {
-                                items
-                                    .iter()
-                                    .map(|i| match i {
-                                        ProjectionItem::Var(v) => vars
-                                            .get(v)
-                                            .and_then(|s| b[s].as_ref())
-                                            .map(|x| x.term(store).clone()),
-                                        ProjectionItem::Expr { expr, .. } => {
-                                            eval_expression(&env, b, expr)
-                                        }
-                                    })
-                                    .collect()
-                            })
-                            .collect();
-                        (names, rows)
-                    }
-                };
-
-            if q.distinct {
-                let mut seen = HashSet::new();
-                out_rows.retain(|r| {
-                    let key: Vec<String> = r
-                        .iter()
-                        .map(|t| t.as_ref().map_or(String::new(), |t| t.to_string()))
-                        .collect();
-                    seen.insert(key)
-                });
-            }
-            if q.offset > 0 {
-                out_rows.drain(0..q.offset.min(out_rows.len()));
-            }
-            if let Some(n) = q.limit {
-                out_rows.truncate(n);
-            }
-            Ok(Solutions { vars: out_vars, rows: out_rows })
+            let env = prepare(engine, &q.where_clause, Some(q), [])?;
+            let rows = solve(&env, &q.where_clause);
+            finish(&env, q, rows)
         }
         Query::Ask(q) => {
-            let mut vars = VarTable::default();
-            collect_group_vars(&q.where_clause, &mut vars);
-            let (store, spatial) = (&engine.store, &engine.spatial);
-            let env = Env {
-                store,
-                spatial,
-                vars: &vars,
-                rdfs_inference: config.rdfs_inference,
-                pool,
-            };
-            let seeds = vec![vars.empty_binding()];
-            let rows = eval_group(&env, &q.where_clause, seeds, config.optimize_bgp, config.use_spatial_index);
-            Ok(Solutions {
-                vars: vec!["ask".into()],
-                rows: vec![vec![Some(Term::boolean(!rows.is_empty()))]],
-            })
+            let env = prepare(engine, &q.where_clause, None, [])?;
+            let found = !solve(&env, &q.where_clause).is_empty();
+            Ok(Solutions { vars: vec!["ask".into()], rows: vec![vec![Some(Term::boolean(found))]] })
         }
-        Query::Construct(_) => Err(crate::StrabonError::Eval(
-            "CONSTRUCT queries go through Strabon::construct".into(),
-        )),
+        Query::Construct(_) => {
+            Err(StrabonError::Eval("CONSTRUCT queries go through Strabon::construct".into()))
+        }
     }
 }
 
 /// Evaluate a CONSTRUCT query: matched solutions instantiate the
 /// template; duplicate triples collapse.
-pub fn evaluate_construct(
-    engine: &mut Strabon,
-    q: &crate::ast::ConstructQuery,
-) -> Result<Vec<(Term, Term, Term)>> {
-    let config = engine.config;
-    let pool = engine.pool();
-    engine.spatial.ensure_built(&engine.store, &pool);
-    let mut vars = VarTable::default();
-    collect_group_vars(&q.where_clause, &mut vars);
-    // Template-only variables would never bind; reject them up front.
-    for t in &q.template {
-        for v in [&t.s, &t.p, &t.o] {
-            if let Some(name) = v.var() {
-                if vars.get(name).is_none() {
-                    return Err(crate::StrabonError::Eval(format!(
-                        "template variable ?{name} is not bound by the WHERE clause"
-                    )));
-                }
-            }
-        }
-    }
-    let env = Env {
-        store: &engine.store,
-        spatial: &engine.spatial,
-        vars: &vars,
-        rdfs_inference: config.rdfs_inference,
-        pool,
-    };
-    let seeds = vec![vars.empty_binding()];
-    let rows = eval_group(&env, &q.where_clause, seeds, config.optimize_bgp, config.use_spatial_index);
+pub fn evaluate_construct(engine: &mut Strabon, q: &ConstructQuery) -> Result<Vec<(Term, Term, Term)>> {
+    let env = prepare(engine, &q.where_clause, None, &q.template)?;
     let mut out: Vec<(Term, Term, Term)> = Vec::new();
-    for b in &rows {
+    for b in &solve(&env, &q.where_clause) {
         crate::update::instantiate(&env, b, &q.template, &mut out);
     }
     // Set semantics: CONSTRUCT produces a graph.
     out.sort();
     out.dedup();
     Ok(out)
+}
+
+/// Step 4, SELECT's solution modifiers in SPARQL's order: (group and
+/// aggregate | extend with the projected expressions) → ORDER BY →
+/// project → DISTINCT → OFFSET → LIMIT. Aggregates and projected
+/// expressions land in their alias's slot, so ORDER BY and the
+/// projection read an alias like any other variable.
+fn finish(env: &Env<'_>, q: &SelectQuery, mut rows: Vec<Binding>) -> Result<Solutions> {
+    let items: &[ProjectionItem] = match &q.projection {
+        Projection::Vars(items) => items,
+        Projection::All => &[],
+    };
+    let aggregated = !q.group_by.is_empty()
+        || items.iter().any(|i| matches!(i, ProjectionItem::Expr { expr, .. } if expr_has_aggregate(expr)));
+    if aggregated {
+        rows = aggregate(env, q, items, &rows)?;
+    } else {
+        for b in &mut rows {
+            extend(env, items, b, |b, expr| eval_expression(env, b, expr));
+        }
+    }
+
+    if !q.order_by.is_empty() {
+        let mut keyed: Vec<(Vec<Option<Term>>, Binding)> = rows
+            .into_iter()
+            .map(|b| (q.order_by.iter().map(|k| eval_expression(env, &b, &k.expr)).collect(), b))
+            .collect();
+        keyed.sort_by(|(x, _), (y, _)| {
+            let by_key = |(i, k): (usize, &OrderKey)| {
+                let ord = order_terms(&x[i], &y[i]);
+                if k.desc { ord.reverse() } else { ord }
+            };
+            q.order_by.iter().enumerate().map(by_key).find(|ord| ord.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        rows = keyed.into_iter().map(|(_, b)| b).collect();
+    }
+
+    let vars: Vec<String> = match &q.projection {
+        Projection::Vars(items) => items
+            .iter()
+            .map(|i| match i {
+                ProjectionItem::Var(var) | ProjectionItem::Expr { var, .. } => var.clone(),
+            })
+            .collect(),
+        Projection::All if aggregated => q.group_by.clone(),
+        Projection::All => env.vars.names().to_vec(),
+    };
+    let slots: Vec<Option<usize>> = vars.iter().map(|v| env.vars.get(v)).collect();
+    let project = |b: &Binding| -> Vec<Option<Term>> {
+        slots.iter().map(|s| s.and_then(|s| b[s].as_ref()).map(|x| x.term(env.store).clone())).collect()
+    };
+    let mut rows: Vec<Vec<Option<Term>>> = rows.iter().map(project).collect();
+    if q.distinct {
+        let mut seen = HashSet::new();
+        rows.retain(|r| seen.insert(r.clone()));
+    }
+    rows.drain(..q.offset.min(rows.len()));
+    if let Some(n) = q.limit {
+        rows.truncate(n);
+    }
+    Ok(Solutions { vars, rows })
+}
+
+/// Bind each `(expr AS ?v)` of the projection to `value(expr)` in
+/// `?v`'s slot, in order, so a later item may read an earlier alias.
+fn extend(
+    env: &Env<'_>,
+    items: &[ProjectionItem],
+    b: &mut Binding,
+    value: impl Fn(&Binding, &Expression) -> Option<Term>,
+) {
+    for item in items {
+        if let ProjectionItem::Expr { expr, var } = item {
+            if let Some(slot) = env.vars.get(var) {
+                b[slot] = value(b, expr).map(Bound::Computed);
+            }
+        }
+    }
 }
 
 const AGGREGATE_NAMES: [&str; 6] = ["COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE"];
@@ -253,27 +200,16 @@ fn expr_has_aggregate(e: &Expression) -> bool {
     }
 }
 
-fn projection_has_aggregate(p: &Projection) -> bool {
-    match p {
-        Projection::All => false,
-        Projection::Vars(items) => items.iter().any(|i| match i {
-            ProjectionItem::Var(_) => false,
-            ProjectionItem::Expr { expr, .. } => expr_has_aggregate(expr),
-        }),
-    }
-}
-
-/// Evaluate aggregation over solution bindings: group by the GROUP BY
-/// variables (one global group when absent), then compute each projected
-/// item per group. Non-aggregate projected items must be grouping
-/// variables.
-fn eval_aggregation(
+/// Collapse solutions into one binding per group, in first-seen order
+/// (one global group when GROUP BY is absent): the GROUP BY slots carry
+/// the key, each `(aggregate AS ?v)` lands in `?v`'s slot. Projected
+/// plain variables must be grouping variables.
+fn aggregate(
     env: &Env<'_>,
     q: &SelectQuery,
+    items: &[ProjectionItem],
     rows: &[Binding],
-) -> Result<Vec<Vec<Option<Term>>>> {
-    use crate::StrabonError;
-
+) -> Result<Vec<Binding>> {
     let group_slots: Vec<usize> = q
         .group_by
         .iter()
@@ -283,61 +219,40 @@ fn eval_aggregation(
                 .ok_or_else(|| StrabonError::Eval(format!("GROUP BY ?{v} is not bound anywhere")))
         })
         .collect::<Result<_>>()?;
-
-    // Partition bindings by group key (input order preserved).
-    let mut order: Vec<Vec<Option<Term>>> = Vec::new();
-    let mut groups: Vec<Vec<&Binding>> = Vec::new();
-    let mut index: HashMap<Vec<String>, usize> = HashMap::new();
-    for b in rows {
-        let key_terms: Vec<Option<Term>> = group_slots
-            .iter()
-            .map(|&s| b[s].as_ref().map(|x| x.term(env.store).clone()))
-            .collect();
-        let key: Vec<String> = key_terms
-            .iter()
-            .map(|t| t.as_ref().map_or(String::new(), |t| t.to_string()))
-            .collect();
-        match index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].push(b),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(groups.len());
-                order.push(key_terms);
-                groups.push(vec![b]);
+    for item in items {
+        if let ProjectionItem::Var(v) = item {
+            if !q.group_by.contains(v) {
+                return Err(StrabonError::Eval(format!("non-aggregated ?{v} must appear in GROUP BY")));
             }
         }
+    }
+
+    let mut groups: Vec<Vec<&Binding>> = Vec::new();
+    let mut index: HashMap<Vec<Option<&Term>>, usize> = HashMap::new();
+    for b in rows {
+        let key = group_slots.iter().map(|&s| b[s].as_ref().map(|x| x.term(env.store))).collect();
+        let gi = *index.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[gi].push(b);
     }
     // A global aggregate over zero solutions still yields one row.
     if groups.is_empty() && q.group_by.is_empty() {
-        order.push(Vec::new());
         groups.push(Vec::new());
     }
 
-    let items: Vec<ProjectionItem> = match &q.projection {
-        Projection::All => q.group_by.iter().map(|v| ProjectionItem::Var(v.clone())).collect(),
-        Projection::Vars(items) => items.clone(),
-    };
-
-    let mut out = Vec::with_capacity(groups.len());
-    for (gi, members) in groups.iter().enumerate() {
-        let mut row: Vec<Option<Term>> = Vec::with_capacity(items.len());
-        for item in &items {
-            match item {
-                ProjectionItem::Var(v) => {
-                    let pos = q.group_by.iter().position(|g| g == v).ok_or_else(|| {
-                        StrabonError::Eval(format!(
-                            "non-aggregated ?{v} must appear in GROUP BY"
-                        ))
-                    })?;
-                    row.push(order[gi][pos].clone());
-                }
-                ProjectionItem::Expr { expr, .. } => {
-                    row.push(eval_aggregate_expr(env, expr, members));
-                }
+    let collapse = |members: &Vec<&Binding>| {
+        let mut b = env.vars.empty_binding();
+        if let Some(first) = members.first() {
+            for &s in &group_slots {
+                b[s] = first[s].clone();
             }
         }
-        out.push(row);
-    }
-    Ok(out)
+        extend(env, items, &mut b, |_, expr| eval_aggregate_expr(env, expr, members));
+        b
+    };
+    Ok(groups.iter().map(collapse).collect())
 }
 
 /// Evaluate an expression that may contain aggregate calls over a group.
@@ -414,155 +329,131 @@ fn eval_aggregate_expr(env: &Env<'_>, expr: &Expression, group: &[&Binding]) -> 
     }
 }
 
-/// Compute the spatial push-down candidate sets of a group's FILTERs.
-pub(crate) fn group_restrictions(
-    env: &Env<'_>,
-    group: &GroupPattern,
-    spatial_index: bool,
-) -> HashMap<usize, HashSet<TermId>> {
-    if !spatial_index {
-        return HashMap::new();
-    }
-    let mut map: HashMap<usize, HashSet<TermId>> = HashMap::new();
+/// A planned group: what [`walk`] executes and [`render`] prints.
+struct Plan<'q> {
+    /// Spatial push-down: per variable slot, the dictionary ids whose
+    /// envelope can satisfy this group's FILTERs on that variable.
+    /// The group's scans bind the slot to members only (geometries
+    /// that cannot pass are never enumerated — Strabon's "push the
+    /// spatial predicate into the scan") and the FILTERs pre-filter
+    /// with the same set.
+    restrictions: HashMap<usize, HashSet<TermId>>,
+    steps: Vec<Step<'q>>,
+}
+
+enum Step<'q> {
+    /// One join of a BGP run, in join order, with the estimate it was
+    /// picked on.
+    Scan { pattern: &'q PatternTriple, est: usize },
+    /// A FILTER; `restricted` names the slot whose restriction
+    /// pre-filters it.
+    Filter { expr: &'q Expression, restricted: Option<usize> },
+    Optional(Plan<'q>),
+    Union(Vec<Plan<'q>>),
+    /// `shared`: the slots of the variables the body mentions.
+    Minus { plan: Plan<'q>, shared: Vec<usize> },
+    Bind { expr: &'q Expression, slot: usize },
+    Exists { plan: Plan<'q>, negated: bool },
+}
+
+/// Step 2 — the only code that decides what runs in which order.
+///
+/// `bound` holds the slots certainly bound when the group starts
+/// (the enclosing groups' included) and, on return, when it ends:
+/// pattern variables and BIND targets count; OPTIONAL, MINUS and
+/// EXISTS bodies bind nothing for the steps after them, a UNION what
+/// every branch binds.
+fn plan_group<'q>(env: &Env<'_>, group: &'q GroupPattern, bound: &mut HashSet<usize>) -> Plan<'q> {
+    // A FILTER restricts the whole group, the runs before it included,
+    // so the candidate sets come first: one R-tree probe per FILTER.
+    let mut restrictions: HashMap<usize, HashSet<TermId>> = HashMap::new();
+    let mut restricted = Vec::new();
     for el in &group.elements {
         if let PatternElement::Filter(f) = el {
-            if let Some((slot, set)) = spatial_prefilter(env, f) {
-                match map.entry(slot) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let merged: HashSet<TermId> =
-                            e.get().intersection(&set).copied().collect();
-                        e.insert(merged);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
+            let found = if env.config.use_spatial_index { spatial_prefilter(env, f) } else { None };
+            restricted.push(found.map(|(slot, set)| {
+                match restrictions.entry(slot) {
+                    Entry::Occupied(mut e) => e.get_mut().retain(|id| set.contains(id)),
+                    Entry::Vacant(e) => {
                         e.insert(set);
                     }
                 }
-            }
+                slot
+            }));
         }
     }
-    map
+
+    let mut restricted = restricted.into_iter();
+    let mut steps = Vec::with_capacity(group.elements.len());
+    let mut run: Vec<&PatternTriple> = Vec::new();
+    for el in &group.elements {
+        if let PatternElement::Triple(t) = el {
+            run.push(t);
+            continue;
+        }
+        bgp_order(env, &mut run, bound, &restrictions, &mut steps);
+        steps.push(match el {
+            PatternElement::Triple(_) => continue,
+            PatternElement::Filter(expr) => {
+                Step::Filter { expr, restricted: restricted.next().flatten() }
+            }
+            PatternElement::Optional(inner) => {
+                Step::Optional(plan_group(env, inner, &mut bound.clone()))
+            }
+            PatternElement::Union(branches) => {
+                let (mut plans, mut ends) = (Vec::new(), Vec::new());
+                for br in branches {
+                    let mut end = bound.clone();
+                    plans.push(plan_group(env, br, &mut end));
+                    ends.push(end);
+                }
+                if let Some(all) = ends.into_iter().reduce(|a, b| &a & &b) {
+                    *bound = all;
+                }
+                Step::Union(plans)
+            }
+            PatternElement::Minus(inner) => {
+                let mut inner_vars = VarTable::default();
+                collect_group_vars(inner, &mut inner_vars);
+                let shared = inner_vars.names().iter().filter_map(|v| env.vars.get(v)).collect();
+                Step::Minus { plan: plan_group(env, inner, &mut bound.clone()), shared }
+            }
+            PatternElement::Bind { expr, var } => {
+                // Registered by `prepare`; a miss would mean the value
+                // has nowhere to land.
+                let Some(slot) = env.vars.get(var) else { continue };
+                bound.insert(slot);
+                Step::Bind { expr, slot }
+            }
+            PatternElement::FilterExists { group: inner, negated } => {
+                Step::Exists { plan: plan_group(env, inner, &mut bound.clone()), negated: *negated }
+            }
+        });
+    }
+    bgp_order(env, &mut run, bound, &restrictions, &mut steps);
+    Plan { restrictions, steps }
 }
 
-/// Render the evaluation plan of a SELECT/ASK query: the spatial
-/// push-down candidate sets and the chosen BGP pattern order with the
-/// optimizer's selectivity estimates.
-pub fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
-    let config = engine.config;
-    let pool = engine.pool();
-    engine.spatial.ensure_built(&engine.store, &pool);
-    let where_clause = match query {
-        Query::Select(q) => &q.where_clause,
-        Query::Ask(q) => &q.where_clause,
-        Query::Construct(q) => &q.where_clause,
-    };
-    let mut vars = VarTable::default();
-    collect_group_vars(where_clause, &mut vars);
-    if let Query::Select(q) = query {
-        collect_projection_vars(&q.projection, &mut vars);
-    }
-    let env = Env {
-        store: &engine.store,
-        spatial: &engine.spatial,
-        vars: &vars,
-        rdfs_inference: config.rdfs_inference,
-        pool,
-    };
-    let restrictions = group_restrictions(&env, where_clause, config.use_spatial_index);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "config: optimize_bgp={}, use_spatial_index={}, rdfs_inference={}\n",
-        config.optimize_bgp, config.use_spatial_index, config.rdfs_inference
-    ));
-    if restrictions.is_empty() {
-        out.push_str("spatial push-down: (none)\n");
-    } else {
-        for (slot, set) in &restrictions {
-            let name = vars.names().get(*slot).cloned().unwrap_or_default();
-            out.push_str(&format!(
-                "spatial push-down: ?{name} restricted to {} envelope candidate(s)\n",
-                set.len()
-            ));
-        }
-    }
-
-    // Walk the group, rendering each BGP run's chosen order. `bound`
-    // carries over from run to run, as the bindings do in evaluation.
-    let mut bgp: Vec<&PatternTriple> = Vec::new();
-    let mut step = 1usize;
-    let mut bound: HashSet<usize> = HashSet::new();
-    let mut flush = |bgp: &mut Vec<&PatternTriple>, out: &mut String, step: &mut usize| {
-        let order = bgp_order(&env, bgp, bound.clone(), config.optimize_bgp, &restrictions);
-        for &pi in &order {
-            let est = estimate_pattern(&env, bgp[pi], &bound, &restrictions);
-            out.push_str(&format!(
-                "{:>3}. match {} (est {})\n",
-                step,
-                render_pattern(bgp[pi]),
-                est
-            ));
-            bind_pattern_vars(&env, bgp[pi], &mut bound);
-            *step += 1;
-        }
-        bgp.clear();
-    };
-    for el in &where_clause.elements {
-        match el {
-            PatternElement::Triple(t) => bgp.push(t),
-            PatternElement::Filter(_) => {
-                flush(&mut bgp, &mut out, &mut step);
-                out.push_str(&format!("{:>3}. filter\n", step));
-                step += 1;
-            }
-            other => {
-                flush(&mut bgp, &mut out, &mut step);
-                let kind = match other {
-                    PatternElement::Optional(_) => "optional group",
-                    PatternElement::Union(_) => "union",
-                    PatternElement::Minus(_) => "minus group",
-                    PatternElement::Bind { .. } => "bind",
-                    PatternElement::FilterExists { negated: false, .. } => "filter exists",
-                    PatternElement::FilterExists { negated: true, .. } => "filter not exists",
-                    _ => "group",
-                };
-                out.push_str(&format!("{:>3}. {kind}\n", step));
-                step += 1;
-            }
-        }
-    }
-    flush(&mut bgp, &mut out, &mut step);
-    Ok(out)
-}
-
-/// The order [`eval_bgp`] joins `patterns` in, given the variable
-/// slots already `bound` when the run starts: syntactic, or (when
-/// `optimize`) greedy — repeatedly the pattern with the smallest
-/// estimate given the variables bound so far.
-fn bgp_order(
+/// Move one BGP run into `steps` in join order: syntactic, or (when
+/// `optimize_bgp`) greedy — repeatedly the pattern with the smallest
+/// estimate given the slots bound so far, each pick binding its
+/// variables.
+fn bgp_order<'q>(
     env: &Env<'_>,
-    patterns: &[&PatternTriple],
-    mut bound: HashSet<usize>,
-    optimize: bool,
+    run: &mut Vec<&'q PatternTriple>,
+    bound: &mut HashSet<usize>,
     restrictions: &HashMap<usize, HashSet<TermId>>,
-) -> Vec<usize> {
-    let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-    if !optimize {
-        return remaining;
+    steps: &mut Vec<Step<'q>>,
+) {
+    while !run.is_empty() {
+        let mut ests =
+            run.iter().map(|pat| estimate_pattern(env, pat, bound, restrictions)).enumerate();
+        let pick = if env.config.optimize_bgp { ests.min_by_key(|&(_, est)| est) } else { ests.next() };
+        let Some((pos, est)) = pick else { break };
+        let pattern = run.remove(pos);
+        bind_pattern_vars(env, pattern, bound);
+        steps.push(Step::Scan { pattern, est });
     }
-    let mut order = Vec::with_capacity(patterns.len());
-    while !remaining.is_empty() {
-        let Some((pick_pos, _)) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &pi)| estimate_pattern(env, patterns[pi], &bound, restrictions))
-        else {
-            break; // unreachable: the loop guard keeps `remaining` non-empty
-        };
-        let pi = remaining.remove(pick_pos);
-        bind_pattern_vars(env, patterns[pi], &mut bound);
-        order.push(pi);
-    }
-    order
 }
 
 /// Mark the variables of `pat` as bound.
@@ -582,43 +473,28 @@ fn render_pattern(p: &PatternTriple) -> String {
     format!("{} {} {}", part(&p.s), part(&p.p), part(&p.o))
 }
 
-/// Evaluate a group pattern: BGP runs accumulate and flush, filters and
-/// other elements apply in order.
-pub fn eval_group(
-    env: &Env<'_>,
-    group: &GroupPattern,
-    seeds: Vec<Binding>,
-    optimize: bool,
-    spatial_index: bool,
-) -> Vec<Binding> {
-    // Spatial-filter push-down: FILTERs of this group whose shape the
-    // R-tree sidecar understands yield per-variable candidate id sets;
-    // the BGP evaluator uses them to restrict index matching, so
-    // geometry bindings that cannot satisfy the filter are never
-    // enumerated (Strabon's "push the spatial predicate into the scan").
-    let restrictions = group_restrictions(env, group, spatial_index);
-
-    let mut bindings = seeds;
-    let mut bgp: Vec<&PatternTriple> = Vec::new();
-    for el in &group.elements {
-        if let PatternElement::Triple(t) = el {
-            bgp.push(t);
-            continue;
+/// Step 3: execute a plan over `bindings`. Scans and FILTERs run over
+/// the whole solution list (morsel-parallel from
+/// [`PAR_BINDING_THRESHOLD`] up); nested bodies run once per solution,
+/// seeded with it.
+fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Binding> {
+    let seeded = |inner: &Plan<'_>, b: &Binding| walk(env, inner, vec![b.clone()]);
+    for step in &plan.steps {
+        if bindings.is_empty() {
+            break;
         }
-        if !bgp.is_empty() {
-            bindings = eval_bgp(env, &bgp, bindings, optimize, &restrictions);
-            bgp.clear();
-        }
-        match el {
-            PatternElement::Triple(_) => unreachable!(),
-            PatternElement::Filter(f) => {
-                bindings = apply_filter(env, f, bindings, spatial_index);
+        match step {
+            Step::Scan { pattern, .. } => {
+                bindings = probe_pattern(env, pattern, bindings, &plan.restrictions);
             }
-            PatternElement::Optional(inner) => {
+            Step::Filter { expr, restricted } => {
+                let prefilter = restricted.map(|slot| (slot, &plan.restrictions[&slot]));
+                bindings = apply_filter(env, expr, bindings, prefilter);
+            }
+            Step::Optional(inner) => {
                 let mut next = Vec::with_capacity(bindings.len());
                 for b in bindings {
-                    let extended =
-                        eval_group(env, inner, vec![b.clone()], optimize, spatial_index);
+                    let extended = seeded(inner, &b);
                     if extended.is_empty() {
                         next.push(b);
                     } else {
@@ -627,81 +503,83 @@ pub fn eval_group(
                 }
                 bindings = next;
             }
-            PatternElement::Union(branches) => {
-                let mut next = Vec::new();
-                for br in branches {
-                    next.extend(eval_group(env, br, bindings.clone(), optimize, spatial_index));
-                }
-                bindings = next;
+            Step::Union(branches) => {
+                bindings = branches.iter().flat_map(|br| walk(env, br, bindings.clone())).collect();
             }
-            PatternElement::Minus(inner) => {
-                // Keep bindings that share no variable with the MINUS
-                // pattern (SPARQL compatibility rule), drop those for
-                // which the seeded pattern has a solution.
-                let mut inner_vars = VarTable::default();
-                collect_group_vars(inner, &mut inner_vars);
-                bindings.retain(|b| {
-                    let shares_var = inner_vars
-                        .names()
-                        .iter()
-                        .any(|v| env.vars.get(v).is_some_and(|s| b[s].is_some()));
-                    if !shares_var {
-                        return true;
-                    }
-                    eval_group(env, inner, vec![b.clone()], optimize, spatial_index).is_empty()
-                });
-            }
-            PatternElement::Bind { expr, var } => {
-                // The variable was registered during var collection; a
-                // miss means the binding has nowhere to land.
-                if let Some(slot) = env.vars.get(var) {
-                    for b in &mut bindings {
-                        let v = eval_expression(env, b, expr);
-                        b[slot] = v.map(Bound::Computed);
-                    }
+            // Keep solutions that share no variable with the MINUS
+            // body (SPARQL's compatibility rule); drop those the
+            // seeded body has a solution for.
+            Step::Minus { plan: inner, shared } => bindings.retain(|b| {
+                !shared.iter().any(|&s| b[s].is_some()) || seeded(inner, b).is_empty()
+            }),
+            Step::Bind { expr, slot } => {
+                for b in &mut bindings {
+                    let v = eval_expression(env, b, expr);
+                    b[*slot] = v.map(Bound::Computed);
                 }
             }
-            PatternElement::FilterExists { group: inner, negated } => {
-                bindings.retain(|b| {
-                    let found =
-                        !eval_group(env, inner, vec![b.clone()], optimize, spatial_index)
-                            .is_empty();
-                    found != *negated
-                });
+            Step::Exists { plan: inner, negated } => {
+                bindings.retain(|b| seeded(inner, b).is_empty() == *negated);
             }
         }
-    }
-    if !bgp.is_empty() {
-        bindings = eval_bgp(env, &bgp, bindings, optimize, &restrictions);
     }
     bindings
 }
 
-/// Evaluate a BGP against seed bindings with index nested-loop joins.
-fn eval_bgp(
-    env: &Env<'_>,
-    patterns: &[&PatternTriple],
-    seeds: Vec<Binding>,
-    optimize: bool,
-    restrictions: &HashMap<usize, HashSet<TermId>>,
-) -> Vec<Binding> {
-    if seeds.is_empty() {
-        return seeds;
+/// Render the evaluation plan of a query — the [`Plan`] the evaluator
+/// would walk: spatial push-down candidate counts, then every step in
+/// execution order, scans with the estimate they were picked on,
+/// nested bodies indented under their step.
+pub fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
+    let (where_clause, select) = match query {
+        Query::Select(q) => (&q.where_clause, Some(q)),
+        Query::Ask(q) => (&q.where_clause, None),
+        Query::Construct(q) => (&q.where_clause, None),
+    };
+    let env = prepare(engine, where_clause, select, [])?;
+    let plan = plan_group(&env, where_clause, &mut HashSet::new());
+    let mut out = format!(
+        "config: optimize_bgp={}, use_spatial_index={}, rdfs_inference={}\n",
+        env.config.optimize_bgp, env.config.use_spatial_index, env.config.rdfs_inference
+    );
+    if plan.restrictions.is_empty() {
+        out.push_str("spatial push-down: (none)\n");
     }
-    // Variables bound in the seeds (use the first seed's shape; all
-    // seeds of a group share it).
-    let bound: HashSet<usize> =
-        seeds[0].iter().enumerate().filter(|(_, v)| v.is_some()).map(|(slot, _)| slot).collect();
-    let order = bgp_order(env, patterns, bound, optimize, restrictions);
+    render(&env, &plan, "", &mut out);
+    Ok(out)
+}
 
-    let mut results = seeds;
-    for &pi in &order {
-        results = probe_pattern(env, patterns[pi], results, restrictions);
-        if results.is_empty() {
-            break;
+fn render(env: &Env<'_>, plan: &Plan<'_>, indent: &str, out: &mut String) {
+    let mut slots: Vec<&usize> = plan.restrictions.keys().collect();
+    slots.sort();
+    for slot in slots {
+        out.push_str(&format!(
+            "{indent}spatial push-down: ?{} restricted to {} envelope candidate(s)\n",
+            env.vars.names()[*slot],
+            plan.restrictions[slot].len()
+        ));
+    }
+    let nested = format!("{indent}     ");
+    for (i, step) in plan.steps.iter().enumerate() {
+        let (label, bodies) = match step {
+            Step::Scan { pattern, est } => {
+                (format!("match {} (est {est})", render_pattern(pattern)), &[][..])
+            }
+            Step::Filter { .. } => ("filter".into(), &[][..]),
+            Step::Optional(body) => ("optional group".into(), std::slice::from_ref(body)),
+            Step::Union(branches) => ("union".into(), &branches[..]),
+            Step::Minus { plan: body, .. } => ("minus group".into(), std::slice::from_ref(body)),
+            Step::Bind { .. } => ("bind".into(), &[][..]),
+            Step::Exists { plan: body, negated } => (
+                if *negated { "filter not exists" } else { "filter exists" }.into(),
+                std::slice::from_ref(body),
+            ),
+        };
+        out.push_str(&format!("{indent}{:>3}. {label}\n", i + 1));
+        for body in bodies {
+            render(env, body, &nested, out);
         }
     }
-    results
 }
 
 /// Binding count below which BGP probing and FILTER evaluation stay
@@ -882,7 +760,7 @@ fn extend_with_pattern(
 
     // RDFS inference: `?x rdf:type C` also matches instances of C's
     // subclasses (reflexive-transitive rdfs:subClassOf closure).
-    if env.rdfs_inference {
+    if env.config.rdfs_inference {
         if let (Pos::Const(p_id), Pos::Const(class_id)) = (&p, &o) {
             let is_type = env
                 .store
@@ -952,26 +830,24 @@ fn subclass_closure(
     out
 }
 
-/// Apply a FILTER, using the spatial sidecar to pre-filter when
-/// possible. The exact predicate pass (geometry intersections,
-/// arithmetic) runs over the pool's morsels, parallel from
-/// [`PAR_BINDING_THRESHOLD`] bindings up; the envelope pre-filter
-/// stays sequential — it is hash probes, far cheaper than the task
-/// setup it would amortize.
+/// Apply a FILTER. `prefilter` is the group's spatial restriction on
+/// the FILTER's variable: solutions binding it to an id outside the
+/// candidate set go first — hash probes, far cheaper than the task
+/// setup they would amortize, so this stays sequential. The exact
+/// predicate pass (geometry intersections, arithmetic) runs over the
+/// pool's morsels, parallel from [`PAR_BINDING_THRESHOLD`] up.
 fn apply_filter(
     env: &Env<'_>,
     filter: &Expression,
     mut bindings: Vec<Binding>,
-    spatial_index: bool,
+    prefilter: Option<(usize, &HashSet<TermId>)>,
 ) -> Vec<Binding> {
-    if spatial_index {
-        if let Some((var_slot, candidates)) = spatial_prefilter(env, filter) {
-            bindings.retain(|b| match &b[var_slot] {
-                Some(Bound::Id(id)) => candidates.contains(id),
-                // Computed geometries skip the index and go to exact eval.
-                _ => true,
-            });
-        }
+    if let Some((slot, candidates)) = prefilter {
+        bindings.retain(|b| match &b[slot] {
+            Some(Bound::Id(id)) => candidates.contains(id),
+            // Computed geometries skip the index and go to exact eval.
+            _ => true,
+        });
     }
     // Morsel-order concatenation of the survivors is one retain over
     // the whole list.
@@ -993,72 +869,33 @@ fn apply_filter(
     concat(env.pool.run(tasks))
 }
 
-/// Recognize `strdf:pred(?v, CONST)` / `strdf:distance(?v, CONST) < d`
-/// shapes and compute the envelope-candidate id set.
-fn spatial_prefilter(
-    env: &Env<'_>,
-    filter: &Expression,
-) -> Option<(usize, HashSet<TermId>)> {
-    // Envelope-intersection is a necessary condition for these predicates.
+/// Recognize `strdf:pred(?v, CONST)` and `strdf:distance(?v, CONST) < d`
+/// (or `d > strdf:distance(..)`) and compute the envelope-candidate id
+/// set of `?v`'s slot.
+fn spatial_prefilter(env: &Env<'_>, filter: &Expression) -> Option<(usize, HashSet<TermId>)> {
+    // Envelope intersection is a necessary condition for these predicates.
     const ENVELOPE_PREDICATES: &[&str] =
         &["intersects", "within", "contains", "touches", "equals", "sfIntersects", "sfWithin", "sfContains"];
 
-    fn const_geometry(e: &Expression) -> Option<Envelope> {
-        if let Expression::Const(t) = e {
-            if let Ok((g, _)) = strdf::parse_geometry(t) {
-                return Some(g.envelope());
-            }
-        }
-        None
-    }
-
-    match filter {
-        Expression::Call { name, args } if args.len() == 2 => {
-            let local = name.strip_prefix(vocab::strdf::NS).or_else(|| {
-                name.strip_prefix("http://www.opengis.net/def/function/geosparql/")
-            })?;
-            if !ENVELOPE_PREDICATES.contains(&local) {
-                return None;
-            }
-            let (var, env_box) = match (&args[0], &args[1]) {
-                (Expression::Var(v), c) => (v, const_geometry(c)?),
-                (c, Expression::Var(v)) => (v, const_geometry(c)?),
-                _ => return None,
-            };
-            let slot = env.vars.get(var)?;
-            Some((slot, env.spatial.candidates(&env_box)))
-        }
-        // distance(?v, CONST) < d   or   d > distance(?v, CONST)
-        Expression::Binary { op, left, right } => {
-            let (call, bound_expr, strict_less) = match op {
-                BinaryOp::Lt | BinaryOp::Le => (left, right, true),
-                BinaryOp::Gt | BinaryOp::Ge => (right, left, true),
-                _ => return None,
-            };
-            let _ = strict_less;
-            let Expression::Call { name, args } = &**call else {
-                return None;
-            };
-            let local = name.strip_prefix(vocab::strdf::NS).or_else(|| {
-                name.strip_prefix("http://www.opengis.net/def/function/geosparql/")
-            })?;
-            if local != "distance" || args.len() != 2 {
-                return None;
-            }
-            let Expression::Const(d_term) = &**bound_expr else {
-                return None;
-            };
-            let d = d_term.as_f64()?;
-            let (var, env_box) = match (&args[0], &args[1]) {
-                (Expression::Var(v), c) => (v, const_geometry(c)?),
-                (c, Expression::Var(v)) => (v, const_geometry(c)?),
-                _ => return None,
-            };
-            let slot = env.vars.get(var)?;
-            Some((slot, env.spatial.candidates(&env_box.buffer(d))))
-        }
-        _ => None,
-    }
+    let (call, limit) = match filter {
+        Expression::Binary { op: BinaryOp::Lt | BinaryOp::Le, left, right } => (&**left, Some(&**right)),
+        Expression::Binary { op: BinaryOp::Gt | BinaryOp::Ge, left, right } => (&**right, Some(&**left)),
+        call => (call, None),
+    };
+    let Expression::Call { name, args } = call else { return None };
+    let local = spatial_function(name)?;
+    // How far the constant's envelope reaches.
+    let reach = match limit {
+        None if ENVELOPE_PREDICATES.contains(&local) => 0.0,
+        Some(Expression::Const(d)) if local == "distance" => d.as_f64()?,
+        _ => return None,
+    };
+    let (var, constant) = match args.as_slice() {
+        [Expression::Var(v), Expression::Const(c)] | [Expression::Const(c), Expression::Var(v)] => (v, c),
+        _ => return None,
+    };
+    let (geometry, _) = strdf::parse_geometry(constant).ok()?;
+    Some((env.vars.get(var)?, env.spatial.candidates(&geometry.envelope().buffer(reach))))
 }
 
 // --- variable collection ----------------------------------------------
@@ -1079,7 +916,7 @@ fn collect_projection_vars(p: &Projection, vars: &mut VarTable) {
     }
 }
 
-pub(crate) fn collect_group_vars(g: &GroupPattern, vars: &mut VarTable) {
+fn collect_group_vars(g: &GroupPattern, vars: &mut VarTable) {
     for el in &g.elements {
         match el {
             PatternElement::Triple(t) => {
@@ -1126,5 +963,3 @@ fn collect_expr_vars(e: &Expression, vars: &mut VarTable) {
         }
     }
 }
-
-

@@ -7,6 +7,7 @@
 
 use crate::ast::{BinaryOp, Expression};
 use crate::spatial::SpatialSidecar;
+use crate::StrabonConfig;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -94,19 +95,20 @@ impl VarTable {
     }
 }
 
-/// Evaluation environment shared by all expression evaluations of a
-/// query. Everything in it is a shared borrow of immutable engine
-/// state, so an `&Env` crosses worker-thread boundaries freely — the
+/// Evaluation environment of one statement, built once by
+/// `eval::prepare`. Nothing in it changes while the statement runs, so
+/// an `&Env` crosses worker-thread boundaries freely — the
 /// morsel-parallel BGP probe and filter paths rely on that.
 pub struct Env<'a> {
     /// The triple store.
     pub store: &'a TripleStore,
-    /// Spatial sidecar (already built).
+    /// Spatial sidecar (caught up with the store's dictionary).
     pub spatial: &'a SpatialSidecar,
-    /// Variable table.
-    pub vars: &'a VarTable,
-    /// Expand `rdf:type` patterns over the `rdfs:subClassOf` closure.
-    pub rdfs_inference: bool,
+    /// The statement's variables.
+    pub vars: VarTable,
+    /// The engine's toggles: join ordering, spatial push-down, RDFS
+    /// expansion of `rdf:type` patterns.
+    pub config: StrabonConfig,
     /// Worker pool for the morsel-parallel probe/filter paths
     /// (one-thread pools evaluate inline — the exact sequential path).
     pub pool: WorkerPool,
@@ -224,6 +226,13 @@ pub fn eval_filter(env: &Env<'_>, binding: &Binding, expr: &Expression) -> bool 
         .unwrap_or(false)
 }
 
+/// The local name of a spatial function: the strdf namespace, or
+/// GeoSPARQL's geof: spelling of it.
+pub(crate) fn spatial_function(name: &str) -> Option<&str> {
+    name.strip_prefix(vocab::strdf::NS)
+        .or_else(|| name.strip_prefix("http://www.opengis.net/def/function/geosparql/"))
+}
+
 fn eval_call(env: &Env<'_>, binding: &Binding, name: &str, args: &[Expression]) -> Option<Term> {
     // BOUND is special: it inspects bindings, not values.
     if name == "BOUND" {
@@ -234,11 +243,7 @@ fn eval_call(env: &Env<'_>, binding: &Binding, name: &str, args: &[Expression]) 
         return Some(Term::boolean(binding.get(slot)?.is_some()));
     }
 
-    // Spatial functions (strdf namespace); also accept GeoSPARQL geof:.
-    if let Some(local) = name
-        .strip_prefix(vocab::strdf::NS)
-        .or_else(|| name.strip_prefix("http://www.opengis.net/def/function/geosparql/"))
-    {
+    if let Some(local) = spatial_function(name) {
         return eval_spatial(env, binding, local, args);
     }
 
@@ -505,8 +510,8 @@ mod tests {
         let env = Env {
             store: &store,
             spatial: &spatial,
-            vars: &vars,
-            rdfs_inference: false,
+            vars,
+            config: StrabonConfig::default(),
             pool: WorkerPool::with_threads(1),
         };
         eval_expression(&env, &vec![], expr)

@@ -218,7 +218,7 @@ impl Strabon {
         }
     }
 
-    /// Change configuration (invalidates nothing; the sidecar adapts).
+    /// Change configuration (the sidecar does not depend on it).
     pub fn set_config(&mut self, config: StrabonConfig) {
         self.config = config;
     }
@@ -228,7 +228,11 @@ impl Strabon {
         &self.store
     }
 
-    /// Mutable access to the store (invalidates the spatial sidecar).
+    /// Mutable access to the store. This is the one place the spatial
+    /// sidecar is reset rather than caught up: the caller may replace
+    /// the whole store through the reference (recovery does —
+    /// `*db.store_mut() = recovered`), and the sidecar's ids would then
+    /// name another dictionary's terms.
     pub fn store_mut(&mut self) -> &mut TripleStore {
         self.spatial.invalidate();
         &mut self.store
@@ -246,14 +250,12 @@ impl Strabon {
 
     /// Load Turtle data. Returns the number of new triples.
     pub fn load_turtle(&mut self, turtle: &str) -> Result<usize> {
-        self.spatial.invalidate();
         teleios_rdf::turtle::parse_into(turtle, &mut self.store)
             .map_err(|e| StrabonError::Load(e.to_string()))
     }
 
     /// Insert one triple of terms. Returns false when it already existed.
     pub fn insert(&mut self, s: &Term, p: &Term, o: &Term) -> bool {
-        self.spatial.invalidate();
         self.store.insert_terms(s, p, o)
     }
 
@@ -279,9 +281,10 @@ impl Strabon {
         }
     }
 
-    /// Render the evaluation plan of a query without running it: spatial
-    /// push-down candidate counts and the optimizer's BGP order with
-    /// selectivity estimates.
+    /// Render the plan the evaluator would walk, without walking it:
+    /// spatial push-down candidate counts and every step in execution
+    /// order, nested groups included, scans with their selectivity
+    /// estimates.
     pub fn explain(&mut self, text: &str) -> Result<String> {
         let query = parser::parse_query(text)?;
         eval::explain_query(self, &query)

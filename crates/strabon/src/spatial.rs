@@ -3,8 +3,12 @@
 //! Strabon keeps geometries in the dictionary as `strdf:WKT` literals;
 //! parsing WKT on every FILTER evaluation would dominate query time, so
 //! the sidecar caches parsed geometries per term id and maintains an
-//! R-tree of their envelopes. The sidecar is rebuilt lazily after any
-//! store mutation.
+//! R-tree of their envelopes.
+//!
+//! The sidecar indexes dictionary ids, not triples, and the dictionary
+//! is append-only (removing a triple never removes a term), so in-place
+//! mutation of the store can only leave the sidecar *short*, never
+//! wrong: catching up means reading the ids interned since last time.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,53 +19,52 @@ use teleios_rdf::dictionary::TermId;
 use teleios_rdf::store::TripleStore;
 use teleios_rdf::strdf;
 
-/// Lazily built spatial index over every `strdf:WKT` literal in a store.
+/// Spatial index over every `strdf:WKT` literal of a store's dictionary.
 #[derive(Debug, Default)]
 pub struct SpatialSidecar {
-    built: bool,
+    /// High-water mark: dictionary ids below it have been read.
+    mark: TermId,
     geometries: HashMap<TermId, Arc<Geometry>>,
+    /// The R-tree's entries, in id order — what a from-scratch build
+    /// would bulk-load.
+    items: Vec<(Envelope, TermId)>,
     rtree: RTree<TermId>,
 }
 
 impl SpatialSidecar {
-    /// Drop the index (call after any store mutation).
+    /// Forget everything: for when the store itself is replaced and
+    /// the ids read so far may name other terms.
     pub fn invalidate(&mut self) {
-        self.built = false;
-        self.geometries.clear();
-        self.rtree = RTree::new();
+        *self = SpatialSidecar::default();
     }
 
-    /// True when the sidecar reflects the current store contents.
-    pub fn is_built(&self) -> bool {
-        self.built
-    }
-
-    /// Build the index from the store's dictionary if not yet built,
-    /// bulk-loading the R-tree on `pool` ([`RTree::bulk_load_with`] —
-    /// the same tree at every pool size).
-    pub fn ensure_built(&mut self, store: &TripleStore, pool: &WorkerPool) {
-        if self.built {
-            return;
-        }
+    /// Read the dictionary ids interned since the last call. Only when
+    /// one of them is a geometry is the R-tree bulk-loaded again, on
+    /// `pool`, over all entries ([`RTree::bulk_load_with`] — the same
+    /// tree at every pool size, and the tree a from-scratch build of
+    /// this dictionary produces).
+    pub fn catch_up(&mut self, store: &TripleStore, pool: &WorkerPool) {
         let dict = store.dictionary();
-        let mut items: Vec<(Envelope, TermId)> = Vec::new();
-        for id in 0..dict.len() as TermId {
+        let indexed = self.items.len();
+        for id in self.mark..dict.len() as TermId {
             let term = dict.term(id);
             if strdf::is_geometry_literal(term) {
                 if let Ok((g, _srid)) = strdf::parse_geometry(term) {
                     let env = g.envelope();
                     self.geometries.insert(id, Arc::new(g));
                     if !env.is_empty() {
-                        items.push((env, id));
+                        self.items.push((env, id));
                     }
                 }
             }
         }
-        self.rtree = RTree::bulk_load_with(pool, items);
-        self.built = true;
+        self.mark = dict.len() as TermId;
+        if self.items.len() > indexed {
+            self.rtree = RTree::bulk_load_with(pool, self.items.clone());
+        }
     }
 
-    /// Parsed geometry for a term id (after `ensure_built`).
+    /// Parsed geometry for a term id (after `catch_up`).
     pub fn geometry(&self, id: TermId) -> Option<Arc<Geometry>> {
         self.geometries.get(&id).cloned()
     }
@@ -106,7 +109,7 @@ mod tests {
     fn builds_and_finds_candidates() {
         let st = store_with_points(10);
         let mut sc = SpatialSidecar::default();
-        sc.ensure_built(&st, &WorkerPool::with_threads(2));
+        sc.catch_up(&st, &WorkerPool::with_threads(2));
         assert_eq!(sc.len(), 10);
         let q = Envelope::new(
             teleios_geo::Coord::new(2.5, -1.0),
@@ -120,7 +123,7 @@ mod tests {
     fn geometry_lookup() {
         let st = store_with_points(3);
         let mut sc = SpatialSidecar::default();
-        sc.ensure_built(&st, &WorkerPool::with_threads(2));
+        sc.catch_up(&st, &WorkerPool::with_threads(2));
         let lit = strdf::geometry_literal_wgs84(&Geometry::Point(Point::new(1.0, 0.0)));
         let id = st.id_of(&lit).unwrap();
         let g = sc.geometry(id).unwrap();
@@ -131,11 +134,11 @@ mod tests {
     fn invalidate_clears() {
         let st = store_with_points(2);
         let mut sc = SpatialSidecar::default();
-        sc.ensure_built(&st, &WorkerPool::with_threads(2));
-        assert!(sc.is_built());
+        sc.catch_up(&st, &WorkerPool::with_threads(2));
+        assert_eq!(sc.len(), 2);
         sc.invalidate();
-        assert!(!sc.is_built());
         assert!(sc.is_empty());
+        assert!(sc.candidates(&Envelope::new(teleios_geo::Coord::new(-1.0, -1.0), teleios_geo::Coord::new(9.0, 1.0))).is_empty());
     }
 
     #[test]
@@ -147,7 +150,7 @@ mod tests {
             &Term::literal("POINT (1 2)"), // plain literal, not strdf:WKT
         );
         let mut sc = SpatialSidecar::default();
-        sc.ensure_built(&st, &WorkerPool::with_threads(2));
+        sc.catch_up(&st, &WorkerPool::with_threads(2));
         assert!(sc.is_empty());
     }
 
@@ -160,7 +163,7 @@ mod tests {
             &Term::typed_literal("NOT WKT", teleios_rdf::vocab::strdf::WKT),
         );
         let mut sc = SpatialSidecar::default();
-        sc.ensure_built(&st, &WorkerPool::with_threads(2));
+        sc.catch_up(&st, &WorkerPool::with_threads(2));
         assert!(sc.is_empty());
     }
 }

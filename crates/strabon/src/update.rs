@@ -3,8 +3,8 @@
 //! with `DELETE/INSERT ... WHERE` statements).
 
 use crate::ast::{TemplateTriple, Update, VarOrTerm};
-use crate::eval::{collect_group_vars, eval_group};
-use crate::expr::{Bound, Env, VarTable};
+use crate::eval::{prepare, solve};
+use crate::expr::{Bound, Env};
 use crate::{Result, Strabon, StrabonError};
 use teleios_rdf::term::Term;
 use teleios_rdf::triple::Triple;
@@ -19,9 +19,6 @@ pub fn execute_update(engine: &mut Strabon, update: &Update) -> Result<usize> {
                 if engine.store.insert_terms(s, p, o) {
                     n += 1;
                 }
-            }
-            if n > 0 {
-                engine.spatial.invalidate();
             }
             Ok(n)
         }
@@ -39,9 +36,6 @@ pub fn execute_update(engine: &mut Strabon, update: &Update) -> Result<usize> {
                 if engine.store.remove(&Triple::new(s, p, o)) {
                     n += 1;
                 }
-            }
-            if n > 0 {
-                engine.spatial.invalidate();
             }
             Ok(n)
         }
@@ -73,44 +67,12 @@ fn execute_modify(
     insert: &[TemplateTriple],
     where_clause: &crate::ast::GroupPattern,
 ) -> Result<usize> {
-    let config = engine.config;
-    let pool = engine.pool();
-    engine.spatial.ensure_built(&engine.store, &pool);
-
-    let mut vars = VarTable::default();
-    collect_group_vars(where_clause, &mut vars);
-    for t in delete.iter().chain(insert) {
-        for v in [&t.s, &t.p, &t.o] {
-            if let Some(name) = v.var() {
-                if vars.get(name).is_none() {
-                    return Err(StrabonError::Eval(format!(
-                        "template variable ?{name} is not bound by the WHERE clause"
-                    )));
-                }
-            }
-        }
-    }
-
     // Evaluate WHERE, then instantiate the templates per solution.
     let (to_delete, to_insert) = {
-        let env = Env {
-            store: &engine.store,
-            spatial: &engine.spatial,
-            vars: &vars,
-            rdfs_inference: config.rdfs_inference,
-            pool,
-        };
-        let seeds = vec![vars.empty_binding()];
-        let solutions = eval_group(
-            &env,
-            where_clause,
-            seeds,
-            config.optimize_bgp,
-            config.use_spatial_index,
-        );
+        let env = prepare(engine, where_clause, None, delete.iter().chain(insert))?;
         let mut to_delete: Vec<(Term, Term, Term)> = Vec::new();
         let mut to_insert: Vec<(Term, Term, Term)> = Vec::new();
-        for b in &solutions {
+        for b in &solve(&env, where_clause) {
             instantiate(&env, b, delete, &mut to_delete);
             instantiate(&env, b, insert, &mut to_insert);
         }
@@ -132,9 +94,6 @@ fn execute_modify(
         if engine.store.insert_terms(s, p, o) {
             n += 1;
         }
-    }
-    if n > 0 {
-        engine.spatial.invalidate();
     }
     Ok(n)
 }

@@ -700,3 +700,226 @@ fn construct_rejects_unbound_template_var() {
         .construct(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h a noa:Hotspot }}"))
         .is_err());
 }
+
+// --- solution modifiers run in SPARQL's order ----------------------------
+
+/// The ?h column of a SELECT, as local names.
+fn column(db: &mut Strabon, var: &str, query: &str) -> Vec<String> {
+    let sols = db.query(&format!("{PREFIXES} {query}")).unwrap();
+    (0..sols.len())
+        .map(|i| {
+            let t = sols.get(i, var).unwrap();
+            t.as_iri().map_or_else(|| t.lexical().unwrap().to_string(), |iri| iri.rsplit('/').next().unwrap().to_string())
+        })
+        .collect()
+}
+
+/// Three images with 1, 3 and 2 hotspots, in that (first-seen) order.
+fn counted_fixture() -> Strabon {
+    let mut db = Strabon::new();
+    let ex = |s: String| Term::iri(format!("http://example.org/{s}"));
+    let derived = Term::iri("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#isDerivedFrom");
+    for (img, hotspots) in [(1, 1), (2, 3), (3, 2)] {
+        for k in 0..hotspots {
+            db.insert(&ex(format!("h{img}{k}")), &derived, &ex(format!("img{img}")));
+        }
+    }
+    db
+}
+
+#[test]
+fn order_by_sees_aggregate_aliases() {
+    let mut db = counted_fixture();
+    let q = |tail: &str| format!("SELECT ?img (COUNT(?h) AS ?n) WHERE {{ ?h noa:isDerivedFrom ?img }} GROUP BY ?img {tail}");
+    assert_eq!(column(&mut db, "n", &q("")), ["1", "3", "2"], "first-seen group order");
+    assert_eq!(column(&mut db, "n", &q("ORDER BY ?n")), ["1", "2", "3"]);
+    assert_eq!(column(&mut db, "n", &q("ORDER BY DESC(?n)")), ["3", "2", "1"]);
+    assert_eq!(column(&mut db, "img", &q("ORDER BY DESC(?n)")), ["img2", "img3", "img1"]);
+    // A GROUP BY key keeps ordering groups.
+    assert_eq!(column(&mut db, "img", &q("ORDER BY DESC(?img)")), ["img3", "img2", "img1"]);
+    assert_eq!(column(&mut db, "n", &q("ORDER BY ?img")), ["1", "3", "2"]);
+    // DISTINCT, OFFSET and LIMIT apply to the ordered rows.
+    assert_eq!(column(&mut db, "n", &q("ORDER BY DESC(?n) LIMIT 2")), ["3", "2"]);
+    assert_eq!(column(&mut db, "n", &q("ORDER BY ?n OFFSET 1 LIMIT 1")), ["2"]);
+    let distinct = "SELECT DISTINCT (COUNT(?h) AS ?n) WHERE { ?h noa:isDerivedFrom ?img } GROUP BY ?img ORDER BY DESC(?n) OFFSET 1";
+    assert_eq!(column(&mut db, "n", distinct), ["2", "1"]);
+    // A WHERE variable that is not a key no longer reshuffles the groups.
+    assert_eq!(column(&mut db, "n", &q("ORDER BY DESC(?h)")), ["1", "3", "2"]);
+}
+
+#[test]
+fn order_by_sees_projected_expression_aliases() {
+    let mut db = fixture();
+    let q = |tail: &str| format!("SELECT ?h (?c * 2 AS ?d) WHERE {{ ?h noa:hasConfidence ?c }} {tail}");
+    assert_eq!(column(&mut db, "h", &q("ORDER BY DESC(?d)")), ["h1", "h3", "h2"]);
+    assert_eq!(column(&mut db, "h", &q("ORDER BY ?d")), ["h2", "h3", "h1"]);
+    assert_eq!(column(&mut db, "d", &q("ORDER BY ?d")), ["0.8", "1.4", "1.8"]);
+    assert_eq!(column(&mut db, "h", &q("ORDER BY DESC(?d) OFFSET 1 LIMIT 1")), ["h3"]);
+    let distinct = "SELECT DISTINCT (?c * 0 AS ?zero) WHERE { ?h noa:hasConfidence ?c } ORDER BY ?zero LIMIT 5";
+    assert_eq!(column(&mut db, "zero", distinct).len(), 1);
+}
+
+#[test]
+fn order_by_a_where_variable_that_is_not_projected() {
+    let mut db = fixture();
+    let q = |tail: &str| format!("SELECT ?h WHERE {{ ?h noa:hasConfidence ?c }} {tail}");
+    assert_eq!(column(&mut db, "h", &q("ORDER BY ?c")), ["h2", "h3", "h1"]);
+    assert_eq!(column(&mut db, "h", &q("ORDER BY DESC(?c)")), ["h1", "h3", "h2"]);
+    assert_eq!(column(&mut db, "h", &q("ORDER BY DESC(?c) OFFSET 1 LIMIT 5")), ["h3", "h2"]);
+    let distinct = "SELECT DISTINCT ?img WHERE { ?h noa:hasConfidence ?c ; noa:isDerivedFrom ?img } ORDER BY ?c LIMIT 1";
+    assert_eq!(column(&mut db, "img", distinct), ["img1"]);
+}
+
+// --- EXPLAIN prints the plan the evaluator walks ---------------------------
+
+/// The data of `explain_orders_later_runs_with_earlier_bindings`: 40
+/// `ex:p` triples, 10 `ex:q` ones, 2 subjects of class `ex:Rare`.
+fn rare_fixture() -> Strabon {
+    let mut db = Strabon::new();
+    let iri = |s: String| Term::iri(format!("http://example.org/{s}"));
+    let type_p = Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
+    for i in 0..40 {
+        db.insert(&iri(format!("s{i}")), &iri("p".into()), &iri(format!("o{i}")));
+        if i < 10 {
+            db.insert(&iri(format!("o{i}")), &iri("q".into()), &iri(format!("z{i}")));
+        }
+        if i < 2 {
+            db.insert(&iri(format!("s{i}")), &type_p, &iri("Rare".into()));
+        }
+    }
+    db
+}
+
+/// A BIND target is bound for the runs after it, in EXPLAIN as in
+/// evaluation: `?t ex:p ?o` (40/8+1) goes before `?o ex:q ?z` (10).
+#[test]
+fn explain_counts_bind_targets_as_bound() {
+    let mut db = rare_fixture();
+    let query = "PREFIX ex: <http://example.org/> SELECT ?s ?z WHERE { \
+                   ?s a ex:Rare . BIND(?s AS ?t) ?o ex:q ?z . ?t ex:p ?o }";
+    let plan = db.explain(query).unwrap();
+    let p_pos = plan.find("/p>").expect("ex:p in plan");
+    let q_pos = plan.find("/q>").expect("ex:q in plan");
+    assert!(p_pos < q_pos, "?t is bound when the second run is ordered:\n{plan}");
+    assert!(plan.contains("  3. match ?t <http://example.org/p> ?o (est 6)"), "{plan}");
+    assert!(plan.contains("  4. match ?o <http://example.org/q> ?z (est 2)"), "{plan}");
+    assert_eq!(db.query(query).unwrap().len(), 2);
+}
+
+/// Nested bodies are part of the plan: their scans print indented,
+/// ordered and estimated under the variables the enclosing run bound.
+#[test]
+fn explain_shows_nested_bodies_under_outer_bindings() {
+    let mut db = rare_fixture();
+    let body = "{ ?o ex:q ?z . ?s ex:p ?o }";
+    for (nested, label) in [
+        (format!("OPTIONAL {body}"), "optional group"),
+        (format!("{body} UNION {{ ?s ex:p ?z }}"), "union"),
+        (format!("MINUS {body}"), "minus group"),
+        (format!("FILTER EXISTS {body}"), "filter exists"),
+        (format!("FILTER NOT EXISTS {body}"), "filter not exists"),
+    ] {
+        let plan = db
+            .explain(&format!("PREFIX ex: <http://example.org/> SELECT ?s WHERE {{ ?s a ex:Rare . {nested} }}"))
+            .unwrap();
+        let lines: Vec<&str> = plan.lines().collect();
+        let at = lines.iter().position(|l| *l == format!("  2. {label}")).unwrap_or_else(|| panic!("{plan}"));
+        assert_eq!(lines[at + 1], "       1. match ?s <http://example.org/p> ?o (est 6)", "{plan}");
+        assert_eq!(lines[at + 2], "       2. match ?o <http://example.org/q> ?z (est 2)", "{plan}");
+        if label == "union" {
+            assert_eq!(lines[at + 3], "       1. match ?s <http://example.org/p> ?z (est 6)", "{plan}");
+        }
+    }
+    // A nested group's own push-down prints with it.
+    let mut db = fixture();
+    let plan = db.query_plan_for_test(&format!(
+        "{PREFIXES} SELECT ?img WHERE {{ ?img a noa:RawImage . OPTIONAL {{ ?h noa:isDerivedFrom ?img ; strdf:hasGeometry ?g . \
+         FILTER(strdf:intersects(?g, \"POLYGON ((22 37, 23 37, 23 38, 22 38, 22 37))\"^^strdf:WKT)) }} }}"
+    ));
+    assert!(plan.contains("spatial push-down: (none)\n"), "{plan}");
+    assert!(plan.contains("\n     spatial push-down: ?g restricted to 3 envelope candidate(s)\n"), "{plan}");
+}
+
+// --- the sidecar catches up in place ---------------------------------------
+
+/// Every subject/geometry pair a window query serves, sorted.
+fn served(db: &mut Strabon, window: &str) -> Vec<String> {
+    let sols = db
+        .query(&format!(
+            "{PREFIXES} SELECT ?s ?g WHERE {{ ?s strdf:hasGeometry ?g . FILTER(strdf:intersects(?g, \"{window}\"^^strdf:WKT)) }}"
+        ))
+        .unwrap();
+    let mut rows: Vec<String> = sols.rows.iter().map(|r| format!("{r:?}")).collect();
+    rows.sort();
+    rows
+}
+
+/// An engine loaded from scratch with `db`'s current triples.
+fn reloaded(db: &Strabon) -> Strabon {
+    let mut fresh = Strabon::new();
+    let store = db.store();
+    for t in store.iter() {
+        fresh.insert(store.term(t.s), store.term(t.p), store.term(t.o));
+    }
+    fresh
+}
+
+#[test]
+fn sidecar_follows_interleaved_writes_like_a_fresh_engine() {
+    const WINDOWS: [&str; 3] = [
+        "POLYGON ((22 37, 23 37, 23 38, 22 38, 22 37))",
+        "POLYGON ((10 40, 24 40, 24 44, 10 44, 10 40))",
+        "POLYGON ((0 0, 60 0, 60 60, 0 60, 0 0))",
+    ];
+    let mut db = fixture();
+    let check = |db: &mut Strabon, step: &str| {
+        for w in WINDOWS {
+            assert_eq!(served(db, w), served(&mut reloaded(db), w), "after {step}, window {w}");
+        }
+    };
+    check(&mut db, "load");
+    let geom = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
+    let point = |x: f64, y: f64| Term::typed_literal(format!("POINT ({x} {y})"), "http://strdf.di.uoa.gr/ontology#WKT");
+    db.insert(&Term::iri("http://example.org/h4"), &geom, &point(22.5, 37.5));
+    check(&mut db, "insert");
+    // A write that interns no geometry leaves the tree alone.
+    db.insert(&Term::iri("http://example.org/h4"), &Term::iri("http://example.org/note"), &Term::literal("x"));
+    check(&mut db, "non-spatial insert");
+    // Refinement's clip: DELETE the geometry, INSERT a computed one.
+    let clip = format!(
+        "{PREFIXES} DELETE {{ ?h strdf:hasGeometry ?g }} INSERT {{ ?h strdf:hasGeometry ?b }} \
+         WHERE {{ ?h a noa:Hotspot ; strdf:hasGeometry ?g . BIND(strdf:buffer(?g, 0.5) AS ?b) }}"
+    );
+    assert_eq!(db.update(&clip).unwrap(), 6);
+    check(&mut db, "delete/insert of geometries");
+    db.update(&format!("{PREFIXES} DELETE WHERE {{ ex:olympia strdf:hasGeometry ?g }}")).unwrap();
+    db.load_turtle("<http://example.org/h5> <http://strdf.di.uoa.gr/ontology#hasGeometry> \"POINT (11 41)\"^^<http://strdf.di.uoa.gr/ontology#WKT> .").unwrap();
+    check(&mut db, "delete where + turtle");
+    assert_eq!(db.update(&clip).unwrap(), 6);
+    check(&mut db, "second clip");
+}
+
+#[test]
+fn replacing_the_store_forgets_its_geometries() {
+    let mut db = fixture();
+    let everywhere = "POLYGON ((0 0, 60 0, 60 60, 0 60, 0 0))";
+    assert_eq!(served(&mut db, everywhere).len(), 6);
+    // What recovery does: a whole new store behind the same engine. Its
+    // dictionary reuses the old one's ids for plain literals, so a
+    // geometry remembered by id would be served for a term that has none.
+    let mut other = Strabon::new();
+    let geom = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
+    for i in 0..40 {
+        other.insert(&Term::iri(format!("http://example.org/n{i}")), &geom, &Term::literal(format!("no geometry {i}")));
+    }
+    other.insert(
+        &Term::iri("http://example.org/elsewhere"),
+        &geom,
+        &Term::typed_literal("POINT (50 50)", "http://strdf.di.uoa.gr/ontology#WKT"),
+    );
+    *db.store_mut() = other.store().clone();
+    let rows = served(&mut db, everywhere);
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    assert!(rows[0].contains("elsewhere") && rows[0].contains("POINT (50 50)"), "{rows:?}");
+    assert!(served(&mut db, "POLYGON ((21 36, 24 36, 24 39, 21 39, 21 36))").is_empty());
+}

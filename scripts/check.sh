@@ -4,8 +4,9 @@
 #   scripts/check.sh --quick   build + tier-1 tests only
 #   scripts/check.sh           default gate: the above, plus the
 #                              teleios-lint workspace invariants,
-#                              the one-fork-site, one-cell-walker
-#                              and one-vocabulary greps, clippy, the
+#                              the one-fork-site, one-cell-walker,
+#                              one-statement-prologue and
+#                              one-vocabulary greps, clippy, the
 #                              E6/E11/E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
 #                              regression fails this gate instead of
@@ -103,6 +104,22 @@ echo "==> one cell walker (the odometer idiom lives in monet/array.rs)"
 if grep -rnE '\[k\] *\+= *1' crates/*/src --include='*.rs' | grep -v '^crates/monet/src/array.rs:'; then
     echo "odometer loop outside crates/monet/src/array.rs: walk the region with NdArray::walk_rows / slice" >&2; exit 1
 fi
+
+# Every stSPARQL statement goes through eval::prepare, which builds
+# the statement's one Env and is the one place the sidecar catches up;
+# store_mut is the one place it is reset. A second `Env {` is a second
+# statement prologue; a second reset is a write path that forgot the
+# dictionary is append-only.
+echo "==> one statement prologue (strabon builds Env once, resets the sidecar once)"
+above_tests() {
+    for f in crates/strabon/src/*.rs; do awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f"; done
+}
+for idiom in 'Env {' 'spatial.invalidate()'; do
+    sites=$(above_tests | grep -cF "$idiom" || true)
+    if [ "$sites" -ne 1 ]; then
+        echo "\"$idiom\" appears $sites times outside tests under crates/strabon/src, expected 1" >&2; exit 1
+    fi
+done
 
 # The lint's blocking / dispatch / poll words live in one table
 # (cfg.rs VOCAB): a second file spelling one of them as a literal has
