@@ -17,10 +17,15 @@
 //!     |v| assert!(v.iter().all(|x| (-100..100).contains(x))),
 //! );
 //! ```
+//!
+//! [`fuzz_text`] is the byte-level loop for text decoders: seeds cut,
+//! mutated and replaced by random bytes, every input answered with
+//! `Ok` or `Err` — never a panic — inside a time bound.
 
 use std::fmt::Debug;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 pub use teleios_geo::SplitMix64;
 
@@ -147,6 +152,52 @@ pub fn check_seed<T: Debug>(seed: u64, generate: impl Fn(&mut Gen) -> T, propert
     );
 }
 
+/// What [`fuzz_text`] substitutes for single bytes: the brackets,
+/// quotes, sigils and separators the workspace's text grammars (Turtle,
+/// stSPARQL, SQL, SciQL, WKT) turn on, plus a multi-byte UTF-8 character.
+const STRUCTURAL: [&str; 18] =
+    ["(", ")", "{", "}", "[", "]", "\"", "<", ">", ".", ":", "?", "_", "@", "^", "\\", "#", "Π"];
+
+/// The longest one decoder call may take in [`fuzz_text`] — orders of
+/// magnitude above what any seed needs, so only a runaway loop trips it.
+const PER_INPUT: Duration = Duration::from_secs(2);
+
+/// Feed `decode` every byte prefix of every seed, every seed with each
+/// byte replaced by each `STRUCTURAL` string, and [`CASES`] random
+/// byte strings (raw bytes mixed with structural ones) — all decoded to
+/// text lossily. Each call must return, `Ok` or `Err` alike, within
+/// `PER_INPUT`; a panic or an overrun fails with the input that caused it.
+pub fn fuzz_text<T, E>(seeds: &[&str], decode: impl Fn(&str) -> Result<T, E>) {
+    let run = |bytes: &[u8]| {
+        let input = String::from_utf8_lossy(bytes);
+        let started = Instant::now();
+        let returned = catch_unwind(AssertUnwindSafe(|| decode(&input))).is_ok();
+        assert!(returned, "decoder panicked on {input:?}");
+        let took = started.elapsed();
+        assert!(took < PER_INPUT, "decoder took {took:?} on {input:?}");
+    };
+    for seed in seeds.iter().map(|s| s.as_bytes()) {
+        for cut in 0..=seed.len() {
+            run(&seed[..cut]);
+        }
+        for at in 0..seed.len() {
+            for with in STRUCTURAL {
+                run(&[&seed[..at], with.as_bytes(), &seed[at + 1..]].concat());
+            }
+        }
+    }
+    for case in 0..CASES {
+        let mut g = Gen::new(case, None);
+        let bytes: Vec<u8> = (0..g.size(0..64))
+            .flat_map(|_| match g.bool() {
+                true => vec![g.below(256) as u8],
+                false => STRUCTURAL[g.below(STRUCTURAL.len())].as_bytes().to_vec(),
+            })
+            .collect();
+        run(&bytes);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +222,14 @@ mod tests {
         assert_eq!(cases.get(), CASES);
         // The full i64 range is a legal request.
         forall(|g| g.int(i64::MIN..i64::MAX), |v| assert!(v < i64::MAX));
+    }
+
+    #[test]
+    fn fuzz_text_reports_a_panicking_decoder_with_its_input() {
+        fuzz_text(&["(a)"], |s: &str| if s.contains('(') { Ok(()) } else { Err(()) });
+        // A decoder that indexes past a truncated input.
+        let report = failure_report(|| fuzz_text(&["(a)"], |s: &str| Ok::<u8, ()>(s.as_bytes()[2])));
+        assert!(report.contains("decoder panicked on \"\""), "{report}");
     }
 
     #[test]

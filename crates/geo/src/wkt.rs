@@ -175,15 +175,20 @@ fn write_num(v: f64, out: &mut String) {
     }
 }
 
+/// How deep GEOMETRYCOLLECTIONs may nest: past it the reader returns an
+/// error rather than exhausting the thread's stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { input, bytes: input.as_bytes(), pos: 0 }
+        Parser { input, bytes: input.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn err(&self, msg: impl Into<String>) -> GeoError {
@@ -408,7 +413,11 @@ impl<'a> Parser<'a> {
                 if self.try_empty() {
                     return Ok(Geometry::GeometryCollection(vec![]));
                 }
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("GEOMETRYCOLLECTION nested deeper than {MAX_DEPTH} levels")));
+                }
                 self.expect(b'(')?;
+                self.depth += 1;
                 let mut geoms = Vec::new();
                 loop {
                     geoms.push(self.parse_geometry()?);
@@ -422,6 +431,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("expected ',' or ')' in GEOMETRYCOLLECTION")),
                     }
                 }
+                self.depth -= 1;
                 Ok(Geometry::GeometryCollection(geoms))
             }
             "" => Err(self.err("expected geometry type keyword")),

@@ -335,3 +335,33 @@ fn envelope_union_is_commutative_and_covers() {
         },
     );
 }
+
+/// WKT fixtures: every geometry type, EMPTY, Z values, a CRS prefix.
+const WKT_SEEDS: [&str; 7] = [
+    "POINT (1e3 -2.5E-2)",
+    "LINESTRING Z (0 0 5, 1 1 6)",
+    "POLYGON ((35 10, 45 45, 15 40, 10 20, 35 10), (20 30, 35 35, 30 20, 20 30))",
+    "MULTIPOINT ((10 40), (40 30)) ",
+    "MULTILINESTRING ((10 10, 20 20), (40 40, 30 30, 40 20))",
+    "MULTIPOLYGON (((30 20, 45 40, 10 40, 30 20)), ((15 5, 40 10, 10 20, 5 10, 15 5)))",
+    "<http://www.opengis.net/def/crs/EPSG/0/3857> GEOMETRYCOLLECTION (POINT (4 6), GEOMETRYCOLLECTION EMPTY, LINESTRING (4 6, 7 10))",
+];
+
+#[test]
+fn wkt_answers_every_mangled_geometry_with_ok_or_err() {
+    for seed in WKT_SEEDS {
+        wkt::parse_with_crs(seed).unwrap();
+    }
+    teleios_check::fuzz_text(&WKT_SEEDS, wkt::parse_with_crs);
+}
+
+#[test]
+fn deeply_nested_collections_are_rejected_not_overflowed() {
+    let bomb = "GEOMETRYCOLLECTION (".repeat(100_000);
+    let parsed = std::thread::spawn(move || wkt::parse(&bomb).is_ok())
+        .join()
+        .expect("the parser returns instead of overflowing its stack");
+    assert!(!parsed);
+    let ok = format!("{}POINT (1 2){}", "GEOMETRYCOLLECTION (".repeat(60), ")".repeat(60));
+    assert!(wkt::parse(&ok).is_ok());
+}

@@ -5,10 +5,12 @@ use std::fmt;
 /// Errors produced by the database engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DbError {
-    /// SQL text failed to parse.
+    /// SQL or SciQL text failed to parse.
     Parse {
-        /// Byte offset in the statement where the error was detected.
-        position: usize,
+        /// Line number (1-based).
+        line: usize,
+        /// Column in characters (1-based).
+        column: usize,
         /// What went wrong.
         message: String,
     },
@@ -45,8 +47,8 @@ pub enum DbError {
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DbError::Parse { position, message } => {
-                write!(f, "parse error at byte {position}: {message}")
+            DbError::Parse { line, column, message } => {
+                write!(f, "parse error at line {line}, column {column}: {message}")
             }
             DbError::UnknownTable(t) => write!(f, "unknown table: {t}"),
             DbError::UnknownColumn(c) => write!(f, "unknown column: {c}"),
@@ -66,6 +68,20 @@ impl fmt::Display for DbError {
 }
 
 impl std::error::Error for DbError {}
+
+impl DbError {
+    /// A parse error at byte `offset` of `text`, located by line and
+    /// column (both 1-based, the column in characters).
+    pub(crate) fn parse(text: &str, offset: usize, message: impl Into<String>) -> DbError {
+        let before = text.get(..offset).unwrap_or(text);
+        let line_start = before.rfind('\n').map_or(0, |nl| nl + 1);
+        DbError::Parse {
+            line: before.matches('\n').count() + 1,
+            column: before[line_start..].chars().count() + 1,
+            message: message.into(),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

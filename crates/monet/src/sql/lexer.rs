@@ -1,7 +1,11 @@
-//! SQL lexer.
+//! SQL lexer, and the token cursor the SQL and SciQL parsers share.
 
 use crate::error::DbError;
 use crate::Result;
+
+/// How deep parentheses, brackets and prefix operators may nest: past it
+/// a parser returns an error rather than exhausting the thread's stack.
+const MAX_DEPTH: usize = 64;
 
 /// A lexical token with its source position.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,10 +41,16 @@ pub enum Symbol {
     LParen,
     /// `)`
     RParen,
+    /// `[`
+    LBracket,
+    /// `]`
+    RBracket,
     /// `,`
     Comma,
     /// `.`
     Dot,
+    /// `..`
+    DotDot,
     /// `;`
     Semicolon,
     /// `*`
@@ -67,40 +77,60 @@ pub enum Symbol {
     Ge,
 }
 
-/// Tokenize SQL text.
+/// Punctuation, two-byte spellings first so `<=` is not read as `<`.
+const SYMBOLS: [(&str, Symbol); 20] = [
+    ("..", Symbol::DotDot),
+    ("<=", Symbol::Le),
+    ("<>", Symbol::Ne),
+    ("!=", Symbol::Ne),
+    (">=", Symbol::Ge),
+    ("(", Symbol::LParen),
+    (")", Symbol::RParen),
+    ("[", Symbol::LBracket),
+    ("]", Symbol::RBracket),
+    (",", Symbol::Comma),
+    (".", Symbol::Dot),
+    (";", Symbol::Semicolon),
+    ("*", Symbol::Star),
+    ("+", Symbol::Plus),
+    ("-", Symbol::Minus),
+    ("/", Symbol::Slash),
+    ("%", Symbol::Percent),
+    ("=", Symbol::Eq),
+    ("<", Symbol::Lt),
+    (">", Symbol::Gt),
+];
+
+/// Tokenize SQL (or SciQL) text.
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     let mut out = Vec::new();
-    while pos < bytes.len() {
-        let b = bytes[pos];
+    while let Some(&b) = bytes.get(pos) {
         if b.is_ascii_whitespace() {
             pos += 1;
             continue;
         }
         // Line comments.
-        if b == b'-' && bytes.get(pos + 1) == Some(&b'-') {
-            while pos < bytes.len() && bytes[pos] != b'\n' {
+        if bytes[pos..].starts_with(b"--") {
+            while bytes.get(pos).is_some_and(|&c| c != b'\n') {
                 pos += 1;
             }
             continue;
         }
         let start = pos;
-        if b.is_ascii_alphabetic() || b == b'_' {
-            while pos < bytes.len()
-                && (bytes[pos].is_ascii_alphanumeric() || bytes[pos] == b'_')
-            {
+        let kind = if b.is_ascii_alphabetic() || b == b'_' {
+            while bytes.get(pos).is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_') {
                 pos += 1;
             }
-            out.push(Token { kind: TokenKind::Ident(input[start..pos].to_string()), pos: start });
-            continue;
-        }
-        if b.is_ascii_digit() || (b == b'.' && bytes.get(pos + 1).is_some_and(u8::is_ascii_digit)) {
+            TokenKind::Ident(input[start..pos].to_string())
+        } else if b.is_ascii_digit() || (b == b'.' && bytes.get(pos + 1).is_some_and(u8::is_ascii_digit)) {
             let mut is_float = false;
-            while pos < bytes.len() {
-                match bytes[pos] {
+            while let Some(&c) = bytes.get(pos) {
+                match c {
                     b'0'..=b'9' => pos += 1,
-                    b'.' if !is_float => {
+                    // A `.` continues the number unless it starts a `..` range.
+                    b'.' if !is_float && bytes.get(pos + 1) != Some(&b'.') => {
                         is_float = true;
                         pos += 1;
                     }
@@ -115,104 +145,173 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
             let text = &input[start..pos];
-            let kind = if is_float {
-                TokenKind::Float(text.parse().map_err(|e| DbError::Parse {
-                    position: start,
-                    message: format!("bad float literal: {e}"),
-                })?)
+            if is_float {
+                TokenKind::Float(
+                    text.parse().map_err(|e| DbError::parse(input, start, format!("bad float literal: {e}")))?,
+                )
             } else {
-                TokenKind::Int(text.parse().map_err(|e| DbError::Parse {
-                    position: start,
-                    message: format!("bad integer literal: {e}"),
-                })?)
-            };
-            out.push(Token { kind, pos: start });
-            continue;
-        }
-        if b == b'\'' {
+                TokenKind::Int(
+                    text.parse().map_err(|e| DbError::parse(input, start, format!("bad integer literal: {e}")))?,
+                )
+            }
+        } else if b == b'\'' {
             pos += 1;
             let mut s = String::new();
             loop {
-                match bytes.get(pos) {
-                    None => {
-                        return Err(DbError::Parse {
-                            position: start,
-                            message: "unterminated string literal".into(),
-                        })
-                    }
-                    Some(b'\'') if bytes.get(pos + 1) == Some(&b'\'') => {
+                // Copy the run up to the next quote: it is ASCII, so the
+                // run's ends are character boundaries.
+                let run = pos;
+                while bytes.get(pos).is_some_and(|&c| c != b'\'') {
+                    pos += 1;
+                }
+                s.push_str(&input[run..pos]);
+                match (bytes.get(pos), bytes.get(pos + 1)) {
+                    (None, _) => return Err(DbError::parse(input, start, "unterminated string literal")),
+                    (_, Some(b'\'')) => {
                         s.push('\'');
                         pos += 2;
                     }
-                    Some(b'\'') => {
-                        pos += 1;
-                        break;
-                    }
-                    Some(_) => {
-                        // Advance one UTF-8 character.
-                        let ch_len = input[pos..].chars().next().map_or(1, char::len_utf8);
-                        s.push_str(&input[pos..pos + ch_len]);
-                        pos += ch_len;
-                    }
+                    _ => break,
                 }
             }
-            out.push(Token { kind: TokenKind::Str(s), pos: start });
-            continue;
-        }
-        let sym = match b {
-            b'(' => Symbol::LParen,
-            b')' => Symbol::RParen,
-            b',' => Symbol::Comma,
-            b'.' => Symbol::Dot,
-            b';' => Symbol::Semicolon,
-            b'*' => Symbol::Star,
-            b'+' => Symbol::Plus,
-            b'-' => Symbol::Minus,
-            b'/' => Symbol::Slash,
-            b'%' => Symbol::Percent,
-            b'=' => Symbol::Eq,
-            b'<' => {
-                if bytes.get(pos + 1) == Some(&b'=') {
-                    pos += 1;
-                    Symbol::Le
-                } else if bytes.get(pos + 1) == Some(&b'>') {
-                    pos += 1;
-                    Symbol::Ne
-                } else {
-                    Symbol::Lt
-                }
-            }
-            b'>' => {
-                if bytes.get(pos + 1) == Some(&b'=') {
-                    pos += 1;
-                    Symbol::Ge
-                } else {
-                    Symbol::Gt
-                }
-            }
-            b'!' => {
-                if bytes.get(pos + 1) == Some(&b'=') {
-                    pos += 1;
-                    Symbol::Ne
-                } else {
-                    return Err(DbError::Parse {
-                        position: pos,
-                        message: "unexpected '!'".into(),
-                    });
-                }
-            }
-            other => {
-                return Err(DbError::Parse {
-                    position: pos,
-                    message: format!("unexpected character '{}'", other as char),
-                })
-            }
+            pos += 1;
+            TokenKind::Str(s)
+        } else {
+            let rest = input.get(pos..).unwrap_or_default();
+            let Some((text, sym)) = SYMBOLS.iter().find(|(text, _)| rest.starts_with(text)) else {
+                let found = rest.chars().next().unwrap_or_default();
+                return Err(DbError::parse(input, pos, format!("unexpected character '{found}'")));
+            };
+            pos += text.len();
+            TokenKind::Symbol(*sym)
         };
-        pos += 1;
-        out.push(Token { kind: TokenKind::Symbol(sym), pos: start });
+        out.push(Token { kind, pos: start });
     }
     out.push(Token { kind: TokenKind::Eof, pos: input.len() });
     Ok(out)
+}
+
+/// A cursor over one statement's tokens: the helpers both the SQL
+/// grammar (`sql::parser`) and the SciQL grammar (`teleios-sciql`) are
+/// written against, plus the one nesting bound both charge.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    text: &'a str,
+    tokens: Vec<Token>,
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Tokenize `text`.
+    pub fn new(text: &'a str) -> Result<Cursor<'a>> {
+        Ok(Cursor { text, tokens: tokenize(text)?, pos: 0, depth: 0 })
+    }
+
+    /// The next token.
+    pub fn peek(&self) -> &TokenKind {
+        self.lookahead(0)
+    }
+
+    /// The token `n` places after the next one (`Eof` past the end).
+    pub fn lookahead(&self, n: usize) -> &TokenKind {
+        self.tokens.get(self.pos + n).map_or(&TokenKind::Eof, |t| &t.kind)
+    }
+
+    /// Consume and return the next token (`Eof` stays put).
+    pub fn advance(&mut self) -> TokenKind {
+        let t = self.peek().clone();
+        if self.pos + 1 < self.tokens.len() {
+            self.pos += 1;
+        }
+        t
+    }
+
+    /// An error at the next token.
+    pub fn err(&self, msg: impl Into<String>) -> DbError {
+        DbError::parse(self.text, self.tokens.get(self.pos).map_or(self.text.len(), |t| t.pos), msg)
+    }
+
+    /// True (and consumes) when the next token is the given keyword.
+    pub fn accept_kw(&mut self, kw: &str) -> bool {
+        let hit = self.peek_kw(kw);
+        if hit {
+            self.advance();
+        }
+        hit
+    }
+
+    /// Consume the keyword or fail.
+    pub fn expect_kw(&mut self, kw: &str) -> Result<()> {
+        if self.accept_kw(kw) {
+            Ok(())
+        } else {
+            Err(self.err(format!("expected {kw}")))
+        }
+    }
+
+    /// True when the next token is the given keyword (any case).
+    pub fn peek_kw(&self, kw: &str) -> bool {
+        matches!(self.peek(), TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
+    }
+
+    /// True (and consumes) when the next token is `sym`.
+    pub fn accept_symbol(&mut self, sym: Symbol) -> bool {
+        let hit = self.peek() == &TokenKind::Symbol(sym);
+        if hit {
+            self.advance();
+        }
+        hit
+    }
+
+    /// Consume `sym` or fail.
+    pub fn expect_symbol(&mut self, sym: Symbol) -> Result<()> {
+        if self.accept_symbol(sym) {
+            Ok(())
+        } else {
+            Err(self.err(format!("expected {sym:?}")))
+        }
+    }
+
+    /// Fail unless the statement is used up.
+    pub fn expect_eof(&self) -> Result<()> {
+        match self.peek() {
+            TokenKind::Eof => Ok(()),
+            _ => Err(self.err("unexpected trailing input")),
+        }
+    }
+
+    /// An identifier (or keyword).
+    pub fn ident(&mut self) -> Result<String> {
+        let TokenKind::Ident(s) = self.peek() else {
+            return Err(self.err(format!("expected identifier, found {:?}", self.peek())));
+        };
+        let s = s.clone();
+        self.advance();
+        Ok(s)
+    }
+
+    /// A non-negative integer literal.
+    pub fn usize_lit(&mut self) -> Result<usize> {
+        match self.peek() {
+            &TokenKind::Int(n) if n >= 0 => {
+                self.advance();
+                Ok(n as usize)
+            }
+            other => Err(self.err(format!("expected non-negative integer, found {other:?}"))),
+        }
+    }
+
+    /// Run `f` one nesting level deeper, failing past 64 levels.
+    pub fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
 }
 
 #[cfg(test)]
@@ -241,12 +340,34 @@ mod tests {
     #[test]
     fn numbers() {
         assert_eq!(
-            kinds("1 2.5 1e3 .5"),
+            kinds("1 2.5 1e3 .5 1."),
             vec![
                 TokenKind::Int(1),
                 TokenKind::Float(2.5),
                 TokenKind::Float(1000.0),
                 TokenKind::Float(0.5),
+                TokenKind::Float(1.0),
+                TokenKind::Eof,
+            ]
+        );
+    }
+
+    #[test]
+    fn ranges_and_brackets() {
+        use Symbol::*;
+        assert_eq!(
+            kinds("img[0..10, 1.5..2]"),
+            vec![
+                TokenKind::Ident("img".into()),
+                TokenKind::Symbol(LBracket),
+                TokenKind::Int(0),
+                TokenKind::Symbol(DotDot),
+                TokenKind::Int(10),
+                TokenKind::Symbol(Comma),
+                TokenKind::Float(1.5),
+                TokenKind::Symbol(DotDot),
+                TokenKind::Int(2),
+                TokenKind::Symbol(RBracket),
                 TokenKind::Eof,
             ]
         );

@@ -1,101 +1,21 @@
 //! Recursive-descent SQL parser.
 
-use crate::error::DbError;
 use crate::sql::ast::*;
-use crate::sql::lexer::{tokenize, Symbol, Token, TokenKind};
+use crate::sql::lexer::{Cursor, Symbol, TokenKind};
 use crate::value::{DataType, Value};
 use crate::Result;
 
 /// Parse one SQL statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.statement()?;
-    p.accept_symbol(Symbol::Semicolon);
-    p.expect_eof()?;
+    let mut c = Cursor::new(sql)?;
+    let stmt = c.statement()?;
+    c.accept_symbol(Symbol::Semicolon);
+    c.expect_eof()?;
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
-    }
-
-    fn peek_pos(&self) -> usize {
-        self.tokens[self.pos].pos
-    }
-
-    fn advance(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn err(&self, msg: impl Into<String>) -> DbError {
-        DbError::Parse { position: self.peek_pos(), message: msg.into() }
-    }
-
-    /// True (and consumes) when the next token is the given keyword.
-    fn accept_kw(&mut self, kw: &str) -> bool {
-        if let TokenKind::Ident(s) = self.peek() {
-            if s.eq_ignore_ascii_case(kw) {
-                self.advance();
-                return true;
-            }
-        }
-        false
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> Result<()> {
-        if self.accept_kw(kw) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {kw}")))
-        }
-    }
-
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
-    }
-
-    fn accept_symbol(&mut self, sym: Symbol) -> bool {
-        if self.peek() == &TokenKind::Symbol(sym) {
-            self.advance();
-            return true;
-        }
-        false
-    }
-
-    fn expect_symbol(&mut self, sym: Symbol) -> Result<()> {
-        if self.accept_symbol(sym) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {sym:?}")))
-        }
-    }
-
-    fn expect_eof(&mut self) -> Result<()> {
-        if self.peek() == &TokenKind::Eof {
-            Ok(())
-        } else {
-            Err(self.err("unexpected trailing input"))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.advance() {
-            TokenKind::Ident(s) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
+/// The SQL grammar, over the cursor SciQL's grammar shares.
+impl Cursor<'_> {
     fn statement(&mut self) -> Result<Statement> {
         if self.peek_kw("SELECT") {
             return Ok(Statement::Select(self.select()?));
@@ -233,14 +153,7 @@ impl Parser {
                 }
             }
         }
-        let limit = if self.accept_kw("LIMIT") {
-            match self.advance() {
-                TokenKind::Int(n) if n >= 0 => Some(n as usize),
-                _ => return Err(self.err("LIMIT expects a non-negative integer")),
-            }
-        } else {
-            None
-        };
+        let limit = if self.accept_kw("LIMIT") { Some(self.usize_lit()?) } else { None };
         Ok(Select { distinct, items, from, joins, where_clause, group_by, having, order_by, limit })
     }
 
@@ -271,9 +184,7 @@ impl Parser {
         // Aggregate?
         if let TokenKind::Ident(name) = self.peek().clone() {
             if let Some(func) = AggFunc::parse(&name) {
-                if self.tokens.get(self.pos + 1).map(|t| &t.kind)
-                    == Some(&TokenKind::Symbol(Symbol::LParen))
-                {
+                if self.lookahead(1) == &TokenKind::Symbol(Symbol::LParen) {
                     self.advance(); // name
                     self.advance(); // (
                     let expr = if self.accept_symbol(Symbol::Star) {
@@ -319,12 +230,17 @@ impl Parser {
         Ok(left)
     }
 
+    /// Every nested expression passes through here (a parenthesis, an
+    /// argument list, an IN list or a NOT), so the nesting bound is
+    /// charged here and on unary signs.
     fn not_expr(&mut self) -> Result<Expr> {
-        if self.accept_kw("NOT") {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
-        } else {
-            self.comparison()
-        }
+        self.nested(|c| {
+            if c.accept_kw("NOT") {
+                Ok(Expr::Not(Box::new(c.not_expr()?)))
+            } else {
+                c.comparison()
+            }
+        })
     }
 
     fn comparison(&mut self) -> Result<Expr> {
@@ -341,19 +257,11 @@ impl Parser {
             let hi = self.additive()?;
             return Ok(Expr::Between { expr: Box::new(left), lo: Box::new(lo), hi: Box::new(hi) });
         }
-        let negated_in = {
-            let save = self.pos;
-            if self.accept_kw("NOT") {
-                if self.peek_kw("IN") || self.peek_kw("LIKE") {
-                    true
-                } else {
-                    self.pos = save;
-                    false
-                }
-            } else {
-                false
-            }
-        };
+        let negated_in = self.peek_kw("NOT")
+            && matches!(self.lookahead(1), TokenKind::Ident(k) if k.eq_ignore_ascii_case("IN") || k.eq_ignore_ascii_case("LIKE"));
+        if negated_in {
+            self.advance();
+        }
         if self.accept_kw("IN") {
             self.expect_symbol(Symbol::LParen)?;
             let mut list = vec![self.expr()?];
@@ -424,10 +332,10 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.accept_symbol(Symbol::Minus) {
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            return Ok(Expr::Neg(Box::new(self.nested(Cursor::unary)?)));
         }
         if self.accept_symbol(Symbol::Plus) {
-            return self.unary();
+            return self.nested(Cursor::unary);
         }
         self.primary()
     }
@@ -481,6 +389,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DbError;
 
     fn sel(sql: &str) -> Select {
         match parse_statement(sql).unwrap() {
@@ -638,6 +547,9 @@ mod tests {
     fn error_positions_and_messages() {
         let e = parse_statement("SELECT FROM t").unwrap_err();
         assert!(matches!(e, DbError::Parse { .. }));
+        // A three-line statement with its error on line 3.
+        let e = parse_statement("SELECT a,\n       b\nFROM t WHERE a = 1 )").unwrap_err();
+        assert_eq!(e.to_string(), "parse error at line 3, column 20: unexpected trailing input");
         assert!(parse_statement("SELECT a FROM").is_err());
         assert!(parse_statement("FOO BAR").is_err());
         assert!(parse_statement("SET THREADS 4").is_err());

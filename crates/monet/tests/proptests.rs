@@ -261,3 +261,46 @@ fn sql_delete_complements_select() {
         },
     );
 }
+
+/// The SQL statements monet's tests run: every clause and literal form.
+const SQL_SEEDS: [&str; 14] = [
+    "CREATE TABLE products (id INT, level STRING, cloud DOUBLE, sat STRING)",
+    "INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)",
+    "INSERT INTO t VALUES (-1, -2.5), ('it''s', .5), ('Πελοπόννησος', 1e3)",
+    "DELETE FROM products WHERE level = 'L1'",
+    "DROP TABLE products",
+    "UPDATE products SET level = 'L9', cloud = cloud * 2 WHERE sat = 'MSG2'",
+    "SELECT * FROM a JOIN b ON a.x = b.y JOIN c ON b.z = c.w",
+    "SELECT * FROM a INNER JOIN b ON a.x = b.y, d -- trailing comment",
+    "SELECT * FROM t WHERE a IS NOT NULL AND b BETWEEN 1 AND 5 AND c IN (1, 2) AND d LIKE 'x%' AND e NOT IN (3)",
+    "SELECT ABS(a), UPPER(b) FROM t WHERE SQRT(a) > 2 OR NOT flag = TRUE",
+    "SELECT DISTINCT a FROM t ORDER BY a DESC, b LIMIT 10;",
+    "SELECT id, cloud * 100 AS pct FROM products WHERE cloud IS NOT NULL ORDER BY pct DESC LIMIT 2",
+    "SELECT level, COUNT(*) FROM products GROUP BY level HAVING COUNT(*) > 1 ORDER BY COUNT(*) DESC, level",
+    "SELECT p.id FROM products p JOIN sats s ON p.sat = s.name WHERE (p.id + 1) % 2 <> 0 AND p.id <= 3 - -1",
+];
+
+#[test]
+fn sql_answers_every_mangled_statement_with_ok_or_err() {
+    for seed in SQL_SEEDS {
+        teleios_monet::sql::parser::parse_statement(seed).unwrap();
+    }
+    teleios_check::fuzz_text(&SQL_SEEDS, teleios_monet::sql::parser::parse_statement);
+}
+
+#[test]
+fn deeply_nested_sql_is_rejected_not_overflowed() {
+    const DEEP: usize = 100_000;
+    for bomb in [
+        format!("SELECT {}1 FROM t", "(".repeat(DEEP)),
+        format!("SELECT a FROM t WHERE {}TRUE", "NOT ".repeat(DEEP)),
+        format!("SELECT {}1 FROM t", "- ".repeat(DEEP)),
+        format!("SELECT a FROM t WHERE a IN {}1", "(a IN ".repeat(DEEP)),
+    ] {
+        let parsed = std::thread::spawn(move || teleios_monet::sql::parser::parse_statement(&bomb).is_ok())
+            .join()
+            .expect("the parser returns instead of overflowing its stack");
+        assert!(!parsed);
+    }
+    assert!(teleios_monet::sql::parser::parse_statement(&format!("SELECT {}1{} FROM t", "(".repeat(60), ")".repeat(60))).is_ok());
+}

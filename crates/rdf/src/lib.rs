@@ -16,6 +16,8 @@
 //!   for index-backed pattern matching,
 //! * [`strdf`] — the stRDF extension: geometries as `strdf:WKT` typed
 //!   literals (with CRS), valid-time periods as `strdf:period` literals,
+//! * [`syntax`] — the tokenizer, cursor, term reader and triples loop
+//!   Turtle and stSPARQL share,
 //! * [`turtle`] — a Turtle subset reader/writer for dataset exchange,
 //! * [`vocab`] — namespace constants (rdf, rdfs, xsd, strdf, noa, …).
 //!
@@ -38,6 +40,7 @@ pub mod dictionary;
 pub mod store;
 pub mod strdf;
 pub mod persist;
+pub mod syntax;
 pub mod term;
 pub mod triple;
 pub mod turtle;
@@ -51,10 +54,12 @@ pub use triple::{Triple, TriplePattern};
 /// Errors for RDF parsing and store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RdfError {
-    /// Turtle text failed to parse.
+    /// Turtle or stSPARQL text failed to parse.
     Parse {
         /// Line number (1-based).
         line: usize,
+        /// Column in characters (1-based).
+        column: usize,
         /// What went wrong.
         message: String,
     },
@@ -67,8 +72,8 @@ pub enum RdfError {
 impl std::fmt::Display for RdfError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RdfError::Parse { line, message } => {
-                write!(f, "turtle parse error on line {line}: {message}")
+            RdfError::Parse { line, column, message } => {
+                write!(f, "parse error at line {line}, column {column}: {message}")
             }
             RdfError::UnknownPrefix(p) => write!(f, "unknown prefix: {p}"),
             RdfError::BadLiteral(m) => write!(f, "bad literal: {m}"),

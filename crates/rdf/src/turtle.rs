@@ -2,16 +2,18 @@
 //!
 //! Supported syntax: `@prefix` declarations, IRIs, prefixed names, the
 //! `a` keyword, blank nodes (`_:label`), string literals with `\`
-//! escapes, `^^` datatypes, `@lang` tags, bare integers / decimals /
-//! booleans, predicate lists (`;`), object lists (`,`) and `#` comments.
-//! Collections `(...)` and anonymous nodes `[...]` are not supported —
-//! the TELEIOS datasets do not use them.
+//! escapes, `^^` datatypes, `@lang` tags, bare signed integers /
+//! decimals / doubles (kept as written) and booleans, predicate lists
+//! (`;`), object lists (`,`) and `#` comments — the tokens, terms and
+//! lists are [`crate::syntax`]'s, shared with stSPARQL. Collections
+//! `(...)` and anonymous nodes `[...]` are not supported — the TELEIOS
+//! datasets do not use them.
 
 use crate::store::TripleStore;
+use crate::syntax::{Cursor, Tok};
 use crate::term::Term;
-use crate::vocab::{rdf, xsd};
-use crate::{RdfError, Result};
-use std::collections::HashMap;
+use crate::vocab::rdf;
+use crate::Result;
 
 /// Parse Turtle text into triples, appending them to `store`.
 /// Returns the number of (new) triples inserted.
@@ -27,346 +29,18 @@ pub fn parse_into(input: &str, store: &mut TripleStore) -> Result<usize> {
 
 /// Parse Turtle text, invoking `sink` for every triple.
 pub fn parse_triples<F: FnMut(Term, Term, Term)>(input: &str, mut sink: F) -> Result<()> {
-    let mut p = TurtleParser::new(input);
-    while p.skip_ws_and_comments() {
-        if p.peek_str("@prefix") {
-            p.parse_prefix()?;
-            continue;
-        }
-        let subject = p.parse_term()?;
-        loop {
-            p.require_ws()?;
-            let predicate = p.parse_predicate()?;
-            p.require_ws()?;
-            loop {
-                let object = p.parse_term()?;
-                sink(subject.clone(), predicate.clone(), object);
-                p.skip_inline_ws();
-                match p.peek_char() {
-                    Some(',') => {
-                        p.bump();
-                        p.skip_ws_and_comments();
-                    }
-                    _ => break,
-                }
-            }
-            p.skip_inline_ws();
-            match p.peek_char() {
-                Some(';') => {
-                    p.bump();
-                    p.skip_ws_and_comments();
-                    // A dangling `;` before `.` is legal Turtle.
-                    if p.peek_char() == Some('.') {
-                        break;
-                    }
-                }
-                Some('.') => break,
-                other => {
-                    return Err(p.err(format!(
-                        "expected ';', ',' or '.', found {:?}",
-                        other.map(String::from).unwrap_or_else(|| "end of input".into())
-                    )))
-                }
-            }
-        }
-        // Consume the terminating dot.
-        if p.peek_char() == Some('.') {
-            p.bump();
+    let mut c = Cursor::new(input)?;
+    while c.peek() != &Tok::Eof {
+        if matches!(c.peek(), Tok::LangTag(t) if t == "prefix") {
+            c.advance();
+            c.declare_prefix()?;
         } else {
-            return Err(p.err("expected '.'"));
+            let subject = c.term()?;
+            c.predicate_objects(&subject, Cursor::term, &mut sink)?;
         }
+        c.expect_tok(&Tok::Dot)?;
     }
     Ok(())
-}
-
-struct TurtleParser<'a> {
-    chars: Vec<char>,
-    pos: usize,
-    line: usize,
-    prefixes: HashMap<String, String>,
-    _input: &'a str,
-}
-
-impl<'a> TurtleParser<'a> {
-    fn new(input: &'a str) -> Self {
-        TurtleParser {
-            chars: input.chars().collect(),
-            pos: 0,
-            line: 1,
-            prefixes: HashMap::new(),
-            _input: input,
-        }
-    }
-
-    fn err(&self, msg: impl Into<String>) -> RdfError {
-        RdfError::Parse { line: self.line, message: msg.into() }
-    }
-
-    fn peek_char(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek_char();
-        if c == Some('\n') {
-            self.line += 1;
-        }
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn peek_str(&self, s: &str) -> bool {
-        self.chars[self.pos..].starts_with(&s.chars().collect::<Vec<_>>()[..])
-    }
-
-    /// Skip whitespace and comments; false at end of input.
-    fn skip_ws_and_comments(&mut self) -> bool {
-        loop {
-            match self.peek_char() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('#') => {
-                    while let Some(c) = self.bump() {
-                        if c == '\n' {
-                            break;
-                        }
-                    }
-                }
-                Some(_) => return true,
-                None => return false,
-            }
-        }
-    }
-
-    fn skip_inline_ws(&mut self) {
-        self.skip_ws_and_comments();
-    }
-
-    fn require_ws(&mut self) -> Result<()> {
-        if self.skip_ws_and_comments() {
-            Ok(())
-        } else {
-            Err(self.err("unexpected end of input"))
-        }
-    }
-
-    fn parse_prefix(&mut self) -> Result<()> {
-        for _ in 0.."@prefix".len() {
-            self.bump();
-        }
-        self.require_ws()?;
-        // prefix name up to ':'.
-        let mut name = String::new();
-        while let Some(c) = self.peek_char() {
-            if c == ':' {
-                break;
-            }
-            if c.is_whitespace() {
-                return Err(self.err("expected ':' in @prefix"));
-            }
-            name.push(c);
-            self.bump();
-        }
-        if self.bump() != Some(':') {
-            return Err(self.err("expected ':' in @prefix"));
-        }
-        self.require_ws()?;
-        let iri = self.parse_iri_ref()?;
-        self.prefixes.insert(name, iri);
-        self.skip_ws_and_comments();
-        if self.bump() != Some('.') {
-            return Err(self.err("expected '.' after @prefix"));
-        }
-        Ok(())
-    }
-
-    fn parse_iri_ref(&mut self) -> Result<String> {
-        if self.bump() != Some('<') {
-            return Err(self.err("expected '<'"));
-        }
-        let mut iri = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => return Ok(iri),
-                Some(c) => iri.push(c),
-                None => return Err(self.err("unterminated IRI")),
-            }
-        }
-    }
-
-    fn parse_predicate(&mut self) -> Result<Term> {
-        if self.peek_char() == Some('a') {
-            // `a` keyword only when followed by whitespace.
-            if self.chars.get(self.pos + 1).is_none_or(|c| c.is_whitespace()) {
-                self.bump();
-                return Ok(Term::iri(rdf::TYPE));
-            }
-        }
-        self.parse_term()
-    }
-
-    fn parse_term(&mut self) -> Result<Term> {
-        match self.peek_char() {
-            Some('<') => Ok(Term::Iri(self.parse_iri_ref()?)),
-            Some('"') => self.parse_literal(),
-            Some('_') => {
-                self.bump();
-                if self.bump() != Some(':') {
-                    return Err(self.err("expected ':' after '_'"));
-                }
-                let mut label = String::new();
-                while let Some(c) = self.peek_char() {
-                    if c.is_alphanumeric() || c == '_' || c == '-' {
-                        label.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if label.is_empty() {
-                    return Err(self.err("empty blank node label"));
-                }
-                Ok(Term::Blank(label))
-            }
-            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => self.parse_number(),
-            Some(_) => self.parse_prefixed_or_keyword(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn parse_literal(&mut self) -> Result<Term> {
-        self.bump(); // opening quote
-        let mut lex = String::new();
-        loop {
-            match self.bump() {
-                Some('"') => break,
-                Some('\\') => match self.bump() {
-                    Some('n') => lex.push('\n'),
-                    Some('r') => lex.push('\r'),
-                    Some('t') => lex.push('\t'),
-                    Some('"') => lex.push('"'),
-                    Some('\\') => lex.push('\\'),
-                    Some(other) => {
-                        return Err(self.err(format!("unknown escape '\\{other}'")))
-                    }
-                    None => return Err(self.err("unterminated literal")),
-                },
-                Some(c) => lex.push(c),
-                None => return Err(self.err("unterminated literal")),
-            }
-        }
-        // Datatype or language tag?
-        if self.peek_str("^^") {
-            self.bump();
-            self.bump();
-            let dt = match self.peek_char() {
-                Some('<') => self.parse_iri_ref()?,
-                _ => match self.parse_prefixed_or_keyword()? {
-                    Term::Iri(iri) => iri,
-                    other => return Err(self.err(format!("datatype must be an IRI, got {other}"))),
-                },
-            };
-            return Ok(Term::typed_literal(lex, dt));
-        }
-        if self.peek_char() == Some('@') {
-            self.bump();
-            let mut lang = String::new();
-            while let Some(c) = self.peek_char() {
-                if c.is_ascii_alphanumeric() || c == '-' {
-                    lang.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            if lang.is_empty() {
-                return Err(self.err("empty language tag"));
-            }
-            return Ok(Term::lang_literal(lex, lang));
-        }
-        Ok(Term::literal(lex))
-    }
-
-    fn parse_number(&mut self) -> Result<Term> {
-        let mut text = String::new();
-        let mut is_decimal = false;
-        if matches!(self.peek_char(), Some('-') | Some('+')) {
-            if let Some(sign) = self.bump() {
-                text.push(sign);
-            }
-        }
-        while let Some(c) = self.peek_char() {
-            match c {
-                '0'..='9' => {
-                    text.push(c);
-                    self.bump();
-                }
-                '.' => {
-                    // A dot followed by a digit is a decimal point; a bare
-                    // dot terminates the statement.
-                    if self.chars.get(self.pos + 1).is_some_and(char::is_ascii_digit) {
-                        is_decimal = true;
-                        text.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                'e' | 'E' => {
-                    is_decimal = true;
-                    text.push(c);
-                    self.bump();
-                    if matches!(self.peek_char(), Some('-') | Some('+')) {
-                        if let Some(sign) = self.bump() {
-                            text.push(sign);
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-        if text.is_empty() || text == "-" || text == "+" {
-            return Err(self.err("malformed number"));
-        }
-        Ok(if is_decimal {
-            Term::typed_literal(text, xsd::DOUBLE)
-        } else {
-            Term::typed_literal(text, xsd::INTEGER)
-        })
-    }
-
-    fn parse_prefixed_or_keyword(&mut self) -> Result<Term> {
-        let mut word = String::new();
-        while let Some(c) = self.peek_char() {
-            if c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | '%' | ':') {
-                // A trailing dot ends the statement, not the name.
-                if c == '.' && self.chars.get(self.pos + 1).is_none_or(|n| n.is_whitespace()) {
-                    break;
-                }
-                word.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        match word.as_str() {
-            "true" => return Ok(Term::boolean(true)),
-            "false" => return Ok(Term::boolean(false)),
-            "" => return Err(self.err("expected term")),
-            _ => {}
-        }
-        let Some((prefix, local)) = word.split_once(':') else {
-            return Err(self.err(format!("expected prefixed name, found '{word}'")));
-        };
-        let ns = self
-            .prefixes
-            .get(prefix)
-            .ok_or_else(|| RdfError::UnknownPrefix(prefix.to_string()))?;
-        Ok(Term::iri(format!("{ns}{local}")))
-    }
 }
 
 /// Serialize triples as Turtle (grouped by subject with `;`).
@@ -417,6 +91,8 @@ pub fn write_store(store: &TripleStore) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vocab::xsd;
+    use crate::RdfError;
 
     fn collect(input: &str) -> Vec<(Term, Term, Term)> {
         let mut out = Vec::new();
@@ -471,11 +147,15 @@ mod tests {
 
     #[test]
     fn bare_numbers_and_booleans() {
-        let ts = collect("@prefix ex: <http://x/> .\nex:s ex:i 42 ; ex:d 2.5 ; ex:n -3 ; ex:b true .");
+        let ts = collect("@prefix ex: <http://x/> .\nex:s ex:i 42 ; ex:d 2.5 ; ex:n -3 ; ex:b true ; ex:h .5 ; ex:B FALSE .");
         assert_eq!(ts[0].2, Term::int(42));
         assert_eq!(ts[1].2, Term::typed_literal("2.5", xsd::DOUBLE));
         assert_eq!(ts[2].2, Term::typed_literal("-3", xsd::INTEGER));
         assert_eq!(ts[3].2, Term::boolean(true));
+        assert_eq!(ts[4].2, Term::typed_literal(".5", xsd::DOUBLE));
+        assert_eq!(ts[5].2, Term::boolean(false));
+        // `a` needs no space before an IRI.
+        assert_eq!(collect("<http://x/s> a<http://x/C> .")[0].1, Term::iri(rdf::TYPE));
     }
 
     #[test]
@@ -527,6 +207,9 @@ mod tests {
             RdfError::Parse { line, .. } => assert!(line >= 2),
             other => panic!("wrong error: {other:?}"),
         }
+        // A three-line statement with its error on line 3.
+        let e = parse_triples("<http://x/s>\n  <http://x/p>\n  <http://x/o> ;;", |_, _, _| {}).unwrap_err();
+        assert_eq!(e.to_string(), "parse error at line 3, column 17: expected an RDF term, found Semicolon");
     }
 
     #[test]

@@ -123,3 +123,20 @@ fn remove_all_empties_store() {
         assert_eq!(store.match_pattern(&TriplePattern::any()).len(), 0);
     });
 }
+
+/// Turtle fixtures: every construct the reader accepts.
+const TURTLE_SEEDS: [&str; 3] = [
+    "@prefix ex: <http://x/> .\n@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n\
+     ex:s a ex:C ; ex:p ex:o1, ex:o2 ;\n  ex:n -3, +5, 2.50, .5, 1e3, 007 ;\n  ex:b true ;\n\
+     ex:l \"fire\"@en, \"a\\\"b\\\\c\\nd\", \"3.5\"^^xsd:double ;\n  ex:Πελοπόννησος _:b1 ; .\n",
+    "# header\n<http://x/s> <http://x/p> \"<http://www.opengis.net/def/crs/EPSG/0/4326> POINT (23.7 38)\"^^<http://strdf.di.uoa.gr/ontology#WKT> . # trailing\n",
+    "_:b1 <http://x/p> _:b2 .\n<http://x/s> <http://x/p> \"2007-08-25T00:00:00Z\"^^<http://www.w3.org/2001/XMLSchema#dateTime> .",
+];
+
+#[test]
+fn turtle_answers_every_mangled_document_with_ok_or_err() {
+    for seed in TURTLE_SEEDS {
+        turtle::parse_triples(seed, |_, _, _| {}).unwrap();
+    }
+    teleios_check::fuzz_text(&TURTLE_SEEDS, |text| turtle::parse_triples(text, |_, _, _| {}));
+}

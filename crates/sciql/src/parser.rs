@@ -1,402 +1,291 @@
-//! SciQL parser, built on the `teleios-monet` SQL lexer.
+//! SciQL parser, on the `teleios-monet` SQL lexer and token cursor.
 
 use crate::ast::*;
-use teleios_monet::sql::lexer::{tokenize, Symbol, Token, TokenKind};
-use teleios_monet::{DbError, Result};
+use teleios_monet::sql::lexer::{Cursor, Symbol, TokenKind};
+use teleios_monet::Result;
 
 /// Parse one SciQL statement.
 ///
-/// Canonical SciQL writes dimension extents and slices in square
-/// brackets (`DIMENSION [512]`, `img[0..10, *]`); the shared SQL lexer
-/// has no bracket tokens, so brackets are translated to parentheses
-/// before tokenizing. Both spellings are accepted.
+/// Canonical SciQL writes dimension extents, slices and tile shapes in
+/// square brackets (`DIMENSION [512]`, `img[0..10, *]`, `TILES [16, 16]`);
+/// parentheses are accepted in their place.
 pub fn parse(input: &str) -> Result<SciqlStmt> {
-    // `lo..hi` ranges are rewritten to `lo TO hi` before tokenizing: the
-    // shared lexer would otherwise glue the dots onto the numbers. SciQL
-    // statements contain no string literals, so the rewrite is safe.
-    let input = input.replace('[', "(").replace(']', ")").replace("..", " TO ");
-    let tokens = tokenize(&input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.statement()?;
-    p.accept_symbol(Symbol::Semicolon);
-    if p.peek() != &TokenKind::Eof {
-        return Err(p.err("unexpected trailing input"));
-    }
+    let mut c = Cursor::new(input)?;
+    let stmt = statement(&mut c)?;
+    c.accept_symbol(Symbol::Semicolon);
+    c.expect_eof()?;
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
-    }
-
-    fn advance(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn err(&self, msg: impl Into<String>) -> DbError {
-        DbError::Parse { position: self.tokens[self.pos].pos, message: msg.into() }
-    }
-
-    fn accept_kw(&mut self, kw: &str) -> bool {
-        if let TokenKind::Ident(s) = self.peek() {
-            if s.eq_ignore_ascii_case(kw) {
-                self.advance();
-                return true;
-            }
-        }
-        false
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> Result<()> {
-        if self.accept_kw(kw) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {kw}")))
-        }
-    }
-
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
-    }
-
-    fn accept_symbol(&mut self, sym: Symbol) -> bool {
-        if self.peek() == &TokenKind::Symbol(sym) {
-            self.advance();
-            return true;
-        }
-        false
-    }
-
-    fn expect_symbol(&mut self, sym: Symbol) -> Result<()> {
-        if self.accept_symbol(sym) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {sym:?}")))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.advance() {
-            TokenKind::Ident(s) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    fn usize_lit(&mut self) -> Result<usize> {
-        match self.advance() {
-            TokenKind::Int(n) if n >= 0 => Ok(n as usize),
-            other => Err(self.err(format!("expected non-negative integer, found {other:?}"))),
-        }
-    }
-
-    fn statement(&mut self) -> Result<SciqlStmt> {
-        if self.accept_kw("CREATE") {
-            self.expect_kw("ARRAY")?;
-            let name = self.ident()?;
-            self.expect_symbol(Symbol::LParen)?;
-            let mut dims = Vec::new();
-            let mut value_name = String::from("v");
-            let mut default = 0.0;
-            loop {
-                let attr = self.ident()?;
-                let ty = self.ident()?; // INT / DOUBLE / FLOAT ...
-                if self.accept_kw("DIMENSION") {
-                    // `[n]` extent.
-                    if !matches!(self.peek(), TokenKind::Symbol(_)) {
-                        return Err(self.err("expected [extent] after DIMENSION"));
-                    }
-                    self.expect_bracket_open()?;
-                    let size = self.usize_lit()?;
-                    self.expect_bracket_close()?;
-                    dims.push(DimDecl { name: attr, size });
-                } else {
-                    // Value attribute.
-                    let _ = ty; // type is always f64 storage
-                    value_name = attr;
-                    if self.accept_kw("DEFAULT") {
-                        default = self.number()?;
-                    }
-                }
-                if !self.accept_symbol(Symbol::Comma) {
-                    break;
-                }
-            }
-            self.expect_symbol(Symbol::RParen)?;
-            if dims.is_empty() {
-                return Err(self.err("array needs at least one DIMENSION attribute"));
-            }
-            return Ok(SciqlStmt::CreateArray { name, dims, value_name, default });
-        }
-        if self.accept_kw("DROP") {
-            self.expect_kw("ARRAY")?;
-            let name = self.ident()?;
-            return Ok(SciqlStmt::DropArray { name });
-        }
-        if self.accept_kw("UPDATE") {
-            let array = self.ident()?;
-            let slices = self.optional_slices()?;
-            self.expect_kw("SET")?;
-            let _target = self.ident()?; // value attribute name
-            self.expect_symbol(Symbol::Eq)?;
-            let expr = self.cell_expr()?;
-            let condition = if self.accept_kw("WHERE") {
-                Some(self.cell_expr()?)
-            } else {
-                None
-            };
-            return Ok(SciqlStmt::Update { array, slices, expr, condition });
-        }
-        if self.accept_kw("SELECT") {
-            // Aggregate or plain expression?
-            let save = self.pos;
-            if let TokenKind::Ident(name) = self.peek().clone() {
-                if let Some(agg) = CellAgg::parse(&name) {
-                    if self.tokens.get(self.pos + 1).map(|t| &t.kind)
-                        == Some(&TokenKind::Symbol(Symbol::LParen))
-                    {
-                        self.advance();
-                        self.advance();
-                        let expr = if self.accept_symbol(Symbol::Star) {
-                            CellExpr::Number(1.0)
-                        } else {
-                            self.cell_expr()?
-                        };
-                        self.expect_symbol(Symbol::RParen)?;
-                        self.expect_kw("FROM")?;
-                        let array = self.ident()?;
-                        let slices = self.optional_slices()?;
-                        let condition = if self.accept_kw("WHERE") {
-                            Some(self.cell_expr()?)
-                        } else {
-                            None
-                        };
-                        if self.accept_kw("GROUP") {
-                            self.expect_kw("BY")?;
-                            self.expect_kw("TILES")?;
-                            self.expect_bracket_open()?;
-                            let mut tile = vec![self.usize_lit()?];
-                            while self.accept_symbol(Symbol::Comma) {
-                                tile.push(self.usize_lit()?);
-                            }
-                            self.expect_bracket_close()?;
-                            if slices.iter().any(Option::is_some) {
-                                return Err(
-                                    self.err("slicing cannot be combined with GROUP BY TILES")
-                                );
-                            }
-                            if condition.is_some() {
-                                return Err(
-                                    self.err("WHERE cannot be combined with GROUP BY TILES")
-                                );
-                            }
-                            return Ok(SciqlStmt::TileReduce { array, agg, expr, tile });
-                        }
-                        return Ok(SciqlStmt::Reduce { array, slices, agg, expr, condition });
-                    }
-                }
-            }
-            self.pos = save;
-            let expr = self.cell_expr()?;
-            self.expect_kw("FROM")?;
-            let array = self.ident()?;
-            let slices = self.optional_slices()?;
-            return Ok(SciqlStmt::Map { array, slices, expr });
-        }
-        Err(self.err("expected CREATE, DROP, SELECT or UPDATE"))
-    }
-
-    fn expect_bracket_open(&mut self) -> Result<()> {
-        self.expect_symbol(Symbol::LParen)
-    }
-
-    fn expect_bracket_close(&mut self) -> Result<()> {
-        self.expect_symbol(Symbol::RParen)
-    }
-
-    /// Optional `[lo..hi, *, ...]` slice list after an array name.
-    /// `*` means "full extent" for that dimension.
-    fn optional_slices(&mut self) -> Result<Vec<SliceRange>> {
-        if !self.accept_symbol(Symbol::LParen) {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
+fn statement(c: &mut Cursor) -> Result<SciqlStmt> {
+    if c.accept_kw("CREATE") {
+        c.expect_kw("ARRAY")?;
+        let name = c.ident()?;
+        c.expect_symbol(Symbol::LParen)?;
+        let mut dims = Vec::new();
+        let mut value_name = String::from("v");
+        let mut default = 0.0;
         loop {
-            if self.accept_symbol(Symbol::Star) {
-                out.push(None);
+            let attr = c.ident()?;
+            let _ty = c.ident()?; // INT / DOUBLE / FLOAT ...: storage is always f64
+            if c.accept_kw("DIMENSION") {
+                let close = open(c).ok_or_else(|| c.err("expected [extent] after DIMENSION"))?;
+                let size = c.usize_lit()?;
+                c.expect_symbol(close)?;
+                dims.push(DimDecl { name: attr, size });
             } else {
-                let (lo, hi) = self.slice_bounds()?;
-                if hi < lo {
-                    return Err(self.err(format!("empty slice {lo}..{hi}")));
+                value_name = attr;
+                if c.accept_kw("DEFAULT") {
+                    default = number(c)?;
                 }
-                out.push(Some((lo, hi)));
             }
-            if !self.accept_symbol(Symbol::Comma) {
+            if !c.accept_symbol(Symbol::Comma) {
                 break;
             }
         }
-        self.expect_symbol(Symbol::RParen)?;
-        Ok(out)
+        c.expect_symbol(Symbol::RParen)?;
+        if dims.is_empty() {
+            return Err(c.err("array needs at least one DIMENSION attribute"));
+        }
+        return Ok(SciqlStmt::CreateArray { name, dims, value_name, default });
     }
-
-    /// Parse `lo..hi` (pre-translated to `lo TO hi` by [`parse`]).
-    fn slice_bounds(&mut self) -> Result<(usize, usize)> {
-        let lo = self.usize_lit()?;
-        self.expect_kw("TO")?;
-        let hi = self.usize_lit()?;
-        Ok((lo, hi))
+    if c.accept_kw("DROP") {
+        c.expect_kw("ARRAY")?;
+        let name = c.ident()?;
+        return Ok(SciqlStmt::DropArray { name });
     }
+    if c.accept_kw("UPDATE") {
+        let array = c.ident()?;
+        let slices = optional_slices(c)?;
+        c.expect_kw("SET")?;
+        let _target = c.ident()?; // value attribute name
+        c.expect_symbol(Symbol::Eq)?;
+        let expr = cell_expr(c)?;
+        let condition = if c.accept_kw("WHERE") { Some(cell_expr(c)?) } else { None };
+        return Ok(SciqlStmt::Update { array, slices, expr, condition });
+    }
+    if !c.accept_kw("SELECT") {
+        return Err(c.err("expected CREATE, DROP, SELECT or UPDATE"));
+    }
+    // Aggregate or plain expression?
+    let agg = match c.peek() {
+        TokenKind::Ident(name) if c.lookahead(1) == &TokenKind::Symbol(Symbol::LParen) => CellAgg::parse(name),
+        _ => None,
+    };
+    let Some(agg) = agg else {
+        let expr = cell_expr(c)?;
+        c.expect_kw("FROM")?;
+        let array = c.ident()?;
+        let slices = optional_slices(c)?;
+        return Ok(SciqlStmt::Map { array, slices, expr });
+    };
+    c.advance(); // the aggregate's name
+    c.advance(); // (
+    let expr = if c.accept_symbol(Symbol::Star) { CellExpr::Number(1.0) } else { cell_expr(c)? };
+    c.expect_symbol(Symbol::RParen)?;
+    c.expect_kw("FROM")?;
+    let array = c.ident()?;
+    let slices = optional_slices(c)?;
+    let condition = if c.accept_kw("WHERE") { Some(cell_expr(c)?) } else { None };
+    if !c.accept_kw("GROUP") {
+        return Ok(SciqlStmt::Reduce { array, slices, agg, expr, condition });
+    }
+    c.expect_kw("BY")?;
+    c.expect_kw("TILES")?;
+    let close = open(c).ok_or_else(|| c.err("expected [tile shape] after TILES"))?;
+    let mut tile = vec![c.usize_lit()?];
+    while c.accept_symbol(Symbol::Comma) {
+        tile.push(c.usize_lit()?);
+    }
+    c.expect_symbol(close)?;
+    if slices.iter().any(Option::is_some) {
+        return Err(c.err("slicing cannot be combined with GROUP BY TILES"));
+    }
+    if condition.is_some() {
+        return Err(c.err("WHERE cannot be combined with GROUP BY TILES"));
+    }
+    Ok(SciqlStmt::TileReduce { array, agg, expr, tile })
+}
 
-    fn number(&mut self) -> Result<f64> {
-        let neg = self.accept_symbol(Symbol::Minus);
-        let v = match self.advance() {
-            TokenKind::Int(i) => i as f64,
-            TokenKind::Float(f) => f,
-            other => return Err(self.err(format!("expected number, found {other:?}"))),
+/// Consume the `[` (or `(`) opening an extent, slice list or tile
+/// shape, and name the symbol that must close it.
+fn open(c: &mut Cursor) -> Option<Symbol> {
+    if c.accept_symbol(Symbol::LBracket) {
+        Some(Symbol::RBracket)
+    } else if c.accept_symbol(Symbol::LParen) {
+        Some(Symbol::RParen)
+    } else {
+        None
+    }
+}
+
+/// Optional `[lo..hi, *, ...]` slice list after an array name.
+/// `*` means "full extent" for that dimension.
+fn optional_slices(c: &mut Cursor) -> Result<Vec<SliceRange>> {
+    let Some(close) = open(c) else {
+        return Ok(Vec::new());
+    };
+    let mut out = Vec::new();
+    loop {
+        if c.accept_symbol(Symbol::Star) {
+            out.push(None);
+        } else {
+            let lo = c.usize_lit()?;
+            c.expect_symbol(Symbol::DotDot)?;
+            let hi = c.usize_lit()?;
+            if hi < lo {
+                return Err(c.err(format!("empty slice {lo}..{hi}")));
+            }
+            out.push(Some((lo, hi)));
+        }
+        if !c.accept_symbol(Symbol::Comma) {
+            break;
+        }
+    }
+    c.expect_symbol(close)?;
+    Ok(out)
+}
+
+fn number(c: &mut Cursor) -> Result<f64> {
+    let neg = c.accept_symbol(Symbol::Minus);
+    let v = match c.advance() {
+        TokenKind::Int(i) => i as f64,
+        TokenKind::Float(f) => f,
+        other => return Err(c.err(format!("expected number, found {other:?}"))),
+    };
+    Ok(if neg { -v } else { v })
+}
+
+// Expression grammar: OR > AND > comparison > additive > term.
+fn cell_expr(c: &mut Cursor) -> Result<CellExpr> {
+    let mut left = and_expr(c)?;
+    while c.accept_kw("OR") {
+        let right = and_expr(c)?;
+        left = CellExpr::Binary { op: CellOp::Or, left: Box::new(left), right: Box::new(right) };
+    }
+    Ok(left)
+}
+
+fn and_expr(c: &mut Cursor) -> Result<CellExpr> {
+    let mut left = cmp_expr(c)?;
+    while c.accept_kw("AND") {
+        let right = cmp_expr(c)?;
+        left = CellExpr::Binary { op: CellOp::And, left: Box::new(left), right: Box::new(right) };
+    }
+    Ok(left)
+}
+
+fn cmp_expr(c: &mut Cursor) -> Result<CellExpr> {
+    let left = add_expr(c)?;
+    let op = match c.peek() {
+        TokenKind::Symbol(Symbol::Eq) => Some(CellOp::Eq),
+        TokenKind::Symbol(Symbol::Ne) => Some(CellOp::Ne),
+        TokenKind::Symbol(Symbol::Lt) => Some(CellOp::Lt),
+        TokenKind::Symbol(Symbol::Le) => Some(CellOp::Le),
+        TokenKind::Symbol(Symbol::Gt) => Some(CellOp::Gt),
+        TokenKind::Symbol(Symbol::Ge) => Some(CellOp::Ge),
+        _ => None,
+    };
+    if let Some(op) = op {
+        c.advance();
+        let right = add_expr(c)?;
+        return Ok(CellExpr::Binary { op, left: Box::new(left), right: Box::new(right) });
+    }
+    Ok(left)
+}
+
+fn add_expr(c: &mut Cursor) -> Result<CellExpr> {
+    let mut left = mul_expr(c)?;
+    loop {
+        let op = match c.peek() {
+            TokenKind::Symbol(Symbol::Plus) => CellOp::Add,
+            TokenKind::Symbol(Symbol::Minus) => CellOp::Sub,
+            _ => break,
         };
-        Ok(if neg { -v } else { v })
+        c.advance();
+        let right = mul_expr(c)?;
+        left = CellExpr::Binary { op, left: Box::new(left), right: Box::new(right) };
     }
+    Ok(left)
+}
 
-    // Expression grammar: OR > AND > comparison > additive > term.
-    fn cell_expr(&mut self) -> Result<CellExpr> {
-        let mut left = self.and_expr()?;
-        while self.accept_kw("OR") {
-            let right = self.and_expr()?;
-            left = CellExpr::Binary { op: CellOp::Or, left: Box::new(left), right: Box::new(right) };
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<CellExpr> {
-        let mut left = self.cmp_expr()?;
-        while self.accept_kw("AND") {
-            let right = self.cmp_expr()?;
-            left = CellExpr::Binary { op: CellOp::And, left: Box::new(left), right: Box::new(right) };
-        }
-        Ok(left)
-    }
-
-    fn cmp_expr(&mut self) -> Result<CellExpr> {
-        let left = self.add_expr()?;
-        let op = match self.peek() {
-            TokenKind::Symbol(Symbol::Eq) => Some(CellOp::Eq),
-            TokenKind::Symbol(Symbol::Ne) => Some(CellOp::Ne),
-            TokenKind::Symbol(Symbol::Lt) => Some(CellOp::Lt),
-            TokenKind::Symbol(Symbol::Le) => Some(CellOp::Le),
-            TokenKind::Symbol(Symbol::Gt) => Some(CellOp::Gt),
-            TokenKind::Symbol(Symbol::Ge) => Some(CellOp::Ge),
-            _ => None,
+fn mul_expr(c: &mut Cursor) -> Result<CellExpr> {
+    let mut left = unary_expr(c)?;
+    loop {
+        let op = match c.peek() {
+            TokenKind::Symbol(Symbol::Star) => CellOp::Mul,
+            TokenKind::Symbol(Symbol::Slash) => CellOp::Div,
+            TokenKind::Symbol(Symbol::Percent) => CellOp::Mod,
+            _ => break,
         };
-        if let Some(op) = op {
-            self.advance();
-            let right = self.add_expr()?;
-            return Ok(CellExpr::Binary { op, left: Box::new(left), right: Box::new(right) });
-        }
-        Ok(left)
+        c.advance();
+        let right = unary_expr(c)?;
+        left = CellExpr::Binary { op, left: Box::new(left), right: Box::new(right) };
     }
+    Ok(left)
+}
 
-    fn add_expr(&mut self) -> Result<CellExpr> {
-        let mut left = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Symbol(Symbol::Plus) => CellOp::Add,
-                TokenKind::Symbol(Symbol::Minus) => CellOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let right = self.mul_expr()?;
-            left = CellExpr::Binary { op, left: Box::new(left), right: Box::new(right) };
+/// Every nested expression passes through here (a parenthesis, an
+/// argument list, a CASE arm or a sign), so the nesting bound is
+/// charged here.
+fn unary_expr(c: &mut Cursor) -> Result<CellExpr> {
+    c.nested(|c| {
+        if c.accept_symbol(Symbol::Minus) {
+            return Ok(CellExpr::Neg(Box::new(unary_expr(c)?)));
         }
-        Ok(left)
+        if c.accept_symbol(Symbol::Plus) {
+            return unary_expr(c);
+        }
+        primary(c)
+    })
+}
+
+fn primary(c: &mut Cursor) -> Result<CellExpr> {
+    if c.accept_kw("CASE") {
+        let mut arms = Vec::new();
+        while c.accept_kw("WHEN") {
+            let cond = cell_expr(c)?;
+            c.expect_kw("THEN")?;
+            let result = cell_expr(c)?;
+            arms.push((cond, result));
+        }
+        if arms.is_empty() {
+            return Err(c.err("CASE needs at least one WHEN arm"));
+        }
+        let otherwise = if c.accept_kw("ELSE") { Some(Box::new(cell_expr(c)?)) } else { None };
+        c.expect_kw("END")?;
+        return Ok(CellExpr::Case { arms, otherwise });
     }
-
-    fn mul_expr(&mut self) -> Result<CellExpr> {
-        let mut left = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Symbol(Symbol::Star) => CellOp::Mul,
-                TokenKind::Symbol(Symbol::Slash) => CellOp::Div,
-                TokenKind::Symbol(Symbol::Percent) => CellOp::Mod,
-                _ => break,
-            };
-            self.advance();
-            let right = self.unary_expr()?;
-            left = CellExpr::Binary { op, left: Box::new(left), right: Box::new(right) };
+    match c.advance() {
+        TokenKind::Int(i) => Ok(CellExpr::Number(i as f64)),
+        TokenKind::Float(f) => Ok(CellExpr::Number(f)),
+        TokenKind::Symbol(Symbol::LParen) => {
+            let e = cell_expr(c)?;
+            c.expect_symbol(Symbol::RParen)?;
+            Ok(e)
         }
-        Ok(left)
-    }
-
-    fn unary_expr(&mut self) -> Result<CellExpr> {
-        if self.accept_symbol(Symbol::Minus) {
-            return Ok(CellExpr::Neg(Box::new(self.unary_expr()?)));
-        }
-        if self.accept_symbol(Symbol::Plus) {
-            return self.unary_expr();
-        }
-        self.primary()
-    }
-
-    fn primary(&mut self) -> Result<CellExpr> {
-        if self.peek_kw("CASE") {
-            self.advance();
-            let mut arms = Vec::new();
-            while self.accept_kw("WHEN") {
-                let cond = self.cell_expr()?;
-                self.expect_kw("THEN")?;
-                let result = self.cell_expr()?;
-                arms.push((cond, result));
-            }
-            if arms.is_empty() {
-                return Err(self.err("CASE needs at least one WHEN arm"));
-            }
-            let otherwise = if self.accept_kw("ELSE") {
-                Some(Box::new(self.cell_expr()?))
-            } else {
-                None
-            };
-            self.expect_kw("END")?;
-            return Ok(CellExpr::Case { arms, otherwise });
-        }
-        match self.advance() {
-            TokenKind::Int(i) => Ok(CellExpr::Number(i as f64)),
-            TokenKind::Float(f) => Ok(CellExpr::Number(f)),
-            TokenKind::Symbol(Symbol::LParen) => {
-                let e = self.cell_expr()?;
-                self.expect_symbol(Symbol::RParen)?;
-                Ok(e)
-            }
-            TokenKind::Ident(name) => {
-                if self.peek() == &TokenKind::Symbol(Symbol::LParen) {
-                    self.advance();
-                    let mut args = Vec::new();
-                    if self.peek() != &TokenKind::Symbol(Symbol::RParen) {
-                        args.push(self.cell_expr()?);
-                        while self.accept_symbol(Symbol::Comma) {
-                            args.push(self.cell_expr()?);
-                        }
+        TokenKind::Ident(name) => {
+            if c.accept_symbol(Symbol::LParen) {
+                let mut args = Vec::new();
+                if c.peek() != &TokenKind::Symbol(Symbol::RParen) {
+                    args.push(cell_expr(c)?);
+                    while c.accept_symbol(Symbol::Comma) {
+                        args.push(cell_expr(c)?);
                     }
-                    self.expect_symbol(Symbol::RParen)?;
-                    return Ok(CellExpr::Func { name: name.to_ascii_uppercase(), args });
                 }
-                Ok(CellExpr::Var(name))
+                c.expect_symbol(Symbol::RParen)?;
+                return Ok(CellExpr::Func { name: name.to_ascii_uppercase(), args });
             }
-            other => Err(self.err(format!("unexpected token {other:?}"))),
+            Ok(CellExpr::Var(name))
         }
+        other => Err(c.err(format!("unexpected token {other:?}"))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teleios_monet::DbError;
 
     #[test]
     fn create_array() {
@@ -507,6 +396,19 @@ mod tests {
     #[test]
     fn empty_slice_rejected() {
         assert!(parse("SELECT v FROM img(5..2)").is_err());
+    }
+
+    #[test]
+    fn errors_point_into_the_original_text() {
+        // The closing `]` of a 30-byte statement is byte 29: column 30.
+        match parse("SELECT v FROM img[0..10, 5..2]") {
+            Err(DbError::Parse { line: 1, column: 30, message }) => assert_eq!(message, "empty slice 5..2"),
+            other => panic!("wrong: {other:?}"),
+        }
+        let e = parse("SELECT AVG(v)\n  FROM img\n  GROUP BY TILES [16, 16)").unwrap_err();
+        assert_eq!(e.to_string(), "parse error at line 3, column 25: expected RBracket");
+        // `lo TO hi` was the rewrite's spelling, never SciQL's.
+        assert!(parse("SELECT v FROM img(0 TO 4)").is_err());
     }
 
     #[test]

@@ -238,3 +238,27 @@ const PINNED: &[(&str, u64)] = &[
     ("UPDATE cube[1..2, *, 3..17] SET v = -v WHERE band + x > v * 20", 0x1951029f2e481555),
     ("UPDATE cube[*, 0..10, *] SET v = CASE WHEN v > 0 THEN SQRT(v) ELSE y END", 0x72eb014d0d474958),
 ];
+
+#[test]
+fn parser_answers_every_mangled_statement_with_ok_or_err() {
+    let seeds: Vec<String> = statements().into_iter().chain(ARRAY_STATEMENTS.map(String::from)).collect();
+    let seeds: Vec<&str> = seeds.iter().map(String::as_str).collect();
+    assert_eq!(seeds.len(), 119);
+    teleios_check::fuzz_text(&seeds, teleios_sciql::parser::parse);
+}
+
+#[test]
+fn deeply_nested_sciql_is_rejected_not_overflowed() {
+    const DEEP: usize = 100_000;
+    for bomb in [
+        format!("SELECT {}v FROM big", "(".repeat(DEEP)),
+        format!("SELECT {}v FROM big", "-".repeat(DEEP)),
+        format!("SELECT {}1 FROM big", "CASE WHEN v > 0 THEN ".repeat(DEEP)),
+        format!("SELECT SUM({}v) FROM big GROUP BY TILES [2, 2]", "ABS(".repeat(DEEP)),
+    ] {
+        let parsed = std::thread::spawn(move || teleios_sciql::parser::parse(&bomb).is_ok())
+            .join()
+            .expect("the parser returns instead of overflowing its stack");
+        assert!(!parsed);
+    }
+}

@@ -11,6 +11,12 @@ pub enum VarOrTerm {
     Term(Term),
 }
 
+impl From<Term> for VarOrTerm {
+    fn from(t: Term) -> Self {
+        VarOrTerm::Term(t)
+    }
+}
+
 impl VarOrTerm {
     /// The variable name, if a variable.
     pub fn var(&self) -> Option<&str> {

@@ -51,7 +51,6 @@
 pub mod ast;
 pub mod eval;
 pub mod expr;
-pub mod lexer;
 pub mod parser;
 pub mod spatial;
 pub mod update;
@@ -59,14 +58,17 @@ pub mod update;
 use teleios_exec::WorkerPool;
 use teleios_rdf::store::TripleStore;
 use teleios_rdf::term::Term;
+use teleios_rdf::RdfError;
 
 /// Errors from parsing or evaluating stSPARQL.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StrabonError {
-    /// Query text failed to parse.
+    /// Query or Turtle text failed to parse.
     Parse {
-        /// Byte offset.
-        position: usize,
+        /// Line number (1-based).
+        line: usize,
+        /// Column in characters (1-based).
+        column: usize,
         /// Description.
         message: String,
     },
@@ -75,24 +77,32 @@ pub enum StrabonError {
     /// Expression evaluation failed fatally (type errors inside FILTER
     /// are not fatal — they make the filter false, per SPARQL).
     Eval(String),
-    /// Turtle loading failed.
-    Load(String),
 }
 
 impl std::fmt::Display for StrabonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StrabonError::Parse { position, message } => {
-                write!(f, "stSPARQL parse error at byte {position}: {message}")
+            StrabonError::Parse { line, column, message } => {
+                write!(f, "parse error at line {line}, column {column}: {message}")
             }
             StrabonError::UnknownPrefix(p) => write!(f, "unknown prefix: {p}"),
             StrabonError::Eval(m) => write!(f, "evaluation error: {m}"),
-            StrabonError::Load(m) => write!(f, "load error: {m}"),
         }
     }
 }
 
 impl std::error::Error for StrabonError {}
+
+/// The RDF reader's errors, from stSPARQL text and Turtle alike.
+impl From<RdfError> for StrabonError {
+    fn from(e: RdfError) -> Self {
+        match e {
+            RdfError::Parse { line, column, message } => StrabonError::Parse { line, column, message },
+            RdfError::UnknownPrefix(p) => StrabonError::UnknownPrefix(p),
+            RdfError::BadLiteral(m) => StrabonError::Eval(m),
+        }
+    }
+}
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, StrabonError>;
@@ -250,8 +260,7 @@ impl Strabon {
 
     /// Load Turtle data. Returns the number of new triples.
     pub fn load_turtle(&mut self, turtle: &str) -> Result<usize> {
-        teleios_rdf::turtle::parse_into(turtle, &mut self.store)
-            .map_err(|e| StrabonError::Load(e.to_string()))
+        Ok(teleios_rdf::turtle::parse_into(turtle, &mut self.store)?)
     }
 
     /// Insert one triple of terms. Returns false when it already existed.

@@ -1,605 +1,356 @@
-//! stSPARQL parser.
+//! stSPARQL parser: the query and update grammar over the RDF family's
+//! shared reader ([`teleios_rdf::syntax`]), which owns the tokens, the
+//! terms, the predicate-object lists and the nesting bound.
 
 use crate::ast::*;
-use crate::lexer::{tokenize, Tok, Token};
-use crate::{Result, StrabonError};
-use std::collections::HashMap;
+use crate::Result;
+use teleios_rdf::syntax::{Cursor, Tok};
 use teleios_rdf::term::Term;
 use teleios_rdf::vocab;
 
+/// What the grammar below returns; [`parse_query`] / [`parse_update`]
+/// convert it to a [`crate::StrabonError`].
+type Parsed<T> = teleios_rdf::Result<T>;
+
 /// Parse a SELECT or ASK query.
 pub fn parse_query(text: &str) -> Result<Query> {
-    let mut p = Parser::new(text)?;
-    p.parse_prologue()?;
-    let q = if p.accept_word("SELECT") {
-        Query::Select(p.parse_select_body()?)
-    } else if p.accept_word("ASK") {
-        let where_clause = p.parse_group()?;
-        Query::Ask(AskQuery { where_clause })
-    } else if p.accept_word("CONSTRUCT") {
-        let template = p.parse_template()?;
-        p.expect_word("WHERE")?;
-        let where_clause = p.parse_group()?;
-        Query::Construct(ConstructQuery { template, where_clause })
+    let mut c = prologue(text)?;
+    let q = if c.accept_word("SELECT") {
+        Query::Select(parse_select_body(&mut c)?)
+    } else if c.accept_word("ASK") {
+        Query::Ask(AskQuery { where_clause: parse_group(&mut c)? })
+    } else if c.accept_word("CONSTRUCT") {
+        let template = parse_template(&mut c)?;
+        c.expect_word("WHERE")?;
+        Query::Construct(ConstructQuery { template, where_clause: parse_group(&mut c)? })
     } else {
-        return Err(p.err("expected SELECT, ASK or CONSTRUCT"));
+        return Err(c.err("expected SELECT, ASK or CONSTRUCT").into());
     };
-    p.expect_eof()?;
+    c.expect_eof()?;
     Ok(q)
 }
 
 /// Parse an update request.
 pub fn parse_update(text: &str) -> Result<Update> {
-    let mut p = Parser::new(text)?;
-    p.parse_prologue()?;
-    let u = p.parse_update_body()?;
-    p.expect_eof()?;
+    let mut c = prologue(text)?;
+    let u = parse_update_body(&mut c)?;
+    c.expect_eof()?;
     Ok(u)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    prefixes: HashMap<String, String>,
+/// A cursor over `text` past its `PREFIX` declarations. The well-known
+/// prefixes are always declared.
+fn prologue(text: &str) -> Parsed<Cursor<'_>> {
+    let mut c = Cursor::new(text)?;
+    c.set_prefix("rdf", vocab::rdf::NS);
+    c.set_prefix("rdfs", vocab::rdfs::NS);
+    c.set_prefix("xsd", vocab::xsd::NS);
+    c.set_prefix("strdf", vocab::strdf::NS);
+    while c.accept_word("PREFIX") {
+        c.declare_prefix()?;
+    }
+    Ok(c)
 }
 
-impl Parser {
-    fn new(text: &str) -> Result<Parser> {
-        let mut prefixes = HashMap::new();
-        // Well-known prefixes are always available.
-        prefixes.insert("rdf".into(), vocab::rdf::NS.to_string());
-        prefixes.insert("rdfs".into(), vocab::rdfs::NS.to_string());
-        prefixes.insert("xsd".into(), vocab::xsd::NS.to_string());
-        prefixes.insert("strdf".into(), vocab::strdf::NS.to_string());
-        Ok(Parser { tokens: tokenize(text)?, pos: 0, prefixes })
-    }
+fn accept_var(c: &mut Cursor) -> Option<String> {
+    let Tok::Var(v) = c.peek() else { return None };
+    let v = v.clone();
+    c.advance();
+    Some(v)
+}
 
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].kind
-    }
+fn expect_var(c: &mut Cursor) -> Parsed<String> {
+    accept_var(c).ok_or_else(|| c.err("expected a variable"))
+}
 
-    fn advance(&mut self) -> Tok {
-        let t = self.tokens[self.pos].kind.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+fn parse_var_or_term(c: &mut Cursor) -> Parsed<VarOrTerm> {
+    Ok(match accept_var(c) {
+        Some(v) => VarOrTerm::Var(v),
+        None => VarOrTerm::Term(c.term()?),
+    })
+}
+
+/// `( expression )`.
+fn parse_bracketed(c: &mut Cursor) -> Parsed<Expression> {
+    c.expect_tok(&Tok::LParen)?;
+    let e = parse_expression(c)?;
+    c.expect_tok(&Tok::RParen)?;
+    Ok(e)
+}
+
+/// `( expression AS ?var )`.
+fn parse_bound_expression(c: &mut Cursor) -> Parsed<(Expression, String)> {
+    c.expect_tok(&Tok::LParen)?;
+    let expr = parse_expression(c)?;
+    c.expect_word("AS")?;
+    let var = expect_var(c)?;
+    c.expect_tok(&Tok::RParen)?;
+    Ok((expr, var))
+}
+
+/// A non-negative integer after LIMIT or OFFSET.
+fn parse_count(c: &mut Cursor, clause: &str) -> Parsed<usize> {
+    match c.peek() {
+        Tok::Int(n) => {
+            let n = n.parse().map_err(|_| c.err(format!("{clause} is out of range")))?;
+            c.advance();
+            Ok(n)
         }
-        t
+        _ => Err(c.err(format!("{clause} expects a non-negative integer"))),
     }
+}
 
-    fn err(&self, msg: impl Into<String>) -> StrabonError {
-        StrabonError::Parse { position: self.tokens[self.pos].pos, message: msg.into() }
-    }
-
-    fn accept_word(&mut self, w: &str) -> bool {
-        if let Tok::Word(s) = self.peek() {
-            if s.eq_ignore_ascii_case(w) {
-                self.advance();
-                return true;
-            }
-        }
-        false
-    }
-
-    fn expect_word(&mut self, w: &str) -> Result<()> {
-        if self.accept_word(w) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {w}")))
-        }
-    }
-
-    fn peek_word(&self, w: &str) -> bool {
-        matches!(self.peek(), Tok::Word(s) if s.eq_ignore_ascii_case(w))
-    }
-
-    fn accept_tok(&mut self, t: Tok) -> bool {
-        if self.peek() == &t {
-            self.advance();
-            return true;
-        }
-        false
-    }
-
-    fn expect_tok(&mut self, t: Tok) -> Result<()> {
-        if self.accept_tok(t.clone()) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {t:?}, found {:?}", self.peek())))
-        }
-    }
-
-    fn expect_eof(&mut self) -> Result<()> {
-        if self.peek() == &Tok::Eof {
-            Ok(())
-        } else {
-            Err(self.err("unexpected trailing input"))
-        }
-    }
-
-    fn parse_prologue(&mut self) -> Result<()> {
-        while self.peek_word("PREFIX") {
-            self.advance();
-            let Tok::PName(prefix, local) = self.advance() else {
-                return Err(self.err("expected prefix name after PREFIX"));
-            };
-            if !local.is_empty() {
-                return Err(self.err("malformed PREFIX declaration"));
-            }
-            let Tok::Iri(iri) = self.advance() else {
-                return Err(self.err("expected IRI in PREFIX declaration"));
-            };
-            self.prefixes.insert(prefix, iri);
-        }
-        Ok(())
-    }
-
-    fn resolve(&self, prefix: &str, local: &str) -> Result<String> {
-        let ns = self
-            .prefixes
-            .get(prefix)
-            .ok_or_else(|| StrabonError::UnknownPrefix(prefix.to_string()))?;
-        Ok(format!("{ns}{local}"))
-    }
-
-    fn parse_select_body(&mut self) -> Result<SelectQuery> {
-        let distinct = self.accept_word("DISTINCT");
-        let projection = if self.accept_tok(Tok::Star) {
-            Projection::All
-        } else {
-            let mut items = Vec::new();
-            loop {
-                match self.peek().clone() {
-                    Tok::Var(v) => {
-                        self.advance();
-                        items.push(ProjectionItem::Var(v));
-                    }
-                    Tok::LParen => {
-                        self.advance();
-                        let expr = self.parse_expression()?;
-                        self.expect_word("AS")?;
-                        let Tok::Var(v) = self.advance() else {
-                            return Err(self.err("expected variable after AS"));
-                        };
-                        self.expect_tok(Tok::RParen)?;
-                        items.push(ProjectionItem::Expr { expr, var: v });
-                    }
-                    _ => break,
-                }
-            }
-            if items.is_empty() {
-                return Err(self.err("empty SELECT projection"));
-            }
-            Projection::Vars(items)
-        };
-        self.expect_word("WHERE")?;
-        let where_clause = self.parse_group()?;
-        let mut group_by = Vec::new();
-        if self.accept_word("GROUP") {
-            self.expect_word("BY")?;
-            while let Tok::Var(v) = self.peek().clone() {
-                self.advance();
-                group_by.push(v);
-            }
-            if group_by.is_empty() {
-                return Err(self.err("GROUP BY expects at least one variable"));
-            }
-        }
-        let mut order_by = Vec::new();
-        if self.accept_word("ORDER") {
-            self.expect_word("BY")?;
-            loop {
-                if self.accept_word("DESC") {
-                    self.expect_tok(Tok::LParen)?;
-                    let expr = self.parse_expression()?;
-                    self.expect_tok(Tok::RParen)?;
-                    order_by.push(OrderKey { expr, desc: true });
-                } else if self.accept_word("ASC") {
-                    self.expect_tok(Tok::LParen)?;
-                    let expr = self.parse_expression()?;
-                    self.expect_tok(Tok::RParen)?;
-                    order_by.push(OrderKey { expr, desc: false });
-                } else if matches!(self.peek(), Tok::Var(_)) {
-                    let Tok::Var(v) = self.advance() else { unreachable!() };
-                    order_by.push(OrderKey { expr: Expression::Var(v), desc: false });
-                } else {
-                    break;
-                }
-                if !matches!(self.peek(), Tok::Var(_)) && !self.peek_word("DESC") && !self.peek_word("ASC") {
-                    break;
-                }
-            }
-            if order_by.is_empty() {
-                return Err(self.err("empty ORDER BY"));
-            }
-        }
-        let mut limit = None;
-        let mut offset = 0usize;
+fn parse_select_body(c: &mut Cursor) -> Parsed<SelectQuery> {
+    let distinct = c.accept_word("DISTINCT");
+    let projection = if c.accept_tok(&Tok::Star) {
+        Projection::All
+    } else {
+        let mut items = Vec::new();
         loop {
-            if self.accept_word("LIMIT") {
-                let Tok::Int(n) = self.advance() else {
-                    return Err(self.err("LIMIT expects an integer"));
-                };
-                if n < 0 {
-                    return Err(self.err("LIMIT must be non-negative"));
-                }
-                limit = Some(n as usize);
-            } else if self.accept_word("OFFSET") {
-                let Tok::Int(n) = self.advance() else {
-                    return Err(self.err("OFFSET expects an integer"));
-                };
-                if n < 0 {
-                    return Err(self.err("OFFSET must be non-negative"));
-                }
-                offset = n as usize;
+            if let Some(v) = accept_var(c) {
+                items.push(ProjectionItem::Var(v));
+            } else if c.peek() == &Tok::LParen {
+                let (expr, var) = parse_bound_expression(c)?;
+                items.push(ProjectionItem::Expr { expr, var });
             } else {
                 break;
             }
         }
-        Ok(SelectQuery { distinct, projection, where_clause, group_by, order_by, limit, offset })
+        if items.is_empty() {
+            return Err(c.err("empty SELECT projection"));
+        }
+        Projection::Vars(items)
+    };
+    c.expect_word("WHERE")?;
+    let where_clause = parse_group(c)?;
+    let mut group_by = Vec::new();
+    if c.accept_word("GROUP") {
+        c.expect_word("BY")?;
+        while let Some(v) = accept_var(c) {
+            group_by.push(v);
+        }
+        if group_by.is_empty() {
+            return Err(c.err("GROUP BY expects at least one variable"));
+        }
     }
-
-    fn parse_group(&mut self) -> Result<GroupPattern> {
-        self.expect_tok(Tok::LBrace)?;
-        let mut elements = Vec::new();
+    let mut order_by = Vec::new();
+    if c.accept_word("ORDER") {
+        c.expect_word("BY")?;
         loop {
-            match self.peek().clone() {
-                Tok::RBrace => {
-                    self.advance();
-                    break;
+            order_by.push(if c.accept_word("DESC") {
+                OrderKey { expr: parse_bracketed(c)?, desc: true }
+            } else if c.accept_word("ASC") {
+                OrderKey { expr: parse_bracketed(c)?, desc: false }
+            } else if let Some(v) = accept_var(c) {
+                OrderKey { expr: Expression::Var(v), desc: false }
+            } else {
+                break;
+            });
+        }
+        if order_by.is_empty() {
+            return Err(c.err("empty ORDER BY"));
+        }
+    }
+    let mut limit = None;
+    let mut offset = 0usize;
+    loop {
+        if c.accept_word("LIMIT") {
+            limit = Some(parse_count(c, "LIMIT")?);
+        } else if c.accept_word("OFFSET") {
+            offset = parse_count(c, "OFFSET")?;
+        } else {
+            break;
+        }
+    }
+    Ok(SelectQuery { distinct, projection, where_clause, group_by, order_by, limit, offset })
+}
+
+fn parse_group(c: &mut Cursor) -> Parsed<GroupPattern> {
+    c.nested(|c| {
+        c.expect_tok(&Tok::LBrace)?;
+        let mut elements = Vec::new();
+        while !c.accept_tok(&Tok::RBrace) {
+            if c.accept_word("FILTER") {
+                // FILTER [NOT] EXISTS { ... } is pattern-level.
+                let negated = c.peek_word("NOT") && matches!(c.lookahead(1), Tok::Word(w) if w.eq_ignore_ascii_case("EXISTS"));
+                if negated {
+                    c.advance();
                 }
-                Tok::Word(w) if w.eq_ignore_ascii_case("FILTER") => {
-                    self.advance();
-                    // FILTER [NOT] EXISTS { ... } is pattern-level.
-                    if self.peek_word("EXISTS") {
-                        self.advance();
-                        let group = self.parse_group()?;
-                        elements.push(PatternElement::FilterExists { group, negated: false });
-                        continue;
+                elements.push(if c.accept_word("EXISTS") {
+                    PatternElement::FilterExists { group: parse_group(c)?, negated }
+                } else {
+                    PatternElement::Filter(parse_bracketed(c)?)
+                });
+            } else if c.accept_word("OPTIONAL") {
+                elements.push(PatternElement::Optional(parse_group(c)?));
+            } else if c.accept_word("MINUS") {
+                elements.push(PatternElement::Minus(parse_group(c)?));
+            } else if c.accept_word("BIND") {
+                let (expr, var) = parse_bound_expression(c)?;
+                elements.push(PatternElement::Bind { expr, var });
+            } else if c.peek() == &Tok::LBrace {
+                // Group, possibly a UNION chain.
+                let first = parse_group(c)?;
+                if c.peek_word("UNION") {
+                    let mut branches = vec![first];
+                    while c.accept_word("UNION") {
+                        branches.push(parse_group(c)?);
                     }
-                    if self.peek_word("NOT") {
-                        let save = self.pos;
-                        self.advance();
-                        if self.accept_word("EXISTS") {
-                            let group = self.parse_group()?;
-                            elements
-                                .push(PatternElement::FilterExists { group, negated: true });
-                            continue;
-                        }
-                        self.pos = save;
-                    }
-                    self.expect_tok(Tok::LParen)?;
-                    let e = self.parse_expression()?;
-                    self.expect_tok(Tok::RParen)?;
-                    elements.push(PatternElement::Filter(e));
+                    elements.push(PatternElement::Union(branches));
+                } else {
+                    // Inline the nested group.
+                    elements.extend(first.elements);
                 }
-                Tok::Word(w) if w.eq_ignore_ascii_case("OPTIONAL") => {
-                    self.advance();
-                    elements.push(PatternElement::Optional(self.parse_group()?));
-                }
-                Tok::Word(w) if w.eq_ignore_ascii_case("MINUS") => {
-                    self.advance();
-                    elements.push(PatternElement::Minus(self.parse_group()?));
-                }
-                Tok::Word(w) if w.eq_ignore_ascii_case("BIND") => {
-                    self.advance();
-                    self.expect_tok(Tok::LParen)?;
-                    let expr = self.parse_expression()?;
-                    self.expect_word("AS")?;
-                    let Tok::Var(v) = self.advance() else {
-                        return Err(self.err("expected variable after AS"));
-                    };
-                    self.expect_tok(Tok::RParen)?;
-                    elements.push(PatternElement::Bind { expr, var: v });
-                }
-                Tok::LBrace => {
-                    // Group, possibly a UNION chain.
-                    let first = self.parse_group()?;
-                    if self.peek_word("UNION") {
-                        let mut branches = vec![first];
-                        while self.accept_word("UNION") {
-                            branches.push(self.parse_group()?);
-                        }
-                        elements.push(PatternElement::Union(branches));
-                    } else {
-                        // Inline the nested group.
-                        elements.extend(first.elements);
-                    }
-                }
-                Tok::Dot => {
-                    self.advance();
-                }
-                _ => {
-                    // Triple pattern with `;` and `,` continuation.
-                    let s = self.parse_var_or_term()?;
-                    loop {
-                        let p = self.parse_predicate()?;
-                        loop {
-                            let o = self.parse_var_or_term()?;
-                            elements.push(PatternElement::Triple(PatternTriple {
-                                s: s.clone(),
-                                p: p.clone(),
-                                o,
-                            }));
-                            if !self.accept_tok(Tok::Comma) {
-                                break;
-                            }
-                        }
-                        if !self.accept_tok(Tok::Semicolon) {
-                            break;
-                        }
-                        // A dangling semicolon before `.` or `}` is legal.
-                        if matches!(self.peek(), Tok::Dot | Tok::RBrace) {
-                            break;
-                        }
-                    }
-                    // Optional statement dot.
-                    self.accept_tok(Tok::Dot);
-                }
+            } else if !c.accept_tok(&Tok::Dot) {
+                let s = parse_var_or_term(c)?;
+                c.predicate_objects(&s, parse_var_or_term, |s, p, o| {
+                    elements.push(PatternElement::Triple(PatternTriple { s, p, o }))
+                })?;
+                c.accept_tok(&Tok::Dot);
             }
         }
         Ok(GroupPattern { elements })
-    }
+    })
+}
 
-    fn parse_predicate(&mut self) -> Result<VarOrTerm> {
-        if let Tok::Word(w) = self.peek() {
-            if w == "a" {
-                self.advance();
-                return Ok(VarOrTerm::Term(Term::iri(vocab::rdf::TYPE)));
+// --- expressions -----------------------------------------------------
+
+/// Binary operators by precedence level, loosest first.
+const LEVELS: [&[(Tok, BinaryOp)]; 5] = [
+    &[(Tok::OrOr, BinaryOp::Or)],
+    &[(Tok::AndAnd, BinaryOp::And)],
+    &[
+        (Tok::Eq, BinaryOp::Eq),
+        (Tok::Ne, BinaryOp::Ne),
+        (Tok::Lt, BinaryOp::Lt),
+        (Tok::Le, BinaryOp::Le),
+        (Tok::Gt, BinaryOp::Gt),
+        (Tok::Ge, BinaryOp::Ge),
+    ],
+    &[(Tok::Plus, BinaryOp::Add), (Tok::Minus, BinaryOp::Sub)],
+    &[(Tok::Star, BinaryOp::Mul), (Tok::Slash, BinaryOp::Div)],
+];
+
+/// The comparison level: `a < b < c` does not parse.
+const COMPARISON: usize = 2;
+
+fn parse_expression(c: &mut Cursor) -> Parsed<Expression> {
+    parse_binary(c, 0)
+}
+
+/// Left-associative operators of `LEVELS[level]` over the tighter levels.
+fn parse_binary(c: &mut Cursor, level: usize) -> Parsed<Expression> {
+    let Some(ops) = LEVELS.get(level) else { return parse_unary(c) };
+    let mut left = parse_binary(c, level + 1)?;
+    while let Some(&(_, op)) = ops.iter().find(|(t, _)| c.peek() == t) {
+        c.advance();
+        let right = parse_binary(c, level + 1)?;
+        left = Expression::Binary { op, left: Box::new(left), right: Box::new(right) };
+        if level == COMPARISON {
+            break;
+        }
+    }
+    Ok(left)
+}
+
+/// Every nested expression passes through here, so this is where the
+/// nesting bound is charged.
+fn parse_unary(c: &mut Cursor) -> Parsed<Expression> {
+    c.nested(|c| {
+        if c.accept_tok(&Tok::Bang) {
+            Ok(Expression::Not(Box::new(parse_unary(c)?)))
+        } else if c.accept_tok(&Tok::Minus) {
+            Ok(Expression::Neg(Box::new(parse_unary(c)?)))
+        } else if c.accept_tok(&Tok::Plus) {
+            parse_unary(c)
+        } else {
+            parse_primary_expr(c)
+        }
+    })
+}
+
+fn parse_primary_expr(c: &mut Cursor) -> Parsed<Expression> {
+    if let Some(v) = accept_var(c) {
+        return Ok(Expression::Var(v));
+    }
+    match c.peek() {
+        Tok::LParen => return parse_bracketed(c),
+        // A builtin call: any word but a boolean.
+        Tok::Word(w) if !w.eq_ignore_ascii_case("true") && !w.eq_ignore_ascii_case("false") => {
+            let name = w.to_ascii_uppercase();
+            c.advance();
+            if c.peek() != &Tok::LParen {
+                return Err(c.err(format!("unexpected word '{name}' in expression")));
             }
+            return Ok(Expression::Call { name, args: parse_args(c)? });
         }
-        self.parse_var_or_term()
+        _ => {}
     }
+    // A constant, or an IRI naming a function when a `(` follows.
+    Ok(match c.term()? {
+        Term::Iri(name) if c.peek() == &Tok::LParen => Expression::Call { name, args: parse_args(c)? },
+        t => Expression::Const(t),
+    })
+}
 
-    fn parse_var_or_term(&mut self) -> Result<VarOrTerm> {
-        match self.advance() {
-            Tok::Var(v) => Ok(VarOrTerm::Var(v)),
-            Tok::Iri(iri) => Ok(VarOrTerm::Term(Term::iri(iri))),
-            Tok::PName(p, l) => Ok(VarOrTerm::Term(Term::iri(self.resolve(&p, &l)?))),
-            Tok::Str(s) => Ok(VarOrTerm::Term(self.finish_literal(s)?)),
-            Tok::Int(i) => Ok(VarOrTerm::Term(Term::int(i))),
-            Tok::Num(n) => Ok(VarOrTerm::Term(Term::double(n))),
-            Tok::Word(w) if w.eq_ignore_ascii_case("true") => Ok(VarOrTerm::Term(Term::boolean(true))),
-            Tok::Word(w) if w.eq_ignore_ascii_case("false") => {
-                Ok(VarOrTerm::Term(Term::boolean(false)))
-            }
-            other => Err(self.err(format!("expected variable or term, found {other:?}"))),
-        }
+fn parse_args(c: &mut Cursor) -> Parsed<Vec<Expression>> {
+    c.expect_tok(&Tok::LParen)?;
+    let mut args = Vec::new();
+    // `COUNT(*)`: the star stands for "count solutions".
+    if c.accept_tok(&Tok::Star) {
+        c.expect_tok(&Tok::RParen)?;
+        return Ok(args);
     }
-
-    /// After a string token, consume an optional `^^datatype` or `@lang`.
-    fn finish_literal(&mut self, lexical: String) -> Result<Term> {
-        if self.accept_tok(Tok::DtSep) {
-            let dt = match self.advance() {
-                Tok::Iri(iri) => iri,
-                Tok::PName(p, l) => self.resolve(&p, &l)?,
-                other => return Err(self.err(format!("expected datatype IRI, found {other:?}"))),
-            };
-            return Ok(Term::typed_literal(lexical, dt));
-        }
-        if let Tok::LangTag(lang) = self.peek().clone() {
-            self.advance();
-            return Ok(Term::lang_literal(lexical, lang));
-        }
-        Ok(Term::literal(lexical))
-    }
-
-    // --- expressions -------------------------------------------------
-
-    fn parse_expression(&mut self) -> Result<Expression> {
-        let mut left = self.parse_and()?;
-        while self.accept_tok(Tok::OrOr) {
-            let right = self.parse_and()?;
-            left = Expression::Binary {
-                op: BinaryOp::Or,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_and(&mut self) -> Result<Expression> {
-        let mut left = self.parse_cmp()?;
-        while self.accept_tok(Tok::AndAnd) {
-            let right = self.parse_cmp()?;
-            left = Expression::Binary {
-                op: BinaryOp::And,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_cmp(&mut self) -> Result<Expression> {
-        let left = self.parse_add()?;
-        let op = match self.peek() {
-            Tok::Eq => Some(BinaryOp::Eq),
-            Tok::Ne => Some(BinaryOp::Ne),
-            Tok::Lt => Some(BinaryOp::Lt),
-            Tok::Le => Some(BinaryOp::Le),
-            Tok::Gt => Some(BinaryOp::Gt),
-            Tok::Ge => Some(BinaryOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.advance();
-            let right = self.parse_add()?;
-            return Ok(Expression::Binary { op, left: Box::new(left), right: Box::new(right) });
-        }
-        Ok(left)
-    }
-
-    fn parse_add(&mut self) -> Result<Expression> {
-        let mut left = self.parse_mul()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinaryOp::Add,
-                Tok::Minus => BinaryOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let right = self.parse_mul()?;
-            left = Expression::Binary { op, left: Box::new(left), right: Box::new(right) };
-        }
-        Ok(left)
-    }
-
-    fn parse_mul(&mut self) -> Result<Expression> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinaryOp::Mul,
-                Tok::Slash => BinaryOp::Div,
-                _ => break,
-            };
-            self.advance();
-            let right = self.parse_unary()?;
-            left = Expression::Binary { op, left: Box::new(left), right: Box::new(right) };
-        }
-        Ok(left)
-    }
-
-    fn parse_unary(&mut self) -> Result<Expression> {
-        if self.accept_tok(Tok::Bang) {
-            return Ok(Expression::Not(Box::new(self.parse_unary()?)));
-        }
-        if self.accept_tok(Tok::Minus) {
-            return Ok(Expression::Neg(Box::new(self.parse_unary()?)));
-        }
-        if self.accept_tok(Tok::Plus) {
-            return self.parse_unary();
-        }
-        self.parse_primary_expr()
-    }
-
-    fn parse_primary_expr(&mut self) -> Result<Expression> {
-        match self.advance() {
-            Tok::Var(v) => Ok(Expression::Var(v)),
-            Tok::Int(i) => Ok(Expression::Const(Term::int(i))),
-            Tok::Num(n) => Ok(Expression::Const(Term::double(n))),
-            Tok::Str(s) => Ok(Expression::Const(self.finish_literal(s)?)),
-            Tok::Iri(iri) => {
-                // IRI function call or IRI constant.
-                if self.peek() == &Tok::LParen {
-                    let args = self.parse_args()?;
-                    Ok(Expression::Call { name: iri, args })
-                } else {
-                    Ok(Expression::Const(Term::iri(iri)))
-                }
-            }
-            Tok::PName(p, l) => {
-                let iri = self.resolve(&p, &l)?;
-                if self.peek() == &Tok::LParen {
-                    let args = self.parse_args()?;
-                    Ok(Expression::Call { name: iri, args })
-                } else {
-                    Ok(Expression::Const(Term::iri(iri)))
-                }
-            }
-            Tok::Word(w) => {
-                let upper = w.to_ascii_uppercase();
-                match upper.as_str() {
-                    "TRUE" => return Ok(Expression::Const(Term::boolean(true))),
-                    "FALSE" => return Ok(Expression::Const(Term::boolean(false))),
-                    _ => {}
-                }
-                if self.peek() == &Tok::LParen {
-                    let args = self.parse_args()?;
-                    Ok(Expression::Call { name: upper, args })
-                } else {
-                    Err(self.err(format!("unexpected word '{w}' in expression")))
-                }
-            }
-            Tok::LParen => {
-                let e = self.parse_expression()?;
-                self.expect_tok(Tok::RParen)?;
-                Ok(e)
-            }
-            other => Err(self.err(format!("unexpected token in expression: {other:?}"))),
+    if c.peek() != &Tok::RParen {
+        args.push(parse_expression(c)?);
+        while c.accept_tok(&Tok::Comma) {
+            args.push(parse_expression(c)?);
         }
     }
+    c.expect_tok(&Tok::RParen)?;
+    Ok(args)
+}
 
-    fn parse_args(&mut self) -> Result<Vec<Expression>> {
-        self.expect_tok(Tok::LParen)?;
-        let mut args = Vec::new();
-        // `COUNT(*)`: the star stands for "count solutions".
-        if self.accept_tok(Tok::Star) {
-            self.expect_tok(Tok::RParen)?;
-            return Ok(args);
+// --- updates ---------------------------------------------------------
+
+fn parse_update_body(c: &mut Cursor) -> Parsed<Update> {
+    if c.accept_word("INSERT") {
+        if c.accept_word("DATA") {
+            return Ok(Update::InsertData(parse_template(c)?));
         }
-        if self.peek() != &Tok::RParen {
-            args.push(self.parse_expression()?);
-            while self.accept_tok(Tok::Comma) {
-                args.push(self.parse_expression()?);
-            }
-        }
-        self.expect_tok(Tok::RParen)?;
-        Ok(args)
+        // INSERT { t } WHERE { p }
+        let insert = parse_template(c)?;
+        c.expect_word("WHERE")?;
+        let where_clause = parse_group(c)?;
+        return Ok(Update::Modify { delete: Vec::new(), insert, where_clause });
     }
-
-    // --- updates -----------------------------------------------------
-
-    fn parse_update_body(&mut self) -> Result<Update> {
-        if self.accept_word("INSERT") {
-            if self.accept_word("DATA") {
-                return Ok(Update::InsertData(self.parse_template()?));
-            }
-            // INSERT { t } WHERE { p }
-            let insert = self.parse_template()?;
-            self.expect_word("WHERE")?;
-            let where_clause = self.parse_group()?;
-            return Ok(Update::Modify { delete: Vec::new(), insert, where_clause });
+    if c.accept_word("DELETE") {
+        if c.accept_word("DATA") {
+            return Ok(Update::DeleteData(parse_template(c)?));
         }
-        if self.accept_word("DELETE") {
-            if self.accept_word("DATA") {
-                return Ok(Update::DeleteData(self.parse_template()?));
-            }
-            if self.accept_word("WHERE") {
-                return Ok(Update::DeleteWhere(self.parse_template()?));
-            }
-            let delete = self.parse_template()?;
-            let insert = if self.accept_word("INSERT") {
-                self.parse_template()?
-            } else {
-                Vec::new()
-            };
-            self.expect_word("WHERE")?;
-            let where_clause = self.parse_group()?;
-            return Ok(Update::Modify { delete, insert, where_clause });
+        if c.accept_word("WHERE") {
+            return Ok(Update::DeleteWhere(parse_template(c)?));
         }
-        Err(self.err("expected INSERT or DELETE"))
+        let delete = parse_template(c)?;
+        let insert = if c.accept_word("INSERT") { parse_template(c)? } else { Vec::new() };
+        c.expect_word("WHERE")?;
+        let where_clause = parse_group(c)?;
+        return Ok(Update::Modify { delete, insert, where_clause });
     }
+    Err(c.err("expected INSERT or DELETE"))
+}
 
-    fn parse_template(&mut self) -> Result<Vec<TemplateTriple>> {
-        self.expect_tok(Tok::LBrace)?;
-        let mut out = Vec::new();
-        while self.peek() != &Tok::RBrace {
-            if self.accept_tok(Tok::Dot) {
-                continue;
-            }
-            let s = self.parse_var_or_term()?;
-            loop {
-                let p = self.parse_predicate()?;
-                loop {
-                    let o = self.parse_var_or_term()?;
-                    out.push(TemplateTriple { s: s.clone(), p: p.clone(), o });
-                    if !self.accept_tok(Tok::Comma) {
-                        break;
-                    }
-                }
-                if !self.accept_tok(Tok::Semicolon) {
-                    break;
-                }
-                if matches!(self.peek(), Tok::Dot | Tok::RBrace) {
-                    break;
-                }
-            }
-            self.accept_tok(Tok::Dot);
+fn parse_template(c: &mut Cursor) -> Parsed<Vec<TemplateTriple>> {
+    c.expect_tok(&Tok::LBrace)?;
+    let mut out = Vec::new();
+    while !c.accept_tok(&Tok::RBrace) {
+        if !c.accept_tok(&Tok::Dot) {
+            let s = parse_var_or_term(c)?;
+            c.predicate_objects(&s, parse_var_or_term, |s, p, o| out.push(TemplateTriple { s, p, o }))?;
+            c.accept_tok(&Tok::Dot);
         }
-        self.expect_tok(Tok::RBrace)?;
-        Ok(out)
     }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -768,3 +768,23 @@ fn pinned_corpus_matches_the_recorded_answers() {
         }
     }
 }
+
+/// The pinned statements as decoder seeds: each body once, the shared
+/// prologue once.
+fn seed_statements() -> Vec<String> {
+    let mut seeds: Vec<String> = corpus().into_iter().flat_map(|(_, s)| s).map(|s| s.replacen(PREFIXES, "", 1)).collect();
+    seeds.push(PREFIXES.to_string());
+    seeds.sort();
+    seeds.dedup();
+    seeds
+}
+
+#[test]
+fn decoders_answer_every_mangled_statement_with_ok_or_err() {
+    let seeds = seed_statements();
+    let seeds: Vec<&str> = seeds.iter().map(String::as_str).collect();
+    teleios_check::fuzz_text(&seeds, |text| {
+        let _ = teleios_strabon::parser::parse_update(text);
+        teleios_strabon::parser::parse_query(text)
+    });
+}

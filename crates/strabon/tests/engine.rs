@@ -923,3 +923,102 @@ fn replacing_the_store_forgets_its_geometries() {
     assert!(rows[0].contains("elsewhere") && rows[0].contains("POINT (50 50)"), "{rows:?}");
     assert!(served(&mut db, "POLYGON ((21 36, 24 36, 24 39, 21 39, 21 36))").is_empty());
 }
+
+// --- one RDF reader: Turtle and stSPARQL agree on every term ---------
+
+fn triples_of(db: &Strabon) -> Vec<String> {
+    let store = db.store();
+    let mut out: Vec<String> =
+        store.iter().map(|t| format!("{} {} {}", store.term(t.s), store.term(t.p), store.term(t.o))).collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn insert_data_stores_the_terms_turtle_does() {
+    let body = "ex:s ex:p _:b1 , -3 , +5 , 1e3 , 2.50 , 007 , .5 , TRUE ; ex:Πελοπόννησος \"x\"@el .";
+    let mut loaded = Strabon::new();
+    loaded.load_turtle(&format!("@prefix ex: <http://example.org/> .\n{body}")).unwrap();
+    let mut inserted = Strabon::new();
+    inserted.update(&format!("{PREFIXES}INSERT DATA {{ {body} }}")).unwrap();
+    assert_eq!(loaded.len(), 9);
+    assert_eq!(triples_of(&loaded), triples_of(&inserted));
+}
+
+#[test]
+fn numerals_loaded_from_turtle_match_the_same_spelling_in_a_pattern() {
+    let mut db = Strabon::new();
+    db.load_turtle("@prefix ex: <http://example.org/> .\nex:a ex:p 1e3 . ex:b ex:p 2.50 . ex:c ex:p 007 . ex:d ex:p -3 .")
+        .unwrap();
+    for (numeral, subject) in [("1e3", "a"), ("2.50", "b"), ("007", "c"), ("-3", "d")] {
+        let sols = db.query(&format!("{PREFIXES}SELECT ?s WHERE {{ ?s ex:p {numeral} }}")).unwrap();
+        assert_eq!(sols.len(), 1, "{numeral}");
+        assert_eq!(sols.get(0, "s"), Some(&Term::iri(format!("http://example.org/{subject}"))));
+    }
+    // FILTER still compares by value.
+    let sols = db.query(&format!("{PREFIXES}SELECT ?s WHERE {{ ?s ex:p ?v FILTER(?v = 1000) }}")).unwrap();
+    assert_eq!(sols.len(), 1);
+}
+
+#[test]
+fn unicode_local_names_and_blank_nodes_can_be_named_in_a_query() {
+    let mut db = Strabon::new();
+    db.load_turtle("@prefix ex: <http://example.org/> .\nex:Πελοπόννησος ex:p _:b1 .").unwrap();
+    let sols = db.query(&format!("{PREFIXES}SELECT ?o WHERE {{ ex:Πελοπόννησος ex:p ?o }}")).unwrap();
+    assert_eq!(sols.get(0, "o"), Some(&Term::blank("b1")));
+    // In a pattern, `_:b1` is that node, not a variable.
+    let sols = db.query(&format!("{PREFIXES}SELECT ?s WHERE {{ ?s ex:p _:b1 }}")).unwrap();
+    assert_eq!(sols.len(), 1);
+    assert!(db.query(&format!("{PREFIXES}SELECT ?s WHERE {{ ?s ex:p _:b2 }}")).unwrap().is_empty());
+}
+
+#[test]
+fn errors_carry_line_and_column() {
+    let mut db = Strabon::new();
+    let e = db.query("SELECT ?s\nWHERE {\n  ?s ?p }").unwrap_err();
+    assert_eq!(e.to_string(), "parse error at line 3, column 9: expected an RDF term, found RBrace");
+    // Turtle errors keep their position and kind through `load_turtle`.
+    let e = db.load_turtle("<http://x/s>\n  <http://x/p>\n  <http://x/o> ;;").unwrap_err();
+    assert!(matches!(e, teleios_strabon::StrabonError::Parse { line: 3, column: 17, .. }), "{e:?}");
+    let e = db.load_turtle("ex:s ex:p ex:o .").unwrap_err();
+    assert_eq!(e, teleios_strabon::StrabonError::UnknownPrefix("ex".into()));
+}
+
+/// `text` parsed on a fresh default-stack thread.
+fn parses_on_a_default_thread(text: String, update: bool) -> bool {
+    std::thread::spawn(move || {
+        if update {
+            teleios_strabon::parser::parse_update(&text).is_ok()
+        } else {
+            teleios_strabon::parser::parse_query(&text).is_ok()
+        }
+    })
+    .join()
+    .expect("the parser returns instead of overflowing its stack")
+}
+
+#[test]
+fn deeply_nested_queries_are_rejected_not_overflowed() {
+    const DEEP: usize = 100_000;
+    for bomb in [
+        format!("SELECT * WHERE {{ FILTER({}?x) }}", "(".repeat(DEEP)),
+        format!("SELECT * WHERE {{ FILTER({}?x) }}", "!".repeat(DEEP)),
+        format!("SELECT * WHERE {}", "{".repeat(DEEP)),
+    ] {
+        assert!(!parses_on_a_default_thread(bomb, false));
+    }
+    // 64 levels still parse.
+    let ok = format!("SELECT * WHERE {{ FILTER({}?x{}) }}", "(".repeat(60), ")".repeat(60));
+    assert!(parses_on_a_default_thread(ok, false));
+}
+
+#[test]
+fn deeply_nested_updates_are_rejected_not_overflowed() {
+    const DEEP: usize = 100_000;
+    for bomb in [
+        format!("DELETE {{ ?s ?p ?o }} WHERE {{ BIND({}1 AS ?x) }}", "(".repeat(DEEP)),
+        format!("INSERT {{ ?s ?p ?o }} WHERE {}", "{".repeat(DEEP)),
+    ] {
+        assert!(!parses_on_a_default_thread(bomb, true));
+    }
+}

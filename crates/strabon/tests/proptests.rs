@@ -1,6 +1,6 @@
 //! Property-based tests for the stSPARQL engine.
 
-use teleios_check::forall;
+use teleios_check::{forall, Gen};
 use teleios_geo::{Coord, Envelope};
 use teleios_rdf::strdf::geometry_literal_wgs84;
 use teleios_rdf::term::Term;
@@ -196,6 +196,63 @@ fn filter_conjunction_equivalence() {
             assert_eq!(a.len(), b.len());
             let expect = vals.iter().filter(|&&v| v >= lo && v <= hi).count();
             assert_eq!(a.len(), expect);
+        },
+    );
+}
+
+/// One ground term as text, written the way both Turtle and an
+/// `INSERT DATA` body may spell it.
+fn term_text(g: &mut Gen) -> String {
+    const LOCAL: &str = "abcxyzΠελοπόννησος0123_-";
+    const PRINTABLE: &str = "ab \"\\\n\tΠ~#.;,{}<>";
+    match g.below(9) {
+        0 => format!("<http://example.org/{}>", g.string("abcdef0123/#", 1..8)),
+        1 => format!("ex:{}{}", g.string("abcΠε", 1..2), g.string(LOCAL, 0..8)),
+        2 => {
+            let body: String = g.string(PRINTABLE, 0..10);
+            let escaped = body.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n").replace('\t', "\\t");
+            match g.below(3) {
+                0 => format!("\"{escaped}\""),
+                1 => format!("\"{escaped}\"@{}", g.string("abcdefgh", 2..3)),
+                _ => format!("\"{escaped}\"^^ex:{}", g.string(LOCAL, 1..6)),
+            }
+        }
+        3 => format!("{}{}", ["", "-", "+"][g.below(3)], g.string("0123456789", 1..5)),
+        4 => format!("{}{}.{}", ["", "-", "+"][g.below(3)], g.string("0123456789", 0..3), g.string("0123456789", 1..3)),
+        5 => format!("{}e{}{}", g.string("0123456789", 1..3), ["", "-", "+"][g.below(3)], g.string("0123456789", 1..3)),
+        6 => ["true", "false", "TRUE", "False"][g.below(4)].to_string(),
+        7 => format!("_:{}", g.string(LOCAL, 1..6)),
+        _ => format!("ex:p{}", g.below(3)),
+    }
+}
+
+fn image(db: &Strabon) -> Vec<String> {
+    let store = db.store();
+    let mut out: Vec<String> =
+        store.iter().map(|t| format!("{} {} {}", store.term(t.s), store.term(t.p), store.term(t.o))).collect();
+    out.sort();
+    out
+}
+
+/// A triple written as Turtle and the same triple written as
+/// `INSERT DATA` produce the same store: one reader, one meaning.
+#[test]
+fn turtle_and_insert_data_agree_on_generated_triples() {
+    forall(
+        |g| {
+            g.vec(1..6, |g| {
+                let subject = if g.bool() { format!("ex:s{}", g.below(3)) } else { format!("_:n{}", g.below(3)) };
+                let verb = if g.below(4) == 0 { "a".to_string() } else { format!("ex:p{}", g.below(3)) };
+                format!("{subject} {verb} {} .", term_text(g))
+            })
+            .join("\n")
+        },
+        |body| {
+            let mut loaded = Strabon::new();
+            loaded.load_turtle(&format!("@prefix ex: <http://example.org/> .\n{body}")).unwrap();
+            let mut inserted = Strabon::new();
+            inserted.update(&format!("PREFIX ex: <http://example.org/>\nINSERT DATA {{ {body} }}")).unwrap();
+            assert_eq!(image(&loaded), image(&inserted));
         },
     );
 }

@@ -5,7 +5,8 @@
 #   scripts/check.sh           default gate: the above, plus the
 #                              teleios-lint workspace invariants,
 #                              the one-fork-site, one-cell-walker,
-#                              one-statement-prologue and
+#                              one-statement-prologue,
+#                              one-tokenizer-per-family and
 #                              one-vocabulary greps, clippy, the
 #                              E6/E11/E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
@@ -120,6 +121,23 @@ for idiom in 'Env {' 'spatial.invalidate()'; do
         echo "\"$idiom\" appears $sites times outside tests under crates/strabon/src, expected 1" >&2; exit 1
     fi
 done
+
+# Turtle and stSPARQL read through one tokenizer (rdf/syntax.rs), SQL
+# and SciQL through another (monet/sql/lexer.rs): a third `fn tokenize`
+# is a second reader of one family's text, and a `.replace(` in the
+# SciQL parser is a text rewrite that moves error positions off the
+# text the user wrote.
+echo "==> one tokenizer per syntax family"
+for family in rdf:1 monet:1 strabon:0 sciql:0; do
+    dir=${family%%:*} want=${family##*:}
+    sites=$( (grep -rn 'fn tokenize' "crates/$dir/src" --include='*.rs' || true) | wc -l)
+    if [ "$sites" -ne "$want" ]; then
+        echo "\"fn tokenize\" is defined $sites times under crates/$dir/src, expected $want" >&2; exit 1
+    fi
+done
+if grep -nF '.replace(' crates/sciql/src/parser.rs; then
+    echo "crates/sciql/src/parser.rs rewrites its text: lex SciQL with monet's tokenizer as written" >&2; exit 1
+fi
 
 # The lint's blocking / dispatch / poll words live in one table
 # (cfg.rs VOCAB): a second file spelling one of them as a literal has
