@@ -13,7 +13,7 @@
 //!    `Fault::write_fault` on the commit of transaction N+1; recovery
 //!    must land exactly on transaction N's state.
 //! 3. **Domain round-trip** — an RDF triple store, the vault catalog
-//!    + quarantine, and a MonetDB-style table catalog persisted
+//!    and quarantine, and a MonetDB-style table catalog persisted
 //!    through the same backend, crashed, recovered, and compared for
 //!    exact equality via their canonical re-encodings.
 //!
@@ -156,10 +156,10 @@ fn sample_domains(n: u64) -> (TripleStore, VaultCatalog, BTreeSet<String>, Catal
     let mut triples = TripleStore::new();
     for i in 0..n {
         triples.insert_terms(
-            &Term::iri(&format!("http://teleios.example/scene/{i}")),
+            &Term::iri(format!("http://teleios.example/scene/{i}")),
             &Term::iri("http://teleios.example/hasHotspots"),
             &Term::typed_literal(
-                &format!("{}", i % 7),
+                format!("{}", i % 7),
                 "http://www.w3.org/2001/XMLSchema#integer",
             ),
         );

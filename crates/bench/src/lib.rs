@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! Shared fixtures for the TELEIOS experiment suite (E1–E11).
 //!
 //! Every experiment in `EXPERIMENTS.md` builds its workload through the
@@ -31,7 +30,7 @@ pub fn bench_surface(c: Coord) -> SurfaceKind {
 }
 
 /// A deterministic fire scene at the given raster size.
-#[allow(clippy::expect_used)]
+#[expect(clippy::expect_used, reason = "bench fixture; a malformed spec is a programmer error")]
 pub fn fire_scene(size: usize, seed: u64) -> Scene {
     let mut spec = SceneSpec::new(seed, size, size, bench_bbox());
     spec.cloud_cover = 0.02;
@@ -46,7 +45,6 @@ pub fn fire_scene(size: usize, seed: u64) -> Scene {
         radius: 0.06,
         intensity: 0.7,
     });
-    // teleios-lint: allow(no-panic) — bench fixture; a malformed spec is a programmer error
     seviri::generate(&spec, &bench_surface).expect("scene generation")
 }
 

@@ -11,6 +11,7 @@
 //! Cells arrive pre-formatted (`fmt_duration`, `format!("{:.3}", x)`)
 //! because precision is per-experiment; only widths and alignment
 //! live here.
+#![expect(clippy::print_stdout, reason = "this module IS the sanctioned stdout channel")]
 
 /// Cell alignment within a fixed-width column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,14 +47,12 @@ impl Table {
     /// Print the header row (the column names, in the column widths).
     pub fn header(&self) {
         let names: Vec<&str> = self.cols.iter().map(|(n, _, _)| n.as_str()).collect();
-        // teleios-lint: allow(no-println) — this module IS the sanctioned stdout channel
         println!("{}", self.line(&names));
     }
 
     /// Print one data row of pre-formatted cells. Missing trailing
     /// cells print empty; extra cells are ignored.
     pub fn row<S: AsRef<str>>(&self, cells: &[S]) {
-        // teleios-lint: allow(no-println) — this module IS the sanctioned stdout channel
         println!("{}", self.line(cells));
     }
 
@@ -78,19 +77,16 @@ impl Table {
 
 /// Print the experiment headline (followed by a blank line).
 pub fn title(text: &str) {
-    // teleios-lint: allow(no-println) — this module IS the sanctioned stdout channel
     println!("{text}\n");
 }
 
 /// Print a free-form report line (section labels, footnotes).
 pub fn note(text: &str) {
-    // teleios-lint: allow(no-println) — this module IS the sanctioned stdout channel
     println!("{text}");
 }
 
 /// Print a blank separator line.
 pub fn blank() {
-    // teleios-lint: allow(no-println) — this module IS the sanctioned stdout channel
     println!();
 }
 

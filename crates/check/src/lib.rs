@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-check — seeded property testing for the workspace's tests
 //!
 //! [`forall`] runs a property over [`CASES`] generated inputs. A
@@ -18,9 +17,12 @@
 //! );
 //! ```
 //!
-//! [`fuzz_text`] is the byte-level loop for text decoders: seeds cut,
-//! mutated and replaced by random bytes, every input answered with
-//! `Ok` or `Err` — never a panic — inside a time bound.
+//! [`fuzz_bytes`] is the byte-level loop for decoders: seeds cut,
+//! edited and replaced by random bytes, every input answered with
+//! `Ok` or `Err` — never a panic — inside a time bound. Binary formats
+//! get bit flips and extreme length/count fields (re-sealed by the
+//! caller, so a checksum does not stop the input at the door);
+//! [`fuzz_text`] is the same loop with text edits.
 
 use std::fmt::Debug;
 use std::ops::Range;
@@ -106,6 +108,7 @@ pub fn forall<T: Debug>(generate: impl Fn(&mut Gen) -> T, property: impl Fn(T)) 
 
 /// Run `property` on the single input `seed` generates — how a seed
 /// printed by a failing [`forall`] becomes a named regression test.
+#[expect(clippy::panic, reason = "failure reporting channel of the checker itself")]
 pub fn check_seed<T: Debug>(seed: u64, generate: impl Fn(&mut Gen) -> T, property: impl Fn(T)) {
     // Why the input the choices regenerate to fails, or `None`.
     let failure = |gen: &mut Gen| -> Option<String> {
@@ -144,7 +147,6 @@ pub fn check_seed<T: Debug>(seed: u64, generate: impl Fn(&mut Gen) -> T, propert
         i += 1;
     }
     let minimal = generate(&mut Gen::new(seed, Some(choices)));
-    // teleios-lint: allow(no-panic) — failure reporting channel of the checker itself
     panic!(
         "property failed at seed {seed} (re-run it alone with `teleios_check::check_seed({seed}, ..)`)\n\
          minimal counterexample after {runs} shrink runs: {minimal:#?}\n\
@@ -158,44 +160,122 @@ pub fn check_seed<T: Debug>(seed: u64, generate: impl Fn(&mut Gen) -> T, propert
 const STRUCTURAL: [&str; 18] =
     ["(", ")", "{", "}", "[", "]", "\"", "<", ">", ".", ":", "?", "_", "@", "^", "\\", "#", "Π"];
 
-/// The longest one decoder call may take in [`fuzz_text`] — orders of
+/// The values [`Edits::Binary`] writes into every length/count field,
+/// largest first: a decoder that sizes an allocation from one without
+/// a bound then fails on a catchable "capacity overflow" before it can
+/// ask the allocator for terabytes (which aborts the process).
+pub const EDGE_COUNTS: [u64; 4] = [u64::MAX, 1 << 40, u32::MAX as u64, 0];
+
+/// The longest one decoder call may take in [`fuzz_bytes`] — orders of
 /// magnitude above what any seed needs, so only a runaway loop trips it.
 const PER_INPUT: Duration = Duration::from_secs(2);
 
-/// Feed `decode` every byte prefix of every seed, every seed with each
-/// byte replaced by each `STRUCTURAL` string, and [`CASES`] random
-/// byte strings (raw bytes mixed with structural ones) — all decoded to
-/// text lossily. Each call must return, `Ok` or `Err` alike, within
-/// `PER_INPUT`; a panic or an overrun fails with the input that caused it.
-pub fn fuzz_text<T, E>(seeds: &[&str], decode: impl Fn(&str) -> Result<T, E>) {
-    let run = |bytes: &[u8]| {
-        let input = String::from_utf8_lossy(bytes);
-        let started = Instant::now();
-        let returned = catch_unwind(AssertUnwindSafe(|| decode(&input))).is_ok();
-        assert!(returned, "decoder panicked on {input:?}");
-        let took = started.elapsed();
-        assert!(took < PER_INPUT, "decoder took {took:?} on {input:?}");
-    };
-    for seed in seeds.iter().map(|s| s.as_bytes()) {
-        for cut in 0..=seed.len() {
-            run(&seed[..cut]);
-        }
-        for at in 0..seed.len() {
-            for with in STRUCTURAL {
-                run(&[&seed[..at], with.as_bytes(), &seed[at + 1..]].concat());
+/// How [`fuzz_bytes`] edits each byte position of a seed.
+#[derive(Debug, Clone, Copy)]
+pub enum Edits<'a> {
+    /// Binary formats: each single-bit flip, and each [`EDGE_COUNTS`]
+    /// value written there both as a varint (over the varint that
+    /// starts there) and as a little-endian `u32` — so every length or
+    /// count field, wherever it sits, takes every extreme value.
+    Binary,
+    /// Text formats: the byte replaced by each of these strings.
+    Substitute(&'a [&'a str]),
+}
+
+/// LEB128, the varint every store page uses.
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// `seed` with `bytes[at..at + len]` replaced by `with`.
+fn splice(seed: &[u8], at: usize, len: usize, with: &[u8]) -> Vec<u8> {
+    [&seed[..at], with, &seed[at + len..]].concat()
+}
+
+/// Every variant of `seed` with position `at` edited.
+fn edits_at(seed: &[u8], at: usize, edits: Edits<'_>) -> Vec<Vec<u8>> {
+    match edits {
+        Edits::Substitute(with) => with.iter().map(|w| splice(seed, at, 1, w.as_bytes())).collect(),
+        Edits::Binary => {
+            let flips = (0..8).map(|bit| {
+                let mut flipped = seed.to_vec();
+                flipped[at] ^= 1 << bit;
+                flipped
+            });
+            let mut out: Vec<Vec<u8>> = flips.collect();
+            let varint_len = seed[at..].iter().take(10).position(|b| b & 0x80 == 0);
+            for v in EDGE_COUNTS {
+                if let Some(len) = varint_len {
+                    out.push(splice(seed, at, len + 1, &varint(v)));
+                }
+                if at + 4 <= seed.len() {
+                    out.push(splice(seed, at, 4, &(v.min(u32::MAX as u64) as u32).to_le_bytes()));
+                }
             }
+            out
         }
     }
+}
+
+/// Feed `decode` every byte prefix of every seed, every seed with each
+/// byte position edited as `edits` says, and [`CASES`] random byte
+/// strings (raw bytes mixed with the substitution strings, if any) —
+/// each passed through `seal` first, which re-stamps whatever checksum
+/// the format carries so the edit reaches the decoder behind it. Each
+/// call must return, `Ok` or `Err` alike, within `PER_INPUT`; a panic
+/// or an overrun fails with the input that caused it.
+pub fn fuzz_bytes<T, E>(
+    seeds: &[&[u8]],
+    edits: Edits<'_>,
+    seal: impl Fn(&mut [u8]),
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) {
+    let run = |mut bytes: Vec<u8>| {
+        seal(&mut bytes);
+        let started = Instant::now();
+        let returned = catch_unwind(AssertUnwindSafe(|| decode(&bytes))).is_ok();
+        let shown = String::from_utf8_lossy(&bytes);
+        assert!(returned, "decoder panicked on {shown:?} (bytes {bytes:?})");
+        let took = started.elapsed();
+        assert!(took < PER_INPUT, "decoder took {took:?} on {shown:?} (bytes {bytes:?})");
+    };
+    for seed in seeds {
+        for cut in 0..=seed.len() {
+            run(seed[..cut].to_vec());
+        }
+        for at in 0..seed.len() {
+            edits_at(seed, at, edits).into_iter().for_each(&run);
+        }
+    }
+    let pieces = match edits {
+        Edits::Substitute(with) => with,
+        Edits::Binary => &[],
+    };
     for case in 0..CASES {
         let mut g = Gen::new(case, None);
         let bytes: Vec<u8> = (0..g.size(0..64))
-            .flat_map(|_| match g.bool() {
+            .flat_map(|_| match pieces.is_empty() || g.bool() {
                 true => vec![g.below(256) as u8],
-                false => STRUCTURAL[g.below(STRUCTURAL.len())].as_bytes().to_vec(),
+                false => pieces[g.below(pieces.len())].as_bytes().to_vec(),
             })
             .collect();
-        run(&bytes);
+        run(bytes);
     }
+}
+
+/// [`fuzz_bytes`] for text decoders: each byte replaced by each
+/// `STRUCTURAL` string, every input decoded to text lossily.
+pub fn fuzz_text<T, E>(seeds: &[&str], decode: impl Fn(&str) -> Result<T, E>) {
+    let seeds: Vec<&[u8]> = seeds.iter().map(|s| s.as_bytes()).collect();
+    fuzz_bytes(&seeds, Edits::Substitute(&STRUCTURAL), |_| {}, |bytes| {
+        decode(&String::from_utf8_lossy(bytes))
+    });
 }
 
 #[cfg(test)]
@@ -222,6 +302,48 @@ mod tests {
         assert_eq!(cases.get(), CASES);
         // The full i64 range is a legal request.
         forall(|g| g.int(i64::MIN..i64::MAX), |v| assert!(v < i64::MAX));
+    }
+
+    #[test]
+    fn fuzz_bytes_writes_every_edge_count_into_every_field_after_sealing() {
+        // A page of a varint count and a u32 length, then a checksum
+        // byte over both that `seal` re-stamps: the decoder only sees
+        // sealed inputs, and sees each extreme value in each field.
+        let seed = [&varint(3)[..], &7u32.to_le_bytes(), &[0]].concat();
+        let sum = |b: &[u8]| b.iter().fold(0u8, |a, x| a.wrapping_add(*x));
+        let seen = std::cell::RefCell::new((Vec::new(), Vec::new()));
+        fuzz_bytes(
+            &[&seed],
+            Edits::Binary,
+            |b| {
+                if let Some((last, body)) = b.split_last_mut() {
+                    *last = sum(body);
+                }
+            },
+            |b: &[u8]| {
+                let (body, last) = b.split_at(b.len().saturating_sub(1));
+                assert!(last.is_empty() || last[0] == sum(body), "unsealed input {b:?}");
+                let mut seen = seen.borrow_mut();
+                seen.0.push(body.first().copied());
+                if let [3, a, b2, c, d] = body {
+                    seen.1.push(u32::from_le_bytes([*a, *b2, *c, *d]));
+                }
+                Ok::<(), ()>(())
+            },
+        );
+        let (firsts, lens) = seen.into_inner();
+        // u64::MAX and 2^40 as varints start with a continuation byte.
+        assert!(firsts.contains(&Some(0xff)) && firsts.contains(&Some(0x80)));
+        assert!(lens.contains(&u32::MAX) && lens.contains(&0));
+        // A decoder that trusts a count panics — and is reported.
+        let report = failure_report(|| {
+            fuzz_bytes(&[&seed], Edits::Binary, |_| {}, |b: &[u8]| {
+                let n = b.first().map_or(0, |&n| n as usize);
+                let count = if n & 0x80 != 0 { usize::MAX } else { n };
+                Ok::<_, ()>(Vec::<u64>::with_capacity(count).len())
+            })
+        });
+        assert!(report.contains("decoder panicked on"), "{report}");
     }
 
     #[test]

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-core — the Virtual Earth Observatory
 //!
 //! The facade wiring every tier of the TELEIOS architecture (paper

@@ -938,7 +938,7 @@ mod tests {
         let id = obs.acquire_scene(&AcquisitionSpec::small_test(7)).unwrap();
         obs.run_chain(&id, &ProcessingChain::operational()).unwrap();
         let report =
-            obs.refine_products_supervised(&[id.clone()], Duration::ZERO);
+            obs.refine_products_supervised(std::slice::from_ref(&id), Duration::ZERO);
         assert_eq!(report.ok_count(), 0);
         assert_eq!(report.skipped_count(), 1);
         assert!(matches!(

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! TELEIOS morsel-driven parallel execution engine.
 //!
 //! The paper sells the database tier as running "as fast as the

@@ -1,8 +1,7 @@
 //! The workspace's single sanctioned doorway to OS threads.
 //!
-//! The `teleios-lint` L1 rule (`no-thread-spawn`) forbids
-//! `std::thread::{spawn, Builder}` everywhere outside the concurrency
-//! substrate, so long-lived service threads (the resilience deadline
+//! The root `clippy.toml` disallows `std::thread::{spawn, Builder}`
+//! in library code, so long-lived service threads (the resilience deadline
 //! watchdog, future background compactors) are created here: named,
 //! accounted for, and greppable in one place. Data parallelism should
 //! not use this — that is what [`crate::WorkerPool`] is for.
@@ -17,6 +16,7 @@ use std::thread;
 /// attributable. Returns the builder's `io::Result` — callers decide
 /// whether a failed spawn is fatal (the watchdog treats it as
 /// "run without a watchdog" rather than aborting the batch).
+#[expect(clippy::disallowed_types, reason = "the workspace's one doorway to OS threads")]
 pub fn spawn_named<T, F>(name: &str, f: F) -> io::Result<thread::JoinHandle<T>>
 where
     T: Send + 'static,

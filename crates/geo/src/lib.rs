@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-geo — OGC Simple Features geometry substrate
 //!
 //! From-scratch geometry engine used by every spatial component of the

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-linked — synthetic linked open geospatial data
 //!
 //! TELEIOS joins EO product annotations against auxiliary open

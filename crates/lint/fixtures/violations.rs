@@ -1,26 +1,10 @@
-//! Seeded violations for the teleios-lint self-test. Each rule L1–L9
-//! must fire exactly where `FIXTURE_EXPECTED` says — line *and*
-//! column — and nowhere else: the decoys below prove the masking,
-//! whole-token matching, test-region, alias, and allow-marker logic.
+//! Seeded violations for the teleios-lint self-test. Each rule must
+//! fire exactly where `FIXTURE_EXPECTED` says — line *and* column —
+//! and nowhere else: the decoys below prove the masking, test-region
+//! and alias logic.
 
 pub enum FixtureError {
     Broken,
-}
-
-pub fn l1_thread_spawn() {
-    std::thread::spawn(|| {});
-}
-
-pub fn l2_unwrap(v: Option<u8>) -> u8 {
-    v.unwrap()
-}
-
-pub fn l2_panic() {
-    panic!("boom");
-}
-
-pub fn l3_println() {
-    println!("tables go through teleios-bench::report");
 }
 
 pub fn l5_relaxed(flag: &std::sync::atomic::AtomicBool) -> bool {
@@ -42,20 +26,11 @@ impl std::fmt::Display for CoveredError {
 impl std::error::Error for CoveredError {}
 
 pub fn decoy_masked_text() {
-    let _in_string = "thread::spawn(); x.unwrap(); println!(); Ordering::Relaxed";
+    let _in_string = "Ordering::Relaxed; pool.try_run(|| rx.recv())";
     let _quote_char = '"';
-    let _raw = r#"panic!("raw string")"#;
-    // thread::spawn and x.unwrap() in a line comment
-    /* println!("block comment") /* nested: panic!() */ */
-}
-
-pub fn decoy_whole_tokens(v: Option<u8>) -> u8 {
-    v.unwrap_or_else(|| 0)
-}
-
-pub fn decoy_allow_marker() {
-    // teleios-lint: allow(no-panic) — fixture proves suppression works
-    panic!("suppressed by the marker above");
+    let _raw = r#"pub enum RawError { A }"#;
+    // Ordering::Relaxed and rx.recv() in a line comment
+    /* pub enum BlockError { A } /* nested: Ordering::Relaxed */ */
 }
 
 pub fn decoy_lifetime<'a>(x: &'a str) -> &'a str {
@@ -64,22 +39,22 @@ pub fn decoy_lifetime<'a>(x: &'a str) -> &'a str {
 
 #[cfg(test)]
 mod tests {
+    pub enum TestOnlyError {
+        Fine,
+    }
+
     #[test]
     fn decoy_test_code() {
-        let v: Option<u8> = Some(1);
-        assert_eq!(v.unwrap(), 1);
-        println!("fine inside #[cfg(test)]");
+        let pool = super::FixturePool;
+        pool.try_run(|| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        });
     }
 }
 
-// ---- L1 through a renamed import: the old line-pattern core ----
-// ---- could not see that `fixture_thread` is `std::thread`    ----
+// ---- an aliased `std::thread`: L11 below must see through it ----
 
 use std::thread as fixture_thread;
-
-pub fn l1_aliased_spawn() {
-    fixture_thread::spawn(|| {});
-}
 
 // ---- L6: two functions acquire the same locks in opposite order ----
 
@@ -112,31 +87,8 @@ pub fn l7_blocking_dispatch(pool: &FixturePool) {
     });
 }
 
-// ---- L8: Result<_, FixtureError> silently discarded ----
-
 pub fn fixture_fallible() -> Result<u8, FixtureError> {
     Err(FixtureError::Broken)
-}
-
-pub fn l8_swallowed() {
-    let _ = fixture_fallible();
-}
-
-pub fn l8_ok_discard(store: &FixtureStore) {
-    store.refresh().ok();
-}
-
-impl FixtureStore {
-    fn refresh(&self) -> Result<(), FixtureError> {
-        Err(FixtureError::Broken)
-    }
-}
-
-// ---- unused-allow: a stale waiver that suppresses nothing ----
-
-pub fn unused_allow_marker() {
-    // teleios-lint: allow(no-println) — stale: nothing below prints
-    let _count = 3;
 }
 
 // ---- more decoys: still nothing below may fire ----
@@ -152,15 +104,6 @@ pub fn decoy_cancellable_dispatch(pool: &FixturePool, token: &FixtureToken) {
     pool.try_run(|| {
         token.sleep_cancellable(std::time::Duration::from_millis(1));
     });
-}
-
-pub fn decoy_bound_ok() -> Option<u8> {
-    fixture_fallible().ok()
-}
-
-pub fn decoy_question_mark() -> Result<u8, FixtureError> {
-    let _ = fixture_fallible()?;
-    Ok(0)
 }
 
 // ---- L7 through `pool.run`, a second L5; plus dispatch decoys ----
@@ -190,50 +133,6 @@ pub fn decoy_non_pool_run(chain: &FixtureChain) {
     chain.run(|| {
         std::thread::sleep(std::time::Duration::from_millis(1));
     });
-}
-
-// ---- L9: direct filesystem mutation outside crates/store ----
-
-pub fn l9_fs_write(path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, b"bytes")
-}
-
-pub fn l9_file_create(path: &std::path::Path) -> std::io::Result<std::fs::File> {
-    std::fs::File::create(path)
-}
-
-pub fn l9_open_options(path: &std::path::Path) -> std::io::Result<std::fs::File> {
-    std::fs::OpenOptions::new().append(true).open(path)
-}
-
-// ---- L8 on durability barriers: discarded flush/fsync results ----
-
-pub fn l8_swallowed_sync(file: &std::fs::File) {
-    let _ = file.sync_all();
-}
-
-pub fn l8_flush_discard(sink: &mut FixtureSink) {
-    sink.flush().ok();
-}
-
-// ---- decoys: reads stay free; the storage doorway's own writes ----
-// ---- are policy-exempt; a justified export carries its marker  ----
-
-pub fn decoy_fs_read(path: &std::path::Path) -> std::io::Result<Vec<u8>> {
-    std::fs::read(path)
-}
-
-pub fn decoy_marked_export(path: &std::path::Path) -> std::io::Result<()> {
-    // teleios-lint: allow(no-direct-fs) — legacy portal JSON export
-    std::fs::write(path, b"{}")
-}
-
-pub fn decoy_handled_sync(file: &std::fs::File) -> std::io::Result<()> {
-    file.sync_all()
-}
-
-pub fn decoy_bound_flush(sink: &mut FixtureSink) -> Option<()> {
-    sink.flush().ok()
 }
 
 // ---- L10: a transaction opened but not closed on every path ----

@@ -43,7 +43,7 @@
 use crate::lexer::{
     enclosing_block_end, ident_at, is_ident, is_punct, stmt_end, stmt_start, Tok, TokKind,
 };
-use crate::rules::{Diagnostics, FileCtx, Rule};
+use crate::rules::{FileCtx, Finding, Rule};
 use crate::summary::FileSummary;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -982,7 +982,7 @@ fn txn_step(f: &mut TxnFact, ev: &Event) {
     }
 }
 
-pub(crate) fn check_txn_leak(sum: &FileSummary, fi: usize, cfg: &Cfg, diag: &mut Diagnostics) {
+pub(crate) fn check_txn_leak(sum: &FileSummary, cfg: &Cfg, diag: &mut Vec<Finding>) {
     if !cfg
         .blocks
         .iter()
@@ -1011,9 +1011,9 @@ pub(crate) fn check_txn_leak(sum: &FileSummary, fi: usize, cfg: &Cfg, diag: &mut
         }
     }
     for (site, (recv, exit)) in leaks {
-        diag.emit(sum, fi, site, Rule::TxnLeak, format!(
+        diag.push(sum.finding(site, Rule::TxnLeak, format!(
             "`{recv}.begin()` opens a transaction that is still open when the function exits through {exit}: commit or roll back on every path (debug builds enforce this with TxnWitness)"
-        ));
+        )));
     }
 }
 
@@ -1054,7 +1054,7 @@ fn guard_step(f: &mut GuardFact, ev: &Event) {
     }
 }
 
-pub(crate) fn check_guard_blocking(sum: &FileSummary, fi: usize, cfg: &Cfg, diag: &mut Diagnostics) {
+pub(crate) fn check_guard_blocking(sum: &FileSummary, cfg: &Cfg, diag: &mut Vec<Finding>) {
     if !cfg
         .blocks
         .iter()
@@ -1076,10 +1076,10 @@ pub(crate) fn check_guard_blocking(sum: &FileSummary, fi: usize, cfg: &Cfg, diag
                 for (binding, g) in &f {
                     if reported.insert((*off, binding.clone())) {
                         let (line, _) = sum.idx.line_col(g.off);
-                        diag.emit(sum, fi, *off, Rule::GuardAcrossBlocking, format!(
+                        diag.push(sum.finding(*off, Rule::GuardAcrossBlocking, format!(
                             "exclusive guard `{binding}` on `{}` (acquired on line {line}) is still held across {desc}: drop or scope the guard before blocking",
                             g.lock
-                        ));
+                        )));
                     }
                 }
             }
@@ -1101,11 +1101,10 @@ pub(crate) fn has_poll(block: &Block) -> bool {
 /// are exempt; unbounded spinning lives in `loop`/`while`.)
 pub(crate) fn check_loop_polls(
     sum: &FileSummary,
-    fi: usize,
     cfg: &Cfg,
     fn_name: &str,
     entry: &str,
-    diag: &mut Diagnostics,
+    diag: &mut Vec<Finding>,
 ) {
     let preds = cfg.preds();
     for (h, hb) in cfg.blocks.iter().enumerate() {
@@ -1161,9 +1160,9 @@ pub(crate) fn check_loop_polls(
             }
         }
         if backs.iter().any(|b| !out.get(b).copied().unwrap_or(true)) {
-            diag.emit(sum, fi, kw_off, Rule::LoopCancelPoll, format!(
+            diag.push(sum.finding(kw_off, Rule::LoopCancelPoll, format!(
                 "`{kw}` loop in `{fn_name}` runs on a pool-dispatched path (via `{entry}`) but has an iteration path that never polls the CancelToken: call is_cancelled / poll_cancellable / sleep_cancellable on every iteration"
-            ));
+            )));
         }
     }
 }
@@ -1183,7 +1182,7 @@ mod tests {
 
     #[test]
     fn call_shapes_cover_bare_method_and_qualified() {
-        let toks = crate::lexer::lex("fn f() { g(); h.m(); a::b::c(); Vec::new(); x.lock(); }").toks;
+        let toks = crate::lexer::lex("fn f() { g(); h.m(); a::b::c(); Vec::new(); x.lock(); }");
         let shapes: Vec<(&str, Vec<String>, bool)> = (0..toks.len())
             .filter_map(|i| {
                 let (qual, method) = super::call_shape_at(&toks, i)?;
@@ -1367,7 +1366,7 @@ pub fn flush(s: &S, b: &B) {
     drop(g);
 }
 "#;
-        let f = scan_file("x.rs", src, FilePolicy { substrate: true, ..FilePolicy::default() });
+        let f = scan_file("x.rs", src, FilePolicy { substrate: true });
         assert!(f.iter().all(|f| f.rule != Rule::GuardAcrossBlocking));
     }
 

@@ -41,7 +41,7 @@
 //! live in the caller.
 
 use crate::cfg::{self, CallVerdict, Event, Stall};
-use crate::rules::{Diagnostics, Rule};
+use crate::rules::{Finding, Rule};
 use crate::summary::FileSummary;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -71,7 +71,7 @@ const METHOD_COMMON: [&str; 64] = [
 /// wall-clock into `phases` for `--timings`.
 pub(crate) fn link_rules(
     sums: &[FileSummary],
-    diag: &mut Diagnostics,
+    diag: &mut Vec<Finding>,
     phases: &mut Vec<(&'static str, u128)>,
 ) {
     let t = std::time::Instant::now();
@@ -167,13 +167,6 @@ impl<'a> Linker<'a> {
                 for ev in stream {
                     if let Event::Call { qual, .. } = ev {
                         firsts.extend(qual.first().map(String::as_str));
-                    }
-                }
-            }
-            for r in &s.fn_returns {
-                if let Some(qc) = &r.qualified_crate {
-                    if let Some(&m) = members.get(qc.as_str()) {
-                        firsts.push(m);
                     }
                 }
             }
@@ -434,7 +427,7 @@ impl<'a> Linker<'a> {
     /// L6 — build the workspace lock-acquisition graph (edges through
     /// same-crate *and* cross-crate calls) and report every distinct
     /// cycle with `file:line` for each edge.
-    fn lock_order(&self, diag: &mut Diagnostics) {
+    fn lock_order(&self, diag: &mut Vec<Finding>) {
         // Every lock a call into a function may acquire, each with a
         // representative `(file, byte offset)` site.
         type Locks = BTreeMap<String, (usize, usize)>;
@@ -516,7 +509,7 @@ impl<'a> Linker<'a> {
             let &(afi, aoff) = &edges[&(a.clone(), b.clone())];
             let msg =
                 format!("lock-order cycle: {desc} — acquire these locks in one global order");
-            diag.emit(&self.sums[afi], afi, aoff, Rule::LockOrder, msg);
+            diag.push(self.sums[afi].finding(aoff, Rule::LockOrder, msg));
         }
     }
 
@@ -530,7 +523,7 @@ impl<'a> Linker<'a> {
     /// are the sanctioned ways to wait. Task closures are routinely
     /// built into a Vec before the dispatch call, so the whole
     /// dispatching function is the scope that must stay non-blocking.
-    fn cancel_safety(&self, diag: &mut Diagnostics) {
+    fn cancel_safety(&self, diag: &mut Vec<Finding>) {
         // The nearest raw blocking call each function can reach, with
         // the call chain that reaches it.
         let own = |key: FnKey, stream: &[&'a Event]| {
@@ -558,10 +551,10 @@ impl<'a> Linker<'a> {
             } else {
                 format!(" via `{}`", site.chain.join("` -> `"))
             };
-            diag.emit(&self.sums[site.fi], site.fi, site.off, Rule::CancelSafety, format!(
+            diag.push(self.sums[site.fi].finding(site.off, Rule::CancelSafety, format!(
                 "{} blocks a pool-dispatched task (entered from `{entry}`{via}): wait through CancelToken::sleep_cancellable / poll_cancellable so deadlines can interrupt it",
                 site.desc.replace('`', "")
-            ));
+            )));
         };
         for (&key, stream) in &self.streams {
             let dispatch =
@@ -597,7 +590,7 @@ impl<'a> Linker<'a> {
     /// resolved against the workspace facts: a call to a polling fn
     /// becomes a `Poll` event; a cross-crate call to a fn that may
     /// block becomes a `Blocking` event with the primitive described.
-    fn flow_rules(&self, diag: &mut Diagnostics) {
+    fn flow_rules(&self, diag: &mut Vec<Finding>) {
         let cfg_of = |(fi, k): FnKey| self.sums[fi].fns[k].cfg.as_ref();
         // Which fns transitively poll the CancelToken.
         let polls = self.propagate(
@@ -631,7 +624,7 @@ impl<'a> Linker<'a> {
         });
 
         for &key in self.streams.keys() {
-            let (fi, s) = (key.0, &self.sums[key.0]);
+            let s = &self.sums[key.0];
             let Some(cfg) = cfg_of(key) else { continue };
             let resolved_cfg = cfg::resolve_calls(cfg, |name, off| {
                 let targets = self.targets(key, off);
@@ -647,11 +640,11 @@ impl<'a> Linker<'a> {
                     block: inner.map(|on| format!("a call to `{name}` that may block on {on}")),
                 }
             });
-            cfg::check_txn_leak(s, fi, &resolved_cfg, diag);
+            cfg::check_txn_leak(s, &resolved_cfg, diag);
             if !s.policy.substrate {
-                cfg::check_guard_blocking(s, fi, &resolved_cfg, diag);
+                cfg::check_guard_blocking(s, &resolved_cfg, diag);
                 if let Some(Some(entry)) = reach.get(&key) {
-                    cfg::check_loop_polls(s, fi, &resolved_cfg, self.name(key), entry, diag);
+                    cfg::check_loop_polls(s, &resolved_cfg, self.name(key), entry, diag);
                 }
             }
         }

@@ -1,16 +1,13 @@
 //! Token stream over raw source: the shared substrate for every
 //! rule. One pass skips comments and string/char literals — so
-//! `"thread::spawn"` in a string or `panic!` in a doc comment never
-//! tokenizes — and produces idents and punctuation with raw-source
-//! byte offsets and brace nesting depth, plus the span of every `//`
-//! comment. On top of that the module locates `#[cfg(test)]` /
-//! `#[test]` regions, reads `// teleios-lint: allow(<rule>)` markers
-//! out of the comment spans, and resolves `use` aliases
-//! (`use std::thread as t;`) so the rules see through renamed
-//! imports — the false-negative class the original line-pattern core
-//! could not.
+//! `"Ordering::Relaxed"` in a string or `recv()` in a doc comment
+//! never tokenizes — and produces idents and punctuation with
+//! raw-source byte offsets and brace nesting depth. On top of that the
+//! module locates `#[cfg(test)]` / `#[test]` regions and resolves
+//! `use` aliases (`use std::thread as t;`) so the rules see through
+//! renamed imports — the false-negative class the original
+//! line-pattern core could not.
 
-use crate::rules::Rule;
 use std::collections::HashMap;
 
 /// Byte-offset → 1-based line:col mapping.
@@ -28,11 +25,6 @@ impl LineIndex {
             }
         }
         LineIndex { starts }
-    }
-
-    /// Byte offset of the start of 1-based `line`.
-    pub fn line_start(&self, line: usize) -> usize {
-        self.starts.get(line.saturating_sub(1)).copied().unwrap_or(0)
     }
 
     pub fn line_col(&self, off: usize) -> (usize, usize) {
@@ -60,15 +52,6 @@ pub struct Tok<'a> {
     pub kind: TokKind<'a>,
     pub off: usize,
     pub depth: usize,
-}
-
-/// What [`lex`] makes of one file: the code tokens, and the byte span
-/// of every `//` comment (doc comments included) for the allow-marker
-/// reader.
-#[derive(Debug, Default)]
-pub struct Lexed<'a> {
-    pub toks: Vec<Tok<'a>>,
-    pub comments: Vec<(usize, usize)>,
 }
 
 fn is_ident_char(c: u8) -> bool {
@@ -145,20 +128,18 @@ fn prefixed_literal_end(b: &[u8], start: usize, end: usize) -> Option<usize> {
 /// `Ident` — the rules only ever compare against known names, so the
 /// conflation is harmless and keeps the lexer tiny. A raw identifier
 /// `r#type` yields just `type`.
-pub fn lex(src: &str) -> Lexed<'_> {
+pub fn lex(src: &str) -> Vec<Tok<'_>> {
     let b = src.as_bytes();
     let n = b.len();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut depth = 0usize;
     while i < n {
         let c = b[i];
         if c == b'/' && b.get(i + 1) == Some(&b'/') {
-            let start = i;
             while i < n && b[i] != b'\n' {
                 i += 1;
             }
-            out.comments.push((start, i));
             continue;
         }
         if c == b'/' && b.get(i + 1) == Some(&b'*') {
@@ -181,7 +162,7 @@ pub fn lex(src: &str) -> Lexed<'_> {
                 i += 1;
                 continue;
             }
-            out.toks.push(Tok { kind: TokKind::Ident(&src[start..i]), off: start, depth });
+            out.push(Tok { kind: TokKind::Ident(&src[start..i]), off: start, depth });
             continue;
         }
         if c == b'"' {
@@ -205,7 +186,7 @@ pub fn lex(src: &str) -> Lexed<'_> {
             if c == b'}' {
                 depth = depth.saturating_sub(1);
             }
-            out.toks.push(Tok { kind: TokKind::Punct(c), off: i, depth });
+            out.push(Tok { kind: TokKind::Punct(c), off: i, depth });
             if c == b'{' {
                 depth += 1;
             }
@@ -312,39 +293,6 @@ pub fn test_regions(toks: &[Tok<'_>]) -> Vec<(usize, usize)> {
 
 pub fn in_test(regions: &[(usize, usize)], off: usize) -> bool {
     regions.iter().any(|(s, e)| *s <= off && off <= *e)
-}
-
-/// One `// teleios-lint: allow(<name>)` marker. A marker suppresses
-/// findings of its rule on its own line and the next one (so it can
-/// sit on a comment line above a long statement). `rule` is `None`
-/// when the name matches no known rule — those are reported as
-/// `unused-allow` so a typo can't silently waive nothing.
-#[derive(Debug, Clone)]
-pub struct AllowMarker {
-    pub line: usize,
-    pub col: usize,
-    pub rule: Option<Rule>,
-    pub name: String,
-}
-
-/// Read allow markers out of the `//` comment spans [`lex`] recorded.
-/// Only the literal form `// teleios-lint: allow(<name>)` inside an
-/// ordinary line comment counts: doc comments (`///`, `//!`) are
-/// prose, and text inside a string literal is not a comment at all.
-pub fn allow_markers(raw: &str, comments: &[(usize, usize)], idx: &LineIndex) -> Vec<AllowMarker> {
-    const PAT: &str = "// teleios-lint: allow(";
-    let marker = |&(start, end): &(usize, usize)| {
-        let text = &raw[start..end];
-        if text.starts_with("///") || text.starts_with("//!") {
-            return None;
-        }
-        let p = text.find(PAT)?;
-        let after = &text[p + PAT.len()..];
-        let name = &after[..after.find(')')?];
-        let (line, col) = idx.line_col(start + p);
-        Some(AllowMarker { line, col, rule: Rule::from_name(name), name: name.to_string() })
-    };
-    comments.iter().filter_map(marker).collect()
 }
 
 /// `use` declarations of a file, resolved to flat paths: maps each
@@ -575,7 +523,6 @@ mod tests {
 
     fn lexed(src: &str) -> Vec<String> {
         lex(src)
-            .toks
             .into_iter()
             .map(|t| match t.kind {
                 TokKind::Ident(s) => s.to_string(),
@@ -586,7 +533,7 @@ mod tests {
 
     #[test]
     fn idents_and_puncts_with_offsets() {
-        let toks = lex("a.b()").toks;
+        let toks = lex("a.b()");
         assert_eq!(toks.len(), 5);
         assert_eq!(toks[0].off, 0);
         assert_eq!(toks[2].off, 2);
@@ -595,7 +542,7 @@ mod tests {
 
     #[test]
     fn depth_tracks_braces() {
-        let toks = lex("fn f() { let x = { 1 }; }").toks;
+        let toks = lex("fn f() { let x = { 1 }; }");
         // `fn` at depth 0, `x` at depth 1, `1` at depth 2.
         assert_eq!(toks[0].depth, 0);
         let x = toks.iter().find(|t| t.kind == TokKind::Ident("x")).unwrap();
@@ -669,10 +616,8 @@ mod tests {
     #[test]
     fn offsets_are_raw_source_offsets() {
         let src = "let a = \"x\"; // c\nb.unwrap();";
-        let lexed = lex(src);
-        let unwrap = lexed.toks.iter().find(|t| t.kind == TokKind::Ident("unwrap")).unwrap();
+        let unwrap = lex(src).into_iter().find(|t| t.kind == TokKind::Ident("unwrap")).unwrap();
         assert_eq!(Some(unwrap.off), src.find("unwrap"));
-        assert_eq!(lexed.comments, vec![(src.find("//").unwrap(), src.find('\n').unwrap())]);
     }
 
     #[test]
@@ -683,7 +628,7 @@ mod tests {
     #[test]
     fn use_alias_simple_and_renamed() {
         let src = "use std::thread as t;\nuse std::thread::spawn;\n";
-        let toks = lex(src).toks;
+        let toks = lex(src);
         let aliases = use_aliases(&toks);
         assert!(aliases.resolves_to("t", &["std", "thread"]));
         assert!(aliases.resolves_to("spawn", &["std", "thread", "spawn"]));
@@ -693,7 +638,7 @@ mod tests {
     #[test]
     fn use_alias_groups_and_self() {
         let src = "use std::sync::{Arc, Mutex as M, atomic::{AtomicBool, Ordering}};\nuse std::sync::mpsc::{self, Receiver};\n";
-        let aliases = use_aliases(&lex(src).toks);
+        let aliases = use_aliases(&lex(src));
         assert!(aliases.resolves_to("Arc", &["std", "sync", "Arc"]));
         assert!(aliases.resolves_to("M", &["std", "sync", "Mutex"]));
         assert!(aliases.resolves_to("Ordering", &["std", "sync", "atomic", "Ordering"]));
@@ -704,7 +649,7 @@ mod tests {
     #[test]
     fn use_alias_renamed_single_segment_tail() {
         let src = "use alpha::beta as gamma;\n";
-        let aliases = use_aliases(&lex(src).toks);
+        let aliases = use_aliases(&lex(src));
         assert!(aliases.resolves_to("gamma", &["alpha", "beta"]));
         assert_eq!(aliases.resolve("beta"), None, "the original name is not bound");
     }
@@ -712,7 +657,7 @@ mod tests {
     #[test]
     fn use_alias_nested_groups_with_rename() {
         let src = "use a::{b::{c, d as e}, f};\n";
-        let aliases = use_aliases(&lex(src).toks);
+        let aliases = use_aliases(&lex(src));
         assert!(aliases.resolves_to("c", &["a", "b", "c"]));
         assert!(aliases.resolves_to("e", &["a", "b", "d"]));
         assert!(aliases.resolves_to("f", &["a", "f"]));
@@ -722,7 +667,7 @@ mod tests {
     #[test]
     fn glob_imports_recorded_not_bound() {
         let src = "use teleios_store::*;\nuse a::b::{c, d::*};\n";
-        let aliases = use_aliases(&lex(src).toks);
+        let aliases = use_aliases(&lex(src));
         assert_eq!(
             aliases.globs(),
             &[
@@ -737,7 +682,7 @@ mod tests {
     #[test]
     fn pub_use_recorded_as_reexport() {
         let src = "pub use crate::inner::thing;\npub(crate) use a::helper as h;\nuse b::private_thing;\n";
-        let aliases = use_aliases(&lex(src).toks);
+        let aliases = use_aliases(&lex(src));
         let re = aliases.reexports();
         assert_eq!(re.len(), 2, "plain use is not a re-export: {re:?}");
         assert_eq!(re[0].0, "thing");
@@ -753,7 +698,7 @@ mod tests {
     #[test]
     fn pub_use_group_self_as() {
         let src = "pub use a::b::{self as bb, c};\n";
-        let aliases = use_aliases(&lex(src).toks);
+        let aliases = use_aliases(&lex(src));
         assert!(aliases.resolves_to("bb", &["a", "b"]));
         assert!(aliases.resolves_to("c", &["a", "b", "c"]));
         assert_eq!(aliases.resolve("b"), None, "`self as` binds only the alias");
@@ -761,16 +706,9 @@ mod tests {
     }
 
     #[test]
-    fn line_index_maps_offsets_to_lines() {
-        let idx = LineIndex::new("ab\ncd\nef");
-        assert_eq!(idx.line_col(4), (2, 2));
-        assert_eq!(idx.line_start(3), 6);
-    }
-
-    #[test]
     fn use_ranges_cover_the_declaration() {
         let src = "use std::thread as t;\nfn f() { t::spawn(|| {}); }";
-        let toks = lex(src).toks;
+        let toks = lex(src);
         let aliases = use_aliases(&toks);
         // The `thread` token inside the use statement is in-range; the
         // `t` usage in the body is not.
@@ -794,14 +732,14 @@ mod tests {
         // A variable named `use` can't exist, but `use` appearing in a
         // non-item position (masked doc text aside) must not parse.
         let src = "fn f(x: u8) -> u8 { x }";
-        let aliases = use_aliases(&lex(src).toks);
+        let aliases = use_aliases(&lex(src));
         assert_eq!(aliases.resolve("x"), None);
     }
 
     #[test]
     fn stmt_and_block_helpers() {
         let src = "fn f() { let a = g(); h(); }";
-        let toks = lex(src).toks;
+        let toks = lex(src);
         let g = toks.iter().position(|t| t.kind == TokKind::Ident("g")).unwrap();
         let start = stmt_start(&toks, g);
         assert_eq!(ident_at(&toks, start), Some("let"));
@@ -810,41 +748,6 @@ mod tests {
         let close = enclosing_block_end(&toks, g);
         assert!(is_punct(&toks, close, b'}'));
         assert_eq!(close, toks.len() - 1);
-    }
-
-    fn markers_of(src: &str) -> Vec<AllowMarker> {
-        allow_markers(src, &lex(src).comments, &LineIndex::new(src))
-    }
-
-    #[test]
-    fn allow_markers_parse_known_and_unknown() {
-        let src = "fn f() {\n    panic!(\"x\"); // teleios-lint: allow(no-panic) — deliberate\n    // teleios-lint: allow(bogus-rule)\n}\n";
-        let markers = markers_of(src);
-        assert_eq!(markers.len(), 2);
-        assert_eq!(markers[0].line, 2);
-        assert_eq!(markers[0].rule, Some(Rule::NoPanic));
-        assert_eq!(markers[1].line, 3);
-        assert_eq!(markers[1].rule, None);
-        assert_eq!(markers[1].name, "bogus-rule");
-    }
-
-    #[test]
-    fn allow_markers_skip_doc_comments_and_strings() {
-        let doc = "//! usable as `// teleios-lint: allow(no-panic)` markers\nfn f() {}\n";
-        assert!(markers_of(doc).is_empty());
-        let in_string = "fn f() -> &'static str {\n    \"x // teleios-lint: allow(no-panic) y\"\n}\n";
-        assert!(markers_of(in_string).is_empty());
-        // Only the comment counts, whatever quotes precede it on the
-        // line: a `'"'` char literal or an unbalanced quote inside a
-        // raw string must not hide the marker.
-        for src in [
-            "let q = '\"'; let v = x.unwrap(); // teleios-lint: allow(no-panic)\n",
-            "let r = r#\"one \" quote\"#; x.unwrap(); // teleios-lint: allow(no-panic)\n",
-        ] {
-            let m = markers_of(src);
-            assert_eq!(m.len(), 1, "{src}");
-            assert_eq!((m[0].line, m[0].col, m[0].rule), (1, src.find("//").unwrap() + 1, Some(Rule::NoPanic)));
-        }
     }
 
     #[test]

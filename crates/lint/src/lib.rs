@@ -1,63 +1,55 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-lint — the workspace invariant checker
 //!
-//! The TELEIOS crates rely on a handful of architectural invariants
-//! that ordinary compilation cannot enforce: all parallelism flows
-//! through `teleios-exec`, library code never panics or prints, every
-//! public error enum is a real `std::error::Error`, atomics stay
-//! sequentially consistent outside the substrate (so the
-//! `teleios-loom` model checker's SeqCst model stays faithful), locks
-//! are acquired in one global order, and pool-dispatched work stays
-//! cancellable. This crate turns those conventions into a mechanical
-//! gate: a pure-std scanner in four stages. **Lex** ([`lexer`]): one
-//! pass over the raw source yields the token stream — comments and
-//! string/char literals skipped, `//` comment spans kept for the
-//! allow markers — and resolves `use` aliases. **Events** (`cfg`):
-//! each function body becomes a control-flow graph whose blocks hold
-//! its event stream — locks acquired, blocking calls, pool dispatches,
-//! `CancelToken` polls, txn begin/commit, call sites — recognized in
-//! one place. **Summarize** ([`summary`]) is per-file and pure: the
-//! local token rules plus those per-function CFGs and the file's
-//! imports/re-exports; the scan runs it once per file, serially (a
-//! cold pass over the whole workspace is a few percent of the
-//! check.sh budget). **Link** (`interproc`) resolves every call site
-//! once into a workspace-wide call graph — `pub use` re-export chains
-//! chased to the defining crate — closes the cross-crate facts over it
-//! with one worklist fixpoint (crate-dependency cycles included), and
-//! runs the interprocedural rules, reporting violations as
-//! `path:line:col` diagnostics.
+//! The TELEIOS crates rely on a handful of architectural invariants.
+//! Each has exactly one checker. Those the compiler can see by type —
+//! OS threads only through `teleios-exec`, the filesystem only through
+//! `teleios-store`'s `Medium`, no panics, prints or discarded `Result`s
+//! in library code — are clippy's: the root `clippy.toml` plus the lint
+//! list `scripts/check.sh` runs as `cargo clippy --workspace --lib`,
+//! with `#[expect(lint, reason = "…")]` for a deliberate site. This
+//! crate keeps the rest: the rules that need the workspace call graph
+//! (locks acquired in one global order, pool-dispatched work that
+//! stays cancellable, transactions closed on every path) and the two
+//! clippy has no lint for (public error enums that are real
+//! `std::error::Error`s, atomics that stay sequentially consistent
+//! outside the substrate so the `teleios-loom` model checker's SeqCst
+//! model stays faithful).
 //!
-//! Rules (stable names usable in `// teleios-lint: allow(<name>)`):
+//! It is a pure-std scanner in four stages. **Lex** ([`lexer`]): one
+//! pass over the raw source yields the token stream — comments and
+//! string/char literals skipped — and resolves `use` aliases.
+//! **Events** (`cfg`): each function body becomes a control-flow graph
+//! whose blocks hold its event stream — locks acquired, blocking
+//! calls, pool dispatches, `CancelToken` polls, txn begin/commit, call
+//! sites — recognized in one place. **Summarize** ([`summary`]) is
+//! per-file and pure: the local rules plus those per-function CFGs and
+//! the file's imports/re-exports; the scan runs it once per file,
+//! serially. **Link** (`interproc`) resolves every call site once into
+//! a workspace-wide call graph — `pub use` re-export chains chased to
+//! the defining crate — closes the cross-crate facts over it with one
+//! worklist fixpoint (crate-dependency cycles included), and runs the
+//! interprocedural rules, reporting violations as `path:line:col`
+//! diagnostics.
 //!
 //! | rule               | invariant                                             |
 //! |--------------------|-------------------------------------------------------|
-//! | `no-thread-spawn`  | L1: no `std::thread::{spawn, Builder}` outside the substrate crates — aliases included |
-//! | `no-panic`         | L2: no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in library code |
-//! | `no-println`       | L3: no `println!`/`eprintln!` in library code          |
 //! | `error-impls`      | L4: public `*Error` enums implement `Display` + `Error` |
 //! | `no-relaxed`       | L5: no `Ordering::Relaxed` outside `crates/exec` — aliases included |
-//! | `crate-attrs`      | crate roots carry `forbid(unsafe_code)` + clippy denies |
+//! | `crate-attrs`      | crate roots carry `#![forbid(unsafe_code)]`           |
 //! | `lock-order`       | L6: the workspace-wide lock-acquisition graph is acyclic — cycles may span crates |
 //! | `cancel-safety`    | L7: pool-dispatched closures block only through `sleep_cancellable` / `poll_cancellable` — call chains followed across crate boundaries |
-//! | `swallowed-result` | L8: no `let _ =` / `.ok()` discarding a workspace `*Error` Result — nor a `flush`/`sync_all`/`sync_data` barrier's result |
-//! | `no-direct-fs`     | L9: no direct `std::fs` mutation / `File::create` / `OpenOptions` outside `crates/store` — disk goes through the storage `Medium` |
 //! | `txn-leak`         | L10: every `begin()` reaches `commit()`/`rollback()` on every path out of the function, `?`-exits included (path-sensitive, `cfg.rs`) |
 //! | `guard-across-blocking` | L11: no exclusive lock guard live across pool dispatch, `sleep_cancellable`, an fsync barrier, or a WAL commit |
 //! | `loop-cancel-poll` | L12: `loop`/`while` on a pool-dispatched path polls the `CancelToken` on every iteration path |
-//! | `unused-allow`     | warning: an allow marker that suppresses nothing       |
 //!
-//! Exemptions are structural, not ad-hoc: `crates/exec` and
-//! `crates/loom` may own threads, relaxed atomics, and raw blocking
-//! waits (L1/L5/L7); binary, bench, and example targets may print and
-//! fail fast (L2/L3) since a driver aborting on a setup error is
-//! correct behavior; `crates/store` — the storage engine whose
-//! `Medium` is everyone else's doorway to disk — may mutate the
-//! filesystem (L9); `#[cfg(test)]` code may do all of the above.
-//! Deliberate single-site exceptions in library code take a
-//! `// teleios-lint: allow(<rule>)` marker on the same line or the
-//! line above — and a marker that stops matching anything is itself
-//! reported (`unused-allow`), so stale waivers can't accumulate.
+//! (L1 `no-thread-spawn`, L2 `no-panic`, L3 `no-println`, L8
+//! `swallowed-result` and L9 `no-direct-fs` moved to clippy.)
+//!
+//! Exemptions are structural: `crates/exec` and `crates/loom` may use
+//! relaxed atomics and raw blocking waits (L5/L7/L11/L12), and
+//! `#[cfg(test)]` code is exempt from every rule but L5. There are no
+//! waiver markers: a rule that fires is fixed, not suppressed.
 
 pub(crate) mod cfg;
 pub(crate) mod interproc;
@@ -113,32 +105,18 @@ pub const XCRATE_EXPECTED: &[(&str, usize, usize, Rule)] = &[
 /// rule that stopped firing or started firing in the wrong place.
 pub const FIXTURE_EXPECTED: &[(usize, usize, Rule)] = &[
     (1, 1, Rule::CrateAttrs),
-    (1, 1, Rule::CrateAttrs),
     (6, 1, Rule::ErrorImpls),
-    (11, 10, Rule::NoThreadSpawn),
-    (15, 7, Rule::NoPanic),
-    (19, 5, Rule::NoPanic),
-    (23, 5, Rule::NoPrintln),
-    (27, 34, Rule::NoRelaxed),
-    (81, 5, Rule::NoThreadSpawn),
-    (94, 23, Rule::LockOrder),
-    (111, 14, Rule::CancelSafety),
-    (122, 13, Rule::SwallowedResult),
-    (126, 21, Rule::SwallowedResult),
-    (138, 5, Rule::UnusedAllow),
-    (170, 14, Rule::CancelSafety),
-    (175, 33, Rule::NoRelaxed),
-    (198, 10, Rule::NoDirectFs),
-    (202, 14, Rule::NoDirectFs),
-    (206, 14, Rule::NoDirectFs),
-    (212, 18, Rule::SwallowedResult),
-    (216, 18, Rule::SwallowedResult),
-    (250, 5, Rule::TxnLeak),
-    (255, 5, Rule::TxnLeak),
-    (302, 10, Rule::GuardAcrossBlocking),
-    (308, 5, Rule::GuardAcrossBlocking),
-    (338, 5, Rule::LoopCancelPoll),
-    (344, 5, Rule::LoopCancelPoll),
+    (11, 34, Rule::NoRelaxed),
+    (69, 23, Rule::LockOrder),
+    (86, 14, Rule::CancelSafety),
+    (113, 14, Rule::CancelSafety),
+    (118, 33, Rule::NoRelaxed),
+    (149, 5, Rule::TxnLeak),
+    (154, 5, Rule::TxnLeak),
+    (201, 10, Rule::GuardAcrossBlocking),
+    (207, 5, Rule::GuardAcrossBlocking),
+    (237, 5, Rule::LoopCancelPoll),
+    (243, 5, Rule::LoopCancelPoll),
 ];
 
 fn fixture_file(label: &str, raw: &str, crate_name: &str, is_crate_root: bool) -> SourceFile {
@@ -232,23 +210,8 @@ mod tests {
     fn fixture_covers_every_rule() {
         let rules: std::collections::HashSet<Rule> =
             FIXTURE_EXPECTED.iter().map(|(_, _, r)| *r).collect();
-        for rule in [
-            Rule::NoThreadSpawn,
-            Rule::NoPanic,
-            Rule::NoPrintln,
-            Rule::ErrorImpls,
-            Rule::NoRelaxed,
-            Rule::CrateAttrs,
-            Rule::LockOrder,
-            Rule::CancelSafety,
-            Rule::SwallowedResult,
-            Rule::NoDirectFs,
-            Rule::TxnLeak,
-            Rule::GuardAcrossBlocking,
-            Rule::LoopCancelPoll,
-            Rule::UnusedAllow,
-        ] {
-            assert!(rules.contains(&rule), "fixture misses {}", rule.name());
+        for (rule, name) in Rule::ALL {
+            assert!(rules.contains(&rule), "fixture misses {name}");
         }
     }
 
@@ -267,46 +230,12 @@ mod tests {
 
     #[test]
     fn rule_names_round_trip() {
-        for rule in [
-            Rule::NoThreadSpawn,
-            Rule::NoPanic,
-            Rule::NoPrintln,
-            Rule::ErrorImpls,
-            Rule::NoRelaxed,
-            Rule::CrateAttrs,
-            Rule::LockOrder,
-            Rule::CancelSafety,
-            Rule::SwallowedResult,
-            Rule::NoDirectFs,
-            Rule::TxnLeak,
-            Rule::GuardAcrossBlocking,
-            Rule::LoopCancelPoll,
-            Rule::UnusedAllow,
-        ] {
-            assert_eq!(Rule::from_name(rule.name()), Some(rule));
+        for (rule, name) in Rule::ALL {
+            assert_eq!(rule.name(), name);
+            assert_eq!(Rule::from_name(name), Some(rule));
         }
         assert_eq!(Rule::from_name("no-such-rule"), None);
-    }
-
-    #[test]
-    fn only_unused_allow_is_a_warning() {
-        assert!(Rule::UnusedAllow.is_warning());
-        for rule in [
-            Rule::NoThreadSpawn,
-            Rule::NoPanic,
-            Rule::NoPrintln,
-            Rule::ErrorImpls,
-            Rule::NoRelaxed,
-            Rule::CrateAttrs,
-            Rule::LockOrder,
-            Rule::CancelSafety,
-            Rule::SwallowedResult,
-            Rule::NoDirectFs,
-            Rule::TxnLeak,
-            Rule::GuardAcrossBlocking,
-            Rule::LoopCancelPoll,
-        ] {
-            assert!(!rule.is_warning(), "{} must be an error", rule.name());
-        }
+        // The rules clippy took over are gone, not renamed.
+        assert_eq!(Rule::from_name("no-panic"), None);
     }
 }

@@ -1,10 +1,9 @@
 #![forbid(unsafe_code)]
-//! Driver: `teleios-lint [--root <path>] [--self-test] [--strict]
+//! Driver: `teleios-lint [--root <path>] [--self-test]
 //! [--format human|json|github] [--timings]`.
 //!
 //! Default mode scans every workspace member and exits non-zero on
-//! any violated invariant (warnings — `unused-allow` — fail only
-//! under `--strict`); `--self-test` runs the analyzer over the seeded
+//! any violated invariant; `--self-test` runs the analyzer over the seeded
 //! fixtures — the single-file crate and the two-crate cross-crate
 //! workspace — and verifies each rule fires at its exact
 //! `file:line:col` (and that the decoys stay silent). `--timings`
@@ -12,7 +11,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use teleios_lint::{Finding, ScanStats};
+use teleios_lint::{Finding, Rule, ScanStats};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -23,7 +22,7 @@ enum Format {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: teleios-lint [--root <workspace-dir>] [--self-test] [--strict] \
+        "usage: teleios-lint [--root <workspace-dir>] [--self-test] \
          [--format human|json|github] [--timings]"
     );
     ExitCode::from(2)
@@ -58,7 +57,6 @@ fn print_timings(stats: &ScanStats) {
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut self_test = false;
-    let mut strict = false;
     let mut format = Format::Human;
     let mut timings = false;
     let mut args = std::env::args().skip(1);
@@ -69,7 +67,6 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--self-test" => self_test = true,
-            "--strict" => strict = true,
             "--format" => match args.next().as_deref() {
                 Some("human") => format = Format::Human,
                 Some("json") => format = Format::Json,
@@ -81,8 +78,7 @@ fn main() -> ExitCode {
                 println!("teleios-lint: TELEIOS workspace invariant checker");
                 println!();
                 println!("  --root <dir>          workspace root (default: walk up from cwd)");
-                println!("  --self-test           verify rules L1-L12 + crate-attrs fire on the seeded fixtures (single-file + cross-crate)");
-                println!("  --strict              treat warnings (unused-allow) as errors");
+                println!("  --self-test           verify every rule fires on the seeded fixtures (single-file + cross-crate)");
                 println!("  --format <fmt>        human (default) | json | github annotations");
                 println!("  --timings             per-phase/per-rule wall-clock on stderr");
                 return ExitCode::SUCCESS;
@@ -134,29 +130,20 @@ fn main() -> ExitCode {
             if timings {
                 print_timings(&stats);
             }
-            let errors = findings.iter().filter(|f| !f.rule.is_warning()).count();
-            let warnings = findings.len() - errors;
-            let failed = errors > 0 || (strict && warnings > 0);
             if findings.is_empty() {
                 if format == Format::Json {
                     println!("[]");
                 } else {
-                    println!("teleios-lint: workspace clean ({file_count} files, 13 rules)");
+                    let rules = Rule::ALL.len();
+                    println!("teleios-lint: workspace clean ({file_count} files, {rules} rules)");
                 }
                 return ExitCode::SUCCESS;
             }
             render(&findings, format);
             if format != Format::Json {
-                eprintln!(
-                    "teleios-lint: {errors} error(s), {warnings} warning(s) across {file_count} files{}",
-                    if failed { "" } else { " — warnings don't fail the gate (use --strict)" }
-                );
+                eprintln!("teleios-lint: {} error(s) across {file_count} files", findings.len());
             }
-            if failed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
+            ExitCode::FAILURE
         }
         Err(e) => {
             eprintln!("teleios-lint: io error: {e}");

@@ -27,7 +27,8 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// The findings as a JSON array (`[]` when empty) — one object per
-/// finding with `path`/`line`/`col`/`rule`/`severity`/`message`.
+/// finding with `path`/`line`/`col`/`rule`/`severity`/`message`
+/// (every finding is an error; the key stays for consumers).
 pub fn to_json(findings: &[Finding]) -> String {
     if findings.is_empty() {
         return "[]".to_string();
@@ -36,12 +37,11 @@ pub fn to_json(findings: &[Finding]) -> String {
         .iter()
         .map(|f| {
             format!(
-                "  {{\"path\":\"{}\",\"line\":{},\"col\":{},\"rule\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"}}",
+                "  {{\"path\":\"{}\",\"line\":{},\"col\":{},\"rule\":\"{}\",\"severity\":\"error\",\"message\":\"{}\"}}",
                 json_escape(&f.path),
                 f.line,
                 f.col,
                 f.rule.name(),
-                f.severity(),
                 json_escape(&f.msg)
             )
         })
@@ -63,8 +63,7 @@ fn github_escape_property(s: &str) -> String {
 /// diff when printed from a CI step.
 pub fn github_annotation(f: &Finding) -> String {
     format!(
-        "::{} file={},line={},col={},title=teleios-lint {}::{}",
-        f.severity(),
+        "::error file={},line={},col={},title=teleios-lint {}::{}",
         github_escape_property(&f.path),
         f.line,
         f.col,
@@ -83,7 +82,7 @@ mod tests {
             path: path.to_string(),
             line: 3,
             col: 7,
-            rule: Rule::NoPanic,
+            rule: Rule::NoRelaxed,
             msg: msg.to_string(),
         }
     }
@@ -105,7 +104,7 @@ mod tests {
         assert!(out.ends_with("\n]"));
         assert!(out.contains(r#""path":"crates\\x\\src/lib.rs""#), "{out}");
         assert!(out.contains(r#""message":"uses \"quotes\"""#), "{out}");
-        assert!(out.contains(r#""rule":"no-panic""#));
+        assert!(out.contains(r#""rule":"no-relaxed""#));
         assert!(out.contains(r#""severity":"error""#));
         assert!(out.contains(r#""line":3"#));
         assert!(out.contains(r#""col":7"#));
@@ -122,7 +121,7 @@ mod tests {
         let out = github_annotation(&finding("a.rs", "50% done\nnext"));
         assert_eq!(
             out,
-            "::error file=a.rs,line=3,col=7,title=teleios-lint no-panic::50%25 done%0Anext"
+            "::error file=a.rs,line=3,col=7,title=teleios-lint no-relaxed::50%25 done%0Anext"
         );
         let out = github_annotation(&finding("odd,name:x.rs", "m"));
         assert!(out.contains("file=odd%2Cname%3Ax.rs"), "{out}");

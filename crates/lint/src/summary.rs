@@ -2,7 +2,7 @@
 //! of every other file — to a self-contained [`FileSummary`].
 //!
 //! The summary carries two kinds of material. The *local* findings
-//! (per-token rules, L4, crate attributes) are final: they never
+//! (L5, L4, crate attributes) are final: they never
 //! change whatever the rest of the workspace looks like. The *effect*
 //! material (one event stream per function — lock acquisitions, call
 //! sites, blocking sites, pool dispatches, polls — held in its CFG,
@@ -14,18 +14,15 @@
 //! serial pass over the files followed by one link.
 
 use crate::cfg::{self, Cfg};
-use crate::lexer::{self, ident_at, in_test, is_ident, is_punct, AllowMarker, LineIndex, Tok};
-use crate::rules::{self, FileCtx, FilePolicy, Finding, LocalSink, SourceFile};
-use std::collections::BTreeSet;
+use crate::lexer::{self, ident_at, in_test, is_ident, is_punct, LineIndex, Tok};
+use crate::rules::{self, FileCtx, FilePolicy, Finding, Rule, SourceFile};
 
-/// One `fn` item: its name, the token index of the name, the token
-/// range of its `{...}` body (absent for trait declarations), and the
-/// index of the body-open `{` / terminating `;` (the signature end).
+/// One `fn` item: its name, the token index of the name, and the token
+/// range of its `{...}` body (absent for trait declarations).
 pub(crate) struct FnDef {
     pub name: String,
     pub name_idx: usize,
     pub body: Option<(usize, usize)>,
-    pub sig_end: usize,
 }
 
 /// Every `fn` item in a token stream, at any nesting depth.
@@ -35,18 +32,12 @@ pub(crate) fn extract_fns(toks: &[Tok<'_>]) -> Vec<FnDef> {
         // `fn(u8) -> u8` pointer types have no name.
         let (true, Some(name)) = (is_ident(toks, i, "fn"), ident_at(toks, i + 1)) else { continue };
         let d = toks[i].depth;
-        let mut sig_end = toks.len();
         let mut body = None;
         for j in i + 2..toks.len() {
-            if toks[j].depth < d {
-                break;
-            }
-            if toks[j].depth == d && is_punct(toks, j, b';') {
-                sig_end = j;
+            if toks[j].depth < d || (toks[j].depth == d && is_punct(toks, j, b';')) {
                 break;
             }
             if toks[j].depth == d && is_punct(toks, j, b'{') {
-                sig_end = j;
                 let close = (j + 1..toks.len())
                     .find(|&k| is_punct(toks, k, b'}') && toks[k].depth == d)
                     .unwrap_or(toks.len().saturating_sub(1));
@@ -54,38 +45,9 @@ pub(crate) fn extract_fns(toks: &[Tok<'_>]) -> Vec<FnDef> {
                 break;
             }
         }
-        fns.push(FnDef { name: name.to_string(), name_idx: i + 1, body, sig_end });
+        fns.push(FnDef { name: name.to_string(), name_idx: i + 1, body });
     }
     fns
-}
-
-/// The raw return-type facts of one function, resolved against the
-/// workspace `*Error` enum set at link time (L8).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FnReturn {
-    pub name: String,
-    /// `*Error`-suffixed idents in the return region, in order.
-    pub err_idents: Vec<String>,
-    /// Returns a bare (crate-alias) `Result<..>`.
-    pub bare_result: bool,
-    /// Returns `teleios_<crate>::Result<..>` — the crate.
-    pub qualified_crate: Option<String>,
-}
-
-/// How a candidate L8 site discards its `Result`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum SwallowKind {
-    LetUnderscore,
-    OkDiscard,
-}
-
-/// A candidate L8 site, judged against the workspace return index at
-/// link time.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SwallowCand {
-    pub kind: SwallowKind,
-    pub off: usize,
-    pub callee: String,
 }
 
 /// Everything the interprocedural rules need to know about one
@@ -109,17 +71,8 @@ pub(crate) struct FileSummary {
     pub crate_name: String,
     pub policy: FilePolicy,
     pub idx: LineIndex,
-    /// Byte ranges of `#[cfg(test)]` regions.
-    pub regions: Vec<(usize, usize)>,
-    pub markers: Vec<AllowMarker>,
-    /// Local findings, already filtered through this file's markers.
+    /// Findings of the per-file rules (L4, L5, crate attributes).
     pub local: Vec<Finding>,
-    /// Markers consumed by local findings.
-    pub used_markers: BTreeSet<usize>,
-    pub swallows: Vec<SwallowCand>,
-    pub error_enums: Vec<String>,
-    pub type_aliases: Vec<(String, Vec<String>)>,
-    pub fn_returns: Vec<FnReturn>,
     pub fns: Vec<FnEffects>,
     /// `mod x;` / `mod x { .. }` declarations — lets a
     /// module-qualified same-crate call (`wal::replay()`) resolve.
@@ -133,12 +86,19 @@ pub(crate) struct FileSummary {
     pub globs: Vec<Vec<String>>,
 }
 
+impl FileSummary {
+    /// The finding for `rule` at byte offset `off` of this file.
+    pub(crate) fn finding(&self, off: usize, rule: Rule, msg: String) -> Finding {
+        Finding::at(&self.label, &self.idx, off, rule, msg)
+    }
+}
+
 /// Summarize one file: run the local rules and extract the effect
 /// material. Pure — reads nothing but `file`.
 pub(crate) fn summarize(file: &SourceFile) -> FileSummary {
-    let lexed = lexer::lex(&file.raw);
-    let toks = lexed.toks;
+    let toks = lexer::lex(&file.raw);
     let ctx = FileCtx {
+        label: &file.label,
         raw: &file.raw,
         idx: LineIndex::new(&file.raw),
         regions: lexer::test_regions(&toks),
@@ -146,15 +106,12 @@ pub(crate) fn summarize(file: &SourceFile) -> FileSummary {
         toks: &toks,
         policy: file.policy,
     };
-    let markers = lexer::allow_markers(&file.raw, &lexed.comments, &ctx.idx);
-
-    let mut sink = LocalSink::new(&file.label, &ctx.idx, &markers);
-    rules::token_rules(&ctx, &mut sink);
-    rules::error_impls(&ctx, &mut sink);
+    let mut local = Vec::new();
+    rules::no_relaxed(&ctx, &mut local);
+    rules::error_impls(&ctx, &mut local);
     if file.is_crate_root {
-        rules::crate_attrs(&ctx, &mut sink);
+        rules::crate_attrs(&ctx, &mut local);
     }
-    let (local, used_markers) = sink.into_parts();
 
     let defs = extract_fns(&toks);
     let fns: Vec<FnEffects> = defs
@@ -168,9 +125,6 @@ pub(crate) fn summarize(file: &SourceFile) -> FileSummary {
         })
         .collect();
 
-    let fn_returns: Vec<FnReturn> =
-        defs.iter().filter_map(|f| rules::fn_return_raw(&ctx, f)).collect();
-
     let mut mods = Vec::new();
     for i in 0..toks.len() {
         if is_ident(&toks, i, "mod")
@@ -182,29 +136,19 @@ pub(crate) fn summarize(file: &SourceFile) -> FileSummary {
         }
     }
 
-    let error_enums = rules::collect_error_enums(&ctx);
-    let type_aliases = rules::collect_type_aliases(&ctx);
-    let swallows = rules::swallow_candidates(&ctx);
     let mut imports: Vec<(String, Vec<String>)> =
         ctx.aliases.entries().map(|(k, v)| (k.clone(), v.clone())).collect();
     imports.sort();
     let reexports = ctx.aliases.reexports().to_vec();
     let globs = ctx.aliases.globs().to_vec();
-    let FileCtx { idx, regions, .. } = ctx;
+    let FileCtx { idx, .. } = ctx;
 
     FileSummary {
         label: file.label.clone(),
         crate_name: file.crate_name.clone(),
         policy: file.policy,
         idx,
-        regions,
-        markers,
         local,
-        used_markers,
-        swallows,
-        error_enums,
-        type_aliases,
-        fn_returns,
         fns,
         mods,
         imports,
@@ -229,7 +173,7 @@ mod tests {
 
     #[test]
     fn extract_fns_names_and_bodies() {
-        let toks = lexer::lex("fn a() { b(); }\nimpl S {\n    fn m(&self) -> u8 { 0 }\n}\ntrait T { fn decl(&self); }").toks;
+        let toks = lexer::lex("fn a() { b(); }\nimpl S {\n    fn m(&self) -> u8 { 0 }\n}\ntrait T { fn decl(&self); }");
         let fns = extract_fns(&toks);
         let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["a", "m", "decl"]);

@@ -2,8 +2,7 @@
 //! crates, derive each file's [`FilePolicy`] from where it lives,
 //! summarize every file in walk order, and link the summaries so the
 //! interprocedural rules (lock-order, cancel-safety, the
-//! path-sensitive flow rules, swallowed-result) see the whole
-//! workspace at once. The scan is serial: a cold pass over the whole
+//! path-sensitive flow rules) see the whole workspace at once. The scan is serial: a cold pass over the whole
 //! workspace costs about 1 % of the check.sh budget (EXPERIMENTS.md,
 //! "E13b (retired)").
 
@@ -13,14 +12,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Crates allowed to own OS threads and relaxed atomics: the
-/// concurrency substrate itself and the model checker that spawns
-/// real threads to control modeled ones.
+/// Crates allowed relaxed atomics and raw blocking waits: the
+/// concurrency substrate itself and the model checker that runs real
+/// threads to control modeled ones.
 const SUBSTRATE_CRATES: &[&str] = &["exec", "loom"];
-
-/// The one crate allowed to mutate the filesystem directly: the
-/// storage engine whose `Medium` is everyone else's doorway to disk.
-const FS_DOORWAY_CRATES: &[&str] = &["store"];
 
 /// Walk upward from `start` to the directory whose `Cargo.toml`
 /// declares `[workspace]`.
@@ -76,19 +71,6 @@ fn rel_label(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-fn policy_for(crate_name: &str, label: &str) -> FilePolicy {
-    FilePolicy {
-        substrate: SUBSTRATE_CRATES.contains(&crate_name),
-        fs_doorway: FS_DOORWAY_CRATES.contains(&crate_name),
-        bin_target: label.contains("/src/bin/")
-            || label.starts_with("src/bin/")
-            || label.ends_with("src/main.rs")
-            || label.contains("/benches/")
-            || label.starts_with("benches/")
-            || label.contains("/examples/")
-            || label.starts_with("examples/"),
-    }
-}
 
 /// A workspace member: its short name and directory.
 struct Member {
@@ -142,7 +124,7 @@ fn enumerate(root: &Path) -> io::Result<Vec<SourceFile>> {
             }
             sources.push(SourceFile {
                 raw: fs::read_to_string(&file)?,
-                policy: policy_for(&member.name, &label),
+                policy: FilePolicy { substrate: SUBSTRATE_CRATES.contains(&member.name.as_str()) },
                 is_crate_root: file == crate_root,
                 crate_name: member.name.clone(),
                 label,

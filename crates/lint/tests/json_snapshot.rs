@@ -7,8 +7,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
-/// A single-member workspace with three deterministic findings: both
-/// missing crate attributes (1:1) and a `println!` (2:5).
+/// A single-member workspace with two deterministic findings: the
+/// missing `forbid(unsafe_code)` (1:1) and an `Ordering::Relaxed`
+/// (2:34).
 fn mini_workspace(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!(
         "teleios-lint-snapshot-{}-{tag}",
@@ -24,8 +25,11 @@ fn mini_workspace(tag: &str) -> PathBuf {
         "[package]\nname = \"demo\"\nversion = \"0.1.0\"\nedition = \"2021\"\n",
     )
     .unwrap();
-    fs::write(src.join("lib.rs"), "pub fn noisy() {\n    println!(\"boot\");\n}\n")
-        .unwrap();
+    fs::write(
+        src.join("lib.rs"),
+        "pub fn racy(flag: &std::sync::atomic::AtomicBool) -> bool {\n    flag.load(std::sync::atomic::Ordering::Relaxed)\n}\n",
+    )
+    .unwrap();
     root
 }
 
@@ -42,8 +46,7 @@ fn run(root: &PathBuf, extra: &[&str]) -> std::process::Output {
 /// exactly this order, two-space indent, one finding per line.
 const SNAPSHOT: &str = r#"[
   {"path":"crates/demo/src/lib.rs","line":1,"col":1,"rule":"crate-attrs","severity":"error","message":"crate root is missing #![forbid(unsafe_code)]"},
-  {"path":"crates/demo/src/lib.rs","line":1,"col":1,"rule":"crate-attrs","severity":"error","message":"crate root is missing deny(clippy::unwrap_used, clippy::expect_used)"},
-  {"path":"crates/demo/src/lib.rs","line":2,"col":5,"rule":"no-println","severity":"error","message":"println! in library code: route output through the caller or a report type"}
+  {"path":"crates/demo/src/lib.rs","line":2,"col":34,"rule":"no-relaxed","severity":"error","message":"Ordering::Relaxed outside crates/exec: the loom model assumes SeqCst"}
 ]
 "#;
 

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-loom — a vendored, loom-style interleaving model checker
 //!
 //! The exec/cancel layer's correctness arguments ("first cancel wins",
@@ -57,9 +56,10 @@ pub mod thread;
 pub use sched::model;
 
 /// Single funnel for the checker's own fatal errors, so the workspace
-/// no-panic lint has exactly one documented suppression in this crate.
+/// `clippy::panic` lint has exactly one documented expectation in this crate.
 /// A model-checking harness *reports by panicking*: the panic carries
 /// the failing schedule to the test runner.
+#[expect(clippy::panic, reason = "failure reporting channel of the checker itself")]
 pub(crate) fn fail(msg: &str) -> ! {
-    panic!("teleios-loom: {msg}") // teleios-lint: allow(no-panic) — failure reporting channel of the checker itself
+    panic!("teleios-loom: {msg}")
 }

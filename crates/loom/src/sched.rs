@@ -297,6 +297,10 @@ impl Execution {
 /// property being checked. Panics (with the failing schedule) if any
 /// execution panics, deadlocks, or livelocks, or if the search exceeds
 /// [`MAX_EXECUTIONS`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "the model checker runs each modeled thread on a real OS thread it controls"
+)]
 pub fn model<F>(f: F)
 where
     F: Fn() + Send + Sync + 'static,
@@ -330,7 +334,7 @@ where
 
         // Wait for every modeled thread to finish (or the execution to
         // abort), then join the OS threads.
-        let (failure, trace) = {
+        let (failure, trace, handles) = {
             let mut st = exec.lock_state();
             while !st.aborting && st.threads.iter().any(|s| *s != ThreadState::Finished) {
                 st = exec.cv.wait(st).unwrap_or_else(|p| p.into_inner());
@@ -342,12 +346,19 @@ where
             let failure = st.failure.clone();
             let trace = std::mem::take(&mut st.trace);
             drop(st);
-            for h in handles {
-                let _ = h.join();
-            }
-            (failure, trace)
+            (failure, trace, handles)
         };
-        let _ = main_handle.join();
+        // Model closures run under catch_unwind, so an OS thread that
+        // still panicked did so in the scheduler itself: join them all,
+        // then report the first such panic unless the model failed first.
+        let escaped: Vec<String> = handles
+            .into_iter()
+            .chain([main_handle])
+            .filter_map(|h| h.join().err())
+            .map(|p| crate::thread::payload_to_string(p.as_ref()))
+            .map(|msg| format!("scheduler thread panicked: {msg}"))
+            .collect();
+        let failure = failure.or(escaped.into_iter().next());
 
         if let Some(msg) = failure {
             let choices: Vec<usize> = trace.iter().map(|s| s.chosen).collect();

@@ -26,6 +26,10 @@ pub(crate) fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String 
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the model checker runs each modeled thread on a real OS thread it controls"
+)]
 pub fn spawn<T, F>(f: F) -> JoinHandle<T>
 where
     T: Send + 'static,
@@ -90,9 +94,9 @@ impl<T> JoinHandle<T> {
                     }
                 }
             },
-            (None, Some(os)) => {
-                let _ = os.join();
-            }
+            // `f` ran under catch_unwind, so an OS-level panic came from
+            // the fallback thread's own bookkeeping: hand it to the joiner.
+            (None, Some(os)) => os.join()?,
             (None, None) => {}
         }
         self.slot

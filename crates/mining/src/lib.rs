@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-mining — knowledge discovery and data mining
 //!
 //! The image-information-mining tier of the Virtual Earth Observatory

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-monet — a column-store database engine with arrays
 //!
 //! A from-scratch analogue of the MonetDB column store that the TELEIOS

@@ -76,7 +76,8 @@ fn decode_schema(bytes: &[u8]) -> Result<(String, Vec<ColumnDef>), StoreError> {
     let mut r = Reader::new(bytes);
     let name = r.string()?;
     let n_cols = r.varint()?;
-    let mut defs = Vec::with_capacity(n_cols as usize);
+    // A column is at least a one-byte name length and a type tag.
+    let mut defs = Vec::with_capacity(r.capacity_for(n_cols, 2));
     for _ in 0..n_cols {
         let col_name = r.string()?;
         let ty = tag_type(r.u8()?)?;
@@ -173,10 +174,24 @@ struct ColumnPage {
     values: Vec<Value>, // row-aligned, Value::Null where invalid
 }
 
+/// The most rows one column page may hold: 2^24 (16.7 M), far above
+/// any table the observatory persists. Non-null values are bounded by
+/// the page's own bytes, but an all-null run encodes any number of
+/// rows in a few bytes, so the row count needs an explicit cap before
+/// the decoder allocates per row. [`persist_catalog`] refuses a table
+/// it could not load back.
+const MAX_PAGE_ROWS: usize = 1 << 24;
+
 fn decode_column(bytes: &[u8]) -> Result<ColumnPage, StoreError> {
     let mut r = Reader::new(bytes);
     let ty = tag_type(r.u8()?)?;
-    let rows = r.varint()? as usize;
+    let rows = r.varint()?;
+    if rows > MAX_PAGE_ROWS as u64 {
+        return Err(StoreError::Codec(format!(
+            "column page claims {rows} rows, more than the {MAX_PAGE_ROWS} a page holds"
+        )));
+    }
+    let rows = rows as usize;
 
     let n_runs = r.varint()? as usize;
     let mut validity = vec![true; rows];
@@ -185,7 +200,8 @@ fn decode_column(bytes: &[u8]) -> Result<ColumnPage, StoreError> {
         let mut current_valid = true;
         for _ in 0..n_runs {
             let run = r.varint()? as usize;
-            if pos + run > rows {
+            // `pos <= rows` holds, so this cannot overflow as `pos + run` can.
+            if run > rows - pos {
                 return Err(StoreError::Codec("validity runs exceed row count".into()));
             }
             for slot in &mut validity[pos..pos + run] {
@@ -200,7 +216,9 @@ fn decode_column(bytes: &[u8]) -> Result<ColumnPage, StoreError> {
     }
     let n_present = validity.iter().filter(|v| **v).count();
 
-    let mut present: Vec<Value> = Vec::with_capacity(n_present);
+    // A present value is at least one bit (a packed Bool).
+    let mut present: Vec<Value> =
+        Vec::with_capacity(n_present.min(r.remaining().saturating_mul(8)));
     match ty {
         DataType::Int => {
             let mut prev = 0i64;
@@ -272,6 +290,12 @@ pub fn persist_catalog(
         let table = catalog
             .table(&name)
             .map_err(|e| StoreError::Codec(format!("catalog read: {e}")))?;
+        if table.num_rows() > MAX_PAGE_ROWS {
+            return Err(StoreError::Codec(format!(
+                "table {name} has {} rows, more than the {MAX_PAGE_ROWS} a column page holds",
+                table.num_rows()
+            )));
+        }
         backend.put(SCHEMA_KEYSPACE, &table_key(&name), &encode_schema(&table))?;
         // remove stale higher-index pages if the table narrowed
         for (key, _) in backend.scan(COL_KEYSPACE)? {
@@ -320,13 +344,12 @@ pub fn load_catalog(backend: &dyn StorageBackend) -> Result<Option<Catalog>, Sto
     let catalog = Catalog::new();
     for (key, schema_bytes) in schemas {
         let (name, defs) = decode_schema(&schema_bytes)?;
-        let n_cols = defs.len();
         catalog
             .create_table(&name, defs.clone())
             .map_err(|e| StoreError::Codec(format!("recreate table: {e}")))?;
 
-        let mut columns: Vec<ColumnPage> = Vec::with_capacity(n_cols);
-        for idx in 0..n_cols {
+        let mut columns: Vec<ColumnPage> = Vec::with_capacity(defs.len());
+        for (idx, def) in defs.iter().enumerate() {
             let mut col_k = key.clone();
             col_k.push(0);
             col_k.extend_from_slice(&(idx as u32).to_be_bytes());
@@ -334,10 +357,10 @@ pub fn load_catalog(backend: &dyn StorageBackend) -> Result<Option<Catalog>, Sto
                 StoreError::Codec(format!("missing column page {idx} for table {name}"))
             })?;
             let page = decode_column(&page)?;
-            if page.ty != defs[idx].ty {
+            if page.ty != def.ty {
                 return Err(StoreError::Codec(format!(
                     "column {idx} of {name} has type {:?}, schema says {:?}",
-                    page.ty, defs[idx].ty
+                    page.ty, def.ty
                 )));
             }
             columns.push(page);
@@ -362,7 +385,66 @@ pub fn load_catalog(backend: &dyn StorageBackend) -> Result<Option<Catalog>, Sto
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teleios_check::Edits;
     use teleios_store::{DurableBackend, DurableConfig, MemMedium, MemoryBackend};
+
+    /// A backend holding exactly `pages`, as `(keyspace, key, bytes)`.
+    fn backend_with(pages: &[(&str, &[u8], &[u8])]) -> MemoryBackend {
+        let mut backend = MemoryBackend::new();
+        backend.begin().unwrap();
+        for (keyspace, key, bytes) in pages {
+            backend.put(keyspace, key, bytes).unwrap();
+        }
+        backend.commit().unwrap();
+        backend
+    }
+
+    /// Every page `save_catalog` writes, put through the byte loop in
+    /// place (the other pages intact) and loaded back: `Ok` or `Err`,
+    /// never a panic, an abort or a hang.
+    #[test]
+    fn every_page_survives_the_byte_loop() {
+        let mut saved = MemoryBackend::new();
+        save_catalog(&sample_catalog(), &mut saved).unwrap();
+        let pages: Vec<(&str, Vec<u8>, Vec<u8>)> = [SCHEMA_KEYSPACE, COL_KEYSPACE]
+            .into_iter()
+            .flat_map(|ks| saved.scan(ks).unwrap().into_iter().map(move |(k, v)| (ks, k, v)))
+            .collect();
+        for (i, (_, _, page)) in pages.iter().enumerate() {
+            teleios_check::fuzz_bytes(&[page], Edits::Binary, |_| {}, |bytes| {
+                let staged: Vec<(&str, &[u8], &[u8])> = pages
+                    .iter()
+                    .enumerate()
+                    .map(|(j, (ks, key, v))| (*ks, key.as_slice(), if i == j { bytes } else { v.as_slice() }))
+                    .collect();
+                load_catalog(&backend_with(&staged))
+            });
+        }
+    }
+
+    #[test]
+    fn column_count_beyond_the_page_is_a_codec_error_not_an_allocation() {
+        // A schema page: name `t`, then a count of 2^40 columns.
+        let mut schema = Vec::new();
+        put_str(&mut schema, "t");
+        put_varint(&mut schema, 1 << 40);
+        let backend = backend_with(&[(SCHEMA_KEYSPACE, b"t", &schema)]);
+        assert!(matches!(load_catalog(&backend), Err(StoreError::Codec(_))));
+    }
+
+    #[test]
+    fn row_count_beyond_the_page_cap_is_a_codec_error_not_an_allocation() {
+        // One Int column whose page claims 2^40 rows and no null runs.
+        let table = Table::new("t", vec![ColumnDef { name: "x".into(), ty: DataType::Int }]);
+        let mut page = vec![type_tag(DataType::Int)];
+        put_varint(&mut page, 1 << 40);
+        put_varint(&mut page, 0);
+        let backend = backend_with(&[
+            (SCHEMA_KEYSPACE, b"t", &encode_schema(&table)),
+            (COL_KEYSPACE, &col_key("t", 0), &page),
+        ]);
+        assert!(matches!(load_catalog(&backend), Err(StoreError::Codec(_))));
+    }
 
     fn sample_catalog() -> Catalog {
         let catalog = Catalog::new();

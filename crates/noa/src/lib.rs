@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-noa — the NOA fire-monitoring application
 //!
 //! The National Observatory of Athens real-time fire hotspot detection

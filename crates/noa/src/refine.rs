@@ -189,6 +189,8 @@ pub fn features_to_mask(
         teleios_monet::array::Dim::new("y", rows),
         teleios_monet::array::Dim::new("x", cols),
     ]);
+    // Row-major `rows × cols` cells: `r * cols + c` is in bounds.
+    let cells = out.data_mut();
     for poly in features {
         let env = poly.envelope();
         // Limit the scan to the feature's pixel window.
@@ -196,10 +198,7 @@ pub fn features_to_mask(
             for c in 0..cols {
                 let center = geo.pixel_center(r, c);
                 if env.contains_coord(center) && polygon_covers_coord(poly, center) {
-                    // r/c are bounded by the rows/cols the array was
-                    // built with; a failed set is unreachable.
-                    // teleios-lint: allow(swallowed-result)
-                    let _ = out.set(&[r, c], 1.0);
+                    cells[r * cols + c] = 1.0;
                 }
             }
         }

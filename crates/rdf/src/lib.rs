@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-rdf — RDF model and store with stRDF extensions
 //!
 //! The semantic substrate of the TELEIOS Virtual Earth Observatory:

@@ -74,7 +74,8 @@ fn encode_terms(store: &TripleStore) -> Vec<u8> {
 fn decode_terms(bytes: &[u8]) -> Result<Vec<Term>, StoreError> {
     let mut r = Reader::new(bytes);
     let n = r.varint()?;
-    let mut terms = Vec::with_capacity(n as usize);
+    // A term is at least a tag byte and a one-byte length.
+    let mut terms = Vec::with_capacity(r.capacity_for(n, 2));
     for _ in 0..n {
         let term = match r.u8()? {
             TAG_IRI => Term::Iri(r.string()?),
@@ -124,7 +125,8 @@ fn id_from(v: i64) -> Result<u32, StoreError> {
 fn decode_triples(bytes: &[u8]) -> Result<Vec<Triple>, StoreError> {
     let mut r = Reader::new(bytes);
     let n = r.varint()?;
-    let mut triples = Vec::with_capacity(n as usize);
+    // A triple is at least three one-byte deltas.
+    let mut triples = Vec::with_capacity(r.capacity_for(n, 3));
     let (mut s, mut p, mut o) = (0i64, 0i64, 0i64);
     for _ in 0..n {
         s += r.zigzag()?;
@@ -202,6 +204,7 @@ pub fn load_triple_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teleios_check::Edits;
     use teleios_store::{DurableBackend, DurableConfig, MemMedium, MemoryBackend};
 
     fn sample_store() -> TripleStore {
@@ -293,6 +296,59 @@ mod tests {
         save_triple_store(&smaller, &mut backend).unwrap();
         let loaded = load_triple_store(&backend).unwrap().unwrap();
         assert_stores_equal(&smaller, &loaded);
+    }
+
+    /// A backend holding exactly `pages`, as `(keyspace, key, bytes)`.
+    fn backend_with(pages: &[(&str, &[u8], &[u8])]) -> MemoryBackend {
+        let mut backend = MemoryBackend::new();
+        backend.begin().unwrap();
+        for (keyspace, key, bytes) in pages {
+            backend.put(keyspace, key, bytes).unwrap();
+        }
+        backend.commit().unwrap();
+        backend
+    }
+
+    fn huge_count() -> Vec<u8> {
+        let mut page = Vec::new();
+        put_varint(&mut page, 1 << 40);
+        page
+    }
+
+    #[test]
+    fn term_count_beyond_the_page_is_a_codec_error_not_an_allocation() {
+        // Six bytes claiming 2^40 terms.
+        let backend = backend_with(&[(DICT_KEYSPACE, TERMS_KEY, &huge_count())]);
+        assert!(matches!(load_triple_store(&backend), Err(StoreError::Codec(_))));
+    }
+
+    #[test]
+    fn triple_count_beyond_the_page_is_a_codec_error_not_an_allocation() {
+        // An empty dictionary, then six bytes claiming 2^40 triples.
+        let backend = backend_with(&[
+            (DICT_KEYSPACE, TERMS_KEY, &[0]),
+            (SPO_KEYSPACE, TRIPLES_KEY, &huge_count()),
+        ]);
+        assert!(matches!(load_triple_store(&backend), Err(StoreError::Codec(_))));
+    }
+
+    /// Each page `save_triple_store` writes, put through the byte loop
+    /// in place (the other page intact) and loaded back: `Ok` or `Err`,
+    /// never a panic, an abort or a hang.
+    #[test]
+    fn every_page_survives_the_byte_loop() {
+        let store = sample_store();
+        let pages = [(DICT_KEYSPACE, TERMS_KEY, encode_terms(&store)), (SPO_KEYSPACE, TRIPLES_KEY, encode_triples(&store))];
+        for (i, (_, _, page)) in pages.iter().enumerate() {
+            teleios_check::fuzz_bytes(&[page], Edits::Binary, |_| {}, |bytes| {
+                let staged: Vec<(&str, &[u8], &[u8])> = pages
+                    .iter()
+                    .enumerate()
+                    .map(|(j, (ks, key, v))| (*ks, *key, if i == j { bytes } else { v.as_slice() }))
+                    .collect();
+                load_triple_store(&backend_with(&staged))
+            });
+        }
     }
 
     #[test]

@@ -236,6 +236,10 @@ impl Watchdog {
     }
 
     /// Signal the thread to exit and join it.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "a watchdog that panicked only stopped cancelling; the scenes it policed have finished and report their own outcomes, and a lost watchdog must not fail the batch"
+    )]
     pub fn stop(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.handle.take() {

@@ -311,9 +311,9 @@ impl FaultPlan {
                         return Err(DbError::Execution(format!("injected georef fault on {id}")));
                     }
                 }
+                #[expect(clippy::panic, reason = "this IS the injected fault")]
                 Fault::WorkerPanic => {
                     if stage == ChainStage::Classify {
-                        // teleios-lint: allow(no-panic) — this IS the injected fault
                         panic!("injected worker panic on {id}");
                     }
                 }
@@ -420,7 +420,7 @@ mod tests {
             acquisition: "2007-08-25T12:00:00Z".into(),
             bbox: (20.0, 35.0, 21.0, 36.0),
         };
-        encode_sev1(&h, &vec![fill; 16]).unwrap()
+        encode_sev1(&h, &[fill; 16]).unwrap()
     }
 
     #[test]
@@ -459,7 +459,7 @@ mod tests {
             transform: (20.0, 0.25, 35.0, 0.25),
             epsg: 4326,
         };
-        teleios_vault::format::encode_gtf1(&h, &vec![fill; 16]).unwrap()
+        teleios_vault::format::encode_gtf1(&h, &[fill; 16]).unwrap()
     }
 
     fn shp1_file() -> Vec<u8> {

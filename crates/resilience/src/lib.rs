@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-resilience — fault-tolerant chain execution
 //!
 //! A real Virtual Earth Observatory ingests hundreds of scenes per day

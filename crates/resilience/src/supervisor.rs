@@ -283,6 +283,26 @@ impl Default for Supervisor {
 /// stop burning deadline budget on it."
 pub const DEFAULT_BREAKER_THRESHOLD: u32 = 2;
 
+/// What every scene of one supervised run shares: the watchdog's
+/// attempt registry, the per-variant circuit breaker, and the run's
+/// cancel token. Clones share all three.
+#[derive(Debug, Clone)]
+struct RunState {
+    registry: AttemptRegistry,
+    breaker: CircuitBreaker,
+    cancel: CancelToken,
+}
+
+impl RunState {
+    fn new(breaker_threshold: u32, cancel: CancelToken) -> RunState {
+        RunState {
+            registry: AttemptRegistry::default(),
+            breaker: CircuitBreaker::new(breaker_threshold),
+            cancel,
+        }
+    }
+}
+
 impl Supervisor {
     /// Supervisor with the given retry policy, degraded mode on, no
     /// deadlines, and the default circuit-breaker threshold (the
@@ -395,19 +415,19 @@ impl Supervisor {
     /// timeout circuit is open, as long as a further rung exists (the
     /// last rung is always attempted, so the breaker can never strand
     /// a healthy scene). Never panics, never aborts.
-    /// `cancel` interrupts retry backoff: a batch-deadline (or caller)
-    /// cancellation cuts the pause short and the scene stops retrying,
-    /// so a worker never sits in a plain sleep that outlives the batch.
+    /// The run's `cancel` token interrupts retry backoff: a
+    /// batch-deadline (or caller) cancellation cuts the pause short and
+    /// the scene stops retrying, so a worker never sits in a plain
+    /// sleep that outlives the batch.
     fn run_scene_supervised(
         &self,
         catalog: &Catalog,
         chain: &ProcessingChain,
         product_id: &str,
         raster: &GeoRaster,
-        registry: &AttemptRegistry,
-        breaker: &CircuitBreaker,
-        cancel: &CancelToken,
+        run: &RunState,
     ) -> SceneReport {
+        let RunState { registry, breaker, cancel } = run;
         let primary_id = chain.id();
         let mut rungs: Vec<(String, ProcessingChain)> =
             vec![(primary_id.clone(), chain.clone())];
@@ -520,17 +540,13 @@ impl Supervisor {
         product_id: &str,
         raster: &GeoRaster,
     ) -> SceneReport {
-        let registry = AttemptRegistry::default();
-        let breaker = CircuitBreaker::new(self.breaker_threshold);
-        let cancel = CancelToken::new();
+        let run = RunState::new(self.breaker_threshold, CancelToken::new());
         let watchdog = if self.budget.is_unlimited() {
             None
         } else {
-            Some(Watchdog::spawn(registry.clone(), self.budget, None))
+            Some(Watchdog::spawn(run.registry.clone(), self.budget, None))
         };
-        let report = self.run_scene_supervised(
-            catalog, chain, product_id, raster, &registry, &breaker, &cancel,
-        );
+        let report = self.run_scene_supervised(catalog, chain, product_id, raster, &run);
         if let Some(watchdog) = watchdog {
             watchdog.stop();
         }
@@ -554,9 +570,8 @@ impl Supervisor {
         let t0 = Instant::now();
         let workers = if self.workers == 0 { default_threads() } else { self.workers };
         let pool = WorkerPool::with_threads(workers);
-        let registry = AttemptRegistry::default();
-        let breaker = CircuitBreaker::new(self.breaker_threshold);
         let batch_token = CancelToken::new();
+        let run = RunState::new(self.breaker_threshold, batch_token.clone());
         let has_batch_deadline = self.batch_deadline != Duration::MAX;
         let watchdog = if self.budget.is_unlimited() && !has_batch_deadline {
             None
@@ -566,7 +581,7 @@ impl Supervisor {
                 deadline: self.batch_deadline,
                 token: batch_token.clone(),
             });
-            Some(Watchdog::spawn(registry.clone(), self.budget, batch))
+            Some(Watchdog::spawn(run.registry.clone(), self.budget, batch))
         };
         let tasks: Vec<_> = scenes
             .iter()
@@ -574,14 +589,8 @@ impl Supervisor {
                 let supervisor = *self;
                 let chain = chain.clone();
                 let catalog = catalog.clone();
-                let registry = registry.clone();
-                let breaker = breaker.clone();
-                let cancel = batch_token.clone();
-                move || {
-                    supervisor.run_scene_supervised(
-                        &catalog, &chain, id, raster, &registry, &breaker, &cancel,
-                    )
-                }
+                let run = run.clone();
+                move || supervisor.run_scene_supervised(&catalog, &chain, id, raster, &run)
             })
             .collect();
         let (outcomes, pool_stats) = pool.try_run_cancellable(tasks, &batch_token);
@@ -637,7 +646,6 @@ impl Supervisor {
 mod tests {
     use super::*;
     use crate::fault::{Fault, FaultPlan};
-    use std::sync::Arc;
     use teleios_geo::{Coord, Envelope};
     use teleios_ingest::raster::GeoTransform;
     use teleios_ingest::seviri::{generate, FireEvent, SceneSpec, SurfaceKind};
@@ -731,9 +739,7 @@ mod tests {
             &chain,
             "sup0",
             &batch[0].1,
-            &AttemptRegistry::default(),
-            &CircuitBreaker::new(3),
-            &cancel,
+            &RunState::new(3, cancel),
         );
         assert!(t0.elapsed() < Duration::from_secs(60), "backoff was not interrupted");
         assert_eq!(report.attempts, 1);

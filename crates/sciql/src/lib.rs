@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-sciql — a SciQL-style array query language
 //!
 //! SciQL (Zhang, Kersten, Ivanova, Nes — IDEAS 2011) extends SQL with

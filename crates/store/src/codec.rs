@@ -101,6 +101,15 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
+    /// What to reserve for `count` items read from this buffer when
+    /// each encodes to at least `min_bytes`: a count on the page is
+    /// untrusted, but the items must fit in the bytes that remain, so
+    /// those bound the allocation however large the count claims to be.
+    pub fn capacity_for(&self, count: u64, min_bytes: usize) -> usize {
+        let fits = self.remaining() / min_bytes.max(1);
+        usize::try_from(count).map_or(fits, |n| n.min(fits))
+    }
+
     pub fn position(&self) -> usize {
         self.pos
     }

@@ -1,12 +1,11 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-store — the durability doorway
 //!
 //! Every persistent store in TELEIOS (the vault catalog, the rdf
 //! triple store, monet tables) is memory-resident; this crate makes
 //! the observatory restartable. It is the *only* crate allowed to
-//! touch `std::fs` for writes (enforced by teleios-lint's
-//! `no-direct-fs` rule) and exposes one transactional key-value
+//! touch `std::fs` for writes (enforced by the fs entries in the root
+//! `clippy.toml`) and exposes one transactional key-value
 //! surface behind which the rest of the workspace persists itself:
 //!
 //! * [`StorageBackend`] — the pluggable trait: `begin`/`put`/

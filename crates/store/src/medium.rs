@@ -14,8 +14,8 @@
 //! Injected [`WriteFault`]s fire on the next matching operation.
 //!
 //! [`FsMedium`] is the real-filesystem implementation and the single
-//! sanctioned `std::fs` write site in the workspace (see the
-//! `no-direct-fs` lint rule).
+//! sanctioned `std::fs` write site in the workspace (the root
+//! `clippy.toml` disallows the fs mutators everywhere else).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -236,7 +236,7 @@ impl Medium for MemMedium {
 /// write-temp + fsync + rename + directory fsync.
 ///
 /// This is the workspace's single sanctioned `std::fs` write site;
-/// the `no-direct-fs` lint rule points every other crate here.
+/// the `clippy.toml` fs entries point every other crate here.
 #[derive(Debug, Clone)]
 pub struct FsMedium {
     root: PathBuf,
@@ -246,8 +246,24 @@ fn io_err(what: &str, err: &std::io::Error) -> StoreError {
     StoreError::Io(format!("{what}: {err}"))
 }
 
+/// Whether a failed directory fsync means "directories cannot be
+/// synced here" rather than "the rename may not be durable": some
+/// filesystems reject fsync on a directory handle (`EINVAL`, which std
+/// reports as `InvalidInput`, or `Unsupported`), and Windows cannot
+/// open a directory as a file at all (`PermissionDenied`). Every other
+/// error fails the operation.
+fn dir_sync_unsupported(err: &std::io::Error) -> bool {
+    use std::io::ErrorKind;
+    match err.kind() {
+        ErrorKind::InvalidInput | ErrorKind::Unsupported => true,
+        ErrorKind::PermissionDenied => cfg!(windows),
+        _ => false,
+    }
+}
+
 impl FsMedium {
     /// Open (creating if needed) a medium rooted at `root`.
+    #[expect(clippy::disallowed_methods, reason = "FsMedium is the storage doorway")]
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root).map_err(|e| io_err("create medium root", &e))?;
@@ -262,18 +278,20 @@ impl FsMedium {
         self.root.join(name)
     }
 
+    /// Durability of renames/creates requires fsyncing the parent
+    /// directory. A failure is the caller's failure — the rename may
+    /// not survive a crash — unless it only says directories cannot be
+    /// synced on this platform ([`dir_sync_unsupported`]).
     fn sync_dir(&self) -> Result<()> {
-        // Durability of renames/creates requires fsyncing the parent
-        // directory; on platforms where directories cannot be synced
-        // this degrades gracefully.
-        if let Ok(dir) = std::fs::File::open(&self.root) {
-            let _ = dir.sync_all(); // teleios-lint: allow(swallowed-result)
+        match std::fs::File::open(&self.root).and_then(|dir| dir.sync_all()) {
+            Err(e) if !dir_sync_unsupported(&e) => Err(io_err("fsync medium root", &e)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
 impl Medium for FsMedium {
+    #[expect(clippy::disallowed_types, reason = "FsMedium is the storage doorway")]
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
         use std::io::Write as _;
         let mut file = std::fs::OpenOptions::new()
@@ -301,6 +319,7 @@ impl Medium for FsMedium {
         }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "FsMedium is the storage doorway")]
     fn publish(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
         use std::io::Write as _;
         let tmp = self.path(&format!("{name}.tmp"));
@@ -315,6 +334,7 @@ impl Medium for FsMedium {
         self.sync_dir()
     }
 
+    #[expect(clippy::disallowed_methods, reason = "FsMedium is the storage doorway")]
     fn remove(&mut self, name: &str) -> Result<()> {
         match std::fs::remove_file(self.path(name)) {
             Ok(()) => self.sync_dir(),
@@ -438,7 +458,7 @@ mod tests {
     fn fs_scratch(name: &str) -> PathBuf {
         let mut p = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/store-scratch"));
         p.push(name);
-        let _ = std::fs::remove_dir_all(&p); // teleios-lint: allow(swallowed-result)
+        let _ = std::fs::remove_dir_all(&p);
         p
     }
 

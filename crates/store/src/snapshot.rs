@@ -195,6 +195,21 @@ mod tests {
     }
 
     #[test]
+    fn decode_survives_the_byte_loop() {
+        let bytes = encode(7, &sample_state());
+        // Re-stamp the payload CRC, so an edit reaches the structure
+        // parser instead of stopping at the checksum.
+        let reseal = |b: &mut [u8]| {
+            let header = MAGIC.len() + 8;
+            if b.len() >= header {
+                let crc = crc32(&b[header..]).to_le_bytes();
+                b[header - 4..header].copy_from_slice(&crc);
+            }
+        };
+        teleios_check::fuzz_bytes(&[&bytes], teleios_check::Edits::Binary, reseal, decode);
+    }
+
+    #[test]
     fn truncation_is_detected() {
         let bytes = encode(7, &sample_state());
         for cut in 0..bytes.len() {

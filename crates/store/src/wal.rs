@@ -253,6 +253,30 @@ mod tests {
         assert!(s.truncated);
     }
 
+    /// Re-stamp every whole frame's CRC, so an edit reaches the payload
+    /// decoder instead of stopping at the checksum.
+    fn reseal(bytes: &mut [u8]) {
+        let mut pos = 0;
+        while let Some(header) = bytes.get(pos..pos + FRAME_HEADER) {
+            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+            let end = pos + FRAME_HEADER + len;
+            let Some(payload) = bytes.get(pos + FRAME_HEADER..end) else { break };
+            let crc = crc32(payload).to_le_bytes();
+            bytes[pos + 4..pos + FRAME_HEADER].copy_from_slice(&crc);
+            pos = end;
+        }
+    }
+
+    #[test]
+    fn scan_survives_the_byte_loop() {
+        let bytes = encode_all(&sample_records());
+        teleios_check::fuzz_bytes(&[&bytes], teleios_check::Edits::Binary, reseal, |b| {
+            let s = scan(b);
+            assert!(s.valid_len <= b.len() && s.truncated == (s.valid_len < b.len()));
+            Ok::<_, ()>(s)
+        });
+    }
+
     #[test]
     fn unknown_kind_is_torn() {
         let payload = [99u8, 0, 0];

@@ -66,7 +66,7 @@ fn run_script(seed: u64, n_txns: usize) -> (MemMedium, Vec<(usize, KeyspaceState
 
 /// The state of the last acknowledged commit whose durable WAL
 /// prefix fits inside `len` bytes.
-fn expected_at<'a>(checkpoints: &'a [(usize, KeyspaceState)], len: usize) -> &'a KeyspaceState {
+fn expected_at(checkpoints: &[(usize, KeyspaceState)], len: usize) -> &KeyspaceState {
     checkpoints
         .iter()
         .rev()

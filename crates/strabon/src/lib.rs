@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-strabon — the Strabon semantic geospatial database engine
 //!
 //! Strabon is the stRDF/stSPARQL system of the TELEIOS Virtual Earth

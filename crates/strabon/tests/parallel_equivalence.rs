@@ -20,7 +20,7 @@ const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 /// confidence and a point geometry scattered over a 4°×4° window.
 fn archive(n: usize, config: StrabonConfig) -> Strabon {
     let mut db = Strabon::with_config(config);
-    let mut rng = SplitMix64::new(0x7e1e_105);
+    let mut rng = SplitMix64::new(0x07e1_e105);
     let type_p = Term::iri(RDF_TYPE);
     let geom_p = Term::iri(format!("{STRDF}hasGeometry"));
     let conf_p = Term::iri(format!("{NOA}hasConfidence"));

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # teleios-vault — the Data Vault
 //!
 //! Implements the Data Vault concept (Ivanova, Kersten, Manegold —

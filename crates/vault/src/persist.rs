@@ -74,7 +74,8 @@ fn decode_record(bytes: &[u8]) -> Result<FileRecord, StoreError> {
         }
     };
     let n_dims = r.varint()?;
-    let mut shape = Vec::with_capacity(n_dims as usize);
+    // A dimension is at least a one-byte varint.
+    let mut shape = Vec::with_capacity(r.capacity_for(n_dims, 1));
     for _ in 0..n_dims {
         let dim = r.varint()?;
         shape.push(u32::try_from(dim).map_err(|_| {
@@ -161,6 +162,7 @@ pub fn load_vault_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teleios_check::Edits;
     use teleios_store::{DurableBackend, DurableConfig, MemMedium, MemoryBackend};
 
     fn sample_record(name: &str) -> FileRecord {
@@ -249,6 +251,39 @@ mod tests {
         backend.put(CATALOG_KEYSPACE, b"msg2-0825.sev1", &[9, 9]).unwrap();
         backend.commit().unwrap();
         assert!(matches!(load_vault_state(&backend), Err(StoreError::Codec(_))));
+    }
+
+    /// A backend holding one catalog record page.
+    fn backend_with_record(page: &[u8]) -> MemoryBackend {
+        let mut backend = MemoryBackend::new();
+        backend.begin().unwrap();
+        backend.put(CATALOG_KEYSPACE, b"record", page).unwrap();
+        backend.commit().unwrap();
+        backend
+    }
+
+    #[test]
+    fn dimension_count_beyond_the_page_is_a_codec_error_not_an_allocation() {
+        // A record with no bbox, no acquisition and 2^40 dimensions.
+        let mut page = Vec::new();
+        put_str(&mut page, "huge.sev1");
+        put_str(&mut page, "sev1");
+        put_varint(&mut page, 0);
+        page.extend_from_slice(&[0, 0]);
+        put_varint(&mut page, 1 << 40);
+        assert!(matches!(load_vault_state(&backend_with_record(&page)), Err(StoreError::Codec(_))));
+    }
+
+    /// Each record page, put through the byte loop and loaded back: `Ok`
+    /// or `Err`, never a panic, an abort or a hang.
+    #[test]
+    fn every_record_page_survives_the_byte_loop() {
+        let (catalog, _) = sample_state();
+        let pages: Vec<Vec<u8>> = catalog.iter().map(encode_record).collect();
+        let seeds: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
+        teleios_check::fuzz_bytes(&seeds, Edits::Binary, |_| {}, |bytes| {
+            load_vault_state(&backend_with_record(bytes))
+        });
     }
 
     #[test]

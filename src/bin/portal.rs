@@ -53,7 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let geojson = map.to_geojson();
             match args.get(1) {
                 Some(path) => {
-                    // teleios-lint: allow(no-direct-fs) — legacy GeoJSON export to a user-chosen path, not engine state
                     std::fs::write(path, &geojson)?;
                     eprintln!("wrote {} features to {path}", map.num_features());
                 }

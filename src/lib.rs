@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! TELEIOS facade: re-exports every tier of the Virtual Earth Observatory.
 pub use teleios_core as core;
 pub use teleios_exec as exec;
