@@ -12,40 +12,16 @@
 //! later calls are no-ops. This keeps error attribution deterministic
 //! when several watchdog rules fire close together.
 
-// Under the `loom` feature the token's atomics and mutex come from
-// the vendored `teleios-loom` model checker, so the *same* code that
-// ships is the code whose interleavings are exhaustively explored by
-// `tests/loom.rs`. Outside a model run the loom types delegate
-// straight to `std`, so the ordinary test suite still works with the
-// feature enabled.
-#[cfg(feature = "loom")]
-use teleios_loom::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "loom")]
-use teleios_loom::sync::Arc;
-
-#[cfg(not(feature = "loom"))]
-use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(not(feature = "loom"))]
-use std::sync::Arc;
-
 use crate::ordered_lock::OrderedMutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Yield to the scheduler — the model scheduler under `loom`, the OS
-/// scheduler otherwise. Used between polls in [`CancelToken::poll_cancellable`].
-fn yield_to_scheduler() {
-    #[cfg(feature = "loom")]
-    teleios_loom::thread::yield_now();
-    #[cfg(not(feature = "loom"))]
-    thread::yield_now();
-}
 
 #[derive(Debug)]
 struct Inner {
     cancelled: AtomicBool,
-    // Witnessed (debug builds record it in the global lock-order
-    // graph) and loom-modeled under the `loom` feature.
+    // Witnessed: debug builds record it in the global lock-order graph.
     reason: OrderedMutex<Option<String>>,
 }
 
@@ -97,23 +73,6 @@ impl CancelToken {
     /// that window.
     pub fn reason(&self) -> Option<String> {
         self.inner.reason.lock().clone()
-    }
-
-    /// Poll the token up to `polls` times, yielding to the scheduler
-    /// between polls; returns `true` as soon as cancellation is
-    /// observed. This is the time-free core of
-    /// [`Self::sleep_cancellable`]'s wake-up loop: the loom suite
-    /// model-checks *this* (clocks don't exist inside the model), and
-    /// `sleep_cancellable` is the same loop with a real clock and 1 ms
-    /// sleeps between polls.
-    pub fn poll_cancellable(&self, polls: usize) -> bool {
-        for _ in 0..polls {
-            if self.is_cancelled() {
-                return true;
-            }
-            yield_to_scheduler();
-        }
-        self.is_cancelled()
     }
 
     /// Sleep for up to `total`, polling the token in ~1 ms slices.
@@ -198,64 +157,5 @@ mod tests {
         let token = CancelToken::new();
         token.cancel("pre-cancelled");
         assert!(token.sleep_cancellable(Duration::from_secs(10)));
-    }
-
-    #[test]
-    fn poll_observes_cancellation_and_reports_final_state() {
-        let token = CancelToken::new();
-        assert!(!token.poll_cancellable(3), "uncancelled token polls false");
-        token.cancel("now");
-        assert!(token.poll_cancellable(0), "zero polls still reads the final state");
-        assert!(token.poll_cancellable(3));
-    }
-
-    // Satellite coverage for the first-wins invariant in the plain
-    // test tier (the loom suite checks the same properties over every
-    // interleaving; these check them over many real OS schedules).
-
-    #[test]
-    fn racing_cancels_have_exactly_one_winner() {
-        for round in 0..64 {
-            let token = CancelToken::new();
-            let (a, b) = (token.clone(), token.clone());
-            let ta = thread::spawn(move || a.cancel("racer-a"));
-            let tb = thread::spawn(move || b.cancel("racer-b"));
-            let won_a = ta.join().unwrap();
-            let won_b = tb.join().unwrap();
-            assert!(won_a ^ won_b, "round {round}: exactly one cancel must win");
-            let winner = if won_a { "racer-a" } else { "racer-b" };
-            assert_eq!(
-                token.reason().as_deref(),
-                Some(winner),
-                "round {round}: reason must be the winner's"
-            );
-        }
-    }
-
-    #[test]
-    fn reason_is_visible_once_cancel_returns() {
-        // After any `cancel` call has *returned*, both the flag and
-        // the winning reason are fully published: is_cancelled() is
-        // true and reason() is Some (the None window exists only while
-        // a cancel call is still in flight).
-        for _ in 0..64 {
-            let token = CancelToken::new();
-            let c = token.clone();
-            let t = thread::spawn(move || {
-                c.cancel("published");
-                assert!(c.is_cancelled());
-                assert_eq!(c.reason().as_deref(), Some("published"));
-            });
-            // Concurrent reads may see the in-flight window, but only
-            // in the documented shape: reason Some implies flag true.
-            let reason_first = token.reason();
-            let flag_after = token.is_cancelled();
-            if reason_first.is_some() {
-                assert!(flag_after, "reason visible implies flag visible");
-            }
-            t.join().unwrap();
-            assert!(token.is_cancelled());
-            assert_eq!(token.reason().as_deref(), Some("published"));
-        }
     }
 }

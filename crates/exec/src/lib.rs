@@ -40,8 +40,8 @@
 //! * **Witnessed locking** — internal mutexes are
 //!   [`ordered_lock::OrderedMutex`]es: in debug builds every
 //!   acquisition feeds a process-wide lock-order graph
-//!   ([`LockWitness`]), cross-validating at runtime the acyclicity
-//!   that `teleios-lint`'s L6 rule proves statically from source.
+//!   ([`LockWitness`]), and the acquisition that would close a cycle
+//!   panics, naming it — so every debug test run checks lock order.
 //!
 //! * **One executor** — [`WorkerPool::run`], [`WorkerPool::try_run`]
 //!   and [`WorkerPool::try_run_cancellable`] are three views of one
@@ -52,11 +52,9 @@
 //!   channel-queue and work-stealing dispatchers this replaced were
 //!   not worth keeping apart.
 //!
-//! The `loom` feature swaps the [`CancelToken`]'s atomics and mutex
-//! for the `teleios-loom` modeled primitives so `tests/loom.rs` can
-//! exhaustively interleave the first-wins cancel protocol and the
-//! pool's claim counter; it changes no public API and is never
-//! enabled in normal builds (`scripts/check.sh --full` runs it).
+//! `tests/races.rs` stress-tests the race surface — first-wins cancel,
+//! reason publication, the claim loop under a racing cancel, the
+//! witness under contention — from seeded std-thread rounds.
 
 pub mod cancel;
 pub mod morsel;

@@ -1,44 +1,33 @@
-//! Debug-time runtime lock-order witness.
+//! Runtime lock-order witness.
 //!
-//! The static lint (`teleios-lint`, rule L6 `lock-order`) proves the
-//! *source* acquires locks in one global order per crate; this module
-//! cross-validates the same invariant at runtime. An [`OrderedMutex`]
-//! is a named mutex that records, per thread, which other named locks
-//! are held at the moment it is acquired — building the lock-order
-//! graph from actual executions instead of from call sites. A cycle in
-//! that graph is a deadlock the scheduler merely hasn't hit yet;
-//! [`LockWitness::cycles`] reports every one with its node order, and
-//! [`LockWitness::assert_acyclic`] turns it into a test failure.
+//! An [`OrderedMutex`] is a named mutex that records, per thread, which
+//! other named locks are held at the moment it is acquired — building
+//! the lock-order graph from actual executions. An acquisition whose
+//! new edge would close a cycle in that graph is a deadlock the
+//! scheduler merely hasn't hit yet, so the witness panics right there,
+//! naming the cycle. Every debug-build test run is therefore a
+//! lock-order check over the paths it exercises.
 //!
 //! Two properties keep the witness honest and cheap:
 //!
-//! * Edges are recorded **before** blocking on the underlying mutex,
-//!   so an attempted inversion shows up in the graph even in the
-//!   schedule where it actually deadlocks.
-//! * Bookkeeping always lives in plain `std::sync` primitives — even
-//!   under the `loom` feature, where only the **protected** mutex is
-//!   modeled — so the witness adds no interleavings to what
-//!   `tests/loom.rs` explores and is itself race-free by construction
-//!   (a single short-lived state lock).
+//! * Edges are checked and recorded **before** blocking on the
+//!   underlying mutex, so an attempted inversion is caught even in the
+//!   schedule where it would actually deadlock.
+//! * Bookkeeping lives behind one short-lived state lock of its own,
+//!   so the witness is race-free by construction (`tests/races.rs`
+//!   hammers it from two threads).
 //!
 //! The process-wide witness behind [`OrderedMutex::new`] records only
 //! in debug builds (`cfg!(debug_assertions)`); release builds pay one
-//! predictable branch per acquisition. Tests (including the loom
-//! suite, which `scripts/check.sh --full` runs in `--release`) use
-//! [`LockWitness::new`], which is always enabled and isolated per
-//! instance.
+//! predictable branch per acquisition and never touch its state.
+//! Tests use [`LockWitness::new`], which is always enabled and
+//! isolated per instance.
 
-#[cfg(feature = "loom")]
-use teleios_loom::sync::{Mutex as RawMutex, MutexGuard as RawGuard};
-
-#[cfg(not(feature = "loom"))]
-use std::sync::{Mutex as RawMutex, MutexGuard as RawGuard};
-
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::ThreadId;
 
 /// Distinguishes lock *instances* that share a name (two shards named
@@ -48,7 +37,7 @@ static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug, Default)]
 struct WitnessState {
     /// Interned lock names; a node in the order graph is a name, not
-    /// an instance, matching the static lint's granularity.
+    /// an instance.
     names: Vec<String>,
     /// Directed edges `held -> acquiring` between name ids.
     edges: BTreeSet<(usize, usize)>,
@@ -68,12 +57,13 @@ impl WitnessState {
 
 /// The acquisition recorder shared by a set of [`OrderedMutex`]es.
 ///
-/// Query it after (or during) a run: [`Self::edges`] is the observed
-/// order graph, [`Self::cycles`] the inversions, [`Self::nothing_held`]
-/// a leak check. Cloning the `Arc` shares the recorder.
+/// An enabled witness panics on the acquisition that would close a
+/// cycle. Between acquisitions, [`Self::edges`] is the observed order
+/// graph and [`Self::nothing_held`] a leak check. Cloning the `Arc`
+/// shares the recorder.
 pub struct LockWitness {
     enabled: bool,
-    state: StdMutex<WitnessState>,
+    state: Mutex<WitnessState>,
 }
 
 impl fmt::Debug for LockWitness {
@@ -85,57 +75,63 @@ impl fmt::Debug for LockWitness {
 }
 
 impl LockWitness {
+    fn with_enabled(enabled: bool) -> Arc<LockWitness> {
+        Arc::new(LockWitness { enabled, state: Mutex::new(WitnessState::default()) })
+    }
+
     /// A fresh, always-recording witness — what tests pass to
-    /// [`OrderedMutex::with_witness`] so assertions hold in release
-    /// builds too and runs stay isolated from each other.
+    /// [`OrderedMutex::with_witness`] so checks hold in release builds
+    /// too and runs stay isolated from each other.
     pub fn new() -> Arc<LockWitness> {
-        Arc::new(LockWitness {
-            enabled: true,
-            state: StdMutex::new(WitnessState::default()),
-        })
+        LockWitness::with_enabled(true)
     }
 
     /// A witness that records nothing — the release-build behavior of
     /// the global witness, constructible explicitly for tests.
     pub fn disabled() -> Arc<LockWitness> {
-        Arc::new(LockWitness {
-            enabled: false,
-            state: StdMutex::new(WitnessState::default()),
-        })
+        LockWitness::with_enabled(false)
     }
 
     /// The process-wide witness behind [`OrderedMutex::new`]:
     /// recording in debug builds, a no-op in release builds.
     pub fn global() -> &'static Arc<LockWitness> {
         static GLOBAL: OnceLock<Arc<LockWitness>> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            Arc::new(LockWitness {
-                enabled: cfg!(debug_assertions),
-                state: StdMutex::new(WitnessState::default()),
-            })
-        })
+        GLOBAL.get_or_init(|| LockWitness::with_enabled(cfg!(debug_assertions)))
     }
 
-    fn state(&self) -> std::sync::MutexGuard<'_, WitnessState> {
+    fn state(&self) -> MutexGuard<'_, WitnessState> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn register(&self, name: &str) -> usize {
-        let mut st = self.state();
-        st.intern(name)
-    }
-
     /// Record `held -> acquiring` edges for everything this thread
-    /// holds. Called *before* blocking on the protected mutex.
+    /// holds. Called *before* blocking on the protected mutex; panics,
+    /// naming the cycle, if a new edge would close one.
+    #[expect(
+        clippy::panic,
+        reason = "an observed lock-order inversion is a latent deadlock: fail the run that took it"
+    )]
     fn note_acquiring(&self, thread: ThreadId, instance: u64, name_id: usize) {
         let mut st = self.state();
         let held = st.held.get(&thread).cloned().unwrap_or_default();
         for (inst, nid) in held {
             // Same-name instances (shards) carry no order relative to
             // each other at name granularity; skip the self-edge.
-            if inst != instance && nid != name_id {
-                st.edges.insert((nid, name_id));
+            if inst == instance || nid == name_id || st.edges.contains(&(nid, name_id)) {
+                continue;
             }
+            if let Some(back) = path(&st.edges, name_id, nid) {
+                let cycle: Vec<&str> =
+                    std::iter::once(nid).chain(back).map(|n| st.names[n].as_str()).collect();
+                let message = format!(
+                    "lock-order inversion: taking `{}` while holding `{}` closes the cycle {}",
+                    st.names[name_id],
+                    st.names[nid],
+                    cycle.join(" -> ")
+                );
+                drop(st);
+                panic!("{message}");
+            }
+            st.edges.insert((nid, name_id));
         }
     }
 
@@ -168,75 +164,28 @@ impl LockWitness {
             .collect()
     }
 
-    /// Every distinct cycle in the observed order graph, as the list
-    /// of lock names along it (the cycle closes back on the first
-    /// name). Empty means every observed acquisition respected one
-    /// global order.
-    pub fn cycles(&self) -> Vec<Vec<String>> {
-        let st = self.state();
-        let mut adj: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &(a, b) in &st.edges {
-            adj.entry(a).or_default().push(b);
-        }
-        let mut seen: BTreeSet<BTreeSet<usize>> = BTreeSet::new();
-        let mut out = Vec::new();
-        for &(a, b) in &st.edges {
-            let Some(back) = bfs_path(&adj, b, a) else { continue };
-            let mut nodes = vec![a];
-            nodes.extend(back);
-            nodes.pop(); // the closing repeat of `a`
-            let key: BTreeSet<usize> = nodes.iter().copied().collect();
-            if seen.insert(key) {
-                out.push(nodes.iter().map(|&n| st.names[n].clone()).collect());
-            }
-        }
-        out
-    }
-
     /// True when no thread currently holds any witnessed lock — the
     /// end-of-test leak check.
     pub fn nothing_held(&self) -> bool {
         self.state().held.is_empty()
     }
-
-    /// Fail the current test if any inversion was observed.
-    pub fn assert_acyclic(&self) {
-        let cycles = self.cycles();
-        assert!(
-            cycles.is_empty(),
-            "lock-order inversion witnessed at runtime: {}",
-            cycles
-                .iter()
-                .map(|c| {
-                    let mut path = c.join(" -> ");
-                    path.push_str(" -> ");
-                    path.push_str(&c[0]);
-                    path
-                })
-                .collect::<Vec<_>>()
-                .join("; ")
-        );
-    }
 }
 
-/// Shortest path `from ..= to` in `adj`, if one exists.
-fn bfs_path(adj: &BTreeMap<usize, Vec<usize>>, from: usize, to: usize) -> Option<Vec<usize>> {
-    let mut prev: BTreeMap<usize, usize> = BTreeMap::new();
+/// Shortest path `from ..= to` over `edges`, if one exists.
+fn path(edges: &BTreeSet<(usize, usize)>, from: usize, to: usize) -> Option<Vec<usize>> {
+    let mut prev: HashMap<usize, usize> = HashMap::new();
     let mut queue = VecDeque::from([from]);
-    let mut visited = BTreeSet::from([from]);
     while let Some(node) = queue.pop_front() {
         if node == to {
             let mut path = vec![to];
-            let mut cur = to;
-            while cur != from {
-                cur = prev[&cur];
-                path.push(cur);
+            while let Some(&p) = prev.get(path.last()?) {
+                path.push(p);
             }
             path.reverse();
             return Some(path);
         }
-        for &next in adj.get(&node).into_iter().flatten() {
-            if visited.insert(next) {
+        for &(_, next) in edges.range((node, 0)..(node + 1, 0)) {
+            if next != from && !prev.contains_key(&next) {
                 prev.insert(next, node);
                 queue.push_back(next);
             }
@@ -250,15 +199,13 @@ fn bfs_path(adj: &BTreeMap<usize, Vec<usize>>, from: usize, to: usize) -> Option
 /// Drop-in for the `Mutex<T>` shape this workspace uses: `lock()`
 /// returns the guard directly (poisoning is absorbed, matching the
 /// `unwrap_or_else(|p| p.into_inner())` idiom at every existing call
-/// site). Under the `loom` feature the protected mutex is the modeled
-/// one, so model runs exercise the exact shipped locking; the witness
-/// bookkeeping stays un-modeled by design.
+/// site).
 pub struct OrderedMutex<T> {
     name: &'static str,
     name_id: usize,
     instance: u64,
     witness: Arc<LockWitness>,
-    raw: RawMutex<T>,
+    raw: Mutex<T>,
 }
 
 impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
@@ -285,13 +232,15 @@ impl<T> OrderedMutex<T> {
         value: T,
         witness: &Arc<LockWitness>,
     ) -> OrderedMutex<T> {
-        let name_id = witness.register(name);
+        // A disabled witness (the global one in release builds) never
+        // takes its state lock, not even to intern the name.
+        let name_id = if witness.enabled { witness.state().intern(name) } else { 0 };
         OrderedMutex {
             name,
             name_id,
             instance: NEXT_INSTANCE.fetch_add(1, Ordering::SeqCst),
             witness: Arc::clone(witness),
-            raw: RawMutex::new(value),
+            raw: Mutex::new(value),
         }
     }
 
@@ -318,7 +267,7 @@ impl<T> OrderedMutex<T> {
 /// RAII guard for [`OrderedMutex::lock`]; releases the witness record
 /// on drop. Guards may be dropped in any order.
 pub struct OrderedMutexGuard<'a, T> {
-    inner: RawGuard<'a, T>,
+    inner: MutexGuard<'a, T>,
     lock: &'a OrderedMutex<T>,
 }
 
@@ -349,48 +298,62 @@ impl<T> Drop for OrderedMutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Take `first` then `second`, release both.
+    fn nest<T>(first: &OrderedMutex<T>, second: &OrderedMutex<T>) {
+        let g1 = first.lock();
+        let g2 = second.lock();
+        drop(g2);
+        drop(g1);
+    }
+
+    /// The panic message of taking `first` then `second`.
+    fn inversion<T>(first: &OrderedMutex<T>, second: &OrderedMutex<T>) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(|| nest(first, second)))
+            .expect_err("an inversion must panic");
+        payload.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
 
     #[test]
     fn consistent_order_stays_clean() {
         let w = LockWitness::new();
         let a = OrderedMutex::with_witness("a", 0u8, &w);
         let b = OrderedMutex::with_witness("b", 0u8, &w);
-        for _ in 0..2 {
-            let ga = a.lock();
-            let gb = b.lock();
-            drop(gb);
-            drop(ga);
-        }
+        nest(&a, &b);
+        nest(&a, &b);
         assert_eq!(w.edges(), vec![("a".to_string(), "b".to_string())]);
-        assert!(w.cycles().is_empty());
         assert!(w.nothing_held());
-        w.assert_acyclic();
     }
 
     #[test]
-    fn inversion_is_reported_as_a_cycle() {
+    fn inversion_panics_naming_the_cycle_and_records_no_edge() {
         let w = LockWitness::new();
         let a = OrderedMutex::with_witness("alpha", (), &w);
         let b = OrderedMutex::with_witness("beta", (), &w);
-        {
-            let ga = a.lock();
-            let gb = b.lock();
-            drop(gb);
-            drop(ga);
-        }
-        {
-            let gb = b.lock();
-            let ga = a.lock();
-            drop(ga);
-            drop(gb);
-        }
-        let cycles = w.cycles();
-        assert_eq!(cycles.len(), 1, "{cycles:?}");
-        let nodes: BTreeSet<&str> = cycles[0].iter().map(|s| s.as_str()).collect();
-        assert_eq!(nodes, BTreeSet::from(["alpha", "beta"]));
+        nest(&a, &b);
+        assert_eq!(
+            inversion(&b, &a),
+            "lock-order inversion: taking `alpha` while holding `beta` closes the cycle beta -> alpha -> beta"
+        );
+        // The unwinding guard released its record, the closing edge was
+        // never added, and the same inversion fails again.
         assert!(w.nothing_held());
-        let failure = std::panic::catch_unwind(|| w.assert_acyclic());
-        assert!(failure.is_err(), "assert_acyclic must fail on an inversion");
+        assert_eq!(w.edges(), vec![("alpha".to_string(), "beta".to_string())]);
+        assert!(inversion(&b, &a).contains("closes the cycle"));
+        nest(&a, &b);
+    }
+
+    #[test]
+    fn transitive_cycle_across_three_locks() {
+        let w = LockWitness::new();
+        let a = OrderedMutex::with_witness("a", (), &w);
+        let b = OrderedMutex::with_witness("b", (), &w);
+        let c = OrderedMutex::with_witness("c", (), &w);
+        nest(&a, &b);
+        nest(&b, &c);
+        assert!(inversion(&c, &a).ends_with("closes the cycle c -> a -> b -> c"));
+        assert!(w.nothing_held());
     }
 
     #[test]
@@ -403,7 +366,7 @@ mod tests {
         drop(ga); // released before the later acquisition
         drop(gb);
         assert!(w.nothing_held());
-        assert!(w.cycles().is_empty());
+        nest(&a, &b);
     }
 
     #[test]
@@ -411,46 +374,22 @@ mod tests {
         let w = LockWitness::new();
         let s1 = OrderedMutex::with_witness("shard", 1u8, &w);
         let s2 = OrderedMutex::with_witness("shard", 2u8, &w);
-        let g1 = s1.lock();
-        let g2 = s2.lock();
-        drop(g2);
-        drop(g1);
+        nest(&s1, &s2);
+        nest(&s2, &s1);
         assert!(w.edges().is_empty());
-        assert!(w.cycles().is_empty());
     }
 
     #[test]
-    fn transitive_cycle_across_three_locks() {
-        let w = LockWitness::new();
-        let a = OrderedMutex::with_witness("a", (), &w);
-        let b = OrderedMutex::with_witness("b", (), &w);
-        let c = OrderedMutex::with_witness("c", (), &w);
-        for (first, second) in [(&a, &b), (&b, &c), (&c, &a)] {
-            let g1 = first.lock();
-            let g2 = second.lock();
-            drop(g2);
-            drop(g1);
-        }
-        let cycles = w.cycles();
-        assert_eq!(cycles.len(), 1, "{cycles:?}");
-        assert_eq!(cycles[0].len(), 3);
-    }
-
-    #[test]
-    fn disabled_witness_records_nothing() {
+    fn disabled_witness_records_nothing_and_never_interns() {
         let w = LockWitness::disabled();
         let a = OrderedMutex::with_witness("a", 7u8, &w);
         let b = OrderedMutex::with_witness("b", 9u8, &w);
-        let gb = b.lock();
-        let ga = a.lock();
-        assert_eq!(*ga + *gb, 16);
-        drop(ga);
-        drop(gb);
-        let gb = b.lock();
-        drop(gb);
+        nest(&a, &b);
+        nest(&b, &a);
+        assert_eq!(*a.lock() + *b.lock(), 16);
         assert!(w.edges().is_empty());
-        assert!(w.cycles().is_empty());
         assert!(w.nothing_held());
+        assert!(w.state().names.is_empty(), "a disabled witness took its state lock to intern");
     }
 
     #[test]

@@ -18,23 +18,22 @@ use crate::cancel::CancelToken;
 use crate::morsel::morsels;
 use crate::ordered_lock::OrderedMutex;
 
-/// Worker count from the environment: `TELEIOS_THREADS` when set to a
-/// positive integer, otherwise [`std::thread::available_parallelism`].
-/// The variable is read on every call so harnesses can sweep thread
-/// counts in-process; the fallback (cgroup file reads) is read once.
+/// Worker count for [`WorkerPool::default`]: `TELEIOS_THREADS` when
+/// set to a positive integer, otherwise
+/// [`std::thread::available_parallelism`]. Read once per process, on
+/// first use, so a pool per statement costs no environment lookup.
 pub fn default_threads() -> usize {
-    match std::env::var("TELEIOS_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => available(),
-        },
-        Err(_) => available(),
-    }
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        parse_threads(std::env::var("TELEIOS_THREADS").ok().as_deref())
+            .unwrap_or_else(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    })
 }
 
-fn available() -> usize {
-    static AVAILABLE: OnceLock<usize> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1))
+/// The worker count a `TELEIOS_THREADS` value asks for, if it names a
+/// positive integer.
+fn parse_threads(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse().ok().filter(|&n| n >= 1)
 }
 
 /// Observability for a pool run.
@@ -426,12 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn env_override_controls_default_threads() {
-        std::env::set_var("TELEIOS_THREADS", "3");
-        assert_eq!(default_threads(), 3);
-        std::env::set_var("TELEIOS_THREADS", "not-a-number");
+    fn threads_parse_positive_integers_only() {
+        assert_eq!(parse_threads(Some("3")), Some(3));
+        assert_eq!(parse_threads(Some(" 8\n")), Some(8));
+        for bad in [Some("0"), Some("-2"), Some("not-a-number"), Some(""), None] {
+            assert_eq!(parse_threads(bad), None, "{bad:?}");
+        }
         assert!(default_threads() >= 1);
-        std::env::remove_var("TELEIOS_THREADS");
-        assert!(default_threads() >= 1);
+        assert_eq!(default_threads(), WorkerPool::default().threads());
     }
 }

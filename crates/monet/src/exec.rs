@@ -240,10 +240,17 @@ pub fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
-            let ord = l.sql_cmp(r).ok_or_else(|| DbError::TypeMismatch {
-                expected: "comparable values".into(),
-                found: format!("{:?} vs {:?}", l.data_type(), r.data_type()),
-            })?;
+            let Some(ord) = l.sql_cmp(r) else {
+                // NaN against a number is unknown, as in `Column::select`:
+                // the row fails the comparison either way round.
+                if l.as_f64().is_some() && r.as_f64().is_some() {
+                    return Ok(Value::Null);
+                }
+                return Err(DbError::TypeMismatch {
+                    expected: "comparable values".into(),
+                    found: format!("{:?} vs {:?}", l.data_type(), r.data_type()),
+                });
+            };
             let cmp = match op {
                 Eq => CmpOp::Eq,
                 Ne => CmpOp::Ne,
@@ -266,24 +273,25 @@ pub fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                 }
             }
             match (l, r) {
-                (Value::Int(a), Value::Int(b)) => Ok(match op {
-                    Add => Value::Int(a.wrapping_add(*b)),
-                    Sub => Value::Int(a.wrapping_sub(*b)),
-                    Mul => Value::Int(a.wrapping_mul(*b)),
-                    Div => {
-                        if *b == 0 {
-                            return Err(DbError::Execution("division by zero".into()));
-                        }
-                        Value::Int(a / b)
+                (Value::Int(a), Value::Int(b)) => {
+                    if matches!(op, Div | Mod) && *b == 0 {
+                        return Err(DbError::Execution("division by zero".into()));
                     }
-                    Mod => {
-                        if *b == 0 {
-                            return Err(DbError::Execution("division by zero".into()));
-                        }
-                        Value::Int(a % b)
+                    let exact = match op {
+                        Add => a.checked_add(*b),
+                        Sub => a.checked_sub(*b),
+                        Mul => a.checked_mul(*b),
+                        Div => a.checked_div(*b),
+                        _ => a.checked_rem(*b),
+                    };
+                    // A result outside i64 is computed in doubles, as
+                    // stSPARQL and SciQL compute it, instead of wrapping
+                    // (`1 + 2 * x < 7` must not hold for a huge `x`).
+                    match exact {
+                        Some(v) => Ok(Value::Int(v)),
+                        None => eval_binary(op, &Value::Double(*a as f64), &Value::Double(*b as f64)),
                     }
-                    _ => unreachable!(),
-                }),
+                }
                 _ => {
                     let a = l.as_f64().ok_or_else(|| DbError::TypeMismatch {
                         expected: "numeric".into(),
@@ -1325,6 +1333,18 @@ mod tests {
             eval_binary(BinOp::Div, &Value::Double(1.0), &Value::Double(0.0)).unwrap(),
             Value::Double(f64::INFINITY)
         );
+    }
+
+    #[test]
+    fn integer_overflow_promotes_to_double_and_nan_compares_unknown() {
+        let int = |op, a, b| eval_binary(op, &Value::Int(a), &Value::Int(b)).unwrap();
+        assert_eq!(int(BinOp::Mul, i64::MAX, 2), Value::Double(i64::MAX as f64 * 2.0));
+        assert_eq!(int(BinOp::Add, i64::MIN, -1), Value::Double(i64::MIN as f64 - 1.0));
+        assert_eq!(int(BinOp::Div, i64::MIN, -1), Value::Double(-(i64::MIN as f64)));
+        assert_eq!(int(BinOp::Mul, 1 << 31, 1 << 31), Value::Int(1 << 62));
+        let nan = Value::Double(f64::NAN);
+        assert_eq!(eval_binary(BinOp::Lt, &nan, &Value::Int(7)).unwrap(), Value::Null);
+        assert!(eval_binary(BinOp::Lt, &Value::Str("a".into()), &Value::Int(7)).is_err());
     }
 
     #[test]

@@ -326,7 +326,7 @@ pub fn persist_catalog(
 pub fn save_catalog(catalog: &Catalog, backend: &mut dyn StorageBackend) -> Result<u64, StoreError> {
     backend.begin()?;
     // A failed put must not leave the transaction open on the shared
-    // backend (txn-leak): roll back before propagating.
+    // backend: roll back before propagating.
     if let Err(e) = persist_catalog(catalog, backend) {
         backend.rollback();
         return Err(e);
@@ -386,7 +386,9 @@ pub fn load_catalog(backend: &dyn StorageBackend) -> Result<Option<Catalog>, Sto
 mod tests {
     use super::*;
     use teleios_check::Edits;
-    use teleios_store::{DurableBackend, DurableConfig, MemMedium, MemoryBackend};
+    use teleios_store::{
+        DurableBackend, DurableConfig, FailingPuts, MemMedium, MemoryBackend, TxnWitness,
+    };
 
     /// A backend holding exactly `pages`, as `(keyspace, key, bytes)`.
     fn backend_with(pages: &[(&str, &[u8], &[u8])]) -> MemoryBackend {
@@ -525,6 +527,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A put failing between `begin` and `commit` must not leave the
+    /// transaction open: the always-on witness panics when `backend`
+    /// drops at the end of the test if it did.
+    #[test]
+    fn a_failed_put_closes_the_transaction() {
+        let mut backend = FailingPuts { inner: MemoryBackend::with_witness(&TxnWitness::new()), puts: 1 };
+        assert!(save_catalog(&sample_catalog(), &mut backend).is_err());
     }
 
     #[test]

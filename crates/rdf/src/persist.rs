@@ -160,7 +160,7 @@ pub fn save_triple_store(
 ) -> Result<u64, StoreError> {
     backend.begin()?;
     // A failed put must not leave the transaction open on the shared
-    // backend (txn-leak): roll back before propagating.
+    // backend: roll back before propagating.
     if let Err(e) = persist_triple_store(store, backend) {
         backend.rollback();
         return Err(e);
@@ -205,7 +205,9 @@ pub fn load_triple_store(
 mod tests {
     use super::*;
     use teleios_check::Edits;
-    use teleios_store::{DurableBackend, DurableConfig, MemMedium, MemoryBackend};
+    use teleios_store::{
+        DurableBackend, DurableConfig, FailingPuts, MemMedium, MemoryBackend, TxnWitness,
+    };
 
     fn sample_store() -> TripleStore {
         let mut store = TripleStore::new();
@@ -243,6 +245,15 @@ mod tests {
         let ta: Vec<_> = a.iter().collect();
         let tb: Vec<_> = b.iter().collect();
         assert_eq!(ta, tb);
+    }
+
+    /// A put failing between `begin` and `commit` must not leave the
+    /// transaction open: the always-on witness panics when `backend`
+    /// drops at the end of the test if it did.
+    #[test]
+    fn a_failed_put_closes_the_transaction() {
+        let mut backend = FailingPuts { inner: MemoryBackend::with_witness(&TxnWitness::new()), puts: 1 };
+        assert!(save_triple_store(&sample_store(), &mut backend).is_err());
     }
 
     #[test]

@@ -382,6 +382,21 @@ mod tests {
     }
 
     #[test]
+    fn a_deregistered_attempt_is_never_cancelled() {
+        let registry = AttemptRegistry::default();
+        let token = CancelToken::new();
+        let attempt = Arc::new(InFlightAttempt::new("s4", "c", token.clone()));
+        registry.register(Arc::clone(&attempt));
+        registry.deregister(&attempt);
+        assert!(registry.snapshot().is_empty(), "the registry must drain");
+        // Overdue from the first poll on, but no longer in flight.
+        let watchdog = Watchdog::spawn(registry.clone(), StageBudget::hard(Duration::ZERO), None);
+        thread::sleep(Duration::from_millis(25));
+        watchdog.stop();
+        assert!(!token.is_cancelled(), "{:?}", token.reason());
+    }
+
+    #[test]
     fn batch_deadline_cancels_everything_in_flight() {
         let registry = AttemptRegistry::default();
         let scene_token = CancelToken::new();

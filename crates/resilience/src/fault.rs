@@ -624,6 +624,31 @@ mod tests {
         assert!(t0.elapsed() < pause);
     }
 
+    /// One scene's hang must not stall another scene's hook: the hook
+    /// holds no lock while it sleeps. The hang ends only when the test
+    /// fires its token, after the other call returned or timed out, so
+    /// a stall fails the test instead of wedging it.
+    #[test]
+    fn a_hanging_scene_never_stalls_another_scenes_hook() {
+        use std::time::Duration;
+        let mut plan = FaultPlan::new();
+        plan.inject("hung", Fault::Hang { stage: ChainStage::Crop, duration: Duration::from_secs(120) });
+        plan.inject("flaky", Fault::Transient { failures: 1 });
+        let hook = &plan.chain_hook();
+        let token = teleios_exec::CancelToken::new();
+        let hung_chain = ProcessingChain::operational().with_cancel_token(token.clone());
+        std::thread::scope(|s| {
+            let hung = s.spawn(|| hook("hung", ChainStage::Crop, &hung_chain));
+            std::thread::sleep(Duration::from_millis(50));
+            let (tx, rx) = std::sync::mpsc::channel();
+            s.spawn(move || tx.send(hook("flaky", ChainStage::Ingest, &ProcessingChain::operational())));
+            let flaky = rx.recv_timeout(Duration::from_secs(5));
+            token.cancel("test over");
+            assert!(matches!(flaky, Ok(Err(_))), "the transient fault's hook stalled behind the hang");
+            assert!(hung.join().unwrap().is_err(), "the hang ends in a cancellation");
+        });
+    }
+
     #[test]
     fn hook_hang_with_cancelled_token_errors_promptly() {
         let mut plan = FaultPlan::new();

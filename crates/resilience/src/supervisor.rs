@@ -732,16 +732,16 @@ mod tests {
         });
         let cancel = CancelToken::new();
         cancel.cancel("batch deadline exceeded");
-        let batch = scenes(1);
-        let t0 = Instant::now();
-        let report = supervisor.run_scene_supervised(
-            &Catalog::new(),
-            &chain,
-            "sup0",
-            &batch[0].1,
-            &RunState::new(3, cancel),
-        );
-        assert!(t0.elapsed() < Duration::from_secs(60), "backoff was not interrupted");
+        let raster = scenes(1).remove(0).1;
+        let run = RunState::new(3, cancel);
+        // On a thread of its own, so a backoff that ignores the token
+        // fails the test in seconds instead of sleeping for an hour.
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            done.send(supervisor.run_scene_supervised(&Catalog::new(), &chain, "sup0", &raster, &run)).is_ok()
+        });
+        let report = finished.recv_timeout(Duration::from_secs(30)).expect("backoff was not interrupted");
+        assert!(worker.join().unwrap());
         assert_eq!(report.attempts, 1);
         assert!(
             matches!(&report.outcome, SceneOutcome::Failed { reason }

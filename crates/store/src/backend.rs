@@ -163,9 +163,7 @@ impl Clone for MemoryBackend {
 }
 
 impl Drop for MemoryBackend {
-    /// Debug builds panic here if a transaction is still open — the
-    /// runtime counterpart of teleios-lint's `txn-leak` rule for
-    /// flows the intraprocedural lint cannot follow.
+    /// Debug builds panic here if a transaction is still open.
     fn drop(&mut self) {
         self.witness.note_drop(self.instance);
     }
@@ -365,8 +363,7 @@ mod tests {
     }
 
     // The explicit witness is always-on, so this panics in release
-    // builds too — the seeded-leak cross-check for the static
-    // `txn-leak` rule.
+    // builds too.
     #[test]
     #[should_panic(expected = "transaction leak")]
     fn witness_panics_when_an_open_transaction_is_dropped() {

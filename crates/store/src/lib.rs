@@ -34,12 +34,11 @@
 //! acknowledged committed state — no panic, no lost committed write,
 //! no resurrected uncommitted write.
 //!
-//! Transaction discipline is double-checked: statically by
-//! teleios-lint's path-sensitive `txn-leak` rule (every `begin()`
-//! reaches `commit()`/`rollback()` on every path out of a function),
-//! and at runtime by [`TxnWitness`] — in debug builds, dropping a
-//! backend with a transaction still open panics with a pointer back
-//! at the rule.
+//! Transaction discipline is checked at runtime by [`TxnWitness`]: in
+//! debug builds, dropping a backend with a transaction still open
+//! panics. Each domain port's test drives its error exit between
+//! `begin` and `commit` through [`FailingPuts`], so a port that
+//! forgets to roll back fails its own test.
 
 pub mod backend;
 pub mod codec;
@@ -52,7 +51,7 @@ pub mod witness;
 
 pub use backend::{full_state, KeyspaceState, MemoryBackend, StorageBackend, StoreStats, TxOp};
 pub use durable::{DurableBackend, DurableConfig, RecoveryReport};
-pub use fault::WriteFault;
+pub use fault::{FailingPuts, WriteFault};
 pub use medium::{FsMedium, MemMedium, Medium};
 pub use witness::TxnWitness;
 

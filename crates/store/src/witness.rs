@@ -1,16 +1,10 @@
-//! Runtime cross-check of the static `txn-leak` lint.
-//!
-//! teleios-lint's L10 rule proves, per function, that every
-//! `begin()` reaches a `commit()` or `rollback()` on every path out.
-//! That proof is intraprocedural — a transaction handed across
-//! function boundaries, or opened behind a trait object the lint
-//! cannot see through, escapes it. [`TxnWitness`] closes the gap at
-//! runtime, the same division of labor as the lock-order lint and
-//! `teleios-exec`'s `LockWitness`: every backend notes `begin`/
-//! `commit`/`rollback` against a shared witness, and dropping a
-//! backend with a transaction still open panics in debug builds
-//! (where the process-wide [`TxnWitness::global`] records) with a
-//! message pointing back at the lint rule.
+//! Runtime check of transaction discipline: every `begin()` must
+//! reach a `commit()` or `rollback()` before its backend goes away.
+//! Every backend notes `begin`/`commit`/`rollback` against a shared
+//! [`TxnWitness`], and dropping a backend with a transaction still
+//! open panics in debug builds (where the process-wide
+//! [`TxnWitness::global`] records), naming the backend. It sees through
+//! trait objects and function boundaries alike.
 //!
 //! Tests that want the check in release builds too construct an
 //! always-on witness with [`TxnWitness::new`] and inject it via
@@ -122,8 +116,7 @@ impl TxnWitness {
             assert!(
                 std::thread::panicking(),
                 "transaction leak: {label} dropped with a transaction still open — \
-                 commit or roll back on every path out (teleios-lint's txn-leak rule \
-                 proves this statically for straight-line code)"
+                 commit or roll back on every path out"
             );
         }
     }

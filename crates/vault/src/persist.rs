@@ -128,7 +128,7 @@ pub fn save_vault_state(
 ) -> Result<u64, StoreError> {
     backend.begin()?;
     // A failed put must not leave the transaction open on the shared
-    // backend (txn-leak): roll back before propagating.
+    // backend: roll back before propagating.
     if let Err(e) = persist_vault_state(catalog, quarantine, backend) {
         backend.rollback();
         return Err(e);
@@ -163,7 +163,9 @@ pub fn load_vault_state(
 mod tests {
     use super::*;
     use teleios_check::Edits;
-    use teleios_store::{DurableBackend, DurableConfig, MemMedium, MemoryBackend};
+    use teleios_store::{
+        DurableBackend, DurableConfig, FailingPuts, MemMedium, MemoryBackend, TxnWitness,
+    };
 
     fn sample_record(name: &str) -> FileRecord {
         FileRecord {
@@ -221,6 +223,16 @@ mod tests {
         let (lc, lq) = load_vault_state(&recovered).unwrap().unwrap();
         assert_catalogs_equal(&catalog, &lc);
         assert_eq!(quarantine, lq);
+    }
+
+    /// A put failing between `begin` and `commit` must not leave the
+    /// transaction open: the always-on witness panics when `backend`
+    /// drops at the end of the test if it did.
+    #[test]
+    fn a_failed_put_closes_the_transaction() {
+        let (catalog, quarantine) = sample_state();
+        let mut backend = FailingPuts { inner: MemoryBackend::with_witness(&TxnWitness::new()), puts: 1 };
+        assert!(save_vault_state(&catalog, &quarantine, &mut backend).is_err());
     }
 
     #[test]

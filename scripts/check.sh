@@ -2,31 +2,25 @@
 # Pre-merge gate, in three tiers:
 #
 #   scripts/check.sh --quick   build + tier-1 tests only
-#   scripts/check.sh           default gate: the above, plus the
-#                              workspace invariants — clippy's half
-#                              (proved on crates/lint/probe first,
-#                              then run over every library) and
-#                              teleios-lint's half —, the
+#   scripts/check.sh           default gate: the above, plus every
+#                              crate's tests in a debug build (the
+#                              lock-order witness panics on an
+#                              inversion there, the transaction
+#                              witness on a leak), the workspace
+#                              invariants — clippy's lint list and the
+#                              two structural greps, each proved on
+#                              scripts/probe first —, the
 #                              one-fork-site, one-cell-walker,
-#                              one-statement-prologue,
-#                              one-tokenizer-per-family and
-#                              one-vocabulary greps, warning-free
-#                              clippy outside crates/e0, the
-#                              E6/E11/E14/E16 smoke runs (a
+#                              one-statement-prologue and
+#                              one-tokenizer-per-family greps,
+#                              warning-free clippy outside crates/e0,
+#                              the E6/E11/E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
 #                              regression fails this gate instead of
 #                              hanging it), and the E0 benchmark's
 #                              self-test
 #   scripts/check.sh --full    default gate, plus the exhaustive
-#                              WAL-truncation recovery sweep and the loom
-#                              model-checking suite: exhaustive
-#                              interleaving of the exec/cancel races
-#                              (first-wins cancel, reason publication,
-#                              poll wakeup, the pool's claim counter,
-#                              watchdog-registry protocol, lock-order
-#                              witness) under `--features loom`,
-#                              bounded by a timeout so a scheduler
-#                              regression fails rather than wedges
+#                              WAL-truncation recovery sweep
 #
 # Run from anywhere inside the repo; requires only the Rust toolchain
 # (every cargo call is --offline: the workspace has no dependency
@@ -60,9 +54,17 @@ echo "==> cargo test -q"
 cargo test -q --offline
 
 if [ "$quick" -eq 1 ]; then
-    echo "==> quick checks passed (lint, clippy + E14 smoke skipped)"
+    echo "==> quick checks passed (crate tests, invariants and smoke runs skipped)"
     exit 0
 fi
+
+# Every crate's own tests, in a debug build: the runtime checkers
+# live here. The global LockWitness panics on the acquisition that
+# would close a lock-order cycle, TxnWitness on a backend dropped with
+# a transaction open, and crates/exec/tests/races.rs stress-tests the
+# cancel, claim and witness protocols.
+echo "==> cargo test -q --workspace"
+cargo test -q --offline --workspace
 
 # Workspace invariants, one checker each (DESIGN.md, "Static analysis
 # & verification gates"). Clippy owns what it can see by type: OS
@@ -83,17 +85,50 @@ invariant_lints=(
 invariant_flags=()
 for lint in "${invariant_lints[@]}"; do invariant_flags+=(-D "$lint"); done
 
-# The list must fire before a clean run means anything: the probe
-# crate seeds one violation per lint (plus an aliased spawn and a
-# stale #[expect]), each marked `//~ <lint>` on its line, and the
-# diagnostics must be exactly the marked set — so a lint dropped from
-# the list, a clippy.toml that stopped loading, or a #[cfg(test)]
-# decoy that started firing all fail here.
-echo "==> clippy invariants fire on crates/lint/probe"
-probe=crates/lint/probe
-marked=$(grep -nE '//~ [a-z_:]+$' "$probe/src/lib.rs" \
-    | sed -E 's|^([0-9]+):.*//~ ([a-z_:]+)$|src/lib.rs:\1 \2|' | sort)
-reported=$( (cargo clippy --offline -q --manifest-path "$probe/Cargo.toml" --target-dir target/lint-probe \
+# Two structural invariants no compiler lint states, as greps: every
+# crate root forbids unsafe code, and every public `*Error` enum
+# implements Display and std::error::Error in its own file (above its
+# #[cfg(test)] module). Prints one `path:line check` per finding.
+structural_findings() {
+    local dir file line rest name
+    for dir in "$@"; do
+        grep -qxF '#![forbid(unsafe_code)]' "$dir/src/lib.rs" || echo "$dir/src/lib.rs:1 crate-attrs"
+        while IFS= read -r file; do
+            while IFS=: read -r line rest; do
+                name=$(sed -E 's/.*pub enum ([A-Za-z0-9_]+).*/\1/' <<<"$rest")
+                if ! grep -qE "^\s*impl\b.*\bDisplay for $name\b" "$file" \
+                    || ! grep -qE "^\s*impl\b.*\bError for $name\b" "$file"; then
+                    echo "$file:$line error-impls"
+                fi
+            done < <(awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" \
+                | grep -nE '^\s*pub enum [A-Za-z0-9_]+Error\b' || true)
+        done < <(find "$dir/src" -name '*.rs' | sort)
+    done
+}
+
+# Both checkers must fire before a clean run means anything: the probe
+# crate seeds one violation per lint and per structural check (plus an
+# aliased spawn and a stale #[expect]), each marked `//~ <check>` on
+# its line, and the findings must be exactly the marked set — so a
+# lint dropped from the list, a clippy.toml that stopped loading, a
+# grep that stopped matching or a #[cfg(test)] decoy that started
+# firing all fail here.
+probe=scripts/probe
+marks() {
+    grep -nE "//~ ($1)\$" "$probe/src/lib.rs" \
+        | sed -E 's|^([0-9]+):.*//~ ([a-z_:-]+)$|src/lib.rs:\1 \2|' | sort
+}
+same_as_marked() {
+    if [ -z "$2" ] || [ "$3" != "$2" ]; then
+        echo "$1 probe: findings differ from the //~ marks (< marked, > reported):" >&2
+        diff <(echo "$2") <(echo "$3") >&2 || true
+        exit 1
+    fi
+    echo "    $(echo "$3" | wc -l) seeded findings, exactly as marked"
+}
+
+echo "==> clippy invariants fire on $probe"
+reported=$( (cargo clippy --offline -q --manifest-path "$probe/Cargo.toml" --target-dir target/probe \
         --lib --message-format json -- "${invariant_flags[@]}" 2>/dev/null || true) \
     | python3 -c '
 import json, sys
@@ -105,43 +140,20 @@ for line in sys.stdin:
         if code in lints and span["is_primary"]:
             print("%s:%d %s" % (span["file_name"], span["line_start"], code))
 ' "${invariant_lints[@]}" | sort)
-if [ -z "$marked" ] || [ "$reported" != "$marked" ]; then
-    echo "clippy invariant probe: diagnostics differ from the //~ marks (< marked, > reported):" >&2
-    diff <(echo "$marked") <(echo "$reported") >&2 || true
-    exit 1
-fi
-echo "    $(echo "$reported" | wc -l) seeded diagnostics, exactly as marked"
+same_as_marked clippy "$(marks 'clippy::[a-z_]+|unfulfilled_lint_expectations')" "$reported"
 
 echo "==> clippy invariants (workspace library code)"
 cargo clippy --offline --workspace --lib -- "${invariant_flags[@]}"
 
-# What needs the workspace call graph, or has no clippy lint, stays in
-# teleios-lint: error-type contracts, no Relaxed outside exec,
-# forbid(unsafe_code) on crate roots, lock-order acyclicity,
-# cancel-safe pool dispatch, and the path-sensitive dataflow rules
-# (txn-leak, guard-across-blocking, loop-cancel-poll). The self-test
-# proves each rule still fires at exact positions before the
-# workspace scan is trusted; GitHub annotation output lands findings
-# inline on PR diffs when CI runs this gate.
-echo "==> teleios-lint --self-test"
-cargo run --release --offline -p teleios-lint -- --self-test
+echo "==> structural greps fire on $probe"
+same_as_marked structural "$(marks 'crate-attrs|error-impls')" \
+    "$(cd "$probe" && structural_findings . | sed 's|^\./||' | sort)"
 
-# The lint is part of the inner loop, so it gets a perf budget of its
-# own: a CFG-engine regression that makes the scan crawl should fail
-# the gate, not silently tax every future run. The scan measures
-# ~0.1 s (EXPERIMENTS.md, "lint link phase"), so the default budget
-# fails a ~20x pass-structure regression. Override with
-# TELEIOS_LINT_BUDGET_MS for slow CI hardware. On overrun the scan is
-# re-run with --timings so the log shows which phase (or rule) blew up.
-lint_budget_ms="${TELEIOS_LINT_BUDGET_MS:-2000}"
-echo "==> teleios-lint (budget ${lint_budget_ms}ms)"
-lint_start_ns=$(date +%s%N)
-cargo run --release --offline -q -p teleios-lint -- --format github
-lint_elapsed_ms=$(( ($(date +%s%N) - lint_start_ns) / 1000000 ))
-echo "    lint scan took ${lint_elapsed_ms}ms"
-if [ "$lint_elapsed_ms" -gt "$lint_budget_ms" ]; then
-    echo "teleios-lint exceeded its ${lint_budget_ms}ms budget (${lint_elapsed_ms}ms); timing breakdown:" >&2
-    cargo run --release --offline -q -p teleios-lint -- --format github --timings >/dev/null || true
+echo "==> structural greps (every crate)"
+findings=$(structural_findings crates/* . | sed 's|^\./||')
+if [ -n "$findings" ]; then
+    echo "$findings" >&2
+    echo "a crate root lacks #![forbid(unsafe_code)], or a public *Error enum lacks its Display / std::error::Error impl" >&2
     exit 1
 fi
 
@@ -193,17 +205,6 @@ if grep -nF '.replace(' crates/sciql/src/parser.rs; then
     echo "crates/sciql/src/parser.rs rewrites its text: lex SciQL with monet's tokenizer as written" >&2; exit 1
 fi
 
-# The lint's blocking / dispatch / poll words live in one table
-# (cfg.rs VOCAB): a second file spelling one of them as a literal has
-# grown a second recognizer.
-echo "==> one lint vocabulary (each blocking word in one file)"
-for word in recv_timeout try_run_cancellable sleep_cancellable; do
-    files=$(grep -rlF "\"$word\"" crates/lint/src --include='*.rs' | wc -l)
-    if [ "$files" -ne 1 ]; then
-        echo "\"$word\" appears as a literal in $files files under crates/lint/src, expected 1" >&2; exit 1
-    fi
-done
-
 # Every target warning-free, tests and drivers included, except
 # crates/e0 (frozen between benchmark PRs). The disallowed-path lints
 # are the invariant step's: tests and drivers may spawn and write.
@@ -239,11 +240,6 @@ echo "==> E0 self-test"
 timeout 600 python3 crates/e0/run.py --self-test
 
 if [ "$full" -eq 1 ]; then
-    # Exhaustive schedule exploration is exponential in yield points;
-    # the models are small, but a scheduler bug could loop — bound it.
-    echo "==> loom model checking (exec/cancel)"
-    timeout 600 cargo test --release --offline -p teleios-exec --features loom --test loom
-
     # The exhaustive WAL-truncation sweep: recovery at every byte
     # offset of multi-seed logs (the fast per-commit sweep already ran
     # in tier 1; this is the #[ignore]d large variant).

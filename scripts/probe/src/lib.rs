@@ -1,8 +1,10 @@
-//! Seeded violations for the clippy half of the workspace invariants.
-//! `scripts/check.sh` runs its invariant lint list over this crate and
-//! requires exactly the diagnostics marked `//~ <lint>` on their lines:
-//! every marked line fires, nothing unmarked does — not the
-//! `#[cfg(test)]` decoy, not the fulfilled `#[expect]`.
+//! Seeded violations of the workspace invariants. //~ crate-attrs
+//! `scripts/check.sh` runs its invariant lint list and its structural
+//! greps over this crate and requires exactly the findings marked
+//! `//~ <check>` on their lines: every marked line fires, nothing
+//! unmarked does — not the `#[cfg(test)]` decoys, not the fulfilled
+//! `#[expect]`, not the complete error type. (This crate root carries
+//! no `#![forbid(unsafe_code)]`: the mark on line 1.)
 
 use std::thread as t;
 
@@ -88,6 +90,25 @@ pub fn stale_expect() -> u8 {
     3
 }
 
+// ---- public error enums are real errors (structural grep) ----
+
+pub enum ProbeError { //~ error-impls
+    Broken,
+}
+
+#[derive(Debug)]
+pub enum CoveredError {
+    Known,
+}
+
+impl std::fmt::Display for CoveredError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "known failure")
+    }
+}
+
+impl std::error::Error for CoveredError {}
+
 // ---- tests are exempt by construction (`--lib` never sets cfg(test)) ----
 
 #[cfg(test)]
@@ -96,5 +117,9 @@ mod tests {
         let _ = super::fallible();
         std::thread::spawn(|| println!("{}", Some(1).unwrap()));
         std::fs::write("/dev/null", b"").ok();
+    }
+
+    pub enum TestOnlyError {
+        Decoy,
     }
 }

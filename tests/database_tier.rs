@@ -146,3 +146,60 @@ fn turtle_roundtrip_through_strabon() {
     let q = "PREFIX ex: <http://example.org/> SELECT ?f WHERE { ?f a ex:Feature } ORDER BY ?f";
     assert_eq!(db.query(q).unwrap(), db2.query(q).unwrap());
 }
+
+/// `1 + 2 * x < 7` keeps the same `x` as an SQL WHERE, an stSPARQL
+/// FILTER and a SciQL WHERE, for integer and double `x`: seeded values
+/// around the boundary plus NaN, ±infinity, -0.0 and the integers whose
+/// `2 * x` leaves i64. An integer `x` is an INT column in SQL and an
+/// `xsd:integer` in stSPARQL; SciQL cells are doubles.
+#[test]
+fn arithmetic_filter_means_the_same_in_sql_sparql_and_sciql() {
+    use teleios::geo::SplitMix64;
+    use teleios::rdf::term::Term;
+    let mut rng = SplitMix64::new(7);
+    let mut ints = vec![i64::MAX, i64::MIN, i64::MAX / 2 + 1, i64::MIN / 2 - 1, 1 << 53, 3, 2, 0, -1];
+    ints.extend((0..24).map(|_| rng.range(-12.0, 12.0).round() as i64));
+    let mut doubles = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 3.0, 2.999_999, 3.000_001, 1e300, -1e300];
+    doubles.extend((0..24).map(|_| (rng.range(-12.0, 12.0) * 8.0).round() / 8.0));
+    let xs: Vec<(Value, Term)> = ints
+        .iter()
+        .map(|&x| (Value::Int(x), Term::int(x)))
+        .chain(doubles.iter().map(|&x| (Value::Double(x), Term::double(x))))
+        .collect();
+
+    let mut answers: [Vec<bool>; 3] = Default::default();
+    let cat = Catalog::new();
+    let mut db = Strabon::new();
+    for (table, ty) in [("xi", "INT"), ("xd", "DOUBLE")] {
+        cat.execute(&format!("CREATE TABLE {table} (j INT, x {ty})")).unwrap();
+    }
+    for (j, (value, term)) in xs.iter().enumerate() {
+        let table = if matches!(value, Value::Int(_)) { "xi" } else { "xd" };
+        cat.insert(table, vec![vec![Value::Int(j as i64), value.clone()]]).unwrap();
+        db.insert(&Term::iri(format!("http://x/{j}")), &Term::iri("http://x/x"), term);
+    }
+    let mut sql_kept = Vec::new();
+    for table in ["xi", "xd"] {
+        let rows = cat.execute(&format!("SELECT j FROM {table} WHERE 1 + 2 * x < 7")).unwrap().rows;
+        sql_kept.extend(rows.iter().map(|r| r[0].as_i64().unwrap() as usize));
+    }
+    let sparql = db.query("SELECT ?s WHERE { ?s <http://x/x> ?x FILTER(1 + 2 * ?x < 7) }").unwrap();
+    let sparql_kept: Vec<usize> = (0..sparql.len())
+        .map(|r| sparql.get(r, "s").and_then(Term::as_iri).unwrap()["http://x/".len()..].parse().unwrap())
+        .collect();
+    let cells: Vec<f64> = xs.iter().map(|(v, _)| v.as_f64().unwrap()).collect();
+    cat.put_array("a", NdArray::matrix(1, cells.len(), cells).unwrap());
+    for j in 0..xs.len() {
+        let q = format!("SELECT COUNT(v) FROM a[0..1, {j}..{}] WHERE 1 + 2 * v < 7", j + 1);
+        answers[2].push(sciql::execute(&cat, &q).unwrap().scalar().unwrap() == 1.0);
+        answers[0].push(sql_kept.contains(&j));
+        answers[1].push(sparql_kept.contains(&j));
+    }
+    let differ: Vec<String> = (0..xs.len())
+        .filter(|&j| answers[0][j] != answers[1][j] || answers[1][j] != answers[2][j])
+        .map(|j| format!("{:?}: sql {} sparql {} sciql {}", xs[j].0, answers[0][j], answers[1][j], answers[2][j]))
+        .collect();
+    assert!(differ.is_empty(), "the three languages disagree on:\n{}", differ.join("\n"));
+    // The filter is not vacuous: it keeps some values and drops others.
+    assert!(answers[0].contains(&true) && answers[0].contains(&false));
+}
