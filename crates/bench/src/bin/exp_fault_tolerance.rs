@@ -15,7 +15,7 @@ use teleios_geo::Coord;
 use teleios_ingest::raster::GeoTransform;
 use teleios_ingest::seviri::FireEvent;
 use teleios_noa::{accuracy, HotspotClassifier, ProcessingChain};
-use teleios_resilience::{FaultPlan, RetryPolicy, Supervisor};
+use teleios_resilience::{FaultPlan, Supervisor};
 
 const SCENES: usize = 50;
 const SEED: u64 = 4242;
@@ -75,7 +75,7 @@ fn main() {
         plan.apply_to_repository(obs.vault.repository_mut());
 
         let chain = supervised_chain(&obs, &plan);
-        let supervisor = Supervisor::new(RetryPolicy::no_backoff(2));
+        let supervisor = Supervisor::new(2);
         let report = obs.run_chain_batch(&ids, &chain, &supervisor).expect("batch");
 
         let healthy_lost = report

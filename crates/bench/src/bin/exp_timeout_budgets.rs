@@ -3,7 +3,7 @@
 //! A batch of scenes where a seeded fraction hangs at the classify
 //! stage, swept over per-attempt deadline budgets. Without a budget a
 //! single wedged stage holds its worker for the full hang; with one,
-//! the watchdog cancels the attempt at the stage boundary, the retry
+//! the attempt's token fires inside the hang, the retry
 //! and degraded ladder take over, and the per-variant circuit breaker
 //! stops the batch from burning budget on a variant that keeps timing
 //! out. The table shows the trade: a loose budget recovers hung scenes
@@ -22,7 +22,7 @@ use teleios_ingest::raster::GeoTransform;
 use teleios_ingest::seviri::FireEvent;
 use teleios_noa::chain::ChainStage;
 use teleios_noa::{HotspotClassifier, ProcessingChain};
-use teleios_resilience::{Fault, FaultPlan, RetryPolicy, StageBudget, Supervisor};
+use teleios_resilience::{Fault, FaultPlan, Supervisor};
 
 const SEED: u64 = 1414;
 
@@ -58,37 +58,26 @@ fn chain_under_test(obs: &Observatory, plan: &FaultPlan) -> ProcessingChain {
     .with_stage_hook(plan.chain_hook())
 }
 
-fn budget_label(budget: &StageBudget) -> String {
-    if budget.is_unlimited() {
-        "unlimited".to_string()
-    } else {
-        teleios_bench::fmt_duration(budget.hard_scene)
-    }
+fn budget_label(budget: Option<Duration>) -> String {
+    budget.map_or_else(|| "unlimited".to_string(), teleios_bench::fmt_duration)
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke")
         || std::env::var("TELEIOS_SMOKE").is_ok_and(|v| v == "1");
 
-    let (scenes, hang, budgets, rates): (usize, Duration, Vec<StageBudget>, Vec<f64>) = if smoke {
+    let (scenes, hang, budgets, rates): (usize, Duration, Vec<Option<Duration>>, Vec<f64>) = if smoke {
         (
             6,
             Duration::from_millis(200),
-            vec![
-                StageBudget::hard(Duration::from_millis(600)),
-                StageBudget::hard(Duration::from_millis(80)),
-            ],
+            vec![Some(Duration::from_millis(600)), Some(Duration::from_millis(80))],
             vec![0.0, 0.3],
         )
     } else {
         (
             18,
             Duration::from_millis(400),
-            vec![
-                StageBudget::unlimited(),
-                StageBudget::hard(Duration::from_millis(1200)),
-                StageBudget::hard(Duration::from_millis(100)),
-            ],
+            vec![None, Some(Duration::from_millis(1200)), Some(Duration::from_millis(100))],
             vec![0.0, 0.2, 0.4],
         )
     };
@@ -112,7 +101,7 @@ fn main() {
     ]);
     table.header();
 
-    for budget in &budgets {
+    for &budget in &budgets {
         for &rate in &rates {
             // Fresh observatory per cell: products republish into the
             // vault and plans mutate the archive.
@@ -123,7 +112,7 @@ fn main() {
             plan.apply_to_repository(obs.vault.repository_mut());
 
             let chain = chain_under_test(&obs, &plan);
-            let supervisor = Supervisor::new(RetryPolicy::no_backoff(1)).with_budget(*budget);
+            let supervisor = Supervisor { deadline: budget, ..Supervisor::new(1) };
             let report = obs.run_chain_batch(&ids, &chain, &supervisor).expect("batch");
 
             let healthy_lost = report

@@ -33,5 +33,5 @@ pub mod portal;
 
 pub use error::ObservatoryError;
 pub use observatory::{
-    BurntAreaReport, Observatory, ProductOutcome, ProductReport, RefineReport,
+    BurntAreaReport, Observatory, PassReport, ProductOutcome, ProductReport, RefineReport,
 };

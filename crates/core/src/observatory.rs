@@ -1,7 +1,7 @@
 //! The Observatory: every tier behind one API.
 
 use crate::ObservatoryError;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use teleios_geo::{Coord, Envelope};
@@ -120,72 +120,52 @@ pub struct ProductReport {
     pub outcome: ProductOutcome,
 }
 
-/// Partial-result report of a supervised refinement pass: per-product
-/// outcomes plus the aggregate [`RefineStats`] over the products that
-/// completed. A poisoned or overdue product costs exactly its own
-/// entry, never the pass.
+/// Partial-result report of a supervised per-product pass: one entry
+/// per input product, in input order, plus what the pass aggregated
+/// over the products that completed. A poisoned or overdue product
+/// costs exactly its own entry, never the pass.
 #[derive(Debug, Clone)]
-pub struct RefineReport {
+pub struct PassReport<S> {
     /// One entry per input product, in input order.
     pub products: Vec<ProductReport>,
-    /// Aggregate refinement counts over the `Ok` products.
-    pub stats: RefineStats,
+    /// The aggregate over the `Ok` products: [`RefineStats`] for a
+    /// refinement pass, the number of burnt-area scar features
+    /// published for a burnt-area pass.
+    pub stats: S,
     /// Wall-clock time for the whole pass.
     pub wall_clock: Duration,
 }
 
-/// Partial-result report of a supervised burnt-area derivation.
-#[derive(Debug, Clone)]
-pub struct BurntAreaReport {
-    /// One entry per input product, in input order.
-    pub products: Vec<ProductReport>,
-    /// Burnt-area scar features published from the surviving masks.
-    pub features_published: usize,
-    /// Wall-clock time for the whole pass.
-    pub wall_clock: Duration,
-}
+/// Report of [`Observatory::refine_products_supervised`].
+pub type RefineReport = PassReport<RefineStats>;
 
-impl RefineReport {
+/// Report of [`Observatory::derive_burnt_area_supervised`]; `stats`
+/// counts the scar features published from the surviving masks.
+pub type BurntAreaReport = PassReport<usize>;
+
+impl<S> PassReport<S> {
+    fn count(&self, pred: impl Fn(&ProductOutcome) -> bool) -> usize {
+        self.products.iter().filter(|p| pred(&p.outcome)).count()
+    }
+
     /// Products whose pass completed.
     pub fn ok_count(&self) -> usize {
-        self.products.iter().filter(|p| p.outcome == ProductOutcome::Ok).count()
+        self.count(|o| *o == ProductOutcome::Ok)
     }
 
     /// Products whose pass failed.
     pub fn failed_count(&self) -> usize {
-        self.products.iter().filter(|p| matches!(p.outcome, ProductOutcome::Failed { .. })).count()
+        self.count(|o| matches!(o, ProductOutcome::Failed { .. }))
     }
 
     /// Products never attempted because the deadline ran out.
     pub fn skipped_count(&self) -> usize {
-        self.products.iter().filter(|p| matches!(p.outcome, ProductOutcome::Skipped { .. })).count()
+        self.count(|o| matches!(o, ProductOutcome::Skipped { .. }))
     }
 
     /// True when every product completed.
     pub fn is_complete(&self) -> bool {
         self.ok_count() == self.products.len()
-    }
-
-    /// The entry for one product id.
-    pub fn report_for(&self, product_id: &str) -> Option<&ProductReport> {
-        self.products.iter().find(|p| p.product_id == product_id)
-    }
-}
-
-impl BurntAreaReport {
-    /// Products whose mask made it into the derivation.
-    pub fn ok_count(&self) -> usize {
-        self.products.iter().filter(|p| p.outcome == ProductOutcome::Ok).count()
-    }
-
-    /// Products whose mask could not be built.
-    pub fn failed_count(&self) -> usize {
-        self.products.iter().filter(|p| matches!(p.outcome, ProductOutcome::Failed { .. })).count()
-    }
-
-    /// Products never attempted because the deadline ran out.
-    pub fn skipped_count(&self) -> usize {
-        self.products.iter().filter(|p| matches!(p.outcome, ProductOutcome::Skipped { .. })).count()
     }
 
     /// The entry for one product id.
@@ -400,48 +380,49 @@ impl Observatory {
     }
 
     /// Run a processing chain over many products under supervision:
-    /// per-scene isolation, retry/backoff and degraded-mode fallbacks
-    /// per the [`Supervisor`]. Scenes whose vault load fails (unknown
-    /// product, quarantined or corrupt file) become `Failed` reports —
-    /// they never abort the batch or stop healthy scenes. Successful
-    /// outputs are described, published and archived exactly like
-    /// [`Self::run_chain`] products, labeled with the chain variant
-    /// that produced them. Reports come back in input order.
+    /// per-scene isolation, retries, degraded-mode fallbacks and
+    /// per-attempt deadlines per the [`Supervisor`]. Scenes whose vault
+    /// load fails (unknown product, quarantined or corrupt file) become
+    /// `Failed` reports — they never abort the batch or stop healthy
+    /// scenes. Successful outputs are described, published and
+    /// archived exactly like [`Self::run_chain`] products, labeled with
+    /// the chain variant that produced them. Reports come back in input
+    /// order, one per distinct id: a repeated id runs and reports once.
     pub fn run_chain_batch(
         &mut self,
         product_ids: &[String],
         chain: &ProcessingChain,
         supervisor: &Supervisor,
     ) -> Result<BatchReport> {
+        // A repeated id runs once and reports once, at its first
+        // position.
+        let mut seen = HashSet::new();
+        let ids: Vec<&String> =
+            product_ids.iter().filter(|id| seen.insert(id.as_str())).collect();
+
         // Load scenes through the Data Vault; a failed load is a
         // per-scene failure, not a batch error.
         let mut loaded: Vec<(String, GeoRaster)> = Vec::new();
-        let mut load_failed: HashMap<String, String> = HashMap::new();
-        for id in product_ids {
+        let mut load_errors: Vec<Option<String>> = Vec::with_capacity(ids.len());
+        for &id in &ids {
             match self.raster_for(id) {
-                Ok(raster) => loaded.push((id.clone(), raster)),
+                Ok(raster) => {
+                    loaded.push((id.clone(), raster));
+                    load_errors.push(None);
+                }
                 Err(e) => {
-                    let e = ObservatoryError::Chain {
-                        product_id: id.clone(),
-                        source: Box::new(e),
-                    };
-                    load_failed.insert(id.clone(), e.to_string());
+                    let e = ObservatoryError::Chain { product_id: id.clone(), source: Box::new(e) };
+                    load_errors.push(Some(e.to_string()));
                 }
             }
         }
 
         let supervised = supervisor.run_batch(&self.db, chain, &loaded);
-        let wall_clock = supervised.wall_clock;
-        let pool = supervised.pool;
-        let mut by_id: HashMap<String, SceneReport> = supervised
-            .scenes
-            .into_iter()
-            .map(|s| (s.product_id.clone(), s))
-            .collect();
-
-        let mut scenes = Vec::with_capacity(product_ids.len());
-        for id in product_ids {
-            if let Some(reason) = load_failed.remove(id) {
+        // One report per loaded scene, in `loaded` order.
+        let mut reports = supervised.scenes.into_iter();
+        let mut scenes = Vec::with_capacity(ids.len());
+        for (id, load_error) in ids.into_iter().zip(load_errors) {
+            if let Some(reason) = load_error {
                 scenes.push(SceneReport {
                     product_id: id.clone(),
                     outcome: SceneOutcome::Failed { reason },
@@ -452,8 +433,8 @@ impl Observatory {
                 });
                 continue;
             }
-            let Some(mut report) = by_id.remove(id) else {
-                continue; // duplicate id in the input; first report won
+            let Some(mut report) = reports.next() else {
+                break;
             };
             if let Some(output) = report.output.take() {
                 match self.publish_chain_output(id, &report.chain_id, &output) {
@@ -467,7 +448,7 @@ impl Observatory {
             }
             scenes.push(report);
         }
-        Ok(BatchReport { scenes, wall_clock, pool })
+        Ok(BatchReport { scenes, wall_clock: supervised.wall_clock })
     }
 
     /// Reload a previously archived derived product (the hotspot mask)
@@ -483,13 +464,45 @@ impl Observatory {
         Ok(refine_against_landmass(&mut self.strabon, &landmass)?)
     }
 
+    /// The one supervised per-product loop: each product's `pass` runs
+    /// in isolation (panics caught) under a cooperative `deadline`
+    /// checked between products — an in-progress pass is never
+    /// interrupted, but once the budget is spent the remaining products
+    /// are `Skipped`. `name` labels the pass in skip and panic reasons.
+    fn per_product(
+        &mut self,
+        product_ids: &[String],
+        deadline: Duration,
+        name: &str,
+        mut pass: impl FnMut(&mut Observatory, &str) -> Result<()>,
+    ) -> Vec<ProductReport> {
+        let started = Instant::now();
+        product_ids
+            .iter()
+            .map(|id| {
+                let outcome = if started.elapsed() >= deadline {
+                    ProductOutcome::Skipped {
+                        reason: format!("{name} deadline {deadline:?} exhausted"),
+                    }
+                } else {
+                    match catch_unwind(AssertUnwindSafe(|| pass(self, id))) {
+                        Ok(Ok(())) => ProductOutcome::Ok,
+                        Ok(Err(e)) => ProductOutcome::Failed { reason: e.to_string() },
+                        Err(payload) => ProductOutcome::Failed {
+                            reason: format!("{name} panicked: {}", panic_message(payload.as_ref())),
+                        },
+                    }
+                };
+                ProductReport { product_id: id.clone(), outcome }
+            })
+            .collect()
+    }
+
     /// Supervised scenario-2 refinement: each product is refined in its
     /// own isolated pass (product-scoped stSPARQL updates, panics
-    /// caught), under a cooperative `deadline` checked between
-    /// products — an in-progress pass is never interrupted, but once
-    /// the budget is spent the remaining products are `Skipped`. The
-    /// report always covers every input product; a poisoned product
-    /// costs exactly its own entry.
+    /// caught) under a cooperative `deadline` checked between
+    /// products. The report always covers every input product; a
+    /// poisoned product costs exactly its own entry.
     pub fn refine_products_supervised(
         &mut self,
         product_ids: &[String],
@@ -497,36 +510,15 @@ impl Observatory {
     ) -> RefineReport {
         let started = Instant::now();
         let landmass = emit::landmass_literal(&self.world);
-        let mut products = Vec::with_capacity(product_ids.len());
         let mut stats = RefineStats { before: 0, kept: 0, refuted: 0, clipped: 0 };
-        for id in product_ids {
-            if started.elapsed() >= deadline {
-                products.push(ProductReport {
-                    product_id: id.clone(),
-                    outcome: ProductOutcome::Skipped {
-                        reason: format!("refinement deadline {deadline:?} exhausted"),
-                    },
-                });
-                continue;
-            }
-            let strabon = &mut self.strabon;
-            let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                refine_product_against_landmass(strabon, &landmass, id)
-            })) {
-                Ok(Ok(s)) => {
-                    stats.before += s.before;
-                    stats.kept += s.kept;
-                    stats.refuted += s.refuted;
-                    stats.clipped += s.clipped;
-                    ProductOutcome::Ok
-                }
-                Ok(Err(e)) => ProductOutcome::Failed { reason: e.to_string() },
-                Err(payload) => ProductOutcome::Failed {
-                    reason: format!("refinement panicked: {}", panic_message(payload.as_ref())),
-                },
-            };
-            products.push(ProductReport { product_id: id.clone(), outcome });
-        }
+        let products = self.per_product(product_ids, deadline, "refinement", |obs, id| {
+            let s = refine_product_against_landmass(&mut obs.strabon, &landmass, id)?;
+            stats.before += s.before;
+            stats.kept += s.kept;
+            stats.refuted += s.refuted;
+            stats.clipped += s.clipped;
+            Ok(())
+        });
         RefineReport { products, stats, wall_clock: started.elapsed() }
     }
 
@@ -629,40 +621,22 @@ impl Observatory {
         deadline: Duration,
     ) -> Result<BurntAreaReport> {
         let started = Instant::now();
-        let mut products = Vec::with_capacity(product_ids.len());
         let mut masks = Vec::new();
         let mut geo: Option<GeoTransform> = None;
         let mut times: Vec<String> = Vec::new();
-        for id in product_ids {
-            if started.elapsed() >= deadline {
-                products.push(ProductReport {
-                    product_id: id.clone(),
-                    outcome: ProductOutcome::Skipped {
-                        reason: format!("burnt-area deadline {deadline:?} exhausted"),
-                    },
-                });
-                continue;
-            }
-            let outcome = match catch_unwind(AssertUnwindSafe(|| self.refined_mask(id))) {
-                Ok(Ok((mask, g, t))) => {
-                    masks.push(mask);
-                    geo.get_or_insert(g);
-                    times.push(t);
-                    ProductOutcome::Ok
-                }
-                Ok(Err(e)) => ProductOutcome::Failed { reason: e.to_string() },
-                Err(payload) => ProductOutcome::Failed {
-                    reason: format!("mask derivation panicked: {}", panic_message(payload.as_ref())),
-                },
-            };
-            products.push(ProductReport { product_id: id.clone(), outcome });
-        }
+        let products = self.per_product(product_ids, deadline, "burnt-area", |obs, id| {
+            let (mask, g, t) = obs.refined_mask(id)?;
+            masks.push(mask);
+            geo.get_or_insert(g);
+            times.push(t);
+            Ok(())
+        });
         // No mask survived: report the losses instead of erroring.
-        let features_published = match geo {
+        let stats = match geo {
             Some(geo) => self.publish_scars(&masks, &geo, times, event_id)?,
             None => 0,
         };
-        Ok(BurntAreaReport { products, features_published, wall_clock: started.elapsed() })
+        Ok(BurntAreaReport { products, stats, wall_clock: started.elapsed() })
     }
 
     /// The semantic-annotation service (Fig. 2): cut the product into
@@ -976,7 +950,7 @@ mod tests {
         assert_eq!(report.products.len(), 4);
         assert_eq!(report.ok_count(), 3);
         assert_eq!(report.failed_count(), 1);
-        assert!(report.features_published > 0);
+        assert!(report.stats > 0);
         assert!(matches!(
             &report.report_for("ghost").unwrap().outcome,
             ProductOutcome::Failed { .. }
@@ -987,7 +961,7 @@ mod tests {
                 teleios_noa::burnt::BURNT_AREA
             ))
             .unwrap();
-        assert_eq!(sols.len(), report.features_published);
+        assert_eq!(sols.len(), report.stats);
     }
 
     #[test]
@@ -1000,7 +974,7 @@ mod tests {
                 Duration::from_secs(3600),
             )
             .unwrap();
-        assert_eq!(report.features_published, 0);
+        assert_eq!(report.stats, 0);
         assert_eq!(report.failed_count(), 1);
         assert_eq!(report.ok_count(), 0);
     }
@@ -1077,7 +1051,6 @@ mod tests {
 
     #[test]
     fn run_chain_batch_supervises_and_publishes() {
-        use teleios_resilience::RetryPolicy;
         let mut obs = observatory();
         let mut ids = Vec::new();
         for i in 0..3 {
@@ -1086,7 +1059,7 @@ mod tests {
         // Ask for an unknown product too: it must fail alone.
         let mut requested = ids.clone();
         requested.push("ghost".to_string());
-        let supervisor = Supervisor::new(RetryPolicy::no_backoff(1));
+        let supervisor = Supervisor::new(1);
         let report = obs
             .run_chain_batch(&requested, &ProcessingChain::operational(), &supervisor)
             .unwrap();
@@ -1118,8 +1091,36 @@ mod tests {
     }
 
     #[test]
+    fn run_chain_batch_runs_and_reports_a_repeated_id_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        use teleios_noa::chain::ChainStage;
+        let mut obs = observatory();
+        let a = obs.acquire_scene(&AcquisitionSpec::small_test(70)).unwrap();
+        let ingests = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&ingests);
+        let chain = ProcessingChain::operational().with_stage_hook(Arc::new(
+            move |_: &str, stage: ChainStage, _: &ProcessingChain| {
+                if stage == ChainStage::Ingest {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                }
+                Ok(())
+            },
+        ));
+        let requested = [a.clone(), a.clone(), "ghost".to_string(), "ghost".to_string()];
+        let report = obs.run_chain_batch(&requested, &chain, &Supervisor::new(0)).unwrap();
+        let got: Vec<(&str, bool)> =
+            report.scenes.iter().map(|s| (s.product_id.as_str(), s.outcome.succeeded())).collect();
+        assert_eq!(got, vec![(a.as_str(), true), ("ghost", false)]);
+        assert!(
+            matches!(&report.scenes[1].outcome, SceneOutcome::Failed { reason } if reason.contains("ghost"))
+        );
+        assert_eq!(ingests.load(Ordering::SeqCst), 1, "the repeated id ran more than once");
+    }
+
+    #[test]
     fn run_chain_batch_quarantines_corrupt_scenes_without_losing_healthy_ones() {
-        use teleios_resilience::{Fault, FaultPlan, RetryPolicy};
+        use teleios_resilience::{Fault, FaultPlan};
         let mut obs = observatory();
         let mut spec = AcquisitionSpec::small_test(50);
         spec.cloud_cover = 0.0;
@@ -1129,7 +1130,7 @@ mod tests {
         plan.inject(b.clone(), Fault::CorruptPayload);
         assert_eq!(plan.apply_to_repository(obs.vault.repository_mut()), 1);
 
-        let supervisor = Supervisor::new(RetryPolicy::no_backoff(1));
+        let supervisor = Supervisor::new(1);
         let report = obs
             .run_chain_batch(
                 &[a.clone(), b.clone()],

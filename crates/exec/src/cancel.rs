@@ -1,16 +1,23 @@
 //! Cooperative cancellation.
 //!
 //! A [`CancelToken`] is a cheap, cloneable flag shared between the
-//! party that decides to stop a computation (a deadline watchdog, a
-//! shutdown handler) and the code doing the work. Cancellation is
+//! party that decides to stop a computation (a shutdown handler, a
+//! caller giving up) and the code doing the work. Cancellation is
 //! strictly cooperative: nothing is killed, no thread is unwound from
-//! the outside. Workers observe the flag at safe points — between
-//! morsels in [`crate::WorkerPool`], at stage boundaries in the NOA
-//! chain — and drain gracefully, so partial results stay consistent.
+//! the outside. Workers observe the flag at safe points — at stage
+//! boundaries in the NOA chain, between slices of
+//! [`CancelToken::sleep_cancellable`] — and drain gracefully, so
+//! partial results stay consistent.
+//!
+//! A token may carry a deadline ([`CancelToken::with_deadline`]): it
+//! then fires itself the first time it is polled after that instant.
+//! No thread watches the clock, so a deadline costs nothing until the
+//! worker that owns the token looks at it.
 //!
 //! The first `cancel` call wins and records a human-readable reason;
-//! later calls are no-ops. This keeps error attribution deterministic
-//! when several watchdog rules fire close together.
+//! later calls are no-ops. An expiring deadline fires through the same
+//! call, so an explicit cancel racing it still leaves exactly one
+//! winner and one reason.
 
 use crate::ordered_lock::OrderedMutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,6 +30,8 @@ struct Inner {
     cancelled: AtomicBool,
     // Witnessed: debug builds record it in the global lock-order graph.
     reason: OrderedMutex<Option<String>>,
+    // The instant after which a poll fires the token, and its reason.
+    deadline: Option<(Instant, String)>,
 }
 
 impl Default for Inner {
@@ -30,14 +39,16 @@ impl Default for Inner {
         Inner {
             cancelled: AtomicBool::default(),
             reason: OrderedMutex::new("cancel.reason", None),
+            deadline: None,
         }
     }
 }
 
-/// A shared, clonable cancellation flag with a first-wins reason.
+/// A shared, clonable cancellation flag with a first-wins reason and
+/// an optional deadline.
 ///
 /// Clones observe the same flag; `Default` yields a fresh,
-/// not-yet-cancelled token.
+/// not-yet-cancelled token without a deadline.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<Inner>,
@@ -47,6 +58,20 @@ impl CancelToken {
     /// A fresh, not-yet-cancelled token.
     pub fn new() -> CancelToken {
         CancelToken::default()
+    }
+
+    /// A fresh token that cancels itself with `reason` once `at` has
+    /// passed: the first [`Self::is_cancelled`] call that finds the
+    /// deadline behind it fires the token through [`Self::cancel`], so
+    /// an explicit cancel that got there first keeps its own reason.
+    pub fn with_deadline(at: Instant, reason: impl Into<String>) -> CancelToken {
+        let inner = Inner {
+            deadline: Some((at, reason.into())),
+            ..Inner::default()
+        };
+        CancelToken {
+            inner: Arc::new(inner),
+        }
     }
 
     /// Request cancellation with a reason. Returns `true` if this call
@@ -61,12 +86,24 @@ impl CancelToken {
         first
     }
 
-    /// Has cancellation been requested?
+    /// Has cancellation been requested, or has the deadline passed?
+    /// The first call to see the deadline behind it fires the token.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::SeqCst)
+        if self.inner.cancelled.load(Ordering::SeqCst) {
+            return true;
+        }
+        match &self.inner.deadline {
+            Some((at, reason)) if Instant::now() >= *at => {
+                self.cancel(reason.as_str());
+                true
+            }
+            _ => false,
+        }
     }
 
     /// The reason recorded by the winning `cancel` call, if any.
+    /// Reading it never fires a deadline: an expired token nobody has
+    /// polled yet has no reason.
     ///
     /// Note: a racing reader may briefly observe `is_cancelled() ==
     /// true` with no reason yet; callers format a generic message in
@@ -76,10 +113,10 @@ impl CancelToken {
     }
 
     /// Sleep for up to `total`, polling the token in ~1 ms slices.
-    /// Returns `true` if the sleep was cut short by cancellation,
-    /// `false` if the full duration elapsed uncancelled. This is how
-    /// injected hang faults stay deterministic without ever outliving
-    /// the deadline that cancels them.
+    /// Returns `true` if the sleep was cut short by cancellation (a
+    /// deadline included), `false` if the full duration elapsed
+    /// uncancelled. This is how injected hang faults stay deterministic
+    /// without ever outliving the deadline that cancels them.
     pub fn sleep_cancellable(&self, total: Duration) -> bool {
         const SLICE: Duration = Duration::from_millis(1);
         let start = Instant::now();
@@ -91,8 +128,8 @@ impl CancelToken {
             if elapsed >= total {
                 return false;
             }
-            // `total` may be enormous (an unbounded hang relies on the
-            // watchdog); sleep only a slice at a time.
+            // `total` may be enormous (an unbounded hang relies on a
+            // deadline or a canceller); sleep only a slice at a time.
             thread::sleep(SLICE.min(total - elapsed));
         }
     }
@@ -128,6 +165,25 @@ mod tests {
     }
 
     #[test]
+    fn a_past_deadline_reads_as_cancelled_with_its_reason() {
+        let token = CancelToken::with_deadline(Instant::now(), "attempt overshot 0ms");
+        // Reading the reason does not fire the deadline; polling does.
+        assert_eq!(token.reason(), None);
+        assert!(token.is_cancelled());
+        assert_eq!(token.reason().as_deref(), Some("attempt overshot 0ms"));
+        // A fired deadline is an ordinary cancellation: later cancels lose.
+        assert!(!token.cancel("too late"));
+        assert_eq!(
+            token.clone().reason().as_deref(),
+            Some("attempt overshot 0ms")
+        );
+
+        let later = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600), "later");
+        assert!(!later.is_cancelled());
+        assert_eq!(later.reason(), None);
+    }
+
+    #[test]
     fn sleep_runs_to_completion_when_uncancelled() {
         let token = CancelToken::new();
         let t0 = Instant::now();
@@ -139,10 +195,10 @@ mod tests {
     #[test]
     fn sleep_is_cut_short_by_cancellation() {
         let token = CancelToken::new();
-        let watcher = token.clone();
+        let canceller = token.clone();
         let handle = thread::spawn(move || {
             thread::sleep(Duration::from_millis(10));
-            watcher.cancel("watchdog");
+            canceller.cancel("caller gave up");
         });
         let t0 = Instant::now();
         // Without cancellation this would sleep for ten seconds.
@@ -150,6 +206,22 @@ mod tests {
         assert!(cut_short);
         assert!(t0.elapsed() < Duration::from_secs(5));
         handle.join().unwrap();
+    }
+
+    /// The deadline needs no second thread: the sleeper's own polls
+    /// fire it.
+    #[test]
+    fn sleep_is_cut_short_by_a_deadline_alone() {
+        let t0 = Instant::now();
+        let token = CancelToken::with_deadline(t0 + Duration::from_millis(20), "20ms budget");
+        assert!(token.sleep_cancellable(Duration::from_secs(10)));
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "slept {:?}",
+            t0.elapsed()
+        );
+        assert!(t0.elapsed() >= Duration::from_millis(20));
+        assert_eq!(token.reason().as_deref(), Some("20ms budget"));
     }
 
     #[test]

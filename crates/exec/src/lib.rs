@@ -30,12 +30,13 @@
 //!   failing task (matching sequential panic semantics), while
 //!   [`WorkerPool::try_run`] hands every payload back to the caller
 //!   for per-task isolation (the supervisor's contract).
-//! * **Cooperative cancellation** — a [`CancelToken`] passed to
-//!   [`WorkerPool::try_run_cancellable`] is checked between morsels
-//!   only: in-flight tasks finish, unclaimed tasks are skipped
-//!   (`None` slots), and nothing is ever killed. Long-running tasks
-//!   that want finer-grained cancellation poll the same token at
-//!   their own safe points.
+//! * **Cooperative cancellation** — a [`CancelToken`] is a first-wins
+//!   flag plus reason, optionally with a deadline that fires the token
+//!   the first time it is polled after that instant. Nothing is ever
+//!   killed and no thread watches the clock: long-running work polls
+//!   the token at its own safe points (the NOA chain at stage
+//!   boundaries, injected hangs in [`CancelToken::sleep_cancellable`]).
+//!   The pool itself never skips a task.
 //!
 //! * **Witnessed locking** — internal mutexes are
 //!   [`ordered_lock::OrderedMutex`]es: in debug builds every
@@ -43,27 +44,28 @@
 //!   ([`LockWitness`]), and the acquisition that would close a cycle
 //!   panics, naming it — so every debug test run checks lock order.
 //!
-//! * **One executor** — [`WorkerPool::run`], [`WorkerPool::try_run`]
-//!   and [`WorkerPool::try_run_cancellable`] are three views of one
-//!   private executor: `std::thread::scope` workers claim task indices
-//!   from a single shared counter, so the claim order is dynamic (a
-//!   slow morsel never strands the ones behind it) while the output
-//!   order is not. E13b (retired, EXPERIMENTS.md) records why the
-//!   channel-queue and work-stealing dispatchers this replaced were
-//!   not worth keeping apart.
+//! * **One executor, the workspace's only threads** —
+//!   [`WorkerPool::run`] is a view of [`WorkerPool::try_run`]:
+//!   `std::thread::scope` workers claim task indices from a single
+//!   shared counter, so the claim order is dynamic (a slow morsel never
+//!   strands the ones behind it) while the output order is not. The
+//!   root `clippy.toml` disallows `std::thread::{spawn, scope,
+//!   Builder}` in library code; `try_run` carries the one waiver.
+//!   E13b (retired, EXPERIMENTS.md) records why the channel-queue and
+//!   work-stealing dispatchers this replaced were not worth keeping
+//!   apart.
 //!
-//! `tests/races.rs` stress-tests the race surface — first-wins cancel,
-//! reason publication, the claim loop under a racing cancel, the
-//! witness under contention — from seeded std-thread rounds.
+//! `tests/races.rs` stress-tests the race surface — first-wins cancel
+//! (a deadline racing an explicit cancel included), reason
+//! publication, the witness under contention — from seeded std-thread
+//! rounds.
 
 pub mod cancel;
 pub mod morsel;
 pub mod ordered_lock;
 pub mod pool;
-pub mod spawn;
 
 pub use cancel::CancelToken;
 pub use morsel::{concat, fixed_morsels, DEFAULT_MORSEL_CELLS};
 pub use ordered_lock::{LockWitness, OrderedMutex, OrderedMutexGuard};
-pub use pool::{default_threads, PoolStats, WorkerPool};
-pub use spawn::spawn_named;
+pub use pool::{default_threads, WorkerPool};

@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 
-use crate::cancel::CancelToken;
 use crate::morsel::morsels;
 use crate::ordered_lock::OrderedMutex;
 
@@ -34,16 +33,6 @@ pub fn default_threads() -> usize {
 /// positive integer.
 fn parse_threads(value: Option<&str>) -> Option<usize> {
     value?.trim().parse().ok().filter(|&n| n >= 1)
-}
-
-/// Observability for a pool run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads that served the run (1 = inline on the caller).
-    pub workers: usize,
-    /// Tasks that actually executed (cancellation-skipped tasks are
-    /// not counted).
-    pub tasks_executed: usize,
 }
 
 /// A morsel-driven worker pool. `Copy` and stateless between calls:
@@ -111,81 +100,38 @@ impl WorkerPool {
         if self.threads <= 1 || tasks.len() <= 1 {
             return tasks.into_iter().map(|f| f()).collect();
         }
-        let (results, _) = self.try_run(tasks);
-        results
+        self.try_run(tasks)
             .into_iter()
             .map(|result| result.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     }
 
     /// Run `tasks`, returning per-task results (`Err` carries a panic
-    /// payload) in task order plus the run's [`PoolStats`]. A
-    /// panicking task never takes its neighbors down — the
-    /// supervisor's per-scene isolation contract.
-    pub fn try_run<T, F>(&self, tasks: Vec<F>) -> (Vec<thread::Result<T>>, PoolStats)
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let (slots, stats) = self.execute(tasks, None);
-        let results = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Some(outcome) => outcome,
-                // No cancel token was passed, so every task ran.
-                None => unreachable!("uncancellable run skipped a task"),
-            })
-            .collect();
-        (results, stats)
-    }
-
-    /// Like [`Self::try_run`], but checks `cancel` before every claim:
-    /// once a worker observes the fired token it stops claiming, so
-    /// in-flight work drains instead of running to completion. Tasks
-    /// nobody claimed come back as `None` in their submission-order
-    /// slot; completed ones as `Some(result)`. Tasks already executing
-    /// when the token fires are *not* interrupted — cancellation
-    /// inside a task is the task's own business (the NOA chain checks
-    /// the same token at stage boundaries).
-    pub fn try_run_cancellable<T, F>(
-        &self,
-        tasks: Vec<F>,
-        cancel: &CancelToken,
-    ) -> (Vec<Option<thread::Result<T>>>, PoolStats)
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        self.execute(tasks, Some(cancel))
-    }
-
-    /// The one executor. Every task closure is parked in a mutex slot
-    /// and workers claim slot indices from a shared counter, in
-    /// submission order; each worker hands its `(index, outcome)`
-    /// pairs back through `join` and the caller scatters them into
-    /// submission order. With one worker the same claim loop runs
-    /// inline on the caller.
+    /// payload) in task order. A panicking task never takes its
+    /// neighbors down — the supervisor's per-scene isolation contract.
     ///
-    /// A worker checks `cancel` *before* claiming, so the claimed
-    /// indices always form a prefix of submission order and the `None`
-    /// (never-claimed) slots a suffix.
-    fn execute<T, F>(
-        &self,
-        tasks: Vec<F>,
-        cancel: Option<&CancelToken>,
-    ) -> (Vec<Option<thread::Result<T>>>, PoolStats)
+    /// The one executor behind [`Self::run`]: every task closure is
+    /// parked in a mutex slot and workers claim slot indices from a
+    /// shared counter, in submission order; each worker hands its
+    /// `(index, outcome)` pairs back through `join` and the caller
+    /// sorts them back into submission order. With one worker the same
+    /// claim loop runs inline on the caller.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pool's scoped workers are the workspace's OS threads"
+    )]
+    pub fn try_run<T, F>(&self, tasks: Vec<F>) -> Vec<thread::Result<T>>
     where
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        let n = tasks.len();
-        let workers = self.threads.min(n).max(1);
+        let workers = self.threads.min(tasks.len()).max(1);
         let parked: Vec<OrderedMutex<Option<F>>> =
             tasks.into_iter().map(|f| OrderedMutex::new("pool.task", Some(f))).collect();
         let next = AtomicUsize::new(0);
         let worker = || {
             let mut done = Vec::new();
-            while !cancel.is_some_and(CancelToken::is_cancelled) {
+            loop {
                 let i = next.fetch_add(1, Ordering::SeqCst);
                 let Some(task) = parked.get(i).and_then(|slot| slot.lock().take()) else {
                     break;
@@ -203,22 +149,16 @@ impl WorkerPool {
             })
         };
 
-        let mut slots: Vec<Option<thread::Result<T>>> = (0..n).map(|_| None).collect();
-        let mut tasks_executed = 0;
-        for done in joined {
-            match done {
-                Ok(pairs) => {
-                    tasks_executed += pairs.len();
-                    for (i, outcome) in pairs {
-                        slots[i] = Some(outcome);
-                    }
-                }
-                // Workers only run caught code; a worker-level panic
-                // would mean the claim loop itself failed.
-                Err(payload) => resume_unwind(payload),
-            }
+        let mut done = Vec::with_capacity(parked.len());
+        for pairs in joined {
+            // Workers only run caught code; a worker-level panic would
+            // mean the claim loop itself failed.
+            done.extend(pairs.unwrap_or_else(|payload| resume_unwind(payload)));
         }
-        (slots, PoolStats { workers, tasks_executed })
+        // Every index was claimed exactly once, so sorting by it
+        // restores submission order.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, outcome)| outcome).collect()
     }
 }
 
@@ -279,8 +219,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let (results, stats) = pool.try_run(tasks);
-            assert_eq!(stats, PoolStats { workers: threads.min(10), tasks_executed: 10 });
+            let results = pool.try_run(tasks);
+            assert_eq!(results.len(), 10, "threads={threads}");
             for (i, r) in results.into_iter().enumerate() {
                 match r {
                     Ok(v) => assert_eq!(v, i, "threads={threads}"),
@@ -290,66 +230,6 @@ mod tests {
                     }
                 }
             }
-
-            // A token that never fires skips nothing.
-            let token = CancelToken::new();
-            let tasks: Vec<_> = (0..20).map(|i| move || i * 2).collect();
-            let (slots, stats) = pool.try_run_cancellable(tasks, &token);
-            let got: Vec<i32> = slots
-                .into_iter()
-                .map(|s| s.expect("no task skipped").expect("no panic"))
-                .collect();
-            assert_eq!(got, (0..20).map(|i| i * 2).collect::<Vec<i32>>(), "threads={threads}");
-            assert_eq!(stats.tasks_executed, 20, "threads={threads}");
-
-            // A token fired up front: nothing starts, every slot is None.
-            let token = CancelToken::new();
-            token.cancel("batch deadline");
-            let ran = AtomicUsize::new(0);
-            let tasks: Vec<_> = (0..32)
-                .map(|i| {
-                    let ran = &ran;
-                    move || {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                        i
-                    }
-                })
-                .collect();
-            let (slots, stats) = pool.try_run_cancellable(tasks, &token);
-            assert_eq!(slots.len(), 32, "threads={threads}");
-            assert!(slots.iter().all(Option::is_none), "threads={threads}");
-            assert_eq!(ran.load(Ordering::SeqCst), 0, "threads={threads}");
-            assert_eq!(stats.tasks_executed, 0, "threads={threads}");
-
-            // A token fired mid-run by task 3: no worker claims after
-            // observing it, so the executed slots are a prefix that
-            // includes 3, the skipped ones a `None` suffix, and every
-            // other worker finishes at most one task past the firing one.
-            let token = CancelToken::new();
-            let ran = AtomicUsize::new(0);
-            let tasks: Vec<_> = (0..64usize)
-                .map(|i| {
-                    let (ran, fire) = (&ran, token.clone());
-                    move || {
-                        if i == 3 {
-                            fire.cancel("task 3 pulled the plug");
-                        }
-                        // Later tasks hold their worker until the token
-                        // has fired, which pins the interleaving.
-                        while !fire.is_cancelled() && i > 3 {
-                            thread::yield_now();
-                        }
-                        ran.fetch_add(1, Ordering::SeqCst);
-                        i
-                    }
-                })
-                .collect();
-            let (slots, stats) = pool.try_run_cancellable(tasks, &token);
-            let executed = slots.iter().take_while(|s| s.is_some()).count();
-            assert!(slots[executed..].iter().all(Option::is_none), "threads={threads}");
-            assert!((4..4 + threads).contains(&executed), "threads={threads} ran {executed}");
-            assert_eq!(ran.load(Ordering::SeqCst), executed, "threads={threads}");
-            assert_eq!(stats.tasks_executed, executed, "threads={threads}");
         }
     }
 
@@ -357,21 +237,14 @@ mod tests {
     fn one_thread_or_one_task_runs_inline_on_the_caller() {
         let caller = thread::current().id();
         let on_caller = move || thread::current().id() == caller;
-        let token = CancelToken::new();
 
         let one = WorkerPool::with_threads(1);
         assert_eq!(one.run(vec![on_caller; 3]), vec![true; 3]);
-        let (results, stats) = one.try_run(vec![on_caller; 3]);
-        assert!(results.into_iter().all(|r| r.expect("no panic")));
-        assert_eq!(stats.workers, 1);
-        let (slots, _) = one.try_run_cancellable(vec![on_caller; 3], &token);
-        assert!(slots.into_iter().all(|s| s.expect("not skipped").expect("no panic")));
+        assert!(one.try_run(vec![on_caller; 3]).into_iter().all(|r| r.expect("no panic")));
 
         let four = WorkerPool::with_threads(4);
         assert_eq!(four.run(vec![on_caller]), vec![true]);
-        let (results, stats) = four.try_run(vec![on_caller]);
-        assert!(results.into_iter().all(|r| r.expect("no panic")));
-        assert_eq!(stats.workers, 1);
+        assert!(four.try_run(vec![on_caller]).into_iter().all(|r| r.expect("no panic")));
         assert_eq!(four.run(vec![on_caller; 8]), vec![false; 8]);
     }
 

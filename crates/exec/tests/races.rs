@@ -1,6 +1,7 @@
 //! Seeded std-thread stress tests of the exec race surface: the
-//! first-wins cancel, flag-before-reason publication, the pool's claim
-//! loop under a racing cancel, and the lock witness under contention.
+//! first-wins cancel (explicit or fired by an expired deadline),
+//! flag-before-reason publication, and the lock witness under
+//! contention.
 //!
 //! Every round releases its threads from one spin barrier and then
 //! staggers each by a seeded number of spins, so the rounds sweep the
@@ -10,7 +11,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-use teleios_exec::{CancelToken, LockWitness, OrderedMutex, WorkerPool};
+use std::time::Instant;
+use teleios_exec::{CancelToken, LockWitness, OrderedMutex};
 
 const ROUNDS: u64 = 2_000;
 
@@ -62,8 +64,13 @@ fn race<'a, T: Send>(round: u64, span: u64, bodies: Vec<Box<dyn FnOnce() -> T + 
     })
 }
 
+/// Two parties race to cancel one token, in two settings: two explicit
+/// cancels, and an explicit cancel against a deadline that has already
+/// passed, which the other party's poll fires. Either way exactly one
+/// wins and its reason is the one recorded.
 #[test]
 fn racing_cancels_have_exactly_one_winner() {
+    let mut deadline_wins = 0;
     for round in 0..ROUNDS {
         let token = CancelToken::new();
         let (a, b) = (token.clone(), token.clone());
@@ -71,7 +78,20 @@ fn racing_cancels_have_exactly_one_winner() {
         assert!(won[0] ^ won[1], "round {round}: exactly one cancel must win, got {won:?}");
         let winner = if won[0] { "a" } else { "b" };
         assert_eq!(token.reason().as_deref(), Some(winner), "round {round}: the winner's reason");
+
+        let token = CancelToken::with_deadline(Instant::now(), "deadline");
+        let (a, b) = (token.clone(), token.clone());
+        let cancel_and_poll: Vec<Box<dyn FnOnce() -> bool + Send>> =
+            vec![Box::new(move || a.cancel("a")), Box::new(move || b.is_cancelled())];
+        let seen = race(round, 16, cancel_and_poll);
+        assert!(seen[1], "round {round}: a poll past the deadline must read cancelled");
+        // The cancel lost exactly when the deadline won.
+        let winner = if seen[0] { "a" } else { "deadline" };
+        assert_eq!(token.reason().as_deref(), Some(winner), "round {round}: the winner's reason");
+        deadline_wins += u64::from(!seen[0]);
     }
+    // The sweep must land both orders, or the deadline case proved nothing.
+    assert!((1..ROUNDS).contains(&deadline_wins), "deadline won {deadline_wins} of {ROUNDS} rounds");
 }
 
 /// Readers sample (reason, flag) until they see the flag: a reason
@@ -98,43 +118,6 @@ fn reason_is_never_visible_before_the_flag() {
         assert!(seen.iter().all(|&s| s), "round {round}: reason visible before the flag");
         assert_eq!(token.reason().as_deref(), Some("stop"), "round {round}");
     }
-}
-
-/// A cancel racing the pool's claim loop: whatever the interleaving,
-/// the tasks that ran are a prefix of submission order and a skipped
-/// task implies the token fired.
-#[test]
-fn a_racing_cancel_skips_a_suffix_of_the_tasks() {
-    const TASKS: usize = 32;
-    let pool = WorkerPool::with_threads(2);
-    let mut cut = 0;
-    for round in 0..ROUNDS {
-        let token = CancelToken::new();
-        let (canceller, run_token) = (token.clone(), token.clone());
-        let slots = race(
-            round,
-            4_096,
-            vec![
-                Box::new(move || {
-                    canceller.cancel("deadline");
-                    Vec::new()
-                }),
-                Box::new(move || {
-                    let tasks: Vec<_> = (0..TASKS).map(|i| move || spin(64 + i as u64)).collect();
-                    let (slots, _) = pool.try_run_cancellable(tasks, &run_token);
-                    slots.iter().map(Option::is_some).collect::<Vec<bool>>()
-                }),
-            ],
-        );
-        let ran = &slots[1];
-        let prefix = ran.iter().take_while(|&&r| r).count();
-        assert!(ran[prefix..].iter().all(|&r| !r), "round {round}: skipped tasks are not a suffix: {ran:?}");
-        if prefix > 0 && prefix < TASKS {
-            cut += 1;
-        }
-    }
-    // The sweep must actually land cancels mid-run, or it proved nothing.
-    assert!(cut > 0, "no round cancelled mid-run");
 }
 
 /// Two threads take the same two witnessed locks in the same order,

@@ -92,8 +92,8 @@ pub struct ProcessingChain {
     /// boundary (before the stage hook fires). A cancelled token fails
     /// the *next* stage with the token's reason — the running stage is
     /// never interrupted, so partial catalog state stays consistent.
-    /// `teleios-resilience`'s deadline watchdog cancels this; `None`
-    /// in unsupervised chains.
+    /// `teleios-resilience` installs one carrying each attempt's
+    /// deadline; `None` in unsupervised chains.
     pub cancel: Option<CancelToken>,
 }
 
@@ -244,8 +244,8 @@ impl ProcessingChain {
             .iter()
             .map(|(id, raster)| move || self.run(catalog, id, raster))
             .collect();
-        let (results, _) = WorkerPool::default().try_run(tasks);
-        results
+        WorkerPool::default()
+            .try_run(tasks)
             .into_iter()
             .zip(scenes)
             .map(|(result, (id, _))| {
@@ -453,14 +453,14 @@ mod tests {
             .with_stage_hook(Arc::new(
                 move |_id: &str, stage: ChainStage, _chain: &ProcessingChain| {
                     if stage == ChainStage::Classify {
-                        fire.cancel("watchdog: classify overdue");
+                        fire.cancel("deadline: classify overdue");
                     }
                     Ok(())
                 },
             ));
         let err = chain.run(&cat, "c1", &scene().raster).unwrap_err().to_string();
         assert!(err.contains("c1 cancelled before shapefile"), "{err}");
-        assert!(err.contains("watchdog: classify overdue"), "{err}");
+        assert!(err.contains("deadline: classify overdue"), "{err}");
         // Stages before the cancellation point completed normally.
         assert!(cat.has_array("c1_band0"));
     }

@@ -17,9 +17,9 @@
 //!   (an unrecoverable `Failed` scene that must not take the batch
 //!   down with it);
 //! * [`Fault::Transient`] fails the first `failures` attempts, then
-//!   succeeds — the retry/backoff case;
+//!   succeeds — the retry case;
 //! * [`Fault::Hang`] wedges a stage for a fixed duration, polling the
-//!   chain's cancellation token so the deadline watchdog can cut it
+//!   chain's cancellation token so the attempt's deadline can cut it
 //!   short — the timeout-budget case, deterministic without
 //!   wall-clock flakiness.
 //!
@@ -71,7 +71,7 @@ pub enum Fault {
     },
     /// The named stage wedges for `duration` before proceeding — on
     /// every attempt. The sleep polls the chain's [`CancelToken`]
-    /// (when one is installed), so a deadline watchdog cuts the hang
+    /// (when one is installed), so the token's deadline cuts the hang
     /// short deterministically: `duration` can be minutes without the
     /// test ever waiting minutes. With no token the hang sleeps in
     /// full, modelling an unsupervised wedge.

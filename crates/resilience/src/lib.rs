@@ -9,14 +9,24 @@
 //!
 //! * [`supervisor::Supervisor`] wraps [`teleios_noa::ProcessingChain`]
 //!   execution with **per-scene isolation** (a panicking worker fails
-//!   one scene, never the batch), **bounded retry with exponential
-//!   backoff** for transient faults, and **degraded-mode fallbacks**
-//!   (contextual classifier → plain threshold; georeferenced target
-//!   grid → native grid) so a partially broken chain still produces a
-//!   usable, honestly-labeled product. The result is a
-//!   [`supervisor::BatchReport`] with a per-scene outcome — `Ok`,
-//!   `Retried(n)`, `Degraded{from,to}` or `Failed{reason}` — instead of
-//!   an all-or-nothing `Result`.
+//!   one scene, never the batch), **bounded retry** for transient
+//!   faults, and **degraded-mode fallbacks** (contextual classifier →
+//!   plain threshold; georeferenced target grid → native grid) so a
+//!   partially broken chain still produces a usable, honestly-labeled
+//!   product. The result is a [`supervisor::BatchReport`] with a
+//!   per-scene outcome — `Ok`, `Retried(n)`, `Degraded{from,to}`,
+//!   `Failed{reason}` or `Timeout{stage,reason}` — instead of an
+//!   all-or-nothing `Result`. It has three settings: the retry count,
+//!   the worker count and an optional per-attempt deadline.
+//! * **Deadline-aware supervision** needs no thread of its own: each
+//!   attempt runs under a [`CancelToken`] that carries its deadline
+//!   ([`CancelToken::with_deadline`]) and fires itself the first time
+//!   the chain polls it after that instant — at a stage boundary, or
+//!   inside an injected hang. Nothing is ever killed. Overdue scenes
+//!   end `Timeout` with the stage recorded, and a per-batch circuit
+//!   breaker skips a chain variant after
+//!   [`supervisor::BREAKER_THRESHOLD`] timeouts, jumping straight to
+//!   the next degraded rung.
 //! * [`fault::FaultPlan`] is a **seeded, deterministic fault-injection
 //!   harness**: it corrupts vault payloads, truncates file headers, and
 //!   injects classifier errors, georeferencing errors, worker panics,
@@ -24,14 +34,6 @@
 //!   the chain's [`teleios_noa::StageHook`], so the supervisor's
 //!   guarantees are testable offline, scene by scene, with reproducible
 //!   runs.
-//! * [`deadline::StageBudget`] adds **deadline-aware supervision**: a
-//!   soft per-stage deadline plus a hard per-attempt deadline, enforced
-//!   by a watchdog thread through cooperative [`CancelToken`]
-//!   cancellation (nothing is ever killed — the chain drains at its
-//!   next stage boundary). Overdue scenes end `Timeout` with the
-//!   overshot stage recorded; a [`deadline::CircuitBreaker`] skips a
-//!   chain variant batch-wide after repeated timeouts, jumping straight
-//!   to the next degraded rung.
 //!
 //! The vault side of the story (payload checksums, quarantine lists,
 //! [`teleios_vault::DataVault::retry_quarantined`]) lives in
@@ -39,11 +41,9 @@
 //! retry/degraded stack end to end and E14 (`exp_timeout_budgets`)
 //! sweeps deadline budgets against hang rates.
 
-pub mod deadline;
 pub mod fault;
 pub mod supervisor;
 
-pub use deadline::{CircuitBreaker, StageBudget};
 pub use fault::{Fault, FaultPlan, DURABILITY_KINDS, SEEDED_KINDS};
-pub use supervisor::{BatchReport, RetryPolicy, SceneOutcome, SceneReport, Supervisor};
-pub use teleios_exec::{CancelToken, PoolStats};
+pub use supervisor::{BatchReport, SceneOutcome, SceneReport, Supervisor};
+pub use teleios_exec::CancelToken;

@@ -62,7 +62,7 @@ fi
 # live here. The global LockWitness panics on the acquisition that
 # would close a lock-order cycle, TxnWitness on a backend dropped with
 # a transaction open, and crates/exec/tests/races.rs stress-tests the
-# cancel, claim and witness protocols.
+# cancel and witness protocols.
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 

@@ -22,6 +22,10 @@ pub fn thread_builder() -> std::io::Result<t::JoinHandle<()>> {
     std::thread::Builder::new().spawn(|| {}) //~ clippy::disallowed_types
 }
 
+pub fn thread_scope() {
+    std::thread::scope(|_| {}) //~ clippy::disallowed_methods
+}
+
 // ---- no panics in library code ----
 
 pub fn unwraps(v: Option<u8>) -> u8 {

@@ -1,9 +1,9 @@
 //! Deadline-aware supervision acceptance tests (ISSUE: robustness).
 //!
 //! A batch containing scenes that hang for 10 seconds at a stage must
-//! finish within the deadline envelope — the watchdog cancels each
-//! overdue attempt at its stage boundary, so wall-clock scales with
-//! the budget, never with the hang. No healthy scene may ever be lost
+//! finish within the deadline envelope — each overdue attempt's token
+//! fires at its next poll (a stage boundary, or inside the hang), so
+//! wall-clock scales with the budget, never with the hang. No healthy scene may ever be lost
 //! to deadline supervision, under any seed. A scene that times out on
 //! every variant ends `Timeout` with its full timeout chain recorded.
 //! Quarantine state produced under supervision survives a catalog
@@ -18,9 +18,7 @@ use teleios_ingest::seviri::FireEvent;
 use teleios_monet::Catalog;
 use teleios_noa::chain::ChainStage;
 use teleios_noa::{HotspotClassifier, ProcessingChain};
-use teleios_resilience::{
-    Fault, FaultPlan, RetryPolicy, SceneOutcome, StageBudget, Supervisor,
-};
+use teleios_resilience::{Fault, FaultPlan, SceneOutcome, Supervisor};
 use teleios_vault::{DataVault, IngestionPolicy};
 
 /// Long enough that an uncancelled hang would blow every assertion
@@ -72,8 +70,7 @@ fn hung_batch_finishes_within_the_deadline_envelope() {
 
     let chain = ladder_chain(&obs, &plan);
     let hard = Duration::from_millis(150);
-    let supervisor = Supervisor::new(RetryPolicy::no_backoff(1))
-        .with_budget(StageBudget::hard(hard));
+    let supervisor = Supervisor::new(1).with_deadline(hard);
     let report = obs.run_chain_batch(&ids, &chain, &supervisor).unwrap();
 
     // Envelope: each hung scene burns at most (retries + 1) primary
@@ -119,8 +116,7 @@ fn no_seed_loses_a_healthy_scene() {
         let palette = [Fault::Hang { stage: ChainStage::Georef, duration: HANG }];
         let plan = FaultPlan::seeded_with(seed, &ids, 0.4, &palette);
         let chain = ladder_chain(&obs, &plan);
-        let supervisor = Supervisor::new(RetryPolicy::no_backoff(1))
-            .with_budget(StageBudget::hard(Duration::from_millis(150)));
+        let supervisor = Supervisor::new(1).with_deadline(Duration::from_millis(150));
         let report = obs.run_chain_batch(&ids, &chain, &supervisor).unwrap();
         for scene in &report.scenes {
             if plan.fault_for(&scene.product_id).is_none() {
@@ -147,9 +143,8 @@ fn scene_timing_out_on_every_variant_records_its_timeout_chain() {
     let chain = ladder_chain(&obs, &plan);
     let primary_id = chain.id();
 
-    let supervisor = Supervisor::new(RetryPolicy::no_backoff(1))
-        .with_budget(StageBudget::hard(Duration::from_millis(120)));
-    let report = supervisor.run_scene(&catalog, &chain, &ids[0], &raster);
+    let supervisor = Supervisor::new(1).with_deadline(Duration::from_millis(120));
+    let report = supervisor.run_batch(&catalog, &chain, &[(ids[0].clone(), raster)]).scenes.remove(0);
 
     let SceneOutcome::Timeout { stage, reason } = &report.outcome else {
         panic!("expected Timeout, got {:?}", report.outcome);
@@ -181,7 +176,7 @@ fn quarantine_survives_a_catalog_round_trip_under_supervision() {
     plan.apply_to_repository(obs.vault.repository_mut());
 
     let chain = ladder_chain(&obs, &FaultPlan::new());
-    let supervisor = Supervisor::new(RetryPolicy::no_backoff(1));
+    let supervisor = Supervisor::new(1);
     let report = obs.run_chain_batch(&ids, &chain, &supervisor).unwrap();
     let bad = report.report_for(&ids[0]).unwrap();
     assert!(matches!(bad.outcome, SceneOutcome::Failed { .. }));

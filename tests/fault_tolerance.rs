@@ -11,7 +11,7 @@ use teleios_geo::Coord;
 use teleios_ingest::raster::GeoTransform;
 use teleios_ingest::seviri::FireEvent;
 use teleios_noa::{HotspotClassifier, ProcessingChain};
-use teleios_resilience::{Fault, FaultPlan, RetryPolicy, SceneOutcome, Supervisor};
+use teleios_resilience::{Fault, FaultPlan, SceneOutcome, Supervisor};
 
 const SCENES: usize = 50;
 const SEED: u64 = 1234;
@@ -70,7 +70,7 @@ fn seeded_fault_plan_batch_meets_the_acceptance_criteria() {
     }
     .with_stage_hook(plan.chain_hook());
 
-    let supervisor = Supervisor::new(RetryPolicy::no_backoff(2));
+    let supervisor = Supervisor::new(2);
     let report = obs.run_chain_batch(&ids, &chain, &supervisor).unwrap();
 
     // The batch completed: one report per scene, in input order.
@@ -199,7 +199,7 @@ fn quarantined_scene_recovers_after_repair_and_retry() {
     plan.inject(victim.clone(), Fault::CorruptPayload);
     plan.apply_to_repository(obs.vault.repository_mut());
 
-    let supervisor = Supervisor::new(RetryPolicy::no_backoff(1));
+    let supervisor = Supervisor::new(1);
     let chain = ProcessingChain::operational();
     let first = obs.run_chain_batch(&ids, &chain, &supervisor).unwrap();
     assert_eq!(first.failed_count(), 1);
