@@ -8,10 +8,10 @@
 //!    replay (`snapshot_every: None`) vs the default periodic
 //!    snapshots. Every run asserts the recovered keyspace state is
 //!    bit-identical to the pre-crash committed state.
-//! 2. **Durability fault kinds** — each `DURABILITY_KINDS` palette
-//!    entry (torn write, short fsync, crash point) armed through
-//!    `Fault::write_fault` on the commit of transaction N+1; recovery
-//!    must land exactly on transaction N's state.
+//! 2. **Durability fault kinds** — each `WriteFault` (torn write,
+//!    short fsync, crash point) armed on the medium for the commit of
+//!    transaction N+1; recovery must land exactly on transaction N's
+//!    state.
 //! 3. **Domain round-trip** — an RDF triple store, the vault catalog
 //!    and quarantine, and a MonetDB-style table catalog persisted
 //!    through the same backend, crashed, recovered, and compared for
@@ -28,9 +28,8 @@ use teleios_monet::table::ColumnDef;
 use teleios_monet::{Catalog, DataType, Value};
 use teleios_rdf::store::TripleStore;
 use teleios_rdf::term::Term;
-use teleios_resilience::DURABILITY_KINDS;
 use teleios_store::{
-    full_state, DurableBackend, DurableConfig, MemMedium, MemoryBackend, StorageBackend,
+    full_state, transact, DurableBackend, DurableConfig, MemMedium, StorageBackend, WriteFault,
 };
 use teleios_vault::catalog::{FileRecord, VaultCatalog};
 
@@ -116,15 +115,14 @@ fn section_fault_kinds(committed: u64) {
         ("exact", 5, Align::Right),
     ]);
     table.header();
-    for fault in DURABILITY_KINDS {
+    for fault in [WriteFault::Torn { keep: 12 }, WriteFault::ShortFsync, WriteFault::Crash] {
         let config = DurableConfig { snapshot_every: None, ..DurableConfig::default() };
         let mut backend = DurableBackend::open(MemMedium::new(), config).expect("open");
         for i in 0..committed {
             ingest_txn(&mut backend, i);
         }
         let expected = full_state(&backend).expect("state");
-        let write_fault = fault.write_fault().expect("durability kind");
-        backend.medium_mut().arm(write_fault);
+        backend.medium_mut().arm(fault);
         backend.begin().expect("begin");
         backend.put("vault/catalog", b"in-flight", b"never-acknowledged").expect("put");
         let commit = backend.commit();
@@ -202,18 +200,31 @@ fn sample_domains(n: u64) -> (TripleStore, VaultCatalog, BTreeSet<String>, Catal
     (triples, catalog, quarantine, db)
 }
 
+/// Persist the three domain states, one transaction each.
+fn save_domains(
+    backend: &mut dyn StorageBackend,
+    triples: &TripleStore,
+    catalog: &VaultCatalog,
+    quarantine: &BTreeSet<String>,
+    db: &Catalog,
+) {
+    transact(backend, |b| teleios_rdf::persist::persist_triple_store(triples, b))
+        .expect("rdf save");
+    transact(backend, |b| teleios_vault::persist::persist_vault_state(catalog, quarantine, b))
+        .expect("vault save");
+    transact(backend, |b| teleios_monet::persist::persist_catalog(db, b)).expect("monet save");
+}
+
 /// Canonical fingerprint of the three domain states: persist them into
-/// a fresh in-memory backend and take its full keyspace map.
+/// a fresh in-memory store and take its full keyspace map.
 fn fingerprint(
     triples: &TripleStore,
     catalog: &VaultCatalog,
     quarantine: &BTreeSet<String>,
     db: &Catalog,
 ) -> teleios_store::KeyspaceState {
-    let mut mem = MemoryBackend::new();
-    teleios_rdf::persist::save_triple_store(triples, &mut mem).expect("rdf save");
-    teleios_vault::persist::save_vault_state(catalog, quarantine, &mut mem).expect("vault save");
-    teleios_monet::persist::save_catalog(db, &mut mem).expect("monet save");
+    let mut mem = DurableBackend::open(MemMedium::new(), DurableConfig::default()).expect("open");
+    save_domains(&mut mem, triples, catalog, quarantine, db);
     full_state(&mem).expect("state")
 }
 
@@ -222,10 +233,7 @@ fn section_domains(n: u64) {
     let (triples, catalog, quarantine, db) = sample_domains(n);
     let mut backend =
         DurableBackend::open(MemMedium::new(), DurableConfig::default()).expect("open");
-    teleios_rdf::persist::save_triple_store(&triples, &mut backend).expect("rdf save");
-    teleios_vault::persist::save_vault_state(&catalog, &quarantine, &mut backend)
-        .expect("vault save");
-    teleios_monet::persist::save_catalog(&db, &mut backend).expect("monet save");
+    save_domains(&mut backend, &triples, &catalog, &quarantine, &db);
     let mut medium = backend.into_medium();
     medium.crash();
     let t0 = Instant::now();

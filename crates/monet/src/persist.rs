@@ -19,6 +19,8 @@
 //! representation exactly (a column only carries a validity vector
 //! if it actually holds nulls — same as a freshly pushed column).
 
+use std::collections::BTreeMap;
+
 use teleios_store::codec::{put_f64, put_str, put_varint, put_zigzag, Reader};
 use teleios_store::{StorageBackend, StoreError};
 
@@ -266,26 +268,13 @@ fn decode_column(bytes: &[u8]) -> Result<ColumnPage, StoreError> {
 }
 
 /// Stage every catalog table (schema + column pages) as puts inside
-/// the backend's open transaction, replacing any previously
-/// persisted tables that no longer exist.
+/// the backend's open transaction, deleting the pages of tables that
+/// no longer exist and of columns past a narrowed table's width.
 pub fn persist_catalog(
     catalog: &Catalog,
     backend: &mut dyn StorageBackend,
 ) -> Result<(), StoreError> {
-    // drop pages of tables that disappeared since the last persist
-    let live: Vec<Vec<u8>> = catalog.table_names().iter().map(|n| table_key(n)).collect();
-    for (key, _) in backend.scan(SCHEMA_KEYSPACE)? {
-        if !live.contains(&key) {
-            backend.delete(SCHEMA_KEYSPACE, &key)?;
-        }
-    }
-    for (key, _) in backend.scan(COL_KEYSPACE)? {
-        let table_part = key.split(|b| *b == 0).next().unwrap_or(&[]).to_vec();
-        if !live.contains(&table_part) {
-            backend.delete(COL_KEYSPACE, &key)?;
-        }
-    }
-
+    let mut tables = Vec::new();
     for name in catalog.table_names() {
         let table = catalog
             .table(&name)
@@ -296,42 +285,36 @@ pub fn persist_catalog(
                 table.num_rows()
             )));
         }
-        backend.put(SCHEMA_KEYSPACE, &table_key(&name), &encode_schema(&table))?;
-        // remove stale higher-index pages if the table narrowed
-        for (key, _) in backend.scan(COL_KEYSPACE)? {
-            if key.starts_with(&col_key(&name, 0)[..table_key(&name).len() + 1]) {
-                let idx_bytes = &key[table_key(&name).len() + 1..];
-                if idx_bytes.len() == 4 {
-                    let mut buf = [0u8; 4];
-                    buf.copy_from_slice(idx_bytes);
-                    if u32::from_be_bytes(buf) as usize >= table.num_columns() {
-                        backend.delete(COL_KEYSPACE, &key)?;
-                    }
-                }
-            }
+        tables.push((name, table));
+    }
+    let widths: BTreeMap<Vec<u8>, usize> =
+        tables.iter().map(|(name, table)| (table_key(name), table.num_columns())).collect();
+    for (key, _) in backend.scan(SCHEMA_KEYSPACE)? {
+        if !widths.contains_key(&key) {
+            backend.delete(SCHEMA_KEYSPACE, &key)?;
         }
+    }
+    // One pass over the committed column pages: a page is stale when
+    // its table is gone or its index is at or past the table's width.
+    for (key, _) in backend.scan(COL_KEYSPACE)? {
+        let mut parts = key.splitn(2, |b| *b == 0);
+        let width = parts.next().and_then(|t| widths.get(t));
+        let idx = parts.next().and_then(|i| <[u8; 4]>::try_from(i).ok()).map(u32::from_be_bytes);
+        let stale = match width {
+            None => true,
+            Some(&width) => idx.is_some_and(|idx| idx as usize >= width),
+        };
+        if stale {
+            backend.delete(COL_KEYSPACE, &key)?;
+        }
+    }
+    for (name, table) in &tables {
+        backend.put(SCHEMA_KEYSPACE, &table_key(name), &encode_schema(table))?;
         for idx in 0..table.num_columns() {
-            backend.put(
-                COL_KEYSPACE,
-                &col_key(&name, idx as u32),
-                &encode_column(&table, idx),
-            )?;
+            backend.put(COL_KEYSPACE, &col_key(name, idx as u32), &encode_column(table, idx))?;
         }
     }
     Ok(())
-}
-
-/// Persist the catalog as one transaction; returns the commit
-/// sequence number.
-pub fn save_catalog(catalog: &Catalog, backend: &mut dyn StorageBackend) -> Result<u64, StoreError> {
-    backend.begin()?;
-    // A failed put must not leave the transaction open on the shared
-    // backend: roll back before propagating.
-    if let Err(e) = persist_catalog(catalog, backend) {
-        backend.rollback();
-        return Err(e);
-    }
-    backend.commit()
 }
 
 /// Load all tables persisted by [`persist_catalog`] into a fresh
@@ -386,28 +369,35 @@ pub fn load_catalog(backend: &dyn StorageBackend) -> Result<Option<Catalog>, Sto
 mod tests {
     use super::*;
     use teleios_check::Edits;
-    use teleios_store::{
-        DurableBackend, DurableConfig, FailingPuts, MemMedium, MemoryBackend, TxnWitness,
-    };
+    use teleios_store::{transact, DurableBackend, DurableConfig, MemMedium};
+
+    type MemBackend = DurableBackend<MemMedium>;
+
+    fn mem_backend() -> MemBackend {
+        DurableBackend::open(MemMedium::new(), DurableConfig::default()).unwrap()
+    }
+
+    fn save(catalog: &Catalog, backend: &mut MemBackend) {
+        transact(backend, |b| persist_catalog(catalog, b)).unwrap();
+    }
 
     /// A backend holding exactly `pages`, as `(keyspace, key, bytes)`.
-    fn backend_with(pages: &[(&str, &[u8], &[u8])]) -> MemoryBackend {
-        let mut backend = MemoryBackend::new();
-        backend.begin().unwrap();
-        for (keyspace, key, bytes) in pages {
-            backend.put(keyspace, key, bytes).unwrap();
-        }
-        backend.commit().unwrap();
+    fn backend_with(pages: &[(&str, &[u8], &[u8])]) -> MemBackend {
+        let mut backend = mem_backend();
+        transact(&mut backend, |b| {
+            pages.iter().try_for_each(|(keyspace, key, bytes)| b.put(keyspace, key, bytes))
+        })
+        .unwrap();
         backend
     }
 
-    /// Every page `save_catalog` writes, put through the byte loop in
-    /// place (the other pages intact) and loaded back: `Ok` or `Err`,
-    /// never a panic, an abort or a hang.
+    /// Every page `persist_catalog` writes, put through the byte loop
+    /// in place (the other pages intact) and loaded back: `Ok` or
+    /// `Err`, never a panic, an abort or a hang.
     #[test]
     fn every_page_survives_the_byte_loop() {
-        let mut saved = MemoryBackend::new();
-        save_catalog(&sample_catalog(), &mut saved).unwrap();
+        let mut saved = mem_backend();
+        save(&sample_catalog(), &mut saved);
         let pages: Vec<(&str, Vec<u8>, Vec<u8>)> = [SCHEMA_KEYSPACE, COL_KEYSPACE]
             .into_iter()
             .flat_map(|ks| saved.scan(ks).unwrap().into_iter().map(move |(k, v)| (ks, k, v)))
@@ -529,20 +519,11 @@ mod tests {
         }
     }
 
-    /// A put failing between `begin` and `commit` must not leave the
-    /// transaction open: the always-on witness panics when `backend`
-    /// drops at the end of the test if it did.
-    #[test]
-    fn a_failed_put_closes_the_transaction() {
-        let mut backend = FailingPuts { inner: MemoryBackend::with_witness(&TxnWitness::new()), puts: 1 };
-        assert!(save_catalog(&sample_catalog(), &mut backend).is_err());
-    }
-
     #[test]
     fn round_trip_through_memory_backend() {
         let catalog = sample_catalog();
-        let mut backend = MemoryBackend::new();
-        save_catalog(&catalog, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&catalog, &mut backend);
         let loaded = load_catalog(&backend).unwrap().unwrap();
         assert_catalogs_equal(&catalog, &loaded);
     }
@@ -550,9 +531,8 @@ mod tests {
     #[test]
     fn round_trip_survives_crash_recovery() {
         let catalog = sample_catalog();
-        let mut backend =
-            DurableBackend::open(MemMedium::new(), DurableConfig::default()).unwrap();
-        save_catalog(&catalog, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&catalog, &mut backend);
         let mut medium = backend.into_medium();
         medium.crash();
         let recovered = DurableBackend::open(medium, DurableConfig::default()).unwrap();
@@ -562,16 +542,16 @@ mod tests {
 
     #[test]
     fn missing_state_loads_as_none() {
-        assert!(load_catalog(&MemoryBackend::new()).unwrap().is_none());
+        assert!(load_catalog(&mem_backend()).unwrap().is_none());
     }
 
     #[test]
     fn dropped_table_disappears_on_next_persist() {
         let catalog = sample_catalog();
-        let mut backend = MemoryBackend::new();
-        save_catalog(&catalog, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&catalog, &mut backend);
         catalog.drop_table("Hotspots").unwrap();
-        save_catalog(&catalog, &mut backend).unwrap();
+        save(&catalog, &mut backend);
         let loaded = load_catalog(&backend).unwrap().unwrap();
         assert_eq!(loaded.table_names(), vec!["empty_t".to_string()]);
         // no orphaned column pages either
@@ -581,16 +561,31 @@ mod tests {
     }
 
     #[test]
+    fn a_narrowed_table_leaves_no_page_past_its_width() {
+        let catalog = Catalog::new();
+        let col = |name: &str| ColumnDef { name: name.into(), ty: DataType::Int };
+        catalog.create_table("t", vec![col("a"), col("b"), col("c")]).unwrap();
+        let mut backend = mem_backend();
+        save(&catalog, &mut backend);
+        catalog.drop_table("t").unwrap();
+        catalog.create_table("t", vec![col("a")]).unwrap();
+        save(&catalog, &mut backend);
+        let pages: Vec<Vec<u8>> =
+            backend.scan(COL_KEYSPACE).unwrap().into_iter().map(|(key, _)| key).collect();
+        assert_eq!(pages, [col_key("t", 0)]);
+        let loaded = load_catalog(&backend).unwrap().unwrap();
+        assert_eq!(loaded.table("t").unwrap().num_columns(), 1);
+    }
+
+    #[test]
     fn corrupt_column_page_is_a_codec_error() {
         let catalog = sample_catalog();
-        let mut backend = MemoryBackend::new();
-        save_catalog(&catalog, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&catalog, &mut backend);
         let key = col_key("Hotspots", 0);
         let mut bytes = backend.get(COL_KEYSPACE, &key).unwrap().unwrap();
         bytes.truncate(bytes.len() - 1);
-        backend.begin().unwrap();
-        backend.put(COL_KEYSPACE, &key, &bytes).unwrap();
-        backend.commit().unwrap();
+        transact(&mut backend, |b| b.put(COL_KEYSPACE, &key, &bytes)).unwrap();
         assert!(matches!(load_catalog(&backend), Err(StoreError::Codec(_))));
     }
 
@@ -609,8 +604,8 @@ mod tests {
         let rows: Vec<Vec<Value>> =
             (0..17).map(|i| vec![Value::Null, Value::Bool(i % 3 == 0)]).collect();
         catalog.insert("edge", rows).unwrap();
-        let mut backend = MemoryBackend::new();
-        save_catalog(&catalog, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&catalog, &mut backend);
         let loaded = load_catalog(&backend).unwrap().unwrap();
         assert_catalogs_equal(&catalog, &loaded);
     }

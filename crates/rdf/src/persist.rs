@@ -141,8 +141,9 @@ fn decode_triples(bytes: &[u8]) -> Result<Vec<Triple>, StoreError> {
 }
 
 /// Stage the triple store's pages as puts inside the backend's open
-/// transaction (the caller owns `begin`/`commit`, so a catalog, a
-/// triple store, and table pages can share one atomic commit).
+/// transaction (the caller owns it — `teleios_store::transact` — so a
+/// catalog, a triple store, and table pages can share one atomic
+/// commit).
 pub fn persist_triple_store(
     store: &TripleStore,
     backend: &mut dyn StorageBackend,
@@ -152,31 +153,20 @@ pub fn persist_triple_store(
     Ok(())
 }
 
-/// Persist the triple store as a single transaction of its own;
-/// returns the commit sequence number.
-pub fn save_triple_store(
-    store: &TripleStore,
-    backend: &mut dyn StorageBackend,
-) -> Result<u64, StoreError> {
-    backend.begin()?;
-    // A failed put must not leave the transaction open on the shared
-    // backend: roll back before propagating.
-    if let Err(e) = persist_triple_store(store, backend) {
-        backend.rollback();
-        return Err(e);
-    }
-    backend.commit()
-}
-
 /// Load the triple store persisted by [`persist_triple_store`];
-/// `Ok(None)` if nothing was ever persisted.
+/// `Ok(None)` if nothing was ever persisted. The two pages are written
+/// in one transaction and the triple page always starts with its
+/// count, so a dictionary without a triple page, or an empty one, is
+/// damage: `Err(Codec)`, not an empty store.
 pub fn load_triple_store(
     backend: &dyn StorageBackend,
 ) -> Result<Option<TripleStore>, StoreError> {
     let Some(term_bytes) = backend.get(DICT_KEYSPACE, TERMS_KEY)? else {
         return Ok(None);
     };
-    let triple_bytes = backend.get(SPO_KEYSPACE, TRIPLES_KEY)?.unwrap_or_default();
+    let Some(triple_bytes) = backend.get(SPO_KEYSPACE, TRIPLES_KEY)? else {
+        return Err(StoreError::Codec("term dictionary without a triple page".into()));
+    };
     let terms = decode_terms(&term_bytes)?;
     let mut store = TripleStore::new();
     for (expect_id, term) in terms.iter().enumerate() {
@@ -187,16 +177,14 @@ pub fn load_triple_store(
             )));
         }
     }
-    if !triple_bytes.is_empty() {
-        let dict_len = store.dictionary().len() as i64;
-        for t in decode_triples(&triple_bytes)? {
-            if t.s as i64 >= dict_len || t.p as i64 >= dict_len || t.o as i64 >= dict_len {
-                return Err(StoreError::Codec(
-                    "triple references a term id beyond the dictionary".into(),
-                ));
-            }
-            store.insert(t);
+    let dict_len = store.dictionary().len() as i64;
+    for t in decode_triples(&triple_bytes)? {
+        if t.s as i64 >= dict_len || t.p as i64 >= dict_len || t.o as i64 >= dict_len {
+            return Err(StoreError::Codec(
+                "triple references a term id beyond the dictionary".into(),
+            ));
         }
+        store.insert(t);
     }
     Ok(Some(store))
 }
@@ -205,9 +193,17 @@ pub fn load_triple_store(
 mod tests {
     use super::*;
     use teleios_check::Edits;
-    use teleios_store::{
-        DurableBackend, DurableConfig, FailingPuts, MemMedium, MemoryBackend, TxnWitness,
-    };
+    use teleios_store::{transact, DurableBackend, DurableConfig, MemMedium};
+
+    type MemBackend = DurableBackend<MemMedium>;
+
+    fn mem_backend() -> MemBackend {
+        DurableBackend::open(MemMedium::new(), DurableConfig::default()).unwrap()
+    }
+
+    fn save(store: &TripleStore, backend: &mut MemBackend) {
+        transact(backend, |b| persist_triple_store(store, b)).unwrap();
+    }
 
     fn sample_store() -> TripleStore {
         let mut store = TripleStore::new();
@@ -247,20 +243,11 @@ mod tests {
         assert_eq!(ta, tb);
     }
 
-    /// A put failing between `begin` and `commit` must not leave the
-    /// transaction open: the always-on witness panics when `backend`
-    /// drops at the end of the test if it did.
-    #[test]
-    fn a_failed_put_closes_the_transaction() {
-        let mut backend = FailingPuts { inner: MemoryBackend::with_witness(&TxnWitness::new()), puts: 1 };
-        assert!(save_triple_store(&sample_store(), &mut backend).is_err());
-    }
-
     #[test]
     fn round_trip_through_memory_backend() {
         let store = sample_store();
-        let mut backend = MemoryBackend::new();
-        save_triple_store(&store, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&store, &mut backend);
         let loaded = load_triple_store(&backend).unwrap().unwrap();
         assert_stores_equal(&store, &loaded);
     }
@@ -268,9 +255,8 @@ mod tests {
     #[test]
     fn round_trip_survives_crash_recovery() {
         let store = sample_store();
-        let mut backend =
-            DurableBackend::open(MemMedium::new(), DurableConfig::default()).unwrap();
-        save_triple_store(&store, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&store, &mut backend);
         let mut medium = backend.into_medium();
         medium.crash();
         let recovered = DurableBackend::open(medium, DurableConfig::default()).unwrap();
@@ -281,8 +267,8 @@ mod tests {
     #[test]
     fn empty_store_round_trips() {
         let store = TripleStore::new();
-        let mut backend = MemoryBackend::new();
-        save_triple_store(&store, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&store, &mut backend);
         let loaded = load_triple_store(&backend).unwrap().unwrap();
         assert_eq!(loaded.len(), 0);
         assert_eq!(loaded.dictionary().len(), 0);
@@ -290,33 +276,31 @@ mod tests {
 
     #[test]
     fn missing_state_loads_as_none() {
-        let backend = MemoryBackend::new();
-        assert!(load_triple_store(&backend).unwrap().is_none());
+        assert!(load_triple_store(&mem_backend()).unwrap().is_none());
     }
 
     #[test]
     fn saving_twice_overwrites_cleanly() {
-        let mut backend = MemoryBackend::new();
-        save_triple_store(&sample_store(), &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&sample_store(), &mut backend);
         let mut smaller = TripleStore::new();
         smaller.insert_terms(
             &Term::iri("http://teleios.example/only"),
             &Term::iri("http://teleios.example/p"),
             &Term::literal("v"),
         );
-        save_triple_store(&smaller, &mut backend).unwrap();
+        save(&smaller, &mut backend);
         let loaded = load_triple_store(&backend).unwrap().unwrap();
         assert_stores_equal(&smaller, &loaded);
     }
 
     /// A backend holding exactly `pages`, as `(keyspace, key, bytes)`.
-    fn backend_with(pages: &[(&str, &[u8], &[u8])]) -> MemoryBackend {
-        let mut backend = MemoryBackend::new();
-        backend.begin().unwrap();
-        for (keyspace, key, bytes) in pages {
-            backend.put(keyspace, key, bytes).unwrap();
-        }
-        backend.commit().unwrap();
+    fn backend_with(pages: &[(&str, &[u8], &[u8])]) -> MemBackend {
+        let mut backend = mem_backend();
+        transact(&mut backend, |b| {
+            pages.iter().try_for_each(|(keyspace, key, bytes)| b.put(keyspace, key, bytes))
+        })
+        .unwrap();
         backend
     }
 
@@ -324,6 +308,21 @@ mod tests {
         let mut page = Vec::new();
         put_varint(&mut page, 1 << 40);
         page
+    }
+
+    #[test]
+    fn a_missing_triple_page_is_a_codec_error() {
+        let backend = backend_with(&[(DICT_KEYSPACE, TERMS_KEY, &encode_terms(&sample_store()))]);
+        assert!(matches!(load_triple_store(&backend), Err(StoreError::Codec(_))));
+    }
+
+    #[test]
+    fn an_empty_triple_page_is_a_codec_error() {
+        let backend = backend_with(&[
+            (DICT_KEYSPACE, TERMS_KEY, &encode_terms(&sample_store())),
+            (SPO_KEYSPACE, TRIPLES_KEY, &[]),
+        ]);
+        assert!(matches!(load_triple_store(&backend), Err(StoreError::Codec(_))));
     }
 
     #[test]
@@ -343,7 +342,7 @@ mod tests {
         assert!(matches!(load_triple_store(&backend), Err(StoreError::Codec(_))));
     }
 
-    /// Each page `save_triple_store` writes, put through the byte loop
+    /// Each page `persist_triple_store` writes, put through the byte loop
     /// in place (the other page intact) and loaded back: `Ok` or `Err`,
     /// never a panic, an abort or a hang.
     #[test]
@@ -364,13 +363,11 @@ mod tests {
 
     #[test]
     fn corrupt_term_page_is_a_codec_error_not_a_panic() {
-        let mut backend = MemoryBackend::new();
-        save_triple_store(&sample_store(), &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&sample_store(), &mut backend);
         let mut bytes = backend.get(DICT_KEYSPACE, TERMS_KEY).unwrap().unwrap();
         bytes.truncate(bytes.len() / 2);
-        backend.begin().unwrap();
-        backend.put(DICT_KEYSPACE, TERMS_KEY, &bytes).unwrap();
-        backend.commit().unwrap();
+        transact(&mut backend, |b| b.put(DICT_KEYSPACE, TERMS_KEY, &bytes)).unwrap();
         assert!(matches!(load_triple_store(&backend), Err(StoreError::Codec(_))));
     }
 }

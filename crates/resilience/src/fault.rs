@@ -23,18 +23,13 @@
 //!   short — the timeout-budget case, deterministic without
 //!   wall-clock flakiness.
 //!
-//! Durability faults ([`Fault::TornWrite`], [`Fault::ShortFsync`],
-//! [`Fault::CrashPoint`]) target the storage engine's write layer
-//! instead of the chain: map them through [`Fault::write_fault`] and
-//! arm the resulting [`teleios_store::WriteFault`] on a
-//! [`teleios_store::MemMedium`] to crash the WAL at the planned point
-//! (E16's ingest → crash → recover loops).
+//! Storage write-layer faults are not chain faults: tests arm a
+//! `teleios_store::WriteFault` on the store's simulated disk directly.
 //!
 //! Plans built with [`FaultPlan::seeded`] are reproducible: the same
 //! seed, id list, and rate always select the same scenes and kinds
 //! ([`FaultPlan::seeded_with`] swaps the kind palette while keeping
-//! the same scene selection — including the [`DURABILITY_KINDS`]
-//! palette).
+//! the same scene selection).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -83,23 +78,6 @@ pub enum Fault {
         /// How long it hangs (uncancelled).
         duration: Duration,
     },
-    /// A torn storage write: the next WAL fsync persists only the
-    /// first `keep` bytes of the pending tail before the device
-    /// crashes. Injected at the write layer of `teleios-store` (see
-    /// [`Fault::write_fault`]), not through the chain hook.
-    TornWrite {
-        /// Bytes of the pending tail that reach stable storage.
-        keep: usize,
-    },
-    /// The next WAL fsync reports failure without persisting anything
-    /// new and without crashing the device — the storage engine must
-    /// poison itself rather than acknowledge the commit. Write-layer
-    /// fault.
-    ShortFsync,
-    /// The storage device crashes just before the next WAL append:
-    /// nothing of the in-flight transaction reaches the log.
-    /// Write-layer fault.
-    CrashPoint,
 }
 
 impl Fault {
@@ -107,26 +85,6 @@ impl Fault {
     /// injecting behavior through the chain hook).
     pub fn is_data_fault(&self) -> bool {
         matches!(self, Fault::CorruptPayload | Fault::TruncateHeader)
-    }
-
-    /// Whether this fault targets the storage write layer (injected
-    /// through [`Fault::write_fault`] rather than repository bytes or
-    /// the chain hook).
-    pub fn is_durability_fault(&self) -> bool {
-        matches!(self, Fault::TornWrite { .. } | Fault::ShortFsync | Fault::CrashPoint)
-    }
-
-    /// The `teleios-store` write-layer fault this kind maps to, if it
-    /// is a durability fault — arm it on a
-    /// [`MemMedium`](teleios_store::MemMedium) to crash the storage
-    /// engine at the planned point.
-    pub fn write_fault(&self) -> Option<teleios_store::WriteFault> {
-        match self {
-            Fault::TornWrite { keep } => Some(teleios_store::WriteFault::Torn { keep: *keep }),
-            Fault::ShortFsync => Some(teleios_store::WriteFault::ShortFsync),
-            Fault::CrashPoint => Some(teleios_store::WriteFault::Crash),
-            _ => None,
-        }
     }
 
     /// Short label for reports and experiment tables.
@@ -139,9 +97,6 @@ impl Fault {
             Fault::WorkerPanic => "worker-panic",
             Fault::Transient { .. } => "transient",
             Fault::Hang { .. } => "hang",
-            Fault::TornWrite { .. } => "torn-write",
-            Fault::ShortFsync => "short-fsync",
-            Fault::CrashPoint => "crash-point",
         }
     }
 }
@@ -154,15 +109,6 @@ pub const SEEDED_KINDS: [Fault; 6] = [
     Fault::WorkerPanic,
     Fault::CorruptPayload,
     Fault::TruncateHeader,
-];
-
-/// The storage write-layer palette for [`FaultPlan::seeded_with`]:
-/// E16 crashes the durable store with these kinds under the same
-/// seeded scene selection contract as every other palette.
-pub const DURABILITY_KINDS: [Fault; 3] = [
-    Fault::TornWrite { keep: 12 },
-    Fault::ShortFsync,
-    Fault::CrashPoint,
 ];
 
 /// A deterministic scene-id → fault assignment.
@@ -348,13 +294,8 @@ impl FaultPlan {
                         }
                     }
                 }
-                // data faults mutate repository bytes; durability
-                // faults arm the storage medium — neither acts here
-                Fault::CorruptPayload
-                | Fault::TruncateHeader
-                | Fault::TornWrite { .. }
-                | Fault::ShortFsync
-                | Fault::CrashPoint => {}
+                // data faults mutate repository bytes, not the chain
+                Fault::CorruptPayload | Fault::TruncateHeader => {}
             }
             Ok(())
         })
@@ -549,62 +490,6 @@ mod tests {
         assert!(hang_plan.iter().all(|(_, f)| f == hang));
         // An empty palette selects nothing.
         assert!(FaultPlan::seeded_with(19, &ids, 0.25, &[]).is_empty());
-    }
-
-    #[test]
-    fn durability_palette_keeps_the_scene_selection() {
-        let ids = ids(60);
-        let default_plan = FaultPlan::seeded(19, &ids, 0.25);
-        let durable_plan = FaultPlan::seeded_with(19, &ids, 0.25, &DURABILITY_KINDS);
-        // Same seeded scene selection as every other palette; kinds
-        // round-robin over the durability palette.
-        let default_ids: Vec<&str> = default_plan.iter().map(|(id, _)| id).collect();
-        let durable_ids: Vec<&str> = durable_plan.iter().map(|(id, _)| id).collect();
-        assert_eq!(default_ids, durable_ids);
-        assert!(durable_plan.iter().all(|(_, f)| f.is_durability_fault()));
-        let labels: std::collections::BTreeSet<&str> =
-            durable_plan.iter().map(|(_, f)| f.label()).collect();
-        assert_eq!(
-            labels,
-            ["torn-write", "short-fsync", "crash-point"].into_iter().collect()
-        );
-        // Durability kinds never mutate repository bytes.
-        assert!(durable_plan.iter().all(|(_, f)| !f.is_data_fault()));
-    }
-
-    #[test]
-    fn write_fault_maps_durability_kinds_onto_the_store_layer() {
-        use teleios_store::WriteFault;
-        assert!(matches!(
-            Fault::TornWrite { keep: 7 }.write_fault(),
-            Some(WriteFault::Torn { keep: 7 })
-        ));
-        assert!(matches!(Fault::ShortFsync.write_fault(), Some(WriteFault::ShortFsync)));
-        assert!(matches!(Fault::CrashPoint.write_fault(), Some(WriteFault::Crash)));
-        for kind in SEEDED_KINDS {
-            assert!(kind.write_fault().is_none(), "{} is not a write fault", kind.label());
-            assert!(!kind.is_durability_fault());
-        }
-    }
-
-    #[test]
-    fn armed_durability_faults_crash_the_durable_store() {
-        use teleios_store::{DurableBackend, DurableConfig, MemMedium, StorageBackend};
-        let mut medium = MemMedium::new();
-        let fault = Fault::CrashPoint.write_fault().unwrap();
-        let mut backend = DurableBackend::open(medium, DurableConfig::default()).unwrap();
-        backend.begin().unwrap();
-        backend.put("vault/catalog", b"scene-1", b"meta").unwrap();
-        backend.commit().unwrap();
-        backend.medium_mut().arm(fault);
-        backend.begin().unwrap();
-        backend.put("vault/catalog", b"scene-2", b"meta").unwrap();
-        assert!(backend.commit().is_err());
-        medium = backend.into_medium();
-        medium.crash();
-        let recovered = DurableBackend::open(medium, DurableConfig::default()).unwrap();
-        assert!(recovered.get("vault/catalog", b"scene-1").unwrap().is_some());
-        assert!(recovered.get("vault/catalog", b"scene-2").unwrap().is_none());
     }
 
     #[test]

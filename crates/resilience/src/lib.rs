@@ -44,6 +44,6 @@
 pub mod fault;
 pub mod supervisor;
 
-pub use fault::{Fault, FaultPlan, DURABILITY_KINDS, SEEDED_KINDS};
+pub use fault::{Fault, FaultPlan, SEEDED_KINDS};
 pub use supervisor::{BatchReport, SceneOutcome, SceneReport, Supervisor};
 pub use teleios_exec::CancelToken;

@@ -33,16 +33,29 @@
 //! no matching `Commit` on disk are discarded: an unacknowledged
 //! write is never resurrected.
 
-use std::collections::BTreeMap;
-
-use crate::backend::{apply_op, KeyspaceState, StorageBackend, StoreStats, TxOp};
+use crate::backend::{KeyspaceState, StorageBackend, StoreStats, TxOp};
 use crate::medium::Medium;
 use crate::snapshot;
 use crate::wal::{self, WalRecord, WAL_FILE};
-use std::sync::Arc;
-
-use crate::witness::{next_instance, TxnWitness};
 use crate::{Result, StoreError};
+
+/// Apply one op to a state map by move, removing keyspace entries that
+/// become empty so state equality stays canonical.
+fn apply_op(state: &mut KeyspaceState, op: TxOp) {
+    match op {
+        TxOp::Put { keyspace, key, value } => {
+            state.entry(keyspace).or_default().insert(key, value);
+        }
+        TxOp::Delete { keyspace, key } => {
+            if let Some(ks) = state.get_mut(&keyspace) {
+                ks.remove(&key);
+                if ks.is_empty() {
+                    state.remove(&keyspace);
+                }
+            }
+        }
+    }
+}
 
 /// Tuning knobs for [`DurableBackend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,8 +113,6 @@ pub struct DurableBackend<M: Medium> {
     snapshot_error: Option<StoreError>,
     stats: StoreStats,
     recovery: RecoveryReport,
-    instance: u64,
-    witness: Arc<TxnWitness>,
 }
 
 impl<M: Medium> DurableBackend<M> {
@@ -155,20 +166,15 @@ impl<M: Medium> DurableBackend<M> {
                 WalRecord::Begin { seq } => {
                     pending = Some((seq, Vec::new()));
                 }
-                WalRecord::Put { keyspace, key, value } => {
+                WalRecord::Op(op) => {
                     if let Some((_, ops)) = &mut pending {
-                        ops.push(TxOp::Put { keyspace, key, value });
-                    }
-                }
-                WalRecord::Delete { keyspace, key } => {
-                    if let Some((_, ops)) = &mut pending {
-                        ops.push(TxOp::Delete { keyspace, key });
+                        ops.push(op);
                     }
                 }
                 WalRecord::Commit { seq } => {
                     if let Some((begin_seq, ops)) = pending.take() {
                         if begin_seq == seq && seq > applied_seq {
-                            for op in &ops {
+                            for op in ops {
                                 apply_op(&mut state, op);
                             }
                             applied_seq = seq;
@@ -197,8 +203,6 @@ impl<M: Medium> DurableBackend<M> {
             snapshot_error: None,
             stats: StoreStats { wal_bytes: wal_len, ..StoreStats::default() },
             recovery: report,
-            instance: next_instance(),
-            witness: Arc::clone(TxnWitness::global()),
         })
     }
 
@@ -235,10 +239,6 @@ impl<M: Medium> DurableBackend<M> {
     /// Tear down the engine and hand back the medium (tests reopen
     /// it through [`DurableBackend::open`] to model a restart).
     pub fn into_medium(self) -> M {
-        // The engine is being torn down deliberately (crash-recovery
-        // tests reopen the medium); an in-flight transaction dies
-        // with it, so close the witness's book on this instance.
-        self.witness.note_end(self.instance);
         self.medium
     }
 
@@ -288,7 +288,6 @@ impl<M: Medium> StorageBackend for DurableBackend<M> {
             return Err(StoreError::NestedTransaction);
         }
         self.tx = Some(Vec::new());
-        self.witness.note_begin(self.instance, "DurableBackend");
         Ok(())
     }
 
@@ -313,25 +312,23 @@ impl<M: Medium> StorageBackend for DurableBackend<M> {
     fn commit(&mut self) -> Result<u64> {
         self.check_writable()?;
         let ops = self.tx.take().ok_or(StoreError::NoTransaction)?;
-        self.witness.note_end(self.instance);
         if ops.is_empty() {
             return Ok(self.seq);
         }
         let seq = self.seq + 1;
-        let mut frame = Vec::new();
+        // Sized so framing never reallocates: a frame header, a kind
+        // byte and three varints fit in 40 bytes beside an op's own.
+        let capacity: usize = ops
+            .iter()
+            .map(|op| match op {
+                TxOp::Put { keyspace, key, value } => keyspace.len() + key.len() + value.len(),
+                TxOp::Delete { keyspace, key } => keyspace.len() + key.len(),
+            } + 40)
+            .sum();
+        let mut frame = Vec::with_capacity(capacity + 2 * 40);
         wal::encode_record(&mut frame, &WalRecord::Begin { seq });
         for op in &ops {
-            let record = match op {
-                TxOp::Put { keyspace, key, value } => WalRecord::Put {
-                    keyspace: keyspace.clone(),
-                    key: key.clone(),
-                    value: value.clone(),
-                },
-                TxOp::Delete { keyspace, key } => {
-                    WalRecord::Delete { keyspace: keyspace.clone(), key: key.clone() }
-                }
-            };
-            wal::encode_record(&mut frame, &record);
+            wal::encode_op(&mut frame, op);
         }
         wal::encode_record(&mut frame, &WalRecord::Commit { seq });
 
@@ -349,7 +346,7 @@ impl<M: Medium> StorageBackend for DurableBackend<M> {
 
         self.seq = seq;
         self.wal_len += frame.len();
-        for op in &ops {
+        for op in ops {
             match op {
                 TxOp::Put { .. } => self.stats.puts += 1,
                 TxOp::Delete { .. } => self.stats.deletes += 1,
@@ -375,9 +372,7 @@ impl<M: Medium> StorageBackend for DurableBackend<M> {
     }
 
     fn rollback(&mut self) {
-        if self.tx.take().is_some() {
-            self.witness.note_end(self.instance);
-        }
+        self.tx = None;
     }
 
     fn in_transaction(&self) -> bool {
@@ -419,16 +414,6 @@ impl<M: Medium> StorageBackend for DurableBackend<M> {
         s.wal_bytes = self.wal_len;
         s
     }
-}
-
-/// Convenience: a map-keyed view of what's on the medium (snapshot
-/// names → sequence numbers), for diagnostics and tests.
-pub fn snapshots_on<M: Medium>(medium: &M) -> Result<BTreeMap<String, u64>> {
-    Ok(medium
-        .list()?
-        .into_iter()
-        .filter_map(|n| snapshot::parse_snapshot_name(&n).map(|seq| (n, seq)))
-        .collect())
 }
 
 #[cfg(test)]
@@ -517,9 +502,14 @@ mod tests {
             b.commit().unwrap();
         }
         assert_eq!(b.stats().snapshots_written, 5);
-        let snaps = snapshots_on(b.medium()).unwrap();
-        assert_eq!(snaps.len(), 2, "pruned to keep_snapshots: {snaps:?}");
-        assert!(snaps.values().any(|&s| s == 10));
+        let snaps: Vec<u64> = b
+            .medium()
+            .list()
+            .unwrap()
+            .iter()
+            .filter_map(|n| snapshot::parse_snapshot_name(n))
+            .collect();
+        assert_eq!(snaps, [8, 10], "pruned to keep_snapshots");
     }
 
     #[test]

@@ -8,37 +8,34 @@
 //! `clippy.toml`) and exposes one transactional key-value
 //! surface behind which the rest of the workspace persists itself:
 //!
-//! * [`StorageBackend`] — the pluggable trait: `begin`/`put`/
+//! * [`StorageBackend`] — the object-safe trait: `begin`/`put`/
 //!   `delete`/`commit` transactions over named keyspaces, plus
 //!   `scan`/`get` reads of the committed state and an explicit
 //!   `snapshot` checkpoint.
-//! * [`MemoryBackend`] — the current in-memory behavior behind the
-//!   trait (and the oracle the durable backend is property-tested
-//!   against).
-//! * [`DurableBackend`] — an append-only, length-prefixed,
-//!   CRC-checksummed write-ahead log with fsync-barriered commits and
-//!   periodic snapshots; crash recovery loads the latest valid
-//!   snapshot and replays the WAL, *truncating* at the first
-//!   torn/corrupt record instead of failing.
+//! * [`transact`] — the one place library code opens a transaction:
+//!   it begins, runs a staging closure, and commits, or rolls back
+//!   when the closure fails. The domain ports stage their pages inside
+//!   it, so no error exit between `begin` and `commit` can leave a
+//!   transaction open.
+//! * [`DurableBackend`] — the one engine: an append-only,
+//!   length-prefixed, CRC-checksummed write-ahead log with
+//!   fsync-barriered commits and periodic snapshots; crash recovery
+//!   loads the latest valid snapshot and replays the WAL, *truncating*
+//!   at the first torn/corrupt record instead of failing.
 //! * [`Medium`] — the byte-device abstraction underneath:
 //!   [`FsMedium`] is real files, [`MemMedium`] is a simulated disk
 //!   that models the durable-vs-volatile split (`sync` makes bytes
 //!   durable, [`MemMedium::crash`] discards everything volatile) and
 //!   accepts injected [`WriteFault`]s — torn appends, short fsyncs,
 //!   crash points — so property tests can kill the engine at every
-//!   WAL offset and assert recovery is exact.
+//!   WAL offset and assert recovery is exact. An in-memory store is
+//!   `DurableBackend<MemMedium>`.
 //!
 //! The recovery contract, tested exhaustively in
 //! `tests/recovery_properties.rs`: for every crash point and every
 //! WAL byte-truncation offset, reopening yields exactly the last
 //! acknowledged committed state — no panic, no lost committed write,
 //! no resurrected uncommitted write.
-//!
-//! Transaction discipline is checked at runtime by [`TxnWitness`]: in
-//! debug builds, dropping a backend with a transaction still open
-//! panics. Each domain port's test drives its error exit between
-//! `begin` and `commit` through [`FailingPuts`], so a port that
-//! forgets to roll back fails its own test.
 
 pub mod backend;
 pub mod codec;
@@ -47,13 +44,11 @@ pub mod fault;
 pub mod medium;
 pub mod snapshot;
 pub mod wal;
-pub mod witness;
 
-pub use backend::{full_state, KeyspaceState, MemoryBackend, StorageBackend, StoreStats, TxOp};
+pub use backend::{full_state, transact, KeyspaceState, StorageBackend, StoreStats, TxOp};
 pub use durable::{DurableBackend, DurableConfig, RecoveryReport};
-pub use fault::{FailingPuts, WriteFault};
+pub use fault::WriteFault;
 pub use medium::{FsMedium, MemMedium, Medium};
-pub use witness::TxnWitness;
 
 use std::fmt;
 

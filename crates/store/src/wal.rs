@@ -21,6 +21,7 @@
 //! length that did verify — recovery then *truncates* the log there
 //! instead of failing, which is the whole crash-tolerance story.
 
+use crate::backend::TxOp;
 use crate::codec::{crc32, put_bytes, put_str, put_varint, Reader};
 use crate::{Result, StoreError};
 
@@ -40,10 +41,8 @@ pub enum WalRecord {
     /// Open transaction `seq`. Any pending un-committed ops are
     /// discarded on replay.
     Begin { seq: u64 },
-    /// Write `key` = `value` in `keyspace` within the open txn.
-    Put { keyspace: String, key: Vec<u8>, value: Vec<u8> },
-    /// Delete `key` from `keyspace` within the open txn.
-    Delete { keyspace: String, key: Vec<u8> },
+    /// One put or delete within the open txn.
+    Op(TxOp),
     /// Commit transaction `seq`: replay applies the pending ops iff
     /// the seq matches the open Begin.
     Commit { seq: u64 },
@@ -54,33 +53,43 @@ const KIND_PUT: u8 = 2;
 const KIND_DELETE: u8 = 3;
 const KIND_COMMIT: u8 = 4;
 
+/// Append one frame to `out`: the payload (`kind`, then whatever
+/// `body` writes) goes straight into `out` and the header is patched in
+/// afterwards, so no payload byte passes through a second buffer.
+fn put_frame(out: &mut Vec<u8>, kind: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    out.push(kind);
+    body(out);
+    let payload = &out[start + FRAME_HEADER..];
+    let (len, crc) = ((payload.len() as u32).to_le_bytes(), crc32(payload).to_le_bytes());
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc);
+}
+
 /// Encode one record as a framed WAL entry, appending to `out`.
 pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
-    let mut payload = Vec::new();
     match record {
-        WalRecord::Begin { seq } => {
-            payload.push(KIND_BEGIN);
-            put_varint(&mut payload, *seq);
-        }
-        WalRecord::Put { keyspace, key, value } => {
-            payload.push(KIND_PUT);
-            put_str(&mut payload, keyspace);
-            put_bytes(&mut payload, key);
-            put_bytes(&mut payload, value);
-        }
-        WalRecord::Delete { keyspace, key } => {
-            payload.push(KIND_DELETE);
-            put_str(&mut payload, keyspace);
-            put_bytes(&mut payload, key);
-        }
-        WalRecord::Commit { seq } => {
-            payload.push(KIND_COMMIT);
-            put_varint(&mut payload, *seq);
-        }
+        WalRecord::Begin { seq } => put_frame(out, KIND_BEGIN, |p| put_varint(p, *seq)),
+        WalRecord::Op(op) => encode_op(out, op),
+        WalRecord::Commit { seq } => put_frame(out, KIND_COMMIT, |p| put_varint(p, *seq)),
     }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+}
+
+/// Encode one buffered op as a framed WAL entry, appending to `out` —
+/// what a commit frames its transaction's ops with, by reference.
+pub fn encode_op(out: &mut Vec<u8>, op: &TxOp) {
+    match op {
+        TxOp::Put { keyspace, key, value } => put_frame(out, KIND_PUT, |p| {
+            put_str(p, keyspace);
+            put_bytes(p, key);
+            put_bytes(p, value);
+        }),
+        TxOp::Delete { keyspace, key } => put_frame(out, KIND_DELETE, |p| {
+            put_str(p, keyspace);
+            put_bytes(p, key);
+        }),
+    }
 }
 
 fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
@@ -88,12 +97,14 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
     let kind = r.u8()?;
     let record = match kind {
         KIND_BEGIN => WalRecord::Begin { seq: r.varint()? },
-        KIND_PUT => WalRecord::Put {
+        KIND_PUT => WalRecord::Op(TxOp::Put {
             keyspace: r.string()?,
             key: r.bytes()?.to_vec(),
             value: r.bytes()?.to_vec(),
-        },
-        KIND_DELETE => WalRecord::Delete { keyspace: r.string()?, key: r.bytes()?.to_vec() },
+        }),
+        KIND_DELETE => {
+            WalRecord::Op(TxOp::Delete { keyspace: r.string()?, key: r.bytes()?.to_vec() })
+        }
         KIND_COMMIT => WalRecord::Commit { seq: r.varint()? },
         other => {
             return Err(StoreError::Codec(format!("unknown wal record kind {other}")));
@@ -167,12 +178,15 @@ mod tests {
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Begin { seq: 1 },
-            WalRecord::Put {
+            WalRecord::Op(TxOp::Put {
                 keyspace: "rdf/spo".into(),
                 key: b"triples".to_vec(),
                 value: vec![1, 2, 3],
-            },
-            WalRecord::Delete { keyspace: "vault/quarantine".into(), key: b"scene-9".to_vec() },
+            }),
+            WalRecord::Op(TxOp::Delete {
+                keyspace: "vault/quarantine".into(),
+                key: b"scene-9".to_vec(),
+            }),
             WalRecord::Commit { seq: 1 },
         ]
     }
@@ -193,6 +207,21 @@ mod tests {
         assert_eq!(scan.records, records);
         assert_eq!(scan.valid_len, bytes.len());
         assert!(!scan.truncated);
+    }
+
+    /// The frame layout is pinned byte for byte: a stored WAL must
+    /// keep replaying whatever the encoder looks like.
+    #[test]
+    fn frame_bytes_are_len_crc_payload() {
+        let mut payload = vec![KIND_PUT, 7];
+        payload.extend_from_slice(b"rdf/spo");
+        payload.push(7);
+        payload.extend_from_slice(b"triples");
+        payload.extend_from_slice(&[3, 1, 2, 3]);
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&crc32(&payload).to_le_bytes());
+        expected.extend_from_slice(&payload);
+        assert_eq!(encode_all(&sample_records()[1..2]), expected);
     }
 
     #[test]

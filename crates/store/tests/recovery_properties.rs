@@ -15,31 +15,48 @@ use teleios_check::SplitMix64;
 use teleios_store::backend::full_state;
 use teleios_store::wal::WAL_FILE;
 use teleios_store::{
-    DurableBackend, DurableConfig, KeyspaceState, MemMedium, MemoryBackend, StorageBackend,
-    StoreError, WriteFault,
+    DurableBackend, DurableConfig, KeyspaceState, MemMedium, StorageBackend, StoreError,
+    WriteFault,
 };
 
 const KEYSPACES: [&str; 3] = ["vault/catalog", "rdf/spo", "monet/col"];
 
-/// One scripted transaction: a few puts and deletes over the shared
-/// keyspaces. Returns true if the txn carries at least one op.
-fn scripted_txn(rng: &mut SplitMix64, backend: &mut dyn StorageBackend) -> bool {
+/// A scripted op: `(keyspace, key, Some(value))` puts, `None` deletes.
+type ScriptOp = (&'static str, Vec<u8>, Option<Vec<u8>>);
+
+/// One scripted transaction, left open: one to four puts and deletes
+/// over the shared keyspaces. Returns the ops it staged.
+fn scripted_txn(rng: &mut SplitMix64, backend: &mut dyn StorageBackend) -> Vec<ScriptOp> {
     backend.begin().unwrap();
     let n_ops = 1 + rng.below(4);
-    let mut any = false;
+    let mut ops = Vec::new();
     for _ in 0..n_ops {
         let ks = KEYSPACES[rng.below(3)];
-        let key = format!("k{:03}", rng.below(24));
+        let key = format!("k{:03}", rng.below(24)).into_bytes();
         if rng.below(5) == 0 {
-            backend.delete(ks, key.as_bytes()).unwrap();
+            backend.delete(ks, &key).unwrap();
+            ops.push((ks, key, None));
         } else {
             let len = 1 + rng.below(48);
-            let fill = rng.below(256) as u8;
-            backend.put(ks, key.as_bytes(), &vec![fill; len]).unwrap();
+            let value = vec![rng.below(256) as u8; len];
+            backend.put(ks, &key, &value).unwrap();
+            ops.push((ks, key, Some(value)));
         }
-        any = true;
     }
-    any
+    ops
+}
+
+/// The reference model: `ops` applied to a plain map, sharing no code
+/// with the engine under test.
+fn apply_to_model(model: &mut KeyspaceState, ops: Vec<ScriptOp>) {
+    for (ks, key, value) in ops {
+        let entries = model.entry(ks.to_string()).or_default();
+        match value {
+            Some(value) => entries.insert(key, value),
+            None => entries.remove(&key),
+        };
+    }
+    model.retain(|_, entries| !entries.is_empty());
 }
 
 fn open_no_autosnap(medium: MemMedium) -> DurableBackend<MemMedium> {
@@ -315,32 +332,29 @@ fn crash_between_snapshot_publish_and_wal_reset_is_exact() {
     assert_eq!(recovered.last_seq(), 10);
 }
 
+/// The engine against an in-memory map model of the same scripted
+/// ops: committed transactions apply, rolled-back ones vanish.
 #[test]
 fn durable_backend_is_equivalent_to_memory_backend() {
-    let mut rng_a = SplitMix64::new(314);
-    let mut rng_b = SplitMix64::new(314);
-    let mut mem = MemoryBackend::new();
+    let mut rng = SplitMix64::new(314);
+    let mut model = KeyspaceState::new();
+    let mut seq = 0;
     let mut dur = open_no_autosnap(MemMedium::new());
     for round in 0..50 {
-        scripted_txn(&mut rng_a, &mut mem);
-        scripted_txn(&mut rng_b, &mut dur);
+        let ops = scripted_txn(&mut rng, &mut dur);
         if round % 7 == 3 {
-            mem.rollback();
             dur.rollback();
         } else {
-            assert_eq!(mem.commit().unwrap(), dur.commit().unwrap());
+            seq += 1;
+            assert_eq!(dur.commit().unwrap(), seq);
+            apply_to_model(&mut model, ops);
         }
-        assert_eq!(
-            full_state(&mem).unwrap(),
-            full_state(&dur).unwrap(),
-            "round {round}: the two backends diverged"
-        );
+        assert_eq!(full_state(&dur).unwrap(), model, "round {round}: engine and model diverged");
     }
-    assert_eq!(mem.last_seq(), dur.last_seq());
-    // and the durable one still matches after a restart
-    let final_state = full_state(&mem).unwrap();
+    assert_eq!(dur.last_seq(), seq);
+    // and the engine still matches after a restart
     let reopened = open_no_autosnap(dur.into_medium());
-    assert_eq!(full_state(&reopened).unwrap(), final_state);
+    assert_eq!(full_state(&reopened).unwrap(), model);
 }
 
 #[test]

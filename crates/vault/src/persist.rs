@@ -119,23 +119,6 @@ pub fn persist_vault_state(
     Ok(())
 }
 
-/// Persist catalog + quarantine as one transaction; returns the
-/// commit sequence number.
-pub fn save_vault_state(
-    catalog: &VaultCatalog,
-    quarantine: &BTreeSet<String>,
-    backend: &mut dyn StorageBackend,
-) -> Result<u64, StoreError> {
-    backend.begin()?;
-    // A failed put must not leave the transaction open on the shared
-    // backend: roll back before propagating.
-    if let Err(e) = persist_vault_state(catalog, quarantine, backend) {
-        backend.rollback();
-        return Err(e);
-    }
-    backend.commit()
-}
-
 /// Load the state persisted by [`persist_vault_state`]; `Ok(None)`
 /// if nothing was ever persisted.
 pub fn load_vault_state(
@@ -163,9 +146,17 @@ pub fn load_vault_state(
 mod tests {
     use super::*;
     use teleios_check::Edits;
-    use teleios_store::{
-        DurableBackend, DurableConfig, FailingPuts, MemMedium, MemoryBackend, TxnWitness,
-    };
+    use teleios_store::{transact, DurableBackend, DurableConfig, MemMedium};
+
+    type MemBackend = DurableBackend<MemMedium>;
+
+    fn mem_backend() -> MemBackend {
+        DurableBackend::open(MemMedium::new(), DurableConfig::default()).unwrap()
+    }
+
+    fn save(catalog: &VaultCatalog, quarantine: &BTreeSet<String>, backend: &mut MemBackend) {
+        transact(backend, |b| persist_vault_state(catalog, quarantine, b)).unwrap();
+    }
 
     fn sample_record(name: &str) -> FileRecord {
         FileRecord {
@@ -204,8 +195,8 @@ mod tests {
     #[test]
     fn round_trip_through_memory_backend() {
         let (catalog, quarantine) = sample_state();
-        let mut backend = MemoryBackend::new();
-        save_vault_state(&catalog, &quarantine, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&catalog, &quarantine, &mut backend);
         let (lc, lq) = load_vault_state(&backend).unwrap().unwrap();
         assert_catalogs_equal(&catalog, &lc);
         assert_eq!(quarantine, lq);
@@ -214,9 +205,8 @@ mod tests {
     #[test]
     fn round_trip_survives_crash_recovery() {
         let (catalog, quarantine) = sample_state();
-        let mut backend =
-            DurableBackend::open(MemMedium::new(), DurableConfig::default()).unwrap();
-        save_vault_state(&catalog, &quarantine, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&catalog, &quarantine, &mut backend);
         let mut medium = backend.into_medium();
         medium.crash();
         let recovered = DurableBackend::open(medium, DurableConfig::default()).unwrap();
@@ -225,29 +215,19 @@ mod tests {
         assert_eq!(quarantine, lq);
     }
 
-    /// A put failing between `begin` and `commit` must not leave the
-    /// transaction open: the always-on witness panics when `backend`
-    /// drops at the end of the test if it did.
-    #[test]
-    fn a_failed_put_closes_the_transaction() {
-        let (catalog, quarantine) = sample_state();
-        let mut backend = FailingPuts { inner: MemoryBackend::with_witness(&TxnWitness::new()), puts: 1 };
-        assert!(save_vault_state(&catalog, &quarantine, &mut backend).is_err());
-    }
-
     #[test]
     fn missing_state_loads_as_none() {
-        assert!(load_vault_state(&MemoryBackend::new()).unwrap().is_none());
+        assert!(load_vault_state(&mem_backend()).unwrap().is_none());
     }
 
     #[test]
     fn removed_and_unfenced_entries_are_deleted_on_next_persist() {
         let (mut catalog, mut quarantine) = sample_state();
-        let mut backend = MemoryBackend::new();
-        save_vault_state(&catalog, &quarantine, &mut backend).unwrap();
+        let mut backend = mem_backend();
+        save(&catalog, &quarantine, &mut backend);
         catalog.remove("msg2-0825.sev1");
         quarantine.clear();
-        save_vault_state(&catalog, &quarantine, &mut backend).unwrap();
+        save(&catalog, &quarantine, &mut backend);
         let (lc, lq) = load_vault_state(&backend).unwrap().unwrap();
         assert_eq!(lc.len(), 1);
         assert!(lc.get("landmass.shp1").is_some());
@@ -257,20 +237,16 @@ mod tests {
     #[test]
     fn corrupt_record_is_a_codec_error() {
         let (catalog, quarantine) = sample_state();
-        let mut backend = MemoryBackend::new();
-        save_vault_state(&catalog, &quarantine, &mut backend).unwrap();
-        backend.begin().unwrap();
-        backend.put(CATALOG_KEYSPACE, b"msg2-0825.sev1", &[9, 9]).unwrap();
-        backend.commit().unwrap();
+        let mut backend = mem_backend();
+        save(&catalog, &quarantine, &mut backend);
+        transact(&mut backend, |b| b.put(CATALOG_KEYSPACE, b"msg2-0825.sev1", &[9, 9])).unwrap();
         assert!(matches!(load_vault_state(&backend), Err(StoreError::Codec(_))));
     }
 
     /// A backend holding one catalog record page.
-    fn backend_with_record(page: &[u8]) -> MemoryBackend {
-        let mut backend = MemoryBackend::new();
-        backend.begin().unwrap();
-        backend.put(CATALOG_KEYSPACE, b"record", page).unwrap();
-        backend.commit().unwrap();
+    fn backend_with_record(page: &[u8]) -> MemBackend {
+        let mut backend = mem_backend();
+        transact(&mut backend, |b| b.put(CATALOG_KEYSPACE, b"record", page)).unwrap();
         backend
     }
 

@@ -95,7 +95,9 @@ impl DataVault {
         &self,
         backend: &mut dyn teleios_store::StorageBackend,
     ) -> std::result::Result<u64, teleios_store::StoreError> {
-        crate::persist::save_vault_state(&self.catalog, &self.quarantine, backend)
+        teleios_store::transact(backend, |b| {
+            crate::persist::persist_vault_state(&self.catalog, &self.quarantine, b)
+        })
     }
 
     /// Restore the catalog and quarantine list persisted by
@@ -550,15 +552,20 @@ mod tests {
         assert!(v.array_for("late.sev1").is_ok());
     }
 
+    fn mem_backend() -> teleios_store::DurableBackend<teleios_store::MemMedium> {
+        let config = teleios_store::DurableConfig::default();
+        teleios_store::DurableBackend::open(teleios_store::MemMedium::new(), config).unwrap()
+    }
+
     #[test]
     fn catalog_survives_persist_restore() {
         let v = vault_with(5, IngestionPolicy::Lazy, 0);
-        let mut backend = teleios_store::MemoryBackend::new();
+        let mut backend = mem_backend();
         v.persist_to(&mut backend).unwrap();
         // A fresh vault over the same repository restores discovery
         // without re-registering.
         let mut v2 = DataVault::new(v.repository().clone(), Catalog::new(), IngestionPolicy::Lazy, 0);
-        assert!(!v2.restore_from(&teleios_store::MemoryBackend::new()).unwrap());
+        assert!(!v2.restore_from(&mem_backend()).unwrap());
         assert!(v2.restore_from(&backend).unwrap());
         assert_eq!(v2.catalog().len(), 5);
         assert_eq!(v2.stats().registrations, 0); // no header parses needed
@@ -576,7 +583,7 @@ mod tests {
         assert!(v.array_for("bad.sev1").is_err());
         assert!(v.is_quarantined("bad.sev1"));
 
-        let mut backend = teleios_store::MemoryBackend::new();
+        let mut backend = mem_backend();
         v.persist_to(&mut backend).unwrap();
         let mut v2 =
             DataVault::new(v.repository().clone(), Catalog::new(), IngestionPolicy::Lazy, 0);

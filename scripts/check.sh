@@ -5,14 +5,14 @@
 #   scripts/check.sh           default gate: the above, plus every
 #                              crate's tests in a debug build (the
 #                              lock-order witness panics on an
-#                              inversion there, the transaction
-#                              witness on a leak), the workspace
+#                              inversion there), the workspace
 #                              invariants — clippy's lint list and the
 #                              two structural greps, each proved on
 #                              scripts/probe first —, the
 #                              one-fork-site, one-cell-walker,
-#                              one-statement-prologue and
-#                              one-tokenizer-per-family greps,
+#                              one-statement-prologue,
+#                              one-tokenizer-per-family and
+#                              one-transaction-doorway greps,
 #                              warning-free clippy outside crates/e0,
 #                              the E6/E11/E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
@@ -60,9 +60,8 @@ fi
 
 # Every crate's own tests, in a debug build: the runtime checkers
 # live here. The global LockWitness panics on the acquisition that
-# would close a lock-order cycle, TxnWitness on a backend dropped with
-# a transaction open, and crates/exec/tests/races.rs stress-tests the
-# cancel and witness protocols.
+# would close a lock-order cycle, and crates/exec/tests/races.rs
+# stress-tests the cancel and witness protocols.
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
@@ -203,6 +202,21 @@ for family in rdf:1 monet:1 strabon:0 sciql:0; do
 done
 if grep -nF '.replace(' crates/sciql/src/parser.rs; then
     echo "crates/sciql/src/parser.rs rewrites its text: lex SciQL with monet's tokenizer as written" >&2; exit 1
+fi
+
+# Library code opens a transaction only through teleios_store::transact,
+# which rolls back when its stage fails: a second `.begin()` is a second
+# doorway, and its error exits can leave a transaction open. crates/e0
+# is frozen and crates/bench holds drivers, so neither counts.
+echo "==> one transaction doorway (.begin() only inside teleios_store::transact)"
+begin_sites=$(find crates/*/src -name '*.rs' -not -path 'crates/e0/*' -not -path 'crates/bench/*' \
+    | sort | xargs awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+        live && match($0, /fn [A-Za-z0-9_]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+        live && /\.begin\(\)/ { print FILENAME ":" FNR " in " cur }')
+if [ "$(wc -l <<<"$begin_sites")" -ne 1 ] \
+    || ! grep -qxE 'crates/store/src/backend\.rs:[0-9]+ in transact' <<<"$begin_sites"; then
+    echo "${begin_sites:-no .begin() found}" >&2
+    echo "library .begin() sites above differ from the one inside teleios_store::transact: stage through transact" >&2; exit 1
 fi
 
 # Every target warning-free, tests and drivers included, except

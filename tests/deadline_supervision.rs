@@ -187,7 +187,11 @@ fn quarantine_survives_a_catalog_round_trip_under_supervision() {
     // Round-trip the catalog into a fresh vault over the same
     // repository bytes: the quarantine entry must survive, and the
     // quarantined file must stay refused until retried.
-    let mut backend = teleios_store::MemoryBackend::new();
+    let mut backend = teleios_store::DurableBackend::open(
+        teleios_store::MemMedium::new(),
+        teleios_store::DurableConfig::default(),
+    )
+    .unwrap();
     obs.vault.persist_to(&mut backend).unwrap();
     let mut vault2 = DataVault::new(
         obs.vault.repository().clone(),

@@ -1,44 +1,54 @@
 //! End-to-end durability acceptance test (ISSUE: robustness).
 //!
-//! A seeded `FaultPlan` over the `DURABILITY_KINDS` palette drives
-//! the storage engine's write-layer fault hook: for every planned
-//! scene, the fault is armed on the commit that registers it, the
-//! medium power-cycles, and recovery must land exactly on the last
-//! acknowledged state — no lost committed scenes, no resurrected
-//! unacknowledged ones.
+//! A seeded `FaultPlan` selects the scenes, and the selected scenes
+//! take the storage engine's write-layer faults round-robin in id
+//! order: for every planned scene, the fault is armed on the commit
+//! that registers it, the medium power-cycles, and recovery must land
+//! exactly on the last acknowledged state — no lost committed scenes,
+//! no resurrected unacknowledged ones.
 
-use teleios::resilience::{FaultPlan, DURABILITY_KINDS};
+use std::collections::BTreeMap;
+
+use teleios::resilience::FaultPlan;
 use teleios::store::{
-    full_state, DurableBackend, DurableConfig, MemMedium, StorageBackend, WriteFault,
+    full_state, transact, DurableBackend, DurableConfig, MemMedium, StorageBackend, WriteFault,
 };
 
 const SCENES: usize = 40;
 const SEED: u64 = 77;
 const RATE: f64 = 0.25;
+const FAULTS: [WriteFault; 3] =
+    [WriteFault::Torn { keep: 12 }, WriteFault::ShortFsync, WriteFault::Crash];
 
 fn scene_ids(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("msg2-{i:04}.sev1")).collect()
 }
 
+/// The seeded scene selection, each selected scene paired with the next
+/// write fault in [`FAULTS`], in id order.
+fn planned_faults(ids: &[String]) -> BTreeMap<String, WriteFault> {
+    let plan = FaultPlan::seeded(SEED, ids, RATE);
+    plan.iter().zip(FAULTS.iter().cycle()).map(|((id, _), f)| (id.to_string(), *f)).collect()
+}
+
 fn register(backend: &mut dyn StorageBackend, id: &str) -> Result<u64, teleios::store::StoreError> {
-    backend.begin()?;
-    backend.put("vault/catalog", id.as_bytes(), b"sev1 32x32")?;
-    backend.put("vault/quarantine", id.as_bytes(), &[])?;
-    backend.commit()
+    transact(backend, |b| {
+        b.put("vault/catalog", id.as_bytes(), b"sev1 32x32")?;
+        b.put("vault/quarantine", id.as_bytes(), &[])
+    })
 }
 
 #[test]
 fn seeded_durability_plan_recovers_exactly_at_every_planned_crash() {
     let ids = scene_ids(SCENES);
-    let plan = FaultPlan::seeded_with(SEED, &ids, RATE, &DURABILITY_KINDS);
+    let plan = planned_faults(&ids);
     assert!(!plan.is_empty(), "a 25% plan over 40 scenes must select something");
-    assert!(plan.iter().all(|(_, f)| f.is_durability_fault() && !f.is_data_fault()));
 
     let mut backend =
         DurableBackend::open(MemMedium::new(), DurableConfig::default()).expect("open");
     let mut crashes = 0usize;
     for id in &ids {
-        match plan.fault_for(id) {
+        match plan.get(id).copied() {
             None => {
                 register(&mut backend, id).expect("clean commit");
             }
@@ -47,8 +57,7 @@ fn seeded_durability_plan_recovers_exactly_at_every_planned_crash() {
                 // rejected commit, power-cycle, and verify exact
                 // recovery of the pre-crash committed state.
                 let committed = full_state(&backend).expect("state");
-                let write_fault = fault.write_fault().expect("durability kind maps");
-                backend.medium_mut().arm(write_fault);
+                backend.medium_mut().arm(fault);
                 assert!(
                     register(&mut backend, id).is_err(),
                     "a faulted barrier must reject the commit for {id}"
@@ -92,16 +101,15 @@ fn seeded_durability_plan_recovers_exactly_at_every_planned_crash() {
 #[test]
 fn seeded_durability_plan_is_reproducible() {
     let ids = scene_ids(SCENES);
-    let a = FaultPlan::seeded_with(SEED, &ids, RATE, &DURABILITY_KINDS);
-    let b = FaultPlan::seeded_with(SEED, &ids, RATE, &DURABILITY_KINDS);
-    let pa: Vec<_> = a.iter().collect();
-    let pb: Vec<_> = b.iter().collect();
-    assert_eq!(pa, pb, "same seed, ids, rate, palette — same plan");
-    // The palette swap keeps the default plan's scene selection.
+    let a = planned_faults(&ids);
+    assert_eq!(a, planned_faults(&ids), "same seed, ids, rate — same plan");
+    // The default plan's scene selection, every write fault in turn.
     let default_plan = FaultPlan::seeded(SEED, &ids, RATE);
     let default_ids: Vec<&str> = default_plan.iter().map(|(id, _)| id).collect();
-    let durable_ids: Vec<&str> = a.iter().map(|(id, _)| id).collect();
+    let durable_ids: Vec<&str> = a.keys().map(String::as_str).collect();
     assert_eq!(default_ids, durable_ids);
+    let kinds: Vec<WriteFault> = a.values().take(FAULTS.len()).copied().collect();
+    assert_eq!(kinds, FAULTS);
 }
 
 #[test]

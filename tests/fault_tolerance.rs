@@ -143,14 +143,11 @@ fn seeded_fault_plan_batch_meets_the_acceptance_criteria() {
                     SceneOutcome::Failed { reason } if reason.contains(&scene.product_id)
                 ));
             }
-            // Hangs and the storage write-layer kinds have their own
-            // palettes (E14, E16); `FaultPlan::seeded` never emits them.
-            Some(
-                other @ (Fault::Hang { .. }
-                | Fault::TornWrite { .. }
-                | Fault::ShortFsync
-                | Fault::CrashPoint),
-            ) => panic!("the seeded default palette emitted {other:?}"),
+            // Hangs have their own palette (E14); `FaultPlan::seeded`
+            // never emits them.
+            Some(other @ Fault::Hang { .. }) => {
+                panic!("the seeded default palette emitted {other:?}")
+            }
         }
     }
 
