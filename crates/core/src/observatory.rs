@@ -998,6 +998,35 @@ mod tests {
     }
 
     #[test]
+    fn writes_around_strabon_answer_like_a_freshly_loaded_engine() {
+        let mut obs = observatory();
+        let site = obs.world.sites[0].location;
+        let mut ids = Vec::new();
+        for seed in [9, 10] {
+            let mut spec = AcquisitionSpec::small_test(seed);
+            spec.cloud_cover = 0.0;
+            spec.glint_rate = 0.03;
+            spec.fires = vec![FireEvent { center: Coord::new(site.x + 0.02, site.y), radius: 0.09, intensity: 0.95 }];
+            ids.push(obs.acquire_scene(&spec).unwrap());
+        }
+        let flagship = crate::portal::flagship_query("MSG2", "2007-08-25", 0.3);
+        // A query between the writes leaves the sidecar part-way through
+        // the dictionary, so every later store_mut() write must be
+        // caught up, not just read once.
+        obs.search(&flagship).unwrap();
+        obs.run_chain(&ids[0], &ProcessingChain::operational()).unwrap();
+        let classifier = obs.train_patch_classifier(std::slice::from_ref(&ids[0]), 8, 3).unwrap();
+        obs.annotate_product(&ids[0], 8, &classifier).unwrap();
+        assert_eq!(obs.refine_products_supervised(&ids, Duration::from_secs(3600)).ok_count(), 2);
+        let answer = obs.search(&flagship).unwrap();
+        assert!(!answer.is_empty(), "flagship query found nothing");
+        let mut fresh = Strabon::new();
+        *fresh.store_mut() = obs.strabon.store().clone();
+        assert_eq!(fresh.query(&flagship).unwrap(), answer);
+        assert_eq!(fresh.explain(&flagship).unwrap(), obs.strabon.explain(&flagship).unwrap());
+    }
+
+    #[test]
     fn derived_products_are_archived_and_reloadable() {
         let mut obs = observatory();
         let id = obs.acquire_scene(&AcquisitionSpec::small_test(8)).unwrap();

@@ -1,23 +1,20 @@
 //! Polygon overlay: intersection, union, difference.
 //!
-//! Two engines are provided:
-//!
-//! * [`clip_to_envelope`] — Sutherland–Hodgman clipping against an
-//!   axis-aligned rectangle. Robust for arbitrary simple polygons; used
-//!   for cropping products to an area of interest.
-//! * [`overlay`] — Greiner–Hormann overlay of two simple polygons
-//!   (exterior rings only). Degenerate configurations (shared vertices or
-//!   collinear overlapping edges) are resolved by retrying with a tiny
-//!   deterministic perturbation of the subject polygon, which is the
-//!   standard engineering workaround for this algorithm family; the
-//!   introduced area error is bounded by `perimeter × 1e-9 × scale`.
+//! One engine: [`overlay`], Greiner–Hormann overlay of two simple
+//! polygons (exterior rings only). Clipping to a rectangle is an overlay
+//! with [`Polygon::from_envelope`](crate::geometry::Polygon::from_envelope).
+//! Degenerate configurations (shared vertices or collinear overlapping
+//! edges) are resolved by retrying with a tiny deterministic perturbation
+//! of the subject polygon, which is the standard engineering workaround
+//! for this algorithm family; the introduced area error is bounded by
+//! `perimeter × 1e-9 × scale`.
 //!
 //! Holes in *inputs* are ignored by `overlay` (the shapes produced by
 //! the fire-monitoring chain are hole-free); results can carry holes —
 //! a union can trap a pocket, and a contained difference punches one.
 
 use crate::algorithm::predicates::{locate_point_in_ring, PointLocation};
-use crate::coord::{Coord, Envelope};
+use crate::coord::Coord;
 use crate::geometry::{LineString, Polygon};
 
 /// Overlay operation selector.
@@ -29,91 +26,6 @@ pub enum OverlayOp {
     Union,
     /// Points in the subject but not the clip.
     Difference,
-}
-
-/// Clip a polygon to an axis-aligned envelope (Sutherland–Hodgman).
-///
-/// Returns `None` when nothing remains. Holes are clipped as well.
-pub fn clip_to_envelope(poly: &Polygon, env: &Envelope) -> Option<Polygon> {
-    let exterior = clip_ring_to_envelope(&poly.exterior, env)?;
-    let interiors = poly
-        .interiors
-        .iter()
-        .filter_map(|h| clip_ring_to_envelope(h, env))
-        .collect();
-    Some(Polygon::new(exterior, interiors))
-}
-
-fn clip_ring_to_envelope(ring: &LineString, env: &Envelope) -> Option<LineString> {
-    // Work on the open ring.
-    let mut pts: Vec<Coord> = ring.coords().to_vec();
-    if pts.len() > 1 && pts.first() == pts.last() {
-        pts.pop();
-    }
-    if pts.is_empty() {
-        return None;
-    }
-
-    // Each closure keeps points on the inside of one rectangle edge.
-    type EdgeFn = (fn(Coord, &Envelope) -> bool, fn(Coord, Coord, &Envelope) -> Coord);
-    let edges: [EdgeFn; 4] = [
-        (
-            |c, e| c.x >= e.min.x,
-            |a, b, e| {
-                let t = (e.min.x - a.x) / (b.x - a.x);
-                Coord::new(e.min.x, a.y + t * (b.y - a.y))
-            },
-        ),
-        (
-            |c, e| c.x <= e.max.x,
-            |a, b, e| {
-                let t = (e.max.x - a.x) / (b.x - a.x);
-                Coord::new(e.max.x, a.y + t * (b.y - a.y))
-            },
-        ),
-        (
-            |c, e| c.y >= e.min.y,
-            |a, b, e| {
-                let t = (e.min.y - a.y) / (b.y - a.y);
-                Coord::new(a.x + t * (b.x - a.x), e.min.y)
-            },
-        ),
-        (
-            |c, e| c.y <= e.max.y,
-            |a, b, e| {
-                let t = (e.max.y - a.y) / (b.y - a.y);
-                Coord::new(a.x + t * (b.x - a.x), e.max.y)
-            },
-        ),
-    ];
-
-    for (inside, intersect) in edges {
-        if pts.is_empty() {
-            return None;
-        }
-        let mut out = Vec::with_capacity(pts.len() + 4);
-        for i in 0..pts.len() {
-            let cur = pts[i];
-            let prev = pts[(i + pts.len() - 1) % pts.len()];
-            let cur_in = inside(cur, env);
-            let prev_in = inside(prev, env);
-            if cur_in {
-                if !prev_in {
-                    out.push(intersect(prev, cur, env));
-                }
-                out.push(cur);
-            } else if prev_in {
-                out.push(intersect(prev, cur, env));
-            }
-        }
-        pts = out;
-    }
-    if pts.len() < 3 {
-        return None;
-    }
-    let first = pts[0];
-    pts.push(first);
-    Some(LineString(pts))
 }
 
 // ---------------------------------------------------------------------
@@ -561,14 +473,6 @@ fn fallback_overlay(subject: &Polygon, clip: &Polygon, op: OverlayOp) -> Overlay
     no_crossing_result(subject, clip, op)
 }
 
-/// Area of the intersection of two polygons.
-pub fn intersection_area(a: &Polygon, b: &Polygon) -> f64 {
-    if !a.envelope().intersects(&b.envelope()) {
-        return 0.0;
-    }
-    overlay(a, b, OverlayOp::Intersection).area()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,40 +484,6 @@ mod tests {
             Geometry::Polygon(p) => p,
             _ => panic!("expected polygon"),
         }
-    }
-
-    #[test]
-    fn clip_square_to_envelope() {
-        let p = poly("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))");
-        let env = Envelope::new(Coord::new(5.0, 5.0), Coord::new(15.0, 15.0));
-        let clipped = clip_to_envelope(&p, &env).unwrap();
-        assert!((clipped.area() - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clip_fully_inside_unchanged_area() {
-        let p = poly("POLYGON ((2 2, 4 2, 4 4, 2 4, 2 2))");
-        let env = Envelope::new(Coord::new(0.0, 0.0), Coord::new(10.0, 10.0));
-        let clipped = clip_to_envelope(&p, &env).unwrap();
-        assert!((clipped.area() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clip_fully_outside_is_none() {
-        let p = poly("POLYGON ((20 20, 30 20, 30 30, 20 30, 20 20))");
-        let env = Envelope::new(Coord::new(0.0, 0.0), Coord::new(10.0, 10.0));
-        assert!(clip_to_envelope(&p, &env).is_none());
-    }
-
-    #[test]
-    fn clip_triangle_corner() {
-        let p = poly("POLYGON ((0 0, 10 0, 0 10, 0 0))");
-        let env = Envelope::new(Coord::new(0.0, 0.0), Coord::new(5.0, 5.0));
-        let clipped = clip_to_envelope(&p, &env).unwrap();
-        // Triangle area 50; the clip keeps the 5x5 square minus the corner
-        // triangle above the hypotenuse: area 25 - 12.5 + 10 = 22.5? Compute
-        // directly: region {x>=0,y>=0,x<=5,y<=5,x+y<=10} = whole 5x5 square.
-        assert!((clipped.area() - 25.0).abs() < 1e-9);
     }
 
     #[test]
@@ -708,13 +578,6 @@ mod tests {
         // Region {x>=2, y>=2, x+y<=7, x<=4, y<=4}: the 2x2 square minus the
         // corner triangle beyond x+y=7 => 4 - 0.5 = 3.5.
         assert!((i2.area() - 3.5).abs() < 1e-6, "area was {}", i2.area());
-    }
-
-    #[test]
-    fn intersection_area_shortcut() {
-        let a = poly("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))");
-        let b = poly("POLYGON ((10 10, 11 10, 11 11, 10 11, 10 10))");
-        assert_eq!(intersection_area(&a, &b), 0.0);
     }
 
     #[test]

@@ -7,4 +7,3 @@ pub mod convex_hull;
 pub mod distance;
 pub mod predicates;
 pub mod segment;
-pub mod simplify;

@@ -284,25 +284,6 @@ fn interiors_overlap(a: &Polygon, b: &Polygon) -> bool {
     false
 }
 
-/// OGC `Crosses` for the line/area case: the line has points both inside
-/// and outside the polygon.
-pub fn crosses_line_polygon(l: &LineString, p: &Polygon) -> bool {
-    let mut has_inside = false;
-    let mut has_outside = false;
-    let mut probe = |c: Coord| match locate_point_in_polygon(c, p) {
-        PointLocation::Inside => has_inside = true,
-        PointLocation::Outside => has_outside = true,
-        PointLocation::Boundary => {}
-    };
-    for &c in l.coords() {
-        probe(c);
-    }
-    for (a, b) in l.segments() {
-        probe(a.lerp(&b, 0.5));
-    }
-    has_inside && has_outside
-}
-
 /// OGC `Equals` (coordinate-wise, tolerant): same type, same coordinates.
 pub fn equals(a: &Geometry, b: &Geometry) -> bool {
     fn coords_eq(a: &Geometry, b: &Geometry) -> bool {
@@ -433,15 +414,6 @@ mod tests {
         let a = g("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))");
         assert!(touches(&a, &g("POINT (1 0.5)")));
         assert!(!touches(&a, &g("POINT (0.5 0.5)")));
-    }
-
-    #[test]
-    fn crosses_line_through_polygon() {
-        let Geometry::Polygon(p) = g("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))") else { panic!() };
-        let Geometry::LineString(l) = g("LINESTRING (-5 5, 15 5)") else { panic!() };
-        assert!(crosses_line_polygon(&l, &p));
-        let Geometry::LineString(l2) = g("LINESTRING (1 1, 2 2)") else { panic!() };
-        assert!(!crosses_line_polygon(&l2, &p));
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::ops::{Add, Mul, Sub};
 /// A 2-D planar coordinate.
 ///
 /// Coordinates are plain value types; all geometry types are built from
-/// them. Units depend on the CRS in use (degrees for EPSG:4326, metres
-/// for EPSG:3857 or local projections).
+/// them. Units are degrees for EPSG:4326 data and metres inside the
+/// local projection behind [`crate::crs::geodesic_area_m2`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Coord {
     /// Easting / longitude.
@@ -27,13 +27,6 @@ impl Coord {
     #[inline]
     pub fn distance(&self, other: &Coord) -> f64 {
         (*self - *other).norm()
-    }
-
-    /// Squared Euclidean distance (avoids the square root).
-    #[inline]
-    pub fn distance_sq(&self, other: &Coord) -> f64 {
-        let d = *self - *other;
-        d.x * d.x + d.y * d.y
     }
 
     /// Euclidean norm of the coordinate treated as a vector.
@@ -275,18 +268,6 @@ impl Envelope {
         dx.hypot(dy)
     }
 
-    /// Minimum distance from the envelope to a coordinate.
-    pub fn distance_to_coord(&self, c: Coord) -> f64 {
-        let dx = (self.min.x - c.x).max(c.x - self.max.x).max(0.0);
-        let dy = (self.min.y - c.y).max(c.y - self.max.y).max(0.0);
-        dx.hypot(dy)
-    }
-
-    /// Area increase needed to cover `other`; used by R-tree insertion.
-    pub fn enlargement(&self, other: &Envelope) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
     /// Expand the envelope outward by `d` on every side.
     pub fn buffer(&self, d: f64) -> Envelope {
         if self.is_empty() {
@@ -319,7 +300,6 @@ mod tests {
         let a = Coord::new(0.0, 0.0);
         let b = Coord::new(3.0, 4.0);
         assert_eq!(a.distance(&b), 5.0);
-        assert_eq!(a.distance_sq(&b), 25.0);
     }
 
     #[test]
@@ -407,26 +387,10 @@ mod tests {
     }
 
     #[test]
-    fn envelope_enlargement() {
-        let a = Envelope::new(Coord::new(0.0, 0.0), Coord::new(1.0, 1.0));
-        let b = Envelope::new(Coord::new(2.0, 0.0), Coord::new(3.0, 1.0));
-        // Union is 3x1 = 3, own area 1 => enlargement 2.
-        assert_eq!(a.enlargement(&b), 2.0);
-    }
-
-    #[test]
     fn envelope_buffer() {
         let a = Envelope::new(Coord::new(0.0, 0.0), Coord::new(1.0, 1.0));
         let b = a.buffer(1.0);
         assert_eq!(b, Envelope::new(Coord::new(-1.0, -1.0), Coord::new(2.0, 2.0)));
-    }
-
-    #[test]
-    fn envelope_distance_to_coord() {
-        let a = Envelope::new(Coord::new(0.0, 0.0), Coord::new(1.0, 1.0));
-        assert_eq!(a.distance_to_coord(Coord::new(0.5, 0.5)), 0.0);
-        assert_eq!(a.distance_to_coord(Coord::new(4.0, 1.0)), 3.0);
-        assert!((a.distance_to_coord(Coord::new(2.0, 2.0)) - 2f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,150 +1,14 @@
-//! Coordinate reference systems.
+//! Metric measures of WGS 84 geometries.
 //!
-//! TELEIOS products carry stRDF geometries in EPSG:4326 (WGS 84
-//! longitude/latitude degrees); rendering and metric operations use
-//! EPSG:3857 (spherical Web Mercator metres). This module implements the
-//! forward/inverse Mercator projection, great-circle (haversine) distance,
-//! and a local azimuthal-equidistant-style projection used to evaluate
-//! metric distance filters (e.g. "within 2 km") against degree data.
+//! TELEIOS products carry stRDF geometries in EPSG:4326 (longitude/latitude
+//! degrees); burnt-area statistics need square metres, which a local
+//! equirectangular projection around each geometry supplies.
 
 use crate::coord::Coord;
-use crate::error::GeoError;
 use crate::geometry::Geometry;
-use crate::Result;
 
 /// Mean Earth radius in metres (IUGG).
 pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
-
-/// Web-Mercator sphere radius in metres (WGS 84 semi-major axis).
-pub const MERCATOR_RADIUS_M: f64 = 6_378_137.0;
-
-/// Latitude limit of the Web Mercator projection.
-pub const MERCATOR_MAX_LAT: f64 = 85.051_128_779_806_59;
-
-/// A supported coordinate reference system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Crs {
-    /// WGS 84 longitude/latitude in degrees.
-    Wgs84,
-    /// Spherical Web Mercator (metres).
-    WebMercator,
-}
-
-impl Crs {
-    /// Resolve an EPSG code.
-    pub fn from_epsg(code: u32) -> Result<Crs> {
-        match code {
-            4326 => Ok(Crs::Wgs84),
-            3857 | 900913 => Ok(Crs::WebMercator),
-            other => Err(GeoError::UnknownCrs(other)),
-        }
-    }
-
-    /// The canonical EPSG code.
-    pub fn epsg(&self) -> u32 {
-        match self {
-            Crs::Wgs84 => 4326,
-            Crs::WebMercator => 3857,
-        }
-    }
-
-    /// OGC CRS URI, as used in stRDF WKT literals.
-    pub fn uri(&self) -> String {
-        format!("http://www.opengis.net/def/crs/EPSG/0/{}", self.epsg())
-    }
-}
-
-/// Project a WGS 84 lon/lat coordinate to Web Mercator metres.
-pub fn wgs84_to_mercator(c: Coord) -> Result<Coord> {
-    if c.y.abs() > MERCATOR_MAX_LAT {
-        return Err(GeoError::ProjectionDomain(format!(
-            "latitude {} outside Web Mercator domain (|lat| <= {MERCATOR_MAX_LAT})",
-            c.y
-        )));
-    }
-    let x = MERCATOR_RADIUS_M * c.x.to_radians();
-    let y = MERCATOR_RADIUS_M * ((std::f64::consts::FRAC_PI_4 + c.y.to_radians() / 2.0).tan()).ln();
-    Ok(Coord::new(x, y))
-}
-
-/// Inverse of [`wgs84_to_mercator`].
-pub fn mercator_to_wgs84(c: Coord) -> Coord {
-    let lon = (c.x / MERCATOR_RADIUS_M).to_degrees();
-    let lat = (2.0 * (c.y / MERCATOR_RADIUS_M).exp().atan() - std::f64::consts::FRAC_PI_2).to_degrees();
-    Coord::new(lon, lat)
-}
-
-/// Transform a geometry between CRSs.
-pub fn transform(g: &Geometry, from: Crs, to: Crs) -> Result<Geometry> {
-    if from == to {
-        return Ok(g.clone());
-    }
-    // Validate the domain first so map_coords cannot observe NaNs.
-    let mut domain_err: Option<GeoError> = None;
-    g.for_each_coord(&mut |c| {
-        if from == Crs::Wgs84 && to == Crs::WebMercator && c.y.abs() > MERCATOR_MAX_LAT {
-            domain_err.get_or_insert(GeoError::ProjectionDomain(format!(
-                "latitude {} outside Web Mercator domain",
-                c.y
-            )));
-        }
-    });
-    if let Some(e) = domain_err {
-        return Err(e);
-    }
-    Ok(match (from, to) {
-        // The domain scan above rejected out-of-range latitudes, so
-        // the projection cannot fail here; pass the coordinate through
-        // unchanged rather than unwrap.
-        (Crs::Wgs84, Crs::WebMercator) => g.map_coords(|c| {
-            wgs84_to_mercator(c).unwrap_or(c)
-        }),
-        (Crs::WebMercator, Crs::Wgs84) => g.map_coords(mercator_to_wgs84),
-        _ => unreachable!("identical CRSs handled above"),
-    })
-}
-
-/// Great-circle distance in metres between two WGS 84 lon/lat coordinates.
-pub fn haversine_m(a: Coord, b: Coord) -> f64 {
-    let (lon1, lat1) = (a.x.to_radians(), a.y.to_radians());
-    let (lon2, lat2) = (b.x.to_radians(), b.y.to_radians());
-    let dlat = lat2 - lat1;
-    let dlon = lon2 - lon1;
-    let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-    2.0 * EARTH_RADIUS_M * h.sqrt().asin()
-}
-
-/// Convert a metric distance to the equivalent degree tolerance at a given
-/// latitude (conservative: uses the larger of the lat/lon degree sizes).
-///
-/// Used by stSPARQL to evaluate "within d metres" filters on degree data
-/// without projecting every geometry.
-pub fn metres_to_degrees(metres: f64, at_latitude: f64) -> f64 {
-    let lat_deg_m = EARTH_RADIUS_M * std::f64::consts::PI / 180.0;
-    let lon_deg_m = lat_deg_m * at_latitude.to_radians().cos().max(1e-6);
-    metres / lon_deg_m.min(lat_deg_m)
-}
-
-/// Approximate metric distance in metres between two WGS 84 geometries,
-/// via a local equirectangular projection centred between them.
-///
-/// Exact for points (reduces to haversine up to the local-projection
-/// error, < 0.1 % for distances under ~100 km); for extended geometries
-/// the planar minimum distance of the projected shapes is returned.
-pub fn geodesic_distance_m(a: &Geometry, b: &Geometry) -> f64 {
-    let ea = a.envelope();
-    let eb = b.envelope();
-    if ea.is_empty() || eb.is_empty() {
-        return f64::INFINITY;
-    }
-    let mid_lat = (ea.center().y + eb.center().y) / 2.0;
-    let k_lat = EARTH_RADIUS_M * std::f64::consts::PI / 180.0;
-    let k_lon = k_lat * mid_lat.to_radians().cos();
-    let project = |c: Coord| Coord::new(c.x * k_lon, c.y * k_lat);
-    let pa = a.map_coords(project);
-    let pb = b.map_coords(project);
-    crate::algorithm::distance::distance(&pa, &pb)
-}
 
 /// Approximate area in square metres of a WGS 84 geometry, via a local
 /// equirectangular projection centred on the geometry (good to ~0.1 %
@@ -167,91 +31,6 @@ mod tests {
     use crate::geometry::Point;
 
     #[test]
-    fn epsg_roundtrip() {
-        assert_eq!(Crs::from_epsg(4326).unwrap(), Crs::Wgs84);
-        assert_eq!(Crs::from_epsg(3857).unwrap(), Crs::WebMercator);
-        assert_eq!(Crs::from_epsg(900913).unwrap(), Crs::WebMercator);
-        assert!(Crs::from_epsg(2100).is_err());
-        assert_eq!(Crs::Wgs84.epsg(), 4326);
-        assert!(Crs::WebMercator.uri().ends_with("/3857"));
-    }
-
-    #[test]
-    fn mercator_origin() {
-        let m = wgs84_to_mercator(Coord::new(0.0, 0.0)).unwrap();
-        assert!(m.x.abs() < 1e-9 && m.y.abs() < 1e-9);
-    }
-
-    #[test]
-    fn mercator_known_point() {
-        // Athens: 23.7275 E, 37.9838 N.
-        let m = wgs84_to_mercator(Coord::new(23.7275, 37.9838)).unwrap();
-        assert!((m.x - 2_641_317.0).abs() < 1_000.0, "x = {}", m.x);
-        assert!((m.y - 4_576_500.0).abs() < 5_000.0, "y = {}", m.y);
-    }
-
-    #[test]
-    fn mercator_roundtrip() {
-        let orig = Coord::new(23.7275, 37.9838);
-        let back = mercator_to_wgs84(wgs84_to_mercator(orig).unwrap());
-        assert!((back.x - orig.x).abs() < 1e-9);
-        assert!((back.y - orig.y).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mercator_domain_error() {
-        assert!(wgs84_to_mercator(Coord::new(0.0, 89.0)).is_err());
-        let g = Geometry::Point(Point::new(0.0, 89.0));
-        assert!(transform(&g, Crs::Wgs84, Crs::WebMercator).is_err());
-    }
-
-    #[test]
-    fn transform_identity() {
-        let g = Geometry::Point(Point::new(1.0, 2.0));
-        assert_eq!(transform(&g, Crs::Wgs84, Crs::Wgs84).unwrap(), g);
-    }
-
-    #[test]
-    fn haversine_athens_thessaloniki() {
-        // Athens to Thessaloniki is roughly 300 km.
-        let d = haversine_m(Coord::new(23.7275, 37.9838), Coord::new(22.9444, 40.6401));
-        assert!((d - 301_000.0).abs() < 10_000.0, "d = {d}");
-    }
-
-    #[test]
-    fn haversine_zero() {
-        let c = Coord::new(10.0, 50.0);
-        assert_eq!(haversine_m(c, c), 0.0);
-    }
-
-    #[test]
-    fn haversine_equator_degree() {
-        // One degree of longitude at the equator ≈ 111.2 km.
-        let d = haversine_m(Coord::new(0.0, 0.0), Coord::new(1.0, 0.0));
-        assert!((d - 111_195.0).abs() < 100.0, "d = {d}");
-    }
-
-    #[test]
-    fn metres_to_degrees_reasonable() {
-        // 111 km at the equator is about one degree.
-        let deg = metres_to_degrees(111_195.0, 0.0);
-        assert!((deg - 1.0).abs() < 0.01, "deg = {deg}");
-        // At 60 N a degree of longitude is half as long, so the degree
-        // tolerance for the same distance doubles.
-        let deg60 = metres_to_degrees(111_195.0, 60.0);
-        assert!((deg60 - 2.0).abs() < 0.05, "deg60 = {deg60}");
-    }
-
-    #[test]
-    fn geodesic_distance_points_matches_haversine() {
-        let a = Geometry::Point(Point::new(23.7275, 37.9838));
-        let b = Geometry::Point(Point::new(23.8275, 37.9838));
-        let d1 = geodesic_distance_m(&a, &b);
-        let d2 = haversine_m(Coord::new(23.7275, 37.9838), Coord::new(23.8275, 37.9838));
-        assert!((d1 - d2).abs() / d2 < 1e-3, "d1 = {d1}, d2 = {d2}");
-    }
-
-    #[test]
     fn geodesic_area_of_degree_cell() {
         // A 1°x1° cell at the equator is ~111.2 km squared ≈ 1.2366e10 m².
         let g = crate::wkt::parse("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))").unwrap();
@@ -267,12 +46,5 @@ mod tests {
     #[test]
     fn geodesic_area_of_point_is_zero() {
         assert_eq!(geodesic_area_m2(&Geometry::Point(Point::new(1.0, 2.0))), 0.0);
-    }
-
-    #[test]
-    fn geodesic_distance_intersecting_is_zero() {
-        let a = crate::wkt::parse("POLYGON ((23 37, 24 37, 24 38, 23 38, 23 37))").unwrap();
-        let b = Geometry::Point(Point::new(23.5, 37.5));
-        assert_eq!(geodesic_distance_m(&a, &b), 0.0);
     }
 }

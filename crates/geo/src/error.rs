@@ -16,10 +16,6 @@ pub enum GeoError {
     InvalidGeometry(String),
     /// An operation was applied to a geometry type it does not support.
     UnsupportedOperation(String),
-    /// The requested coordinate reference system is unknown.
-    UnknownCrs(u32),
-    /// A coordinate lies outside the domain of a projection.
-    ProjectionDomain(String),
 }
 
 impl fmt::Display for GeoError {
@@ -30,8 +26,6 @@ impl fmt::Display for GeoError {
             }
             GeoError::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),
             GeoError::UnsupportedOperation(msg) => write!(f, "unsupported operation: {msg}"),
-            GeoError::UnknownCrs(srid) => write!(f, "unknown CRS: EPSG:{srid}"),
-            GeoError::ProjectionDomain(msg) => write!(f, "projection domain error: {msg}"),
         }
     }
 }
@@ -49,11 +43,6 @@ mod tests {
             message: "expected number".into(),
         };
         assert_eq!(e.to_string(), "WKT parse error at byte 7: expected number");
-    }
-
-    #[test]
-    fn display_unknown_crs() {
-        assert_eq!(GeoError::UnknownCrs(9999).to_string(), "unknown CRS: EPSG:9999");
     }
 
     #[test]

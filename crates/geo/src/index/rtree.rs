@@ -1,21 +1,15 @@
 //! An R-tree over envelopes with attached payloads.
 //!
-//! Construction is either incremental ([`RTree::insert`], quadratic-split
-//! R-tree in the style of Guttman) or bulk ([`RTree::bulk_load`],
-//! Sort-Tile-Recursive packing, which produces near-optimal trees and is
-//! what Strabon's spatial sidecar uses after dataset load).
-//!
-//! Supported queries: envelope intersection ([`RTree::query`]), point
-//! containment ([`RTree::query_point`]), and k-nearest-neighbour by
-//! envelope distance ([`RTree::nearest`]).
+//! There is one way to build it: Sort-Tile-Recursive bulk loading
+//! ([`RTree::bulk_load`]), which packs near-optimal trees and is what
+//! Strabon's spatial sidecar rebuilds after its dictionary grows. The
+//! one query is envelope intersection ([`RTree::query`]).
 
-use crate::coord::{Coord, Envelope};
+use crate::coord::Envelope;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use teleios_exec::{concat, WorkerPool};
 
 const MAX_ENTRIES: usize = 16;
-const MIN_ENTRIES: usize = 4;
 
 /// Entry count below which [`RTree::bulk_load_with`] sorts inline:
 /// under this size the sorts are too cheap to amortize task setup.
@@ -152,134 +146,11 @@ impl<T> RTree<T> {
         RTree { root: pack_upward(concat(leaves)), len }
     }
 
-    /// Insert one entry (Guttman insertion with quadratic split).
-    pub fn insert(&mut self, env: Envelope, value: T) {
-        self.len += 1;
-        if let Some((left, right)) = insert_rec(&mut self.root, env, value) {
-            // Root split: grow the tree.
-            let old_root = std::mem::replace(
-                &mut self.root,
-                Node::Inner { env: Envelope::EMPTY, children: Vec::new() },
-            );
-            // old_root has been replaced by `left` contents already; rebuild.
-            drop(old_root);
-            let mut inner = Node::Inner { env: Envelope::EMPTY, children: vec![left, right] };
-            inner.recompute_env();
-            self.root = inner;
-        }
-    }
-
     /// All values whose envelope intersects `query`.
     pub fn query(&self, query: &Envelope) -> Vec<&T> {
         let mut out = Vec::new();
         query_rec(&self.root, query, &mut out);
         out
-    }
-
-    /// All (envelope, value) pairs whose envelope intersects `query`.
-    pub fn query_entries(&self, query: &Envelope) -> Vec<(&Envelope, &T)> {
-        let mut out = Vec::new();
-        query_entries_rec(&self.root, query, &mut out);
-        out
-    }
-
-    /// All values whose envelope contains the point `p`.
-    pub fn query_point(&self, p: Coord) -> Vec<&T> {
-        self.query(&Envelope::from_coord(p))
-    }
-
-    /// The `k` entries nearest to `p` by envelope distance, closest first.
-    pub fn nearest(&self, p: Coord, k: usize) -> Vec<(&Envelope, &T, f64)> {
-        if k == 0 || self.len == 0 {
-            return Vec::new();
-        }
-        // Best-first search over nodes and entries.
-        struct Item<'a, T> {
-            dist: f64,
-            kind: ItemKind<'a, T>,
-        }
-        enum ItemKind<'a, T> {
-            Node(&'a Node<T>),
-            Entry(&'a Envelope, &'a T),
-        }
-        impl<T> PartialEq for Item<'_, T> {
-            fn eq(&self, other: &Self) -> bool {
-                self.dist == other.dist
-            }
-        }
-        impl<T> Eq for Item<'_, T> {}
-        impl<T> PartialOrd for Item<'_, T> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<T> Ord for Item<'_, T> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Reverse for a min-heap on distance.
-                other.dist.partial_cmp(&self.dist).unwrap_or(Ordering::Equal)
-            }
-        }
-
-        let mut heap: BinaryHeap<Item<'_, T>> = BinaryHeap::new();
-        heap.push(Item { dist: self.root.envelope().distance_to_coord(p), kind: ItemKind::Node(&self.root) });
-        let mut out = Vec::with_capacity(k);
-        while let Some(item) = heap.pop() {
-            match item.kind {
-                ItemKind::Node(Node::Inner { children, .. }) => {
-                    for ch in children {
-                        heap.push(Item {
-                            dist: ch.envelope().distance_to_coord(p),
-                            kind: ItemKind::Node(ch),
-                        });
-                    }
-                }
-                ItemKind::Node(Node::Leaf { entries, .. }) => {
-                    for (env, v) in entries {
-                        heap.push(Item {
-                            dist: env.distance_to_coord(p),
-                            kind: ItemKind::Entry(env, v),
-                        });
-                    }
-                }
-                ItemKind::Entry(env, v) => {
-                    out.push((env, v, item.dist));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Keep only entries whose value satisfies `pred`; rebuilds the tree.
-    pub fn retain<F: FnMut(&Envelope, &T) -> bool>(&mut self, mut pred: F)
-    where
-        T: Clone + Send,
-    {
-        let mut kept: Vec<(Envelope, T)> = Vec::with_capacity(self.len);
-        collect_entries(&self.root, &mut |env, v| {
-            if pred(env, v) {
-                kept.push((*env, v.clone()));
-            }
-        });
-        *self = RTree::bulk_load(kept);
-    }
-
-    /// Visit every entry.
-    pub fn for_each<F: FnMut(&Envelope, &T)>(&self, mut f: F) {
-        collect_entries(&self.root, &mut f);
-    }
-
-    /// Height of the tree (1 for a single leaf).
-    pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut node = &self.root;
-        while let Node::Inner { children, .. } = node {
-            h += 1;
-            node = &children[0];
-        }
-        h
     }
 }
 
@@ -387,21 +258,6 @@ fn pack_upward<T>(leaves: Vec<Node<T>>) -> Node<T> {
         .unwrap_or(Node::Leaf { env: Envelope::EMPTY, entries: Vec::new() })
 }
 
-fn collect_entries<T, F: FnMut(&Envelope, &T)>(node: &Node<T>, f: &mut F) {
-    match node {
-        Node::Leaf { entries, .. } => {
-            for (env, v) in entries {
-                f(env, v);
-            }
-        }
-        Node::Inner { children, .. } => {
-            for ch in children {
-                collect_entries(ch, f);
-            }
-        }
-    }
-}
-
 fn query_rec<'a, T>(node: &'a Node<T>, query: &Envelope, out: &mut Vec<&'a T>) {
     if !node.envelope().intersects(query) {
         return;
@@ -422,164 +278,43 @@ fn query_rec<'a, T>(node: &'a Node<T>, query: &Envelope, out: &mut Vec<&'a T>) {
     }
 }
 
-fn query_entries_rec<'a, T>(
-    node: &'a Node<T>,
-    query: &Envelope,
-    out: &mut Vec<(&'a Envelope, &'a T)>,
-) {
-    if !node.envelope().intersects(query) {
-        return;
-    }
-    match node {
-        Node::Leaf { entries, .. } => {
-            for (env, v) in entries {
-                if env.intersects(query) {
-                    out.push((env, v));
-                }
-            }
-        }
-        Node::Inner { children, .. } => {
-            for ch in children {
-                query_entries_rec(ch, query, out);
-            }
-        }
-    }
-}
-
-/// Recursive insert. Returns `Some((left, right))` when the node split;
-/// the caller must replace the node with the pair. On split the original
-/// node is left as `left` and the function returns both halves.
-fn insert_rec<T>(node: &mut Node<T>, env: Envelope, value: T) -> Option<(Node<T>, Node<T>)> {
-    match node {
-        Node::Leaf { env: node_env, entries } => {
-            entries.push((env, value));
-            *node_env = node_env.union(&env);
-            if entries.len() > MAX_ENTRIES {
-                let (a, b) = split_leaf(std::mem::take(entries));
-                Some((a, b))
-            } else {
-                None
-            }
-        }
-        Node::Inner { env: node_env, children } => {
-            *node_env = node_env.union(&env);
-            // Choose the child needing least enlargement (ties: least area).
-            let idx = children
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    let ea = a.envelope().enlargement(&env);
-                    let eb = b.envelope().enlargement(&env);
-                    ea.partial_cmp(&eb)
-                        .unwrap_or(Ordering::Equal)
-                        .then_with(|| {
-                            a.envelope()
-                                .area()
-                                .partial_cmp(&b.envelope().area())
-                                .unwrap_or(Ordering::Equal)
-                        })
-                })
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            if let Some((a, b)) = insert_rec(&mut children[idx], env, value) {
-                children[idx] = a;
-                children.push(b);
-                if children.len() > MAX_ENTRIES {
-                    let (a, b) = split_inner(std::mem::take(children));
-                    return Some((a, b));
-                }
-            }
-            None
-        }
-    }
-}
-
-/// Quadratic split for leaf entries.
-fn split_leaf<T>(entries: Vec<(Envelope, T)>) -> (Node<T>, Node<T>) {
-    let seeds = pick_seeds(&entries.iter().map(|(e, _)| *e).collect::<Vec<_>>());
-    let mut left: Vec<(Envelope, T)> = Vec::with_capacity(entries.len());
-    let mut right: Vec<(Envelope, T)> = Vec::with_capacity(entries.len());
-    let mut left_env = Envelope::EMPTY;
-    let mut right_env = Envelope::EMPTY;
-    for (i, (env, v)) in entries.into_iter().enumerate() {
-        let to_left = if i == seeds.0 {
-            true
-        } else if i == seeds.1
-            || left.len() + (MIN_ENTRIES.saturating_sub(right.len())) >= MAX_ENTRIES
-        {
-            false
-        } else if right.len() + (MIN_ENTRIES.saturating_sub(left.len())) >= MAX_ENTRIES {
-            true
-        } else {
-            left_env.enlargement(&env) <= right_env.enlargement(&env)
-        };
-        if to_left {
-            left_env = left_env.union(&env);
-            left.push((env, v));
-        } else {
-            right_env = right_env.union(&env);
-            right.push((env, v));
-        }
-    }
-    (
-        Node::Leaf { env: left_env, entries: left },
-        Node::Leaf { env: right_env, entries: right },
-    )
-}
-
-/// Quadratic split for inner-node children.
-fn split_inner<T>(children: Vec<Node<T>>) -> (Node<T>, Node<T>) {
-    let seeds = pick_seeds(&children.iter().map(|c| c.envelope()).collect::<Vec<_>>());
-    let mut left: Vec<Node<T>> = Vec::with_capacity(children.len());
-    let mut right: Vec<Node<T>> = Vec::with_capacity(children.len());
-    let mut left_env = Envelope::EMPTY;
-    let mut right_env = Envelope::EMPTY;
-    for (i, ch) in children.into_iter().enumerate() {
-        let env = ch.envelope();
-        let to_left = if i == seeds.0 {
-            true
-        } else if i == seeds.1
-            || left.len() + (MIN_ENTRIES.saturating_sub(right.len())) >= MAX_ENTRIES
-        {
-            false
-        } else if right.len() + (MIN_ENTRIES.saturating_sub(left.len())) >= MAX_ENTRIES {
-            true
-        } else {
-            left_env.enlargement(&env) <= right_env.enlargement(&env)
-        };
-        if to_left {
-            left_env = left_env.union(&env);
-            left.push(ch);
-        } else {
-            right_env = right_env.union(&env);
-            right.push(ch);
-        }
-    }
-    (
-        Node::Inner { env: left_env, children: left },
-        Node::Inner { env: right_env, children: right },
-    )
-}
-
-/// Pick the pair of envelopes wasting the most area together (quadratic).
-fn pick_seeds(envs: &[Envelope]) -> (usize, usize) {
-    let mut best = (0usize, 1usize);
-    let mut worst_waste = f64::NEG_INFINITY;
-    for i in 0..envs.len() {
-        for j in (i + 1)..envs.len() {
-            let waste = envs[i].union(&envs[j]).area() - envs[i].area() - envs[j].area();
-            if waste > worst_waste {
-                worst_waste = waste;
-                best = (i, j);
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coord::Coord;
+
+    impl<T> RTree<T> {
+        /// Visit every entry in tree order.
+        fn for_each<F: FnMut(&Envelope, &T)>(&self, mut f: F) {
+            collect_entries(&self.root, &mut f);
+        }
+
+        /// Height of the tree (1 for a single leaf).
+        fn height(&self) -> usize {
+            let mut h = 1;
+            let mut node = &self.root;
+            while let Node::Inner { children, .. } = node {
+                h += 1;
+                node = &children[0];
+            }
+            h
+        }
+    }
+
+    fn collect_entries<T, F: FnMut(&Envelope, &T)>(node: &Node<T>, f: &mut F) {
+        match node {
+            Node::Leaf { entries, .. } => {
+                for (env, v) in entries {
+                    f(env, v);
+                }
+            }
+            Node::Inner { children, .. } => {
+                for ch in children {
+                    collect_entries(ch, f);
+                }
+            }
+        }
+    }
 
     fn env(x: f64, y: f64) -> Envelope {
         Envelope::new(Coord::new(x, y), Coord::new(x + 1.0, y + 1.0))
@@ -600,25 +335,6 @@ mod tests {
         let t: RTree<u32> = RTree::new();
         assert!(t.is_empty());
         assert!(t.query(&env(0.0, 0.0)).is_empty());
-        assert!(t.nearest(Coord::new(0.0, 0.0), 3).is_empty());
-    }
-
-    #[test]
-    fn insert_and_query() {
-        let mut t = RTree::new();
-        for (e, i) in grid(500) {
-            t.insert(e, i);
-        }
-        assert_eq!(t.len(), 500);
-        // Query a window covering cells (0,0)..(4,4) in grid steps of 2.
-        let q = Envelope::new(Coord::new(0.0, 0.0), Coord::new(8.5, 8.5));
-        let mut hits: Vec<usize> = t.query(&q).into_iter().copied().collect();
-        hits.sort_unstable();
-        // Cells with x in {0,2,4,6,8} (i%100 in 0..=4) and y rows 0..=4.
-        let expected: Vec<usize> = (0..500)
-            .filter(|i| (i % 100) <= 4 && (i / 100) <= 4)
-            .collect();
-        assert_eq!(hits, expected);
     }
 
     #[test]
@@ -643,84 +359,6 @@ mod tests {
         let t = RTree::bulk_load(vec![(env(0.0, 0.0), 'a'), (env(5.0, 5.0), 'b')]);
         assert_eq!(t.len(), 2);
         assert_eq!(t.query(&env(5.2, 5.2)), vec![&'b']);
-    }
-
-    #[test]
-    fn query_point_hits_covering_envelopes() {
-        let t = RTree::bulk_load(vec![
-            (Envelope::new(Coord::new(0.0, 0.0), Coord::new(10.0, 10.0)), 1),
-            (Envelope::new(Coord::new(5.0, 5.0), Coord::new(15.0, 15.0)), 2),
-        ]);
-        let mut hits: Vec<i32> = t.query_point(Coord::new(7.0, 7.0)).into_iter().copied().collect();
-        hits.sort_unstable();
-        assert_eq!(hits, vec![1, 2]);
-        assert_eq!(t.query_point(Coord::new(12.0, 12.0)), vec![&2]);
-    }
-
-    #[test]
-    fn nearest_orders_by_distance() {
-        let t = RTree::bulk_load(vec![
-            (env(0.0, 0.0), "origin"),
-            (env(10.0, 0.0), "right"),
-            (env(0.0, 10.0), "up"),
-            (env(50.0, 50.0), "far"),
-        ]);
-        let nn = t.nearest(Coord::new(0.5, 0.5), 3);
-        assert_eq!(nn.len(), 3);
-        assert_eq!(*nn[0].1, "origin");
-        assert_eq!(nn[0].2, 0.0);
-        assert!(nn[1].2 <= nn[2].2);
-    }
-
-    #[test]
-    fn nearest_k_larger_than_len() {
-        let t = RTree::bulk_load(vec![(env(0.0, 0.0), 1)]);
-        assert_eq!(t.nearest(Coord::new(5.0, 5.0), 10).len(), 1);
-    }
-
-    #[test]
-    fn retain_drops_entries() {
-        let mut t = RTree::bulk_load(grid(100));
-        t.retain(|_, &v| v % 2 == 0);
-        assert_eq!(t.len(), 50);
-        let mut all = Vec::new();
-        t.for_each(|_, &v| all.push(v));
-        assert!(all.iter().all(|v| v % 2 == 0));
-    }
-
-    #[test]
-    fn incremental_matches_scan_on_random_data() {
-        // Deterministic pseudo-random envelopes.
-        let mut state = 42u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 1000) as f64 / 10.0
-        };
-        let items: Vec<(Envelope, usize)> = (0..800)
-            .map(|i| {
-                let x = next();
-                let y = next();
-                let w = next() / 20.0;
-                let h = next() / 20.0;
-                (Envelope::new(Coord::new(x, y), Coord::new(x + w, y + h)), i)
-            })
-            .collect();
-        let mut t = RTree::new();
-        for (e, i) in items.clone() {
-            t.insert(e, i);
-        }
-        let q = Envelope::new(Coord::new(20.0, 20.0), Coord::new(60.0, 60.0));
-        let mut a: Vec<usize> = t.query(&q).into_iter().copied().collect();
-        a.sort_unstable();
-        let mut b: Vec<usize> = items
-            .iter()
-            .filter(|(e, _)| e.intersects(&q))
-            .map(|(_, i)| *i)
-            .collect();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -794,14 +432,5 @@ mod tests {
             assert_eq!(a, scan);
             assert_eq!(b, scan);
         }
-    }
-
-    #[test]
-    fn query_entries_returns_envelopes() {
-        let t = RTree::bulk_load(vec![(env(1.0, 1.0), 7u32)]);
-        let entries = t.query_entries(&env(1.2, 1.2));
-        assert_eq!(entries.len(), 1);
-        assert_eq!(*entries[0].1, 7);
-        assert_eq!(entries[0].0.min, Coord::new(1.0, 1.0));
     }
 }

@@ -12,10 +12,9 @@
 //! * a [`Geometry`] model covering the seven OGC Simple Features types,
 //! * a Well-Known Text reader/writer ([`wkt`]),
 //! * topological predicates, overlay (intersection / union / difference),
-//!   distance, area, centroid, convex hull, simplification and buffering
-//!   ([`algorithm`]),
-//! * an STR-packed, dynamically insertable R-tree ([`index::rtree`]),
-//! * coordinate reference system support for EPSG:4326 and EPSG:3857
+//!   distance, area, centroid, convex hull and buffering ([`algorithm`]),
+//! * an STR bulk-loaded R-tree ([`index::rtree`]),
+//! * local-projection areas in square metres of WGS 84 geometries
 //!   ([`crs`]),
 //! * the seeded generator behind every synthetic dataset ([`rng`]).
 //!

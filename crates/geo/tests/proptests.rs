@@ -1,7 +1,7 @@
 //! Property-based tests for the geometry substrate.
 
 use teleios_geo::algorithm::area::{area, centroid};
-use teleios_geo::algorithm::clip::{clip_to_envelope, overlay, OverlayOp};
+use teleios_geo::algorithm::clip::{overlay, OverlayOp};
 use teleios_geo::algorithm::convex_hull::convex_hull_coords;
 use teleios_geo::algorithm::distance::{distance, within_distance};
 use teleios_geo::algorithm::predicates::{contains, intersects, locate_point_in_ring, PointLocation};
@@ -148,26 +148,6 @@ fn convex_hull_contains_all_points() {
     );
 }
 
-#[test]
-fn clip_to_envelope_bounds_result() {
-    forall(
-        |g| {
-            let poly = simple_polygon(g);
-            let (ex, ey) = (g.float(-50.0..50.0), g.float(-50.0..50.0));
-            let (w, h) = (g.float(1.0..40.0), g.float(1.0..40.0));
-            (poly, Envelope::new(Coord::new(ex, ey), Coord::new(ex + w, ey + h)))
-        },
-        |(poly, env)| {
-            if let Some(clipped) = clip_to_envelope(&poly, &env) {
-                let ce = clipped.envelope();
-                assert!(env.buffer(1e-6).contains_envelope(&ce));
-                assert!(clipped.area() <= poly.area() + 1e-6);
-                assert!(clipped.area() <= env.area() + 1e-6);
-            }
-        },
-    );
-}
-
 fn intersection_bounded_by_inputs((a, b): (Polygon, Polygon)) {
     let inter = overlay(&a, &b, OverlayOp::Intersection).area();
     assert!(inter <= a.area() + 1e-4, "inter {} > |a| {}", inter, a.area());
@@ -292,31 +272,6 @@ fn rtree_query_matches_linear_scan() {
                 .collect();
             from_scan.sort_unstable();
             assert_eq!(from_tree, from_scan);
-        },
-    );
-}
-
-#[test]
-fn rtree_nearest_is_sorted_and_correct() {
-    forall(
-        |g| (g.vec(1..150, coord), coord(g), g.size(1..10)),
-        |(items, q, k)| {
-            let envs: Vec<(Envelope, usize)> = items
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (Envelope::from_coord(*c), i))
-                .collect();
-            let tree = RTree::bulk_load(envs);
-            let nn = tree.nearest(q, k);
-            assert_eq!(nn.len(), k.min(items.len()));
-            for w in nn.windows(2) {
-                assert!(w[0].2 <= w[1].2 + 1e-12);
-            }
-            // The first result is the true nearest.
-            if let Some(first) = nn.first() {
-                let best = items.iter().map(|c| c.distance(&q)).fold(f64::INFINITY, f64::min);
-                assert!((first.2 - best).abs() < 1e-9);
-            }
         },
     );
 }

@@ -193,7 +193,8 @@ pub fn features_to_mask(
     let cells = out.data_mut();
     for poly in features {
         let env = poly.envelope();
-        // Limit the scan to the feature's pixel window.
+        // Every pixel is visited; the envelope test keeps the exact
+        // cover test off pixels outside the feature's bounding box.
         for r in 0..rows {
             for c in 0..cols {
                 let center = geo.pixel_center(r, c);

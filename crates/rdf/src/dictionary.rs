@@ -6,21 +6,53 @@
 
 use crate::term::Term;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Dense id of an interned term.
 pub type TermId = u32;
 
+/// Source of [`Dictionary::identity`]; 0 is never handed out.
+static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(1);
+
 /// Bidirectional Term ↔ id mapping.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct Dictionary {
     by_term: HashMap<Term, TermId>,
     by_id: Vec<Term>,
+    identity: u64,
+}
+
+impl Default for Dictionary {
+    fn default() -> Dictionary {
+        Dictionary {
+            by_term: HashMap::new(),
+            by_id: Vec::new(),
+            identity: NEXT_IDENTITY.fetch_add(1, Ordering::SeqCst),
+        }
+    }
+}
+
+/// A clone is another dictionary: it may grow apart from the original,
+/// so it gets its own identity.
+impl Clone for Dictionary {
+    fn clone(&self) -> Dictionary {
+        Dictionary { by_term: self.by_term.clone(), by_id: self.by_id.clone(), ..Dictionary::default() }
+    }
 }
 
 impl Dictionary {
     /// Empty dictionary.
     pub fn new() -> Dictionary {
         Dictionary::default()
+    }
+
+    /// Process-unique identity, fixed for this dictionary's lifetime.
+    /// Interning keeps it, and ids are never reassigned, so a reader
+    /// that remembers `(identity, len)` knows the ids below `len` still
+    /// name the terms it read. Any other dictionary — a new one or a
+    /// clone — has another identity.
+    pub fn identity(&self) -> u64 {
+        self.identity
     }
 
     /// Number of interned terms.
@@ -94,6 +126,18 @@ mod tests {
         assert_ne!(plain, typed);
         assert_ne!(plain, tagged);
         assert_ne!(typed, tagged);
+    }
+
+    #[test]
+    fn identity_survives_interning_but_not_cloning() {
+        let mut d = Dictionary::new();
+        let before = d.identity();
+        d.intern(&Term::iri("http://x/a"));
+        assert_eq!(d.identity(), before);
+        let copy = d.clone();
+        assert_ne!(copy.identity(), before);
+        assert_eq!(copy.term(0), d.term(0));
+        assert_ne!(Dictionary::new().identity(), before);
     }
 
     #[test]

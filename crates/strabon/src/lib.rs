@@ -210,7 +210,7 @@ impl Strabon {
 
     /// Empty engine with explicit configuration.
     pub fn with_config(config: StrabonConfig) -> Strabon {
-        Strabon { store: TripleStore::new(), config, spatial: spatial::SpatialSidecar::default() }
+        Strabon { config, ..Strabon::default() }
     }
 
     /// Current configuration.
@@ -237,13 +237,12 @@ impl Strabon {
         &self.store
     }
 
-    /// Mutable access to the store. This is the one place the spatial
-    /// sidecar is reset rather than caught up: the caller may replace
-    /// the whole store through the reference (recovery does —
-    /// `*db.store_mut() = recovered`), and the sidecar's ids would then
-    /// name another dictionary's terms.
+    /// Mutable access to the store. Writes through it need no notice:
+    /// the next statement's sidecar catch-up reads the ids they
+    /// interned, and a store replaced through the reference (recovery
+    /// does `*db.store_mut() = recovered`) carries another dictionary,
+    /// which the sidecar tells apart by identity and reads from scratch.
     pub fn store_mut(&mut self) -> &mut TripleStore {
-        self.spatial.invalidate();
         &mut self.store
     }
 

@@ -9,6 +9,11 @@
 //! is append-only (removing a triple never removes a term), so in-place
 //! mutation of the store can only leave the sidecar *short*, never
 //! wrong: catching up means reading the ids interned since last time.
+//! A replaced store brings another dictionary, whose ids may name other
+//! terms; the sidecar sees its other [`Dictionary::identity`] and
+//! starts over.
+//!
+//! [`Dictionary::identity`]: teleios_rdf::dictionary::Dictionary::identity
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,6 +27,8 @@ use teleios_rdf::strdf;
 /// Spatial index over every `strdf:WKT` literal of a store's dictionary.
 #[derive(Debug, Default)]
 pub struct SpatialSidecar {
+    /// Identity of the dictionary read so far (0: none yet).
+    dictionary: u64,
     /// High-water mark: dictionary ids below it have been read.
     mark: TermId,
     geometries: HashMap<TermId, Arc<Geometry>>,
@@ -32,19 +39,17 @@ pub struct SpatialSidecar {
 }
 
 impl SpatialSidecar {
-    /// Forget everything: for when the store itself is replaced and
-    /// the ids read so far may name other terms.
-    pub fn invalidate(&mut self) {
-        *self = SpatialSidecar::default();
-    }
-
-    /// Read the dictionary ids interned since the last call. Only when
-    /// one of them is a geometry is the R-tree bulk-loaded again, on
-    /// `pool`, over all entries ([`RTree::bulk_load_with`] — the same
-    /// tree at every pool size, and the tree a from-scratch build of
-    /// this dictionary produces).
+    /// Read the dictionary ids interned since the last call, starting
+    /// over when `store` holds another dictionary than last time. Only
+    /// when one of the new ids is a geometry is the R-tree bulk-loaded
+    /// again, on `pool`, over all entries ([`RTree::bulk_load_with`] —
+    /// the same tree at every pool size, and the tree a from-scratch
+    /// build of this dictionary produces).
     pub fn catch_up(&mut self, store: &TripleStore, pool: &WorkerPool) {
         let dict = store.dictionary();
+        if self.dictionary != dict.identity() {
+            *self = SpatialSidecar { dictionary: dict.identity(), ..SpatialSidecar::default() };
+        }
         let indexed = self.items.len();
         for id in self.mark..dict.len() as TermId {
             let term = dict.term(id);
@@ -131,14 +136,21 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_clears() {
-        let st = store_with_points(2);
-        let mut sc = SpatialSidecar::default();
-        sc.catch_up(&st, &WorkerPool::with_threads(2));
-        assert_eq!(sc.len(), 2);
-        sc.invalidate();
-        assert!(sc.is_empty());
-        assert!(sc.candidates(&Envelope::new(teleios_geo::Coord::new(-1.0, -1.0), teleios_geo::Coord::new(9.0, 1.0))).is_empty());
+    fn writes_through_store_mut_keep_the_parsed_geometries() {
+        let mut db = crate::Strabon::new();
+        let has_geometry = Term::iri(teleios_rdf::vocab::strdf::HAS_GEOMETRY);
+        let point = |x: f64| strdf::geometry_literal_wgs84(&Geometry::Point(Point::new(x, 0.0)));
+        db.insert(&Term::iri("http://x/a"), &has_geometry, &point(1.0));
+        let pool = db.pool();
+        db.spatial.catch_up(&db.store, &pool);
+        let a = db.store.id_of(&point(1.0)).unwrap();
+        let cached = db.spatial.geometry(a).unwrap();
+        db.store_mut().insert_terms(&Term::iri("http://x/b"), &has_geometry, &point(2.0));
+        db.spatial.catch_up(&db.store, &pool);
+        assert!(Arc::ptr_eq(&cached, &db.spatial.geometry(a).unwrap()), "a was parsed again");
+        let b = db.store.id_of(&point(2.0)).unwrap();
+        assert_eq!(db.spatial.geometry(b).unwrap().envelope().min.x, 2.0);
+        assert_eq!(db.spatial.candidates(&Geometry::Point(Point::new(2.0, 0.0)).envelope()).len(), 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end tests of the Strabon engine: loading, querying, updating.
 
 use teleios_rdf::term::Term;
+use teleios_rdf::TripleStore;
 use teleios_strabon::{Strabon, StrabonConfig};
 
 const PREFIXES: &str = "\
@@ -885,6 +886,11 @@ fn sidecar_follows_interleaved_writes_like_a_fresh_engine() {
     // A write that interns no geometry leaves the tree alone.
     db.insert(&Term::iri("http://example.org/h4"), &Term::iri("http://example.org/note"), &Term::literal("x"));
     check(&mut db, "non-spatial insert");
+    // Writes around the engine, as the observatory's describers make them.
+    let store = db.store_mut();
+    store.insert_terms(&Term::iri("http://example.org/h6"), &geom, &point(23.5, 37.5));
+    store.insert_terms(&Term::iri("http://example.org/h6"), &Term::iri("http://example.org/note"), &Term::literal("y"));
+    check(&mut db, "store_mut insert");
     // Refinement's clip: DELETE the geometry, INSERT a computed one.
     let clip = format!(
         "{PREFIXES} DELETE {{ ?h strdf:hasGeometry ?g }} INSERT {{ ?h strdf:hasGeometry ?b }} \
@@ -922,6 +928,36 @@ fn replacing_the_store_forgets_its_geometries() {
     assert_eq!(rows.len(), 1, "{rows:?}");
     assert!(rows[0].contains("elsewhere") && rows[0].contains("POINT (50 50)"), "{rows:?}");
     assert!(served(&mut db, "POLYGON ((21 36, 24 36, 24 39, 21 39, 21 36))").is_empty());
+    // A replacement whose dictionary has the old one's length and last
+    // term, while its earlier ids name plain literals bound to ?g: only
+    // the dictionary's identity tells it from the store it replaces.
+    let mut db = fixture();
+    assert_eq!(served(&mut db, everywhere).len(), 6);
+    let replacement = lookalike(db.store());
+    *db.store_mut() = replacement;
+    let rows = served(&mut db, everywhere);
+    assert!(rows.is_empty(), "{rows:?}");
+}
+
+/// A store whose dictionary has `like`'s length and last term, and
+/// whose other ids name IRIs and plain literals, each literal the
+/// object of a `strdf:hasGeometry` triple.
+fn lookalike(like: &TripleStore) -> TripleStore {
+    let n = like.dictionary().len();
+    let geom = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
+    let mut out = TripleStore::new();
+    let mut i = 0;
+    while out.dictionary().len() + 3 < n {
+        out.insert_terms(&Term::iri(format!("http://example.org/n{i}")), &geom, &Term::literal(format!("no geometry {i}")));
+        i += 1;
+    }
+    while out.dictionary().len() + 1 < n {
+        out.intern(&Term::literal(format!("pad {i}")));
+        i += 1;
+    }
+    out.intern(like.term(n as u32 - 1));
+    assert_eq!(out.dictionary().len(), n);
+    out
 }
 
 // --- one RDF reader: Turtle and stSPARQL agree on every term ---------

@@ -10,7 +10,8 @@
 #                              two structural greps, each proved on
 #                              scripts/probe first —, the
 #                              one-fork-site, one-cell-walker,
-#                              one-statement-prologue,
+#                              one-statement-prologue (with the
+#                              sidecar's one start-over site),
 #                              one-tokenizer-per-family and
 #                              one-transaction-doorway greps,
 #                              warning-free clippy outside crates/e0,
@@ -172,20 +173,31 @@ if grep -rnE '\[k\] *\+= *1' crates/*/src --include='*.rs' | grep -v '^crates/mo
 fi
 
 # Every stSPARQL statement goes through eval::prepare, which builds
-# the statement's one Env and is the one place the sidecar catches up;
-# store_mut is the one place it is reset. A second `Env {` is a second
-# statement prologue; a second reset is a write path that forgot the
-# dictionary is append-only.
-echo "==> one statement prologue (strabon builds Env once, resets the sidecar once)"
-above_tests() {
-    for f in crates/strabon/src/*.rs; do awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f"; done
+# the statement's one Env and is the one place the sidecar catches up.
+# The sidecar starts over in one place too: SpatialSidecar::catch_up,
+# when the store holds another dictionary (a replaced store), never
+# because a write happened. A second `Env {` is a second statement
+# prologue; a second `SpatialSidecar::default()`, or any
+# `invalidate`, is a write path that forgot the dictionary is
+# append-only.
+echo "==> one statement prologue (strabon builds Env once; the sidecar starts over only in catch_up)"
+live_sites() {
+    find crates/strabon/src -name '*.rs' | sort | xargs awk -v idiom="$1" '
+        FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+        live && match($0, /fn [A-Za-z0-9_]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+        live && index($0, idiom) { print FILENAME ":" FNR " in " cur }'
 }
-for idiom in 'Env {' 'spatial.invalidate()'; do
-    sites=$(above_tests | grep -cF "$idiom" || true)
-    if [ "$sites" -ne 1 ]; then
-        echo "\"$idiom\" appears $sites times outside tests under crates/strabon/src, expected 1" >&2; exit 1
+for check in 'Env {|' 'SpatialSidecar::default()|crates/strabon/src/spatial\.rs:[0-9]+ in catch_up'; do
+    idiom=${check%%|*} where=${check#*|}
+    sites=$(live_sites "$idiom")
+    if [ "$(grep -c . <<<"$sites")" -ne 1 ] || { [ -n "$where" ] && ! grep -qxE "$where" <<<"$sites"; }; then
+        echo "${sites:-no site found}" >&2
+        echo "\"$idiom\" must appear exactly once outside tests under crates/strabon/src${where:+, inside SpatialSidecar::catch_up}" >&2; exit 1
     fi
 done
+if live_sites invalidate | grep .; then
+    echo "the sidecar is invalidated above: let SpatialSidecar::catch_up tell a replaced store by its dictionary's identity" >&2; exit 1
+fi
 
 # Turtle and stSPARQL read through one tokenizer (rdf/syntax.rs), SQL
 # and SciQL through another (monet/sql/lexer.rs): a third `fn tokenize`
