@@ -1,12 +1,12 @@
 //! E12 — fault-tolerant batch execution under injected faults.
 //!
 //! A 50-scene `run_chain_batch` under seeded fault plans at increasing
-//! fault rates, against the all-or-nothing `run_many` baseline. The
-//! supervised batch should deliver every recoverable scene (transient
-//! faults retried, classifier/georef faults degraded) and lose only the
-//! genuinely unrecoverable ones (worker panics, corrupted archives),
-//! while the baseline loses the entire batch as soon as one fault
-//! lands. Prints the table recorded in EXPERIMENTS.md.
+//! fault rates, against an all-or-nothing baseline read off the same
+//! report. The supervised batch should deliver every recoverable scene
+//! (transient faults retried, classifier/georef faults degraded) and
+//! lose only the genuinely unrecoverable ones (worker panics, corrupted
+//! archives), while the baseline loses the entire batch as soon as one
+//! fault lands. Prints the table recorded in EXPERIMENTS.md.
 
 use teleios_bench::report::{self, Align, Table};
 use teleios_core::observatory::AcquisitionSpec;
@@ -102,24 +102,19 @@ fn main() {
             recalls.iter().sum::<f64>() / recalls.len() as f64
         };
 
-        // Baseline: the pre-supervision all-or-nothing path over the
-        // loadable scenes, with a fresh hook (fresh transient
-        // counters). One fault anywhere loses the whole batch.
-        let mut base_obs = Observatory::with_defaults(99);
-        let base_ids = acquire_scenes(&mut base_obs, SCENES);
-        let base_plan = FaultPlan::seeded(SEED, &base_ids, rate);
-        base_plan.apply_to_repository(base_obs.vault.repository_mut());
-        let base_chain = supervised_chain(&base_obs, &base_plan);
-        let mut loaded = Vec::new();
-        for id in &base_ids {
-            if let Ok(raster) = base_obs.raster_for(id) {
-                loaded.push((id.clone(), raster));
-            }
-        }
-        let baseline = match base_chain.run_many(&base_obs.db, &loaded) {
-            Ok(outputs) if loaded.len() == SCENES => format!("{} products", outputs.len()),
-            Ok(outputs) => format!("{} products*", outputs.len()),
-            Err(_) => "batch lost".to_string(),
+        // Baseline: an all-or-nothing executor runs every loadable
+        // scene once on the primary chain, so the batch survives only
+        // if each loaded scene's first attempt succeeded — the scenes
+        // the supervised report marks `Ok`. One fault anywhere loses
+        // the whole batch. A scene whose vault load failed never
+        // reached an attempt.
+        let loaded = report.scenes.iter().filter(|s| s.attempts > 0).count();
+        let baseline = if report.ok_count() < loaded {
+            "batch lost".to_string()
+        } else if loaded == SCENES {
+            format!("{loaded} products")
+        } else {
+            format!("{loaded} products*")
         };
 
         table.row(&[

@@ -1,6 +1,7 @@
 //! E10 — fire-map generation latency vs region size and linked-data
 //! volume (the rapid-mapping service of demo scenario 2).
 
+use std::time::Duration;
 use teleios_bench::report::{self, Align, Table};
 use teleios_bench::{fmt_duration, time_avg};
 use teleios_core::observatory::AcquisitionSpec;
@@ -40,7 +41,8 @@ fn main() {
         };
         let id = obs.acquire_scene(&spec).expect("acquire");
         obs.run_chain(&id, &ProcessingChain::operational()).expect("chain");
-        obs.refine_products().expect("refine");
+        let refined = obs.refine_products_supervised(&obs.product_ids(), Duration::MAX);
+        assert!(refined.is_complete(), "refinement incomplete: {:?}", refined.products);
 
         for half in [0.25f64, 0.75, 1.5] {
             let region = Envelope::new(

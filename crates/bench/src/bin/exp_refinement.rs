@@ -1,6 +1,7 @@
 //! E7 — thematic-accuracy improvement from the stSPARQL refinement step
 //! (demo scenario 2), across glint rates and coastline complexities.
 
+use std::time::Duration;
 use teleios_bench::report::{self, Align, Table};
 use teleios_bench::{fmt_duration, time_once};
 use teleios_core::observatory::AcquisitionSpec;
@@ -36,7 +37,10 @@ fn run_case(table: &Table, coast_points: usize, glint: f64) {
     let truth = obs.truth_for(&id).expect("truth");
     let before = accuracy::score(&report.output.mask, &truth).expect("score");
 
-    let (stats, t_refine) = time_once(|| obs.refine_products().expect("refine"));
+    let (refined, t_refine) =
+        time_once(|| obs.refine_products_supervised(&obs.product_ids(), Duration::MAX));
+    assert!(refined.is_complete(), "refinement incomplete: {:?}", refined.products);
+    let stats = refined.stats;
 
     let survivors = refine::surviving_hotspot_geometries(&mut obs.strabon, &id).expect("survivors");
     let polys: Vec<&teleios_geo::geometry::Polygon> = survivors.iter().collect();

@@ -16,9 +16,7 @@ use teleios_monet::catalog::ResultSet;
 use teleios_monet::Catalog;
 use teleios_noa::chain::{panic_message, ChainOutput};
 use teleios_noa::firemap::{build_fire_map, FireMap};
-use teleios_noa::refine::{
-    publish_hotspots, refine_against_landmass, refine_product_against_landmass, RefineStats,
-};
+use teleios_noa::refine::{publish_hotspots, refine_product_against_landmass, RefineStats};
 use teleios_noa::ProcessingChain;
 use teleios_resilience::{BatchReport, SceneOutcome, SceneReport, Supervisor};
 use teleios_sciql::SciqlResult;
@@ -93,7 +91,7 @@ pub struct ChainReport {
 
 /// How one product fared inside a supervised service pass
 /// ([`Observatory::refine_products_supervised`],
-/// [`Observatory::derive_burnt_area_supervised`]).
+/// [`Observatory::derive_burnt_area`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProductOutcome {
     /// The product's pass completed.
@@ -121,12 +119,12 @@ pub struct ProductReport {
 }
 
 /// Partial-result report of a supervised per-product pass: one entry
-/// per input product, in input order, plus what the pass aggregated
-/// over the products that completed. A poisoned or overdue product
-/// costs exactly its own entry, never the pass.
+/// per distinct input product, in input order, plus what the pass
+/// aggregated over the products that completed. A poisoned or overdue
+/// product costs exactly its own entry, never the pass.
 #[derive(Debug, Clone)]
 pub struct PassReport<S> {
-    /// One entry per input product, in input order.
+    /// One entry per distinct input product, in input order.
     pub products: Vec<ProductReport>,
     /// The aggregate over the `Ok` products: [`RefineStats`] for a
     /// refinement pass, the number of burnt-area scar features
@@ -139,7 +137,7 @@ pub struct PassReport<S> {
 /// Report of [`Observatory::refine_products_supervised`].
 pub type RefineReport = PassReport<RefineStats>;
 
-/// Report of [`Observatory::derive_burnt_area_supervised`]; `stats`
+/// Report of [`Observatory::derive_burnt_area`]; `stats`
 /// counts the scar features published from the surviving masks.
 pub type BurntAreaReport = PassReport<usize>;
 
@@ -156,11 +154,6 @@ impl<S> PassReport<S> {
     /// Products whose pass failed.
     pub fn failed_count(&self) -> usize {
         self.count(|o| matches!(o, ProductOutcome::Failed { .. }))
-    }
-
-    /// Products never attempted because the deadline ran out.
-    pub fn skipped_count(&self) -> usize {
-        self.count(|o| matches!(o, ProductOutcome::Skipped { .. }))
     }
 
     /// True when every product completed.
@@ -451,24 +444,12 @@ impl Observatory {
         Ok(BatchReport { scenes, wall_clock: supervised.wall_clock })
     }
 
-    /// Reload a previously archived derived product (the hotspot mask)
-    /// from the vault.
-    pub fn derived_mask(&mut self, derived_id: &str) -> Result<NdArray> {
-        Ok(self.vault.array_for(&format!("{derived_id}.gtf1"))?)
-    }
-
-    /// Scenario-2 refinement: compare hotspots with the coastline linked
-    /// data and reclassify the inconsistent ones.
-    pub fn refine_products(&mut self) -> Result<RefineStats> {
-        let landmass = emit::landmass_literal(&self.world);
-        Ok(refine_against_landmass(&mut self.strabon, &landmass)?)
-    }
-
     /// The one supervised per-product loop: each product's `pass` runs
     /// in isolation (panics caught) under a cooperative `deadline`
     /// checked between products — an in-progress pass is never
     /// interrupted, but once the budget is spent the remaining products
-    /// are `Skipped`. `name` labels the pass in skip and panic reasons.
+    /// are `Skipped`. A repeated id runs and reports once, at its first
+    /// position. `name` labels the pass in skip and panic reasons.
     fn per_product(
         &mut self,
         product_ids: &[String],
@@ -477,8 +458,10 @@ impl Observatory {
         mut pass: impl FnMut(&mut Observatory, &str) -> Result<()>,
     ) -> Vec<ProductReport> {
         let started = Instant::now();
+        let mut seen = HashSet::new();
         product_ids
             .iter()
+            .filter(|id| seen.insert(id.as_str()))
             .map(|id| {
                 let outcome = if started.elapsed() >= deadline {
                     ProductOutcome::Skipped {
@@ -564,57 +547,17 @@ impl Observatory {
         Ok((mask, raster.geo, raster.acquisition))
     }
 
-    /// Derive the scar features of `masks` and publish them under
-    /// `event_id`, valid from the first to the last acquisition in
-    /// `times`. Returns the number of features published.
-    fn publish_scars(
-        &mut self,
-        masks: &[NdArray],
-        geo: &GeoTransform,
-        mut times: Vec<String>,
-        event_id: &str,
-    ) -> Result<usize> {
-        times.sort();
-        let period = teleios_rdf::strdf::Period::new(
-            times.first().cloned().unwrap_or_default(),
-            times.last().cloned().unwrap_or_default(),
-        );
-        let features = teleios_noa::burnt::burnt_area_features(masks, geo)?;
-        teleios_noa::burnt::publish_burnt_area(&features, event_id, &period, &mut self.strabon);
-        Ok(features.len())
-    }
-
     /// Derive and publish a burnt-area product from the refined hotspot
-    /// masks of the given (same-grid) products. The valid-time period
-    /// spans the first to the last acquisition. Returns the number of
-    /// scar features published.
-    pub fn derive_burnt_area(&mut self, product_ids: &[String], event_id: &str) -> Result<usize> {
-        let mut masks = Vec::with_capacity(product_ids.len());
-        let mut geo = None;
-        let mut times: Vec<String> = Vec::new();
-        for id in product_ids {
-            let (mask, g, t) = self.refined_mask(id)?;
-            masks.push(mask);
-            geo.get_or_insert(g);
-            times.push(t);
-        }
-        let geo = geo.ok_or_else(|| {
-            ObservatoryError::Database(teleios_monet::DbError::Execution(
-                "burnt-area derivation needs at least one product".into(),
-            ))
-        })?;
-        self.publish_scars(&masks, &geo, times, event_id)
-    }
-
-    /// Supervised burnt-area derivation: each product's refined mask is
-    /// built in isolation (panics caught, per-product failures
-    /// recorded) under a cooperative `deadline` checked between
-    /// products; the scar features are then derived from whatever
-    /// masks survived. Zero surviving masks is a valid partial result
-    /// — a report with no features — not an error. `Err` is reserved
-    /// for the final cross-product aggregation failing (e.g. products
-    /// on different grids).
-    pub fn derive_burnt_area_supervised(
+    /// masks of the given (same-grid) products. Each product's mask is
+    /// built in isolation (panics caught, per-product failures recorded)
+    /// under a cooperative `deadline` checked between products; the
+    /// scar features are then derived from whatever masks survived and
+    /// published under `event_id`, valid from the first to the last of
+    /// their acquisitions. Zero surviving masks is a valid partial
+    /// result — a report with no features — not an error. `Err` is
+    /// reserved for the final cross-product aggregation failing (e.g.
+    /// products on different grids).
+    pub fn derive_burnt_area(
         &mut self,
         product_ids: &[String],
         event_id: &str,
@@ -632,11 +575,17 @@ impl Observatory {
             Ok(())
         });
         // No mask survived: report the losses instead of erroring.
-        let stats = match geo {
-            Some(geo) => self.publish_scars(&masks, &geo, times, event_id)?,
-            None => 0,
+        let Some(geo) = geo else {
+            return Ok(BurntAreaReport { products, stats: 0, wall_clock: started.elapsed() });
         };
-        Ok(BurntAreaReport { products, stats, wall_clock: started.elapsed() })
+        times.sort();
+        let period = teleios_rdf::strdf::Period::new(
+            times.first().cloned().unwrap_or_default(),
+            times.last().cloned().unwrap_or_default(),
+        );
+        let features = teleios_noa::burnt::burnt_area_features(&masks, &geo)?;
+        teleios_noa::burnt::publish_burnt_area(&features, event_id, &period, &mut self.strabon);
+        Ok(BurntAreaReport { products, stats: features.len(), wall_clock: started.elapsed() })
     }
 
     /// The semantic-annotation service (Fig. 2): cut the product into
@@ -791,8 +740,9 @@ mod tests {
         let truth = obs.truth_for(&id).unwrap();
         let before = accuracy::score(&report.output.mask, &truth).unwrap();
 
-        let stats = obs.refine_products().unwrap();
-        assert!(stats.refuted > 0, "expected sea hotspots to be refuted");
+        let report = obs.refine_products_supervised(&obs.product_ids(), Duration::MAX);
+        assert!(report.is_complete());
+        assert!(report.stats.refuted > 0, "expected sea hotspots to be refuted");
 
         // Accuracy after: rasterize surviving features.
         let survivors =
@@ -846,36 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn burnt_area_service() {
-        let mut obs = observatory();
-        // Three acquisitions of an advancing fire.
-        let center = obs.region().center();
-        let mut ids = Vec::new();
-        for i in 0..3 {
-            let mut spec = AcquisitionSpec::small_test(20 + i);
-            spec.cloud_cover = 0.0;
-            spec.fires = vec![teleios_ingest::seviri::FireEvent {
-                center: Coord::new(center.x + i as f64 * 0.05, center.y),
-                radius: 0.08,
-                intensity: 0.9,
-            }];
-            let id = obs.acquire_scene(&spec).unwrap();
-            obs.run_chain(&id, &ProcessingChain::operational()).unwrap();
-            ids.push(id);
-        }
-        obs.refine_products().unwrap();
-        let n = obs.derive_burnt_area(&ids, "event-1").unwrap();
-        assert!(n > 0);
-        let sols = obs
-            .search(&format!(
-                "SELECT ?b WHERE {{ ?b a <{}> }}",
-                teleios_noa::burnt::BURNT_AREA
-            ))
-            .unwrap();
-        assert_eq!(sols.len(), n);
-    }
-
-    #[test]
     fn supervised_refinement_isolates_a_poisoned_product() {
         let mut obs = observatory();
         let mut ids = Vec::new();
@@ -914,12 +834,30 @@ mod tests {
         let report =
             obs.refine_products_supervised(std::slice::from_ref(&id), Duration::ZERO);
         assert_eq!(report.ok_count(), 0);
-        assert_eq!(report.skipped_count(), 1);
+        assert_eq!(report.products.len(), 1);
         assert!(matches!(
             &report.report_for(&id).unwrap().outcome,
             ProductOutcome::Skipped { reason } if reason.contains("deadline")
         ));
         assert_eq!(report.stats.before, 0);
+    }
+
+    #[test]
+    fn supervised_refinement_runs_and_reports_a_repeated_id_once() {
+        // One product asked for `n` times, on a fresh observatory.
+        let refine = |n: usize| {
+            let mut obs = observatory();
+            let mut spec = AcquisitionSpec::small_test(4);
+            spec.glint_rate = 0.03;
+            spec.cloud_cover = 0.0;
+            let a = obs.acquire_scene(&spec).unwrap();
+            obs.run_chain(&a, &ProcessingChain::operational()).unwrap();
+            obs.refine_products_supervised(&vec![a; n], Duration::MAX)
+        };
+        let (once, twice) = (refine(1), refine(2));
+        assert_eq!(twice.products, once.products);
+        assert_eq!(twice.stats, once.stats);
+        assert!(once.stats.refuted > 0 && once.stats.kept > 0, "{:?}", once.stats);
     }
 
     #[test]
@@ -939,41 +877,37 @@ mod tests {
             obs.run_chain(&id, &ProcessingChain::operational()).unwrap();
             ids.push(id);
         }
-        obs.refine_products().unwrap();
+        assert!(obs.refine_products_supervised(&ids, Duration::MAX).is_complete());
+        let burnt = |obs: &mut Observatory| {
+            let query = format!("SELECT ?b WHERE {{ ?b a <{}> }}", teleios_noa::burnt::BURNT_AREA);
+            obs.search(&query).unwrap().len()
+        };
+        // Every product healthy: the scars of all three masks.
+        let healthy = obs.derive_burnt_area(&ids, "event-1", Duration::MAX).unwrap();
+        assert!(healthy.is_complete());
+        assert!(healthy.stats > 0);
+        assert_eq!(burnt(&mut obs), healthy.stats);
         // A ghost product fails its own mask pass; the scars still come
         // from the three healthy masks.
         let mut with_ghost = ids.clone();
         with_ghost.insert(1, "ghost".to_string());
-        let report = obs
-            .derive_burnt_area_supervised(&with_ghost, "event-s1", Duration::from_secs(3600))
-            .unwrap();
+        let report = obs.derive_burnt_area(&with_ghost, "event-s1", Duration::MAX).unwrap();
         assert_eq!(report.products.len(), 4);
         assert_eq!(report.ok_count(), 3);
         assert_eq!(report.failed_count(), 1);
-        assert!(report.stats > 0);
+        assert_eq!(report.stats, healthy.stats);
         assert!(matches!(
             &report.report_for("ghost").unwrap().outcome,
             ProductOutcome::Failed { .. }
         ));
-        let sols = obs
-            .search(&format!(
-                "SELECT ?b WHERE {{ ?b a <{}> }}",
-                teleios_noa::burnt::BURNT_AREA
-            ))
-            .unwrap();
-        assert_eq!(sols.len(), report.stats);
+        assert_eq!(burnt(&mut obs), healthy.stats + report.stats);
     }
 
     #[test]
     fn supervised_burnt_area_with_no_surviving_mask_is_a_report_not_an_error() {
         let mut obs = observatory();
-        let report = obs
-            .derive_burnt_area_supervised(
-                &["ghost".to_string()],
-                "event-s2",
-                Duration::from_secs(3600),
-            )
-            .unwrap();
+        let report =
+            obs.derive_burnt_area(&["ghost".to_string()], "event-s2", Duration::MAX).unwrap();
         assert_eq!(report.stats, 0);
         assert_eq!(report.failed_count(), 1);
         assert_eq!(report.ok_count(), 0);
@@ -1033,7 +967,7 @@ mod tests {
         let report = obs.run_chain(&id, &ProcessingChain::operational()).unwrap();
         // The derived mask lives in the vault catalog as a gtf1 product.
         assert_eq!(obs.vault.catalog().len(), 2); // raw + derived
-        let reloaded = obs.derived_mask(&report.derived_id).unwrap();
+        let reloaded = obs.vault.array_for(&format!("{}.gtf1", report.derived_id)).unwrap();
         assert_eq!(reloaded.shape()[0] * reloaded.shape()[1], 64 * 64);
         assert_eq!(
             reloaded.data().iter().filter(|&&v| v > 0.0).count(),

@@ -32,15 +32,6 @@ pub fn accumulate_masks(masks: &[NdArray]) -> Result<NdArray> {
     Ok(out)
 }
 
-/// Total burnt area in hectares across scar features (WGS 84 inputs).
-pub fn total_hectares(features: &[HotspotFeature]) -> f64 {
-    features
-        .iter()
-        .map(|f| teleios_geo::crs::geodesic_area_m2(&f.geometry()))
-        .sum::<f64>()
-        / 10_000.0
-}
-
 /// Dissolve the burnt-area mask into scar polygons.
 pub fn burnt_area_features(
     masks: &[NdArray],
@@ -126,16 +117,6 @@ mod tests {
         let a = mask(&[(0, 0)]);
         let b = NdArray::matrix(3, 3, vec![0.0; 9]).unwrap();
         assert!(accumulate_masks(&[a, b]).is_err());
-    }
-
-    #[test]
-    fn hectares_of_degree_scale_scar() {
-        // One 1x1-degree cell near the equator: ~1.24e6 hectares.
-        let geo_eq = GeoTransform { origin_x: 0.0, origin_y: 1.0, pixel_w: 1.0, pixel_h: 1.0 };
-        let m = mask(&[(0, 0)]);
-        let features = burnt_area_features(&[m], &geo_eq).unwrap();
-        let ha = total_hectares(&features);
-        assert!((ha - 1.236e6).abs() / 1.236e6 < 0.02, "ha = {ha}");
     }
 
     #[test]

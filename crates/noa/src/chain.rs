@@ -10,7 +10,7 @@ use crate::shapefile::{mask_to_features, HotspotFeature};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use teleios_exec::{CancelToken, WorkerPool};
+use teleios_exec::CancelToken;
 use teleios_geo::Envelope;
 use teleios_ingest::georef;
 use teleios_ingest::raster::{GeoRaster, GeoTransform};
@@ -227,50 +227,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-impl ProcessingChain {
-    /// Run the chain over a batch of scenes on the worker pool, with
-    /// per-scene panic isolation: a worker panic becomes an `Err` for
-    /// that scene only and NEVER aborts the process. Outputs come back
-    /// in input order. NOA's service processes each rapid-scan
-    /// timestep's scenes concurrently — this is that path;
-    /// `teleios-resilience::Supervisor` adds retry and degraded modes
-    /// on top of it.
-    pub fn run_many_isolated(
-        &self,
-        catalog: &Catalog,
-        scenes: &[(String, GeoRaster)],
-    ) -> Vec<Result<ChainOutput>> {
-        let tasks: Vec<_> = scenes
-            .iter()
-            .map(|(id, raster)| move || self.run(catalog, id, raster))
-            .collect();
-        WorkerPool::default()
-            .try_run(tasks)
-            .into_iter()
-            .zip(scenes)
-            .map(|(result, (id, _))| {
-                result.unwrap_or_else(|payload| {
-                    Err(DbError::Execution(format!(
-                        "chain worker panicked on {id}: {}",
-                        panic_message(payload.as_ref())
-                    )))
-                })
-            })
-            .collect()
-    }
-
-    /// All-or-nothing batch wrapper over [`Self::run_many_isolated`]:
-    /// the first per-scene failure is returned as the batch error (the
-    /// other scenes still ran to completion — nothing aborts).
-    pub fn run_many(
-        &self,
-        catalog: &Catalog,
-        scenes: &[(String, GeoRaster)],
-    ) -> Result<Vec<ChainOutput>> {
-        self.run_many_isolated(catalog, scenes).into_iter().collect()
-    }
-}
-
 /// The chain's products.
 #[derive(Debug, Clone)]
 pub struct ChainOutput {
@@ -390,39 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn run_many_matches_sequential() {
-        let cat_par = Catalog::new();
-        let cat_seq = Catalog::new();
-        let chain = ProcessingChain::operational();
-        let scenes: Vec<(String, teleios_ingest::raster::GeoRaster)> = (0..4)
-            .map(|i| {
-                let mut spec = SceneSpec::new(50 + i, 48, 48, bbox());
-                spec.cloud_cover = 0.0;
-                spec.fires.push(FireEvent {
-                    center: Coord::new(21.6 + i as f64 * 0.1, 37.4),
-                    radius: 0.08,
-                    intensity: 0.9,
-                });
-                (format!("batch{i}"), generate(&spec, &surface).unwrap().raster)
-            })
-            .collect();
-        let parallel = chain.run_many(&cat_par, &scenes).unwrap();
-        let sequential: Vec<ChainOutput> = scenes
-            .iter()
-            .map(|(id, r)| chain.run(&cat_seq, id, r).unwrap())
-            .collect();
-        assert_eq!(parallel.len(), 4);
-        for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.mask, s.mask);
-            assert_eq!(p.features.len(), s.features.len());
-        }
-        // Both catalogs hold all the ingested arrays.
-        for i in 0..4 {
-            assert!(cat_par.has_array(&format!("batch{i}_hotspots")));
-        }
-    }
-
-    #[test]
     fn chain_ids() {
         assert_eq!(ProcessingChain::operational().id(), "threshold-318");
     }
@@ -463,62 +386,5 @@ mod tests {
         assert!(err.contains("deadline: classify overdue"), "{err}");
         // Stages before the cancellation point completed normally.
         assert!(cat.has_array("c1_band0"));
-    }
-
-    fn batch_scenes(n: usize) -> Vec<(String, teleios_ingest::raster::GeoRaster)> {
-        (0..n)
-            .map(|i| {
-                let mut spec = SceneSpec::new(90 + i as u64, 32, 32, bbox());
-                spec.cloud_cover = 0.0;
-                spec.fires.push(FireEvent {
-                    center: Coord::new(21.6, 37.4),
-                    radius: 0.08,
-                    intensity: 0.9,
-                });
-                (format!("iso{i}"), generate(&spec, &surface).unwrap().raster)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn worker_panic_is_isolated_per_scene() {
-        let cat = Catalog::new();
-        let chain = ProcessingChain::operational().with_stage_hook(Arc::new(
-            |id: &str, stage: ChainStage, _chain: &ProcessingChain| {
-                if id == "iso1" && stage == ChainStage::Classify {
-                    panic!("injected worker panic");
-                }
-                Ok(())
-            },
-        ));
-        let scenes = batch_scenes(3);
-        let results = chain.run_many_isolated(&cat, &scenes);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok());
-        let err = results[1].as_ref().unwrap_err().to_string();
-        assert!(err.contains("panicked"), "unexpected error: {err}");
-        assert!(err.contains("iso1"), "error should name the scene: {err}");
-        assert!(err.contains("injected worker panic"), "error should carry the payload: {err}");
-        assert!(results[2].is_ok());
-        // The all-or-nothing wrapper reports the failure as an Err —
-        // and the process is still alive to observe it.
-        assert!(chain.run_many(&cat, &scenes).is_err());
-    }
-
-    #[test]
-    fn stage_hook_error_fails_only_that_scene() {
-        let cat = Catalog::new();
-        let chain = ProcessingChain::operational().with_stage_hook(Arc::new(
-            |id: &str, stage: ChainStage, _chain: &ProcessingChain| {
-                if id == "iso0" && stage == ChainStage::Georef {
-                    return Err(teleios_monet::DbError::Execution("injected georef fault".into()));
-                }
-                Ok(())
-            },
-        ));
-        let scenes = batch_scenes(2);
-        let results = chain.run_many_isolated(&cat, &scenes);
-        assert!(results[0].is_err());
-        assert!(results[1].is_ok());
     }
 }

@@ -137,7 +137,7 @@ fn polygon_rings_json(out: &mut String, p: &Polygon) {
 }
 
 /// Convert a geometry to its GeoJSON `geometry` object (as JSON text).
-pub fn geometry_to_geojson(g: &Geometry) -> String {
+fn geometry_to_geojson(g: &Geometry) -> String {
     let mut body = String::new();
     let out = &mut body;
     let kind = match g {

@@ -73,18 +73,6 @@ impl HotspotClassifier {
         }
     }
 
-    /// The same classification expressed as a SciQL statement (what the
-    /// demo shows users: "SciQL queries are used to implement the NOA
-    /// processing chains"). Only threshold-style classifiers have a
-    /// single-statement form.
-    pub fn sciql_statement(&self, array_name: &str) -> Option<String> {
-        match self {
-            HotspotClassifier::Threshold { kelvin } => Some(format!(
-                "UPDATE {array_name} SET v = CASE WHEN v > {kelvin} THEN 1 ELSE 0 END"
-            )),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,24 +150,5 @@ mod tests {
             HotspotClassifier::Contextual { kelvin: 320.0, min_neighbors: 3 }.id(),
             "contextual-320-n3"
         );
-    }
-
-    #[test]
-    fn sciql_form_matches_native() {
-        let scene = fire_scene(0.0);
-        let classifier = HotspotClassifier::Threshold { kelvin: 318.0 };
-        let native = classifier.classify(&scene.raster).unwrap();
-
-        // Run the same classification through the SciQL engine.
-        let cat = teleios_monet::Catalog::new();
-        cat.create_array("ir", scene.raster.band(BAND_IR039).unwrap()).unwrap();
-        let stmt = classifier.sciql_statement("ir").unwrap();
-        teleios_sciql::execute(&cat, &stmt).unwrap();
-        assert_eq!(cat.array("ir").unwrap(), native);
-    }
-
-    #[test]
-    fn non_threshold_has_no_single_statement() {
-        assert!(HotspotClassifier::Adaptive { sigma: 3.0 }.sciql_statement("a").is_none());
     }
 }

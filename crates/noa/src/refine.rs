@@ -22,7 +22,7 @@ pub const REFUTED_HOTSPOT: &str =
     "http://teleios.di.uoa.gr/ontologies/noaOntology.owl#RefutedHotspot";
 
 /// IRI of one hotspot feature of a product.
-pub fn hotspot_iri(product_id: &str, feature_id: usize) -> Term {
+fn hotspot_iri(product_id: &str, feature_id: usize) -> Term {
     Term::iri(format!("http://teleios.di.uoa.gr/products/{product_id}/hotspot/{feature_id}"))
 }
 
@@ -56,6 +56,14 @@ pub fn publish_hotspots(
     n
 }
 
+/// Continuation of a `?h a <class>` pattern that keeps one product's
+/// hotspots only; empty for every product.
+fn scope_clause(product_id: Option<&str>) -> String {
+    product_id.map_or(String::new(), |pid| {
+        format!(" ; noa:isDerivedFrom <http://teleios.di.uoa.gr/products/{pid}>")
+    })
+}
+
 /// The two stSPARQL updates of scenario 2 (the demo shows users exactly
 /// these statements):
 ///
@@ -65,23 +73,11 @@ pub fn publish_hotspots(
 ///    geometries on land — "through this refinement step we isolate
 ///    parts of the geometries of the hotspots that are inconsistent
 ///    with the geospatial data available" (paper §4).
-pub fn refinement_updates(landmass_wkt: &Term) -> [String; 2] {
-    refinement_updates_scoped(landmass_wkt, None)
-}
-
-/// Continuation of a `?h a <class>` pattern that keeps one product's
-/// hotspots only; empty for every product.
-fn scope_clause(product_id: Option<&str>) -> String {
-    product_id.map_or(String::new(), |pid| {
-        format!(" ; noa:isDerivedFrom <http://teleios.di.uoa.gr/products/{pid}>")
-    })
-}
-
-/// The scenario-2 updates, optionally restricted to the hotspots of one
-/// product (`?h noa:isDerivedFrom <product>`). `None` refines every
-/// hotspot in the store, exactly like [`refinement_updates`];
-/// `Some(product_id)` is what supervised refinement uses to keep each
-/// product's pass isolated from the others.
+///
+/// `Some(product_id)` restricts both to the hotspots of one product
+/// (`?h noa:isDerivedFrom <product>`), which is what supervised
+/// refinement uses to keep each product's pass isolated from the
+/// others; `None` refines every hotspot in the store.
 pub fn refinement_updates_scoped(
     landmass_wkt: &Term,
     product_id: Option<&str>,
@@ -133,15 +129,6 @@ pub struct RefineStats {
     pub clipped: usize,
 }
 
-/// Execute the refinement against a landmass literal, over every
-/// hotspot in the store.
-pub fn refine_against_landmass(
-    db: &mut Strabon,
-    landmass_wkt: &Term,
-) -> Result<RefineStats, StrabonError> {
-    refine_scoped(db, landmass_wkt, None)
-}
-
 /// Execute the refinement for one product only: the scenario-2 updates
 /// scoped by `noa:isDerivedFrom`, with the before/after counts equally
 /// scoped. Other products' hotspots are untouched, so a supervisor can
@@ -151,15 +138,7 @@ pub fn refine_product_against_landmass(
     landmass_wkt: &Term,
     product_id: &str,
 ) -> Result<RefineStats, StrabonError> {
-    refine_scoped(db, landmass_wkt, Some(product_id))
-}
-
-fn refine_scoped(
-    db: &mut Strabon,
-    landmass_wkt: &Term,
-    product_id: Option<&str>,
-) -> Result<RefineStats, StrabonError> {
-    let scope = scope_clause(product_id);
+    let scope = scope_clause(Some(product_id));
     let count = |db: &mut Strabon, class: &str| -> Result<usize, StrabonError> {
         let sols = db.query(&format!(
             "PREFIX noa: <{}>\nSELECT ?h WHERE {{ ?h a <{class}>{scope} }}",
@@ -168,7 +147,7 @@ fn refine_scoped(
         Ok(sols.len())
     };
     let before = count(db, noa::HOTSPOT)?;
-    let [refute, clip] = refinement_updates_scoped(landmass_wkt, product_id);
+    let [refute, clip] = refinement_updates_scoped(landmass_wkt, Some(product_id));
     db.update(&refute)?;
     // Each clipped hotspot contributes one delete plus one insert.
     let clipped = db.update(&clip)? / 2;
@@ -269,7 +248,7 @@ mod tests {
     fn refinement_refutes_sea_hotspots() {
         let mut db = Strabon::new();
         publish_hotspots(&features(), "p1", "threshold-318", &mut db);
-        let stats = refine_against_landmass(&mut db, &landmass()).unwrap();
+        let stats = refine_product_against_landmass(&mut db, &landmass(), "p1").unwrap();
         assert_eq!(stats.before, 2);
         assert_eq!(stats.kept, 1);
         assert_eq!(stats.refuted, 1);
@@ -283,15 +262,15 @@ mod tests {
     fn refinement_is_idempotent() {
         let mut db = Strabon::new();
         publish_hotspots(&features(), "p1", "threshold-318", &mut db);
-        refine_against_landmass(&mut db, &landmass()).unwrap();
-        let second = refine_against_landmass(&mut db, &landmass()).unwrap();
+        refine_product_against_landmass(&mut db, &landmass(), "p1").unwrap();
+        let second = refine_product_against_landmass(&mut db, &landmass(), "p1").unwrap();
         assert_eq!(second.refuted, 1); // still one refuted from before
         assert_eq!(second.kept, 1);
     }
 
     #[test]
     fn update_statements_shapes() {
-        let [refute, clip] = refinement_updates(&landmass());
+        let [refute, clip] = refinement_updates_scoped(&landmass(), None);
         assert!(refute.contains("strdf:disjoint"));
         assert!(refute.contains("RefutedHotspot"));
         assert!(clip.contains("strdf:intersection"));
@@ -323,17 +302,29 @@ mod tests {
         let mut global = Strabon::new();
         publish_hotspots(&features(), "p1", "threshold-318", &mut global);
         publish_hotspots(&features(), "p2", "threshold-318", &mut global);
-        let g = refine_against_landmass(&mut global, &landmass()).unwrap();
+        let count = |db: &mut Strabon, class: &str| {
+            db.query(&format!("SELECT ?h WHERE {{ ?h a <{class}> }}")).unwrap().len()
+        };
+        let before = count(&mut global, noa::HOTSPOT);
+        let [refute, clip] = refinement_updates_scoped(&landmass(), None);
+        global.update(&refute).unwrap();
+        // Each clipped hotspot is one delete plus one insert.
+        let clipped = global.update(&clip).unwrap() / 2;
+        let kept = count(&mut global, noa::HOTSPOT);
+        let refuted = count(&mut global, REFUTED_HOTSPOT);
 
         let mut scoped = Strabon::new();
         publish_hotspots(&features(), "p1", "threshold-318", &mut scoped);
         publish_hotspots(&features(), "p2", "threshold-318", &mut scoped);
         let s1 = refine_product_against_landmass(&mut scoped, &landmass(), "p1").unwrap();
         let s2 = refine_product_against_landmass(&mut scoped, &landmass(), "p2").unwrap();
-        assert_eq!(g.before, s1.before + s2.before);
-        assert_eq!(g.kept, s1.kept + s2.kept);
-        assert_eq!(g.refuted, s1.refuted + s2.refuted);
-        assert_eq!(g.clipped, s1.clipped + s2.clipped);
+        assert_eq!(before, s1.before + s2.before);
+        assert_eq!(kept, s1.kept + s2.kept);
+        assert_eq!(refuted, s1.refuted + s2.refuted);
+        assert_eq!(clipped, s1.clipped + s2.clipped);
+        // The two passes also leave the same store behind.
+        assert_eq!(count(&mut scoped, noa::HOTSPOT), kept);
+        assert_eq!(count(&mut scoped, REFUTED_HOTSPOT), refuted);
     }
 
     #[test]
@@ -342,8 +333,8 @@ mod tests {
         assert!(refute.contains("noa:isDerivedFrom <http://teleios.di.uoa.gr/products/p9>"));
         assert!(clip.contains("noa:isDerivedFrom <http://teleios.di.uoa.gr/products/p9>"));
         let unscoped = refinement_updates_scoped(&landmass(), None);
-        assert_eq!(unscoped, refinement_updates(&landmass()));
         assert!(!unscoped[0].contains("isDerivedFrom"));
+        assert!(!unscoped[1].contains("isDerivedFrom"));
     }
 
     #[test]

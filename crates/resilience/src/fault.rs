@@ -83,7 +83,7 @@ pub enum Fault {
 impl Fault {
     /// Whether this fault corrupts repository bytes (as opposed to
     /// injecting behavior through the chain hook).
-    pub fn is_data_fault(&self) -> bool {
+    fn is_data_fault(&self) -> bool {
         matches!(self, Fault::CorruptPayload | Fault::TruncateHeader)
     }
 

@@ -1,11 +1,12 @@
 //! Supervised chain execution: retries, degraded modes, deadlines.
 //!
-//! [`Supervisor::run_batch`] is the fault-tolerant counterpart of
-//! [`ProcessingChain::run_many_isolated`]: scenes run on a bounded
-//! worker pool (no thread-per-scene spawning), each with its own retry
-//! budget and its own ladder of degraded chain variants, and the batch
-//! always returns a full [`BatchReport`] — one [`SceneReport`] per
-//! input scene, in input order, no matter what the workers did.
+//! [`Supervisor::run_batch`] is the one executor for chain batches:
+//! scenes run on a bounded worker pool (no thread-per-scene spawning),
+//! each with its own retry budget and its own ladder of degraded chain
+//! variants, and the batch always returns a full [`BatchReport`] — one
+//! [`SceneReport`] per input scene, in input order, no matter what the
+//! workers did. A caller that wants all-or-nothing reads it from the
+//! report: the batch is whole when every scene is [`SceneOutcome::Ok`].
 //!
 //! The degraded ladder is cumulative and honest: first the classifier
 //! is downgraded to the plain operational threshold (the contextual and
@@ -131,11 +132,6 @@ impl BatchReport {
     /// Scenes lost to deadline timeouts.
     pub fn timeout_count(&self) -> usize {
         self.scenes.iter().filter(|s| matches!(s.outcome, SceneOutcome::Timeout { .. })).count()
-    }
-
-    /// Scenes with no product at all (failed + timed out).
-    pub fn lost_count(&self) -> usize {
-        self.scenes.iter().filter(|s| !s.outcome.succeeded()).count()
     }
 
     /// Scenes that produced a product (ok + retried + degraded).
@@ -517,13 +513,15 @@ mod tests {
     fn transient_fault_beyond_budget_fails_without_degraded_help() {
         let mut plan = FaultPlan::new();
         plan.inject("sup0", Fault::Transient { failures: 5 });
-        // The threshold chain has no degraded ladder, so the scene fails.
+        // The threshold chain has no degraded ladder, so the scene fails;
+        // its stage-hook error never reaches the healthy scene beside it.
         let chain = ProcessingChain::operational().with_stage_hook(plan.chain_hook());
         let supervisor = Supervisor::new(1);
-        let report = supervisor.run_batch(&Catalog::new(), &chain, &scenes(1));
+        let report = supervisor.run_batch(&Catalog::new(), &chain, &scenes(2));
         let scene = report.report_for("sup0").unwrap();
         assert!(matches!(&scene.outcome, SceneOutcome::Failed { reason } if reason.contains("transient")));
         assert!(scene.output.is_none());
+        assert_eq!(report.report_for("sup1").unwrap().outcome, SceneOutcome::Ok);
     }
 
     #[test]
@@ -578,11 +576,38 @@ mod tests {
         let supervisor = Supervisor::new(1);
         let report = supervisor.run_batch(&Catalog::new(), &chain, &scenes(3));
         let scene = report.report_for("sup1").unwrap();
-        assert!(matches!(&scene.outcome, SceneOutcome::Failed { reason } if reason.contains("panicked")));
+        let SceneOutcome::Failed { reason } = &scene.outcome else {
+            panic!("expected a failed scene, got {:?}", scene.outcome);
+        };
+        // The reason names the scene and carries the panic payload.
+        assert!(reason.contains("panicked on sup1"), "{reason}");
+        assert!(reason.contains("injected worker panic"), "{reason}");
         // 2 primary attempts + 2 degraded variants, all panicking.
         assert_eq!(scene.attempts, 4);
         assert_eq!(report.succeeded_count(), 2);
         assert_eq!(report.failed_count(), 1);
+    }
+
+    #[test]
+    fn batch_matches_sequential_runs_at_any_worker_count() {
+        let chain = ProcessingChain::operational();
+        let batch = scenes(4);
+        let sequential: Vec<ChainOutput> = batch
+            .iter()
+            .map(|(id, raster)| chain.run(&Catalog::new(), id, raster).unwrap())
+            .collect();
+        for workers in [1, 4] {
+            let catalog = Catalog::new();
+            let supervisor = Supervisor::new(0).with_workers(workers);
+            let report = supervisor.run_batch(&catalog, &chain, &batch);
+            assert_eq!(report.ok_count(), 4);
+            for (scene, seq) in report.scenes.iter().zip(&sequential) {
+                let out = scene.output.as_ref().unwrap();
+                assert_eq!(out.mask, seq.mask, "{} at {workers} workers", scene.product_id);
+                assert_eq!(out.features.len(), seq.features.len());
+                assert!(catalog.has_array(&format!("{}_hotspots", scene.product_id)));
+            }
+        }
     }
 
     #[test]
@@ -624,7 +649,7 @@ mod tests {
         assert_eq!(report.report_for("sup1").unwrap().outcome, SceneOutcome::Ok);
         assert_eq!(report.timeout_count(), 1);
         assert_eq!(report.failed_count(), 0);
-        assert_eq!(report.lost_count(), 1);
+        assert_eq!(report.succeeded_count(), 1);
         assert!(report.summary().contains("1 timeout"));
     }
 

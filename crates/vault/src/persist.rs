@@ -1,6 +1,6 @@
 //! Persistence of the vault's metadata catalog and quarantine list
-//! onto a `teleios-store` [`StorageBackend`] — the binary successor
-//! to the legacy JSON export (which remains for portal interchange).
+//! onto a `teleios-store` [`StorageBackend`], in a compact binary
+//! encoding.
 //!
 //! Keyspace `vault/catalog`: one entry per registered file, key =
 //! file name bytes, value = a compact [`FileRecord`] encoding (name,

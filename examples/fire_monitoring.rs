@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --example fire_monitoring`
 
+use std::time::Duration;
 use teleios::core::observatory::AcquisitionSpec;
 use teleios::core::{portal, Observatory};
 use teleios::geo::Coord;
@@ -92,8 +93,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // End of the event: refine products and derive the burnt-area scar
     // with its stRDF valid-time period.
-    obs.refine_products()?;
-    let scars = obs.derive_burnt_area(&products, "firefront-0825")?;
+    let refined = obs.refine_products_supervised(&obs.product_ids(), Duration::MAX);
+    let burnt_area = obs.derive_burnt_area(&products, "firefront-0825", Duration::MAX)?;
+    if !refined.is_complete() || !burnt_area.is_complete() {
+        return Err("a product failed refinement or burnt-area mapping".into());
+    }
+    let scars = burnt_area.stats;
     let burnt = obs.search(
         "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>
          SELECT ?b ?t WHERE {            ?b a <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#BurntArea> ;               strdf:hasValidTime ?t } ORDER BY ?b",

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example rapid_mapping`
 
+use std::time::Duration;
 use teleios::core::observatory::AcquisitionSpec;
 use teleios::core::Observatory;
 use teleios::geo::{Coord, Envelope};
@@ -37,7 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let id = obs.acquire_scene(&spec)?;
     obs.run_chain(&id, &ProcessingChain::operational())?;
-    obs.refine_products()?;
+    let refined = obs.refine_products_supervised(&obs.product_ids(), Duration::MAX);
+    if !refined.is_complete() {
+        return Err(format!("refinement incomplete: {:?}", refined.products).into());
+    }
 
     // Generate the fire map for a window around the city.
     let region = Envelope::new(

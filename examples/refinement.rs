@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --example refinement`
 
+use std::time::Duration;
 use teleios::core::observatory::AcquisitionSpec;
 use teleios::core::Observatory;
 use teleios::linked::emit::landmass_literal;
@@ -41,12 +42,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The stSPARQL updates the demo presents to the user.
     let landmass = landmass_literal(&obs.world);
-    let [refute_stmt, clip_stmt] = refine::refinement_updates(&landmass);
+    let [refute_stmt, clip_stmt] = refine::refinement_updates_scoped(&landmass, Some(&id));
     println!("refinement update 1 (refute sea detections):\n{refute_stmt}\n");
     println!("refinement update 2 (clip coastal geometries):\n{clip_stmt}\n");
 
     // Execute it.
-    let stats = obs.refine_products()?;
+    let refined = obs.refine_products_supervised(std::slice::from_ref(&id), Duration::MAX);
+    if !refined.is_complete() {
+        return Err(format!("refinement incomplete: {:?}", refined.products).into());
+    }
+    let stats = refined.stats;
     println!(
         "refinement: {} hotspot(s) examined, {} kept ({} geometry-clipped), {} reclassified as RefutedHotspot\n",
         stats.before, stats.kept, stats.clipped, stats.refuted

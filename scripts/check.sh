@@ -12,8 +12,9 @@
 #                              one-fork-site, one-cell-walker,
 #                              one-statement-prologue (with the
 #                              sidecar's one start-over site),
-#                              one-tokenizer-per-family and
-#                              one-transaction-doorway greps,
+#                              one-tokenizer-per-family,
+#                              one-transaction-doorway and
+#                              one-chain-batch-executor greps,
 #                              warning-free clippy outside crates/e0,
 #                              the E6/E11/E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
@@ -216,19 +217,41 @@ if grep -nF '.replace(' crates/sciql/src/parser.rs; then
     echo "crates/sciql/src/parser.rs rewrites its text: lex SciQL with monet's tokenizer as written" >&2; exit 1
 fi
 
+# Prints `file:line in fn` for every line of library code matching the
+# awk regex $1, under crates/*/src minus the crates named after it: a
+# file stops at its #[cfg(test)] module, and `fn` is the function the
+# line sits in. crates/e0 is frozen and crates/bench holds drivers, so
+# neither ever counts.
+library_sites() {
+    local pattern=$1; shift
+    local skip=(-not -path 'crates/e0/*' -not -path 'crates/bench/*')
+    for crate in "$@"; do skip+=(-not -path "crates/$crate/*"); done
+    find crates/*/src -name '*.rs' "${skip[@]}" | sort \
+        | xargs awk -v pattern="$pattern" 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+            live && match($0, /fn [A-Za-z0-9_]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+            live && $0 ~ pattern { print FILENAME ":" FNR " in " cur }'
+}
+
 # Library code opens a transaction only through teleios_store::transact,
 # which rolls back when its stage fails: a second `.begin()` is a second
-# doorway, and its error exits can leave a transaction open. crates/e0
-# is frozen and crates/bench holds drivers, so neither counts.
+# doorway, and its error exits can leave a transaction open.
 echo "==> one transaction doorway (.begin() only inside teleios_store::transact)"
-begin_sites=$(find crates/*/src -name '*.rs' -not -path 'crates/e0/*' -not -path 'crates/bench/*' \
-    | sort | xargs awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
-        live && match($0, /fn [A-Za-z0-9_]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
-        live && /\.begin\(\)/ { print FILENAME ":" FNR " in " cur }')
+begin_sites=$(library_sites '[.]begin[(][)]')
 if [ "$(wc -l <<<"$begin_sites")" -ne 1 ] \
     || ! grep -qxE 'crates/store/src/backend\.rs:[0-9]+ in transact' <<<"$begin_sites"; then
     echo "${begin_sites:-no .begin() found}" >&2
     echo "library .begin() sites above differ from the one inside teleios_store::transact: stage through transact" >&2; exit 1
+fi
+
+# A batch of scenes runs through Supervisor::run_batch only: a second
+# `.try_run(` outside crates/exec (the pool's own home) is a second
+# batch executor with its own panic-to-failure step.
+echo "==> one chain-batch executor (.try_run( only inside Supervisor::run_batch)"
+try_run_sites=$(library_sites '[.]try_run[(]' exec)
+if [ "$(wc -l <<<"$try_run_sites")" -ne 1 ] \
+    || ! grep -qxE 'crates/resilience/src/supervisor\.rs:[0-9]+ in run_batch' <<<"$try_run_sites"; then
+    echo "${try_run_sites:-no .try_run( found}" >&2
+    echo "library .try_run( sites above differ from the one inside Supervisor::run_batch: run batches through the Supervisor" >&2; exit 1
 fi
 
 # Every target warning-free, tests and drivers included, except

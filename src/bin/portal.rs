@@ -13,6 +13,7 @@
 //! portal sciql '<SciQL>'          # free-form SciQL
 //! ```
 
+use std::time::Duration;
 use teleios::core::observatory::AcquisitionSpec;
 use teleios::core::{portal, Observatory};
 use teleios::ingest::seviri::FireEvent;
@@ -31,7 +32,10 @@ fn build_session() -> Result<Observatory, Box<dyn std::error::Error>> {
     obs.run_chain(&id, &ProcessingChain::operational())?;
     let quiet = AcquisitionSpec { fires: Vec::new(), ..AcquisitionSpec::small_test(10) };
     obs.acquire_scene(&quiet)?;
-    obs.refine_products()?;
+    let refined = obs.refine_products_supervised(&obs.product_ids(), Duration::MAX);
+    if !refined.is_complete() {
+        return Err(format!("refinement incomplete: {:?}", refined.products).into());
+    }
     Ok(obs)
 }
 

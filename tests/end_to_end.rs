@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full Virtual Earth Observatory
 //! pipeline, from synthetic acquisition to refined semantic products.
 
+use std::time::Duration;
 use teleios::core::observatory::AcquisitionSpec;
 use teleios::core::{portal, Observatory};
 use teleios::geo::Coord;
@@ -45,8 +46,9 @@ fn full_pipeline_acquire_process_refine_map() {
     // Refinement never hurts pixel precision.
     let truth = obs.truth_for(&id).unwrap();
     let before = accuracy::score(&report.output.mask, &truth).unwrap();
-    let stats = obs.refine_products().unwrap();
-    assert_eq!(stats.before, report.output.features.len());
+    let refined = obs.refine_products_supervised(&obs.product_ids(), Duration::MAX);
+    assert!(refined.is_complete(), "{:?}", refined.products);
+    assert_eq!(refined.stats.before, report.output.features.len());
     let survivors =
         teleios::noa::refine::surviving_hotspot_geometries(&mut obs.strabon, &id).unwrap();
     let polys: Vec<&teleios::geo::geometry::Polygon> = survivors.iter().collect();
