@@ -266,7 +266,7 @@ mod tests {
             .chain(scene.truth.data())
             .flat_map(|v| v.to_bits().to_le_bytes())
             .collect();
-        assert_eq!(teleios_vault::format::payload_checksum(&bytes), 0xbb14_f704_5d54_cb37);
+        assert_eq!(teleios_store::codec::checksum(&bytes), 0x0a3d_c15e_de81_f558);
     }
 
     #[test]

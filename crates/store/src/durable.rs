@@ -110,7 +110,6 @@ pub struct DurableBackend<M: Medium> {
     wal_len: usize,
     commits_since_snapshot: u64,
     poisoned: bool,
-    snapshot_error: Option<StoreError>,
     stats: StoreStats,
     recovery: RecoveryReport,
 }
@@ -200,7 +199,6 @@ impl<M: Medium> DurableBackend<M> {
             // `snapshot_every` commits must still reach a checkpoint.
             commits_since_snapshot: report.transactions_replayed,
             poisoned: false,
-            snapshot_error: None,
             stats: StoreStats { wal_bytes: wal_len, ..StoreStats::default() },
             recovery: report,
         })
@@ -218,13 +216,6 @@ impl<M: Medium> DurableBackend<M> {
     /// True once a failed commit barrier has halted the engine.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// Error from the most recent failed automatic snapshot, if any
-    /// (the commit that triggered it was still durable and
-    /// acknowledged; the checkpoint will be retried).
-    pub fn last_snapshot_error(&self) -> Option<&StoreError> {
-        self.snapshot_error.as_ref()
     }
 
     pub fn medium(&self) -> &M {
@@ -359,13 +350,10 @@ impl<M: Medium> StorageBackend for DurableBackend<M> {
         if let Some(every) = self.config.snapshot_every {
             if self.commits_since_snapshot >= every {
                 // the commit above is already durable and must stay
-                // acknowledged; a failed checkpoint is recorded and
-                // retried, never turned into a commit error
-                if let Err(e) = self.write_snapshot() {
-                    self.snapshot_error = Some(e);
-                } else {
-                    self.snapshot_error = None;
-                }
+                // acknowledged, so a failed checkpoint is never turned
+                // into a commit error: it leaves `commits_since_snapshot`
+                // standing, and the next commit retries it
+                self.write_snapshot().unwrap_or(());
             }
         }
         Ok(seq)

@@ -18,7 +18,7 @@
 //!   it, so no error exit between `begin` and `commit` can leave a
 //!   transaction open.
 //! * [`DurableBackend`] — the one engine: an append-only,
-//!   length-prefixed, CRC-checksummed write-ahead log with
+//!   length-prefixed, checksummed write-ahead log with
 //!   fsync-barriered commits and periodic snapshots; crash recovery
 //!   loads the latest valid snapshot and replays the WAL, *truncating*
 //!   at the first torn/corrupt record instead of failing.

@@ -1,8 +1,8 @@
 //! Snapshot encoding: a checksummed, shared-prefix-compressed dump
 //! of the full committed state at a sequence number.
 //!
-//! Layout: magic `b"TLSNAP1\n"`, then `len: u32 LE`, `crc32(payload):
-//! u32 LE`, then the payload:
+//! Layout: magic `b"TLSNAP2\n"`, then `len: u32 LE`,
+//! `checksum(payload): u64 LE`, then the payload:
 //!
 //! ```text
 //! seq varint
@@ -21,11 +21,14 @@
 //! shared-prefix compression does real work on the domain encodings.
 
 use crate::backend::KeyspaceState;
-use crate::codec::{crc32, put_bytes, put_str, put_varint, Reader};
+use crate::codec::{checksum, put_bytes, put_str, put_varint, Reader};
 use crate::{Result, StoreError};
 
 /// Magic prefix identifying a snapshot file.
-pub const MAGIC: &[u8; 8] = b"TLSNAP1\n";
+pub const MAGIC: &[u8; 8] = b"TLSNAP2\n";
+
+/// Magic, payload length and payload checksum.
+const HEADER: usize = MAGIC.len() + 12;
 
 /// File name for the snapshot at sequence `seq` (hex-padded so
 /// lexicographic order is sequence order).
@@ -63,39 +66,36 @@ pub fn encode(seq: u64, state: &KeyspaceState) -> Vec<u8> {
             prev = key;
         }
     }
-    let mut out = Vec::with_capacity(MAGIC.len() + 8 + payload.len());
+    let mut out = Vec::with_capacity(HEADER + payload.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&checksum(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
 
 /// Decode a snapshot file body back to `(seq, state)`. Any damage —
-/// bad magic, bad length, bad CRC, structural nonsense — is
+/// bad magic, bad length, bad checksum, structural nonsense — is
 /// `Err(Corrupt)`, which recovery treats as "fall back to the
 /// previous snapshot".
 pub fn decode(bytes: &[u8]) -> Result<(u64, KeyspaceState)> {
-    if bytes.len() < MAGIC.len() + 8 {
+    if bytes.len() < HEADER {
         return Err(StoreError::Corrupt("snapshot shorter than header".into()));
     }
     if &bytes[..MAGIC.len()] != MAGIC {
         return Err(StoreError::Corrupt("bad snapshot magic".into()));
     }
-    let mut len4 = [0u8; 4];
-    len4.copy_from_slice(&bytes[MAGIC.len()..MAGIC.len() + 4]);
-    let len = u32::from_le_bytes(len4) as usize;
-    let mut crc4 = [0u8; 4];
-    crc4.copy_from_slice(&bytes[MAGIC.len() + 4..MAGIC.len() + 8]);
-    let expect_crc = u32::from_le_bytes(crc4);
-    let body = &bytes[MAGIC.len() + 8..];
+    let mut header = Reader::new(&bytes[MAGIC.len()..]);
+    let len = u32::from_le_bytes(header.array()?) as usize;
+    let expect_sum = u64::from_le_bytes(header.array()?);
+    let body = header.rest();
     if body.len() != len {
         return Err(StoreError::Corrupt(format!(
             "snapshot payload length {} != declared {len}",
             body.len()
         )));
     }
-    if crc32(body) != expect_crc {
+    if checksum(body) != expect_sum {
         return Err(StoreError::Corrupt("snapshot checksum mismatch".into()));
     }
     let mut r = Reader::new(body);
@@ -175,10 +175,8 @@ mod tests {
     #[test]
     fn shared_prefix_compression_beats_naive() {
         let state = sample_state();
-        let naive: usize = state
-            .values()
-            .flat_map(|ks| ks.iter().map(|(k, v)| k.len() + v.len()))
-            .sum();
+        let naive: usize =
+            state.values().flat_map(|ks| ks.iter().map(|(k, v)| k.len() + v.len())).sum();
         let encoded = encode(1, &state).len();
         // 8 keys sharing a 9-byte prefix must compress below naive + framing slack
         assert!(encoded < naive + 64, "encoded {encoded} vs naive {naive}");
@@ -197,13 +195,12 @@ mod tests {
     #[test]
     fn decode_survives_the_byte_loop() {
         let bytes = encode(7, &sample_state());
-        // Re-stamp the payload CRC, so an edit reaches the structure
-        // parser instead of stopping at the checksum.
+        // Re-stamp the payload checksum, so an edit reaches the
+        // structure parser instead of stopping at the checksum.
         let reseal = |b: &mut [u8]| {
-            let header = MAGIC.len() + 8;
-            if b.len() >= header {
-                let crc = crc32(&b[header..]).to_le_bytes();
-                b[header - 4..header].copy_from_slice(&crc);
+            if b.len() >= HEADER {
+                let sum = checksum(&b[HEADER..]).to_le_bytes();
+                b[HEADER - 8..HEADER].copy_from_slice(&sum);
             }
         };
         teleios_check::fuzz_bytes(&[&bytes], teleios_check::Edits::Binary, reseal, decode);

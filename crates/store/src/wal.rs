@@ -3,7 +3,7 @@
 //! Frame layout (little-endian):
 //!
 //! ```text
-//! [payload_len: u32][crc32(payload): u32][payload: payload_len bytes]
+//! [payload_len: u32][checksum(payload): u64][payload: payload_len bytes]
 //! ```
 //!
 //! Payload = `kind: u8` + kind-specific fields:
@@ -16,13 +16,13 @@
 //! | 4    | Commit  | `seq` varint                             |
 //!
 //! [`scan`] is total: it never returns an error. It walks frames
-//! until the bytes stop verifying (short header, bad CRC, garbage
+//! until the bytes stop verifying (short header, bad checksum, garbage
 //! payload, or a length beyond the buffer) and reports the prefix
 //! length that did verify — recovery then *truncates* the log there
 //! instead of failing, which is the whole crash-tolerance story.
 
 use crate::backend::TxOp;
-use crate::codec::{crc32, put_bytes, put_str, put_varint, Reader};
+use crate::codec::{checksum, put_bytes, put_str, put_varint, Reader};
 use crate::{Result, StoreError};
 
 /// File name of the write-ahead log inside a medium.
@@ -33,7 +33,7 @@ pub const WAL_FILE: &str = "wal.tlw";
 /// request.
 pub const MAX_RECORD: u32 = 1 << 30;
 
-const FRAME_HEADER: usize = 8;
+const FRAME_HEADER: usize = 12;
 
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,9 +62,9 @@ fn put_frame(out: &mut Vec<u8>, kind: u8, body: impl FnOnce(&mut Vec<u8>)) {
     out.push(kind);
     body(out);
     let payload = &out[start + FRAME_HEADER..];
-    let (len, crc) = ((payload.len() as u32).to_le_bytes(), crc32(payload).to_le_bytes());
+    let (len, sum) = ((payload.len() as u32).to_le_bytes(), checksum(payload).to_le_bytes());
     out[start..start + 4].copy_from_slice(&len);
-    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc);
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&sum);
 }
 
 /// Encode one record as a framed WAL entry, appending to `out`.
@@ -137,38 +137,31 @@ pub struct WalScan {
 /// panics, never allocates from an attacker-controlled length.
 pub fn scan(bytes: &[u8]) -> WalScan {
     let mut records = Vec::new();
-    let mut pos = 0usize;
+    let mut r = Reader::new(bytes);
     loop {
-        if bytes.len() - pos < FRAME_HEADER {
-            return WalScan { records, valid_len: pos, truncated: pos < bytes.len() };
+        let valid_len = r.position();
+        match next_frame(&mut r) {
+            Some(record) => records.push(record),
+            None => return WalScan { records, valid_len, truncated: valid_len < bytes.len() },
         }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&bytes[pos..pos + 4]);
-        let payload_len = u32::from_le_bytes(len4);
-        let mut crc4 = [0u8; 4];
-        crc4.copy_from_slice(&bytes[pos + 4..pos + 8]);
-        let expect_crc = u32::from_le_bytes(crc4);
-        if payload_len > MAX_RECORD {
-            return WalScan { records, valid_len: pos, truncated: true };
-        }
-        let payload_len = payload_len as usize;
-        if bytes.len() - pos - FRAME_HEADER < payload_len {
-            return WalScan { records, valid_len: pos, truncated: true };
-        }
-        let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + payload_len];
-        if crc32(payload) != expect_crc {
-            return WalScan { records, valid_len: pos, truncated: true };
-        }
-        match decode_payload(payload) {
-            Ok(record) => records.push(record),
-            Err(_) => {
-                // checksum passed but the structure is nonsense —
-                // treat as torn, same as any other tail damage
-                return WalScan { records, valid_len: pos, truncated: true };
-            }
-        }
-        pos += FRAME_HEADER + payload_len;
     }
+}
+
+/// The record of the frame under the cursor, or `None` where the
+/// bytes stop verifying: a short header, a length beyond
+/// [`MAX_RECORD`] or the buffer, a bad checksum, or a payload that
+/// checks but does not decode — all of them a torn tail.
+fn next_frame(r: &mut Reader) -> Option<WalRecord> {
+    let len = u32::from_le_bytes(r.array().ok()?);
+    let sum = u64::from_le_bytes(r.array().ok()?);
+    if len > MAX_RECORD {
+        return None;
+    }
+    let payload = r.take(len as usize).ok()?;
+    if checksum(payload) != sum {
+        return None;
+    }
+    decode_payload(payload).ok()
 }
 
 #[cfg(test)]
@@ -212,14 +205,14 @@ mod tests {
     /// The frame layout is pinned byte for byte: a stored WAL must
     /// keep replaying whatever the encoder looks like.
     #[test]
-    fn frame_bytes_are_len_crc_payload() {
+    fn frame_bytes_are_len_checksum_payload() {
         let mut payload = vec![KIND_PUT, 7];
         payload.extend_from_slice(b"rdf/spo");
         payload.push(7);
         payload.extend_from_slice(b"triples");
         payload.extend_from_slice(&[3, 1, 2, 3]);
         let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
-        expected.extend_from_slice(&crc32(&payload).to_le_bytes());
+        expected.extend_from_slice(&checksum(&payload).to_le_bytes());
         expected.extend_from_slice(&payload);
         assert_eq!(encode_all(&sample_records()[1..2]), expected);
     }
@@ -274,7 +267,7 @@ mod tests {
     fn absurd_length_prefix_is_torn_not_an_allocation() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&(MAX_RECORD + 1).to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 4]);
+        bytes.extend_from_slice(&[0u8; 8]);
         bytes.extend_from_slice(&[0u8; 64]);
         let s = scan(&bytes);
         assert!(s.records.is_empty());
@@ -282,7 +275,7 @@ mod tests {
         assert!(s.truncated);
     }
 
-    /// Re-stamp every whole frame's CRC, so an edit reaches the payload
+    /// Re-stamp every whole frame's checksum, so an edit reaches the payload
     /// decoder instead of stopping at the checksum.
     fn reseal(bytes: &mut [u8]) {
         let mut pos = 0;
@@ -290,8 +283,8 @@ mod tests {
             let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
             let end = pos + FRAME_HEADER + len;
             let Some(payload) = bytes.get(pos + FRAME_HEADER..end) else { break };
-            let crc = crc32(payload).to_le_bytes();
-            bytes[pos + 4..pos + FRAME_HEADER].copy_from_slice(&crc);
+            let sum = checksum(payload).to_le_bytes();
+            bytes[pos + 4..pos + FRAME_HEADER].copy_from_slice(&sum);
             pos = end;
         }
     }
@@ -311,7 +304,7 @@ mod tests {
         let payload = [99u8, 0, 0];
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         let s = scan(&bytes);
         assert!(s.records.is_empty());

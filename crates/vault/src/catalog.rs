@@ -120,14 +120,6 @@ impl VaultCatalog {
         self.records.values()
     }
 
-    /// Records whose bbox intersects `window`.
-    pub fn covering(&self, window: &Envelope) -> Vec<&FileRecord> {
-        self.records
-            .values()
-            .filter(|r| r.envelope().is_some_and(|e| e.intersects(window)))
-            .collect()
-    }
-
     /// Records whose acquisition instant falls in `[start, end)`.
     pub fn acquired_between(&self, start: &str, end: &str) -> Vec<&FileRecord> {
         self.records
@@ -181,17 +173,6 @@ mod tests {
     fn extract_rejects_mismatched_extension() {
         let bytes = encode_shp1(&[]);
         assert!(extract_metadata("f.sev1", &bytes).is_err());
-    }
-
-    #[test]
-    fn covering_window() {
-        let mut cat = VaultCatalog::new();
-        cat.register(record("a.sev1", (20.0, 35.0, 22.0, 37.0), "2007-08-25T12:00:00Z"));
-        cat.register(record("b.sev1", (30.0, 45.0, 32.0, 47.0), "2007-08-25T12:15:00Z"));
-        let window = Envelope::new(Coord::new(21.0, 36.0), Coord::new(23.0, 38.0));
-        let hits = cat.covering(&window);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].name, "a.sev1");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! (metadata extraction) and a payload that is expensive relative to the
 //! header (full materialization).
 //!
-//! Every format carries a 64-bit FNV-1a payload checksum right after the
+//! Every format carries the store's 64-bit payload checksum
+//! ([`teleios_store::codec::checksum`], big-endian) right after the
 //! magic, so bit rot in the archive is detected at materialization time
 //! ([`VaultError::Corrupt`]) instead of silently feeding garbage pixels
 //! into the processing chains. Header-only parses skip verification —
@@ -14,20 +15,10 @@
 //! matching the vault's just-in-time philosophy.
 
 use crate::{Result, VaultError};
-use teleios_store::codec::Reader;
+use teleios_store::codec::{checksum, Reader};
 
-/// 64-bit FNV-1a hash used as the payload checksum of all three formats.
-pub fn payload_checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn verify_checksum(kind: &str, expected: u64, payload: &[u8]) -> Result<()> {
-    let actual = payload_checksum(payload);
+fn verify_payload(kind: &str, expected: u64, payload: &[u8]) -> Result<()> {
+    let actual = checksum(payload);
     if actual != expected {
         return Err(VaultError::Corrupt(format!(
             "{kind} payload checksum mismatch: header says {expected:#018x}, payload hashes to {actual:#018x}"
@@ -112,9 +103,9 @@ fn sev1_header(r: &mut Fields) -> Result<Sev1Header> {
 
 /// Parse the full `.sev1` file: header plus checksum-verified payload.
 pub fn decode_sev1(bytes: &[u8]) -> Result<(Sev1Header, Vec<f64>)> {
-    let (checksum, mut r) = open_file(bytes, FormatKind::Sev1)?;
+    let (sum, mut r) = open_file(bytes, FormatKind::Sev1)?;
     let header = sev1_header(&mut r)?;
-    let payload = r.cells("sev1", checksum, &[header.rows, header.cols, header.bands])?;
+    let payload = r.cells("sev1", sum, &[header.rows, header.cols, header.bands])?;
     Ok((header, payload))
 }
 
@@ -166,9 +157,9 @@ fn gtf1_header(r: &mut Fields) -> Result<Gtf1Header> {
 
 /// Parse the full `.gtf1` file: header plus checksum-verified payload.
 pub fn decode_gtf1(bytes: &[u8]) -> Result<(Gtf1Header, Vec<f64>)> {
-    let (checksum, mut r) = open_file(bytes, FormatKind::Gtf1)?;
+    let (sum, mut r) = open_file(bytes, FormatKind::Gtf1)?;
     let header = gtf1_header(&mut r)?;
-    let payload = r.cells("gtf1", checksum, &[header.rows, header.cols])?;
+    let payload = r.cells("gtf1", sum, &[header.rows, header.cols])?;
     Ok((header, payload))
 }
 
@@ -196,9 +187,9 @@ pub fn encode_shp1(records: &[Shp1Record]) -> Vec<u8> {
 /// Parse a `.shp1` file. The "header" is the record count; record data
 /// doubles as payload and is checksum-verified before parsing.
 pub fn decode_shp1(bytes: &[u8]) -> Result<Vec<Shp1Record>> {
-    let (checksum, mut r) = open_file(bytes, FormatKind::Shp1)?;
+    let (sum, mut r) = open_file(bytes, FormatKind::Shp1)?;
     let n = r.u32()? as usize;
-    verify_checksum("shp1", checksum, r.rest())?;
+    verify_payload("shp1", sum, r.rest())?;
     // The count is outside the checksum: a record is at least two
     // length words, so a flipped count cannot size the allocation.
     let mut out = Vec::with_capacity(n.min(r.rest().len() / 8));
@@ -247,8 +238,8 @@ fn finish_file(mut out: Vec<u8>, payload: &[f64]) -> Vec<u8> {
 
 /// Write the checksum of `out[body..]` into the slot after the magic.
 fn seal(mut out: Vec<u8>, body: usize) -> Vec<u8> {
-    let checksum = payload_checksum(&out[body..]);
-    out[4..12].copy_from_slice(&checksum.to_be_bytes());
+    let sum = checksum(&out[body..]);
+    out[4..12].copy_from_slice(&sum.to_be_bytes());
     out
 }
 
@@ -279,8 +270,8 @@ fn open_file(bytes: &[u8], kind: FormatKind) -> Result<(u64, Fields<'_>)> {
             kind.magic()
         )));
     }
-    let checksum = u64::from_be_bytes(r.array("checksum")?);
-    Ok((checksum, r))
+    let sum = u64::from_be_bytes(r.array("checksum")?);
+    Ok((sum, r))
 }
 
 /// Big-endian field reads over the store's bounds-checked cursor:
@@ -302,7 +293,8 @@ impl<'a> Fields<'a> {
 
     fn string(&mut self) -> Result<String> {
         let len = self.u32()? as usize;
-        let raw = self.0.take(len).map_err(|_| VaultError::Malformed("truncated string body".into()))?;
+        let raw =
+            self.0.take(len).map_err(|_| VaultError::Malformed("truncated string body".into()))?;
         String::from_utf8(raw.to_vec()).map_err(|e| VaultError::Malformed(format!("bad utf8: {e}")))
     }
 
@@ -313,18 +305,16 @@ impl<'a> Fields<'a> {
 
     /// The checksum-verified payload of a raster whose header declared
     /// `dims`. The dimensions are untrusted: sizes are computed checked.
-    fn cells(&self, kind: &str, checksum: u64, dims: &[u32]) -> Result<Vec<f64>> {
+    fn cells(&self, kind: &str, sum: u64, dims: &[u32]) -> Result<Vec<f64>> {
         let rest = self.rest();
-        let raw = cell_count(dims)
-            .and_then(|n| n.checked_mul(8))
-            .and_then(|len| rest.get(..len))
-            .ok_or_else(|| {
-                VaultError::Malformed(format!(
-                    "{kind} payload truncated: header implies {dims:?} cells, have {} bytes",
-                    rest.len()
-                ))
-            })?;
-        verify_checksum(kind, checksum, raw)?;
+        let len = cell_count(dims).and_then(|n| n.checked_mul(8));
+        let raw = len.and_then(|len| rest.get(..len)).ok_or_else(|| {
+            VaultError::Malformed(format!(
+                "{kind} payload truncated: header implies {dims:?} cells, have {} bytes",
+                rest.len()
+            ))
+        })?;
+        verify_payload(kind, sum, raw)?;
         Ok(raw.as_chunks().0.iter().map(|c| f64::from_be_bytes(*c)).collect())
     }
 }
@@ -394,12 +384,7 @@ mod tests {
 
     #[test]
     fn gtf1_roundtrip_and_bbox() {
-        let h = Gtf1Header {
-            rows: 10,
-            cols: 20,
-            transform: (21.0, 40.0, 0.1, 0.1),
-            epsg: 4326,
-        };
+        let h = Gtf1Header { rows: 10, cols: 20, transform: (21.0, 40.0, 0.1, 0.1), epsg: 4326 };
         let payload = vec![1.5; 200];
         let bytes = encode_gtf1(&h, &payload).unwrap();
         let (h2, p2) = decode_gtf1(&bytes).unwrap();
@@ -435,12 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn checksum_is_stable_fnv1a() {
-        assert_eq!(payload_checksum(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(payload_checksum(b"a"), payload_checksum(b"b"));
-    }
-
-    #[test]
     fn sev1_bit_flip_detected_as_corrupt() {
         let h = sev1_header();
         let payload: Vec<f64> = (0..12).map(|v| v as f64).collect();
@@ -464,10 +443,8 @@ mod tests {
 
     #[test]
     fn shp1_bit_flip_detected_as_corrupt() {
-        let mut corrupt = encode_shp1(&[Shp1Record {
-            wkt: "POINT (1 2)".into(),
-            label: "hotspot".into(),
-        }]);
+        let mut corrupt =
+            encode_shp1(&[Shp1Record { wkt: "POINT (1 2)".into(), label: "hotspot".into() }]);
         corrupt[20] ^= 0x04; // inside the first record's WKT
         assert!(decode_shp1_count(&corrupt).is_ok());
         assert!(matches!(decode_shp1(&corrupt), Err(VaultError::Corrupt(_))));
@@ -486,7 +463,7 @@ mod tests {
     }
 
     /// The wire format of each kind, byte for byte: big-endian fields,
-    /// FNV-1a of the payload after the magic.
+    /// the store's checksum of the payload after the magic.
     #[test]
     fn wire_bytes_are_pinned() {
         let header = Sev1Header {
@@ -498,17 +475,17 @@ mod tests {
         };
         assert_eq!(
             hex(&encode_sev1(&header, &[1.5, -2.0]).unwrap()),
-            "534556319db8a490125079120000000100000002000000010000000254304034000000000000\
+            "53455631a7212857e41abe2f0000000100000002000000010000000254304034000000000000\
              40418000000000004039800000000000c0440000000000003ff8000000000000c000000000000000"
         );
         assert_eq!(
             hex(&encode_gtf1(&gtf1_header(), &[0.0, 300.25]).unwrap()),
-            "4754463152c0bc5700a04f7b0000000200000001000010e640350000000000004044000000000000\
+            "47544631100fc6ce3a7445cf0000000200000001000010e640350000000000004044000000000000\
              3fe00000000000003fd000000000000000000000000000004072c40000000000"
         );
         assert_eq!(
             hex(&encode_shp1(&shp1_records())),
-            "534850311abe745f8ceb90cd000000010000000b504f494e542028312032290000000368c3a9"
+            "53485031dc32c270be15177e000000010000000b504f494e542028312032290000000368c3a9"
         );
     }
 
@@ -521,12 +498,17 @@ mod tests {
         ];
         let seeds: Vec<&[u8]> = files.iter().map(Vec::as_slice).collect();
         // Every input decoded as every kind; a panic fails the test.
-        teleios_check::fuzz_bytes(&seeds, teleios_check::Edits::Binary, |_| {}, |bytes| {
-            let _ = (decode_sev1(bytes), decode_sev1_header(bytes));
-            let _ = (decode_gtf1(bytes), decode_gtf1_header(bytes));
-            let _ = (decode_shp1(bytes), decode_shp1_count(bytes));
-            Ok::<(), ()>(())
-        });
+        teleios_check::fuzz_bytes(
+            &seeds,
+            teleios_check::Edits::Binary,
+            |_| {},
+            |bytes| {
+                let _ = (decode_sev1(bytes), decode_sev1_header(bytes));
+                let _ = (decode_gtf1(bytes), decode_gtf1_header(bytes));
+                let _ = (decode_shp1(bytes), decode_shp1_count(bytes));
+                Ok::<(), ()>(())
+            },
+        );
         for file in &files {
             // A proper prefix is never a whole file.
             assert!(decode_sev1(&file[..file.len() - 1]).is_err());

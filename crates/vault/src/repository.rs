@@ -48,11 +48,6 @@ impl Repository {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.files.keys().map(String::as_str)
     }
-
-    /// Total stored bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.files.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -66,7 +61,6 @@ mod tests {
         r.put("b.sev1", b"4567".to_vec());
         assert_eq!(r.len(), 2);
         assert_eq!(r.get("a.sev1").unwrap(), b"123");
-        assert_eq!(r.total_bytes(), 7);
         assert_eq!(r.names().collect::<Vec<_>>(), vec!["a.sev1", "b.sev1"]);
         assert!(r.remove("a.sev1").is_some());
         assert!(r.get("a.sev1").is_none());
@@ -79,6 +73,6 @@ mod tests {
         r.put("a", b"1".to_vec());
         r.put("a", b"22".to_vec());
         assert_eq!(r.len(), 1);
-        assert_eq!(r.total_bytes(), 2);
+        assert_eq!(r.get("a").unwrap(), b"22");
     }
 }

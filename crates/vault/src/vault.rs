@@ -6,7 +6,6 @@ use crate::format::{decode_gtf1, decode_sev1, decode_shp1, FormatKind, Shp1Recor
 use crate::repository::Repository;
 use crate::{Result, VaultError};
 use std::collections::BTreeSet;
-use teleios_geo::Envelope;
 use teleios_monet::array::{Dim, NdArray};
 use teleios_monet::Catalog;
 
@@ -197,7 +196,8 @@ impl DataVault {
     }
 
     /// Fetch the raster array for a file, materializing it if needed.
-    /// Errors for `.shp1` files (use [`Self::records_for`]) and for
+    /// Errors for `.shp1` files (decode those with
+    /// [`crate::format::decode_shp1`]) and for
     /// quarantined files (use [`Self::retry_quarantined`]).
     pub fn array_for(&mut self, name: &str) -> Result<NdArray> {
         if self.quarantine.contains(name) {
@@ -232,7 +232,7 @@ impl DataVault {
     /// Fetch geometry records for a `.shp1` file (always decoded fresh —
     /// geometry sets are small next to rasters). Decode failures
     /// quarantine the file.
-    pub fn records_for(&mut self, name: &str) -> Result<Vec<Shp1Record>> {
+    pub(crate) fn records_for(&mut self, name: &str) -> Result<Vec<Shp1Record>> {
         if self.quarantine.contains(name) {
             return Err(VaultError::Quarantined(name.to_string()));
         }
@@ -247,29 +247,6 @@ impl DataVault {
                 Err(e)
             }
         }
-    }
-
-    /// Materialize every registered file whose bbox intersects `window`,
-    /// returning their names. This is the vault's query-driven loading.
-    /// Quarantined files are skipped, not fatal.
-    pub fn materialize_window(&mut self, window: &Envelope) -> Result<Vec<String>> {
-        let names: Vec<String> = self
-            .catalog
-            .covering(window)
-            .into_iter()
-            .map(|r| r.name.clone())
-            .collect();
-        for name in &names {
-            if self.quarantine.contains(name) {
-                continue;
-            }
-            // Reuse the cache path so stats and LRU stay correct.
-            let format = self.catalog.get(name).map(|r| r.format.clone());
-            if matches!(format.as_deref(), Some(f) if f != "shp1") {
-                self.array_for(name)?;
-            }
-        }
-        Ok(names)
     }
 
     /// Names currently in the quarantine list (sorted).
@@ -391,18 +368,12 @@ impl DataVault {
             }
         }
     }
-
-    /// Number of arrays currently resident.
-    pub fn resident_arrays(&self) -> usize {
-        self.lru.iter().filter(|name| self.db.has_array(name)).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::{encode_sev1, encode_shp1, Sev1Header};
-    use teleios_geo::Coord;
 
     fn scene_bytes(rows: u32, cols: u32, bbox: (f64, f64, f64, f64), fill: f64) -> Vec<u8> {
         let h = Sev1Header {
@@ -429,6 +400,12 @@ mod tests {
         v
     }
 
+    /// How many of the first `n` scenes have an array in the database.
+    fn resident(v: &DataVault, n: usize) -> usize {
+        let name = |i: usize| DataVault::array_name(&format!("scene-{i:03}.sev1"));
+        (0..n).filter(|&i| v.database().has_array(&name(i))).count()
+    }
+
     #[test]
     fn lazy_defers_materialization() {
         let mut v = vault_with(10, IngestionPolicy::Lazy, 0);
@@ -445,7 +422,7 @@ mod tests {
     fn eager_materializes_everything() {
         let v = vault_with(10, IngestionPolicy::Eager, 0);
         assert_eq!(v.stats().materializations, 10);
-        assert_eq!(v.resident_arrays(), 10);
+        assert_eq!(resident(&v, 10), 10);
     }
 
     #[test]
@@ -463,7 +440,7 @@ mod tests {
         v.array_for("scene-000.sev1").unwrap();
         v.array_for("scene-001.sev1").unwrap();
         v.array_for("scene-002.sev1").unwrap(); // evicts 000
-        assert_eq!(v.resident_arrays(), 2);
+        assert_eq!(resident(&v, 5), 2);
         assert_eq!(v.stats().evictions, 1);
         // Re-access of the evicted scene re-materializes.
         v.array_for("scene-000.sev1").unwrap();
@@ -477,11 +454,11 @@ mod tests {
         v.array_for("scene-001.sev1").unwrap();
         // A client of the same database drops a cached array.
         v.database().drop_array(&DataVault::array_name("scene-000.sev1")).unwrap();
-        assert_eq!(v.resident_arrays(), 1);
+        assert_eq!(resident(&v, 4), 1);
         // Two live arrays fit a cache of two: nothing is evicted for the ghost.
         v.array_for("scene-002.sev1").unwrap();
         assert_eq!(v.stats().evictions, 0);
-        assert_eq!(v.resident_arrays(), 2);
+        assert_eq!(resident(&v, 4), 2);
         assert!(v.database().has_array(&DataVault::array_name("scene-001.sev1")));
         // The next one does evict, and it evicts the oldest live array.
         v.array_for("scene-003.sev1").unwrap();
@@ -510,15 +487,6 @@ mod tests {
         v.array_for("scene-002.sev1").unwrap(); // evicts 001, not 000
         assert!(v.database().has_array(&DataVault::array_name("scene-000.sev1")));
         assert!(!v.database().has_array(&DataVault::array_name("scene-001.sev1")));
-    }
-
-    #[test]
-    fn materialize_window_touches_only_covering() {
-        let mut v = vault_with(10, IngestionPolicy::Lazy, 0);
-        let window = Envelope::new(Coord::new(2.5, 0.2), Coord::new(4.5, 0.8));
-        let names = v.materialize_window(&window).unwrap();
-        assert_eq!(names.len(), 3); // scenes 2, 3, 4
-        assert_eq!(v.stats().materializations, 3);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 #                              one-statement-prologue (with the
 #                              sidecar's one start-over site),
 #                              one-tokenizer-per-family,
-#                              one-transaction-doorway and
-#                              one-chain-batch-executor greps,
+#                              one-transaction-doorway,
+#                              one-chain-batch-executor and
+#                              one-checksum greps,
 #                              warning-free clippy outside crates/e0,
 #                              the E6/E11/E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
@@ -252,6 +253,18 @@ if [ "$(wc -l <<<"$try_run_sites")" -ne 1 ] \
     || ! grep -qxE 'crates/resilience/src/supervisor\.rs:[0-9]+ in run_batch' <<<"$try_run_sites"; then
     echo "${try_run_sites:-no .try_run( found}" >&2
     echo "library .try_run( sites above differ from the one inside Supervisor::run_batch: run batches through the Supervisor" >&2; exit 1
+fi
+
+# Every stored byte — WAL frame, snapshot, vault file — is verified by
+# teleios_store::codec::checksum: an FNV-1a or CRC-32 constant, or a
+# function named for a crc or a checksum, anywhere else in library
+# code is a second integrity format to keep in step with the first.
+echo "==> one checksum (teleios_store::codec::checksum only)"
+checksum_sites=$(library_sites 'cbf2_?9ce4_?8422_?2325|100_?0000_?01b3|edb8_?8320|fn [A-Za-z0-9_]*(crc|checksum)')
+if [ "$(wc -l <<<"$checksum_sites")" -ne 1 ] \
+    || ! grep -qxE 'crates/store/src/codec\.rs:[0-9]+ in checksum' <<<"$checksum_sites"; then
+    echo "${checksum_sites:-no checksum function found}" >&2
+    echo "library checksum sites above differ from teleios_store::codec::checksum: verify bytes with it" >&2; exit 1
 fi
 
 # Every target warning-free, tests and drivers included, except
