@@ -31,7 +31,7 @@ pub mod error;
 pub mod observatory;
 pub mod portal;
 
-pub use error::ObservatoryError;
+pub(crate) use error::ObservatoryError;
 pub use observatory::{
     BurntAreaReport, Observatory, PassReport, ProductOutcome, ProductReport, RefineReport,
 };

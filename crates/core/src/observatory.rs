@@ -147,23 +147,13 @@ impl<S> PassReport<S> {
     }
 
     /// Products whose pass completed.
-    pub fn ok_count(&self) -> usize {
+    pub(crate) fn ok_count(&self) -> usize {
         self.count(|o| *o == ProductOutcome::Ok)
-    }
-
-    /// Products whose pass failed.
-    pub fn failed_count(&self) -> usize {
-        self.count(|o| matches!(o, ProductOutcome::Failed { .. }))
     }
 
     /// True when every product completed.
     pub fn is_complete(&self) -> bool {
         self.ok_count() == self.products.len()
-    }
-
-    /// The entry for one product id.
-    pub fn report_for(&self, product_id: &str) -> Option<&ProductReport> {
-        self.products.iter().find(|p| p.product_id == product_id)
     }
 }
 
@@ -510,11 +500,6 @@ impl Observatory {
         Ok(self.strabon.query(stsparql)?)
     }
 
-    /// stSPARQL update.
-    pub fn update(&mut self, stsparql: &str) -> Result<usize> {
-        Ok(self.strabon.update(stsparql)?)
-    }
-
     /// SQL over the relational side.
     pub fn sql(&self, sql: &str) -> Result<ResultSet> {
         Ok(self.db.execute(sql)?)
@@ -606,12 +591,33 @@ impl Observatory {
             self.strabon.store_mut(),
         ))
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use teleios_noa::accuracy;
+
+    fn observatory() -> Observatory {
+        Observatory::with_defaults(42)
+    }
+
+    /// Test-only views of a pass report.
+    impl<S> PassReport<S> {
+        fn failed_count(&self) -> usize {
+            self.count(|o| matches!(o, ProductOutcome::Failed { .. }))
+        }
+
+        fn report_for(&self, product_id: &str) -> Option<&ProductReport> {
+            self.products.iter().find(|p| p.product_id == product_id)
+        }
+    }
 
     /// Train a fire/land patch classifier from the ground truth of the
     /// given products (the simulation stand-in for the analyst-labeled
     /// training sets of the KDD pipeline).
-    pub fn train_patch_classifier(
-        &mut self,
+    fn train_patch_classifier(
+        obs: &mut Observatory,
         product_ids: &[String],
         patch_size: usize,
         k: usize,
@@ -620,8 +626,8 @@ impl Observatory {
         use teleios_mining::ontology::concept;
         let mut examples = Vec::new();
         for id in product_ids {
-            let raster = self.raster_for(id)?;
-            let truth = self.truth_for(id)?;
+            let raster = obs.raster_for(id)?;
+            let truth = obs.truth_for(id)?;
             for p in teleios_ingest::features::extract_patches(&raster, patch_size)? {
                 let r0 = p.py * patch_size;
                 let c0 = p.px * patch_size;
@@ -640,16 +646,6 @@ impl Observatory {
             }
         }
         Ok(teleios_mining::Classifier::train_knn(k, examples))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use teleios_noa::accuracy;
-
-    fn observatory() -> Observatory {
-        Observatory::with_defaults(42)
     }
 
     #[test]
@@ -919,7 +915,7 @@ mod tests {
         let mut spec = AcquisitionSpec::small_test(30);
         spec.cloud_cover = 0.0;
         let id = obs.acquire_scene(&spec).unwrap();
-        let classifier = obs.train_patch_classifier(std::slice::from_ref(&id), 8, 3).unwrap();
+        let classifier = train_patch_classifier(&mut obs, std::slice::from_ref(&id), 8, 3).unwrap();
         let n = obs.annotate_product(&id, 8, &classifier).unwrap();
         assert_eq!(n, 64); // 64x64 scene, 8x8 patches
         // Concept search through the mining API finds the product.
@@ -949,7 +945,8 @@ mod tests {
         // caught up, not just read once.
         obs.search(&flagship).unwrap();
         obs.run_chain(&ids[0], &ProcessingChain::operational()).unwrap();
-        let classifier = obs.train_patch_classifier(std::slice::from_ref(&ids[0]), 8, 3).unwrap();
+        let classifier =
+            train_patch_classifier(&mut obs, std::slice::from_ref(&ids[0]), 8, 3).unwrap();
         obs.annotate_product(&ids[0], 8, &classifier).unwrap();
         assert_eq!(obs.refine_products_supervised(&ids, Duration::from_secs(3600)).ok_count(), 2);
         let answer = obs.search(&flagship).unwrap();

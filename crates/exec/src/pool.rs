@@ -57,11 +57,6 @@ impl WorkerPool {
         WorkerPool { threads: threads.max(1) }
     }
 
-    /// The worker count this pool will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Ordered ranges covering `0..len` exactly — the one place that
     /// decides "inline or morsel-parallel" for every kernel.
     ///
@@ -305,6 +300,6 @@ mod tests {
             assert_eq!(parse_threads(bad), None, "{bad:?}");
         }
         assert!(default_threads() >= 1);
-        assert_eq!(default_threads(), WorkerPool::default().threads());
+        assert_eq!(default_threads(), WorkerPool::default().threads);
     }
 }

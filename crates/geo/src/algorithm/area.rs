@@ -15,7 +15,7 @@ pub fn area(g: &Geometry) -> f64 {
 }
 
 /// Length of a geometry: perimeter for polygons, path length for lines.
-pub fn length(g: &Geometry) -> f64 {
+pub(crate) fn length(g: &Geometry) -> f64 {
     match g {
         Geometry::LineString(l) => l.length(),
         Geometry::MultiLineString(ls) => ls.iter().map(LineString::length).sum(),

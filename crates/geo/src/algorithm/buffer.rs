@@ -26,7 +26,7 @@ fn circle_points(center: Coord, r: f64, n: usize) -> Vec<Coord> {
 }
 
 /// Buffer a single point: a sampled circle polygon.
-pub fn buffer_point(center: Coord, radius: f64, segments: usize) -> Polygon {
+pub(crate) fn buffer_point(center: Coord, radius: f64, segments: usize) -> Polygon {
     let mut pts = circle_points(center, radius, segments.max(8));
     let first = pts[0];
     pts.push(first);

@@ -144,11 +144,6 @@ impl OverlayResult {
     pub fn area(&self) -> f64 {
         self.polygons.iter().map(Polygon::area).sum()
     }
-
-    /// True when nothing remains.
-    pub fn is_empty(&self) -> bool {
-        self.polygons.is_empty()
-    }
 }
 
 fn ring_coords_open(p: &Polygon) -> Vec<Coord> {
@@ -515,7 +510,7 @@ mod tests {
     fn overlay_disjoint() {
         let a = poly("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))");
         let b = poly("POLYGON ((5 5, 6 5, 6 6, 5 6, 5 5))");
-        assert!(overlay(&a, &b, OverlayOp::Intersection).is_empty());
+        assert!(overlay(&a, &b, OverlayOp::Intersection).polygons.is_empty());
         assert!((overlay(&a, &b, OverlayOp::Union).area() - 2.0).abs() < 1e-9);
         assert!((overlay(&a, &b, OverlayOp::Difference).area() - 1.0).abs() < 1e-9);
     }

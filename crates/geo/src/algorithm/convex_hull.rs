@@ -51,18 +51,10 @@ pub fn convex_hull_coords(coords: &[Coord]) -> Option<Geometry> {
     Some(Geometry::Polygon(Polygon::new(LineString(lower), vec![])))
 }
 
-/// Convex hull of any geometry.
-pub fn convex_hull(g: &Geometry) -> Option<Geometry> {
-    let mut coords = Vec::with_capacity(g.num_coords());
-    g.for_each_coord(&mut |c| coords.push(c));
-    convex_hull_coords(&coords)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithm::area::area;
-    use crate::wkt::parse;
 
     fn c(x: f64, y: f64) -> Coord {
         Coord::new(x, y)
@@ -102,19 +94,5 @@ mod tests {
             Geometry::Polygon(p) => assert!((p.area() - 0.5).abs() < 1e-12),
             other => panic!("expected polygon, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn hull_of_geometry() {
-        let g = parse("MULTIPOINT ((0 0), (10 0), (10 10), (0 10), (5 5), (3 7))").unwrap();
-        let h = convex_hull(&g).unwrap();
-        assert_eq!(area(&h), 100.0);
-    }
-
-    #[test]
-    fn hull_of_concave_polygon_is_convex() {
-        let g = parse("POLYGON ((0 0, 6 0, 6 4, 4 4, 4 2, 2 2, 2 4, 0 4, 0 0))").unwrap();
-        let h = convex_hull(&g).unwrap();
-        assert_eq!(area(&h), 24.0); // 6 x 4 bounding hull
     }
 }

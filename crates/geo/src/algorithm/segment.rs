@@ -4,7 +4,7 @@ use crate::coord::{orient2d, Coord, Orientation};
 
 /// Result of intersecting two line segments.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SegmentIntersection {
+pub(crate) enum SegmentIntersection {
     /// The segments do not meet.
     None,
     /// The segments meet in exactly one point.
@@ -22,7 +22,7 @@ fn on_segment(a: Coord, b: Coord, c: Coord) -> bool {
 }
 
 /// True when the closed segments (p1, p2) and (q1, q2) share any point.
-pub fn segments_intersect(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> bool {
+pub(crate) fn segments_intersect(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> bool {
     let o1 = orient2d(p1, p2, q1);
     let o2 = orient2d(p1, p2, q2);
     let o3 = orient2d(q1, q2, p1);
@@ -38,7 +38,7 @@ pub fn segments_intersect(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> bool {
 }
 
 /// Compute the intersection of two closed segments.
-pub fn segment_intersection(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> SegmentIntersection {
+pub(crate) fn segment_intersection(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> SegmentIntersection {
     let r = p2 - p1;
     let s = q2 - q1;
     let denom = r.cross(&s);
@@ -85,7 +85,7 @@ pub fn segment_intersection(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> Segme
 }
 
 /// Closest point on the closed segment (a, b) to point `p`.
-pub fn closest_point_on_segment(a: Coord, b: Coord, p: Coord) -> Coord {
+pub(crate) fn closest_point_on_segment(a: Coord, b: Coord, p: Coord) -> Coord {
     let ab = b - a;
     let len2 = ab.dot(&ab);
     if len2 == 0.0 {
@@ -96,12 +96,12 @@ pub fn closest_point_on_segment(a: Coord, b: Coord, p: Coord) -> Coord {
 }
 
 /// Distance from point `p` to the closed segment (a, b).
-pub fn point_segment_distance(a: Coord, b: Coord, p: Coord) -> f64 {
+pub(crate) fn point_segment_distance(a: Coord, b: Coord, p: Coord) -> f64 {
     p.distance(&closest_point_on_segment(a, b, p))
 }
 
 /// Minimum distance between two closed segments.
-pub fn segment_segment_distance(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> f64 {
+pub(crate) fn segment_segment_distance(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> f64 {
     if segments_intersect(p1, p2, q1, q2) {
         return 0.0;
     }

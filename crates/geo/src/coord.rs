@@ -31,25 +31,25 @@ impl Coord {
 
     /// Euclidean norm of the coordinate treated as a vector.
     #[inline]
-    pub fn norm(&self) -> f64 {
+    pub(crate) fn norm(&self) -> f64 {
         self.x.hypot(self.y)
     }
 
     /// 2-D cross product (z-component of the 3-D cross product).
     #[inline]
-    pub fn cross(&self, other: &Coord) -> f64 {
+    pub(crate) fn cross(&self, other: &Coord) -> f64 {
         self.x * other.y - self.y * other.x
     }
 
     /// Dot product.
     #[inline]
-    pub fn dot(&self, other: &Coord) -> f64 {
+    pub(crate) fn dot(&self, other: &Coord) -> f64 {
         self.x * other.x + self.y * other.y
     }
 
     /// True when both components are finite.
     #[inline]
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
 
@@ -99,7 +99,7 @@ impl fmt::Display for Coord {
 
 /// Orientation of the ordered triple (a, b, c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Orientation {
+pub(crate) enum Orientation {
     /// Counter-clockwise turn.
     CounterClockwise,
     /// Clockwise turn.
@@ -112,13 +112,13 @@ pub enum Orientation {
 ///
 /// The value is scaled by the magnitude of the inputs, so the predicate
 /// behaves consistently for coordinates in degrees and in metres.
-pub const EPS: f64 = 1e-12;
+pub(crate) const EPS: f64 = 1e-12;
 
 /// Robust-enough orientation predicate for the ordered triple (a, b, c).
 ///
 /// Uses a magnitude-scaled epsilon so that near-collinear triples with
 /// large coordinates are still classified as collinear.
-pub fn orient2d(a: Coord, b: Coord, c: Coord) -> Orientation {
+pub(crate) fn orient2d(a: Coord, b: Coord, c: Coord) -> Orientation {
     let det = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
     let scale = (b.x - a.x).abs().max((b.y - a.y).abs()).max((c.x - a.x).abs()).max((c.y - a.y).abs());
     let tol = EPS * scale * scale;
@@ -134,7 +134,7 @@ pub fn orient2d(a: Coord, b: Coord, c: Coord) -> Orientation {
 /// An axis-aligned bounding box.
 ///
 /// An `Envelope` may be *empty* (`min > max` component-wise), which is the
-/// identity for [`Envelope::expand_to_include`].
+/// identity for `Envelope::expand_to_include`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Envelope {
     /// Lower-left corner.
@@ -165,7 +165,7 @@ impl Envelope {
     }
 
     /// Envelope covering all coordinates in `coords`; empty if none.
-    pub fn from_coords<'a, I: IntoIterator<Item = &'a Coord>>(coords: I) -> Self {
+    pub(crate) fn from_coords<'a, I: IntoIterator<Item = &'a Coord>>(coords: I) -> Self {
         let mut env = Envelope::EMPTY;
         for c in coords {
             env.expand_to_include(*c);
@@ -205,7 +205,7 @@ impl Envelope {
 
     /// Grow the envelope to cover `c`.
     #[inline]
-    pub fn expand_to_include(&mut self, c: Coord) {
+    pub(crate) fn expand_to_include(&mut self, c: Coord) {
         self.min.x = self.min.x.min(c.x);
         self.min.y = self.min.y.min(c.y);
         self.max.x = self.max.x.max(c.x);
@@ -262,7 +262,7 @@ impl Envelope {
     }
 
     /// Minimum distance between two envelopes (0 when they intersect).
-    pub fn distance(&self, other: &Envelope) -> f64 {
+    pub(crate) fn distance(&self, other: &Envelope) -> f64 {
         let dx = (other.min.x - self.max.x).max(self.min.x - other.max.x).max(0.0);
         let dy = (other.min.y - self.max.y).max(self.min.y - other.max.y).max(0.0);
         dx.hypot(dy)

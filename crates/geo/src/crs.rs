@@ -8,7 +8,7 @@ use crate::coord::Coord;
 use crate::geometry::Geometry;
 
 /// Mean Earth radius in metres (IUGG).
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
+pub(crate) const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// Approximate area in square metres of a WGS 84 geometry, via a local
 /// equirectangular projection centred on the geometry (good to ~0.1 %

@@ -15,12 +15,6 @@ impl Point {
         Point(Coord::new(x, y))
     }
 
-    /// The underlying coordinate.
-    #[inline]
-    pub fn coord(&self) -> Coord {
-        self.0
-    }
-
     /// X (easting / longitude).
     #[inline]
     pub fn x(&self) -> f64 {
@@ -40,10 +34,6 @@ impl Point {
 pub struct LineString(pub Vec<Coord>);
 
 impl LineString {
-    /// Build a line string from coordinates.
-    pub fn new(coords: Vec<Coord>) -> Self {
-        LineString(coords)
-    }
 
     /// The coordinates of the line.
     #[inline]
@@ -64,17 +54,17 @@ impl LineString {
     }
 
     /// True when first and last vertices coincide (and there are ≥ 4).
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.0.len() >= 4 && self.0.first() == self.0.last()
     }
 
     /// Iterate over consecutive coordinate pairs (the segments).
-    pub fn segments(&self) -> impl Iterator<Item = (Coord, Coord)> + '_ {
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (Coord, Coord)> + '_ {
         self.0.windows(2).map(|w| (w[0], w[1]))
     }
 
     /// Total length of the line.
-    pub fn length(&self) -> f64 {
+    pub(crate) fn length(&self) -> f64 {
         self.segments().map(|(a, b)| a.distance(&b)).sum()
     }
 
@@ -94,12 +84,12 @@ impl LineString {
     }
 
     /// Reverse the vertex order in place.
-    pub fn reverse(&mut self) {
+    pub(crate) fn reverse(&mut self) {
         self.0.reverse();
     }
 
     /// Bounding box of the line.
-    pub fn envelope(&self) -> Envelope {
+    pub(crate) fn envelope(&self) -> Envelope {
         Envelope::from_coords(self.0.iter())
     }
 }
@@ -213,7 +203,7 @@ impl Geometry {
     /// Topological dimension: 0 for points, 1 for lines, 2 for areas.
     /// Collections report the maximum dimension of their members
     /// (−1 when empty, encoded as `None`).
-    pub fn dimension(&self) -> Option<u8> {
+    pub(crate) fn dimension(&self) -> Option<u8> {
         match self {
             Geometry::Point(_) | Geometry::MultiPoint(_) => Some(0),
             Geometry::LineString(_) | Geometry::MultiLineString(_) => Some(1),
@@ -245,7 +235,7 @@ impl Geometry {
     }
 
     /// True when the geometry has no coordinates at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         match self {
             Geometry::Point(_) => false,
             Geometry::LineString(l) => l.is_empty(),
@@ -276,7 +266,7 @@ impl Geometry {
     }
 
     /// Visit every coordinate of the geometry.
-    pub fn for_each_coord<F: FnMut(Coord)>(&self, f: &mut F) {
+    pub(crate) fn for_each_coord<F: FnMut(Coord)>(&self, f: &mut F) {
         match self {
             Geometry::Point(p) => f(p.0),
             Geometry::LineString(l) => l.0.iter().copied().for_each(f),
@@ -309,7 +299,7 @@ impl Geometry {
     }
 
     /// Apply `f` to every coordinate, producing a transformed geometry.
-    pub fn map_coords<F: Fn(Coord) -> Coord + Copy>(&self, f: F) -> Geometry {
+    pub(crate) fn map_coords<F: Fn(Coord) -> Coord + Copy>(&self, f: F) -> Geometry {
         let map_line = |l: &LineString| LineString(l.0.iter().map(|&c| f(c)).collect());
         let map_poly = |p: &Polygon| Polygon {
             exterior: map_line(&p.exterior),
@@ -386,7 +376,7 @@ impl Geometry {
     }
 
     /// Flatten into the list of primitive (non-multi) geometries.
-    pub fn primitives(&self) -> Vec<Geometry> {
+    pub(crate) fn primitives(&self) -> Vec<Geometry> {
         match self {
             Geometry::MultiPoint(ps) => ps.iter().map(|p| Geometry::Point(*p)).collect(),
             Geometry::MultiLineString(ls) => {

@@ -13,7 +13,7 @@ const MAX_ENTRIES: usize = 16;
 
 /// Entry count below which [`RTree::bulk_load_with`] sorts inline:
 /// under this size the sorts are too cheap to amortize task setup.
-pub const PAR_BULK_LOAD_THRESHOLD: usize = 4096;
+pub(crate) const PAR_BULK_LOAD_THRESHOLD: usize = 4096;
 
 #[derive(Debug, Clone)]
 enum Node<T> {
@@ -48,7 +48,6 @@ impl<T> Node<T> {
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
     root: Node<T>,
-    len: usize,
 }
 
 impl<T> Default for RTree<T> {
@@ -59,23 +58,8 @@ impl<T> Default for RTree<T> {
 
 impl<T> RTree<T> {
     /// Empty tree.
-    pub fn new() -> Self {
-        RTree { root: Node::Leaf { env: Envelope::EMPTY, entries: Vec::new() }, len: 0 }
-    }
-
-    /// Number of indexed entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the tree holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Envelope covering every entry (empty envelope when empty).
-    pub fn envelope(&self) -> Envelope {
-        self.root.envelope()
+    pub(crate) fn new() -> Self {
+        RTree { root: Node::Leaf { env: Envelope::EMPTY, entries: Vec::new() } }
     }
 
     /// Bulk-load entries with Sort-Tile-Recursive packing on the
@@ -89,7 +73,7 @@ impl<T> RTree<T> {
 
     /// Bulk-load entries with STR packing, both sort passes cut along
     /// `pool`'s morsels — a single inline one under
-    /// [`PAR_BULK_LOAD_THRESHOLD`] entries or at one thread.
+    /// `PAR_BULK_LOAD_THRESHOLD` entries or at one thread.
     ///
     /// The tree is the same at every pool size: the x-sort runs as
     /// per-morsel stable sorts merged with ties favoring the earlier
@@ -104,7 +88,7 @@ impl<T> RTree<T> {
         if len <= MAX_ENTRIES {
             let mut leaf = Node::Leaf { env: Envelope::EMPTY, entries: items };
             leaf.recompute_env();
-            return RTree { root: leaf, len };
+            return RTree { root: leaf };
         }
         // STR: sort by centre x, slice into vertical strips, sort each
         // strip by centre y, pack runs of MAX_ENTRIES into leaves.
@@ -143,7 +127,7 @@ impl<T> RTree<T> {
         );
         // The upward pack touches only ~len/16 nodes per level; serial
         // is already memory-bound here.
-        RTree { root: pack_upward(concat(leaves)), len }
+        RTree { root: pack_upward(concat(leaves)) }
     }
 
     /// All values whose envelope intersects `query`.
@@ -330,10 +314,15 @@ mod tests {
             .collect()
     }
 
+    fn count<T>(t: &RTree<T>) -> usize {
+        let mut n = 0;
+        t.for_each(|_, _| n += 1);
+        n
+    }
+
     #[test]
     fn empty_tree() {
         let t: RTree<u32> = RTree::new();
-        assert!(t.is_empty());
         assert!(t.query(&env(0.0, 0.0)).is_empty());
     }
 
@@ -341,7 +330,7 @@ mod tests {
     fn bulk_load_matches_linear_scan() {
         let items = grid(1000);
         let t = RTree::bulk_load(items.clone());
-        assert_eq!(t.len(), 1000);
+        assert_eq!(count(&t), 1000);
         let q = Envelope::new(Coord::new(10.0, 2.0), Coord::new(30.0, 7.0));
         let mut from_tree: Vec<usize> = t.query(&q).into_iter().copied().collect();
         from_tree.sort_unstable();
@@ -357,7 +346,7 @@ mod tests {
     #[test]
     fn bulk_load_small() {
         let t = RTree::bulk_load(vec![(env(0.0, 0.0), 'a'), (env(5.0, 5.0), 'b')]);
-        assert_eq!(t.len(), 2);
+        assert_eq!(count(&t), 2);
         assert_eq!(t.query(&env(5.2, 5.2)), vec![&'b']);
     }
 
@@ -377,17 +366,16 @@ mod tests {
         for n in [0, MAX_ENTRIES, MAX_ENTRIES + 1, T - 1, T, T + 1, 10_000] {
             let items = grid(n);
             let one = RTree::bulk_load_with(&WorkerPool::with_threads(1), items.clone());
-            assert_eq!(one.len(), n);
             // Identical tree structure implies identical traversal
             // order, not just an equal entry set.
             let mut a = Vec::new();
             one.for_each(|_, &v| a.push(v));
+            assert_eq!(a.len(), n);
             for threads in [2usize, 3, 4, 8] {
                 let pool = WorkerPool::with_threads(threads);
                 let many = RTree::bulk_load_with(&pool, items.clone());
-                assert_eq!(many.len(), one.len(), "n={n} threads={threads}");
                 assert_eq!(many.height(), one.height(), "n={n} threads={threads}");
-                assert_eq!(many.envelope(), one.envelope(), "n={n} threads={threads}");
+                assert_eq!(many.root.envelope(), one.root.envelope(), "n={n} threads={threads}");
                 let mut b = Vec::new();
                 many.for_each(|_, &v| b.push(v));
                 assert_eq!(a, b, "n={n} threads={threads}");

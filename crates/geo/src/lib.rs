@@ -39,9 +39,9 @@ pub mod rng;
 pub mod wkt;
 
 pub use coord::{Coord, Envelope};
-pub use error::GeoError;
+pub(crate) use error::GeoError;
 pub use geometry::{Geometry, LineString, Point, Polygon};
 pub use rng::SplitMix64;
 
 /// Result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, GeoError>;
+pub(crate) type Result<T> = std::result::Result<T, GeoError>;

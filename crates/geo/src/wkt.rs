@@ -53,11 +53,6 @@ pub fn write(g: &Geometry) -> String {
     out
 }
 
-/// Serialize a geometry to stRDF WKT with an explicit CRS URI prefix.
-pub fn write_with_crs(g: &Geometry, srid: u32) -> String {
-    format!("<http://www.opengis.net/def/crs/EPSG/0/{srid}> {}", write(g))
-}
-
 fn write_geometry(g: &Geometry, out: &mut String) {
     match g {
         Geometry::Point(p) => {
@@ -564,12 +559,12 @@ mod tests {
     }
 
     #[test]
-    fn crs_roundtrip() {
-        let g = Geometry::Point(Point::new(1.0, 2.0));
-        let s = write_with_crs(&g, 4326);
-        let (g2, srid) = parse_with_crs(&s).unwrap();
-        assert_eq!(g, g2);
-        assert_eq!(srid, 4326);
+    fn crs_prefix_names_the_srid() {
+        let point = Geometry::Point(Point::new(1.0, 2.0));
+        let s = format!("<http://www.opengis.net/def/crs/EPSG/0/3857> {}", write(&point));
+        let (g, srid) = parse_with_crs(&s).unwrap();
+        assert_eq!(g, point);
+        assert_eq!(srid, 3857);
     }
 
     #[test]

@@ -26,12 +26,12 @@ pub struct Patch {
 }
 
 /// Names of the features extracted per band, in order.
-pub const PER_BAND_FEATURES: [&str; 4] = ["mean", "std", "min", "max"];
+pub(crate) const PER_BAND_FEATURES: [&str; 4] = ["mean", "std", "min", "max"];
 /// Names of the texture features appended after the band statistics.
-pub const TEXTURE_FEATURES: [&str; 2] = ["gradient_energy", "range_ratio"];
+pub(crate) const TEXTURE_FEATURES: [&str; 2] = ["gradient_energy", "range_ratio"];
 
 /// Length of a feature vector for a raster with `bands` bands.
-pub fn feature_len(bands: usize) -> usize {
+pub(crate) fn feature_len(bands: usize) -> usize {
     bands * PER_BAND_FEATURES.len() + TEXTURE_FEATURES.len()
 }
 

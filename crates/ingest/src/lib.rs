@@ -23,6 +23,3 @@ pub mod georef;
 pub mod metadata;
 pub mod raster;
 pub mod seviri;
-
-pub use raster::{GeoRaster, GeoTransform};
-pub use seviri::{FireEvent, SceneSpec, SurfaceKind};

@@ -13,7 +13,7 @@ use teleios_rdf::term::Term;
 use teleios_rdf::vocab::{noa, rdf, strdf};
 
 /// Mint the product IRI for a scene identifier.
-pub fn product_iri(id: &str) -> Term {
+pub(crate) fn product_iri(id: &str) -> Term {
     Term::iri(format!("http://teleios.di.uoa.gr/products/{id}"))
 }
 

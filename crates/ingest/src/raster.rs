@@ -39,7 +39,7 @@ impl GeoTransform {
     }
 
     /// Geographic envelope of a pixel.
-    pub fn pixel_envelope(&self, row: usize, col: usize) -> Envelope {
+    pub(crate) fn pixel_envelope(&self, row: usize, col: usize) -> Envelope {
         let x0 = self.origin_x + col as f64 * self.pixel_w;
         let y1 = self.origin_y - row as f64 * self.pixel_h;
         Envelope::new(Coord::new(x0, y1 - self.pixel_h), Coord::new(x0 + self.pixel_w, y1))
@@ -53,17 +53,17 @@ impl GeoTransform {
     }
 
     /// Row containing latitude `y`, if inside a raster of `rows` rows.
-    pub fn locate_row(&self, y: f64, rows: usize) -> Option<usize> {
+    pub(crate) fn locate_row(&self, y: f64, rows: usize) -> Option<usize> {
         index_in(((self.origin_y - y) / self.pixel_h).floor(), rows)
     }
 
     /// Column containing longitude `x`, if inside a raster of `cols` columns.
-    pub fn locate_col(&self, x: f64, cols: usize) -> Option<usize> {
+    pub(crate) fn locate_col(&self, x: f64, cols: usize) -> Option<usize> {
         index_in(((x - self.origin_x) / self.pixel_w).floor(), cols)
     }
 
     /// Envelope of the full raster.
-    pub fn envelope(&self, rows: usize, cols: usize) -> Envelope {
+    pub(crate) fn envelope(&self, rows: usize, cols: usize) -> Envelope {
         Envelope::new(
             Coord::new(self.origin_x, self.origin_y - rows as f64 * self.pixel_h),
             Coord::new(self.origin_x + cols as f64 * self.pixel_w, self.origin_y),

@@ -21,14 +21,8 @@ use crate::raster::{GeoRaster, GeoTransform};
 use teleios_geo::{Coord, Envelope, SplitMix64};
 use teleios_monet::array::{Dim, NdArray};
 use teleios_monet::Result;
-
-/// Index of the visible band in generated scenes.
-pub const BAND_VIS006: usize = 0;
 /// Index of the 3.9 µm fire-detection band.
 pub const BAND_IR039: usize = 1;
-/// Index of the 10.8 µm thermal band.
-pub const BAND_IR108: usize = 2;
-
 /// What the ground looks like at a coordinate (supplied by the caller;
 /// `teleios-noa` adapts the synthetic world model of `teleios-linked`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +39,7 @@ pub enum SurfaceKind {
 
 impl SurfaceKind {
     /// Ambient 3.9 µm brightness temperature (K) for the surface.
-    pub fn ambient_k(&self) -> f64 {
+    pub(crate) fn ambient_k(&self) -> f64 {
         match self {
             SurfaceKind::Sea => 293.0,
             SurfaceKind::Forest => 301.0,
@@ -55,7 +49,7 @@ impl SurfaceKind {
     }
 
     /// Typical VIS006 reflectance.
-    pub fn reflectance(&self) -> f64 {
+    pub(crate) fn reflectance(&self) -> f64 {
         match self {
             SurfaceKind::Sea => 0.05,
             SurfaceKind::Forest => 0.15,

@@ -19,7 +19,7 @@ fn geom_prop() -> Term {
 }
 
 /// Emit GeoNames-like populated places. Returns triples added.
-pub fn emit_geonames(world: &World, store: &mut TripleStore) -> usize {
+pub(crate) fn emit_geonames(world: &World, store: &mut TripleStore) -> usize {
     let before = store.len();
     let class = Term::iri(format!("{}ontology#PopulatedPlace", linked::GEONAMES));
     let name_p = Term::iri(format!("{}ontology#name", linked::GEONAMES));
@@ -39,7 +39,7 @@ pub fn emit_geonames(world: &World, store: &mut TripleStore) -> usize {
 }
 
 /// Emit DBpedia-like archaeological sites. Returns triples added.
-pub fn emit_sites(world: &World, store: &mut TripleStore) -> usize {
+pub(crate) fn emit_sites(world: &World, store: &mut TripleStore) -> usize {
     let before = store.len();
     let class = Term::iri("http://dbpedia.org/ontology/ArchaeologicalSite");
     for (i, site) in world.sites.iter().enumerate() {
@@ -56,7 +56,7 @@ pub fn emit_sites(world: &World, store: &mut TripleStore) -> usize {
 }
 
 /// Emit CORINE-like land-cover areas. Returns triples added.
-pub fn emit_corine(world: &World, store: &mut TripleStore) -> usize {
+pub(crate) fn emit_corine(world: &World, store: &mut TripleStore) -> usize {
     let before = store.len();
     let class = Term::iri(format!("{}ontology#Area", linked::CORINE));
     let cover_p = Term::iri(format!("{}ontology#hasLandCover", linked::CORINE));
@@ -78,7 +78,7 @@ pub fn emit_corine(world: &World, store: &mut TripleStore) -> usize {
 }
 
 /// Emit LinkedGeoData-like roads. Returns triples added.
-pub fn emit_roads(world: &World, store: &mut TripleStore) -> usize {
+pub(crate) fn emit_roads(world: &World, store: &mut TripleStore) -> usize {
     let before = store.len();
     let class = Term::iri(format!("{}Road", linked::LGD));
     for (i, road) in world.roads.iter().enumerate() {
@@ -96,7 +96,7 @@ pub fn emit_roads(world: &World, store: &mut TripleStore) -> usize {
 /// Emit the coastline dataset: the landmass polygon as a single feature.
 /// Returns triples added. The refinement step of scenario 2 checks
 /// hotspot geometries against this feature.
-pub fn emit_coastline(world: &World, store: &mut TripleStore) -> usize {
+pub(crate) fn emit_coastline(world: &World, store: &mut TripleStore) -> usize {
     let before = store.len();
     let s = Term::iri(format!("{}landmass/0", linked::COASTLINE));
     store.insert_terms(&s, &a(), &Term::iri(format!("{}ontology#LandMass", linked::COASTLINE)));

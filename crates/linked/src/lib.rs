@@ -17,5 +17,3 @@
 
 pub mod emit;
 pub mod world;
-
-pub use world::{CoverClass, World, WorldSpec};

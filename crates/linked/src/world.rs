@@ -18,7 +18,7 @@ pub enum CoverClass {
 
 impl CoverClass {
     /// CORINE-like concept local name.
-    pub fn concept(&self) -> &'static str {
+    pub(crate) fn concept(&self) -> &'static str {
         match self {
             CoverClass::Forest => "Forest",
             CoverClass::Agriculture => "Agriculture",

@@ -17,10 +17,10 @@ use teleios_rdf::term::Term;
 use teleios_rdf::vocab::strdf;
 
 /// Property linking a product to one of its patch annotations.
-pub const HAS_ANNOTATION: &str =
+pub(crate) const HAS_ANNOTATION: &str =
     "http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasAnnotation";
 /// Property linking an annotation to its concept.
-pub const DEPICTS: &str = "http://teleios.di.uoa.gr/ontologies/noaOntology.owl#depicts";
+pub(crate) const DEPICTS: &str = "http://teleios.di.uoa.gr/ontologies/noaOntology.owl#depicts";
 
 /// Annotate every patch of a product with the classifier's concept and
 /// publish the result. Returns the number of annotations created.
@@ -51,7 +51,7 @@ pub fn annotate_product(
 /// Semantic search over annotations: annotation IRIs whose concept is a
 /// subclass of `concept` (subsumption-aware, the ontology's added value
 /// over raw metadata search — experiment E8).
-pub fn find_annotations_by_concept(
+pub(crate) fn find_annotations_by_concept(
     concept: &str,
     ontology: &Ontology,
     store: &TripleStore,

@@ -12,25 +12,15 @@ pub struct LabeledExample {
     pub label: String,
 }
 
-/// A trained classifier.
+/// A trained k-nearest-neighbour classifier over normalized features.
 #[derive(Debug, Clone)]
-pub enum Classifier {
-    /// k-nearest-neighbour over normalized features.
-    Knn {
-        /// Neighbours consulted.
-        k: usize,
-        /// Normalized training set.
-        examples: Vec<LabeledExample>,
-        /// Per-dimension (mean, std) used for normalization.
-        scaler: Vec<(f64, f64)>,
-    },
-    /// Nearest centroid per class over normalized features.
-    Centroid {
-        /// (label, centroid) pairs.
-        centroids: Vec<(String, Vec<f64>)>,
-        /// Per-dimension (mean, std).
-        scaler: Vec<(f64, f64)>,
-    },
+pub struct Classifier {
+    /// Neighbours consulted.
+    k: usize,
+    /// Normalized training set.
+    examples: Vec<LabeledExample>,
+    /// Per-dimension (mean, std) used for normalization.
+    scaler: Vec<(f64, f64)>,
 }
 
 fn fit_scaler(examples: &[LabeledExample]) -> Vec<(f64, f64)> {
@@ -67,107 +57,33 @@ impl Classifier {
             .into_iter()
             .map(|e| LabeledExample { features: scale(&e.features, &scaler), label: e.label })
             .collect();
-        Classifier::Knn { k, examples, scaler }
-    }
-
-    /// Train a nearest-centroid classifier.
-    pub fn train_centroid(examples: Vec<LabeledExample>) -> Classifier {
-        assert!(!examples.is_empty(), "training set must not be empty");
-        let scaler = fit_scaler(&examples);
-        let mut sums: HashMap<String, (Vec<f64>, usize)> = HashMap::new();
-        let dim = examples[0].features.len();
-        for e in &examples {
-            let scaled = scale(&e.features, &scaler);
-            let entry = sums.entry(e.label.clone()).or_insert((vec![0.0; dim], 0));
-            for (acc, v) in entry.0.iter_mut().zip(&scaled) {
-                *acc += v;
-            }
-            entry.1 += 1;
-        }
-        let mut centroids: Vec<(String, Vec<f64>)> = sums
-            .into_iter()
-            .map(|(label, (sum, n))| {
-                (label, sum.into_iter().map(|v| v / n as f64).collect())
-            })
-            .collect();
-        centroids.sort_by(|a, b| a.0.cmp(&b.0));
-        Classifier::Centroid { centroids, scaler }
+        Classifier { k, examples, scaler }
     }
 
     /// Classify a feature vector, returning the winning concept IRI.
-    pub fn classify(&self, features: &[f64]) -> &str {
-        match self {
-            Classifier::Knn { k, examples, scaler } => {
-                let probe = scale(features, scaler);
-                // Collect the k nearest by distance.
-                let mut dists: Vec<(f64, &str)> = examples
-                    .iter()
-                    .map(|e| (feature_distance(&e.features, &probe), e.label.as_str()))
-                    .collect();
-                dists.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-                let mut votes: HashMap<&str, usize> = HashMap::new();
-                for (_, label) in dists.iter().take(*k) {
-                    *votes.entry(label).or_insert(0) += 1;
-                }
-                // Majority; ties broken by closeness (first occurrence in
-                // the distance-sorted list).
-                let best = votes.values().max().copied().unwrap_or(0);
-                dists
-                    .iter()
-                    .take(*k)
-                    .find(|(_, l)| votes[l] == best)
-                    .map(|(_, l)| *l)
-                    // Empty training set: no label to emit.
-                    .unwrap_or("")
-            }
-            Classifier::Centroid { centroids, scaler } => {
-                let probe = scale(features, scaler);
-                centroids
-                    .iter()
-                    .min_by(|a, b| {
-                        feature_distance(&a.1, &probe)
-                            .partial_cmp(&feature_distance(&b.1, &probe))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(l, _)| l.as_str())
-                    // Empty centroid set: no label to emit.
-                    .unwrap_or("")
-            }
+    pub(crate) fn classify(&self, features: &[f64]) -> &str {
+        let probe = scale(features, &self.scaler);
+        // Collect the k nearest by distance.
+        let mut dists: Vec<(f64, &str)> = self
+            .examples
+            .iter()
+            .map(|e| (feature_distance(&e.features, &probe), e.label.as_str()))
+            .collect();
+        dists.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        let mut votes: HashMap<&str, usize> = HashMap::new();
+        for (_, label) in dists.iter().take(self.k) {
+            *votes.entry(label).or_insert(0) += 1;
         }
-    }
-
-    /// Full confusion matrix over a labeled evaluation set.
-    pub fn confusion(&self, eval: &[LabeledExample]) -> ConfusionMatrix {
-        let mut labels: Vec<String> = eval.iter().map(|e| e.label.clone()).collect();
-        labels.sort();
-        labels.dedup();
-        // Include labels only the classifier can emit.
-        match self {
-            Classifier::Knn { examples, .. } => {
-                for e in examples {
-                    if !labels.contains(&e.label) {
-                        labels.push(e.label.clone());
-                    }
-                }
-            }
-            Classifier::Centroid { centroids, .. } => {
-                for (l, _) in centroids {
-                    if !labels.contains(l) {
-                        labels.push(l.clone());
-                    }
-                }
-            }
-        }
-        labels.sort();
-        // Every label the classifier can emit is in `labels` (merged
-        // above), so the position lookup cannot miss.
-        let idx = |l: &str| labels.iter().position(|x| x == l).unwrap_or(0);
-        let mut counts = vec![vec![0usize; labels.len()]; labels.len()];
-        for e in eval {
-            let predicted = self.classify(&e.features).to_string();
-            counts[idx(&e.label)][idx(&predicted)] += 1;
-        }
-        ConfusionMatrix { labels, counts }
+        // Majority; ties broken by closeness (first occurrence in
+        // the distance-sorted list).
+        let best = votes.values().max().copied().unwrap_or(0);
+        dists
+            .iter()
+            .take(self.k)
+            .find(|(_, l)| votes[l] == best)
+            .map(|(_, l)| *l)
+            // Empty training set: no label to emit.
+            .unwrap_or("")
     }
 
     /// Accuracy over a labeled evaluation set.
@@ -180,77 +96,6 @@ impl Classifier {
             .filter(|e| self.classify(&e.features) == e.label)
             .count();
         correct as f64 / eval.len() as f64
-    }
-}
-
-/// A confusion matrix: `counts[truth][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    /// Class labels, sorted; indexes both matrix axes.
-    pub labels: Vec<String>,
-    /// `counts[i][j]`: examples of true class `i` predicted as `j`.
-    pub counts: Vec<Vec<usize>>,
-}
-
-impl ConfusionMatrix {
-    /// Precision of one class: TP / column sum. 1.0 when never predicted.
-    pub fn precision(&self, label: &str) -> f64 {
-        let Some(j) = self.labels.iter().position(|l| l == label) else {
-            return 0.0;
-        };
-        let tp = self.counts[j][j];
-        let predicted: usize = self.counts.iter().map(|row| row[j]).sum();
-        if predicted == 0 {
-            1.0
-        } else {
-            tp as f64 / predicted as f64
-        }
-    }
-
-    /// Recall of one class: TP / row sum. 1.0 when the class is absent.
-    pub fn recall(&self, label: &str) -> f64 {
-        let Some(i) = self.labels.iter().position(|l| l == label) else {
-            return 0.0;
-        };
-        let tp = self.counts[i][i];
-        let actual: usize = self.counts[i].iter().sum();
-        if actual == 0 {
-            1.0
-        } else {
-            tp as f64 / actual as f64
-        }
-    }
-
-    /// Overall accuracy: trace / total.
-    pub fn accuracy(&self) -> f64 {
-        let total: usize = self.counts.iter().flatten().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let trace: usize = (0..self.labels.len()).map(|i| self.counts[i][i]).sum();
-        trace as f64 / total as f64
-    }
-
-    /// Aligned text rendering (short label tails for readability).
-    pub fn to_text(&self) -> String {
-        let short = |l: &str| -> String {
-            l.rsplit(['/', '#']).next().unwrap_or(l).to_string()
-        };
-        let names: Vec<String> = self.labels.iter().map(|l| short(l)).collect();
-        let width = names.iter().map(String::len).max().unwrap_or(4).max(6);
-        let mut out = format!("{:>width$} |", "truth\\pred");
-        for n in &names {
-            out.push_str(&format!(" {n:>width$}"));
-        }
-        out.push('\n');
-        for (i, n) in names.iter().enumerate() {
-            out.push_str(&format!("{n:>width$} |"));
-            for j in 0..names.len() {
-                out.push_str(&format!(" {:>width$}", self.counts[i][j]));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -283,19 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn centroid_separates_clusters() {
-        let c = Classifier::train_centroid(clustered(10));
-        assert_eq!(c.classify(&[0.0, 1.05]), "http://c/A");
-        assert_eq!(c.classify(&[5.1, -2.9]), "http://c/B");
-    }
-
-    #[test]
     fn accuracy_on_training_data_is_high() {
         let data = clustered(20);
         let knn = Classifier::train_knn(1, data.clone());
         assert_eq!(knn.accuracy(&data), 1.0);
-        let cent = Classifier::train_centroid(data.clone());
-        assert!(cent.accuracy(&data) > 0.95);
     }
 
     #[test]
@@ -338,35 +174,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "training set must not be empty")]
     fn empty_training_panics() {
-        Classifier::train_centroid(Vec::new());
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal_for_separable_data() {
-        let data = clustered(10);
-        let c = Classifier::train_knn(1, data.clone());
-        let m = c.confusion(&data);
-        assert_eq!(m.labels.len(), 2);
-        assert_eq!(m.accuracy(), 1.0);
-        assert_eq!(m.precision("http://c/A"), 1.0);
-        assert_eq!(m.recall("http://c/B"), 1.0);
-        // Off-diagonal empty.
-        assert_eq!(m.counts[0][1], 0);
-        assert_eq!(m.counts[1][0], 0);
-    }
-
-    #[test]
-    fn confusion_matrix_counts_mistakes() {
-        // Train on separated clusters but evaluate mislabeled points.
-        let c = Classifier::train_centroid(clustered(10));
-        let eval = vec![
-            LabeledExample { features: vec![0.0, 1.0], label: "http://c/B".into() }, // truly A region
-        ];
-        let m = c.confusion(&eval);
-        assert_eq!(m.accuracy(), 0.0);
-        assert_eq!(m.recall("http://c/B"), 0.0);
-        let text = m.to_text();
-        assert!(text.contains("truth"));
+        Classifier::train_knn(1, Vec::new());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`ontology::Ontology`] — an OWL-ish concept hierarchy (land-cover
 //!   and environmental-monitoring concepts) with RDFS subclass
 //!   subsumption reasoning,
-//! * [`classify`] — feature-vector classifiers (k-nearest-neighbour and
-//!   nearest-centroid) mapping patch descriptors to ontology concepts,
+//! * [`classify`] — a k-nearest-neighbour feature-vector classifier
+//!   mapping patch descriptors to ontology concepts,
 //! * [`annotate`] — semantic annotation: publishing classified patches
 //!   as stRDF so they join with linked open data in Strabon.
 
@@ -19,4 +19,3 @@ pub mod classify;
 pub mod ontology;
 
 pub use classify::{Classifier, LabeledExample};
-pub use ontology::Ontology;

@@ -12,7 +12,7 @@ use teleios_rdf::term::Term;
 use teleios_rdf::vocab::{rdf, rdfs};
 
 /// Base namespace of the TELEIOS land-cover/monitoring ontology.
-pub const ONTOLOGY_NS: &str = "http://teleios.di.uoa.gr/ontologies/landcover.owl#";
+pub(crate) const ONTOLOGY_NS: &str = "http://teleios.di.uoa.gr/ontologies/landcover.owl#";
 
 /// Build the IRI of a concept in the TELEIOS ontology.
 pub fn concept(local: &str) -> String {
@@ -33,7 +33,7 @@ pub struct Ontology {
 
 impl Ontology {
     /// Empty ontology.
-    pub fn new() -> Ontology {
+    pub(crate) fn new() -> Ontology {
         Ontology::default()
     }
 
@@ -80,29 +80,14 @@ impl Ontology {
     }
 
     /// Add a subclass axiom (both classes become known).
-    pub fn add_subclass(&mut self, sub: &str, sup: &str) {
+    pub(crate) fn add_subclass(&mut self, sub: &str, sup: &str) {
         self.supers.entry(sub.to_string()).or_default().insert(sup.to_string());
         self.supers.entry(sup.to_string()).or_default();
     }
 
     /// Set a class label.
-    pub fn set_label(&mut self, class: &str, label: &str) {
+    pub(crate) fn set_label(&mut self, class: &str, label: &str) {
         self.labels.insert(class.to_string(), label.to_string());
-    }
-
-    /// The label of a class, if set.
-    pub fn label(&self, class: &str) -> Option<&str> {
-        self.labels.get(class).map(String::as_str)
-    }
-
-    /// True when the class is known.
-    pub fn contains(&self, class: &str) -> bool {
-        self.supers.contains_key(class)
-    }
-
-    /// Number of known classes.
-    pub fn len(&self) -> usize {
-        self.supers.len()
     }
 
     /// True when no classes are known.
@@ -111,7 +96,7 @@ impl Ontology {
     }
 
     /// Transitive-reflexive superclass closure of a class.
-    pub fn ancestors(&self, class: &str) -> HashSet<String> {
+    pub(crate) fn ancestors(&self, class: &str) -> HashSet<String> {
         let mut out = HashSet::new();
         let mut stack = vec![class.to_string()];
         while let Some(c) = stack.pop() {
@@ -126,17 +111,8 @@ impl Ontology {
 
     /// RDFS subsumption: is `sub` a (reflexive, transitive) subclass of
     /// `sup`?
-    pub fn is_subclass_of(&self, sub: &str, sup: &str) -> bool {
+    pub(crate) fn is_subclass_of(&self, sub: &str, sup: &str) -> bool {
         self.ancestors(sub).contains(sup)
-    }
-
-    /// All known subclasses of `sup` (reflexive).
-    pub fn descendants(&self, sup: &str) -> HashSet<String> {
-        self.supers
-            .keys()
-            .filter(|c| self.is_subclass_of(c, sup))
-            .cloned()
-            .collect()
     }
 
     /// Publish the ontology as RDFS triples. Returns triples added.
@@ -162,24 +138,6 @@ impl Ontology {
         }
         store.len() - before
     }
-
-    /// Load subclass axioms and labels from RDFS triples in a store.
-    pub fn from_store(store: &TripleStore) -> Ontology {
-        let mut o = Ontology::new();
-        for (s, _, obj) in store.match_terms(None, Some(&Term::iri(rdfs::SUB_CLASS_OF)), None) {
-            if let (Term::Iri(sub), Term::Iri(sup)) = (&s, &obj) {
-                o.add_subclass(sub, sup);
-            }
-        }
-        for (s, _, obj) in store.match_terms(None, Some(&Term::iri(rdfs::LABEL)), None) {
-            if let (Term::Iri(class), Some(lex)) = (&s, obj.lexical()) {
-                if o.contains(class) {
-                    o.set_label(class, lex);
-                }
-            }
-        }
-        o
-    }
 }
 
 #[cfg(test)]
@@ -201,35 +159,6 @@ mod tests {
     fn subsumption_is_reflexive() {
         let o = Ontology::teleios();
         assert!(o.is_subclass_of(&concept("Fire"), &concept("Fire")));
-    }
-
-    #[test]
-    fn descendants_of_fire() {
-        let o = Ontology::teleios();
-        let d = o.descendants(&concept("Fire"));
-        assert!(d.contains(&concept("Fire")));
-        assert!(d.contains(&concept("ForestFire")));
-        assert!(d.contains(&concept("AgriculturalFire")));
-        assert_eq!(d.len(), 3);
-    }
-
-    #[test]
-    fn labels() {
-        let o = Ontology::teleios();
-        assert_eq!(o.label(&concept("Forest")), Some("Forest"));
-        assert_eq!(o.label("http://nope/"), None);
-    }
-
-    #[test]
-    fn emit_and_reload_roundtrip() {
-        let o = Ontology::teleios();
-        let mut st = TripleStore::new();
-        let n = o.emit(&mut st);
-        assert!(n > 0);
-        let o2 = Ontology::from_store(&st);
-        assert_eq!(o2.len(), o.len());
-        assert!(o2.is_subclass_of(&concept("ForestFire"), &concept("Concept")));
-        assert_eq!(o2.label(&concept("Urban")), Some("Urban"));
     }
 
     #[test]

@@ -366,13 +366,6 @@ impl NdArray {
         Ok(NdArray { dims: self.dims.clone(), data: data.into() })
     }
 
-    /// Fold over all cells. Inherently sequential (arbitrary
-    /// accumulator); reductions with parallel kernels are
-    /// [`Self::sum`], [`Self::min`], [`Self::max`].
-    pub fn fold<A, F: FnMut(A, f64) -> A>(&self, init: A, f: F) -> A {
-        self.data.iter().copied().fold(init, f)
-    }
-
     /// Sum of all cells, on the default worker pool. See
     /// [`Self::sum_with`].
     pub fn sum(&self) -> f64 {
@@ -499,52 +492,6 @@ impl NdArray {
         })?;
         Ok(out)
     }
-
-    /// 2-D convolution with a centred kernel (odd-sized), zero padding.
-    /// Only valid for 2-D arrays.
-    pub fn convolve2d(&self, kernel: &NdArray) -> Result<NdArray> {
-        if self.ndim() != 2 || kernel.ndim() != 2 {
-            return Err(DbError::ShapeMismatch("convolve2d needs 2-D arrays".into()));
-        }
-        let (rows, cols) = (self.dims[0].size, self.dims[1].size);
-        let (kr, kc) = (kernel.dims[0].size, kernel.dims[1].size);
-        if kr % 2 == 0 || kc % 2 == 0 {
-            return Err(DbError::ShapeMismatch("kernel sides must be odd".into()));
-        }
-        let (hr, hc) = (kr as isize / 2, kc as isize / 2);
-        let mut out = vec![0.0f64; rows * cols];
-        for r in 0..rows as isize {
-            for c in 0..cols as isize {
-                let mut acc = 0.0;
-                for dr in -hr..=hr {
-                    for dc in -hc..=hc {
-                        let (rr, cc) = (r + dr, c + dc);
-                        if rr >= 0 && rr < rows as isize && cc >= 0 && cc < cols as isize {
-                            let kv = kernel.data[((dr + hr) * kc as isize + (dc + hc)) as usize];
-                            acc += kv * self.data[(rr * cols as isize + cc) as usize];
-                        }
-                    }
-                }
-                out[(r * cols as isize + c) as usize] = acc;
-            }
-        }
-        Ok(NdArray { dims: self.dims.clone(), data: out.into() })
-    }
-
-    /// Histogram of cell values into `bins` equal-width buckets over
-    /// `[lo, hi)`; out-of-range values clamp into the edge buckets.
-    pub fn histogram(&self, lo: f64, hi: f64, bins: usize) -> Vec<usize> {
-        let mut h = vec![0usize; bins.max(1)];
-        if bins == 0 || hi <= lo {
-            return h;
-        }
-        let w = (hi - lo) / bins as f64;
-        for &v in self.data.iter() {
-            let b = (((v - lo) / w).floor() as isize).clamp(0, bins as isize - 1) as usize;
-            h[b] += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -661,43 +608,6 @@ mod tests {
         let a = a2x3();
         assert!(a.tiles(&[2]).is_err());
         assert!(a.tiles(&[0, 1]).is_err());
-    }
-
-    #[test]
-    fn convolve_identity() {
-        let a = a2x3();
-        let id = NdArray::matrix(1, 1, vec![1.0]).unwrap();
-        assert_eq!(a.convolve2d(&id).unwrap(), a);
-    }
-
-    #[test]
-    fn convolve_box_blur_center() {
-        let mut a = NdArray::matrix(3, 3, vec![0.0; 9]).unwrap();
-        a.set(&[1, 1], 9.0).unwrap();
-        let k = NdArray::matrix(3, 3, vec![1.0 / 9.0; 9]).unwrap();
-        let b = a.convolve2d(&k).unwrap();
-        // Every cell sees the centre impulse once.
-        for &v in b.data() {
-            assert!((v - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn convolve_requires_odd_kernel() {
-        let a = a2x3();
-        let k = NdArray::matrix(2, 2, vec![1.0; 4]).unwrap();
-        assert!(a.convolve2d(&k).is_err());
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let a = NdArray::matrix(1, 6, vec![0.0, 0.5, 1.0, 5.0, 9.9, 12.0]).unwrap();
-        let h = a.histogram(0.0, 10.0, 10);
-        assert_eq!(h[0], 2); // 0.0, 0.5
-        assert_eq!(h[1], 1); // 1.0
-        assert_eq!(h[5], 1); // 5.0
-        assert_eq!(h[9], 2); // 9.9 plus clamped 12.0
-        assert_eq!(h.iter().sum::<usize>(), 6);
     }
 
     #[test]

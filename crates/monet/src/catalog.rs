@@ -1,9 +1,10 @@
 //! The database catalog: named tables and arrays, plus the SQL entry point.
 
 use crate::array::NdArray;
+use crate::column::RowId;
 use crate::error::DbError;
 use crate::exec::{self, Chunk};
-use crate::sql::ast::Statement;
+use crate::sql::ast::{Expr, Statement};
 use crate::sql::parser::parse_statement;
 use crate::sql::planner::{execute_select, TableProvider};
 use crate::table::{ColumnDef, Table};
@@ -24,54 +25,18 @@ pub struct ResultSet {
 
 impl ResultSet {
     /// Empty result (used for DDL/DML statements).
-    pub fn empty() -> ResultSet {
+    pub(crate) fn empty() -> ResultSet {
         ResultSet { columns: Vec::new(), rows: Vec::new() }
     }
 
     /// Result carrying a single "rows affected" count.
-    pub fn affected(n: usize) -> ResultSet {
+    pub(crate) fn affected(n: usize) -> ResultSet {
         ResultSet { columns: vec!["affected".into()], rows: vec![vec![Value::Int(n as i64)]] }
     }
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Value at (row, column name).
-    pub fn value(&self, row: usize, column: &str) -> Option<&Value> {
-        let c = self
-            .columns
-            .iter()
-            .position(|n| n.eq_ignore_ascii_case(column))?;
-        self.rows.get(row).map(|r| &r[c])
-    }
-
-    /// Render as RFC-4180-style CSV (quotes doubled, fields with commas
-    /// or quotes quoted) — the export format the portal offers.
-    pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self.columns.iter().map(|c| field(c)).collect::<Vec<_>>().join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(
-                &row.iter()
-                    .map(|v| field(&v.to_string()))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-            out.push('\n');
-        }
-        out
     }
 
     /// Render as an aligned text table (for examples and the portal).
@@ -168,7 +133,7 @@ impl Catalog {
     }
 
     /// Drop a table; errors when absent.
-    pub fn drop_table(&self, name: &str) -> Result<()> {
+    pub(crate) fn drop_table(&self, name: &str) -> Result<()> {
         write(&self.inner.tables)
             .remove(&Self::key(name))
             .map(|_| ())
@@ -176,7 +141,7 @@ impl Catalog {
     }
 
     /// Table names, sorted.
-    pub fn table_names(&self) -> Vec<String> {
+    pub(crate) fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = read(&self.inner.tables)
             .values()
             .map(|t| t.name().to_string())
@@ -203,7 +168,7 @@ impl Catalog {
     }
 
     /// Mutate a table in place under the write lock.
-    pub fn with_table_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> R) -> Result<R> {
+    pub(crate) fn with_table_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> R) -> Result<R> {
         let mut tables = write(&self.inner.tables);
         let t = tables
             .get_mut(&Self::key(name))
@@ -313,19 +278,7 @@ impl Catalog {
                         .iter()
                         .map(|(c, _)| t.column_index(c))
                         .collect::<Result<_>>()?;
-                    // Rows to touch.
-                    let mut rids: Vec<u32> = Vec::new();
-                    for i in 0..chunk.num_rows() {
-                        let hit = match &where_clause {
-                            None => true,
-                            Some(pred) => {
-                                exec::eval_expr(&chunk, i, pred)? == Value::Bool(true)
-                            }
-                        };
-                        if hit {
-                            rids.push(i as u32);
-                        }
-                    }
+                    let rids = rows_to_touch(&chunk, where_clause.as_ref())?;
                     // New values per row (expressions may reference columns).
                     let mut values: Vec<Vec<Value>> = Vec::with_capacity(rids.len());
                     for &rid in &rids {
@@ -343,18 +296,7 @@ impl Catalog {
             Statement::Delete { table, where_clause } => {
                 let n = self.with_table_mut(&table, |t| -> Result<usize> {
                     let chunk = Chunk::from_table(t, t.name());
-                    let rids: Vec<u32> = match &where_clause {
-                        None => (0..t.num_rows() as u32).collect(),
-                        Some(pred) => {
-                            let mut hits = Vec::new();
-                            for i in 0..chunk.num_rows() {
-                                if exec::eval_expr(&chunk, i, pred)? == Value::Bool(true) {
-                                    hits.push(i as u32);
-                                }
-                            }
-                            hits
-                        }
-                    };
+                    let rids = rows_to_touch(&chunk, where_clause.as_ref())?;
                     let n = rids.len();
                     t.delete_rows(&rids);
                     Ok(n)
@@ -362,6 +304,15 @@ impl Catalog {
                 Ok(ResultSet::affected(n))
             }
         }
+    }
+}
+
+/// The rows an UPDATE or DELETE touches: all of them, or those its
+/// WHERE selects through the same selection as SELECT's.
+fn rows_to_touch(chunk: &Chunk, where_clause: Option<&Expr>) -> Result<Vec<RowId>> {
+    match where_clause {
+        None => Ok((0..chunk.num_rows() as RowId).collect()),
+        Some(pred) => exec::select_rows(&WorkerPool::default(), chunk, pred),
     }
 }
 
@@ -482,7 +433,7 @@ mod tests {
     fn delete_with_predicate() {
         let cat = setup();
         let rs = cat.execute("DELETE FROM products WHERE level = 'L1'").unwrap();
-        assert_eq!(rs.value(0, "affected"), Some(&Value::Int(2)));
+        assert_eq!(rs.rows[0][0], Value::Int(2));
         let rs = cat.execute("SELECT COUNT(*) FROM products").unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(3));
     }
@@ -562,20 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_escapes() {
-        let cat = Catalog::new();
-        cat.execute("CREATE TABLE t (a STRING, b INT)").unwrap();
-        cat.execute("INSERT INTO t VALUES ('plain', 1), ('with,comma', 2), ('with\"quote', 3)")
-            .unwrap();
-        let csv = cat.execute("SELECT * FROM t ORDER BY b").unwrap().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "a,b");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",2");
-        assert_eq!(lines[3], "\"with\"\"quote\",3");
-    }
-
-    #[test]
     fn concurrent_handles_share_state() {
         let cat = setup();
         let cat2 = cat.clone();
@@ -600,7 +537,7 @@ mod tests {
         let rs = cat
             .execute("UPDATE products SET level = 'L9', cloud = cloud * 2 WHERE sat = 'MSG2'")
             .unwrap();
-        assert_eq!(rs.value(0, "affected"), Some(&Value::Int(3)));
+        assert_eq!(rs.rows[0][0], Value::Int(3));
         let rs = cat.execute("SELECT id, level, cloud FROM products ORDER BY id").unwrap();
         assert_eq!(rs.rows[0][1], Value::Str("L9".into()));
         assert_eq!(rs.rows[0][2], Value::Double(0.2));
@@ -614,7 +551,7 @@ mod tests {
     fn update_without_where_touches_all() {
         let cat = setup();
         let rs = cat.execute("UPDATE products SET cloud = 0.0").unwrap();
-        assert_eq!(rs.value(0, "affected"), Some(&Value::Int(5)));
+        assert_eq!(rs.rows[0][0], Value::Int(5));
         let rs = cat.execute("SELECT SUM(cloud) AS s FROM products").unwrap();
         assert_eq!(rs.rows[0][0], Value::Double(0.0));
     }

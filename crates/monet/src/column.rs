@@ -13,7 +13,7 @@ use std::cmp::Ordering;
 use teleios_exec::{concat, WorkerPool};
 
 /// Row identifier within a column/table.
-pub type RowId = u32;
+pub(crate) type RowId = u32;
 
 /// Minimum input size (rows) before the parallel kernels split work
 /// across the pool; below this the sequential kernels win outright.
@@ -77,7 +77,7 @@ enum ColumnData {
 
 impl Column {
     /// Empty column of the given type.
-    pub fn new(ty: DataType) -> Column {
+    pub(crate) fn new(ty: DataType) -> Column {
         let data = match ty {
             DataType::Int => ColumnData::Int(Vec::new()),
             DataType::Double => ColumnData::Double(Vec::new()),
@@ -97,18 +97,8 @@ impl Column {
         Column { data: ColumnData::Double(v), validity: None }
     }
 
-    /// Column from string data (no nulls).
-    pub fn from_strs(v: Vec<String>) -> Column {
-        Column { data: ColumnData::Str(v), validity: None }
-    }
-
-    /// Column from bool data (no nulls).
-    pub fn from_bools(v: Vec<bool>) -> Column {
-        Column { data: ColumnData::Bool(v), validity: None }
-    }
-
     /// The column's data type.
-    pub fn data_type(&self) -> DataType {
+    pub(crate) fn data_type(&self) -> DataType {
         match &self.data {
             ColumnData::Int(_) => DataType::Int,
             ColumnData::Double(_) => DataType::Double,
@@ -118,7 +108,7 @@ impl Column {
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.data {
             ColumnData::Int(v) => v.len(),
             ColumnData::Double(v) => v.len(),
@@ -127,26 +117,21 @@ impl Column {
         }
     }
 
-    /// True when there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// True when row `i` holds NULL.
     #[inline]
-    pub fn is_null(&self, i: usize) -> bool {
+    pub(crate) fn is_null(&self, i: usize) -> bool {
         self.validity.as_ref().is_some_and(|v| !v[i])
     }
 
     /// Number of NULL rows.
-    pub fn null_count(&self) -> usize {
+    pub(crate) fn null_count(&self) -> usize {
         self.validity
             .as_ref()
             .map_or(0, |v| v.iter().filter(|&&ok| !ok).count())
     }
 
     /// Append a value, coercing ints to double where needed.
-    pub fn push(&mut self, value: Value) -> Result<()> {
+    pub(crate) fn push(&mut self, value: Value) -> Result<()> {
         let value = match value {
             Value::Null => {
                 let n = self.len();
@@ -181,7 +166,7 @@ impl Column {
     }
 
     /// Value at row `i` (NULL-aware). Panics when out of bounds.
-    pub fn get(&self, i: usize) -> Value {
+    pub(crate) fn get(&self, i: usize) -> Value {
         if self.is_null(i) {
             return Value::Null;
         }
@@ -282,29 +267,8 @@ impl Column {
         out
     }
 
-    /// Range selection `lo <= x <= hi` (both optional); NULLs excluded.
-    pub fn select_range(
-        &self,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
-        cands: Option<&[RowId]>,
-        pool: &WorkerPool,
-    ) -> Result<Vec<RowId>> {
-        let mut result = match lo {
-            Some(v) => self.select(CmpOp::Ge, v, cands, pool)?,
-            None => match cands {
-                Some(c) => c.to_vec(),
-                None => (0..self.len() as RowId).collect(),
-            },
-        };
-        if let Some(v) = hi {
-            result = self.select(CmpOp::Le, v, Some(&result), pool)?;
-        }
-        Ok(result)
-    }
-
     /// Gather the values at `rows` into a new column (positional join).
-    pub fn gather(&self, rows: &[RowId]) -> Column {
+    pub(crate) fn gather(&self, rows: &[RowId]) -> Column {
         // Keep the validity vector only when a NULL is actually
         // gathered, matching `push`-based construction.
         let validity = self.validity.as_ref().and_then(|v| {
@@ -331,110 +295,6 @@ impl Column {
             }
         };
         Column { data, validity }
-    }
-
-    /// Direct access to integer data for hot loops; `None` when the column
-    /// is not an INT column or contains NULLs.
-    pub fn as_int_slice(&self) -> Option<&[i64]> {
-        match (&self.data, &self.validity) {
-            (ColumnData::Int(v), None) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Direct access to double data; `None` for non-DOUBLE or nullable.
-    pub fn as_double_slice(&self) -> Option<&[f64]> {
-        match (&self.data, &self.validity) {
-            (ColumnData::Double(v), None) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Minimum over candidates, SQL semantics (NULLs skipped).
-    pub fn min(&self, cands: Option<&[RowId]>) -> Value {
-        self.fold_cmp(cands, Ordering::Less)
-    }
-
-    /// Maximum over candidates, SQL semantics (NULLs skipped).
-    pub fn max(&self, cands: Option<&[RowId]>) -> Value {
-        self.fold_cmp(cands, Ordering::Greater)
-    }
-
-    fn fold_cmp(&self, cands: Option<&[RowId]>, want: Ordering) -> Value {
-        let mut best = Value::Null;
-        let mut consider = |v: Value| {
-            if v.is_null() {
-                return;
-            }
-            if best.is_null() || v.sql_cmp(&best) == Some(want) {
-                best = v;
-            }
-        };
-        match cands {
-            Some(list) => {
-                for &rid in list {
-                    consider(self.get(rid as usize));
-                }
-            }
-            None => {
-                for i in 0..self.len() {
-                    consider(self.get(i));
-                }
-            }
-        }
-        best
-    }
-
-    /// Sum over candidates (numeric columns; NULLs skipped). Integer
-    /// columns sum to `Int`, doubles to `Double`; empty input sums to NULL.
-    pub fn sum(&self, cands: Option<&[RowId]>) -> Result<Value> {
-        match &self.data {
-            ColumnData::Int(data) => {
-                let mut acc: i64 = 0;
-                let mut any = false;
-                let mut add = |i: usize| {
-                    if !self.is_null(i) {
-                        acc = acc.wrapping_add(data[i]);
-                        any = true;
-                    }
-                };
-                match cands {
-                    Some(list) => list.iter().for_each(|&r| add(r as usize)),
-                    None => (0..data.len()).for_each(&mut add),
-                }
-                Ok(if any { Value::Int(acc) } else { Value::Null })
-            }
-            ColumnData::Double(data) => {
-                let mut acc = 0.0;
-                let mut any = false;
-                let mut add = |i: usize| {
-                    if !self.is_null(i) {
-                        acc += data[i];
-                        any = true;
-                    }
-                };
-                match cands {
-                    Some(list) => list.iter().for_each(|&r| add(r as usize)),
-                    None => (0..data.len()).for_each(&mut add),
-                }
-                Ok(if any { Value::Double(acc) } else { Value::Null })
-            }
-            _ => Err(DbError::TypeMismatch {
-                expected: "numeric column".into(),
-                found: self.data_type().to_string(),
-            }),
-        }
-    }
-
-    /// Count of non-NULL values over candidates.
-    pub fn count(&self, cands: Option<&[RowId]>) -> i64 {
-        match cands {
-            Some(list) => list
-                .iter()
-                .filter(|&&r| !self.is_null(r as usize))
-                .count() as i64,
-            None => (self.len() - self.null_count()) as i64,
-        }
     }
 }
 
@@ -515,15 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn select_range_inclusive() {
-        let c = int_col();
-        let r = c
-            .select_range(Some(&Value::Int(3)), Some(&Value::Int(8)), None, &pool())
-            .unwrap();
-        assert_eq!(r, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn select_type_error() {
         let c = int_col();
         assert!(c.select(CmpOp::Eq, &Value::Str("x".into()), None, &pool()).is_err());
@@ -548,61 +399,21 @@ mod tests {
     }
 
     #[test]
-    fn aggregates() {
-        let c = int_col();
-        assert_eq!(c.sum(None).unwrap(), Value::Int(29));
-        assert_eq!(c.min(None), Value::Int(1));
-        assert_eq!(c.max(None), Value::Int(9));
-        assert_eq!(c.count(None), 6);
-        let cands = vec![0u32, 2];
-        assert_eq!(c.sum(Some(&cands)).unwrap(), Value::Int(13));
-        assert_eq!(c.count(Some(&cands)), 2);
-    }
-
-    #[test]
-    fn aggregates_with_nulls() {
-        let mut c = Column::new(DataType::Double);
-        c.push(Value::Double(1.0)).unwrap();
-        c.push(Value::Null).unwrap();
-        c.push(Value::Double(2.0)).unwrap();
-        assert_eq!(c.sum(None).unwrap(), Value::Double(3.0));
-        assert_eq!(c.count(None), 2);
-        assert_eq!(c.min(None), Value::Double(1.0));
-    }
-
-    #[test]
-    fn sum_of_empty_is_null() {
-        let c = Column::new(DataType::Int);
-        assert_eq!(c.sum(None).unwrap(), Value::Null);
-        assert_eq!(c.min(None), Value::Null);
-    }
-
-    #[test]
-    fn sum_of_string_errors() {
-        let c = Column::from_strs(vec!["a".into()]);
-        assert!(c.sum(None).is_err());
-    }
-
-    #[test]
-    fn fast_slices_only_when_clean() {
-        let c = int_col();
-        assert!(c.as_int_slice().is_some());
-        let mut n = Column::new(DataType::Int);
-        n.push(Value::Null).unwrap();
-        assert!(n.as_int_slice().is_none());
-        assert!(c.as_double_slice().is_none());
-    }
-
-    #[test]
     fn string_selection() {
-        let c = Column::from_strs(vec!["b".into(), "a".into(), "c".into(), "a".into()]);
+        let mut c = Column::new(DataType::Str);
+        for s in ["b", "a", "c", "a"] {
+            c.push(Value::Str(s.into())).unwrap();
+        }
         assert_eq!(c.select(CmpOp::Eq, &Value::Str("a".into()), None, &pool()).unwrap(), vec![1, 3]);
         assert_eq!(c.select(CmpOp::Gt, &Value::Str("a".into()), None, &pool()).unwrap(), vec![0, 2]);
     }
 
     #[test]
     fn bool_selection() {
-        let c = Column::from_bools(vec![true, false, true]);
+        let mut c = Column::new(DataType::Bool);
+        for b in [true, false, true] {
+            c.push(Value::Bool(b)).unwrap();
+        }
         assert_eq!(c.select(CmpOp::Eq, &Value::Bool(true), None, &pool()).unwrap(), vec![0, 2]);
     }
 }

@@ -1,11 +1,15 @@
 //! Relational execution engine.
 //!
 //! Operators work on [`Chunk`]s — named bundles of equal-length columns.
-//! Selections try a **columnar fast path** first (conjunctions of
-//! `column op constant` compiled to [`Column::select`] candidate-list
-//! passes, exactly the MonetDB style); any predicate the fast path cannot
-//! express falls back to row-at-a-time evaluation. A pure row-at-a-time
-//! reference filter is kept public for the ablation benchmark (E6/E4).
+//! Every WHERE (SELECT's [`filter`], UPDATE's and DELETE's) picks its
+//! rows through one `select_rows`: conjunctions of `column op constant`
+//! compile to [`Column::select`] candidate-list passes, exactly the
+//! MonetDB style, and any predicate the fast path cannot express is
+//! evaluated row at a time. A pure row-at-a-time reference filter,
+//! [`filter_rowwise`], stays public for the ablation benchmark (E6/E4)
+//! and the SQL differential. Aggregates have one path as well:
+//! [`aggregate`] groups the rows and `eval_aggregate` folds each group,
+//! SUM with the same checked addition as `+`.
 
 use crate::column::{CmpOp, Column, RowId, PAR_ROW_THRESHOLD};
 use crate::error::DbError;
@@ -55,12 +59,12 @@ impl Chunk {
     }
 
     /// Number of columns.
-    pub fn num_cols(&self) -> usize {
+    pub(crate) fn num_cols(&self) -> usize {
         self.cols.len()
     }
 
     /// Column by position.
-    pub fn column(&self, i: usize) -> &Column {
+    pub(crate) fn column(&self, i: usize) -> &Column {
         &self.cols[i]
     }
 
@@ -68,7 +72,7 @@ impl Chunk {
     ///
     /// `a.x` matches exactly; `x` matches any `*.x` provided it is
     /// unambiguous.
-    pub fn resolve(&self, name: &str) -> Result<usize> {
+    pub(crate) fn resolve(&self, name: &str) -> Result<usize> {
         if let Some(i) = self.names.iter().position(|n| n.eq_ignore_ascii_case(name)) {
             return Ok(i);
         }
@@ -96,7 +100,7 @@ impl Chunk {
     }
 
     /// Keep only the rows in `rids` (gather).
-    pub fn take(&self, rids: &[RowId]) -> Chunk {
+    pub(crate) fn take(&self, rids: &[RowId]) -> Chunk {
         Chunk {
             names: self.names.clone(),
             cols: self.cols.iter().map(|c| c.gather(rids)).collect(),
@@ -118,7 +122,7 @@ impl Chunk {
 // ---------------------------------------------------------------------
 
 /// Evaluate an expression for one row of a chunk.
-pub fn eval_expr(chunk: &Chunk, row: usize, expr: &Expr) -> Result<Value> {
+pub(crate) fn eval_expr(chunk: &Chunk, row: usize, expr: &Expr) -> Result<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Column(name) => {
@@ -233,7 +237,7 @@ fn sql_or(a: &Value, b: &Value) -> Value {
 }
 
 /// Evaluate a non-logical binary operator on two values.
-pub fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     use BinOp::*;
     match op {
         Eq | Ne | Lt | Le | Gt | Ge => {
@@ -396,21 +400,37 @@ fn eval_scalar_func(name: &str, args: &[Value]) -> Result<Value> {
 }
 
 /// SQL LIKE with `%` (any run) and `_` (single char), case-sensitive.
-pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
+///
+/// Two pointers; on a mismatch the last `%` takes one more character
+/// and matching resumes after it. Only the last `%` ever needs to
+/// retry, so the walk is O(|s|·|pattern|) however many `%` there are.
+pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
+    let s: Vec<char> = s.chars().collect();
+    let p: Vec<char> = pattern.chars().collect();
+    let (mut i, mut j) = (0, 0);
+    // (pattern index of the last `%`, text index it has consumed up to).
+    let mut retry: Option<(usize, usize)> = None;
+    while i < s.len() {
+        match p.get(j) {
             Some('%') => {
-                // Try consuming 0..=len(s) characters.
-                (0..=s.len()).any(|k| rec(&s[k..], &p[1..]))
+                retry = Some((j, i));
+                j += 1;
             }
-            Some('_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(&c) => s.first() == Some(&c) && rec(&s[1..], &p[1..]),
+            Some(&c) if c == '_' || c == s[i] => {
+                i += 1;
+                j += 1;
+            }
+            _ => match retry {
+                Some((star, consumed)) => {
+                    retry = Some((star, consumed + 1));
+                    i = consumed + 1;
+                    j = star + 1;
+                }
+                None => return false,
+            },
         }
     }
-    let sc: Vec<char> = s.chars().collect();
-    let pc: Vec<char> = pattern.chars().collect();
-    rec(&sc, &pc)
+    p[j..].iter().all(|&c| c == '%')
 }
 
 // ---------------------------------------------------------------------
@@ -460,42 +480,71 @@ fn compile_conjuncts(expr: &Expr, out: &mut Vec<(String, CmpOp, Value)>) -> bool
     }
 }
 
-/// Filter a chunk, using the columnar candidate-list fast path when the
-/// predicate is a conjunction of simple comparisons. Each
-/// candidate-narrowing pass is a [`Column::select`] on `pool`, so the
-/// result is identical at every pool size.
-pub fn filter(pool: &WorkerPool, chunk: &Chunk, predicate: &Expr) -> Result<Chunk> {
+/// Row ids of `chunk` where `predicate` holds, ascending: the one
+/// selection under SELECT's `filter` and the WHERE of UPDATE and DELETE.
+/// A conjunction of simple comparisons runs as columnar
+/// candidate-narrowing passes, each a [`Column::select`] on `pool`, so
+/// the result is identical at every pool size; any other predicate is
+/// evaluated row at a time.
+pub(crate) fn select_rows(
+    pool: &WorkerPool,
+    chunk: &Chunk,
+    predicate: &Expr,
+) -> Result<Vec<RowId>> {
     let mut conjuncts = Vec::new();
-    if compile_conjuncts(predicate, &mut conjuncts) && !conjuncts.is_empty() {
-        // Columnar path: run each conjunct as a candidate-narrowing pass.
-        let mut cands: Option<Vec<RowId>> = None;
-        for (col_name, op, value) in &conjuncts {
-            let idx = chunk.resolve(col_name)?;
-            let selected = chunk.column(idx).select(*op, value, cands.as_deref(), pool)?;
-            cands = Some(selected);
-            if cands.as_ref().is_some_and(Vec::is_empty) {
-                break;
-            }
-        }
-        return Ok(chunk.take(&cands.unwrap_or_default()));
+    if !compile_conjuncts(predicate, &mut conjuncts) || conjuncts.is_empty() {
+        return rows_where(chunk, predicate);
     }
-    filter_rowwise(chunk, predicate)
+    let mut cands: Option<Vec<RowId>> = None;
+    for (col_name, op, value) in &conjuncts {
+        let idx = chunk.resolve(col_name)?;
+        let selected = chunk.column(idx).select(*op, value, cands.as_deref(), pool)?;
+        if selected.is_empty() {
+            return Ok(selected);
+        }
+        cands = Some(selected);
+    }
+    Ok(cands.unwrap_or_default())
+}
+
+/// Filter a chunk through `select_rows`.
+pub fn filter(pool: &WorkerPool, chunk: &Chunk, predicate: &Expr) -> Result<Chunk> {
+    Ok(chunk.take(&select_rows(pool, chunk, predicate)?))
 }
 
 /// Reference row-at-a-time filter (used as the E4/E6 ablation baseline and
-/// as the general-predicate fallback).
+/// by the SQL differential).
 pub fn filter_rowwise(chunk: &Chunk, predicate: &Expr) -> Result<Chunk> {
+    Ok(chunk.take(&rows_where(chunk, predicate)?))
+}
+
+fn rows_where(chunk: &Chunk, predicate: &Expr) -> Result<Vec<RowId>> {
     let mut keep = Vec::new();
     for i in 0..chunk.num_rows() {
         if eval_expr(chunk, i, predicate)? == Value::Bool(true) {
             keep.push(i as RowId);
         }
     }
-    Ok(chunk.take(&keep))
+    Ok(keep)
+}
+
+/// The column type of computed values: the first non-NULL value's,
+/// widened to DOUBLE when an INT result sits beside a DOUBLE one (an
+/// integer overflow that `+`, `*` or SUM promoted in some rows only).
+fn result_type<'a>(values: impl Iterator<Item = &'a Value>) -> Option<DataType> {
+    let mut ty = None;
+    for v in values {
+        match (ty, v.data_type()) {
+            (None, found) => ty = found,
+            (Some(DataType::Int), Some(DataType::Double)) => return Some(DataType::Double),
+            _ => {}
+        }
+    }
+    ty
 }
 
 /// Project expressions into a new chunk.
-pub fn project(chunk: &Chunk, exprs: &[(Expr, String)]) -> Result<Chunk> {
+pub(crate) fn project(chunk: &Chunk, exprs: &[(Expr, String)]) -> Result<Chunk> {
     let mut names = Vec::with_capacity(exprs.len());
     let mut cols: Vec<Column> = Vec::with_capacity(exprs.len());
     for (expr, name) in exprs {
@@ -506,16 +555,13 @@ pub fn project(chunk: &Chunk, exprs: &[(Expr, String)]) -> Result<Chunk> {
             cols.push(chunk.column(idx).clone());
             continue;
         }
-        // General path: evaluate per row; infer the type from the first
-        // non-null result (default DOUBLE).
+        // General path: evaluate per row, then type the column from
+        // the results (default DOUBLE).
         let mut values = Vec::with_capacity(chunk.num_rows());
         for i in 0..chunk.num_rows() {
             values.push(eval_expr(chunk, i, expr)?);
         }
-        let ty = values
-            .iter()
-            .find_map(Value::data_type)
-            .unwrap_or(DataType::Double);
+        let ty = result_type(values.iter()).unwrap_or(DataType::Double);
         let mut col = Column::new(ty);
         for v in values {
             let v = if v.is_null() { v } else { v.coerce(ty).unwrap_or(Value::Null) };
@@ -643,45 +689,6 @@ pub fn hash_join(
     } else {
         probe_chunk.zip_concat(&build_chunk)
     })
-}
-
-/// Nested-loop join on an arbitrary predicate (baseline for E3/E4).
-pub fn nested_loop_join(left: &Chunk, right: &Chunk, predicate: &Expr) -> Result<Chunk> {
-    let mut combined_rows_l = Vec::new();
-    let mut combined_rows_r = Vec::new();
-    // Evaluate the predicate against a row-pair view.
-    let pair = left_right_names(left, right);
-    for i in 0..left.num_rows() {
-        for j in 0..right.num_rows() {
-            let mut vals = left.row(i);
-            vals.extend(right.row(j));
-            let row_chunk = singleton_chunk(&pair, vals)?;
-            if eval_expr(&row_chunk, 0, predicate)? == Value::Bool(true) {
-                combined_rows_l.push(i as RowId);
-                combined_rows_r.push(j as RowId);
-            }
-        }
-    }
-    Ok(left.take(&combined_rows_l).zip_concat(&right.take(&combined_rows_r)))
-}
-
-fn left_right_names(left: &Chunk, right: &Chunk) -> Vec<String> {
-    let mut names = left.names().to_vec();
-    names.extend(right.names().iter().cloned());
-    names
-}
-
-fn singleton_chunk(names: &[String], vals: Vec<Value>) -> Result<Chunk> {
-    let cols: Vec<Column> = vals
-        .into_iter()
-        .map(|v| {
-            let ty = v.data_type().unwrap_or(DataType::Int);
-            let mut c = Column::new(ty);
-            c.push(v)?;
-            Ok(c)
-        })
-        .collect::<Result<_>>()?;
-    Ok(Chunk::new(names.to_vec(), cols))
 }
 
 /// Wrapper making `Value` hashable for join/group keys. NULL never
@@ -877,19 +884,31 @@ fn eval_aggregate(chunk: &Chunk, rids: &[RowId], agg: &AggSpec) -> Result<Value>
                             acc
                         }
                     }),
-                AggFunc::Sum | AggFunc::Avg => {
+                // The checked addition of `+`: exact in i64, in doubles
+                // from the first partial sum that overflows.
+                AggFunc::Sum => {
+                    let mut acc = Value::Null;
+                    for v in non_null {
+                        if v.as_f64().is_none() {
+                            return Err(DbError::TypeMismatch {
+                                expected: "numeric".into(),
+                                found: format!("{v}"),
+                            });
+                        }
+                        acc = if acc.is_null() {
+                            v.clone()
+                        } else {
+                            eval_binary(BinOp::Add, &acc, v)?
+                        };
+                    }
+                    acc
+                }
+                AggFunc::Avg => {
                     if non_null.is_empty() {
                         Value::Null
                     } else {
-                        let all_int = non_null.iter().all(|v| matches!(v, Value::Int(_)));
                         let sum: f64 = non_null.iter().filter_map(|v| v.as_f64()).sum();
-                        if func == AggFunc::Avg {
-                            Value::Double(sum / non_null.len() as f64)
-                        } else if all_int {
-                            Value::Int(sum as i64)
-                        } else {
-                            Value::Double(sum)
-                        }
+                        Value::Double(sum / non_null.len() as f64)
                     }
                 }
             })
@@ -898,7 +917,7 @@ fn eval_aggregate(chunk: &Chunk, rids: &[RowId], agg: &AggSpec) -> Result<Value>
 }
 
 /// Sort a chunk by key expressions.
-pub fn sort(chunk: &Chunk, keys: &[(Expr, bool)]) -> Result<Chunk> {
+pub(crate) fn sort(chunk: &Chunk, keys: &[(Expr, bool)]) -> Result<Chunk> {
     let n = chunk.num_rows();
     let mut key_vals: Vec<Vec<Value>> = Vec::with_capacity(n);
     for i in 0..n {
@@ -923,13 +942,13 @@ pub fn sort(chunk: &Chunk, keys: &[(Expr, bool)]) -> Result<Chunk> {
 }
 
 /// Keep the first `n` rows.
-pub fn limit(chunk: &Chunk, n: usize) -> Chunk {
+pub(crate) fn limit(chunk: &Chunk, n: usize) -> Chunk {
     let keep: Vec<RowId> = (0..chunk.num_rows().min(n) as RowId).collect();
     chunk.take(&keep)
 }
 
 /// Remove duplicate rows (first occurrence wins).
-pub fn distinct(chunk: &Chunk) -> Chunk {
+pub(crate) fn distinct(chunk: &Chunk) -> Chunk {
     let mut seen: std::collections::HashSet<Vec<HashableValue>> = std::collections::HashSet::new();
     let mut keep = Vec::new();
     for i in 0..chunk.num_rows() {
@@ -942,15 +961,12 @@ pub fn distinct(chunk: &Chunk) -> Chunk {
 }
 
 /// Build a chunk from value rows, inferring column types.
-pub fn rows_to_chunk(names: Vec<String>, rows: Vec<Vec<Value>>) -> Result<Chunk> {
+pub(crate) fn rows_to_chunk(names: Vec<String>, rows: Vec<Vec<Value>>) -> Result<Chunk> {
     let ncols = names.len();
     let mut cols: Vec<Column> = (0..ncols)
         .map(|c| {
-            let ty = rows
-                .iter()
-                .find_map(|r| r[c].data_type())
-                .unwrap_or(DataType::Int);
-            Column::new(ty)
+            let ty = result_type(rows.iter().filter_map(|r| r.get(c)));
+            Column::new(ty.unwrap_or(DataType::Int))
         })
         .collect();
     for row in &rows {
@@ -1123,20 +1139,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_loop_matches_hash_on_equi() {
-        let left = chunk();
-        let right = rows_to_chunk(
-            vec!["r.id".into()],
-            vec![vec![1.into()], vec![2.into()], vec![3.into()]],
-        )
-        .unwrap();
-        let pred = Expr::binary(BinOp::Eq, col("t.id"), col("r.id"));
-        let a = hash_join(&pool(), &left, &right, &col("t.id"), &col("r.id")).unwrap();
-        let b = nested_loop_join(&left, &right, &pred).unwrap();
-        assert_eq!(a.num_rows(), b.num_rows());
-    }
-
-    #[test]
     fn aggregate_global() {
         let c = chunk();
         let out = aggregate(
@@ -1261,6 +1263,39 @@ mod tests {
         assert!(like_match("a%b", "a%b"));
     }
 
+    /// Reference matcher: tries every split at every `%`, exponential
+    /// in their number, but plainly right.
+    fn like_reference(s: &[char], p: &[char]) -> bool {
+        match p.first() {
+            None => s.is_empty(),
+            Some('%') => (0..=s.len()).any(|k| like_reference(&s[k..], &p[1..])),
+            Some('_') => !s.is_empty() && like_reference(&s[1..], &p[1..]),
+            Some(&c) => s.first() == Some(&c) && like_reference(&s[1..], &p[1..]),
+        }
+    }
+
+    #[test]
+    fn like_agrees_with_the_recursive_reference() {
+        teleios_check::forall(
+            |g| (g.string("ab%_", 0..12), g.string("ab%_", 0..8)),
+            |(s, p)| {
+                let chars = |t: &str| t.chars().collect::<Vec<_>>();
+                let want = like_reference(&chars(&s), &chars(&p));
+                assert_eq!(like_match(&s, &p), want, "{s:?} LIKE {p:?}");
+            },
+        );
+    }
+
+    #[test]
+    fn like_is_polynomial_in_the_number_of_wildcards() {
+        let text = "a".repeat(40);
+        let pattern = format!("{}%b", "%a".repeat(10));
+        let started = std::time::Instant::now();
+        assert!(!like_match(&text, &pattern));
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_millis(100), "{took:?}");
+    }
+
     #[test]
     fn three_valued_logic() {
         let c = chunk();
@@ -1345,6 +1380,21 @@ mod tests {
         let nan = Value::Double(f64::NAN);
         assert_eq!(eval_binary(BinOp::Lt, &nan, &Value::Int(7)).unwrap(), Value::Null);
         assert!(eval_binary(BinOp::Lt, &Value::Str("a".into()), &Value::Int(7)).is_err());
+    }
+
+    #[test]
+    fn rows_promoted_apart_from_their_neighbours_make_a_double_column() {
+        let names = vec!["k".to_string(), "v".to_string()];
+        let rows = vec![vec![1.into(), 1.into()], vec![2.into(), i64::MAX.into()]];
+        let t = rows_to_chunk(names, [rows.clone(), rows].concat()).unwrap();
+        let twice = Expr::binary(BinOp::Add, col("v"), col("v"));
+        let doubled = project(&t, &[(twice, "d".into())]).unwrap();
+        assert_eq!(doubled.row(0), vec![Value::Double(2.0)]);
+        assert_eq!(doubled.row(1), vec![Value::Double(i64::MAX as f64 * 2.0)]);
+        let sum = AggSpec { func: AggFunc::Sum, expr: Some(col("v")), name: "s".into() };
+        let sums = aggregate(&pool(), &t, &[col("k")], &[sum]).unwrap();
+        assert_eq!(sums.row(0), vec![Value::Int(1), Value::Double(2.0)]);
+        assert_eq!(sums.row(1), vec![Value::Int(2), Value::Double(i64::MAX as f64 * 2.0)]);
     }
 
     #[test]

@@ -29,9 +29,9 @@ use crate::table::{ColumnDef, Table};
 use crate::value::{DataType, Value};
 
 /// Keyspace holding per-table schema records.
-pub const SCHEMA_KEYSPACE: &str = "monet/schema";
+pub(crate) const SCHEMA_KEYSPACE: &str = "monet/schema";
 /// Keyspace holding column pages.
-pub const COL_KEYSPACE: &str = "monet/col";
+pub(crate) const COL_KEYSPACE: &str = "monet/col";
 
 fn type_tag(ty: DataType) -> u8 {
     match ty {

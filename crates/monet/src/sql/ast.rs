@@ -99,37 +99,6 @@ impl Expr {
     pub fn binary(op: BinOp, left: Expr, right: Expr) -> Expr {
         Expr::Binary { op, left: Box::new(left), right: Box::new(right) }
     }
-
-    /// Collect referenced column names into `out`.
-    pub fn collect_columns(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Literal(_) => {}
-            Expr::Column(c) => out.push(c.clone()),
-            Expr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
-            }
-            Expr::Neg(e) | Expr::Not(e) => e.collect_columns(out),
-            Expr::IsNull { expr, .. } => expr.collect_columns(out),
-            Expr::Between { expr, lo, hi } => {
-                expr.collect_columns(out);
-                lo.collect_columns(out);
-                hi.collect_columns(out);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.collect_columns(out);
-                for e in list {
-                    e.collect_columns(out);
-                }
-            }
-            Expr::Like { expr, .. } => expr.collect_columns(out),
-            Expr::Func { args, .. } => {
-                for a in args {
-                    a.collect_columns(out);
-                }
-            }
-        }
-    }
 }
 
 /// Aggregate function in a SELECT list.
@@ -149,7 +118,7 @@ pub enum AggFunc {
 
 impl AggFunc {
     /// Parse a function name as an aggregate.
-    pub fn parse(name: &str) -> Option<AggFunc> {
+    pub(crate) fn parse(name: &str) -> Option<AggFunc> {
         match name.to_ascii_uppercase().as_str() {
             "COUNT" => Some(AggFunc::Count),
             "SUM" => Some(AggFunc::Sum),
@@ -273,18 +242,6 @@ pub enum Statement {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn collect_columns_walks_tree() {
-        let e = Expr::binary(
-            BinOp::And,
-            Expr::binary(BinOp::Gt, Expr::Column("a".into()), Expr::Literal(Value::Int(1))),
-            Expr::IsNull { expr: Box::new(Expr::Column("b".into())), negated: true },
-        );
-        let mut cols = Vec::new();
-        e.collect_columns(&mut cols);
-        assert_eq!(cols, vec!["a".to_string(), "b".to_string()]);
-    }
 
     #[test]
     fn aggfunc_parse() {

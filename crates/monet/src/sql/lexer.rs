@@ -9,7 +9,7 @@ const MAX_DEPTH: usize = 64;
 
 /// A lexical token with its source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Token kind and payload.
     pub kind: TokenKind,
     /// Byte offset in the input.
@@ -102,7 +102,7 @@ const SYMBOLS: [(&str, Symbol); 20] = [
 ];
 
 /// Tokenize SQL (or SciQL) text.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     let mut out = Vec::new();
@@ -251,7 +251,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// True when the next token is the given keyword (any case).
-    pub fn peek_kw(&self, kw: &str) -> bool {
+    pub(crate) fn peek_kw(&self, kw: &str) -> bool {
         matches!(self.peek(), TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 

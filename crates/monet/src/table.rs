@@ -31,18 +31,18 @@ pub struct Table {
 
 impl Table {
     /// Empty table with the given schema.
-    pub fn new(name: impl Into<String>, schema: Vec<ColumnDef>) -> Table {
+    pub(crate) fn new(name: impl Into<String>, schema: Vec<ColumnDef>) -> Table {
         let columns = schema.iter().map(|d| Column::new(d.ty)).collect();
         Table { name: name.into(), schema, columns }
     }
 
     /// Table name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The schema.
-    pub fn schema(&self) -> &[ColumnDef] {
+    pub(crate) fn schema(&self) -> &[ColumnDef] {
         &self.schema
     }
 
@@ -52,12 +52,12 @@ impl Table {
     }
 
     /// Number of columns.
-    pub fn num_columns(&self) -> usize {
+    pub(crate) fn num_columns(&self) -> usize {
         self.columns.len()
     }
 
     /// Index of a column by case-insensitive name.
-    pub fn column_index(&self, name: &str) -> Result<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Result<usize> {
         self.schema
             .iter()
             .position(|d| d.name.eq_ignore_ascii_case(name))
@@ -65,12 +65,12 @@ impl Table {
     }
 
     /// Column by index.
-    pub fn column(&self, idx: usize) -> &Column {
+    pub(crate) fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
     }
 
     /// Append one row.
-    pub fn insert_row(&mut self, values: Vec<Value>) -> Result<()> {
+    pub(crate) fn insert_row(&mut self, values: Vec<Value>) -> Result<()> {
         if values.len() != self.schema.len() {
             return Err(DbError::ArityMismatch { expected: self.schema.len(), found: values.len() });
         }
@@ -96,7 +96,7 @@ impl Table {
     }
 
     /// Append many rows.
-    pub fn insert_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<usize> {
+    pub(crate) fn insert_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<usize> {
         let n = rows.len();
         for row in rows {
             self.insert_row(row)?;
@@ -104,14 +104,9 @@ impl Table {
         Ok(n)
     }
 
-    /// Read one full row.
-    pub fn row(&self, i: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.get(i)).collect()
-    }
-
     /// Delete the rows in `rids` (must be sorted ascending). Rebuilds the
     /// columns; row ids of surviving rows shift down.
-    pub fn delete_rows(&mut self, rids: &[RowId]) {
+    pub(crate) fn delete_rows(&mut self, rids: &[RowId]) {
         if rids.is_empty() {
             return;
         }
@@ -136,7 +131,7 @@ impl Table {
     /// Apply per-row assignments: for every row id in `rows`, set the
     /// given columns to the supplied values (one value vector per row,
     /// parallel to `rows`). All values are validated before any write.
-    pub fn update_rows(
+    pub(crate) fn update_rows(
         &mut self,
         rows: &[RowId],
         cols: &[usize],
@@ -179,6 +174,14 @@ impl Table {
             self.columns[c] = rebuilt;
         }
         Ok(())
+    }
+}
+
+/// One full row, read back by the table and persistence tests.
+#[cfg(test)]
+impl Table {
+    pub(crate) fn row(&self, i: usize) -> Vec<Value> {
+        self.columns.iter().map(|c| c.get(i)).collect()
     }
 }
 

@@ -29,7 +29,7 @@ impl fmt::Display for DataType {
 
 impl DataType {
     /// Parse a SQL type name (several aliases accepted).
-    pub fn parse(name: &str) -> Option<DataType> {
+    pub(crate) fn parse(name: &str) -> Option<DataType> {
         match name.to_ascii_uppercase().as_str() {
             "INT" | "INTEGER" | "BIGINT" | "SMALLINT" | "TINYINT" => Some(DataType::Int),
             "DOUBLE" | "FLOAT" | "REAL" | "DECIMAL" | "NUMERIC" => Some(DataType::Double),
@@ -57,7 +57,7 @@ pub enum Value {
 
 impl Value {
     /// The value's type; `None` for NULL.
-    pub fn data_type(&self) -> Option<DataType> {
+    pub(crate) fn data_type(&self) -> Option<DataType> {
         match self {
             Value::Null => None,
             Value::Int(_) => Some(DataType::Int),
@@ -68,7 +68,7 @@ impl Value {
     }
 
     /// True when the value is NULL.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
@@ -98,7 +98,7 @@ impl Value {
     }
 
     /// Boolean view; `None` for non-booleans.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -107,7 +107,7 @@ impl Value {
 
     /// Coerce into `ty` when a lossless/standard SQL coercion exists
     /// (ints to double; anything stays NULL).
-    pub fn coerce(self, ty: DataType) -> Option<Value> {
+    pub(crate) fn coerce(self, ty: DataType) -> Option<Value> {
         match (self, ty) {
             (Value::Null, _) => Some(Value::Null),
             (v @ Value::Int(_), DataType::Int) => Some(v),
@@ -121,7 +121,7 @@ impl Value {
 
     /// SQL comparison. NULL compares as unknown (`None`); numeric types
     /// compare cross-type.
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
+    pub(crate) fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
@@ -136,7 +136,7 @@ impl Value {
     }
 
     /// Ordering for ORDER BY: NULLs first, then by value; NaNs last.
-    pub fn order_cmp(&self, other: &Value) -> Ordering {
+    pub(crate) fn order_cmp(&self, other: &Value) -> Ordering {
         match (self.is_null(), other.is_null()) {
             (true, true) => Ordering::Equal,
             (true, false) => Ordering::Less,

@@ -51,31 +51,68 @@ fn column_candidates_compose() {
     forall(
         |g| (values(g), g.int(-500..0), g.int(0..500)),
         |(vals, lo, hi)| {
-            let col = Column::from_ints(vals);
-            // select(ge lo) then select(le hi) over candidates == range select.
+            let col = Column::from_ints(vals.clone());
+            // select(ge lo) then select(le hi) over its candidates == range scan.
             let pool = WorkerPool::default();
             let first = col.select(CmpOp::Ge, &Value::Int(lo), None, &pool).unwrap();
             let narrowed = col.select(CmpOp::Le, &Value::Int(hi), Some(&first), &pool).unwrap();
-            let range = col
-                .select_range(Some(&Value::Int(lo)), Some(&Value::Int(hi)), None, &pool)
-                .unwrap();
-            assert_eq!(narrowed, range);
+            let expect: Vec<u32> = vals
+                .iter()
+                .enumerate()
+                .filter(|(_, &v)| lo <= v && v <= hi)
+                .map(|(i, _)| i as u32)
+                .collect();
+            assert_eq!(narrowed, expect);
         },
     );
 }
 
+/// Integers clustered where doubles and i64 run out of room: around
+/// ±2⁵³ (the last exact double) and ±`i64::MAX`, plus small values.
+fn edge_values(g: &mut Gen) -> Vec<i64> {
+    const EXACT: i64 = 1 << 53;
+    g.vec(0..12, |g| match g.below(5) {
+        0 => g.int(-1000..1000),
+        1 => EXACT + g.int(-4..5),
+        2 => -EXACT + g.int(-4..5),
+        3 => i64::MAX - g.int(0..4),
+        _ => i64::MIN + g.int(0..4),
+    })
+}
+
 #[test]
-fn column_aggregates_match_reference() {
-    forall(values, |vals| {
-        let col = Column::from_ints(vals.clone());
-        if vals.is_empty() {
-            assert_eq!(col.sum(None).unwrap(), Value::Null);
-        } else {
-            assert_eq!(col.sum(None).unwrap(), Value::Int(vals.iter().sum()));
-            assert_eq!(col.min(None), Value::Int(*vals.iter().min().unwrap()));
-            assert_eq!(col.max(None), Value::Int(*vals.iter().max().unwrap()));
+fn sql_aggregates_match_reference() {
+    forall(edge_values, |vals| {
+        let rs = table_of(&vals)
+            .execute("SELECT SUM(v), MIN(v), MAX(v), COUNT(v), COUNT(*) FROM t")
+            .unwrap();
+        let row = &rs.rows[0];
+        // SUM adds in table order the way `+` does: exact while every
+        // partial sum fits in i64, in doubles from the first overflow on.
+        let mut partial = 0i128;
+        let mut overflows = false;
+        for &v in &vals {
+            partial += i128::from(v);
+            overflows |= i64::try_from(partial).is_err();
         }
-        assert_eq!(col.count(None), vals.len() as i64);
+        match (&row[0], vals.is_empty(), overflows) {
+            (Value::Null, true, _) => {}
+            (Value::Int(sum), false, false) => assert_eq!(i128::from(*sum), partial),
+            (Value::Double(sum), false, true) => {
+                let magnitude: f64 = vals.iter().map(|&v| (v as f64).abs()).sum();
+                let bound = (vals.len() + 1) as f64 * f64::EPSILON * magnitude;
+                assert!((sum - partial as f64).abs() <= bound, "SUM {sum} vs exact {partial}");
+            }
+            (got, _, _) => panic!("SUM gave {got:?} for {vals:?}"),
+        }
+        let (min, max) = match (vals.iter().min(), vals.iter().max()) {
+            (Some(&lo), Some(&hi)) => (Value::Int(lo), Value::Int(hi)),
+            _ => (Value::Null, Value::Null),
+        };
+        assert_eq!(row[1], min);
+        assert_eq!(row[2], max);
+        assert_eq!(row[3], Value::Int(vals.len() as i64));
+        assert_eq!(row[4], Value::Int(vals.len() as i64));
     });
 }
 

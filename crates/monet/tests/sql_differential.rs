@@ -1,7 +1,9 @@
 //! Generated SQL over seeded tables, checked two ways: every statement
 //! — `SELECT … WHERE`, `GROUP BY`, join — answers identically at 1, 2,
 //! 3 and 8 threads, and a single-table WHERE keeps exactly the rows
-//! the row-at-a-time reference filter (`exec::filter_rowwise`) keeps.
+//! the row-at-a-time reference filter (`exec::filter_rowwise`) keeps
+//! and, run as `DELETE … WHERE` on a copy of the table, leaves the
+//! total minus `SELECT COUNT(*) … WHERE`.
 //! Tables are either small or straddle the row-parallel threshold, and
 //! their columns hold NULL, NaN, -0.0 and extreme integers. A failure
 //! shrinks to its smallest table and statement and prints the seed
@@ -45,18 +47,24 @@ fn double(g: &mut Gen) -> Value {
     }
 }
 
+fn def(name: &str, ty: DataType) -> ColumnDef {
+    ColumnDef { name: name.to_string(), ty }
+}
+
+fn t_schema() -> Vec<ColumnDef> {
+    vec![def("k", DataType::Int), def("v", DataType::Double), def("n", DataType::Int)]
+}
+
 /// `t(k INT, v DOUBLE, n INT)`, either a handful of rows or just
 /// around the row-parallel threshold, and a small `u(k INT, w DOUBLE)`
 /// (a join probes the larger side, so `t` alone crosses the threshold).
 fn tables(g: &mut Gen) -> Catalog {
     let catalog = Catalog::new();
-    let def = |name: &str, ty| ColumnDef { name: name.to_string(), ty };
     let t_rows = if g.bool() { g.size(PAR_ROW_THRESHOLD - 8..PAR_ROW_THRESHOLD + 64) } else { g.size(0..12) };
     let t: Vec<Vec<Value>> = (0..t_rows).map(|_| vec![int(g), double(g), int(g)]).collect();
     let u_rows = g.size(0..12);
     let u: Vec<Vec<Value>> = (0..u_rows).map(|_| vec![int(g), double(g)]).collect();
-    let schema = vec![def("k", DataType::Int), def("v", DataType::Double), def("n", DataType::Int)];
-    catalog.create_table("t", schema).unwrap();
+    catalog.create_table("t", t_schema()).unwrap();
     catalog.insert("t", t).unwrap();
     catalog.create_table("u", vec![def("k", DataType::Int), def("w", DataType::Double)]).unwrap();
     catalog.insert("u", u).unwrap();
@@ -156,10 +164,27 @@ fn agree(tables: &Tables, sql: &str) -> Answer {
     for threads in &THREADS[1..] {
         assert_same(&answer(*threads), &one, &format!("{sql} at {threads} threads vs 1"));
     }
-    if sql.starts_with("SELECT * FROM t WHERE") {
-        let t = Chunk::from_table(&tables.0.table("t").unwrap(), "t");
+    if let Some(predicate) = sql.strip_prefix("SELECT * FROM t WHERE ") {
+        let table = tables.0.table("t").unwrap();
+        let t = Chunk::from_table(&table, "t");
         let reference = rows(filter_rowwise(&t, select.where_clause.as_ref().unwrap()));
         assert_same(&one, &reference, &format!("{sql} vs the row-at-a-time reference"));
+        // DELETE picks its rows through the same selection as SELECT.
+        let copy = Catalog::new();
+        copy.create_table("t", t_schema()).unwrap();
+        copy.insert("t", (0..t.num_rows()).map(|i| t.row(i)).collect()).unwrap();
+        let deleted = copy.execute(&format!("DELETE FROM t WHERE {predicate}"));
+        let counted = tables.0.execute(&format!("SELECT COUNT(*) FROM t WHERE {predicate}"));
+        match (deleted, counted) {
+            (Ok(_), Ok(counted)) => {
+                let left = copy.table("t").unwrap().num_rows() as i64;
+                let removed = Value::Int(t.num_rows() as i64 - left);
+                assert_eq!(removed, counted.rows[0][0], "DELETE FROM t WHERE {predicate}");
+            }
+            (deleted, counted) => {
+                assert_eq!(deleted.is_ok(), counted.is_ok(), "DELETE vs COUNT WHERE {predicate}")
+            }
+        }
     }
     one
 }
@@ -178,11 +203,7 @@ fn generated_sql_agrees_across_threads_and_with_the_rowwise_filter() {
 #[test]
 fn nan_against_a_number_is_unknown_on_both_paths() {
     let catalog = Catalog::new();
-    let schema = ["k", "v", "n"].map(|name| ColumnDef {
-        name: name.to_string(),
-        ty: if name == "v" { DataType::Double } else { DataType::Int },
-    });
-    catalog.create_table("t", schema.to_vec()).unwrap();
+    catalog.create_table("t", t_schema()).unwrap();
     let row = |k, v| vec![Value::Int(k), Value::Double(v), Value::Int(k)];
     catalog.insert("t", vec![row(1, f64::NAN), row(2, 0.5)]).unwrap();
     let tables = Tables(catalog);

@@ -41,11 +41,6 @@ impl Clone for Dictionary {
 }
 
 impl Dictionary {
-    /// Empty dictionary.
-    pub fn new() -> Dictionary {
-        Dictionary::default()
-    }
-
     /// Process-unique identity, fixed for this dictionary's lifetime.
     /// Interning keeps it, and ids are never reassigned, so a reader
     /// that remembers `(identity, len)` knows the ids below `len` still
@@ -66,7 +61,7 @@ impl Dictionary {
     }
 
     /// Intern a term, returning its id (idempotent).
-    pub fn intern(&mut self, term: &Term) -> TermId {
+    pub(crate) fn intern(&mut self, term: &Term) -> TermId {
         if let Some(&id) = self.by_term.get(term) {
             return id;
         }
@@ -77,7 +72,7 @@ impl Dictionary {
     }
 
     /// Look up an already-interned term.
-    pub fn id_of(&self, term: &Term) -> Option<TermId> {
+    pub(crate) fn id_of(&self, term: &Term) -> Option<TermId> {
         self.by_term.get(term).copied()
     }
 
@@ -85,11 +80,6 @@ impl Dictionary {
     /// indicates a store invariant violation.
     pub fn term(&self, id: TermId) -> &Term {
         &self.by_id[id as usize]
-    }
-
-    /// Resolve an id, returning `None` when out of range.
-    pub fn get(&self, id: TermId) -> Option<&Term> {
-        self.by_id.get(id as usize)
     }
 }
 
@@ -99,7 +89,7 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent() {
-        let mut d = Dictionary::new();
+        let mut d = Dictionary::default();
         let a = d.intern(&Term::iri("http://x/a"));
         let b = d.intern(&Term::iri("http://x/b"));
         let a2 = d.intern(&Term::iri("http://x/a"));
@@ -110,7 +100,7 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let mut d = Dictionary::new();
+        let mut d = Dictionary::default();
         let t = Term::typed_literal("3.5", crate::vocab::xsd::DOUBLE);
         let id = d.intern(&t);
         assert_eq!(d.term(id), &t);
@@ -119,7 +109,7 @@ mod tests {
 
     #[test]
     fn distinct_literal_forms_distinct_ids() {
-        let mut d = Dictionary::new();
+        let mut d = Dictionary::default();
         let plain = d.intern(&Term::literal("x"));
         let typed = d.intern(&Term::typed_literal("x", crate::vocab::xsd::STRING));
         let tagged = d.intern(&Term::lang_literal("x", "en"));
@@ -130,19 +120,13 @@ mod tests {
 
     #[test]
     fn identity_survives_interning_but_not_cloning() {
-        let mut d = Dictionary::new();
+        let mut d = Dictionary::default();
         let before = d.identity();
         d.intern(&Term::iri("http://x/a"));
         assert_eq!(d.identity(), before);
         let copy = d.clone();
         assert_ne!(copy.identity(), before);
         assert_eq!(copy.term(0), d.term(0));
-        assert_ne!(Dictionary::new().identity(), before);
-    }
-
-    #[test]
-    fn get_out_of_range() {
-        let d = Dictionary::new();
-        assert!(d.get(0).is_none());
+        assert_ne!(Dictionary::default().identity(), before);
     }
 }

@@ -45,10 +45,8 @@ pub mod triple;
 pub mod turtle;
 pub mod vocab;
 
-pub use dictionary::{Dictionary, TermId};
 pub use store::TripleStore;
 pub use term::Term;
-pub use triple::{Triple, TriplePattern};
 
 /// Errors for RDF parsing and store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -24,13 +24,13 @@ use crate::term::Term;
 use crate::triple::Triple;
 
 /// Keyspace holding the dictionary page.
-pub const DICT_KEYSPACE: &str = "rdf/dict";
+pub(crate) const DICT_KEYSPACE: &str = "rdf/dict";
 /// Keyspace holding the delta-coded triple page.
-pub const SPO_KEYSPACE: &str = "rdf/spo";
+pub(crate) const SPO_KEYSPACE: &str = "rdf/spo";
 /// Key for the term dictionary within [`DICT_KEYSPACE`].
-pub const TERMS_KEY: &[u8] = b"terms";
+pub(crate) const TERMS_KEY: &[u8] = b"terms";
 /// Key for the triple page within [`SPO_KEYSPACE`].
-pub const TRIPLES_KEY: &[u8] = b"triples";
+pub(crate) const TRIPLES_KEY: &[u8] = b"triples";
 
 const TAG_IRI: u8 = 0;
 const TAG_BLANK: u8 = 1;

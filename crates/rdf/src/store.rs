@@ -61,7 +61,7 @@ impl TripleStore {
     }
 
     /// Insert an encoded triple. Returns false when it already existed.
-    pub fn insert(&mut self, t: Triple) -> bool {
+    pub(crate) fn insert(&mut self, t: Triple) -> bool {
         if !self.spo.insert((t.s, t.p, t.o)) {
             return false;
         }
@@ -84,11 +84,6 @@ impl TripleStore {
         self.pos.remove(&(t.p, t.o, t.s));
         self.osp.remove(&(t.o, t.s, t.p));
         true
-    }
-
-    /// True when the store contains the triple.
-    pub fn contains(&self, t: &Triple) -> bool {
-        self.spo.contains(&(t.s, t.p, t.o))
     }
 
     /// Match a pattern, returning the triples in SPO order.

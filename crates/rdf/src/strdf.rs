@@ -45,11 +45,6 @@ impl Period {
     }
 }
 
-/// Build an stRDF spatial literal from a geometry and CRS.
-pub fn geometry_literal(g: &Geometry, srid: u32) -> Term {
-    Term::typed_literal(wkt::write_with_crs(g, srid), strdf::WKT)
-}
-
 /// Build an stRDF spatial literal in the default CRS (EPSG:4326).
 pub fn geometry_literal_wgs84(g: &Geometry) -> Term {
     Term::typed_literal(wkt::write(g), strdf::WKT)
@@ -80,7 +75,7 @@ pub fn period_literal(p: &Period) -> Term {
 }
 
 /// True when the term is a period (`strdf:period`) literal.
-pub fn is_period_literal(t: &Term) -> bool {
+pub(crate) fn is_period_literal(t: &Term) -> bool {
     t.datatype() == Some(strdf::PERIOD)
 }
 
@@ -114,7 +109,7 @@ mod tests {
     #[test]
     fn geometry_literal_roundtrip() {
         let g = Geometry::Point(Point::new(23.7, 38.0));
-        let lit = geometry_literal(&g, 4326);
+        let lit = geometry_literal_wgs84(&g);
         assert!(is_geometry_literal(&lit));
         let (g2, srid) = parse_geometry(&lit).unwrap();
         assert_eq!(g2, g);
@@ -132,7 +127,8 @@ mod tests {
     #[test]
     fn geometry_literal_other_crs() {
         let g = Geometry::Point(Point::new(100.0, 200.0));
-        let lit = geometry_literal(&g, 3857);
+        let text = format!("<http://www.opengis.net/def/crs/EPSG/0/3857> {}", wkt::write(&g));
+        let lit = Term::typed_literal(text, strdf::WKT);
         let (_, srid) = parse_geometry(&lit).unwrap();
         assert_eq!(srid, 3857);
     }

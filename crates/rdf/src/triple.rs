@@ -49,11 +49,6 @@ impl TriplePattern {
             && self.p.is_none_or(|p| p == t.p)
             && self.o.is_none_or(|o| o == t.o)
     }
-
-    /// Number of bound positions (used for selectivity ordering).
-    pub fn bound_count(&self) -> usize {
-        self.s.is_some() as usize + self.p.is_some() as usize + self.o.is_some() as usize
-    }
 }
 
 #[cfg(test)]
@@ -68,12 +63,6 @@ mod tests {
         assert!(TriplePattern::new(Some(1), Some(2), Some(3)).matches(&t));
         assert!(!TriplePattern::new(Some(9), None, None).matches(&t));
         assert!(!TriplePattern::new(None, None, Some(9)).matches(&t));
-    }
-
-    #[test]
-    fn bound_count() {
-        assert_eq!(TriplePattern::any().bound_count(), 0);
-        assert_eq!(TriplePattern::new(Some(1), None, Some(3)).bound_count(), 2);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn parse_triples<F: FnMut(Term, Term, Term)>(input: &str, mut sink: F) -> Re
 }
 
 /// Serialize triples as Turtle (grouped by subject with `;`).
-pub fn write(triples: &[(Term, Term, Term)]) -> String {
+pub(crate) fn write(triples: &[(Term, Term, Term)]) -> String {
     let mut out = String::new();
     let mut i = 0;
     while i < triples.len() {

@@ -23,11 +23,11 @@ pub mod xsd {
     /// `xsd:integer`.
     pub const INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
     /// `xsd:double`.
-    pub const DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
+    pub(crate) const DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
     /// `xsd:boolean`.
     pub const BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
     /// `xsd:dateTime`.
-    pub const DATE_TIME: &str = "http://www.w3.org/2001/XMLSchema#dateTime";
+    pub(crate) const DATE_TIME: &str = "http://www.w3.org/2001/XMLSchema#dateTime";
     /// `xsd:string`.
     pub const STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
     /// Namespace prefix.
@@ -39,7 +39,7 @@ pub mod strdf {
     /// Datatype of spatial literals in WKT form.
     pub const WKT: &str = "http://strdf.di.uoa.gr/ontology#WKT";
     /// Datatype of valid-time period literals.
-    pub const PERIOD: &str = "http://strdf.di.uoa.gr/ontology#period";
+    pub(crate) const PERIOD: &str = "http://strdf.di.uoa.gr/ontology#period";
     /// Property linking a feature to its geometry literal.
     pub const HAS_GEOMETRY: &str = "http://strdf.di.uoa.gr/ontology#hasGeometry";
     /// Property linking a triple/product to its valid time.

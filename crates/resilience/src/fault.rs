@@ -86,19 +86,6 @@ impl Fault {
     fn is_data_fault(&self) -> bool {
         matches!(self, Fault::CorruptPayload | Fault::TruncateHeader)
     }
-
-    /// Short label for reports and experiment tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Fault::CorruptPayload => "corrupt-payload",
-            Fault::TruncateHeader => "truncate-header",
-            Fault::ClassifierError => "classifier-error",
-            Fault::GeorefError => "georef-error",
-            Fault::WorkerPanic => "worker-panic",
-            Fault::Transient { .. } => "transient",
-            Fault::Hang { .. } => "hang",
-        }
-    }
 }
 
 /// The kinds cycled through by [`FaultPlan::seeded`], in order.
@@ -338,9 +325,9 @@ mod tests {
     #[test]
     fn seeded_kinds_are_mixed() {
         let plan = FaultPlan::seeded(11, &ids(60), 0.3);
-        let labels: std::collections::BTreeSet<&str> =
-            plan.iter().map(|(_, f)| f.label()).collect();
-        assert!(labels.len() >= 3, "expected a kind mix, got {labels:?}");
+        let kinds: std::collections::HashSet<_> =
+            plan.iter().map(|(_, f)| std::mem::discriminant(&f)).collect();
+        assert!(kinds.len() >= 3, "expected a kind mix, got {} kinds", kinds.len());
     }
 
     #[test]

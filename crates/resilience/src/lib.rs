@@ -19,13 +19,14 @@
 //!   all-or-nothing `Result`. It has three settings: the retry count,
 //!   the worker count and an optional per-attempt deadline.
 //! * **Deadline-aware supervision** needs no thread of its own: each
-//!   attempt runs under a [`CancelToken`] that carries its deadline
-//!   ([`CancelToken::with_deadline`]) and fires itself the first time
-//!   the chain polls it after that instant — at a stage boundary, or
-//!   inside an injected hang. Nothing is ever killed. Overdue scenes
+//!   attempt runs under a [`teleios_exec::CancelToken`] that carries
+//!   its deadline ([`teleios_exec::CancelToken::with_deadline`]) and
+//!   fires itself the first time the chain polls it after that
+//!   instant — at a stage boundary, or inside an injected hang.
+//!   Nothing is ever killed. Overdue scenes
 //!   end `Timeout` with the stage recorded, and a per-batch circuit
 //!   breaker skips a chain variant after
-//!   [`supervisor::BREAKER_THRESHOLD`] timeouts, jumping straight to
+//!   `supervisor::BREAKER_THRESHOLD` timeouts, jumping straight to
 //!   the next degraded rung.
 //! * [`fault::FaultPlan`] is a **seeded, deterministic fault-injection
 //!   harness**: it corrupts vault payloads, truncates file headers, and
@@ -46,4 +47,3 @@ pub mod supervisor;
 
 pub use fault::{Fault, FaultPlan, SEEDED_KINDS};
 pub use supervisor::{BatchReport, SceneOutcome, SceneReport, Supervisor};
-pub use teleios_exec::CancelToken;

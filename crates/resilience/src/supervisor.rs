@@ -22,7 +22,7 @@
 //! clock and nothing is killed. The attempt's stage hook is wrapped to
 //! record the stage it entered last, which names the stage a
 //! [`SceneOutcome::Timeout`] landed on. A circuit breaker shared by
-//! the batch skips a variant that has timed out [`BREAKER_THRESHOLD`]
+//! the batch skips a variant that has timed out `BREAKER_THRESHOLD`
 //! times, except on a scene's last rung, so it can degrade a healthy
 //! scene but never lose one.
 
@@ -143,20 +143,6 @@ impl BatchReport {
     pub fn report_for(&self, product_id: &str) -> Option<&SceneReport> {
         self.scenes.iter().find(|s| s.product_id == product_id)
     }
-
-    /// One-line summary for logs and experiment tables.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} scenes: {} ok, {} retried, {} degraded, {} failed, {} timeout in {:.1?}",
-            self.scenes.len(),
-            self.ok_count(),
-            self.retried_count(),
-            self.degraded_count(),
-            self.failed_count(),
-            self.timeout_count(),
-            self.wall_clock
-        )
-    }
 }
 
 /// The cumulative ladder of degraded chain variants, most capable
@@ -186,7 +172,7 @@ fn degraded_variants(primary: &ProcessingChain) -> Vec<(String, ProcessingChain)
 /// Timeouts on one chain variant before its circuit opens and later
 /// scenes of the batch skip it. "Times out twice → stop burning
 /// deadline budget on it."
-pub const BREAKER_THRESHOLD: u32 = 2;
+pub(crate) const BREAKER_THRESHOLD: u32 = 2;
 
 /// Per-variant timeout counts, shared by every scene of one batch.
 #[derive(Debug)]
@@ -610,16 +596,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn summary_mentions_every_bucket() {
-        let supervisor = Supervisor::new(0);
-        let report = supervisor.run_batch(&Catalog::new(), &ProcessingChain::operational(), &scenes(2));
-        let line = report.summary();
-        assert!(line.contains("2 scenes"));
-        assert!(line.contains("2 ok"));
-        assert!(line.contains("0 failed"));
-    }
-
     fn hang(stage: teleios_noa::chain::ChainStage) -> Fault {
         Fault::Hang { stage, duration: Duration::from_secs(10) }
     }
@@ -650,7 +626,6 @@ mod tests {
         assert_eq!(report.timeout_count(), 1);
         assert_eq!(report.failed_count(), 0);
         assert_eq!(report.succeeded_count(), 1);
-        assert!(report.summary().contains("1 timeout"));
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub enum CellAgg {
 
 impl CellAgg {
     /// Parse an aggregate name.
-    pub fn parse(name: &str) -> Option<CellAgg> {
+    pub(crate) fn parse(name: &str) -> Option<CellAgg> {
         match name.to_ascii_uppercase().as_str() {
             "SUM" => Some(CellAgg::Sum),
             "AVG" => Some(CellAgg::Avg),
@@ -109,7 +109,7 @@ pub struct DimDecl {
 }
 
 /// An optional slice range over one dimension (`lo:hi`, half-open).
-pub type SliceRange = Option<(usize, usize)>;
+pub(crate) type SliceRange = Option<(usize, usize)>;
 
 /// A SciQL statement.
 #[derive(Debug, Clone, PartialEq)]

@@ -40,7 +40,7 @@ pub fn execute(catalog: &Catalog, sciql: &str) -> Result<SciqlResult> {
 }
 
 /// Execute a parsed statement.
-pub fn execute_stmt(catalog: &Catalog, stmt: &SciqlStmt) -> Result<SciqlResult> {
+pub(crate) fn execute_stmt(catalog: &Catalog, stmt: &SciqlStmt) -> Result<SciqlResult> {
     match stmt {
         SciqlStmt::CreateArray { name, dims, default, .. } => {
             let dims: Vec<Dim> = dims.iter().map(|d| Dim::new(d.name.clone(), d.size)).collect();

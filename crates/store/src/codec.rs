@@ -20,7 +20,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Zigzag-encode a signed integer so small magnitudes stay small.
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v >> 63) ^ (v << 1)) as u64
 }
 
@@ -35,7 +35,7 @@ pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
 }
 
 /// Append a length-prefixed byte slice.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_varint(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
 }
@@ -121,7 +121,7 @@ impl<'a> Reader<'a> {
         usize::try_from(count).map_or(fits, |n| n.min(fits))
     }
 
-    pub fn position(&self) -> usize {
+    pub(crate) fn position(&self) -> usize {
         self.pos
     }
 
@@ -164,7 +164,7 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    pub fn bytes(&mut self) -> Result<&'a [u8]> {
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.varint()?;
         if len > self.remaining() as u64 {
             return Err(self.short("length-prefixed bytes"));

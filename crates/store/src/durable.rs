@@ -27,7 +27,7 @@
 //!
 //! [`DurableBackend::open`] loads the newest snapshot that passes
 //! its checksum (falling back to older ones), scans the WAL with the
-//! total [`wal::scan`] — truncating the file at the first
+//! total `wal::scan` — truncating the file at the first
 //! torn/corrupt record — and replays committed transactions whose
 //! sequence exceeds the snapshot's. Transactions with a `Begin` but
 //! no matching `Commit` on disk are discarded: an unacknowledged
@@ -207,10 +207,6 @@ impl<M: Medium> DurableBackend<M> {
     /// What recovery found when this store was opened.
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
-    }
-
-    pub fn config(&self) -> DurableConfig {
-        self.config
     }
 
     /// True once a failed commit barrier has halted the engine.

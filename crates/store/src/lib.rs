@@ -98,7 +98,7 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, StoreError>;
+pub(crate) type Result<T> = std::result::Result<T, StoreError>;
 
 #[cfg(test)]
 mod tests {

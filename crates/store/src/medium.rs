@@ -258,10 +258,6 @@ impl FsMedium {
         Ok(FsMedium { root })
     }
 
-    pub fn root(&self) -> &std::path::Path {
-        &self.root
-    }
-
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
     }

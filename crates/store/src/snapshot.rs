@@ -25,7 +25,7 @@ use crate::codec::{checksum, put_bytes, put_str, put_varint, Reader};
 use crate::{Result, StoreError};
 
 /// Magic prefix identifying a snapshot file.
-pub const MAGIC: &[u8; 8] = b"TLSNAP2\n";
+pub(crate) const MAGIC: &[u8; 8] = b"TLSNAP2\n";
 
 /// Magic, payload length and payload checksum.
 const HEADER: usize = MAGIC.len() + 12;
@@ -37,7 +37,7 @@ pub fn snapshot_name(seq: u64) -> String {
 }
 
 /// Parse a snapshot file name back to its sequence number.
-pub fn parse_snapshot_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_snapshot_name(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("snap-")?.strip_suffix(".tls")?;
     if hex.len() != 16 {
         return None;
@@ -50,7 +50,7 @@ fn shared_prefix_len(a: &[u8], b: &[u8]) -> usize {
 }
 
 /// Encode the full state at `seq` as a snapshot file body.
-pub fn encode(seq: u64, state: &KeyspaceState) -> Vec<u8> {
+pub(crate) fn encode(seq: u64, state: &KeyspaceState) -> Vec<u8> {
     let mut payload = Vec::new();
     put_varint(&mut payload, seq);
     put_varint(&mut payload, state.len() as u64);
@@ -78,7 +78,7 @@ pub fn encode(seq: u64, state: &KeyspaceState) -> Vec<u8> {
 /// bad magic, bad length, bad checksum, structural nonsense — is
 /// `Err(Corrupt)`, which recovery treats as "fall back to the
 /// previous snapshot".
-pub fn decode(bytes: &[u8]) -> Result<(u64, KeyspaceState)> {
+pub(crate) fn decode(bytes: &[u8]) -> Result<(u64, KeyspaceState)> {
     if bytes.len() < HEADER {
         return Err(StoreError::Corrupt("snapshot shorter than header".into()));
     }

@@ -15,7 +15,7 @@
 //! | 3    | Delete  | `keyspace` str, `key` bytes              |
 //! | 4    | Commit  | `seq` varint                             |
 //!
-//! [`scan`] is total: it never returns an error. It walks frames
+//! `scan` is total: it never returns an error. It walks frames
 //! until the bytes stop verifying (short header, bad checksum, garbage
 //! payload, or a length beyond the buffer) and reports the prefix
 //! length that did verify — recovery then *truncates* the log there
@@ -31,13 +31,13 @@ pub const WAL_FILE: &str = "wal.tlw";
 /// Upper bound on a single record payload (1 GiB). A corrupt length
 /// prefix beyond this is treated as a torn tail, not an allocation
 /// request.
-pub const MAX_RECORD: u32 = 1 << 30;
+pub(crate) const MAX_RECORD: u32 = 1 << 30;
 
 const FRAME_HEADER: usize = 12;
 
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+pub(crate) enum WalRecord {
     /// Open transaction `seq`. Any pending un-committed ops are
     /// discarded on replay.
     Begin { seq: u64 },
@@ -68,7 +68,7 @@ fn put_frame(out: &mut Vec<u8>, kind: u8, body: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// Encode one record as a framed WAL entry, appending to `out`.
-pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
+pub(crate) fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
     match record {
         WalRecord::Begin { seq } => put_frame(out, KIND_BEGIN, |p| put_varint(p, *seq)),
         WalRecord::Op(op) => encode_op(out, op),
@@ -78,7 +78,7 @@ pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
 
 /// Encode one buffered op as a framed WAL entry, appending to `out` —
 /// what a commit frames its transaction's ops with, by reference.
-pub fn encode_op(out: &mut Vec<u8>, op: &TxOp) {
+pub(crate) fn encode_op(out: &mut Vec<u8>, op: &TxOp) {
     match op {
         TxOp::Put { keyspace, key, value } => put_frame(out, KIND_PUT, |p| {
             put_str(p, keyspace);
@@ -121,7 +121,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
 
 /// Result of scanning a WAL byte buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalScan {
+pub(crate) struct WalScan {
     /// Every record that verified, in log order.
     pub records: Vec<WalRecord>,
     /// Byte length of the verified prefix. Appending after this
@@ -135,7 +135,7 @@ pub struct WalScan {
 /// Scan a WAL buffer. Total: stops at the first frame that fails
 /// verification and reports how far it got — never errors, never
 /// panics, never allocates from an attacker-controlled length.
-pub fn scan(bytes: &[u8]) -> WalScan {
+pub(crate) fn scan(bytes: &[u8]) -> WalScan {
     let mut records = Vec::new();
     let mut r = Reader::new(bytes);
     loop {

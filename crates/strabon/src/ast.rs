@@ -19,7 +19,7 @@ impl From<Term> for VarOrTerm {
 
 impl VarOrTerm {
     /// The variable name, if a variable.
-    pub fn var(&self) -> Option<&str> {
+    pub(crate) fn var(&self) -> Option<&str> {
         match self {
             VarOrTerm::Var(v) => Some(v),
             VarOrTerm::Term(_) => None,

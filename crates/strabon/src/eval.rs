@@ -4,7 +4,7 @@
 //! the same steps:
 //!
 //! 1. `prepare` catches the spatial sidecar up with the dictionary,
-//!    collects the statement's variables and builds its one [`Env`];
+//!    collects the statement's variables and builds its one `Env`;
 //! 2. `plan_group` cuts the WHERE group into BGP runs, computes each
 //!    FILTER's spatial restriction (`strdf:pred(?g, CONST)` or
 //!    `strdf:distance(?g, CONST) < d` probe the R-tree sidecar for
@@ -94,7 +94,7 @@ pub fn evaluate_query(engine: &mut Strabon, query: &Query) -> Result<Solutions> 
 
 /// Evaluate a CONSTRUCT query: matched solutions instantiate the
 /// template; duplicate triples collapse.
-pub fn evaluate_construct(engine: &mut Strabon, q: &ConstructQuery) -> Result<Vec<(Term, Term, Term)>> {
+pub(crate) fn evaluate_construct(engine: &mut Strabon, q: &ConstructQuery) -> Result<Vec<(Term, Term, Term)>> {
     let env = prepare(engine, &q.where_clause, None, &q.template)?;
     let mut out: Vec<(Term, Term, Term)> = Vec::new();
     for b in &solve(&env, &q.where_clause) {
@@ -530,7 +530,7 @@ fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Bindi
 /// would walk: spatial push-down candidate counts, then every step in
 /// execution order, scans with the estimate they were picked on,
 /// nested bodies indented under their step.
-pub fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
+pub(crate) fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
     let (where_clause, select) = match query {
         Query::Select(q) => (&q.where_clause, Some(q)),
         Query::Ask(q) => (&q.where_clause, None),

@@ -2,7 +2,7 @@
 //!
 //! Per the SPARQL semantics, errors inside FILTER expressions are not
 //! fatal: they produce an *error value* that makes the filter reject the
-//! solution. [`eval_expression`] therefore returns `Option<Term>`, with
+//! solution. `eval_expression` therefore returns `Option<Term>`, with
 //! `None` standing for the SPARQL error value.
 
 use crate::ast::{BinaryOp, Expression};
@@ -22,7 +22,7 @@ use teleios_rdf::vocab;
 
 /// A bound value: a dictionary id or a computed term.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Bound {
+pub(crate) enum Bound {
     /// Term interned in the store dictionary.
     Id(TermId),
     /// Computed term (BIND results, function outputs).
@@ -31,35 +31,27 @@ pub enum Bound {
 
 impl Bound {
     /// Resolve to a term reference.
-    pub fn term<'a>(&'a self, store: &'a TripleStore) -> &'a Term {
+    pub(crate) fn term<'a>(&'a self, store: &'a TripleStore) -> &'a Term {
         match self {
             Bound::Id(id) => store.term(*id),
             Bound::Computed(t) => t,
         }
     }
-
-    /// The dictionary id, if interned.
-    pub fn id(&self) -> Option<TermId> {
-        match self {
-            Bound::Id(id) => Some(*id),
-            Bound::Computed(_) => None,
-        }
-    }
 }
 
 /// A solution binding: one slot per variable of the query.
-pub type Binding = Vec<Option<Bound>>;
+pub(crate) type Binding = Vec<Option<Bound>>;
 
 /// Maps variable names to binding slots.
 #[derive(Debug, Default, Clone)]
-pub struct VarTable {
+pub(crate) struct VarTable {
     names: Vec<String>,
     index: HashMap<String, usize>,
 }
 
 impl VarTable {
     /// Slot of `name`, creating it if new.
-    pub fn slot(&mut self, name: &str) -> usize {
+    pub(crate) fn slot(&mut self, name: &str) -> usize {
         if let Some(&i) = self.index.get(name) {
             return i;
         }
@@ -70,27 +62,17 @@ impl VarTable {
     }
 
     /// Slot of `name` if it exists.
-    pub fn get(&self, name: &str) -> Option<usize> {
+    pub(crate) fn get(&self, name: &str) -> Option<usize> {
         self.index.get(name).copied()
     }
 
-    /// Number of variables.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when no variables are registered.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// Variable names in slot order.
-    pub fn names(&self) -> &[String] {
+    pub(crate) fn names(&self) -> &[String] {
         &self.names
     }
 
     /// Fresh all-unbound binding.
-    pub fn empty_binding(&self) -> Binding {
+    pub(crate) fn empty_binding(&self) -> Binding {
         vec![None; self.names.len()]
     }
 }
@@ -99,7 +81,7 @@ impl VarTable {
 /// `eval::prepare`. Nothing in it changes while the statement runs, so
 /// an `&Env` crosses worker-thread boundaries freely — the
 /// morsel-parallel BGP probe and filter paths rely on that.
-pub struct Env<'a> {
+pub(crate) struct Env<'a> {
     /// The triple store.
     pub store: &'a TripleStore,
     /// Spatial sidecar (caught up with the store's dictionary).
@@ -116,7 +98,7 @@ pub struct Env<'a> {
 
 impl Env<'_> {
     /// Parse (or fetch from cache) the geometry of a bound value.
-    pub fn geometry_of(&self, b: &Bound) -> Option<Arc<Geometry>> {
+    pub(crate) fn geometry_of(&self, b: &Bound) -> Option<Arc<Geometry>> {
         match b {
             Bound::Id(id) => self.spatial.geometry(*id).or_else(|| {
                 strdf::parse_geometry(self.store.term(*id))
@@ -129,7 +111,7 @@ impl Env<'_> {
 }
 
 /// Evaluate an expression to a term; `None` is the SPARQL error value.
-pub fn eval_expression(env: &Env<'_>, binding: &Binding, expr: &Expression) -> Option<Term> {
+pub(crate) fn eval_expression(env: &Env<'_>, binding: &Binding, expr: &Expression) -> Option<Term> {
     match expr {
         Expression::Var(name) => {
             let slot = env.vars.get(name)?;
@@ -219,7 +201,7 @@ pub fn eval_expression(env: &Env<'_>, binding: &Binding, expr: &Expression) -> O
 }
 
 /// Evaluate an expression as a FILTER condition (error → false).
-pub fn eval_filter(env: &Env<'_>, binding: &Binding, expr: &Expression) -> bool {
+pub(crate) fn eval_filter(env: &Env<'_>, binding: &Binding, expr: &Expression) -> bool {
     // BOUND needs unbound-tolerant handling, done inside eval_call.
     eval_expression(env, binding, expr)
         .and_then(|t| effective_boolean(&t))
@@ -424,7 +406,7 @@ fn eval_spatial(
 }
 
 /// SPARQL effective boolean value.
-pub fn effective_boolean(t: &Term) -> Option<bool> {
+pub(crate) fn effective_boolean(t: &Term) -> Option<bool> {
     match t {
         Term::Literal { lexical, datatype, .. } => {
             if datatype.as_deref() == Some(vocab::xsd::BOOLEAN) {
@@ -485,7 +467,7 @@ fn compare_terms(a: &Term, b: &Term) -> Option<Ordering> {
 }
 
 /// Total order for ORDER BY (unbound < everything; errors sort last).
-pub fn order_terms(a: &Option<Term>, b: &Option<Term>) -> Ordering {
+pub(crate) fn order_terms(a: &Option<Term>, b: &Option<Term>) -> Ordering {
     match (a, b) {
         (None, None) => Ordering::Equal,
         (None, Some(_)) => Ordering::Less,

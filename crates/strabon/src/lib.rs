@@ -104,7 +104,7 @@ impl From<RdfError> for StrabonError {
 }
 
 /// Result alias.
-pub type Result<T> = std::result::Result<T, StrabonError>;
+pub(crate) type Result<T> = std::result::Result<T, StrabonError>;
 
 /// Engine configuration toggles (the ablation knobs of E3/E4, plus
 /// the thread count of E13).

@@ -26,7 +26,7 @@ use teleios_rdf::strdf;
 
 /// Spatial index over every `strdf:WKT` literal of a store's dictionary.
 #[derive(Debug, Default)]
-pub struct SpatialSidecar {
+pub(crate) struct SpatialSidecar {
     /// Identity of the dictionary read so far (0: none yet).
     dictionary: u64,
     /// High-water mark: dictionary ids below it have been read.
@@ -45,7 +45,7 @@ impl SpatialSidecar {
     /// again, on `pool`, over all entries ([`RTree::bulk_load_with`] —
     /// the same tree at every pool size, and the tree a from-scratch
     /// build of this dictionary produces).
-    pub fn catch_up(&mut self, store: &TripleStore, pool: &WorkerPool) {
+    pub(crate) fn catch_up(&mut self, store: &TripleStore, pool: &WorkerPool) {
         let dict = store.dictionary();
         if self.dictionary != dict.identity() {
             *self = SpatialSidecar { dictionary: dict.identity(), ..SpatialSidecar::default() };
@@ -70,23 +70,13 @@ impl SpatialSidecar {
     }
 
     /// Parsed geometry for a term id (after `catch_up`).
-    pub fn geometry(&self, id: TermId) -> Option<Arc<Geometry>> {
+    pub(crate) fn geometry(&self, id: TermId) -> Option<Arc<Geometry>> {
         self.geometries.get(&id).cloned()
-    }
-
-    /// Number of indexed geometries.
-    pub fn len(&self) -> usize {
-        self.geometries.len()
-    }
-
-    /// True when no geometries are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.geometries.is_empty()
     }
 
     /// Term ids whose envelope intersects `query` (candidate set for
     /// spatial FILTER pre-filtering).
-    pub fn candidates(&self, query: &Envelope) -> std::collections::HashSet<TermId> {
+    pub(crate) fn candidates(&self, query: &Envelope) -> std::collections::HashSet<TermId> {
         self.rtree.query(query).into_iter().copied().collect()
     }
 }
@@ -115,7 +105,7 @@ mod tests {
         let st = store_with_points(10);
         let mut sc = SpatialSidecar::default();
         sc.catch_up(&st, &WorkerPool::with_threads(2));
-        assert_eq!(sc.len(), 10);
+        assert_eq!(sc.geometries.len(), 10);
         let q = Envelope::new(
             teleios_geo::Coord::new(2.5, -1.0),
             teleios_geo::Coord::new(5.5, 1.0),
@@ -163,7 +153,7 @@ mod tests {
         );
         let mut sc = SpatialSidecar::default();
         sc.catch_up(&st, &WorkerPool::with_threads(2));
-        assert!(sc.is_empty());
+        assert!(sc.geometries.is_empty());
     }
 
     #[test]
@@ -176,6 +166,6 @@ mod tests {
         );
         let mut sc = SpatialSidecar::default();
         sc.catch_up(&st, &WorkerPool::with_threads(2));
-        assert!(sc.is_empty());
+        assert!(sc.geometries.is_empty());
     }
 }

@@ -11,7 +11,6 @@ use crate::format::{
 };
 use crate::Result;
 use std::collections::BTreeMap;
-use teleios_geo::{Coord, Envelope};
 
 /// Metadata extracted from an external file's header.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,17 +29,8 @@ pub struct FileRecord {
     pub shape: Vec<u32>,
 }
 
-impl FileRecord {
-    /// Bounding box as an [`Envelope`], when present.
-    pub fn envelope(&self) -> Option<Envelope> {
-        self.bbox.map(|(x0, y0, x1, y1)| {
-            Envelope::new(Coord::new(x0, y0), Coord::new(x1, y1))
-        })
-    }
-}
-
 /// Extract a metadata record from a file's bytes (header-only parse).
-pub fn extract_metadata(name: &str, bytes: &[u8]) -> Result<FileRecord> {
+pub(crate) fn extract_metadata(name: &str, bytes: &[u8]) -> Result<FileRecord> {
     match FormatKind::from_name(name)? {
         FormatKind::Sev1 => {
             let h = decode_sev1_header(bytes)?;
@@ -100,11 +90,6 @@ impl VaultCatalog {
         self.records.get(name)
     }
 
-    /// Remove a record.
-    pub fn remove(&mut self, name: &str) -> Option<FileRecord> {
-        self.records.remove(name)
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -116,7 +101,7 @@ impl VaultCatalog {
     }
 
     /// Iterate all records (sorted by name).
-    pub fn iter(&self) -> impl Iterator<Item = &FileRecord> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &FileRecord> {
         self.records.values()
     }
 
@@ -156,8 +141,7 @@ mod tests {
         assert_eq!(r.format, "sev1");
         assert_eq!(r.shape, vec![1, 2, 2]);
         assert_eq!(r.acquisition.as_deref(), Some("2007-08-25T12:00:00Z"));
-        let env = r.envelope().unwrap();
-        assert_eq!(env.min, Coord::new(20.0, 35.0));
+        assert_eq!(r.bbox, Some((20.0, 35.0, 25.0, 40.0)));
     }
 
     #[test]
@@ -192,7 +176,5 @@ mod tests {
         cat.register(record("a.sev1", (5.0, 5.0, 6.0, 6.0), "t2"));
         assert_eq!(cat.len(), 1);
         assert_eq!(cat.get("a.sev1").unwrap().acquisition.as_deref(), Some("t2"));
-        assert!(cat.remove("a.sev1").is_some());
-        assert!(cat.is_empty());
     }
 }

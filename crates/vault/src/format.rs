@@ -29,7 +29,7 @@ fn verify_payload(kind: &str, expected: u64, payload: &[u8]) -> Result<()> {
 
 /// Identifies an external format by its magic / extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FormatKind {
+pub(crate) enum FormatKind {
     /// SEVIRI-like raw multiband raster (`.sev1`).
     Sev1,
     /// GeoTIFF-like georeferenced single-band product (`.gtf1`).
@@ -40,7 +40,7 @@ pub enum FormatKind {
 
 impl FormatKind {
     /// Detect a format from a file name extension.
-    pub fn from_name(name: &str) -> Result<FormatKind> {
+    pub(crate) fn from_name(name: &str) -> Result<FormatKind> {
         let ext = name.rsplit('.').next().unwrap_or("");
         match ext.to_ascii_lowercase().as_str() {
             "sev1" => Ok(FormatKind::Sev1),
@@ -51,7 +51,7 @@ impl FormatKind {
     }
 
     /// The four-byte magic.
-    pub fn magic(&self) -> &'static [u8; 4] {
+    pub(crate) fn magic(&self) -> &'static [u8; 4] {
         match self {
             FormatKind::Sev1 => b"SEV1",
             FormatKind::Gtf1 => b"GTF1",
@@ -90,7 +90,7 @@ pub fn encode_sev1(header: &Sev1Header, payload: &[f64]) -> Result<Vec<u8>> {
 
 /// Parse only the header of a `.sev1` file (cheap metadata extraction;
 /// the payload checksum is NOT verified here).
-pub fn decode_sev1_header(bytes: &[u8]) -> Result<Sev1Header> {
+pub(crate) fn decode_sev1_header(bytes: &[u8]) -> Result<Sev1Header> {
     sev1_header(&mut open_file(bytes, FormatKind::Sev1)?.1)
 }
 
@@ -102,7 +102,7 @@ fn sev1_header(r: &mut Fields) -> Result<Sev1Header> {
 }
 
 /// Parse the full `.sev1` file: header plus checksum-verified payload.
-pub fn decode_sev1(bytes: &[u8]) -> Result<(Sev1Header, Vec<f64>)> {
+pub(crate) fn decode_sev1(bytes: &[u8]) -> Result<(Sev1Header, Vec<f64>)> {
     let (sum, mut r) = open_file(bytes, FormatKind::Sev1)?;
     let header = sev1_header(&mut r)?;
     let payload = r.cells("sev1", sum, &[header.rows, header.cols, header.bands])?;
@@ -124,7 +124,7 @@ pub struct Gtf1Header {
 
 impl Gtf1Header {
     /// Geographic bounding box implied by the transform.
-    pub fn bbox(&self) -> (f64, f64, f64, f64) {
+    pub(crate) fn bbox(&self) -> (f64, f64, f64, f64) {
         let (ox, oy, pw, ph) = self.transform;
         let x2 = ox + pw * self.cols as f64;
         let y2 = oy - ph * self.rows as f64;
@@ -145,7 +145,7 @@ pub fn encode_gtf1(header: &Gtf1Header, payload: &[f64]) -> Result<Vec<u8>> {
 }
 
 /// Parse only the header of a `.gtf1` file (checksum not verified).
-pub fn decode_gtf1_header(bytes: &[u8]) -> Result<Gtf1Header> {
+pub(crate) fn decode_gtf1_header(bytes: &[u8]) -> Result<Gtf1Header> {
     gtf1_header(&mut open_file(bytes, FormatKind::Gtf1)?.1)
 }
 
@@ -202,7 +202,7 @@ pub fn decode_shp1(bytes: &[u8]) -> Result<Vec<Shp1Record>> {
 }
 
 /// Record count of a `.shp1` file without decoding (or verifying) records.
-pub fn decode_shp1_count(bytes: &[u8]) -> Result<u32> {
+pub(crate) fn decode_shp1_count(bytes: &[u8]) -> Result<u32> {
     open_file(bytes, FormatKind::Shp1)?.1.u32()
 }
 

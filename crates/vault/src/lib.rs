@@ -87,4 +87,4 @@ impl std::fmt::Display for VaultError {
 impl std::error::Error for VaultError {}
 
 /// Result alias.
-pub type Result<T> = std::result::Result<T, VaultError>;
+pub(crate) type Result<T> = std::result::Result<T, VaultError>;

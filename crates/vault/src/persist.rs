@@ -21,9 +21,9 @@ use teleios_store::{StorageBackend, StoreError};
 use crate::catalog::{FileRecord, VaultCatalog};
 
 /// Keyspace holding one entry per catalog record.
-pub const CATALOG_KEYSPACE: &str = "vault/catalog";
+pub(crate) const CATALOG_KEYSPACE: &str = "vault/catalog";
 /// Keyspace holding one empty entry per quarantined file.
-pub const QUARANTINE_KEYSPACE: &str = "vault/quarantine";
+pub(crate) const QUARANTINE_KEYSPACE: &str = "vault/quarantine";
 
 fn encode_record(record: &FileRecord) -> Vec<u8> {
     let mut out = Vec::new();
@@ -222,12 +222,13 @@ mod tests {
 
     #[test]
     fn removed_and_unfenced_entries_are_deleted_on_next_persist() {
-        let (mut catalog, mut quarantine) = sample_state();
+        let (catalog, mut quarantine) = sample_state();
         let mut backend = mem_backend();
         save(&catalog, &quarantine, &mut backend);
-        catalog.remove("msg2-0825.sev1");
+        let mut survivors = VaultCatalog::new();
+        survivors.register(catalog.get("landmass.shp1").unwrap().clone());
         quarantine.clear();
-        save(&catalog, &quarantine, &mut backend);
+        save(&survivors, &quarantine, &mut backend);
         let (lc, lq) = load_vault_state(&backend).unwrap().unwrap();
         assert_eq!(lc.len(), 1);
         assert!(lc.get("landmass.shp1").is_some());

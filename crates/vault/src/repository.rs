@@ -45,7 +45,7 @@ impl Repository {
     }
 
     /// File names in sorted order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn names(&self) -> impl Iterator<Item = &str> {
         self.files.keys().map(String::as_str)
     }
 }

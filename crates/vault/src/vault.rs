@@ -120,11 +120,6 @@ impl DataVault {
         }
     }
 
-    /// The underlying database catalog.
-    pub fn database(&self) -> &Catalog {
-        &self.db
-    }
-
     /// The repository.
     pub fn repository(&self) -> &Repository {
         &self.repository
@@ -138,11 +133,6 @@ impl DataVault {
     /// Current statistics.
     pub fn stats(&self) -> VaultStats {
         self.stats
-    }
-
-    /// The ingestion policy.
-    pub fn policy(&self) -> IngestionPolicy {
-        self.policy
     }
 
     /// Register one repository file: header parse into the catalog, plus
@@ -403,7 +393,7 @@ mod tests {
     /// How many of the first `n` scenes have an array in the database.
     fn resident(v: &DataVault, n: usize) -> usize {
         let name = |i: usize| DataVault::array_name(&format!("scene-{i:03}.sev1"));
-        (0..n).filter(|&i| v.database().has_array(&name(i))).count()
+        (0..n).filter(|&i| v.db.has_array(&name(i))).count()
     }
 
     #[test]
@@ -453,18 +443,18 @@ mod tests {
         v.array_for("scene-000.sev1").unwrap();
         v.array_for("scene-001.sev1").unwrap();
         // A client of the same database drops a cached array.
-        v.database().drop_array(&DataVault::array_name("scene-000.sev1")).unwrap();
+        v.db.drop_array(&DataVault::array_name("scene-000.sev1")).unwrap();
         assert_eq!(resident(&v, 4), 1);
         // Two live arrays fit a cache of two: nothing is evicted for the ghost.
         v.array_for("scene-002.sev1").unwrap();
         assert_eq!(v.stats().evictions, 0);
         assert_eq!(resident(&v, 4), 2);
-        assert!(v.database().has_array(&DataVault::array_name("scene-001.sev1")));
+        assert!(v.db.has_array(&DataVault::array_name("scene-001.sev1")));
         // The next one does evict, and it evicts the oldest live array.
         v.array_for("scene-003.sev1").unwrap();
         assert_eq!(v.stats().evictions, 1);
-        assert!(!v.database().has_array(&DataVault::array_name("scene-001.sev1")));
-        assert!(v.database().has_array(&DataVault::array_name("scene-002.sev1")));
+        assert!(!v.db.has_array(&DataVault::array_name("scene-001.sev1")));
+        assert!(v.db.has_array(&DataVault::array_name("scene-002.sev1")));
     }
 
     #[test]
@@ -475,7 +465,7 @@ mod tests {
         mine.set(&[0, 0, 0], -8.0).unwrap();
         let again = v.array_for("scene-001.sev1").unwrap();
         assert!(again.data().iter().all(|&c| c == 1.0));
-        assert_eq!(v.database().array(&DataVault::array_name("scene-001.sev1")).unwrap(), again);
+        assert_eq!(v.db.array(&DataVault::array_name("scene-001.sev1")).unwrap(), again);
     }
 
     #[test]
@@ -485,8 +475,8 @@ mod tests {
         v.array_for("scene-001.sev1").unwrap();
         v.array_for("scene-000.sev1").unwrap(); // refresh 000
         v.array_for("scene-002.sev1").unwrap(); // evicts 001, not 000
-        assert!(v.database().has_array(&DataVault::array_name("scene-000.sev1")));
-        assert!(!v.database().has_array(&DataVault::array_name("scene-001.sev1")));
+        assert!(v.db.has_array(&DataVault::array_name("scene-000.sev1")));
+        assert!(!v.db.has_array(&DataVault::array_name("scene-001.sev1")));
     }
 
     #[test]

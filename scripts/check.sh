@@ -15,7 +15,8 @@
 #                              one-tokenizer-per-family,
 #                              one-transaction-doorway,
 #                              one-chain-batch-executor and
-#                              one-checksum greps,
+#                              one-checksum greps, the
+#                              public-name census,
 #                              warning-free clippy outside crates/e0,
 #                              the E6/E11/E14/E16 smoke runs (a
 #                              hung-stage or broken-recovery
@@ -265,6 +266,22 @@ if [ "$(wc -l <<<"$checksum_sites")" -ne 1 ] \
     || ! grep -qxE 'crates/store/src/codec\.rs:[0-9]+ in checksum' <<<"$checksum_sites"; then
     echo "${checksum_sites:-no checksum function found}" >&2
     echo "library checksum sites above differ from teleios_store::codec::checksum: verify bytes with it" >&2; exit 1
+fi
+
+# A public function no other file names has no caller outside its own
+# file, so nothing keeps its name public. A name census cannot see a
+# method whose name is common elsewhere (rustc's dead_code sees those
+# once the item is pub(crate)), but it keeps the plainly unused ones
+# out. crates/e0 is frozen between benchmark PRs.
+echo "==> public-name census (every pub fn is named in another tracked .rs file)"
+unnamed=$(git ls-files -- 'crates/*/src/*.rs' 'src/*.rs' ':!:crates/e0/*' \
+    | xargs grep -HoE '^\s*pub fn \w+' | sed -E 's/^([^:]*):\s*pub fn (\w+)$/\1 \2/' \
+    | while read -r file name; do
+        git grep -qwF "$name" -- '*.rs' ":!:$file" || echo "$file: pub fn $name"
+    done)
+if [ -n "$unnamed" ]; then
+    echo "$unnamed" >&2
+    echo "the public functions above are named in no other tracked .rs file: make them pub(crate), or delete them if rustc then calls them dead" >&2; exit 1
 fi
 
 # Every target warning-free, tests and drivers included, except
