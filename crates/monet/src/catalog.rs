@@ -45,11 +45,8 @@ impl ResultSet {
             return String::from("(empty)\n");
         }
         let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
-        let cells: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| r.iter().map(Value::to_string).collect())
-            .collect();
+        let cells: Vec<Vec<String>> =
+            self.rows.iter().map(|r| r.iter().map(Value::to_string).collect()).collect();
         for row in &cells {
             for (i, c) in row.iter().enumerate() {
                 widths[i] = widths[i].max(c.len());
@@ -142,10 +139,8 @@ impl Catalog {
 
     /// Table names, sorted.
     pub(crate) fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = read(&self.inner.tables)
-            .values()
-            .map(|t| t.name().to_string())
-            .collect();
+        let mut names: Vec<String> =
+            read(&self.inner.tables).values().map(|t| t.name().to_string()).collect();
         names.sort();
         names
     }
@@ -168,7 +163,11 @@ impl Catalog {
     }
 
     /// Mutate a table in place under the write lock.
-    pub(crate) fn with_table_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> R) -> Result<R> {
+    pub(crate) fn with_table_mut<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut Table) -> R,
+    ) -> Result<R> {
         let mut tables = write(&self.inner.tables);
         let t = tables
             .get_mut(&Self::key(name))
@@ -227,10 +226,7 @@ impl Catalog {
                 Ok(chunk.into())
             }
             Statement::CreateTable { name, columns } => {
-                let schema = columns
-                    .into_iter()
-                    .map(|(n, ty)| ColumnDef::new(n, ty))
-                    .collect();
+                let schema = columns.into_iter().map(|(n, ty)| ColumnDef::new(n, ty)).collect();
                 self.create_table(&name, schema)?;
                 Ok(ResultSet::empty())
             }
@@ -243,10 +239,8 @@ impl Catalog {
                 let empty = Chunk::new(Vec::new(), Vec::new());
                 let mut value_rows: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
                 for row in rows {
-                    let vals: Vec<Value> = row
-                        .iter()
-                        .map(|e| exec::eval_expr(&empty, 0, e))
-                        .collect::<Result<_>>()?;
+                    let vals: Vec<Value> =
+                        row.iter().map(|e| exec::eval_expr(&empty, 0, e)).collect::<Result<_>>()?;
                     let full = match &columns {
                         None => vals,
                         Some(cols) => {
@@ -399,14 +393,38 @@ mod tests {
         // AVG skips the NULL cloud.
         let Value::Double(avg) = rs.rows[1][2] else { panic!() };
         assert!((avg - 0.20).abs() < 1e-12);
+        // HAVING and ORDER BY compute the aggregates the SELECT list lacks.
+        let rs = cat
+            .execute(
+                "SELECT sat FROM products GROUP BY sat \
+                 HAVING CASE WHEN MAX(cloud) > 0.5 THEN 1 END = 1 OR COUNT(*) = 2 ORDER BY STDDEV(id)",
+            )
+            .unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Str("MSG1".into())], vec![Value::Str("MSG2".into())]]);
+    }
+
+    #[test]
+    fn aggregates_are_found_under_every_operator() {
+        let cat = setup();
+        let sats = |sql: &str| cat.execute(sql).unwrap().rows;
+        let one = |s: &str| vec![vec![Value::Str(s.into())]];
+        let q = "SELECT sat FROM products GROUP BY sat";
+        assert_eq!(sats(&format!("{q} HAVING SUM(id) BETWEEN 6 AND 7")), one("MSG1"));
+        assert_eq!(sats(&format!("{q} HAVING MAX(cloud) IN (0.8, 2)")), one("MSG2"));
+        assert_eq!(sats(&format!("{q} HAVING ABS(SUM(id) - 8) = 0")), one("MSG2"));
+        let rs = sats(&format!("{q} ORDER BY ABS(SUM(id) - 8)"));
+        assert_eq!(rs, vec![vec![Value::Str("MSG2".into())], vec![Value::Str("MSG1".into())]]);
+        let rs = sats(
+            "SELECT level FROM products WHERE id <> 5 GROUP BY level HAVING MAX(cloud) IS NULL",
+        );
+        assert_eq!(rs, one("L2"));
     }
 
     #[test]
     fn join_via_where_uses_hash_join() {
         let cat = setup();
         cat.execute("CREATE TABLE sats (name STRING, agency STRING)").unwrap();
-        cat.execute("INSERT INTO sats VALUES ('MSG1', 'EUMETSAT'), ('MSG2', 'EUMETSAT')")
-            .unwrap();
+        cat.execute("INSERT INTO sats VALUES ('MSG1', 'EUMETSAT'), ('MSG2', 'EUMETSAT')").unwrap();
         let rs = cat
             .execute(
                 "SELECT p.id, s.agency FROM products p, sats s \
@@ -524,10 +542,7 @@ mod tests {
     #[test]
     fn unknown_table_and_column_errors() {
         let cat = setup();
-        assert!(matches!(
-            cat.execute("SELECT * FROM nope"),
-            Err(DbError::UnknownTable(_))
-        ));
+        assert!(matches!(cat.execute("SELECT * FROM nope"), Err(DbError::UnknownTable(_))));
         assert!(cat.execute("SELECT nope FROM products").is_err());
     }
 
@@ -575,7 +590,9 @@ mod tests {
     fn count_star_in_order_by() {
         let cat = setup();
         let rs = cat
-            .execute("SELECT level, COUNT(*) FROM products GROUP BY level ORDER BY COUNT(*) DESC, level")
+            .execute(
+                "SELECT level, COUNT(*) FROM products GROUP BY level ORDER BY COUNT(*) DESC, level",
+            )
             .unwrap();
         assert_eq!(rs.rows[0][1], Value::Int(2));
     }

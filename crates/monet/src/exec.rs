@@ -39,11 +39,7 @@ impl Chunk {
     /// Materialize a full table, qualifying names as `alias.column` and
     /// also exposing the bare column name when unambiguous.
     pub fn from_table(table: &Table, alias: &str) -> Chunk {
-        let names = table
-            .schema()
-            .iter()
-            .map(|d| format!("{alias}.{}", d.name))
-            .collect();
+        let names = table.schema().iter().map(|d| format!("{alias}.{}", d.name)).collect();
         let cols = (0..table.num_columns()).map(|i| table.column(i).clone()).collect();
         Chunk { names, cols }
     }
@@ -81,9 +77,7 @@ impl Chunk {
             .iter()
             .enumerate()
             .filter(|(_, n)| {
-                n.rsplit('.')
-                    .next()
-                    .is_some_and(|last| last.eq_ignore_ascii_case(name))
+                n.rsplit('.').next().is_some_and(|last| last.eq_ignore_ascii_case(name))
             })
             .map(|(i, _)| i)
             .collect();
@@ -210,11 +204,17 @@ pub(crate) fn eval_expr(chunk: &Chunk, row: usize, expr: &Expr) -> Result<Value>
                 }),
             }
         }
+        Expr::Case { arms, otherwise } => {
+            for (cond, result) in arms {
+                if eval_expr(chunk, row, cond)? == Value::Bool(true) {
+                    return eval_expr(chunk, row, result);
+                }
+            }
+            otherwise.as_deref().map_or(Ok(Value::Null), |e| eval_expr(chunk, row, e))
+        }
         Expr::Func { name, args } => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval_expr(chunk, row, a))
-                .collect::<Result<_>>()?;
+            let vals: Vec<Value> =
+                args.iter().map(|a| eval_expr(chunk, row, a)).collect::<Result<_>>()?;
             eval_scalar_func(name, &vals)
         }
     }
@@ -293,7 +293,9 @@ pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                     // (`1 + 2 * x < 7` must not hold for a huge `x`).
                     match exact {
                         Some(v) => Ok(Value::Int(v)),
-                        None => eval_binary(op, &Value::Double(*a as f64), &Value::Double(*b as f64)),
+                        None => {
+                            eval_binary(op, &Value::Double(*a as f64), &Value::Double(*b as f64))
+                        }
                     }
                 }
                 _ => {
@@ -591,12 +593,12 @@ pub fn hash_join(
     right_key: &Expr,
 ) -> Result<Chunk> {
     // Build on the smaller side.
-    let (build, probe, build_key, probe_key, build_is_left) =
-        if left.num_rows() <= right.num_rows() {
-            (left, right, left_key, right_key, true)
-        } else {
-            (right, left, right_key, left_key, false)
-        };
+    let (build, probe, build_key, probe_key, build_is_left) = if left.num_rows() <= right.num_rows()
+    {
+        (left, right, left_key, right_key, true)
+    } else {
+        (right, left, right_key, left_key, false)
+    };
 
     // Each morsel hash-partitions its keys into `nparts` local maps
     // (one partition per morsel, so the merge below has a task each).
@@ -866,35 +868,26 @@ fn eval_aggregate(chunk: &Chunk, rids: &[RowId], agg: &AggSpec) -> Result<Value>
             let non_null: Vec<&Value> = vals.iter().filter(|v| !v.is_null()).collect();
             Ok(match func {
                 AggFunc::Count => Value::Int(non_null.len() as i64),
-                AggFunc::Min => non_null
-                    .iter()
-                    .fold(Value::Null, |acc, v| {
-                        if acc.is_null() || v.sql_cmp(&acc) == Some(std::cmp::Ordering::Less) {
-                            (*v).clone()
+                AggFunc::Min | AggFunc::Max => {
+                    let wins = if func == AggFunc::Min {
+                        std::cmp::Ordering::Less
+                    } else {
+                        std::cmp::Ordering::Greater
+                    };
+                    non_null.into_iter().fold(Value::Null, |acc, v| {
+                        if acc.is_null() || v.sql_cmp(&acc) == Some(wins) {
+                            v.clone()
                         } else {
                             acc
                         }
-                    }),
-                AggFunc::Max => non_null
-                    .iter()
-                    .fold(Value::Null, |acc, v| {
-                        if acc.is_null() || v.sql_cmp(&acc) == Some(std::cmp::Ordering::Greater) {
-                            (*v).clone()
-                        } else {
-                            acc
-                        }
-                    }),
+                    })
+                }
                 // The checked addition of `+`: exact in i64, in doubles
                 // from the first partial sum that overflows.
                 AggFunc::Sum => {
                     let mut acc = Value::Null;
                     for v in non_null {
-                        if v.as_f64().is_none() {
-                            return Err(DbError::TypeMismatch {
-                                expected: "numeric".into(),
-                                found: format!("{v}"),
-                            });
-                        }
+                        numeric(v)?;
                         acc = if acc.is_null() {
                             v.clone()
                         } else {
@@ -903,12 +896,17 @@ fn eval_aggregate(chunk: &Chunk, rids: &[RowId], agg: &AggSpec) -> Result<Value>
                     }
                     acc
                 }
-                AggFunc::Avg => {
-                    if non_null.is_empty() {
-                        Value::Null
-                    } else {
-                        let sum: f64 = non_null.iter().filter_map(|v| v.as_f64()).sum();
-                        Value::Double(sum / non_null.len() as f64)
+                // STDDEV is the population standard deviation.
+                AggFunc::Avg | AggFunc::StdDev => {
+                    let xs = non_null.into_iter().map(numeric).collect::<Result<Vec<f64>>>()?;
+                    let n = xs.len() as f64;
+                    let mean = xs.iter().sum::<f64>() / n;
+                    match func {
+                        _ if xs.is_empty() => Value::Null,
+                        AggFunc::Avg => Value::Double(mean),
+                        _ => Value::Double(
+                            (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n).sqrt(),
+                        ),
                     }
                 }
             })
@@ -916,15 +914,20 @@ fn eval_aggregate(chunk: &Chunk, rids: &[RowId], agg: &AggSpec) -> Result<Value>
     }
 }
 
+/// The number SUM, AVG and STDDEV read from a non-NULL value, or the
+/// type error they raise for any other value.
+fn numeric(v: &Value) -> Result<f64> {
+    v.as_f64()
+        .ok_or_else(|| DbError::TypeMismatch { expected: "numeric".into(), found: format!("{v}") })
+}
+
 /// Sort a chunk by key expressions.
 pub(crate) fn sort(chunk: &Chunk, keys: &[(Expr, bool)]) -> Result<Chunk> {
     let n = chunk.num_rows();
     let mut key_vals: Vec<Vec<Value>> = Vec::with_capacity(n);
     for i in 0..n {
-        let row_keys: Vec<Value> = keys
-            .iter()
-            .map(|(e, _)| eval_expr(chunk, i, e))
-            .collect::<Result<_>>()?;
+        let row_keys: Vec<Value> =
+            keys.iter().map(|(e, _)| eval_expr(chunk, i, e)).collect::<Result<_>>()?;
         key_vals.push(row_keys);
     }
     let mut order: Vec<RowId> = (0..n as RowId).collect();
@@ -977,12 +980,10 @@ pub(crate) fn rows_to_chunk(names: Vec<String>, rows: Vec<Vec<Value>>) -> Result
             let v = if v.is_null() {
                 Value::Null
             } else {
-                v.clone()
-                    .coerce(cols[c].data_type())
-                    .ok_or_else(|| DbError::TypeMismatch {
-                        expected: cols[c].data_type().to_string(),
-                        found: format!("{v}"),
-                    })?
+                v.clone().coerce(cols[c].data_type()).ok_or_else(|| DbError::TypeMismatch {
+                    expected: cols[c].data_type().to_string(),
+                    found: format!("{v}"),
+                })?
             };
             cols[c].push(v)?;
         }
@@ -1096,10 +1097,7 @@ mod tests {
             &c,
             &[
                 (col("id"), "id".into()),
-                (
-                    Expr::binary(BinOp::Mul, col("score"), lit(100.0)),
-                    "pct".into(),
-                ),
+                (Expr::binary(BinOp::Mul, col("score"), lit(100.0)), "pct".into()),
             ],
         )
         .unwrap();
@@ -1123,6 +1121,7 @@ mod tests {
         .unwrap();
         let out = hash_join(&pool(), &left, &right, &col("t.id"), &col("r.id")).unwrap();
         assert_eq!(out.num_rows(), 3); // id=1 once, id=3 twice
+
         // Every output row satisfies the key equality.
         for i in 0..out.num_rows() {
             let row = out.row(i);
@@ -1132,8 +1131,10 @@ mod tests {
 
     #[test]
     fn hash_join_skips_nulls() {
-        let left = rows_to_chunk(vec!["l.k".into()], vec![vec![Value::Null], vec![1.into()]]).unwrap();
-        let right = rows_to_chunk(vec!["r.k".into()], vec![vec![Value::Null], vec![1.into()]]).unwrap();
+        let left =
+            rows_to_chunk(vec!["l.k".into()], vec![vec![Value::Null], vec![1.into()]]).unwrap();
+        let right =
+            rows_to_chunk(vec!["r.k".into()], vec![vec![Value::Null], vec![1.into()]]).unwrap();
         let out = hash_join(&pool(), &left, &right, &col("l.k"), &col("r.k")).unwrap();
         assert_eq!(out.num_rows(), 1);
     }
@@ -1181,6 +1182,58 @@ mod tests {
         assert_eq!(out.row(2)[0], Value::Str("gamma".into()));
         assert_eq!(out.row(2)[1], Value::Int(1));
         assert_eq!(out.row(2)[2], Value::Null);
+    }
+
+    #[test]
+    fn avg_and_stddev_reject_strings_as_sum_does() {
+        let c = chunk();
+        for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::StdDev] {
+            let spec = AggSpec { func, expr: Some(col("tag")), name: "x".into() };
+            let got = aggregate(&pool(), &c, &[], &[spec]);
+            assert!(matches!(got, Err(DbError::TypeMismatch { .. })), "{func:?}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn stddev_is_the_population_deviation_of_the_non_null_values() {
+        let c = chunk();
+        let sd = |expr| AggSpec { func: AggFunc::StdDev, expr: Some(expr), name: "sd".into() };
+        // ids 1..=4: mean 2.5, squared deviations 2.25 + 0.25 + 0.25 + 2.25 = 5.
+        // scores 0.5, 0.9, 0.2 (NULL skipped): mean 0.5333…, variance 0.0822….
+        let out = aggregate(&pool(), &c, &[], &[sd(col("id")), sd(col("score"))]).unwrap();
+        assert_eq!(out.row(0)[0], Value::Double((5.0f64 / 4.0).sqrt()));
+        let Value::Double(s) = out.row(0)[1] else { panic!("{:?}", out.row(0)) };
+        assert!((s - (0.74f64 / 9.0).sqrt()).abs() < 1e-12, "{s}");
+        // Only NULLs, or no rows at all: NULL.
+        let nulls = filter(&pool(), &c, &Expr::binary(BinOp::Eq, col("id"), lit(4i64))).unwrap();
+        let out = aggregate(&pool(), &nulls, &[], &[sd(col("score"))]).unwrap();
+        assert_eq!(out.row(0)[0], Value::Null);
+    }
+
+    #[test]
+    fn case_takes_the_first_true_arm() {
+        let c = chunk();
+        // Row 4's score is NULL: its first condition is unknown and skips
+        // its arm; no arm holds for row 2 and there is no ELSE.
+        let case = Expr::Case {
+            arms: vec![
+                (Expr::binary(BinOp::Lt, col("score"), lit(0.6)), lit("low")),
+                (Expr::binary(BinOp::Gt, col("id"), lit(3i64)), lit("late")),
+            ],
+            otherwise: None,
+        };
+        let out = project(&c, &[(case.clone(), "c".into())]).unwrap();
+        let got: Vec<Value> = (0..4).map(|i| out.row(i)[0].clone()).collect();
+        assert_eq!(got, vec!["low".into(), Value::Null, "low".into(), "late".into()]);
+        // In a WHERE, the columnar filter falls back to the row path.
+        let pred = Expr::binary(BinOp::Eq, case, lit("low"));
+        let kept = filter(&pool(), &c, &pred).unwrap();
+        assert_eq!(kept.num_rows(), 2);
+        let reference = filter_rowwise(&c, &pred).unwrap();
+        assert_eq!(
+            (0..2).map(|i| kept.row(i)).collect::<Vec<_>>(),
+            (0..2).map(|i| reference.row(i)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -1331,11 +1384,8 @@ mod tests {
             negated: false,
         };
         assert_eq!(filter(&pool(), &c, &pred2).unwrap().num_rows(), 3);
-        let pred3 = Expr::InList {
-            expr: Box::new(col("tag")),
-            list: vec![lit("alpha")],
-            negated: true,
-        };
+        let pred3 =
+            Expr::InList { expr: Box::new(col("tag")), list: vec![lit("alpha")], negated: true };
         assert_eq!(filter(&pool(), &c, &pred3).unwrap().num_rows(), 2);
     }
 
@@ -1344,19 +1394,13 @@ mod tests {
         let c = chunk();
         let out = project(
             &c,
-            &[(
-                Expr::Func { name: "UPPER".into(), args: vec![col("tag")] },
-                "u".into(),
-            )],
+            &[(Expr::Func { name: "UPPER".into(), args: vec![col("tag")] }, "u".into())],
         )
         .unwrap();
         assert_eq!(out.row(0)[0], Value::Str("ALPHA".into()));
         assert!(eval_scalar_func("NOPE", &[]).is_err());
         assert_eq!(eval_scalar_func("ABS", &[Value::Int(-3)]).unwrap(), Value::Int(3));
-        assert_eq!(
-            eval_scalar_func("SQRT", &[Value::Double(9.0)]).unwrap(),
-            Value::Double(3.0)
-        );
+        assert_eq!(eval_scalar_func("SQRT", &[Value::Double(9.0)]).unwrap(), Value::Double(3.0));
         assert_eq!(eval_scalar_func("LENGTH", &[Value::Str("abc".into())]).unwrap(), Value::Int(3));
     }
 

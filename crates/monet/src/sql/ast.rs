@@ -85,7 +85,18 @@ pub enum Expr {
         /// Pattern literal.
         pattern: String,
     },
-    /// Scalar function call (`ABS`, `SQRT`, `LOWER`, `UPPER`, `LENGTH`).
+    /// `CASE WHEN c THEN r [WHEN …]* [ELSE e] END`: the first arm whose
+    /// condition is TRUE gives the value (a NULL or FALSE condition
+    /// skips its arm); with no arm taken and no ELSE, NULL.
+    Case {
+        /// (condition, result) arms, tested in order.
+        arms: Vec<(Expr, Expr)>,
+        /// ELSE result.
+        otherwise: Option<Box<Expr>>,
+    },
+    /// Function call, name upper-cased. SQL evaluates `ABS`, `SQRT`,
+    /// `LOWER`, `UPPER` and `LENGTH`, and reads an aggregate's name in
+    /// HAVING and ORDER BY; SciQL binds its own math functions.
     Func {
         /// Upper-cased function name.
         name: String,
@@ -114,6 +125,9 @@ pub enum AggFunc {
     Min,
     /// `MAX(expr)`.
     Max,
+    /// `STDDEV(expr)` (also `STDEV`, `STDDEV_POP`): population standard
+    /// deviation.
+    StdDev,
 }
 
 impl AggFunc {
@@ -125,6 +139,7 @@ impl AggFunc {
             "AVG" => Some(AggFunc::Avg),
             "MIN" => Some(AggFunc::Min),
             "MAX" => Some(AggFunc::Max),
+            "STDDEV" | "STDEV" | "STDDEV_POP" => Some(AggFunc::StdDev),
             _ => None,
         }
     }
@@ -247,6 +262,7 @@ mod tests {
     fn aggfunc_parse() {
         assert_eq!(AggFunc::parse("count"), Some(AggFunc::Count));
         assert_eq!(AggFunc::parse("AVG"), Some(AggFunc::Avg));
+        assert_eq!(AggFunc::parse("stddev_pop"), Some(AggFunc::StdDev));
         assert_eq!(AggFunc::parse("CONCAT"), None);
     }
 }

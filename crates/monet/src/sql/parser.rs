@@ -163,9 +163,8 @@ impl Cursor<'_> {
             Some(self.ident()?)
         } else if let TokenKind::Ident(s) = self.peek() {
             // Bare alias, unless it is a clause keyword.
-            const CLAUSE_KWS: &[&str] = &[
-                "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "JOIN", "INNER", "ON", "FROM",
-            ];
+            const CLAUSE_KWS: &[&str] =
+                &["WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "JOIN", "INNER", "ON", "FROM"];
             if CLAUSE_KWS.iter().any(|k| s.eq_ignore_ascii_case(k)) {
                 None
             } else {
@@ -181,26 +180,33 @@ impl Cursor<'_> {
         if self.accept_symbol(Symbol::Star) {
             return Ok(SelectItem::Wildcard);
         }
-        // Aggregate?
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if let Some(func) = AggFunc::parse(&name) {
-                if self.lookahead(1) == &TokenKind::Symbol(Symbol::LParen) {
-                    self.advance(); // name
-                    self.advance(); // (
-                    let expr = if self.accept_symbol(Symbol::Star) {
-                        None
-                    } else {
-                        Some(self.expr()?)
-                    };
-                    self.expect_symbol(Symbol::RParen)?;
-                    let alias = self.alias()?;
-                    return Ok(SelectItem::Aggregate { func, expr, alias });
-                }
-            }
+        if let Some((func, expr)) = self.aggregate()? {
+            let alias = self.alias()?;
+            return Ok(SelectItem::Aggregate { func, expr, alias });
         }
         let expr = self.expr()?;
         let alias = self.alias()?;
         Ok(SelectItem::Expr { expr, alias })
+    }
+
+    /// The aggregate call `AGG(*)` or `AGG(expr)` (`*` is `None`), if one
+    /// comes next: SQL's select list and SciQL's reductions spell their
+    /// aggregates alike.
+    pub fn aggregate(&mut self) -> Result<Option<(AggFunc, Option<Expr>)>> {
+        let func = match self.peek() {
+            TokenKind::Ident(name) if self.lookahead(1) == &TokenKind::Symbol(Symbol::LParen) => {
+                AggFunc::parse(name)
+            }
+            _ => None,
+        };
+        let Some(func) = func else {
+            return Ok(None);
+        };
+        self.advance(); // name
+        self.advance(); // (
+        let expr = if self.accept_symbol(Symbol::Star) { None } else { Some(self.expr()?) };
+        self.expect_symbol(Symbol::RParen)?;
+        Ok(Some((func, expr)))
     }
 
     fn alias(&mut self) -> Result<Option<String>> {
@@ -211,8 +217,10 @@ impl Cursor<'_> {
         }
     }
 
-    // Expression grammar: OR > AND > NOT > comparison > additive > term.
-    fn expr(&mut self) -> Result<Expr> {
+    /// One expression: the SQL family's one grammar, which SciQL's
+    /// statements parse their cell expressions with too. Precedence:
+    /// OR > AND > NOT > comparison > additive > term.
+    pub fn expr(&mut self) -> Result<Expr> {
         let mut left = self.and_expr()?;
         while self.accept_kw("OR") {
             let right = self.and_expr()?;
@@ -231,8 +239,8 @@ impl Cursor<'_> {
     }
 
     /// Every nested expression passes through here (a parenthesis, an
-    /// argument list, an IN list or a NOT), so the nesting bound is
-    /// charged here and on unary signs.
+    /// argument list, an IN list, a CASE arm or a NOT), so the nesting
+    /// bound is charged here and on unary signs.
     fn not_expr(&mut self) -> Result<Expr> {
         self.nested(|c| {
             if c.accept_kw("NOT") {
@@ -356,6 +364,7 @@ impl Cursor<'_> {
                     "NULL" => return Ok(Expr::Literal(Value::Null)),
                     "TRUE" => return Ok(Expr::Literal(Value::Bool(true))),
                     "FALSE" => return Ok(Expr::Literal(Value::Bool(false))),
+                    "CASE" => return self.case(),
                     _ => {}
                 }
                 // Function call?
@@ -384,6 +393,22 @@ impl Cursor<'_> {
             other => Err(self.err(format!("unexpected token {other:?}"))),
         }
     }
+
+    /// `CASE WHEN c THEN r [WHEN …]* [ELSE e] END`, after its `CASE`.
+    fn case(&mut self) -> Result<Expr> {
+        let mut arms = Vec::new();
+        while self.accept_kw("WHEN") {
+            let cond = self.expr()?;
+            self.expect_kw("THEN")?;
+            arms.push((cond, self.expr()?));
+        }
+        if arms.is_empty() {
+            return Err(self.err("CASE needs at least one WHEN arm"));
+        }
+        let otherwise = if self.accept_kw("ELSE") { Some(Box::new(self.expr()?)) } else { None };
+        self.expect_kw("END")?;
+        Ok(Expr::Case { arms, otherwise })
+    }
 }
 
 #[cfg(test)]
@@ -410,10 +435,7 @@ mod tests {
     fn select_star_with_where() {
         let s = sel("SELECT * FROM t WHERE a > 5 AND b = 'x'");
         assert_eq!(s.items, vec![SelectItem::Wildcard]);
-        assert!(matches!(
-            s.where_clause,
-            Some(Expr::Binary { op: BinOp::And, .. })
-        ));
+        assert!(matches!(s.where_clause, Some(Expr::Binary { op: BinOp::And, .. })));
     }
 
     #[test]
@@ -442,7 +464,8 @@ mod tests {
 
     #[test]
     fn aggregates_and_group_by() {
-        let s = sel("SELECT tag, COUNT(*), AVG(score) AS m FROM t GROUP BY tag HAVING COUNT(*) > 1");
+        let s =
+            sel("SELECT tag, COUNT(*), AVG(score) AS m FROM t GROUP BY tag HAVING COUNT(*) > 1");
         assert_eq!(s.group_by.len(), 1);
         assert!(s.having.is_some());
         assert!(matches!(
@@ -537,10 +560,7 @@ mod tests {
 
     #[test]
     fn drop_table() {
-        assert!(matches!(
-            parse_statement("DROP TABLE t").unwrap(),
-            Statement::DropTable { .. }
-        ));
+        assert!(matches!(parse_statement("DROP TABLE t").unwrap(), Statement::DropTable { .. }));
     }
 
     #[test]
@@ -565,7 +585,29 @@ mod tests {
     #[test]
     fn function_calls() {
         let s = sel("SELECT ABS(a), UPPER(b) FROM t WHERE SQRT(a) > 2");
-        assert!(matches!(&s.items[0], SelectItem::Expr { expr: Expr::Func { name, .. }, .. } if name == "ABS"));
+        assert!(
+            matches!(&s.items[0], SelectItem::Expr { expr: Expr::Func { name, .. }, .. } if name == "ABS")
+        );
+    }
+
+    #[test]
+    fn case_arms_and_else() {
+        let s = sel("SELECT CASE WHEN a > 1 THEN 'big' WHEN a IS NULL THEN NULL ELSE b END FROM t");
+        let SelectItem::Expr { expr: Expr::Case { arms, otherwise }, .. } = &s.items[0] else {
+            panic!("wrong shape: {:?}", s.items[0])
+        };
+        assert_eq!(arms.len(), 2);
+        assert_eq!(arms[0].1, Expr::Literal(Value::Str("big".into())));
+        assert!(matches!(arms[1].0, Expr::IsNull { negated: false, .. }));
+        assert_eq!(otherwise.as_deref(), Some(&Expr::Column("b".into())));
+        // A CASE is a primary: it binds tighter than the comparison.
+        let s = sel("SELECT * FROM t WHERE CASE WHEN a > 1 THEN 1 END = 1");
+        assert!(matches!(
+            s.where_clause,
+            Some(Expr::Binary { op: BinOp::Eq, ref left, .. }) if matches!(**left, Expr::Case { otherwise: None, .. })
+        ));
+        assert!(parse_statement("SELECT CASE ELSE 1 END FROM t").is_err());
+        assert!(parse_statement("SELECT CASE WHEN a THEN 1 FROM t").is_err());
     }
 
     #[test]

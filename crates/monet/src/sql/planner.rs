@@ -43,10 +43,7 @@ pub fn execute_select(
     for (tr, on) in &select.joins {
         let table = provider.table(&tr.name)?;
         let alias = tr.alias.clone().unwrap_or_else(|| tr.name.clone());
-        sources.push(Source {
-            chunk: Chunk::from_table(&table, &alias),
-            on: Some(on.clone()),
-        });
+        sources.push(Source { chunk: Chunk::from_table(&table, &alias), on: Some(on.clone()) });
     }
 
     // 2. Split the WHERE clause into conjuncts; fold in JOIN ON conditions.
@@ -86,18 +83,12 @@ pub fn execute_select(
     }
 
     // 4. Apply remaining conjuncts as a filter.
-    if let Some(pred) = conjuncts
-        .into_iter()
-        .reduce(|a, b| Expr::binary(BinOp::And, a, b))
-    {
+    if let Some(pred) = conjuncts.into_iter().reduce(|a, b| Expr::binary(BinOp::And, a, b)) {
         current = exec::filter(pool, &current, &pred)?;
     }
 
     // 5. Aggregate or plain projection.
-    let has_aggregates = select
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Aggregate { .. }))
+    let has_aggregates = select.items.iter().any(|i| matches!(i, SelectItem::Aggregate { .. }))
         || !select.group_by.is_empty()
         || select.having.is_some();
 
@@ -172,10 +163,8 @@ fn plan_projection(select: &Select, input: &Chunk) -> Result<Chunk> {
         .collect();
     let sorted = exec::sort(&extended, &keys)?;
     // Cut back to the projected columns.
-    let proj_exprs: Vec<(Expr, String)> = exprs
-        .iter()
-        .map(|(_, n)| (Expr::Column(format!("__proj.{n}")), n.clone()))
-        .collect();
+    let proj_exprs: Vec<(Expr, String)> =
+        exprs.iter().map(|(_, n)| (Expr::Column(format!("__proj.{n}")), n.clone())).collect();
     exec::project(&sorted, &proj_exprs)
 }
 
@@ -203,16 +192,12 @@ fn plan_aggregate(pool: &WorkerPool, select: &Select, input: &Chunk) -> Result<C
             }
             SelectItem::Expr { expr, alias } => {
                 // Must be a group-by expression.
-                let pos = select
-                    .group_by
-                    .iter()
-                    .position(|g| g == expr)
-                    .ok_or_else(|| {
-                        DbError::Execution(format!(
-                            "non-aggregated expression {} must appear in GROUP BY",
-                            expr_label(expr)
-                        ))
-                    })?;
+                let pos = select.group_by.iter().position(|g| g == expr).ok_or_else(|| {
+                    DbError::Execution(format!(
+                        "non-aggregated expression {} must appear in GROUP BY",
+                        expr_label(expr)
+                    ))
+                })?;
                 let name = alias.clone().unwrap_or_else(|| match expr {
                     Expr::Column(c) => display_name(input, c),
                     other => expr_label(other),
@@ -221,94 +206,54 @@ fn plan_aggregate(pool: &WorkerPool, select: &Select, input: &Chunk) -> Result<C
             }
             SelectItem::Aggregate { func, expr, alias } => {
                 let agg_name = format!("__agg{}", aggs.len());
-                aggs.push(AggSpec {
-                    func: *func,
-                    expr: normalize_agg_arg(expr),
-                    name: agg_name.clone(),
-                });
+                aggs.push(AggSpec { func: *func, expr: expr.clone(), name: agg_name.clone() });
                 let name = alias.clone().unwrap_or_else(|| agg_label(*func, expr));
                 out_cols.push((Expr::Column(agg_name), name));
             }
         }
     }
 
-    // HAVING may introduce additional (hidden) aggregates.
-    let having = match &select.having {
-        Some(h) => Some(rewrite_having(h, &mut aggs)?),
-        None => None,
-    };
+    // HAVING and ORDER BY may name aggregates the SELECT list does not:
+    // those are computed as hidden columns. An ORDER BY alias names its
+    // output column.
+    let having = select.having.as_ref().map(|h| rewrite_aggregates(h, &mut aggs));
+    let keys: Vec<(Expr, bool)> = select
+        .order_by
+        .iter()
+        .map(|k| {
+            let alias = match &k.expr {
+                Expr::Column(c) => out_cols.iter().find(|(_, n)| n.eq_ignore_ascii_case(c)),
+                _ => None,
+            };
+            (
+                alias.map_or_else(|| rewrite_aggregates(&k.expr, &mut aggs), |(e, _)| e.clone()),
+                k.desc,
+            )
+        })
+        .collect();
 
     let mut agg_chunk = exec::aggregate(pool, input, &select.group_by, &aggs)?;
     if let Some(h) = having {
         agg_chunk = exec::filter(pool, &agg_chunk, &h)?;
     }
-    if !select.order_by.is_empty() {
-        // ORDER BY over aliases or aggregate labels: rewrite aliases to the
-        // hidden agg columns when they match an output column.
-        let keys: Vec<(Expr, bool)> = select
-            .order_by
-            .iter()
-            .map(|k| {
-                let expr = match &k.expr {
-                    Expr::Column(c) => out_cols
-                        .iter()
-                        .find(|(_, n)| n.eq_ignore_ascii_case(c))
-                        .map(|(e, _)| e.clone())
-                        .unwrap_or_else(|| k.expr.clone()),
-                    Expr::Func { name, args } => {
-                        // ORDER BY COUNT(*) etc: match an existing agg spec.
-                        match AggFunc::parse(name) {
-                            Some(func) => {
-                                let arg = args.first().cloned().and_then(strip_star);
-                                aggs.iter()
-                                    .find(|a| a.func == func && a.expr == arg)
-                                    .map(|a| Expr::Column(a.name.clone()))
-                                    .unwrap_or_else(|| k.expr.clone())
-                            }
-                            None => k.expr.clone(),
-                        }
-                    }
-                    other => other.clone(),
-                };
-                (expr, k.desc)
-            })
-            .collect();
+    if !keys.is_empty() {
         agg_chunk = exec::sort(&agg_chunk, &keys)?;
     }
     exec::project(&agg_chunk, &out_cols)
 }
 
-/// `COUNT(*)` parses as `Func("COUNT", [Column("*")])`; normalize the
-/// star argument to `None`.
-fn normalize_agg_arg(expr: &Option<Expr>) -> Option<Expr> {
+/// Replace aggregate calls inside a HAVING or ORDER BY expression with
+/// references to (possibly new, hidden) aggregate output columns.
+fn rewrite_aggregates(expr: &Expr, aggs: &mut Vec<AggSpec>) -> Expr {
+    let mut rewrite = |e: &Expr| rewrite_aggregates(e, aggs);
     match expr {
-        Some(Expr::Column(c)) if c == "*" => None,
-        other => other.clone(),
-    }
-}
-
-fn strip_star(e: Expr) -> Option<Expr> {
-    match e {
-        Expr::Column(ref c) if c == "*" => None,
-        other => Some(other),
-    }
-}
-
-/// Replace aggregate calls inside HAVING with references to (possibly
-/// new, hidden) aggregate output columns.
-fn rewrite_having(expr: &Expr, aggs: &mut Vec<AggSpec>) -> Result<Expr> {
-    Ok(match expr {
-        Expr::Func { name, args } if AggFunc::parse(name).is_some() => {
+        Expr::Func { name, args } => {
             let Some(func) = AggFunc::parse(name) else {
-                return Ok(expr.clone()); // unreachable: guard above
+                return Expr::Func { name: name.clone(), args: args.iter().map(rewrite).collect() };
             };
-            let arg = match args.first() {
-                Some(Expr::Column(c)) if c == "*" => None,
-                Some(e) => Some(e.clone()),
-                None => None,
-            };
-            let existing = aggs.iter().find(|a| a.func == func && a.expr == arg);
-            let name = match existing {
+            // `COUNT(*)` parses as `Func("COUNT", [Column("*")])`.
+            let arg = args.first().filter(|a| !matches!(a, Expr::Column(c) if c == "*")).cloned();
+            let name = match aggs.iter().find(|a| a.func == func && a.expr == arg) {
                 Some(a) => a.name.clone(),
                 None => {
                     let n = format!("__agg{}", aggs.len());
@@ -318,15 +263,31 @@ fn rewrite_having(expr: &Expr, aggs: &mut Vec<AggSpec>) -> Result<Expr> {
             };
             Expr::Column(name)
         }
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(rewrite_having(left, aggs)?),
-            right: Box::new(rewrite_having(right, aggs)?),
+        Expr::Binary { op, left, right } => Expr::binary(*op, rewrite(left), rewrite(right)),
+        Expr::Case { arms, otherwise } => Expr::Case {
+            arms: arms.iter().map(|(c, r)| (rewrite(c), rewrite(r))).collect(),
+            otherwise: otherwise.as_deref().map(|e| Box::new(rewrite(e))),
         },
-        Expr::Not(e) => Expr::Not(Box::new(rewrite_having(e, aggs)?)),
-        Expr::Neg(e) => Expr::Neg(Box::new(rewrite_having(e, aggs)?)),
-        other => other.clone(),
-    })
+        Expr::Not(e) => Expr::Not(Box::new(rewrite(e))),
+        Expr::Neg(e) => Expr::Neg(Box::new(rewrite(e))),
+        Expr::IsNull { expr, negated } => {
+            Expr::IsNull { expr: Box::new(rewrite(expr)), negated: *negated }
+        }
+        Expr::Between { expr, lo, hi } => Expr::Between {
+            expr: Box::new(rewrite(expr)),
+            lo: Box::new(rewrite(lo)),
+            hi: Box::new(rewrite(hi)),
+        },
+        Expr::InList { expr, list, negated } => Expr::InList {
+            expr: Box::new(rewrite(expr)),
+            list: list.iter().map(&mut rewrite).collect(),
+            negated: *negated,
+        },
+        Expr::Like { expr, pattern } => {
+            Expr::Like { expr: Box::new(rewrite(expr)), pattern: pattern.clone() }
+        }
+        Expr::Literal(_) | Expr::Column(_) => expr.clone(),
+    }
 }
 
 /// Split an expression tree into AND-ed conjuncts.
@@ -415,6 +376,7 @@ fn agg_label(func: AggFunc, expr: &Option<Expr>) -> String {
         AggFunc::Avg => "avg",
         AggFunc::Min => "min",
         AggFunc::Max => "max",
+        AggFunc::StdDev => "stddev",
     };
     match expr {
         None => f.to_string(),

@@ -239,6 +239,8 @@ fn try_map_reports_the_first_error_at_all_thread_counts() {
             let ok = a.map_with(&pool, f64::abs).try_map_with(&pool, f).unwrap();
             assert_eq!(ok.shape(), a.shape());
         }
+        // The default pool chooses the same error.
+        assert_eq!(a.try_map(f).err(), expect, "error choice over {cells} cells");
     }
 }
 

@@ -33,7 +33,8 @@ fn column_select_matches_linear_scan() {
                 (CmpOp::Gt, Box::new(move |v| v > needle)),
                 (CmpOp::Ge, Box::new(move |v| v >= needle)),
             ] {
-                let got = col.select(op, &Value::Int(needle), None, &WorkerPool::default()).unwrap();
+                let got =
+                    col.select(op, &Value::Int(needle), None, &WorkerPool::default()).unwrap();
                 let expect: Vec<u32> = vals
                     .iter()
                     .enumerate()
@@ -186,7 +187,8 @@ fn array_and_ranges(g: &mut Gen) -> (Vec<usize>, Vec<(usize, usize)>) {
 
 fn ramp(shape: &[usize]) -> NdArray {
     let dims = shape.iter().enumerate().map(|(i, &n)| Dim::new(format!("d{i}"), n)).collect();
-    NdArray::from_vec(dims, (0..shape.iter().product::<usize>()).map(|v| v as f64).collect()).unwrap()
+    NdArray::from_vec(dims, (0..shape.iter().product::<usize>()).map(|v| v as f64).collect())
+        .unwrap()
 }
 
 /// The cell-at-a-time reference the run walker replaced: every
@@ -234,19 +236,22 @@ fn array_tiles_match_cell_at_a_time_reference() {
         },
         |(shape, tile)| {
             let a = ramp(&shape);
-            let grid: Vec<(usize, usize)> = shape.iter().zip(&tile).map(|(&n, &t)| (0, n / t)).collect();
+            let grid: Vec<(usize, usize)> =
+                shape.iter().zip(&tile).map(|(&n, &t)| (0, n / t)).collect();
             let expect: Vec<(Vec<usize>, Vec<f64>)> = coordinates(&grid)
                 .into_iter()
                 .map(|at| {
                     let origin: Vec<usize> = at.iter().zip(&tile).map(|(&i, &t)| i * t).collect();
-                    let ranges: Vec<_> = origin.iter().zip(&tile).map(|(&o, &t)| (o, o + t)).collect();
+                    let ranges: Vec<_> =
+                        origin.iter().zip(&tile).map(|(&o, &t)| (o, o + t)).collect();
                     let cells = slice_by_cells(&a, &ranges);
                     (origin, cells)
                 })
                 .collect();
             let got = a.tiles(&tile).unwrap();
             assert!(got.iter().all(|(_, t)| t.shape() == tile));
-            let got: Vec<_> = got.into_iter().map(|(origin, t)| (origin, t.data().to_vec())).collect();
+            let got: Vec<_> =
+                got.into_iter().map(|(origin, t)| (origin, t.data().to_vec())).collect();
             assert_eq!(got, expect);
         },
     );
@@ -333,11 +338,18 @@ fn deeply_nested_sql_is_rejected_not_overflowed() {
         format!("SELECT a FROM t WHERE {}TRUE", "NOT ".repeat(DEEP)),
         format!("SELECT {}1 FROM t", "- ".repeat(DEEP)),
         format!("SELECT a FROM t WHERE a IN {}1", "(a IN ".repeat(DEEP)),
+        format!("SELECT {}1 FROM t", "CASE WHEN ".repeat(DEEP)),
     ] {
-        let parsed = std::thread::spawn(move || teleios_monet::sql::parser::parse_statement(&bomb).is_ok())
-            .join()
-            .expect("the parser returns instead of overflowing its stack");
+        let parsed =
+            std::thread::spawn(move || teleios_monet::sql::parser::parse_statement(&bomb).is_ok())
+                .join()
+                .expect("the parser returns instead of overflowing its stack");
         assert!(!parsed);
     }
-    assert!(teleios_monet::sql::parser::parse_statement(&format!("SELECT {}1{} FROM t", "(".repeat(60), ")".repeat(60))).is_ok());
+    assert!(teleios_monet::sql::parser::parse_statement(&format!(
+        "SELECT {}1{} FROM t",
+        "(".repeat(60),
+        ")".repeat(60)
+    ))
+    .is_ok());
 }

@@ -3,7 +3,8 @@
 //! 3 and 8 threads, and a single-table WHERE keeps exactly the rows
 //! the row-at-a-time reference filter (`exec::filter_rowwise`) keeps
 //! and, run as `DELETE … WHERE` on a copy of the table, leaves the
-//! total minus `SELECT COUNT(*) … WHERE`.
+//! total minus `SELECT COUNT(*) … WHERE`. Predicates mix comparisons,
+//! NULL tests, BETWEEN, IN, NOT, AND, OR and CASE.
 //! Tables are either small or straddle the row-parallel threshold, and
 //! their columns hold NULL, NaN, -0.0 and extreme integers. A failure
 //! shrinks to its smallest table and statement and prints the seed
@@ -60,7 +61,11 @@ fn t_schema() -> Vec<ColumnDef> {
 /// (a join probes the larger side, so `t` alone crosses the threshold).
 fn tables(g: &mut Gen) -> Catalog {
     let catalog = Catalog::new();
-    let t_rows = if g.bool() { g.size(PAR_ROW_THRESHOLD - 8..PAR_ROW_THRESHOLD + 64) } else { g.size(0..12) };
+    let t_rows = if g.bool() {
+        g.size(PAR_ROW_THRESHOLD - 8..PAR_ROW_THRESHOLD + 64)
+    } else {
+        g.size(0..12)
+    };
     let t: Vec<Vec<Value>> = (0..t_rows).map(|_| vec![int(g), double(g), int(g)]).collect();
     let u_rows = g.size(0..12);
     let u: Vec<Vec<Value>> = (0..u_rows).map(|_| vec![int(g), double(g)]).collect();
@@ -85,12 +90,25 @@ fn literal(g: &mut Gen) -> String {
 fn atom(g: &mut Gen, cols: &[&str]) -> String {
     let c = cols[g.below(cols.len())];
     let op = ["=", "<>", "<", "<=", ">", ">="][g.below(6)];
-    match g.below(8) {
+    match g.below(9) {
         0 => format!("{} {op} {c}", literal(g)),
         1 => format!("{c} IS {}NULL", if g.bool() { "NOT " } else { "" }),
         2 => format!("{c} BETWEEN {} AND {}", literal(g), literal(g)),
-        3 => format!("{c} {}IN ({}, {})", if g.bool() { "NOT " } else { "" }, literal(g), literal(g)),
+        3 => {
+            format!("{c} {}IN ({}, {})", if g.bool() { "NOT " } else { "" }, literal(g), literal(g))
+        }
         4 => format!("{c} + {} {op} {}", literal(g), cols[g.below(cols.len())]),
+        // A value-level CASE: a NULL condition skips its arm, and with
+        // no ELSE an untaken CASE is NULL.
+        5 => {
+            let when = format!("{} {op} {}", cols[g.below(cols.len())], literal(g));
+            let otherwise = if g.bool() { format!(" ELSE {}", literal(g)) } else { String::new() };
+            format!(
+                "CASE WHEN {when} THEN {c}{otherwise} END {} {}",
+                ["=", "<", ">="][g.below(3)],
+                literal(g)
+            )
+        }
         _ => format!("{c} {op} {}", literal(g)),
     }
 }
@@ -99,9 +117,16 @@ fn predicate(g: &mut Gen, cols: &[&str], depth: usize) -> String {
     if depth == 0 || g.below(3) == 0 {
         return atom(g, cols);
     }
-    match g.below(3) {
+    match g.below(4) {
         0 => format!("NOT ({})", predicate(g, cols, depth - 1)),
-        1 => format!("({}) OR ({})", predicate(g, cols, depth - 1), predicate(g, cols, depth - 1)),
+        // A CASE whose arms are predicates is one too.
+        1 => format!(
+            "CASE WHEN {} THEN {} ELSE {} END",
+            predicate(g, cols, depth - 1),
+            predicate(g, cols, depth - 1),
+            predicate(g, cols, depth - 1)
+        ),
+        2 => format!("({}) OR ({})", predicate(g, cols, depth - 1), predicate(g, cols, depth - 1)),
         _ => format!("{} AND {}", predicate(g, cols, depth - 1), predicate(g, cols, depth - 1)),
     }
 }
@@ -139,11 +164,23 @@ fn rows(chunk: teleios_monet::Result<Chunk>) -> Answer {
 /// Fail with the first place two answers part, not both whole answers.
 fn assert_same(got: &Answer, want: &Answer, what: &str) {
     let (Ok(g), Ok(w)) = (got, want) else {
-        assert_eq!(got.is_ok(), want.is_ok(), "{what}: {:?} vs {:?}", got.as_ref().err(), want.as_ref().err());
+        assert_eq!(
+            got.is_ok(),
+            want.is_ok(),
+            "{what}: {:?} vs {:?}",
+            got.as_ref().err(),
+            want.as_ref().err()
+        );
         return;
     };
     if let Some(i) = (0..g.len().max(w.len())).find(|&i| g.get(i) != w.get(i)) {
-        panic!("{what}: {} vs {} rows, first difference at row {i}: {:?} vs {:?}", g.len(), w.len(), g.get(i), w.get(i));
+        panic!(
+            "{what}: {} vs {} rows, first difference at row {i}: {:?} vs {:?}",
+            g.len(),
+            w.len(),
+            g.get(i),
+            w.get(i)
+        );
     }
 }
 
@@ -159,7 +196,8 @@ fn select(sql: &str) -> Select {
 /// one-thread answer.
 fn agree(tables: &Tables, sql: &str) -> Answer {
     let select = select(sql);
-    let answer = |threads| rows(execute_select(&WorkerPool::with_threads(threads), tables, &select));
+    let answer =
+        |threads| rows(execute_select(&WorkerPool::with_threads(threads), tables, &select));
     let one = answer(1);
     for threads in &THREADS[1..] {
         assert_same(&answer(*threads), &one, &format!("{sql} at {threads} threads vs 1"));
@@ -191,9 +229,12 @@ fn agree(tables: &Tables, sql: &str) -> Answer {
 
 #[test]
 fn generated_sql_agrees_across_threads_and_with_the_rowwise_filter() {
-    forall(|g| (tables(g), statement(g)), |(catalog, sql)| {
-        let _checked = agree(&Tables(catalog), &sql);
-    });
+    forall(
+        |g| (tables(g), statement(g)),
+        |(catalog, sql)| {
+            let _checked = agree(&Tables(catalog), &sql);
+        },
+    );
 }
 
 /// Shrunk from the generator's first failure (seed 92): a NaN cell

@@ -1,112 +1,9 @@
-//! SciQL abstract syntax tree.
+//! SciQL abstract syntax tree. Cell expressions are SQL expressions,
+//! parsed by monet's SQL grammar; the evaluator binds each one to an
+//! array before it runs.
 
-/// Cell-level expression over array values and dimension variables.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellExpr {
-    /// Numeric literal.
-    Number(f64),
-    /// The cell value attribute (`v`) or a dimension variable (`x`, `y`).
-    Var(String),
-    /// Binary arithmetic / comparison. Comparisons yield 1.0 / 0.0.
-    Binary {
-        /// Operator.
-        op: CellOp,
-        /// Left operand.
-        left: Box<CellExpr>,
-        /// Right operand.
-        right: Box<CellExpr>,
-    },
-    /// Unary minus.
-    Neg(Box<CellExpr>),
-    /// `CASE WHEN cond THEN a [WHEN …]* [ELSE b] END`; a missing ELSE
-    /// yields 0.0.
-    Case {
-        /// (condition, result) arms, tested in order.
-        arms: Vec<(CellExpr, CellExpr)>,
-        /// ELSE result.
-        otherwise: Option<Box<CellExpr>>,
-    },
-    /// Math function call (`ABS`, `SQRT`, `EXP`, `LN`, `LOG10`, `FLOOR`,
-    /// `CEIL`, `MIN`, `MAX`, `POW`).
-    Func {
-        /// Upper-cased name.
-        name: String,
-        /// Arguments.
-        args: Vec<CellExpr>,
-    },
-}
-
-/// Binary operators on cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellOp {
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// `%`
-    Mod,
-    /// `=` (1.0 / 0.0)
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `AND` (non-zero = true)
-    And,
-    /// `OR`
-    Or,
-}
-
-/// Aggregate function over cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellAgg {
-    /// Sum of values.
-    Sum,
-    /// Arithmetic mean.
-    Avg,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-    /// Cell count.
-    Count,
-    /// Population standard deviation.
-    StdDev,
-}
-
-impl CellAgg {
-    /// Parse an aggregate name.
-    pub(crate) fn parse(name: &str) -> Option<CellAgg> {
-        match name.to_ascii_uppercase().as_str() {
-            "SUM" => Some(CellAgg::Sum),
-            "AVG" => Some(CellAgg::Avg),
-            "MIN" => Some(CellAgg::Min),
-            "MAX" => Some(CellAgg::Max),
-            "COUNT" => Some(CellAgg::Count),
-            "STDDEV" | "STDEV" | "STDDEV_POP" => Some(CellAgg::StdDev),
-            _ => None,
-        }
-    }
-}
-
-/// A dimension declaration in CREATE ARRAY.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DimDecl {
-    /// Dimension name.
-    pub name: String,
-    /// Extent.
-    pub size: usize,
-}
+use teleios_monet::array::Dim;
+use teleios_monet::sql::ast::{AggFunc, Expr};
 
 /// An optional slice range over one dimension (`lo:hi`, half-open).
 pub(crate) type SliceRange = Option<(usize, usize)>;
@@ -114,14 +11,12 @@ pub(crate) type SliceRange = Option<(usize, usize)>;
 /// A SciQL statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SciqlStmt {
-    /// `CREATE ARRAY name (dims..., value DOUBLE DEFAULT d)`.
+    /// `CREATE ARRAY name (dims..., v DOUBLE DEFAULT d)`.
     CreateArray {
         /// Array name.
         name: String,
         /// Dimension declarations in storage order.
-        dims: Vec<DimDecl>,
-        /// Value attribute name (usually `v`).
-        value_name: String,
+        dims: Vec<Dim>,
         /// Fill value.
         default: f64,
     },
@@ -137,7 +32,7 @@ pub enum SciqlStmt {
         /// Per-dimension slice (missing = full extent).
         slices: Vec<SliceRange>,
         /// Cell expression.
-        expr: CellExpr,
+        expr: Expr,
     },
     /// `SELECT agg(expr) FROM name[ranges] [WHERE cond]` — scalar
     /// reduction over the cells satisfying `cond`.
@@ -147,11 +42,11 @@ pub enum SciqlStmt {
         /// Per-dimension slice.
         slices: Vec<SliceRange>,
         /// Aggregate.
-        agg: CellAgg,
+        agg: AggFunc,
         /// Argument expression.
-        expr: CellExpr,
+        expr: Expr,
         /// Optional cell predicate.
-        condition: Option<CellExpr>,
+        condition: Option<Expr>,
     },
     /// `SELECT agg(expr) FROM name GROUP BY TILES [t...]` — structural
     /// group-by producing a downsampled array.
@@ -159,9 +54,9 @@ pub enum SciqlStmt {
         /// Source array.
         array: String,
         /// Aggregate.
-        agg: CellAgg,
+        agg: AggFunc,
         /// Argument expression.
-        expr: CellExpr,
+        expr: Expr,
         /// Tile extent per dimension.
         tile: Vec<usize>,
     },
@@ -173,20 +68,8 @@ pub enum SciqlStmt {
         /// Per-dimension slice.
         slices: Vec<SliceRange>,
         /// New cell expression.
-        expr: CellExpr,
+        expr: Expr,
         /// Optional cell predicate.
-        condition: Option<CellExpr>,
+        condition: Option<Expr>,
     },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn agg_parse() {
-        assert_eq!(CellAgg::parse("avg"), Some(CellAgg::Avg));
-        assert_eq!(CellAgg::parse("STDDEV"), Some(CellAgg::StdDev));
-        assert_eq!(CellAgg::parse("MEDIAN"), None);
-    }
 }

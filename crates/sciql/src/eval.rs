@@ -3,7 +3,8 @@
 use crate::ast::*;
 use crate::parser::parse;
 use teleios_monet::array::{Dim, NdArray};
-use teleios_monet::{Catalog, DbError, Result};
+use teleios_monet::sql::ast::{AggFunc, BinOp, Expr};
+use teleios_monet::{Catalog, DbError, Result, Value};
 
 /// Result of executing a SciQL statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,15 +37,9 @@ impl SciqlResult {
 
 /// Parse and execute one SciQL statement against the catalog.
 pub fn execute(catalog: &Catalog, sciql: &str) -> Result<SciqlResult> {
-    execute_stmt(catalog, &parse(sciql)?)
-}
-
-/// Execute a parsed statement.
-pub(crate) fn execute_stmt(catalog: &Catalog, stmt: &SciqlStmt) -> Result<SciqlResult> {
-    match stmt {
-        SciqlStmt::CreateArray { name, dims, default, .. } => {
-            let dims: Vec<Dim> = dims.iter().map(|d| Dim::new(d.name.clone(), d.size)).collect();
-            catalog.create_array(name, NdArray::filled(dims, *default))?;
+    match &parse(sciql)? {
+        SciqlStmt::CreateArray { name, dims, default } => {
+            catalog.create_array(name, NdArray::filled(dims.clone(), *default))?;
             Ok(SciqlResult::Done)
         }
         SciqlStmt::DropArray { name } => {
@@ -54,27 +49,28 @@ pub(crate) fn execute_stmt(catalog: &Catalog, stmt: &SciqlStmt) -> Result<SciqlR
         SciqlStmt::Map { array, slices, expr } => {
             let a = catalog.array(array)?;
             let ranges = resolve_ranges(&a, slices)?;
-            Ok(SciqlResult::Array(map_region(&a, &ranges, &Bound::bind(expr, &a))?))
+            Ok(SciqlResult::Array(map_region(&a, &ranges, &Bound::bind(expr, &a)?)?))
         }
         SciqlStmt::Reduce { array, slices, agg, expr, condition } => {
             let a = catalog.array(array)?;
             let ranges = resolve_ranges(&a, slices)?;
-            let expr = Bound::bind(expr, &a);
-            match condition {
-                None => Ok(SciqlResult::Scalar(reduce(&map_region(&a, &ranges, &expr)?, *agg))),
+            let expr = Bound::bind(expr, &a)?;
+            let values = match condition {
+                None => map_region(&a, &ranges, &expr)?,
                 Some(cond) => {
-                    // Aggregate only the cells satisfying the predicate.
-                    let cond = Bound::bind(cond, &a);
-                    let mut values = Vec::new();
+                    // The values of the cells satisfying the predicate,
+                    // reduced like any other array.
+                    let cond = Bound::bind(cond, &a)?;
+                    let mut kept = Vec::new();
                     for_each_cell(&a, &ranges, |coord, _, v| {
-                        if cond.eval(v, coord)? != 0.0 {
-                            values.push(expr.eval(v, coord)?);
+                        if cond.eval(v, coord) != 0.0 {
+                            kept.push(expr.eval(v, coord));
                         }
-                        Ok(())
                     })?;
-                    Ok(SciqlResult::Scalar(reduce_values(&values, *agg)))
+                    NdArray::from_vec(vec![Dim::new("cell", kept.len())], kept)?
                 }
-            }
+            };
+            Ok(SciqlResult::Scalar(reduce(&values, *agg)))
         }
         SciqlStmt::TileReduce { array, agg, expr, tile } => {
             let a = catalog.array(array)?;
@@ -85,7 +81,7 @@ pub(crate) fn execute_stmt(catalog: &Catalog, stmt: &SciqlStmt) -> Result<SciqlR
                     a.ndim()
                 )));
             }
-            let mapped = map_region(&a, &resolve_ranges(&a, &[])?, &Bound::bind(expr, &a))?;
+            let mapped = map_region(&a, &resolve_ranges(&a, &[])?, &Bound::bind(expr, &a)?)?;
             let tiles = mapped.tiles(tile)?;
             let out_dims: Vec<Dim> = a
                 .dims()
@@ -100,20 +96,15 @@ pub(crate) fn execute_stmt(catalog: &Catalog, stmt: &SciqlStmt) -> Result<SciqlR
         SciqlStmt::Update { array, slices, expr, condition } => {
             let a = catalog.array(array)?;
             let ranges = resolve_ranges(&a, slices)?;
-            let expr = Bound::bind(expr, &a);
-            let cond = condition.as_ref().map(|c| Bound::bind(c, &a));
+            let expr = Bound::bind(expr, &a)?;
+            let cond = condition.as_ref().map(|c| Bound::bind(c, &a)).transpose()?;
             // `out` shares `a`'s cells until its first write copies them.
             let mut out = a.clone();
             let cells = out.data_mut();
             for_each_cell(&a, &ranges, |coord, at, v| {
-                let touch = match &cond {
-                    None => true,
-                    Some(cond) => cond.eval(v, coord)? != 0.0,
-                };
-                if touch {
-                    cells[at] = expr.eval(v, coord)?;
+                if cond.as_ref().is_none_or(|c| c.eval(v, coord) != 0.0) {
+                    cells[at] = expr.eval(v, coord);
                 }
-                Ok(())
             })?;
             catalog.put_array(array, out);
             Ok(SciqlResult::Done)
@@ -148,14 +139,14 @@ fn resolve_ranges(a: &NdArray, slices: &[SliceRange]) -> Result<Vec<(usize, usiz
 fn for_each_cell(
     a: &NdArray,
     ranges: &[(usize, usize)],
-    mut visit: impl FnMut(&[usize], usize, f64) -> Result<()>,
+    mut visit: impl FnMut(&[usize], usize, f64),
 ) -> Result<()> {
     let cells = a.data();
     let mut coord = vec![0usize; a.ndim()];
     a.walk_rows(ranges, |start, offset, len| {
         coord.copy_from_slice(start);
         for (at, &v) in (offset..).zip(&cells[offset..offset + len]) {
-            visit(&coord, at, v)?;
+            visit(&coord, at, v);
             if let Some(last) = coord.last_mut() {
                 *last += 1;
             }
@@ -175,49 +166,89 @@ fn map_region(a: &NdArray, ranges: &[(usize, usize)], expr: &Bound) -> Result<Nd
     }
     // Expressions not referencing dimension variables are pure
     // per-cell kernels — run them through the morsel-parallel
-    // `NdArray::try_map` (sequential below the cell threshold), so
+    // `NdArray::map` (sequential below the cell threshold), so
     // SciQL maps inherit the executor's speedup.
     if !expr.uses_dims() {
-        return region.try_map(|cell| expr.eval(cell, &[]));
+        return Ok(region.map(|cell| expr.eval(cell, &[])));
     }
     let mut cells = Vec::with_capacity(region.len());
-    for_each_cell(a, ranges, |coord, _, v| {
-        cells.push(expr.eval(v, coord)?);
-        Ok(())
-    })?;
+    for_each_cell(a, ranges, |coord, _, v| cells.push(expr.eval(v, coord)))?;
     NdArray::from_vec(region.dims().to_vec(), cells)
 }
 
-/// A cell expression bound to one array: every variable is resolved,
-/// once per statement, to the cell value or to a dimension's position.
-enum Bound<'e> {
+/// A cell expression bound to one array: every name is resolved, once
+/// per statement, to the cell value, a dimension's position or a math
+/// function, so evaluating a cell cannot fail.
+enum Bound {
     Number(f64),
-    /// The cell value attribute (any non-dimension variable).
+    /// The cell value attribute `v`.
     Cell,
     /// The source coordinate along dimension `k`.
     Dim(usize),
-    Binary(CellOp, Box<Bound<'e>>, Box<Bound<'e>>),
-    Neg(Box<Bound<'e>>),
-    Case(Vec<(Bound<'e>, Bound<'e>)>, Option<Box<Bound<'e>>>),
-    Func(&'e str, Vec<Bound<'e>>),
+    /// Arithmetic, or a comparison or logic operator yielding 1.0 / 0.0
+    /// (a non-zero operand is true).
+    Binary(BinOp, Box<Bound>, Box<Bound>),
+    Neg(Box<Bound>),
+    /// The first arm whose condition is non-zero; a missing ELSE is 0.0.
+    Case(Vec<(Bound, Bound)>, Option<Box<Bound>>),
+    /// A math function of one or two arguments (a unary one ignores
+    /// its second operand).
+    Func(fn(f64, f64) -> f64, Vec<Bound>),
 }
 
-impl<'e> Bound<'e> {
-    fn bind(expr: &'e CellExpr, a: &NdArray) -> Bound<'e> {
-        let bind = |e: &'e CellExpr| Bound::bind(e, a);
-        match expr {
-            CellExpr::Number(n) => Bound::Number(*n),
-            CellExpr::Var(name) => a.dim_index(name).map_or(Bound::Cell, Bound::Dim),
-            CellExpr::Binary { op, left, right } => {
-                Bound::Binary(*op, Box::new(bind(left)), Box::new(bind(right)))
-            }
-            CellExpr::Neg(e) => Bound::Neg(Box::new(bind(e))),
-            CellExpr::Case { arms, otherwise } => Bound::Case(
-                arms.iter().map(|(c, r)| (bind(c), bind(r))).collect(),
-                otherwise.as_deref().map(|e| Box::new(bind(e))),
+impl Bound {
+    /// Lower a parsed expression against `a`. Only `v` names the cell,
+    /// an unknown function or a wrong argument count is an error here,
+    /// and so is every form SQL has and SciQL does not.
+    fn bind(expr: &Expr, a: &NdArray) -> Result<Bound> {
+        let bind = |e: &Expr| Bound::bind(e, a);
+        let boxed = |e: &Expr| bind(e).map(Box::new);
+        Ok(match expr {
+            Expr::Literal(Value::Int(i)) => Bound::Number(*i as f64),
+            Expr::Literal(Value::Double(d)) => Bound::Number(*d),
+            Expr::Column(name) => match a.dim_index(name) {
+                Ok(k) => Bound::Dim(k),
+                Err(_) if name.eq_ignore_ascii_case("v") => Bound::Cell,
+                Err(_) if name.contains('.') => return Err(sql_only("qualified names")),
+                Err(_) => return Err(DbError::UnknownColumn(name.clone())),
+            },
+            Expr::Binary { op, left, right } => Bound::Binary(*op, boxed(left)?, boxed(right)?),
+            Expr::Neg(e) => Bound::Neg(boxed(e)?),
+            Expr::Case { arms, otherwise } => Bound::Case(
+                arms.iter().map(|(c, r)| Ok((bind(c)?, bind(r)?))).collect::<Result<_>>()?,
+                otherwise.as_deref().map(boxed).transpose()?,
             ),
-            CellExpr::Func { name, args } => Bound::Func(name, args.iter().map(bind).collect()),
-        }
+            Expr::Func { name, args } => {
+                let (arity, f): (usize, fn(f64, f64) -> f64) = match name.as_str() {
+                    "ABS" => (1, |x, _| x.abs()),
+                    "SQRT" => (1, |x, _| x.sqrt()),
+                    "EXP" => (1, |x, _| x.exp()),
+                    "LN" => (1, |x, _| x.ln()),
+                    "LOG10" => (1, |x, _| x.log10()),
+                    "FLOOR" => (1, |x, _| x.floor()),
+                    "CEIL" => (1, |x, _| x.ceil()),
+                    "MIN" => (2, f64::min),
+                    "MAX" => (2, f64::max),
+                    "POW" => (2, f64::powf),
+                    other => return Err(DbError::Execution(format!("unknown function: {other}"))),
+                };
+                if args.len() != arity {
+                    return Err(DbError::Execution(format!(
+                        "{name} expects {arity} argument(s), got {}",
+                        args.len()
+                    )));
+                }
+                Bound::Func(f, args.iter().map(bind).collect::<Result<_>>()?)
+            }
+            Expr::Literal(Value::Str(_)) => return Err(sql_only("string literals")),
+            Expr::Literal(Value::Null) => return Err(sql_only("NULL")),
+            Expr::Literal(Value::Bool(_)) => return Err(sql_only("TRUE and FALSE")),
+            Expr::Not(_) => return Err(sql_only("NOT")),
+            Expr::IsNull { .. } => return Err(sql_only("IS NULL")),
+            Expr::Between { .. } => return Err(sql_only("BETWEEN")),
+            Expr::InList { .. } => return Err(sql_only("IN")),
+            Expr::Like { .. } => return Err(sql_only("LIKE")),
+        })
     }
 
     fn uses_dims(&self) -> bool {
@@ -236,81 +267,56 @@ impl<'e> Bound<'e> {
 
     /// Evaluate for one cell: `v` is its value, `coord` its source
     /// coordinate (unread, so may be empty, unless [`Self::uses_dims`]).
-    fn eval(&self, v: f64, coord: &[usize]) -> Result<f64> {
-        Ok(match self {
+    fn eval(&self, v: f64, coord: &[usize]) -> f64 {
+        match self {
             Bound::Number(n) => *n,
             Bound::Cell => v,
             Bound::Dim(k) => coord[*k] as f64,
             Bound::Binary(op, left, right) => {
-                let l = left.eval(v, coord)?;
-                let r = right.eval(v, coord)?;
+                let l = left.eval(v, coord);
+                let r = right.eval(v, coord);
                 match op {
-                    CellOp::Add => l + r,
-                    CellOp::Sub => l - r,
-                    CellOp::Mul => l * r,
-                    CellOp::Div => l / r,
-                    CellOp::Mod => l % r,
-                    CellOp::Eq => bool_to_f64(l == r),
-                    CellOp::Ne => bool_to_f64(l != r),
-                    CellOp::Lt => bool_to_f64(l < r),
-                    CellOp::Le => bool_to_f64(l <= r),
-                    CellOp::Gt => bool_to_f64(l > r),
-                    CellOp::Ge => bool_to_f64(l >= r),
-                    CellOp::And => bool_to_f64(l != 0.0 && r != 0.0),
-                    CellOp::Or => bool_to_f64(l != 0.0 || r != 0.0),
+                    BinOp::Add => l + r,
+                    BinOp::Sub => l - r,
+                    BinOp::Mul => l * r,
+                    BinOp::Div => l / r,
+                    BinOp::Mod => l % r,
+                    BinOp::Eq => bool_to_f64(l == r),
+                    BinOp::Ne => bool_to_f64(l != r),
+                    BinOp::Lt => bool_to_f64(l < r),
+                    BinOp::Le => bool_to_f64(l <= r),
+                    BinOp::Gt => bool_to_f64(l > r),
+                    BinOp::Ge => bool_to_f64(l >= r),
+                    BinOp::And => bool_to_f64(l != 0.0 && r != 0.0),
+                    BinOp::Or => bool_to_f64(l != 0.0 || r != 0.0),
                 }
             }
-            Bound::Neg(e) => -e.eval(v, coord)?,
+            Bound::Neg(e) => -e.eval(v, coord),
             Bound::Case(arms, otherwise) => {
                 for (cond, result) in arms {
-                    if cond.eval(v, coord)? != 0.0 {
+                    if cond.eval(v, coord) != 0.0 {
                         return result.eval(v, coord);
                     }
                 }
-                match otherwise {
-                    Some(e) => e.eval(v, coord)?,
-                    None => 0.0,
-                }
+                otherwise.as_ref().map_or(0.0, |e| e.eval(v, coord))
             }
-            Bound::Func(name, args) => call(name, args, v, coord)?,
-        })
+            Bound::Func(f, args) => call(*f, args, v, coord),
+        }
     }
 }
 
-/// Apply the math function `name` to `args` evaluated for one cell.
-/// Kept out of [`Bound::eval`] so the arithmetic arms stay a small
-/// loop body (inlined there, E6's function-free classify ran ≈ 13 %
-/// slower on five of five interleaved runs).
-fn call(name: &str, args: &[Bound], v: f64, coord: &[usize]) -> Result<f64> {
-    // No function takes more than two arguments; the rest are still
-    // evaluated so their errors surface first.
-    let mut vals = [0.0f64; 2];
-    for (i, arg) in args.iter().enumerate() {
-        let x = arg.eval(v, coord)?;
-        if let Some(slot) = vals.get_mut(i) {
-            *slot = x;
-        }
-    }
-    let (arity, f): (usize, fn(f64, f64) -> f64) = match name {
-        "ABS" => (1, |x, _| x.abs()),
-        "SQRT" => (1, |x, _| x.sqrt()),
-        "EXP" => (1, |x, _| x.exp()),
-        "LN" => (1, |x, _| x.ln()),
-        "LOG10" => (1, |x, _| x.log10()),
-        "FLOOR" => (1, |x, _| x.floor()),
-        "CEIL" => (1, |x, _| x.ceil()),
-        "MIN" => (2, f64::min),
-        "MAX" => (2, f64::max),
-        "POW" => (2, f64::powf),
-        other => return Err(DbError::Execution(format!("unknown function: {other}"))),
-    };
-    if args.len() != arity {
-        return Err(DbError::Execution(format!(
-            "{name} expects {arity} argument(s), got {}",
-            args.len()
-        )));
-    }
-    Ok(f(vals[0], vals[1]))
+/// Apply `f` to `args` evaluated for one cell. Kept out of
+/// [`Bound::eval`] so the arithmetic arms stay a small loop body
+/// (inlined there, E6's function-free classify ran ≈ 13 % slower on
+/// five of five interleaved runs).
+fn call(f: fn(f64, f64) -> f64, args: &[Bound], v: f64, coord: &[usize]) -> f64 {
+    let arg = |i: usize| args.get(i).map_or(0.0, |a| a.eval(v, coord));
+    f(arg(0), arg(1))
+}
+
+/// The error for an expression form SQL has and SciQL does not.
+fn sql_only(construct: &str) -> DbError {
+    DbError::Execution(format!("SciQL cell expressions have no {construct}"))
 }
 
 #[inline]
@@ -322,38 +328,16 @@ fn bool_to_f64(b: bool) -> f64 {
     }
 }
 
-/// Reduce a flat value list (the WHERE-filtered aggregate path).
-fn reduce_values(vals: &[f64], agg: CellAgg) -> f64 {
+/// Reduce every cell of `a` with `agg`; an empty array's AVG, MIN, MAX
+/// and STDDEV are NaN.
+fn reduce(a: &NdArray, agg: AggFunc) -> f64 {
     match agg {
-        CellAgg::Sum => vals.iter().sum(),
-        CellAgg::Count => vals.len() as f64,
-        CellAgg::Avg => {
-            if vals.is_empty() {
-                f64::NAN
-            } else {
-                vals.iter().sum::<f64>() / vals.len() as f64
-            }
-        }
-        CellAgg::Min => vals.iter().copied().fold(f64::NAN, |a, b| if a.is_nan() { b } else { a.min(b) }),
-        CellAgg::Max => vals.iter().copied().fold(f64::NAN, |a, b| if a.is_nan() { b } else { a.max(b) }),
-        CellAgg::StdDev => {
-            if vals.is_empty() {
-                return f64::NAN;
-            }
-            let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-            (vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len() as f64).sqrt()
-        }
-    }
-}
-
-fn reduce(a: &NdArray, agg: CellAgg) -> f64 {
-    match agg {
-        CellAgg::Sum => a.sum(),
-        CellAgg::Avg => a.mean().unwrap_or(f64::NAN),
-        CellAgg::Min => a.min().unwrap_or(f64::NAN),
-        CellAgg::Max => a.max().unwrap_or(f64::NAN),
-        CellAgg::Count => a.len() as f64,
-        CellAgg::StdDev => a.std_dev().unwrap_or(f64::NAN),
+        AggFunc::Sum => a.sum(),
+        AggFunc::Avg => a.mean().unwrap_or(f64::NAN),
+        AggFunc::Min => a.min().unwrap_or(f64::NAN),
+        AggFunc::Max => a.max().unwrap_or(f64::NAN),
+        AggFunc::Count => a.len() as f64,
+        AggFunc::StdDev => a.std_dev().unwrap_or(f64::NAN),
     }
 }
 
@@ -425,10 +409,7 @@ mod tests {
     fn dimension_variables_in_expressions() {
         let cat = setup();
         // v = y * 4 + x on the ramp; so v - y*4 - x == 0 everywhere.
-        let s = execute(&cat, "SELECT SUM(ABS(v - y * 4 - x)) FROM img")
-            .unwrap()
-            .scalar()
-            .unwrap();
+        let s = execute(&cat, "SELECT SUM(ABS(v - y * 4 - x)) FROM img").unwrap().scalar().unwrap();
         assert_eq!(s, 0.0);
     }
 
@@ -446,10 +427,8 @@ mod tests {
     #[test]
     fn tile_reduce_downsamples() {
         let cat = setup();
-        let r = execute(&cat, "SELECT AVG(v) FROM img GROUP BY TILES [2, 2]")
-            .unwrap()
-            .array()
-            .unwrap();
+        let r =
+            execute(&cat, "SELECT AVG(v) FROM img GROUP BY TILES [2, 2]").unwrap().array().unwrap();
         assert_eq!(r.shape(), vec![2, 2]);
         assert_eq!(r.get(&[0, 0]).unwrap(), 2.5);
         assert_eq!(r.get(&[1, 1]).unwrap(), 12.5);
@@ -458,10 +437,8 @@ mod tests {
     #[test]
     fn tile_reduce_matches_ops_baseline() {
         let cat = setup();
-        let via_sciql = execute(&cat, "SELECT AVG(v) FROM img GROUP BY TILES [2, 2]")
-            .unwrap()
-            .array()
-            .unwrap();
+        let via_sciql =
+            execute(&cat, "SELECT AVG(v) FROM img GROUP BY TILES [2, 2]").unwrap().array().unwrap();
         let via_ops = crate::ops::tile_mean(&cat.array("img").unwrap(), 2).unwrap();
         assert_eq!(via_sciql, via_ops);
     }
@@ -563,6 +540,88 @@ mod tests {
     fn where_with_tiles_rejected() {
         let cat = setup();
         assert!(execute(&cat, "SELECT AVG(v) FROM img WHERE v > 1 GROUP BY TILES [2, 2]").is_err());
+    }
+
+    /// A WHERE that keeps every cell reduces the same cells, in the same
+    /// order and the same chunks, as no WHERE at all: every aggregate
+    /// agrees bit for bit, past the 65 536-cell chunk too.
+    #[test]
+    fn filtered_reduction_rounds_as_the_unfiltered_one() {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let cells = (0..300 * 300)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s % 100_000) as f64 / 7.0
+            })
+            .collect();
+        let cat = Catalog::new();
+        cat.create_array("a", NdArray::matrix(300, 300, cells).unwrap()).unwrap();
+        for agg in ["SUM", "AVG", "MIN", "MAX", "COUNT", "STDDEV"] {
+            let all = execute(&cat, &format!("SELECT {agg}(v) FROM a")).unwrap().scalar().unwrap();
+            let kept = execute(&cat, &format!("SELECT {agg}(v) FROM a WHERE 1 = 1"))
+                .unwrap()
+                .scalar()
+                .unwrap();
+            assert_eq!(kept.to_bits(), all.to_bits(), "{agg}: {kept} filtered, {all} not");
+        }
+    }
+
+    #[test]
+    fn only_v_and_the_dimensions_name_cells() {
+        let cat = setup();
+        for (q, name) in [
+            ("SELECT SUM(w) FROM img", "w"),
+            ("UPDATE img SET v = w", "w"),
+            ("SELECT COUNT(*) FROM img WHERE z > 1", "z"),
+        ] {
+            assert_eq!(execute(&cat, q), Err(DbError::UnknownColumn(name.into())), "{q}");
+        }
+        // Names match in any case, as SQL's do.
+        assert_eq!(
+            execute(&cat, "SELECT SUM(V + Y) FROM img").unwrap().scalar().unwrap(),
+            120.0 + 24.0
+        );
+        assert!(execute(&cat, "SELECT SUM(NOT) FROM img").is_err());
+    }
+
+    #[test]
+    fn sql_only_forms_are_errors_that_name_them() {
+        let cat = setup();
+        for (form, named) in [
+            ("'x'", "string literals"),
+            ("NULL", "NULL"),
+            ("TRUE", "TRUE and FALSE"),
+            ("NOT v > 1", "NOT"),
+            ("v IS NULL", "IS NULL"),
+            ("v BETWEEN 1 AND 2", "BETWEEN"),
+            ("v IN (1, 2)", "IN"),
+            ("v LIKE 'x'", "LIKE"),
+            ("img.v", "qualified names"),
+        ] {
+            let got = execute(&cat, &format!("SELECT SUM({form}) FROM img"));
+            assert_eq!(
+                got,
+                Err(DbError::Execution(format!("SciQL cell expressions have no {named}"))),
+                "{form}"
+            );
+        }
+    }
+
+    #[test]
+    fn functions_are_resolved_before_any_cell_is_read() {
+        let cat = setup();
+        for region in ["img[0..0, *]", "img"] {
+            let got = execute(&cat, &format!("SELECT SUM(FOO(v)) FROM {region}"));
+            assert_eq!(got, Err(DbError::Execution("unknown function: FOO".into())), "{region}");
+            let got = execute(&cat, &format!("SELECT SUM(POW(v)) FROM {region}"));
+            assert_eq!(
+                got,
+                Err(DbError::Execution("POW expects 2 argument(s), got 1".into())),
+                "{region}"
+            );
+        }
     }
 
     #[test]

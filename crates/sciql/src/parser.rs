@@ -1,8 +1,12 @@
 //! SciQL parser, on the `teleios-monet` SQL lexer and token cursor.
+//! The statements are SciQL's; every cell expression is one
+//! `Cursor::expr`, SQL's expression grammar.
 
 use crate::ast::*;
+use teleios_monet::array::Dim;
+use teleios_monet::sql::ast::Expr;
 use teleios_monet::sql::lexer::{Cursor, Symbol, TokenKind};
-use teleios_monet::Result;
+use teleios_monet::{Result, Value};
 
 /// Parse one SciQL statement.
 ///
@@ -23,7 +27,6 @@ fn statement(c: &mut Cursor) -> Result<SciqlStmt> {
         let name = c.ident()?;
         c.expect_symbol(Symbol::LParen)?;
         let mut dims = Vec::new();
-        let mut value_name = String::from("v");
         let mut default = 0.0;
         loop {
             let attr = c.ident()?;
@@ -32,9 +35,11 @@ fn statement(c: &mut Cursor) -> Result<SciqlStmt> {
                 let close = open(c).ok_or_else(|| c.err("expected [extent] after DIMENSION"))?;
                 let size = c.usize_lit()?;
                 c.expect_symbol(close)?;
-                dims.push(DimDecl { name: attr, size });
+                dims.push(Dim::new(attr, size));
             } else {
-                value_name = attr;
+                if !attr.eq_ignore_ascii_case("v") {
+                    return Err(c.err(format!("the value attribute is v, not {attr}")));
+                }
                 if c.accept_kw("DEFAULT") {
                     default = number(c)?;
                 }
@@ -47,7 +52,7 @@ fn statement(c: &mut Cursor) -> Result<SciqlStmt> {
         if dims.is_empty() {
             return Err(c.err("array needs at least one DIMENSION attribute"));
         }
-        return Ok(SciqlStmt::CreateArray { name, dims, value_name, default });
+        return Ok(SciqlStmt::CreateArray { name, dims, default });
     }
     if c.accept_kw("DROP") {
         c.expect_kw("ARRAY")?;
@@ -58,35 +63,28 @@ fn statement(c: &mut Cursor) -> Result<SciqlStmt> {
         let array = c.ident()?;
         let slices = optional_slices(c)?;
         c.expect_kw("SET")?;
-        let _target = c.ident()?; // value attribute name
+        c.expect_kw("v")?;
         c.expect_symbol(Symbol::Eq)?;
-        let expr = cell_expr(c)?;
-        let condition = if c.accept_kw("WHERE") { Some(cell_expr(c)?) } else { None };
+        let expr = c.expr()?;
+        let condition = if c.accept_kw("WHERE") { Some(c.expr()?) } else { None };
         return Ok(SciqlStmt::Update { array, slices, expr, condition });
     }
     if !c.accept_kw("SELECT") {
         return Err(c.err("expected CREATE, DROP, SELECT or UPDATE"));
     }
-    // Aggregate or plain expression?
-    let agg = match c.peek() {
-        TokenKind::Ident(name) if c.lookahead(1) == &TokenKind::Symbol(Symbol::LParen) => CellAgg::parse(name),
-        _ => None,
-    };
-    let Some(agg) = agg else {
-        let expr = cell_expr(c)?;
+    let Some((agg, arg)) = c.aggregate()? else {
+        let expr = c.expr()?;
         c.expect_kw("FROM")?;
         let array = c.ident()?;
         let slices = optional_slices(c)?;
         return Ok(SciqlStmt::Map { array, slices, expr });
     };
-    c.advance(); // the aggregate's name
-    c.advance(); // (
-    let expr = if c.accept_symbol(Symbol::Star) { CellExpr::Number(1.0) } else { cell_expr(c)? };
-    c.expect_symbol(Symbol::RParen)?;
+    // `*` reduces the constant 1: `COUNT(*)` counts every cell.
+    let expr = arg.unwrap_or(Expr::Literal(Value::Int(1)));
     c.expect_kw("FROM")?;
     let array = c.ident()?;
     let slices = optional_slices(c)?;
-    let condition = if c.accept_kw("WHERE") { Some(cell_expr(c)?) } else { None };
+    let condition = if c.accept_kw("WHERE") { Some(c.expr()?) } else { None };
     if !c.accept_kw("GROUP") {
         return Ok(SciqlStmt::Reduce { array, slices, agg, expr, condition });
     }
@@ -156,135 +154,10 @@ fn number(c: &mut Cursor) -> Result<f64> {
     Ok(if neg { -v } else { v })
 }
 
-// Expression grammar: OR > AND > comparison > additive > term.
-fn cell_expr(c: &mut Cursor) -> Result<CellExpr> {
-    let mut left = and_expr(c)?;
-    while c.accept_kw("OR") {
-        let right = and_expr(c)?;
-        left = CellExpr::Binary { op: CellOp::Or, left: Box::new(left), right: Box::new(right) };
-    }
-    Ok(left)
-}
-
-fn and_expr(c: &mut Cursor) -> Result<CellExpr> {
-    let mut left = cmp_expr(c)?;
-    while c.accept_kw("AND") {
-        let right = cmp_expr(c)?;
-        left = CellExpr::Binary { op: CellOp::And, left: Box::new(left), right: Box::new(right) };
-    }
-    Ok(left)
-}
-
-fn cmp_expr(c: &mut Cursor) -> Result<CellExpr> {
-    let left = add_expr(c)?;
-    let op = match c.peek() {
-        TokenKind::Symbol(Symbol::Eq) => Some(CellOp::Eq),
-        TokenKind::Symbol(Symbol::Ne) => Some(CellOp::Ne),
-        TokenKind::Symbol(Symbol::Lt) => Some(CellOp::Lt),
-        TokenKind::Symbol(Symbol::Le) => Some(CellOp::Le),
-        TokenKind::Symbol(Symbol::Gt) => Some(CellOp::Gt),
-        TokenKind::Symbol(Symbol::Ge) => Some(CellOp::Ge),
-        _ => None,
-    };
-    if let Some(op) = op {
-        c.advance();
-        let right = add_expr(c)?;
-        return Ok(CellExpr::Binary { op, left: Box::new(left), right: Box::new(right) });
-    }
-    Ok(left)
-}
-
-fn add_expr(c: &mut Cursor) -> Result<CellExpr> {
-    let mut left = mul_expr(c)?;
-    loop {
-        let op = match c.peek() {
-            TokenKind::Symbol(Symbol::Plus) => CellOp::Add,
-            TokenKind::Symbol(Symbol::Minus) => CellOp::Sub,
-            _ => break,
-        };
-        c.advance();
-        let right = mul_expr(c)?;
-        left = CellExpr::Binary { op, left: Box::new(left), right: Box::new(right) };
-    }
-    Ok(left)
-}
-
-fn mul_expr(c: &mut Cursor) -> Result<CellExpr> {
-    let mut left = unary_expr(c)?;
-    loop {
-        let op = match c.peek() {
-            TokenKind::Symbol(Symbol::Star) => CellOp::Mul,
-            TokenKind::Symbol(Symbol::Slash) => CellOp::Div,
-            TokenKind::Symbol(Symbol::Percent) => CellOp::Mod,
-            _ => break,
-        };
-        c.advance();
-        let right = unary_expr(c)?;
-        left = CellExpr::Binary { op, left: Box::new(left), right: Box::new(right) };
-    }
-    Ok(left)
-}
-
-/// Every nested expression passes through here (a parenthesis, an
-/// argument list, a CASE arm or a sign), so the nesting bound is
-/// charged here.
-fn unary_expr(c: &mut Cursor) -> Result<CellExpr> {
-    c.nested(|c| {
-        if c.accept_symbol(Symbol::Minus) {
-            return Ok(CellExpr::Neg(Box::new(unary_expr(c)?)));
-        }
-        if c.accept_symbol(Symbol::Plus) {
-            return unary_expr(c);
-        }
-        primary(c)
-    })
-}
-
-fn primary(c: &mut Cursor) -> Result<CellExpr> {
-    if c.accept_kw("CASE") {
-        let mut arms = Vec::new();
-        while c.accept_kw("WHEN") {
-            let cond = cell_expr(c)?;
-            c.expect_kw("THEN")?;
-            let result = cell_expr(c)?;
-            arms.push((cond, result));
-        }
-        if arms.is_empty() {
-            return Err(c.err("CASE needs at least one WHEN arm"));
-        }
-        let otherwise = if c.accept_kw("ELSE") { Some(Box::new(cell_expr(c)?)) } else { None };
-        c.expect_kw("END")?;
-        return Ok(CellExpr::Case { arms, otherwise });
-    }
-    match c.advance() {
-        TokenKind::Int(i) => Ok(CellExpr::Number(i as f64)),
-        TokenKind::Float(f) => Ok(CellExpr::Number(f)),
-        TokenKind::Symbol(Symbol::LParen) => {
-            let e = cell_expr(c)?;
-            c.expect_symbol(Symbol::RParen)?;
-            Ok(e)
-        }
-        TokenKind::Ident(name) => {
-            if c.accept_symbol(Symbol::LParen) {
-                let mut args = Vec::new();
-                if c.peek() != &TokenKind::Symbol(Symbol::RParen) {
-                    args.push(cell_expr(c)?);
-                    while c.accept_symbol(Symbol::Comma) {
-                        args.push(cell_expr(c)?);
-                    }
-                }
-                c.expect_symbol(Symbol::RParen)?;
-                return Ok(CellExpr::Func { name: name.to_ascii_uppercase(), args });
-            }
-            Ok(CellExpr::Var(name))
-        }
-        other => Err(c.err(format!("unexpected token {other:?}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teleios_monet::sql::ast::{AggFunc, BinOp};
     use teleios_monet::DbError;
 
     #[test]
@@ -294,12 +167,11 @@ mod tests {
         )
         .unwrap();
         match s {
-            SciqlStmt::CreateArray { name, dims, value_name, default } => {
+            SciqlStmt::CreateArray { name, dims, default } => {
                 assert_eq!(name, "img");
                 assert_eq!(dims.len(), 2);
                 assert_eq!(dims[0].size, 512);
                 assert_eq!(dims[1].name, "x");
-                assert_eq!(value_name, "v");
                 assert_eq!(default, 0.5);
             }
             other => panic!("wrong: {other:?}"),
@@ -312,9 +184,20 @@ mod tests {
     }
 
     #[test]
+    fn the_value_attribute_is_v() {
+        let e = parse("CREATE ARRAY a (x INT DIMENSION [4], w DOUBLE DEFAULT 1)").unwrap_err();
+        assert!(e.to_string().ends_with("the value attribute is v, not w"), "{e}");
+        assert!(parse("CREATE ARRAY a (x INT DIMENSION [4], V DOUBLE)").is_ok());
+        let e = parse("UPDATE a SET w = 1").unwrap_err();
+        assert_eq!(e.to_string(), "parse error at line 1, column 14: expected v");
+    }
+
+    #[test]
     fn select_map() {
         let s = parse("SELECT v * 2 + 1 FROM img").unwrap();
-        assert!(matches!(s, SciqlStmt::Map { ref array, ref slices, .. } if array == "img" && slices.is_empty()));
+        assert!(
+            matches!(s, SciqlStmt::Map { ref array, ref slices, .. } if array == "img" && slices.is_empty())
+        );
     }
 
     #[test]
@@ -342,9 +225,9 @@ mod tests {
     #[test]
     fn select_reduce() {
         let s = parse("SELECT AVG(v) FROM img(0..4, 0..4)").unwrap();
-        assert!(matches!(s, SciqlStmt::Reduce { agg: CellAgg::Avg, .. }));
+        assert!(matches!(s, SciqlStmt::Reduce { agg: AggFunc::Avg, .. }));
         let s2 = parse("SELECT COUNT(*) FROM img").unwrap();
-        assert!(matches!(s2, SciqlStmt::Reduce { agg: CellAgg::Count, .. }));
+        assert!(matches!(s2, SciqlStmt::Reduce { agg: AggFunc::Count, .. }));
     }
 
     #[test]
@@ -352,7 +235,7 @@ mod tests {
         let s = parse("SELECT MAX(v) FROM img GROUP BY TILES (16, 16)").unwrap();
         match s {
             SciqlStmt::TileReduce { agg, tile, .. } => {
-                assert_eq!(agg, CellAgg::Max);
+                assert_eq!(agg, AggFunc::Max);
                 assert_eq!(tile, vec![16, 16]);
             }
             other => panic!("wrong: {other:?}"),
@@ -368,7 +251,7 @@ mod tests {
     fn update_with_case() {
         let s = parse("UPDATE img SET v = CASE WHEN v > 310 THEN 1 ELSE 0 END").unwrap();
         match s {
-            SciqlStmt::Update { expr: CellExpr::Case { arms, otherwise }, .. } => {
+            SciqlStmt::Update { expr: Expr::Case { arms, otherwise }, .. } => {
                 assert_eq!(arms.len(), 1);
                 assert!(otherwise.is_some());
             }
@@ -402,7 +285,9 @@ mod tests {
     fn errors_point_into_the_original_text() {
         // The closing `]` of a 30-byte statement is byte 29: column 30.
         match parse("SELECT v FROM img[0..10, 5..2]") {
-            Err(DbError::Parse { line: 1, column: 30, message }) => assert_eq!(message, "empty slice 5..2"),
+            Err(DbError::Parse { line: 1, column: 30, message }) => {
+                assert_eq!(message, "empty slice 5..2")
+            }
             other => panic!("wrong: {other:?}"),
         }
         let e = parse("SELECT AVG(v)\n  FROM img\n  GROUP BY TILES [16, 16)").unwrap_err();
@@ -420,7 +305,7 @@ mod tests {
     fn reduce_with_where() {
         let s = parse("SELECT AVG(v) FROM img WHERE v > 318").unwrap();
         match s {
-            SciqlStmt::Reduce { condition: Some(_), agg: CellAgg::Avg, .. } => {}
+            SciqlStmt::Reduce { condition: Some(_), agg: AggFunc::Avg, .. } => {}
             other => panic!("wrong: {other:?}"),
         }
     }
@@ -429,7 +314,7 @@ mod tests {
     fn update_with_where() {
         let s = parse("UPDATE img SET v = 0 WHERE v > 318 AND x < 4").unwrap();
         match s {
-            SciqlStmt::Update { condition: Some(CellExpr::Binary { op: CellOp::And, .. }), .. } => {}
+            SciqlStmt::Update { condition: Some(Expr::Binary { op: BinOp::And, .. }), .. } => {}
             other => panic!("wrong: {other:?}"),
         }
     }
@@ -445,10 +330,10 @@ mod tests {
 
     #[test]
     fn case_multiple_arms() {
-        let s =
-            parse("SELECT CASE WHEN v > 320 THEN 2 WHEN v > 310 THEN 1 ELSE 0 END FROM img").unwrap();
+        let s = parse("SELECT CASE WHEN v > 320 THEN 2 WHEN v > 310 THEN 1 ELSE 0 END FROM img")
+            .unwrap();
         match s {
-            SciqlStmt::Map { expr: CellExpr::Case { arms, .. }, .. } => assert_eq!(arms.len(), 2),
+            SciqlStmt::Map { expr: Expr::Case { arms, .. }, .. } => assert_eq!(arms.len(), 2),
             other => panic!("wrong: {other:?}"),
         }
     }

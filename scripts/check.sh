@@ -12,7 +12,8 @@
 #                              one-fork-site, one-cell-walker,
 #                              one-statement-prologue (with the
 #                              sidecar's one start-over site),
-#                              one-tokenizer-per-family,
+#                              one-tokenizer-and-one-expression-
+#                              grammar-per-family,
 #                              one-transaction-doorway,
 #                              one-chain-batch-executor and
 #                              one-checksum greps, the
@@ -206,8 +207,11 @@ fi
 # and SciQL through another (monet/sql/lexer.rs): a third `fn tokenize`
 # is a second reader of one family's text, and a `.replace(` in the
 # SciQL parser is a text rewrite that moves error positions off the
-# text the user wrote.
-echo "==> one tokenizer per syntax family"
+# text the user wrote. SciQL's cell expressions are SQL expressions,
+# parsed by monet's `Cursor::expr`: library code under crates/sciql
+# that consumes an expression keyword or operator token is a second
+# precedence ladder beside SQL's.
+echo "==> one tokenizer and one expression grammar per syntax family"
 for family in rdf:1 monet:1 strabon:0 sciql:0; do
     dir=${family%%:*} want=${family##*:}
     sites=$( (grep -rn 'fn tokenize' "crates/$dir/src" --include='*.rs' || true) | wc -l)
@@ -217,6 +221,12 @@ for family in rdf:1 monet:1 strabon:0 sciql:0; do
 done
 if grep -nF '.replace(' crates/sciql/src/parser.rs; then
     echo "crates/sciql/src/parser.rs rewrites its text: lex SciQL with monet's tokenizer as written" >&2; exit 1
+fi
+ladder='(accept|expect)_kw[(]"(OR|AND|NOT|CASE|WHEN|THEN|ELSE|END|IS|IN|BETWEEN|LIKE)"[)]|Symbol::(Plus|Slash|Percent|Lt|Le|Gt|Ge|Ne)([^A-Za-z0-9_]|$)'
+if find crates/sciql/src -name '*.rs' | sort | xargs awk -v pattern="$ladder" \
+    'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+     live && $0 ~ pattern { print FILENAME ":" FNR ": " $0; found = 1 } END { exit !found }'; then
+    echo "crates/sciql/src parses expression operators itself: parse cell expressions with teleios_monet's Cursor::expr" >&2; exit 1
 fi
 
 # Prints `file:line in fn` for every line of library code matching the

@@ -18,27 +18,20 @@ fn sql_metadata_joins_sciql_arrays() {
     cat.execute("CREATE TABLE scenes (name STRING, satellite STRING, cloud DOUBLE)").unwrap();
     for (i, cloud) in [0.1f64, 0.6, 0.2].iter().enumerate() {
         let name = format!("img{i}");
-        cat.execute(&format!(
-            "INSERT INTO scenes VALUES ('{name}', 'MSG2', {cloud})"
-        ))
-        .unwrap();
+        cat.execute(&format!("INSERT INTO scenes VALUES ('{name}', 'MSG2', {cloud})")).unwrap();
         // The image content lives beside the metadata as an array.
         let a = NdArray::matrix(8, 8, vec![300.0 + i as f64 * 10.0; 64]).unwrap();
         cat.put_array(&name, a);
     }
 
     // Metadata query picks the low-cloud scenes...
-    let rs = cat
-        .execute("SELECT name FROM scenes WHERE cloud < 0.5 ORDER BY name")
-        .unwrap();
+    let rs = cat.execute("SELECT name FROM scenes WHERE cloud < 0.5 ORDER BY name").unwrap();
     assert_eq!(rs.num_rows(), 2);
     // ...and SciQL inspects exactly those arrays.
     for row in &rs.rows {
         let name = row[0].as_str().unwrap();
-        let mean = sciql::execute(&cat, &format!("SELECT AVG(v) FROM {name}"))
-            .unwrap()
-            .scalar()
-            .unwrap();
+        let mean =
+            sciql::execute(&cat, &format!("SELECT AVG(v) FROM {name}")).unwrap().scalar().unwrap();
         assert!(mean >= 300.0);
     }
 }
@@ -72,10 +65,8 @@ fn vault_to_sciql_pipeline() {
     let a = cat.array("vault::scene.sev1").unwrap();
     let flat = NdArray::matrix(8, 8, a.data().to_vec()).unwrap();
     cat.put_array("scene", flat);
-    let hot = sciql::execute(&cat, "SELECT COUNT(*) FROM scene WHERE v > 318")
-        .unwrap()
-        .scalar()
-        .unwrap();
+    let hot =
+        sciql::execute(&cat, "SELECT COUNT(*) FROM scene WHERE v > 318").unwrap().scalar().unwrap();
     assert_eq!(hot, 1.0);
 }
 
@@ -115,15 +106,8 @@ fn strabon_and_sql_aggregate_agreement() {
             &teleios::rdf::term::Term::double(*c),
         );
     }
-    let sql_avg = cat
-        .execute("SELECT AVG(c) AS a FROM conf")
-        .unwrap()
-        .rows[0][0]
-        .as_f64()
-        .unwrap();
-    let sparql = db
-        .query("SELECT (AVG(?c) AS ?a) WHERE { ?h <http://x/confidence> ?c }")
-        .unwrap();
+    let sql_avg = cat.execute("SELECT AVG(c) AS a FROM conf").unwrap().rows[0][0].as_f64().unwrap();
+    let sparql = db.query("SELECT (AVG(?c) AS ?a) WHERE { ?h <http://x/confidence> ?c }").unwrap();
     let sparql_avg = sparql.get(0, "a").unwrap().as_f64().unwrap();
     assert!((sql_avg - sparql_avg).abs() < 1e-12);
 }
@@ -157,9 +141,20 @@ fn arithmetic_filter_means_the_same_in_sql_sparql_and_sciql() {
     use teleios::geo::SplitMix64;
     use teleios::rdf::term::Term;
     let mut rng = SplitMix64::new(7);
-    let mut ints = vec![i64::MAX, i64::MIN, i64::MAX / 2 + 1, i64::MIN / 2 - 1, 1 << 53, 3, 2, 0, -1];
+    let mut ints =
+        vec![i64::MAX, i64::MIN, i64::MAX / 2 + 1, i64::MIN / 2 - 1, 1 << 53, 3, 2, 0, -1];
     ints.extend((0..24).map(|_| rng.range(-12.0, 12.0).round() as i64));
-    let mut doubles = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 3.0, 2.999_999, 3.000_001, 1e300, -1e300];
+    let mut doubles = vec![
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        3.0,
+        2.999_999,
+        3.000_001,
+        1e300,
+        -1e300,
+    ];
     doubles.extend((0..24).map(|_| (rng.range(-12.0, 12.0) * 8.0).round() / 8.0));
     let xs: Vec<(Value, Term)> = ints
         .iter()
@@ -185,7 +180,9 @@ fn arithmetic_filter_means_the_same_in_sql_sparql_and_sciql() {
     }
     let sparql = db.query("SELECT ?s WHERE { ?s <http://x/x> ?x FILTER(1 + 2 * ?x < 7) }").unwrap();
     let sparql_kept: Vec<usize> = (0..sparql.len())
-        .map(|r| sparql.get(r, "s").and_then(Term::as_iri).unwrap()["http://x/".len()..].parse().unwrap())
+        .map(|r| {
+            sparql.get(r, "s").and_then(Term::as_iri).unwrap()["http://x/".len()..].parse().unwrap()
+        })
         .collect();
     let cells: Vec<f64> = xs.iter().map(|(v, _)| v.as_f64().unwrap()).collect();
     cat.put_array("a", NdArray::matrix(1, cells.len(), cells).unwrap());
@@ -197,9 +194,31 @@ fn arithmetic_filter_means_the_same_in_sql_sparql_and_sciql() {
     }
     let differ: Vec<String> = (0..xs.len())
         .filter(|&j| answers[0][j] != answers[1][j] || answers[1][j] != answers[2][j])
-        .map(|j| format!("{:?}: sql {} sparql {} sciql {}", xs[j].0, answers[0][j], answers[1][j], answers[2][j]))
+        .map(|j| {
+            format!(
+                "{:?}: sql {} sparql {} sciql {}",
+                xs[j].0, answers[0][j], answers[1][j], answers[2][j]
+            )
+        })
         .collect();
     assert!(differ.is_empty(), "the three languages disagree on:\n{}", differ.join("\n"));
     // The filter is not vacuous: it keeps some values and drops others.
     assert!(answers[0].contains(&true) && answers[0].contains(&false));
+
+    // A CASE in the WHERE, asked of SQL and of SciQL.
+    let case = |x: &str| format!("CASE WHEN {x} > 3 THEN 1 ELSE 0 END = 1");
+    let mut sql_kept = Vec::new();
+    for table in ["xi", "xd"] {
+        let rows = cat.execute(&format!("SELECT j FROM {table} WHERE {}", case("x"))).unwrap().rows;
+        sql_kept.extend(rows.iter().map(|r| r[0].as_i64().unwrap() as usize));
+    }
+    let sciql_kept: Vec<usize> = (0..xs.len())
+        .filter(|&j| {
+            let q = format!("SELECT COUNT(v) FROM a[0..1, {j}..{}] WHERE {}", j + 1, case("v"));
+            sciql::execute(&cat, &q).unwrap().scalar().unwrap() == 1.0
+        })
+        .collect();
+    sql_kept.sort_unstable();
+    assert_eq!(sql_kept, sciql_kept, "SQL and SciQL keep different values under CASE");
+    assert!(!sql_kept.is_empty() && sql_kept.len() < xs.len());
 }
