@@ -1,9 +1,10 @@
 #![forbid(unsafe_code)]
-//! Shared fixtures for the TELEIOS experiment suite (E1–E11).
+//! Shared fixtures for the TELEIOS experiment suite.
 //!
-//! Every experiment in `EXPERIMENTS.md` builds its workload through the
-//! generators here, so the table-printing harness binaries
-//! (`src/bin/exp_*.rs`) measure exactly the same thing.
+//! The five timing harnesses (`src/bin/exp_*.rs`: E1, E3, E4, E6, E11)
+//! and the paper-claim tests under the repository's `tests/` build
+//! their workloads through the generators here, so a printed timing
+//! and an asserted verdict measure the same archive.
 
 pub mod report;
 
@@ -227,13 +228,6 @@ pub fn fmt_duration(d: std::time::Duration) -> String {
     } else {
         format!("{:.3} s", us / 1e6)
     }
-}
-
-/// Time a closure once (helper for harness binaries).
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {
-    let t0 = std::time::Instant::now();
-    let out = f();
-    (out, t0.elapsed())
 }
 
 /// Time a closure averaged over `n` runs.

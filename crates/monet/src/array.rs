@@ -263,7 +263,7 @@ impl NdArray {
     /// [`Self::map`] with an explicit worker pool: independent workers
     /// fill row-major morsels of the output (`fill_cells`).
     pub fn map_with<F: Fn(f64) -> f64 + Sync>(&self, pool: &WorkerPool, f: F) -> NdArray {
-        let (data, _) = self.fill_cells(pool, |r, dst| {
+        let data = self.fill_cells(pool, |r, dst| {
             for (o, &v) in dst.iter_mut().zip(&self.data[r]) {
                 *o = f(v);
             }
@@ -274,14 +274,14 @@ impl NdArray {
     /// The one element-wise kernel. A fresh buffer of `self.len()`
     /// cells is cut along `pool`'s row-major morsels — a single one
     /// under [`PAR_CELL_THRESHOLD`] cells or at one thread, run inline
-    /// — and `fill(range, dst)` writes each piece; the per-morsel
-    /// results come back in row-major order. Cells are independent, so
-    /// the buffer is bit-identical at every thread count.
-    fn fill_cells<R: Send>(
+    /// — and `fill(range, dst)` writes each piece. Cells are
+    /// independent, so the buffer is bit-identical at every thread
+    /// count.
+    fn fill_cells(
         &self,
         pool: &WorkerPool,
-        fill: impl Fn(Range<usize>, &mut [f64]) -> R + Sync,
-    ) -> (Vec<f64>, Vec<R>) {
+        fill: impl Fn(Range<usize>, &mut [f64]) + Sync,
+    ) -> Vec<f64> {
         let n = self.data.len();
         let mut out = vec![0.0f64; n];
         let mut rest = out.as_mut_slice();
@@ -295,41 +295,8 @@ impl NdArray {
                 move || fill(r, dst)
             })
             .collect();
-        let results = pool.run(tasks);
-        (out, results)
-    }
-
-    /// Fallible element-wise map (parallel like [`Self::map`]); the
-    /// first error in row-major cell order is returned.
-    pub fn try_map<E, F>(&self, f: F) -> std::result::Result<NdArray, E>
-    where
-        E: Send,
-        F: Fn(f64) -> std::result::Result<f64, E> + Sync,
-    {
-        self.try_map_with(&WorkerPool::default(), f)
-    }
-
-    /// [`Self::try_map`] with an explicit worker pool. Each worker
-    /// stops at its morsel's first error; scanning the morsel results
-    /// in row-major order returns the error the first failing cell
-    /// raised.
-    pub fn try_map_with<E, F>(
-        &self,
-        pool: &WorkerPool,
-        f: F,
-    ) -> std::result::Result<NdArray, E>
-    where
-        E: Send,
-        F: Fn(f64) -> std::result::Result<f64, E> + Sync,
-    {
-        let (data, results) = self.fill_cells(pool, |r, dst| {
-            for (o, &v) in dst.iter_mut().zip(&self.data[r]) {
-                *o = f(v)?;
-            }
-            Ok(())
-        });
-        results.into_iter().collect::<std::result::Result<(), E>>()?;
-        Ok(NdArray { dims: self.dims.clone(), data: data.into() })
+        pool.run(tasks);
+        out
     }
 
     /// Element-wise combination of two same-shape arrays, on the
@@ -357,7 +324,7 @@ impl NdArray {
                 other.shape()
             )));
         }
-        let (data, _) = self.fill_cells(pool, |r, dst| {
+        let data = self.fill_cells(pool, |r, dst| {
             let pairs = self.data[r.clone()].iter().zip(&other.data[r]);
             for (o, (&a, &b)) in dst.iter_mut().zip(pairs) {
                 *o = f(a, b);

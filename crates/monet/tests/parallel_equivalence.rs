@@ -209,41 +209,6 @@ fn array_reductions_are_identical_at_all_thread_counts() {
     }
 }
 
-#[test]
-fn try_map_reports_the_first_error_at_all_thread_counts() {
-    let f = |v: f64| {
-        if v < 0.0 {
-            Err(format!("negative cell {v}"))
-        } else {
-            Ok(v.sqrt())
-        }
-    };
-    for cells in straddle(PAR_CELL_THRESHOLD) {
-        let mut data = vec![1.0f64; cells];
-        // Distinct errors scattered across morsels; the earliest cell
-        // must win.
-        let bad = [cells.saturating_sub(1), cells / 2 + 7, 137.min(cells / 3)];
-        for (k, &i) in bad.iter().enumerate().filter(|(_, &i)| i < cells) {
-            data[i] = -1.0 - k as f64;
-        }
-        let a = NdArray::matrix(1, cells, data).unwrap();
-        let expect = a.data().iter().find(|v| **v < 0.0).map(|v| format!("negative cell {v}"));
-        for t in THREAD_COUNTS {
-            let pool = WorkerPool::with_threads(t);
-            assert_eq!(
-                a.try_map_with(&pool, f).err(),
-                expect,
-                "error choice over {cells} cells diverged at {t} threads"
-            );
-            // And the all-healthy case round-trips.
-            let ok = a.map_with(&pool, f64::abs).try_map_with(&pool, f).unwrap();
-            assert_eq!(ok.shape(), a.shape());
-        }
-        // The default pool chooses the same error.
-        assert_eq!(a.try_map(f).err(), expect, "error choice over {cells} cells");
-    }
-}
-
 // Randomized small inputs, below the thresholds: the inline side of
 // the fork at every pool size.
 #[test]

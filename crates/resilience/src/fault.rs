@@ -122,9 +122,9 @@ impl FaultPlan {
     /// ids cycle round-robin through `kinds` instead of
     /// [`SEEDED_KINDS`]. The id *selection* depends only on (seed,
     /// ids, rate), so two palettes over the same seed fault the same
-    /// scenes — experiment harnesses use this to compare fault kinds
-    /// on identical populations (E14 sweeps hang faults this way). An
-    /// empty palette yields an empty plan.
+    /// scenes — tests use this to compare fault kinds on identical
+    /// populations (E14's tests plant hang faults this way). An empty
+    /// palette yields an empty plan.
     pub fn seeded_with(seed: u64, ids: &[String], rate: f64, kinds: &[Fault]) -> FaultPlan {
         let mut rng = SplitMix64::new(seed);
         let rate = rate.clamp(0.0, 1.0);

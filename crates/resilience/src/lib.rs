@@ -38,9 +38,10 @@
 //!
 //! The vault side of the story (payload checksums, quarantine lists,
 //! [`teleios_vault::DataVault::retry_quarantined`]) lives in
-//! `teleios-vault`; experiment E12 (`exp_fault_tolerance`) measures the
-//! retry/degraded stack end to end and E14 (`exp_timeout_budgets`)
-//! sweeps deadline budgets against hang rates.
+//! `teleios-vault`; experiment E12's tests (`tests/fault_tolerance.rs`)
+//! check the retry/degraded stack end to end under seeded fault rates,
+//! and E14's (`tests/deadline_supervision.rs`) check deadlines against
+//! seeded hangs.
 
 pub mod fault;
 pub mod supervisor;

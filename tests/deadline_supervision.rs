@@ -83,6 +83,7 @@ fn hung_batch_finishes_within_the_deadline_envelope() {
         report.wall_clock
     );
     assert_eq!(report.scenes.len(), ids.len());
+    assert_eq!(report.timeout_count(), plan.len(), "every hung scene, and only those, times out");
     for scene in &report.scenes {
         match plan.fault_for(&scene.product_id) {
             // Hang on every variant: the scene is lost to timeouts and

@@ -5,9 +5,10 @@ use std::time::Duration;
 use teleios::core::observatory::AcquisitionSpec;
 use teleios::core::{portal, Observatory};
 use teleios::geo::Coord;
-use teleios::ingest::seviri::FireEvent;
+use teleios::ingest::seviri::{self, FireEvent, SceneSpec};
 use teleios::noa::hotspot::HotspotClassifier;
 use teleios::noa::{accuracy, ProcessingChain};
+use teleios_bench::{bench_bbox, bench_surface};
 
 fn fire_spec(seed: u64, center: Coord) -> AcquisitionSpec {
     AcquisitionSpec {
@@ -162,6 +163,43 @@ fn classifier_tradeoffs_hold() {
     let ctx = run(&mut obs, HotspotClassifier::Contextual { kelvin: 318.0, min_neighbors: 2 });
     assert!(ctx.precision() > plain.precision());
     assert!(ctx.recall() > 0.8 * plain.recall());
+
+    // The E2 sweep: four classifiers, each scored by its mean
+    // (precision, recall, F1) over five 128² scenes per glint rate.
+    let classifiers = [
+        HotspotClassifier::Threshold { kelvin: 318.0 },
+        HotspotClassifier::Threshold { kelvin: 325.0 },
+        HotspotClassifier::Adaptive { sigma: 4.0 },
+        HotspotClassifier::Contextual { kelvin: 318.0, min_neighbors: 2 },
+    ];
+    let mean_scores = |glint: f64| -> Vec<[f64; 3]> {
+        let scenes: Vec<_> = (0..5)
+            .map(|seed| {
+                let mut spec = SceneSpec::new(seed, 128, 128, bench_bbox());
+                spec.cloud_cover = 0.02;
+                spec.glint_rate = glint;
+                let center = Coord::new(21.8, 37.5);
+                spec.fires.push(FireEvent { center, radius: 0.09, intensity: 0.9 });
+                seviri::generate(&spec, &bench_surface).unwrap()
+            })
+            .collect();
+        let mean = |cls: &HotspotClassifier| {
+            let sum = scenes.iter().fold([0.0; 3], |[p, r, f1], scene| {
+                let mask = cls.classify(&scene.raster).unwrap();
+                let acc = accuracy::score(&mask, &scene.truth).unwrap();
+                [p + acc.precision(), r + acc.recall(), f1 + acc.f1()]
+            });
+            sum.map(|total| total / 5.0)
+        };
+        classifiers.iter().map(mean).collect()
+    };
+    let (clear, glinted) = (mean_scores(0.0), mean_scores(0.03));
+    // threshold-318 keeps perfect recall while glint erodes its precision...
+    assert_eq!((clear[0][1], glinted[0][1]), (1.0, 1.0));
+    assert!(glinted[0][0] < clear[0][0], "{:?} -> {:?}", clear[0], glinted[0]);
+    // ...and the contextual filter has the best F1 once glint is common.
+    let best = (0..4).max_by(|&a, &b| glinted[a][2].total_cmp(&glinted[b][2]));
+    assert_eq!(best, Some(3), "F1 at glint 0.03: {glinted:?}");
 }
 
 #[test]
@@ -169,6 +207,7 @@ fn semantic_annotation_closes_the_gap() {
     use teleios::mining::annotate;
     use teleios::mining::classify::{Classifier, LabeledExample};
     use teleios::mining::ontology::{concept, Ontology};
+    use teleios::rdf::term::Term;
 
     let mut obs = Observatory::with_defaults(42);
     let id = obs.acquire_scene(&fire_spec(6, inland(&obs))).unwrap();
@@ -203,6 +242,52 @@ fn semantic_annotation_closes_the_gap() {
     let fire_products =
         annotate::find_products_by_concept(&concept("Fire"), &ontology, obs.strabon.store());
     assert_eq!(fire_products.len(), 1);
+
+    // The E8 archive: forty 64² scenes, the even ones burning, a
+    // classifier trained on the first ten, every scene annotated next
+    // to the keyword metadata an EO archive offers.
+    let scenes: Vec<_> = (0..40)
+        .map(|i| {
+            let mut spec = SceneSpec::new(i, 64, 64, bench_bbox());
+            spec.cloud_cover = 0.02;
+            spec.glint_rate = 0.005;
+            if i % 2 == 0 {
+                let center = Coord::new(21.8, 37.5);
+                spec.fires.push(FireEvent { center, radius: 0.1, intensity: 0.9 });
+            }
+            seviri::generate(&spec, &bench_surface).unwrap()
+        })
+        .collect();
+    let patches: Vec<_> = scenes
+        .iter()
+        .map(|s| teleios::ingest::features::extract_patches(&s.raster, 8).unwrap())
+        .collect();
+    let examples = scenes.iter().zip(&patches).take(10).flat_map(|(scene, patches)| {
+        patches.iter().map(|p| {
+            let burns = |r, c| scene.truth.get(&[r, c]).unwrap_or(0.0) > 0.0;
+            let (rows, cols) = (p.py * 8..p.py * 8 + 8, p.px * 8..p.px * 8 + 8);
+            let burning = rows.clone().any(|r| cols.clone().any(|c| burns(r, c)));
+            let label = concept(if burning { "ForestFire" } else { "LandCover" });
+            LabeledExample { features: p.features.clone(), label }
+        })
+    });
+    let classifier = Classifier::train_knn(3, examples.collect());
+    let mut store = teleios::rdf::store::TripleStore::new();
+    let level = Term::iri("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasProductLevel");
+    let product = |i: usize| Term::iri(format!("http://teleios.di.uoa.gr/products/scene_{i:03}"));
+    for (i, patches) in patches.iter().enumerate() {
+        annotate::annotate_product(&format!("scene_{i:03}"), patches, &classifier, &mut store);
+        store.insert_terms(&product(i), &level, &Term::literal("LEVEL1"));
+    }
+    // Keyword search finds nothing: "fire" is in no metadata field.
+    assert!(store.match_terms(None, Some(&level), Some(&Term::literal("fire"))).is_empty());
+    // Concept search, exact and by subsumption, finds exactly the
+    // burning scenes: precision = recall = 1.
+    let burning: Vec<Term> = (0..40).step_by(2).map(product).collect();
+    for name in ["ForestFire", "Fire"] {
+        let found = annotate::find_products_by_concept(&concept(name), &ontology, &store);
+        assert_eq!(found, burning, "{name}");
+    }
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! A 50-scene supervised batch under a seeded 20% fault plan must
 //! complete, report exactly the injected failure per scene, recover
 //! every transient fault within the retry budget, and lose zero
-//! healthy scenes.
+//! healthy scenes; E12's sweep over 0-30 % fault rates fails exactly
+//! the scenes given an unrecoverable fault.
 
 use teleios_core::observatory::AcquisitionSpec;
 use teleios_core::Observatory;
@@ -17,12 +18,12 @@ const SCENES: usize = 50;
 const SEED: u64 = 1234;
 const RATE: f64 = 0.2;
 
-fn acquire_scenes(obs: &mut Observatory, n: usize) -> Vec<String> {
+fn acquire_scenes(obs: &mut Observatory, n: usize, seed0: u64) -> Vec<String> {
     let center = obs.region().center();
     (0..n)
         .map(|i| {
             let spec = AcquisitionSpec {
-                seed: 9000 + i as u64,
+                seed: seed0 + i as u64,
                 rows: 32,
                 cols: 32,
                 acquisition: format!("2007-08-25T{:02}:{:02}:00Z", i / 4, (i % 4) * 15),
@@ -40,10 +41,27 @@ fn acquire_scenes(obs: &mut Observatory, n: usize) -> Vec<String> {
         .collect()
 }
 
+/// The contextual classifier on a georeferenced grid, so every
+/// degraded rung has somewhere to fall to, with `plan`'s stage hook.
+fn supervised_chain(obs: &Observatory, plan: &FaultPlan) -> ProcessingChain {
+    ProcessingChain {
+        classifier: HotspotClassifier::Contextual { kelvin: 318.0, min_neighbors: 2 },
+        target_grid: Some((GeoTransform::fit(&obs.region(), 32, 32), 32, 32)),
+        ..ProcessingChain::operational()
+    }
+    .with_stage_hook(plan.chain_hook())
+}
+
+/// Worker panics and corrupted archives: the faults no retry or
+/// degraded variant can clear.
+fn unrecoverable(fault: &Fault) -> bool {
+    matches!(fault, Fault::WorkerPanic | Fault::CorruptPayload | Fault::TruncateHeader)
+}
+
 #[test]
 fn seeded_fault_plan_batch_meets_the_acceptance_criteria() {
     let mut obs = Observatory::with_defaults(77);
-    let ids = acquire_scenes(&mut obs, SCENES);
+    let ids = acquire_scenes(&mut obs, SCENES, 9000);
 
     let plan = FaultPlan::seeded(SEED, &ids, RATE);
     // The plan is non-trivial and plausible for a 20% rate...
@@ -63,12 +81,7 @@ fn seeded_fault_plan_batch_meets_the_acceptance_criteria() {
     // ride the chain's stage hook.
     let applied = plan.apply_to_repository(obs.vault.repository_mut());
     assert_eq!(applied, plan.data_fault_ids().len());
-    let chain = ProcessingChain {
-        classifier: HotspotClassifier::Contextual { kelvin: 318.0, min_neighbors: 2 },
-        target_grid: Some((GeoTransform::fit(&obs.region(), 32, 32), 32, 32)),
-        ..ProcessingChain::operational()
-    }
-    .with_stage_hook(plan.chain_hook());
+    let chain = supervised_chain(&obs, &plan);
 
     let supervisor = Supervisor::new(2);
     let report = obs.run_chain_batch(&ids, &chain, &supervisor).unwrap();
@@ -174,12 +187,7 @@ fn seeded_fault_plan_batch_meets_the_acceptance_criteria() {
 
     // The headline numbers match the plan exactly: only worker panics
     // and data corruption are unrecoverable.
-    let expected_failed = plan
-        .iter()
-        .filter(|(_, f)| {
-            matches!(f, Fault::WorkerPanic | Fault::CorruptPayload | Fault::TruncateHeader)
-        })
-        .count();
+    let expected_failed = plan.iter().filter(|(_, f)| unrecoverable(f)).count();
     assert_eq!(report.failed_count(), expected_failed);
     assert_eq!(report.succeeded_count(), SCENES - expected_failed);
 }
@@ -187,7 +195,7 @@ fn seeded_fault_plan_batch_meets_the_acceptance_criteria() {
 #[test]
 fn quarantined_scene_recovers_after_repair_and_retry() {
     let mut obs = Observatory::with_defaults(78);
-    let ids = acquire_scenes(&mut obs, 2);
+    let ids = acquire_scenes(&mut obs, 2, 9000);
     let victim = ids[1].clone();
     let file = format!("{victim}.sev1");
     let pristine = obs.vault.repository().get(&file).unwrap().to_vec();
@@ -211,4 +219,47 @@ fn quarantined_scene_recovers_after_repair_and_retry() {
     assert_eq!(second.failed_count(), 0);
     assert_eq!(second.succeeded_count(), 2);
     assert!(obs.vault.stats().retries >= 1);
+}
+
+/// E12's sweep: at every fault rate the supervised batch loses no
+/// healthy scene and fails exactly the scenes given an unrecoverable
+/// fault, while transient faults are retried and classifier and
+/// georeferencing faults degrade. The per-rate counts are the
+/// EXPERIMENTS.md table.
+#[test]
+fn every_fault_rate_fails_exactly_the_unrecoverable_scenes() {
+    // (rate, faulted, ok, retried, degraded, failed)
+    let rows = [
+        (0.0, 0, 50, 0, 0, 0),
+        (0.1, 5, 45, 1, 2, 2),
+        (0.2, 12, 38, 2, 4, 6),
+        (0.3, 15, 35, 3, 6, 6),
+    ];
+    for (rate, faulted, ok, retried, degraded, failed) in rows {
+        // A fresh observatory per rate: fault plans corrupt the archive.
+        let mut obs = Observatory::with_defaults(99);
+        let ids = acquire_scenes(&mut obs, SCENES, 5000);
+        let plan = FaultPlan::seeded(4242, &ids, rate);
+        plan.apply_to_repository(obs.vault.repository_mut());
+        let chain = supervised_chain(&obs, &plan);
+        let report = obs.run_chain_batch(&ids, &chain, &Supervisor::new(2)).unwrap();
+
+        let lost: Vec<&str> = report
+            .scenes
+            .iter()
+            .filter(|s| !s.outcome.succeeded())
+            .map(|s| s.product_id.as_str())
+            .collect();
+        let injected: Vec<&str> =
+            plan.iter().filter(|(_, f)| unrecoverable(f)).map(|(id, _)| id).collect();
+        assert_eq!(lost, injected, "rate {rate}: lost scenes differ from the unrecoverable faults");
+        let counts = (
+            plan.len(),
+            report.ok_count(),
+            report.retried_count(),
+            report.degraded_count(),
+            report.failed_count(),
+        );
+        assert_eq!(counts, (faulted, ok, retried, degraded, failed), "rate {rate}");
+    }
 }
