@@ -56,6 +56,15 @@ pub fn fire_scene(size: usize, seed: u64) -> Scene {
 /// inside the "query region" (the window's central 10%), so the flagship
 /// query has stable selectivity across scales.
 pub fn build_archive(n_products: usize, n_sites: usize, config: StrabonConfig) -> Strabon {
+    build_archive_ratio(n_products, n_products, n_sites, config)
+}
+
+/// [`build_archive`] with `n_hotspots` hotspots instead of one per
+/// image: hotspot `j` is derived from image `j % n_images` and lies
+/// around its footprint, so the hotspot:image ratio is free (E3's
+/// ratio sweep). At one hotspot per image it is `build_archive`'s
+/// archive, triple for triple.
+pub fn build_archive_ratio(n_images: usize, n_hotspots: usize, n_sites: usize, config: StrabonConfig) -> Strabon {
     let mut db = Strabon::with_config(config);
     let mut rng = SplitMix64::new(7);
     let bbox = bench_bbox();
@@ -68,7 +77,7 @@ pub fn build_archive(n_products: usize, n_sites: usize, config: StrabonConfig) -
     let sat = Term::iri("http://teleios.di.uoa.gr/satellites/MSG2");
     let center = bbox.center();
 
-    for i in 0..n_products {
+    for i in 0..n_images {
         let img = Term::iri(format!("http://teleios.di.uoa.gr/products/scene_{i:06}"));
         db.insert(&img, &type_p, &Term::iri(noa::RAW_IMAGE));
         db.insert(&img, &sat_p, &sat);
@@ -102,20 +111,22 @@ pub fn build_archive(n_products: usize, n_sites: usize, config: StrabonConfig) -
                 teleios_geo::geometry::Polygon::from_envelope(&fp),
             )),
         );
-        // One hotspot per product: a detailed dissolved polygon (a
-        // 32-vertex blob), as the shapefile module produces — the
-        // vertex count is what makes exact spatial predicates cost
-        // something relative to an envelope pre-filter.
-        let h = Term::iri(format!("http://teleios.di.uoa.gr/products/scene_{i:06}/hotspot/0"));
-        db.insert(&h, &type_p, &Term::iri(noa::HOTSPOT));
-        db.insert(&h, &derived_p, &img);
-        db.insert(&h, &conf_p, &Term::double(rng.range(0.3, 1.0)));
-        let blob = blob_polygon(Coord::new(cx, cy), 0.05, 32, &mut rng);
-        db.insert(
-            &h,
-            &geom_p,
-            &geometry_literal_wgs84(&teleios_geo::Geometry::Polygon(blob)),
-        );
+        // Each hotspot a detailed dissolved polygon (a 32-vertex
+        // blob), as the shapefile module produces — the vertex count is
+        // what makes exact spatial predicates cost something relative
+        // to an envelope pre-filter.
+        for k in 0..(n_hotspots + n_images - 1 - i) / n_images {
+            let h = Term::iri(format!("http://teleios.di.uoa.gr/products/scene_{i:06}/hotspot/{k}"));
+            db.insert(&h, &type_p, &Term::iri(noa::HOTSPOT));
+            db.insert(&h, &derived_p, &img);
+            db.insert(&h, &conf_p, &Term::double(rng.range(0.3, 1.0)));
+            let blob = blob_polygon(Coord::new(cx, cy), 0.05, 32, &mut rng);
+            db.insert(
+                &h,
+                &geom_p,
+                &geometry_literal_wgs84(&teleios_geo::Geometry::Polygon(blob)),
+            );
+        }
         // Every 100th product carries a rare annotation class — the
         // selective pattern the E4 optimizer experiment pivots on.
         if i % 100 == 0 {

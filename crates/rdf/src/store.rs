@@ -3,7 +3,21 @@
 use crate::dictionary::{Dictionary, TermId};
 use crate::term::Term;
 use crate::triple::{Triple, TriplePattern};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+
+type Key = (TermId, TermId, TermId);
+
+/// What the store knows about one predicate's triples — or, summed,
+/// about every predicate's ([`TripleStore::predicate_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PredicateStats {
+    /// Triples.
+    pub triples: usize,
+    /// Distinct subjects.
+    pub subjects: usize,
+    /// Distinct objects.
+    pub objects: usize,
+}
 
 /// A triple store over a term dictionary.
 ///
@@ -16,12 +30,18 @@ use std::collections::BTreeSet;
 /// | P, PO | POS |
 /// | O, OS | OSP |
 /// | (none) | SPO full scan |
+///
+/// `insert` and `remove`, the only writers, also keep each predicate's
+/// [`PredicateStats`] — the statistics the stSPARQL planner costs on.
 #[derive(Debug, Clone, Default)]
 pub struct TripleStore {
     dict: Dictionary,
-    spo: BTreeSet<(TermId, TermId, TermId)>,
-    pos: BTreeSet<(TermId, TermId, TermId)>,
-    osp: BTreeSet<(TermId, TermId, TermId)>,
+    spo: BTreeSet<Key>,
+    pos: BTreeSet<Key>,
+    osp: BTreeSet<Key>,
+    stats: HashMap<TermId, PredicateStats>,
+    /// The sum of `stats` over every predicate.
+    totals: PredicateStats,
 }
 
 impl TripleStore {
@@ -67,6 +87,11 @@ impl TripleStore {
         }
         self.pos.insert((t.p, t.o, t.s));
         self.osp.insert((t.o, t.s, t.p));
+        // The triple just written is its `(s, p)` / `(p, o)` pair's only
+        // one exactly when the pair is new.
+        let new_subject = with_prefix(&self.spo, t.s, t.p).nth(1).is_none();
+        let new_object = with_prefix(&self.pos, t.p, t.o).nth(1).is_none();
+        self.count(t.p, new_subject, new_object, true);
         true
     }
 
@@ -83,7 +108,45 @@ impl TripleStore {
         }
         self.pos.remove(&(t.p, t.o, t.s));
         self.osp.remove(&(t.o, t.s, t.p));
+        let gone_subject = with_prefix(&self.spo, t.s, t.p).next().is_none();
+        let gone_object = with_prefix(&self.pos, t.p, t.o).next().is_none();
+        self.count(t.p, gone_subject, gone_object, false);
         true
+    }
+
+    /// Add (or take away) one triple of `p`, and one subject and one
+    /// object where its pair is the first (or was the last).
+    fn count(&mut self, p: TermId, subject: bool, object: bool, add: bool) {
+        let step = |n: &mut usize, by: bool| {
+            if add {
+                *n += usize::from(by);
+            } else {
+                *n -= usize::from(by);
+            }
+        };
+        for stats in [self.stats.entry(p).or_default(), &mut self.totals] {
+            step(&mut stats.triples, true);
+            step(&mut stats.subjects, subject);
+            step(&mut stats.objects, object);
+        }
+        if self.stats.get(&p).is_some_and(|s| s.triples == 0) {
+            self.stats.remove(&p);
+        }
+    }
+
+    /// Triples, distinct subjects and distinct objects of predicate
+    /// `p`, or summed over every predicate for `None`. O(1): `insert`
+    /// and `remove` keep them.
+    pub fn predicate_stats(&self, p: Option<TermId>) -> PredicateStats {
+        match p {
+            Some(p) => self.stats.get(&p).copied().unwrap_or_default(),
+            None => self.totals,
+        }
+    }
+
+    /// Number of distinct predicates.
+    pub fn predicates(&self) -> usize {
+        self.stats.len()
     }
 
     /// Match a pattern, returning the triples in SPO order.
@@ -98,9 +161,7 @@ impl TripleStore {
                     Vec::new()
                 }
             }
-            (Some(s), Some(p), None) => self
-                .spo
-                .range((Included((s, p, TermId::MIN)), upper_2(s, p)))
+            (Some(s), Some(p), None) => with_prefix(&self.spo, s, p)
                 .map(|&(s, p, o)| Triple::new(s, p, o))
                 .collect(),
             (Some(s), None, o) => self
@@ -110,9 +171,7 @@ impl TripleStore {
                 .map(|&(s, p, o)| Triple::new(s, p, o))
                 .collect(),
             // POS index.
-            (None, Some(p), Some(o)) => self
-                .pos
-                .range((Included((p, o, TermId::MIN)), upper_2(p, o)))
+            (None, Some(p), Some(o)) => with_prefix(&self.pos, p, o)
                 .map(|&(p, o, s)| Triple::new(s, p, o))
                 .collect(),
             (None, Some(p), None) => self
@@ -133,34 +192,28 @@ impl TripleStore {
         }
     }
 
-    /// Selectivity estimate used by the BGP optimizer.
+    /// Match count of a pattern's constants, taken once per pattern by
+    /// the BGP planner.
     ///
-    /// For patterns with at least one bound position the exact match
-    /// count is computed from the index ranges without materializing
-    /// triples (this is the role MonetDB's column statistics play for
-    /// Strabon); the S+O shape and the full wildcard fall back to cheap
-    /// upper bounds.
+    /// A predicate alone reads its [`PredicateStats`]; other shapes
+    /// with a bound position count their index range without
+    /// materializing triples (this is the role MonetDB's column
+    /// statistics play for Strabon); the S+O shape and the full
+    /// wildcard fall back to cheap upper bounds.
     pub fn estimate_pattern(&self, pat: &TriplePattern) -> usize {
         use std::ops::Bound::Included;
         match (pat.s, pat.p, pat.o) {
             (None, None, None) => self.len().max(1),
             (Some(s), Some(p), Some(o)) => self.spo.contains(&(s, p, o)) as usize,
-            (Some(s), Some(p), None) => self
-                .spo
-                .range((Included((s, p, TermId::MIN)), upper_2(s, p)))
+            (Some(s), Some(p), None) => with_prefix(&self.spo, s, p)
                 .count(),
             (Some(s), None, None) => self
                 .spo
                 .range((Included((s, TermId::MIN, TermId::MIN)), upper_1(s)))
                 .count(),
-            (None, Some(p), Some(o)) => self
-                .pos
-                .range((Included((p, o, TermId::MIN)), upper_2(p, o)))
+            (None, Some(p), Some(o)) => with_prefix(&self.pos, p, o)
                 .count(),
-            (None, Some(p), None) => self
-                .pos
-                .range((Included((p, TermId::MIN, TermId::MIN)), upper_1(p)))
-                .count(),
+            (None, Some(p), None) => self.predicate_stats(Some(p)).triples,
             (None, None, Some(o)) => self
                 .osp
                 .range((Included((o, TermId::MIN, TermId::MIN)), upper_1(o)))
@@ -222,6 +275,11 @@ impl TripleStore {
             .map(|(s, _, _)| s)
             .collect()
     }
+}
+
+/// The triples of `index` whose first two columns are `(a, b)`.
+fn with_prefix(index: &BTreeSet<Key>, a: TermId, b: TermId) -> impl Iterator<Item = &Key> {
+    index.range((std::ops::Bound::Included((a, b, TermId::MIN)), upper_2(a, b)))
 }
 
 fn upper_1(a: TermId) -> std::ops::Bound<(TermId, TermId, TermId)> {

@@ -1,11 +1,14 @@
 //! Property-based tests for the RDF layer: Turtle roundtrips and store
 //! index consistency under random workloads.
 
+use std::collections::{BTreeMap, BTreeSet};
 use teleios_check::{forall, Gen};
-use teleios_rdf::store::TripleStore;
+use teleios_rdf::persist::{load_triple_store, persist_triple_store};
+use teleios_rdf::store::{PredicateStats, TripleStore};
 use teleios_rdf::term::Term;
-use teleios_rdf::triple::TriplePattern;
+use teleios_rdf::triple::{Triple, TriplePattern};
 use teleios_rdf::turtle;
+use teleios_store::{transact, DurableBackend, DurableConfig, MemMedium};
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
 const LOWER_DIGITS: &str = "abcdefghijklmnopqrstuvwxyz0123456789";
@@ -121,6 +124,72 @@ fn remove_all_empties_store() {
         }
         assert!(store.is_empty());
         assert_eq!(store.match_pattern(&TriplePattern::any()).len(), 0);
+    });
+}
+
+/// One write of [`statistics_equal_a_recount`]'s sequences, over a
+/// vocabulary small enough that pairs repeat: `(insert, s, p, o)`.
+type Write = (bool, usize, usize, usize);
+
+fn writes(g: &mut Gen) -> Vec<Write> {
+    g.vec(0..80, |g| (g.below(3) != 0, g.below(5), g.below(3), g.below(5)))
+}
+
+/// Per-predicate statistics counted from scratch over `iter()`, with
+/// the all-predicate sums under `None`.
+fn recount(store: &TripleStore) -> BTreeMap<Option<u32>, PredicateStats> {
+    let mut pairs: BTreeMap<u32, (usize, BTreeSet<u32>, BTreeSet<u32>)> = BTreeMap::new();
+    for t in store.iter() {
+        let (n, subjects, objects) = pairs.entry(t.p).or_default();
+        *n += 1;
+        subjects.insert(t.s);
+        objects.insert(t.o);
+    }
+    let mut out: BTreeMap<Option<u32>, PredicateStats> = BTreeMap::new();
+    for (p, (triples, subjects, objects)) in pairs {
+        let stats = PredicateStats { triples, subjects: subjects.len(), objects: objects.len() };
+        out.insert(Some(p), stats);
+        let total = out.entry(None).or_default();
+        total.triples += stats.triples;
+        total.subjects += stats.subjects;
+        total.objects += stats.objects;
+    }
+    out
+}
+
+fn assert_stats_recount(store: &TripleStore) {
+    let expected = recount(store);
+    assert_eq!(store.predicates(), expected.len().saturating_sub(1));
+    assert_eq!(store.predicate_stats(None), expected.get(&None).copied().unwrap_or_default());
+    for p in 0..store.dictionary().len() as u32 {
+        assert_eq!(store.predicate_stats(Some(p)), expected.get(&Some(p)).copied().unwrap_or_default(), "predicate {p}");
+    }
+}
+
+/// The statistics `insert` and `remove` maintain equal a recount from
+/// the triples after any write sequence — duplicate inserts and
+/// removals of absent triples included — and after a persist round
+/// trip, whose load goes through `insert`.
+#[test]
+fn statistics_equal_a_recount() {
+    forall(writes, |writes| {
+        let mut store = TripleStore::new();
+        let term = |kind: &str, i: usize| Term::iri(format!("http://x/{kind}{i}"));
+        for (insert, s, p, o) in writes {
+            let (s, p, o) = (term("s", s), term("p", p), term("o", o));
+            if insert {
+                store.insert_terms(&s, &p, &o);
+            } else {
+                let t = Triple::new(store.intern(&s), store.intern(&p), store.intern(&o));
+                store.remove(&t);
+            }
+            assert_stats_recount(&store);
+        }
+        let mut backend = DurableBackend::open(MemMedium::new(), DurableConfig::default()).unwrap();
+        transact(&mut backend, |b| persist_triple_store(&store, b)).unwrap();
+        let loaded = load_triple_store(&backend).unwrap().unwrap();
+        assert_stats_recount(&loaded);
+        assert_eq!(loaded.predicate_stats(None), store.predicate_stats(None));
     });
 }
 

@@ -4,13 +4,23 @@
 //! the same steps:
 //!
 //! 1. `prepare` catches the spatial sidecar up with the dictionary,
-//!    collects the statement's variables and builds its one `Env`;
-//! 2. `plan_group` cuts the WHERE group into BGP runs, computes each
-//!    FILTER's spatial restriction (`strdf:pred(?g, CONST)` or
-//!    `strdf:distance(?g, CONST) < d` probe the R-tree sidecar for
-//!    envelope candidates — E3), orders each run greedily by estimated
-//!    selectivity under the variables bound so far (E4) and recurses
-//!    into nested groups, once per statement;
+//!    collects the statement's variables, parses its constant
+//!    geometries and builds its one `Env`;
+//! 2. `plan_group` computes each FILTER's spatial restriction
+//!    (`strdf:pred(?g, CONST)` or `strdf:distance(?g, CONST) < d` probe
+//!    the R-tree sidecar for envelope candidates — E3), orders each BGP
+//!    run on a cardinality carried from step to step (E4) and recurses
+//!    into nested groups, once per statement. A pattern's fanout is its
+//!    constants' match count divided, per position a variable already
+//!    binds, by that position's distinct values in the store's
+//!    predicate statistics; a pattern sharing no bound variable
+//!    multiplies the cardinality by its whole count (a cross product).
+//!    Each pattern is tried as the seed, the rest follow greedily, and
+//!    the order with the least sum of intermediate cardinalities wins.
+//!    FILTERs do not cut runs: each runs right after the first step
+//!    that leaves all its variables certainly bound and scales the
+//!    estimate by `FILTER_SELECTIVITY`; with `optimize_bgp` off,
+//!    patterns keep syntactic order and FILTERs run at the group's end;
 //! 3. `walk` executes that `Plan` as index nested-loop joins over
 //!    the store's SPO/POS/OSP orderings — or `render` prints it,
 //!    which is all EXPLAIN is, so the two cannot disagree;
@@ -26,7 +36,9 @@ use crate::expr::{
 use crate::{Result, Solutions, Strabon, StrabonError};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use teleios_exec::concat;
+use teleios_geo::Geometry;
 use teleios_rdf::dictionary::TermId;
 use teleios_rdf::strdf;
 use teleios_rdf::term::Term;
@@ -36,7 +48,8 @@ use teleios_rdf::vocab;
 /// Step 1 of every statement: catch the sidecar up with the store,
 /// register the variables of the WHERE clause, then of a SELECT's
 /// projection and ORDER BY, reject template variables the WHERE clause
-/// cannot bind, and build the statement's environment.
+/// cannot bind, parse the WHERE clause's constant geometries once, and
+/// build the statement's environment.
 pub(crate) fn prepare<'a, 't>(
     engine: &'a mut Strabon,
     where_clause: &GroupPattern,
@@ -63,13 +76,38 @@ pub(crate) fn prepare<'a, 't>(
             }
         }
     }
-    Ok(Env { store: &engine.store, spatial: &engine.spatial, vars, config: engine.config, pool })
+    let mut constants = HashMap::new();
+    collect_group_geometries(where_clause, &mut constants);
+    Ok(Env { store: &engine.store, spatial: &engine.spatial, vars, config: engine.config, pool, constants })
+}
+
+/// Parse every constant geometry in the FILTER and BIND expressions of
+/// `g` and its nested groups, keyed for [`Env::constant_geometry`].
+fn collect_group_geometries(g: &GroupPattern, out: &mut HashMap<usize, Arc<Geometry>>) {
+    for el in &g.elements {
+        match el {
+            PatternElement::Triple(_) => {}
+            PatternElement::Filter(e) | PatternElement::Bind { expr: e, .. } => for_each_node(e, &mut |n| {
+                if let Expression::Const(t) = n {
+                    if let Ok((geometry, _)) = strdf::parse_geometry(t) {
+                        out.insert(std::ptr::from_ref(n).addr(), Arc::new(geometry));
+                    }
+                }
+            }),
+            PatternElement::Optional(inner)
+            | PatternElement::Minus(inner)
+            | PatternElement::FilterExists { group: inner, .. } => collect_group_geometries(inner, out),
+            PatternElement::Union(branches) => {
+                branches.iter().for_each(|b| collect_group_geometries(b, out));
+            }
+        }
+    }
 }
 
 /// Steps 2 and 3: plan the WHERE clause, walk it from the one empty
 /// solution.
 pub(crate) fn solve(env: &Env<'_>, where_clause: &GroupPattern) -> Vec<Binding> {
-    let plan = plan_group(env, where_clause, &mut HashSet::new());
+    let (plan, _) = plan_group(env, where_clause, &mut HashSet::new(), 1.0);
     walk(env, &plan, vec![env.vars.empty_binding()])
 }
 
@@ -329,6 +367,11 @@ fn eval_aggregate_expr(env: &Env<'_>, expr: &Expression, group: &[&Binding]) -> 
     }
 }
 
+/// Fraction of its input a FILTER is costed to keep. One constant for
+/// every FILTER: the store keeps no value histograms, and a FILTER's
+/// spatial restriction already caps the scans it restricts exactly.
+const FILTER_SELECTIVITY: f64 = 0.25;
+
 /// A planned group: what [`walk`] executes and [`render`] prints.
 struct Plan<'q> {
     /// Spatial push-down: per variable slot, the dictionary ids whose
@@ -338,13 +381,14 @@ struct Plan<'q> {
     /// spatial predicate into the scan") and the FILTERs pre-filter
     /// with the same set.
     restrictions: HashMap<usize, HashSet<TermId>>,
-    steps: Vec<Step<'q>>,
+    /// The steps in execution order, each with the cardinality
+    /// estimated after it.
+    steps: Vec<(Step<'q>, f64)>,
 }
 
 enum Step<'q> {
-    /// One join of a BGP run, in join order, with the estimate it was
-    /// picked on.
-    Scan { pattern: &'q PatternTriple, est: usize },
+    /// One join of a BGP run.
+    Scan(Scan<'q>),
     /// A FILTER; `restricted` names the slot whose restriction
     /// pre-filters it.
     Filter { expr: &'q Expression, restricted: Option<usize> },
@@ -356,112 +400,332 @@ enum Step<'q> {
     Exists { plan: Plan<'q>, negated: bool },
 }
 
+/// A pattern position, resolved once per statement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Pos {
+    Const(TermId),
+    Var(usize),
+    /// A constant the dictionary has never seen: matches nothing.
+    Dead,
+}
+
+/// A triple pattern of a BGP run: what the planner costs and the walk
+/// probes.
+#[derive(Clone, Copy)]
+struct Scan<'q> {
+    pattern: &'q PatternTriple,
+    /// Subject, predicate, object.
+    pos: [Pos; 3],
+    /// Matches of the pattern's constants alone, counted once.
+    count: usize,
+    /// The object's spatial candidates drive the probe (one point
+    /// lookup per candidate) instead of an index range scan.
+    driven: bool,
+    /// Under RDFS inference, `rdf:type`'s id: a match on it with a
+    /// bound class also matches the class's subclasses.
+    rdf_type: Option<TermId>,
+}
+
+impl Scan<'_> {
+    fn binds(&self, slot: usize) -> bool {
+        self.pos.contains(&Pos::Var(slot))
+    }
+}
+
+/// A FILTER of the group not placed yet, with the slots it reads.
+struct Waiting<'q> {
+    expr: &'q Expression,
+    restricted: Option<usize>,
+    slots: Vec<usize>,
+}
+
+/// One group's planning state: the steps so far, the cardinality
+/// carried after the last of them, the FILTERs not placed yet.
+struct Group<'e, 'q> {
+    env: &'e Env<'e>,
+    restrictions: HashMap<usize, HashSet<TermId>>,
+    steps: Vec<(Step<'q>, f64)>,
+    card: f64,
+    waiting: Vec<Waiting<'q>>,
+    /// Targets of the BINDs not planned yet: a FILTER reading one
+    /// waits for it, since the BIND may overwrite the slot.
+    binds_ahead: Vec<usize>,
+}
+
 /// Step 2 — the only code that decides what runs in which order.
 ///
 /// `bound` holds the slots certainly bound when the group starts
 /// (the enclosing groups' included) and, on return, when it ends:
 /// pattern variables and BIND targets count; OPTIONAL, MINUS and
 /// EXISTS bodies bind nothing for the steps after them, a UNION what
-/// every branch binds.
-fn plan_group<'q>(env: &Env<'_>, group: &'q GroupPattern, bound: &mut HashSet<usize>) -> Plan<'q> {
-    // A FILTER restricts the whole group, the runs before it included,
-    // so the candidate sets come first: one R-tree probe per FILTER.
-    let mut restrictions: HashMap<usize, HashSet<TermId>> = HashMap::new();
-    let mut restricted = Vec::new();
+/// every branch binds. `card` is the estimated number of solutions
+/// the group starts from; it is carried from step to step and the
+/// estimate after the last one is returned with the plan.
+fn plan_group<'e, 'q>(
+    env: &'e Env<'e>,
+    group: &'q GroupPattern,
+    bound: &mut HashSet<usize>,
+    card: f64,
+) -> (Plan<'q>, f64) {
+    // A FILTER restricts the whole group, wherever it is written, so
+    // the candidate sets come first: one R-tree probe per FILTER.
+    let mut g = Group {
+        env,
+        restrictions: HashMap::new(),
+        steps: Vec::with_capacity(group.elements.len()),
+        card,
+        waiting: Vec::new(),
+        binds_ahead: Vec::new(),
+    };
     for el in &group.elements {
-        if let PatternElement::Filter(f) = el {
-            let found = if env.config.use_spatial_index { spatial_prefilter(env, f) } else { None };
-            restricted.push(found.map(|(slot, set)| {
-                match restrictions.entry(slot) {
-                    Entry::Occupied(mut e) => e.get_mut().retain(|id| set.contains(id)),
-                    Entry::Vacant(e) => {
-                        e.insert(set);
+        match el {
+            PatternElement::Filter(expr) => {
+                let found = if env.config.use_spatial_index { spatial_prefilter(env, expr) } else { None };
+                let restricted = found.map(|(slot, set)| {
+                    match g.restrictions.entry(slot) {
+                        Entry::Occupied(mut e) => e.get_mut().retain(|id| set.contains(id)),
+                        Entry::Vacant(e) => {
+                            e.insert(set);
+                        }
                     }
-                }
-                slot
-            }));
+                    slot
+                });
+                let mut vars = VarTable::default();
+                collect_expr_vars(expr, &mut vars);
+                let slots = vars.names().iter().filter_map(|v| env.vars.get(v)).collect();
+                g.waiting.push(Waiting { expr, restricted, slots });
+            }
+            PatternElement::Bind { var, .. } => g.binds_ahead.extend(env.vars.get(var)),
+            _ => {}
         }
     }
+    g.release(bound);
 
-    let mut restricted = restricted.into_iter();
-    let mut steps = Vec::with_capacity(group.elements.len());
     let mut run: Vec<&PatternTriple> = Vec::new();
     for el in &group.elements {
-        if let PatternElement::Triple(t) = el {
-            run.push(t);
-            continue;
-        }
-        bgp_order(env, &mut run, bound, &restrictions, &mut steps);
-        steps.push(match el {
-            PatternElement::Triple(_) => continue,
-            PatternElement::Filter(expr) => {
-                Step::Filter { expr, restricted: restricted.next().flatten() }
+        match el {
+            PatternElement::Triple(t) => {
+                run.push(t);
+                continue;
             }
+            // Placed by `release`: a FILTER does not cut the run.
+            PatternElement::Filter(_) => continue,
+            _ => g.order_run(&mut run, bound),
+        }
+        let card = g.card;
+        let (step, est) = match el {
+            PatternElement::Triple(_) | PatternElement::Filter(_) => continue,
             PatternElement::Optional(inner) => {
-                Step::Optional(plan_group(env, inner, &mut bound.clone()))
+                let (plan, out) = plan_group(env, inner, &mut bound.clone(), card);
+                (Step::Optional(plan), out.max(card))
             }
             PatternElement::Union(branches) => {
-                let (mut plans, mut ends) = (Vec::new(), Vec::new());
+                let (mut plans, mut ends, mut est) = (Vec::new(), Vec::new(), 0.0);
                 for br in branches {
                     let mut end = bound.clone();
-                    plans.push(plan_group(env, br, &mut end));
+                    let (plan, out) = plan_group(env, br, &mut end, card);
+                    plans.push(plan);
                     ends.push(end);
+                    est += out;
                 }
                 if let Some(all) = ends.into_iter().reduce(|a, b| &a & &b) {
                     *bound = all;
                 }
-                Step::Union(plans)
+                (Step::Union(plans), est)
             }
             PatternElement::Minus(inner) => {
                 let mut inner_vars = VarTable::default();
                 collect_group_vars(inner, &mut inner_vars);
                 let shared = inner_vars.names().iter().filter_map(|v| env.vars.get(v)).collect();
-                Step::Minus { plan: plan_group(env, inner, &mut bound.clone()), shared }
+                let (plan, _) = plan_group(env, inner, &mut bound.clone(), card);
+                (Step::Minus { plan, shared }, card)
             }
             PatternElement::Bind { expr, var } => {
                 // Registered by `prepare`; a miss would mean the value
                 // has nowhere to land.
                 let Some(slot) = env.vars.get(var) else { continue };
+                if let Some(i) = g.binds_ahead.iter().position(|&s| s == slot) {
+                    g.binds_ahead.remove(i);
+                }
                 bound.insert(slot);
-                Step::Bind { expr, slot }
+                (Step::Bind { expr, slot }, card)
             }
             PatternElement::FilterExists { group: inner, negated } => {
-                Step::Exists { plan: plan_group(env, inner, &mut bound.clone()), negated: *negated }
+                let (plan, _) = plan_group(env, inner, &mut bound.clone(), card);
+                (Step::Exists { plan, negated: *negated }, card)
             }
-        });
+        };
+        g.card = est;
+        g.steps.push((step, est));
+        g.release(bound);
     }
-    bgp_order(env, &mut run, bound, &restrictions, &mut steps);
-    Plan { restrictions, steps }
+    g.order_run(&mut run, bound);
+    // What is still waiting runs at the group's end, SPARQL's FILTER
+    // scope: every FILTER with `optimize_bgp` off, and those reading a
+    // variable no step binds for certain.
+    for w in std::mem::take(&mut g.waiting) {
+        g.place(w);
+    }
+    let card = g.card;
+    (Plan { restrictions: g.restrictions, steps: g.steps }, card)
 }
 
-/// Move one BGP run into `steps` in join order: syntactic, or (when
-/// `optimize_bgp`) greedy — repeatedly the pattern with the smallest
-/// estimate given the slots bound so far, each pick binding its
-/// variables.
-fn bgp_order<'q>(
-    env: &Env<'_>,
-    run: &mut Vec<&'q PatternTriple>,
-    bound: &mut HashSet<usize>,
-    restrictions: &HashMap<usize, HashSet<TermId>>,
-    steps: &mut Vec<Step<'q>>,
-) {
-    while !run.is_empty() {
-        let mut ests =
-            run.iter().map(|pat| estimate_pattern(env, pat, bound, restrictions)).enumerate();
-        let pick = if env.config.optimize_bgp { ests.min_by_key(|&(_, est)| est) } else { ests.next() };
-        let Some((pos, est)) = pick else { break };
-        let pattern = run.remove(pos);
-        bind_pattern_vars(env, pattern, bound);
-        steps.push(Step::Scan { pattern, est });
+impl<'q> Group<'_, 'q> {
+    /// Whether FILTER `w` may run once the slots `is_bound` accepts
+    /// are bound: under `optimize_bgp`, when they cover its variables
+    /// and no BIND ahead rewrites one.
+    fn ready(&self, w: &Waiting<'_>, is_bound: impl Fn(usize) -> bool) -> bool {
+        self.env.config.optimize_bgp
+            && w.slots.iter().all(|&s| is_bound(s) && !self.binds_ahead.contains(&s))
     }
-}
 
-/// Mark the variables of `pat` as bound.
-fn bind_pattern_vars(env: &Env<'_>, pat: &PatternTriple, bound: &mut HashSet<usize>) {
-    for v in [&pat.s, &pat.p, &pat.o] {
-        if let Some(slot) = v.var().and_then(|name| env.vars.get(name)) {
-            bound.insert(slot);
+    /// Place every waiting FILTER that `bound` makes ready, in the
+    /// order they are written.
+    fn release(&mut self, bound: &HashSet<usize>) {
+        let (ready, waiting) = std::mem::take(&mut self.waiting)
+            .into_iter()
+            .partition(|w| self.ready(w, |s| bound.contains(&s)));
+        self.waiting = waiting;
+        for w in ready {
+            self.place(w);
         }
+    }
+
+    fn place(&mut self, w: Waiting<'q>) {
+        self.card *= FILTER_SELECTIVITY;
+        self.steps.push((Step::Filter { expr: w.expr, restricted: w.restricted }, self.card));
+    }
+
+    /// Move one BGP run into the steps in join order: syntactic, or
+    /// (when `optimize_bgp`) the cheapest order [`Group::search`] finds.
+    fn order_run(&mut self, run: &mut Vec<&'q PatternTriple>, bound: &mut HashSet<usize>) {
+        let run: Vec<Scan<'q>> = run.drain(..).map(|pattern| self.cost(pattern)).collect();
+        let order: Vec<usize> = if self.env.config.optimize_bgp {
+            self.search(&run, bound)
+        } else {
+            (0..run.len()).collect()
+        };
+        for mut scan in order.into_iter().map(|i| run[i]) {
+            let (range, capped) = self.fanout(&scan, bound);
+            self.card *= capped;
+            scan.driven = match scan.pos[2] {
+                Pos::Var(slot) if !bound.contains(&slot) => {
+                    self.restrictions.get(&slot).is_some_and(|cands| (cands.len() as f64) < range)
+                }
+                _ => false,
+            };
+            for pos in scan.pos {
+                if let Pos::Var(slot) = pos {
+                    bound.insert(slot);
+                }
+            }
+            self.steps.push((Step::Scan(scan), self.card));
+            self.release(bound);
+        }
+    }
+
+    /// Resolve a pattern's positions and count its constants' matches.
+    fn cost(&self, pattern: &'q PatternTriple) -> Scan<'q> {
+        let env = self.env;
+        let resolve = |v: &VarOrTerm| match v {
+            VarOrTerm::Term(t) => env.store.id_of(t).map_or(Pos::Dead, Pos::Const),
+            // Unregistered variables (never produced by the collector)
+            // can never match anything.
+            VarOrTerm::Var(name) => env.vars.get(name).map_or(Pos::Dead, Pos::Var),
+        };
+        let pos = [resolve(&pattern.s), resolve(&pattern.p), resolve(&pattern.o)];
+        let id = |p: Pos| match p {
+            Pos::Const(id) => Some(id),
+            _ => None,
+        };
+        let count = if pos.contains(&Pos::Dead) {
+            0
+        } else {
+            env.store.estimate_pattern(&TriplePattern::new(id(pos[0]), id(pos[1]), id(pos[2])))
+        };
+        let rdf_type =
+            env.config.rdfs_inference.then(|| env.store.id_of(&Term::iri(vocab::rdf::TYPE))).flatten();
+        Scan { pattern, pos, count, driven: false, rdf_type }
+    }
+
+    /// Matches of `c` per binding under `bound`: the constants' count
+    /// divided, for each position a variable already binds, by that
+    /// position's distinct values in the predicate statistics. Returned
+    /// as is (what a range scan reads) and capped by the spatial
+    /// candidates of the open variables (what the join emits). A
+    /// pattern that shares no bound variable keeps its whole count:
+    /// a cross product.
+    fn fanout(&self, c: &Scan<'_>, bound: &HashSet<usize>) -> (f64, f64) {
+        let store = self.env.store;
+        let stats = store.predicate_stats(match c.pos[1] {
+            Pos::Const(p) => Some(p),
+            _ => None,
+        });
+        let distinct = [stats.subjects, store.predicates(), stats.objects];
+        let mut range = c.count as f64;
+        let mut capped = f64::INFINITY;
+        for (pos, distinct) in c.pos.iter().zip(distinct) {
+            let Pos::Var(slot) = *pos else { continue };
+            if bound.contains(&slot) {
+                range /= distinct.max(1) as f64;
+            } else if let Some(cands) = self.restrictions.get(&slot) {
+                capped = capped.min(cands.len() as f64);
+            }
+        }
+        (range, range.min(capped))
+    }
+
+    /// The cheapest join order of a run: each pattern tried as the
+    /// seed, then greedily the pattern leaving the fewest solutions
+    /// after it and the FILTERs it makes ready; the order kept has the
+    /// least sum of intermediate cardinalities. Ties go to the earlier
+    /// pattern as written, so the plan is deterministic.
+    fn search(&self, run: &[Scan<'_>], bound: &HashSet<usize>) -> Vec<usize> {
+        let mut best: Option<(f64, Vec<usize>)> = None;
+        for seed in 0..run.len() {
+            let mut bound = bound.clone();
+            let mut placed = vec![false; self.waiting.len()];
+            let (mut card, mut total) = (self.card, 0.0);
+            let mut order = Vec::with_capacity(run.len());
+            let mut next = Some(seed);
+            while let Some(i) = next {
+                card = self.joined(&run[i], &bound, card, &placed);
+                total += card;
+                order.push(i);
+                for pos in run[i].pos {
+                    if let Pos::Var(slot) = pos {
+                        bound.insert(slot);
+                    }
+                }
+                for (w, placed) in self.waiting.iter().zip(&mut placed) {
+                    *placed = *placed || self.ready(w, |s| bound.contains(&s));
+                }
+                next = (0..run.len())
+                    .filter(|j| !order.contains(j))
+                    .map(|j| (j, self.joined(&run[j], &bound, card, &placed)))
+                    .fold(None, |min: Option<(usize, f64)>, (j, c)| match min {
+                        Some((_, m)) if m <= c => min,
+                        _ => Some((j, c)),
+                    })
+                    .map(|(j, _)| j);
+            }
+            if best.as_ref().is_none_or(|(t, _)| total < *t) {
+                best = Some((total, order));
+            }
+        }
+        best.map(|(_, order)| order).unwrap_or_default()
+    }
+
+    /// `card` after joining `c` under `bound` and running the waiting
+    /// FILTERs the join makes ready.
+    fn joined(&self, c: &Scan<'_>, bound: &HashSet<usize>, card: f64, placed: &[bool]) -> f64 {
+        let ready = self
+            .waiting
+            .iter()
+            .zip(placed)
+            .filter(|(w, placed)| !**placed && self.ready(w, |s| bound.contains(&s) || c.binds(s)))
+            .count();
+        card * self.fanout(c, bound).1 * FILTER_SELECTIVITY.powi(ready as i32)
     }
 }
 
@@ -479,13 +743,13 @@ fn render_pattern(p: &PatternTriple) -> String {
 /// seeded with it.
 fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Binding> {
     let seeded = |inner: &Plan<'_>, b: &Binding| walk(env, inner, vec![b.clone()]);
-    for step in &plan.steps {
+    for (step, _) in &plan.steps {
         if bindings.is_empty() {
             break;
         }
         match step {
-            Step::Scan { pattern, .. } => {
-                bindings = probe_pattern(env, pattern, bindings, &plan.restrictions);
+            Step::Scan(scan) => {
+                bindings = probe_pattern(env, scan, bindings, &plan.restrictions);
             }
             Step::Filter { expr, restricted } => {
                 let prefilter = restricted.map(|slot| (slot, &plan.restrictions[&slot]));
@@ -528,8 +792,8 @@ fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Bindi
 
 /// Render the evaluation plan of a query — the [`Plan`] the evaluator
 /// would walk: spatial push-down candidate counts, then every step in
-/// execution order, scans with the estimate they were picked on,
-/// nested bodies indented under their step.
+/// execution order with the cardinality estimated after it, nested
+/// bodies indented under their step.
 pub(crate) fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
     let (where_clause, select) = match query {
         Query::Select(q) => (&q.where_clause, Some(q)),
@@ -537,7 +801,7 @@ pub(crate) fn explain_query(engine: &mut Strabon, query: &Query) -> Result<Strin
         Query::Construct(q) => (&q.where_clause, None),
     };
     let env = prepare(engine, where_clause, select, [])?;
-    let plan = plan_group(&env, where_clause, &mut HashSet::new());
+    let (plan, _) = plan_group(&env, where_clause, &mut HashSet::new(), 1.0);
     let mut out = format!(
         "config: optimize_bgp={}, use_spatial_index={}, rdfs_inference={}\n",
         env.config.optimize_bgp, env.config.use_spatial_index, env.config.rdfs_inference
@@ -560,10 +824,11 @@ fn render(env: &Env<'_>, plan: &Plan<'_>, indent: &str, out: &mut String) {
         ));
     }
     let nested = format!("{indent}     ");
-    for (i, step) in plan.steps.iter().enumerate() {
+    for (i, (step, est)) in plan.steps.iter().enumerate() {
         let (label, bodies) = match step {
-            Step::Scan { pattern, est } => {
-                (format!("match {} (est {est})", render_pattern(pattern)), &[][..])
+            Step::Scan(scan) => {
+                let by = if scan.driven { ", probing the object's candidates" } else { "" };
+                (format!("match {}{by}", render_pattern(scan.pattern)), &[][..])
             }
             Step::Filter { .. } => ("filter".into(), &[][..]),
             Step::Optional(body) => ("optional group".into(), std::slice::from_ref(body)),
@@ -575,7 +840,7 @@ fn render(env: &Env<'_>, plan: &Plan<'_>, indent: &str, out: &mut String) {
                 std::slice::from_ref(body),
             ),
         };
-        out.push_str(&format!("{indent}{:>3}. {label}\n", i + 1));
+        out.push_str(&format!("{indent}{:>3}. {label} (est {})\n", i + 1, est.ceil()));
         for body in bodies {
             render(env, body, &nested, out);
         }
@@ -601,7 +866,7 @@ const MORSELS_PER_WORKER: usize = 4;
 /// count.
 fn probe_pattern(
     env: &Env<'_>,
-    pat: &PatternTriple,
+    scan: &Scan<'_>,
     results: Vec<Binding>,
     restrictions: &HashMap<usize, HashSet<TermId>>,
 ) -> Vec<Binding> {
@@ -614,7 +879,7 @@ fn probe_pattern(
             move || {
                 let mut out = Vec::with_capacity(r.len());
                 for b in &results[r] {
-                    extend_with_pattern(env, pat, b, restrictions, &mut out);
+                    extend_with_pattern(env, scan, b, restrictions, &mut out);
                 }
                 out
             }
@@ -623,179 +888,81 @@ fn probe_pattern(
     concat(env.pool.run(tasks))
 }
 
-/// Estimated cost of a pattern given currently bound variable slots.
-///
-/// Constant positions use exact index counts; positions bound by
-/// variables (whose runtime value is unknown at planning time) discount
-/// the constant-only estimate, since each binding restricts the range.
-fn estimate_pattern(
-    env: &Env<'_>,
-    pat: &PatternTriple,
-    bound: &HashSet<usize>,
-    restrictions: &HashMap<usize, HashSet<TermId>>,
-) -> usize {
-    let mut dead = false;
-    let const_id = |v: &VarOrTerm, dead: &mut bool| match v {
-        VarOrTerm::Term(t) => match env.store.id_of(t) {
-            Some(id) => Some(id),
-            None => {
-                // A constant absent from the dictionary matches nothing.
-                *dead = true;
-                None
-            }
-        },
-        VarOrTerm::Var(_) => None,
-    };
-    let tp = TriplePattern {
-        s: const_id(&pat.s, &mut dead),
-        p: const_id(&pat.p, &mut dead),
-        o: const_id(&pat.o, &mut dead),
-    };
-    if dead {
-        return 0;
-    }
-    let mut est = env.store.estimate_pattern(&tp);
-    // A spatial push-down restriction on an open variable caps the
-    // matches the pattern can produce.
-    for v in [&pat.s, &pat.p, &pat.o] {
-        if let VarOrTerm::Var(name) = v {
-            if let Some(slot) = env.vars.get(name) {
-                if !bound.contains(&slot) {
-                    if let Some(c) = restrictions.get(&slot) {
-                        est = est.min(c.len());
-                    }
-                }
-            }
-        }
-    }
-    let var_bound = |v: &VarOrTerm| match v {
-        VarOrTerm::Term(_) => false,
-        VarOrTerm::Var(name) => env.vars.get(name).is_some_and(|s| bound.contains(&s)),
-    };
-    for v in [&pat.s, &pat.p, &pat.o] {
-        if var_bound(v) {
-            est = est / 8 + 1;
-        }
-    }
-    est
-}
-
 /// Match one pattern under a binding, pushing extended bindings.
 ///
 /// `restrictions` holds per-slot candidate id sets from the spatial
 /// push-down: open variables with a restriction only bind to members of
-/// their set, and when the set is smaller than the pattern's match count
-/// the matching is *driven from the candidates* (point lookups on the
-/// OSP/SPO indexes instead of a range scan).
+/// their set, and a `driven` scan whose object is still open matches
+/// *from the candidates* (point lookups on the OSP/SPO indexes instead
+/// of a range scan).
 fn extend_with_pattern(
     env: &Env<'_>,
-    pat: &PatternTriple,
+    scan: &Scan<'_>,
     binding: &Binding,
     restrictions: &HashMap<usize, HashSet<TermId>>,
     out: &mut Vec<Binding>,
 ) {
-    // Resolve each position to either a concrete id or an open slot.
-    enum Pos {
-        Const(TermId),
-        OpenVar(usize),
-        /// Constant not in the dictionary: cannot match.
-        Dead,
-    }
-    let resolve = |v: &VarOrTerm| -> Pos {
-        match v {
-            VarOrTerm::Term(t) => match env.store.id_of(t) {
-                Some(id) => Pos::Const(id),
-                None => Pos::Dead,
+    // Each position under this binding: a concrete id, or the slot it
+    // opens (`Err`); `None` when it cannot match.
+    let resolve = |pos: Pos| -> Option<std::result::Result<TermId, usize>> {
+        match pos {
+            Pos::Const(id) => Some(Ok(id)),
+            Pos::Dead => None,
+            Pos::Var(slot) => match &binding[slot] {
+                Some(Bound::Id(id)) => Some(Ok(*id)),
+                Some(Bound::Computed(t)) => env.store.id_of(t).map(Ok),
+                None => Some(Err(slot)),
             },
-            VarOrTerm::Var(name) => {
-                // Unregistered variables (never produced by the
-                // collector) can never match anything.
-                let Some(slot) = env.vars.get(name) else {
-                    return Pos::Dead;
-                };
-                match &binding[slot] {
-                    Some(Bound::Id(id)) => Pos::Const(*id),
-                    Some(Bound::Computed(t)) => match env.store.id_of(t) {
-                        Some(id) => Pos::Const(id),
-                        None => Pos::Dead,
-                    },
-                    None => Pos::OpenVar(slot),
-                }
-            }
         }
     };
-    let (s, p, o) = (resolve(&pat.s), resolve(&pat.p), resolve(&pat.o));
-    if matches!(s, Pos::Dead) || matches!(p, Pos::Dead) || matches!(o, Pos::Dead) {
+    let (Some(s), Some(p), Some(o)) = (resolve(scan.pos[0]), resolve(scan.pos[1]), resolve(scan.pos[2])) else {
         return;
-    }
-    let as_const = |p: &Pos| match p {
-        Pos::Const(id) => Some(*id),
-        _ => None,
     };
-    let tp = TriplePattern::new(as_const(&s), as_const(&p), as_const(&o));
+    let tp = TriplePattern::new(s.ok(), p.ok(), o.ok());
 
     let emit = |t: teleios_rdf::triple::Triple, out: &mut Vec<Binding>| {
         let mut nb = binding.clone();
-        let mut ok = true;
-        let bind = |pos: &Pos, value: TermId, nb: &mut Binding, ok: &mut bool| {
-            if let Pos::OpenVar(slot) = pos {
-                if restrictions.get(slot).is_some_and(|c| !c.contains(&value)) {
-                    *ok = false;
-                    return;
-                }
-                match &nb[*slot] {
-                    None => nb[*slot] = Some(Bound::Id(value)),
-                    Some(Bound::Id(existing)) if *existing == value => {}
-                    _ => *ok = false,
-                }
+        for (pos, value) in [(s, t.s), (p, t.p), (o, t.o)] {
+            let Err(slot) = pos else { continue };
+            if restrictions.get(&slot).is_some_and(|c| !c.contains(&value)) {
+                return;
             }
-        };
-        bind(&s, t.s, &mut nb, &mut ok);
-        bind(&p, t.p, &mut nb, &mut ok);
-        bind(&o, t.o, &mut nb, &mut ok);
-        if ok {
-            out.push(nb);
+            match &nb[slot] {
+                None => nb[slot] = Some(Bound::Id(value)),
+                Some(Bound::Id(existing)) if *existing == value => {}
+                _ => return,
+            }
         }
+        out.push(nb);
     };
 
     // RDFS inference: `?x rdf:type C` also matches instances of C's
     // subclasses (reflexive-transitive rdfs:subClassOf closure).
-    if env.config.rdfs_inference {
-        if let (Pos::Const(p_id), Pos::Const(class_id)) = (&p, &o) {
-            let is_type = env
-                .store
-                .id_of(&teleios_rdf::term::Term::iri(vocab::rdf::TYPE))
-                == Some(*p_id);
-            if is_type {
-                for class in subclass_closure(env.store, *class_id) {
-                    let tp = TriplePattern::new(as_const(&s), Some(*p_id), Some(class));
-                    for t in env.store.match_pattern(&tp) {
-                        emit(t, out);
-                    }
+    if let (Some(type_id), Ok(p_id), Ok(class_id)) = (scan.rdf_type, p, o) {
+        if p_id == type_id {
+            for class in subclass_closure(env.store, class_id) {
+                for t in env.store.match_pattern(&TriplePattern { o: Some(class), ..tp }) {
+                    emit(t, out);
                 }
-                return;
             }
+            return;
         }
     }
-
-    // Candidate-driven matching: when the object slot carries a small
-    // restriction set, probe per candidate instead of scanning the range.
-    if let Pos::OpenVar(slot) = o {
+    // Candidate-driven matching, chosen at plan time: probe per
+    // candidate instead of scanning the range.
+    if let (true, Err(slot)) = (scan.driven, o) {
         if let Some(cands) = restrictions.get(&slot) {
-            if cands.len() < env.store.estimate_pattern(&tp) {
-                // Probe in id order, not HashSet order: iteration order
-                // of the set is RandomState-seeded per instance, and
-                // row order is part of the determinism contract.
-                let mut ordered: Vec<TermId> = cands.iter().copied().collect();
-                ordered.sort_unstable();
-                for cid in ordered {
-                    let probe = TriplePattern::new(tp.s, tp.p, Some(cid));
-                    for t in env.store.match_pattern(&probe) {
-                        emit(t, out);
-                    }
+            // Probe in id order, not HashSet order: iteration order
+            // of the set is RandomState-seeded per instance, and
+            // row order is part of the determinism contract.
+            let mut ordered: Vec<TermId> = cands.iter().copied().collect();
+            ordered.sort_unstable();
+            for cid in ordered {
+                for t in env.store.match_pattern(&TriplePattern { o: Some(cid), ..tp }) {
+                    emit(t, out);
                 }
-                return;
             }
+            return;
         }
     }
 
@@ -891,10 +1058,10 @@ fn spatial_prefilter(env: &Env<'_>, filter: &Expression) -> Option<(usize, HashS
         _ => return None,
     };
     let (var, constant) = match args.as_slice() {
-        [Expression::Var(v), Expression::Const(c)] | [Expression::Const(c), Expression::Var(v)] => (v, c),
+        [Expression::Var(v), c @ Expression::Const(_)] | [c @ Expression::Const(_), Expression::Var(v)] => (v, c),
         _ => return None,
     };
-    let (geometry, _) = strdf::parse_geometry(constant).ok()?;
+    let geometry = env.constant_geometry(constant)?;
     Some((env.vars.get(var)?, env.spatial.candidates(&geometry.envelope().buffer(reach))))
 }
 
@@ -946,20 +1113,23 @@ fn collect_group_vars(g: &GroupPattern, vars: &mut VarTable) {
 }
 
 fn collect_expr_vars(e: &Expression, vars: &mut VarTable) {
-    match e {
-        Expression::Var(v) => {
+    for_each_node(e, &mut |n| {
+        if let Expression::Var(v) = n {
             vars.slot(v);
         }
-        Expression::Const(_) => {}
-        Expression::Not(e) | Expression::Neg(e) => collect_expr_vars(e, vars),
+    });
+}
+
+/// Visit `e` and every expression below it.
+fn for_each_node(e: &Expression, f: &mut impl FnMut(&Expression)) {
+    f(e);
+    match e {
+        Expression::Var(_) | Expression::Const(_) => {}
+        Expression::Not(inner) | Expression::Neg(inner) => for_each_node(inner, f),
         Expression::Binary { left, right, .. } => {
-            collect_expr_vars(left, vars);
-            collect_expr_vars(right, vars);
+            for_each_node(left, f);
+            for_each_node(right, f);
         }
-        Expression::Call { args, .. } => {
-            for a in args {
-                collect_expr_vars(a, vars);
-            }
-        }
+        Expression::Call { args, .. } => args.iter().for_each(|a| for_each_node(a, f)),
     }
 }

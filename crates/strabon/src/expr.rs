@@ -94,9 +94,22 @@ pub(crate) struct Env<'a> {
     /// Worker pool for the morsel-parallel probe/filter paths
     /// (one-thread pools evaluate inline — the exact sequential path).
     pub pool: WorkerPool,
+    /// The WHERE clause's constant geometries, parsed once: keyed by
+    /// the address of their `Expression::Const` node in the statement's
+    /// syntax tree, which outlives the `Env`.
+    pub constants: HashMap<usize, Arc<Geometry>>,
 }
 
 impl Env<'_> {
+    /// The parsed geometry of a constant WKT expression of the WHERE
+    /// clause.
+    pub(crate) fn constant_geometry(&self, e: &Expression) -> Option<Arc<Geometry>> {
+        match e {
+            Expression::Const(_) => self.constants.get(&std::ptr::from_ref(e).addr()).cloned(),
+            _ => None,
+        }
+    }
+
     /// Parse (or fetch from cache) the geometry of a bound value.
     pub(crate) fn geometry_of(&self, b: &Bound) -> Option<Arc<Geometry>> {
         match b {
@@ -312,7 +325,7 @@ fn eval_spatial(
         }
     };
     let geom = |e: &Expression| -> Option<Arc<Geometry>> {
-        env.geometry_of(&bound_of(e)?)
+        env.constant_geometry(e).or_else(|| env.geometry_of(&bound_of(e)?))
     };
     match local {
         // Topological predicates — also accept GeoSPARQL sf* spellings.
@@ -495,6 +508,7 @@ mod tests {
             vars,
             config: StrabonConfig::default(),
             pool: WorkerPool::with_threads(1),
+            constants: HashMap::new(),
         };
         eval_expression(&env, &vec![], expr)
     }

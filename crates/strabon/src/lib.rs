@@ -18,7 +18,9 @@
 //!   `strdf:within`, `strdf:disjoint`, `strdf:touches`, `strdf:equals`,
 //!   `strdf:distance`, `strdf:area`, `strdf:buffer`, `strdf:envelope`,
 //!   `strdf:intersection`, `strdf:union2`, `strdf:difference`,
-//! * a selectivity-based BGP join-order optimizer (toggleable — E4),
+//! * a cost-based BGP join-order optimizer over the predicate
+//!   statistics the triple store maintains on write, which also runs
+//!   each FILTER as soon as its variables are bound (toggleable — E4),
 //! * an R-tree spatial sidecar that pre-filters spatial FILTERs against
 //!   constants and pushes candidates into the BGP scan (toggleable — E3),
 //! * optional RDFS subsumption: `?x rdf:type C` patterns expand over the
@@ -110,7 +112,9 @@ pub(crate) type Result<T> = std::result::Result<T, StrabonError>;
 /// the thread count of E13).
 #[derive(Debug, Clone, Copy)]
 pub struct StrabonConfig {
-    /// Reorder BGP triple patterns by estimated selectivity.
+    /// Order BGP triple patterns by estimated cardinality and run each
+    /// FILTER right after the step that binds its variables (off:
+    /// syntactic order, FILTERs at the group's end).
     pub optimize_bgp: bool,
     /// Use the R-tree sidecar to pre-filter spatial FILTERs.
     pub use_spatial_index: bool,
@@ -290,8 +294,8 @@ impl Strabon {
 
     /// Render the plan the evaluator would walk, without walking it:
     /// spatial push-down candidate counts and every step in execution
-    /// order, nested groups included, scans with their selectivity
-    /// estimates.
+    /// order, nested groups included, each with the cardinality
+    /// estimated after it.
     pub fn explain(&mut self, text: &str) -> Result<String> {
         let query = parser::parse_query(text)?;
         eval::explain_query(self, &query)

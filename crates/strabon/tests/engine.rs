@@ -577,8 +577,9 @@ fn explain_shows_plan() {
     assert!(conf_pos < type_pos, "syntactic order must be preserved:\n{plan2}");
 }
 
-/// EXPLAIN must print the order the evaluator runs: a BGP run after a
-/// FILTER starts with the earlier runs' variables already bound.
+/// EXPLAIN must print the order the evaluator runs: a FILTER does not
+/// cut the BGP, it runs right after the step that binds its variable,
+/// and the joins after it are costed with that variable bound.
 #[test]
 fn explain_orders_later_runs_with_earlier_bindings() {
     let mut db = Strabon::new();
@@ -597,13 +598,115 @@ fn explain_orders_later_runs_with_earlier_bindings() {
     let query = "PREFIX ex: <http://example.org/> SELECT ?s ?z WHERE { \
                    ?s a ex:Rare . FILTER(?s != ex:s1) ?o ex:q ?z . ?s ex:p ?o }";
     // With ?s unbound the 10 ex:q triples would go before the 40 ex:p
-    // ones; with ?s bound by the first run, ex:p (40/8+1) goes first.
+    // ones; with ?s bound by the rare class, ex:p (one ?o per ?s) goes
+    // first, and ex:q joins on the ?o it binds instead of crossing.
     let plan = db.query_plan_for_test(query);
     let p_pos = plan.find("/p>").expect("ex:p in plan");
     let q_pos = plan.find("/q>").expect("ex:q in plan");
-    assert!(p_pos < q_pos, "?s is bound when the second run is ordered:\n{plan}");
-    assert!(plan.contains("?s <http://example.org/p> ?o (est 6)"), "{plan}");
+    assert!(p_pos < q_pos, "?s is bound when ex:p and ex:q are ordered:\n{plan}");
+    assert!(plan.contains("  2. filter (est 1)\n  3. match ?s <http://example.org/p> ?o (est 1)"), "{plan}");
     assert_eq!(db.query(query).unwrap().len(), 1);
+}
+
+/// `optimize_bgp` × `use_spatial_index` × `threads ∈ {1, 4}`.
+fn configs() -> Vec<StrabonConfig> {
+    let mut out = Vec::new();
+    for (optimize_bgp, use_spatial_index) in [(true, true), (true, false), (false, true), (false, false)] {
+        for threads in [1, 4] {
+            out.push(StrabonConfig { optimize_bgp, use_spatial_index, rdfs_inference: false, threads });
+        }
+    }
+    out
+}
+
+/// A FILTER's scope is its whole group: written before the patterns
+/// that bind its variables, it keeps exactly what it keeps written
+/// last, under every configuration.
+#[test]
+fn a_filter_written_first_keeps_what_it_keeps_written_last() {
+    let region = "\"POLYGON ((21 36, 24 36, 24 39, 21 39, 21 36))\"^^strdf:WKT";
+    for (filter, patterns) in [
+        ("FILTER(?c > 0.5)".to_string(), "?h noa:hasConfidence ?c ."),
+        (format!("FILTER(strdf:intersects(?g, {region}))"), "?h strdf:hasGeometry ?g ; noa:isDerivedFrom ?img ."),
+    ] {
+        let first = format!("{PREFIXES} SELECT ?h WHERE {{ {filter} {patterns} }} ORDER BY ?h");
+        let last = format!("{PREFIXES} SELECT ?h WHERE {{ {patterns} {filter} }} ORDER BY ?h");
+        for config in configs() {
+            let mut db = fixture();
+            db.set_config(config);
+            let written_last = db.query(&last).unwrap();
+            assert_eq!(db.query(&first).unwrap(), written_last, "{filter} under {config:?}");
+            assert_eq!(written_last.len(), 2, "{filter} under {config:?}");
+        }
+    }
+}
+
+/// `images` raw images over two days, `hotspots` hotspots derived from
+/// them round-robin, each a small square somewhere in 21–24 × 36–39,
+/// and four archaeological sites.
+fn ratio_archive(images: usize, hotspots: usize, config: StrabonConfig) -> Strabon {
+    let mut db = Strabon::with_config(config);
+    let noa = |local: &str| Term::iri(format!("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#{local}"));
+    let wkt = |text: String| Term::typed_literal(text, "http://strdf.di.uoa.gr/ontology#WKT");
+    let type_p = Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
+    let geom_p = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
+    let img = |i: usize| Term::iri(format!("http://example.org/img{i}"));
+    for i in 0..images {
+        db.insert(&img(i), &type_p, &noa("RawImage"));
+        db.insert(&img(i), &noa("isAcquiredBy"), &Term::iri("http://teleios.di.uoa.gr/satellites/MSG2"));
+        db.insert(&img(i), &noa("hasAcquisitionTime"), &Term::date_time(format!("2007-08-0{}T12:00:00Z", 1 + i % 2)));
+        db.insert(&img(i), &geom_p, &wkt("POLYGON ((21 36, 24 36, 24 39, 21 39, 21 36))".into()));
+    }
+    for j in 0..hotspots {
+        let h = Term::iri(format!("http://example.org/hotspot{j}"));
+        let (x, y) = (21.0 + (j * 7 % 30) as f64 * 0.1, 36.0 + (j * 11 % 30) as f64 * 0.1);
+        let (x1, y1) = (x + 0.05, y + 0.05);
+        db.insert(&h, &type_p, &noa("Hotspot"));
+        db.insert(&h, &noa("isDerivedFrom"), &img(j % images));
+        db.insert(&h, &geom_p, &wkt(format!("POLYGON (({x} {y}, {x1} {y}, {x1} {y1}, {x} {y1}, {x} {y}))")));
+    }
+    for (k, (x, y)) in [(22.0, 37.0), (23.0, 38.0), (21.5, 38.5), (23.5, 36.5)].into_iter().enumerate() {
+        let site = Term::iri(format!("http://example.org/site{k}"));
+        db.insert(&site, &type_p, &Term::iri("http://dbpedia.org/ontology/ArchaeologicalSite"));
+        db.insert(&site, &geom_p, &wkt(format!("POINT ({x} {y})")));
+    }
+    db
+}
+
+/// Across hotspot:image ratios from 1:4 to 16:1 the optimized flagship
+/// answers what the syntactic plan does, and no step of its plan is
+/// estimated above images + hotspots — no sites × images (or images ×
+/// hotspots) cross product runs before the day FILTER.
+#[test]
+fn flagship_plan_stays_linear_across_hotspot_image_ratios() {
+    let flagship = format!(
+        "{PREFIXES} SELECT DISTINCT ?img ?h ?site WHERE {{ \
+           ?img a noa:RawImage ; noa:isAcquiredBy <http://teleios.di.uoa.gr/satellites/MSG2> ; \
+                noa:hasAcquisitionTime ?t . \
+           ?h a noa:Hotspot ; noa:isDerivedFrom ?img ; strdf:hasGeometry ?hg . \
+           ?site a <http://dbpedia.org/ontology/ArchaeologicalSite> ; strdf:hasGeometry ?sg . \
+           FILTER(STR(?t) >= \"2007-08-01T00:00:00Z\" && STR(?t) < \"2007-08-01T23:59:59Z\") \
+           FILTER(strdf:distance(?hg, ?sg) < 0.5) }}"
+    );
+    let syntactic = StrabonConfig { optimize_bgp: false, ..StrabonConfig::default() };
+    for (h, i) in [(1, 4), (1, 1), (4, 1), (16, 1)] {
+        let images = 85 * i / (h + i);
+        let hotspots = 85 - images;
+        let mut optimized = ratio_archive(images, hotspots, StrabonConfig::default());
+        let answer = |db: &mut Strabon| {
+            let mut rows = db.query(&flagship).unwrap().rows;
+            rows.sort();
+            rows
+        };
+        let rows = answer(&mut optimized);
+        assert!(!rows.is_empty(), "{h}:{i}");
+        assert_eq!(rows, answer(&mut ratio_archive(images, hotspots, syntactic)), "{h}:{i}");
+        let plan = optimized.explain(&flagship).unwrap();
+        for line in plan.lines().filter(|l| l.contains("(est ")) {
+            let est: f64 = line.rsplit_once("(est ").and_then(|(_, n)| n.trim_end_matches(')').parse().ok()).unwrap();
+            assert!(est <= (images + hotspots) as f64, "{h}:{i}: {line}\n{plan}");
+        }
+    }
 }
 
 trait ExplainExt {
@@ -792,7 +895,8 @@ fn rare_fixture() -> Strabon {
 }
 
 /// A BIND target is bound for the runs after it, in EXPLAIN as in
-/// evaluation: `?t ex:p ?o` (40/8+1) goes before `?o ex:q ?z` (10).
+/// evaluation: `?t ex:p ?o` (one ?o per bound ?t) goes before
+/// `?o ex:q ?z` (10, a cross product while ?o is open).
 #[test]
 fn explain_counts_bind_targets_as_bound() {
     let mut db = rare_fixture();
@@ -802,7 +906,7 @@ fn explain_counts_bind_targets_as_bound() {
     let p_pos = plan.find("/p>").expect("ex:p in plan");
     let q_pos = plan.find("/q>").expect("ex:q in plan");
     assert!(p_pos < q_pos, "?t is bound when the second run is ordered:\n{plan}");
-    assert!(plan.contains("  3. match ?t <http://example.org/p> ?o (est 6)"), "{plan}");
+    assert!(plan.contains("  3. match ?t <http://example.org/p> ?o (est 2)"), "{plan}");
     assert!(plan.contains("  4. match ?o <http://example.org/q> ?z (est 2)"), "{plan}");
     assert_eq!(db.query(query).unwrap().len(), 2);
 }
@@ -824,11 +928,11 @@ fn explain_shows_nested_bodies_under_outer_bindings() {
             .explain(&format!("PREFIX ex: <http://example.org/> SELECT ?s WHERE {{ ?s a ex:Rare . {nested} }}"))
             .unwrap();
         let lines: Vec<&str> = plan.lines().collect();
-        let at = lines.iter().position(|l| *l == format!("  2. {label}")).unwrap_or_else(|| panic!("{plan}"));
-        assert_eq!(lines[at + 1], "       1. match ?s <http://example.org/p> ?o (est 6)", "{plan}");
+        let at = lines.iter().position(|l| l.starts_with(&format!("  2. {label} (est "))).unwrap_or_else(|| panic!("{plan}"));
+        assert_eq!(lines[at + 1], "       1. match ?s <http://example.org/p> ?o (est 2)", "{plan}");
         assert_eq!(lines[at + 2], "       2. match ?o <http://example.org/q> ?z (est 2)", "{plan}");
         if label == "union" {
-            assert_eq!(lines[at + 3], "       1. match ?s <http://example.org/p> ?z (est 6)", "{plan}");
+            assert_eq!(lines[at + 3], "       1. match ?s <http://example.org/p> ?z (est 2)", "{plan}");
         }
     }
     // A nested group's own push-down prints with it.

@@ -20,7 +20,7 @@
 #                              one-checksum greps, the
 #                              public-name census,
 #                              warning-free clippy outside crates/e0,
-#                              the E6/E11 smoke runs and the E0
+#                              the E3/E6/E11 smoke runs and the E0
 #                              benchmark's self-test
 #   scripts/check.sh --full    default gate, plus the exhaustive
 #                              WAL-truncation recovery sweep
@@ -315,6 +315,13 @@ timeout 300 cargo run --release --offline -p teleios-bench --bin exp_sciql_vs_na
 # keep the same rows before it times them.
 echo "==> E11 smoke (column-at-a-time vs row-at-a-time)"
 timeout 300 cargo run --release --offline -p teleios-bench --bin exp_column_vs_row
+
+# E3's ratio sweep: at every hotspot:image ratio from 1:4 to 16:1 the
+# bin asserts the flagship answers alike under the default, four-thread
+# and index-off configurations and the syntactic reference, before it
+# times anything.
+echo "==> E3 smoke (flagship query vs archive size and hotspot:image ratio)"
+timeout 300 cargo run --release --offline -p teleios-bench --bin exp_flagship_query -- --smoke
 
 # The E0 benchmark's own unit and integration tests (every workload
 # correct at smoke scale, digests frozen, negative controls fail).
