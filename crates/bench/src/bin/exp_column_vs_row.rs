@@ -4,7 +4,6 @@
 
 use teleios_bench::report::{self, Align, Table};
 use teleios_bench::{fmt_duration, time_avg};
-use teleios_exec::WorkerPool;
 use teleios_geo::SplitMix64;
 use teleios_monet::column::Column;
 use teleios_monet::exec::{filter, filter_rowwise, Chunk};
@@ -46,16 +45,15 @@ fn main() {
     ]);
     table.header();
     let pred = predicate();
-    let pool = WorkerPool::default();
     for n in [100_000usize, 1_000_000] {
         let data = chunk(n);
         assert_eq!(
-            filter(&pool, &data, &pred).expect("columnar").num_rows(),
+            filter(&data, &pred).expect("columnar").num_rows(),
             filter_rowwise(&data, &pred).expect("rowwise").num_rows(),
             "both paths must keep the same rows"
         );
         let columnar = time_avg(5, || {
-            std::hint::black_box(filter(&pool, &data, &pred).expect("filter"));
+            std::hint::black_box(filter(&data, &pred).expect("filter"));
         });
         let rowwise = time_avg(5, || {
             std::hint::black_box(filter_rowwise(&data, &pred).expect("filter"));

@@ -1,24 +1,13 @@
 //! Morsel partitioning: split an index space into contiguous,
 //! ordered, non-empty ranges.
 //!
-//! Two flavors exist because they serve different determinism needs:
-//!
-//! * `morsels` (behind [`crate::WorkerPool::morsels_for`]) splits
-//!   `0..len` into at most `parts` near-equal ranges — used when
-//!   per-element work is order-insensitive or
-//!   exactly reconstructible by in-order concatenation (selection,
-//!   probing, element-wise maps).
-//! * [`fixed_morsels`] splits into chunks of a **thread-count
-//!   independent** size — used for floating-point reductions, where
-//!   the chunk boundaries (not the worker count) decide the rounding,
-//!   so the result is identical no matter how many threads run.
+//! `morsels` (behind [`crate::WorkerPool::morsels_for`]) splits
+//! `0..len` into at most `parts` near-equal ranges. Its users — the
+//! strabon BGP probes and FILTERs and the R-tree bulk load — do
+//! per-element work that in-order concatenation ([`concat`])
+//! reconstructs exactly, so their output is the sequential scan's.
 
 use std::ops::Range;
-
-/// Default chunk size (in cells/rows) for fixed-size reduction
-/// morsels. Arrays at or below this size reduce with the plain
-/// sequential left fold.
-pub const DEFAULT_MORSEL_CELLS: usize = 65_536;
 
 /// Split `0..len` into at most `parts` contiguous, ordered,
 /// near-equal, non-empty ranges. Returns an empty vector when
@@ -40,23 +29,6 @@ pub(crate) fn morsels(len: usize, parts: usize) -> Vec<Range<usize>> {
         let size = base + usize::from(i < extra);
         out.push(start..start + size);
         start += size;
-    }
-    out
-}
-
-/// Split `0..len` into chunks of exactly `chunk` elements (the last
-/// chunk may be shorter). The boundaries depend only on `len` and
-/// `chunk`, never on the worker count — combining per-chunk partial
-/// results left-to-right therefore gives the same floating-point
-/// rounding at every thread count.
-pub fn fixed_morsels(len: usize, chunk: usize) -> Vec<Range<usize>> {
-    let chunk = chunk.max(1);
-    let mut out = Vec::with_capacity(len.div_ceil(chunk));
-    let mut start = 0;
-    while start < len {
-        let end = (start + chunk).min(len);
-        out.push(start..end);
-        start = end;
     }
     out
 }
@@ -100,14 +72,5 @@ mod tests {
         let ms = morsels(10, 3);
         let sizes: Vec<usize> = ms.iter().map(|r| r.len()).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
-    }
-
-    #[test]
-    fn fixed_morsels_ignore_thread_count() {
-        let ms = fixed_morsels(100, 32);
-        let sizes: Vec<usize> = ms.iter().map(|r| r.len()).collect();
-        assert_eq!(sizes, vec![32, 32, 32, 4]);
-        assert!(fixed_morsels(0, 32).is_empty());
-        assert_eq!(fixed_morsels(5, 0).len(), 5); // chunk clamped to 1
     }
 }

@@ -9,13 +9,7 @@
 
 use crate::error::DbError;
 use crate::Result;
-use std::ops::Range;
 use std::sync::Arc;
-use teleios_exec::{fixed_morsels, WorkerPool, DEFAULT_MORSEL_CELLS};
-
-/// Minimum cell count before element-wise array operators split work
-/// across the worker pool; below this the plain loops win outright.
-pub const PAR_CELL_THRESHOLD: usize = 16_384;
 
 /// A named array dimension.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,71 +246,14 @@ impl NdArray {
         Ok(NdArray { dims, data: data.into() })
     }
 
-    /// Element-wise map into a new array, on the default worker pool
-    /// (`TELEIOS_THREADS` override, else available parallelism). Maps
-    /// are order-independent per cell, so the result is bit-identical
-    /// at every thread count. See [`Self::map_with`].
-    pub fn map<F: Fn(f64) -> f64 + Sync>(&self, f: F) -> NdArray {
-        self.map_with(&WorkerPool::default(), f)
+    /// Element-wise map into a new array.
+    pub fn map<F: Fn(f64) -> f64>(&self, f: F) -> NdArray {
+        let data = self.data.iter().map(|&v| f(v)).collect();
+        NdArray { dims: self.dims.clone(), data: Arc::new(data) }
     }
 
-    /// [`Self::map`] with an explicit worker pool: independent workers
-    /// fill row-major morsels of the output (`fill_cells`).
-    pub fn map_with<F: Fn(f64) -> f64 + Sync>(&self, pool: &WorkerPool, f: F) -> NdArray {
-        let data = self.fill_cells(pool, |r, dst| {
-            for (o, &v) in dst.iter_mut().zip(&self.data[r]) {
-                *o = f(v);
-            }
-        });
-        NdArray { dims: self.dims.clone(), data: data.into() }
-    }
-
-    /// The one element-wise kernel. A fresh buffer of `self.len()`
-    /// cells is cut along `pool`'s row-major morsels — a single one
-    /// under [`PAR_CELL_THRESHOLD`] cells or at one thread, run inline
-    /// — and `fill(range, dst)` writes each piece. Cells are
-    /// independent, so the buffer is bit-identical at every thread
-    /// count.
-    fn fill_cells(
-        &self,
-        pool: &WorkerPool,
-        fill: impl Fn(Range<usize>, &mut [f64]) + Sync,
-    ) -> Vec<f64> {
-        let n = self.data.len();
-        let mut out = vec![0.0f64; n];
-        let mut rest = out.as_mut_slice();
-        let fill = &fill;
-        let tasks: Vec<_> = pool
-            .morsels_for(n, PAR_CELL_THRESHOLD, 1)
-            .into_iter()
-            .map(|r| {
-                let (dst, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-                rest = tail;
-                move || fill(r, dst)
-            })
-            .collect();
-        pool.run(tasks);
-        out
-    }
-
-    /// Element-wise combination of two same-shape arrays, on the
-    /// default worker pool. See [`Self::zip_map_with`].
-    pub fn zip_map<F: Fn(f64, f64) -> f64 + Sync>(
-        &self,
-        other: &NdArray,
-        f: F,
-    ) -> Result<NdArray> {
-        self.zip_map_with(&WorkerPool::default(), other, f)
-    }
-
-    /// [`Self::zip_map`] with an explicit worker pool; bit-identical
-    /// at every thread count.
-    pub fn zip_map_with<F: Fn(f64, f64) -> f64 + Sync>(
-        &self,
-        pool: &WorkerPool,
-        other: &NdArray,
-        f: F,
-    ) -> Result<NdArray> {
+    /// Element-wise combination of two same-shape arrays.
+    pub fn zip_map<F: Fn(f64, f64) -> f64>(&self, other: &NdArray, f: F) -> Result<NdArray> {
         if self.shape() != other.shape() {
             return Err(DbError::ShapeMismatch(format!(
                 "zip of shapes {:?} and {:?}",
@@ -324,87 +261,23 @@ impl NdArray {
                 other.shape()
             )));
         }
-        let data = self.fill_cells(pool, |r, dst| {
-            let pairs = self.data[r.clone()].iter().zip(&other.data[r]);
-            for (o, (&a, &b)) in dst.iter_mut().zip(pairs) {
-                *o = f(a, b);
-            }
-        });
-        Ok(NdArray { dims: self.dims.clone(), data: data.into() })
+        let data = self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect();
+        Ok(NdArray { dims: self.dims.clone(), data: Arc::new(data) })
     }
 
-    /// Sum of all cells, on the default worker pool. See
-    /// [`Self::sum_with`].
+    /// Sum of all cells: the row-major left fold.
     pub fn sum(&self) -> f64 {
-        self.sum_with(&WorkerPool::default())
+        self.data.iter().sum()
     }
 
-    /// Sum with an explicit worker pool.
-    ///
-    /// Arrays of at most [`DEFAULT_MORSEL_CELLS`] cells use the plain
-    /// left fold (the seed behavior, bit-for-bit). Larger arrays sum
-    /// per fixed-size chunk and combine the partials left-to-right;
-    /// the chunk boundaries depend only on the array length, never on
-    /// the thread count, so the floating-point rounding — and hence
-    /// the result — is identical at every pool size.
-    pub fn sum_with(&self, pool: &WorkerPool) -> f64 {
-        self.chunked_sum(pool, |v| v)
-    }
-
-    /// Chunked, deterministic `Σ f(v)` shared by sum and std_dev: one
-    /// partial per fixed-size chunk (a single chunk is the plain left
-    /// fold), combined left-to-right.
-    fn chunked_sum<F: Fn(f64) -> f64 + Sync>(&self, pool: &WorkerPool, f: F) -> f64 {
-        let data = &self.data;
-        let f = &f;
-        let partials: Vec<f64> = pool.run(
-            fixed_morsels(data.len(), DEFAULT_MORSEL_CELLS)
-                .into_iter()
-                .map(|r| move || data[r].iter().map(|&v| f(v)).sum::<f64>())
-                .collect(),
-        );
-        partials.into_iter().sum()
-    }
-
-    /// Minimum cell (NaN-resistant); `None` when empty. `f64::min` is
-    /// associative and commutative over non-NaN values, so the
-    /// chunk-parallel reduction is identical to the sequential one.
+    /// Minimum cell (NaN-resistant); `None` when empty.
     pub fn min(&self) -> Option<f64> {
-        self.min_with(&WorkerPool::default())
-    }
-
-    /// [`Self::min`] with an explicit worker pool.
-    pub fn min_with(&self, pool: &WorkerPool) -> Option<f64> {
-        self.chunked_reduce(pool, f64::min)
+        self.data.iter().copied().filter(|v| !v.is_nan()).reduce(f64::min)
     }
 
     /// Maximum cell (NaN-resistant); `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        self.max_with(&WorkerPool::default())
-    }
-
-    /// [`Self::max`] with an explicit worker pool.
-    pub fn max_with(&self, pool: &WorkerPool) -> Option<f64> {
-        self.chunked_reduce(pool, f64::max)
-    }
-
-    /// NaN-filtered reduction with an associative, commutative
-    /// combiner (min/max), parallel over fixed-size chunks.
-    fn chunked_reduce(
-        &self,
-        pool: &WorkerPool,
-        combine: fn(f64, f64) -> f64,
-    ) -> Option<f64> {
-        let data = &self.data;
-        let partials: Vec<Option<f64>> = pool.run(
-            fixed_morsels(data.len(), DEFAULT_MORSEL_CELLS)
-                .into_iter()
-                .map(|r| {
-                    move || data[r].iter().copied().filter(|v| !v.is_nan()).reduce(combine)
-                })
-                .collect(),
-        );
-        partials.into_iter().flatten().reduce(combine)
+        self.data.iter().copied().filter(|v| !v.is_nan()).reduce(f64::max)
     }
 
     /// Mean of all cells; `None` when empty.
@@ -416,12 +289,11 @@ impl NdArray {
         }
     }
 
-    /// Population standard deviation; `None` when empty. The
-    /// sum-of-squares pass uses the same deterministic chunked
-    /// reduction as [`Self::sum`].
+    /// Population standard deviation; `None` when empty. Both passes
+    /// are row-major left folds.
     pub fn std_dev(&self) -> Option<f64> {
         let mean = self.mean()?;
-        let var = self.chunked_sum(&WorkerPool::default(), |v| (v - mean) * (v - mean))
+        let var = self.data.iter().map(|&v| (v - mean) * (v - mean)).sum::<f64>()
             / self.len() as f64;
         Some(var.sqrt())
     }

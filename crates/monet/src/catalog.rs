@@ -12,7 +12,6 @@ use crate::value::Value;
 use crate::Result;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use teleios_exec::WorkerPool;
 
 /// A materialized query result.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,9 +220,7 @@ impl Catalog {
     pub fn execute(&self, sql: &str) -> Result<ResultSet> {
         match parse_statement(sql)? {
             Statement::Select(select) => {
-                let chunk =
-                    execute_select(&WorkerPool::default(), &CatalogProvider(self), &select)?;
-                Ok(chunk.into())
+                Ok(execute_select(&CatalogProvider(self), &select)?.into())
             }
             Statement::CreateTable { name, columns } => {
                 let schema = columns.into_iter().map(|(n, ty)| ColumnDef::new(n, ty)).collect();
@@ -306,7 +303,7 @@ impl Catalog {
 fn rows_to_touch(chunk: &Chunk, where_clause: Option<&Expr>) -> Result<Vec<RowId>> {
     match where_clause {
         None => Ok((0..chunk.num_rows() as RowId).collect()),
-        Some(pred) => exec::select_rows(&WorkerPool::default(), chunk, pred),
+        Some(pred) => exec::select_rows(chunk, pred),
     }
 }
 
@@ -375,6 +372,22 @@ mod tests {
         cat.execute("INSERT INTO products (id, sat) VALUES (6, 'MSG3')").unwrap();
         let rs = cat.execute("SELECT level, cloud FROM products WHERE id = 6").unwrap();
         assert_eq!(rs.rows[0], vec![Value::Null, Value::Null]);
+    }
+
+    /// `col op NULL` is unknown for every row under three-valued
+    /// logic: SELECT keeps none, UPDATE and DELETE touch none.
+    #[test]
+    fn comparison_with_null_matches_no_row() {
+        let cat = setup();
+        for pred in ["id = NULL", "NULL = id", "cloud <> NULL", "level >= NULL", "id < NULL AND id > 1"] {
+            let rs = cat.execute(&format!("SELECT id FROM products WHERE {pred}")).unwrap();
+            assert_eq!(rs.num_rows(), 0, "{pred}");
+        }
+        cat.execute("UPDATE products SET level = 'L9' WHERE id = NULL").unwrap();
+        cat.execute("DELETE FROM products WHERE sat <> NULL").unwrap();
+        let rs = cat.execute("SELECT COUNT(*) FROM products WHERE level = 'L9'").unwrap();
+        assert_eq!(rs.rows[0][0], Value::Int(0));
+        assert_eq!(cat.execute("SELECT id FROM products").unwrap().num_rows(), 5);
     }
 
     #[test]

@@ -10,14 +10,9 @@ use crate::error::DbError;
 use crate::value::{DataType, Value};
 use crate::Result;
 use std::cmp::Ordering;
-use teleios_exec::{concat, WorkerPool};
 
 /// Row identifier within a column/table.
 pub(crate) type RowId = u32;
-
-/// Minimum input size (rows) before the parallel kernels split work
-/// across the pool; below this the sequential kernels win outright.
-pub const PAR_ROW_THRESHOLD: usize = 4096;
 
 /// Comparison operator for vectorized selections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,13 +53,6 @@ pub struct Column {
     data: ColumnData,
     /// `None` means "no nulls"; otherwise `validity[i]` is false for NULL.
     validity: Option<Vec<bool>>,
-}
-
-/// One morsel of a selection's input: a run of row ids, or a piece of
-/// a candidate list.
-enum Span<'a> {
-    Rows(std::ops::Range<usize>),
-    Cands(&'a [RowId]),
 }
 
 #[derive(Debug, Clone)]
@@ -180,91 +168,48 @@ impl Column {
 
     /// Vectorized selection against a constant: returns the sorted row ids
     /// (from `cands` if given, else the whole column) whose value matches.
-    /// NULL rows never match.
-    ///
-    /// The row space (or candidate list) is cut into `pool`'s ordered
-    /// morsels — a single one under [`PAR_ROW_THRESHOLD`] rows or at
-    /// one thread, run inline — and the per-morsel sorted RowId runs
-    /// concatenate in morsel order. Morsels are disjoint ascending
-    /// spans, so that concatenation *is* the k-way merge: the output
-    /// is bit-identical at every thread count.
-    pub fn select(
-        &self,
-        op: CmpOp,
-        value: &Value,
-        cands: Option<&[RowId]>,
-        pool: &WorkerPool,
-    ) -> Result<Vec<RowId>> {
-        let n = cands.map_or(self.len(), <[RowId]>::len);
-        let runs: Vec<Result<Vec<RowId>>> = pool.run(
-            pool.morsels_for(n, PAR_ROW_THRESHOLD, 1)
-                .into_iter()
-                .map(|r| {
-                    let span = match cands {
-                        Some(list) => Span::Cands(&list[r]),
-                        None => Span::Rows(r),
-                    };
-                    move || self.select_span(op, value, span)
-                })
-                .collect(),
-        );
-        Ok(concat(runs.into_iter().collect::<Result<_>>()?))
-    }
-
-    /// The selection kernel over one morsel.
-    fn select_span(&self, op: CmpOp, value: &Value, span: Span<'_>) -> Result<Vec<RowId>> {
-        let mismatch = || DbError::TypeMismatch {
-            expected: self.data_type().to_string(),
-            found: value.data_type().map_or("NULL".to_string(), |t| t.to_string()),
+    /// NULL rows never match, and neither does a NULL constant: under
+    /// three-valued logic `x op NULL` is unknown for every row.
+    pub fn select(&self, op: CmpOp, value: &Value, cands: Option<&[RowId]>) -> Result<Vec<RowId>> {
+        let Some(found) = value.data_type() else {
+            return Ok(Vec::new());
         };
+        let mismatch =
+            || DbError::TypeMismatch { expected: self.data_type().to_string(), found: found.to_string() };
         Ok(match &self.data {
             ColumnData::Int(data) => match *value {
                 // Allow comparing an INT column against a DOUBLE constant.
-                Value::Double(needle) => self.scan(data, span, |&v| {
+                Value::Double(needle) => self.scan(data, cands, |&v| {
                     (v as f64).partial_cmp(&needle).is_some_and(|o| op.matches(o))
                 }),
                 _ => {
                     let needle = value.as_i64().ok_or_else(mismatch)?;
-                    self.scan(data, span, |v| op.matches(v.cmp(&needle)))
+                    self.scan(data, cands, |v| op.matches(v.cmp(&needle)))
                 }
             },
             ColumnData::Double(data) => {
                 let needle = value.as_f64().ok_or_else(mismatch)?;
-                self.scan(data, span, |v| v.partial_cmp(&needle).is_some_and(|o| op.matches(o)))
+                self.scan(data, cands, |v| v.partial_cmp(&needle).is_some_and(|o| op.matches(o)))
             }
             ColumnData::Str(data) => {
                 let needle = value.as_str().ok_or_else(mismatch)?;
-                self.scan(data, span, |v| op.matches(v.as_str().cmp(needle)))
+                self.scan(data, cands, |v| op.matches(v.as_str().cmp(needle)))
             }
             ColumnData::Bool(data) => {
                 let needle = value.as_bool().ok_or_else(mismatch)?;
-                self.scan(data, span, |v| op.matches(v.cmp(&needle)))
+                self.scan(data, cands, |v| op.matches(v.cmp(&needle)))
             }
         })
     }
 
-    /// Row ids of `span` whose value is non-NULL and passes `keep`,
-    /// ascending.
-    fn scan<T>(&self, data: &[T], span: Span<'_>, keep: impl Fn(&T) -> bool) -> Vec<RowId> {
-        let mut out = Vec::new();
-        match span {
-            Span::Rows(r) => {
-                let first = r.start;
-                for (i, v) in data[r].iter().enumerate() {
-                    if !self.is_null(first + i) && keep(v) {
-                        out.push((first + i) as RowId);
-                    }
-                }
-            }
-            Span::Cands(list) => {
-                for &rid in list {
-                    if !self.is_null(rid as usize) && keep(&data[rid as usize]) {
-                        out.push(rid);
-                    }
-                }
-            }
+    /// Row ids of `cands` (or of the whole column) whose value is
+    /// non-NULL and passes `keep`, ascending.
+    fn scan<T>(&self, data: &[T], cands: Option<&[RowId]>, keep: impl Fn(&T) -> bool) -> Vec<RowId> {
+        let pass = |rid: usize| !self.is_null(rid) && keep(&data[rid]);
+        match cands {
+            Some(list) => list.iter().copied().filter(|&rid| pass(rid as usize)).collect(),
+            None => (0..data.len()).filter(|&rid| pass(rid)).map(|rid| rid as RowId).collect(),
         }
-        out
     }
 
     /// Gather the values at `rows` into a new column (positional join).
@@ -302,10 +247,6 @@ impl Column {
 mod tests {
     use super::*;
 
-    fn pool() -> WorkerPool {
-        WorkerPool::with_threads(4)
-    }
-
     fn int_col() -> Column {
         Column::from_ints(vec![5, 3, 8, 3, 9, 1])
     }
@@ -339,22 +280,22 @@ mod tests {
     #[test]
     fn select_eq() {
         let c = int_col();
-        assert_eq!(c.select(CmpOp::Eq, &Value::Int(3), None, &pool()).unwrap(), vec![1, 3]);
+        assert_eq!(c.select(CmpOp::Eq, &Value::Int(3), None).unwrap(), vec![1, 3]);
     }
 
     #[test]
     fn select_ops() {
         let c = int_col();
-        assert_eq!(c.select(CmpOp::Lt, &Value::Int(4), None, &pool()).unwrap(), vec![1, 3, 5]);
-        assert_eq!(c.select(CmpOp::Ge, &Value::Int(8), None, &pool()).unwrap(), vec![2, 4]);
-        assert_eq!(c.select(CmpOp::Ne, &Value::Int(3), None, &pool()).unwrap(), vec![0, 2, 4, 5]);
+        assert_eq!(c.select(CmpOp::Lt, &Value::Int(4), None).unwrap(), vec![1, 3, 5]);
+        assert_eq!(c.select(CmpOp::Ge, &Value::Int(8), None).unwrap(), vec![2, 4]);
+        assert_eq!(c.select(CmpOp::Ne, &Value::Int(3), None).unwrap(), vec![0, 2, 4, 5]);
     }
 
     #[test]
     fn select_with_candidates_narrows() {
         let c = int_col();
-        let first = c.select(CmpOp::Gt, &Value::Int(2), None, &pool()).unwrap(); // 0,1,2,3,4
-        let second = c.select(CmpOp::Lt, &Value::Int(6), Some(&first), &pool()).unwrap();
+        let first = c.select(CmpOp::Gt, &Value::Int(2), None).unwrap(); // 0,1,2,3,4
+        let second = c.select(CmpOp::Lt, &Value::Int(6), Some(&first)).unwrap();
         assert_eq!(second, vec![0, 1, 3]);
     }
 
@@ -364,29 +305,30 @@ mod tests {
         c.push(Value::Int(1)).unwrap();
         c.push(Value::Null).unwrap();
         c.push(Value::Int(1)).unwrap();
-        assert_eq!(c.select(CmpOp::Eq, &Value::Int(1), None, &pool()).unwrap(), vec![0, 2]);
-        assert_eq!(c.select(CmpOp::Ne, &Value::Int(0), None, &pool()).unwrap(), vec![0, 2]);
+        assert_eq!(c.select(CmpOp::Eq, &Value::Int(1), None).unwrap(), vec![0, 2]);
+        assert_eq!(c.select(CmpOp::Ne, &Value::Int(0), None).unwrap(), vec![0, 2]);
+        // Nor does any row against a NULL constant.
+        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
+            assert!(c.select(op, &Value::Null, None).unwrap().is_empty());
+            assert!(c.select(op, &Value::Null, Some(&[0, 1, 2])).unwrap().is_empty());
+        }
     }
 
     #[test]
     fn select_int_column_against_double_constant() {
         let c = int_col();
-        assert_eq!(c.select(CmpOp::Gt, &Value::Double(7.5), None, &pool()).unwrap(), vec![2, 4]);
+        assert_eq!(c.select(CmpOp::Gt, &Value::Double(7.5), None).unwrap(), vec![2, 4]);
     }
 
     #[test]
     fn select_type_error() {
         let c = int_col();
-        assert!(c.select(CmpOp::Eq, &Value::Str("x".into()), None, &pool()).is_err());
-        // A zero-row column still runs the kernel once, at any pool size.
+        assert!(c.select(CmpOp::Eq, &Value::Str("x".into()), None).is_err());
+        // A zero-row column still type-checks the needle.
         let empty = Column::new(DataType::Int);
-        for threads in [1, 4] {
-            let pool = WorkerPool::with_threads(threads);
-            let err = empty.select(CmpOp::Eq, &Value::Str("x".into()), None, &pool);
-            assert!(matches!(err, Err(DbError::TypeMismatch { .. })), "threads={threads}");
-            let none = empty.select(CmpOp::Eq, &Value::Int(1), Some(&[]), &pool);
-            assert_eq!(none.unwrap(), Vec::<RowId>::new(), "threads={threads}");
-        }
+        let err = empty.select(CmpOp::Eq, &Value::Str("x".into()), None);
+        assert!(matches!(err, Err(DbError::TypeMismatch { .. })));
+        assert_eq!(empty.select(CmpOp::Eq, &Value::Int(1), Some(&[])).unwrap(), Vec::<RowId>::new());
     }
 
     #[test]
@@ -404,8 +346,8 @@ mod tests {
         for s in ["b", "a", "c", "a"] {
             c.push(Value::Str(s.into())).unwrap();
         }
-        assert_eq!(c.select(CmpOp::Eq, &Value::Str("a".into()), None, &pool()).unwrap(), vec![1, 3]);
-        assert_eq!(c.select(CmpOp::Gt, &Value::Str("a".into()), None, &pool()).unwrap(), vec![0, 2]);
+        assert_eq!(c.select(CmpOp::Eq, &Value::Str("a".into()), None).unwrap(), vec![1, 3]);
+        assert_eq!(c.select(CmpOp::Gt, &Value::Str("a".into()), None).unwrap(), vec![0, 2]);
     }
 
     #[test]
@@ -414,6 +356,6 @@ mod tests {
         for b in [true, false, true] {
             c.push(Value::Bool(b)).unwrap();
         }
-        assert_eq!(c.select(CmpOp::Eq, &Value::Bool(true), None, &pool()).unwrap(), vec![0, 2]);
+        assert_eq!(c.select(CmpOp::Eq, &Value::Bool(true), None).unwrap(), vec![0, 2]);
     }
 }

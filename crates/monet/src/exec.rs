@@ -11,7 +11,7 @@
 //! [`aggregate`] groups the rows and `eval_aggregate` folds each group,
 //! SUM with the same checked addition as `+`.
 
-use crate::column::{CmpOp, Column, RowId, PAR_ROW_THRESHOLD};
+use crate::column::{CmpOp, Column, RowId};
 use crate::error::DbError;
 use crate::sql::ast::{AggFunc, BinOp, Expr};
 use crate::table::Table;
@@ -19,7 +19,6 @@ use crate::value::{DataType, Value};
 use crate::Result;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use teleios_exec::{concat, WorkerPool};
 
 /// A bundle of equal-length named columns flowing between operators.
 #[derive(Debug, Clone)]
@@ -485,14 +484,9 @@ fn compile_conjuncts(expr: &Expr, out: &mut Vec<(String, CmpOp, Value)>) -> bool
 /// Row ids of `chunk` where `predicate` holds, ascending: the one
 /// selection under SELECT's `filter` and the WHERE of UPDATE and DELETE.
 /// A conjunction of simple comparisons runs as columnar
-/// candidate-narrowing passes, each a [`Column::select`] on `pool`, so
-/// the result is identical at every pool size; any other predicate is
-/// evaluated row at a time.
-pub(crate) fn select_rows(
-    pool: &WorkerPool,
-    chunk: &Chunk,
-    predicate: &Expr,
-) -> Result<Vec<RowId>> {
+/// candidate-narrowing passes, each a [`Column::select`]; any other
+/// predicate is evaluated row at a time.
+pub(crate) fn select_rows(chunk: &Chunk, predicate: &Expr) -> Result<Vec<RowId>> {
     let mut conjuncts = Vec::new();
     if !compile_conjuncts(predicate, &mut conjuncts) || conjuncts.is_empty() {
         return rows_where(chunk, predicate);
@@ -500,7 +494,7 @@ pub(crate) fn select_rows(
     let mut cands: Option<Vec<RowId>> = None;
     for (col_name, op, value) in &conjuncts {
         let idx = chunk.resolve(col_name)?;
-        let selected = chunk.column(idx).select(*op, value, cands.as_deref(), pool)?;
+        let selected = chunk.column(idx).select(*op, value, cands.as_deref())?;
         if selected.is_empty() {
             return Ok(selected);
         }
@@ -510,8 +504,8 @@ pub(crate) fn select_rows(
 }
 
 /// Filter a chunk through `select_rows`.
-pub fn filter(pool: &WorkerPool, chunk: &Chunk, predicate: &Expr) -> Result<Chunk> {
-    Ok(chunk.take(&select_rows(pool, chunk, predicate)?))
+pub fn filter(chunk: &Chunk, predicate: &Expr) -> Result<Chunk> {
+    Ok(chunk.take(&select_rows(chunk, predicate)?))
 }
 
 /// Reference row-at-a-time filter (used as the E4/E6 ablation baseline and
@@ -574,19 +568,11 @@ pub(crate) fn project(chunk: &Chunk, exprs: &[(Expr, String)]) -> Result<Chunk> 
     Ok(Chunk::new(names, cols))
 }
 
-/// Hash equi-join of two chunks on key expressions.
-///
-/// Both phases run over `pool`'s ordered morsels (a single inline one
-/// under [`PAR_ROW_THRESHOLD`] rows or at one thread) and are
-/// bit-identical at every pool size: each build morsel hash-partitions
-/// its keys into local maps, and the per-partition maps merge in
-/// parallel — each partition merging its morsels in morsel order, so
-/// every key's RowId list stays ascending. Probe morsels emit
-/// `(build, probe)` row pairs that concatenate in morsel order (the
-/// row order of the probe side). The partition count never changes
-/// which rows match, only which of the disjoint maps holds a key.
+/// Hash equi-join of two chunks on key expressions: one hash table
+/// over the smaller side, then one probe of the other side in row
+/// order. Each key's build rows are listed ascending, so the output
+/// runs in probe row order, build row order within a probe row.
 pub fn hash_join(
-    pool: &WorkerPool,
     left: &Chunk,
     right: &Chunk,
     left_key: &Expr,
@@ -600,92 +586,31 @@ pub fn hash_join(
         (right, left, right_key, left_key, false)
     };
 
-    // Each morsel hash-partitions its keys into `nparts` local maps
-    // (one partition per morsel, so the merge below has a task each).
-    type KeyMap = HashMap<HashableValue, Vec<RowId>>;
-    let build_morsels = pool.morsels_for(build.num_rows(), PAR_ROW_THRESHOLD, 1);
-    let nparts = build_morsels.len();
-    let partials: Vec<Result<Vec<KeyMap>>> = pool.run(
-        build_morsels
-            .into_iter()
-            .map(|r| {
-                move || {
-                    let mut local: Vec<KeyMap> = (0..nparts).map(|_| HashMap::new()).collect();
-                    for i in r {
-                        let k = eval_expr(build, i, build_key)?;
-                        if k.is_null() {
-                            continue;
-                        }
-                        let hk = HashableValue(k);
-                        let p = partition_of(&hk, nparts);
-                        local[p].entry(hk).or_default().push(i as RowId);
-                    }
-                    Ok(local)
-                }
-            })
-            .collect(),
-    );
-    // Transpose [morsel][partition] -> per-partition morsel lists,
-    // preserving morsel order within each partition.
-    let mut by_part: Vec<Vec<KeyMap>> = (0..nparts).map(|_| Vec::new()).collect();
-    for partial in partials {
-        for (p, map) in partial?.into_iter().enumerate() {
-            by_part[p].push(map);
+    let mut ht: HashMap<HashableValue, Vec<RowId>> = HashMap::new();
+    for i in 0..build.num_rows() {
+        let k = eval_expr(build, i, build_key)?;
+        if !k.is_null() {
+            ht.entry(HashableValue(k)).or_default().push(i as RowId);
         }
     }
-    // Merge each partition independently, one task per partition:
-    // skewed key distributions make partition costs uneven, and the
-    // pool's workers claim tasks dynamically. Merging into the first
-    // morsel's map in morsel order keeps per-key row ids ascending.
-    let ht: Vec<KeyMap> = pool.run(
-        by_part
-            .into_iter()
-            .map(|maps| {
-                move || {
-                    let mut maps = maps.into_iter();
-                    let mut part = maps.next().unwrap_or_default();
-                    for m in maps {
-                        for (k, mut rids) in m {
-                            part.entry(k).or_default().append(&mut rids);
-                        }
-                    }
-                    part
-                }
-            })
-            .collect(),
-    );
 
-    let ht_ref = &ht;
-    let partials: Vec<Result<(Vec<RowId>, Vec<RowId>)>> = pool.run(
-        pool.morsels_for(probe.num_rows(), PAR_ROW_THRESHOLD, 1)
-            .into_iter()
-            .map(|r| {
-                move || {
-                    let mut b: Vec<RowId> = Vec::new();
-                    let mut p: Vec<RowId> = Vec::new();
-                    for j in r {
-                        let k = eval_expr(probe, j, probe_key)?;
-                        if k.is_null() {
-                            continue;
-                        }
-                        let hk = HashableValue(k);
-                        if let Some(matches) = ht_ref[partition_of(&hk, nparts)].get(&hk) {
-                            for &i in matches {
-                                b.push(i);
-                                p.push(j as RowId);
-                            }
-                        }
-                    }
-                    Ok((b, p))
-                }
-            })
-            .collect(),
-    );
-    let (build_runs, probe_runs): (Vec<_>, Vec<_>) =
-        partials.into_iter().collect::<Result<Vec<_>>>()?.into_iter().unzip();
+    let mut build_rows: Vec<RowId> = Vec::new();
+    let mut probe_rows: Vec<RowId> = Vec::new();
+    for j in 0..probe.num_rows() {
+        let k = eval_expr(probe, j, probe_key)?;
+        if k.is_null() {
+            continue;
+        }
+        if let Some(matches) = ht.get(&HashableValue(k)) {
+            for &i in matches {
+                build_rows.push(i);
+                probe_rows.push(j as RowId);
+            }
+        }
+    }
 
-    let build_chunk = build.take(&concat(build_runs));
-    let probe_chunk = probe.take(&concat(probe_runs));
+    let build_chunk = build.take(&build_rows);
+    let probe_chunk = probe.take(&probe_rows);
     Ok(if build_is_left {
         build_chunk.zip_concat(&probe_chunk)
     } else {
@@ -724,19 +649,6 @@ impl std::hash::Hash for HashableValue {
     }
 }
 
-/// Deterministic hash partition of a join key. Every builder and
-/// prober must agree on this mapping, so it uses a fresh
-/// `DefaultHasher` (fixed seed) rather than any per-map state.
-fn partition_of(k: &HashableValue, nparts: usize) -> usize {
-    if nparts <= 1 {
-        return 0;
-    }
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    k.hash(&mut h);
-    (h.finish() as usize) % nparts
-}
-
 /// One aggregate to compute.
 #[derive(Debug, Clone)]
 pub struct AggSpec {
@@ -750,64 +662,22 @@ pub struct AggSpec {
 
 /// Group-by aggregation. With empty `group_by` produces a single row.
 ///
-/// Grouping builds one partial group map per ordered morsel of `pool`
-/// (a single inline one under [`PAR_ROW_THRESHOLD`] rows or at one
-/// thread); merging the partials in morsel order reproduces both the
-/// first-encounter group order and each group's ascending row-id
-/// list, so the output chunk is bit-identical at every pool size.
-/// Per-group aggregate evaluation then fans out under the same
-/// threshold, one task per group, collected in group order.
-pub fn aggregate(
-    pool: &WorkerPool,
-    chunk: &Chunk,
-    group_by: &[Expr],
-    aggs: &[AggSpec],
-) -> Result<Chunk> {
-    // Group rows by key tuple.
-    let n = chunk.num_rows();
-    type Partial = (Vec<Vec<HashableValue>>, HashMap<Vec<HashableValue>, Vec<RowId>>);
-    let mut partials = pool
-        .run(
-            pool.morsels_for(n, PAR_ROW_THRESHOLD, 1)
-                .into_iter()
-                .map(|r| {
-                    move || -> Result<Partial> {
-                        let mut local_groups: HashMap<Vec<HashableValue>, Vec<RowId>> =
-                            HashMap::new();
-                        let mut local_order: Vec<Vec<HashableValue>> = Vec::new();
-                        for i in r {
-                            let key: Vec<HashableValue> = group_by
-                                .iter()
-                                .map(|e| eval_expr(chunk, i, e).map(HashableValue))
-                                .collect::<Result<_>>()?;
-                            if !local_groups.contains_key(&key) {
-                                local_order.push(key.clone());
-                            }
-                            local_groups.entry(key).or_default().push(i as RowId);
-                        }
-                        Ok((local_order, local_groups))
-                    }
-                })
-                .collect(),
-        )
-        .into_iter();
-    // Merge the later partials into the first in morsel order: global
-    // first-encounter order and ascending per-group row ids.
-    let (mut order, mut groups) = partials.next().transpose()?.unwrap_or_default();
-    for partial in partials {
-        let (local_order, mut local_groups) = partial?;
-        for key in local_order {
-            let Some(mut rids) = local_groups.remove(&key) else {
-                continue;
-            };
-            match groups.entry(key) {
-                Entry::Occupied(mut e) => {
-                    e.get_mut().append(&mut rids);
-                }
-                Entry::Vacant(e) => {
-                    order.push(e.key().clone());
-                    e.insert(rids);
-                }
+/// One pass groups the rows by key tuple, keeping groups in
+/// first-encounter order and each group's row ids ascending; then
+/// each group folds its aggregates, one output row per group.
+pub fn aggregate(chunk: &Chunk, group_by: &[Expr], aggs: &[AggSpec]) -> Result<Chunk> {
+    let mut order: Vec<Vec<HashableValue>> = Vec::new();
+    let mut groups: HashMap<Vec<HashableValue>, Vec<RowId>> = HashMap::new();
+    for i in 0..chunk.num_rows() {
+        let key: Vec<HashableValue> = group_by
+            .iter()
+            .map(|e| eval_expr(chunk, i, e).map(HashableValue))
+            .collect::<Result<_>>()?;
+        match groups.entry(key) {
+            Entry::Occupied(mut e) => e.get_mut().push(i as RowId),
+            Entry::Vacant(e) => {
+                order.push(e.key().clone());
+                e.insert(vec![i as RowId]);
             }
         }
     }
@@ -826,33 +696,16 @@ pub fn aggregate(
     }
     names.extend(aggs.iter().map(|a| a.name.clone()));
 
-    // Compute output rows. The threshold counts rows; in groups it is
-    // that many rows' worth at the average group size. One task per
-    // group: group sizes are skewed, and the pool's workers claim
-    // tasks dynamically.
-    let (order_ref, groups_ref) = (&order, &groups);
-    let rows_per_group = n.div_ceil(order.len().max(1)).max(1);
-    let min_groups = PAR_ROW_THRESHOLD.div_ceil(rows_per_group);
-    let results: Vec<Result<Vec<Vec<Value>>>> = pool.run(
-        pool.morsels_for(order.len(), min_groups, usize::MAX)
-            .into_iter()
-            .map(|r| {
-                move || {
-                    let mut rows = Vec::with_capacity(r.len());
-                    for key in &order_ref[r] {
-                        let rids = groups_ref.get(key).map_or(&[][..], Vec::as_slice);
-                        let mut row: Vec<Value> = key.iter().map(|h| h.0.clone()).collect();
-                        for agg in aggs {
-                            row.push(eval_aggregate(chunk, rids, agg)?);
-                        }
-                        rows.push(row);
-                    }
-                    Ok(rows)
-                }
-            })
-            .collect(),
-    );
-    rows_to_chunk(names, concat(results.into_iter().collect::<Result<_>>()?))
+    let mut rows = Vec::with_capacity(order.len());
+    for key in order {
+        let rids = &groups[&key];
+        let mut row: Vec<Value> = key.into_iter().map(|h| h.0).collect();
+        for agg in aggs {
+            row.push(eval_aggregate(chunk, rids, agg)?);
+        }
+        rows.push(row);
+    }
+    rows_to_chunk(names, rows)
 }
 
 fn eval_aggregate(chunk: &Chunk, rids: &[RowId], agg: &AggSpec) -> Result<Value> {
@@ -1015,10 +868,6 @@ mod tests {
         Chunk::from_table(&t, "t")
     }
 
-    fn pool() -> WorkerPool {
-        WorkerPool::with_threads(4)
-    }
-
     fn col(name: &str) -> Expr {
         Expr::Column(name.into())
     }
@@ -1043,7 +892,7 @@ mod tests {
             Expr::binary(BinOp::Gt, col("score"), lit(0.3)),
             Expr::binary(BinOp::Lt, col("id"), lit(2i64)),
         );
-        let out = filter(&pool(), &c, &pred).unwrap();
+        let out = filter(&c, &pred).unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.row(0)[0], Value::Int(1));
     }
@@ -1052,7 +901,7 @@ mod tests {
     fn filter_matches_rowwise_reference() {
         let c = chunk();
         let pred = Expr::binary(BinOp::Ge, col("score"), lit(0.5));
-        let a = filter(&pool(), &c, &pred).unwrap();
+        let a = filter(&c, &pred).unwrap();
         let b = filter_rowwise(&c, &pred).unwrap();
         assert_eq!(a.num_rows(), b.num_rows());
         for i in 0..a.num_rows() {
@@ -1065,7 +914,7 @@ mod tests {
         let c = chunk();
         // 0.3 < score  ≡  score > 0.3
         let pred = Expr::binary(BinOp::Lt, lit(0.3), col("score"));
-        let out = filter(&pool(), &c, &pred).unwrap();
+        let out = filter(&c, &pred).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 
@@ -1073,7 +922,7 @@ mod tests {
     fn filter_null_never_matches() {
         let c = chunk();
         let pred = Expr::binary(BinOp::Ge, col("score"), lit(0.0));
-        let out = filter(&pool(), &c, &pred).unwrap();
+        let out = filter(&c, &pred).unwrap();
         assert_eq!(out.num_rows(), 3); // row 4 has NULL score
     }
 
@@ -1086,7 +935,7 @@ mod tests {
             Expr::binary(BinOp::Eq, col("tag"), lit("gamma")),
             Expr::binary(BinOp::Gt, col("score"), lit(0.8)),
         );
-        let out = filter(&pool(), &c, &pred).unwrap();
+        let out = filter(&c, &pred).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 
@@ -1119,7 +968,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = hash_join(&pool(), &left, &right, &col("t.id"), &col("r.id")).unwrap();
+        let out = hash_join(&left, &right, &col("t.id"), &col("r.id")).unwrap();
         assert_eq!(out.num_rows(), 3); // id=1 once, id=3 twice
 
         // Every output row satisfies the key equality.
@@ -1135,7 +984,7 @@ mod tests {
             rows_to_chunk(vec!["l.k".into()], vec![vec![Value::Null], vec![1.into()]]).unwrap();
         let right =
             rows_to_chunk(vec!["r.k".into()], vec![vec![Value::Null], vec![1.into()]]).unwrap();
-        let out = hash_join(&pool(), &left, &right, &col("l.k"), &col("r.k")).unwrap();
+        let out = hash_join(&left, &right, &col("l.k"), &col("r.k")).unwrap();
         assert_eq!(out.num_rows(), 1);
     }
 
@@ -1143,7 +992,6 @@ mod tests {
     fn aggregate_global() {
         let c = chunk();
         let out = aggregate(
-            &pool(),
             &c,
             &[],
             &[
@@ -1164,7 +1012,6 @@ mod tests {
     fn aggregate_group_by() {
         let c = chunk();
         let out = aggregate(
-            &pool(),
             &c,
             &[col("tag")],
             &[
@@ -1189,7 +1036,7 @@ mod tests {
         let c = chunk();
         for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::StdDev] {
             let spec = AggSpec { func, expr: Some(col("tag")), name: "x".into() };
-            let got = aggregate(&pool(), &c, &[], &[spec]);
+            let got = aggregate(&c, &[], &[spec]);
             assert!(matches!(got, Err(DbError::TypeMismatch { .. })), "{func:?}: {got:?}");
         }
     }
@@ -1200,13 +1047,13 @@ mod tests {
         let sd = |expr| AggSpec { func: AggFunc::StdDev, expr: Some(expr), name: "sd".into() };
         // ids 1..=4: mean 2.5, squared deviations 2.25 + 0.25 + 0.25 + 2.25 = 5.
         // scores 0.5, 0.9, 0.2 (NULL skipped): mean 0.5333…, variance 0.0822….
-        let out = aggregate(&pool(), &c, &[], &[sd(col("id")), sd(col("score"))]).unwrap();
+        let out = aggregate(&c, &[], &[sd(col("id")), sd(col("score"))]).unwrap();
         assert_eq!(out.row(0)[0], Value::Double((5.0f64 / 4.0).sqrt()));
         let Value::Double(s) = out.row(0)[1] else { panic!("{:?}", out.row(0)) };
         assert!((s - (0.74f64 / 9.0).sqrt()).abs() < 1e-12, "{s}");
         // Only NULLs, or no rows at all: NULL.
-        let nulls = filter(&pool(), &c, &Expr::binary(BinOp::Eq, col("id"), lit(4i64))).unwrap();
-        let out = aggregate(&pool(), &nulls, &[], &[sd(col("score"))]).unwrap();
+        let nulls = filter(&c, &Expr::binary(BinOp::Eq, col("id"), lit(4i64))).unwrap();
+        let out = aggregate(&nulls, &[], &[sd(col("score"))]).unwrap();
         assert_eq!(out.row(0)[0], Value::Null);
     }
 
@@ -1227,7 +1074,7 @@ mod tests {
         assert_eq!(got, vec!["low".into(), Value::Null, "low".into(), "late".into()]);
         // In a WHERE, the columnar filter falls back to the row path.
         let pred = Expr::binary(BinOp::Eq, case, lit("low"));
-        let kept = filter(&pool(), &c, &pred).unwrap();
+        let kept = filter(&c, &pred).unwrap();
         assert_eq!(kept.num_rows(), 2);
         let reference = filter_rowwise(&c, &pred).unwrap();
         assert_eq!(
@@ -1240,7 +1087,6 @@ mod tests {
     fn aggregate_count_expr_skips_nulls() {
         let c = chunk();
         let out = aggregate(
-            &pool(),
             &c,
             &[],
             &[AggSpec { func: AggFunc::Count, expr: Some(col("score")), name: "n".into() }],
@@ -1249,31 +1095,25 @@ mod tests {
         assert_eq!(out.row(0)[0], Value::Int(3));
     }
 
-    /// Zero-row chunks still run every kernel body once, whatever
-    /// the pool size.
     #[test]
-    fn empty_input_runs_the_kernels_once() {
+    fn empty_input_is_type_checked_and_aggregated() {
         let c = chunk();
-        for threads in [1, 4] {
-            let pool = WorkerPool::with_threads(threads);
-            let empty =
-                filter(&pool, &c, &Expr::binary(BinOp::Gt, col("id"), lit(100i64))).unwrap();
-            assert_eq!(empty.num_rows(), 0);
-            // The needle is still type-checked against the column.
-            let bad = filter(&pool, &empty, &Expr::binary(BinOp::Eq, col("id"), lit("x")));
-            assert!(matches!(bad, Err(DbError::TypeMismatch { .. })), "threads={threads}");
-            // Global aggregate over zero rows still yields one row.
-            let count = [AggSpec { func: AggFunc::Count, expr: None, name: "n".into() }];
-            let out = aggregate(&pool, &empty, &[], &count).unwrap();
-            assert_eq!(out.num_rows(), 1);
-            assert_eq!(out.row(0)[0], Value::Int(0));
-            // A grouped one yields none.
-            assert_eq!(aggregate(&pool, &empty, &[col("tag")], &count).unwrap().num_rows(), 0);
-            for (l, r) in [(&empty, &c), (&c, &empty), (&empty, &empty)] {
-                let out = hash_join(&pool, l, r, &col("id"), &col("id")).unwrap();
-                assert_eq!(out.num_rows(), 0, "threads={threads}");
-                assert_eq!(out.num_cols(), 6);
-            }
+        let empty = filter(&c, &Expr::binary(BinOp::Gt, col("id"), lit(100i64))).unwrap();
+        assert_eq!(empty.num_rows(), 0);
+        // The needle is still type-checked against the column.
+        let bad = filter(&empty, &Expr::binary(BinOp::Eq, col("id"), lit("x")));
+        assert!(matches!(bad, Err(DbError::TypeMismatch { .. })));
+        // Global aggregate over zero rows still yields one row.
+        let count = [AggSpec { func: AggFunc::Count, expr: None, name: "n".into() }];
+        let out = aggregate(&empty, &[], &count).unwrap();
+        assert_eq!(out.num_rows(), 1);
+        assert_eq!(out.row(0)[0], Value::Int(0));
+        // A grouped one yields none.
+        assert_eq!(aggregate(&empty, &[col("tag")], &count).unwrap().num_rows(), 0);
+        for (l, r) in [(&empty, &c), (&c, &empty), (&empty, &empty)] {
+            let out = hash_join(l, r, &col("id"), &col("id")).unwrap();
+            assert_eq!(out.num_rows(), 0);
+            assert_eq!(out.num_cols(), 6);
         }
     }
 
@@ -1358,7 +1198,7 @@ mod tests {
             Expr::binary(BinOp::Gt, col("score"), lit(0.5)),
             Expr::binary(BinOp::Eq, col("tag"), lit("gamma")),
         );
-        let out = filter(&pool(), &c, &pred).unwrap();
+        let out = filter(&c, &pred).unwrap();
         assert_eq!(out.num_rows(), 2);
         // NULL AND FALSE => FALSE (not an error), nothing extra matches.
         let pred2 = Expr::binary(
@@ -1366,7 +1206,7 @@ mod tests {
             Expr::binary(BinOp::Gt, col("score"), lit(0.5)),
             Expr::binary(BinOp::Eq, col("tag"), lit("nope")),
         );
-        assert_eq!(filter(&pool(), &c, &pred2).unwrap().num_rows(), 0);
+        assert_eq!(filter(&c, &pred2).unwrap().num_rows(), 0);
     }
 
     #[test]
@@ -1377,16 +1217,16 @@ mod tests {
             lo: Box::new(lit(2i64)),
             hi: Box::new(lit(3i64)),
         };
-        assert_eq!(filter(&pool(), &c, &pred).unwrap().num_rows(), 2);
+        assert_eq!(filter(&c, &pred).unwrap().num_rows(), 2);
         let pred2 = Expr::InList {
             expr: Box::new(col("tag")),
             list: vec![lit("alpha"), lit("gamma")],
             negated: false,
         };
-        assert_eq!(filter(&pool(), &c, &pred2).unwrap().num_rows(), 3);
+        assert_eq!(filter(&c, &pred2).unwrap().num_rows(), 3);
         let pred3 =
             Expr::InList { expr: Box::new(col("tag")), list: vec![lit("alpha")], negated: true };
-        assert_eq!(filter(&pool(), &c, &pred3).unwrap().num_rows(), 2);
+        assert_eq!(filter(&c, &pred3).unwrap().num_rows(), 2);
     }
 
     #[test]
@@ -1436,7 +1276,7 @@ mod tests {
         assert_eq!(doubled.row(0), vec![Value::Double(2.0)]);
         assert_eq!(doubled.row(1), vec![Value::Double(i64::MAX as f64 * 2.0)]);
         let sum = AggSpec { func: AggFunc::Sum, expr: Some(col("v")), name: "s".into() };
-        let sums = aggregate(&pool(), &t, &[col("k")], &[sum]).unwrap();
+        let sums = aggregate(&t, &[col("k")], &[sum]).unwrap();
         assert_eq!(sums.row(0), vec![Value::Int(1), Value::Double(2.0)]);
         assert_eq!(sums.row(1), vec![Value::Int(2), Value::Double(i64::MAX as f64 * 2.0)]);
     }

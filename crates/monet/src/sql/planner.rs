@@ -12,7 +12,6 @@ use crate::sql::ast::*;
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
-use teleios_exec::WorkerPool;
 
 /// Provides table lookup to the planner.
 pub trait TableProvider {
@@ -20,14 +19,8 @@ pub trait TableProvider {
     fn table(&self, name: &str) -> Result<Table>;
 }
 
-/// Execute a SELECT against a table provider. `pool` reaches every
-/// parallel operator the plan lowers to (selection, hash join,
-/// aggregation); the result is identical at every pool size.
-pub fn execute_select(
-    pool: &WorkerPool,
-    provider: &dyn TableProvider,
-    select: &Select,
-) -> Result<Chunk> {
+/// Execute a SELECT against a table provider.
+pub fn execute_select(provider: &dyn TableProvider, select: &Select) -> Result<Chunk> {
     // 1. Load base tables (FROM list plus explicit JOINs).
     struct Source {
         chunk: Chunk,
@@ -68,7 +61,7 @@ pub fn execute_select(
             for (ci, c) in conjuncts.iter().enumerate() {
                 if let Some((lk, rk)) = as_equi_join_keys(c, &current, &remaining[idx].chunk) {
                     let rhs = remaining.remove(idx);
-                    current = exec::hash_join(pool, &current, &rhs.chunk, &lk, &rk)?;
+                    current = exec::hash_join(&current, &rhs.chunk, &lk, &rk)?;
                     conjuncts.remove(ci);
                     attached = true;
                     break 'outer;
@@ -84,7 +77,7 @@ pub fn execute_select(
 
     // 4. Apply remaining conjuncts as a filter.
     if let Some(pred) = conjuncts.into_iter().reduce(|a, b| Expr::binary(BinOp::And, a, b)) {
-        current = exec::filter(pool, &current, &pred)?;
+        current = exec::filter(&current, &pred)?;
     }
 
     // 5. Aggregate or plain projection.
@@ -93,7 +86,7 @@ pub fn execute_select(
         || select.having.is_some();
 
     let mut out = if has_aggregates {
-        plan_aggregate(pool, select, &current)?
+        plan_aggregate(select, &current)?
     } else {
         plan_projection(select, &current)?
     };
@@ -168,7 +161,7 @@ fn plan_projection(select: &Select, input: &Chunk) -> Result<Chunk> {
     exec::project(&sorted, &proj_exprs)
 }
 
-fn plan_aggregate(pool: &WorkerPool, select: &Select, input: &Chunk) -> Result<Chunk> {
+fn plan_aggregate(select: &Select, input: &Chunk) -> Result<Chunk> {
     let mut aggs: Vec<AggSpec> = Vec::new();
     let mut out_cols: Vec<(Expr, String)> = Vec::new(); // over the agg chunk
 
@@ -232,9 +225,9 @@ fn plan_aggregate(pool: &WorkerPool, select: &Select, input: &Chunk) -> Result<C
         })
         .collect();
 
-    let mut agg_chunk = exec::aggregate(pool, input, &select.group_by, &aggs)?;
+    let mut agg_chunk = exec::aggregate(input, &select.group_by, &aggs)?;
     if let Some(h) = having {
-        agg_chunk = exec::filter(pool, &agg_chunk, &h)?;
+        agg_chunk = exec::filter(&agg_chunk, &h)?;
     }
     if !keys.is_empty() {
         agg_chunk = exec::sort(&agg_chunk, &keys)?;

@@ -1,7 +1,6 @@
 //! Property-based tests for the column store, SQL layer and arrays.
 
-use teleios_check::{forall, Gen};
-use teleios_exec::WorkerPool;
+use teleios_check::{forall, Gen, SplitMix64};
 use teleios_monet::array::{Dim, NdArray};
 use teleios_monet::catalog::Catalog;
 use teleios_monet::column::{CmpOp, Column};
@@ -19,29 +18,26 @@ fn table_of(vals: &[i64]) -> Catalog {
     cat
 }
 
+/// `select` over an INT and a DOUBLE column, on the whole column and
+/// on a candidate list of every third row, keeps exactly the rows a
+/// linear scan keeps.
 #[test]
 fn column_select_matches_linear_scan() {
     forall(
         |g| (values(g), g.int(-1000..1000)),
         |(vals, needle)| {
-            let col = Column::from_ints(vals.clone());
-            for (op, pred) in [
-                (CmpOp::Eq, Box::new(|v: i64| v == needle) as Box<dyn Fn(i64) -> bool>),
-                (CmpOp::Ne, Box::new(move |v| v != needle)),
-                (CmpOp::Lt, Box::new(move |v| v < needle)),
-                (CmpOp::Le, Box::new(move |v| v <= needle)),
-                (CmpOp::Gt, Box::new(move |v| v > needle)),
-                (CmpOp::Ge, Box::new(move |v| v >= needle)),
-            ] {
-                let got =
-                    col.select(op, &Value::Int(needle), None, &WorkerPool::default()).unwrap();
-                let expect: Vec<u32> = vals
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| pred(v))
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                assert_eq!(got, expect);
+            let ints = Column::from_ints(vals.clone());
+            let doubles = Column::from_doubles(vals.iter().map(|&v| v as f64 / 2.0).collect());
+            let cands: Vec<u32> = (0..vals.len() as u32).step_by(3).collect();
+            for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                let keep = |i: &u32| op.matches(vals[*i as usize].cmp(&needle));
+                let expect: Vec<u32> = (0..vals.len() as u32).filter(keep).collect();
+                let expect_narrowed: Vec<u32> = cands.iter().copied().filter(keep).collect();
+                let (int_needle, double_needle) = (Value::Int(needle), Value::Double(needle as f64 / 2.0));
+                assert_eq!(ints.select(op, &int_needle, None).unwrap(), expect);
+                assert_eq!(ints.select(op, &int_needle, Some(&cands)).unwrap(), expect_narrowed);
+                assert_eq!(doubles.select(op, &double_needle, None).unwrap(), expect);
+                assert_eq!(doubles.select(op, &double_needle, Some(&cands)).unwrap(), expect_narrowed);
             }
         },
     );
@@ -54,9 +50,8 @@ fn column_candidates_compose() {
         |(vals, lo, hi)| {
             let col = Column::from_ints(vals.clone());
             // select(ge lo) then select(le hi) over its candidates == range scan.
-            let pool = WorkerPool::default();
-            let first = col.select(CmpOp::Ge, &Value::Int(lo), None, &pool).unwrap();
-            let narrowed = col.select(CmpOp::Le, &Value::Int(hi), Some(&first), &pool).unwrap();
+            let first = col.select(CmpOp::Ge, &Value::Int(lo), None).unwrap();
+            let narrowed = col.select(CmpOp::Le, &Value::Int(hi), Some(&first)).unwrap();
             let expect: Vec<u32> = vals
                 .iter()
                 .enumerate()
@@ -288,6 +283,66 @@ fn array_map_preserves_shape_and_inverts() {
             }
         },
     );
+}
+
+#[test]
+fn array_map_and_zip_map_match_a_per_cell_loop() {
+    forall(
+        |g| g.vec(0..300, |g| (g.float(-1000.0..1000.0), g.float(-1000.0..1000.0))),
+        |pairs| {
+            let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+            let a = NdArray::matrix(1, xs.len(), xs.clone()).unwrap();
+            let b = NdArray::matrix(1, ys.len(), ys.clone()).unwrap();
+            let mut expect_map = Vec::new();
+            let mut expect_zip = Vec::new();
+            for (&x, &y) in xs.iter().zip(&ys) {
+                expect_map.push(x * 0.5 + 1.0);
+                expect_zip.push(x.max(y) - x * y);
+            }
+            let map = a.map(|v| v * 0.5 + 1.0);
+            assert_eq!(map.shape(), a.shape());
+            assert_eq!(map.data(), expect_map);
+            let zip = a.zip_map(&b, |x, y| x.max(y) - x * y).unwrap();
+            assert_eq!(zip.shape(), a.shape());
+            assert_eq!(zip.data(), expect_zip);
+        },
+    );
+}
+
+/// SUM, MIN, MAX and STDDEV equal the plain row-major loop bit for bit
+/// at sizes either side of 65 536 cells, where a sum over fixed-size
+/// partials would start to round differently.
+#[test]
+fn array_reductions_equal_the_row_major_loop() {
+    for cells in [0, 65_535, 65_536, 65_537, 2 * 65_536 + 123] {
+        let mut rng = SplitMix64::new(61);
+        let data: Vec<f64> =
+            (0..cells).map(|_| rng.below(2_000_000) as f64 / 1000.0 - 1000.0).collect();
+        let a = NdArray::matrix(1, cells, data.clone()).unwrap();
+        // -0.0 is the identity of IEEE addition (-0.0 + x is x for
+        // every x), so the empty sum is -0.0, as std's `Sum` has it.
+        let mut sum = -0.0;
+        let (mut min, mut max) = (None::<f64>, None::<f64>);
+        for &v in &data {
+            sum += v;
+            min = Some(min.map_or(v, |m| m.min(v)));
+            max = Some(max.map_or(v, |m| m.max(v)));
+        }
+        let mean = sum / cells as f64;
+        let mut squares = -0.0;
+        for &v in &data {
+            squares += (v - mean) * (v - mean);
+        }
+        // to_bits: the sums must agree exactly, not just approximately.
+        assert_eq!(a.sum().to_bits(), sum.to_bits(), "sum of {cells}");
+        assert_eq!(a.min(), min, "min of {cells}");
+        assert_eq!(a.max(), max, "max of {cells}");
+        assert_eq!(
+            a.std_dev().map(f64::to_bits),
+            (cells > 0).then(|| (squares / cells as f64).sqrt().to_bits()),
+            "std_dev of {cells}"
+        );
+    }
 }
 
 #[test]

@@ -1,26 +1,21 @@
-//! Generated SQL over seeded tables, checked two ways: every statement
-//! — `SELECT … WHERE`, `GROUP BY`, join — answers identically at 1, 2,
-//! 3 and 8 threads, and a single-table WHERE keeps exactly the rows
-//! the row-at-a-time reference filter (`exec::filter_rowwise`) keeps
-//! and, run as `DELETE … WHERE` on a copy of the table, leaves the
-//! total minus `SELECT COUNT(*) … WHERE`. Predicates mix comparisons,
-//! NULL tests, BETWEEN, IN, NOT, AND, OR and CASE.
-//! Tables are either small or straddle the row-parallel threshold, and
-//! their columns hold NULL, NaN, -0.0 and extreme integers. A failure
-//! shrinks to its smallest table and statement and prints the seed
-//! `check_seed` pins it with.
+//! Generated SQL over seeded tables: every statement — `SELECT …
+//! WHERE`, `GROUP BY`, join — runs, and a single-table WHERE keeps
+//! exactly the rows the row-at-a-time reference filter
+//! (`exec::filter_rowwise`) keeps and, run as `DELETE … WHERE` on a
+//! copy of the table, leaves the total minus `SELECT COUNT(*) … WHERE`.
+//! Predicates mix comparisons, NULL tests, BETWEEN, IN, NOT, AND, OR
+//! and CASE; literals include NULL. Tables hold either a handful of
+//! rows or a few thousand, and their columns hold NULL, NaN, -0.0 and
+//! extreme integers. A failure shrinks to its smallest table and
+//! statement and prints the seed `check_seed` pins it with.
 
 use teleios_check::{forall, Gen};
-use teleios_exec::WorkerPool;
-use teleios_monet::column::PAR_ROW_THRESHOLD;
 use teleios_monet::exec::{filter_rowwise, Chunk};
 use teleios_monet::sql::ast::{Select, Statement};
 use teleios_monet::sql::parser::parse_statement;
 use teleios_monet::sql::planner::{execute_select, TableProvider};
 use teleios_monet::table::{ColumnDef, Table};
 use teleios_monet::{Catalog, DataType, Value};
-
-const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 struct Tables(Catalog);
 
@@ -56,13 +51,12 @@ fn t_schema() -> Vec<ColumnDef> {
     vec![def("k", DataType::Int), def("v", DataType::Double), def("n", DataType::Int)]
 }
 
-/// `t(k INT, v DOUBLE, n INT)`, either a handful of rows or just
-/// around the row-parallel threshold, and a small `u(k INT, w DOUBLE)`
-/// (a join probes the larger side, so `t` alone crosses the threshold).
+/// `t(k INT, v DOUBLE, n INT)`, either a handful of rows or a few
+/// thousand, and a small `u(k INT, w DOUBLE)`.
 fn tables(g: &mut Gen) -> Catalog {
     let catalog = Catalog::new();
     let t_rows = if g.bool() {
-        g.size(PAR_ROW_THRESHOLD - 8..PAR_ROW_THRESHOLD + 64)
+        g.size(4088..4160)
     } else {
         g.size(0..12)
     };
@@ -77,11 +71,12 @@ fn tables(g: &mut Gen) -> Catalog {
 }
 
 /// An INT literal, an integral DOUBLE literal (`2.0`, which equals INT
-/// cells) or a half.
+/// cells), a half or NULL (against which every comparison is unknown).
 fn literal(g: &mut Gen) -> String {
-    match g.below(3) {
+    match g.below(4) {
         0 => format!("{}", g.int(-5..6)),
         1 => format!("{}.0", g.int(-5..6)),
+        2 => "NULL".to_string(),
         _ => format!("{:.1}", g.int(-11..12) as f64 / 2.0),
     }
 }
@@ -191,17 +186,12 @@ fn select(sql: &str) -> Select {
     }
 }
 
-/// Run `sql` at every thread count (and, for a single-table WHERE,
-/// through the reference filter); all answers must agree. Returns the
-/// one-thread answer.
+/// Run `sql` (and, for a single-table WHERE, the reference filter and
+/// a DELETE with the same WHERE); all answers must agree. Returns the
+/// planner's answer.
 fn agree(tables: &Tables, sql: &str) -> Answer {
     let select = select(sql);
-    let answer =
-        |threads| rows(execute_select(&WorkerPool::with_threads(threads), tables, &select));
-    let one = answer(1);
-    for threads in &THREADS[1..] {
-        assert_same(&answer(*threads), &one, &format!("{sql} at {threads} threads vs 1"));
-    }
+    let one = rows(execute_select(tables, &select));
     if let Some(predicate) = sql.strip_prefix("SELECT * FROM t WHERE ") {
         let table = tables.0.table("t").unwrap();
         let t = Chunk::from_table(&table, "t");
@@ -228,7 +218,7 @@ fn agree(tables: &Tables, sql: &str) -> Answer {
 }
 
 #[test]
-fn generated_sql_agrees_across_threads_and_with_the_rowwise_filter() {
+fn generated_sql_agrees_with_the_rowwise_filter() {
     forall(
         |g| (tables(g), statement(g)),
         |(catalog, sql)| {

@@ -164,10 +164,11 @@ fn map_region(a: &NdArray, ranges: &[(usize, usize)], expr: &Bound) -> Result<Nd
     if matches!(expr, Bound::Cell) {
         return Ok(region);
     }
-    // Expressions not referencing dimension variables are pure
-    // per-cell kernels — run them through the morsel-parallel
-    // `NdArray::map` (sequential below the cell threshold), so
-    // SciQL maps inherit the executor's speedup.
+    // An expression that reads no dimension variable needs no
+    // coordinate, so it runs as `NdArray::map`'s straight loop over the
+    // region's cells. Walking it through `for_each_cell`, which keeps a
+    // coordinate per cell, measured 13-25 % slower on E6's classify and
+    // calibrate maps at 512² and 1024² (EXPERIMENTS.md).
     if !expr.uses_dims() {
         return Ok(region.map(|cell| expr.eval(cell, &[])));
     }

@@ -168,9 +168,16 @@ fi
 
 # The inline-or-parallel fork lives in WorkerPool::morsels_for only: a
 # kernel that tests the thread count itself has grown a second body.
-echo "==> one fork site (no thread-count tests outside crates/exec)"
+# Monet and SciQL run sequentially: no workload's tables or arrays
+# cross a parallel threshold, so a parallel path there comes back only
+# with a workload that does.
+echo "==> one fork site (no thread-count tests outside crates/exec; no pool in monet or sciql)"
 if grep -rnE 'threads\(\) *(<= *1|== *1)' crates/*/src --include='*.rs' | grep -v '^crates/exec/'; then
     echo "thread-count test outside crates/exec: route it through WorkerPool::morsels_for" >&2; exit 1
+fi
+if grep -rnE 'WorkerPool|teleios_exec' crates/monet/src crates/sciql/src --include='*.rs' \
+    || grep -nE '^teleios-exec' crates/monet/Cargo.toml crates/sciql/Cargo.toml; then
+    echo "monet and sciql are sequential: a parallel path needs a workload that crosses its threshold" >&2; exit 1
 fi
 
 # Rectangular regions of an array are walked by walk_runs in
