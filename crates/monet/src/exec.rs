@@ -586,10 +586,12 @@ pub fn hash_join(
         (right, left, right_key, left_key, false)
     };
 
+    // A NULL or NaN key equals nothing, itself included.
+    let joins = |k: &Value| !k.is_null() && !matches!(k, Value::Double(d) if d.is_nan());
     let mut ht: HashMap<HashableValue, Vec<RowId>> = HashMap::new();
     for i in 0..build.num_rows() {
         let k = eval_expr(build, i, build_key)?;
-        if !k.is_null() {
+        if joins(&k) {
             ht.entry(HashableValue(k)).or_default().push(i as RowId);
         }
     }
@@ -598,7 +600,7 @@ pub fn hash_join(
     let mut probe_rows: Vec<RowId> = Vec::new();
     for j in 0..probe.num_rows() {
         let k = eval_expr(probe, j, probe_key)?;
-        if k.is_null() {
+        if !joins(&k) {
             continue;
         }
         if let Some(matches) = ht.get(&HashableValue(k)) {
@@ -618,10 +620,32 @@ pub fn hash_join(
     })
 }
 
-/// Wrapper making `Value` hashable for join/group keys. NULL never
-/// reaches this (callers skip it); doubles hash by bit pattern.
-#[derive(Debug, Clone, PartialEq)]
+/// `Value` as a join, group or DISTINCT key. NULL equals NULL (a join
+/// skips it), and a double compares by its bits after -0.0 becomes 0.0
+/// and every NaN one NaN: so the two zeros, which `=` calls equal, are
+/// one key, and NaNs, which `=` calls equal to nothing, form one group
+/// rather than one each. Eq and Hash read the same bits.
+#[derive(Debug, Clone)]
 struct HashableValue(Value);
+
+fn key_bits(d: f64) -> u64 {
+    if d == 0.0 {
+        0
+    } else if d.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        d.to_bits()
+    }
+}
+
+impl PartialEq for HashableValue {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (Value::Double(a), Value::Double(b)) => key_bits(*a) == key_bits(*b),
+            (a, b) => a == b,
+        }
+    }
+}
 
 impl Eq for HashableValue {}
 
@@ -635,7 +659,7 @@ impl std::hash::Hash for HashableValue {
             }
             Value::Double(d) => {
                 state.write_u8(2);
-                state.write_u64(d.to_bits());
+                state.write_u64(key_bits(*d));
             }
             Value::Str(s) => {
                 state.write_u8(3);
@@ -666,25 +690,24 @@ pub struct AggSpec {
 /// first-encounter order and each group's row ids ascending; then
 /// each group folds its aggregates, one output row per group.
 pub fn aggregate(chunk: &Chunk, group_by: &[Expr], aggs: &[AggSpec]) -> Result<Chunk> {
-    let mut order: Vec<Vec<HashableValue>> = Vec::new();
-    let mut groups: HashMap<Vec<HashableValue>, Vec<RowId>> = HashMap::new();
+    let mut groups: Vec<(Vec<HashableValue>, Vec<RowId>)> = Vec::new();
+    let mut index: HashMap<Vec<HashableValue>, usize> = HashMap::new();
     for i in 0..chunk.num_rows() {
         let key: Vec<HashableValue> = group_by
             .iter()
             .map(|e| eval_expr(chunk, i, e).map(HashableValue))
             .collect::<Result<_>>()?;
-        match groups.entry(key) {
-            Entry::Occupied(mut e) => e.get_mut().push(i as RowId),
+        match index.entry(key) {
+            Entry::Occupied(e) => groups[*e.get()].1.push(i as RowId),
             Entry::Vacant(e) => {
-                order.push(e.key().clone());
-                e.insert(vec![i as RowId]);
+                groups.push((e.key().clone(), vec![i as RowId]));
+                e.insert(groups.len() - 1);
             }
         }
     }
     if group_by.is_empty() && groups.is_empty() {
         // Global aggregate over zero rows still yields one row.
-        order.push(Vec::new());
-        groups.insert(Vec::new(), Vec::new());
+        groups.push((Vec::new(), Vec::new()));
     }
 
     let mut names: Vec<String> = Vec::new();
@@ -696,12 +719,11 @@ pub fn aggregate(chunk: &Chunk, group_by: &[Expr], aggs: &[AggSpec]) -> Result<C
     }
     names.extend(aggs.iter().map(|a| a.name.clone()));
 
-    let mut rows = Vec::with_capacity(order.len());
-    for key in order {
-        let rids = &groups[&key];
+    let mut rows = Vec::with_capacity(groups.len());
+    for (key, rids) in groups {
         let mut row: Vec<Value> = key.into_iter().map(|h| h.0).collect();
         for agg in aggs {
-            row.push(eval_aggregate(chunk, rids, agg)?);
+            row.push(eval_aggregate(chunk, &rids, agg)?);
         }
         rows.push(row);
     }
@@ -986,6 +1008,30 @@ mod tests {
             rows_to_chunk(vec!["r.k".into()], vec![vec![Value::Null], vec![1.into()]]).unwrap();
         let out = hash_join(&left, &right, &col("l.k"), &col("r.k")).unwrap();
         assert_eq!(out.num_rows(), 1);
+    }
+
+    fn doubles(name: &str, vs: &[Option<f64>]) -> Chunk {
+        let rows = vs.iter().map(|v| vec![v.map_or(Value::Null, Value::Double)]).collect();
+        rows_to_chunk(vec![name.into()], rows).unwrap()
+    }
+
+    #[test]
+    fn hash_join_matches_the_two_zeros_and_no_nan() {
+        let left = doubles("l.k", &[Some(f64::NAN), Some(-0.0), Some(1.5)]);
+        let right = doubles("r.k", &[Some(0.0), Some(f64::NAN), Some(1.5), None]);
+        let out = hash_join(&left, &right, &col("l.k"), &col("r.k")).unwrap();
+        let rows: Vec<String> = (0..out.num_rows()).map(|i| format!("{:?}", out.row(i))).collect();
+        assert_eq!(rows, ["[Double(-0.0), Double(0.0)]", "[Double(1.5), Double(1.5)]"]);
+    }
+
+    #[test]
+    fn nan_and_zero_keys_group_once() {
+        let c = doubles("v", &[Some(f64::NAN), Some(-0.0), None, Some(f64::NAN), Some(0.0), None]);
+        let count = AggSpec { func: AggFunc::Count, expr: None, name: "n".into() };
+        let out = aggregate(&c, &[col("v")], &[count]).unwrap();
+        let rows: Vec<String> = (0..out.num_rows()).map(|i| format!("{:?}", out.row(i))).collect();
+        assert_eq!(rows, ["[Double(NaN), Int(2)]", "[Double(-0.0), Int(2)]", "[Null, Int(2)]"]);
+        assert_eq!(distinct(&c).num_rows(), 3);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Generated SQL over seeded tables: every statement — `SELECT …
-//! WHERE`, `GROUP BY`, join — runs, and a single-table WHERE keeps
-//! exactly the rows the row-at-a-time reference filter
-//! (`exec::filter_rowwise`) keeps and, run as `DELETE … WHERE` on a
-//! copy of the table, leaves the total minus `SELECT COUNT(*) … WHERE`.
+//! Generated SQL over seeded tables, each statement checked against an
+//! independent reference. A single-table WHERE keeps exactly the rows
+//! the row-at-a-time reference filter (`exec::filter_rowwise`) keeps
+//! and, run as `DELETE … WHERE` on a copy of the table, leaves the
+//! total minus `SELECT COUNT(*) … WHERE`. A `GROUP BY` over `t.k` or
+//! `t.v` equals grouping that filter's rows by hand, and an equi-join
+//! of `t` and `u` equals a nested-loop join filtered the same way.
 //! Predicates mix comparisons, NULL tests, BETWEEN, IN, NOT, AND, OR
 //! and CASE; literals include NULL. Tables hold either a handful of
 //! rows or a few thousand, and their columns hold NULL, NaN, -0.0 and
@@ -126,24 +128,48 @@ fn predicate(g: &mut Gen, cols: &[&str], depth: usize) -> String {
     }
 }
 
-fn statement(g: &mut Gen) -> String {
+/// One generated statement: a single-table WHERE, a GROUP BY over
+/// `key` with a WHERE, or a join of `t` and `u` on `t.k = u.k` with a
+/// WHERE, written with `JOIN … ON` or, when `comma`, as `FROM t, u
+/// WHERE t.k = u.k AND …` (where a top-level OR reaches past the key).
+#[derive(Debug)]
+enum Case {
+    Where(String),
+    Group { key: &'static str, predicate: String },
+    Join { comma: bool, predicate: String },
+}
+
+impl Case {
+    fn sql(&self) -> String {
+        match self {
+            Case::Where(predicate) => format!("SELECT * FROM t WHERE {predicate}"),
+            Case::Group { key, predicate } => format!(
+                "SELECT {key}, COUNT(*) AS c, SUM(t.v) AS s, MIN(t.n) AS lo, MAX(t.v) AS hi, \
+                 AVG(t.n) AS m FROM t WHERE {predicate} GROUP BY {key}"
+            ),
+            Case::Join { comma: false, predicate } => {
+                format!("SELECT t.k, t.v, u.w FROM t JOIN u ON t.k = u.k WHERE {predicate}")
+            }
+            Case::Join { comma: true, predicate } => {
+                format!("SELECT t.n, u.w FROM t, u WHERE t.k = u.k AND {predicate}")
+            }
+        }
+    }
+}
+
+fn statement(g: &mut Gen) -> Case {
     const T: [&str; 3] = ["t.k", "t.v", "t.n"];
     const TU: [&str; 4] = ["t.k", "t.v", "t.n", "u.w"];
     match g.below(4) {
-        0 | 1 => format!("SELECT * FROM t WHERE {}", predicate(g, &T, 2)),
-        2 => format!(
-            "SELECT t.k, COUNT(*) AS c, SUM(t.v) AS s, MIN(t.n) AS lo, MAX(t.v) AS hi, AVG(t.n) AS m \
-             FROM t WHERE {} GROUP BY t.k",
-            predicate(g, &T, 2)
-        ),
-        _ if g.bool() => format!(
-            "SELECT t.k, t.v, u.w FROM t JOIN u ON t.k = u.k WHERE {}",
-            predicate(g, &TU, 1)
-        ),
-        _ => format!(
-            "SELECT t.n, u.w FROM t, u WHERE t.k = u.k AND {}",
-            predicate(g, &TU, 1)
-        ),
+        0 | 1 => Case::Where(predicate(g, &T, 2)),
+        2 => {
+            let key = if g.bool() { "t.v" } else { "t.k" };
+            Case::Group { key, predicate: predicate(g, &T, 2) }
+        }
+        _ => {
+            let comma = g.bool();
+            Case::Join { comma, predicate: predicate(g, &TU, 1) }
+        }
     }
 }
 
@@ -186,43 +212,155 @@ fn select(sql: &str) -> Select {
     }
 }
 
-/// Run `sql` (and, for a single-table WHERE, the reference filter and
-/// a DELETE with the same WHERE); all answers must agree. Returns the
-/// planner's answer.
-fn agree(tables: &Tables, sql: &str) -> Answer {
-    let select = select(sql);
-    let one = rows(execute_select(tables, &select));
-    if let Some(predicate) = sql.strip_prefix("SELECT * FROM t WHERE ") {
-        let table = tables.0.table("t").unwrap();
-        let t = Chunk::from_table(&table, "t");
-        let reference = rows(filter_rowwise(&t, select.where_clause.as_ref().unwrap()));
-        assert_same(&one, &reference, &format!("{sql} vs the row-at-a-time reference"));
-        // DELETE picks its rows through the same selection as SELECT.
-        let copy = Catalog::new();
-        copy.create_table("t", t_schema()).unwrap();
-        copy.insert("t", (0..t.num_rows()).map(|i| t.row(i)).collect()).unwrap();
-        let deleted = copy.execute(&format!("DELETE FROM t WHERE {predicate}"));
-        let counted = tables.0.execute(&format!("SELECT COUNT(*) FROM t WHERE {predicate}"));
-        match (deleted, counted) {
-            (Ok(_), Ok(counted)) => {
-                let left = copy.table("t").unwrap().num_rows() as i64;
-                let removed = Value::Int(t.num_rows() as i64 - left);
-                assert_eq!(removed, counted.rows[0][0], "DELETE FROM t WHERE {predicate}");
-            }
-            (deleted, counted) => {
-                assert_eq!(deleted.is_ok(), counted.is_ok(), "DELETE vs COUNT WHERE {predicate}")
+/// The rows of `chunk` (columns named `t.*`) the row-at-a-time
+/// reference filter keeps under `predicate`.
+fn kept(chunk: &Chunk, predicate: &str) -> teleios_monet::Result<Chunk> {
+    let select = select(&format!("SELECT * FROM t WHERE {predicate}"));
+    filter_rowwise(chunk, select.where_clause.as_ref().unwrap())
+}
+
+/// Two group keys are one group when `=` holds, when both are NULL or
+/// when both are NaN.
+fn same_key(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Double(x), Value::Double(y)) => x == y || (x.is_nan() && y.is_nan()),
+        _ => a == b,
+    }
+}
+
+/// `Case::Group` by hand: group the kept rows in first-encounter order
+/// (each group shows its first key), then fold each group's COUNT(*),
+/// SUM(t.v), MIN(t.n), MAX(t.v) and AVG(t.n) over its non-NULL cells
+/// left to right, a NaN never winning a comparison.
+fn grouped(t: &Chunk, key: &str, predicate: &str) -> Answer {
+    let kept = kept(t, predicate).map_err(|e| e.to_string())?;
+    let col = ["t.k", "t.v"].iter().position(|c| *c == key).unwrap();
+    let mut groups: Vec<(Value, Vec<Vec<Value>>)> = Vec::new();
+    for row in (0..kept.num_rows()).map(|i| kept.row(i)) {
+        match groups.iter_mut().find(|(k, _)| same_key(k, &row[col])) {
+            Some((_, rows)) => rows.push(row),
+            None => groups.push((row[col].clone(), vec![row])),
+        }
+    }
+    let double = |x: &Value| match x {
+        Value::Double(d) => Some(*d),
+        _ => None,
+    };
+    let int = |x: &Value| match x {
+        Value::Int(i) => Some(*i),
+        _ => None,
+    };
+    let or_null = |x: Option<f64>| x.map_or(Value::Null, Value::Double);
+    Ok(groups
+        .into_iter()
+        .map(|(key, rows)| {
+            let v: Vec<f64> = rows.iter().filter_map(|r| double(&r[1])).collect();
+            let n: Vec<i64> = rows.iter().filter_map(|r| int(&r[2])).collect();
+            let sum = v.iter().copied().reduce(|a, x| a + x);
+            let max = v.iter().copied().reduce(|a, x| if x > a { x } else { a });
+            let avg = (!n.is_empty())
+                .then(|| n.iter().fold(0.0, |a, &x| a + x as f64) / n.len() as f64);
+            let min = n.iter().min().map_or(Value::Null, |&m| Value::Int(m));
+            let row =
+                [key, Value::Int(rows.len() as i64), or_null(sum), min, or_null(max), or_null(avg)];
+            format!("{:?}", row.to_vec())
+        })
+        .collect())
+}
+
+/// `Case::Join` by hand: the pairs of a `t` row and a `u` row (for
+/// `JOIN … ON`, only those whose non-NULL `k`s are equal) in a table
+/// `t(k, v, n, uk, w)`, whose rows the reference filter keeps under the
+/// statement's WHERE (`u.k` and `u.w` read as `t.uk` and `t.w`),
+/// projected to the statement's columns. Rows come sorted: a join's
+/// row order is not part of its answer.
+fn joined(tables: &Tables, comma: bool, predicate: &str) -> Answer {
+    let rows_of = |name: &str| {
+        let chunk = Chunk::from_table(&tables.0.table(name).unwrap(), name);
+        (0..chunk.num_rows()).map(|i| chunk.row(i)).collect::<Vec<_>>()
+    };
+    let (t, u) = (rows_of("t"), rows_of("u"));
+    let mut pairs = Vec::new();
+    for tr in &t {
+        for ur in &u {
+            if comma || (tr[0] != Value::Null && tr[0] == ur[0]) {
+                pairs.push(tr.iter().chain(ur).cloned().collect());
             }
         }
     }
-    one
+    let mut schema = t_schema();
+    schema.extend([def("uk", DataType::Int), def("w", DataType::Double)]);
+    let scratch = Catalog::new();
+    scratch.create_table("t", schema).unwrap();
+    scratch.insert("t", pairs).unwrap();
+    let pairs = Chunk::from_table(&scratch.table("t").unwrap(), "t");
+    let predicate = predicate.replace("u.w", "t.w");
+    let predicate = if comma { format!("t.k = t.uk AND {predicate}") } else { predicate };
+    let kept = kept(&pairs, &predicate).map_err(|e| e.to_string())?;
+    let columns: &[usize] = if comma { &[2, 4] } else { &[0, 1, 4] };
+    let mut rows: Vec<String> = (0..kept.num_rows())
+        .map(|i| {
+            let row = kept.row(i);
+            format!("{:?}", columns.iter().map(|&c| row[c].clone()).collect::<Vec<_>>())
+        })
+        .collect();
+    rows.sort();
+    Ok(rows)
+}
+
+/// Run the statement through the planner and check it against its
+/// reference (for a WHERE, also a DELETE with the same WHERE). Returns
+/// the planner's answer.
+fn agree(tables: &Tables, case: &Case) -> Answer {
+    let sql = case.sql();
+    let got = rows(execute_select(tables, &select(&sql)));
+    let t = Chunk::from_table(&tables.0.table("t").unwrap(), "t");
+    match case {
+        Case::Where(predicate) => {
+            let reference = rows(kept(&t, predicate));
+            assert_same(&got, &reference, &format!("{sql} vs the row-at-a-time reference"));
+            // DELETE picks its rows through the same selection as SELECT.
+            let copy = Catalog::new();
+            copy.create_table("t", t_schema()).unwrap();
+            copy.insert("t", (0..t.num_rows()).map(|i| t.row(i)).collect()).unwrap();
+            let deleted = copy.execute(&format!("DELETE FROM t WHERE {predicate}"));
+            let counted = tables.0.execute(&format!("SELECT COUNT(*) FROM t WHERE {predicate}"));
+            match (deleted, counted) {
+                (Ok(_), Ok(counted)) => {
+                    let left = copy.table("t").unwrap().num_rows() as i64;
+                    let removed = Value::Int(t.num_rows() as i64 - left);
+                    assert_eq!(removed, counted.rows[0][0], "DELETE FROM t WHERE {predicate}");
+                }
+                (deleted, counted) => {
+                    assert_eq!(
+                        deleted.is_ok(),
+                        counted.is_ok(),
+                        "DELETE vs COUNT WHERE {predicate}"
+                    )
+                }
+            }
+        }
+        Case::Group { key, predicate } => {
+            assert_same(&got, &grouped(&t, key, predicate), &format!("{sql} vs grouping by hand"));
+        }
+        Case::Join { comma, predicate } => {
+            let sorted = got.clone().map(|mut rows| {
+                rows.sort();
+                rows
+            });
+            let reference = joined(tables, *comma, predicate);
+            assert_same(&sorted, &reference, &format!("{sql} vs a nested-loop join"));
+        }
+    }
+    got
 }
 
 #[test]
-fn generated_sql_agrees_with_the_rowwise_filter() {
+fn generated_sql_agrees_with_its_reference() {
     forall(
         |g| (tables(g), statement(g)),
-        |(catalog, sql)| {
-            let _checked = agree(&Tables(catalog), &sql);
+        |(catalog, case)| {
+            let _checked = agree(&Tables(catalog), &case);
         },
     );
 }
@@ -238,13 +376,10 @@ fn nan_against_a_number_is_unknown_on_both_paths() {
     let row = |k, v| vec![Value::Int(k), Value::Double(v), Value::Int(k)];
     catalog.insert("t", vec![row(1, f64::NAN), row(2, 0.5)]).unwrap();
     let tables = Tables(catalog);
-    for sql in [
-        "SELECT * FROM t WHERE 0 <= t.v",
-        "SELECT * FROM t WHERE t.v <> 0",
-        "SELECT * FROM t WHERE NOT (t.v = 0)",
-        "SELECT * FROM t WHERE t.v + 2 > t.k",
-    ] {
-        let kept = agree(&tables, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    for predicate in ["0 <= t.v", "t.v <> 0", "NOT (t.v = 0)", "t.v + 2 > t.k"] {
+        let sql = format!("SELECT * FROM t WHERE {predicate}");
+        let case = Case::Where(predicate.to_string());
+        let kept = agree(&tables, &case).unwrap_or_else(|e| panic!("{sql}: {e}"));
         assert_eq!(kept, vec![format!("{:?}", row(2, 0.5))], "{sql}");
     }
 }

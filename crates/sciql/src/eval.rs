@@ -164,14 +164,6 @@ fn map_region(a: &NdArray, ranges: &[(usize, usize)], expr: &Bound) -> Result<Nd
     if matches!(expr, Bound::Cell) {
         return Ok(region);
     }
-    // An expression that reads no dimension variable needs no
-    // coordinate, so it runs as `NdArray::map`'s straight loop over the
-    // region's cells. Walking it through `for_each_cell`, which keeps a
-    // coordinate per cell, measured 13-25 % slower on E6's classify and
-    // calibrate maps at 512² and 1024² (EXPERIMENTS.md).
-    if !expr.uses_dims() {
-        return Ok(region.map(|cell| expr.eval(cell, &[])));
-    }
     let mut cells = Vec::with_capacity(region.len());
     for_each_cell(a, ranges, |coord, _, v| cells.push(expr.eval(v, coord)))?;
     NdArray::from_vec(region.dims().to_vec(), cells)
@@ -252,22 +244,8 @@ impl Bound {
         })
     }
 
-    fn uses_dims(&self) -> bool {
-        match self {
-            Bound::Number(_) | Bound::Cell => false,
-            Bound::Dim(_) => true,
-            Bound::Binary(_, left, right) => left.uses_dims() || right.uses_dims(),
-            Bound::Neg(e) => e.uses_dims(),
-            Bound::Case(arms, otherwise) => {
-                arms.iter().any(|(c, r)| c.uses_dims() || r.uses_dims())
-                    || otherwise.as_ref().is_some_and(|e| e.uses_dims())
-            }
-            Bound::Func(_, args) => args.iter().any(Bound::uses_dims),
-        }
-    }
-
     /// Evaluate for one cell: `v` is its value, `coord` its source
-    /// coordinate (unread, so may be empty, unless [`Self::uses_dims`]).
+    /// coordinate.
     fn eval(&self, v: f64, coord: &[usize]) -> f64 {
         match self {
             Bound::Number(n) => *n,

@@ -6,7 +6,7 @@
 //! replaced produced on the same seeded arrays. The eight SUM, AVG and
 //! STDDEV answers over all of `big` are pinned to the plain row-major
 //! fold, which the interpreter's 65 536-cell partial sums missed in
-//! the last bits.
+//! the last bits; a loop here recomputes them from `big`'s cells.
 
 use teleios_check::{forall, Gen};
 use teleios_monet::array::{Dim, NdArray};
@@ -342,6 +342,51 @@ fn every_answer_equals_the_cell_at_a_time_interpreters() {
     let pinned: Vec<String> = PINNED.iter().map(|(q, bits)| format!("    (\"{q}\", 0x{bits:016x}),")).collect();
     let got = answers();
     assert!(got == pinned, "answers differ from the pinned ones; this build's are:\n{}", got.join("\n"));
+}
+
+/// The SUM, AVG and STDDEV answers over all of `big` in `PINNED` equal
+/// a plain row-major loop over the cells `answers()` reduces: `big` as
+/// `catalog()` fills it, after `ARRAY_STATEMENTS`' UPDATE of `big`.
+#[test]
+fn whole_array_reductions_are_pinned_to_the_row_major_loop() {
+    let (ny, nx) = (300, 290);
+    let mut cells = catalog().array("big").unwrap().data().to_vec();
+    for (i, v) in cells.iter_mut().enumerate() {
+        let (y, x) = ((i / nx) as f64, (i % nx) as f64);
+        if *v < 0.5 && (i / nx) % 2 == 0 {
+            *v = *v * x + y;
+        }
+    }
+    assert_eq!(cells.len(), ny * nx);
+    for expr in ["v", "v * 1.5 - 2", "v + y * 0.5 - x"] {
+        let region: Vec<f64> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let (y, x) = ((i / nx) as f64, (i % nx) as f64);
+                match expr {
+                    "v" => v,
+                    "v * 1.5 - 2" => v * 1.5 - 2.0,
+                    _ => v + y * 0.5 - x,
+                }
+            })
+            .collect();
+        let n = region.len() as f64;
+        let mut sum = 0.0;
+        for v in &region {
+            sum += v;
+        }
+        let mean = sum / n;
+        let mut squares = 0.0;
+        for v in &region {
+            squares += (v - mean) * (v - mean);
+        }
+        for (agg, want) in [("SUM", sum), ("AVG", mean), ("STDDEV", (squares / n).sqrt())] {
+            let q = format!("SELECT {agg}({expr}) FROM big");
+            let (_, pinned) = PINNED.iter().find(|(p, _)| *p == q).unwrap();
+            assert_eq!(*pinned, want.to_bits(), "{q}: pinned {pinned:#018x}, the loop gives {want}");
+        }
+    }
 }
 
 /// A SciQL UPDATE replaces the stored array; arrays read before it keep
