@@ -1,6 +1,6 @@
 //! Minimum distance between geometries.
 
-use crate::algorithm::predicates::{intersects, polygon_covers_coord};
+use crate::algorithm::predicates::{meets, polygon_covers_coord};
 use crate::algorithm::segment::{point_segment_distance, segment_segment_distance};
 use crate::coord::Coord;
 use crate::geometry::{Geometry, LineString, Polygon};
@@ -104,15 +104,17 @@ pub fn distance(a: &Geometry, b: &Geometry) -> f64 {
 /// True when the geometries lie within `d` of each other.
 ///
 /// This is the primitive behind stSPARQL's `strdf:distance(g1, g2) < d`
-/// filters; it short-circuits on envelope distance before doing exact work.
+/// filters; it short-circuits on envelope distance before doing exact
+/// work, computing each envelope once.
 pub fn within_distance(a: &Geometry, b: &Geometry, d: f64) -> bool {
     if a.is_empty() || b.is_empty() {
         return false;
     }
-    if a.envelope().distance(&b.envelope()) > d {
+    let (ea, eb) = (a.envelope(), b.envelope());
+    if ea.distance(&eb) > d {
         return false;
     }
-    if intersects(a, b) {
+    if meets(a, &ea, b, &eb) {
         return true;
     }
     distance(a, b) <= d

@@ -6,7 +6,7 @@
 //! area/area and point/area cases used by stSPARQL.
 
 use crate::algorithm::segment::{segments_intersect, SegmentIntersection};
-use crate::coord::Coord;
+use crate::coord::{Coord, Envelope};
 use crate::geometry::{Geometry, LineString, Polygon};
 
 /// Where a point lies relative to a ring or polygon.
@@ -80,50 +80,63 @@ fn polygon_rings(p: &Polygon) -> impl Iterator<Item = &LineString> {
     std::iter::once(&p.exterior).chain(p.interiors.iter())
 }
 
-fn line_line_intersects(a: &LineString, b: &LineString) -> bool {
-    if !a.envelope().intersects(&b.envelope()) {
-        return false;
-    }
-    for (p1, p2) in a.segments() {
-        for (q1, q2) in b.segments() {
-            if segments_intersect(p1, p2, q1, q2) {
-                return true;
-            }
-        }
-    }
-    false
+/// Whether any segment of `a` meets any segment of `b`.
+fn segments_meet(a: &LineString, b: &LineString) -> bool {
+    a.segments().any(|(p1, p2)| b.segments().any(|(q1, q2)| segments_intersect(p1, p2, q1, q2)))
 }
 
-fn line_polygon_intersects(l: &LineString, p: &Polygon) -> bool {
-    if !l.envelope().intersects(&p.envelope()) {
-        return false;
-    }
+/// Whether `l`, whose envelope is `el`, meets polygon `p`.
+fn line_polygon_intersects(l: &LineString, el: &Envelope, p: &Polygon) -> bool {
     if l.coords().iter().any(|&c| polygon_covers_coord(p, c)) {
         return true;
     }
-    polygon_rings(p).any(|ring| line_line_intersects(l, ring))
+    polygon_rings(p).any(|ring| ring.envelope().intersects(el) && segments_meet(l, ring))
 }
 
 fn polygon_polygon_intersects(a: &Polygon, b: &Polygon) -> bool {
-    if !a.envelope().intersects(&b.envelope()) {
-        return false;
-    }
-    // Any boundary crossing, or one fully inside the other.
+    // Any boundary crossing, or one fully inside the other; each ring's
+    // envelope is computed once.
+    let rings_b: Vec<(&LineString, Envelope)> = polygon_rings(b).map(|r| (r, r.envelope())).collect();
     for ra in polygon_rings(a) {
-        for rb in polygon_rings(b) {
-            if line_line_intersects(ra, rb) {
-                return true;
-            }
+        let ea = ra.envelope();
+        if rings_b.iter().any(|(rb, eb)| ea.intersects(eb) && segments_meet(ra, rb)) {
+            return true;
         }
     }
     a.exterior.coords().first().is_some_and(|&c| polygon_covers_coord(b, c))
         || b.exterior.coords().first().is_some_and(|&c| polygon_covers_coord(a, c))
 }
 
+/// True when `g` is an axis-aligned rectangle: a polygon without holes
+/// whose exterior is five coordinates, closed, each edge moving along
+/// one axis and the next along the other. Such a polygon covers every
+/// point of its envelope.
+fn is_rectangle(g: &Geometry) -> bool {
+    let Geometry::Polygon(p) = g else { return false };
+    let c = p.exterior.coords();
+    let along_x = |i: usize| c[i].y == c[i + 1].y && c[i].x != c[i + 1].x;
+    let along_y = |i: usize| c[i].x == c[i + 1].x && c[i].y != c[i + 1].y;
+    p.interiors.is_empty()
+        && c.len() == 5
+        && c[0] == c[4]
+        && ((along_x(0) && along_y(1) && along_x(2) && along_y(3))
+            || (along_y(0) && along_x(1) && along_y(2) && along_x(3)))
+}
+
 /// OGC `Intersects`: the geometries share at least one point.
 pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
-    if a.is_empty() || b.is_empty() || !a.envelope().intersects(&b.envelope()) {
+    meets(a, &a.envelope(), b, &b.envelope())
+}
+
+/// [`intersects`] with each side's envelope computed by the caller, once.
+pub(crate) fn meets(a: &Geometry, ea: &Envelope, b: &Geometry, eb: &Envelope) -> bool {
+    if a.is_empty() || b.is_empty() || !ea.intersects(eb) {
         return false;
+    }
+    // A rectangle meets whatever its envelope holds: no segment tests
+    // (every fire-map layer and region query is such a window).
+    if (eb.contains_envelope(ea) && is_rectangle(b)) || (ea.contains_envelope(eb) && is_rectangle(a)) {
+        return true;
     }
     use Geometry::*;
     match (a, b) {
@@ -131,15 +144,16 @@ pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
         (Point(p), LineString(l)) | (LineString(l), Point(p)) => ring_segments(l)
             .any(|(s, e)| crate::algorithm::segment::point_segment_distance(s, e, p.0) < 1e-12),
         (Point(p), Polygon(poly)) | (Polygon(poly), Point(p)) => polygon_covers_coord(poly, p.0),
-        (LineString(l1), LineString(l2)) => line_line_intersects(l1, l2),
-        (LineString(l), Polygon(p)) | (Polygon(p), LineString(l)) => line_polygon_intersects(l, p),
+        (LineString(l1), LineString(l2)) => segments_meet(l1, l2),
+        (LineString(l), Polygon(p)) => line_polygon_intersects(l, ea, p),
+        (Polygon(p), LineString(l)) => line_polygon_intersects(l, eb, p),
         (Polygon(p1), Polygon(p2)) => polygon_polygon_intersects(p1, p2),
         // Multi/collection cases: decompose the multi side.
         (MultiPoint(_) | MultiLineString(_) | MultiPolygon(_) | GeometryCollection(_), _) => {
-            a.primitives().iter().any(|pa| intersects(pa, b))
+            a.primitives().iter().any(|pa| meets(pa, &pa.envelope(), b, eb))
         }
         (_, MultiPoint(_) | MultiLineString(_) | MultiPolygon(_) | GeometryCollection(_)) => {
-            b.primitives().iter().any(|pb| intersects(a, pb))
+            b.primitives().iter().any(|pb| meets(a, ea, pb, &pb.envelope()))
         }
     }
 }

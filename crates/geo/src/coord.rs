@@ -280,6 +280,13 @@ impl Envelope {
     }
 }
 
+/// The empty envelope.
+impl Default for Envelope {
+    fn default() -> Self {
+        Envelope::EMPTY
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

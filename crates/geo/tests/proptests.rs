@@ -248,6 +248,52 @@ fn contains_implies_intersects() {
     );
 }
 
+/// A random geometry: each primitive kind and two multi kinds.
+fn geometry(g: &mut Gen) -> Geometry {
+    match g.below(5) {
+        0 => Geometry::Point(Point(coord(g))),
+        1 => Geometry::LineString(LineString(g.vec(2..6, coord))),
+        2 => Geometry::Polygon(simple_polygon(g)),
+        3 => Geometry::MultiPoint(g.vec(1..4, |g| Point(coord(g)))),
+        _ => Geometry::MultiPolygon(vec![simple_polygon(g), simple_polygon(g)]),
+    }
+}
+
+/// `intersects` against a rectangle answers without segment tests when
+/// the other envelope lies inside it. The same region with a sixth
+/// vertex halfway along its first edge is no rectangle to the
+/// short-cut, so the full predicate answers it: the two must agree, for
+/// windows around the geometry's envelope (touching it on the sides
+/// whose margin is drawn zero) and for windows anywhere.
+#[test]
+fn rectangle_short_cut_agrees_with_the_full_predicate() {
+    forall(
+        |g| {
+            let geom = geometry(g);
+            let e = geom.envelope();
+            let window = if g.bool() {
+                let mut margin = || if g.bool() { 0.0 } else { g.float(0.0..10.0) };
+                let min = Coord::new(e.min.x - margin(), e.min.y - margin());
+                Envelope::new(min, Coord::new(e.max.x + margin(), e.max.y + margin()))
+            } else {
+                Envelope::new(coord(g), coord(g))
+            };
+            (geom, window)
+        },
+        |(geom, window)| {
+            let rectangle = Polygon::from_envelope(&window);
+            let mut coords = rectangle.exterior.coords().to_vec();
+            coords.insert(1, coords[0].lerp(&coords[1], 0.5));
+            let (rectangle, six) = (Geometry::Polygon(rectangle), Geometry::Polygon(Polygon::new(LineString(coords), vec![])));
+            assert_eq!(intersects(&geom, &rectangle), intersects(&geom, &six), "{geom:?} in {window:?}");
+            assert_eq!(intersects(&rectangle, &geom), intersects(&six, &geom), "{geom:?} in {window:?}");
+            if window.contains_envelope(&geom.envelope()) {
+                assert!(intersects(&geom, &rectangle), "{geom:?} in {window:?}");
+            }
+        },
+    );
+}
+
 #[test]
 fn rtree_query_matches_linear_scan() {
     forall(

@@ -7,9 +7,10 @@
 //! series: one layer per linked dataset, restricted to the mapped
 //! region, plus the detected hotspots.
 
+use std::sync::Arc;
 use teleios_geo::{Coord, Envelope, Geometry};
 use teleios_geo::geometry::{LineString, Polygon};
-use teleios_rdf::strdf::{geometry_literal_wgs84, parse_geometry};
+use teleios_rdf::strdf::geometry_literal_wgs84;
 use teleios_rdf::vocab::{linked, noa};
 use teleios_strabon::{Strabon, StrabonError};
 
@@ -18,8 +19,8 @@ use teleios_strabon::{Strabon, StrabonError};
 pub struct MapLayer {
     /// Layer name (e.g. `hotspots`, `places`, `roads`).
     pub name: String,
-    /// Features: geometry plus display label.
-    pub features: Vec<(Geometry, String)>,
+    /// Features: geometry (the engine's parsed copy) plus display label.
+    pub features: Vec<(Arc<Geometry>, String)>,
 }
 
 /// A generated fire map.
@@ -201,8 +202,7 @@ fn run_layer(
     let sols = db.query(&layer_query(class, region_lit, label_prop))?;
     let mut features = Vec::with_capacity(sols.len());
     for i in 0..sols.len() {
-        let Some(gterm) = sols.get(i, "g") else { continue };
-        let Ok((geom, _)) = parse_geometry(gterm) else { continue };
+        let Some(geom) = sols.get(i, "g").and_then(|g| db.geometry(g)) else { continue };
         let label = sols
             .get(i, "label")
             .and_then(|t| t.lexical().map(str::to_string))
@@ -217,43 +217,38 @@ fn short_iri(iri: &str) -> String {
     iri.rsplit(['/', '#']).next().unwrap_or(iri).to_string()
 }
 
+/// The map's layers in drawing order (background first): name, class
+/// of the features, and the property that labels them.
+fn layers() -> [(&'static str, String, Option<String>); 6] {
+    [
+        ("coastline", format!("{}ontology#LandMass", linked::COASTLINE), None),
+        ("landcover", format!("{}ontology#Area", linked::CORINE), None),
+        ("roads", format!("{}Road", linked::LGD), None),
+        (
+            "places",
+            format!("{}ontology#PopulatedPlace", linked::GEONAMES),
+            Some(format!("{}ontology#name", linked::GEONAMES)),
+        ),
+        (
+            "sites",
+            "http://dbpedia.org/ontology/ArchaeologicalSite".into(),
+            Some("http://www.w3.org/2000/01/rdf-schema#label".into()),
+        ),
+        ("hotspots", noa::HOTSPOT.into(), None),
+    ]
+}
+
 /// Generate the fire map for a region: coastline, land cover, roads,
 /// populated places, archaeological sites, and the detected hotspots.
+/// Each feature's geometry is the engine's parsed copy
+/// ([`Strabon::geometry`]), not a second parse of the answer's WKT.
 pub fn build_fire_map(db: &mut Strabon, region: &Envelope) -> Result<FireMap, StrabonError> {
     let region_lit =
         geometry_literal_wgs84(&Geometry::Polygon(Polygon::from_envelope(region))).to_string();
-    let layers = vec![
-        run_layer(
-            db,
-            "coastline",
-            &format!("{}ontology#LandMass", linked::COASTLINE),
-            &region_lit,
-            None,
-        )?,
-        run_layer(
-            db,
-            "landcover",
-            &format!("{}ontology#Area", linked::CORINE),
-            &region_lit,
-            None,
-        )?,
-        run_layer(db, "roads", &format!("{}Road", linked::LGD), &region_lit, None)?,
-        run_layer(
-            db,
-            "places",
-            &format!("{}ontology#PopulatedPlace", linked::GEONAMES),
-            &region_lit,
-            Some(&format!("{}ontology#name", linked::GEONAMES)),
-        )?,
-        run_layer(
-            db,
-            "sites",
-            "http://dbpedia.org/ontology/ArchaeologicalSite",
-            &region_lit,
-            Some("http://www.w3.org/2000/01/rdf-schema#label"),
-        )?,
-        run_layer(db, "hotspots", noa::HOTSPOT, &region_lit, None)?,
-    ];
+    let layers = layers()
+        .into_iter()
+        .map(|(name, class, label)| run_layer(db, name, &class, &region_lit, label.as_deref()))
+        .collect::<Result<_, _>>()?;
     Ok(FireMap { region: *region, layers })
 }
 
@@ -300,10 +295,8 @@ mod tests {
         assert!(places.features.iter().any(|(_, l)| l.starts_with("City-")));
     }
 
-    #[test]
-    fn hotspots_appear_after_publication() {
-        let (mut db, world) = db_with_world();
-        // Publish one hotspot at the window centre.
+    /// Publish one hotspot at the window centre.
+    fn publish_centre_hotspot(db: &mut Strabon, world: &World) {
         let center = world.spec.bbox.center();
         db.insert(
             &teleios_rdf::term::Term::iri("http://teleios.di.uoa.gr/products/p/hotspot/0"),
@@ -315,7 +308,35 @@ mod tests {
             &teleios_rdf::term::Term::iri(teleios_rdf::vocab::strdf::HAS_GEOMETRY),
             &geometry_literal_wgs84(&Geometry::Point(teleios_geo::geometry::Point(center))),
         );
+    }
+
+    #[test]
+    fn hotspots_appear_after_publication() {
+        let (mut db, world) = db_with_world();
+        publish_centre_hotspot(&mut db, &world);
         let map = build_fire_map(&mut db, &world.spec.bbox).unwrap();
+        assert_eq!(map.layer("hotspots").unwrap().features.len(), 1);
+    }
+
+    /// Each feature's geometry, read back from the engine by term, is
+    /// the parse of the WKT its layer query projects — the id ↔ term
+    /// lookup behind `Strabon::geometry` hands out no other geometry.
+    #[test]
+    fn feature_geometries_are_the_parsed_layer_answers() {
+        let (mut db, world) = db_with_world();
+        publish_centre_hotspot(&mut db, &world);
+        let region = world.spec.bbox;
+        let map = build_fire_map(&mut db, &region).unwrap();
+        let region_lit = geometry_literal_wgs84(&Geometry::Polygon(Polygon::from_envelope(&region))).to_string();
+        for (layer, (_, class, label)) in map.layers.iter().zip(layers()) {
+            let sols = db.query(&layer_query(&class, &region_lit, label.as_deref())).unwrap();
+            let parsed: Vec<Geometry> = (0..sols.len())
+                .filter_map(|i| teleios_rdf::strdf::parse_geometry(sols.get(i, "g")?).ok())
+                .map(|(g, _)| g)
+                .collect();
+            let served: Vec<&Geometry> = layer.features.iter().map(|(g, _)| &**g).collect();
+            assert_eq!(served, parsed.iter().collect::<Vec<_>>(), "layer {}", layer.name);
+        }
         assert_eq!(map.layer("hotspots").unwrap().features.len(), 1);
     }
 
@@ -372,7 +393,7 @@ mod tests {
             region: Envelope::new(Coord::new(0.0, 0.0), Coord::new(1.0, 1.5)),
             layers: vec![MapLayer {
                 name: "hot\"spots\\".into(),
-                features: vec![(point(0.5, f64::NAN), "line\nbreak\ttab\u{1}".into())],
+                features: vec![(Arc::new(point(0.5, f64::NAN)), "line\nbreak\ttab\u{1}".into())],
             }],
         };
         let geojson = map.to_geojson();

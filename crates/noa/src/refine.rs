@@ -186,7 +186,8 @@ pub fn features_to_mask(
     out
 }
 
-/// Fetch the geometries of surviving hotspots of a product.
+/// Fetch the geometries of surviving hotspots of a product, as the
+/// engine parsed them ([`Strabon::geometry`]).
 pub fn surviving_hotspot_geometries(
     db: &mut Strabon,
     product_id: &str,
@@ -199,14 +200,12 @@ pub fn surviving_hotspot_geometries(
         strdf::NS,
     ))?;
     let mut out = Vec::with_capacity(sols.len());
-    for row in &sols.rows {
-        if let Some(term) = &row[0] {
-            match teleios_rdf::strdf::parse_geometry(term) {
-                Ok((teleios_geo::Geometry::Polygon(p), _)) => out.push(p),
-                // Clipped hotspots are MultiPolygon literals.
-                Ok((teleios_geo::Geometry::MultiPolygon(ps), _)) => out.extend(ps),
-                _ => {}
-            }
+    for term in sols.rows.iter().filter_map(|row| row[0].as_ref()) {
+        match db.geometry(term).as_deref() {
+            Some(teleios_geo::Geometry::Polygon(p)) => out.push(p.clone()),
+            // Clipped hotspots are MultiPolygon literals.
+            Some(teleios_geo::Geometry::MultiPolygon(ps)) => out.extend(ps.iter().cloned()),
+            _ => {}
         }
     }
     Ok(out)

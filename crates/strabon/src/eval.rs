@@ -6,38 +6,44 @@
 //! 1. `prepare` catches the spatial sidecar up with the dictionary,
 //!    collects the statement's variables, parses its constant
 //!    geometries and builds its one `Env`;
-//! 2. `plan_group` computes each FILTER's spatial restriction
-//!    (`strdf:pred(?g, CONST)` or `strdf:distance(?g, CONST) < d` probe
-//!    the R-tree sidecar for envelope candidates — E3), orders each BGP
-//!    run on a cardinality carried from step to step (E4) and recurses
-//!    into nested groups, once per statement. A pattern's fanout is its
-//!    constants' match count divided, per position a variable already
-//!    binds, by that position's distinct values in the store's
-//!    predicate statistics; a pattern sharing no bound variable
-//!    multiplies the cardinality by its whole count (a cross product).
-//!    Each pattern is tried as the seed, the rest follow greedily, and
-//!    the order with the least sum of intermediate cardinalities wins.
-//!    FILTERs do not cut runs: each runs right after the first step
-//!    that leaves all its variables certainly bound and scales the
-//!    estimate by `FILTER_SELECTIVITY`; with `optimize_bgp` off,
-//!    patterns keep syntactic order and FILTERs run at the group's end;
+//! 2. `plan_group` orders each BGP run on a cardinality carried from
+//!    step to step (E4) and recurses into nested groups, once per
+//!    statement. A pattern's fanout is its constants' match count
+//!    divided, per position a variable already binds, by that
+//!    position's distinct values in the store's predicate statistics;
+//!    a pattern sharing no bound variable multiplies the cardinality by
+//!    its whole count (a cross product). Each pattern is tried as the
+//!    seed, the rest follow greedily, and the order with the least sum
+//!    of intermediate cardinalities wins. FILTERs do not cut runs: each
+//!    runs right after the first step that leaves all its variables
+//!    certainly bound and scales the estimate by `FILTER_SELECTIVITY`;
+//!    with `optimize_bgp` off, patterns keep syntactic order and
+//!    FILTERs run at the group's end. A spatial FILTER (a topological
+//!    predicate, or `strdf:distance(a, b) < d`) is a spatial-join step
+//!    on the sidecar's R-tree — the one spatial access path (E3): the
+//!    search may also take it as soon as one argument is a constant or
+//!    bound and a pattern of the run would bind the other, which it
+//!    then binds to the candidates the exact predicate keeps, costed at
+//!    the sidecar's candidate estimate; otherwise it checks both bound
+//!    arguments where the FILTER would run;
 //! 3. `walk` executes that `Plan` as index nested-loop joins over
 //!    the store's SPO/POS/OSP orderings — or `render` prints it,
 //!    which is all EXPLAIN is, so the two cannot disagree;
 //! 4. `finish` applies SELECT's solution modifiers.
 //!
 //! [`crate::StrabonConfig`] toggles the join ordering and the spatial
-//! push-down; both only ever change the plan, never the answer.
+//! join; both only ever change the plan, never the answer.
 
 use crate::ast::*;
 use crate::expr::{
-    eval_expression, eval_filter, order_terms, spatial_function, Binding, Bound, Env, VarTable,
+    eval_expression, eval_filter, order_terms, spatial_function, Binding, Bound, Env, Operand, SpatialFn,
+    SpatialTest, VarTable,
 };
+use crate::spatial::window;
 use crate::{Result, Solutions, Strabon, StrabonError};
-use std::collections::hash_map::Entry;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use teleios_exec::concat;
 use teleios_geo::Geometry;
 use teleios_rdf::dictionary::TermId;
 use teleios_rdf::strdf;
@@ -56,8 +62,7 @@ pub(crate) fn prepare<'a, 't>(
     select: Option<&SelectQuery>,
     templates: impl IntoIterator<Item = &'t TemplateTriple>,
 ) -> Result<Env<'a>> {
-    let pool = engine.pool();
-    engine.spatial.catch_up(&engine.store, &pool);
+    engine.spatial.catch_up(&engine.store, &engine.pool());
     let engine: &'a Strabon = engine;
     let mut vars = VarTable::default();
     collect_group_vars(where_clause, &mut vars);
@@ -78,30 +83,23 @@ pub(crate) fn prepare<'a, 't>(
     }
     let mut constants = HashMap::new();
     collect_group_geometries(where_clause, &mut constants);
-    Ok(Env { store: &engine.store, spatial: &engine.spatial, vars, config: engine.config, pool, constants })
+    Ok(Env { store: &engine.store, spatial: &engine.spatial, vars, config: engine.config, constants })
 }
 
 /// Parse every constant geometry in the FILTER and BIND expressions of
 /// `g` and its nested groups, keyed for [`Env::constant_geometry`].
 fn collect_group_geometries(g: &GroupPattern, out: &mut HashMap<usize, Arc<Geometry>>) {
-    for el in &g.elements {
-        match el {
-            PatternElement::Triple(_) => {}
-            PatternElement::Filter(e) | PatternElement::Bind { expr: e, .. } => for_each_node(e, &mut |n| {
+    for_each_element(g, &mut |el| {
+        if let PatternElement::Filter(e) | PatternElement::Bind { expr: e, .. } = el {
+            for_each_node(e, &mut |n| {
                 if let Expression::Const(t) = n {
                     if let Ok((geometry, _)) = strdf::parse_geometry(t) {
                         out.insert(std::ptr::from_ref(n).addr(), Arc::new(geometry));
                     }
                 }
-            }),
-            PatternElement::Optional(inner)
-            | PatternElement::Minus(inner)
-            | PatternElement::FilterExists { group: inner, .. } => collect_group_geometries(inner, out),
-            PatternElement::Union(branches) => {
-                branches.iter().for_each(|b| collect_group_geometries(b, out));
-            }
+            })
         }
-    }
+    });
 }
 
 /// Steps 2 and 3: plan the WHERE clause, walk it from the one empty
@@ -174,7 +172,7 @@ fn finish(env: &Env<'_>, q: &SelectQuery, mut rows: Vec<Binding>) -> Result<Solu
                 let ord = order_terms(&x[i], &y[i]);
                 if k.desc { ord.reverse() } else { ord }
             };
-            q.order_by.iter().enumerate().map(by_key).find(|ord| ord.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
+            q.order_by.iter().enumerate().map(by_key).find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
         });
         rows = keyed.into_iter().map(|(_, b)| b).collect();
     }
@@ -327,26 +325,12 @@ fn eval_aggregate_expr(env: &Env<'_>, expr: &Expression, group: &[&Binding]) -> 
                         Some(Term::double(sum))
                     }
                 }
+                // The first of equal values stays.
                 "MIN" | "MAX" => {
-                    let mut best: Option<Term> = None;
-                    for v in values {
-                        best = Some(match best {
-                            None => v,
-                            Some(b) => {
-                                let keep_new = match order_terms(&Some(v.clone()), &Some(b.clone())) {
-                                    std::cmp::Ordering::Less => name == "MIN",
-                                    std::cmp::Ordering::Greater => name == "MAX",
-                                    std::cmp::Ordering::Equal => false,
-                                };
-                                if keep_new {
-                                    v
-                                } else {
-                                    b
-                                }
-                            }
-                        });
-                    }
-                    best
+                    let wanted = if name == "MIN" { Ordering::Less } else { Ordering::Greater };
+                    values.into_iter().reduce(|best, v| {
+                        if order_terms(&Some(v.clone()), &Some(best.clone())) == wanted { v } else { best }
+                    })
                 }
                 _ => None,
             }
@@ -368,30 +352,25 @@ fn eval_aggregate_expr(env: &Env<'_>, expr: &Expression, group: &[&Binding]) -> 
 }
 
 /// Fraction of its input a FILTER is costed to keep. One constant for
-/// every FILTER: the store keeps no value histograms, and a FILTER's
-/// spatial restriction already caps the scans it restricts exactly.
+/// every FILTER: the store keeps no value histograms, and a spatial
+/// join is costed by its own candidate estimate instead.
 const FILTER_SELECTIVITY: f64 = 0.25;
 
-/// A planned group: what [`walk`] executes and [`render`] prints.
-struct Plan<'q> {
-    /// Spatial push-down: per variable slot, the dictionary ids whose
-    /// envelope can satisfy this group's FILTERs on that variable.
-    /// The group's scans bind the slot to members only (geometries
-    /// that cannot pass are never enumerated — Strabon's "push the
-    /// spatial predicate into the scan") and the FILTERs pre-filter
-    /// with the same set.
-    restrictions: HashMap<usize, HashSet<TermId>>,
-    /// The steps in execution order, each with the cardinality
-    /// estimated after it.
-    steps: Vec<(Step<'q>, f64)>,
-}
+/// A planned group: what [`walk`] executes and [`render`] prints — the
+/// steps in execution order, each with the cardinality estimated after
+/// it.
+type Plan<'q> = Vec<(Step<'q>, f64)>;
 
 enum Step<'q> {
     /// One join of a BGP run.
     Scan(Scan<'q>),
-    /// A FILTER; `restricted` names the slot whose restriction
-    /// pre-filters it.
-    Filter { expr: &'q Expression, restricted: Option<usize> },
+    Filter(&'q Expression),
+    /// A spatial FILTER on the sidecar: per binding, the geometry of
+    /// `test.args[probe]` probes the R-tree and `binds`, the other
+    /// argument's slot, is bound to each candidate the exact predicate
+    /// keeps, in id order. With `binds` `None` — or the slot already
+    /// bound in a solution — the exact predicate checks both arguments.
+    SpatialJoin { test: SpatialTest, probe: usize, binds: Option<usize> },
     Optional(Plan<'q>),
     Union(Vec<Plan<'q>>),
     /// `shared`: the slots of the variables the body mentions.
@@ -418,9 +397,6 @@ struct Scan<'q> {
     pos: [Pos; 3],
     /// Matches of the pattern's constants alone, counted once.
     count: usize,
-    /// The object's spatial candidates drive the probe (one point
-    /// lookup per candidate) instead of an index range scan.
-    driven: bool,
     /// Under RDFS inference, `rdf:type`'s id: a match on it with a
     /// bound class also matches the class's subclasses.
     rdf_type: Option<TermId>,
@@ -430,20 +406,37 @@ impl Scan<'_> {
     fn binds(&self, slot: usize) -> bool {
         self.pos.contains(&Pos::Var(slot))
     }
+
+    /// The slots of the pattern's variables.
+    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pos.iter().filter_map(|p| match p {
+            Pos::Var(slot) => Some(*slot),
+            _ => None,
+        })
+    }
 }
 
 /// A FILTER of the group not placed yet, with the slots it reads.
 struct Waiting<'q> {
     expr: &'q Expression,
-    restricted: Option<usize>,
+    /// The FILTER as a sidecar test, when the index is on and it is one.
+    spatial: Option<SpatialTest>,
     slots: Vec<usize>,
+}
+
+/// A step the join-order search may take next: a pattern of the run, or
+/// a waiting spatial FILTER joined into the argument a pattern would
+/// bind.
+#[derive(Clone, Copy, PartialEq)]
+enum Move {
+    Scan(usize),
+    Join(usize),
 }
 
 /// One group's planning state: the steps so far, the cardinality
 /// carried after the last of them, the FILTERs not placed yet.
 struct Group<'e, 'q> {
     env: &'e Env<'e>,
-    restrictions: HashMap<usize, HashSet<TermId>>,
     steps: Vec<(Step<'q>, f64)>,
     card: f64,
     waiting: Vec<Waiting<'q>>,
@@ -467,11 +460,8 @@ fn plan_group<'e, 'q>(
     bound: &mut HashSet<usize>,
     card: f64,
 ) -> (Plan<'q>, f64) {
-    // A FILTER restricts the whole group, wherever it is written, so
-    // the candidate sets come first: one R-tree probe per FILTER.
     let mut g = Group {
         env,
-        restrictions: HashMap::new(),
         steps: Vec::with_capacity(group.elements.len()),
         card,
         waiting: Vec::new(),
@@ -480,20 +470,11 @@ fn plan_group<'e, 'q>(
     for el in &group.elements {
         match el {
             PatternElement::Filter(expr) => {
-                let found = if env.config.use_spatial_index { spatial_prefilter(env, expr) } else { None };
-                let restricted = found.map(|(slot, set)| {
-                    match g.restrictions.entry(slot) {
-                        Entry::Occupied(mut e) => e.get_mut().retain(|id| set.contains(id)),
-                        Entry::Vacant(e) => {
-                            e.insert(set);
-                        }
-                    }
-                    slot
-                });
+                let spatial = if env.config.use_spatial_index { spatial_test(env, expr) } else { None };
                 let mut vars = VarTable::default();
                 collect_expr_vars(expr, &mut vars);
                 let slots = vars.names().iter().filter_map(|v| env.vars.get(v)).collect();
-                g.waiting.push(Waiting { expr, restricted, slots });
+                g.waiting.push(Waiting { expr, spatial, slots });
             }
             PatternElement::Bind { var, .. } => g.binds_ahead.extend(env.vars.get(var)),
             _ => {}
@@ -567,7 +548,7 @@ fn plan_group<'e, 'q>(
         g.place(w);
     }
     let card = g.card;
-    (Plan { restrictions: g.restrictions, steps: g.steps }, card)
+    (g.steps, card)
 }
 
 impl<'q> Group<'_, 'q> {
@@ -591,35 +572,51 @@ impl<'q> Group<'_, 'q> {
         }
     }
 
+    /// Place FILTER `w` where it stands: a spatial one checks its two
+    /// bound arguments.
     fn place(&mut self, w: Waiting<'q>) {
         self.card *= FILTER_SELECTIVITY;
-        self.steps.push((Step::Filter { expr: w.expr, restricted: w.restricted }, self.card));
+        let step = match w.spatial {
+            Some(test) => Step::SpatialJoin { test, probe: 0, binds: None },
+            None => Step::Filter(w.expr),
+        };
+        self.steps.push((step, self.card));
     }
 
     /// Move one BGP run into the steps in join order: syntactic, or
-    /// (when `optimize_bgp`) the cheapest order [`Group::search`] finds.
+    /// (when `optimize_bgp`) the cheapest order [`Group::search`] finds,
+    /// spatial joins included.
     fn order_run(&mut self, run: &mut Vec<&'q PatternTriple>, bound: &mut HashSet<usize>) {
         let run: Vec<Scan<'q>> = run.drain(..).map(|pattern| self.cost(pattern)).collect();
-        let order: Vec<usize> = if self.env.config.optimize_bgp {
+        let order: Vec<Move> = if self.env.config.optimize_bgp {
             self.search(&run, bound)
         } else {
-            (0..run.len()).collect()
+            (0..run.len()).map(Move::Scan).collect()
         };
-        for mut scan in order.into_iter().map(|i| run[i]) {
-            let (range, capped) = self.fanout(&scan, bound);
-            self.card *= capped;
-            scan.driven = match scan.pos[2] {
-                Pos::Var(slot) if !bound.contains(&slot) => {
-                    self.restrictions.get(&slot).is_some_and(|cands| (cands.len() as f64) < range)
+        // Placing FILTERs shifts the waiting list: a join names its own.
+        let order: Vec<std::result::Result<usize, &'q Expression>> = order
+            .into_iter()
+            .map(|m| match m {
+                Move::Scan(i) => Ok(i),
+                Move::Join(w) => Err(self.waiting[w].expr),
+            })
+            .collect();
+        for m in order {
+            match m {
+                Ok(i) => {
+                    self.card *= self.fanout(&run[i], bound);
+                    bound.extend(run[i].slots());
+                    self.steps.push((Step::Scan(run[i]), self.card));
                 }
-                _ => false,
-            };
-            for pos in scan.pos {
-                if let Pos::Var(slot) = pos {
-                    bound.insert(slot);
+                Err(expr) => {
+                    let Some(at) = self.waiting.iter().position(|w| std::ptr::eq(w.expr, expr)) else { continue };
+                    let Some((probe, target, est)) = self.join(&self.waiting[at], &run, bound) else { continue };
+                    let Some(test) = self.waiting.remove(at).spatial else { continue };
+                    self.card *= est;
+                    bound.insert(target);
+                    self.steps.push((Step::SpatialJoin { test, probe, binds: Some(target) }, self.card));
                 }
             }
-            self.steps.push((Step::Scan(scan), self.card));
             self.release(bound);
         }
     }
@@ -645,17 +642,15 @@ impl<'q> Group<'_, 'q> {
         };
         let rdf_type =
             env.config.rdfs_inference.then(|| env.store.id_of(&Term::iri(vocab::rdf::TYPE))).flatten();
-        Scan { pattern, pos, count, driven: false, rdf_type }
+        Scan { pattern, pos, count, rdf_type }
     }
 
     /// Matches of `c` per binding under `bound`: the constants' count
     /// divided, for each position a variable already binds, by that
-    /// position's distinct values in the predicate statistics. Returned
-    /// as is (what a range scan reads) and capped by the spatial
-    /// candidates of the open variables (what the join emits). A
-    /// pattern that shares no bound variable keeps its whole count:
-    /// a cross product.
-    fn fanout(&self, c: &Scan<'_>, bound: &HashSet<usize>) -> (f64, f64) {
+    /// position's distinct values in the predicate statistics. A
+    /// pattern that shares no bound variable keeps its whole count: a
+    /// cross product.
+    fn fanout(&self, c: &Scan<'_>, bound: &HashSet<usize>) -> f64 {
         let store = self.env.store;
         let stats = store.predicate_stats(match c.pos[1] {
             Pos::Const(p) => Some(p),
@@ -663,69 +658,89 @@ impl<'q> Group<'_, 'q> {
         });
         let distinct = [stats.subjects, store.predicates(), stats.objects];
         let mut range = c.count as f64;
-        let mut capped = f64::INFINITY;
         for (pos, distinct) in c.pos.iter().zip(distinct) {
-            let Pos::Var(slot) = *pos else { continue };
-            if bound.contains(&slot) {
+            if matches!(pos, Pos::Var(slot) if bound.contains(slot)) {
                 range /= distinct.max(1) as f64;
-            } else if let Some(cands) = self.restrictions.get(&slot) {
-                capped = capped.min(cands.len() as f64);
             }
         }
-        (range, range.min(capped))
+        range
     }
 
-    /// The cheapest join order of a run: each pattern tried as the
-    /// seed, then greedily the pattern leaving the fewest solutions
-    /// after it and the FILTERs it makes ready; the order kept has the
-    /// least sum of intermediate cardinalities. Ties go to the earlier
-    /// pattern as written, so the plan is deterministic.
-    fn search(&self, run: &[Scan<'_>], bound: &HashSet<usize>) -> Vec<usize> {
-        let mut best: Option<(f64, Vec<usize>)> = None;
-        for seed in 0..run.len() {
+    /// Waiting FILTER `w` as a spatial join into the argument it leaves
+    /// open: the probe argument (a constant, or a slot `bound` holds),
+    /// the open slot — which a pattern of `run` binds — and the
+    /// candidates per binding: the sidecar's estimate for the probe,
+    /// capped by the count of that pattern.
+    fn join(&self, w: &Waiting<'_>, run: &[Scan<'_>], bound: &HashSet<usize>) -> Option<(usize, usize, f64)> {
+        let test = w.spatial.as_ref()?;
+        let settled = |s: &usize| bound.contains(s) && !self.binds_ahead.contains(s);
+        (0..2).find_map(|probe| {
+            let Operand::Var(target) = test.args[1 - probe] else { return None };
+            let envelope = match &test.args[probe] {
+                Operand::Const(g) => Some(g.envelope()),
+                Operand::Var(s) if settled(s) => None,
+                Operand::Var(_) => return None,
+            };
+            let cap = run.iter().filter(|c| c.binds(target)).map(|c| c.count).min()?;
+            let est = self.env.spatial.estimate(envelope.as_ref(), test.bound).min(cap as f64);
+            (!bound.contains(&target) && !self.binds_ahead.contains(&target)).then_some((probe, target, est))
+        })
+    }
+
+    /// The cheapest join order of a run: each move tried as the seed,
+    /// then greedily the move leaving the fewest solutions after it and
+    /// the FILTERs it makes ready; the order kept binds every pattern
+    /// with the least sum of intermediate cardinalities. Ties go to the
+    /// earlier move — patterns as written, then joins — so the plan is
+    /// deterministic.
+    fn search(&self, run: &[Scan<'_>], bound: &HashSet<usize>) -> Vec<Move> {
+        let moves: Vec<Move> = (0..run.len()).map(Move::Scan).chain((0..self.waiting.len()).map(Move::Join)).collect();
+        let mut best: Option<(f64, Vec<Move>)> = None;
+        for &seed in &moves {
             let mut bound = bound.clone();
             let mut placed = vec![false; self.waiting.len()];
-            let (mut card, mut total) = (self.card, 0.0);
+            let mut total = 0.0;
             let mut order = Vec::with_capacity(run.len());
-            let mut next = Some(seed);
-            while let Some(i) = next {
-                card = self.joined(&run[i], &bound, card, &placed);
+            let mut next = self.after(seed, run, &bound, self.card, &placed).map(|a| (seed, a));
+            while let Some((m, (card, binds))) = next {
                 total += card;
-                order.push(i);
-                for pos in run[i].pos {
-                    if let Pos::Var(slot) = pos {
-                        bound.insert(slot);
-                    }
+                order.push(m);
+                bound.extend(binds);
+                for (i, (w, placed)) in self.waiting.iter().zip(&mut placed).enumerate() {
+                    *placed = *placed || m == Move::Join(i) || self.ready(w, |s| bound.contains(&s));
                 }
-                for (w, placed) in self.waiting.iter().zip(&mut placed) {
-                    *placed = *placed || self.ready(w, |s| bound.contains(&s));
-                }
-                next = (0..run.len())
-                    .filter(|j| !order.contains(j))
-                    .map(|j| (j, self.joined(&run[j], &bound, card, &placed)))
-                    .fold(None, |min: Option<(usize, f64)>, (j, c)| match min {
-                        Some((_, m)) if m <= c => min,
-                        _ => Some((j, c)),
-                    })
-                    .map(|(j, _)| j);
+                next = moves
+                    .iter()
+                    .filter(|m| !order.contains(m))
+                    .filter_map(|&m| Some((m, self.after(m, run, &bound, card, &placed)?)))
+                    .min_by(|(_, (a, _)), (_, (b, _))| a.total_cmp(b));
             }
-            if best.as_ref().is_none_or(|(t, _)| total < *t) {
+            let complete = order.iter().filter(|m| matches!(m, Move::Scan(_))).count() == run.len();
+            if complete && best.as_ref().is_none_or(|(t, _)| total < *t) {
                 best = Some((total, order));
             }
         }
         best.map(|(_, order)| order).unwrap_or_default()
     }
 
-    /// `card` after joining `c` under `bound` and running the waiting
-    /// FILTERs the join makes ready.
-    fn joined(&self, c: &Scan<'_>, bound: &HashSet<usize>, card: f64, placed: &[bool]) -> f64 {
-        let ready = self
-            .waiting
-            .iter()
-            .zip(placed)
-            .filter(|(w, placed)| !**placed && self.ready(w, |s| bound.contains(&s) || c.binds(s)))
+    /// Move `m` under `bound`: `card` after it and the waiting FILTERs
+    /// it makes ready, and the slots it binds; `None` when it cannot
+    /// run yet.
+    fn after(&self, m: Move, run: &[Scan<'_>], bound: &HashSet<usize>, card: f64, placed: &[bool])
+        -> Option<(f64, Vec<usize>)> {
+        let (fanout, binds): (f64, Vec<usize>) = match m {
+            Move::Scan(i) => (self.fanout(&run[i], bound), run[i].slots().collect()),
+            Move::Join(w) if !placed[w] => {
+                let (_, target, est) = self.join(&self.waiting[w], run, bound)?;
+                (est, vec![target])
+            }
+            Move::Join(_) => return None,
+        };
+        let ready = (0..self.waiting.len())
+            .filter(|&i| !placed[i] && m != Move::Join(i))
+            .filter(|&i| self.ready(&self.waiting[i], |s| bound.contains(&s) || binds.contains(&s)))
             .count();
-        card * self.fanout(c, bound).1 * FILTER_SELECTIVITY.powi(ready as i32)
+        Some((card * fanout * FILTER_SELECTIVITY.powi(ready as i32), binds))
     }
 }
 
@@ -737,35 +752,33 @@ fn render_pattern(p: &PatternTriple) -> String {
     format!("{} {} {}", part(&p.s), part(&p.p), part(&p.o))
 }
 
-/// Step 3: execute a plan over `bindings`. Scans and FILTERs run over
-/// the whole solution list (morsel-parallel from
-/// [`PAR_BINDING_THRESHOLD`] up); nested bodies run once per solution,
-/// seeded with it.
+/// Step 3: execute a plan over `bindings`, sequentially. Scans, FILTERs
+/// and spatial joins run over the whole solution list; nested bodies
+/// run once per solution, seeded with it.
 fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Binding> {
     let seeded = |inner: &Plan<'_>, b: &Binding| walk(env, inner, vec![b.clone()]);
-    for (step, _) in &plan.steps {
+    for (step, _) in plan {
         if bindings.is_empty() {
             break;
         }
         match step {
             Step::Scan(scan) => {
-                bindings = probe_pattern(env, scan, bindings, &plan.restrictions);
-            }
-            Step::Filter { expr, restricted } => {
-                let prefilter = restricted.map(|slot| (slot, &plan.restrictions[&slot]));
-                bindings = apply_filter(env, expr, bindings, prefilter);
-            }
-            Step::Optional(inner) => {
-                let mut next = Vec::with_capacity(bindings.len());
-                for b in bindings {
-                    let extended = seeded(inner, &b);
-                    if extended.is_empty() {
-                        next.push(b);
-                    } else {
-                        next.extend(extended);
-                    }
+                let mut out = Vec::with_capacity(bindings.len());
+                for b in &bindings {
+                    extend_with_pattern(env, scan, b, &mut out);
                 }
-                bindings = next;
+                bindings = out;
+            }
+            Step::Filter(expr) => bindings.retain(|b| eval_filter(env, b, expr)),
+            Step::SpatialJoin { test, probe, binds } => bindings = spatial_join(env, test, *probe, *binds, bindings),
+            Step::Optional(inner) => {
+                bindings = bindings
+                    .into_iter()
+                    .flat_map(|b| {
+                        let extended = seeded(inner, &b);
+                        if extended.is_empty() { vec![b] } else { extended }
+                    })
+                    .collect();
             }
             Step::Union(branches) => {
                 bindings = branches.iter().flat_map(|br| walk(env, br, bindings.clone())).collect();
@@ -791,9 +804,8 @@ fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Bindi
 }
 
 /// Render the evaluation plan of a query — the [`Plan`] the evaluator
-/// would walk: spatial push-down candidate counts, then every step in
-/// execution order with the cardinality estimated after it, nested
-/// bodies indented under their step.
+/// would walk: every step in execution order with the cardinality
+/// estimated after it, nested bodies indented under their step.
 pub(crate) fn explain_query(engine: &mut Strabon, query: &Query) -> Result<String> {
     let (where_clause, select) = match query {
         Query::Select(q) => (&q.where_clause, Some(q)),
@@ -806,7 +818,7 @@ pub(crate) fn explain_query(engine: &mut Strabon, query: &Query) -> Result<Strin
         "config: optimize_bgp={}, use_spatial_index={}, rdfs_inference={}\n",
         env.config.optimize_bgp, env.config.use_spatial_index, env.config.rdfs_inference
     );
-    if plan.restrictions.is_empty() {
+    if !plan.iter().any(|(step, _)| matches!(step, Step::SpatialJoin { binds: Some(_), .. })) {
         out.push_str("spatial push-down: (none)\n");
     }
     render(&env, &plan, "", &mut out);
@@ -814,23 +826,12 @@ pub(crate) fn explain_query(engine: &mut Strabon, query: &Query) -> Result<Strin
 }
 
 fn render(env: &Env<'_>, plan: &Plan<'_>, indent: &str, out: &mut String) {
-    let mut slots: Vec<&usize> = plan.restrictions.keys().collect();
-    slots.sort();
-    for slot in slots {
-        out.push_str(&format!(
-            "{indent}spatial push-down: ?{} restricted to {} envelope candidate(s)\n",
-            env.vars.names()[*slot],
-            plan.restrictions[slot].len()
-        ));
-    }
     let nested = format!("{indent}     ");
-    for (i, (step, est)) in plan.steps.iter().enumerate() {
+    for (i, (step, est)) in plan.iter().enumerate() {
         let (label, bodies) = match step {
-            Step::Scan(scan) => {
-                let by = if scan.driven { ", probing the object's candidates" } else { "" };
-                (format!("match {}{by}", render_pattern(scan.pattern)), &[][..])
-            }
-            Step::Filter { .. } => ("filter".into(), &[][..]),
+            Step::Scan(scan) => (format!("match {}", render_pattern(scan.pattern)), &[][..]),
+            Step::Filter(_) => ("filter".into(), &[][..]),
+            Step::SpatialJoin { test, probe, binds } => (render_join(env, test, *probe, *binds), &[][..]),
             Step::Optional(body) => ("optional group".into(), std::slice::from_ref(body)),
             Step::Union(branches) => ("union".into(), &branches[..]),
             Step::Minus { plan: body, .. } => ("minus group".into(), std::slice::from_ref(body)),
@@ -847,61 +848,28 @@ fn render(env: &Env<'_>, plan: &Plan<'_>, indent: &str, out: &mut String) {
     }
 }
 
-/// Binding count below which BGP probing and FILTER evaluation stay
-/// inline: under this size the join itself is cheaper than task
-/// setup. Public so the parallel-equivalence tests can size their
-/// data to cross it.
-pub const PAR_BINDING_THRESHOLD: usize = 256;
-
-/// Morsels per worker for the probe/filter kernels: finer than
-/// one-per-worker so the pool's claim counter has slack to rebalance
-/// when some bindings fan out much harder than others.
-const MORSELS_PER_WORKER: usize = 4;
-
-/// One join step: extend every seed binding with the matches of
-/// `pat`. The seed side is cut along the pool's morsels — a single
-/// inline one under [`PAR_BINDING_THRESHOLD`] or at one thread — and
-/// the per-morsel outputs concatenate in morsel order (the pool's
-/// determinism contract), so results are identical at every thread
-/// count.
-fn probe_pattern(
-    env: &Env<'_>,
-    scan: &Scan<'_>,
-    results: Vec<Binding>,
-    restrictions: &HashMap<usize, HashSet<TermId>>,
-) -> Vec<Binding> {
-    let results = &results;
-    let tasks: Vec<_> = env
-        .pool
-        .morsels_for(results.len(), PAR_BINDING_THRESHOLD, MORSELS_PER_WORKER)
-        .into_iter()
-        .map(|r| {
-            move || {
-                let mut out = Vec::with_capacity(r.len());
-                for b in &results[r] {
-                    extend_with_pattern(env, scan, b, restrictions, &mut out);
-                }
-                out
-            }
-        })
-        .collect();
-    concat(env.pool.run(tasks))
+/// `spatial join distance(?hg, ?sg) < 0.3, binding ?sg around ?hg`; a
+/// check of two bound arguments names no binding.
+fn render_join(env: &Env<'_>, test: &SpatialTest, probe: usize, binds: Option<usize>) -> String {
+    let arg = |i: usize| match &test.args[i] {
+        Operand::Var(slot) => format!("?{}", env.vars.names()[*slot]),
+        Operand::Const(g) => format!("a {}", g.type_name()),
+    };
+    let predicate = match test.func {
+        SpatialFn::Distance { inclusive } => {
+            format!("distance({}, {}) {} {}", arg(0), arg(1), if inclusive { "<=" } else { "<" }, test.bound)
+        }
+        f => format!("{}({}, {})", format!("{f:?}").to_lowercase(), arg(0), arg(1)),
+    };
+    match binds {
+        Some(slot) => format!("spatial join {predicate}, binding ?{} around {}", env.vars.names()[slot], arg(probe)),
+        None => format!("spatial join {predicate}"),
+    }
 }
 
-/// Match one pattern under a binding, pushing extended bindings.
-///
-/// `restrictions` holds per-slot candidate id sets from the spatial
-/// push-down: open variables with a restriction only bind to members of
-/// their set, and a `driven` scan whose object is still open matches
-/// *from the candidates* (point lookups on the OSP/SPO indexes instead
-/// of a range scan).
-fn extend_with_pattern(
-    env: &Env<'_>,
-    scan: &Scan<'_>,
-    binding: &Binding,
-    restrictions: &HashMap<usize, HashSet<TermId>>,
-    out: &mut Vec<Binding>,
-) {
+/// Match one pattern under a binding, pushing extended bindings. A
+/// slot a spatial join bound is a point lookup here, like a constant.
+fn extend_with_pattern(env: &Env<'_>, scan: &Scan<'_>, binding: &Binding, out: &mut Vec<Binding>) {
     // Each position under this binding: a concrete id, or the slot it
     // opens (`Err`); `None` when it cannot match.
     let resolve = |pos: Pos| -> Option<std::result::Result<TermId, usize>> {
@@ -924,9 +892,6 @@ fn extend_with_pattern(
         let mut nb = binding.clone();
         for (pos, value) in [(s, t.s), (p, t.p), (o, t.o)] {
             let Err(slot) = pos else { continue };
-            if restrictions.get(&slot).is_some_and(|c| !c.contains(&value)) {
-                return;
-            }
             match &nb[slot] {
                 None => nb[slot] = Some(Bound::Id(value)),
                 Some(Bound::Id(existing)) if *existing == value => {}
@@ -948,24 +913,6 @@ fn extend_with_pattern(
             return;
         }
     }
-    // Candidate-driven matching, chosen at plan time: probe per
-    // candidate instead of scanning the range.
-    if let (true, Err(slot)) = (scan.driven, o) {
-        if let Some(cands) = restrictions.get(&slot) {
-            // Probe in id order, not HashSet order: iteration order
-            // of the set is RandomState-seeded per instance, and
-            // row order is part of the determinism contract.
-            let mut ordered: Vec<TermId> = cands.iter().copied().collect();
-            ordered.sort_unstable();
-            for cid in ordered {
-                for t in env.store.match_pattern(&TriplePattern { o: Some(cid), ..tp }) {
-                    emit(t, out);
-                }
-            }
-            return;
-        }
-    }
-
     for t in env.store.match_pattern(&tp) {
         emit(t, out);
     }
@@ -973,14 +920,8 @@ fn extend_with_pattern(
 
 /// Reflexive-transitive subclass closure of a class id via the
 /// `rdfs:subClassOf` triples in the store (downward: all subclasses).
-fn subclass_closure(
-    store: &teleios_rdf::store::TripleStore,
-    class: TermId,
-) -> Vec<TermId> {
-    let Some(sub_p) = store.id_of(&teleios_rdf::term::Term::iri(vocab::rdfs::SUB_CLASS_OF))
-    else {
-        return vec![class];
-    };
+fn subclass_closure(store: &teleios_rdf::store::TripleStore, class: TermId) -> Vec<TermId> {
+    let Some(sub_p) = store.id_of(&Term::iri(vocab::rdfs::SUB_CLASS_OF)) else { return vec![class] };
     let mut seen: HashSet<TermId> = HashSet::new();
     let mut stack = vec![class];
     let mut out = Vec::new();
@@ -997,72 +938,63 @@ fn subclass_closure(
     out
 }
 
-/// Apply a FILTER. `prefilter` is the group's spatial restriction on
-/// the FILTER's variable: solutions binding it to an id outside the
-/// candidate set go first — hash probes, far cheaper than the task
-/// setup they would amortize, so this stays sequential. The exact
-/// predicate pass (geometry intersections, arithmetic) runs over the
-/// pool's morsels, parallel from [`PAR_BINDING_THRESHOLD`] up.
-fn apply_filter(
-    env: &Env<'_>,
-    filter: &Expression,
-    mut bindings: Vec<Binding>,
-    prefilter: Option<(usize, &HashSet<TermId>)>,
-) -> Vec<Binding> {
-    if let Some((slot, candidates)) = prefilter {
-        bindings.retain(|b| match &b[slot] {
-            Some(Bound::Id(id)) => candidates.contains(id),
-            // Computed geometries skip the index and go to exact eval.
-            _ => true,
-        });
-    }
-    // Morsel-order concatenation of the survivors is one retain over
-    // the whole list.
-    let bindings = &bindings;
-    let tasks: Vec<_> = env
-        .pool
-        .morsels_for(bindings.len(), PAR_BINDING_THRESHOLD, MORSELS_PER_WORKER)
-        .into_iter()
-        .map(|r| {
-            move || {
-                bindings[r]
-                    .iter()
-                    .filter(|b| eval_filter(env, b, filter))
-                    .cloned()
-                    .collect::<Vec<Binding>>()
+/// A spatial-join step over `bindings` (see [`Step::SpatialJoin`]).
+/// The exact predicate reads the sidecar's parsed geometries and
+/// compares a distance as an `f64`; solutions whose probe is unbound or
+/// no geometry fail it, as the FILTER would.
+fn spatial_join(env: &Env<'_>, test: &SpatialTest, probe: usize, binds: Option<usize>, bindings: Vec<Binding>)
+    -> Vec<Binding> {
+    let mut out = Vec::with_capacity(bindings.len());
+    for b in bindings {
+        let Some(p) = test.geometry(env, &b, probe) else { continue };
+        let holds = |g: &Geometry| {
+            let (a0, a1) = if probe == 0 { (&*p, g) } else { (g, &*p) };
+            test.func.holds(a0, a1, test.bound)
+        };
+        match binds {
+            Some(slot) if b[slot].is_none() => {
+                for id in env.spatial.candidates(&window(&p.envelope(), test.bound)) {
+                    if env.spatial.geometry(id).is_some_and(|g| holds(&g)) {
+                        let mut nb = b.clone();
+                        nb[slot] = Some(Bound::Id(id));
+                        out.push(nb);
+                    }
+                }
             }
-        })
-        .collect();
-    concat(env.pool.run(tasks))
+            _ if test.geometry(env, &b, 1 - probe).is_some_and(|g| holds(&g)) => out.push(b),
+            _ => {}
+        }
+    }
+    out
 }
 
-/// Recognize `strdf:pred(?v, CONST)` and `strdf:distance(?v, CONST) < d`
-/// (or `d > strdf:distance(..)`) and compute the envelope-candidate id
-/// set of `?v`'s slot.
-fn spatial_prefilter(env: &Env<'_>, filter: &Expression) -> Option<(usize, HashSet<TermId>)> {
-    // Envelope intersection is a necessary condition for these predicates.
-    const ENVELOPE_PREDICATES: &[&str] =
-        &["intersects", "within", "contains", "touches", "equals", "sfIntersects", "sfWithin", "sfContains"];
-
+/// Recognize a spatial FILTER the sidecar serves: a topological
+/// predicate, or `strdf:distance(a, b) < d` (`<=`, or `d >` / `d >=`
+/// it) with a finite numeric `d`, over two arguments that are each a
+/// variable or a constant geometry, one at least a variable.
+fn spatial_test(env: &Env<'_>, filter: &Expression) -> Option<SpatialTest> {
     let (call, limit) = match filter {
-        Expression::Binary { op: BinaryOp::Lt | BinaryOp::Le, left, right } => (&**left, Some(&**right)),
-        Expression::Binary { op: BinaryOp::Gt | BinaryOp::Ge, left, right } => (&**right, Some(&**left)),
+        Expression::Binary { op: op @ (BinaryOp::Lt | BinaryOp::Le), left, right } => (&**left, Some((*op, &**right))),
+        Expression::Binary { op: op @ (BinaryOp::Gt | BinaryOp::Ge), left, right } => (&**right, Some((*op, &**left))),
         call => (call, None),
     };
     let Expression::Call { name, args } = call else { return None };
     let local = spatial_function(name)?;
-    // How far the constant's envelope reaches.
-    let reach = match limit {
-        None if ENVELOPE_PREDICATES.contains(&local) => 0.0,
-        Some(Expression::Const(d)) if local == "distance" => d.as_f64()?,
+    let (func, bound) = match limit {
+        None => (SpatialFn::topological(local)?, 0.0),
+        Some((op, Expression::Const(d))) if local == "distance" => {
+            let inclusive = matches!(op, BinaryOp::Le | BinaryOp::Ge);
+            (SpatialFn::Distance { inclusive }, d.as_f64().filter(|d| d.is_finite())?)
+        }
         _ => return None,
     };
-    let (var, constant) = match args.as_slice() {
-        [Expression::Var(v), c @ Expression::Const(_)] | [c @ Expression::Const(_), Expression::Var(v)] => (v, c),
-        _ => return None,
+    let operand = |e: &Expression| match e {
+        Expression::Var(v) => env.vars.get(v).map(Operand::Var),
+        _ => env.constant_geometry(e).map(Operand::Const),
     };
-    let geometry = env.constant_geometry(constant)?;
-    Some((env.vars.get(var)?, env.spatial.candidates(&geometry.envelope().buffer(reach))))
+    let [a, b] = args.as_slice() else { return None };
+    let args = [operand(a)?, operand(b)?];
+    args.iter().any(|a| matches!(a, Operand::Var(_))).then_some(SpatialTest { func, args, bound })
 }
 
 // --- variable collection ----------------------------------------------
@@ -1084,30 +1016,32 @@ fn collect_projection_vars(p: &Projection, vars: &mut VarTable) {
 }
 
 fn collect_group_vars(g: &GroupPattern, vars: &mut VarTable) {
-    for el in &g.elements {
-        match el {
-            PatternElement::Triple(t) => {
-                for v in [&t.s, &t.p, &t.o] {
-                    if let Some(name) = v.var() {
-                        vars.slot(name);
-                    }
-                }
+    for_each_element(g, &mut |el| match el {
+        PatternElement::Triple(t) => {
+            for name in [&t.s, &t.p, &t.o].into_iter().filter_map(VarOrTerm::var) {
+                vars.slot(name);
             }
-            PatternElement::Filter(e) => collect_expr_vars(e, vars),
+        }
+        PatternElement::Filter(e) => collect_expr_vars(e, vars),
+        PatternElement::Bind { expr, var } => {
+            collect_expr_vars(expr, vars);
+            vars.slot(var);
+        }
+        _ => {}
+    });
+}
+
+/// Visit the elements of `g` in order, each nested group's right after
+/// the element holding it.
+fn for_each_element(g: &GroupPattern, f: &mut impl FnMut(&PatternElement)) {
+    for el in &g.elements {
+        f(el);
+        match el {
             PatternElement::Optional(inner)
             | PatternElement::Minus(inner)
-            | PatternElement::FilterExists { group: inner, .. } => {
-                collect_group_vars(inner, vars)
-            }
-            PatternElement::Union(branches) => {
-                for b in branches {
-                    collect_group_vars(b, vars);
-                }
-            }
-            PatternElement::Bind { expr, var } => {
-                collect_expr_vars(expr, vars);
-                vars.slot(var);
-            }
+            | PatternElement::FilterExists { group: inner, .. } => for_each_element(inner, f),
+            PatternElement::Union(branches) => branches.iter().for_each(|b| for_each_element(b, f)),
+            _ => {}
         }
     }
 }

@@ -11,7 +11,6 @@ use crate::StrabonConfig;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
-use teleios_exec::WorkerPool;
 use teleios_geo::algorithm::{area, buffer, clip, distance as geodist, predicates};
 use teleios_geo::Geometry;
 use teleios_rdf::dictionary::TermId;
@@ -78,9 +77,7 @@ impl VarTable {
 }
 
 /// Evaluation environment of one statement, built once by
-/// `eval::prepare`. Nothing in it changes while the statement runs, so
-/// an `&Env` crosses worker-thread boundaries freely — the
-/// morsel-parallel BGP probe and filter paths rely on that.
+/// `eval::prepare`. Nothing in it changes while the statement runs.
 pub(crate) struct Env<'a> {
     /// The triple store.
     pub store: &'a TripleStore,
@@ -88,12 +85,9 @@ pub(crate) struct Env<'a> {
     pub spatial: &'a SpatialSidecar,
     /// The statement's variables.
     pub vars: VarTable,
-    /// The engine's toggles: join ordering, spatial push-down, RDFS
+    /// The engine's toggles: join ordering, spatial joins, RDFS
     /// expansion of `rdf:type` patterns.
     pub config: StrabonConfig,
-    /// Worker pool for the morsel-parallel probe/filter paths
-    /// (one-thread pools evaluate inline — the exact sequential path).
-    pub pool: WorkerPool,
     /// The WHERE clause's constant geometries, parsed once: keyed by
     /// the address of their `Expression::Const` node in the statement's
     /// syntax tree, which outlives the `Env`.
@@ -112,14 +106,11 @@ impl Env<'_> {
 
     /// Parse (or fetch from cache) the geometry of a bound value.
     pub(crate) fn geometry_of(&self, b: &Bound) -> Option<Arc<Geometry>> {
-        match b {
-            Bound::Id(id) => self.spatial.geometry(*id).or_else(|| {
-                strdf::parse_geometry(self.store.term(*id))
-                    .ok()
-                    .map(|(g, _)| Arc::new(g))
-            }),
-            Bound::Computed(t) => strdf::parse_geometry(t).ok().map(|(g, _)| Arc::new(g)),
-        }
+        let cached = match b {
+            Bound::Id(id) => self.spatial.geometry(*id),
+            Bound::Computed(_) => None,
+        };
+        cached.or_else(|| strdf::parse_geometry(b.term(self.store)).ok().map(|(g, _)| Arc::new(g)))
     }
 }
 
@@ -327,31 +318,14 @@ fn eval_spatial(
     let geom = |e: &Expression| -> Option<Arc<Geometry>> {
         env.constant_geometry(e).or_else(|| env.geometry_of(&bound_of(e)?))
     };
+    if let Some(f) = SpatialFn::topological(local) {
+        let (a, b) = (geom(&args[0])?, geom(&args[1])?);
+        return Some(Term::boolean(f.holds(&a, &b, 0.0)));
+    }
     match local {
-        // Topological predicates — also accept GeoSPARQL sf* spellings.
-        "intersects" | "sfIntersects" | "anyInteract" => {
-            let (a, b) = (geom(&args[0])?, geom(&args[1])?);
-            Some(Term::boolean(predicates::intersects(&a, &b)))
-        }
         "disjoint" | "sfDisjoint" => {
             let (a, b) = (geom(&args[0])?, geom(&args[1])?);
             Some(Term::boolean(predicates::disjoint(&a, &b)))
-        }
-        "contains" | "sfContains" => {
-            let (a, b) = (geom(&args[0])?, geom(&args[1])?);
-            Some(Term::boolean(predicates::contains(&a, &b)))
-        }
-        "within" | "sfWithin" => {
-            let (a, b) = (geom(&args[0])?, geom(&args[1])?);
-            Some(Term::boolean(predicates::within(&a, &b)))
-        }
-        "touches" | "sfTouches" => {
-            let (a, b) = (geom(&args[0])?, geom(&args[1])?);
-            Some(Term::boolean(predicates::touches(&a, &b)))
-        }
-        "equals" | "sfEquals" => {
-            let (a, b) = (geom(&args[0])?, geom(&args[1])?);
-            Some(Term::boolean(predicates::equals(&a, &b)))
         }
         // Metric functions (planar, in coordinate units).
         "distance" => {
@@ -415,6 +389,82 @@ fn eval_spatial(
             Some(strdf::geometry_literal_wgs84(&Geometry::MultiPolygon(result.polygons)))
         }
         _ => None,
+    }
+}
+
+/// The spatial predicates the sidecar serves: each holds only for
+/// geometries whose envelopes meet — for `distance`, once one of them
+/// is grown by the bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum SpatialFn {
+    Intersects,
+    Contains,
+    Within,
+    Touches,
+    Equals,
+    /// `distance(a, b) < bound`, or `<=` when inclusive.
+    Distance { inclusive: bool },
+}
+
+impl SpatialFn {
+    /// The topological predicate a local name spells (GeoSPARQL's `sf*`
+    /// spellings included).
+    pub(crate) fn topological(local: &str) -> Option<SpatialFn> {
+        Some(match local {
+            "intersects" | "sfIntersects" | "anyInteract" => SpatialFn::Intersects,
+            "contains" | "sfContains" => SpatialFn::Contains,
+            "within" | "sfWithin" => SpatialFn::Within,
+            "touches" | "sfTouches" => SpatialFn::Touches,
+            "equals" | "sfEquals" => SpatialFn::Equals,
+            _ => return None,
+        })
+    }
+
+    /// The exact predicate on `(a, b)`, in the order the FILTER writes
+    /// them; a distance is compared with `bound` as an `f64`.
+    pub(crate) fn holds(self, a: &Geometry, b: &Geometry, bound: f64) -> bool {
+        match self {
+            SpatialFn::Intersects => predicates::intersects(a, b),
+            SpatialFn::Contains => predicates::contains(a, b),
+            SpatialFn::Within => predicates::within(a, b),
+            SpatialFn::Touches => predicates::touches(a, b),
+            SpatialFn::Equals => predicates::equals(a, b),
+            // Envelopes apart by more than the bound: no exact work.
+            SpatialFn::Distance { inclusive } => {
+                crate::spatial::window(&a.envelope(), bound).intersects(&b.envelope()) && {
+                    let d = geodist::distance(a, b);
+                    if inclusive { d <= bound } else { d < bound }
+                }
+            }
+        }
+    }
+}
+
+/// An argument of a spatial FILTER: a variable's slot or a constant
+/// geometry.
+#[derive(Clone)]
+pub(crate) enum Operand {
+    Var(usize),
+    Const(Arc<Geometry>),
+}
+
+/// A spatial FILTER the sidecar serves: `func(args[0], args[1])`, with
+/// `bound` the distance bound (0 for the topological predicates).
+#[derive(Clone)]
+pub(crate) struct SpatialTest {
+    pub func: SpatialFn,
+    pub args: [Operand; 2],
+    pub bound: f64,
+}
+
+impl SpatialTest {
+    /// The geometry of argument `i` under `b`; `None` (the FILTER is
+    /// false) when it is unbound or no geometry.
+    pub(crate) fn geometry(&self, env: &Env<'_>, b: &Binding, i: usize) -> Option<Arc<Geometry>> {
+        match &self.args[i] {
+            Operand::Var(slot) => env.geometry_of(b[*slot].as_ref()?),
+            Operand::Const(g) => Some(g.clone()),
+        }
     }
 }
 
@@ -507,7 +557,6 @@ mod tests {
             spatial: &spatial,
             vars,
             config: StrabonConfig::default(),
-            pool: WorkerPool::with_threads(1),
             constants: HashMap::new(),
         };
         eval_expression(&env, &vec![], expr)
@@ -515,6 +564,10 @@ mod tests {
 
     fn call(name: &str, args: Vec<Expression>) -> Expression {
         Expression::Call { name: name.into(), args }
+    }
+
+    fn bin(op: BinaryOp, left: Expression, right: Expression) -> Expression {
+        Expression::Binary { op, left: Box::new(left), right: Box::new(right) }
     }
 
     fn lit(t: Term) -> Expression {
@@ -527,78 +580,42 @@ mod tests {
 
     #[test]
     fn arithmetic_and_types() {
-        let e = Expression::Binary {
-            op: BinaryOp::Add,
-            left: Box::new(lit(Term::int(2))),
-            right: Box::new(lit(Term::int(3))),
-        };
+        let e = bin(BinaryOp::Add, lit(Term::int(2)), lit(Term::int(3)));
         assert_eq!(eval_const(&e), Some(Term::int(5)));
-        let e2 = Expression::Binary {
-            op: BinaryOp::Mul,
-            left: Box::new(lit(Term::int(2))),
-            right: Box::new(lit(Term::double(1.5))),
-        };
+        let e2 = bin(BinaryOp::Mul, lit(Term::int(2)), lit(Term::double(1.5)));
         assert_eq!(eval_const(&e2), Some(Term::double(3.0)));
     }
 
     #[test]
     fn division_by_zero_is_error() {
-        let e = Expression::Binary {
-            op: BinaryOp::Div,
-            left: Box::new(lit(Term::int(1))),
-            right: Box::new(lit(Term::int(0))),
-        };
+        let e = bin(BinaryOp::Div, lit(Term::int(1)), lit(Term::int(0)));
         assert_eq!(eval_const(&e), None);
     }
 
     #[test]
     fn comparisons_numeric_cross_type() {
-        let e = Expression::Binary {
-            op: BinaryOp::Lt,
-            left: Box::new(lit(Term::int(2))),
-            right: Box::new(lit(Term::double(2.5))),
-        };
+        let e = bin(BinaryOp::Lt, lit(Term::int(2)), lit(Term::double(2.5)));
         assert_eq!(eval_const(&e), Some(Term::boolean(true)));
     }
 
     #[test]
     fn equality_numeric_vs_strict() {
-        let e = Expression::Binary {
-            op: BinaryOp::Eq,
-            left: Box::new(lit(Term::int(2))),
-            right: Box::new(lit(Term::double(2.0))),
-        };
+        let e = bin(BinaryOp::Eq, lit(Term::int(2)), lit(Term::double(2.0)));
         assert_eq!(eval_const(&e), Some(Term::boolean(true)));
-        let e2 = Expression::Binary {
-            op: BinaryOp::Eq,
-            left: Box::new(lit(Term::iri("http://a"))),
-            right: Box::new(lit(Term::iri("http://a"))),
-        };
+        let e2 = bin(BinaryOp::Eq, lit(Term::iri("http://a")), lit(Term::iri("http://a")));
         assert_eq!(eval_const(&e2), Some(Term::boolean(true)));
     }
 
     #[test]
     fn logic_short_circuit_with_errors() {
         // error || true = true
-        let e = Expression::Binary {
-            op: BinaryOp::Or,
-            left: Box::new(call("NOPE", vec![])),
-            right: Box::new(lit(Term::boolean(true))),
-        };
+        let e = bin(BinaryOp::Or, call("NOPE", vec![]), lit(Term::boolean(true)));
         assert_eq!(eval_const(&e), Some(Term::boolean(true)));
         // error && false = false
-        let e2 = Expression::Binary {
-            op: BinaryOp::And,
-            left: Box::new(call("NOPE", vec![])),
-            right: Box::new(lit(Term::boolean(false))),
-        };
+        let e2 = bin(BinaryOp::And, call("NOPE", vec![]), lit(Term::boolean(false)));
         assert_eq!(eval_const(&e2), Some(Term::boolean(false)));
         // error && true = error
-        let e3 = Expression::Binary {
-            op: BinaryOp::And,
-            left: Box::new(call("NOPE", vec![])),
-            right: Box::new(lit(Term::boolean(true))),
-        };
+        let e3 = bin(BinaryOp::And, call("NOPE", vec![]), lit(Term::boolean(true)));
         assert_eq!(eval_const(&e3), None);
     }
 
@@ -648,24 +665,15 @@ mod tests {
             args: vec![wkt("POINT (5 5)"), wkt("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")],
         };
         assert_eq!(eval_const(&e), Some(Term::boolean(true)));
-        let dist = Expression::Call {
-            name: format!("{}distance", vocab::strdf::NS),
-            args: vec![wkt("POINT (0 0)"), wkt("POINT (3 4)")],
-        };
+        let dist = call(&format!("{}distance", vocab::strdf::NS), vec![wkt("POINT (0 0)"), wkt("POINT (3 4)")]);
         assert_eq!(eval_const(&dist), Some(Term::double(5.0)));
     }
 
     #[test]
     fn spatial_area_and_buffer() {
-        let a = Expression::Call {
-            name: format!("{}area", vocab::strdf::NS),
-            args: vec![wkt("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))")],
-        };
+        let a = call(&format!("{}area", vocab::strdf::NS), vec![wkt("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))")]);
         assert_eq!(eval_const(&a), Some(Term::double(16.0)));
-        let b = Expression::Call {
-            name: format!("{}buffer", vocab::strdf::NS),
-            args: vec![wkt("POINT (0 0)"), lit(Term::double(1.0))],
-        };
+        let b = call(&format!("{}buffer", vocab::strdf::NS), vec![wkt("POINT (0 0)"), lit(Term::double(1.0))]);
         let t = eval_const(&b).unwrap();
         assert!(strdf::is_geometry_literal(&t));
     }
@@ -686,19 +694,16 @@ mod tests {
 
     #[test]
     fn geosparql_spelling_accepted() {
-        let e = Expression::Call {
-            name: "http://www.opengis.net/def/function/geosparql/sfIntersects".into(),
-            args: vec![wkt("POINT (1 1)"), wkt("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")],
-        };
+        let e = call(
+            "http://www.opengis.net/def/function/geosparql/sfIntersects",
+            vec![wkt("POINT (1 1)"), wkt("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")],
+        );
         assert_eq!(eval_const(&e), Some(Term::boolean(true)));
     }
 
     #[test]
     fn spatial_on_non_geometry_is_error() {
-        let e = Expression::Call {
-            name: format!("{}intersects", vocab::strdf::NS),
-            args: vec![lit(Term::literal("nope")), wkt("POINT (0 0)")],
-        };
+        let e = call(&format!("{}intersects", vocab::strdf::NS), vec![lit(Term::literal("nope")), wkt("POINT (0 0)")]);
         assert_eq!(eval_const(&e), None);
     }
 

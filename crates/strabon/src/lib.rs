@@ -21,8 +21,10 @@
 //! * a cost-based BGP join-order optimizer over the predicate
 //!   statistics the triple store maintains on write, which also runs
 //!   each FILTER as soon as its variables are bound (toggleable — E4),
-//! * an R-tree spatial sidecar that pre-filters spatial FILTERs against
-//!   constants and pushes candidates into the BGP scan (toggleable — E3),
+//! * one spatial access path: a spatial FILTER — topological, or
+//!   `strdf:distance(a, b) < d` — is a planned spatial-join step on an
+//!   R-tree sidecar of parsed geometries, probing with a constant or
+//!   with a geometry an earlier step bound (toggleable — E3),
 //! * optional RDFS subsumption: `?x rdf:type C` patterns expand over the
 //!   in-store `rdfs:subClassOf` closure.
 //!
@@ -56,7 +58,9 @@ pub mod parser;
 pub mod spatial;
 pub mod update;
 
+use std::sync::Arc;
 use teleios_exec::WorkerPool;
+use teleios_geo::Geometry;
 use teleios_rdf::store::TripleStore;
 use teleios_rdf::term::Term;
 use teleios_rdf::RdfError;
@@ -109,23 +113,23 @@ impl From<RdfError> for StrabonError {
 pub(crate) type Result<T> = std::result::Result<T, StrabonError>;
 
 /// Engine configuration toggles (the ablation knobs of E3/E4, plus
-/// the thread count of E13).
+/// the sidecar build's thread count).
 #[derive(Debug, Clone, Copy)]
 pub struct StrabonConfig {
     /// Order BGP triple patterns by estimated cardinality and run each
     /// FILTER right after the step that binds its variables (off:
     /// syntactic order, FILTERs at the group's end).
     pub optimize_bgp: bool,
-    /// Use the R-tree sidecar to pre-filter spatial FILTERs.
+    /// Plan spatial FILTERs as spatial-join steps on the R-tree sidecar
+    /// (off: plain pairwise FILTERs — the oracle configuration).
     pub use_spatial_index: bool,
     /// Expand `?x rdf:type C` patterns over the `rdfs:subClassOf`
     /// closure of `C` (RDFS subsumption over the in-store ontology).
     pub rdfs_inference: bool,
-    /// Worker threads for BGP probing, spatial-filter evaluation and
-    /// the R-tree sidecar build: `0` = the `TELEIOS_THREADS` /
-    /// available-parallelism default, `1` = the exact sequential
-    /// path. Results are identical at every setting (morsel-order
-    /// concatenation — see `teleios-exec`'s determinism contract).
+    /// Worker threads for the R-tree sidecar's bulk load: `0` = the
+    /// `TELEIOS_THREADS` / available-parallelism default. Evaluation
+    /// itself is sequential; the tree, hence every answer, is the same
+    /// at every setting.
     pub threads: usize,
 }
 
@@ -222,7 +226,7 @@ impl Strabon {
         self.config
     }
 
-    /// The worker pool evaluation runs on, sized by
+    /// The worker pool the sidecar bulk-loads on, sized by
     /// [`StrabonConfig::threads`].
     pub(crate) fn pool(&self) -> WorkerPool {
         match self.config.threads {
@@ -270,6 +274,17 @@ impl Strabon {
         self.store.insert_terms(s, p, o)
     }
 
+    /// The parsed geometry of an `strdf:WKT` term: the sidecar's copy
+    /// when the term is in the dictionary the sidecar read (as every
+    /// query answer's geometry is), parsed from the literal only for a
+    /// term the sidecar lacks — or for every term after a replaced
+    /// store, until a statement catches the sidecar up; `None` when it
+    /// is no geometry.
+    pub fn geometry(&self, term: &Term) -> Option<Arc<Geometry>> {
+        let cached = self.spatial.reads(&self.store).then(|| self.spatial.geometry(self.store.id_of(term)?));
+        cached.flatten().or_else(|| teleios_rdf::strdf::parse_geometry(term).ok().map(|(g, _)| Arc::new(g)))
+    }
+
     /// Run a SELECT or ASK query.
     pub fn query(&mut self, text: &str) -> Result<Solutions> {
         let query = parser::parse_query(text)?;
@@ -293,9 +308,8 @@ impl Strabon {
     }
 
     /// Render the plan the evaluator would walk, without walking it:
-    /// spatial push-down candidate counts and every step in execution
-    /// order, nested groups included, each with the cardinality
-    /// estimated after it.
+    /// every step in execution order, nested groups included, each with
+    /// the cardinality estimated after it.
     pub fn explain(&mut self, text: &str) -> Result<String> {
         let query = parser::parse_query(text)?;
         eval::explain_query(self, &query)

@@ -1,9 +1,15 @@
-//! Spatial sidecar: geometry cache and R-tree over WKT literals.
+//! Spatial sidecar: geometry cache and R-tree over WKT literals, the
+//! one spatial access path of stSPARQL.
 //!
 //! Strabon keeps geometries in the dictionary as `strdf:WKT` literals;
 //! parsing WKT on every FILTER evaluation would dominate query time, so
 //! the sidecar caches parsed geometries per term id and maintains an
-//! R-tree of their envelopes.
+//! R-tree of their envelopes. Every spatial FILTER the planner
+//! recognizes is a spatial-join step over it: a probe geometry (a
+//! constant, or a bound variable's) queries the R-tree with its
+//! [`window`], the exact predicate runs on the candidates' cached
+//! geometries, and [`SpatialSidecar::estimate`] costs the probe.
+//! `Strabon::geometry` hands the cached geometries to front ends.
 //!
 //! The sidecar indexes dictionary ids, not triples, and the dictionary
 //! is append-only (removing a triple never removes a term), so in-place
@@ -35,6 +41,13 @@ pub(crate) struct SpatialSidecar {
     /// The R-tree's entries, in id order — what a from-scratch build
     /// would bulk-load.
     items: Vec<(Envelope, TermId)>,
+    /// Geometries without coordinates (`… EMPTY`): no envelope, so no
+    /// R-tree entry, in id order.
+    empty: Vec<TermId>,
+    /// The union of the entries' envelopes and the sums of their widths
+    /// and heights: what [`SpatialSidecar::estimate`] reads.
+    extent: Envelope,
+    sizes: (f64, f64),
     rtree: RTree<TermId>,
 }
 
@@ -57,8 +70,12 @@ impl SpatialSidecar {
                 if let Ok((g, _srid)) = strdf::parse_geometry(term) {
                     let env = g.envelope();
                     self.geometries.insert(id, Arc::new(g));
-                    if !env.is_empty() {
+                    if env.is_empty() {
+                        self.empty.push(id);
+                    } else {
                         self.items.push((env, id));
+                        self.extent = self.extent.union(&env);
+                        self.sizes = (self.sizes.0 + env.width(), self.sizes.1 + env.height());
                     }
                 }
             }
@@ -69,22 +86,65 @@ impl SpatialSidecar {
         }
     }
 
+    /// Whether the sidecar's ids are `store`'s: it read that dictionary.
+    pub(crate) fn reads(&self, store: &TripleStore) -> bool {
+        self.dictionary == store.dictionary().identity()
+    }
+
     /// Parsed geometry for a term id (after `catch_up`).
     pub(crate) fn geometry(&self, id: TermId) -> Option<Arc<Geometry>> {
         self.geometries.get(&id).cloned()
     }
 
-    /// Term ids whose envelope intersects `query` (candidate set for
-    /// spatial FILTER pre-filtering).
-    pub(crate) fn candidates(&self, query: &Envelope) -> std::collections::HashSet<TermId> {
-        self.rtree.query(query).into_iter().copied().collect()
+    /// Term ids whose envelope intersects `query`, in id order (row
+    /// order is part of the determinism contract); for an empty
+    /// `query` — the probe of a geometry without coordinates — the
+    /// geometries without coordinates.
+    pub(crate) fn candidates(&self, query: &Envelope) -> Vec<TermId> {
+        if query.is_empty() {
+            return self.empty.clone();
+        }
+        let mut ids: Vec<TermId> = self.rtree.query(query).into_iter().copied().collect();
+        ids.sort_unstable();
+        ids
     }
+
+    /// Expected [`SpatialSidecar::candidates`] of a probe envelope grown
+    /// by `reach`: every entry whose envelope meets it, under a uniform
+    /// spread over the extent — entries × (probe width + mean entry
+    /// width) × (probe height + mean entry height) ÷ extent area, the
+    /// Minkowski sum of probe and entry over the area they fall in; at
+    /// most every entry. `None` probes with an entry of mean size (a
+    /// variable's geometry, unknown until the walk binds it).
+    pub(crate) fn estimate(&self, probe: Option<&Envelope>, reach: f64) -> f64 {
+        let n = self.items.len() as f64;
+        if n == 0.0 {
+            return 0.0;
+        }
+        let (w, h) = (self.sizes.0 / n, self.sizes.1 / n);
+        let (pw, ph) = probe.map_or((w, h), |e| (e.width(), e.height()));
+        let grown = |p: f64, mean: f64| (p + 2.0 * reach + mean).max(0.0);
+        let area = self.extent.area();
+        if area > 0.0 { (n * grown(pw, w) * grown(ph, h) / area).min(n) } else { n }
+    }
+}
+
+/// The R-tree window of a probe envelope: grown by `reach` (a distance
+/// bound; 0 for the topological predicates) plus a slack of 1e-9 times
+/// the coordinates' magnitude (at least 1e-9) — above the 1e-12
+/// tolerance of `strdf:equals` and the rounding of the exact
+/// predicates' arithmetic, so the window never drops a geometry the
+/// exact predicate keeps.
+pub(crate) fn window(probe: &Envelope, reach: f64) -> Envelope {
+    let magnitude = [probe.min.x, probe.min.y, probe.max.x, probe.max.y, reach].map(f64::abs);
+    probe.buffer(reach + 1e-9 * magnitude.into_iter().fold(1.0, f64::max))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use teleios_geo::geometry::Point;
+    use teleios_geo::Coord;
     use teleios_rdf::term::Term;
 
     fn store_with_points(n: usize) -> TripleStore {
@@ -101,28 +161,36 @@ mod tests {
     }
 
     #[test]
-    fn builds_and_finds_candidates() {
+    fn candidates_come_in_id_order() {
         let st = store_with_points(10);
         let mut sc = SpatialSidecar::default();
         sc.catch_up(&st, &WorkerPool::with_threads(2));
         assert_eq!(sc.geometries.len(), 10);
-        let q = Envelope::new(
-            teleios_geo::Coord::new(2.5, -1.0),
-            teleios_geo::Coord::new(5.5, 1.0),
-        );
-        let cands = sc.candidates(&q);
-        assert_eq!(cands.len(), 3); // points 3, 4, 5
+        let id = |x: f64| st.id_of(&strdf::geometry_literal_wgs84(&Geometry::Point(Point::new(x, 0.0)))).unwrap();
+        let q = Envelope::new(Coord::new(2.5, -1.0), Coord::new(5.5, 1.0));
+        assert_eq!(sc.candidates(&q), vec![id(3.0), id(4.0), id(5.0)]);
+        assert_eq!(sc.geometry(id(1.0)).unwrap().envelope().min.x, 1.0);
     }
 
     #[test]
-    fn geometry_lookup() {
-        let st = store_with_points(3);
+    fn estimate_scales_the_entries_by_the_probe_area() {
+        // Points on a 10 × 10 grid: a 3 × 3 window holds 9 of 100.
+        let mut st = TripleStore::new();
+        for i in 0..100 {
+            let g = Geometry::Point(Point::new((i % 10) as f64, (i / 10) as f64));
+            let literal = strdf::geometry_literal_wgs84(&g);
+            st.insert_terms(&Term::iri(format!("http://x/f{i}")), &Term::iri("http://x/p"), &literal);
+        }
         let mut sc = SpatialSidecar::default();
-        sc.catch_up(&st, &WorkerPool::with_threads(2));
-        let lit = strdf::geometry_literal_wgs84(&Geometry::Point(Point::new(1.0, 0.0)));
-        let id = st.id_of(&lit).unwrap();
-        let g = sc.geometry(id).unwrap();
-        assert_eq!(g.envelope().min.x, 1.0);
+        sc.catch_up(&st, &WorkerPool::with_threads(1));
+        let q = Envelope::new(Coord::new(2.5, 2.5), Coord::new(5.5, 5.5));
+        assert_eq!(sc.candidates(&q).len(), 9);
+        assert!((sc.estimate(Some(&q), 0.0) - 100.0 * 9.0 / 81.0).abs() < 1e-9);
+        // Grown by a distance bound of 1 on every side: a 5 × 5 window.
+        assert!((sc.estimate(Some(&q), 1.0) - 100.0 * 25.0 / 81.0).abs() < 1e-9);
+        // A variable's geometry: an entry of mean size, here a point.
+        assert_eq!(sc.estimate(None, 0.0), 0.0);
+        assert_eq!(SpatialSidecar::default().estimate(Some(&q), 0.0), 0.0);
     }
 
     #[test]
@@ -144,28 +212,21 @@ mod tests {
     }
 
     #[test]
-    fn non_geometry_literals_ignored() {
+    fn non_geometries_are_skipped_and_empty_ones_kept_apart() {
         let mut st = TripleStore::new();
-        st.insert_terms(
-            &Term::iri("http://x/a"),
-            &Term::iri("http://x/p"),
-            &Term::literal("POINT (1 2)"), // plain literal, not strdf:WKT
-        );
+        let (a, p) = (Term::iri("http://x/a"), Term::iri("http://x/p"));
+        // A plain literal is no strdf:WKT, and malformed WKT no geometry.
+        st.insert_terms(&a, &p, &Term::literal("POINT (1 2)"));
+        st.insert_terms(&a, &p, &Term::typed_literal("NOT WKT", teleios_rdf::vocab::strdf::WKT));
         let mut sc = SpatialSidecar::default();
         sc.catch_up(&st, &WorkerPool::with_threads(2));
         assert!(sc.geometries.is_empty());
-    }
-
-    #[test]
-    fn malformed_wkt_skipped() {
-        let mut st = TripleStore::new();
-        st.insert_terms(
-            &Term::iri("http://x/a"),
-            &Term::iri("http://x/p"),
-            &Term::typed_literal("NOT WKT", teleios_rdf::vocab::strdf::WKT),
-        );
-        let mut sc = SpatialSidecar::default();
+        // A geometry without coordinates has no R-tree entry; an empty
+        // probe's candidates are such geometries.
+        let empty = Term::typed_literal("MULTIPOINT EMPTY", teleios_rdf::vocab::strdf::WKT);
+        st.insert_terms(&a, &p, &empty);
         sc.catch_up(&st, &WorkerPool::with_threads(2));
-        assert!(sc.geometries.is_empty());
+        assert!(sc.items.is_empty());
+        assert_eq!(sc.candidates(&Envelope::EMPTY), vec![st.id_of(&empty).unwrap()]);
     }
 }

@@ -559,10 +559,12 @@ fn explain_shows_plan() {
                ?h a noa:Hotspot ; strdf:hasGeometry ?g ; noa:isDerivedFrom ?img . \
                FILTER(strdf:intersects(?g, \"POLYGON ((21 36, 24 36, 24 39, 21 39, 21 36))\"^^strdf:WKT)) }}"
         ));
-    assert!(plan.contains("spatial push-down: ?g restricted to"));
+    // The spatial FILTER is a join step probing the R-tree with the
+    // constant, not a filter.
+    assert!(plan.contains(". spatial join intersects(?g, a POLYGON), binding ?g around a POLYGON (est "), "{plan}");
     assert!(plan.contains("match"));
     assert!(plan.contains("(est "));
-    assert!(plan.contains("filter"));
+    assert!(!plan.contains("filter"), "{plan}");
     // With the optimizer off, patterns keep syntactic order.
     let mut cfg = db.config();
     cfg.optimize_bgp = false;
@@ -674,9 +676,11 @@ fn ratio_archive(images: usize, hotspots: usize, config: StrabonConfig) -> Strab
 }
 
 /// Across hotspot:image ratios from 1:4 to 16:1 the optimized flagship
-/// answers what the syntactic plan does, and no step of its plan is
+/// answers what the syntactic plan does, no step of its plan is
 /// estimated above images + hotspots — no sites × images (or images ×
-/// hotspots) cross product runs before the day FILTER.
+/// hotspots) cross product runs before the day FILTER — and its
+/// distance predicate is the spatial-join step: the day FILTER is its
+/// one filter step.
 #[test]
 fn flagship_plan_stays_linear_across_hotspot_image_ratios() {
     let flagship = format!(
@@ -702,10 +706,38 @@ fn flagship_plan_stays_linear_across_hotspot_image_ratios() {
         assert!(!rows.is_empty(), "{h}:{i}");
         assert_eq!(rows, answer(&mut ratio_archive(images, hotspots, syntactic)), "{h}:{i}");
         let plan = optimized.explain(&flagship).unwrap();
+        assert!(plan.contains(". spatial join distance(?hg, ?sg) < 0.5"), "{h}:{i}\n{plan}");
+        assert_eq!(plan.matches(". filter (est ").count(), 1, "{h}:{i}\n{plan}");
         for line in plan.lines().filter(|l| l.contains("(est ")) {
             let est: f64 = line.rsplit_once("(est ").and_then(|(_, n)| n.trim_end_matches(')').parse().ok()).unwrap();
             assert!(est <= (images + hotspots) as f64, "{h}:{i}: {line}\n{plan}");
         }
+    }
+}
+
+/// A geometry without coordinates has no envelope, hence no R-tree
+/// entry, yet `strdf:equals` holds between two of them: the spatial
+/// join finds it as the pairwise FILTER does.
+#[test]
+fn equals_finds_an_empty_geometry_with_the_index_on() {
+    let wkt = |text: &str| Term::typed_literal(text, "http://strdf.di.uoa.gr/ontology#WKT");
+    let geom_p = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
+    let query = format!(
+        "{PREFIXES} SELECT ?f WHERE {{ ?f strdf:hasGeometry ?g . \
+         FILTER(strdf:equals(?g, \"MULTIPOINT EMPTY\"^^strdf:WKT)) }}"
+    );
+    for use_spatial_index in [true, false] {
+        let mut db = Strabon::with_config(StrabonConfig { use_spatial_index, ..StrabonConfig::default() });
+        db.insert(&Term::iri("http://example.org/empty"), &geom_p, &wkt("MULTIPOINT EMPTY"));
+        // Enough points that the join, not a scan and check, is cheapest.
+        for i in 0..20 {
+            db.insert(&Term::iri(format!("http://example.org/p{i}")), &geom_p, &wkt(&format!("POINT ({i} {})", i % 4)));
+        }
+        let sols = db.query(&query).unwrap();
+        assert_eq!(sols.len(), 1, "index {use_spatial_index}\n{}", db.explain(&query).unwrap());
+        assert_eq!(sols.get(0, "f"), Some(&Term::iri("http://example.org/empty")));
+        let joins = db.explain(&query).unwrap().contains("spatial join equals(?g, a MULTIPOINT), binding ?g");
+        assert_eq!(joins, use_spatial_index);
     }
 }
 
@@ -935,14 +967,17 @@ fn explain_shows_nested_bodies_under_outer_bindings() {
             assert_eq!(lines[at + 3], "       1. match ?s <http://example.org/p> ?z (est 2)", "{plan}");
         }
     }
-    // A nested group's own push-down prints with it.
+    // A nested group's own spatial join prints with it.
     let mut db = fixture();
     let plan = db.query_plan_for_test(&format!(
         "{PREFIXES} SELECT ?img WHERE {{ ?img a noa:RawImage . OPTIONAL {{ ?h noa:isDerivedFrom ?img ; strdf:hasGeometry ?g . \
          FILTER(strdf:intersects(?g, \"POLYGON ((22 37, 23 37, 23 38, 22 38, 22 37))\"^^strdf:WKT)) }} }}"
     ));
     assert!(plan.contains("spatial push-down: (none)\n"), "{plan}");
-    assert!(plan.contains("\n     spatial push-down: ?g restricted to 3 envelope candidate(s)\n"), "{plan}");
+    assert!(
+        plan.contains("\n       1. spatial join intersects(?g, a POLYGON), binding ?g around a POLYGON (est 1)\n"),
+        "{plan}"
+    );
 }
 
 // --- the sidecar catches up in place ---------------------------------------
@@ -1041,6 +1076,26 @@ fn replacing_the_store_forgets_its_geometries() {
     *db.store_mut() = replacement;
     let rows = served(&mut db, everywhere);
     assert!(rows.is_empty(), "{rows:?}");
+}
+
+/// `Strabon::geometry` reads the sidecar's copy only through the
+/// dictionary the sidecar read: after a replaced store, before a
+/// statement catches it up, an id the old dictionary gave another
+/// geometry must not answer for a term of the new one.
+#[test]
+fn geometry_lookup_follows_a_replaced_store() {
+    let geom = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
+    let point = |x: f64| Term::typed_literal(format!("POINT ({x} {x})"), "http://strdf.di.uoa.gr/ontology#WKT");
+    let mut db = Strabon::new();
+    db.insert(&Term::iri("http://example.org/a"), &geom, &point(1.0));
+    assert_eq!(served(&mut db, "POLYGON ((0 0, 3 0, 3 3, 0 3, 0 0))").len(), 1);
+    assert_eq!(db.geometry(&point(1.0)).unwrap().envelope().min.x, 1.0);
+    let mut other = TripleStore::new();
+    other.insert_terms(&Term::iri("http://example.org/b"), &geom, &point(2.0));
+    assert_eq!(other.id_of(&point(2.0)), db.store().id_of(&point(1.0)));
+    *db.store_mut() = other;
+    assert_eq!(db.geometry(&point(2.0)).unwrap().envelope().min.x, 2.0);
+    assert!(db.geometry(&Term::literal("no geometry")).is_none());
 }
 
 /// A store whose dictionary has `like`'s length and last term, and

@@ -9,9 +9,12 @@
 //! varint-prefixed shape items). Keyspace `vault/quarantine`: one
 //! empty-valued entry per fenced-off file.
 //!
-//! Per-record keys (rather than one big page) mean an ingest that
-//! registers a single scene commits a WAL record proportional to
-//! that scene, not to the whole archive.
+//! [`persist_vault_state`] writes the whole state on every call: it
+//! deletes the keys of records no longer present and then puts every
+//! catalog record and every quarantined name again, so one commit's
+//! WAL record grows with the archive, not with the scene just
+//! registered. The per-record keys are what would let a commit put
+//! only the records that changed; nothing tracks that yet.
 
 use std::collections::BTreeSet;
 

@@ -13,6 +13,7 @@
 #                              one-fork-site, one-cell-walker,
 #                              one-statement-prologue (with the
 #                              sidecar's one start-over site),
+#                              one-spatial-access-path,
 #                              one-tokenizer-and-one-expression-
 #                              grammar-per-family,
 #                              one-transaction-doorway,
@@ -213,6 +214,15 @@ for check in 'Env {|' 'SpatialSidecar::default()|crates/strabon/src/spatial\.rs:
 done
 if live_sites invalidate | grep .; then
     echo "the sidecar is invalidated above: let SpatialSidecar::catch_up tell a replaced store by its dictionary's identity" >&2; exit 1
+fi
+
+# A spatial FILTER has one access path: the planner's spatial-join
+# step over the sidecar's R-tree (Step::SpatialJoin in eval.rs). A
+# restriction map of candidate ids beside the FILTER, or a prefilter
+# that builds one, is a second path beside it.
+echo "==> one spatial access path (spatial FILTERs plan as spatial joins only)"
+if grep -rnwE 'restrictions|spatial_prefilter' crates/strabon/src --include='*.rs'; then
+    echo "a second spatial access path under crates/strabon/src: plan the FILTER as a Step::SpatialJoin" >&2; exit 1
 fi
 
 # Turtle and stSPARQL read through one tokenizer (rdf/syntax.rs), SQL
