@@ -19,15 +19,17 @@
 //!    certainly bound and scales the estimate by `FILTER_SELECTIVITY`;
 //!    with `optimize_bgp` off, patterns keep syntactic order and
 //!    FILTERs run at the group's end. A spatial FILTER (a topological
-//!    predicate, or `strdf:distance(a, b) < d`) is a spatial-join step
-//!    on the sidecar's R-tree — the one spatial access path (E3): the
-//!    search may also take it as soon as one argument is a constant or
-//!    bound and a pattern of the run would bind the other, which it
-//!    then binds to the candidates the exact predicate keeps, costed at
-//!    the sidecar's candidate estimate; otherwise it checks both bound
-//!    arguments where the FILTER would run;
+//!    predicate, or `strdf:distance(a, b) < d`) is a spatial step on
+//!    the sidecar — the one spatial access path (E3): when one argument
+//!    is a constant geometry and a pattern of the run would bind the
+//!    other, the search may take it as a join that probes the R-tree
+//!    with the constant and binds the variable to the candidates the
+//!    exact predicate keeps, costed at the sidecar's candidate
+//!    estimate; otherwise it checks both bound arguments natively where
+//!    the FILTER would run;
 //! 3. `walk` executes that `Plan` as index nested-loop joins over
-//!    the store's SPO/POS/OSP orderings — or `render` prints it,
+//!    the store's SPO/POS/OSP orderings, scans and FILTERs cut along
+//!    the pool's morsels — or `render` prints it,
 //!    which is all EXPLAIN is, so the two cannot disagree;
 //! 4. `finish` applies SELECT's solution modifiers.
 //!
@@ -44,6 +46,7 @@ use crate::{Result, Solutions, Strabon, StrabonError};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use teleios_exec::concat;
 use teleios_geo::Geometry;
 use teleios_rdf::dictionary::TermId;
 use teleios_rdf::strdf;
@@ -62,7 +65,8 @@ pub(crate) fn prepare<'a, 't>(
     select: Option<&SelectQuery>,
     templates: impl IntoIterator<Item = &'t TemplateTriple>,
 ) -> Result<Env<'a>> {
-    engine.spatial.catch_up(&engine.store, &engine.pool());
+    let pool = engine.pool();
+    engine.spatial.catch_up(&engine.store, &pool);
     let engine: &'a Strabon = engine;
     let mut vars = VarTable::default();
     collect_group_vars(where_clause, &mut vars);
@@ -83,7 +87,7 @@ pub(crate) fn prepare<'a, 't>(
     }
     let mut constants = HashMap::new();
     collect_group_geometries(where_clause, &mut constants);
-    Ok(Env { store: &engine.store, spatial: &engine.spatial, vars, config: engine.config, constants })
+    Ok(Env { store: &engine.store, spatial: &engine.spatial, vars, config: engine.config, pool, constants })
 }
 
 /// Parse every constant geometry in the FILTER and BIND expressions of
@@ -223,17 +227,11 @@ fn extend(
 const AGGREGATE_NAMES: [&str; 6] = ["COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE"];
 
 fn expr_has_aggregate(e: &Expression) -> bool {
-    match e {
-        Expression::Call { name, args } => {
-            AGGREGATE_NAMES.contains(&name.as_str())
-                || args.iter().any(expr_has_aggregate)
-        }
-        Expression::Binary { left, right, .. } => {
-            expr_has_aggregate(left) || expr_has_aggregate(right)
-        }
-        Expression::Not(e) | Expression::Neg(e) => expr_has_aggregate(e),
-        _ => false,
-    }
+    let mut found = false;
+    for_each_node(e, &mut |n| {
+        found |= matches!(n, Expression::Call { name, .. } if AGGREGATE_NAMES.contains(&name.as_str()));
+    });
+    found
 }
 
 /// Collapse solutions into one binding per group, in first-seen order
@@ -295,17 +293,13 @@ fn aggregate(
 fn eval_aggregate_expr(env: &Env<'_>, expr: &Expression, group: &[&Binding]) -> Option<Term> {
     match expr {
         Expression::Call { name, args } if AGGREGATE_NAMES.contains(&name.as_str()) => {
+            // COUNT(*): every solution counts.
+            if args.is_empty() {
+                return Some(Term::int(group.len() as i64));
+            }
             // Per-member argument values (unbound/error skipped, as SPARQL
             // aggregates ignore error values).
-            let values: Vec<Term> = if args.is_empty() {
-                // COUNT(*): every solution counts.
-                return Some(Term::int(group.len() as i64));
-            } else {
-                group
-                    .iter()
-                    .filter_map(|b| eval_expression(env, b, &args[0]))
-                    .collect()
-            };
+            let values: Vec<Term> = group.iter().filter_map(|b| eval_expression(env, b, &args[0])).collect();
             match name.as_str() {
                 "COUNT" => Some(Term::int(values.len() as i64)),
                 "SAMPLE" => values.first().cloned(),
@@ -317,9 +311,7 @@ fn eval_aggregate_expr(env: &Env<'_>, expr: &Expression, group: &[&Binding]) -> 
                     let sum: f64 = nums.iter().sum();
                     if name == "AVG" {
                         Some(Term::double(sum / nums.len() as f64))
-                    } else if values.iter().all(|t| {
-                        t.datatype() == Some(vocab::xsd::INTEGER)
-                    }) {
+                    } else if values.iter().all(|t| t.datatype() == Some(vocab::xsd::INTEGER)) {
                         Some(Term::int(sum as i64))
                     } else {
                         Some(Term::double(sum))
@@ -365,11 +357,12 @@ enum Step<'q> {
     /// One join of a BGP run.
     Scan(Scan<'q>),
     Filter(&'q Expression),
-    /// A spatial FILTER on the sidecar: per binding, the geometry of
-    /// `test.args[probe]` probes the R-tree and `binds`, the other
-    /// argument's slot, is bound to each candidate the exact predicate
-    /// keeps, in id order. With `binds` `None` — or the slot already
-    /// bound in a solution — the exact predicate checks both arguments.
+    /// A spatial FILTER on the sidecar. As a join (`binds` the slot of
+    /// the variable argument), the constant `test.args[probe]` probes
+    /// the R-tree once and each solution is extended by every candidate
+    /// the exact predicate keeps, in id order. As a check (`binds`
+    /// `None`, or the slot already bound in a solution) the exact
+    /// predicate tests both arguments.
     SpatialJoin { test: SpatialTest, probe: usize, binds: Option<usize> },
     Optional(Plan<'q>),
     Union(Vec<Plan<'q>>),
@@ -667,23 +660,19 @@ impl<'q> Group<'_, 'q> {
     }
 
     /// Waiting FILTER `w` as a spatial join into the argument it leaves
-    /// open: the probe argument (a constant, or a slot `bound` holds),
-    /// the open slot — which a pattern of `run` binds — and the
-    /// candidates per binding: the sidecar's estimate for the probe,
-    /// capped by the count of that pattern.
+    /// open: the constant probe argument, the open slot — which a
+    /// pattern of `run` binds — and the candidates per binding: the
+    /// sidecar's estimate for the probe, capped by the count of that
+    /// pattern.
     fn join(&self, w: &Waiting<'_>, run: &[Scan<'_>], bound: &HashSet<usize>) -> Option<(usize, usize, f64)> {
         let test = w.spatial.as_ref()?;
-        let settled = |s: &usize| bound.contains(s) && !self.binds_ahead.contains(s);
         (0..2).find_map(|probe| {
-            let Operand::Var(target) = test.args[1 - probe] else { return None };
-            let envelope = match &test.args[probe] {
-                Operand::Const(g) => Some(g.envelope()),
-                Operand::Var(s) if settled(s) => None,
-                Operand::Var(_) => return None,
+            let (Operand::Const(g), Operand::Var(target)) = (&test.args[probe], &test.args[1 - probe]) else {
+                return None;
             };
-            let cap = run.iter().filter(|c| c.binds(target)).map(|c| c.count).min()?;
-            let est = self.env.spatial.estimate(envelope.as_ref(), test.bound).min(cap as f64);
-            (!bound.contains(&target) && !self.binds_ahead.contains(&target)).then_some((probe, target, est))
+            let cap = run.iter().filter(|c| c.binds(*target)).map(|c| c.count).min()?;
+            let est = self.env.spatial.estimate(&g.envelope(), test.bound).min(cap as f64);
+            (!bound.contains(target) && !self.binds_ahead.contains(target)).then_some((probe, *target, est))
         })
     }
 
@@ -752,8 +741,9 @@ fn render_pattern(p: &PatternTriple) -> String {
     format!("{} {} {}", part(&p.s), part(&p.p), part(&p.o))
 }
 
-/// Step 3: execute a plan over `bindings`, sequentially. Scans, FILTERs
-/// and spatial joins run over the whole solution list; nested bodies
+/// Step 3: execute a plan over `bindings`. Scans, FILTERs and spatial
+/// steps run over the whole solution list (scans and FILTERs
+/// morsel-parallel from [`PAR_BINDING_THRESHOLD`] up); nested bodies
 /// run once per solution, seeded with it.
 fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Binding> {
     let seeded = |inner: &Plan<'_>, b: &Binding| walk(env, inner, vec![b.clone()]);
@@ -762,14 +752,14 @@ fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Bindi
             break;
         }
         match step {
-            Step::Scan(scan) => {
-                let mut out = Vec::with_capacity(bindings.len());
-                for b in &bindings {
-                    extend_with_pattern(env, scan, b, &mut out);
-                }
-                bindings = out;
+            Step::Scan(scan) => bindings = per_morsel(env, &bindings, |b, out| extend_with_pattern(env, scan, b, out)),
+            Step::Filter(expr) => {
+                bindings = per_morsel(env, &bindings, |b, out| {
+                    if eval_filter(env, b, expr) {
+                        out.push(b.clone());
+                    }
+                });
             }
-            Step::Filter(expr) => bindings.retain(|b| eval_filter(env, b, expr)),
             Step::SpatialJoin { test, probe, binds } => bindings = spatial_join(env, test, *probe, *binds, bindings),
             Step::Optional(inner) => {
                 bindings = bindings
@@ -818,9 +808,6 @@ pub(crate) fn explain_query(engine: &mut Strabon, query: &Query) -> Result<Strin
         "config: optimize_bgp={}, use_spatial_index={}, rdfs_inference={}\n",
         env.config.optimize_bgp, env.config.use_spatial_index, env.config.rdfs_inference
     );
-    if !plan.iter().any(|(step, _)| matches!(step, Step::SpatialJoin { binds: Some(_), .. })) {
-        out.push_str("spatial push-down: (none)\n");
-    }
     render(&env, &plan, "", &mut out);
     Ok(out)
 }
@@ -831,7 +818,7 @@ fn render(env: &Env<'_>, plan: &Plan<'_>, indent: &str, out: &mut String) {
         let (label, bodies) = match step {
             Step::Scan(scan) => (format!("match {}", render_pattern(scan.pattern)), &[][..]),
             Step::Filter(_) => ("filter".into(), &[][..]),
-            Step::SpatialJoin { test, probe, binds } => (render_join(env, test, *probe, *binds), &[][..]),
+            Step::SpatialJoin { test, binds, .. } => (render_join(env, test, *binds), &[][..]),
             Step::Optional(body) => ("optional group".into(), std::slice::from_ref(body)),
             Step::Union(branches) => ("union".into(), &branches[..]),
             Step::Minus { plan: body, .. } => ("minus group".into(), std::slice::from_ref(body)),
@@ -848,9 +835,9 @@ fn render(env: &Env<'_>, plan: &Plan<'_>, indent: &str, out: &mut String) {
     }
 }
 
-/// `spatial join distance(?hg, ?sg) < 0.3, binding ?sg around ?hg`; a
-/// check of two bound arguments names no binding.
-fn render_join(env: &Env<'_>, test: &SpatialTest, probe: usize, binds: Option<usize>) -> String {
+/// `spatial join intersects(?g, a POLYGON), binding ?g`, or
+/// `spatial check distance(?hg, ?sg) < 0.3` for two bound arguments.
+fn render_join(env: &Env<'_>, test: &SpatialTest, binds: Option<usize>) -> String {
     let arg = |i: usize| match &test.args[i] {
         Operand::Var(slot) => format!("?{}", env.vars.names()[*slot]),
         Operand::Const(g) => format!("a {}", g.type_name()),
@@ -862,9 +849,42 @@ fn render_join(env: &Env<'_>, test: &SpatialTest, probe: usize, binds: Option<us
         f => format!("{}({}, {})", format!("{f:?}").to_lowercase(), arg(0), arg(1)),
     };
     match binds {
-        Some(slot) => format!("spatial join {predicate}, binding ?{} around {}", env.vars.names()[slot], arg(probe)),
-        None => format!("spatial join {predicate}"),
+        Some(slot) => format!("spatial join {predicate}, binding ?{}", env.vars.names()[slot]),
+        None => format!("spatial check {predicate}"),
     }
+}
+
+/// Binding count below which BGP probing and FILTER evaluation stay
+/// inline: under this size the join itself is cheaper than task
+/// setup. Public so the parallel-equivalence tests can size their
+/// data to cross it.
+pub const PAR_BINDING_THRESHOLD: usize = 256;
+
+/// Morsels per worker for the probe/filter kernels: finer than
+/// one-per-worker so the pool's claim counter has slack to rebalance
+/// when some bindings fan out much harder than others.
+const MORSELS_PER_WORKER: usize = 4;
+
+/// Run `step` over every binding, pushing its outputs. The bindings are
+/// cut along the pool's morsels — a single inline one under
+/// [`PAR_BINDING_THRESHOLD`] or at one thread — and the per-morsel
+/// outputs concatenate in morsel order (the pool's determinism
+/// contract), so results are identical at every thread count.
+fn per_morsel(env: &Env<'_>, bindings: &[Binding], step: impl Fn(&Binding, &mut Vec<Binding>) + Sync) -> Vec<Binding> {
+    let step = &step;
+    let tasks: Vec<_> = env
+        .pool
+        .morsels_for(bindings.len(), PAR_BINDING_THRESHOLD, MORSELS_PER_WORKER)
+        .into_iter()
+        .map(|r| {
+            move || {
+                let mut out = Vec::with_capacity(r.len());
+                bindings[r].iter().for_each(|b| step(b, &mut out));
+                out
+            }
+        })
+        .collect();
+    concat(env.pool.run(tasks))
 }
 
 /// Match one pattern under a binding, pushing extended bindings. A
@@ -938,30 +958,35 @@ fn subclass_closure(store: &teleios_rdf::store::TripleStore, class: TermId) -> V
     out
 }
 
-/// A spatial-join step over `bindings` (see [`Step::SpatialJoin`]).
+/// A spatial step over `bindings` (see [`Step::SpatialJoin`]), inline.
 /// The exact predicate reads the sidecar's parsed geometries and
-/// compares a distance as an `f64`; solutions whose probe is unbound or
-/// no geometry fail it, as the FILTER would.
+/// compares a distance as an `f64`.
 fn spatial_join(env: &Env<'_>, test: &SpatialTest, probe: usize, binds: Option<usize>, bindings: Vec<Binding>)
     -> Vec<Binding> {
+    // A join's probe is a constant: its survivors, in id order, are the
+    // same for every solution.
+    let survivors: Vec<TermId> = match (binds, &test.args[probe]) {
+        (Some(_), Operand::Const(p)) => env
+            .spatial
+            .candidates(&window(&p.envelope(), test.bound))
+            .into_iter()
+            .filter(|&id| {
+                let Some(g) = env.spatial.geometry(id) else { return false };
+                let (a0, a1) = if probe == 0 { (&**p, &*g) } else { (&*g, &**p) };
+                test.func.holds(a0, a1, test.bound)
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
     let mut out = Vec::with_capacity(bindings.len());
     for b in bindings {
-        let Some(p) = test.geometry(env, &b, probe) else { continue };
-        let holds = |g: &Geometry| {
-            let (a0, a1) = if probe == 0 { (&*p, g) } else { (g, &*p) };
-            test.func.holds(a0, a1, test.bound)
-        };
         match binds {
-            Some(slot) if b[slot].is_none() => {
-                for id in env.spatial.candidates(&window(&p.envelope(), test.bound)) {
-                    if env.spatial.geometry(id).is_some_and(|g| holds(&g)) {
-                        let mut nb = b.clone();
-                        nb[slot] = Some(Bound::Id(id));
-                        out.push(nb);
-                    }
-                }
-            }
-            _ if test.geometry(env, &b, 1 - probe).is_some_and(|g| holds(&g)) => out.push(b),
+            Some(slot) if b[slot].is_none() => out.extend(survivors.iter().map(|&id| {
+                let mut nb = b.clone();
+                nb[slot] = Some(Bound::Id(id));
+                nb
+            })),
+            _ if test.holds(env, &b) => out.push(b),
             _ => {}
         }
     }
@@ -1000,18 +1025,13 @@ fn spatial_test(env: &Env<'_>, filter: &Expression) -> Option<SpatialTest> {
 // --- variable collection ----------------------------------------------
 
 fn collect_projection_vars(p: &Projection, vars: &mut VarTable) {
-    if let Projection::Vars(items) = p {
-        for i in items {
-            match i {
-                ProjectionItem::Var(v) => {
-                    vars.slot(v);
-                }
-                ProjectionItem::Expr { expr, var } => {
-                    collect_expr_vars(expr, vars);
-                    vars.slot(var);
-                }
-            }
+    let Projection::Vars(items) = p else { return };
+    for i in items {
+        if let ProjectionItem::Expr { expr, .. } = i {
+            collect_expr_vars(expr, vars);
         }
+        let (ProjectionItem::Var(var) | ProjectionItem::Expr { var, .. }) = i;
+        vars.slot(var);
     }
 }
 

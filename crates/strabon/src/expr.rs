@@ -11,6 +11,7 @@ use crate::StrabonConfig;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
+use teleios_exec::WorkerPool;
 use teleios_geo::algorithm::{area, buffer, clip, distance as geodist, predicates};
 use teleios_geo::Geometry;
 use teleios_rdf::dictionary::TermId;
@@ -88,6 +89,9 @@ pub(crate) struct Env<'a> {
     /// The engine's toggles: join ordering, spatial joins, RDFS
     /// expansion of `rdf:type` patterns.
     pub config: StrabonConfig,
+    /// Worker pool for the morsel-parallel probe/filter paths
+    /// (one-thread pools evaluate inline — the exact sequential path).
+    pub pool: WorkerPool,
     /// The WHERE clause's constant geometries, parsed once: keyed by
     /// the address of their `Expression::Const` node in the statement's
     /// syntax tree, which outlives the `Env`.
@@ -128,33 +132,23 @@ pub(crate) fn eval_expression(env: &Env<'_>, binding: &Binding, expr: &Expressio
         }
         Expression::Neg(e) => {
             let v = eval_expression(env, binding, e)?;
-            let n = numeric(&v)?;
-            Some(number_term(-n, &v))
+            Some(number_term(-v.as_f64()?, &v))
         }
         Expression::Binary { op, left, right } => {
             // Short-circuit logical operators.
             match op {
-                BinaryOp::And => {
-                    let l = eval_expression(env, binding, left).and_then(|t| effective_boolean(&t));
-                    if l == Some(false) {
-                        return Some(Term::boolean(false));
+                // `deciding` settles the result alone: false for AND,
+                // true for OR; an error only matters without it.
+                BinaryOp::And | BinaryOp::Or => {
+                    let deciding = *op == BinaryOp::Or;
+                    let ebv = |e: &Expression| eval_expression(env, binding, e).and_then(|t| effective_boolean(&t));
+                    let l = ebv(left);
+                    if l == Some(deciding) {
+                        return Some(Term::boolean(deciding));
                     }
-                    let r = eval_expression(env, binding, right).and_then(|t| effective_boolean(&t));
-                    return match (l, r) {
-                        (Some(true), Some(true)) => Some(Term::boolean(true)),
-                        (_, Some(false)) => Some(Term::boolean(false)),
-                        _ => None,
-                    };
-                }
-                BinaryOp::Or => {
-                    let l = eval_expression(env, binding, left).and_then(|t| effective_boolean(&t));
-                    if l == Some(true) {
-                        return Some(Term::boolean(true));
-                    }
-                    let r = eval_expression(env, binding, right).and_then(|t| effective_boolean(&t));
-                    return match (l, r) {
-                        (_, Some(true)) => Some(Term::boolean(true)),
-                        (Some(false), Some(false)) => Some(Term::boolean(false)),
+                    return match (l, ebv(right)) {
+                        (_, Some(r)) if r == deciding => Some(Term::boolean(deciding)),
+                        (Some(_), Some(_)) => Some(Term::boolean(!deciding)),
                         _ => None,
                     };
                 }
@@ -176,8 +170,8 @@ pub(crate) fn eval_expression(env: &Env<'_>, binding: &Binding, expr: &Expressio
                     }))
                 }
                 BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div => {
-                    let a = numeric(&l)?;
-                    let b = numeric(&r)?;
+                    let a = l.as_f64()?;
+                    let b = r.as_f64()?;
                     let v = match op {
                         BinaryOp::Add => a + b,
                         BinaryOp::Sub => a - b,
@@ -255,15 +249,12 @@ fn eval_call(env: &Env<'_>, binding: &Binding, name: &str, args: &[Expression]) 
         "ISIRI" | "ISURI" => Some(Term::boolean(vals[0].is_iri())),
         "ISLITERAL" => Some(Term::boolean(vals[0].is_literal())),
         "ISBLANK" => Some(Term::boolean(vals[0].is_blank())),
-        "ISNUMERIC" => Some(Term::boolean(numeric(&vals[0]).is_some())),
-        "ABS" => {
-            let n = numeric(&vals[0])?;
-            Some(number_term(n.abs(), &vals[0]))
-        }
-        "CEIL" => Some(Term::double(numeric(&vals[0])?.ceil())),
-        "FLOOR" => Some(Term::double(numeric(&vals[0])?.floor())),
-        "ROUND" => Some(Term::double(numeric(&vals[0])?.round())),
-        "SQRT" => Some(Term::double(numeric(&vals[0])?.sqrt())),
+        "ISNUMERIC" => Some(Term::boolean(vals[0].as_f64().is_some())),
+        "ABS" => Some(number_term(vals[0].as_f64()?.abs(), &vals[0])),
+        "CEIL" => Some(Term::double(vals[0].as_f64()?.ceil())),
+        "FLOOR" => Some(Term::double(vals[0].as_f64()?.floor())),
+        "ROUND" => Some(Term::double(vals[0].as_f64()?.round())),
+        "SQRT" => Some(Term::double(vals[0].as_f64()?.sqrt())),
         "STRLEN" => Some(Term::int(vals[0].lexical()?.chars().count() as i64)),
         "UCASE" => Some(Term::literal(vals[0].lexical()?.to_uppercase())),
         "LCASE" => Some(Term::literal(vals[0].lexical()?.to_lowercase())),
@@ -323,15 +314,9 @@ fn eval_spatial(
         return Some(Term::boolean(f.holds(&a, &b, 0.0)));
     }
     match local {
-        "disjoint" | "sfDisjoint" => {
-            let (a, b) = (geom(&args[0])?, geom(&args[1])?);
-            Some(Term::boolean(predicates::disjoint(&a, &b)))
-        }
+        "disjoint" | "sfDisjoint" => Some(Term::boolean(predicates::disjoint(&*geom(&args[0])?, &*geom(&args[1])?))),
         // Metric functions (planar, in coordinate units).
-        "distance" => {
-            let (a, b) = (geom(&args[0])?, geom(&args[1])?);
-            Some(Term::double(geodist::distance(&a, &b)))
-        }
+        "distance" => Some(Term::double(geodist::distance(&*geom(&args[0])?, &*geom(&args[1])?))),
         "area" => Some(Term::double(area::area(geom(&args[0])?.as_ref()))),
         // Temporal functions over strdf:period valid-time literals.
         "periodOverlaps" | "overlapsPeriod" => {
@@ -358,7 +343,7 @@ fn eval_spatial(
         // Constructive functions return new strdf:WKT literals.
         "buffer" => {
             let g = geom(&args[0])?;
-            let d = numeric(&eval_expression(env, binding, &args[1])?)?;
+            let d = eval_expression(env, binding, &args[1])?.as_f64()?;
             if d <= 0.0 {
                 return None;
             }
@@ -458,13 +443,15 @@ pub(crate) struct SpatialTest {
 }
 
 impl SpatialTest {
-    /// The geometry of argument `i` under `b`; `None` (the FILTER is
-    /// false) when it is unbound or no geometry.
-    pub(crate) fn geometry(&self, env: &Env<'_>, b: &Binding, i: usize) -> Option<Arc<Geometry>> {
-        match &self.args[i] {
+    /// The exact predicate under `b`: false, as the FILTER would be,
+    /// when an argument is unbound or no geometry.
+    pub(crate) fn holds(&self, env: &Env<'_>, b: &Binding) -> bool {
+        let geometry = |a: &Operand| match a {
             Operand::Var(slot) => env.geometry_of(b[*slot].as_ref()?),
             Operand::Const(g) => Some(g.clone()),
-        }
+        };
+        let (Some(x), Some(y)) = (geometry(&self.args[0]), geometry(&self.args[1])) else { return false };
+        self.func.holds(&x, &y, self.bound)
     }
 }
 
@@ -487,13 +474,6 @@ pub(crate) fn effective_boolean(t: &Term) -> Option<bool> {
     }
 }
 
-fn numeric(t: &Term) -> Option<f64> {
-    match t {
-        Term::Literal { .. } => t.as_f64(),
-        _ => None,
-    }
-}
-
 fn is_integer(t: &Term) -> bool {
     t.datatype() == Some(vocab::xsd::INTEGER)
 }
@@ -509,7 +489,7 @@ fn number_term(v: f64, like: &Term) -> Term {
 /// SPARQL value equality: numeric literals compare by value, everything
 /// else by strict term equality.
 fn terms_equal(a: &Term, b: &Term) -> Option<bool> {
-    if let (Some(x), Some(y)) = (numeric(a), numeric(b)) {
+    if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
         return Some(x == y);
     }
     Some(a == b)
@@ -517,7 +497,7 @@ fn terms_equal(a: &Term, b: &Term) -> Option<bool> {
 
 /// SPARQL ordering for `<`/`>` comparisons: numeric or string.
 fn compare_terms(a: &Term, b: &Term) -> Option<Ordering> {
-    if let (Some(x), Some(y)) = (numeric(a), numeric(b)) {
+    if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
         return x.partial_cmp(&y);
     }
     match (a, b) {
@@ -557,6 +537,7 @@ mod tests {
             spatial: &spatial,
             vars,
             config: StrabonConfig::default(),
+            pool: WorkerPool::with_threads(1),
             constants: HashMap::new(),
         };
         eval_expression(&env, &vec![], expr)

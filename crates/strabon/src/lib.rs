@@ -22,9 +22,10 @@
 //!   statistics the triple store maintains on write, which also runs
 //!   each FILTER as soon as its variables are bound (toggleable — E4),
 //! * one spatial access path: a spatial FILTER — topological, or
-//!   `strdf:distance(a, b) < d` — is a planned spatial-join step on an
-//!   R-tree sidecar of parsed geometries, probing with a constant or
-//!   with a geometry an earlier step bound (toggleable — E3),
+//!   `strdf:distance(a, b) < d` — is a planned step on an R-tree
+//!   sidecar of parsed geometries: a join probing the R-tree with a
+//!   constant geometry, or a native check of two bound arguments
+//!   (toggleable — E3),
 //! * optional RDFS subsumption: `?x rdf:type C` patterns expand over the
 //!   in-store `rdfs:subClassOf` closure.
 //!
@@ -113,7 +114,7 @@ impl From<RdfError> for StrabonError {
 pub(crate) type Result<T> = std::result::Result<T, StrabonError>;
 
 /// Engine configuration toggles (the ablation knobs of E3/E4, plus
-/// the sidecar build's thread count).
+/// the thread count of E13).
 #[derive(Debug, Clone, Copy)]
 pub struct StrabonConfig {
     /// Order BGP triple patterns by estimated cardinality and run each
@@ -126,10 +127,11 @@ pub struct StrabonConfig {
     /// Expand `?x rdf:type C` patterns over the `rdfs:subClassOf`
     /// closure of `C` (RDFS subsumption over the in-store ontology).
     pub rdfs_inference: bool,
-    /// Worker threads for the R-tree sidecar's bulk load: `0` = the
-    /// `TELEIOS_THREADS` / available-parallelism default. Evaluation
-    /// itself is sequential; the tree, hence every answer, is the same
-    /// at every setting.
+    /// Worker threads for BGP probing, FILTER evaluation and the R-tree
+    /// sidecar build: `0` = the `TELEIOS_THREADS` /
+    /// available-parallelism default, `1` = the exact sequential
+    /// path. Results are identical at every setting (morsel-order
+    /// concatenation — see `teleios-exec`'s determinism contract).
     pub threads: usize,
 }
 
@@ -226,7 +228,7 @@ impl Strabon {
         self.config
     }
 
-    /// The worker pool the sidecar bulk-loads on, sized by
+    /// The worker pool evaluation runs on, sized by
     /// [`StrabonConfig::threads`].
     pub(crate) fn pool(&self) -> WorkerPool {
         match self.config.threads {

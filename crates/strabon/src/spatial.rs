@@ -5,10 +5,11 @@
 //! parsing WKT on every FILTER evaluation would dominate query time, so
 //! the sidecar caches parsed geometries per term id and maintains an
 //! R-tree of their envelopes. Every spatial FILTER the planner
-//! recognizes is a spatial-join step over it: a probe geometry (a
-//! constant, or a bound variable's) queries the R-tree with its
-//! [`window`], the exact predicate runs on the candidates' cached
-//! geometries, and [`SpatialSidecar::estimate`] costs the probe.
+//! recognizes is a spatial step over it: as a join, a constant probe
+//! geometry queries the R-tree with its [`window`], the exact predicate
+//! runs on the candidates' cached geometries, and
+//! [`SpatialSidecar::estimate`] costs the probe; as a check, the exact
+//! predicate runs on the two bound arguments' cached geometries.
 //! `Strabon::geometry` hands the cached geometries to front ends.
 //!
 //! The sidecar indexes dictionary ids, not triples, and the dictionary
@@ -114,18 +115,15 @@ impl SpatialSidecar {
     /// spread over the extent — entries × (probe width + mean entry
     /// width) × (probe height + mean entry height) ÷ extent area, the
     /// Minkowski sum of probe and entry over the area they fall in; at
-    /// most every entry. `None` probes with an entry of mean size (a
-    /// variable's geometry, unknown until the walk binds it).
-    pub(crate) fn estimate(&self, probe: Option<&Envelope>, reach: f64) -> f64 {
+    /// most every entry.
+    pub(crate) fn estimate(&self, probe: &Envelope, reach: f64) -> f64 {
         let n = self.items.len() as f64;
         if n == 0.0 {
             return 0.0;
         }
-        let (w, h) = (self.sizes.0 / n, self.sizes.1 / n);
-        let (pw, ph) = probe.map_or((w, h), |e| (e.width(), e.height()));
-        let grown = |p: f64, mean: f64| (p + 2.0 * reach + mean).max(0.0);
+        let grown = |p: f64, sum: f64| (p + 2.0 * reach + sum / n).max(0.0);
         let area = self.extent.area();
-        if area > 0.0 { (n * grown(pw, w) * grown(ph, h) / area).min(n) } else { n }
+        if area > 0.0 { (n * grown(probe.width(), self.sizes.0) * grown(probe.height(), self.sizes.1) / area).min(n) } else { n }
     }
 }
 
@@ -185,12 +183,10 @@ mod tests {
         sc.catch_up(&st, &WorkerPool::with_threads(1));
         let q = Envelope::new(Coord::new(2.5, 2.5), Coord::new(5.5, 5.5));
         assert_eq!(sc.candidates(&q).len(), 9);
-        assert!((sc.estimate(Some(&q), 0.0) - 100.0 * 9.0 / 81.0).abs() < 1e-9);
+        assert!((sc.estimate(&q, 0.0) - 100.0 * 9.0 / 81.0).abs() < 1e-9);
         // Grown by a distance bound of 1 on every side: a 5 × 5 window.
-        assert!((sc.estimate(Some(&q), 1.0) - 100.0 * 25.0 / 81.0).abs() < 1e-9);
-        // A variable's geometry: an entry of mean size, here a point.
-        assert_eq!(sc.estimate(None, 0.0), 0.0);
-        assert_eq!(SpatialSidecar::default().estimate(Some(&q), 0.0), 0.0);
+        assert!((sc.estimate(&q, 1.0) - 100.0 * 25.0 / 81.0).abs() < 1e-9);
+        assert_eq!(SpatialSidecar::default().estimate(&q, 0.0), 0.0);
     }
 
     #[test]

@@ -61,7 +61,8 @@ fn wkt(text: String) -> Term {
 /// annotated), 96 hotspots derived from them — small squares, a few
 /// points, one unparsable geometry, confidences on a 1/64 grid so sums
 /// are exact in any order, a few hotspots without one — and 8
-/// archaeological sites, every other one labelled.
+/// archaeological sites, every other one labelled. Hotspots × sites
+/// crosses `PAR_BINDING_THRESHOLD`, so four threads do fork.
 fn archive(config: StrabonConfig) -> Strabon {
     let mut db = Strabon::with_config(config);
     let mut rng = SplitMix64::new(0x07e1_e105);
@@ -674,36 +675,36 @@ fn observe(statements: &[String]) -> (usize, u64, u64) {
 /// answer of the same query with its FILTER written last. The EXPLAIN
 /// digests are the cost-based planner's.
 const GOLDEN: &[(&str, usize, u64, u64)] = &[
-    ("flagship_day1", 4, 0x8c690cd83dfdc48a, 0x72b7fdc629d2e057),
-    ("flagship_day2_wide", 27, 0xf57c4d2a28393e52, 0x0c68223362f66ff4),
-    ("flagship_day3_narrow", 2, 0xb6a39e98e6989b83, 0xe67c0e45b14b5352),
-    ("region", 6, 0x53716d8124d4852e, 0x12d86f4739e403a4),
-    ("region_empty", 1, 0x119025ffe26bd1c4, 0x3e9860264395174b),
-    ("bgp5", 14, 0xe7d585e4578a0635, 0xbeb9461325faf188),
-    ("bgp5_low", 32, 0xa8bbd63719afa32b, 0xbeb9461325faf188),
-    ("discovery", 5, 0x5435d8fd61fdb89b, 0xbb4f3a3ddb77ba7c),
-    ("discovery_all", 13, 0xe681ac935602952d, 0x76061a6c2227fc02),
-    ("firemap_hotspots", 20, 0x88f77df37d3d1479, 0xbcc3116b3eb94895),
+    ("flagship_day1", 4, 0x8c690cd83dfdc48a, 0xa308f57b53740add),
+    ("flagship_day2_wide", 27, 0xf57c4d2a28393e52, 0x0683b49d8eaa6d7a),
+    ("flagship_day3_narrow", 2, 0xb6a39e98e6989b83, 0xfea6adc60bda1ddd),
+    ("region", 6, 0x53716d8124d4852e, 0xfaf6a5314e84ae86),
+    ("region_empty", 1, 0x119025ffe26bd1c4, 0x9bfce9376bafc157),
+    ("bgp5", 14, 0xe7d585e4578a0635, 0x7bd0ecc58ce226a2),
+    ("bgp5_low", 32, 0xa8bbd63719afa32b, 0x7bd0ecc58ce226a2),
+    ("discovery", 5, 0x5435d8fd61fdb89b, 0x702c68a3cf66823a),
+    ("discovery_all", 13, 0xe681ac935602952d, 0xc2ec60031e2476a8),
+    ("firemap_hotspots", 20, 0x88f77df37d3d1479, 0x4ad2eaba1865b941),
     ("firemap_sites", 4, 0xfd22bf1d7653b88e, 0x0000000000000000),
-    ("count_hotspots", 97, 0xbea66bc005c08d99, 0x7fc0efd53e043b95),
-    ("product_hotspots", 9, 0x27700ef8f80530a9, 0x47af650cba7d7f07),
-    ("surviving_geometries", 9, 0x60c0c1065d223f72, 0x57cdb630c10be6b6),
-    ("within_landmass", 36, 0x757cc32c192bbd04, 0x16a0ca5f6701169e),
-    ("disjoint_landmass", 51, 0x6e10b35a68a7678b, 0x00f7f5fb152cde4f),
-    ("crossing_landmass", 7, 0x464546e6b6213c61, 0x1418b7a94859041c),
-    ("distance_const", 8, 0x42811298f17dddcd, 0xc39fbcc2d443ce3c),
-    ("distance_const_flipped", 18, 0x30532652fe17ce3c, 0xa8bb705b65d46efc),
-    ("two_filters_one_slot", 20, 0x0182c1a744bff464, 0x02e62a73597ee0d6),
-    ("filter_before_run", 20, 0x03fe7f8a05b0f338, 0x7a2a0b3d12bfb9d4),
-    ("filter_between_runs", 24, 0x32a3a4ec05be82a9, 0x5a28d76442c663e8),
-    ("images_covering", 3, 0x0b683920a80dfec2, 0xaf06734ab51464e2),
-    ("variable_geometries", 10, 0xdf129b7ba676777c, 0x6846ba71cbd3d83e),
-    ("variable_predicate", 6, 0xb24fbac167a9370d, 0x0f16874f50b4d1e5),
-    ("repeated_variable", 1, 0xfefc10f67656f541, 0xc51d870c945f413a),
-    ("unknown_constant", 1, 0x2bcfd0724ec8d091, 0x10b61cedafe8fd5e),
-    ("cross_product", 33, 0xa79069ca637ca813, 0x47c61c09dfa8b0ab),
-    ("ask_yes", 2, 0x2e21204bcc0511ac, 0x16a0ca5f6701169e),
-    ("ask_no", 2, 0x32e24d922f36d375, 0x5c34fbf691bb5158),
+    ("count_hotspots", 97, 0xbea66bc005c08d99, 0xf79b53c69e1142ff),
+    ("product_hotspots", 9, 0x27700ef8f80530a9, 0x97335d7878b94a25),
+    ("surviving_geometries", 9, 0x60c0c1065d223f72, 0x9e9efc6b839ed9d0),
+    ("within_landmass", 36, 0x757cc32c192bbd04, 0xc3b7919a278a27aa),
+    ("disjoint_landmass", 51, 0x6e10b35a68a7678b, 0x11834877261372c9),
+    ("crossing_landmass", 7, 0x464546e6b6213c61, 0xb241772570eda7c6),
+    ("distance_const", 8, 0x42811298f17dddcd, 0xffec01dd8ddfa93e),
+    ("distance_const_flipped", 18, 0x30532652fe17ce3c, 0x50b98b8bd4deafb0),
+    ("two_filters_one_slot", 20, 0x0182c1a744bff464, 0x602ea6346e3e588e),
+    ("filter_before_run", 20, 0x03fe7f8a05b0f338, 0xca9947ef5aaa59d0),
+    ("filter_between_runs", 24, 0x32a3a4ec05be82a9, 0xf2605bd5dfd1597a),
+    ("images_covering", 3, 0x0b683920a80dfec2, 0x80b29e4838e1650c),
+    ("variable_geometries", 10, 0xdf129b7ba676777c, 0xb47e67b1b4eaf738),
+    ("variable_predicate", 6, 0xb24fbac167a9370d, 0x652f0fec429e9cc7),
+    ("repeated_variable", 1, 0xfefc10f67656f541, 0x0732491b3f3556fc),
+    ("unknown_constant", 1, 0x2bcfd0724ec8d091, 0x4bc793021c616f2c),
+    ("cross_product", 33, 0xa79069ca637ca813, 0x33d7768aa5523a39),
+    ("ask_yes", 2, 0x2e21204bcc0511ac, 0xc3b7919a278a27aa),
+    ("ask_no", 2, 0x32e24d922f36d375, 0x1765b632a319cfa2),
     ("optional_label", 9, 0xdede8aaab469dcd4, 0x0000000000000000),
     ("optional_join", 5, 0x1d5167b8dec3e9ca, 0x0000000000000000),
     ("optional_spatial", 11, 0xe2a020334ce26afd, 0x0000000000000000),
@@ -722,19 +723,19 @@ const GOLDEN: &[(&str, usize, u64, u64)] = &[
     ("bind_arithmetic", 24, 0x57ba7b6b4d59229e, 0x0000000000000000),
     ("bind_envelope", 6, 0x2b269203bd974d12, 0x0000000000000000),
     ("nested_optional_in_union", 13, 0x57366bd6d440e10b, 0x0000000000000000),
-    ("distinct_satellites", 4, 0x6678ebe05b4fac1a, 0x6acf1d22c3d2c82b),
-    ("select_star", 5, 0x9fefef4cbc9f0439, 0xe6f1483caadcf477),
-    ("order_two_keys_page", 8, 0xad1988a96f3d5590, 0xa94f52d4db6dbb06),
-    ("order_unprojected", 11, 0x794ff199e217135a, 0xb7974222fa560c40),
-    ("limit_unordered", 6, 0x51f9f4e2e33e9d0d, 0xba7a4a9e1e12ed50),
-    ("projected_expression", 9, 0xdeea9253d8b3ac91, 0x262e962b92472085),
-    ("count_per_image", 13, 0xc64a0e3fa92c3172, 0x43d6093ea7e01622),
-    ("stats_per_image", 13, 0xaf9fb255630c4aec, 0xb7974222fa560c40),
-    ("global_aggregate", 2, 0xbcb532d9d38cc314, 0xa94f52d4db6dbb06),
-    ("aggregate_empty", 2, 0x6ff6a5f87f60cf3e, 0xba7a4a9e1e12ed50),
-    ("group_unordered", 4, 0xbc9321cf47ab59c8, 0x6acf1d22c3d2c82b),
-    ("group_star", 4, 0x6678ebe05b4fac1a, 0x6acf1d22c3d2c82b),
-    ("spatial_aggregate", 2, 0xf6f1b09392af91ed, 0x16a0ca5f6701169e),
+    ("distinct_satellites", 4, 0x6678ebe05b4fac1a, 0x44010234bc2e0ba1),
+    ("select_star", 5, 0x9fefef4cbc9f0439, 0xc7079570e460085d),
+    ("order_two_keys_page", 8, 0xad1988a96f3d5590, 0x3b2ec5fcacf4b910),
+    ("order_unprojected", 11, 0x794ff199e217135a, 0xdedc23386e213ca2),
+    ("limit_unordered", 6, 0x51f9f4e2e33e9d0d, 0xfd9657208c6706ee),
+    ("projected_expression", 9, 0xdeea9253d8b3ac91, 0x211f71c49d13258f),
+    ("count_per_image", 13, 0xc64a0e3fa92c3172, 0x2af91134dc18de00),
+    ("stats_per_image", 13, 0xaf9fb255630c4aec, 0xdedc23386e213ca2),
+    ("global_aggregate", 2, 0xbcb532d9d38cc314, 0x3b2ec5fcacf4b910),
+    ("aggregate_empty", 2, 0x6ff6a5f87f60cf3e, 0xfd9657208c6706ee),
+    ("group_unordered", 4, 0xbc9321cf47ab59c8, 0x44010234bc2e0ba1),
+    ("group_star", 4, 0x6678ebe05b4fac1a, 0x44010234bc2e0ba1),
+    ("spatial_aggregate", 2, 0xf6f1b09392af91ed, 0xc3b7919a278a27aa),
     ("refine_unscoped", 551, 0x0dca046847aea0fe, 0x0000000000000000),
     ("refine_scoped", 551, 0xda680d12cf11d189, 0x0000000000000000),
     ("refine_twice", 553, 0x81fb7e8de4d223a4, 0x0000000000000000),

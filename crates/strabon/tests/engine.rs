@@ -561,7 +561,7 @@ fn explain_shows_plan() {
         ));
     // The spatial FILTER is a join step probing the R-tree with the
     // constant, not a filter.
-    assert!(plan.contains(". spatial join intersects(?g, a POLYGON), binding ?g around a POLYGON (est "), "{plan}");
+    assert!(plan.contains(". spatial join intersects(?g, a POLYGON), binding ?g (est "), "{plan}");
     assert!(plan.contains("match"));
     assert!(plan.contains("(est "));
     assert!(!plan.contains("filter"), "{plan}");
@@ -573,7 +573,7 @@ fn explain_shows_plan() {
     let plan2 = db.query_plan_for_test(&format!(
         "{PREFIXES} SELECT ?h WHERE {{ ?h noa:hasConfidence ?c . ?h a noa:Hotspot }}"
     ));
-    assert!(plan2.contains("spatial push-down: (none)"));
+    assert!(plan2.starts_with("config: optimize_bgp=false, use_spatial_index=false"), "{plan2}");
     let conf_pos = plan2.find("hasConfidence").unwrap();
     let type_pos = plan2.find("Hotspot").unwrap();
     assert!(conf_pos < type_pos, "syntactic order must be preserved:\n{plan2}");
@@ -706,7 +706,7 @@ fn flagship_plan_stays_linear_across_hotspot_image_ratios() {
         assert!(!rows.is_empty(), "{h}:{i}");
         assert_eq!(rows, answer(&mut ratio_archive(images, hotspots, syntactic)), "{h}:{i}");
         let plan = optimized.explain(&flagship).unwrap();
-        assert!(plan.contains(". spatial join distance(?hg, ?sg) < 0.5"), "{h}:{i}\n{plan}");
+        assert!(plan.contains(". spatial check distance(?hg, ?sg) < 0.5 (est "), "{h}:{i}\n{plan}");
         assert_eq!(plan.matches(". filter (est ").count(), 1, "{h}:{i}\n{plan}");
         for line in plan.lines().filter(|l| l.contains("(est ")) {
             let est: f64 = line.rsplit_once("(est ").and_then(|(_, n)| n.trim_end_matches(')').parse().ok()).unwrap();
@@ -973,11 +973,8 @@ fn explain_shows_nested_bodies_under_outer_bindings() {
         "{PREFIXES} SELECT ?img WHERE {{ ?img a noa:RawImage . OPTIONAL {{ ?h noa:isDerivedFrom ?img ; strdf:hasGeometry ?g . \
          FILTER(strdf:intersects(?g, \"POLYGON ((22 37, 23 37, 23 38, 22 38, 22 37))\"^^strdf:WKT)) }} }}"
     ));
-    assert!(plan.contains("spatial push-down: (none)\n"), "{plan}");
-    assert!(
-        plan.contains("\n       1. spatial join intersects(?g, a POLYGON), binding ?g around a POLYGON (est 1)\n"),
-        "{plan}"
-    );
+    assert_eq!(plan.matches(". spatial ").count(), 1, "{plan}");
+    assert!(plan.contains("\n       1. spatial join intersects(?g, a POLYGON), binding ?g (est 1)\n"), "{plan}");
 }
 
 // --- the sidecar catches up in place ---------------------------------------
