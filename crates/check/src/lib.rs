@@ -25,6 +25,7 @@
 //! [`fuzz_text`] is the same loop with text edits.
 
 use std::fmt::Debug;
+use std::io::Write;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -36,6 +37,12 @@ pub const CASES: u64 = 256;
 
 /// Re-runs of the property a failing case may spend on shrinking.
 const SHRINK_BUDGET: usize = 400;
+
+/// Wall-clock time a failing case may spend on shrinking: a property
+/// that takes seconds per run (eight query engines, say) still reports
+/// the smallest case found so far, and its seed, well inside a test
+/// step's timeout.
+const SHRINK_TIME: Duration = Duration::from_secs(60);
 
 /// The source of a generated input's choices: fresh draws from a
 /// seeded stream, or (while shrinking) a replayed choice list that
@@ -115,18 +122,26 @@ pub fn check_seed<T: Debug>(seed: u64, generate: impl Fn(&mut Gen) -> T, propert
         let input = generate(gen);
         let panic = catch_unwind(AssertUnwindSafe(|| property(input))).err()?;
         let text = panic.downcast_ref::<String>().cloned();
-        Some(text.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string())).unwrap_or_default())
+        Some(
+            text.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default(),
+        )
     };
     let mut gen = Gen::new(seed, None);
     let Some(mut message) = failure(&mut gen) else {
         return;
     };
+    // Name the seed at once, on stderr itself: libtest holds a test's
+    // `eprintln!` until the test ends, and a shrink run that never
+    // returns (one that exhausts memory, say) would take it along.
+    let note = format!("property failed at seed {seed}; shrinking for up to {SHRINK_TIME:?}\n");
+    std::io::stderr().write_all(note.as_bytes()).unwrap_or_default();
     let mut choices = gen.choices;
-    let mut runs = 0;
+    let (mut runs, started) = (0, Instant::now());
     // Adopt `smaller(choices[i])` in place of `choices[i]` if the case still fails.
     let mut shrink = |choices: &mut Vec<u64>, i: usize, smaller: fn(u64) -> u64| -> bool {
         let Some(&current) = choices.get(i) else { return false };
-        if smaller(current) >= current || runs == SHRINK_BUDGET {
+        if smaller(current) >= current || runs == SHRINK_BUDGET || started.elapsed() > SHRINK_TIME {
             return false;
         }
         runs += 1;
@@ -147,9 +162,10 @@ pub fn check_seed<T: Debug>(seed: u64, generate: impl Fn(&mut Gen) -> T, propert
         i += 1;
     }
     let minimal = generate(&mut Gen::new(seed, Some(choices)));
+    let cut = if started.elapsed() > SHRINK_TIME { " (shrinking ran out of time)" } else { "" };
     panic!(
         "property failed at seed {seed} (re-run it alone with `teleios_check::check_seed({seed}, ..)`)\n\
-         minimal counterexample after {runs} shrink runs: {minimal:#?}\n\
+         minimal counterexample after {runs} shrink runs{cut}: {minimal:#?}\n\
          failure: {message}"
     );
 }
@@ -273,9 +289,12 @@ pub fn fuzz_bytes<T, E>(
 /// `STRUCTURAL` string, every input decoded to text lossily.
 pub fn fuzz_text<T, E>(seeds: &[&str], decode: impl Fn(&str) -> Result<T, E>) {
     let seeds: Vec<&[u8]> = seeds.iter().map(|s| s.as_bytes()).collect();
-    fuzz_bytes(&seeds, Edits::Substitute(&STRUCTURAL), |_| {}, |bytes| {
-        decode(&String::from_utf8_lossy(bytes))
-    });
+    fuzz_bytes(
+        &seeds,
+        Edits::Substitute(&STRUCTURAL),
+        |_| {},
+        |bytes| decode(&String::from_utf8_lossy(bytes)),
+    );
 }
 
 #[cfg(test)]
@@ -292,11 +311,21 @@ mod tests {
     fn a_true_property_sees_every_case_and_generators_respect_their_bounds() {
         let cases = Cell::new(0);
         forall(
-            |g| (g.int(-5..7), g.size(2..9), g.float(-1.5..2.5), g.vec(1..4, Gen::bool), g.string("ab", 0..6)),
+            |g| {
+                (
+                    g.int(-5..7),
+                    g.size(2..9),
+                    g.float(-1.5..2.5),
+                    g.vec(1..4, Gen::bool),
+                    g.string("ab", 0..6),
+                )
+            },
             |(i, n, f, v, s)| {
                 cases.set(cases.get() + 1);
                 assert!((-5..7).contains(&i) && (2..9).contains(&n) && (-1.5..2.5).contains(&f));
-                assert!((1..4).contains(&v.len()) && s.len() < 6 && s.chars().all(|c| "ab".contains(c)));
+                assert!(
+                    (1..4).contains(&v.len()) && s.len() < 6 && s.chars().all(|c| "ab".contains(c))
+                );
             },
         );
         assert_eq!(cases.get(), CASES);
@@ -337,11 +366,16 @@ mod tests {
         assert!(lens.contains(&u32::MAX) && lens.contains(&0));
         // A decoder that trusts a count panics — and is reported.
         let report = failure_report(|| {
-            fuzz_bytes(&[&seed], Edits::Binary, |_| {}, |b: &[u8]| {
-                let n = b.first().map_or(0, |&n| n as usize);
-                let count = if n & 0x80 != 0 { usize::MAX } else { n };
-                Ok::<_, ()>(Vec::<u64>::with_capacity(count).len())
-            })
+            fuzz_bytes(
+                &[&seed],
+                Edits::Binary,
+                |_| {},
+                |b: &[u8]| {
+                    let n = b.first().map_or(0, |&n| n as usize);
+                    let count = if n & 0x80 != 0 { usize::MAX } else { n };
+                    Ok::<_, ()>(Vec::<u64>::with_capacity(count).len())
+                },
+            )
         });
         assert!(report.contains("decoder panicked on"), "{report}");
     }
@@ -350,7 +384,8 @@ mod tests {
     fn fuzz_text_reports_a_panicking_decoder_with_its_input() {
         fuzz_text(&["(a)"], |s: &str| if s.contains('(') { Ok(()) } else { Err(()) });
         // A decoder that indexes past a truncated input.
-        let report = failure_report(|| fuzz_text(&["(a)"], |s: &str| Ok::<u8, ()>(s.as_bytes()[2])));
+        let report =
+            failure_report(|| fuzz_text(&["(a)"], |s: &str| Ok::<u8, ()>(s.as_bytes()[2])));
         assert!(report.contains("decoder panicked on \"\""), "{report}");
     }
 
@@ -362,7 +397,8 @@ mod tests {
         assert!(report.contains("failure: too long: "), "{report}");
         // Elements fall to their lower bound; halving a length stops
         // within a factor of two of the boundary.
-        let minimal: Vec<i64> = report.lines().filter_map(|l| l.trim().trim_end_matches(',').parse().ok()).collect();
+        let minimal: Vec<i64> =
+            report.lines().filter_map(|l| l.trim().trim_end_matches(',').parse().ok()).collect();
         assert!((3..6).contains(&minimal.len()) && minimal.iter().all(|&v| v == 10), "{report}");
 
         let seed: u64 = report

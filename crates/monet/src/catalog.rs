@@ -236,8 +236,10 @@ impl Catalog {
                 let empty = Chunk::new(Vec::new(), Vec::new());
                 let mut value_rows: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
                 for row in rows {
-                    let vals: Vec<Value> =
-                        row.iter().map(|e| exec::eval_expr(&empty, 0, e)).collect::<Result<_>>()?;
+                    let vals: Vec<Value> = row
+                        .iter()
+                        .map(|e| Ok(exec::values(&empty, Some(&[0]), e)?.get(0)))
+                        .collect::<Result<_>>()?;
                     let full = match &columns {
                         None => vals,
                         Some(cols) => {
@@ -271,14 +273,12 @@ impl Catalog {
                         .collect::<Result<_>>()?;
                     let rids = rows_to_touch(&chunk, where_clause.as_ref())?;
                     // New values per row (expressions may reference columns).
-                    let mut values: Vec<Vec<Value>> = Vec::with_capacity(rids.len());
-                    for &rid in &rids {
-                        let row_vals: Vec<Value> = assignments
-                            .iter()
-                            .map(|(_, e)| exec::eval_expr(&chunk, rid as usize, e))
-                            .collect::<Result<_>>()?;
-                        values.push(row_vals);
-                    }
+                    let new = assignments
+                        .iter()
+                        .map(|(_, e)| exec::values(&chunk, Some(&rids), e))
+                        .collect::<Result<Vec<_>>>()?;
+                    let values: Vec<Vec<Value>> =
+                        (0..rids.len()).map(|j| new.iter().map(|v| v.get(j)).collect()).collect();
                     t.update_rows(&rids, &cols, &values)?;
                     Ok(rids.len())
                 })??;
@@ -303,7 +303,7 @@ impl Catalog {
 fn rows_to_touch(chunk: &Chunk, where_clause: Option<&Expr>) -> Result<Vec<RowId>> {
     match where_clause {
         None => Ok((0..chunk.num_rows() as RowId).collect()),
-        Some(pred) => exec::select_rows(chunk, pred),
+        Some(pred) => exec::select(chunk, None, pred),
     }
 }
 
@@ -379,7 +379,9 @@ mod tests {
     #[test]
     fn comparison_with_null_matches_no_row() {
         let cat = setup();
-        for pred in ["id = NULL", "NULL = id", "cloud <> NULL", "level >= NULL", "id < NULL AND id > 1"] {
+        for pred in
+            ["id = NULL", "NULL = id", "cloud <> NULL", "level >= NULL", "id < NULL AND id > 1"]
+        {
             let rs = cat.execute(&format!("SELECT id FROM products WHERE {pred}")).unwrap();
             assert_eq!(rs.num_rows(), 0, "{pred}");
         }
@@ -502,6 +504,51 @@ mod tests {
             .execute("SELECT id FROM products WHERE level LIKE 'L_' AND sat IN ('MSG1')")
             .unwrap();
         assert_eq!(rs.num_rows(), 2);
+    }
+
+    /// Negating, or taking ABS of, the smallest INT leaves i64: the
+    /// result is a DOUBLE, as an overflowing `+` or `*` is, not a panic
+    /// or a negative ABS.
+    #[test]
+    fn negation_and_abs_of_the_smallest_int_promote_to_double() {
+        let cat = Catalog::new();
+        cat.execute("CREATE TABLE t (x INT)").unwrap();
+        cat.insert("t", vec![vec![Value::Int(i64::MIN + 1)], vec![Value::Int(5)]]).unwrap();
+        let rs = cat.execute("SELECT -(x - 1), ABS(x - 1), -x, ABS(x) FROM t").unwrap();
+        let big = Value::Double(-(i64::MIN as f64));
+        assert_eq!(rs.rows[0], vec![big.clone(), big, Value::Int(i64::MAX), Value::Int(i64::MAX)]);
+        assert_eq!(
+            rs.rows[1],
+            vec![Value::Double(-4.0), Value::Double(4.0), Value::Int(-5), Value::Int(5)]
+        );
+        let rs = cat.execute("SELECT x FROM t WHERE ABS(x - 1) > 0 AND -(x - 1) > 0").unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Int(i64::MIN + 1)]]);
+    }
+
+    /// BETWEEN and IN are their comparisons joined by AND and OR, so NOT
+    /// keeps three-valued logic: a NaN or a NULL in the list is unknown,
+    /// and NOT of unknown keeps no row.
+    #[test]
+    fn not_between_and_not_in_keep_three_valued_logic() {
+        let cat = Catalog::new();
+        cat.execute("CREATE TABLE t (k INT, v DOUBLE)").unwrap();
+        let rows = [(1, f64::NAN), (2, 1.0), (3, 7.0), (4, 3.0)];
+        cat.insert("t", rows.iter().map(|&(k, v)| vec![Value::Int(k), Value::Double(v)]).collect())
+            .unwrap();
+        let keys = |pred: &str| {
+            let rs = cat.execute(&format!("SELECT k FROM t WHERE {pred}")).unwrap();
+            rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect::<Vec<_>>()
+        };
+        for (form, expansion, want) in [
+            ("NOT (v BETWEEN 0 AND 2)", "NOT (v >= 0 AND v <= 2)", vec![3, 4]),
+            ("NOT (k IN (2, NULL))", "NOT (k = 2 OR k = NULL)", vec![]),
+            ("NOT (v IN (1.0, 7.0))", "NOT (v = 1.0 OR v = 7.0)", vec![4]),
+        ] {
+            assert_eq!(keys(form), want, "{form}");
+            assert_eq!(keys(expansion), want, "{expansion}");
+        }
+        assert_eq!(keys("k NOT IN (2, 3)"), vec![1, 4]);
+        assert_eq!(keys("v BETWEEN 1 AND 3"), vec![2, 4]);
     }
 
     #[test]

@@ -85,6 +85,22 @@ impl Column {
         Column { data: ColumnData::Double(v), validity: None }
     }
 
+    /// The column's cells when it is DOUBLE and holds no NULL.
+    pub fn into_doubles(self) -> Option<Vec<f64>> {
+        match (self.data, self.validity) {
+            (ColumnData::Double(v), None) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// A DOUBLE column's values when it holds no NULL.
+    pub(crate) fn doubles(&self) -> Option<&[f64]> {
+        match (&self.data, &self.validity) {
+            (ColumnData::Double(v), None) => Some(v),
+            _ => None,
+        }
+    }
+
     /// The column's data type.
     pub(crate) fn data_type(&self) -> DataType {
         match &self.data {
@@ -113,9 +129,7 @@ impl Column {
 
     /// Number of NULL rows.
     pub(crate) fn null_count(&self) -> usize {
-        self.validity
-            .as_ref()
-            .map_or(0, |v| v.iter().filter(|&&ok| !ok).count())
+        self.validity.as_ref().map_or(0, |v| v.iter().filter(|&&ok| !ok).count())
     }
 
     /// Append a value, coercing ints to double where needed.
@@ -123,9 +137,7 @@ impl Column {
         let value = match value {
             Value::Null => {
                 let n = self.len();
-                self.validity
-                    .get_or_insert_with(|| vec![true; n])
-                    .push(false);
+                self.validity.get_or_insert_with(|| vec![true; n]).push(false);
                 // Push a type-appropriate placeholder.
                 match &mut self.data {
                     ColumnData::Int(v) => v.push(0),
@@ -174,8 +186,10 @@ impl Column {
         let Some(found) = value.data_type() else {
             return Ok(Vec::new());
         };
-        let mismatch =
-            || DbError::TypeMismatch { expected: self.data_type().to_string(), found: found.to_string() };
+        let mismatch = || DbError::TypeMismatch {
+            expected: self.data_type().to_string(),
+            found: found.to_string(),
+        };
         Ok(match &self.data {
             ColumnData::Int(data) => match *value {
                 // Allow comparing an INT column against a DOUBLE constant.
@@ -204,7 +218,12 @@ impl Column {
 
     /// Row ids of `cands` (or of the whole column) whose value is
     /// non-NULL and passes `keep`, ascending.
-    fn scan<T>(&self, data: &[T], cands: Option<&[RowId]>, keep: impl Fn(&T) -> bool) -> Vec<RowId> {
+    fn scan<T>(
+        &self,
+        data: &[T],
+        cands: Option<&[RowId]>,
+        keep: impl Fn(&T) -> bool,
+    ) -> Vec<RowId> {
         let pass = |rid: usize| !self.is_null(rid) && keep(&data[rid]);
         match cands {
             Some(list) => list.iter().copied().filter(|&rid| pass(rid as usize)).collect(),
@@ -217,8 +236,7 @@ impl Column {
         // Keep the validity vector only when a NULL is actually
         // gathered, matching `push`-based construction.
         let validity = self.validity.as_ref().and_then(|v| {
-            let gathered: Vec<bool> =
-                rows.iter().map(|&rid| v[rid as usize]).collect();
+            let gathered: Vec<bool> = rows.iter().map(|&rid| v[rid as usize]).collect();
             if gathered.iter().all(|&ok| ok) {
                 None
             } else {
@@ -328,7 +346,10 @@ mod tests {
         let empty = Column::new(DataType::Int);
         let err = empty.select(CmpOp::Eq, &Value::Str("x".into()), None);
         assert!(matches!(err, Err(DbError::TypeMismatch { .. })));
-        assert_eq!(empty.select(CmpOp::Eq, &Value::Int(1), Some(&[])).unwrap(), Vec::<RowId>::new());
+        assert_eq!(
+            empty.select(CmpOp::Eq, &Value::Int(1), Some(&[])).unwrap(),
+            Vec::<RowId>::new()
+        );
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Relational execution engine.
 //!
 //! Operators work on [`Chunk`]s — named bundles of equal-length columns.
-//! Every WHERE (SELECT's [`filter`], UPDATE's and DELETE's) picks its
-//! rows through one `select_rows`: conjunctions of `column op constant`
-//! compile to [`Column::select`] candidate-list passes, exactly the
-//! MonetDB style, and any predicate the fast path cannot express is
-//! evaluated row at a time. A pure row-at-a-time reference filter,
-//! [`filter_rowwise`], stays public for the ablation benchmark (E6/E4)
-//! and the SQL differential. Aggregates have one path as well:
-//! [`aggregate`] groups the rows and `eval_aggregate` folds each group,
-//! SUM with the same checked addition as `+`.
+//! Expressions have one evaluator, which works a whole column at a time
+//! as MonetDB's BAT algebra does: [`eval`] computes an expression's
+//! column over a candidate list of rows, and [`select`] the rows on
+//! which a predicate holds — under every WHERE (SELECT's [`filter`],
+//! HAVING's, UPDATE's and DELETE's), every projection, ORDER BY key,
+//! join and group key, and SciQL's cell expressions. A row-at-a-time
+//! reference filter, [`filter_rowwise`], stays public as the oracle of
+//! the SQL differential and of the E11 ablation. Aggregates have one
+//! path as well: [`aggregate`] groups the rows and `eval_aggregate`
+//! folds each group, SUM with the same checked addition as `+`.
 
 use crate::column::{CmpOp, Column, RowId};
 use crate::error::DbError;
@@ -17,6 +18,7 @@ use crate::sql::ast::{AggFunc, BinOp, Expr};
 use crate::table::Table;
 use crate::value::{DataType, Value};
 use crate::Result;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -51,11 +53,6 @@ impl Chunk {
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.cols.first().map_or(0, Column::len)
-    }
-
-    /// Number of columns.
-    pub(crate) fn num_cols(&self) -> usize {
-        self.cols.len()
     }
 
     /// Column by position.
@@ -101,7 +98,7 @@ impl Chunk {
     }
 
     /// Cartesian-free concatenation of two equal-row chunks (for joins).
-    fn zip_concat(&self, other: &Chunk) -> Chunk {
+    pub(crate) fn zip_concat(&self, other: &Chunk) -> Chunk {
         let mut names = self.names.clone();
         names.extend(other.names.iter().cloned());
         let mut cols = self.cols.clone();
@@ -111,11 +108,307 @@ impl Chunk {
 }
 
 // ---------------------------------------------------------------------
-// Expression evaluation
+// Expression evaluation, one column at a time
 // ---------------------------------------------------------------------
 
-/// Evaluate an expression for one row of a chunk.
-pub(crate) fn eval_expr(chunk: &Chunk, row: usize, expr: &Expr) -> Result<Value> {
+/// `expr` on `rows` of `chunk` (all of them when `None`), one value per
+/// row, computed a column at a time: DOUBLE operands run typed loops, a
+/// comparison of a column with a constant is one [`Column::select`],
+/// and anything else applies `eval_binary` or `eval_scalar_func`
+/// element by element. AND, OR and CASE evaluate each side or arm only
+/// on the rows still open.
+pub fn eval(chunk: &Chunk, rows: Option<&[RowId]>, expr: &Expr) -> Result<Column> {
+    values(chunk, rows, expr)?.into_column(rows.map_or(chunk.num_rows(), <[RowId]>::len))
+}
+
+/// The rows of `rows` (all of `chunk`'s when `None`) on which
+/// `predicate` is TRUE, ascending: the one selection under every WHERE
+/// and HAVING, and under SciQL's cell predicates. AND runs its right
+/// side on the rows its left keeps, OR on the rows its left does not
+/// keep, and NOT is pushed to the comparisons (`negated`).
+pub fn select(chunk: &Chunk, rows: Option<&[RowId]>, predicate: &Expr) -> Result<Vec<RowId>> {
+    let n = rows.map_or(chunk.num_rows(), <[RowId]>::len);
+    match predicate {
+        Expr::Binary { op: BinOp::And, left, right } => {
+            select(chunk, Some(&select(chunk, rows, left)?), right)
+        }
+        Expr::Binary { op: BinOp::Or, left, right } => {
+            let mut kept = select(chunk, rows, left)?;
+            kept.extend(select(chunk, Some(&complement(rows, n, &kept)), right)?);
+            kept.sort_unstable();
+            Ok(kept)
+        }
+        Expr::Not(e) => select(chunk, rows, &negated(e)),
+        other => {
+            let v = match other {
+                Expr::Binary { op, left, right } if cmp_op(*op).is_some() => {
+                    // A column against a constant is one candidate-list pass.
+                    if let (Expr::Column(c), Expr::Literal(v)) = (&**left, &**right) {
+                        let cmp = cmp_op(*op).unwrap_or(CmpOp::Eq);
+                        return chunk.column(chunk.resolve(c)?).select(cmp, v, rows);
+                    }
+                    let (l, r) = (values(chunk, rows, left)?, values(chunk, rows, right)?);
+                    elementwise(n, |i| eval_binary(*op, &l.get(i), &r.get(i)))?
+                }
+                _ => values(chunk, rows, other)?,
+            };
+            let id = |i: usize| rows.map_or(i as RowId, |r| r[i]);
+            Ok((0..n).filter(|&i| v.get(i) == Value::Bool(true)).map(id).collect())
+        }
+    }
+}
+
+/// A predicate TRUE exactly where `p` is FALSE (NOT, pushed inward):
+/// De Morgan's laws, a comparison's opposite (NaN and NULL stay
+/// unknown on both), and `e = FALSE` for any other BOOL `e`.
+fn negated(p: &Expr) -> Expr {
+    match p {
+        Expr::Binary { op: op @ (BinOp::And | BinOp::Or), left, right } => {
+            let dual = if *op == BinOp::And { BinOp::Or } else { BinOp::And };
+            Expr::binary(dual, negated(left), negated(right))
+        }
+        Expr::Binary { op, left, right } if cmp_op(*op).is_some() => {
+            let opposite = match op {
+                BinOp::Eq => BinOp::Ne,
+                BinOp::Ne => BinOp::Eq,
+                BinOp::Lt => BinOp::Ge,
+                BinOp::Le => BinOp::Gt,
+                BinOp::Gt => BinOp::Le,
+                _ => BinOp::Lt,
+            };
+            Expr::Binary { op: opposite, left: left.clone(), right: right.clone() }
+        }
+        Expr::IsNull { expr, negated } => Expr::IsNull { expr: expr.clone(), negated: !negated },
+        Expr::Not(e) => Expr::binary(BinOp::Eq, (**e).clone(), Expr::Literal(Value::Bool(true))),
+        other => Expr::binary(BinOp::Eq, other.clone(), Expr::Literal(Value::Bool(false))),
+    }
+}
+
+/// The rows of `rows` (`0..n`, all of a chunk's, when `None`) not in
+/// `taken`, which is drawn from them.
+fn complement(rows: Option<&[RowId]>, n: usize, taken: &[RowId]) -> Vec<RowId> {
+    let mut taken = taken.iter().peekable();
+    let mut open = |id: &RowId| taken.next_if_eq(&id).is_none();
+    match rows {
+        None => (0..n as RowId).filter(&mut open).collect(),
+        Some(rows) => rows.iter().copied().filter(&mut open).collect(),
+    }
+}
+
+/// Where each of `ids` (drawn from `rows`) sits in `rows`.
+fn positions<'b>(rows: Option<&'b [RowId]>, ids: &'b [RowId]) -> impl Iterator<Item = usize> + 'b {
+    ids.iter().map(move |id| rows.map_or(*id as usize, |r| r.binary_search(id).unwrap_or(0)))
+}
+
+/// An expression's values on the rows evaluated.
+pub(crate) enum Vals<'a> {
+    /// One value on every row.
+    Const(Value),
+    /// A typed column: the chunk's own when every row is evaluated.
+    Col(Cow<'a, Column>),
+    /// Values computed row by row, whose types may differ: an INT result
+    /// that overflowed into DOUBLE in some rows, CASE arms of two types.
+    Rows(Vec<Value>),
+}
+
+/// A DOUBLE operand of a typed loop: a column without NULLs, or one
+/// constant.
+#[derive(Clone, Copy)]
+enum Doubles<'a> {
+    Col(&'a [f64]),
+    Const(f64),
+}
+
+impl Vals<'_> {
+    /// The value on the `i`-th row evaluated.
+    pub(crate) fn get(&self, i: usize) -> Value {
+        match self {
+            Vals::Const(v) => v.clone(),
+            Vals::Col(c) => c.get(i),
+            Vals::Rows(v) => v[i].clone(),
+        }
+    }
+
+    fn doubles(&self) -> Option<Doubles<'_>> {
+        match self {
+            Vals::Const(Value::Double(d)) => Some(Doubles::Const(*d)),
+            Vals::Col(c) => c.doubles().map(Doubles::Col),
+            _ => None,
+        }
+    }
+
+    /// The values as a column typed by `result_type` (DOUBLE when all are
+    /// NULL); a value that does not coerce to that type reads as NULL.
+    fn into_column(self, n: usize) -> Result<Column> {
+        let values = match self {
+            Vals::Col(c) => return Ok(c.into_owned()),
+            Vals::Const(Value::Double(d)) => return Ok(Column::from_doubles(vec![d; n])),
+            Vals::Const(v) => vec![v; n],
+            Vals::Rows(values) => values,
+        };
+        let ty = result_type(values.iter()).unwrap_or(DataType::Double);
+        let mut col = Column::new(ty);
+        for v in values {
+            col.push(v.coerce(ty).unwrap_or(Value::Null))?;
+        }
+        Ok(col)
+    }
+}
+
+/// A computed DOUBLE column.
+fn doubles<'a>(data: Vec<f64>) -> Vals<'a> {
+    Vals::Col(Cow::Owned(Column::from_doubles(data)))
+}
+
+/// `at(i)` for each of `n` rows, computed row by row.
+fn elementwise<'a>(n: usize, at: impl FnMut(usize) -> Result<Value>) -> Result<Vals<'a>> {
+    Ok(Vals::Rows((0..n).map(at).collect::<Result<_>>()?))
+}
+
+/// `f` on each row's two DOUBLE operands: a tight loop over a column.
+fn zip_f64(a: Doubles, b: Doubles, n: usize, f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
+    match (a, b) {
+        (Doubles::Col(x), Doubles::Col(y)) => x.iter().zip(y).map(|(&x, &y)| f(x, y)).collect(),
+        (Doubles::Col(x), Doubles::Const(c)) => x.iter().map(|&x| f(x, c)).collect(),
+        (Doubles::Const(c), Doubles::Col(y)) => y.iter().map(|&y| f(c, y)).collect(),
+        (Doubles::Const(c), Doubles::Const(d)) => vec![f(c, d); n],
+    }
+}
+
+/// `expr`'s values on `rows` (see [`eval`]).
+pub(crate) fn values<'a>(
+    chunk: &'a Chunk,
+    rows: Option<&[RowId]>,
+    expr: &Expr,
+) -> Result<Vals<'a>> {
+    let n = rows.map_or(chunk.num_rows(), <[RowId]>::len);
+    match expr {
+        Expr::Literal(v) => Ok(Vals::Const(v.clone())),
+        Expr::Column(name) => {
+            let col = chunk.column(chunk.resolve(name)?);
+            Ok(Vals::Col(rows.map_or(Cow::Borrowed(col), |r| Cow::Owned(col.gather(r)))))
+        }
+        Expr::Binary {
+            op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod),
+            left,
+            right,
+        } => {
+            let (l, r) = (values(chunk, rows, left)?, values(chunk, rows, right)?);
+            let Some((a, b)) = l.doubles().zip(r.doubles()) else {
+                return elementwise(n, |i| eval_binary(*op, &l.get(i), &r.get(i)));
+            };
+            Ok(doubles(zip_f64(a, b, n, |x, y| double_op(*op, x, y))))
+        }
+        Expr::Neg(e) => {
+            let v = values(chunk, rows, e)?;
+            match v.doubles() {
+                Some(Doubles::Col(d)) => Ok(doubles(d.iter().map(|x| -x).collect())),
+                _ => elementwise(n, |i| negate(&v.get(i))),
+            }
+        }
+        Expr::IsNull { expr, negated } => {
+            let v = values(chunk, rows, expr)?;
+            elementwise(n, |i| Ok(Value::Bool(v.get(i).is_null() != *negated)))
+        }
+        Expr::Like { expr, pattern } => {
+            let v = values(chunk, rows, expr)?;
+            elementwise(n, |i| like(&v.get(i), pattern))
+        }
+        Expr::Case { arms, otherwise } => case(chunk, rows, arms, otherwise.as_deref()),
+        Expr::Func { name, args } => {
+            let body = scalar_function(name, args.len())?;
+            let args = args.iter().map(|a| values(chunk, rows, a)).collect::<Result<Vec<_>>>()?;
+            match (body, args.iter().map(Vals::doubles).collect::<Option<Vec<_>>>()) {
+                (Some(f), Some(x)) => {
+                    let y = x.get(1).copied().unwrap_or(Doubles::Const(0.0));
+                    Ok(doubles(zip_f64(x[0], y, n, f)))
+                }
+                _ => elementwise(n, |i| {
+                    eval_scalar_func(name, &args.iter().map(|a| a.get(i)).collect::<Vec<_>>())
+                }),
+            }
+        }
+        // A predicate (a comparison, AND, OR or NOT) is TRUE where it
+        // selects, FALSE where its negation does, and NULL elsewhere.
+        Expr::Binary { .. } | Expr::Not(_) => {
+            let mut out = vec![Value::Null; n];
+            positions(rows, &select(chunk, rows, expr)?).for_each(|p| out[p] = Value::Bool(true));
+            let no = select(chunk, rows, &negated(expr))?;
+            positions(rows, &no).for_each(|p| out[p] = Value::Bool(false));
+            Ok(Vals::Rows(out))
+        }
+    }
+}
+
+/// CASE: each arm's condition runs on the rows no earlier arm took, its
+/// result on the rows the condition takes, and ELSE (else NULL) on the
+/// rest; the parts are then scattered back into row order.
+fn case<'a>(
+    chunk: &'a Chunk,
+    rows: Option<&[RowId]>,
+    arms: &[(Expr, Expr)],
+    otherwise: Option<&Expr>,
+) -> Result<Vals<'a>> {
+    let n = rows.map_or(chunk.num_rows(), <[RowId]>::len);
+    // The rows no arm has taken yet (`None`: all of `rows`).
+    let mut open: Option<Vec<RowId>> = None;
+    let mut parts = Vec::new();
+    for (cond, result) in arms {
+        let left = open.as_deref().or(rows);
+        let taken = select(chunk, left, cond)?;
+        if !taken.is_empty() {
+            open = Some(complement(left, chunk.num_rows(), &taken));
+            parts.push((values(chunk, Some(&taken), result)?, taken));
+        }
+    }
+    let open = open.unwrap_or_else(|| complement(rows, n, &[]));
+    if !open.is_empty() {
+        let rest =
+            otherwise.map_or(Ok(Vals::Const(Value::Null)), |e| values(chunk, Some(&open), e))?;
+        parts.push((rest, open));
+    }
+    // Every part DOUBLE: one typed column.
+    if let Some(x) = parts.iter().map(|(v, _)| v.doubles()).collect::<Option<Vec<_>>>() {
+        let mut data = vec![0.0; n];
+        for ((_, ids), x) in parts.iter().zip(x) {
+            match x {
+                Doubles::Const(c) => positions(rows, ids).for_each(|p| data[p] = c),
+                Doubles::Col(d) => positions(rows, ids).zip(d).for_each(|(p, &x)| data[p] = x),
+            }
+        }
+        return Ok(doubles(data));
+    }
+    let mut out = vec![Value::Null; n];
+    for (v, ids) in &parts {
+        positions(rows, ids).enumerate().for_each(|(j, p)| out[p] = v.get(j));
+    }
+    Ok(Vals::Rows(out))
+}
+
+/// The comparison a binary operator is, if it is one.
+fn cmp_op(op: BinOp) -> Option<CmpOp> {
+    Some(match op {
+        BinOp::Eq => CmpOp::Eq,
+        BinOp::Ne => CmpOp::Ne,
+        BinOp::Lt => CmpOp::Lt,
+        BinOp::Le => CmpOp::Le,
+        BinOp::Gt => CmpOp::Gt,
+        BinOp::Ge => CmpOp::Ge,
+        _ => return None,
+    })
+}
+
+/// The type error for `found` where `expected` was needed.
+fn mismatch(expected: &str, found: &Value) -> DbError {
+    DbError::TypeMismatch {
+        expected: expected.into(),
+        found: found.data_type().map_or("NULL".into(), |t| t.to_string()),
+    }
+}
+
+/// The row-at-a-time reference evaluator: one row, one boxed value per
+/// node. Only [`filter_rowwise`] calls it.
+fn eval_expr(chunk: &Chunk, row: usize, expr: &Expr) -> Result<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Column(name) => {
@@ -125,84 +418,22 @@ pub(crate) fn eval_expr(chunk: &Chunk, row: usize, expr: &Expr) -> Result<Value>
         Expr::Binary { op, left, right } => {
             let l = eval_expr(chunk, row, left)?;
             // Short-circuit AND/OR with SQL three-valued logic.
-            match op {
-                BinOp::And => {
-                    if l == Value::Bool(false) {
-                        return Ok(Value::Bool(false));
-                    }
-                    let r = eval_expr(chunk, row, right)?;
-                    return Ok(sql_and(&l, &r));
-                }
-                BinOp::Or => {
-                    if l == Value::Bool(true) {
-                        return Ok(Value::Bool(true));
-                    }
-                    let r = eval_expr(chunk, row, right)?;
-                    return Ok(sql_or(&l, &r));
-                }
-                _ => {}
+            let decided = if *op == BinOp::And { Value::Bool(false) } else { Value::Bool(true) };
+            if matches!(op, BinOp::And | BinOp::Or) && l == decided {
+                return Ok(l);
             }
-            let r = eval_expr(chunk, row, right)?;
-            eval_binary(*op, &l, &r)
+            eval_binary(*op, &l, &eval_expr(chunk, row, right)?)
         }
-        Expr::Neg(e) => match eval_expr(chunk, row, e)? {
-            Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Double(d) => Ok(Value::Double(-d)),
-            other => Err(DbError::TypeMismatch {
-                expected: "numeric".into(),
-                found: other.data_type().map_or("NULL".into(), |t| t.to_string()),
-            }),
-        },
+        Expr::Neg(e) => negate(&eval_expr(chunk, row, e)?),
         Expr::Not(e) => match eval_expr(chunk, row, e)? {
             Value::Null => Ok(Value::Null),
             Value::Bool(b) => Ok(Value::Bool(!b)),
-            other => Err(DbError::TypeMismatch {
-                expected: "BOOL".into(),
-                found: other.data_type().map_or("NULL".into(), |t| t.to_string()),
-            }),
+            other => Err(mismatch("BOOL", &other)),
         },
         Expr::IsNull { expr, negated } => {
-            let v = eval_expr(chunk, row, expr)?;
-            Ok(Value::Bool(v.is_null() != *negated))
+            Ok(Value::Bool(eval_expr(chunk, row, expr)?.is_null() != *negated))
         }
-        Expr::Between { expr, lo, hi } => {
-            let v = eval_expr(chunk, row, expr)?;
-            let l = eval_expr(chunk, row, lo)?;
-            let h = eval_expr(chunk, row, hi)?;
-            if v.is_null() || l.is_null() || h.is_null() {
-                return Ok(Value::Null);
-            }
-            let ge = v.sql_cmp(&l).is_some_and(|o| o != std::cmp::Ordering::Less);
-            let le = v.sql_cmp(&h).is_some_and(|o| o != std::cmp::Ordering::Greater);
-            Ok(Value::Bool(ge && le))
-        }
-        Expr::InList { expr, list, negated } => {
-            let v = eval_expr(chunk, row, expr)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut found = false;
-            for item in list {
-                let w = eval_expr(chunk, row, item)?;
-                if !w.is_null() && v.sql_cmp(&w) == Some(std::cmp::Ordering::Equal) {
-                    found = true;
-                    break;
-                }
-            }
-            Ok(Value::Bool(found != *negated))
-        }
-        Expr::Like { expr, pattern } => {
-            let v = eval_expr(chunk, row, expr)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Bool(like_match(&s, pattern))),
-                other => Err(DbError::TypeMismatch {
-                    expected: "STRING".into(),
-                    found: other.data_type().map_or("NULL".into(), |t| t.to_string()),
-                }),
-            }
-        }
+        Expr::Like { expr, pattern } => like(&eval_expr(chunk, row, expr)?, pattern),
         Expr::Case { arms, otherwise } => {
             for (cond, result) in arms {
                 if eval_expr(chunk, row, cond)? == Value::Bool(true) {
@@ -211,192 +442,141 @@ pub(crate) fn eval_expr(chunk: &Chunk, row: usize, expr: &Expr) -> Result<Value>
             }
             otherwise.as_deref().map_or(Ok(Value::Null), |e| eval_expr(chunk, row, e))
         }
-        Expr::Func { name, args } => {
-            let vals: Vec<Value> =
-                args.iter().map(|a| eval_expr(chunk, row, a)).collect::<Result<_>>()?;
-            eval_scalar_func(name, &vals)
-        }
+        Expr::Func { name, args } => eval_scalar_func(
+            name,
+            &args.iter().map(|a| eval_expr(chunk, row, a)).collect::<Result<Vec<_>>>()?,
+        ),
     }
 }
 
-fn sql_and(a: &Value, b: &Value) -> Value {
+/// SQL's three-valued AND (`and`) or OR: the value that decides it
+/// (FALSE for AND, TRUE for OR) wins, then NULL or any other non-BOOL.
+fn sql_logic(and: bool, a: &Value, b: &Value) -> Value {
     match (a.as_bool(), b.as_bool()) {
-        (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-        (Some(true), Some(true)) => Value::Bool(true),
+        (x, y) if x == Some(!and) || y == Some(!and) => Value::Bool(!and),
+        (Some(_), Some(_)) => Value::Bool(and),
         _ => Value::Null,
     }
 }
 
-fn sql_or(a: &Value, b: &Value) -> Value {
-    match (a.as_bool(), b.as_bool()) {
-        (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-        (Some(false), Some(false)) => Value::Bool(false),
-        _ => Value::Null,
+/// Unary minus. The one INT whose negation leaves i64, the smallest,
+/// becomes a DOUBLE, as `+` and `*` promote.
+fn negate(v: &Value) -> Result<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Int(i) => Ok(i.checked_neg().map_or(Value::Double(-(*i as f64)), Value::Int)),
+        Value::Double(d) => Ok(Value::Double(-d)),
+        other => Err(mismatch("numeric", other)),
     }
 }
 
-/// Evaluate a non-logical binary operator on two values.
-pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    use BinOp::*;
+/// `a op b` in doubles for an arithmetic `op`.
+fn double_op(op: BinOp, a: f64, b: f64) -> f64 {
     match op {
-        Eq | Ne | Lt | Le | Gt | Ge => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            let Some(ord) = l.sql_cmp(r) else {
-                // NaN against a number is unknown, as in `Column::select`:
-                // the row fails the comparison either way round.
-                if l.as_f64().is_some() && r.as_f64().is_some() {
-                    return Ok(Value::Null);
-                }
-                return Err(DbError::TypeMismatch {
-                    expected: "comparable values".into(),
-                    found: format!("{:?} vs {:?}", l.data_type(), r.data_type()),
-                });
-            };
-            let cmp = match op {
-                Eq => CmpOp::Eq,
-                Ne => CmpOp::Ne,
-                Lt => CmpOp::Lt,
-                Le => CmpOp::Le,
-                Gt => CmpOp::Gt,
-                Ge => CmpOp::Ge,
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(cmp.matches(ord)))
-        }
-        Add | Sub | Mul | Div | Mod => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            // String concatenation via '+'.
-            if op == Add {
-                if let (Value::Str(a), Value::Str(b)) = (l, r) {
-                    return Ok(Value::Str(format!("{a}{b}")));
-                }
-            }
-            match (l, r) {
-                (Value::Int(a), Value::Int(b)) => {
-                    if matches!(op, Div | Mod) && *b == 0 {
-                        return Err(DbError::Execution("division by zero".into()));
-                    }
-                    let exact = match op {
-                        Add => a.checked_add(*b),
-                        Sub => a.checked_sub(*b),
-                        Mul => a.checked_mul(*b),
-                        Div => a.checked_div(*b),
-                        _ => a.checked_rem(*b),
-                    };
-                    // A result outside i64 is computed in doubles, as
-                    // stSPARQL and SciQL compute it, instead of wrapping
-                    // (`1 + 2 * x < 7` must not hold for a huge `x`).
-                    match exact {
-                        Some(v) => Ok(Value::Int(v)),
-                        None => {
-                            eval_binary(op, &Value::Double(*a as f64), &Value::Double(*b as f64))
-                        }
-                    }
-                }
-                _ => {
-                    let a = l.as_f64().ok_or_else(|| DbError::TypeMismatch {
-                        expected: "numeric".into(),
-                        found: format!("{l}"),
-                    })?;
-                    let b = r.as_f64().ok_or_else(|| DbError::TypeMismatch {
-                        expected: "numeric".into(),
-                        found: format!("{r}"),
-                    })?;
-                    Ok(Value::Double(match op {
-                        Add => a + b,
-                        Sub => a - b,
-                        Mul => a * b,
-                        Div => a / b,
-                        Mod => a % b,
-                        _ => unreachable!(),
-                    }))
-                }
-            }
-        }
-        And | Or => Ok(if op == And { sql_and(l, r) } else { sql_or(l, r) }),
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        _ => a % b,
     }
+}
+
+/// Evaluate a binary operator on two values.
+pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+    if matches!(op, BinOp::And | BinOp::Or) {
+        return Ok(sql_logic(op == BinOp::And, l, r));
+    }
+    if l.is_null() || r.is_null() {
+        return Ok(Value::Null);
+    }
+    if let Some(cmp) = cmp_op(op) {
+        return match l.sql_cmp(r) {
+            Some(ord) => Ok(Value::Bool(cmp.matches(ord))),
+            // NaN against a number is unknown, as in `Column::select`:
+            // the row fails the comparison either way round.
+            None if l.as_f64().is_some() && r.as_f64().is_some() => Ok(Value::Null),
+            None => Err(mismatch(&format!("a value comparable to {l}"), r)),
+        };
+    }
+    match (l, r) {
+        // String concatenation via '+'.
+        (Value::Str(a), Value::Str(b)) if op == BinOp::Add => Ok(Value::Str(format!("{a}{b}"))),
+        (Value::Int(a), Value::Int(b)) => {
+            if matches!(op, BinOp::Div | BinOp::Mod) && *b == 0 {
+                return Err(DbError::Execution("division by zero".into()));
+            }
+            // A result outside i64 is computed in doubles, as stSPARQL
+            // and SciQL compute it, instead of wrapping (`1 + 2 * x < 7`
+            // must not hold for a huge `x`).
+            let exact = match op {
+                BinOp::Add => a.checked_add(*b),
+                BinOp::Sub => a.checked_sub(*b),
+                BinOp::Mul => a.checked_mul(*b),
+                BinOp::Div => a.checked_div(*b),
+                _ => a.checked_rem(*b),
+            };
+            Ok(exact.map_or_else(|| Value::Double(double_op(op, *a as f64, *b as f64)), Value::Int))
+        }
+        _ => Ok(Value::Double(double_op(op, numeric(l)?, numeric(r)?))),
+    }
+}
+
+/// A numeric scalar function's body: `(x, y)` to its value.
+pub type Math = fn(f64, f64) -> f64;
+
+/// A scalar function of the SQL family, checked for its name and
+/// argument count before any row is read: its body on numbers, or
+/// `None` for ABS (which keeps an INT an INT) and the string functions
+/// LOWER, UPPER and LENGTH. The unary bodies ignore their second operand.
+pub fn scalar_function(name: &str, args: usize) -> Result<Option<Math>> {
+    let (arity, body): (usize, Option<Math>) = match name {
+        "ABS" | "LOWER" | "UPPER" | "LENGTH" => (1, None),
+        "SQRT" => (1, Some(|x, _| x.sqrt())),
+        "EXP" => (1, Some(|x, _| x.exp())),
+        "LN" => (1, Some(|x, _| x.ln())),
+        "LOG10" => (1, Some(|x, _| x.log10())),
+        "FLOOR" => (1, Some(|x, _| x.floor())),
+        "CEIL" => (1, Some(|x, _| x.ceil())),
+        "MIN" => (2, Some(f64::min)),
+        "MAX" => (2, Some(f64::max)),
+        "POW" => (2, Some(f64::powf)),
+        other => return Err(DbError::Execution(format!("unknown function: {other}"))),
+    };
+    if args != arity {
+        return Err(DbError::Execution(format!("{name} expects {arity} argument(s), got {args}")));
+    }
+    Ok(body)
 }
 
 fn eval_scalar_func(name: &str, args: &[Value]) -> Result<Value> {
-    let arity = |n: usize| -> Result<()> {
-        if args.len() == n {
-            Ok(())
-        } else {
-            Err(DbError::Execution(format!("{name} expects {n} argument(s), got {}", args.len())))
+    let body = scalar_function(name, args.len())?;
+    if args.iter().any(Value::is_null) {
+        return Ok(Value::Null);
+    }
+    if let Some(f) = body {
+        let y = args.get(1).map_or(Ok(0.0), numeric)?;
+        return Ok(Value::Double(f(numeric(&args[0])?, y)));
+    }
+    match (name, &args[0]) {
+        // The one INT whose absolute value leaves i64 becomes a DOUBLE.
+        ("ABS", Value::Int(i)) => {
+            Ok(i.checked_abs().map_or(Value::Double(-(*i as f64)), Value::Int))
         }
-    };
-    match name {
-        "ABS" => {
-            arity(1)?;
-            Ok(match &args[0] {
-                Value::Null => Value::Null,
-                Value::Int(i) => Value::Int(i.abs()),
-                Value::Double(d) => Value::Double(d.abs()),
-                other => {
-                    return Err(DbError::TypeMismatch {
-                        expected: "numeric".into(),
-                        found: format!("{other}"),
-                    })
-                }
-            })
-        }
-        "SQRT" => {
-            arity(1)?;
-            match &args[0] {
-                Value::Null => Ok(Value::Null),
-                v => {
-                    let x = v.as_f64().ok_or_else(|| DbError::TypeMismatch {
-                        expected: "numeric".into(),
-                        found: format!("{v}"),
-                    })?;
-                    Ok(Value::Double(x.sqrt()))
-                }
-            }
-        }
-        "FLOOR" | "CEIL" => {
-            arity(1)?;
-            match &args[0] {
-                Value::Null => Ok(Value::Null),
-                v => {
-                    let x = v.as_f64().ok_or_else(|| DbError::TypeMismatch {
-                        expected: "numeric".into(),
-                        found: format!("{v}"),
-                    })?;
-                    Ok(Value::Double(if name == "FLOOR" { x.floor() } else { x.ceil() }))
-                }
-            }
-        }
-        "LOWER" | "UPPER" => {
-            arity(1)?;
-            match &args[0] {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Str(if name == "LOWER" {
-                    s.to_lowercase()
-                } else {
-                    s.to_uppercase()
-                })),
-                other => Err(DbError::TypeMismatch {
-                    expected: "STRING".into(),
-                    found: format!("{other}"),
-                }),
-            }
-        }
-        "LENGTH" => {
-            arity(1)?;
-            match &args[0] {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Int(s.chars().count() as i64)),
-                other => Err(DbError::TypeMismatch {
-                    expected: "STRING".into(),
-                    found: format!("{other}"),
-                }),
-            }
-        }
-        other => Err(DbError::Execution(format!("unknown function: {other}"))),
+        ("ABS", Value::Double(d)) => Ok(Value::Double(d.abs())),
+        ("ABS", other) => Err(mismatch("numeric", other)),
+        ("LOWER", Value::Str(s)) => Ok(Value::Str(s.to_lowercase())),
+        ("UPPER", Value::Str(s)) => Ok(Value::Str(s.to_uppercase())),
+        ("LENGTH", Value::Str(s)) => Ok(Value::Int(s.chars().count() as i64)),
+        (_, other) => Err(mismatch("STRING", other)),
+    }
+}
+
+/// `v LIKE pattern`: NULL on NULL, a type error on a non-string.
+fn like(v: &Value, pattern: &str) -> Result<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Str(s) => Ok(Value::Bool(like_match(s, pattern))),
+        other => Err(mismatch("STRING", other)),
     }
 }
 
@@ -438,90 +618,21 @@ pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
 // Operators
 // ---------------------------------------------------------------------
 
-/// Try to compile a predicate into candidate-list passes.
-///
-/// Handles conjunctions of `col op literal` (either operand order); returns
-/// `None` when any conjunct is more complex.
-fn compile_conjuncts(expr: &Expr, out: &mut Vec<(String, CmpOp, Value)>) -> bool {
-    match expr {
-        Expr::Binary { op: BinOp::And, left, right } => {
-            compile_conjuncts(left, out) && compile_conjuncts(right, out)
-        }
-        Expr::Binary { op, left, right } => {
-            let cmp = match op {
-                BinOp::Eq => CmpOp::Eq,
-                BinOp::Ne => CmpOp::Ne,
-                BinOp::Lt => CmpOp::Lt,
-                BinOp::Le => CmpOp::Le,
-                BinOp::Gt => CmpOp::Gt,
-                BinOp::Ge => CmpOp::Ge,
-                _ => return false,
-            };
-            match (&**left, &**right) {
-                (Expr::Column(c), Expr::Literal(v)) => {
-                    out.push((c.clone(), cmp, v.clone()));
-                    true
-                }
-                (Expr::Literal(v), Expr::Column(c)) => {
-                    // Flip the comparison: `5 < x` becomes `x > 5`.
-                    let flipped = match cmp {
-                        CmpOp::Lt => CmpOp::Gt,
-                        CmpOp::Le => CmpOp::Ge,
-                        CmpOp::Gt => CmpOp::Lt,
-                        CmpOp::Ge => CmpOp::Le,
-                        other => other,
-                    };
-                    out.push((c.clone(), flipped, v.clone()));
-                    true
-                }
-                _ => false,
-            }
-        }
-        _ => false,
-    }
-}
-
-/// Row ids of `chunk` where `predicate` holds, ascending: the one
-/// selection under SELECT's `filter` and the WHERE of UPDATE and DELETE.
-/// A conjunction of simple comparisons runs as columnar
-/// candidate-narrowing passes, each a [`Column::select`]; any other
-/// predicate is evaluated row at a time.
-pub(crate) fn select_rows(chunk: &Chunk, predicate: &Expr) -> Result<Vec<RowId>> {
-    let mut conjuncts = Vec::new();
-    if !compile_conjuncts(predicate, &mut conjuncts) || conjuncts.is_empty() {
-        return rows_where(chunk, predicate);
-    }
-    let mut cands: Option<Vec<RowId>> = None;
-    for (col_name, op, value) in &conjuncts {
-        let idx = chunk.resolve(col_name)?;
-        let selected = chunk.column(idx).select(*op, value, cands.as_deref())?;
-        if selected.is_empty() {
-            return Ok(selected);
-        }
-        cands = Some(selected);
-    }
-    Ok(cands.unwrap_or_default())
-}
-
-/// Filter a chunk through `select_rows`.
+/// Filter a chunk through [`select`].
 pub fn filter(chunk: &Chunk, predicate: &Expr) -> Result<Chunk> {
-    Ok(chunk.take(&select_rows(chunk, predicate)?))
+    Ok(chunk.take(&select(chunk, None, predicate)?))
 }
 
-/// Reference row-at-a-time filter (used as the E4/E6 ablation baseline and
-/// by the SQL differential).
+/// The row-at-a-time reference filter: `eval_expr` on every row. The
+/// SQL differential and E11 compare [`filter`] against it.
 pub fn filter_rowwise(chunk: &Chunk, predicate: &Expr) -> Result<Chunk> {
-    Ok(chunk.take(&rows_where(chunk, predicate)?))
-}
-
-fn rows_where(chunk: &Chunk, predicate: &Expr) -> Result<Vec<RowId>> {
     let mut keep = Vec::new();
     for i in 0..chunk.num_rows() {
         if eval_expr(chunk, i, predicate)? == Value::Bool(true) {
             keep.push(i as RowId);
         }
     }
-    Ok(keep)
+    Ok(chunk.take(&keep))
 }
 
 /// The column type of computed values: the first non-NULL value's,
@@ -541,43 +652,15 @@ fn result_type<'a>(values: impl Iterator<Item = &'a Value>) -> Option<DataType> 
 
 /// Project expressions into a new chunk.
 pub(crate) fn project(chunk: &Chunk, exprs: &[(Expr, String)]) -> Result<Chunk> {
-    let mut names = Vec::with_capacity(exprs.len());
-    let mut cols: Vec<Column> = Vec::with_capacity(exprs.len());
-    for (expr, name) in exprs {
-        names.push(name.clone());
-        // Fast path: direct column reference.
-        if let Expr::Column(c) = expr {
-            let idx = chunk.resolve(c)?;
-            cols.push(chunk.column(idx).clone());
-            continue;
-        }
-        // General path: evaluate per row, then type the column from
-        // the results (default DOUBLE).
-        let mut values = Vec::with_capacity(chunk.num_rows());
-        for i in 0..chunk.num_rows() {
-            values.push(eval_expr(chunk, i, expr)?);
-        }
-        let ty = result_type(values.iter()).unwrap_or(DataType::Double);
-        let mut col = Column::new(ty);
-        for v in values {
-            let v = if v.is_null() { v } else { v.coerce(ty).unwrap_or(Value::Null) };
-            col.push(v)?;
-        }
-        cols.push(col);
-    }
-    Ok(Chunk::new(names, cols))
+    let cols = exprs.iter().map(|(e, _)| eval(chunk, None, e)).collect::<Result<_>>()?;
+    Ok(Chunk::new(exprs.iter().map(|(_, name)| name.clone()).collect(), cols))
 }
 
 /// Hash equi-join of two chunks on key expressions: one hash table
 /// over the smaller side, then one probe of the other side in row
 /// order. Each key's build rows are listed ascending, so the output
 /// runs in probe row order, build row order within a probe row.
-pub fn hash_join(
-    left: &Chunk,
-    right: &Chunk,
-    left_key: &Expr,
-    right_key: &Expr,
-) -> Result<Chunk> {
+pub fn hash_join(left: &Chunk, right: &Chunk, left_key: &Expr, right_key: &Expr) -> Result<Chunk> {
     // Build on the smaller side.
     let (build, probe, build_key, probe_key, build_is_left) = if left.num_rows() <= right.num_rows()
     {
@@ -588,9 +671,11 @@ pub fn hash_join(
 
     // A NULL or NaN key equals nothing, itself included.
     let joins = |k: &Value| !k.is_null() && !matches!(k, Value::Double(d) if d.is_nan());
+    let (build_keys, probe_keys) =
+        (values(build, None, build_key)?, values(probe, None, probe_key)?);
     let mut ht: HashMap<HashableValue, Vec<RowId>> = HashMap::new();
     for i in 0..build.num_rows() {
-        let k = eval_expr(build, i, build_key)?;
+        let k = build_keys.get(i);
         if joins(&k) {
             ht.entry(HashableValue(k)).or_default().push(i as RowId);
         }
@@ -599,7 +684,7 @@ pub fn hash_join(
     let mut build_rows: Vec<RowId> = Vec::new();
     let mut probe_rows: Vec<RowId> = Vec::new();
     for j in 0..probe.num_rows() {
-        let k = eval_expr(probe, j, probe_key)?;
+        let k = probe_keys.get(j);
         if !joins(&k) {
             continue;
         }
@@ -651,24 +736,13 @@ impl Eq for HashableValue {}
 
 impl std::hash::Hash for HashableValue {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(&self.0).hash(state);
         match &self.0 {
-            Value::Null => state.write_u8(0),
-            Value::Int(i) => {
-                state.write_u8(1);
-                state.write_i64(*i);
-            }
-            Value::Double(d) => {
-                state.write_u8(2);
-                state.write_u64(key_bits(*d));
-            }
-            Value::Str(s) => {
-                state.write_u8(3);
-                state.write(s.as_bytes());
-            }
-            Value::Bool(b) => {
-                state.write_u8(4);
-                state.write_u8(*b as u8);
-            }
+            Value::Null => {}
+            Value::Int(i) => i.hash(state),
+            Value::Double(d) => key_bits(*d).hash(state),
+            Value::Str(s) => s.hash(state),
+            Value::Bool(b) => b.hash(state),
         }
     }
 }
@@ -690,13 +764,11 @@ pub struct AggSpec {
 /// first-encounter order and each group's row ids ascending; then
 /// each group folds its aggregates, one output row per group.
 pub fn aggregate(chunk: &Chunk, group_by: &[Expr], aggs: &[AggSpec]) -> Result<Chunk> {
+    let keys = group_by.iter().map(|e| values(chunk, None, e)).collect::<Result<Vec<_>>>()?;
     let mut groups: Vec<(Vec<HashableValue>, Vec<RowId>)> = Vec::new();
     let mut index: HashMap<Vec<HashableValue>, usize> = HashMap::new();
     for i in 0..chunk.num_rows() {
-        let key: Vec<HashableValue> = group_by
-            .iter()
-            .map(|e| eval_expr(chunk, i, e).map(HashableValue))
-            .collect::<Result<_>>()?;
+        let key: Vec<HashableValue> = keys.iter().map(|k| HashableValue(k.get(i))).collect();
         match index.entry(key) {
             Entry::Occupied(e) => groups[*e.get()].1.push(i as RowId),
             Entry::Vacant(e) => {
@@ -719,27 +791,34 @@ pub fn aggregate(chunk: &Chunk, group_by: &[Expr], aggs: &[AggSpec]) -> Result<C
     }
     names.extend(aggs.iter().map(|a| a.name.clone()));
 
-    let mut rows = Vec::with_capacity(groups.len());
+    let args = aggs
+        .iter()
+        .map(|a| a.expr.as_ref().map(|e| values(chunk, None, e)).transpose())
+        .collect::<Result<Vec<_>>>()?;
+    // One column per key and per aggregate, typed as a projection's.
+    let mut cols = vec![Vec::with_capacity(groups.len()); names.len()];
     for (key, rids) in groups {
-        let mut row: Vec<Value> = key.into_iter().map(|h| h.0).collect();
-        for agg in aggs {
-            row.push(eval_aggregate(chunk, &rids, agg)?);
+        let aggregated =
+            aggs.iter().zip(&args).map(|(a, arg)| eval_aggregate(arg.as_ref(), &rids, a.func));
+        for (col, v) in cols.iter_mut().zip(key.into_iter().map(|h| Ok(h.0)).chain(aggregated)) {
+            col.push(v?);
         }
-        rows.push(row);
     }
-    rows_to_chunk(names, rows)
+    let cols = cols.into_iter().map(|v| {
+        let n = v.len();
+        Vals::Rows(v).into_column(n)
+    });
+    Ok(Chunk::new(names, cols.collect::<Result<_>>()?))
 }
 
-fn eval_aggregate(chunk: &Chunk, rids: &[RowId], agg: &AggSpec) -> Result<Value> {
-    // Evaluate the argument per row (or count rows for COUNT(*)).
-    match (&agg.expr, agg.func) {
+/// Fold one group's rows `rids` of the argument's values (`None` for
+/// `COUNT(*)`).
+fn eval_aggregate(arg: Option<&Vals>, rids: &[RowId], func: AggFunc) -> Result<Value> {
+    match (arg, func) {
         (None, AggFunc::Count) => Ok(Value::Int(rids.len() as i64)),
         (None, _) => Err(DbError::Execution("only COUNT may take *".into())),
-        (Some(e), func) => {
-            let mut vals: Vec<Value> = Vec::with_capacity(rids.len());
-            for &r in rids {
-                vals.push(eval_expr(chunk, r as usize, e)?);
-            }
+        (Some(arg), func) => {
+            let vals: Vec<Value> = rids.iter().map(|&r| arg.get(r as usize)).collect();
             let non_null: Vec<&Value> = vals.iter().filter(|v| !v.is_null()).collect();
             Ok(match func {
                 AggFunc::Count => Value::Int(non_null.len() as i64),
@@ -792,23 +871,23 @@ fn eval_aggregate(chunk: &Chunk, rids: &[RowId], agg: &AggSpec) -> Result<Value>
 /// The number SUM, AVG and STDDEV read from a non-NULL value, or the
 /// type error they raise for any other value.
 fn numeric(v: &Value) -> Result<f64> {
-    v.as_f64()
-        .ok_or_else(|| DbError::TypeMismatch { expected: "numeric".into(), found: format!("{v}") })
+    v.as_f64().ok_or_else(|| mismatch("numeric", v))
 }
 
 /// Sort a chunk by key expressions.
 pub(crate) fn sort(chunk: &Chunk, keys: &[(Expr, bool)]) -> Result<Chunk> {
     let n = chunk.num_rows();
-    let mut key_vals: Vec<Vec<Value>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let row_keys: Vec<Value> =
-            keys.iter().map(|(e, _)| eval_expr(chunk, i, e)).collect::<Result<_>>()?;
-        key_vals.push(row_keys);
-    }
+    let key_vals = keys
+        .iter()
+        .map(|(e, _)| {
+            let v = values(chunk, None, e)?;
+            Ok((0..n).map(|i| v.get(i)).collect())
+        })
+        .collect::<Result<Vec<Vec<Value>>>>()?;
     let mut order: Vec<RowId> = (0..n as RowId).collect();
     order.sort_by(|&a, &b| {
         for (k, (_, desc)) in keys.iter().enumerate() {
-            let ord = key_vals[a as usize][k].order_cmp(&key_vals[b as usize][k]);
+            let ord = key_vals[k][a as usize].order_cmp(&key_vals[k][b as usize]);
             let ord = if *desc { ord.reverse() } else { ord };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
@@ -838,38 +917,38 @@ pub(crate) fn distinct(chunk: &Chunk) -> Chunk {
     chunk.take(&keep)
 }
 
-/// Build a chunk from value rows, inferring column types.
-pub(crate) fn rows_to_chunk(names: Vec<String>, rows: Vec<Vec<Value>>) -> Result<Chunk> {
-    let ncols = names.len();
-    let mut cols: Vec<Column> = (0..ncols)
-        .map(|c| {
-            let ty = result_type(rows.iter().filter_map(|r| r.get(c)));
-            Column::new(ty.unwrap_or(DataType::Int))
-        })
-        .collect();
-    for row in &rows {
-        if row.len() != ncols {
-            return Err(DbError::ArityMismatch { expected: ncols, found: row.len() });
-        }
-        for (c, v) in row.iter().enumerate() {
-            let v = if v.is_null() {
-                Value::Null
-            } else {
-                v.clone().coerce(cols[c].data_type()).ok_or_else(|| DbError::TypeMismatch {
-                    expected: cols[c].data_type().to_string(),
-                    found: format!("{v}"),
-                })?
-            };
-            cols[c].push(v)?;
-        }
-    }
-    Ok(Chunk::new(names, cols))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::{ColumnDef, Table};
+
+    /// Build a chunk from value rows, inferring column types.
+    fn rows_to_chunk(names: Vec<String>, rows: Vec<Vec<Value>>) -> Result<Chunk> {
+        let ncols = names.len();
+        let mut cols: Vec<Column> = (0..ncols)
+            .map(|c| {
+                let ty = result_type(rows.iter().filter_map(|r| r.get(c)));
+                Column::new(ty.unwrap_or(DataType::Int))
+            })
+            .collect();
+        for row in &rows {
+            if row.len() != ncols {
+                return Err(DbError::ArityMismatch { expected: ncols, found: row.len() });
+            }
+            for (c, v) in row.iter().enumerate() {
+                let v = if v.is_null() {
+                    Value::Null
+                } else {
+                    v.clone().coerce(cols[c].data_type()).ok_or_else(|| DbError::TypeMismatch {
+                        expected: cols[c].data_type().to_string(),
+                        found: format!("{v}"),
+                    })?
+                };
+                cols[c].push(v)?;
+            }
+        }
+        Ok(Chunk::new(names, cols))
+    }
 
     fn chunk() -> Chunk {
         let mut t = Table::new(
@@ -949,9 +1028,9 @@ mod tests {
     }
 
     #[test]
-    fn filter_complex_falls_back() {
+    fn filter_or_runs_its_right_side_on_the_rows_left_open() {
         let c = chunk();
-        // OR forces the row-wise path.
+        // Id 4 (gamma) is kept by the left side, id 2 by the right only.
         let pred = Expr::binary(
             BinOp::Or,
             Expr::binary(BinOp::Eq, col("tag"), lit("gamma")),
@@ -1118,7 +1197,7 @@ mod tests {
         let out = project(&c, &[(case.clone(), "c".into())]).unwrap();
         let got: Vec<Value> = (0..4).map(|i| out.row(i)[0].clone()).collect();
         assert_eq!(got, vec!["low".into(), Value::Null, "low".into(), "late".into()]);
-        // In a WHERE, the columnar filter falls back to the row path.
+        // In a WHERE, the same CASE agrees with the row-at-a-time reference.
         let pred = Expr::binary(BinOp::Eq, case, lit("low"));
         let kept = filter(&c, &pred).unwrap();
         assert_eq!(kept.num_rows(), 2);
@@ -1159,7 +1238,7 @@ mod tests {
         for (l, r) in [(&empty, &c), (&c, &empty), (&empty, &empty)] {
             let out = hash_join(l, r, &col("id"), &col("id")).unwrap();
             assert_eq!(out.num_rows(), 0);
-            assert_eq!(out.num_cols(), 6);
+            assert_eq!(out.names().len(), 6);
         }
     }
 
@@ -1256,23 +1335,20 @@ mod tests {
     }
 
     #[test]
-    fn between_and_in() {
+    fn like_and_is_null_are_three_valued() {
         let c = chunk();
-        let pred = Expr::Between {
-            expr: Box::new(col("id")),
-            lo: Box::new(lit(2i64)),
-            hi: Box::new(lit(3i64)),
-        };
-        assert_eq!(filter(&c, &pred).unwrap().num_rows(), 2);
-        let pred2 = Expr::InList {
-            expr: Box::new(col("tag")),
-            list: vec![lit("alpha"), lit("gamma")],
-            negated: false,
-        };
-        assert_eq!(filter(&c, &pred2).unwrap().num_rows(), 3);
-        let pred3 =
-            Expr::InList { expr: Box::new(col("tag")), list: vec![lit("alpha")], negated: true };
-        assert_eq!(filter(&c, &pred3).unwrap().num_rows(), 2);
+        let like = |p: &str| Expr::Like { expr: Box::new(col("tag")), pattern: p.into() };
+        assert_eq!(filter(&c, &like("%a")).unwrap().num_rows(), 4);
+        assert_eq!(filter(&c, &Expr::Not(Box::new(like("a%")))).unwrap().num_rows(), 2);
+        let null = Expr::IsNull { expr: Box::new(col("score")), negated: false };
+        assert_eq!(filter(&c, &null).unwrap().row(0)[0], Value::Int(4));
+        // LIKE on a number, and NOT on one, are type errors on both paths.
+        let bad = Expr::Like { expr: Box::new(col("id")), pattern: "1".into() };
+        let not_a_bool = Expr::Not(Box::new(col("id")));
+        for pred in [bad, not_a_bool] {
+            assert!(matches!(filter(&c, &pred), Err(DbError::TypeMismatch { .. })), "{pred:?}");
+            assert!(matches!(filter_rowwise(&c, &pred), Err(DbError::TypeMismatch { .. })));
+        }
     }
 
     #[test]

@@ -60,24 +60,6 @@ pub enum Expr {
         /// True for `IS NOT NULL`.
         negated: bool,
     },
-    /// `expr BETWEEN lo AND hi`.
-    Between {
-        /// Tested expression.
-        expr: Box<Expr>,
-        /// Lower bound (inclusive).
-        lo: Box<Expr>,
-        /// Upper bound (inclusive).
-        hi: Box<Expr>,
-    },
-    /// `expr IN (v1, v2, ...)`.
-    InList {
-        /// Tested expression.
-        expr: Box<Expr>,
-        /// Candidate values.
-        list: Vec<Expr>,
-        /// True for `NOT IN`.
-        negated: bool,
-    },
     /// `expr LIKE 'pattern'` with `%` and `_` wildcards.
     Like {
         /// Tested expression.
@@ -94,9 +76,9 @@ pub enum Expr {
         /// ELSE result.
         otherwise: Option<Box<Expr>>,
     },
-    /// Function call, name upper-cased. SQL evaluates `ABS`, `SQRT`,
-    /// `LOWER`, `UPPER` and `LENGTH`, and reads an aggregate's name in
-    /// HAVING and ORDER BY; SciQL binds its own math functions.
+    /// Function call, name upper-cased: a scalar function
+    /// (`exec::scalar_function` lists them), or in HAVING and ORDER BY
+    /// an aggregate's name.
     Func {
         /// Upper-cased function name.
         name: String,

@@ -259,11 +259,13 @@ impl Cursor<'_> {
             self.expect_kw("NULL")?;
             return Ok(Expr::IsNull { expr: Box::new(left), negated });
         }
+        // BETWEEN and IN are their comparisons, so NOT keeps 3-valued logic.
         if self.accept_kw("BETWEEN") {
             let lo = self.additive()?;
             self.expect_kw("AND")?;
             let hi = self.additive()?;
-            return Ok(Expr::Between { expr: Box::new(left), lo: Box::new(lo), hi: Box::new(hi) });
+            let ge = Expr::binary(BinOp::Ge, left.clone(), lo);
+            return Ok(Expr::binary(BinOp::And, ge, Expr::binary(BinOp::Le, left, hi)));
         }
         let negated_in = self.peek_kw("NOT")
             && matches!(self.lookahead(1), TokenKind::Ident(k) if k.eq_ignore_ascii_case("IN") || k.eq_ignore_ascii_case("LIKE"));
@@ -272,12 +274,13 @@ impl Cursor<'_> {
         }
         if self.accept_kw("IN") {
             self.expect_symbol(Symbol::LParen)?;
-            let mut list = vec![self.expr()?];
+            let mut any = Expr::binary(BinOp::Eq, left.clone(), self.expr()?);
             while self.accept_symbol(Symbol::Comma) {
-                list.push(self.expr()?);
+                let eq = Expr::binary(BinOp::Eq, left.clone(), self.expr()?);
+                any = Expr::binary(BinOp::Or, any, eq);
             }
             self.expect_symbol(Symbol::RParen)?;
-            return Ok(Expr::InList { expr: Box::new(left), list, negated: negated_in });
+            return Ok(if negated_in { Expr::Not(Box::new(any)) } else { any });
         }
         if self.accept_kw("LIKE") {
             let pat = match self.advance() {

@@ -2,9 +2,9 @@
 //!
 //! The planner performs the optimizations the paper attributes to the
 //! DBMS: WHERE conjuncts that equate columns of two tables become hash
-//! joins (greedy join-graph traversal), remaining conjuncts become
-//! candidate-list selections, and everything else lowers to the generic
-//! operators in [`crate::exec`].
+//! joins (greedy join-graph traversal), the remaining conjuncts one
+//! column-at-a-time selection, and everything else lowers to the
+//! generic operators in [`crate::exec`].
 
 use crate::error::DbError;
 use crate::exec::{self, AggSpec, Chunk};
@@ -127,15 +127,9 @@ fn plan_projection(select: &Select, input: &Chunk) -> Result<Chunk> {
 
     // Sort over an extended chunk so ORDER BY can reference both original
     // columns and projection aliases.
-    let projected = exec::project(input, &exprs)?;
-    let mut ext_names = input.names().to_vec();
-    let mut ext_cols: Vec<crate::column::Column> =
-        (0..input.num_cols()).map(|i| input.column(i).clone()).collect();
-    for (i, (_, name)) in exprs.iter().enumerate() {
-        ext_names.push(format!("__proj.{name}"));
-        ext_cols.push(projected.column(i).clone());
-    }
-    let extended = Chunk::new(ext_names, ext_cols);
+    let aliased: Vec<(Expr, String)> =
+        exprs.iter().map(|(e, name)| (e.clone(), format!("__proj.{name}"))).collect();
+    let extended = input.zip_concat(&exec::project(input, &aliased)?);
     let keys: Vec<(Expr, bool)> = select
         .order_by
         .iter()
@@ -266,16 +260,6 @@ fn rewrite_aggregates(expr: &Expr, aggs: &mut Vec<AggSpec>) -> Expr {
         Expr::IsNull { expr, negated } => {
             Expr::IsNull { expr: Box::new(rewrite(expr)), negated: *negated }
         }
-        Expr::Between { expr, lo, hi } => Expr::Between {
-            expr: Box::new(rewrite(expr)),
-            lo: Box::new(rewrite(lo)),
-            hi: Box::new(rewrite(hi)),
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(rewrite(expr)),
-            list: list.iter().map(&mut rewrite).collect(),
-            negated: *negated,
-        },
         Expr::Like { expr, pattern } => {
             Expr::Like { expr: Box::new(rewrite(expr)), pattern: pattern.clone() }
         }
@@ -327,14 +311,7 @@ fn cartesian(left: &Chunk, right: &Chunk) -> Chunk {
             rrows.push(j as u32);
         }
     }
-    let lc = left.take(&lrows);
-    let rc = right.take(&rrows);
-    let mut names = lc.names().to_vec();
-    names.extend(rc.names().iter().cloned());
-    let mut cols: Vec<crate::column::Column> =
-        (0..lc.num_cols()).map(|i| lc.column(i).clone()).collect();
-    cols.extend((0..rc.num_cols()).map(|i| rc.column(i).clone()));
-    Chunk::new(names, cols)
+    left.take(&lrows).zip_concat(&right.take(&rrows))
 }
 
 /// Strip the qualifier when the bare name is unambiguous in the chunk.

@@ -5,8 +5,8 @@
 //! total minus `SELECT COUNT(*) … WHERE`. A `GROUP BY` over `t.k` or
 //! `t.v` equals grouping that filter's rows by hand, and an equi-join
 //! of `t` and `u` equals a nested-loop join filtered the same way.
-//! Predicates mix comparisons, NULL tests, BETWEEN, IN, NOT, AND, OR
-//! and CASE; literals include NULL. Tables hold either a handful of
+//! Predicates mix comparisons, NULL tests, BETWEEN, IN, NOT, AND, OR,
+//! CASE, negation and ABS; literals include NULL. Tables hold either a handful of
 //! rows or a few thousand, and their columns hold NULL, NaN, -0.0 and
 //! extreme integers. A failure shrinks to its smallest table and
 //! statement and prints the seed `check_seed` pins it with.
@@ -57,11 +57,7 @@ fn t_schema() -> Vec<ColumnDef> {
 /// thousand, and a small `u(k INT, w DOUBLE)`.
 fn tables(g: &mut Gen) -> Catalog {
     let catalog = Catalog::new();
-    let t_rows = if g.bool() {
-        g.size(4088..4160)
-    } else {
-        g.size(0..12)
-    };
+    let t_rows = if g.bool() { g.size(4088..4160) } else { g.size(0..12) };
     let t: Vec<Vec<Value>> = (0..t_rows).map(|_| vec![int(g), double(g), int(g)]).collect();
     let u_rows = g.size(0..12);
     let u: Vec<Vec<Value>> = (0..u_rows).map(|_| vec![int(g), double(g)]).collect();
@@ -87,7 +83,7 @@ fn literal(g: &mut Gen) -> String {
 fn atom(g: &mut Gen, cols: &[&str]) -> String {
     let c = cols[g.below(cols.len())];
     let op = ["=", "<>", "<", "<=", ">", ">="][g.below(6)];
-    match g.below(9) {
+    match g.below(11) {
         0 => format!("{} {op} {c}", literal(g)),
         1 => format!("{c} IS {}NULL", if g.bool() { "NOT " } else { "" }),
         2 => format!("{c} BETWEEN {} AND {}", literal(g), literal(g)),
@@ -106,6 +102,9 @@ fn atom(g: &mut Gen, cols: &[&str]) -> String {
                 literal(g)
             )
         }
+        // `-c` and `ABS(c)` of the smallest INT leave i64.
+        6 => format!("-{c} {op} {}", literal(g)),
+        7 => format!("ABS({c}) {op} {}", literal(g)),
         _ => format!("{c} {op} {}", literal(g)),
     }
 }
@@ -258,8 +257,8 @@ fn grouped(t: &Chunk, key: &str, predicate: &str) -> Answer {
             let n: Vec<i64> = rows.iter().filter_map(|r| int(&r[2])).collect();
             let sum = v.iter().copied().reduce(|a, x| a + x);
             let max = v.iter().copied().reduce(|a, x| if x > a { x } else { a });
-            let avg = (!n.is_empty())
-                .then(|| n.iter().fold(0.0, |a, &x| a + x as f64) / n.len() as f64);
+            let avg =
+                (!n.is_empty()).then(|| n.iter().fold(0.0, |a, &x| a + x as f64) / n.len() as f64);
             let min = n.iter().min().map_or(Value::Null, |&m| Value::Int(m));
             let row =
                 [key, Value::Int(rows.len() as i64), or_null(sum), min, or_null(max), or_null(avg)];

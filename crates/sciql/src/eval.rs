@@ -3,6 +3,8 @@
 use crate::ast::*;
 use crate::parser::parse;
 use teleios_monet::array::{Dim, NdArray};
+use teleios_monet::column::Column;
+use teleios_monet::exec::{eval, scalar_function, select, Chunk};
 use teleios_monet::sql::ast::{AggFunc, BinOp, Expr};
 use teleios_monet::{Catalog, DbError, Result, Value};
 
@@ -48,28 +50,11 @@ pub fn execute(catalog: &Catalog, sciql: &str) -> Result<SciqlResult> {
         }
         SciqlStmt::Map { array, slices, expr } => {
             let a = catalog.array(array)?;
-            let ranges = resolve_ranges(&a, slices)?;
-            Ok(SciqlResult::Array(map_region(&a, &ranges, &Bound::bind(expr, &a)?)?))
+            Ok(SciqlResult::Array(map_region(&a, &resolve_ranges(&a, slices)?, expr, None)?))
         }
         SciqlStmt::Reduce { array, slices, agg, expr, condition } => {
             let a = catalog.array(array)?;
-            let ranges = resolve_ranges(&a, slices)?;
-            let expr = Bound::bind(expr, &a)?;
-            let values = match condition {
-                None => map_region(&a, &ranges, &expr)?,
-                Some(cond) => {
-                    // The values of the cells satisfying the predicate,
-                    // reduced like any other array.
-                    let cond = Bound::bind(cond, &a)?;
-                    let mut kept = Vec::new();
-                    for_each_cell(&a, &ranges, |coord, _, v| {
-                        if cond.eval(v, coord) != 0.0 {
-                            kept.push(expr.eval(v, coord));
-                        }
-                    })?;
-                    NdArray::from_vec(vec![Dim::new("cell", kept.len())], kept)?
-                }
-            };
+            let values = map_region(&a, &resolve_ranges(&a, slices)?, expr, condition.as_ref())?;
             Ok(SciqlResult::Scalar(reduce(&values, *agg)))
         }
         SciqlStmt::TileReduce { array, agg, expr, tile } => {
@@ -81,7 +66,7 @@ pub fn execute(catalog: &Catalog, sciql: &str) -> Result<SciqlResult> {
                     a.ndim()
                 )));
             }
-            let mapped = map_region(&a, &resolve_ranges(&a, &[])?, &Bound::bind(expr, &a)?)?;
+            let mapped = map_region(&a, &resolve_ranges(&a, &[])?, expr, None)?;
             let tiles = mapped.tiles(tile)?;
             let out_dims: Vec<Dim> = a
                 .dims()
@@ -96,15 +81,19 @@ pub fn execute(catalog: &Catalog, sciql: &str) -> Result<SciqlResult> {
         SciqlStmt::Update { array, slices, expr, condition } => {
             let a = catalog.array(array)?;
             let ranges = resolve_ranges(&a, slices)?;
-            let expr = Bound::bind(expr, &a)?;
-            let cond = condition.as_ref().map(|c| Bound::bind(c, &a)).transpose()?;
-            // `out` shares `a`'s cells until its first write copies them.
+            // `SET v = e WHERE c` is `SET v = CASE WHEN c THEN e ELSE v END`.
+            let expr = match condition {
+                None => expr.clone(),
+                Some(c) => case(c.clone(), expr.clone(), Expr::Column(CELL.into())),
+            };
+            let region = map_region(&a, &ranges, &expr, None)?;
+            // `out` shares `a`'s cells until this first write copies them.
             let mut out = a.clone();
-            let cells = out.data_mut();
-            for_each_cell(&a, &ranges, |coord, at, v| {
-                if cond.as_ref().is_none_or(|c| c.eval(v, coord) != 0.0) {
-                    cells[at] = expr.eval(v, coord);
-                }
+            let (cells, mut next) = (out.data_mut(), 0);
+            a.walk_rows(&ranges, |_, offset, len| {
+                cells[offset..offset + len].copy_from_slice(&region.data()[next..next + len]);
+                next += len;
+                Ok(())
             })?;
             catalog.put_array(array, out);
             Ok(SciqlResult::Done)
@@ -114,197 +103,174 @@ pub fn execute(catalog: &Catalog, sciql: &str) -> Result<SciqlResult> {
 
 /// Resolve optional slices to concrete ranges (empty list = full array).
 fn resolve_ranges(a: &NdArray, slices: &[SliceRange]) -> Result<Vec<(usize, usize)>> {
-    if slices.is_empty() {
-        return Ok(a.dims().iter().map(|d| (0, d.size)).collect());
+    if !slices.is_empty() && slices.len() != a.ndim() {
+        let (got, rank) = (slices.len(), a.ndim());
+        return Err(DbError::ShapeMismatch(format!("slice rank {got} != array rank {rank}")));
     }
-    if slices.len() != a.ndim() {
-        return Err(DbError::ShapeMismatch(format!(
-            "slice rank {} != array rank {}",
-            slices.len(),
-            a.ndim()
-        )));
-    }
-    Ok(a.dims()
-        .iter()
-        .zip(slices)
-        .map(|(d, s)| match s {
-            None => (0, d.size),
-            Some((lo, hi)) => (*lo, *hi),
-        })
-        .collect())
+    let range = |(k, d): (usize, &Dim)| slices.get(k).copied().flatten().unwrap_or((0, d.size));
+    Ok(a.dims().iter().enumerate().map(range).collect())
 }
 
-/// Visit every cell of the region `ranges` of `a` in row-major order as
-/// `visit(source coordinate, offset into a.data(), value)`.
-fn for_each_cell(
+/// `expr` on every cell of the region `ranges` of `a`, as an array of
+/// the region's shape — or, given a `condition`, on the cells it holds
+/// for, in row-major order; dimension variables are *source*
+/// coordinates.
+fn map_region(
     a: &NdArray,
     ranges: &[(usize, usize)],
-    mut visit: impl FnMut(&[usize], usize, f64),
-) -> Result<()> {
-    let cells = a.data();
-    let mut coord = vec![0usize; a.ndim()];
-    a.walk_rows(ranges, |start, offset, len| {
-        coord.copy_from_slice(start);
-        for (at, &v) in (offset..).zip(&cells[offset..offset + len]) {
-            visit(&coord, at, v);
-            if let Some(last) = coord.last_mut() {
-                *last += 1;
-            }
-        }
-        Ok(())
-    })
-}
-
-/// Element-wise evaluation of `expr` over the region `ranges` of `a`;
-/// dimension variables are *source* coordinates.
-fn map_region(a: &NdArray, ranges: &[(usize, usize)], expr: &Bound) -> Result<NdArray> {
+    expr: &Expr,
+    condition: Option<&Expr>,
+) -> Result<NdArray> {
+    let mut binder = Binder::new(a);
+    let (bound, cond) = (binder.value(expr)?, condition.map(|c| binder.cond(c)).transpose()?);
     // The bare cell value is the region itself: all of a stored array
     // is then a reference to it, which `reduce` reads in place.
-    let region = a.slice(ranges)?;
-    if matches!(expr, Bound::Cell) {
-        return Ok(region);
+    if cond.is_none() && bound == Expr::Column(CELL.into()) {
+        return a.slice(ranges);
     }
-    let mut cells = Vec::with_capacity(region.len());
-    for_each_cell(a, ranges, |coord, _, v| cells.push(expr.eval(v, coord)))?;
-    NdArray::from_vec(region.dims().to_vec(), cells)
+    let chunk = binder.chunk(ranges)?;
+    let rows = cond.map(|c| select(&chunk, None, &c)).transpose()?;
+    // Every leaf of a bound expression is a DOUBLE, and none is NULL.
+    let column = eval(&chunk, rows.as_deref(), &bound)?;
+    let cells =
+        column.into_doubles().ok_or_else(|| DbError::Execution("cells are numbers".into()))?;
+    let dims = match rows {
+        Some(rows) => vec![Dim::new("cell", rows.len())],
+        None => a
+            .dims()
+            .iter()
+            .zip(ranges)
+            .map(|(d, (lo, hi))| Dim::new(d.name.clone(), hi - lo))
+            .collect(),
+    };
+    NdArray::from_vec(dims, cells)
 }
 
-/// A cell expression bound to one array: every name is resolved, once
-/// per statement, to the cell value, a dimension's position or a math
-/// function, so evaluating a cell cannot fail.
-enum Bound {
-    Number(f64),
-    /// The cell value attribute `v`.
-    Cell,
-    /// The source coordinate along dimension `k`.
-    Dim(usize),
-    /// Arithmetic, or a comparison or logic operator yielding 1.0 / 0.0
-    /// (a non-zero operand is true).
-    Binary(BinOp, Box<Bound>, Box<Bound>),
-    Neg(Box<Bound>),
-    /// The first arm whose condition is non-zero; a missing ELSE is 0.0.
-    Case(Vec<(Bound, Bound)>, Option<Box<Bound>>),
-    /// A math function of one or two arguments (a unary one ignores
-    /// its second operand).
-    Func(fn(f64, f64) -> f64, Vec<Bound>),
+/// The column of a region's chunk that holds the cell value `v`;
+/// dimension `k`'s coordinates are the column named `k`.
+const CELL: &str = "v";
+
+/// Lowers SciQL cell expressions, once per statement, onto SQL's
+/// expressions over a region's chunk — the cell value and each
+/// dimension a DOUBLE column — which monet's evaluator runs a column
+/// at a time. SciQL's rules are rewrites here: every number is a
+/// DOUBLE, a comparison or logic operator is 1.0 or 0.0, any non-zero
+/// value (NaN too) is true, and a missing ELSE is 0.0. Only `v` and
+/// the dimensions name cells, and a form only SQL has is an error.
+struct Binder<'a> {
+    array: &'a NdArray,
+    /// The dimensions the bound expressions read.
+    dims: Vec<bool>,
 }
 
-impl Bound {
-    /// Lower a parsed expression against `a`. Only `v` names the cell,
-    /// an unknown function or a wrong argument count is an error here,
-    /// and so is every form SQL has and SciQL does not.
-    fn bind(expr: &Expr, a: &NdArray) -> Result<Bound> {
-        let bind = |e: &Expr| Bound::bind(e, a);
-        let boxed = |e: &Expr| bind(e).map(Box::new);
-        Ok(match expr {
-            Expr::Literal(Value::Int(i)) => Bound::Number(*i as f64),
-            Expr::Literal(Value::Double(d)) => Bound::Number(*d),
-            Expr::Column(name) => match a.dim_index(name) {
-                Ok(k) => Bound::Dim(k),
-                Err(_) if name.eq_ignore_ascii_case("v") => Bound::Cell,
+impl<'a> Binder<'a> {
+    fn new(array: &'a NdArray) -> Binder<'a> {
+        Binder { array, dims: vec![false; array.ndim()] }
+    }
+
+    /// `e` as a DOUBLE-valued expression.
+    fn value(&mut self, e: &Expr) -> Result<Expr> {
+        let number = |x: f64| Expr::Literal(Value::Double(x));
+        Ok(match e {
+            Expr::Literal(Value::Int(i)) => number(*i as f64),
+            Expr::Literal(Value::Double(d)) => number(*d),
+            Expr::Column(name) => match self.array.dim_index(name) {
+                Ok(k) => {
+                    self.dims[k] = true;
+                    Expr::Column(k.to_string())
+                }
+                Err(_) if name.eq_ignore_ascii_case(CELL) => Expr::Column(CELL.into()),
                 Err(_) if name.contains('.') => return Err(sql_only("qualified names")),
                 Err(_) => return Err(DbError::UnknownColumn(name.clone())),
             },
-            Expr::Binary { op, left, right } => Bound::Binary(*op, boxed(left)?, boxed(right)?),
-            Expr::Neg(e) => Bound::Neg(boxed(e)?),
-            Expr::Case { arms, otherwise } => Bound::Case(
-                arms.iter().map(|(c, r)| Ok((bind(c)?, bind(r)?))).collect::<Result<_>>()?,
-                otherwise.as_deref().map(boxed).transpose()?,
-            ),
+            Expr::Binary {
+                op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod),
+                left,
+                right,
+            } => Expr::binary(*op, self.value(left)?, self.value(right)?),
+            Expr::Binary { .. } => case(self.cond(e)?, number(1.0), number(0.0)),
+            Expr::Neg(x) => Expr::Neg(Box::new(self.value(x)?)),
+            Expr::Case { arms, otherwise } => Expr::Case {
+                arms: arms
+                    .iter()
+                    .map(|(c, r)| Ok((self.cond(c)?, self.value(r)?)))
+                    .collect::<Result<_>>()?,
+                otherwise: Some(Box::new(
+                    otherwise.as_deref().map_or(Ok(number(0.0)), |o| self.value(o))?,
+                )),
+            },
             Expr::Func { name, args } => {
-                let (arity, f): (usize, fn(f64, f64) -> f64) = match name.as_str() {
-                    "ABS" => (1, |x, _| x.abs()),
-                    "SQRT" => (1, |x, _| x.sqrt()),
-                    "EXP" => (1, |x, _| x.exp()),
-                    "LN" => (1, |x, _| x.ln()),
-                    "LOG10" => (1, |x, _| x.log10()),
-                    "FLOOR" => (1, |x, _| x.floor()),
-                    "CEIL" => (1, |x, _| x.ceil()),
-                    "MIN" => (2, f64::min),
-                    "MAX" => (2, f64::max),
-                    "POW" => (2, f64::powf),
-                    other => return Err(DbError::Execution(format!("unknown function: {other}"))),
-                };
-                if args.len() != arity {
-                    return Err(DbError::Execution(format!(
-                        "{name} expects {arity} argument(s), got {}",
-                        args.len()
-                    )));
-                }
-                Bound::Func(f, args.iter().map(bind).collect::<Result<_>>()?)
+                scalar_function(name, args.len())?;
+                let args = args.iter().map(|a| self.value(a)).collect::<Result<_>>()?;
+                Expr::Func { name: name.clone(), args }
             }
             Expr::Literal(Value::Str(_)) => return Err(sql_only("string literals")),
             Expr::Literal(Value::Null) => return Err(sql_only("NULL")),
             Expr::Literal(Value::Bool(_)) => return Err(sql_only("TRUE and FALSE")),
             Expr::Not(_) => return Err(sql_only("NOT")),
             Expr::IsNull { .. } => return Err(sql_only("IS NULL")),
-            Expr::Between { .. } => return Err(sql_only("BETWEEN")),
-            Expr::InList { .. } => return Err(sql_only("IN")),
             Expr::Like { .. } => return Err(sql_only("LIKE")),
         })
     }
 
-    /// Evaluate for one cell: `v` is its value, `coord` its source
-    /// coordinate.
-    fn eval(&self, v: f64, coord: &[usize]) -> f64 {
-        match self {
-            Bound::Number(n) => *n,
-            Bound::Cell => v,
-            Bound::Dim(k) => coord[*k] as f64,
-            Bound::Binary(op, left, right) => {
-                let l = left.eval(v, coord);
-                let r = right.eval(v, coord);
-                match op {
-                    BinOp::Add => l + r,
-                    BinOp::Sub => l - r,
-                    BinOp::Mul => l * r,
-                    BinOp::Div => l / r,
-                    BinOp::Mod => l % r,
-                    BinOp::Eq => bool_to_f64(l == r),
-                    BinOp::Ne => bool_to_f64(l != r),
-                    BinOp::Lt => bool_to_f64(l < r),
-                    BinOp::Le => bool_to_f64(l <= r),
-                    BinOp::Gt => bool_to_f64(l > r),
-                    BinOp::Ge => bool_to_f64(l >= r),
-                    BinOp::And => bool_to_f64(l != 0.0 && r != 0.0),
-                    BinOp::Or => bool_to_f64(l != 0.0 || r != 0.0),
+    /// `e` as a predicate, TRUE where SciQL reads it as true. A NaN
+    /// compares unknown, which AND, OR, CASE and WHERE all read as
+    /// false, as SciQL does — except under `<>`, true on a NaN.
+    fn cond(&mut self, e: &Expr) -> Result<Expr> {
+        let truth = |b: bool| Expr::Literal(Value::Bool(b));
+        Ok(match e {
+            Expr::Binary { op: op @ (BinOp::And | BinOp::Or), left, right } => {
+                Expr::binary(*op, self.cond(left)?, self.cond(right)?)
+            }
+            Expr::Binary {
+                op: op @ (BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+                left,
+                right,
+            } => Expr::binary(*op, self.value(left)?, self.value(right)?),
+            // `l <> r` is false only where `l = r`; any other value only
+            // where it is zero.
+            other => {
+                let (l, r) = match other {
+                    Expr::Binary { op: BinOp::Ne, left, right } => (&**left, &**right),
+                    _ => (other, &Expr::Literal(Value::Double(0.0))),
+                };
+                let equal = Expr::binary(BinOp::Eq, self.value(l)?, self.value(r)?);
+                case(equal, truth(false), truth(true))
+            }
+        })
+    }
+
+    /// The cells of the region `ranges` as a chunk, in row-major order:
+    /// the column `v`, and the coordinates of each dimension bound.
+    fn chunk(&self, ranges: &[(usize, usize)]) -> Result<Chunk> {
+        let used: Vec<usize> = (0..self.dims.len()).filter(|&k| self.dims[k]).collect();
+        let (mut cells, mut coords) = (Vec::new(), vec![Vec::new(); used.len()]);
+        let data = self.array.data();
+        self.array.walk_rows(ranges, |start, offset, len| {
+            cells.extend_from_slice(&data[offset..offset + len]);
+            for (&k, coord) in used.iter().zip(&mut coords) {
+                if k + 1 == start.len() {
+                    coord.extend((start[k]..start[k] + len).map(|x| x as f64));
+                } else {
+                    coord.extend(std::iter::repeat_n(start[k] as f64, len));
                 }
             }
-            Bound::Neg(e) => -e.eval(v, coord),
-            Bound::Case(arms, otherwise) => {
-                for (cond, result) in arms {
-                    if cond.eval(v, coord) != 0.0 {
-                        return result.eval(v, coord);
-                    }
-                }
-                otherwise.as_ref().map_or(0.0, |e| e.eval(v, coord))
-            }
-            Bound::Func(f, args) => call(*f, args, v, coord),
-        }
+            Ok(())
+        })?;
+        let names = std::iter::once(CELL.to_string()).chain(used.iter().map(usize::to_string));
+        let columns = std::iter::once(cells).chain(coords).map(Column::from_doubles);
+        Ok(Chunk::new(names.collect(), columns.collect()))
     }
 }
 
-/// Apply `f` to `args` evaluated for one cell. Kept out of
-/// [`Bound::eval`] so the arithmetic arms stay a small loop body
-/// (inlined there, E6's function-free classify ran ≈ 13 % slower on
-/// five of five interleaved runs).
-fn call(f: fn(f64, f64) -> f64, args: &[Bound], v: f64, coord: &[usize]) -> f64 {
-    let arg = |i: usize| args.get(i).map_or(0.0, |a| a.eval(v, coord));
-    f(arg(0), arg(1))
+/// `CASE WHEN when THEN then ELSE otherwise END`.
+fn case(when: Expr, then: Expr, otherwise: Expr) -> Expr {
+    Expr::Case { arms: vec![(when, then)], otherwise: Some(Box::new(otherwise)) }
 }
 
 /// The error for an expression form SQL has and SciQL does not.
 fn sql_only(construct: &str) -> DbError {
     DbError::Execution(format!("SciQL cell expressions have no {construct}"))
-}
-
-#[inline]
-fn bool_to_f64(b: bool) -> f64 {
-    if b {
-        1.0
-    } else {
-        0.0
-    }
 }
 
 /// Reduce every cell of `a` with `agg`; an empty array's AVG, MIN, MAX
@@ -574,8 +540,6 @@ mod tests {
             ("TRUE", "TRUE and FALSE"),
             ("NOT v > 1", "NOT"),
             ("v IS NULL", "IS NULL"),
-            ("v BETWEEN 1 AND 2", "BETWEEN"),
-            ("v IN (1, 2)", "IN"),
             ("v LIKE 'x'", "LIKE"),
             ("img.v", "qualified names"),
         ] {
@@ -585,6 +549,15 @@ mod tests {
                 Err(DbError::Execution(format!("SciQL cell expressions have no {named}"))),
                 "{form}"
             );
+        }
+        // BETWEEN and IN are SQL's comparisons joined by AND and OR.
+        for (form, expansion) in [
+            ("v BETWEEN 3 AND 7 + x", "v >= 3 AND v <= 7 + x"),
+            ("v IN (1, y, 2)", "v = 1 OR v = y OR v = 2"),
+        ] {
+            let sum = |e: &str| execute(&cat, &format!("SELECT SUM({e}) FROM img")).unwrap();
+            assert_eq!(sum(form), sum(expansion), "{form}");
+            assert_ne!(sum(form), SciqlResult::Scalar(0.0), "{form}");
         }
     }
 

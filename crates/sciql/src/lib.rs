@@ -20,13 +20,13 @@
 //! Cell expressions may reference the cell value `v`, the dimension
 //! variables (e.g. `x`, `y`), arithmetic, comparisons, `AND`/`OR`,
 //! `CASE WHEN … THEN … ELSE … END` and math functions — enough to
-//! express the NOA processing-chain stages (cropping, calibration,
-//! classification) declaratively, as the paper demonstrates. They are
-//! parsed by `teleios_monet`'s SQL expression grammar and bound to the
-//! array once per statement; a name other than `v` or a dimension, an
-//! unknown function, and a form only SQL has (strings, `NULL`, `NOT`,
-//! `IN`, …) are errors before any cell is read. The aggregates are
-//! SQL's (`SUM`, `AVG`, `MIN`, `MAX`, `COUNT`, `STDDEV`).
+//! express the NOA processing-chain stages declaratively, as the paper
+//! demonstrates. Parsed by `teleios_monet`'s SQL grammar, each is lowered
+//! once per statement onto SQL's expressions over the region's cells,
+//! which monet's evaluator runs a column at a time; a name other than
+//! `v` or a dimension, an unknown function, and a form only SQL has
+//! (strings, `NULL`, `NOT`, …) are errors before any cell is read. The
+//! aggregates are SQL's (`SUM`, `AVG`, `MIN`, `MAX`, `COUNT`, `STDDEV`).
 //!
 //! ## Example
 //!

@@ -16,6 +16,7 @@
 #                              one-spatial-access-path,
 #                              one-tokenizer-and-one-expression-
 #                              grammar-per-family,
+#                              one-expression-evaluator,
 #                              one-transaction-doorway,
 #                              one-chain-batch-executor and
 #                              one-checksum greps, the
@@ -249,6 +250,28 @@ if find crates/sciql/src -name '*.rs' | sort | xargs awk -v pattern="$ladder" \
     'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
      live && $0 ~ pattern { print FILENAME ":" FNR ": " $0; found = 1 } END { exit !found }'; then
     echo "crates/sciql/src parses expression operators itself: parse cell expressions with teleios_monet's Cursor::expr" >&2; exit 1
+fi
+
+# The SQL family evaluates expressions in one place: monet's exec::eval
+# and exec::select, a whole column at a time, under SQL's WHERE,
+# projection, sort, group and join keys and SciQL's cell expressions.
+# The conjunct fast path (`compile_conjuncts`) and SciQL's per-cell tree
+# (`enum Bound`, its `fn eval(`) are second evaluators beside it, and
+# `eval_expr`, the row-at-a-time reference, has one caller: the
+# `filter_rowwise` oracle the SQL differential and E11 compare against.
+echo "==> one expression evaluator (exec::eval / exec::select; eval_expr only behind filter_rowwise)"
+evaluator_sites() {
+    grep -rn 'compile_conjuncts' "$@" --include='*.rs' || true
+    grep -rnE 'enum Bound\b|fn eval\(' "$1/sciql/src" --include='*.rs' || true
+    find "$@" -name '*.rs' | sort | xargs awk 'FNR == 1 { cur = "" }
+        match($0, /fn [A-Za-z0-9_]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+        /(^|[^A-Za-z0-9_])eval_expr\(/ && cur != "eval_expr" && cur != "filter_rowwise" {
+            print FILENAME ":" FNR " in " cur ": " $0 }'
+}
+sites=$(evaluator_sites crates src tests examples)
+if [ -n "$sites" ]; then
+    echo "$sites" >&2
+    echo "a second expression evaluator above: run expressions through teleios_monet::exec::{eval, select}" >&2; exit 1
 fi
 
 # Prints `file:line in fn` for every line of library code matching the
