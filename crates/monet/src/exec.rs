@@ -113,10 +113,10 @@ impl Chunk {
 
 /// `expr` on `rows` of `chunk` (all of them when `None`), one value per
 /// row, computed a column at a time: DOUBLE operands run typed loops, a
-/// comparison of a column with a constant is one [`Column::select`],
-/// and anything else applies `eval_binary` or `eval_scalar_func`
-/// element by element. AND, OR and CASE evaluate each side or arm only
-/// on the rows still open.
+/// column (stored or computed) against a constant is one
+/// [`Column::select`], and anything else applies `eval_binary` or
+/// `eval_scalar_func` element by element. AND, OR and CASE evaluate
+/// each side or arm only on the rows still open.
 pub fn eval(chunk: &Chunk, rows: Option<&[RowId]>, expr: &Expr) -> Result<Column> {
     values(chunk, rows, expr)?.into_column(rows.map_or(chunk.num_rows(), <[RowId]>::len))
 }
@@ -140,19 +140,23 @@ pub fn select(chunk: &Chunk, rows: Option<&[RowId]>, predicate: &Expr) -> Result
         }
         Expr::Not(e) => select(chunk, rows, &negated(e)),
         other => {
+            let id = |i: usize| rows.map_or(i as RowId, |r| r[i]);
             let v = match other {
                 Expr::Binary { op, left, right } if cmp_op(*op).is_some() => {
-                    // A column against a constant is one candidate-list pass.
+                    let cmp = cmp_op(*op).unwrap_or(CmpOp::Eq);
+                    // A column, stored or computed, against a constant: one pass.
                     if let (Expr::Column(c), Expr::Literal(v)) = (&**left, &**right) {
-                        let cmp = cmp_op(*op).unwrap_or(CmpOp::Eq);
                         return chunk.column(chunk.resolve(c)?).select(cmp, v, rows);
                     }
                     let (l, r) = (values(chunk, rows, left)?, values(chunk, rows, right)?);
+                    if let (Vals::Col(col), Vals::Const(v)) = (&l, &r) {
+                        let kept = col.select(cmp, v, None)?;
+                        return Ok(kept.into_iter().map(|i| id(i as usize)).collect());
+                    }
                     elementwise(n, |i| eval_binary(*op, &l.get(i), &r.get(i)))?
                 }
                 _ => values(chunk, rows, other)?,
             };
-            let id = |i: usize| rows.map_or(i as RowId, |r| r[i]);
             Ok((0..n).filter(|&i| v.get(i) == Value::Bool(true)).map(id).collect())
         }
     }
@@ -178,7 +182,6 @@ fn negated(p: &Expr) -> Expr {
             };
             Expr::Binary { op: opposite, left: left.clone(), right: right.clone() }
         }
-        Expr::IsNull { expr, negated } => Expr::IsNull { expr: expr.clone(), negated: !negated },
         Expr::Not(e) => Expr::binary(BinOp::Eq, (**e).clone(), Expr::Literal(Value::Bool(true))),
         other => Expr::binary(BinOp::Eq, other.clone(), Expr::Literal(Value::Bool(false))),
     }
@@ -367,8 +370,9 @@ fn case<'a>(
             otherwise.map_or(Ok(Vals::Const(Value::Null)), |e| values(chunk, Some(&open), e))?;
         parts.push((rest, open));
     }
-    // Every part DOUBLE: one typed column.
-    if let Some(x) = parts.iter().map(|(v, _)| v.doubles()).collect::<Option<Vec<_>>>() {
+    // Every part DOUBLE, and one at least (no rows, no type): one typed column.
+    let x = parts.iter().map(|(v, _)| v.doubles()).collect::<Option<Vec<_>>>();
+    if let Some(x) = x.filter(|x| !x.is_empty()) {
         let mut data = vec![0.0; n];
         for ((_, ids), x) in parts.iter().zip(x) {
             match x {

@@ -364,6 +364,18 @@ fn generated_sql_agrees_with_its_reference() {
     );
 }
 
+/// A generated case past the 256 seeds `forall` runs (seed 1326): over a
+/// table with no rows a CASE has no type, so the `… = FALSE` that NOT
+/// becomes must not fail a column's type check; the reference
+/// evaluates no row at all.
+#[test]
+fn not_of_a_case_over_no_rows_is_no_error() {
+    let catalog = Catalog::new();
+    catalog.create_table("t", t_schema()).unwrap();
+    let case = Case::Where("NOT (CASE WHEN -5 = t.k THEN -5 = t.k ELSE -5 = t.k END)".into());
+    assert_eq!(agree(&Tables(catalog), &case), Ok(Vec::new()));
+}
+
 /// Shrunk from the generator's first failure (seed 92): a NaN cell
 /// made the row-at-a-time filter fail `0 <= t.v` with a type error
 /// while the columnar select skipped the row. NaN against a number is

@@ -121,7 +121,7 @@ fn map_region(
     expr: &Expr,
     condition: Option<&Expr>,
 ) -> Result<NdArray> {
-    let mut binder = Binder::new(a);
+    let mut binder = Binder { array: a, dims: vec![false; a.ndim()] };
     let (bound, cond) = (binder.value(expr)?, condition.map(|c| binder.cond(c)).transpose()?);
     // The bare cell value is the region itself: all of a stored array
     // is then a reference to it, which `reduce` reads in place.
@@ -163,11 +163,7 @@ struct Binder<'a> {
     dims: Vec<bool>,
 }
 
-impl<'a> Binder<'a> {
-    fn new(array: &'a NdArray) -> Binder<'a> {
-        Binder { array, dims: vec![false; array.ndim()] }
-    }
-
+impl Binder<'_> {
     /// `e` as a DOUBLE-valued expression.
     fn value(&mut self, e: &Expr) -> Result<Expr> {
         let number = |x: f64| Expr::Literal(Value::Double(x));
