@@ -125,7 +125,8 @@ pub fn eval(chunk: &Chunk, rows: Option<&[RowId]>, expr: &Expr) -> Result<Column
 /// `predicate` is TRUE, ascending: the one selection under every WHERE
 /// and HAVING, and under SciQL's cell predicates. AND runs its right
 /// side on the rows its left keeps, OR on the rows its left does not
-/// keep, and NOT is pushed to the comparisons (`negated`).
+/// keep; any other predicate, NOT included, keeps the rows its
+/// [`values`] are TRUE on.
 pub fn select(chunk: &Chunk, rows: Option<&[RowId]>, predicate: &Expr) -> Result<Vec<RowId>> {
     let n = rows.map_or(chunk.num_rows(), <[RowId]>::len);
     match predicate {
@@ -138,9 +139,8 @@ pub fn select(chunk: &Chunk, rows: Option<&[RowId]>, predicate: &Expr) -> Result
             kept.sort_unstable();
             Ok(kept)
         }
-        Expr::Not(e) => select(chunk, rows, &negated(e)),
         other => {
-            let id = |i: usize| rows.map_or(i as RowId, |r| r[i]);
+            let id = |i: usize| row_id(rows, i);
             let v = match other {
                 Expr::Binary { op, left, right } if cmp_op(*op).is_some() => {
                     let cmp = cmp_op(*op).unwrap_or(CmpOp::Eq);
@@ -162,29 +162,9 @@ pub fn select(chunk: &Chunk, rows: Option<&[RowId]>, predicate: &Expr) -> Result
     }
 }
 
-/// A predicate TRUE exactly where `p` is FALSE (NOT, pushed inward):
-/// De Morgan's laws, a comparison's opposite (NaN and NULL stay
-/// unknown on both), and `e = FALSE` for any other BOOL `e`.
-fn negated(p: &Expr) -> Expr {
-    match p {
-        Expr::Binary { op: op @ (BinOp::And | BinOp::Or), left, right } => {
-            let dual = if *op == BinOp::And { BinOp::Or } else { BinOp::And };
-            Expr::binary(dual, negated(left), negated(right))
-        }
-        Expr::Binary { op, left, right } if cmp_op(*op).is_some() => {
-            let opposite = match op {
-                BinOp::Eq => BinOp::Ne,
-                BinOp::Ne => BinOp::Eq,
-                BinOp::Lt => BinOp::Ge,
-                BinOp::Le => BinOp::Gt,
-                BinOp::Gt => BinOp::Le,
-                _ => BinOp::Lt,
-            };
-            Expr::Binary { op: opposite, left: left.clone(), right: right.clone() }
-        }
-        Expr::Not(e) => Expr::binary(BinOp::Eq, (**e).clone(), Expr::Literal(Value::Bool(true))),
-        other => Expr::binary(BinOp::Eq, other.clone(), Expr::Literal(Value::Bool(false))),
-    }
+/// The id of the `i`-th row of `rows` (row `i` when `None`).
+fn row_id(rows: Option<&[RowId]>, i: usize) -> RowId {
+    rows.map_or(i as RowId, |r| r[i])
 }
 
 /// The rows of `rows` (`0..n`, all of a chunk's, when `None`) not in
@@ -291,23 +271,37 @@ pub(crate) fn values<'a>(
             let col = chunk.column(chunk.resolve(name)?);
             Ok(Vals::Col(rows.map_or(Cow::Borrowed(col), |r| Cow::Owned(col.gather(r)))))
         }
-        Expr::Binary {
-            op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod),
-            left,
-            right,
-        } => {
-            let (l, r) = (values(chunk, rows, left)?, values(chunk, rows, right)?);
-            let Some((a, b)) = l.doubles().zip(r.doubles()) else {
-                return elementwise(n, |i| eval_binary(*op, &l.get(i), &r.get(i)));
-            };
-            Ok(doubles(zip_f64(a, b, n, |x, y| double_op(*op, x, y))))
+        // The right side runs on the rows the left side does not decide.
+        Expr::Binary { op: op @ (BinOp::And | BinOp::Or), left, right } => {
+            let (l, decided) = (values(chunk, rows, left)?, Value::Bool(*op == BinOp::Or));
+            let open: Vec<usize> = (0..n).filter(|&i| l.get(i) != decided).collect();
+            let ids: Vec<RowId> = open.iter().map(|&i| row_id(rows, i)).collect();
+            let r = values(chunk, Some(&ids), right)?;
+            let mut out: Vec<Value> = (0..n).map(|i| l.get(i)).collect();
+            for (j, &i) in open.iter().enumerate() {
+                out[i] = sql_logic(*op == BinOp::And, &out[i], &r.get(j));
+            }
+            Ok(Vals::Rows(out))
         }
-        Expr::Neg(e) => {
-            let v = values(chunk, rows, e)?;
-            match v.doubles() {
+        Expr::Binary { op, left, right } => {
+            let (l, r) = (values(chunk, rows, left)?, values(chunk, rows, right)?);
+            match l.doubles().zip(r.doubles()) {
+                Some((a, b)) if cmp_op(*op).is_none() => {
+                    Ok(doubles(zip_f64(a, b, n, |x, y| double_op(*op, x, y))))
+                }
+                _ => elementwise(n, |i| eval_binary(*op, &l.get(i), &r.get(i))),
+            }
+        }
+        Expr::Neg(e) => match values(chunk, rows, e)? {
+            Vals::Const(v @ (Value::Int(_) | Value::Double(_))) => Ok(Vals::Const(negate(&v)?)),
+            v => match v.doubles() {
                 Some(Doubles::Col(d)) => Ok(doubles(d.iter().map(|x| -x).collect())),
                 _ => elementwise(n, |i| negate(&v.get(i))),
-            }
+            },
+        },
+        Expr::Not(e) => {
+            let v = values(chunk, rows, e)?;
+            elementwise(n, |i| not(&v.get(i)))
         }
         Expr::IsNull { expr, negated } => {
             let v = values(chunk, rows, expr)?;
@@ -330,15 +324,6 @@ pub(crate) fn values<'a>(
                     eval_scalar_func(name, &args.iter().map(|a| a.get(i)).collect::<Vec<_>>())
                 }),
             }
-        }
-        // A predicate (a comparison, AND, OR or NOT) is TRUE where it
-        // selects, FALSE where its negation does, and NULL elsewhere.
-        Expr::Binary { .. } | Expr::Not(_) => {
-            let mut out = vec![Value::Null; n];
-            positions(rows, &select(chunk, rows, expr)?).for_each(|p| out[p] = Value::Bool(true));
-            let no = select(chunk, rows, &negated(expr))?;
-            positions(rows, &no).for_each(|p| out[p] = Value::Bool(false));
-            Ok(Vals::Rows(out))
         }
     }
 }
@@ -429,11 +414,7 @@ fn eval_expr(chunk: &Chunk, row: usize, expr: &Expr) -> Result<Value> {
             eval_binary(*op, &l, &eval_expr(chunk, row, right)?)
         }
         Expr::Neg(e) => negate(&eval_expr(chunk, row, e)?),
-        Expr::Not(e) => match eval_expr(chunk, row, e)? {
-            Value::Null => Ok(Value::Null),
-            Value::Bool(b) => Ok(Value::Bool(!b)),
-            other => Err(mismatch("BOOL", &other)),
-        },
+        Expr::Not(e) => not(&eval_expr(chunk, row, e)?),
         Expr::IsNull { expr, negated } => {
             Ok(Value::Bool(eval_expr(chunk, row, expr)?.is_null() != *negated))
         }
@@ -460,6 +441,15 @@ fn sql_logic(and: bool, a: &Value, b: &Value) -> Value {
         (x, y) if x == Some(!and) || y == Some(!and) => Value::Bool(!and),
         (Some(_), Some(_)) => Value::Bool(and),
         _ => Value::Null,
+    }
+}
+
+/// SQL's NOT: NULL stays NULL, and anything but a BOOL is a type error.
+fn not(v: &Value) -> Result<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Bool(b) => Ok(Value::Bool(!b)),
+        other => Err(mismatch("BOOL", other)),
     }
 }
 
@@ -529,12 +519,13 @@ pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 pub type Math = fn(f64, f64) -> f64;
 
 /// A scalar function of the SQL family, checked for its name and
-/// argument count before any row is read: its body on numbers, or
-/// `None` for ABS (which keeps an INT an INT) and the string functions
+/// argument count before any row is read: its body on numbers (ABS
+/// keeps an INT an INT besides), or `None` for the string functions
 /// LOWER, UPPER and LENGTH. The unary bodies ignore their second operand.
 pub fn scalar_function(name: &str, args: usize) -> Result<Option<Math>> {
     let (arity, body): (usize, Option<Math>) = match name {
-        "ABS" | "LOWER" | "UPPER" | "LENGTH" => (1, None),
+        "LOWER" | "UPPER" | "LENGTH" => (1, None),
+        "ABS" => (1, Some(|x, _| x.abs())),
         "SQRT" => (1, Some(|x, _| x.sqrt())),
         "EXP" => (1, Some(|x, _| x.exp())),
         "LN" => (1, Some(|x, _| x.ln())),
@@ -557,21 +548,19 @@ fn eval_scalar_func(name: &str, args: &[Value]) -> Result<Value> {
     if args.iter().any(Value::is_null) {
         return Ok(Value::Null);
     }
-    if let Some(f) = body {
-        let y = args.get(1).map_or(Ok(0.0), numeric)?;
-        return Ok(Value::Double(f(numeric(&args[0])?, y)));
-    }
-    match (name, &args[0]) {
+    match (name, &args[0], body) {
         // The one INT whose absolute value leaves i64 becomes a DOUBLE.
-        ("ABS", Value::Int(i)) => {
+        ("ABS", Value::Int(i), _) => {
             Ok(i.checked_abs().map_or(Value::Double(-(*i as f64)), Value::Int))
         }
-        ("ABS", Value::Double(d)) => Ok(Value::Double(d.abs())),
-        ("ABS", other) => Err(mismatch("numeric", other)),
-        ("LOWER", Value::Str(s)) => Ok(Value::Str(s.to_lowercase())),
-        ("UPPER", Value::Str(s)) => Ok(Value::Str(s.to_uppercase())),
-        ("LENGTH", Value::Str(s)) => Ok(Value::Int(s.chars().count() as i64)),
-        (_, other) => Err(mismatch("STRING", other)),
+        (_, x, Some(f)) => {
+            let y = args.get(1).map_or(Ok(0.0), numeric)?;
+            Ok(Value::Double(f(numeric(x)?, y)))
+        }
+        ("LOWER", Value::Str(s), _) => Ok(Value::Str(s.to_lowercase())),
+        ("UPPER", Value::Str(s), _) => Ok(Value::Str(s.to_uppercase())),
+        ("LENGTH", Value::Str(s), _) => Ok(Value::Int(s.chars().count() as i64)),
+        (_, other, _) => Err(mismatch("STRING", other)),
     }
 }
 
@@ -799,7 +788,7 @@ pub fn aggregate(chunk: &Chunk, group_by: &[Expr], aggs: &[AggSpec]) -> Result<C
         .iter()
         .map(|a| a.expr.as_ref().map(|e| values(chunk, None, e)).transpose())
         .collect::<Result<Vec<_>>>()?;
-    // One column per key and per aggregate, typed as a projection's.
+    // One column per key and per aggregate.
     let mut cols = vec![Vec::with_capacity(groups.len()); names.len()];
     for (key, rids) in groups {
         let aggregated =
@@ -808,11 +797,20 @@ pub fn aggregate(chunk: &Chunk, group_by: &[Expr], aggs: &[AggSpec]) -> Result<C
             col.push(v?);
         }
     }
-    let cols = cols.into_iter().map(|v| {
-        let n = v.len();
-        Vals::Rows(v).into_column(n)
-    });
-    Ok(Chunk::new(names, cols.collect::<Result<_>>()?))
+    Ok(Chunk::new(names, cols.into_iter().map(group_column).collect::<Result<_>>()?))
+}
+
+/// An aggregate's output column: typed by `result_type` (INT when every
+/// value is NULL), and a type error for a value that does not coerce to
+/// that type, where a projection reads NULL.
+fn group_column(values: Vec<Value>) -> Result<Column> {
+    let ty = result_type(values.iter()).unwrap_or(DataType::Int);
+    let mut col = Column::new(ty);
+    for v in values {
+        let found = || DbError::TypeMismatch { expected: ty.to_string(), found: v.to_string() };
+        col.push(v.clone().coerce(ty).ok_or_else(found)?)?;
+    }
+    Ok(col)
 }
 
 /// Fold one group's rows `rids` of the argument's values (`None` for
@@ -926,32 +924,11 @@ mod tests {
     use super::*;
     use crate::table::{ColumnDef, Table};
 
-    /// Build a chunk from value rows, inferring column types.
+    /// Build a chunk from value rows, typing each column as an aggregate's.
     fn rows_to_chunk(names: Vec<String>, rows: Vec<Vec<Value>>) -> Result<Chunk> {
-        let ncols = names.len();
-        let mut cols: Vec<Column> = (0..ncols)
-            .map(|c| {
-                let ty = result_type(rows.iter().filter_map(|r| r.get(c)));
-                Column::new(ty.unwrap_or(DataType::Int))
-            })
-            .collect();
-        for row in &rows {
-            if row.len() != ncols {
-                return Err(DbError::ArityMismatch { expected: ncols, found: row.len() });
-            }
-            for (c, v) in row.iter().enumerate() {
-                let v = if v.is_null() {
-                    Value::Null
-                } else {
-                    v.clone().coerce(cols[c].data_type()).ok_or_else(|| DbError::TypeMismatch {
-                        expected: cols[c].data_type().to_string(),
-                        found: format!("{v}"),
-                    })?
-                };
-                cols[c].push(v)?;
-            }
-        }
-        Ok(Chunk::new(names, cols))
+        let cols =
+            (0..names.len()).map(|c| group_column(rows.iter().map(|r| r[c].clone()).collect()));
+        Ok(Chunk::new(names, cols.collect::<Result<_>>()?))
     }
 
     fn chunk() -> Chunk {
@@ -1210,6 +1187,44 @@ mod tests {
             (0..2).map(|i| kept.row(i)).collect::<Vec<_>>(),
             (0..2).map(|i| reference.row(i)).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn aggregate_output_columns_are_typed_strictly() {
+        let c = chunk();
+        // A group key of two types is a type error, not a NULL key.
+        let gt2 = Expr::binary(BinOp::Gt, col("id"), lit(2i64));
+        let key = Expr::Case { arms: vec![(gt2, lit("a"))], otherwise: Some(Box::new(lit(0i64))) };
+        let count = AggSpec { func: AggFunc::Count, expr: None, name: "n".into() };
+        let got = aggregate(&c, &[key], &[count]);
+        assert!(matches!(got, Err(DbError::TypeMismatch { .. })), "{got:?}");
+        // A column of NULLs only is INT.
+        let nulls = filter(&c, &Expr::binary(BinOp::Eq, col("id"), lit(4i64))).unwrap();
+        let lo = AggSpec { func: AggFunc::Min, expr: Some(col("score")), name: "lo".into() };
+        let out = aggregate(&nulls, &[], &[lo]).unwrap();
+        assert_eq!(out.column(0).data_type(), DataType::Int);
+    }
+
+    #[test]
+    fn negative_constants_and_abs_keep_a_double_column_typed() {
+        let c = doubles("v", &[Some(-2.5), Some(0.0), Some(301.0)]);
+        let half = Expr::binary(BinOp::Mul, col("v"), Expr::Neg(Box::new(lit(0.5))));
+        let abs = Expr::Func {
+            name: "ABS".into(),
+            args: vec![Expr::binary(BinOp::Sub, col("v"), lit(300.0))],
+        };
+        for (e, want) in [(half, [1.25, -0.0, -150.5]), (abs, [302.5, 300.0, 1.0])] {
+            assert!(matches!(values(&c, None, &e).unwrap(), Vals::Col(_)), "{e:?}");
+            let got = eval(&c, None, &e).unwrap().into_doubles().unwrap();
+            assert_eq!(got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want.map(f64::to_bits));
+        }
+        // An INT keeps its type under ABS, and `x > -5` is one column select.
+        let ints =
+            rows_to_chunk(vec!["k".into()], vec![vec![(-3).into()], vec![7.into()]]).unwrap();
+        let abs = Expr::Func { name: "ABS".into(), args: vec![col("k")] };
+        assert_eq!(eval(&ints, None, &abs).unwrap().get(0), Value::Int(3));
+        let gt = Expr::binary(BinOp::Gt, col("k"), Expr::Neg(Box::new(lit(5i64))));
+        assert_eq!(select(&ints, None, &gt).unwrap(), vec![0, 1]);
     }
 
     #[test]

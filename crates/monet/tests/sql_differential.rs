@@ -365,15 +365,40 @@ fn generated_sql_agrees_with_its_reference() {
 }
 
 /// A generated case past the 256 seeds `forall` runs (seed 1326): over a
-/// table with no rows a CASE has no type, so the `… = FALSE` that NOT
-/// becomes must not fail a column's type check; the reference
-/// evaluates no row at all.
+/// table with no rows a CASE has no type, and NOT of it must not fail a
+/// column's type check; the reference evaluates no row at all.
 #[test]
 fn not_of_a_case_over_no_rows_is_no_error() {
     let catalog = Catalog::new();
     catalog.create_table("t", t_schema()).unwrap();
     let case = Case::Where("NOT (CASE WHEN -5 = t.k THEN -5 = t.k ELSE -5 = t.k END)".into());
     assert_eq!(agree(&Tables(catalog), &case), Ok(Vec::new()));
+}
+
+/// Sixty nested NOTs, about as deep as the parser nests: each NOT is one
+/// pass over its operand's values, so the WHERE and the projection both
+/// answer at once, and as one NOT or none would.
+#[test]
+fn nested_nots_cost_one_pass_each() {
+    let catalog = Catalog::new();
+    catalog.create_table("t", t_schema()).unwrap();
+    let row = |v: Value| vec![Value::Int(1), v, Value::Int(1)];
+    let cells = [Value::Double(f64::NAN), Value::Null, Value::Double(0.5), Value::Double(2.0)];
+    catalog.insert("t", cells.iter().cloned().map(row).collect()).unwrap();
+    let tables = Tables(catalog);
+    let started = std::time::Instant::now();
+    for depth in [59, 60] {
+        let nots = "NOT ".repeat(depth);
+        let kept = agree(&tables, &Case::Where(format!("{nots}t.v > 1.0"))).unwrap();
+        let want = if depth % 2 == 0 { &cells[3] } else { &cells[2] };
+        assert_eq!(kept, vec![format!("{:?}", row(want.clone()))], "{depth} NOTs");
+        let projected = tables.0.execute(&format!("SELECT {nots}t.v > 1.0 FROM t")).unwrap();
+        let even = depth % 2 == 0;
+        let want = [Value::Null, Value::Null, Value::Bool(!even), Value::Bool(even)];
+        assert_eq!(projected.rows.concat(), want, "{depth} NOTs projected");
+    }
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(5), "{took:?}");
 }
 
 /// Shrunk from the generator's first failure (seed 92): a NaN cell
