@@ -4,13 +4,15 @@
 //!
 //! `--smoke` runs both tables at small sizes (the gate's run). Every
 //! answer is checked before anything is timed: indexed vs scan per
-//! size; per ratio, the flagship under the default, four-thread and
-//! index-off configurations against the same query, hand-ordered,
-//! under `optimize_bgp = false`.
+//! size; per ratio, the flagship under the default and index-off
+//! configurations against the same query, hand-ordered, under
+//! `optimize_bgp = false`.
 
 use std::time::Instant;
 use teleios_bench::report::{self, Align, Table};
-use teleios_bench::{build_archive, build_archive_ratio, fmt_duration, spatial_region_query, time_avg};
+use teleios_bench::{
+    build_archive, build_archive_ratio, fmt_duration, spatial_region_query, time_avg,
+};
 use teleios_core::portal::flagship_query;
 use teleios_strabon::{Solutions, Strabon, StrabonConfig};
 
@@ -41,7 +43,12 @@ fn size_table(sizes: &[usize]) {
         let mut scan = build_archive(
             n,
             8,
-            StrabonConfig { rdfs_inference: false, optimize_bgp: true, use_spatial_index: false, ..StrabonConfig::default() },
+            StrabonConfig {
+                rdfs_inference: false,
+                optimize_bgp: true,
+                use_spatial_index: false,
+                ..StrabonConfig::default()
+            },
         );
         let rows = indexed.query(&query).expect("warm").len();
         assert_eq!(rows, scan.query(&query).expect("warm").len(), "results must agree");
@@ -89,7 +96,9 @@ fn sorted(sols: Solutions) -> Vec<Vec<Option<teleios_rdf::term::Term>>> {
 fn peak_estimate(db: &mut Strabon, query: &str) -> u64 {
     let plan = db.explain(query).expect("explain");
     plan.lines()
-        .filter_map(|l| l.rsplit_once("(est ").and_then(|(_, n)| n.trim_end_matches(')').parse::<f64>().ok()))
+        .filter_map(|l| {
+            l.rsplit_once("(est ").and_then(|(_, n)| n.trim_end_matches(')').parse::<f64>().ok())
+        })
         .fold(0.0, f64::max) as u64
 }
 
@@ -108,7 +117,6 @@ fn ratio_table(entities: usize, reps: usize) {
     let syntactic = StrabonConfig { optimize_bgp: false, ..StrabonConfig::default() };
     let configs = [
         StrabonConfig { threads: 1, ..StrabonConfig::default() },
-        StrabonConfig { threads: 4, ..StrabonConfig::default() },
         StrabonConfig { threads: 1, use_spatial_index: false, ..StrabonConfig::default() },
     ];
     let mut p50s = Vec::new();
@@ -116,11 +124,17 @@ fn ratio_table(entities: usize, reps: usize) {
         let images = entities * i / (h + i);
         let hotspots = entities - images;
         let expected = sorted(
-            build_archive_ratio(images, hotspots, SITES, syntactic).query(&hand_ordered()).expect("reference"),
+            build_archive_ratio(images, hotspots, SITES, syntactic)
+                .query(&hand_ordered())
+                .expect("reference"),
         );
         for config in configs {
             let mut db = build_archive_ratio(images, hotspots, SITES, config);
-            assert_eq!(sorted(db.query(&query).expect("flagship")), expected, "{h}:{i} under {config:?}");
+            assert_eq!(
+                sorted(db.query(&query).expect("flagship")),
+                expected,
+                "{h}:{i} under {config:?}"
+            );
         }
         let mut db = build_archive_ratio(images, hotspots, SITES, configs[0]);
         let peak = peak_estimate(&mut db, &query);

@@ -4,11 +4,11 @@
 //! The paper sells the database tier as running "as fast as the
 //! underlying hardware allows"; this crate supplies the in-process
 //! half of that promise: a reusable scoped worker pool plus a morsel
-//! partitioning API. Its users are the ones whose inputs cross a
-//! threshold in practice: strabon's BGP probes and FILTERs, the
-//! R-tree bulk load and the resilience batch supervisor. Monet's
-//! relational operators and array kernels are sequential: no
-//! workload's tables or arrays are large enough for a fork to pay.
+//! partitioning API. Its users are the R-tree bulk load (which
+//! strabon's spatial sidecar runs) and the resilience batch
+//! supervisor. Strabon's BGP probes and FILTERs, monet's relational
+//! operators and its array kernels are sequential: no workload's
+//! bindings, tables or arrays are large enough for a fork to pay.
 //!
 //! Design rules (every consumer relies on them):
 //!
@@ -24,9 +24,9 @@
 //!   runs inline on the caller with no spawning. A kernel is therefore
 //!   one range body plus one in-order merge, never a sequential loop
 //!   and a parallel copy of it, and setting the `TELEIOS_THREADS`
-//!   environment variable to `1` turns strabon, the R-tree and the
-//!   supervisor into the sequential code path (`scripts/check.sh`
-//!   greps that no other crate tests the thread count).
+//!   environment variable to `1` turns the R-tree and the supervisor
+//!   into the sequential code path (`scripts/check.sh` greps that no
+//!   other crate tests the thread count).
 //! * **Panic transparency** — a panicking task does not poison the
 //!   pool; [`WorkerPool::run`] re-raises the payload of the earliest
 //!   failing task (matching sequential panic semantics), while

@@ -2,10 +2,10 @@
 //! ordered, non-empty ranges.
 //!
 //! `morsels` (behind [`crate::WorkerPool::morsels_for`]) splits
-//! `0..len` into at most `parts` near-equal ranges. Its users — the
-//! strabon BGP probes and FILTERs and the R-tree bulk load — do
-//! per-element work that in-order concatenation ([`concat`])
-//! reconstructs exactly, so their output is the sequential scan's.
+//! `0..len` into at most `parts` near-equal ranges. Its user, the
+//! R-tree bulk load, does per-element work that in-order
+//! concatenation ([`concat`]) reconstructs exactly, so its output is
+//! the sequential scan's.
 
 use std::ops::Range;
 

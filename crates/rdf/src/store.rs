@@ -89,8 +89,10 @@ impl TripleStore {
         self.osp.insert((t.o, t.s, t.p));
         // The triple just written is its `(s, p)` / `(p, o)` pair's only
         // one exactly when the pair is new.
-        let new_subject = with_prefix(&self.spo, t.s, t.p).nth(1).is_none();
-        let new_object = with_prefix(&self.pos, t.p, t.o).nth(1).is_none();
+        let new_subject =
+            self.match_pattern(&TriplePattern::new(Some(t.s), Some(t.p), None)).nth(1).is_none();
+        let new_object =
+            self.match_pattern(&TriplePattern::new(None, Some(t.p), Some(t.o))).nth(1).is_none();
         self.count(t.p, new_subject, new_object, true);
         true
     }
@@ -108,8 +110,10 @@ impl TripleStore {
         }
         self.pos.remove(&(t.p, t.o, t.s));
         self.osp.remove(&(t.o, t.s, t.p));
-        let gone_subject = with_prefix(&self.spo, t.s, t.p).next().is_none();
-        let gone_object = with_prefix(&self.pos, t.p, t.o).next().is_none();
+        let gone_subject =
+            self.match_pattern(&TriplePattern::new(Some(t.s), Some(t.p), None)).next().is_none();
+        let gone_object =
+            self.match_pattern(&TriplePattern::new(None, Some(t.p), Some(t.o))).next().is_none();
         self.count(t.p, gone_subject, gone_object, false);
         true
     }
@@ -149,47 +153,21 @@ impl TripleStore {
         self.stats.len()
     }
 
-    /// Match a pattern, returning the triples in SPO order.
-    pub fn match_pattern(&self, pat: &TriplePattern) -> Vec<Triple> {
-        use std::ops::Bound::Included;
-        match (pat.s, pat.p, pat.o) {
-            // SPO index.
-            (Some(s), Some(p), Some(o)) => {
-                if self.spo.contains(&(s, p, o)) {
-                    vec![Triple::new(s, p, o)]
-                } else {
-                    Vec::new()
-                }
+    /// The triples matching a pattern, in the key order of the index
+    /// its shape reads (the table on [`TripleStore`]). This is the one
+    /// place a shape picks its index: the ordering whose key its
+    /// constants lead, scanned over that bound prefix.
+    pub fn match_pattern(&self, pat: &TriplePattern) -> impl Iterator<Item = Triple> + '_ {
+        let (s, p, o) = (pat.s, pat.p, pat.o);
+        let (index, key, triple): (_, _, fn(Key) -> Triple) = match (s, p, o) {
+            (Some(_), Some(_), _) | (Some(_), None, None) | (None, None, None) => {
+                (&self.spo, (s, p, o), |(s, p, o)| Triple::new(s, p, o))
             }
-            (Some(s), Some(p), None) => with_prefix(&self.spo, s, p)
-                .map(|&(s, p, o)| Triple::new(s, p, o))
-                .collect(),
-            (Some(s), None, o) => self
-                .spo
-                .range((Included((s, TermId::MIN, TermId::MIN)), upper_1(s)))
-                .filter(|&&(_, _, to)| o.is_none_or(|o| o == to))
-                .map(|&(s, p, o)| Triple::new(s, p, o))
-                .collect(),
-            // POS index.
-            (None, Some(p), Some(o)) => with_prefix(&self.pos, p, o)
-                .map(|&(p, o, s)| Triple::new(s, p, o))
-                .collect(),
-            (None, Some(p), None) => self
-                .pos
-                .range((Included((p, TermId::MIN, TermId::MIN)), upper_1(p)))
-                .map(|&(p, o, s)| Triple::new(s, p, o))
-                .collect(),
-            // OSP index.
-            (None, None, Some(o)) => self
-                .osp
-                .range((Included((o, TermId::MIN, TermId::MIN)), upper_1(o)))
-                .map(|&(o, s, p)| Triple::new(s, p, o))
-                .collect(),
-            // Full scan.
-            (None, None, None) => {
-                self.spo.iter().map(|&(s, p, o)| Triple::new(s, p, o)).collect()
-            }
-        }
+            (None, Some(_), _) => (&self.pos, (p, o, s), |(p, o, s)| Triple::new(s, p, o)),
+            (_, None, Some(_)) => (&self.osp, (o, s, p), |(o, s, p)| Triple::new(s, p, o)),
+        };
+        let fill = |id: TermId| (key.0.unwrap_or(id), key.1.unwrap_or(id), key.2.unwrap_or(id));
+        index.range(fill(TermId::MIN)..=fill(TermId::MAX)).map(move |&k| triple(k))
     }
 
     /// Match count of a pattern's constants, taken once per pattern by
@@ -201,28 +179,14 @@ impl TripleStore {
     /// statistics play for Strabon); the S+O shape and the full
     /// wildcard fall back to cheap upper bounds.
     pub fn estimate_pattern(&self, pat: &TriplePattern) -> usize {
-        use std::ops::Bound::Included;
         match (pat.s, pat.p, pat.o) {
             (None, None, None) => self.len().max(1),
-            (Some(s), Some(p), Some(o)) => self.spo.contains(&(s, p, o)) as usize,
-            (Some(s), Some(p), None) => with_prefix(&self.spo, s, p)
-                .count(),
-            (Some(s), None, None) => self
-                .spo
-                .range((Included((s, TermId::MIN, TermId::MIN)), upper_1(s)))
-                .count(),
-            (None, Some(p), Some(o)) => with_prefix(&self.pos, p, o)
-                .count(),
             (None, Some(p), None) => self.predicate_stats(Some(p)).triples,
-            (None, None, Some(o)) => self
-                .osp
-                .range((Included((o, TermId::MIN, TermId::MIN)), upper_1(o)))
-                .count(),
             // S and O bound, P free: bounded by the subject's degree.
-            (Some(s), None, Some(_)) => self
-                .spo
-                .range((Included((s, TermId::MIN, TermId::MIN)), upper_1(s)))
-                .count(),
+            (Some(s), None, Some(_)) => {
+                self.match_pattern(&TriplePattern::new(Some(s), None, None)).count()
+            }
+            _ => self.match_pattern(pat).count(),
         }
     }
 
@@ -249,7 +213,6 @@ impl TripleStore {
             return Vec::new();
         };
         self.match_pattern(&TriplePattern::new(s, p, o))
-            .into_iter()
             .map(|t| {
                 (
                     self.dict.term(t.s).clone(),
@@ -262,37 +225,12 @@ impl TripleStore {
 
     /// Objects of `(s, p, ?o)` as terms.
     pub fn objects(&self, s: &Term, p: &Term) -> Vec<Term> {
-        self.match_terms(Some(s), Some(p), None)
-            .into_iter()
-            .map(|(_, _, o)| o)
-            .collect()
+        self.match_terms(Some(s), Some(p), None).into_iter().map(|(_, _, o)| o).collect()
     }
 
     /// Subjects of `(?s, p, o)` as terms.
     pub fn subjects(&self, p: &Term, o: &Term) -> Vec<Term> {
-        self.match_terms(None, Some(p), Some(o))
-            .into_iter()
-            .map(|(s, _, _)| s)
-            .collect()
-    }
-}
-
-/// The triples of `index` whose first two columns are `(a, b)`.
-fn with_prefix(index: &BTreeSet<Key>, a: TermId, b: TermId) -> impl Iterator<Item = &Key> {
-    index.range((std::ops::Bound::Included((a, b, TermId::MIN)), upper_2(a, b)))
-}
-
-fn upper_1(a: TermId) -> std::ops::Bound<(TermId, TermId, TermId)> {
-    match a.checked_add(1) {
-        Some(next) => std::ops::Bound::Excluded((next, TermId::MIN, TermId::MIN)),
-        None => std::ops::Bound::Unbounded,
-    }
-}
-
-fn upper_2(a: TermId, b: TermId) -> std::ops::Bound<(TermId, TermId, TermId)> {
-    match b.checked_add(1) {
-        Some(next) => std::ops::Bound::Excluded((a, next, TermId::MIN)),
-        None => upper_1(a),
+        self.match_terms(None, Some(p), Some(o)).into_iter().map(|(s, _, _)| s).collect()
     }
 }
 
@@ -356,8 +294,13 @@ mod tests {
     #[test]
     fn match_fully_bound_and_absent() {
         let st = setup();
-        assert_eq!(st.match_terms(Some(&iri("img1")), Some(&iri("type")), Some(&iri("RawImage"))).len(), 1);
-        assert!(st.match_terms(Some(&iri("img1")), Some(&iri("type")), Some(&iri("Hotspot"))).is_empty());
+        assert_eq!(
+            st.match_terms(Some(&iri("img1")), Some(&iri("type")), Some(&iri("RawImage"))).len(),
+            1
+        );
+        assert!(st
+            .match_terms(Some(&iri("img1")), Some(&iri("type")), Some(&iri("Hotspot")))
+            .is_empty());
         // Constant never interned: no panic, no results.
         assert!(st.match_terms(Some(&iri("ghost")), None, None).is_empty());
     }
@@ -365,7 +308,7 @@ mod tests {
     #[test]
     fn full_scan() {
         let st = setup();
-        assert_eq!(st.match_pattern(&TriplePattern::any()).len(), 5);
+        assert_eq!(st.match_pattern(&TriplePattern::any()).count(), 5);
         assert_eq!(st.iter().count(), 5);
     }
 
@@ -387,17 +330,22 @@ mod tests {
     fn index_consistency_under_churn() {
         let mut st = TripleStore::new();
         for i in 0..200 {
-            st.insert_terms(&iri(&format!("s{}", i % 20)), &iri(&format!("p{}", i % 5)), &Term::int(i));
+            st.insert_terms(
+                &iri(&format!("s{}", i % 20)),
+                &iri(&format!("p{}", i % 5)),
+                &Term::int(i),
+            );
         }
         // Remove every triple with predicate p0 and verify counts agree.
         let p0 = st.id_of(&iri("p0")).unwrap();
-        let to_remove = st.match_pattern(&TriplePattern::new(None, Some(p0), None));
+        let to_remove: Vec<_> =
+            st.match_pattern(&TriplePattern::new(None, Some(p0), None)).collect();
         let n = to_remove.len();
         for t in to_remove {
             assert!(st.remove(&t));
         }
         assert_eq!(st.len(), 200 - n);
-        assert!(st.match_pattern(&TriplePattern::new(None, Some(p0), None)).is_empty());
+        assert!(st.match_pattern(&TriplePattern::new(None, Some(p0), None)).next().is_none());
         // The other indexes agree.
         assert_eq!(st.iter().count(), st.len());
     }

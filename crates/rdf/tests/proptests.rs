@@ -64,11 +64,8 @@ fn turtle_roundtrip() {
         turtle::parse_into(&text, &mut store2).unwrap();
         assert_eq!(store.len(), store2.len());
         for t in store.iter() {
-            let (s, p, o) = (
-                store.term(t.s).clone(),
-                store.term(t.p).clone(),
-                store.term(t.o).clone(),
-            );
+            let (s, p, o) =
+                (store.term(t.s).clone(), store.term(t.p).clone(), store.term(t.o).clone());
             assert_eq!(
                 store2.match_terms(Some(&s), Some(&p), Some(&o)).len(),
                 1,
@@ -109,8 +106,9 @@ fn pattern_matching_matches_scan() {
                 ((None, None, None), spo, false),
             ] {
                 let pat = TriplePattern::new(s, p, o);
-                let from_index: Vec<Triple> = store.match_pattern(&pat).into_iter().collect();
-                let mut from_scan: Vec<_> = all.iter().filter(|t| pat.matches(t)).copied().collect();
+                let from_index: Vec<Triple> = store.match_pattern(&pat).collect();
+                let mut from_scan: Vec<_> =
+                    all.iter().filter(|t| pat.matches(t)).copied().collect();
                 from_scan.sort_by_key(key);
                 assert_eq!(from_index, from_scan, "{pat:?}");
                 let estimate = store.estimate_pattern(&pat);
@@ -135,7 +133,7 @@ fn remove_all_empties_store() {
             assert!(store.remove(t));
         }
         assert!(store.is_empty());
-        assert_eq!(store.match_pattern(&TriplePattern::any()).len(), 0);
+        assert_eq!(store.match_pattern(&TriplePattern::any()).count(), 0);
     });
 }
 
@@ -174,7 +172,11 @@ fn assert_stats_recount(store: &TripleStore) {
     assert_eq!(store.predicates(), expected.len().saturating_sub(1));
     assert_eq!(store.predicate_stats(None), expected.get(&None).copied().unwrap_or_default());
     for p in 0..store.dictionary().len() as u32 {
-        assert_eq!(store.predicate_stats(Some(p)), expected.get(&Some(p)).copied().unwrap_or_default(), "predicate {p}");
+        assert_eq!(
+            store.predicate_stats(Some(p)),
+            expected.get(&Some(p)).copied().unwrap_or_default(),
+            "predicate {p}"
+        );
     }
 }
 

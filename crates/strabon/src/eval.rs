@@ -28,9 +28,9 @@
 //!    estimate; otherwise it checks both bound arguments natively where
 //!    the FILTER would run;
 //! 3. `walk` executes that `Plan` as index nested-loop joins over
-//!    the store's SPO/POS/OSP orderings, scans and FILTERs cut along
-//!    the pool's morsels — or `render` prints it,
-//!    which is all EXPLAIN is, so the two cannot disagree;
+//!    the store's SPO/POS/OSP orderings, one binding at a time — or
+//!    `render` prints it, which is all EXPLAIN is, so the two cannot
+//!    disagree;
 //! 4. `finish` applies SELECT's solution modifiers.
 //!
 //! [`crate::StrabonConfig`] toggles the join ordering and the spatial
@@ -38,15 +38,14 @@
 
 use crate::ast::*;
 use crate::expr::{
-    eval_expression, eval_filter, order_terms, spatial_function, Binding, Bound, Env, Operand, SpatialFn,
-    SpatialTest, VarTable,
+    eval_expression, eval_filter, order_terms, spatial_function, Binding, Bound, Env, Operand,
+    SpatialFn, SpatialTest, VarTable,
 };
 use crate::spatial::window;
 use crate::{Result, Solutions, Strabon, StrabonError};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use teleios_exec::concat;
 use teleios_geo::Geometry;
 use teleios_rdf::dictionary::TermId;
 use teleios_rdf::strdf;
@@ -65,8 +64,7 @@ pub(crate) fn prepare<'a, 't>(
     select: Option<&SelectQuery>,
     templates: impl IntoIterator<Item = &'t TemplateTriple>,
 ) -> Result<Env<'a>> {
-    let pool = engine.pool();
-    engine.spatial.catch_up(&engine.store, &pool);
+    engine.spatial.catch_up(&engine.store, &engine.pool());
     let engine: &'a Strabon = engine;
     let mut vars = VarTable::default();
     collect_group_vars(where_clause, &mut vars);
@@ -87,7 +85,13 @@ pub(crate) fn prepare<'a, 't>(
     }
     let mut constants = HashMap::new();
     collect_group_geometries(where_clause, &mut constants);
-    Ok(Env { store: &engine.store, spatial: &engine.spatial, vars, config: engine.config, pool, constants })
+    Ok(Env {
+        store: &engine.store,
+        spatial: &engine.spatial,
+        vars,
+        config: engine.config,
+        constants,
+    })
 }
 
 /// Parse every constant geometry in the FILTER and BIND expressions of
@@ -134,7 +138,10 @@ pub fn evaluate_query(engine: &mut Strabon, query: &Query) -> Result<Solutions> 
 
 /// Evaluate a CONSTRUCT query: matched solutions instantiate the
 /// template; duplicate triples collapse.
-pub(crate) fn evaluate_construct(engine: &mut Strabon, q: &ConstructQuery) -> Result<Vec<(Term, Term, Term)>> {
+pub(crate) fn evaluate_construct(
+    engine: &mut Strabon,
+    q: &ConstructQuery,
+) -> Result<Vec<(Term, Term, Term)>> {
     let env = prepare(engine, &q.where_clause, None, &q.template)?;
     let mut out: Vec<(Term, Term, Term)> = Vec::new();
     for b in &solve(&env, &q.where_clause) {
@@ -157,7 +164,9 @@ fn finish(env: &Env<'_>, q: &SelectQuery, mut rows: Vec<Binding>) -> Result<Solu
         Projection::All => &[],
     };
     let aggregated = !q.group_by.is_empty()
-        || items.iter().any(|i| matches!(i, ProjectionItem::Expr { expr, .. } if expr_has_aggregate(expr)));
+        || items
+            .iter()
+            .any(|i| matches!(i, ProjectionItem::Expr { expr, .. } if expr_has_aggregate(expr)));
     if aggregated {
         rows = aggregate(env, q, items, &rows)?;
     } else {
@@ -174,9 +183,18 @@ fn finish(env: &Env<'_>, q: &SelectQuery, mut rows: Vec<Binding>) -> Result<Solu
         keyed.sort_by(|(x, _), (y, _)| {
             let by_key = |(i, k): (usize, &OrderKey)| {
                 let ord = order_terms(&x[i], &y[i]);
-                if k.desc { ord.reverse() } else { ord }
+                if k.desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
             };
-            q.order_by.iter().enumerate().map(by_key).find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
+            q.order_by
+                .iter()
+                .enumerate()
+                .map(by_key)
+                .find(|ord| ord.is_ne())
+                .unwrap_or(Ordering::Equal)
         });
         rows = keyed.into_iter().map(|(_, b)| b).collect();
     }
@@ -193,7 +211,10 @@ fn finish(env: &Env<'_>, q: &SelectQuery, mut rows: Vec<Binding>) -> Result<Solu
     };
     let slots: Vec<Option<usize>> = vars.iter().map(|v| env.vars.get(v)).collect();
     let project = |b: &Binding| -> Vec<Option<Term>> {
-        slots.iter().map(|s| s.and_then(|s| b[s].as_ref()).map(|x| x.term(env.store).clone())).collect()
+        slots
+            .iter()
+            .map(|s| s.and_then(|s| b[s].as_ref()).map(|x| x.term(env.store).clone()))
+            .collect()
     };
     let mut rows: Vec<Vec<Option<Term>>> = rows.iter().map(project).collect();
     if q.distinct {
@@ -229,7 +250,8 @@ const AGGREGATE_NAMES: [&str; 6] = ["COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE
 fn expr_has_aggregate(e: &Expression) -> bool {
     let mut found = false;
     for_each_node(e, &mut |n| {
-        found |= matches!(n, Expression::Call { name, .. } if AGGREGATE_NAMES.contains(&name.as_str()));
+        found |=
+            matches!(n, Expression::Call { name, .. } if AGGREGATE_NAMES.contains(&name.as_str()));
     });
     found
 }
@@ -256,7 +278,9 @@ fn aggregate(
     for item in items {
         if let ProjectionItem::Var(v) = item {
             if !q.group_by.contains(v) {
-                return Err(StrabonError::Eval(format!("non-aggregated ?{v} must appear in GROUP BY")));
+                return Err(StrabonError::Eval(format!(
+                    "non-aggregated ?{v} must appear in GROUP BY"
+                )));
             }
         }
     }
@@ -299,7 +323,8 @@ fn eval_aggregate_expr(env: &Env<'_>, expr: &Expression, group: &[&Binding]) -> 
             }
             // Per-member argument values (unbound/error skipped, as SPARQL
             // aggregates ignore error values).
-            let values: Vec<Term> = group.iter().filter_map(|b| eval_expression(env, b, &args[0])).collect();
+            let values: Vec<Term> =
+                group.iter().filter_map(|b| eval_expression(env, b, &args[0])).collect();
             match name.as_str() {
                 "COUNT" => Some(Term::int(values.len() as i64)),
                 "SAMPLE" => values.first().cloned(),
@@ -321,7 +346,11 @@ fn eval_aggregate_expr(env: &Env<'_>, expr: &Expression, group: &[&Binding]) -> 
                 "MIN" | "MAX" => {
                     let wanted = if name == "MIN" { Ordering::Less } else { Ordering::Greater };
                     values.into_iter().reduce(|best, v| {
-                        if order_terms(&Some(v.clone()), &Some(best.clone())) == wanted { v } else { best }
+                        if order_terms(&Some(v.clone()), &Some(best.clone())) == wanted {
+                            v
+                        } else {
+                            best
+                        }
                     })
                 }
                 _ => None,
@@ -363,13 +392,26 @@ enum Step<'q> {
     /// the exact predicate keeps, in id order. As a check (`binds`
     /// `None`, or the slot already bound in a solution) the exact
     /// predicate tests both arguments.
-    SpatialJoin { test: SpatialTest, probe: usize, binds: Option<usize> },
+    SpatialJoin {
+        test: SpatialTest,
+        probe: usize,
+        binds: Option<usize>,
+    },
     Optional(Plan<'q>),
     Union(Vec<Plan<'q>>),
     /// `shared`: the slots of the variables the body mentions.
-    Minus { plan: Plan<'q>, shared: Vec<usize> },
-    Bind { expr: &'q Expression, slot: usize },
-    Exists { plan: Plan<'q>, negated: bool },
+    Minus {
+        plan: Plan<'q>,
+        shared: Vec<usize>,
+    },
+    Bind {
+        expr: &'q Expression,
+        slot: usize,
+    },
+    Exists {
+        plan: Plan<'q>,
+        negated: bool,
+    },
 }
 
 /// A pattern position, resolved once per statement.
@@ -463,7 +505,8 @@ fn plan_group<'e, 'q>(
     for el in &group.elements {
         match el {
             PatternElement::Filter(expr) => {
-                let spatial = if env.config.use_spatial_index { spatial_test(env, expr) } else { None };
+                let spatial =
+                    if env.config.use_spatial_index { spatial_test(env, expr) } else { None };
                 let mut vars = VarTable::default();
                 collect_expr_vars(expr, &mut vars);
                 let slots = vars.names().iter().filter_map(|v| env.vars.get(v)).collect();
@@ -602,12 +645,19 @@ impl<'q> Group<'_, 'q> {
                     self.steps.push((Step::Scan(run[i]), self.card));
                 }
                 Err(expr) => {
-                    let Some(at) = self.waiting.iter().position(|w| std::ptr::eq(w.expr, expr)) else { continue };
-                    let Some((probe, target, est)) = self.join(&self.waiting[at], &run, bound) else { continue };
+                    let Some(at) = self.waiting.iter().position(|w| std::ptr::eq(w.expr, expr))
+                    else {
+                        continue;
+                    };
+                    let Some((probe, target, est)) = self.join(&self.waiting[at], &run, bound)
+                    else {
+                        continue;
+                    };
                     let Some(test) = self.waiting.remove(at).spatial else { continue };
                     self.card *= est;
                     bound.insert(target);
-                    self.steps.push((Step::SpatialJoin { test, probe, binds: Some(target) }, self.card));
+                    self.steps
+                        .push((Step::SpatialJoin { test, probe, binds: Some(target) }, self.card));
                 }
             }
             self.release(bound);
@@ -633,8 +683,11 @@ impl<'q> Group<'_, 'q> {
         } else {
             env.store.estimate_pattern(&TriplePattern::new(id(pos[0]), id(pos[1]), id(pos[2])))
         };
-        let rdf_type =
-            env.config.rdfs_inference.then(|| env.store.id_of(&Term::iri(vocab::rdf::TYPE))).flatten();
+        let rdf_type = env
+            .config
+            .rdfs_inference
+            .then(|| env.store.id_of(&Term::iri(vocab::rdf::TYPE)))
+            .flatten();
         Scan { pattern, pos, count, rdf_type }
     }
 
@@ -664,15 +717,23 @@ impl<'q> Group<'_, 'q> {
     /// pattern of `run` binds — and the candidates per binding: the
     /// sidecar's estimate for the probe, capped by the count of that
     /// pattern.
-    fn join(&self, w: &Waiting<'_>, run: &[Scan<'_>], bound: &HashSet<usize>) -> Option<(usize, usize, f64)> {
+    fn join(
+        &self,
+        w: &Waiting<'_>,
+        run: &[Scan<'_>],
+        bound: &HashSet<usize>,
+    ) -> Option<(usize, usize, f64)> {
         let test = w.spatial.as_ref()?;
         (0..2).find_map(|probe| {
-            let (Operand::Const(g), Operand::Var(target)) = (&test.args[probe], &test.args[1 - probe]) else {
+            let (Operand::Const(g), Operand::Var(target)) =
+                (&test.args[probe], &test.args[1 - probe])
+            else {
                 return None;
             };
             let cap = run.iter().filter(|c| c.binds(*target)).map(|c| c.count).min()?;
             let est = self.env.spatial.estimate(&g.envelope(), test.bound).min(cap as f64);
-            (!bound.contains(target) && !self.binds_ahead.contains(target)).then_some((probe, *target, est))
+            (!bound.contains(target) && !self.binds_ahead.contains(target))
+                .then_some((probe, *target, est))
         })
     }
 
@@ -683,7 +744,8 @@ impl<'q> Group<'_, 'q> {
     /// earlier move — patterns as written, then joins — so the plan is
     /// deterministic.
     fn search(&self, run: &[Scan<'_>], bound: &HashSet<usize>) -> Vec<Move> {
-        let moves: Vec<Move> = (0..run.len()).map(Move::Scan).chain((0..self.waiting.len()).map(Move::Join)).collect();
+        let moves: Vec<Move> =
+            (0..run.len()).map(Move::Scan).chain((0..self.waiting.len()).map(Move::Join)).collect();
         let mut best: Option<(f64, Vec<Move>)> = None;
         for &seed in &moves {
             let mut bound = bound.clone();
@@ -696,7 +758,8 @@ impl<'q> Group<'_, 'q> {
                 order.push(m);
                 bound.extend(binds);
                 for (i, (w, placed)) in self.waiting.iter().zip(&mut placed).enumerate() {
-                    *placed = *placed || m == Move::Join(i) || self.ready(w, |s| bound.contains(&s));
+                    *placed =
+                        *placed || m == Move::Join(i) || self.ready(w, |s| bound.contains(&s));
                 }
                 next = moves
                     .iter()
@@ -715,8 +778,14 @@ impl<'q> Group<'_, 'q> {
     /// Move `m` under `bound`: `card` after it and the waiting FILTERs
     /// it makes ready, and the slots it binds; `None` when it cannot
     /// run yet.
-    fn after(&self, m: Move, run: &[Scan<'_>], bound: &HashSet<usize>, card: f64, placed: &[bool])
-        -> Option<(f64, Vec<usize>)> {
+    fn after(
+        &self,
+        m: Move,
+        run: &[Scan<'_>],
+        bound: &HashSet<usize>,
+        card: f64,
+        placed: &[bool],
+    ) -> Option<(f64, Vec<usize>)> {
         let (fanout, binds): (f64, Vec<usize>) = match m {
             Move::Scan(i) => (self.fanout(&run[i], bound), run[i].slots().collect()),
             Move::Join(w) if !placed[w] => {
@@ -742,9 +811,8 @@ fn render_pattern(p: &PatternTriple) -> String {
 }
 
 /// Step 3: execute a plan over `bindings`. Scans, FILTERs and spatial
-/// steps run over the whole solution list (scans and FILTERs
-/// morsel-parallel from [`PAR_BINDING_THRESHOLD`] up); nested bodies
-/// run once per solution, seeded with it.
+/// steps run over the whole solution list, in order; nested bodies run
+/// once per solution, seeded with it.
 fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Binding> {
     let seeded = |inner: &Plan<'_>, b: &Binding| walk(env, inner, vec![b.clone()]);
     for (step, _) in plan {
@@ -752,21 +820,27 @@ fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Bindi
             break;
         }
         match step {
-            Step::Scan(scan) => bindings = per_morsel(env, &bindings, |b, out| extend_with_pattern(env, scan, b, out)),
-            Step::Filter(expr) => {
-                bindings = per_morsel(env, &bindings, |b, out| {
-                    if eval_filter(env, b, expr) {
-                        out.push(b.clone());
-                    }
-                });
+            Step::Scan(scan) => {
+                let mut out = Vec::with_capacity(bindings.len());
+                for b in &bindings {
+                    extend_with_pattern(env, scan, b, &mut out);
+                }
+                bindings = out;
             }
-            Step::SpatialJoin { test, probe, binds } => bindings = spatial_join(env, test, *probe, *binds, bindings),
+            Step::Filter(expr) => bindings.retain(|b| eval_filter(env, b, expr)),
+            Step::SpatialJoin { test, probe, binds } => {
+                bindings = spatial_join(env, test, *probe, *binds, bindings)
+            }
             Step::Optional(inner) => {
                 bindings = bindings
                     .into_iter()
                     .flat_map(|b| {
                         let extended = seeded(inner, &b);
-                        if extended.is_empty() { vec![b] } else { extended }
+                        if extended.is_empty() {
+                            vec![b]
+                        } else {
+                            extended
+                        }
                     })
                     .collect();
             }
@@ -776,9 +850,8 @@ fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Bindi
             // Keep solutions that share no variable with the MINUS
             // body (SPARQL's compatibility rule); drop those the
             // seeded body has a solution for.
-            Step::Minus { plan: inner, shared } => bindings.retain(|b| {
-                !shared.iter().any(|&s| b[s].is_some()) || seeded(inner, b).is_empty()
-            }),
+            Step::Minus { plan: inner, shared } => bindings
+                .retain(|b| !shared.iter().any(|&s| b[s].is_some()) || seeded(inner, b).is_empty()),
             Step::Bind { expr, slot } => {
                 for b in &mut bindings {
                     let v = eval_expression(env, b, expr);
@@ -844,7 +917,13 @@ fn render_join(env: &Env<'_>, test: &SpatialTest, binds: Option<usize>) -> Strin
     };
     let predicate = match test.func {
         SpatialFn::Distance { inclusive } => {
-            format!("distance({}, {}) {} {}", arg(0), arg(1), if inclusive { "<=" } else { "<" }, test.bound)
+            format!(
+                "distance({}, {}) {} {}",
+                arg(0),
+                arg(1),
+                if inclusive { "<=" } else { "<" },
+                test.bound
+            )
         }
         f => format!("{}({}, {})", format!("{f:?}").to_lowercase(), arg(0), arg(1)),
     };
@@ -852,39 +931,6 @@ fn render_join(env: &Env<'_>, test: &SpatialTest, binds: Option<usize>) -> Strin
         Some(slot) => format!("spatial join {predicate}, binding ?{}", env.vars.names()[slot]),
         None => format!("spatial check {predicate}"),
     }
-}
-
-/// Binding count below which BGP probing and FILTER evaluation stay
-/// inline: under this size the join itself is cheaper than task
-/// setup. Public so the parallel-equivalence tests can size their
-/// data to cross it.
-pub const PAR_BINDING_THRESHOLD: usize = 256;
-
-/// Morsels per worker for the probe/filter kernels: finer than
-/// one-per-worker so the pool's claim counter has slack to rebalance
-/// when some bindings fan out much harder than others.
-const MORSELS_PER_WORKER: usize = 4;
-
-/// Run `step` over every binding, pushing its outputs. The bindings are
-/// cut along the pool's morsels — a single inline one under
-/// [`PAR_BINDING_THRESHOLD`] or at one thread — and the per-morsel
-/// outputs concatenate in morsel order (the pool's determinism
-/// contract), so results are identical at every thread count.
-fn per_morsel(env: &Env<'_>, bindings: &[Binding], step: impl Fn(&Binding, &mut Vec<Binding>) + Sync) -> Vec<Binding> {
-    let step = &step;
-    let tasks: Vec<_> = env
-        .pool
-        .morsels_for(bindings.len(), PAR_BINDING_THRESHOLD, MORSELS_PER_WORKER)
-        .into_iter()
-        .map(|r| {
-            move || {
-                let mut out = Vec::with_capacity(r.len());
-                bindings[r].iter().for_each(|b| step(b, &mut out));
-                out
-            }
-        })
-        .collect();
-    concat(env.pool.run(tasks))
 }
 
 /// Match one pattern under a binding, pushing extended bindings. A
@@ -903,7 +949,9 @@ fn extend_with_pattern(env: &Env<'_>, scan: &Scan<'_>, binding: &Binding, out: &
             },
         }
     };
-    let (Some(s), Some(p), Some(o)) = (resolve(scan.pos[0]), resolve(scan.pos[1]), resolve(scan.pos[2])) else {
+    let (Some(s), Some(p), Some(o)) =
+        (resolve(scan.pos[0]), resolve(scan.pos[1]), resolve(scan.pos[2]))
+    else {
         return;
     };
     let tp = TriplePattern::new(s.ok(), p.ok(), o.ok());
@@ -941,7 +989,9 @@ fn extend_with_pattern(env: &Env<'_>, scan: &Scan<'_>, binding: &Binding, out: &
 /// Reflexive-transitive subclass closure of a class id via the
 /// `rdfs:subClassOf` triples in the store (downward: all subclasses).
 fn subclass_closure(store: &teleios_rdf::store::TripleStore, class: TermId) -> Vec<TermId> {
-    let Some(sub_p) = store.id_of(&Term::iri(vocab::rdfs::SUB_CLASS_OF)) else { return vec![class] };
+    let Some(sub_p) = store.id_of(&Term::iri(vocab::rdfs::SUB_CLASS_OF)) else {
+        return vec![class];
+    };
     let mut seen: HashSet<TermId> = HashSet::new();
     let mut stack = vec![class];
     let mut out = Vec::new();
@@ -961,8 +1011,13 @@ fn subclass_closure(store: &teleios_rdf::store::TripleStore, class: TermId) -> V
 /// A spatial step over `bindings` (see [`Step::SpatialJoin`]), inline.
 /// The exact predicate reads the sidecar's parsed geometries and
 /// compares a distance as an `f64`.
-fn spatial_join(env: &Env<'_>, test: &SpatialTest, probe: usize, binds: Option<usize>, bindings: Vec<Binding>)
-    -> Vec<Binding> {
+fn spatial_join(
+    env: &Env<'_>,
+    test: &SpatialTest,
+    probe: usize,
+    binds: Option<usize>,
+    bindings: Vec<Binding>,
+) -> Vec<Binding> {
     // A join's probe is a constant: its survivors, in id order, are the
     // same for every solution.
     let survivors: Vec<TermId> = match (binds, &test.args[probe]) {
@@ -999,8 +1054,12 @@ fn spatial_join(env: &Env<'_>, test: &SpatialTest, probe: usize, binds: Option<u
 /// variable or a constant geometry, one at least a variable.
 fn spatial_test(env: &Env<'_>, filter: &Expression) -> Option<SpatialTest> {
     let (call, limit) = match filter {
-        Expression::Binary { op: op @ (BinaryOp::Lt | BinaryOp::Le), left, right } => (&**left, Some((*op, &**right))),
-        Expression::Binary { op: op @ (BinaryOp::Gt | BinaryOp::Ge), left, right } => (&**right, Some((*op, &**left))),
+        Expression::Binary { op: op @ (BinaryOp::Lt | BinaryOp::Le), left, right } => {
+            (&**left, Some((*op, &**right)))
+        }
+        Expression::Binary { op: op @ (BinaryOp::Gt | BinaryOp::Ge), left, right } => {
+            (&**right, Some((*op, &**left)))
+        }
         call => (call, None),
     };
     let Expression::Call { name, args } = call else { return None };

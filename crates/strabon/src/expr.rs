@@ -11,7 +11,6 @@ use crate::StrabonConfig;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
-use teleios_exec::WorkerPool;
 use teleios_geo::algorithm::{area, buffer, clip, distance as geodist, predicates};
 use teleios_geo::Geometry;
 use teleios_rdf::dictionary::TermId;
@@ -89,9 +88,6 @@ pub(crate) struct Env<'a> {
     /// The engine's toggles: join ordering, spatial joins, RDFS
     /// expansion of `rdf:type` patterns.
     pub config: StrabonConfig,
-    /// Worker pool for the morsel-parallel probe/filter paths
-    /// (one-thread pools evaluate inline — the exact sequential path).
-    pub pool: WorkerPool,
     /// The WHERE clause's constant geometries, parsed once: keyed by
     /// the address of their `Expression::Const` node in the statement's
     /// syntax tree, which outlives the `Env`.
@@ -141,7 +137,9 @@ pub(crate) fn eval_expression(env: &Env<'_>, binding: &Binding, expr: &Expressio
                 // true for OR; an error only matters without it.
                 BinaryOp::And | BinaryOp::Or => {
                     let deciding = *op == BinaryOp::Or;
-                    let ebv = |e: &Expression| eval_expression(env, binding, e).and_then(|t| effective_boolean(&t));
+                    let ebv = |e: &Expression| {
+                        eval_expression(env, binding, e).and_then(|t| effective_boolean(&t))
+                    };
                     let l = ebv(left);
                     if l == Some(deciding) {
                         return Some(Term::boolean(deciding));
@@ -201,9 +199,7 @@ pub(crate) fn eval_expression(env: &Env<'_>, binding: &Binding, expr: &Expressio
 /// Evaluate an expression as a FILTER condition (error → false).
 pub(crate) fn eval_filter(env: &Env<'_>, binding: &Binding, expr: &Expression) -> bool {
     // BOUND needs unbound-tolerant handling, done inside eval_call.
-    eval_expression(env, binding, expr)
-        .and_then(|t| effective_boolean(&t))
-        .unwrap_or(false)
+    eval_expression(env, binding, expr).and_then(|t| effective_boolean(&t)).unwrap_or(false)
 }
 
 /// The local name of a spatial function: the strdf namespace, or
@@ -227,10 +223,8 @@ fn eval_call(env: &Env<'_>, binding: &Binding, name: &str, args: &[Expression]) 
         return eval_spatial(env, binding, local, args);
     }
 
-    let vals: Vec<Term> = args
-        .iter()
-        .map(|a| eval_expression(env, binding, a))
-        .collect::<Option<_>>()?;
+    let vals: Vec<Term> =
+        args.iter().map(|a| eval_expression(env, binding, a)).collect::<Option<_>>()?;
     match name {
         "STR" => Some(Term::literal(match &vals[0] {
             Term::Iri(i) => i.clone(),
@@ -258,12 +252,8 @@ fn eval_call(env: &Env<'_>, binding: &Binding, name: &str, args: &[Expression]) 
         "STRLEN" => Some(Term::int(vals[0].lexical()?.chars().count() as i64)),
         "UCASE" => Some(Term::literal(vals[0].lexical()?.to_uppercase())),
         "LCASE" => Some(Term::literal(vals[0].lexical()?.to_lowercase())),
-        "CONTAINS" => {
-            Some(Term::boolean(vals[0].lexical()?.contains(vals[1].lexical()?)))
-        }
-        "STRSTARTS" => {
-            Some(Term::boolean(vals[0].lexical()?.starts_with(vals[1].lexical()?)))
-        }
+        "CONTAINS" => Some(Term::boolean(vals[0].lexical()?.contains(vals[1].lexical()?))),
+        "STRSTARTS" => Some(Term::boolean(vals[0].lexical()?.starts_with(vals[1].lexical()?))),
         "STRENDS" => Some(Term::boolean(vals[0].lexical()?.ends_with(vals[1].lexical()?))),
         "CONCAT" => {
             let mut s = String::new();
@@ -314,7 +304,9 @@ fn eval_spatial(
         return Some(Term::boolean(f.holds(&a, &b, 0.0)));
     }
     match local {
-        "disjoint" | "sfDisjoint" => Some(Term::boolean(predicates::disjoint(&*geom(&args[0])?, &*geom(&args[1])?))),
+        "disjoint" | "sfDisjoint" => {
+            Some(Term::boolean(predicates::disjoint(&*geom(&args[0])?, &*geom(&args[1])?)))
+        }
         // Metric functions (planar, in coordinate units).
         "distance" => Some(Term::double(geodist::distance(&*geom(&args[0])?, &*geom(&args[1])?))),
         "area" => Some(Term::double(area::area(geom(&args[0])?.as_ref()))),
@@ -326,11 +318,8 @@ fn eval_spatial(
         }
         "periodContains" | "during" => {
             // periodContains(period, instant) / during(instant, period).
-            let (p_arg, i_arg) = if local == "during" {
-                (&args[1], &args[0])
-            } else {
-                (&args[0], &args[1])
-            };
+            let (p_arg, i_arg) =
+                if local == "during" { (&args[1], &args[0]) } else { (&args[0], &args[1]) };
             let p = strdf::parse_period(&eval_expression(env, binding, p_arg)?).ok()?;
             let instant = eval_expression(env, binding, i_arg)?;
             let lex = instant.lexical()?;
@@ -388,7 +377,9 @@ pub(crate) enum SpatialFn {
     Touches,
     Equals,
     /// `distance(a, b) < bound`, or `<=` when inclusive.
-    Distance { inclusive: bool },
+    Distance {
+        inclusive: bool,
+    },
 }
 
 impl SpatialFn {
@@ -418,7 +409,11 @@ impl SpatialFn {
             SpatialFn::Distance { inclusive } => {
                 crate::spatial::window(&a.envelope(), bound).intersects(&b.envelope()) && {
                     let d = geodist::distance(a, b);
-                    if inclusive { d <= bound } else { d < bound }
+                    if inclusive {
+                        d <= bound
+                    } else {
+                        d < bound
+                    }
                 }
             }
         }
@@ -450,7 +445,9 @@ impl SpatialTest {
             Operand::Var(slot) => env.geometry_of(b[*slot].as_ref()?),
             Operand::Const(g) => Some(g.clone()),
         };
-        let (Some(x), Some(y)) = (geometry(&self.args[0]), geometry(&self.args[1])) else { return false };
+        let (Some(x), Some(y)) = (geometry(&self.args[0]), geometry(&self.args[1])) else {
+            return false;
+        };
         self.func.holds(&x, &y, self.bound)
     }
 }
@@ -501,10 +498,7 @@ fn compare_terms(a: &Term, b: &Term) -> Option<Ordering> {
         return x.partial_cmp(&y);
     }
     match (a, b) {
-        (
-            Term::Literal { lexical: la, .. },
-            Term::Literal { lexical: lb, .. },
-        ) => Some(la.cmp(lb)),
+        (Term::Literal { lexical: la, .. }, Term::Literal { lexical: lb, .. }) => Some(la.cmp(lb)),
         _ => None,
     }
 }
@@ -537,7 +531,6 @@ mod tests {
             spatial: &spatial,
             vars,
             config: StrabonConfig::default(),
-            pool: WorkerPool::with_threads(1),
             constants: HashMap::new(),
         };
         eval_expression(&env, &vec![], expr)
@@ -618,10 +611,7 @@ mod tests {
             Some(Term::boolean(true))
         );
         assert_eq!(
-            eval_const(&call(
-                "CONCAT",
-                vec![lit(Term::literal("a")), lit(Term::literal("b"))]
-            )),
+            eval_const(&call("CONCAT", vec![lit(Term::literal("a")), lit(Term::literal("b"))])),
             Some(Term::literal("ab"))
         );
     }
@@ -646,15 +636,24 @@ mod tests {
             args: vec![wkt("POINT (5 5)"), wkt("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")],
         };
         assert_eq!(eval_const(&e), Some(Term::boolean(true)));
-        let dist = call(&format!("{}distance", vocab::strdf::NS), vec![wkt("POINT (0 0)"), wkt("POINT (3 4)")]);
+        let dist = call(
+            &format!("{}distance", vocab::strdf::NS),
+            vec![wkt("POINT (0 0)"), wkt("POINT (3 4)")],
+        );
         assert_eq!(eval_const(&dist), Some(Term::double(5.0)));
     }
 
     #[test]
     fn spatial_area_and_buffer() {
-        let a = call(&format!("{}area", vocab::strdf::NS), vec![wkt("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))")]);
+        let a = call(
+            &format!("{}area", vocab::strdf::NS),
+            vec![wkt("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))")],
+        );
         assert_eq!(eval_const(&a), Some(Term::double(16.0)));
-        let b = call(&format!("{}buffer", vocab::strdf::NS), vec![wkt("POINT (0 0)"), lit(Term::double(1.0))]);
+        let b = call(
+            &format!("{}buffer", vocab::strdf::NS),
+            vec![wkt("POINT (0 0)"), lit(Term::double(1.0))],
+        );
         let t = eval_const(&b).unwrap();
         assert!(strdf::is_geometry_literal(&t));
     }
@@ -684,7 +683,10 @@ mod tests {
 
     #[test]
     fn spatial_on_non_geometry_is_error() {
-        let e = call(&format!("{}intersects", vocab::strdf::NS), vec![lit(Term::literal("nope")), wkt("POINT (0 0)")]);
+        let e = call(
+            &format!("{}intersects", vocab::strdf::NS),
+            vec![lit(Term::literal("nope")), wkt("POINT (0 0)")],
+        );
         assert_eq!(eval_const(&e), None);
     }
 
@@ -700,10 +702,7 @@ mod tests {
 
     #[test]
     fn if_and_coalesce() {
-        let e = call(
-            "IF",
-            vec![lit(Term::boolean(false)), lit(Term::int(1)), lit(Term::int(2))],
-        );
+        let e = call("IF", vec![lit(Term::boolean(false)), lit(Term::int(1)), lit(Term::int(2))]);
         assert_eq!(eval_const(&e), Some(Term::int(2)));
         let c = call("COALESCE", vec![lit(Term::int(7))]);
         assert_eq!(eval_const(&c), Some(Term::int(7)));
@@ -724,10 +723,7 @@ mod tests {
     #[test]
     fn order_terms_unbound_first() {
         assert_eq!(order_terms(&None, &Some(Term::int(1))), Ordering::Less);
-        assert_eq!(
-            order_terms(&Some(Term::int(1)), &Some(Term::int(2))),
-            Ordering::Less
-        );
+        assert_eq!(order_terms(&Some(Term::int(1)), &Some(Term::int(2))), Ordering::Less);
         assert_eq!(
             order_terms(&Some(Term::literal("a")), &Some(Term::literal("b"))),
             Ordering::Less

@@ -103,7 +103,9 @@ impl std::error::Error for StrabonError {}
 impl From<RdfError> for StrabonError {
     fn from(e: RdfError) -> Self {
         match e {
-            RdfError::Parse { line, column, message } => StrabonError::Parse { line, column, message },
+            RdfError::Parse { line, column, message } => {
+                StrabonError::Parse { line, column, message }
+            }
             RdfError::UnknownPrefix(p) => StrabonError::UnknownPrefix(p),
             RdfError::BadLiteral(m) => StrabonError::Eval(m),
         }
@@ -113,8 +115,7 @@ impl From<RdfError> for StrabonError {
 /// Result alias.
 pub(crate) type Result<T> = std::result::Result<T, StrabonError>;
 
-/// Engine configuration toggles (the ablation knobs of E3/E4, plus
-/// the thread count of E13).
+/// Engine configuration toggles (the ablation knobs of E3/E4).
 #[derive(Debug, Clone, Copy)]
 pub struct StrabonConfig {
     /// Order BGP triple patterns by estimated cardinality and run each
@@ -127,11 +128,10 @@ pub struct StrabonConfig {
     /// Expand `?x rdf:type C` patterns over the `rdfs:subClassOf`
     /// closure of `C` (RDFS subsumption over the in-store ontology).
     pub rdfs_inference: bool,
-    /// Worker threads for BGP probing, FILTER evaluation and the R-tree
-    /// sidecar build: `0` = the `TELEIOS_THREADS` /
-    /// available-parallelism default, `1` = the exact sequential
-    /// path. Results are identical at every setting (morsel-order
-    /// concatenation — see `teleios-exec`'s determinism contract).
+    /// Worker threads for the spatial sidecar's R-tree bulk load, the
+    /// one pool user left in Strabon (statements run sequentially):
+    /// `0` = the `TELEIOS_THREADS` / available-parallelism default,
+    /// `1` = inline. The tree is the same at every setting.
     pub threads: usize,
 }
 
@@ -179,9 +179,7 @@ impl Solutions {
             .rows
             .iter()
             .map(|r| {
-                r.iter()
-                    .map(|t| t.as_ref().map_or(String::new(), |t| t.to_string()))
-                    .collect()
+                r.iter().map(|t| t.as_ref().map_or(String::new(), |t| t.to_string())).collect()
             })
             .collect();
         for row in &cells {
@@ -228,7 +226,7 @@ impl Strabon {
         self.config
     }
 
-    /// The worker pool evaluation runs on, sized by
+    /// The worker pool the sidecar's bulk load runs on, sized by
     /// [`StrabonConfig::threads`].
     pub(crate) fn pool(&self) -> WorkerPool {
         match self.config.threads {
@@ -283,8 +281,11 @@ impl Strabon {
     /// store, until a statement catches the sidecar up; `None` when it
     /// is no geometry.
     pub fn geometry(&self, term: &Term) -> Option<Arc<Geometry>> {
-        let cached = self.spatial.reads(&self.store).then(|| self.spatial.geometry(self.store.id_of(term)?));
-        cached.flatten().or_else(|| teleios_rdf::strdf::parse_geometry(term).ok().map(|(g, _)| Arc::new(g)))
+        let cached =
+            self.spatial.reads(&self.store).then(|| self.spatial.geometry(self.store.id_of(term)?));
+        cached
+            .flatten()
+            .or_else(|| teleios_rdf::strdf::parse_geometry(term).ok().map(|(g, _)| Arc::new(g)))
     }
 
     /// Run a SELECT or ASK query.

@@ -136,7 +136,12 @@ fn results_identical_with_and_without_optimizations() {
     );
     let mut fast = fixture();
     let mut slow = fixture();
-    slow.set_config(StrabonConfig { rdfs_inference: false, optimize_bgp: false, use_spatial_index: false, ..StrabonConfig::default() });
+    slow.set_config(StrabonConfig {
+        rdfs_inference: false,
+        optimize_bgp: false,
+        use_spatial_index: false,
+        ..StrabonConfig::default()
+    });
     let a = fast.query(&query).unwrap();
     let b = slow.query(&query).unwrap();
     assert_eq!(a, b);
@@ -244,9 +249,7 @@ fn insert_data_update() {
 #[test]
 fn delete_data_update() {
     let mut db = fixture();
-    let n = db
-        .update(&format!("{PREFIXES} DELETE DATA {{ ex:h1 a noa:Hotspot }}"))
-        .unwrap();
+    let n = db.update(&format!("{PREFIXES} DELETE DATA {{ ex:h1 a noa:Hotspot }}")).unwrap();
     assert_eq!(n, 1);
     let sols = db.query(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h a noa:Hotspot }}")).unwrap();
     assert_eq!(sols.len(), 2);
@@ -270,9 +273,8 @@ fn refinement_style_modify() {
     assert_eq!(n, 2);
     let hot = db.query(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h a noa:Hotspot }}")).unwrap();
     assert_eq!(hot.len(), 2);
-    let ref_ = db
-        .query(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h a ex:RefutedHotspot }}"))
-        .unwrap();
+    let ref_ =
+        db.query(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h a ex:RefutedHotspot }}")).unwrap();
     assert_eq!(ref_.len(), 1);
     assert_eq!(ref_.get(0, "h"), Some(&Term::iri("http://example.org/h3")));
 }
@@ -280,13 +282,10 @@ fn refinement_style_modify() {
 #[test]
 fn delete_where_update() {
     let mut db = fixture();
-    let n = db
-        .update(&format!("{PREFIXES} DELETE WHERE {{ ?h noa:hasConfidence ?c }}"))
-        .unwrap();
+    let n = db.update(&format!("{PREFIXES} DELETE WHERE {{ ?h noa:hasConfidence ?c }}")).unwrap();
     assert_eq!(n, 3);
-    let sols = db
-        .query(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h noa:hasConfidence ?c }}"))
-        .unwrap();
+    let sols =
+        db.query(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h noa:hasConfidence ?c }}")).unwrap();
     assert!(sols.is_empty());
 }
 
@@ -343,9 +342,7 @@ fn solutions_text_rendering() {
 #[test]
 fn empty_result_shapes() {
     let mut db = fixture();
-    let sols = db
-        .query(&format!("{PREFIXES} SELECT ?x WHERE {{ ?x a ex:Nothing }}"))
-        .unwrap();
+    let sols = db.query(&format!("{PREFIXES} SELECT ?x WHERE {{ ?x a ex:Nothing }}")).unwrap();
     assert!(sols.is_empty());
     assert_eq!(sols.vars, vec!["x"]);
 }
@@ -359,7 +356,8 @@ fn repeated_variable_in_pattern() {
          ex:a ex:knows ex:b .",
     )
     .unwrap();
-    let sols = db.query("PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x ex:knows ?x }").unwrap();
+    let sols =
+        db.query("PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x ex:knows ?x }").unwrap();
     assert_eq!(sols.len(), 1);
     assert_eq!(sols.get(0, "x"), Some(&Term::iri("http://example.org/a")));
 }
@@ -413,9 +411,7 @@ fn aggregates_sum_min() {
 fn aggregate_over_empty_group_is_one_row() {
     let mut db = fixture();
     let sols = db
-        .query(&format!(
-            "{PREFIXES} SELECT (COUNT(*) AS ?n) WHERE {{ ?x a ex:Nothing }}"
-        ))
+        .query(&format!("{PREFIXES} SELECT (COUNT(*) AS ?n) WHERE {{ ?x a ex:Nothing }}"))
         .unwrap();
     assert_eq!(sols.len(), 1);
     assert_eq!(sols.get(0, "n"), Some(&Term::int(0)));
@@ -493,11 +489,7 @@ fn rdfs_inference_composes_with_joins() {
     let mut cfg = db.config();
     cfg.rdfs_inference = true;
     db.set_config(cfg);
-    let sols = db
-        .query(&format!(
-            "{PREFIXES} SELECT ?o WHERE {{ ?o a ex:Observation }}"
-        ))
-        .unwrap();
+    let sols = db.query(&format!("{PREFIXES} SELECT ?o WHERE {{ ?o a ex:Observation }}")).unwrap();
     // 3 hotspots + 1 direct observation.
     assert_eq!(sols.len(), 4);
 }
@@ -544,10 +536,7 @@ fn temporal_period_functions() {
         )
         .unwrap();
     assert_eq!(sols.len(), 2);
-    assert_eq!(
-        sols.get(0, "s"),
-        Some(&Term::date_time("2007-08-25T10:00:00Z"))
-    );
+    assert_eq!(sols.get(0, "s"), Some(&Term::date_time("2007-08-25T10:00:00Z")));
 }
 
 #[test]
@@ -606,19 +595,22 @@ fn explain_orders_later_runs_with_earlier_bindings() {
     let p_pos = plan.find("/p>").expect("ex:p in plan");
     let q_pos = plan.find("/q>").expect("ex:q in plan");
     assert!(p_pos < q_pos, "?s is bound when ex:p and ex:q are ordered:\n{plan}");
-    assert!(plan.contains("  2. filter (est 1)\n  3. match ?s <http://example.org/p> ?o (est 1)"), "{plan}");
+    assert!(
+        plan.contains("  2. filter (est 1)\n  3. match ?s <http://example.org/p> ?o (est 1)"),
+        "{plan}"
+    );
     assert_eq!(db.query(query).unwrap().len(), 1);
 }
 
-/// `optimize_bgp` × `use_spatial_index` × `threads ∈ {1, 4}`.
+/// `optimize_bgp` × `use_spatial_index`.
 fn configs() -> Vec<StrabonConfig> {
-    let mut out = Vec::new();
-    for (optimize_bgp, use_spatial_index) in [(true, true), (true, false), (false, true), (false, false)] {
-        for threads in [1, 4] {
-            out.push(StrabonConfig { optimize_bgp, use_spatial_index, rdfs_inference: false, threads });
-        }
-    }
-    out
+    [(true, true), (true, false), (false, true), (false, false)]
+        .map(|(optimize_bgp, use_spatial_index)| StrabonConfig {
+            optimize_bgp,
+            use_spatial_index,
+            ..StrabonConfig::default()
+        })
+        .to_vec()
 }
 
 /// A FILTER's scope is its whole group: written before the patterns
@@ -629,7 +621,10 @@ fn a_filter_written_first_keeps_what_it_keeps_written_last() {
     let region = "\"POLYGON ((21 36, 24 36, 24 39, 21 39, 21 36))\"^^strdf:WKT";
     for (filter, patterns) in [
         ("FILTER(?c > 0.5)".to_string(), "?h noa:hasConfidence ?c ."),
-        (format!("FILTER(strdf:intersects(?g, {region}))"), "?h strdf:hasGeometry ?g ; noa:isDerivedFrom ?img ."),
+        (
+            format!("FILTER(strdf:intersects(?g, {region}))"),
+            "?h strdf:hasGeometry ?g ; noa:isDerivedFrom ?img .",
+        ),
     ] {
         let first = format!("{PREFIXES} SELECT ?h WHERE {{ {filter} {patterns} }} ORDER BY ?h");
         let last = format!("{PREFIXES} SELECT ?h WHERE {{ {patterns} {filter} }} ORDER BY ?h");
@@ -648,15 +643,25 @@ fn a_filter_written_first_keeps_what_it_keeps_written_last() {
 /// and four archaeological sites.
 fn ratio_archive(images: usize, hotspots: usize, config: StrabonConfig) -> Strabon {
     let mut db = Strabon::with_config(config);
-    let noa = |local: &str| Term::iri(format!("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#{local}"));
+    let noa = |local: &str| {
+        Term::iri(format!("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#{local}"))
+    };
     let wkt = |text: String| Term::typed_literal(text, "http://strdf.di.uoa.gr/ontology#WKT");
     let type_p = Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
     let geom_p = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
     let img = |i: usize| Term::iri(format!("http://example.org/img{i}"));
     for i in 0..images {
         db.insert(&img(i), &type_p, &noa("RawImage"));
-        db.insert(&img(i), &noa("isAcquiredBy"), &Term::iri("http://teleios.di.uoa.gr/satellites/MSG2"));
-        db.insert(&img(i), &noa("hasAcquisitionTime"), &Term::date_time(format!("2007-08-0{}T12:00:00Z", 1 + i % 2)));
+        db.insert(
+            &img(i),
+            &noa("isAcquiredBy"),
+            &Term::iri("http://teleios.di.uoa.gr/satellites/MSG2"),
+        );
+        db.insert(
+            &img(i),
+            &noa("hasAcquisitionTime"),
+            &Term::date_time(format!("2007-08-0{}T12:00:00Z", 1 + i % 2)),
+        );
         db.insert(&img(i), &geom_p, &wkt("POLYGON ((21 36, 24 36, 24 39, 21 39, 21 36))".into()));
     }
     for j in 0..hotspots {
@@ -665,9 +670,15 @@ fn ratio_archive(images: usize, hotspots: usize, config: StrabonConfig) -> Strab
         let (x1, y1) = (x + 0.05, y + 0.05);
         db.insert(&h, &type_p, &noa("Hotspot"));
         db.insert(&h, &noa("isDerivedFrom"), &img(j % images));
-        db.insert(&h, &geom_p, &wkt(format!("POLYGON (({x} {y}, {x1} {y}, {x1} {y1}, {x} {y1}, {x} {y}))")));
+        db.insert(
+            &h,
+            &geom_p,
+            &wkt(format!("POLYGON (({x} {y}, {x1} {y}, {x1} {y1}, {x} {y1}, {x} {y}))")),
+        );
     }
-    for (k, (x, y)) in [(22.0, 37.0), (23.0, 38.0), (21.5, 38.5), (23.5, 36.5)].into_iter().enumerate() {
+    for (k, (x, y)) in
+        [(22.0, 37.0), (23.0, 38.0), (21.5, 38.5), (23.5, 36.5)].into_iter().enumerate()
+    {
         let site = Term::iri(format!("http://example.org/site{k}"));
         db.insert(&site, &type_p, &Term::iri("http://dbpedia.org/ontology/ArchaeologicalSite"));
         db.insert(&site, &geom_p, &wkt(format!("POINT ({x} {y})")));
@@ -709,7 +720,10 @@ fn flagship_plan_stays_linear_across_hotspot_image_ratios() {
         assert!(plan.contains(". spatial check distance(?hg, ?sg) < 0.5 (est "), "{h}:{i}\n{plan}");
         assert_eq!(plan.matches(". filter (est ").count(), 1, "{h}:{i}\n{plan}");
         for line in plan.lines().filter(|l| l.contains("(est ")) {
-            let est: f64 = line.rsplit_once("(est ").and_then(|(_, n)| n.trim_end_matches(')').parse().ok()).unwrap();
+            let est: f64 = line
+                .rsplit_once("(est ")
+                .and_then(|(_, n)| n.trim_end_matches(')').parse().ok())
+                .unwrap();
             assert!(est <= (images + hotspots) as f64, "{h}:{i}: {line}\n{plan}");
         }
     }
@@ -727,16 +741,24 @@ fn equals_finds_an_empty_geometry_with_the_index_on() {
          FILTER(strdf:equals(?g, \"MULTIPOINT EMPTY\"^^strdf:WKT)) }}"
     );
     for use_spatial_index in [true, false] {
-        let mut db = Strabon::with_config(StrabonConfig { use_spatial_index, ..StrabonConfig::default() });
+        let mut db =
+            Strabon::with_config(StrabonConfig { use_spatial_index, ..StrabonConfig::default() });
         db.insert(&Term::iri("http://example.org/empty"), &geom_p, &wkt("MULTIPOINT EMPTY"));
         // Enough points that the join, not a scan and check, is cheapest.
         for i in 0..20 {
-            db.insert(&Term::iri(format!("http://example.org/p{i}")), &geom_p, &wkt(&format!("POINT ({i} {})", i % 4)));
+            db.insert(
+                &Term::iri(format!("http://example.org/p{i}")),
+                &geom_p,
+                &wkt(&format!("POINT ({i} {})", i % 4)),
+            );
         }
         let sols = db.query(&query).unwrap();
         assert_eq!(sols.len(), 1, "index {use_spatial_index}\n{}", db.explain(&query).unwrap());
         assert_eq!(sols.get(0, "f"), Some(&Term::iri("http://example.org/empty")));
-        let joins = db.explain(&query).unwrap().contains("spatial join equals(?g, a MULTIPOINT), binding ?g");
+        let joins = db
+            .explain(&query)
+            .unwrap()
+            .contains("spatial join equals(?g, a MULTIPOINT), binding ?g");
         assert_eq!(joins, use_spatial_index);
     }
 }
@@ -806,9 +828,8 @@ fn construct_derives_triples() {
     for (s, p, o) in &derived {
         db.insert(s, p, o);
     }
-    let sols = db
-        .query(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h a ex:DangerousFire }}"))
-        .unwrap();
+    let sols =
+        db.query(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h a ex:DangerousFire }}")).unwrap();
     assert_eq!(sols.len(), 2);
 }
 
@@ -827,14 +848,11 @@ fn construct_deduplicates() {
 #[test]
 fn construct_rejects_unbound_template_var() {
     let mut db = fixture();
-    let r = db.construct(&format!(
-        "{PREFIXES} CONSTRUCT {{ ?zzz a ex:X }} WHERE {{ ?h a noa:Hotspot }}"
-    ));
+    let r = db
+        .construct(&format!("{PREFIXES} CONSTRUCT {{ ?zzz a ex:X }} WHERE {{ ?h a noa:Hotspot }}"));
     assert!(r.is_err());
     // And SELECT via construct() is an error.
-    assert!(db
-        .construct(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h a noa:Hotspot }}"))
-        .is_err());
+    assert!(db.construct(&format!("{PREFIXES} SELECT ?h WHERE {{ ?h a noa:Hotspot }}")).is_err());
 }
 
 // --- solution modifiers run in SPARQL's order ----------------------------
@@ -845,7 +863,10 @@ fn column(db: &mut Strabon, var: &str, query: &str) -> Vec<String> {
     (0..sols.len())
         .map(|i| {
             let t = sols.get(i, var).unwrap();
-            t.as_iri().map_or_else(|| t.lexical().unwrap().to_string(), |iri| iri.rsplit('/').next().unwrap().to_string())
+            t.as_iri().map_or_else(
+                || t.lexical().unwrap().to_string(),
+                |iri| iri.rsplit('/').next().unwrap().to_string(),
+            )
         })
         .collect()
 }
@@ -866,7 +887,9 @@ fn counted_fixture() -> Strabon {
 #[test]
 fn order_by_sees_aggregate_aliases() {
     let mut db = counted_fixture();
-    let q = |tail: &str| format!("SELECT ?img (COUNT(?h) AS ?n) WHERE {{ ?h noa:isDerivedFrom ?img }} GROUP BY ?img {tail}");
+    let q = |tail: &str| {
+        format!("SELECT ?img (COUNT(?h) AS ?n) WHERE {{ ?h noa:isDerivedFrom ?img }} GROUP BY ?img {tail}")
+    };
     assert_eq!(column(&mut db, "n", &q("")), ["1", "3", "2"], "first-seen group order");
     assert_eq!(column(&mut db, "n", &q("ORDER BY ?n")), ["1", "2", "3"]);
     assert_eq!(column(&mut db, "n", &q("ORDER BY DESC(?n)")), ["3", "2", "1"]);
@@ -886,7 +909,8 @@ fn order_by_sees_aggregate_aliases() {
 #[test]
 fn order_by_sees_projected_expression_aliases() {
     let mut db = fixture();
-    let q = |tail: &str| format!("SELECT ?h (?c * 2 AS ?d) WHERE {{ ?h noa:hasConfidence ?c }} {tail}");
+    let q =
+        |tail: &str| format!("SELECT ?h (?c * 2 AS ?d) WHERE {{ ?h noa:hasConfidence ?c }} {tail}");
     assert_eq!(column(&mut db, "h", &q("ORDER BY DESC(?d)")), ["h1", "h3", "h2"]);
     assert_eq!(column(&mut db, "h", &q("ORDER BY ?d")), ["h2", "h3", "h1"]);
     assert_eq!(column(&mut db, "d", &q("ORDER BY ?d")), ["0.8", "1.4", "1.8"]);
@@ -957,14 +981,23 @@ fn explain_shows_nested_bodies_under_outer_bindings() {
         (format!("FILTER NOT EXISTS {body}"), "filter not exists"),
     ] {
         let plan = db
-            .explain(&format!("PREFIX ex: <http://example.org/> SELECT ?s WHERE {{ ?s a ex:Rare . {nested} }}"))
+            .explain(&format!(
+                "PREFIX ex: <http://example.org/> SELECT ?s WHERE {{ ?s a ex:Rare . {nested} }}"
+            ))
             .unwrap();
         let lines: Vec<&str> = plan.lines().collect();
-        let at = lines.iter().position(|l| l.starts_with(&format!("  2. {label} (est "))).unwrap_or_else(|| panic!("{plan}"));
+        let at = lines
+            .iter()
+            .position(|l| l.starts_with(&format!("  2. {label} (est ")))
+            .unwrap_or_else(|| panic!("{plan}"));
         assert_eq!(lines[at + 1], "       1. match ?s <http://example.org/p> ?o (est 2)", "{plan}");
         assert_eq!(lines[at + 2], "       2. match ?o <http://example.org/q> ?z (est 2)", "{plan}");
         if label == "union" {
-            assert_eq!(lines[at + 3], "       1. match ?s <http://example.org/p> ?z (est 2)", "{plan}");
+            assert_eq!(
+                lines[at + 3],
+                "       1. match ?s <http://example.org/p> ?z (est 2)",
+                "{plan}"
+            );
         }
     }
     // A nested group's own spatial join prints with it.
@@ -974,7 +1007,10 @@ fn explain_shows_nested_bodies_under_outer_bindings() {
          FILTER(strdf:intersects(?g, \"POLYGON ((22 37, 23 37, 23 38, 22 38, 22 37))\"^^strdf:WKT)) }} }}"
     ));
     assert_eq!(plan.matches(". spatial ").count(), 1, "{plan}");
-    assert!(plan.contains("\n       1. spatial join intersects(?g, a POLYGON), binding ?g (est 1)\n"), "{plan}");
+    assert!(
+        plan.contains("\n       1. spatial join intersects(?g, a POLYGON), binding ?g (est 1)\n"),
+        "{plan}"
+    );
 }
 
 // --- the sidecar catches up in place ---------------------------------------
@@ -1016,16 +1052,26 @@ fn sidecar_follows_interleaved_writes_like_a_fresh_engine() {
     };
     check(&mut db, "load");
     let geom = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
-    let point = |x: f64, y: f64| Term::typed_literal(format!("POINT ({x} {y})"), "http://strdf.di.uoa.gr/ontology#WKT");
+    let point = |x: f64, y: f64| {
+        Term::typed_literal(format!("POINT ({x} {y})"), "http://strdf.di.uoa.gr/ontology#WKT")
+    };
     db.insert(&Term::iri("http://example.org/h4"), &geom, &point(22.5, 37.5));
     check(&mut db, "insert");
     // A write that interns no geometry leaves the tree alone.
-    db.insert(&Term::iri("http://example.org/h4"), &Term::iri("http://example.org/note"), &Term::literal("x"));
+    db.insert(
+        &Term::iri("http://example.org/h4"),
+        &Term::iri("http://example.org/note"),
+        &Term::literal("x"),
+    );
     check(&mut db, "non-spatial insert");
     // Writes around the engine, as the observatory's describers make them.
     let store = db.store_mut();
     store.insert_terms(&Term::iri("http://example.org/h6"), &geom, &point(23.5, 37.5));
-    store.insert_terms(&Term::iri("http://example.org/h6"), &Term::iri("http://example.org/note"), &Term::literal("y"));
+    store.insert_terms(
+        &Term::iri("http://example.org/h6"),
+        &Term::iri("http://example.org/note"),
+        &Term::literal("y"),
+    );
     check(&mut db, "store_mut insert");
     // Refinement's clip: DELETE the geometry, INSERT a computed one.
     let clip = format!(
@@ -1052,7 +1098,11 @@ fn replacing_the_store_forgets_its_geometries() {
     let mut other = Strabon::new();
     let geom = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
     for i in 0..40 {
-        other.insert(&Term::iri(format!("http://example.org/n{i}")), &geom, &Term::literal(format!("no geometry {i}")));
+        other.insert(
+            &Term::iri(format!("http://example.org/n{i}")),
+            &geom,
+            &Term::literal(format!("no geometry {i}")),
+        );
     }
     other.insert(
         &Term::iri("http://example.org/elsewhere"),
@@ -1082,7 +1132,9 @@ fn replacing_the_store_forgets_its_geometries() {
 #[test]
 fn geometry_lookup_follows_a_replaced_store() {
     let geom = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
-    let point = |x: f64| Term::typed_literal(format!("POINT ({x} {x})"), "http://strdf.di.uoa.gr/ontology#WKT");
+    let point = |x: f64| {
+        Term::typed_literal(format!("POINT ({x} {x})"), "http://strdf.di.uoa.gr/ontology#WKT")
+    };
     let mut db = Strabon::new();
     db.insert(&Term::iri("http://example.org/a"), &geom, &point(1.0));
     assert_eq!(served(&mut db, "POLYGON ((0 0, 3 0, 3 3, 0 3, 0 0))").len(), 1);
@@ -1104,7 +1156,11 @@ fn lookalike(like: &TripleStore) -> TripleStore {
     let mut out = TripleStore::new();
     let mut i = 0;
     while out.dictionary().len() + 3 < n {
-        out.insert_terms(&Term::iri(format!("http://example.org/n{i}")), &geom, &Term::literal(format!("no geometry {i}")));
+        out.insert_terms(
+            &Term::iri(format!("http://example.org/n{i}")),
+            &geom,
+            &Term::literal(format!("no geometry {i}")),
+        );
         i += 1;
     }
     while out.dictionary().len() + 1 < n {
@@ -1120,15 +1176,18 @@ fn lookalike(like: &TripleStore) -> TripleStore {
 
 fn triples_of(db: &Strabon) -> Vec<String> {
     let store = db.store();
-    let mut out: Vec<String> =
-        store.iter().map(|t| format!("{} {} {}", store.term(t.s), store.term(t.p), store.term(t.o))).collect();
+    let mut out: Vec<String> = store
+        .iter()
+        .map(|t| format!("{} {} {}", store.term(t.s), store.term(t.p), store.term(t.o)))
+        .collect();
     out.sort();
     out
 }
 
 #[test]
 fn insert_data_stores_the_terms_turtle_does() {
-    let body = "ex:s ex:p _:b1 , -3 , +5 , 1e3 , 2.50 , 007 , .5 , TRUE ; ex:Πελοπόννησος \"x\"@el .";
+    let body =
+        "ex:s ex:p _:b1 , -3 , +5 , 1e3 , 2.50 , 007 , .5 , TRUE ; ex:Πελοπόννησος \"x\"@el .";
     let mut loaded = Strabon::new();
     loaded.load_turtle(&format!("@prefix ex: <http://example.org/> .\n{body}")).unwrap();
     let mut inserted = Strabon::new();
@@ -1148,7 +1207,8 @@ fn numerals_loaded_from_turtle_match_the_same_spelling_in_a_pattern() {
         assert_eq!(sols.get(0, "s"), Some(&Term::iri(format!("http://example.org/{subject}"))));
     }
     // FILTER still compares by value.
-    let sols = db.query(&format!("{PREFIXES}SELECT ?s WHERE {{ ?s ex:p ?v FILTER(?v = 1000) }}")).unwrap();
+    let sols =
+        db.query(&format!("{PREFIXES}SELECT ?s WHERE {{ ?s ex:p ?v FILTER(?v = 1000) }}")).unwrap();
     assert_eq!(sols.len(), 1);
 }
 
@@ -1156,7 +1216,8 @@ fn numerals_loaded_from_turtle_match_the_same_spelling_in_a_pattern() {
 fn unicode_local_names_and_blank_nodes_can_be_named_in_a_query() {
     let mut db = Strabon::new();
     db.load_turtle("@prefix ex: <http://example.org/> .\nex:Πελοπόννησος ex:p _:b1 .").unwrap();
-    let sols = db.query(&format!("{PREFIXES}SELECT ?o WHERE {{ ex:Πελοπόννησος ex:p ?o }}")).unwrap();
+    let sols =
+        db.query(&format!("{PREFIXES}SELECT ?o WHERE {{ ex:Πελοπόννησος ex:p ?o }}")).unwrap();
     assert_eq!(sols.get(0, "o"), Some(&Term::blank("b1")));
     // In a pattern, `_:b1` is that node, not a variable.
     let sols = db.query(&format!("{PREFIXES}SELECT ?s WHERE {{ ?s ex:p _:b1 }}")).unwrap();
@@ -1168,7 +1229,10 @@ fn unicode_local_names_and_blank_nodes_can_be_named_in_a_query() {
 fn errors_carry_line_and_column() {
     let mut db = Strabon::new();
     let e = db.query("SELECT ?s\nWHERE {\n  ?s ?p }").unwrap_err();
-    assert_eq!(e.to_string(), "parse error at line 3, column 9: expected an RDF term, found RBrace");
+    assert_eq!(
+        e.to_string(),
+        "parse error at line 3, column 9: expected an RDF term, found RBrace"
+    );
     // Turtle errors keep their position and kind through `load_turtle`.
     let e = db.load_turtle("<http://x/s>\n  <http://x/p>\n  <http://x/o> ;;").unwrap_err();
     assert!(matches!(e, teleios_strabon::StrabonError::Parse { line: 3, column: 17, .. }), "{e:?}");

@@ -170,16 +170,22 @@ fi
 
 # The inline-or-parallel fork lives in WorkerPool::morsels_for only: a
 # kernel that tests the thread count itself has grown a second body.
-# Monet and SciQL run sequentially: no workload's tables or arrays
-# cross a parallel threshold, so a parallel path there comes back only
-# with a workload that does.
-echo "==> one fork site (no thread-count tests outside crates/exec; no pool in monet or sciql)"
+# Monet, SciQL and strabon's evaluator run sequentially: no workload's
+# tables, arrays or bindings cross a parallel threshold, so a parallel
+# path there comes back only with a workload that does. Strabon's one
+# pool user is the spatial sidecar's R-tree bulk load: lib.rs sizes
+# the pool and spatial.rs hands it to the bulk load.
+echo "==> one fork site (no thread-count tests outside crates/exec; no pool in monet, sciql or strabon's evaluator)"
 if grep -rnE 'threads\(\) *(<= *1|== *1)' crates/*/src --include='*.rs' | grep -v '^crates/exec/'; then
     echo "thread-count test outside crates/exec: route it through WorkerPool::morsels_for" >&2; exit 1
 fi
 if grep -rnE 'WorkerPool|teleios_exec' crates/monet/src crates/sciql/src --include='*.rs' \
     || grep -nE '^teleios-exec' crates/monet/Cargo.toml crates/sciql/Cargo.toml; then
     echo "monet and sciql are sequential: a parallel path needs a workload that crosses its threshold" >&2; exit 1
+fi
+if grep -rnE 'WorkerPool|morsels_for|concat' crates/strabon/src --include='*.rs' \
+    | grep -vE '^crates/strabon/src/(lib|spatial)\.rs:'; then
+    echo "strabon's evaluator is sequential: only the sidecar's bulk load (lib.rs, spatial.rs) takes the pool" >&2; exit 1
 fi
 
 # Rectangular regions of an array are walked by walk_runs in
