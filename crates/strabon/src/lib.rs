@@ -128,8 +128,8 @@ pub struct StrabonConfig {
     /// Expand `?x rdf:type C` patterns over the `rdfs:subClassOf`
     /// closure of `C` (RDFS subsumption over the in-store ontology).
     pub rdfs_inference: bool,
-    /// Worker threads for the spatial sidecar's R-tree bulk load, the
-    /// one pool user left in Strabon (statements run sequentially):
+    /// Worker threads for the spatial sidecar's R-tree bulk load,
+    /// Strabon's one pool user (statements run sequentially):
     /// `0` = the `TELEIOS_THREADS` / available-parallelism default,
     /// `1` = inline. The tree is the same at every setting.
     pub threads: usize,
