@@ -7,7 +7,8 @@
 //!   `STR`-range and spatial FILTERs against constant and variable
 //!   geometries; OPTIONAL, UNION, MINUS, FILTER [NOT] EXISTS, BIND
 //!   before and after a run; ORDER BY (aliases included), DISTINCT,
-//!   LIMIT/OFFSET; GROUP BY with the six aggregates;
+//!   LIMIT/OFFSET; GROUP BY with the six aggregates; spatial
+//!   selections over every feature's geometry;
 //!   `DELETE/INSERT … WHERE` including the two refinement shapes —
 //!   asserting that `optimize_bgp` × `use_spatial_index` never change
 //!   an answer or a store;
@@ -22,7 +23,7 @@
 //! BY, as a multiset otherwise — and by its row count alone when a
 //! LIMIT/OFFSET cuts an order nobody fixed.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use teleios_check::{forall, Gen, SplitMix64};
 use teleios_rdf::term::Term;
 use teleios_strabon::{Strabon, StrabonConfig};
@@ -328,17 +329,10 @@ fn gen_filter(g: &mut Gen, vars: &[&str]) -> Option<String> {
 }
 
 /// Draw `n` distinct atoms, mostly ones that join the variables in
-/// scope. A stray one keeps cross products in the mix, at most once
-/// per statement (`stray_left`): two multiply the archive's largest
-/// match counts (116 geometries) into millions of rows. The stray draw
-/// is the last choice, not the zero one: a shrink replays exhausted
-/// choices as zero, so its candidates join.
-fn gen_atoms<'a>(
-    g: &mut Gen,
-    n: usize,
-    vars: &mut Vec<&'a str>,
-    stray_left: &mut bool,
-) -> Vec<&'a str> {
+/// scope; a stray one, drawn from all of them, keeps cross products in
+/// the mix. The stray draw is the last choice, not the zero one: a
+/// shrink replays exhausted choices as zero, so its candidates join.
+fn gen_atoms<'a>(g: &mut Gen, n: usize, vars: &mut Vec<&'a str>) -> Vec<&'a str> {
     let mut chosen: Vec<&str> = Vec::new();
     for _ in 0..n {
         let joins = |atom: &(&str, &[&str])| atom.1.iter().any(|v| vars.contains(v));
@@ -347,8 +341,7 @@ fn gen_atoms<'a>(
             .filter(|a| !chosen.contains(&a.0) && (vars.is_empty() || joins(a)))
             .collect();
         let any: Vec<&(&str, &[&str])> = ATOMS.iter().filter(|a| !chosen.contains(&a.0)).collect();
-        let stray = g.below(8) == 7 && std::mem::take(stray_left);
-        let pool = if connected.is_empty() || stray { &any } else { &connected };
+        let pool = if connected.is_empty() || g.below(8) == 7 { &any } else { &connected };
         let (text, mentions) = *pool[g.below(pool.len())];
         chosen.push(text);
         for v in mentions {
@@ -364,15 +357,10 @@ fn gen_atoms<'a>(
 /// FILTERs, a BIND (and a pattern joining on its target) and — at
 /// depth 0 — nested groups. `vars` gains the variables a projection may
 /// name: those the top level binds for certain.
-fn gen_group<'a>(
-    g: &mut Gen,
-    depth: usize,
-    vars: &mut Vec<&'a str>,
-    stray_left: &mut bool,
-) -> String {
+fn gen_group<'a>(g: &mut Gen, depth: usize, vars: &mut Vec<&'a str>) -> String {
     let n = if depth == 0 { g.size(1..6) } else { g.size(1..3) };
     let mut elements: Vec<String> =
-        gen_atoms(g, n, vars, stray_left).into_iter().map(|a| format!("{a} .")).collect();
+        gen_atoms(g, n, vars).into_iter().map(|a| format!("{a} .")).collect();
     let mut scope = vars.clone();
     let at = |g: &mut Gen, len: usize| g.below(len + 1);
     for _ in 0..g.below(3) {
@@ -397,8 +385,8 @@ fn gen_group<'a>(
     }
     if depth == 0 {
         for _ in 0..g.below(3) {
-            let mut body = |g: &mut Gen, scope: &mut Vec<&'a str>| {
-                let inner = gen_group(g, depth + 1, scope, stray_left);
+            let body = |g: &mut Gen, scope: &mut Vec<&'a str>| {
+                let inner = gen_group(g, depth + 1, scope);
                 format!("{{ {inner} }}")
             };
             let nested = match g.below(5) {
@@ -423,9 +411,24 @@ struct Case {
     agree: Agree,
 }
 
+/// A spatial selection over every feature's geometry, the FILTER
+/// before or after the pattern. Each survivor of a spatial join is an
+/// answer row here; in a [`gen_select`] statement, hotspot, image or
+/// site patterns drop the survivors of the other kinds.
+fn gen_spatial_selection(g: &mut Gen) -> Case {
+    let filter = gen_filter(g, &["hg"]).expect("a geometry variable takes a FILTER");
+    let pattern = "?f strdf:hasGeometry ?hg .";
+    let body = if g.bool() { format!("{filter} {pattern}") } else { format!("{pattern} {filter}") };
+    Case { text: format!("{PREFIXES}SELECT ?f ?hg WHERE {{ {body} }}"), agree: Agree::Multiset }
+}
+
+/// A generated SELECT; one in eight is a [`gen_spatial_selection`].
 fn gen_select(g: &mut Gen) -> Case {
+    if g.below(8) == 7 {
+        return gen_spatial_selection(g);
+    }
     let mut vars: Vec<&str> = Vec::new();
-    let body = gen_group(g, 0, &mut vars, &mut true);
+    let body = gen_group(g, 0, &mut vars);
     let distinct = if g.below(4) == 0 { "DISTINCT " } else { "" };
     // Projected names, and whether ORDER BY over all of them is total.
     let (projection, group_by, names): (String, String, Vec<String>) = match g.below(6) {
@@ -540,7 +543,7 @@ fn gen_updates(g: &mut Gen) -> Vec<String> {
             }
             1 => {
                 let mut vars = vec!["h", "c"];
-                let extra = gen_group(g, 0, &mut vars, &mut true);
+                let extra = gen_group(g, 0, &mut vars);
                 out.push(format!(
                     "{PREFIXES}DELETE {{ ?h noa:hasConfidence ?c }} INSERT {{ ?h noa:hasConfidence ?less }} \
                      WHERE {{ ?h noa:hasConfidence ?c . {extra} BIND(?c / 2 AS ?less) }}"
@@ -558,7 +561,7 @@ fn gen_updates(g: &mut Gen) -> Vec<String> {
             _ => {
                 // A generated WHERE under templates over what it binds.
                 let mut vars = vec!["h", "chain"];
-                let body = gen_group(g, 0, &mut vars, &mut true);
+                let body = gen_group(g, 0, &mut vars);
                 let v = vars[g.below(vars.len())];
                 out.push(format!(
                     "{PREFIXES}DELETE {{ ?h noa:producedByChain ?chain }} INSERT {{ ?h noa:touchedBy ?{v} }} \
@@ -570,13 +573,67 @@ fn gen_updates(g: &mut Gen) -> Vec<String> {
     out
 }
 
-/// 256 generated SELECTs, each under all four configurations.
+/// The most bindings a step of a generated statement may be estimated
+/// to leave for the statement to run: stray atoms chain into cross
+/// products, and a few statements would walk millions of bindings,
+/// for minutes and gigabytes each.
+const PEAK_ESTIMATE: f64 = 1e6;
+
+/// `text` with its `BIND(… AS ?v)` clauses cut out.
+fn without_binds(text: &str) -> String {
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some(at) = rest.find("BIND(") {
+        out.push_str(&rest[..at]);
+        rest = &rest[at..];
+        let mut depth = 0;
+        let end = rest.char_indices().find_map(|(i, c)| {
+            depth += match c {
+                '(' => 1,
+                ')' => -1,
+                _ => 0,
+            };
+            (c == ')' && depth == 0).then_some(i + 1)
+        });
+        rest = &rest[end.unwrap_or(rest.len())..];
+    }
+    out + rest
+}
+
+/// The largest `(est N)` in the plans of `text` without its BINDs,
+/// under every configuration. The planner takes a BIND's target as
+/// bound, though a BIND over an unbound variable leaves it unbound;
+/// without the BIND, a pattern on the target counts all its matches.
+fn peak_estimate(engines: &mut [Strabon], text: &str) -> f64 {
+    let text = without_binds(text);
+    let mut peak = 0.0_f64;
+    for db in engines {
+        for line in db.explain(&text).unwrap_or_default().lines() {
+            let est =
+                line.rsplit_once("(est ").and_then(|(_, n)| n.strip_suffix(')')?.parse().ok());
+            peak = peak.max(est.unwrap_or(0.0));
+        }
+    }
+    peak
+}
+
+/// 256 generated SELECTs, each under all four configurations, except
+/// those estimated past [`PEAK_ESTIMATE`] bindings: at most one in
+/// sixteen is skipped.
 #[test]
 fn generated_queries_agree_across_configurations() {
     let engines = RefCell::new(configs().into_iter().map(archive).collect::<Vec<_>>());
+    let skipped = Cell::new(0);
     forall(gen_select, |case| {
-        assert_query_agrees(&mut engines.borrow_mut(), &case.text, case.agree)
+        let mut engines = engines.borrow_mut();
+        if peak_estimate(&mut engines, &case.text) > PEAK_ESTIMATE {
+            skipped.set(skipped.get() + 1);
+            return;
+        }
+        assert_query_agrees(&mut engines, &case.text, case.agree)
     });
+    let skipped = skipped.get();
+    assert!(skipped <= teleios_check::CASES / 16, "{skipped} generated statements skipped");
 }
 
 /// Generated update sequences leave equal stores behind (a quarter of
