@@ -1278,3 +1278,229 @@ fn deeply_nested_updates_are_rejected_not_overflowed() {
         assert!(!parses_on_a_default_thread(bomb, true));
     }
 }
+
+// --- expression semantics over variables bound from the store --------------
+
+const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
+
+/// One subject whose objects are every kind of term the expression
+/// table reads: plain literals that parse as numbers (`"10"`, `"9"`,
+/// `"NaN"`, `"inf"`), an IRI, a blank node, typed, plain and
+/// language-tagged `"a"`, `xsd:boolean` `"1"`/`"0"`/`"yes"`, `""`,
+/// integers (one past `i64::MAX`) and a decimal.
+fn expression_fixture() -> Strabon {
+    let mut db = Strabon::new();
+    db.load_turtle(
+        r#"
+@prefix ex: <http://example.org/> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+ex:a ex:ten "10" ; ex:nine "9" ; ex:nan "NaN" ; ex:inf "inf" ;
+    ex:iri ex:thing ; ex:blank _:b1 ;
+    ex:typed "a"^^ex:dt ; ex:plain "a" ; ex:lang "a"@en ;
+    ex:t1 "1"^^xsd:boolean ; ex:f0 "0"^^xsd:boolean ; ex:yes "yes"^^xsd:boolean ;
+    ex:empty "" ; ex:big "9223372036854775808"^^xsd:integer ;
+    ex:two 2 ; ex:three 3 ; ex:zero 0 ; ex:half 0.5 .
+"#,
+    )
+    .unwrap();
+    db
+}
+
+/// The WHERE clause binding every variable of [`expression_fixture`],
+/// plus `?nope`, left unbound by an OPTIONAL that matches nothing.
+const BOUND_ROW: &str = "ex:a ex:ten ?ten ; ex:nine ?nine ; ex:nan ?nan ; ex:inf ?inf ; \
+     ex:iri ?iri ; ex:blank ?blank ; ex:typed ?typed ; ex:plain ?plain ; ex:lang ?lang ; \
+     ex:t1 ?t1 ; ex:f0 ?f0 ; ex:yes ?yes ; ex:empty ?empty ; ex:big ?big ; \
+     ex:two ?two ; ex:three ?three ; ex:zero ?zero ; ex:half ?half . \
+     OPTIONAL { ex:a ex:missing ?nope }";
+
+fn xsd(lexical: &str, datatype: &str) -> Option<Term> {
+    Some(Term::typed_literal(lexical, format!("{XSD}{datatype}")))
+}
+
+fn plain(lexical: &str) -> Option<Term> {
+    Some(Term::literal(lexical))
+}
+
+fn boolean(b: bool) -> Option<Term> {
+    Some(Term::boolean(b))
+}
+
+/// Each expression over [`BOUND_ROW`]: its value (`None` for the
+/// SPARQL error value) as a projected `(e AS ?v)` and as a `BIND`, and
+/// whether `FILTER(e)` keeps the row.
+#[test]
+fn expressions_over_bound_variables_agree_in_every_position() {
+    let table: &[(&str, Option<Term>, bool)] = &[
+        // Plain literals that parse as numbers compare as numbers.
+        ("?ten > ?nine", boolean(true), true),
+        ("STR(?ten) > STR(?nine)", boolean(true), true),
+        ("?ten = \"10.0\"", boolean(true), true),
+        ("?nan = ?nan", boolean(false), false),
+        ("?nan != ?nan", boolean(true), true),
+        ("?nan < ?ten", None, false),
+        ("?inf > ?ten", boolean(true), true),
+        ("?plain < \"b\"", boolean(true), true),
+        ("?plain < ?ten", boolean(false), false),
+        // IRIs are equal or not, but not ordered.
+        ("?iri < ?iri", None, false),
+        ("?iri = ?iri", boolean(true), true),
+        ("?iri = \"http://example.org/thing\"", boolean(false), false),
+        ("?iri != ?plain", boolean(true), true),
+        // STR of each kind of term.
+        ("STR(?iri)", plain("http://example.org/thing"), true),
+        ("STR(?blank)", plain("_:b1"), true),
+        ("STR(?typed)", plain("a"), true),
+        ("STR(?lang)", plain("a"), true),
+        ("STR(?two)", plain("2"), true),
+        ("STR(?two + ?three)", plain("5"), true),
+        ("STR(?two < ?three)", plain("true"), true),
+        // STR(?x) = "a" against plain, typed and tagged constants.
+        ("STR(?plain) = \"a\"", boolean(true), true),
+        ("STR(?typed) = \"a\"", boolean(true), true),
+        ("STR(?lang) = \"a\"", boolean(true), true),
+        ("STR(?plain) = \"a\"@en", boolean(false), false),
+        ("STR(?plain) = \"a\"^^<http://example.org/dt>", boolean(false), false),
+        ("?typed = \"a\"^^<http://example.org/dt>", boolean(true), true),
+        ("?lang = \"a\"", boolean(false), false),
+        ("?lang = \"a\"@en", boolean(true), true),
+        ("STR(?lang) < \"b\"@en", boolean(true), true),
+        // Effective boolean values.
+        ("?t1", xsd("1", "boolean"), true),
+        ("?f0", xsd("0", "boolean"), false),
+        ("!?t1", boolean(false), false),
+        ("!?f0", boolean(true), true),
+        ("!?yes", None, false),
+        ("!?empty", boolean(true), true),
+        ("!?plain", boolean(false), false),
+        ("!?lang", boolean(false), false),
+        ("!?typed", None, false),
+        ("!?nan", boolean(true), true),
+        ("!?zero", boolean(true), true),
+        ("!?iri", None, false),
+        ("?ten", plain("10"), true),
+        ("?empty", plain(""), false),
+        // Arithmetic keeps integers integral and reports errors.
+        ("?two + ?three", xsd("5", "integer"), true),
+        ("?two - ?three", xsd("-1", "integer"), true),
+        ("?two * ?three", xsd("6", "integer"), true),
+        ("?three / ?two", xsd("1.5", "double"), true),
+        ("?two / ?zero", None, false),
+        ("?two * ?half", xsd("1", "double"), true),
+        ("?ten + 1", xsd("11", "double"), true),
+        ("?big + 0", xsd("9223372036854775807", "integer"), true),
+        ("?big * 2", xsd("9223372036854775807", "integer"), true),
+        ("-?two", xsd("-2", "integer"), true),
+        ("-?big", xsd("-9223372036854775808", "integer"), true),
+        ("-?half", xsd("-0.5", "double"), true),
+        ("-?zero", xsd("0", "integer"), false),
+        ("?zero - ?zero", xsd("0", "integer"), false),
+        ("?nan + 1", xsd("NaN", "double"), false),
+        ("?plain + 1", None, false),
+        ("?two + ?nope", None, false),
+        ("ABS(-?two)", xsd("2", "integer"), true),
+        ("(?two + ?three) * ?two = 10", boolean(true), true),
+        // AND/OR with an error on either side, BOUND on an unbound slot.
+        ("?nan < ?ten || true", boolean(true), true),
+        ("true || ?nan < ?ten", boolean(true), true),
+        ("?nan < ?ten || false", None, false),
+        ("?nan < ?ten && false", boolean(false), false),
+        ("false && ?nan < ?ten", boolean(false), false),
+        ("?nan < ?ten && true", None, false),
+        ("true && ?iri < ?iri", None, false),
+        ("?nope = 1 || ?t1", boolean(true), true),
+        ("BOUND(?nope)", boolean(false), false),
+        ("!BOUND(?nope)", boolean(true), true),
+        ("BOUND(?two)", boolean(true), true),
+        ("?nope", None, false),
+        // Builtins over bound terms.
+        ("DATATYPE(?two)", Some(Term::iri(format!("{XSD}integer"))), false),
+        ("DATATYPE(?plain)", Some(Term::iri(format!("{XSD}string"))), false),
+        ("DATATYPE(?lang)", None, false),
+        ("LANG(?lang)", plain("en"), true),
+        ("ISNUMERIC(?ten)", boolean(true), true),
+        ("ISIRI(?iri) && ISBLANK(?blank) && ISLITERAL(?lang)", boolean(true), true),
+        ("STRLEN(?ten)", xsd("2", "integer"), true),
+        ("UCASE(?lang)", plain("A"), true),
+        ("CONCAT(?plain, ?ten, ?two)", plain("a102"), true),
+        ("CONTAINS(STR(?iri), \"thing\")", boolean(true), true),
+        ("REGEX(?plain, \"A\", \"i\")", boolean(true), true),
+        ("STRSTARTS(?iri, \"http\")", None, false),
+        ("IF(?t1, ?two, ?three)", xsd("2", "integer"), true),
+        ("IF(?yes, ?two, ?three)", None, false),
+        ("COALESCE(?two, ?nope)", None, false),
+        // COALESCE returns its first argument that is no error, and IF
+        // evaluates only the branch it takes (SPARQL 1.1 §17.4.1).
+        ("COALESCE(?nope, 1)", None, false),
+        ("COALESCE(?nope, ?two / ?zero, ?plain)", None, false),
+        ("IF(true, 1, ?nope)", None, false),
+        ("IF(?f0, ?nope, ?three)", None, false),
+    ];
+    let mut db = expression_fixture();
+    let mut failures = Vec::new();
+    for (expr, want, keeps) in table {
+        let ask = |db: &mut Strabon, body: &str, head: &str| {
+            db.query(&format!("PREFIX ex: <http://example.org/> SELECT {head} WHERE {{ {body} }}"))
+                .unwrap_or_else(|e| panic!("{expr}: {e}"))
+        };
+        let projected = ask(&mut db, BOUND_ROW, &format!("({expr} AS ?v)"));
+        let bound = ask(&mut db, &format!("{BOUND_ROW} BIND({expr} AS ?v)"), "?v");
+        let filtered = ask(&mut db, &format!("{BOUND_ROW} FILTER({expr})"), "?ten");
+        let got = (projected.get(0, "v").cloned(), bound.get(0, "v").cloned(), filtered.len());
+        if got != (want.clone(), want.clone(), usize::from(*keeps)) {
+            failures.push(format!("{expr}: got {got:?}, want {want:?} keeping {keeps}"));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// MIN and MAX keep the first of equal values; ORDER BY puts unbound
+/// and erroring keys first, IRIs before literals, numbers by value.
+#[test]
+fn aggregates_and_order_keys_over_bound_variables() {
+    let mut db = Strabon::new();
+    db.load_turtle(
+        r#"
+@prefix ex: <http://example.org/> .
+ex:r1 ex:k "10" . ex:r2 ex:k 1.0 . ex:r3 ex:k 1 . ex:r4 ex:k "01" .
+ex:r5 ex:k ex:thing . ex:r6 ex:k 12 . ex:r7 ex:other 0 .
+"#,
+    )
+    .unwrap();
+    let prefix = "PREFIX ex: <http://example.org/>";
+    let mut rows = |q: &str| -> Vec<Vec<String>> {
+        let sols = db.query(&format!("{prefix} {q}")).unwrap();
+        sols.rows
+            .iter()
+            .map(|r| r.iter().map(|t| t.as_ref().map_or("-".into(), |t| t.to_string())).collect())
+            .collect()
+    };
+    let walked = rows("SELECT ?k WHERE { ?r ex:k ?k }");
+    // The first of the values equal to 1, in the order the walk meets them.
+    let first_one = walked
+        .iter()
+        .map(|r| r[0].clone())
+        .find(|k| k.split('"').nth(1).and_then(|l| l.parse::<f64>().ok()) == Some(1.0))
+        .expect("a value equal to 1");
+    let aggregated =
+        rows("SELECT (MIN(?k) AS ?lo) (MAX(?k) AS ?hi) (COUNT(?k) AS ?n) WHERE { ?r ex:k ?k . FILTER(!ISIRI(?k)) }");
+    assert_eq!(aggregated[0][0], first_one, "MIN keeps the first of equal values: {walked:?}");
+    assert_eq!(aggregated[0][1], "\"12\"^^<http://www.w3.org/2001/XMLSchema#integer>");
+    assert_eq!(aggregated[0][2], "\"5\"^^<http://www.w3.org/2001/XMLSchema#integer>");
+    let max_of_equal = rows("SELECT (MAX(?k) AS ?hi) WHERE { ?r ex:k ?k . FILTER(?k = 1) }");
+    assert_eq!(max_of_equal[0][0], first_one, "MAX keeps the first of equal values");
+    let mut order = |key: &str| -> Vec<String> {
+        let sols = db
+            .query(&format!(
+                "{prefix} SELECT ?r WHERE {{ ?r ?p ?any OPTIONAL {{ ?r ex:k ?k }} }} ORDER BY {key} ?r"
+            ))
+            .unwrap();
+        (0..sols.len())
+            .map(|i| sols.get(i, "r").unwrap().to_string().replace("http://example.org/", ""))
+            .collect()
+    };
+    assert_eq!(order("?k"), ["<r7>", "<r5>", "<r2>", "<r3>", "<r4>", "<r1>", "<r6>"]);
+    assert_eq!(order("DESC(?k)"), ["<r6>", "<r1>", "<r2>", "<r3>", "<r4>", "<r5>", "<r7>"]);
+    // `?k * 1` errs on the IRI and is unbound on r7: both sort first.
+    assert_eq!(order("ASC(?k * 1)"), ["<r5>", "<r7>", "<r2>", "<r3>", "<r4>", "<r1>", "<r6>"]);
+}
