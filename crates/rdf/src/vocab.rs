@@ -23,7 +23,7 @@ pub mod xsd {
     /// `xsd:integer`.
     pub const INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
     /// `xsd:double`.
-    pub(crate) const DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
+    pub const DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
     /// `xsd:boolean`.
     pub const BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
     /// `xsd:dateTime`.

@@ -4,8 +4,10 @@
 //! the same steps:
 //!
 //! 1. `prepare` catches the spatial sidecar up with the dictionary,
-//!    collects the statement's variables, parses its constant
-//!    geometries and builds its one `Env`;
+//!    collects the statement's variables, lowers every FILTER, BIND,
+//!    projected, ORDER BY and aggregate expression once (slots for
+//!    variables, function variants for names, constants with their
+//!    numbers and geometries: `expr::lower`) and builds its one `Env`;
 //! 2. `plan_group` orders each BGP run on a cardinality carried from
 //!    step to step (E4) and recurses into nested groups, once per
 //!    statement. A pattern's fanout is its constants' match count
@@ -38,17 +40,14 @@
 
 use crate::ast::*;
 use crate::expr::{
-    eval_expression, eval_filter, order_terms, spatial_function, Binding, Bound, Env, Operand,
-    SpatialFn, SpatialTest, VarTable,
+    eval, eval_group, lower, order, Aggregate, Binding, Bound, Env, Func, Lowered, Operand,
+    SpatialFn, SpatialTest, Value, VarTable,
 };
 use crate::spatial::window;
 use crate::{Result, Solutions, Strabon, StrabonError};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
-use teleios_geo::Geometry;
 use teleios_rdf::dictionary::TermId;
-use teleios_rdf::strdf;
 use teleios_rdf::term::Term;
 use teleios_rdf::triple::TriplePattern;
 use teleios_rdf::vocab;
@@ -56,11 +55,11 @@ use teleios_rdf::vocab;
 /// Step 1 of every statement: catch the sidecar up with the store,
 /// register the variables of the WHERE clause, then of a SELECT's
 /// projection and ORDER BY, reject template variables the WHERE clause
-/// cannot bind, parse the WHERE clause's constant geometries once, and
-/// build the statement's environment.
+/// cannot bind, lower the statement's expressions once, and build its
+/// environment.
 pub(crate) fn prepare<'a, 't>(
     engine: &'a mut Strabon,
-    where_clause: &GroupPattern,
+    where_clause: &'a GroupPattern,
     select: Option<&SelectQuery>,
     templates: impl IntoIterator<Item = &'t TemplateTriple>,
 ) -> Result<Env<'a>> {
@@ -83,37 +82,80 @@ pub(crate) fn prepare<'a, 't>(
             }
         }
     }
-    let mut constants = HashMap::new();
-    collect_group_geometries(where_clause, &mut constants);
+    let pattern = lower_group(where_clause, &mut vars);
+    let (mut projected, mut order_by) = (Vec::new(), Vec::new());
+    if let Some(q) = select {
+        if let Projection::Vars(items) = &q.projection {
+            for item in items {
+                if let ProjectionItem::Expr { expr, var } = item {
+                    projected.push((vars.slot(var), lower(expr, &mut vars)));
+                }
+            }
+        }
+        order_by = q.order_by.iter().map(|k| (lower(&k.expr, &mut vars), k.desc)).collect();
+    }
     Ok(Env {
         store: &engine.store,
         spatial: &engine.spatial,
         vars,
         config: engine.config,
-        constants,
+        pattern,
+        projected,
+        order_by,
     })
 }
 
-/// Parse every constant geometry in the FILTER and BIND expressions of
-/// `g` and its nested groups, keyed for [`Env::constant_geometry`].
-fn collect_group_geometries(g: &GroupPattern, out: &mut HashMap<usize, Arc<Geometry>>) {
-    for_each_element(g, &mut |el| {
-        if let PatternElement::Filter(e) | PatternElement::Bind { expr: e, .. } = el {
-            for_each_node(e, &mut |n| {
-                if let Expression::Const(t) = n {
-                    if let Ok((geometry, _)) = strdf::parse_geometry(t) {
-                        out.insert(std::ptr::from_ref(n).addr(), Arc::new(geometry));
-                    }
-                }
-            })
-        }
-    });
+/// A WHERE clause element with its expressions lowered.
+pub(crate) enum Element<'q> {
+    Triple(&'q PatternTriple),
+    Filter(Lowered),
+    Bind {
+        expr: Lowered,
+        slot: usize,
+    },
+    Optional(Vec<Element<'q>>),
+    Union(Vec<Vec<Element<'q>>>),
+    /// `shared`: the slots of the variables the body mentions.
+    Minus {
+        body: Vec<Element<'q>>,
+        shared: Vec<usize>,
+    },
+    Exists {
+        body: Vec<Element<'q>>,
+        negated: bool,
+    },
+}
+
+fn lower_group<'q>(g: &'q GroupPattern, vars: &mut VarTable) -> Vec<Element<'q>> {
+    g.elements
+        .iter()
+        .map(|el| match el {
+            PatternElement::Triple(t) => Element::Triple(t),
+            PatternElement::Filter(e) => Element::Filter(lower(e, vars)),
+            PatternElement::Bind { expr, var } => {
+                Element::Bind { expr: lower(expr, vars), slot: vars.slot(var) }
+            }
+            PatternElement::Optional(inner) => Element::Optional(lower_group(inner, vars)),
+            PatternElement::Union(branches) => {
+                Element::Union(branches.iter().map(|b| lower_group(b, vars)).collect())
+            }
+            PatternElement::Minus(inner) => {
+                let mut mentioned = VarTable::default();
+                collect_group_vars(inner, &mut mentioned);
+                let shared = mentioned.names().iter().map(|v| vars.slot(v)).collect();
+                Element::Minus { body: lower_group(inner, vars), shared }
+            }
+            PatternElement::FilterExists { group: inner, negated } => {
+                Element::Exists { body: lower_group(inner, vars), negated: *negated }
+            }
+        })
+        .collect()
 }
 
 /// Steps 2 and 3: plan the WHERE clause, walk it from the one empty
 /// solution.
-pub(crate) fn solve(env: &Env<'_>, where_clause: &GroupPattern) -> Vec<Binding> {
-    let (plan, _) = plan_group(env, where_clause, &mut HashSet::new(), 1.0);
+pub(crate) fn solve(env: &Env<'_>) -> Vec<Binding> {
+    let (plan, _) = plan_group(env, &env.pattern, &mut HashSet::new(), 1.0);
     walk(env, &plan, vec![env.vars.empty_binding()])
 }
 
@@ -122,12 +164,12 @@ pub fn evaluate_query(engine: &mut Strabon, query: &Query) -> Result<Solutions> 
     match query {
         Query::Select(q) => {
             let env = prepare(engine, &q.where_clause, Some(q), [])?;
-            let rows = solve(&env, &q.where_clause);
+            let rows = solve(&env);
             finish(&env, q, rows)
         }
         Query::Ask(q) => {
             let env = prepare(engine, &q.where_clause, None, [])?;
-            let found = !solve(&env, &q.where_clause).is_empty();
+            let found = !solve(&env).is_empty();
             Ok(Solutions { vars: vec!["ask".into()], rows: vec![vec![Some(Term::boolean(found))]] })
         }
         Query::Construct(_) => {
@@ -144,7 +186,7 @@ pub(crate) fn evaluate_construct(
 ) -> Result<Vec<(Term, Term, Term)>> {
     let env = prepare(engine, &q.where_clause, None, &q.template)?;
     let mut out: Vec<(Term, Term, Term)> = Vec::new();
-    for b in &solve(&env, &q.where_clause) {
+    for b in &solve(&env) {
         crate::update::instantiate(&env, b, &q.template, &mut out);
     }
     // Set semantics: CONSTRUCT produces a graph.
@@ -171,32 +213,39 @@ fn finish(env: &Env<'_>, q: &SelectQuery, mut rows: Vec<Binding>) -> Result<Solu
         rows = aggregate(env, q, items, &rows)?;
     } else {
         for b in &mut rows {
-            extend(env, items, b, |b, expr| eval_expression(env, b, expr));
+            extend(env, b, |b, expr| eval(env, b, expr).map(Value::into_term));
         }
     }
 
-    if !q.order_by.is_empty() {
-        let mut keyed: Vec<(Vec<Option<Term>>, Binding)> = rows
-            .into_iter()
-            .map(|b| (q.order_by.iter().map(|k| eval_expression(env, &b, &k.expr)).collect(), b))
-            .collect();
-        keyed.sort_by(|(x, _), (y, _)| {
-            let by_key = |(i, k): (usize, &OrderKey)| {
-                let ord = order_terms(&x[i], &y[i]);
-                if k.desc {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            };
-            q.order_by
+    let keys = env.order_by.len();
+    if keys > 0 {
+        // Every row's keys in one list, borrowed from the rows; the sort
+        // permutes row numbers.
+        let sorted: Vec<usize> = {
+            let key: Vec<Option<Value<'_>>> = rows
                 .iter()
-                .enumerate()
-                .map(by_key)
-                .find(|ord| ord.is_ne())
-                .unwrap_or(Ordering::Equal)
-        });
-        rows = keyed.into_iter().map(|(_, b)| b).collect();
+                .flat_map(|b| env.order_by.iter().map(move |(e, _)| eval(env, b, e)))
+                .collect();
+            let mut sorted: Vec<usize> = (0..rows.len()).collect();
+            sorted.sort_by(|&x, &y| {
+                let by_key = |(i, (_, desc)): (usize, &(Lowered, bool))| {
+                    let ord = order(key[x * keys + i].as_ref(), key[y * keys + i].as_ref());
+                    if *desc {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                };
+                env.order_by
+                    .iter()
+                    .enumerate()
+                    .map(by_key)
+                    .find(|ord| ord.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            });
+            sorted
+        };
+        rows = sorted.into_iter().map(|i| std::mem::take(&mut rows[i])).collect();
     }
 
     let vars: Vec<String> = match &q.projection {
@@ -230,28 +279,16 @@ fn finish(env: &Env<'_>, q: &SelectQuery, mut rows: Vec<Binding>) -> Result<Solu
 
 /// Bind each `(expr AS ?v)` of the projection to `value(expr)` in
 /// `?v`'s slot, in order, so a later item may read an earlier alias.
-fn extend(
-    env: &Env<'_>,
-    items: &[ProjectionItem],
-    b: &mut Binding,
-    value: impl Fn(&Binding, &Expression) -> Option<Term>,
-) {
-    for item in items {
-        if let ProjectionItem::Expr { expr, var } = item {
-            if let Some(slot) = env.vars.get(var) {
-                b[slot] = value(b, expr).map(Bound::Computed);
-            }
-        }
+fn extend(env: &Env<'_>, b: &mut Binding, value: impl Fn(&Binding, &Lowered) -> Option<Term>) {
+    for (slot, expr) in &env.projected {
+        b[*slot] = value(b, expr).map(Bound::Computed);
     }
 }
-
-const AGGREGATE_NAMES: [&str; 6] = ["COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE"];
 
 fn expr_has_aggregate(e: &Expression) -> bool {
     let mut found = false;
     for_each_node(e, &mut |n| {
-        found |=
-            matches!(n, Expression::Call { name, .. } if AGGREGATE_NAMES.contains(&name.as_str()));
+        found |= matches!(n, Expression::Call { name, .. } if Aggregate::named(name).is_some());
     });
     found
 }
@@ -307,69 +344,10 @@ fn aggregate(
                 b[s] = first[s].clone();
             }
         }
-        extend(env, items, &mut b, |_, expr| eval_aggregate_expr(env, expr, members));
+        extend(env, &mut b, |_, expr| eval_group(env, expr, members).map(Value::into_term));
         b
     };
     Ok(groups.iter().map(collapse).collect())
-}
-
-/// Evaluate an expression that may contain aggregate calls over a group.
-fn eval_aggregate_expr(env: &Env<'_>, expr: &Expression, group: &[&Binding]) -> Option<Term> {
-    match expr {
-        Expression::Call { name, args } if AGGREGATE_NAMES.contains(&name.as_str()) => {
-            // COUNT(*): every solution counts.
-            if args.is_empty() {
-                return Some(Term::int(group.len() as i64));
-            }
-            // Per-member argument values (unbound/error skipped, as SPARQL
-            // aggregates ignore error values).
-            let values: Vec<Term> =
-                group.iter().filter_map(|b| eval_expression(env, b, &args[0])).collect();
-            match name.as_str() {
-                "COUNT" => Some(Term::int(values.len() as i64)),
-                "SAMPLE" => values.first().cloned(),
-                "SUM" | "AVG" => {
-                    let nums: Vec<f64> = values.iter().filter_map(Term::as_f64).collect();
-                    if nums.is_empty() {
-                        return if name == "SUM" { Some(Term::int(0)) } else { None };
-                    }
-                    let sum: f64 = nums.iter().sum();
-                    if name == "AVG" {
-                        Some(Term::double(sum / nums.len() as f64))
-                    } else if values.iter().all(|t| t.datatype() == Some(vocab::xsd::INTEGER)) {
-                        Some(Term::int(sum as i64))
-                    } else {
-                        Some(Term::double(sum))
-                    }
-                }
-                // The first of equal values stays.
-                "MIN" | "MAX" => {
-                    let wanted = if name == "MIN" { Ordering::Less } else { Ordering::Greater };
-                    values.into_iter().reduce(|best, v| {
-                        if order_terms(&Some(v.clone()), &Some(best.clone())) == wanted {
-                            v
-                        } else {
-                            best
-                        }
-                    })
-                }
-                _ => None,
-            }
-        }
-        Expression::Binary { op, left, right } => {
-            // Arithmetic over aggregate results, e.g. SUM(?x) / COUNT(?x).
-            let l = eval_aggregate_expr(env, left, group)?;
-            let r = eval_aggregate_expr(env, right, group)?;
-            let combined = Expression::Binary {
-                op: *op,
-                left: Box::new(Expression::Const(l)),
-                right: Box::new(Expression::Const(r)),
-            };
-            eval_expression(env, &Vec::new(), &combined)
-        }
-        // Non-aggregate sub-expression: evaluate on the first member.
-        other => group.first().and_then(|b| eval_expression(env, b, other)),
-    }
 }
 
 /// Fraction of its input a FILTER is costed to keep. One constant for
@@ -385,7 +363,7 @@ type Plan<'q> = Vec<(Step<'q>, f64)>;
 enum Step<'q> {
     /// One join of a BGP run.
     Scan(Scan<'q>),
-    Filter(&'q Expression),
+    Filter(&'q Lowered),
     /// A spatial FILTER on the sidecar. As a join (`binds` the slot of
     /// the variable argument), the constant `test.args[probe]` probes
     /// the R-tree once and each solution is extended by every candidate
@@ -402,10 +380,10 @@ enum Step<'q> {
     /// `shared`: the slots of the variables the body mentions.
     Minus {
         plan: Plan<'q>,
-        shared: Vec<usize>,
+        shared: &'q [usize],
     },
     Bind {
-        expr: &'q Expression,
+        expr: &'q Lowered,
         slot: usize,
     },
     Exists {
@@ -453,7 +431,7 @@ impl Scan<'_> {
 
 /// A FILTER of the group not placed yet, with the slots it reads.
 struct Waiting<'q> {
-    expr: &'q Expression,
+    expr: &'q Lowered,
     /// The FILTER as a sidecar test, when the index is on and it is one.
     spatial: Option<SpatialTest>,
     slots: Vec<usize>,
@@ -484,59 +462,56 @@ struct Group<'e, 'q> {
 ///
 /// `bound` holds the slots certainly bound when the group starts
 /// (the enclosing groups' included) and, on return, when it ends:
-/// pattern variables and BIND targets count; OPTIONAL, MINUS and
+/// pattern variables count, and a BIND's target once every variable its
+/// expression reads is bound; OPTIONAL, MINUS and
 /// EXISTS bodies bind nothing for the steps after them, a UNION what
 /// every branch binds. `card` is the estimated number of solutions
 /// the group starts from; it is carried from step to step and the
 /// estimate after the last one is returned with the plan.
 fn plan_group<'e, 'q>(
     env: &'e Env<'e>,
-    group: &'q GroupPattern,
+    group: &'q [Element<'q>],
     bound: &mut HashSet<usize>,
     card: f64,
 ) -> (Plan<'q>, f64) {
     let mut g = Group {
         env,
-        steps: Vec::with_capacity(group.elements.len()),
+        steps: Vec::with_capacity(group.len()),
         card,
         waiting: Vec::new(),
         binds_ahead: Vec::new(),
     };
-    for el in &group.elements {
+    for el in group {
         match el {
-            PatternElement::Filter(expr) => {
-                let spatial =
-                    if env.config.use_spatial_index { spatial_test(env, expr) } else { None };
-                let mut vars = VarTable::default();
-                collect_expr_vars(expr, &mut vars);
-                let slots = vars.names().iter().filter_map(|v| env.vars.get(v)).collect();
-                g.waiting.push(Waiting { expr, spatial, slots });
+            Element::Filter(expr) => {
+                let spatial = if env.config.use_spatial_index { spatial_test(expr) } else { None };
+                g.waiting.push(Waiting { expr, spatial, slots: expr.slots() });
             }
-            PatternElement::Bind { var, .. } => g.binds_ahead.extend(env.vars.get(var)),
+            Element::Bind { slot, .. } => g.binds_ahead.push(*slot),
             _ => {}
         }
     }
     g.release(bound);
 
     let mut run: Vec<&PatternTriple> = Vec::new();
-    for el in &group.elements {
+    for el in group {
         match el {
-            PatternElement::Triple(t) => {
+            Element::Triple(t) => {
                 run.push(t);
                 continue;
             }
             // Placed by `release`: a FILTER does not cut the run.
-            PatternElement::Filter(_) => continue,
+            Element::Filter(_) => continue,
             _ => g.order_run(&mut run, bound),
         }
         let card = g.card;
         let (step, est) = match el {
-            PatternElement::Triple(_) | PatternElement::Filter(_) => continue,
-            PatternElement::Optional(inner) => {
+            Element::Triple(_) | Element::Filter(_) => continue,
+            Element::Optional(inner) => {
                 let (plan, out) = plan_group(env, inner, &mut bound.clone(), card);
                 (Step::Optional(plan), out.max(card))
             }
-            PatternElement::Union(branches) => {
+            Element::Union(branches) => {
                 let (mut plans, mut ends, mut est) = (Vec::new(), Vec::new(), 0.0);
                 for br in branches {
                     let mut end = bound.clone();
@@ -550,24 +525,21 @@ fn plan_group<'e, 'q>(
                 }
                 (Step::Union(plans), est)
             }
-            PatternElement::Minus(inner) => {
-                let mut inner_vars = VarTable::default();
-                collect_group_vars(inner, &mut inner_vars);
-                let shared = inner_vars.names().iter().filter_map(|v| env.vars.get(v)).collect();
-                let (plan, _) = plan_group(env, inner, &mut bound.clone(), card);
+            Element::Minus { body, shared } => {
+                let (plan, _) = plan_group(env, body, &mut bound.clone(), card);
                 (Step::Minus { plan, shared }, card)
             }
-            PatternElement::Bind { expr, var } => {
-                // Registered by `prepare`; a miss would mean the value
-                // has nowhere to land.
-                let Some(slot) = env.vars.get(var) else { continue };
-                if let Some(i) = g.binds_ahead.iter().position(|&s| s == slot) {
+            Element::Bind { expr, slot } => {
+                if let Some(i) = g.binds_ahead.iter().position(|s| s == slot) {
                     g.binds_ahead.remove(i);
                 }
-                bound.insert(slot);
-                (Step::Bind { expr, slot }, card)
+                // An unbound input leaves the target unbound.
+                if expr.slots().iter().all(|s| bound.contains(s)) {
+                    bound.insert(*slot);
+                }
+                (Step::Bind { expr, slot: *slot }, card)
             }
-            PatternElement::FilterExists { group: inner, negated } => {
+            Element::Exists { body: inner, negated } => {
                 let (plan, _) = plan_group(env, inner, &mut bound.clone(), card);
                 (Step::Exists { plan, negated: *negated }, card)
             }
@@ -630,7 +602,7 @@ impl<'q> Group<'_, 'q> {
             (0..run.len()).map(Move::Scan).collect()
         };
         // Placing FILTERs shifts the waiting list: a join names its own.
-        let order: Vec<std::result::Result<usize, &'q Expression>> = order
+        let order: Vec<std::result::Result<usize, &'q Lowered>> = order
             .into_iter()
             .map(|m| match m {
                 Move::Scan(i) => Ok(i),
@@ -827,7 +799,10 @@ fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Bindi
                 }
                 bindings = out;
             }
-            Step::Filter(expr) => bindings.retain(|b| eval_filter(env, b, expr)),
+            // The error value rejects the solution.
+            Step::Filter(expr) => {
+                bindings.retain(|b| eval(env, b, expr).and_then(|v| v.ebv()) == Some(true))
+            }
             Step::SpatialJoin { test, probe, binds } => {
                 bindings = spatial_join(env, test, *probe, *binds, bindings)
             }
@@ -854,7 +829,7 @@ fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Bindi
                 .retain(|b| !shared.iter().any(|&s| b[s].is_some()) || seeded(inner, b).is_empty()),
             Step::Bind { expr, slot } => {
                 for b in &mut bindings {
-                    let v = eval_expression(env, b, expr);
+                    let v = eval(env, b, expr).map(Value::into_term);
                     b[*slot] = v.map(Bound::Computed);
                 }
             }
@@ -876,7 +851,7 @@ pub(crate) fn explain_query(engine: &mut Strabon, query: &Query) -> Result<Strin
         Query::Construct(q) => (&q.where_clause, None),
     };
     let env = prepare(engine, where_clause, select, [])?;
-    let (plan, _) = plan_group(&env, where_clause, &mut HashSet::new(), 1.0);
+    let (plan, _) = plan_group(&env, &env.pattern, &mut HashSet::new(), 1.0);
     let mut out = format!(
         "config: optimize_bgp={}, use_spatial_index={}, rdfs_inference={}\n",
         env.config.optimize_bgp, env.config.use_spatial_index, env.config.rdfs_inference
@@ -1052,32 +1027,27 @@ fn spatial_join(
 /// predicate, or `strdf:distance(a, b) < d` (`<=`, or `d >` / `d >=`
 /// it) with a finite numeric `d`, over two arguments that are each a
 /// variable or a constant geometry, one at least a variable.
-fn spatial_test(env: &Env<'_>, filter: &Expression) -> Option<SpatialTest> {
+fn spatial_test(filter: &Lowered) -> Option<SpatialTest> {
     let (call, limit) = match filter {
-        Expression::Binary { op: op @ (BinaryOp::Lt | BinaryOp::Le), left, right } => {
+        Lowered::Binary(op @ (BinaryOp::Lt | BinaryOp::Le), left, right) => {
             (&**left, Some((*op, &**right)))
         }
-        Expression::Binary { op: op @ (BinaryOp::Gt | BinaryOp::Ge), left, right } => {
+        Lowered::Binary(op @ (BinaryOp::Gt | BinaryOp::Ge), left, right) => {
             (&**right, Some((*op, &**left)))
         }
         call => (call, None),
     };
-    let Expression::Call { name, args } = call else { return None };
-    let local = spatial_function(name)?;
-    let (func, bound) = match limit {
-        None => (SpatialFn::topological(local)?, 0.0),
-        Some((op, Expression::Const(d))) if local == "distance" => {
+    let Lowered::Call(f, args) = call else { return None };
+    let (func, bound) = match (f, limit) {
+        (Func::Topological(f), None) => (*f, 0.0),
+        (Func::Distance, Some((op, d))) => {
             let inclusive = matches!(op, BinaryOp::Le | BinaryOp::Ge);
-            (SpatialFn::Distance { inclusive }, d.as_f64().filter(|d| d.is_finite())?)
+            (SpatialFn::Distance { inclusive }, d.number().filter(|d| d.is_finite())?)
         }
         _ => return None,
     };
-    let operand = |e: &Expression| match e {
-        Expression::Var(v) => env.vars.get(v).map(Operand::Var),
-        _ => env.constant_geometry(e).map(Operand::Const),
-    };
     let [a, b] = args.as_slice() else { return None };
-    let args = [operand(a)?, operand(b)?];
+    let args = [a.operand()?, b.operand()?];
     args.iter().any(|a| matches!(a, Operand::Var(_))).then_some(SpatialTest { func, args, bound })
 }
 

@@ -1,13 +1,24 @@
 //! Expression evaluation: SPARQL builtins and strdf spatial functions.
 //!
+//! `eval::prepare` lowers each expression of a statement once
+//! ([`lower`]): a variable becomes its slot, a function name a [`Func`],
+//! a constant a [`Constant`] holding its numeric view and geometry.
+//! [`eval`] walks the lowered form under a binding to a [`Value`] that
+//! borrows the dictionary's, the binding's or the constant's term where
+//! one exists; a term is built only for a new value (CONCAT, buffer, …)
+//! or one that is stored (a BIND target, a projected alias, an
+//! aggregate).
+//!
 //! Per the SPARQL semantics, errors inside FILTER expressions are not
 //! fatal: they produce an *error value* that makes the filter reject the
-//! solution. `eval_expression` therefore returns `Option<Term>`, with
-//! `None` standing for the SPARQL error value.
+//! solution. [`eval`] therefore returns an `Option`, with `None`
+//! standing for the SPARQL error value.
 
 use crate::ast::{BinaryOp, Expression};
+use crate::eval::Element;
 use crate::spatial::SpatialSidecar;
 use crate::StrabonConfig;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -88,22 +99,16 @@ pub(crate) struct Env<'a> {
     /// The engine's toggles: join ordering, spatial joins, RDFS
     /// expansion of `rdf:type` patterns.
     pub config: StrabonConfig,
-    /// The WHERE clause's constant geometries, parsed once: keyed by
-    /// the address of their `Expression::Const` node in the statement's
-    /// syntax tree, which outlives the `Env`.
-    pub constants: HashMap<usize, Arc<Geometry>>,
+    /// The WHERE clause, its FILTER and BIND expressions lowered.
+    pub pattern: Vec<Element<'a>>,
+    /// SELECT's `(expr AS ?v)` items: `?v`'s slot and the lowered
+    /// expression, in order.
+    pub projected: Vec<(usize, Lowered)>,
+    /// SELECT's ORDER BY keys, lowered, each with its DESC flag.
+    pub order_by: Vec<(Lowered, bool)>,
 }
 
 impl Env<'_> {
-    /// The parsed geometry of a constant WKT expression of the WHERE
-    /// clause.
-    pub(crate) fn constant_geometry(&self, e: &Expression) -> Option<Arc<Geometry>> {
-        match e {
-            Expression::Const(_) => self.constants.get(&std::ptr::from_ref(e).addr()).cloned(),
-            _ => None,
-        }
-    }
-
     /// Parse (or fetch from cache) the geometry of a bound value.
     pub(crate) fn geometry_of(&self, b: &Bound) -> Option<Arc<Geometry>> {
         let cached = match b {
@@ -114,255 +119,660 @@ impl Env<'_> {
     }
 }
 
-/// Evaluate an expression to a term; `None` is the SPARQL error value.
-pub(crate) fn eval_expression(env: &Env<'_>, binding: &Binding, expr: &Expression) -> Option<Term> {
-    match expr {
-        Expression::Var(name) => {
-            let slot = env.vars.get(name)?;
-            binding.get(slot)?.as_ref().map(|b| b.term(env.store).clone())
+/// An expression lowered once per statement: a variable is its slot, a
+/// function its [`Func`], a constant a [`Constant`].
+#[derive(Debug)]
+pub(crate) enum Lowered {
+    Slot(usize),
+    Const(Constant),
+    Not(Box<Lowered>),
+    Neg(Box<Lowered>),
+    Binary(BinaryOp, Box<Lowered>, Box<Lowered>),
+    Call(Func, Vec<Lowered>),
+}
+
+/// A constant term, with its numeric view and, for WKT, its geometry.
+#[derive(Debug)]
+pub(crate) struct Constant {
+    term: Term,
+    number: Option<f64>,
+    geometry: Option<Arc<Geometry>>,
+}
+
+/// A builtin, an aggregate, or an strdf (or GeoSPARQL `geof:`)
+/// function; `Unknown` names none and always errs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Func {
+    Bound,
+    Str,
+    Datatype,
+    Lang,
+    IsIri,
+    IsLiteral,
+    IsBlank,
+    IsNumeric,
+    Abs,
+    Ceil,
+    Floor,
+    Round,
+    Sqrt,
+    Strlen,
+    Ucase,
+    Lcase,
+    Contains,
+    StrStarts,
+    StrEnds,
+    Concat,
+    Regex,
+    If,
+    Coalesce,
+    Aggregate(Aggregate),
+    Topological(SpatialFn),
+    Disjoint,
+    Distance,
+    Area,
+    PeriodOverlaps,
+    /// `periodContains(period, instant)`, or `during(instant, period)`
+    /// when `during`.
+    PeriodContains {
+        during: bool,
+    },
+    PeriodStart,
+    PeriodEnd,
+    Buffer,
+    Envelope,
+    Overlay(clip::OverlayOp),
+    Unknown,
+}
+
+/// The SPARQL aggregates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Aggregate {
+    Count,
+    Sum,
+    Avg,
+    Min,
+    Max,
+    Sample,
+}
+
+impl Aggregate {
+    pub(crate) fn named(name: &str) -> Option<Aggregate> {
+        Some(match name {
+            "COUNT" => Aggregate::Count,
+            "SUM" => Aggregate::Sum,
+            "AVG" => Aggregate::Avg,
+            "MIN" => Aggregate::Min,
+            "MAX" => Aggregate::Max,
+            "SAMPLE" => Aggregate::Sample,
+            _ => return None,
+        })
+    }
+}
+
+impl Func {
+    /// The function a call names: an upper-case builtin or aggregate,
+    /// or an strdf or `geof:` IRI.
+    fn named(name: &str) -> Func {
+        let spatial = name
+            .strip_prefix(vocab::strdf::NS)
+            .or_else(|| name.strip_prefix("http://www.opengis.net/def/function/geosparql/"));
+        if let Some(local) = spatial {
+            return match local {
+                "disjoint" | "sfDisjoint" => Func::Disjoint,
+                "distance" => Func::Distance,
+                "area" => Func::Area,
+                "periodOverlaps" | "overlapsPeriod" => Func::PeriodOverlaps,
+                "periodContains" => Func::PeriodContains { during: false },
+                "during" => Func::PeriodContains { during: true },
+                "periodStart" => Func::PeriodStart,
+                "periodEnd" => Func::PeriodEnd,
+                "buffer" => Func::Buffer,
+                "envelope" => Func::Envelope,
+                "intersection" => Func::Overlay(clip::OverlayOp::Intersection),
+                "difference" => Func::Overlay(clip::OverlayOp::Difference),
+                "union2" => Func::Overlay(clip::OverlayOp::Union),
+                _ => SpatialFn::topological(local).map_or(Func::Unknown, Func::Topological),
+            };
         }
-        Expression::Const(t) => Some(t.clone()),
-        Expression::Not(e) => {
-            let v = effective_boolean(&eval_expression(env, binding, e)?)?;
-            Some(Term::boolean(!v))
+        match name {
+            "BOUND" => Func::Bound,
+            "STR" => Func::Str,
+            "DATATYPE" => Func::Datatype,
+            "LANG" => Func::Lang,
+            "ISIRI" | "ISURI" => Func::IsIri,
+            "ISLITERAL" => Func::IsLiteral,
+            "ISBLANK" => Func::IsBlank,
+            "ISNUMERIC" => Func::IsNumeric,
+            "ABS" => Func::Abs,
+            "CEIL" => Func::Ceil,
+            "FLOOR" => Func::Floor,
+            "ROUND" => Func::Round,
+            "SQRT" => Func::Sqrt,
+            "STRLEN" => Func::Strlen,
+            "UCASE" => Func::Ucase,
+            "LCASE" => Func::Lcase,
+            "CONTAINS" => Func::Contains,
+            "STRSTARTS" => Func::StrStarts,
+            "STRENDS" => Func::StrEnds,
+            "CONCAT" => Func::Concat,
+            "REGEX" => Func::Regex,
+            "IF" => Func::If,
+            "COALESCE" => Func::Coalesce,
+            _ => Aggregate::named(name).map_or(Func::Unknown, Func::Aggregate),
         }
-        Expression::Neg(e) => {
-            let v = eval_expression(env, binding, e)?;
-            Some(number_term(-v.as_f64()?, &v))
+    }
+
+    /// The leading arguments a builtin reads; the rest are evaluated
+    /// for their errors only. `None`: the function evaluates its
+    /// arguments itself, lazily or all of them.
+    fn reads(self) -> Option<usize> {
+        match self {
+            Func::Str | Func::Datatype | Func::Lang | Func::IsIri | Func::IsLiteral => Some(1),
+            Func::IsBlank | Func::IsNumeric | Func::Abs | Func::Ceil | Func::Floor => Some(1),
+            Func::Round | Func::Sqrt | Func::Strlen | Func::Ucase | Func::Lcase => Some(1),
+            Func::Contains | Func::StrStarts | Func::StrEnds | Func::Regex => Some(2),
+            _ => None,
         }
+    }
+}
+
+/// Lower `e` over the statement's variables (all registered already).
+pub(crate) fn lower(e: &Expression, vars: &mut VarTable) -> Lowered {
+    let boxed = |e: &Expression, vars: &mut VarTable| Box::new(lower(e, vars));
+    match e {
+        Expression::Var(name) => Lowered::Slot(vars.slot(name)),
+        Expression::Const(t) => Lowered::Const(Constant {
+            term: t.clone(),
+            number: t.as_f64(),
+            geometry: strdf::parse_geometry(t).ok().map(|(g, _)| Arc::new(g)),
+        }),
+        Expression::Not(e) => Lowered::Not(boxed(e, vars)),
+        Expression::Neg(e) => Lowered::Neg(boxed(e, vars)),
         Expression::Binary { op, left, right } => {
-            // Short-circuit logical operators.
-            match op {
-                // `deciding` settles the result alone: false for AND,
-                // true for OR; an error only matters without it.
-                BinaryOp::And | BinaryOp::Or => {
-                    let deciding = *op == BinaryOp::Or;
-                    let ebv = |e: &Expression| {
-                        eval_expression(env, binding, e).and_then(|t| effective_boolean(&t))
-                    };
-                    let l = ebv(left);
-                    if l == Some(deciding) {
-                        return Some(Term::boolean(deciding));
-                    }
-                    return match (l, ebv(right)) {
-                        (_, Some(r)) if r == deciding => Some(Term::boolean(deciding)),
-                        (Some(_), Some(_)) => Some(Term::boolean(!deciding)),
-                        _ => None,
-                    };
-                }
-                _ => {}
-            }
-            let l = eval_expression(env, binding, left)?;
-            let r = eval_expression(env, binding, right)?;
-            match op {
-                BinaryOp::Eq => Some(Term::boolean(terms_equal(&l, &r)?)),
-                BinaryOp::Ne => Some(Term::boolean(!terms_equal(&l, &r)?)),
-                BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => {
-                    let ord = compare_terms(&l, &r)?;
-                    Some(Term::boolean(match op {
-                        BinaryOp::Lt => ord == Ordering::Less,
-                        BinaryOp::Le => ord != Ordering::Greater,
-                        BinaryOp::Gt => ord == Ordering::Greater,
-                        BinaryOp::Ge => ord != Ordering::Less,
-                        _ => unreachable!(),
-                    }))
-                }
-                BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div => {
-                    let a = l.as_f64()?;
-                    let b = r.as_f64()?;
-                    let v = match op {
-                        BinaryOp::Add => a + b,
-                        BinaryOp::Sub => a - b,
-                        BinaryOp::Mul => a * b,
-                        BinaryOp::Div => {
-                            if b == 0.0 {
-                                return None;
-                            }
-                            a / b
-                        }
-                        _ => unreachable!(),
-                    };
-                    // Integer-preserving arithmetic when both are integers.
-                    if is_integer(&l) && is_integer(&r) && op != &BinaryOp::Div {
-                        Some(Term::int(v as i64))
-                    } else {
-                        Some(Term::double(v))
-                    }
-                }
-                BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
-            }
+            Lowered::Binary(*op, boxed(left, vars), boxed(right, vars))
         }
-        Expression::Call { name, args } => eval_call(env, binding, name, args),
+        Expression::Call { name, args } => {
+            Lowered::Call(Func::named(name), args.iter().map(|a| lower(a, vars)).collect())
+        }
     }
 }
 
-/// Evaluate an expression as a FILTER condition (error → false).
-pub(crate) fn eval_filter(env: &Env<'_>, binding: &Binding, expr: &Expression) -> bool {
-    // BOUND needs unbound-tolerant handling, done inside eval_call.
-    eval_expression(env, binding, expr).and_then(|t| effective_boolean(&t)).unwrap_or(false)
+impl Lowered {
+    /// The slots the expression reads, repeats included.
+    pub(crate) fn slots(&self) -> Vec<usize> {
+        fn visit(e: &Lowered, out: &mut Vec<usize>) {
+            match e {
+                Lowered::Slot(s) => out.push(*s),
+                Lowered::Const(_) => {}
+                Lowered::Not(e) | Lowered::Neg(e) => visit(e, out),
+                Lowered::Binary(_, l, r) => {
+                    visit(l, out);
+                    visit(r, out);
+                }
+                Lowered::Call(_, args) => args.iter().for_each(|a| visit(a, out)),
+            }
+        }
+        let mut out = Vec::new();
+        visit(self, &mut out);
+        out
+    }
+
+    /// A spatial FILTER's argument as a sidecar operand: a variable's
+    /// slot or a constant geometry.
+    pub(crate) fn operand(&self) -> Option<Operand> {
+        match self {
+            Lowered::Slot(s) => Some(Operand::Var(*s)),
+            Lowered::Const(c) => c.geometry.clone().map(Operand::Const),
+            _ => None,
+        }
+    }
+
+    /// The numeric view of a constant.
+    pub(crate) fn number(&self) -> Option<f64> {
+        match self {
+            Lowered::Const(c) => c.number,
+            _ => None,
+        }
+    }
 }
 
-/// The local name of a spatial function: the strdf namespace, or
-/// GeoSPARQL's geof: spelling of it.
-pub(crate) fn spatial_function(name: &str) -> Option<&str> {
-    name.strip_prefix(vocab::strdf::NS)
-        .or_else(|| name.strip_prefix("http://www.opengis.net/def/function/geosparql/"))
+/// What an expression evaluates to, borrowed wherever the term exists
+/// already. Each variant reads exactly like the term it stands for.
+#[derive(Debug, Clone)]
+pub(crate) enum Value<'a> {
+    /// A term of the dictionary or the binding.
+    Term(&'a Term),
+    Const(&'a Constant),
+    /// A plain literal: what `STR` yields.
+    Str(Cow<'a, str>),
+    /// `Term::boolean`'s value.
+    Bool(bool),
+    /// `Term::int`'s value.
+    Int(i64),
+    /// `Term::double`'s value.
+    Double(f64),
+    /// A term built by the expression.
+    Owned(Box<Term>),
 }
 
-fn eval_call(env: &Env<'_>, binding: &Binding, name: &str, args: &[Expression]) -> Option<Term> {
-    // BOUND is special: it inspects bindings, not values.
-    if name == "BOUND" {
-        let Some(Expression::Var(v)) = args.first() else {
+fn bool_lexical(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
+    }
+}
+
+impl<'a> Value<'a> {
+    fn term(&self) -> Option<&Term> {
+        match self {
+            Value::Term(t) => Some(t),
+            Value::Const(c) => Some(&c.term),
+            Value::Owned(t) => Some(t),
+            _ => None,
+        }
+    }
+
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Const(c) => c.number,
+            Value::Str(s) => s.parse().ok(),
+            Value::Bool(_) => None,
+            Value::Int(i) => Some(*i as f64),
+            Value::Double(v) => Some(*v),
+            _ => self.lexical()?.parse().ok(),
+        }
+    }
+
+    fn lexical(&self) -> Option<Cow<'_, str>> {
+        match self {
+            Value::Str(s) => Some(Cow::Borrowed(s)),
+            Value::Bool(b) => Some(Cow::Borrowed(bool_lexical(*b))),
+            Value::Int(i) => Some(Cow::Owned(i.to_string())),
+            Value::Double(v) => Some(Cow::Owned(v.to_string())),
+            _ => match self.term()? {
+                Term::Literal { lexical, .. } => Some(Cow::Borrowed(lexical)),
+                _ => None,
+            },
+        }
+    }
+
+    fn datatype(&self) -> Option<&str> {
+        match self {
+            Value::Str(_) => None,
+            Value::Bool(_) => Some(vocab::xsd::BOOLEAN),
+            Value::Int(_) => Some(vocab::xsd::INTEGER),
+            Value::Double(_) => Some(vocab::xsd::DOUBLE),
+            _ => match self.term()? {
+                Term::Literal { datatype, .. } => datatype.as_deref(),
+                _ => None,
+            },
+        }
+    }
+
+    fn lang(&self) -> Option<&str> {
+        match self.term()? {
+            Term::Literal { lang, .. } => lang.as_deref(),
+            _ => None,
+        }
+    }
+
+    fn is_literal(&self) -> bool {
+        !matches!(self.term(), Some(Term::Iri(_) | Term::Blank(_)))
+    }
+
+    /// SPARQL's effective boolean value.
+    pub(crate) fn ebv(&self) -> Option<bool> {
+        if let Value::Bool(b) = self {
+            return Some(*b);
+        }
+        if !self.is_literal() {
             return None;
-        };
-        let slot = env.vars.get(v)?;
-        return Some(Term::boolean(binding.get(slot)?.is_some()));
+        }
+        let datatype = self.datatype();
+        if datatype == Some(vocab::xsd::BOOLEAN) {
+            return match self.lexical()?.as_ref() {
+                "true" | "1" => Some(true),
+                "false" | "0" => Some(false),
+                _ => None,
+            };
+        }
+        if let Some(n) = self.as_f64() {
+            return Some(n != 0.0 && !n.is_nan());
+        }
+        datatype.is_none().then(|| self.lexical().is_some_and(|l| !l.is_empty()))
     }
 
-    if let Some(local) = spatial_function(name) {
-        return eval_spatial(env, binding, local, args);
+    /// The term this value reads as.
+    pub(crate) fn into_term(self) -> Term {
+        match self {
+            Value::Term(t) => t.clone(),
+            Value::Const(c) => c.term.clone(),
+            Value::Str(s) => Term::literal(s.into_owned()),
+            Value::Bool(b) => Term::boolean(b),
+            Value::Int(i) => Term::int(i),
+            Value::Double(v) => Term::double(v),
+            Value::Owned(t) => *t,
+        }
     }
 
-    let vals: Vec<Term> =
-        args.iter().map(|a| eval_expression(env, binding, a)).collect::<Option<_>>()?;
-    match name {
-        "STR" => Some(Term::literal(match &vals[0] {
-            Term::Iri(i) => i.clone(),
-            Term::Literal { lexical, .. } => lexical.clone(),
-            Term::Blank(b) => format!("_:{b}"),
-        })),
-        "DATATYPE" => match &vals[0] {
-            Term::Literal { datatype: Some(dt), .. } => Some(Term::iri(dt.clone())),
-            Term::Literal { lang: None, .. } => Some(Term::iri(vocab::xsd::STRING)),
-            _ => None,
-        },
-        "LANG" => match &vals[0] {
-            Term::Literal { lang, .. } => Some(Term::literal(lang.clone().unwrap_or_default())),
-            _ => None,
-        },
-        "ISIRI" | "ISURI" => Some(Term::boolean(vals[0].is_iri())),
-        "ISLITERAL" => Some(Term::boolean(vals[0].is_literal())),
-        "ISBLANK" => Some(Term::boolean(vals[0].is_blank())),
-        "ISNUMERIC" => Some(Term::boolean(vals[0].as_f64().is_some())),
-        "ABS" => Some(number_term(vals[0].as_f64()?.abs(), &vals[0])),
-        "CEIL" => Some(Term::double(vals[0].as_f64()?.ceil())),
-        "FLOOR" => Some(Term::double(vals[0].as_f64()?.floor())),
-        "ROUND" => Some(Term::double(vals[0].as_f64()?.round())),
-        "SQRT" => Some(Term::double(vals[0].as_f64()?.sqrt())),
-        "STRLEN" => Some(Term::int(vals[0].lexical()?.chars().count() as i64)),
-        "UCASE" => Some(Term::literal(vals[0].lexical()?.to_uppercase())),
-        "LCASE" => Some(Term::literal(vals[0].lexical()?.to_lowercase())),
-        "CONTAINS" => Some(Term::boolean(vals[0].lexical()?.contains(vals[1].lexical()?))),
-        "STRSTARTS" => Some(Term::boolean(vals[0].lexical()?.starts_with(vals[1].lexical()?))),
-        "STRENDS" => Some(Term::boolean(vals[0].lexical()?.ends_with(vals[1].lexical()?))),
-        "CONCAT" => {
-            let mut s = String::new();
-            for v in &vals {
-                s.push_str(v.lexical()?);
-            }
-            Some(Term::literal(s))
+    fn into_cow(self) -> Cow<'a, Term> {
+        match self {
+            Value::Term(t) => Cow::Borrowed(t),
+            Value::Const(c) => Cow::Borrowed(&c.term),
+            v => Cow::Owned(v.into_term()),
         }
-        "REGEX" => {
-            // Substring-match approximation of REGEX: supports the plain
-            // patterns used in the demo (no metacharacters).
-            let text = vals[0].lexical()?;
-            let pat = vals[1].lexical()?;
-            let ci = vals.get(2).and_then(|f| f.lexical()).is_some_and(|f| f.contains('i'));
-            Some(Term::boolean(if ci {
-                text.to_lowercase().contains(&pat.to_lowercase())
-            } else {
-                text.contains(pat)
-            }))
+    }
+
+    /// `STR`: an IRI's text, a literal's lexical form, `_:label` for a
+    /// blank node.
+    fn into_str(self) -> Cow<'a, str> {
+        let blank = |b: &str| Cow::Owned(format!("_:{b}"));
+        match self {
+            Value::Term(t) | Value::Const(Constant { term: t, .. }) => match t {
+                Term::Iri(s) | Term::Literal { lexical: s, .. } => Cow::Borrowed(s),
+                Term::Blank(b) => blank(b),
+            },
+            Value::Owned(t) => match *t {
+                Term::Iri(s) | Term::Literal { lexical: s, .. } => Cow::Owned(s),
+                Term::Blank(b) => blank(&b),
+            },
+            Value::Str(s) => s,
+            Value::Bool(b) => Cow::Borrowed(bool_lexical(b)),
+            Value::Int(i) => Cow::Owned(i.to_string()),
+            Value::Double(v) => Cow::Owned(v.to_string()),
         }
-        "IF" => {
-            let c = effective_boolean(&vals[0])?;
-            Some(if c { vals[1].clone() } else { vals[2].clone() })
+    }
+
+    fn owned(t: Term) -> Value<'a> {
+        Value::Owned(Box::new(t))
+    }
+
+    /// A literal's lexical form.
+    fn into_lexical(self) -> Option<Cow<'a, str>> {
+        self.is_literal().then(|| self.into_str())
+    }
+
+    fn is_integer(&self) -> bool {
+        self.datatype() == Some(vocab::xsd::INTEGER)
+    }
+
+    /// `v` as an integer when this value is one and `v` is whole.
+    fn number_like(&self, v: f64) -> Value<'static> {
+        if self.is_integer() && v.fract() == 0.0 {
+            Value::Int(v as i64)
+        } else {
+            Value::Double(v)
         }
-        "COALESCE" => vals.into_iter().next(),
-        _ => None,
     }
 }
 
-fn eval_spatial(
-    env: &Env<'_>,
-    binding: &Binding,
-    local: &str,
-    args: &[Expression],
-) -> Option<Term> {
-    // Resolve arguments to Bound values so geometry caching can apply.
-    let bound_of = |e: &Expression| -> Option<Bound> {
-        match e {
-            Expression::Var(v) => binding.get(env.vars.get(v)?)?.clone(),
-            _ => eval_expression(env, binding, e).map(Bound::Computed),
+/// Evaluate a lowered expression under a binding; `None` is the SPARQL
+/// error value.
+pub(crate) fn eval<'a>(
+    env: &'a Env<'_>,
+    b: &'a [Option<Bound>],
+    e: &'a Lowered,
+) -> Option<Value<'a>> {
+    match e {
+        Lowered::Slot(slot) => b.get(*slot)?.as_ref().map(|x| Value::Term(x.term(env.store))),
+        Lowered::Const(c) => Some(Value::Const(c)),
+        Lowered::Not(e) => Some(Value::Bool(!eval(env, b, e)?.ebv()?)),
+        Lowered::Neg(e) => {
+            let v = eval(env, b, e)?;
+            Some(v.number_like(-v.as_f64()?))
         }
-    };
-    let geom = |e: &Expression| -> Option<Arc<Geometry>> {
-        env.constant_geometry(e).or_else(|| env.geometry_of(&bound_of(e)?))
-    };
-    if let Some(f) = SpatialFn::topological(local) {
-        let (a, b) = (geom(&args[0])?, geom(&args[1])?);
-        return Some(Term::boolean(f.holds(&a, &b, 0.0)));
+        Lowered::Binary(op, l, r) => binary(*op, eval(env, b, l), || eval(env, b, r)),
+        Lowered::Call(f, args) => call(env, b, *f, args),
     }
-    match local {
-        "disjoint" | "sfDisjoint" => {
-            Some(Term::boolean(predicates::disjoint(&*geom(&args[0])?, &*geom(&args[1])?)))
+}
+
+/// `l op r`, with `r` evaluated only when AND/OR need it: `deciding`
+/// settles the result alone (false for AND, true for OR), and an error
+/// only matters without it.
+fn binary<'a>(
+    op: BinaryOp,
+    l: Option<Value<'a>>,
+    r: impl FnOnce() -> Option<Value<'a>>,
+) -> Option<Value<'a>> {
+    if let BinaryOp::And | BinaryOp::Or = op {
+        let deciding = op == BinaryOp::Or;
+        let l = l.and_then(|v| v.ebv());
+        if l == Some(deciding) {
+            return Some(Value::Bool(deciding));
         }
+        return match (l, r().and_then(|v| v.ebv())) {
+            (_, Some(r)) if r == deciding => Some(Value::Bool(deciding)),
+            (Some(_), Some(_)) => Some(Value::Bool(!deciding)),
+            _ => None,
+        };
+    }
+    let (l, r) = (l?, r()?);
+    let ordered = |test: fn(Ordering) -> bool| Some(Value::Bool(test(compare(&l, &r)?)));
+    match op {
+        BinaryOp::Eq => Some(Value::Bool(equal(&l, &r))),
+        BinaryOp::Ne => Some(Value::Bool(!equal(&l, &r))),
+        BinaryOp::Lt => ordered(Ordering::is_lt),
+        BinaryOp::Le => ordered(Ordering::is_le),
+        BinaryOp::Gt => ordered(Ordering::is_gt),
+        BinaryOp::Ge => ordered(Ordering::is_ge),
+        _ => {
+            let (a, b) = (l.as_f64()?, r.as_f64()?);
+            let v = match op {
+                BinaryOp::Add => a + b,
+                BinaryOp::Sub => a - b,
+                BinaryOp::Mul => a * b,
+                _ if b == 0.0 => return None,
+                _ => return Some(Value::Double(a / b)),
+            };
+            // Integer-preserving arithmetic when both are integers.
+            Some(if l.is_integer() && r.is_integer() {
+                Value::Int(v as i64)
+            } else {
+                Value::Double(v)
+            })
+        }
+    }
+}
+
+fn call<'a>(
+    env: &'a Env<'_>,
+    b: &'a [Option<Bound>],
+    f: Func,
+    args: &'a [Lowered],
+) -> Option<Value<'a>> {
+    let arg = |i: usize| eval(env, b, args.get(i)?);
+    let lexical = |i: usize| arg(i)?.into_lexical();
+    let number = |i: usize| arg(i)?.as_f64();
+    if let Some(reads) = f.reads() {
+        for extra in args.iter().skip(reads) {
+            eval(env, b, extra)?;
+        }
+    }
+    Some(match f {
+        Func::Bound => match args.first()? {
+            Lowered::Slot(slot) => Value::Bool(b.get(*slot)?.is_some()),
+            _ => return None,
+        },
+        Func::Str => Value::Str(arg(0)?.into_str()),
+        Func::Datatype => {
+            let v = arg(0)?;
+            match (v.is_literal(), v.datatype(), v.lang()) {
+                (true, Some(dt), _) => Value::owned(Term::iri(dt)),
+                (true, None, None) => Value::owned(Term::iri(vocab::xsd::STRING)),
+                _ => return None,
+            }
+        }
+        Func::Lang => {
+            let v = arg(0)?;
+            if !v.is_literal() {
+                return None;
+            }
+            Value::Str(Cow::Owned(v.lang().unwrap_or_default().to_string()))
+        }
+        Func::IsIri => Value::Bool(arg(0)?.term().is_some_and(Term::is_iri)),
+        Func::IsLiteral => Value::Bool(arg(0)?.is_literal()),
+        Func::IsBlank => Value::Bool(arg(0)?.term().is_some_and(Term::is_blank)),
+        Func::IsNumeric => Value::Bool(arg(0)?.as_f64().is_some()),
+        Func::Abs => {
+            let v = arg(0)?;
+            v.number_like(v.as_f64()?.abs())
+        }
+        Func::Ceil => Value::Double(number(0)?.ceil()),
+        Func::Floor => Value::Double(number(0)?.floor()),
+        Func::Round => Value::Double(number(0)?.round()),
+        Func::Sqrt => Value::Double(number(0)?.sqrt()),
+        Func::Strlen => Value::Int(lexical(0)?.chars().count() as i64),
+        Func::Ucase => Value::Str(Cow::Owned(lexical(0)?.to_uppercase())),
+        Func::Lcase => Value::Str(Cow::Owned(lexical(0)?.to_lowercase())),
+        Func::Contains => Value::Bool(lexical(0)?.contains(&*lexical(1)?)),
+        Func::StrStarts => Value::Bool(lexical(0)?.starts_with(&*lexical(1)?)),
+        Func::StrEnds => Value::Bool(lexical(0)?.ends_with(&*lexical(1)?)),
+        Func::Concat => {
+            let mut s = String::new();
+            for i in 0..args.len() {
+                s.push_str(&lexical(i)?);
+            }
+            Value::Str(Cow::Owned(s))
+        }
+        // Substring-match approximation of REGEX: supports the plain
+        // patterns used in the demo (no metacharacters).
+        Func::Regex => {
+            let (text, pattern) = (lexical(0)?, lexical(1)?);
+            let insensitive = args.len() > 2 && lexical(2).is_some_and(|f| f.contains('i'));
+            Value::Bool(if insensitive {
+                text.to_lowercase().contains(&pattern.to_lowercase())
+            } else {
+                text.contains(&*pattern)
+            })
+        }
+        // SPARQL 1.1 §17.4.1: IF evaluates only the branch it takes,
+        // COALESCE returns its first argument that is no error.
+        Func::If => return arg(if arg(0)?.ebv()? { 1 } else { 2 }),
+        Func::Coalesce => return args.iter().find_map(|a| eval(env, b, a)),
+        Func::Aggregate(_) | Func::Unknown => return None,
+        f => return strdf_call(env, b, f, args),
+    })
+}
+
+/// The strdf functions: spatial, temporal and constructive.
+fn strdf_call<'a>(
+    env: &'a Env<'_>,
+    b: &'a [Option<Bound>],
+    f: Func,
+    args: &'a [Lowered],
+) -> Option<Value<'a>> {
+    let arg = |i: usize| eval(env, b, args.get(i)?);
+    let geometry = |i: usize| -> Option<Arc<Geometry>> {
+        match args.get(i)? {
+            Lowered::Slot(slot) => env.geometry_of(b.get(*slot)?.as_ref()?),
+            Lowered::Const(c) => c.geometry.clone(),
+            e => strdf::parse_geometry(&eval(env, b, e)?.into_cow()).ok().map(|(g, _)| Arc::new(g)),
+        }
+    };
+    let period = |i: usize| strdf::parse_period(&arg(i)?.into_cow()).ok();
+    Some(match f {
+        Func::Topological(f) => Value::Bool(f.holds(&*geometry(0)?, &*geometry(1)?, 0.0)),
+        Func::Disjoint => Value::Bool(predicates::disjoint(&*geometry(0)?, &*geometry(1)?)),
         // Metric functions (planar, in coordinate units).
-        "distance" => Some(Term::double(geodist::distance(&*geom(&args[0])?, &*geom(&args[1])?))),
-        "area" => Some(Term::double(area::area(geom(&args[0])?.as_ref()))),
+        Func::Distance => Value::Double(geodist::distance(&*geometry(0)?, &*geometry(1)?)),
+        Func::Area => Value::Double(area::area(&*geometry(0)?)),
         // Temporal functions over strdf:period valid-time literals.
-        "periodOverlaps" | "overlapsPeriod" => {
-            let a = strdf::parse_period(&eval_expression(env, binding, &args[0])?).ok()?;
-            let b = strdf::parse_period(&eval_expression(env, binding, &args[1])?).ok()?;
-            Some(Term::boolean(a.overlaps(&b)))
+        Func::PeriodOverlaps => Value::Bool(period(0)?.overlaps(&period(1)?)),
+        Func::PeriodContains { during } => {
+            let (p, instant) = if during { (1, 0) } else { (0, 1) };
+            let p = period(p)?;
+            Value::Bool(p.contains(&arg(instant)?.into_lexical()?))
         }
-        "periodContains" | "during" => {
-            // periodContains(period, instant) / during(instant, period).
-            let (p_arg, i_arg) =
-                if local == "during" { (&args[1], &args[0]) } else { (&args[0], &args[1]) };
-            let p = strdf::parse_period(&eval_expression(env, binding, p_arg)?).ok()?;
-            let instant = eval_expression(env, binding, i_arg)?;
-            let lex = instant.lexical()?;
-            Some(Term::boolean(p.contains(lex)))
-        }
-        "periodStart" | "periodEnd" => {
-            let p = strdf::parse_period(&eval_expression(env, binding, &args[0])?).ok()?;
-            Some(Term::date_time(if local == "periodStart" { p.start } else { p.end }))
-        }
+        Func::PeriodStart => Value::owned(Term::date_time(period(0)?.start)),
+        Func::PeriodEnd => Value::owned(Term::date_time(period(0)?.end)),
         // Constructive functions return new strdf:WKT literals.
-        "buffer" => {
-            let g = geom(&args[0])?;
-            let d = eval_expression(env, binding, &args[1])?.as_f64()?;
+        Func::Buffer => {
+            let g = geometry(0)?;
+            let d = arg(1)?.as_f64()?;
             if d <= 0.0 {
                 return None;
             }
-            let b = buffer::buffer(&g, d, buffer::DEFAULT_CIRCLE_SEGMENTS);
-            Some(strdf::geometry_literal_wgs84(&b))
+            Value::owned(strdf::geometry_literal_wgs84(&buffer::buffer(
+                &g,
+                d,
+                buffer::DEFAULT_CIRCLE_SEGMENTS,
+            )))
         }
-        "envelope" => {
-            let g = geom(&args[0])?;
-            let e = g.envelope();
+        Func::Envelope => {
+            let e = geometry(0)?.envelope();
             if e.is_empty() {
                 return None;
             }
-            Some(strdf::geometry_literal_wgs84(&Geometry::Polygon(
-                teleios_geo::geometry::Polygon::from_envelope(&e),
-            )))
+            let polygon = teleios_geo::geometry::Polygon::from_envelope(&e);
+            Value::owned(strdf::geometry_literal_wgs84(&Geometry::Polygon(polygon)))
         }
-        "intersection" | "difference" | "union2" => {
-            let (a, b) = (geom(&args[0])?, geom(&args[1])?);
-            let op = match local {
-                "intersection" => clip::OverlayOp::Intersection,
-                "difference" => clip::OverlayOp::Difference,
-                _ => clip::OverlayOp::Union,
-            };
+        Func::Overlay(op) => {
+            let (a, b) = (geometry(0)?, geometry(1)?);
             let (Geometry::Polygon(pa), Geometry::Polygon(pb)) = (&*a, &*b) else {
                 return None;
             };
             let result = clip::overlay(pa, pb, op);
-            Some(strdf::geometry_literal_wgs84(&Geometry::MultiPolygon(result.polygons)))
+            Value::owned(strdf::geometry_literal_wgs84(&Geometry::MultiPolygon(result.polygons)))
         }
-        _ => None,
+        _ => return None,
+    })
+}
+
+/// Evaluate a projected expression over a group of solutions: an
+/// aggregate folds its argument's values (errors skipped), arithmetic
+/// and comparisons combine aggregate results, and anything else reads
+/// the group's first solution.
+pub(crate) fn eval_group<'a>(
+    env: &'a Env<'_>,
+    e: &'a Lowered,
+    group: &[&'a Binding],
+) -> Option<Value<'a>> {
+    match e {
+        Lowered::Call(Func::Aggregate(f), args) => {
+            // COUNT(*): every solution counts.
+            let Some(arg) = args.first() else {
+                return Some(Value::Int(group.len() as i64));
+            };
+            let values: Vec<Value<'a>> = group.iter().filter_map(|&b| eval(env, b, arg)).collect();
+            match f {
+                Aggregate::Count => Some(Value::Int(values.len() as i64)),
+                Aggregate::Sample => values.into_iter().next(),
+                Aggregate::Sum | Aggregate::Avg => {
+                    let nums: Vec<f64> = values.iter().filter_map(Value::as_f64).collect();
+                    if nums.is_empty() {
+                        return (*f == Aggregate::Sum).then_some(Value::Int(0));
+                    }
+                    let sum: f64 = nums.iter().sum();
+                    Some(if *f == Aggregate::Avg {
+                        Value::Double(sum / nums.len() as f64)
+                    } else if values.iter().all(Value::is_integer) {
+                        Value::Int(sum as i64)
+                    } else {
+                        Value::Double(sum)
+                    })
+                }
+                // The first of equal values stays.
+                Aggregate::Min | Aggregate::Max => {
+                    let wanted =
+                        if *f == Aggregate::Min { Ordering::Less } else { Ordering::Greater };
+                    values.into_iter().reduce(|best, v| {
+                        if order(Some(&v), Some(&best)) == wanted {
+                            v
+                        } else {
+                            best
+                        }
+                    })
+                }
+            }
+        }
+        Lowered::Binary(op, l, r) => {
+            let l = eval_group(env, l, group)?;
+            let r = eval_group(env, r, group)?;
+            binary(*op, Some(l), || Some(r))
+        }
+        e => eval(env, group.first()?, e),
     }
 }
 
@@ -452,64 +862,47 @@ impl SpatialTest {
     }
 }
 
-/// SPARQL effective boolean value.
-pub(crate) fn effective_boolean(t: &Term) -> Option<bool> {
-    match t {
-        Term::Literal { lexical, datatype, .. } => {
-            if datatype.as_deref() == Some(vocab::xsd::BOOLEAN) {
-                return t.as_bool();
-            }
-            if let Some(n) = t.as_f64() {
-                return Some(n != 0.0 && !n.is_nan());
-            }
-            if datatype.is_none() {
-                return Some(!lexical.is_empty());
-            }
-            None
-        }
-        _ => None,
-    }
-}
-
-fn is_integer(t: &Term) -> bool {
-    t.datatype() == Some(vocab::xsd::INTEGER)
-}
-
-fn number_term(v: f64, like: &Term) -> Term {
-    if is_integer(like) && v.fract() == 0.0 {
-        Term::int(v as i64)
-    } else {
-        Term::double(v)
-    }
+/// Both values' numeric views, if both have one.
+fn numbers(a: &Value<'_>, b: &Value<'_>) -> Option<(f64, f64)> {
+    let y = b.as_f64()?;
+    Some((a.as_f64()?, y))
 }
 
 /// SPARQL value equality: numeric literals compare by value, everything
 /// else by strict term equality.
-fn terms_equal(a: &Term, b: &Term) -> Option<bool> {
-    if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
-        return Some(x == y);
+fn equal(a: &Value<'_>, b: &Value<'_>) -> bool {
+    if let Some((x, y)) = numbers(a, b) {
+        return x == y;
     }
-    Some(a == b)
+    match (a.term(), b.term()) {
+        (Some(x), Some(y)) => x == y,
+        _ => {
+            a.is_literal()
+                && b.is_literal()
+                && a.lexical() == b.lexical()
+                && a.datatype() == b.datatype()
+                && a.lang() == b.lang()
+        }
+    }
 }
 
 /// SPARQL ordering for `<`/`>` comparisons: numeric or string.
-fn compare_terms(a: &Term, b: &Term) -> Option<Ordering> {
-    if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
+fn compare(a: &Value<'_>, b: &Value<'_>) -> Option<Ordering> {
+    if let Some((x, y)) = numbers(a, b) {
         return x.partial_cmp(&y);
     }
-    match (a, b) {
-        (Term::Literal { lexical: la, .. }, Term::Literal { lexical: lb, .. }) => Some(la.cmp(lb)),
-        _ => None,
-    }
+    Some(a.lexical()?.cmp(&b.lexical()?))
 }
 
-/// Total order for ORDER BY (unbound < everything; errors sort last).
-pub(crate) fn order_terms(a: &Option<Term>, b: &Option<Term>) -> Ordering {
+/// Total order for ORDER BY: unbound and erroring keys first.
+pub(crate) fn order(a: Option<&Value<'_>>, b: Option<&Value<'_>>) -> Ordering {
     match (a, b) {
         (None, None) => Ordering::Equal,
         (None, Some(_)) => Ordering::Less,
         (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => compare_terms(x, y).unwrap_or_else(|| x.cmp(y)),
+        (Some(x), Some(y)) => {
+            compare(x, y).unwrap_or_else(|| x.clone().into_cow().cmp(&y.clone().into_cow()))
+        }
     }
 }
 
@@ -525,15 +918,26 @@ mod tests {
     }
 
     fn eval_const(expr: &Expression) -> Option<Term> {
-        let (store, spatial, vars) = env_fixture();
+        let (store, spatial, mut vars) = env_fixture();
+        let lowered = lower(expr, &mut vars);
         let env = Env {
             store: &store,
             spatial: &spatial,
             vars,
             config: StrabonConfig::default(),
-            constants: HashMap::new(),
+            pattern: Vec::new(),
+            projected: Vec::new(),
+            order_by: Vec::new(),
         };
-        eval_expression(&env, &vec![], expr)
+        eval(&env, &[], &lowered).map(Value::into_term)
+    }
+
+    fn effective_boolean(t: &Term) -> Option<bool> {
+        Value::Term(t).ebv()
+    }
+
+    fn order_terms(a: &Option<Term>, b: &Option<Term>) -> Ordering {
+        order(a.as_ref().map(Value::Term).as_ref(), b.as_ref().map(Value::Term).as_ref())
     }
 
     fn call(name: &str, args: Vec<Expression>) -> Expression {
@@ -706,6 +1110,13 @@ mod tests {
         assert_eq!(eval_const(&e), Some(Term::int(2)));
         let c = call("COALESCE", vec![lit(Term::int(7))]);
         assert_eq!(eval_const(&c), Some(Term::int(7)));
+        // Lazy: the error value in the branch not taken, or before the
+        // first argument that is no error, does not count.
+        let e = call("IF", vec![lit(Term::boolean(true)), lit(Term::int(1)), call("NOPE", vec![])]);
+        assert_eq!(eval_const(&e), Some(Term::int(1)));
+        let c = call("COALESCE", vec![call("NOPE", vec![]), lit(Term::int(7))]);
+        assert_eq!(eval_const(&c), Some(Term::int(7)));
+        assert_eq!(eval_const(&call("COALESCE", vec![])), None);
     }
 
     #[test]

@@ -26,11 +26,9 @@ pub fn execute_update(engine: &mut Strabon, update: &Update) -> Result<usize> {
             let ground = ground_triples(triples)?;
             let mut n = 0;
             for (s, p, o) in &ground {
-                let (Some(s), Some(p), Some(o)) = (
-                    engine.store.id_of(s),
-                    engine.store.id_of(p),
-                    engine.store.id_of(o),
-                ) else {
+                let (Some(s), Some(p), Some(o)) =
+                    (engine.store.id_of(s), engine.store.id_of(p), engine.store.id_of(o))
+                else {
                     continue;
                 };
                 if engine.store.remove(&Triple::new(s, p, o)) {
@@ -72,7 +70,7 @@ fn execute_modify(
         let env = prepare(engine, where_clause, None, delete.iter().chain(insert))?;
         let mut to_delete: Vec<(Term, Term, Term)> = Vec::new();
         let mut to_insert: Vec<(Term, Term, Term)> = Vec::new();
-        for b in &solve(&env, where_clause) {
+        for b in &solve(&env) {
             instantiate(&env, b, delete, &mut to_delete);
             instantiate(&env, b, insert, &mut to_insert);
         }

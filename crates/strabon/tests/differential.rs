@@ -579,36 +579,12 @@ fn gen_updates(g: &mut Gen) -> Vec<String> {
 /// for minutes and gigabytes each.
 const PEAK_ESTIMATE: f64 = 1e6;
 
-/// `text` with its `BIND(… AS ?v)` clauses cut out.
-fn without_binds(text: &str) -> String {
-    let mut out = String::new();
-    let mut rest = text;
-    while let Some(at) = rest.find("BIND(") {
-        out.push_str(&rest[..at]);
-        rest = &rest[at..];
-        let mut depth = 0;
-        let end = rest.char_indices().find_map(|(i, c)| {
-            depth += match c {
-                '(' => 1,
-                ')' => -1,
-                _ => 0,
-            };
-            (c == ')' && depth == 0).then_some(i + 1)
-        });
-        rest = &rest[end.unwrap_or(rest.len())..];
-    }
-    out + rest
-}
-
-/// The largest `(est N)` in the plans of `text` without its BINDs,
-/// under every configuration. The planner takes a BIND's target as
-/// bound, though a BIND over an unbound variable leaves it unbound;
-/// without the BIND, a pattern on the target counts all its matches.
+/// The largest `(est N)` in the plans of `text`, under every
+/// configuration.
 fn peak_estimate(engines: &mut [Strabon], text: &str) -> f64 {
-    let text = without_binds(text);
     let mut peak = 0.0_f64;
     for db in engines {
-        for line in db.explain(&text).unwrap_or_default().lines() {
+        for line in db.explain(text).unwrap_or_default().lines() {
             let est =
                 line.rsplit_once("(est ").and_then(|(_, n)| n.strip_suffix(')')?.parse().ok());
             peak = peak.max(est.unwrap_or(0.0));

@@ -1428,13 +1428,15 @@ fn expressions_over_bound_variables_agree_in_every_position() {
         ("STRSTARTS(?iri, \"http\")", None, false),
         ("IF(?t1, ?two, ?three)", xsd("2", "integer"), true),
         ("IF(?yes, ?two, ?three)", None, false),
-        ("COALESCE(?two, ?nope)", None, false),
         // COALESCE returns its first argument that is no error, and IF
         // evaluates only the branch it takes (SPARQL 1.1 §17.4.1).
-        ("COALESCE(?nope, 1)", None, false),
-        ("COALESCE(?nope, ?two / ?zero, ?plain)", None, false),
-        ("IF(true, 1, ?nope)", None, false),
-        ("IF(?f0, ?nope, ?three)", None, false),
+        ("COALESCE(?two, ?nope)", xsd("2", "integer"), true),
+        ("COALESCE(?nope, 1)", xsd("1", "integer"), true),
+        ("COALESCE(?nope, ?two / ?zero, ?plain)", plain("a"), true),
+        ("COALESCE(?nope, ?two / ?zero)", None, false),
+        ("IF(true, 1, ?nope)", xsd("1", "integer"), true),
+        ("IF(?f0, ?nope, ?three)", xsd("3", "integer"), true),
+        ("IF(?nope, 1, 2)", None, false),
     ];
     let mut db = expression_fixture();
     let mut failures = Vec::new();

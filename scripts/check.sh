@@ -16,7 +16,8 @@
 #                              one-spatial-access-path,
 #                              one-tokenizer-and-one-expression-
 #                              grammar-per-family,
-#                              one-expression-evaluator,
+#                              one-expression-evaluator (the SQL
+#                              family's and stSPARQL's),
 #                              one-transaction-doorway,
 #                              one-chain-batch-executor and
 #                              one-checksum greps, the
@@ -278,6 +279,30 @@ sites=$(evaluator_sites crates src tests examples)
 if [ -n "$sites" ]; then
     echo "$sites" >&2
     echo "a second expression evaluator above: run expressions through teleios_monet::exec::{eval, select}" >&2; exit 1
+fi
+
+# stSPARQL evaluates rows over the form eval::prepare lowers each
+# expression to once per statement (expr::lower: slots, function
+# variants, constants with their numbers and geometries). A library
+# `fn` under crates/strabon/src whose signature takes both a binding
+# (`Binding`, `[Option<Bound>]`) and an `ast::Expression` is a second
+# row evaluator over the syntax tree beside `expr::eval`.
+echo "==> one stSPARQL row evaluator (no fn takes a binding and an ast::Expression)"
+sites=$(find crates/strabon/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { live = 1; open = 0 } /^#\[cfg\(test\)\]/ { live = 0 }
+    live && !/^[[:space:]]*\/\// && /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/ { sig = ""; at = FNR; open = 1 }
+    live && open { sig = sig " " $0 }
+    live && open && /[{;][[:space:]]*$/ {
+        open = 0
+        if (sig ~ /(^|[^A-Za-z0-9_])(Binding|\[Option<Bound>\])([^A-Za-z0-9_]|$)/ \
+            && sig ~ /(^|[^A-Za-z0-9_])Expression([^A-Za-z0-9_]|$)/) {
+            match(sig, /fn [A-Za-z0-9_]+/)
+            print FILENAME ":" at " in " substr(sig, RSTART + 3, RLENGTH - 3)
+        }
+    }')
+if [ -n "$sites" ]; then
+    echo "$sites" >&2
+    echo "a row evaluator over the syntax tree above: lower the expression in eval::prepare and evaluate it with expr::eval" >&2; exit 1
 fi
 
 # Prints `file:line in fn` for every line of library code matching the
