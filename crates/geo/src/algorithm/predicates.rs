@@ -133,9 +133,17 @@ pub(crate) fn meets(a: &Geometry, ea: &Envelope, b: &Geometry, eb: &Envelope) ->
     if a.is_empty() || b.is_empty() || !ea.intersects(eb) {
         return false;
     }
-    // A rectangle meets whatever its envelope holds: no segment tests
-    // (every fire-map layer and region query is such a window).
-    if (eb.contains_envelope(ea) && is_rectangle(b)) || (ea.contains_envelope(eb) && is_rectangle(a)) {
+    // A rectangle covers its envelope, so it meets another rectangle
+    // whose envelope meets its own, and whatever has a vertex in its
+    // envelope: no segment tests (every fire-map layer and region query
+    // is such a window).
+    let vertex_in = |g: &Geometry, e: &Envelope| {
+        let mut found = false;
+        g.for_each_coord(&mut |c| found |= e.contains_coord(c));
+        found
+    };
+    let (ra, rb) = (is_rectangle(a), is_rectangle(b));
+    if (rb && (ra || vertex_in(a, eb))) || (ra && vertex_in(b, ea)) {
         return true;
     }
     use Geometry::*;

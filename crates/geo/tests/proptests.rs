@@ -294,6 +294,87 @@ fn rectangle_short_cut_agrees_with_the_full_predicate() {
     );
 }
 
+/// A coordinate on a coarse grid, so that edges often touch or run
+/// along each other.
+fn grid(g: &mut Gen) -> Coord {
+    Coord::new(g.int(-4..5) as f64, g.int(-4..5) as f64)
+}
+
+/// A grid rectangle, one to three cells a side.
+fn grid_rect(g: &mut Gen) -> Polygon {
+    let min = grid(g);
+    let max = Coord::new(min.x + g.int(1..4) as f64, min.y + g.int(1..4) as f64);
+    Polygon::from_envelope(&Envelope::new(min, max))
+}
+
+/// A point, a line, a rectangle, a triangle, a rectangle with a
+/// one-cell hole, or a multi of them, all on the grid.
+fn grid_geometry(g: &mut Gen) -> Geometry {
+    match g.below(7) {
+        0 => Geometry::Point(Point(grid(g))),
+        1 => Geometry::LineString(LineString(g.vec(2..5, grid))),
+        2 => Geometry::Polygon(grid_rect(g)),
+        3 => {
+            let (a, b, c) = (grid(g), grid(g), grid(g));
+            Geometry::Polygon(Polygon::new(LineString(vec![a, b, c, a]), vec![]))
+        }
+        4 => {
+            let min = grid(g);
+            let outer = Envelope::new(min, Coord::new(min.x + 3.0, min.y + 3.0));
+            let hole = Envelope::new(
+                Coord::new(min.x + 1.0, min.y + 1.0),
+                Coord::new(min.x + 2.0, min.y + 2.0),
+            );
+            Geometry::Polygon(Polygon::new(
+                Polygon::from_envelope(&outer).exterior,
+                vec![Polygon::from_envelope(&hole).exterior],
+            ))
+        }
+        5 => Geometry::MultiPolygon(vec![grid_rect(g), grid_rect(g)]),
+        _ => Geometry::MultiPoint(g.vec(1..4, |g| Point(grid(g)))),
+    }
+}
+
+/// The same point set with every polygon's exterior given a sixth
+/// vertex halfway along its first edge: no rectangle to the fast path.
+fn without_rectangles(geom: &Geometry) -> Geometry {
+    let six = |p: &Polygon| {
+        let mut coords = p.exterior.coords().to_vec();
+        coords.insert(1, coords[0].lerp(&coords[1], 0.5));
+        Polygon::new(LineString(coords), p.interiors.clone())
+    };
+    match geom {
+        Geometry::Polygon(p) => Geometry::Polygon(six(p)),
+        Geometry::MultiPolygon(ps) => Geometry::MultiPolygon(ps.iter().map(six).collect()),
+        other => other.clone(),
+    }
+}
+
+/// `intersects` with a rectangle on one side answers from envelopes and
+/// vertices (two rectangles whose envelopes meet; a vertex in the
+/// rectangle's envelope): on grid shapes, where edges touch and run
+/// along each other and holes border the rectangle, it agrees with the
+/// segment tests the same point sets without rectangles take.
+#[test]
+fn rectangle_fast_path_agrees_with_the_segment_path() {
+    forall(
+        |g| (grid_geometry(g), Geometry::Polygon(grid_rect(g))),
+        |(geom, rectangle)| {
+            let (geom6, rectangle6) = (without_rectangles(&geom), without_rectangles(&rectangle));
+            assert_eq!(
+                intersects(&geom, &rectangle),
+                intersects(&geom6, &rectangle6),
+                "{geom:?} × {rectangle:?}"
+            );
+            assert_eq!(
+                intersects(&rectangle, &geom),
+                intersects(&rectangle6, &geom6),
+                "{rectangle:?} × {geom:?}"
+            );
+        },
+    );
+}
+
 #[test]
 fn rtree_query_matches_linear_scan() {
     forall(

@@ -61,7 +61,7 @@ impl Dictionary {
     }
 
     /// Intern a term, returning its id (idempotent).
-    pub(crate) fn intern(&mut self, term: &Term) -> TermId {
+    pub fn intern(&mut self, term: &Term) -> TermId {
         if let Some(&id) = self.by_term.get(term) {
             return id;
         }

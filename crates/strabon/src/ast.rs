@@ -27,7 +27,8 @@ impl VarOrTerm {
     }
 }
 
-/// A triple pattern in a WHERE clause.
+/// A triple pattern of a WHERE clause, or a template or ground triple
+/// of an update.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatternTriple {
     /// Subject position.
@@ -196,7 +197,7 @@ pub struct AskQuery {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstructQuery {
     /// The triples to instantiate per solution.
-    pub template: Vec<TemplateTriple>,
+    pub template: Vec<PatternTriple>,
     /// WHERE clause.
     pub where_clause: GroupPattern,
 }
@@ -212,32 +213,21 @@ pub enum Query {
     Construct(ConstructQuery),
 }
 
-/// A ground or template triple in an update.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TemplateTriple {
-    /// Subject.
-    pub s: VarOrTerm,
-    /// Predicate.
-    pub p: VarOrTerm,
-    /// Object.
-    pub o: VarOrTerm,
-}
-
 /// An stSPARQL update request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Update {
     /// `INSERT DATA { ground triples }`.
-    InsertData(Vec<TemplateTriple>),
+    InsertData(Vec<PatternTriple>),
     /// `DELETE DATA { ground triples }`.
-    DeleteData(Vec<TemplateTriple>),
+    DeleteData(Vec<PatternTriple>),
     /// `DELETE WHERE { patterns }` (delete every instantiation).
-    DeleteWhere(Vec<TemplateTriple>),
+    DeleteWhere(Vec<PatternTriple>),
     /// `DELETE { t } INSERT { t } WHERE { p }` (either template optional).
     Modify {
         /// Triples to delete per solution.
-        delete: Vec<TemplateTriple>,
+        delete: Vec<PatternTriple>,
         /// Triples to insert per solution.
-        insert: Vec<TemplateTriple>,
+        insert: Vec<PatternTriple>,
         /// The solution-producing pattern.
         where_clause: GroupPattern,
     },

@@ -30,49 +30,50 @@
 //!    estimate; otherwise it checks both bound arguments natively where
 //!    the FILTER would run;
 //! 3. `walk` executes that `Plan` as index nested-loop joins over
-//!    the store's SPO/POS/OSP orderings, one binding at a time — or
-//!    `render` prints it, which is all EXPLAIN is, so the two cannot
-//!    disagree;
-//! 4. `finish` applies SELECT's solution modifiers.
+//!    the store's SPO/POS/OSP orderings — or `render` prints it, which
+//!    is all EXPLAIN is, so the two cannot disagree. A solution is a
+//!    row of dictionary ids, one slot per variable; a term the
+//!    statement computes takes the store's id, or one in `Env`'s
+//!    overlay. Rows move in blocks of at most `BLOCK`, depth first, so
+//!    a plan without UNION holds one block per step;
+//! 4. `finish` applies SELECT's solution modifiers over the ids and
+//!    decodes only the projected slots of the rows it returns. ASK, and
+//!    LIMIT without ORDER BY, stop the walk once they are answered.
 //!
 //! [`crate::StrabonConfig`] toggles the join ordering and the spatial
 //! join; both only ever change the plan, never the answer.
 
 use crate::ast::*;
 use crate::expr::{
-    eval, eval_group, lower, order, Aggregate, Binding, Bound, Env, Func, Lowered, Operand,
-    SpatialFn, SpatialTest, Value, VarTable,
+    eval, eval_group, lower, order, Aggregate, Env, Func, Lowered, Operand, SpatialFn, SpatialTest,
+    Value, VarTable, UNBOUND,
 };
 use crate::spatial::window;
 use crate::{Result, Solutions, Strabon, StrabonError};
+use std::cell::{OnceCell, RefCell};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use teleios_rdf::dictionary::TermId;
 use teleios_rdf::term::Term;
 use teleios_rdf::triple::TriplePattern;
 use teleios_rdf::vocab;
 
 /// Step 1 of every statement: catch the sidecar up with the store,
-/// register the variables of the WHERE clause, then of a SELECT's
-/// projection and ORDER BY, reject template variables the WHERE clause
-/// cannot bind, lower the statement's expressions once, and build its
-/// environment.
+/// lower the WHERE clause, reject template variables it cannot bind,
+/// lower a SELECT's projected and ORDER BY expressions, and build the
+/// statement's environment. Lowering registers each variable at its
+/// first mention, in that order: the slot order `SELECT *` projects.
 pub(crate) fn prepare<'a, 't>(
     engine: &'a mut Strabon,
     where_clause: &'a GroupPattern,
     select: Option<&SelectQuery>,
-    templates: impl IntoIterator<Item = &'t TemplateTriple>,
+    templates: impl IntoIterator<Item = &'t PatternTriple>,
 ) -> Result<Env<'a>> {
     engine.spatial.catch_up(&engine.store, &engine.pool());
     let engine: &'a Strabon = engine;
     let mut vars = VarTable::default();
-    collect_group_vars(where_clause, &mut vars);
-    if let Some(q) = select {
-        collect_projection_vars(&q.projection, &mut vars);
-        for k in &q.order_by {
-            collect_expr_vars(&k.expr, &mut vars);
-        }
-    }
+    let pattern = lower_group(where_clause, &mut vars);
     for t in templates {
         for v in [&t.s, &t.p, &t.o] {
             if let Some(name) = v.var().filter(|name| vars.get(name).is_none()) {
@@ -82,13 +83,16 @@ pub(crate) fn prepare<'a, 't>(
             }
         }
     }
-    let pattern = lower_group(where_clause, &mut vars);
     let (mut projected, mut order_by) = (Vec::new(), Vec::new());
     if let Some(q) = select {
         if let Projection::Vars(items) = &q.projection {
             for item in items {
-                if let ProjectionItem::Expr { expr, var } = item {
-                    projected.push((vars.slot(var), lower(expr, &mut vars)));
+                match item {
+                    ProjectionItem::Expr { expr, var } => {
+                        let expr = lower(expr, &mut vars);
+                        projected.push((vars.slot(var), expr));
+                    }
+                    ProjectionItem::Var(var) => _ = vars.slot(var),
                 }
             }
         }
@@ -97,11 +101,13 @@ pub(crate) fn prepare<'a, 't>(
     Ok(Env {
         store: &engine.store,
         spatial: &engine.spatial,
+        width: vars.names().len().max(1),
         vars,
         config: engine.config,
         pattern,
         projected,
         order_by,
+        overlay: RefCell::default(),
     })
 }
 
@@ -130,7 +136,13 @@ fn lower_group<'q>(g: &'q GroupPattern, vars: &mut VarTable) -> Vec<Element<'q>>
     g.elements
         .iter()
         .map(|el| match el {
-            PatternElement::Triple(t) => Element::Triple(t),
+            PatternElement::Triple(t) => {
+                [&t.s, &t.p, &t.o]
+                    .into_iter()
+                    .filter_map(VarOrTerm::var)
+                    .for_each(|v| _ = vars.slot(v));
+                Element::Triple(t)
+            }
             PatternElement::Filter(e) => Element::Filter(lower(e, vars)),
             PatternElement::Bind { expr, var } => {
                 Element::Bind { expr: lower(expr, vars), slot: vars.slot(var) }
@@ -140,8 +152,9 @@ fn lower_group<'q>(g: &'q GroupPattern, vars: &mut VarTable) -> Vec<Element<'q>>
                 Element::Union(branches.iter().map(|b| lower_group(b, vars)).collect())
             }
             PatternElement::Minus(inner) => {
+                // The body lowered alone registers just its own variables.
                 let mut mentioned = VarTable::default();
-                collect_group_vars(inner, &mut mentioned);
+                lower_group(inner, &mut mentioned);
                 let shared = mentioned.names().iter().map(|v| vars.slot(v)).collect();
                 Element::Minus { body: lower_group(inner, vars), shared }
             }
@@ -153,10 +166,18 @@ fn lower_group<'q>(g: &'q GroupPattern, vars: &mut VarTable) -> Vec<Element<'q>>
 }
 
 /// Steps 2 and 3: plan the WHERE clause, walk it from the one empty
-/// solution.
-pub(crate) fn solve(env: &Env<'_>) -> Vec<Binding> {
+/// solution into `sink`; true when `sink` stopped the walk.
+pub(crate) fn solve(env: &Env<'_>, sink: &mut Sink<'_>) -> bool {
     let (plan, _) = plan_group(env, &env.pattern, &mut HashSet::new(), 1.0);
-    walk(env, &plan, vec![env.vars.empty_binding()])
+    walk(env, &plan, &vec![UNBOUND; env.width], sink).is_break()
+}
+
+/// [`solve`], handing `f` every solution row.
+pub(crate) fn solve_rows(env: &Env<'_>, mut f: impl FnMut(&[TermId])) {
+    solve(env, &mut |rows| {
+        rows.chunks_exact(env.width).for_each(&mut f);
+        ControlFlow::Continue(())
+    });
 }
 
 /// Evaluate a parsed query against the engine.
@@ -164,12 +185,11 @@ pub fn evaluate_query(engine: &mut Strabon, query: &Query) -> Result<Solutions> 
     match query {
         Query::Select(q) => {
             let env = prepare(engine, &q.where_clause, Some(q), [])?;
-            let rows = solve(&env);
-            finish(&env, q, rows)
+            finish(&env, q)
         }
         Query::Ask(q) => {
             let env = prepare(engine, &q.where_clause, None, [])?;
-            let found = !solve(&env).is_empty();
+            let found = solve(&env, &mut |_| ControlFlow::Break(()));
             Ok(Solutions { vars: vec!["ask".into()], rows: vec![vec![Some(Term::boolean(found))]] })
         }
         Query::Construct(_) => {
@@ -186,21 +206,23 @@ pub(crate) fn evaluate_construct(
 ) -> Result<Vec<(Term, Term, Term)>> {
     let env = prepare(engine, &q.where_clause, None, &q.template)?;
     let mut out: Vec<(Term, Term, Term)> = Vec::new();
-    for b in &solve(&env) {
-        crate::update::instantiate(&env, b, &q.template, &mut out);
-    }
+    solve_rows(&env, |row| crate::update::instantiate(&env, row, &q.template, &mut out));
     // Set semantics: CONSTRUCT produces a graph.
     out.sort();
     out.dedup();
     Ok(out)
 }
 
-/// Step 4, SELECT's solution modifiers in SPARQL's order: (group and
-/// aggregate | extend with the projected expressions) → ORDER BY →
-/// project → DISTINCT → OFFSET → LIMIT. Aggregates and projected
-/// expressions land in their alias's slot, so ORDER BY and the
-/// projection read an alias like any other variable.
-fn finish(env: &Env<'_>, q: &SelectQuery, mut rows: Vec<Binding>) -> Result<Solutions> {
+/// Steps 3 and 4: walk the WHERE clause, then apply SELECT's solution
+/// modifiers in SPARQL's order: (group and aggregate | extend with the
+/// projected expressions) → ORDER BY → project → DISTINCT → OFFSET →
+/// LIMIT. Aggregates and projected expressions land in their alias's
+/// slot, so ORDER BY and the projection read an alias like any other
+/// variable. Rows stay ids: only the projected slots of the rows
+/// returned are decoded. Without ORDER BY or aggregates the rows keep
+/// the walk's order, so DISTINCT drops a repeated projection as it
+/// arrives and the walk stops once OFFSET + LIMIT rows are in.
+fn finish(env: &Env<'_>, q: &SelectQuery) -> Result<Solutions> {
     let items: &[ProjectionItem] = match &q.projection {
         Projection::Vars(items) => items,
         Projection::All => &[],
@@ -209,45 +231,6 @@ fn finish(env: &Env<'_>, q: &SelectQuery, mut rows: Vec<Binding>) -> Result<Solu
         || items
             .iter()
             .any(|i| matches!(i, ProjectionItem::Expr { expr, .. } if expr_has_aggregate(expr)));
-    if aggregated {
-        rows = aggregate(env, q, items, &rows)?;
-    } else {
-        for b in &mut rows {
-            extend(env, b, |b, expr| eval(env, b, expr).map(Value::into_term));
-        }
-    }
-
-    let keys = env.order_by.len();
-    if keys > 0 {
-        // Every row's keys in one list, borrowed from the rows; the sort
-        // permutes row numbers.
-        let sorted: Vec<usize> = {
-            let key: Vec<Option<Value<'_>>> = rows
-                .iter()
-                .flat_map(|b| env.order_by.iter().map(move |(e, _)| eval(env, b, e)))
-                .collect();
-            let mut sorted: Vec<usize> = (0..rows.len()).collect();
-            sorted.sort_by(|&x, &y| {
-                let by_key = |(i, (_, desc)): (usize, &(Lowered, bool))| {
-                    let ord = order(key[x * keys + i].as_ref(), key[y * keys + i].as_ref());
-                    if *desc {
-                        ord.reverse()
-                    } else {
-                        ord
-                    }
-                };
-                env.order_by
-                    .iter()
-                    .enumerate()
-                    .map(by_key)
-                    .find(|ord| ord.is_ne())
-                    .unwrap_or(Ordering::Equal)
-            });
-            sorted
-        };
-        rows = sorted.into_iter().map(|i| std::mem::take(&mut rows[i])).collect();
-    }
-
     let vars: Vec<String> = match &q.projection {
         Projection::Vars(items) => items
             .iter()
@@ -259,41 +242,102 @@ fn finish(env: &Env<'_>, q: &SelectQuery, mut rows: Vec<Binding>) -> Result<Solu
         Projection::All => env.vars.names().to_vec(),
     };
     let slots: Vec<Option<usize>> = vars.iter().map(|v| env.vars.get(v)).collect();
-    let project = |b: &Binding| -> Vec<Option<Term>> {
-        slots
-            .iter()
-            .map(|s| s.and_then(|s| b[s].as_ref()).map(|x| x.term(env.store).clone()))
-            .collect()
+    let project = |row: &[TermId]| -> Vec<TermId> {
+        slots.iter().map(|s| s.map_or(UNBOUND, |s| row[s])).collect()
     };
-    let mut rows: Vec<Vec<Option<Term>>> = rows.iter().map(project).collect();
-    if q.distinct {
-        let mut seen = HashSet::new();
-        rows.retain(|r| seen.insert(r.clone()));
+
+    let w = env.width;
+    let in_walk_order = !aggregated && env.order_by.is_empty();
+    let wanted = q.limit.filter(|_| in_walk_order).map(|n| q.offset.saturating_add(n));
+    let (mut rows, mut seen) = (Vec::new(), HashSet::new());
+    solve(env, &mut |block| {
+        for row in block.chunks_exact(w) {
+            let start = rows.len();
+            rows.extend_from_slice(row);
+            if aggregated {
+                continue;
+            }
+            extend(env, &mut rows[start..]);
+            if in_walk_order && q.distinct && !seen.insert(project(&rows[start..])) {
+                rows.truncate(start);
+            } else if wanted.is_some_and(|n| rows.len() / w >= n) {
+                return ControlFlow::Break(());
+            }
+        }
+        ControlFlow::Continue(())
+    });
+    if aggregated {
+        rows = aggregate(env, q, items, &rows)?;
     }
-    rows.drain(..q.offset.min(rows.len()));
-    if let Some(n) = q.limit {
-        rows.truncate(n);
+
+    let mut sorted: Vec<usize> = (0..rows.len() / w).collect();
+    let keys = env.order_by.len();
+    if keys > 0 {
+        // Every row's keys in one list; the sort permutes row numbers.
+        let key: Vec<Option<Value<'_>>> = rows
+            .chunks_exact(w)
+            .flat_map(|row| env.order_by.iter().map(move |(e, _)| eval(env, row, e)))
+            .collect();
+        sorted.sort_by(|&x, &y| {
+            // `order` is a total order: DESC compares the other way round.
+            let by_key = |(i, (_, desc)): (usize, &(Lowered, bool))| {
+                let (a, b) = if *desc { (y, x) } else { (x, y) };
+                order(key[a * keys + i].as_ref(), key[b * keys + i].as_ref())
+            };
+            env.order_by
+                .iter()
+                .enumerate()
+                .map(by_key)
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
     }
+
+    seen.clear();
+    let rows = sorted
+        .into_iter()
+        .map(|i| project(&rows[i * w..(i + 1) * w]))
+        .filter(|p| !q.distinct || seen.insert(p.clone()))
+        .skip(q.offset)
+        .take(q.limit.unwrap_or(usize::MAX))
+        .map(|p| {
+            p.into_iter().map(|id| (id != UNBOUND).then(|| env.value(id).into_term())).collect()
+        })
+        .collect();
     Ok(Solutions { vars, rows })
 }
 
-/// Bind each `(expr AS ?v)` of the projection to `value(expr)` in
-/// `?v`'s slot, in order, so a later item may read an earlier alias.
-fn extend(env: &Env<'_>, b: &mut Binding, value: impl Fn(&Binding, &Lowered) -> Option<Term>) {
+/// Bind each `(expr AS ?v)` of the projection to its value in `?v`'s
+/// slot, in order, so a later item may read an earlier alias.
+fn extend(env: &Env<'_>, row: &mut [TermId]) {
     for (slot, expr) in &env.projected {
-        b[*slot] = value(b, expr).map(Bound::Computed);
+        row[*slot] = value_id(env, row, expr);
+    }
+}
+
+/// The id of `expr`'s value under `row`: a slot's own, a computed
+/// term's interned one, [`UNBOUND`] for the error value.
+fn value_id(env: &Env<'_>, row: &[TermId], expr: &Lowered) -> TermId {
+    match expr {
+        Lowered::Slot(slot) => row[*slot],
+        e => eval(env, row, e).map_or(UNBOUND, |v| env.intern(&v.into_cow())),
     }
 }
 
 fn expr_has_aggregate(e: &Expression) -> bool {
-    let mut found = false;
-    for_each_node(e, &mut |n| {
-        found |= matches!(n, Expression::Call { name, .. } if Aggregate::named(name).is_some());
-    });
-    found
+    match e {
+        Expression::Var(_) | Expression::Const(_) => false,
+        Expression::Not(e) | Expression::Neg(e) => expr_has_aggregate(e),
+        Expression::Binary { left, right, .. } => {
+            expr_has_aggregate(left) || expr_has_aggregate(right)
+        }
+        Expression::Call { name, args } => {
+            Aggregate::named(name).is_some() || args.iter().any(expr_has_aggregate)
+        }
+    }
 }
 
-/// Collapse solutions into one binding per group, in first-seen order
+/// Collapse solution rows into one row per group, in first-seen order
 /// (one global group when GROUP BY is absent): the GROUP BY slots carry
 /// the key, each `(aggregate AS ?v)` lands in `?v`'s slot. Projected
 /// plain variables must be grouping variables.
@@ -301,8 +345,8 @@ fn aggregate(
     env: &Env<'_>,
     q: &SelectQuery,
     items: &[ProjectionItem],
-    rows: &[Binding],
-) -> Result<Vec<Binding>> {
+    rows: &[TermId],
+) -> Result<Vec<TermId>> {
     let group_slots: Vec<usize> = q
         .group_by
         .iter()
@@ -322,32 +366,34 @@ fn aggregate(
         }
     }
 
-    let mut groups: Vec<Vec<&Binding>> = Vec::new();
-    let mut index: HashMap<Vec<Option<&Term>>, usize> = HashMap::new();
-    for b in rows {
-        let key = group_slots.iter().map(|&s| b[s].as_ref().map(|x| x.term(env.store))).collect();
+    let mut groups: Vec<Vec<&[TermId]>> = Vec::new();
+    let mut index: HashMap<Vec<TermId>, usize> = HashMap::new();
+    for row in rows.chunks_exact(env.width) {
+        let key = group_slots.iter().map(|&s| row[s]).collect();
         let gi = *index.entry(key).or_insert_with(|| {
             groups.push(Vec::new());
             groups.len() - 1
         });
-        groups[gi].push(b);
+        groups[gi].push(row);
     }
     // A global aggregate over zero solutions still yields one row.
     if groups.is_empty() && q.group_by.is_empty() {
         groups.push(Vec::new());
     }
 
-    let collapse = |members: &Vec<&Binding>| {
-        let mut b = env.vars.empty_binding();
+    let mut out = vec![UNBOUND; groups.len() * env.width];
+    for (members, row) in groups.iter().zip(out.chunks_exact_mut(env.width)) {
         if let Some(first) = members.first() {
             for &s in &group_slots {
-                b[s] = first[s].clone();
+                row[s] = first[s];
             }
         }
-        extend(env, &mut b, |_, expr| eval_group(env, expr, members).map(Value::into_term));
-        b
-    };
-    Ok(groups.iter().map(collapse).collect())
+        for (slot, expr) in &env.projected {
+            row[*slot] =
+                eval_group(env, expr, members).map_or(UNBOUND, |v| env.intern(&v.into_cow()));
+        }
+    }
+    Ok(out)
 }
 
 /// Fraction of its input a FILTER is costed to keep. One constant for
@@ -369,11 +415,13 @@ enum Step<'q> {
     /// the R-tree once and each solution is extended by every candidate
     /// the exact predicate keeps, in id order. As a check (`binds`
     /// `None`, or the slot already bound in a solution) the exact
-    /// predicate tests both arguments.
+    /// predicate tests both arguments. A join's candidates are found
+    /// once, on first use.
     SpatialJoin {
         test: SpatialTest,
         probe: usize,
         binds: Option<usize>,
+        survivors: OnceCell<Vec<TermId>>,
     },
     Optional(Plan<'q>),
     Union(Vec<Plan<'q>>),
@@ -416,10 +464,6 @@ struct Scan<'q> {
 }
 
 impl Scan<'_> {
-    fn binds(&self, slot: usize) -> bool {
-        self.pos.contains(&Pos::Var(slot))
-    }
-
     /// The slots of the pattern's variables.
     fn slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.pos.iter().filter_map(|p| match p {
@@ -585,7 +629,9 @@ impl<'q> Group<'_, 'q> {
     fn place(&mut self, w: Waiting<'q>) {
         self.card *= FILTER_SELECTIVITY;
         let step = match w.spatial {
-            Some(test) => Step::SpatialJoin { test, probe: 0, binds: None },
+            Some(test) => {
+                Step::SpatialJoin { test, probe: 0, binds: None, survivors: OnceCell::new() }
+            }
             None => Step::Filter(w.expr),
         };
         self.steps.push((step, self.card));
@@ -628,8 +674,9 @@ impl<'q> Group<'_, 'q> {
                     let Some(test) = self.waiting.remove(at).spatial else { continue };
                     self.card *= est;
                     bound.insert(target);
-                    self.steps
-                        .push((Step::SpatialJoin { test, probe, binds: Some(target) }, self.card));
+                    let survivors = OnceCell::new();
+                    let join = Step::SpatialJoin { test, probe, binds: Some(target), survivors };
+                    self.steps.push((join, self.card));
                 }
             }
             self.release(bound);
@@ -702,7 +749,8 @@ impl<'q> Group<'_, 'q> {
             else {
                 return None;
             };
-            let cap = run.iter().filter(|c| c.binds(*target)).map(|c| c.count).min()?;
+            let cap =
+                run.iter().filter(|c| c.pos.contains(&Pos::Var(*target))).map(|c| c.count).min()?;
             let est = self.env.spatial.estimate(&g.envelope(), test.bound).min(cap as f64);
             (!bound.contains(target) && !self.binds_ahead.contains(target))
                 .then_some((probe, *target, est))
@@ -782,63 +830,140 @@ fn render_pattern(p: &PatternTriple) -> String {
     format!("{} {} {}", part(&p.s), part(&p.p), part(&p.o))
 }
 
-/// Step 3: execute a plan over `bindings`. Scans, FILTERs and spatial
-/// steps run over the whole solution list, in order; nested bodies run
-/// once per solution, seeded with it.
-fn walk(env: &Env<'_>, plan: &Plan<'_>, mut bindings: Vec<Binding>) -> Vec<Binding> {
-    let seeded = |inner: &Plan<'_>, b: &Binding| walk(env, inner, vec![b.clone()]);
-    for (step, _) in plan {
-        if bindings.is_empty() {
-            break;
+/// What a walk hands its solution rows to, a block at a time: rows of
+/// `Env::width` ids, [`UNBOUND`] for a slot not bound. `Break` stops
+/// the walk.
+pub(crate) type Sink<'s> = dyn FnMut(&[TermId]) -> ControlFlow<()> + 's;
+
+/// The most rows a block holds.
+const BLOCK: usize = 1024;
+
+/// Step 3: stream the rows of `input` through `plan` into `sink` in
+/// blocks of at most [`BLOCK`] rows, depth first, so a plan without
+/// UNION holds one block per step. A UNION runs each branch over all
+/// of its input in turn: the steps before it are collected first, and
+/// its own output too when another UNION follows, so rows come out in
+/// the order a step-by-step walk gives them.
+fn walk(
+    env: &Env<'_>,
+    plan: &[(Step<'_>, f64)],
+    input: &[TermId],
+    sink: &mut Sink<'_>,
+) -> ControlFlow<()> {
+    let union =
+        |plan: &[(Step<'_>, f64)]| plan.iter().position(|(s, _)| matches!(s, Step::Union(_)));
+    let Some((at, Step::Union(branches))) = union(plan).map(|at| (at, &plan[at].0)) else {
+        for block in input.chunks(BLOCK * env.width) {
+            run(env, plan, block, sink)?;
         }
+        return ControlFlow::Continue(());
+    };
+    let collect = |plan: &[(Step<'_>, f64)], input: &[TermId]| -> ControlFlow<(), Vec<TermId>> {
+        let mut out = Vec::new();
+        walk(env, plan, input, &mut |rows| {
+            out.extend_from_slice(rows);
+            ControlFlow::Continue(())
+        })?;
+        ControlFlow::Continue(out)
+    };
+    let (mid, rest) = (collect(&plan[..at], input)?, &plan[at + 1..]);
+    if union(rest).is_some() {
+        let mut out = Vec::new();
+        for br in branches {
+            out.extend(collect(br, &mid)?);
+        }
+        return walk(env, rest, &out, sink);
+    }
+    for br in branches {
+        walk(env, br, &mid, &mut |rows| walk(env, rest, rows, sink))?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// One block through a plan without UNION. Nested bodies run once per
+/// row, seeded with it; an EXISTS or MINUS body stops at its first
+/// solution.
+fn run(
+    env: &Env<'_>,
+    plan: &[(Step<'_>, f64)],
+    rows: &[TermId],
+    sink: &mut Sink<'_>,
+) -> ControlFlow<()> {
+    let Some(((step, _), rest)) = plan.split_first() else { return sink(rows) };
+    let found = |inner: &Plan<'_>, row: &[TermId]| {
+        walk(env, inner, row, &mut |_| ControlFlow::Break(())).is_break()
+    };
+    let mut out = Out { env, rest, sink, rows: Vec::new() };
+    for row in rows.chunks_exact(env.width) {
         match step {
-            Step::Scan(scan) => {
-                let mut out = Vec::with_capacity(bindings.len());
-                for b in &bindings {
-                    extend_with_pattern(env, scan, b, &mut out);
-                }
-                bindings = out;
-            }
+            Step::Scan(scan) => extend_with_pattern(env, scan, row, &mut out)?,
             // The error value rejects the solution.
-            Step::Filter(expr) => {
-                bindings.retain(|b| eval(env, b, expr).and_then(|v| v.ebv()) == Some(true))
+            Step::Filter(expr) if eval(env, row, expr).and_then(|v| v.ebv()) != Some(true) => {}
+            Step::SpatialJoin { test, probe, binds: Some(slot), survivors }
+                if row[*slot] == UNBOUND =>
+            {
+                for &id in survivors.get_or_init(|| join_survivors(env, test, *probe)) {
+                    out.push(row, |r| r[*slot] = id)?;
+                }
             }
-            Step::SpatialJoin { test, probe, binds } => {
-                bindings = spatial_join(env, test, *probe, *binds, bindings)
-            }
+            Step::SpatialJoin { test, .. } if !test.holds(env, row) => {}
             Step::Optional(inner) => {
-                bindings = bindings
-                    .into_iter()
-                    .flat_map(|b| {
-                        let extended = seeded(inner, &b);
-                        if extended.is_empty() {
-                            vec![b]
-                        } else {
-                            extended
-                        }
-                    })
-                    .collect();
-            }
-            Step::Union(branches) => {
-                bindings = branches.iter().flat_map(|br| walk(env, br, bindings.clone())).collect();
+                let mut matched = false;
+                walk(env, inner, row, &mut |rows| {
+                    matched = true;
+                    rows.chunks_exact(env.width).try_for_each(|r| out.push(r, |_| {}))
+                })?;
+                if !matched {
+                    out.push(row, |_| {})?;
+                }
             }
             // Keep solutions that share no variable with the MINUS
             // body (SPARQL's compatibility rule); drop those the
             // seeded body has a solution for.
-            Step::Minus { plan: inner, shared } => bindings
-                .retain(|b| !shared.iter().any(|&s| b[s].is_some()) || seeded(inner, b).is_empty()),
+            Step::Minus { plan: inner, shared }
+                if shared.iter().any(|&s| row[s] != UNBOUND) && found(inner, row) => {}
             Step::Bind { expr, slot } => {
-                for b in &mut bindings {
-                    let v = eval(env, b, expr).map(Value::into_term);
-                    b[*slot] = v.map(Bound::Computed);
-                }
+                let id = value_id(env, row, expr);
+                out.push(row, |r| r[*slot] = id)?;
             }
-            Step::Exists { plan: inner, negated } => {
-                bindings.retain(|b| seeded(inner, b).is_empty() == *negated);
-            }
+            Step::Exists { plan: inner, negated } if found(inner, row) == *negated => {}
+            // `walk` splits plans at every UNION.
+            Step::Union(_) => {}
+            _ => out.push(row, |_| {})?,
         }
     }
-    bindings
+    out.flush()
+}
+
+/// A step's output block, handed to the rest of the plan whenever it
+/// fills.
+struct Out<'o, 'e, 'q, 's> {
+    env: &'o Env<'e>,
+    rest: &'o [(Step<'q>, f64)],
+    sink: &'o mut Sink<'s>,
+    rows: Vec<TermId>,
+}
+
+impl Out<'_, '_, '_, '_> {
+    /// Append a copy of `row` that `set` edits.
+    fn push(&mut self, row: &[TermId], set: impl FnOnce(&mut [TermId])) -> ControlFlow<()> {
+        let start = self.rows.len();
+        self.rows.extend_from_slice(row);
+        set(&mut self.rows[start..]);
+        if self.rows.len() < BLOCK * self.env.width {
+            return ControlFlow::Continue(());
+        }
+        self.flush()
+    }
+
+    fn flush(&mut self) -> ControlFlow<()> {
+        if self.rows.is_empty() {
+            return ControlFlow::Continue(());
+        }
+        let flow = run(self.env, self.rest, &self.rows, self.sink);
+        self.rows.clear();
+        flow
+    }
 }
 
 /// Render the evaluation plan of a query — the [`Plan`] the evaluator
@@ -908,40 +1033,42 @@ fn render_join(env: &Env<'_>, test: &SpatialTest, binds: Option<usize>) -> Strin
     }
 }
 
-/// Match one pattern under a binding, pushing extended bindings. A
-/// slot a spatial join bound is a point lookup here, like a constant.
-fn extend_with_pattern(env: &Env<'_>, scan: &Scan<'_>, binding: &Binding, out: &mut Vec<Binding>) {
-    // Each position under this binding: a concrete id, or the slot it
-    // opens (`Err`); `None` when it cannot match.
-    let resolve = |pos: Pos| -> Option<std::result::Result<TermId, usize>> {
-        match pos {
-            Pos::Const(id) => Some(Ok(id)),
-            Pos::Dead => None,
-            Pos::Var(slot) => match &binding[slot] {
-                Some(Bound::Id(id)) => Some(Ok(*id)),
-                Some(Bound::Computed(t)) => env.store.id_of(t).map(Ok),
-                None => Some(Err(slot)),
-            },
-        }
+/// Match one pattern under `row`, pushing each extended row. A slot a
+/// spatial join bound is a point lookup here, like a constant.
+fn extend_with_pattern(
+    env: &Env<'_>,
+    scan: &Scan<'_>,
+    row: &[TermId],
+    out: &mut Out<'_, '_, '_, '_>,
+) -> ControlFlow<()> {
+    // Each position under this row: a concrete id, or the slot it opens
+    // (`Err`); `None` when it cannot match.
+    let resolve = |pos: Pos| match pos {
+        Pos::Const(id) => Some(Ok(id)),
+        Pos::Dead => None,
+        Pos::Var(slot) if row[slot] == UNBOUND => Some(Err(slot)),
+        Pos::Var(slot) => Some(Ok(row[slot])),
     };
     let (Some(s), Some(p), Some(o)) =
         (resolve(scan.pos[0]), resolve(scan.pos[1]), resolve(scan.pos[2]))
     else {
-        return;
+        return ControlFlow::Continue(());
     };
     let tp = TriplePattern::new(s.ok(), p.ok(), o.ok());
-
-    let emit = |t: teleios_rdf::triple::Triple, out: &mut Vec<Binding>| {
-        let mut nb = binding.clone();
-        for (pos, value) in [(s, t.s), (p, t.p), (o, t.o)] {
-            let Err(slot) = pos else { continue };
-            match &nb[slot] {
-                None => nb[slot] = Some(Bound::Id(value)),
-                Some(Bound::Id(existing)) if *existing == value => {}
-                _ => return,
-            }
+    // A variable repeated in the pattern takes one value.
+    let same = |a: std::result::Result<TermId, usize>, b| a.is_err() && a == b;
+    let (sp, so, po) = (same(s, p), same(s, o), same(p, o));
+    let mut emit = |t: teleios_rdf::triple::Triple| {
+        if (sp && t.s != t.p) || (so && t.s != t.o) || (po && t.p != t.o) {
+            return ControlFlow::Continue(());
         }
-        out.push(nb);
+        out.push(row, |r| {
+            for (pos, value) in [(s, t.s), (p, t.p), (o, t.o)] {
+                if let Err(slot) = pos {
+                    r[slot] = value;
+                }
+            }
+        })
     };
 
     // RDFS inference: `?x rdf:type C` also matches instances of C's
@@ -950,15 +1077,13 @@ fn extend_with_pattern(env: &Env<'_>, scan: &Scan<'_>, binding: &Binding, out: &
         if p_id == type_id {
             for class in subclass_closure(env.store, class_id) {
                 for t in env.store.match_pattern(&TriplePattern { o: Some(class), ..tp }) {
-                    emit(t, out);
+                    emit(t)?;
                 }
             }
-            return;
+            return ControlFlow::Continue(());
         }
     }
-    for t in env.store.match_pattern(&tp) {
-        emit(t, out);
-    }
+    env.store.match_pattern(&tp).try_for_each(emit)
 }
 
 /// Reflexive-transitive subclass closure of a class id via the
@@ -983,44 +1108,21 @@ fn subclass_closure(store: &teleios_rdf::store::TripleStore, class: TermId) -> V
     out
 }
 
-/// A spatial step over `bindings` (see [`Step::SpatialJoin`]), inline.
-/// The exact predicate reads the sidecar's parsed geometries and
+/// A spatial join's candidates (see [`Step::SpatialJoin`]): the probe
+/// is a constant, so its survivors, in id order, are the same for every
+/// row. The exact predicate reads the sidecar's parsed geometries and
 /// compares a distance as an `f64`.
-fn spatial_join(
-    env: &Env<'_>,
-    test: &SpatialTest,
-    probe: usize,
-    binds: Option<usize>,
-    bindings: Vec<Binding>,
-) -> Vec<Binding> {
-    // A join's probe is a constant: its survivors, in id order, are the
-    // same for every solution.
-    let survivors: Vec<TermId> = match (binds, &test.args[probe]) {
-        (Some(_), Operand::Const(p)) => env
-            .spatial
-            .candidates(&window(&p.envelope(), test.bound))
-            .into_iter()
-            .filter(|&id| {
-                let Some(g) = env.spatial.geometry(id) else { return false };
-                let (a0, a1) = if probe == 0 { (&**p, &*g) } else { (&*g, &**p) };
-                test.func.holds(a0, a1, test.bound)
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    let mut out = Vec::with_capacity(bindings.len());
-    for b in bindings {
-        match binds {
-            Some(slot) if b[slot].is_none() => out.extend(survivors.iter().map(|&id| {
-                let mut nb = b.clone();
-                nb[slot] = Some(Bound::Id(id));
-                nb
-            })),
-            _ if test.holds(env, &b) => out.push(b),
-            _ => {}
-        }
-    }
-    out
+fn join_survivors(env: &Env<'_>, test: &SpatialTest, probe: usize) -> Vec<TermId> {
+    let Operand::Const(p) = &test.args[probe] else { return Vec::new() };
+    env.spatial
+        .candidates(&window(&p.envelope(), test.bound))
+        .into_iter()
+        .filter(|&id| {
+            let Some(g) = env.spatial.geometry(id) else { return false };
+            let (a0, a1) = if probe == 0 { (&**p, &*g) } else { (&*g, &**p) };
+            test.func.holds(a0, a1, test.bound)
+        })
+        .collect()
 }
 
 /// Recognize a spatial FILTER the sidecar serves: a topological
@@ -1049,70 +1151,4 @@ fn spatial_test(filter: &Lowered) -> Option<SpatialTest> {
     let [a, b] = args.as_slice() else { return None };
     let args = [a.operand()?, b.operand()?];
     args.iter().any(|a| matches!(a, Operand::Var(_))).then_some(SpatialTest { func, args, bound })
-}
-
-// --- variable collection ----------------------------------------------
-
-fn collect_projection_vars(p: &Projection, vars: &mut VarTable) {
-    let Projection::Vars(items) = p else { return };
-    for i in items {
-        if let ProjectionItem::Expr { expr, .. } = i {
-            collect_expr_vars(expr, vars);
-        }
-        let (ProjectionItem::Var(var) | ProjectionItem::Expr { var, .. }) = i;
-        vars.slot(var);
-    }
-}
-
-fn collect_group_vars(g: &GroupPattern, vars: &mut VarTable) {
-    for_each_element(g, &mut |el| match el {
-        PatternElement::Triple(t) => {
-            for name in [&t.s, &t.p, &t.o].into_iter().filter_map(VarOrTerm::var) {
-                vars.slot(name);
-            }
-        }
-        PatternElement::Filter(e) => collect_expr_vars(e, vars),
-        PatternElement::Bind { expr, var } => {
-            collect_expr_vars(expr, vars);
-            vars.slot(var);
-        }
-        _ => {}
-    });
-}
-
-/// Visit the elements of `g` in order, each nested group's right after
-/// the element holding it.
-fn for_each_element(g: &GroupPattern, f: &mut impl FnMut(&PatternElement)) {
-    for el in &g.elements {
-        f(el);
-        match el {
-            PatternElement::Optional(inner)
-            | PatternElement::Minus(inner)
-            | PatternElement::FilterExists { group: inner, .. } => for_each_element(inner, f),
-            PatternElement::Union(branches) => branches.iter().for_each(|b| for_each_element(b, f)),
-            _ => {}
-        }
-    }
-}
-
-fn collect_expr_vars(e: &Expression, vars: &mut VarTable) {
-    for_each_node(e, &mut |n| {
-        if let Expression::Var(v) = n {
-            vars.slot(v);
-        }
-    });
-}
-
-/// Visit `e` and every expression below it.
-fn for_each_node(e: &Expression, f: &mut impl FnMut(&Expression)) {
-    f(e);
-    match e {
-        Expression::Var(_) | Expression::Const(_) => {}
-        Expression::Not(inner) | Expression::Neg(inner) => for_each_node(inner, f),
-        Expression::Binary { left, right, .. } => {
-            for_each_node(left, f);
-            for_each_node(right, f);
-        }
-        Expression::Call { args, .. } => args.iter().for_each(|a| for_each_node(a, f)),
-    }
 }

@@ -3,11 +3,11 @@
 //! `eval::prepare` lowers each expression of a statement once
 //! ([`lower`]): a variable becomes its slot, a function name a [`Func`],
 //! a constant a [`Constant`] holding its numeric view and geometry.
-//! [`eval`] walks the lowered form under a binding to a [`Value`] that
-//! borrows the dictionary's, the binding's or the constant's term where
-//! one exists; a term is built only for a new value (CONCAT, buffer, …)
-//! or one that is stored (a BIND target, a projected alias, an
-//! aggregate).
+//! [`eval`] walks the lowered form under a solution row of dictionary
+//! ids to a [`Value`] that borrows the dictionary's or the constant's
+//! term where one exists; a term is built only for a new value (CONCAT,
+//! buffer, …) or one that is stored (a BIND target, a projected alias,
+//! an aggregate), which [`Env::intern`] gives an id.
 //!
 //! Per the SPARQL semantics, errors inside FILTER expressions are not
 //! fatal: they produce an *error value* that makes the filter reject the
@@ -19,76 +19,48 @@ use crate::eval::Element;
 use crate::spatial::SpatialSidecar;
 use crate::StrabonConfig;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 use teleios_geo::algorithm::{area, buffer, clip, distance as geodist, predicates};
 use teleios_geo::Geometry;
-use teleios_rdf::dictionary::TermId;
+use teleios_rdf::dictionary::{Dictionary, TermId};
 use teleios_rdf::store::TripleStore;
 use teleios_rdf::strdf;
 use teleios_rdf::term::Term;
 use teleios_rdf::vocab;
 
-/// A bound value: a dictionary id or a computed term.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Bound {
-    /// Term interned in the store dictionary.
-    Id(TermId),
-    /// Computed term (BIND results, function outputs).
-    Computed(Term),
-}
+/// The id of an unbound slot in a solution row.
+pub(crate) const UNBOUND: TermId = TermId::MAX;
 
-impl Bound {
-    /// Resolve to a term reference.
-    pub(crate) fn term<'a>(&'a self, store: &'a TripleStore) -> &'a Term {
-        match self {
-            Bound::Id(id) => store.term(*id),
-            Bound::Computed(t) => t,
-        }
-    }
-}
-
-/// A solution binding: one slot per variable of the query.
-pub(crate) type Binding = Vec<Option<Bound>>;
-
-/// Maps variable names to binding slots.
+/// Maps variable names to slots: a statement has few, so a list.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct VarTable {
     names: Vec<String>,
-    index: HashMap<String, usize>,
 }
 
 impl VarTable {
     /// Slot of `name`, creating it if new.
     pub(crate) fn slot(&mut self, name: &str) -> usize {
-        if let Some(&i) = self.index.get(name) {
-            return i;
-        }
-        let i = self.names.len();
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), i);
-        i
+        self.get(name).unwrap_or_else(|| {
+            self.names.push(name.to_string());
+            self.names.len() - 1
+        })
     }
 
     /// Slot of `name` if it exists.
     pub(crate) fn get(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
+        self.names.iter().position(|n| n == name)
     }
 
     /// Variable names in slot order.
     pub(crate) fn names(&self) -> &[String] {
         &self.names
     }
-
-    /// Fresh all-unbound binding.
-    pub(crate) fn empty_binding(&self) -> Binding {
-        vec![None; self.names.len()]
-    }
 }
 
 /// Evaluation environment of one statement, built once by
-/// `eval::prepare`. Nothing in it changes while the statement runs.
+/// `eval::prepare`. Only its overlay changes while the statement runs.
 pub(crate) struct Env<'a> {
     /// The triple store.
     pub store: &'a TripleStore,
@@ -96,6 +68,8 @@ pub(crate) struct Env<'a> {
     pub spatial: &'a SpatialSidecar,
     /// The statement's variables.
     pub vars: VarTable,
+    /// Ids per solution row: one slot per variable, at least one.
+    pub width: usize,
     /// The engine's toggles: join ordering, spatial joins, RDFS
     /// expansion of `rdf:type` patterns.
     pub config: StrabonConfig,
@@ -106,16 +80,41 @@ pub(crate) struct Env<'a> {
     pub projected: Vec<(usize, Lowered)>,
     /// SELECT's ORDER BY keys, lowered, each with its DESC flag.
     pub order_by: Vec<(Lowered, bool)>,
+    /// The terms the statement computed (BIND results, projected
+    /// expressions, aggregates) that the store does not hold, their ids
+    /// numbered on from the store's: id equality stays term equality.
+    pub overlay: RefCell<Dictionary>,
 }
 
 impl Env<'_> {
-    /// Parse (or fetch from cache) the geometry of a bound value.
-    pub(crate) fn geometry_of(&self, b: &Bound) -> Option<Arc<Geometry>> {
-        let cached = match b {
-            Bound::Id(id) => self.spatial.geometry(*id),
-            Bound::Computed(_) => None,
-        };
-        cached.or_else(|| strdf::parse_geometry(b.term(self.store)).ok().map(|(g, _)| Arc::new(g)))
+    /// The overlay's first id.
+    fn base(&self) -> TermId {
+        self.store.dictionary().len() as TermId
+    }
+
+    /// The term of a bound id: the store's, or one the statement
+    /// computed.
+    pub(crate) fn value(&self, id: TermId) -> Value<'_> {
+        match id.checked_sub(self.base()) {
+            None => Value::Term(self.store.term(id)),
+            Some(i) => Value::owned(self.overlay.borrow().term(i).clone()),
+        }
+    }
+
+    /// The id of a computed term: the store's when it holds the term,
+    /// else the overlay's.
+    pub(crate) fn intern(&self, t: &Term) -> TermId {
+        self.store.id_of(t).unwrap_or_else(|| self.base() + self.overlay.borrow_mut().intern(t))
+    }
+
+    /// The sidecar's geometry of a bound id, or one parsed from its term.
+    pub(crate) fn geometry_of(&self, id: TermId) -> Option<Arc<Geometry>> {
+        if id == UNBOUND {
+            return None;
+        }
+        self.spatial.geometry(id).or_else(|| {
+            strdf::parse_geometry(&self.value(id).into_cow()).ok().map(|(g, _)| Arc::new(g))
+        })
     }
 }
 
@@ -457,7 +456,7 @@ impl<'a> Value<'a> {
         }
     }
 
-    fn into_cow(self) -> Cow<'a, Term> {
+    pub(crate) fn into_cow(self) -> Cow<'a, Term> {
         match self {
             Value::Term(t) => Cow::Borrowed(t),
             Value::Const(c) => Cow::Borrowed(&c.term),
@@ -508,15 +507,13 @@ impl<'a> Value<'a> {
     }
 }
 
-/// Evaluate a lowered expression under a binding; `None` is the SPARQL
-/// error value.
-pub(crate) fn eval<'a>(
-    env: &'a Env<'_>,
-    b: &'a [Option<Bound>],
-    e: &'a Lowered,
-) -> Option<Value<'a>> {
+/// Evaluate a lowered expression under a solution row; `None` is the
+/// SPARQL error value.
+pub(crate) fn eval<'a>(env: &'a Env<'_>, b: &[TermId], e: &'a Lowered) -> Option<Value<'a>> {
     match e {
-        Lowered::Slot(slot) => b.get(*slot)?.as_ref().map(|x| Value::Term(x.term(env.store))),
+        Lowered::Slot(slot) => {
+            Some(*b.get(*slot)?).filter(|&id| id != UNBOUND).map(|id| env.value(id))
+        }
         Lowered::Const(c) => Some(Value::Const(c)),
         Lowered::Not(e) => Some(Value::Bool(!eval(env, b, e)?.ebv()?)),
         Lowered::Neg(e) => {
@@ -576,12 +573,7 @@ fn binary<'a>(
     }
 }
 
-fn call<'a>(
-    env: &'a Env<'_>,
-    b: &'a [Option<Bound>],
-    f: Func,
-    args: &'a [Lowered],
-) -> Option<Value<'a>> {
+fn call<'a>(env: &'a Env<'_>, b: &[TermId], f: Func, args: &'a [Lowered]) -> Option<Value<'a>> {
     let arg = |i: usize| eval(env, b, args.get(i)?);
     let lexical = |i: usize| arg(i)?.into_lexical();
     let number = |i: usize| arg(i)?.as_f64();
@@ -592,7 +584,7 @@ fn call<'a>(
     }
     Some(match f {
         Func::Bound => match args.first()? {
-            Lowered::Slot(slot) => Value::Bool(b.get(*slot)?.is_some()),
+            Lowered::Slot(slot) => Value::Bool(*b.get(*slot)? != UNBOUND),
             _ => return None,
         },
         Func::Str => Value::Str(arg(0)?.into_str()),
@@ -659,14 +651,14 @@ fn call<'a>(
 /// The strdf functions: spatial, temporal and constructive.
 fn strdf_call<'a>(
     env: &'a Env<'_>,
-    b: &'a [Option<Bound>],
+    b: &[TermId],
     f: Func,
     args: &'a [Lowered],
 ) -> Option<Value<'a>> {
     let arg = |i: usize| eval(env, b, args.get(i)?);
     let geometry = |i: usize| -> Option<Arc<Geometry>> {
         match args.get(i)? {
-            Lowered::Slot(slot) => env.geometry_of(b.get(*slot)?.as_ref()?),
+            Lowered::Slot(slot) => env.geometry_of(*b.get(*slot)?),
             Lowered::Const(c) => c.geometry.clone(),
             e => strdf::parse_geometry(&eval(env, b, e)?.into_cow()).ok().map(|(g, _)| Arc::new(g)),
         }
@@ -727,7 +719,7 @@ fn strdf_call<'a>(
 pub(crate) fn eval_group<'a>(
     env: &'a Env<'_>,
     e: &'a Lowered,
-    group: &[&'a Binding],
+    group: &[&[TermId]],
 ) -> Option<Value<'a>> {
     match e {
         Lowered::Call(Func::Aggregate(f), args) => {
@@ -850,9 +842,9 @@ pub(crate) struct SpatialTest {
 impl SpatialTest {
     /// The exact predicate under `b`: false, as the FILTER would be,
     /// when an argument is unbound or no geometry.
-    pub(crate) fn holds(&self, env: &Env<'_>, b: &Binding) -> bool {
+    pub(crate) fn holds(&self, env: &Env<'_>, b: &[TermId]) -> bool {
         let geometry = |a: &Operand| match a {
-            Operand::Var(slot) => env.geometry_of(b[*slot].as_ref()?),
+            Operand::Var(slot) => env.geometry_of(b[*slot]),
             Operand::Const(g) => Some(g.clone()),
         };
         let (Some(x), Some(y)) = (geometry(&self.args[0]), geometry(&self.args[1])) else {
@@ -924,10 +916,12 @@ mod tests {
             store: &store,
             spatial: &spatial,
             vars,
+            width: 1,
             config: StrabonConfig::default(),
             pattern: Vec::new(),
             projected: Vec::new(),
             order_by: Vec::new(),
+            overlay: RefCell::default(),
         };
         eval(&env, &[], &lowered).map(Value::into_term)
     }

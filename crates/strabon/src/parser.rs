@@ -136,16 +136,20 @@ fn parse_select_body(c: &mut Cursor) -> Parsed<SelectQuery> {
     let mut order_by = Vec::new();
     if c.accept_word("ORDER") {
         c.expect_word("BY")?;
+        // SPARQL 1.1's OrderCondition: `ASC(e)`, `DESC(e)`, a variable,
+        // a bracketed expression, or a builtin or function call.
         loop {
-            order_by.push(if c.accept_word("DESC") {
-                OrderKey { expr: parse_bracketed(c)?, desc: true }
-            } else if c.accept_word("ASC") {
-                OrderKey { expr: parse_bracketed(c)?, desc: false }
-            } else if let Some(v) = accept_var(c) {
-                OrderKey { expr: Expression::Var(v), desc: false }
+            let desc = c.accept_word("DESC");
+            let expr = if desc || c.accept_word("ASC") {
+                parse_bracketed(c)?
+            } else if matches!(c.peek(), Tok::Var(_) | Tok::LParen)
+                || c.lookahead(1) == &Tok::LParen
+            {
+                parse_primary_expr(c)?
             } else {
                 break;
-            });
+            };
+            order_by.push(OrderKey { expr, desc });
         }
         if order_by.is_empty() {
             return Err(c.err("empty ORDER BY"));
@@ -172,7 +176,8 @@ fn parse_group(c: &mut Cursor) -> Parsed<GroupPattern> {
         while !c.accept_tok(&Tok::RBrace) {
             if c.accept_word("FILTER") {
                 // FILTER [NOT] EXISTS { ... } is pattern-level.
-                let negated = c.peek_word("NOT") && matches!(c.lookahead(1), Tok::Word(w) if w.eq_ignore_ascii_case("EXISTS"));
+                let negated = c.peek_word("NOT")
+                    && matches!(c.lookahead(1), Tok::Word(w) if w.eq_ignore_ascii_case("EXISTS"));
                 if negated {
                     c.advance();
                 }
@@ -288,7 +293,9 @@ fn parse_primary_expr(c: &mut Cursor) -> Parsed<Expression> {
     }
     // A constant, or an IRI naming a function when a `(` follows.
     Ok(match c.term()? {
-        Term::Iri(name) if c.peek() == &Tok::LParen => Expression::Call { name, args: parse_args(c)? },
+        Term::Iri(name) if c.peek() == &Tok::LParen => {
+            Expression::Call { name, args: parse_args(c)? }
+        }
         t => Expression::Const(t),
     })
 }
@@ -340,13 +347,15 @@ fn parse_update_body(c: &mut Cursor) -> Parsed<Update> {
     Err(c.err("expected INSERT or DELETE"))
 }
 
-fn parse_template(c: &mut Cursor) -> Parsed<Vec<TemplateTriple>> {
+fn parse_template(c: &mut Cursor) -> Parsed<Vec<PatternTriple>> {
     c.expect_tok(&Tok::LBrace)?;
     let mut out = Vec::new();
     while !c.accept_tok(&Tok::RBrace) {
         if !c.accept_tok(&Tok::Dot) {
             let s = parse_var_or_term(c)?;
-            c.predicate_objects(&s, parse_var_or_term, |s, p, o| out.push(TemplateTriple { s, p, o }))?;
+            c.predicate_objects(&s, parse_var_or_term, |s, p, o| {
+                out.push(PatternTriple { s, p, o })
+            })?;
             c.accept_tok(&Tok::Dot);
         }
     }
@@ -373,9 +382,7 @@ mod tests {
 
     #[test]
     fn prefixes_resolve() {
-        let q = sel(
-            "PREFIX noa: <http://noa.gr/> SELECT ?h WHERE { ?h a noa:Hotspot }",
-        );
+        let q = sel("PREFIX noa: <http://noa.gr/> SELECT ?h WHERE { ?h a noa:Hotspot }");
         let PatternElement::Triple(t) = &q.where_clause.elements[0] else { panic!() };
         assert_eq!(t.p, VarOrTerm::Term(Term::iri(vocab::rdf::TYPE)));
         assert_eq!(t.o, VarOrTerm::Term(Term::iri("http://noa.gr/Hotspot")));
@@ -395,10 +402,8 @@ mod tests {
 
     #[test]
     fn filter_with_spatial_function() {
-        let q = sel(
-            "SELECT ?g WHERE { ?h strdf:hasGeometry ?g . \
-             FILTER(strdf:distance(?g, \"POINT (1 2)\"^^strdf:WKT) < 2000) }",
-        );
+        let q = sel("SELECT ?g WHERE { ?h strdf:hasGeometry ?g . \
+             FILTER(strdf:distance(?g, \"POINT (1 2)\"^^strdf:WKT) < 2000) }");
         let PatternElement::Filter(Expression::Binary { op: BinaryOp::Lt, left, .. }) =
             &q.where_clause.elements[1]
         else {
@@ -411,14 +416,12 @@ mod tests {
 
     #[test]
     fn optional_union_minus_bind() {
-        let q = sel(
-            "SELECT * WHERE { \
+        let q = sel("SELECT * WHERE { \
                ?s a <http://x/C> . \
                OPTIONAL { ?s <http://x/p> ?v } \
                { ?s <http://x/q> ?w } UNION { ?s <http://x/r> ?w } \
                MINUS { ?s <http://x/bad> ?z } \
-               BIND(?v + 1 AS ?v2) }",
-        );
+               BIND(?v + 1 AS ?v2) }");
         assert_eq!(q.where_clause.elements.len(), 5);
         assert!(matches!(q.where_clause.elements[1], PatternElement::Optional(_)));
         assert!(matches!(&q.where_clause.elements[2], PatternElement::Union(b) if b.len() == 2));
@@ -428,9 +431,7 @@ mod tests {
 
     #[test]
     fn distinct_order_limit_offset() {
-        let q = sel(
-            "SELECT DISTINCT ?s WHERE { ?s ?p ?o } ORDER BY DESC(?s) LIMIT 5 OFFSET 10",
-        );
+        let q = sel("SELECT DISTINCT ?s WHERE { ?s ?p ?o } ORDER BY DESC(?s) LIMIT 5 OFFSET 10");
         assert!(q.distinct);
         assert_eq!(q.order_by.len(), 1);
         assert!(q.order_by[0].desc);
@@ -445,10 +446,41 @@ mod tests {
     }
 
     #[test]
-    fn projection_expression() {
-        let q = sel(
-            "SELECT (strdf:area(?g) AS ?area) WHERE { ?s strdf:hasGeometry ?g }",
+    fn order_by_bracketed_expressions_and_calls() {
+        let q = sel("SELECT ?k ?r WHERE { ?k <http://x/p> ?r } ORDER BY (?k * 1) ?r LIMIT 3");
+        let keys: Vec<_> = q.order_by.iter().map(|k| (&k.expr, k.desc)).collect();
+        let k_times_one = Expression::Binary {
+            op: BinaryOp::Mul,
+            left: Box::new(Expression::Var("k".into())),
+            right: Box::new(Expression::Const(Term::int(1))),
+        };
+        assert_eq!(keys, [(&k_times_one, false), (&Expression::Var("r".into()), false)]);
+        assert_eq!(q.limit, Some(3));
+
+        let q = sel("SELECT ?t WHERE { ?s <http://x/p> ?t } ORDER BY STR(?t) DESC(?s) strdf:area(?t) OFFSET 1");
+        let names: Vec<_> = q
+            .order_by
+            .iter()
+            .map(|k| match &k.expr {
+                Expression::Call { name, .. } => (name.as_str(), k.desc),
+                Expression::Var(v) => (v.as_str(), k.desc),
+                e => panic!("unexpected key {e:?}"),
+            })
+            .collect();
+        assert_eq!(
+            names,
+            [("STR", false), ("s", true), ("http://strdf.di.uoa.gr/ontology#area", false)]
         );
+        assert_eq!(q.offset, 1);
+
+        // Still an error: no key at all, and a word that calls nothing.
+        assert!(parse_query("SELECT ?t WHERE { ?s <http://x/p> ?t } ORDER BY LIMIT 1").is_err());
+        assert!(parse_query("SELECT ?t WHERE { ?s <http://x/p> ?t } ORDER BY ?t STR").is_err());
+    }
+
+    #[test]
+    fn projection_expression() {
+        let q = sel("SELECT (strdf:area(?g) AS ?area) WHERE { ?s strdf:hasGeometry ?g }");
         let Projection::Vars(items) = &q.projection else { panic!() };
         assert!(matches!(&items[0], ProjectionItem::Expr { var, .. } if var == "area"));
     }
@@ -467,10 +499,9 @@ mod tests {
 
     #[test]
     fn insert_data() {
-        let u = parse_update(
-            "PREFIX ex: <http://x/> INSERT DATA { ex:a ex:p 1 . ex:a ex:q \"s\" }",
-        )
-        .unwrap();
+        let u =
+            parse_update("PREFIX ex: <http://x/> INSERT DATA { ex:a ex:p 1 . ex:a ex:q \"s\" }")
+                .unwrap();
         match u {
             Update::InsertData(ts) => assert_eq!(ts.len(), 2),
             other => panic!("wrong: {other:?}"),
@@ -504,10 +535,8 @@ mod tests {
 
     #[test]
     fn insert_where_without_delete() {
-        let u = parse_update(
-            "INSERT { ?s <http://x/derived> true } WHERE { ?s a <http://x/C> }",
-        )
-        .unwrap();
+        let u = parse_update("INSERT { ?s <http://x/derived> true } WHERE { ?s a <http://x/C> }")
+            .unwrap();
         assert!(matches!(u, Update::Modify { ref delete, .. } if delete.is_empty()));
     }
 

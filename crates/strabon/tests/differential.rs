@@ -575,9 +575,11 @@ fn gen_updates(g: &mut Gen) -> Vec<String> {
 
 /// The most bindings a step of a generated statement may be estimated
 /// to leave for the statement to run: stray atoms chain into cross
-/// products, and a few statements would walk millions of bindings,
-/// for minutes and gigabytes each.
-const PEAK_ESTIMATE: f64 = 1e6;
+/// products. Solutions move a block of id rows at a time, so the two
+/// seeds' statements estimated at 4·10⁶ and 1.6·10⁷ now run in about a
+/// second each in a debug build; past 10⁸ a statement would still take
+/// minutes.
+const PEAK_ESTIMATE: f64 = 1e8;
 
 /// The largest `(est N)` in the plans of `text`, under every
 /// configuration.
@@ -621,6 +623,64 @@ fn generated_updates_agree_across_configurations() {
             assert_updates_agree(&updates);
         });
     }
+}
+
+// --- a cross product, a block at a time ----------------------------------
+
+/// Every hotspot three times over, times every site: 7 077 888
+/// bindings of four variables.
+const CROSS: &str =
+    "?a a noa:Hotspot . ?b a noa:Hotspot . ?c a noa:Hotspot . ?site a dbo:ArchaeologicalSite";
+
+/// This process's peak resident set (`VmHWM`), in KiB.
+fn peak_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:")).expect("VmHWM");
+    line.trim().trim_end_matches("kB").trim().parse().expect("VmHWM in kB")
+}
+
+/// ASK and an unordered LIMIT over [`CROSS`] stop at the first block,
+/// and DISTINCT keeps one row per distinct projection as they come, so
+/// all three stay within a few blocks' memory; COUNT(*) keeps every
+/// binding, as ids (4 bytes a slot). Run in release from a shell of its
+/// own whose address space `ulimit -v` caps at about 1 GB: a walk that
+/// kept every binding as terms would need several GB and abort.
+/// `cargo test --release -p teleios-strabon --test differential --
+/// --ignored --exact a_cross_product_is_walked_a_block_at_a_time`
+/// (`scripts/check.sh --full` runs it).
+#[test]
+#[ignore = "release build, under ulimit -v: scripts/check.sh --full"]
+fn a_cross_product_is_walked_a_block_at_a_time() {
+    const NAME: &str = "a_cross_product_is_walked_a_block_at_a_time";
+    if std::env::var_os("STRABON_UNDER_ULIMIT").is_none() {
+        let status = std::process::Command::new("sh")
+            .args(["-c", "ulimit -v 1000000 && exec \"$0\" --ignored --exact \"$1\" --test-threads 1 --nocapture"])
+            .arg(std::env::current_exe().expect("the test binary"))
+            .arg(NAME)
+            .env("STRABON_UNDER_ULIMIT", "1")
+            .status()
+            .expect("sh");
+        assert!(status.success(), "{NAME} under ulimit -v 1000000: {status}");
+        return;
+    }
+    let mut db = archive(StrabonConfig::default());
+    let mut query = |q: &str| db.query(&format!("{PREFIXES}{q}")).expect("query");
+    let ask = query(&format!("ASK {{ {CROSS} }}"));
+    assert_eq!(ask.rows, [[Some(Term::boolean(true))]]);
+    assert_eq!(query(&format!("SELECT * WHERE {{ {CROSS} }} LIMIT 10")).len(), 10);
+    assert_eq!(query(&format!("SELECT DISTINCT ?site WHERE {{ {CROSS} }}")).len(), SITES);
+    let streamed = peak_rss_kib();
+    assert!(streamed < 64 * 1024, "ASK, LIMIT and DISTINCT peaked at {streamed} KiB");
+    let count = query(&format!("SELECT (COUNT(*) AS ?n) WHERE {{ {CROSS} }}"));
+    let bindings = HOTSPOTS * HOTSPOTS * HOTSPOTS * SITES;
+    assert_eq!(count.get(0, "n"), Some(&Term::int(bindings as i64)));
+    // An eighth of the 6.9 GB a walk of term-sized bindings peaked at
+    // over about 5 million of them.
+    let counted = peak_rss_kib();
+    eprintln!(
+        "peak RSS: {streamed} KiB after ASK, LIMIT and DISTINCT; {counted} KiB after COUNT(*)"
+    );
+    assert!(counted < 6_900_000 / 8, "COUNT(*) over {bindings} bindings peaked at {counted} KiB");
 }
 
 // --- the pinned corpus -------------------------------------------------

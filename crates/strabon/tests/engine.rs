@@ -930,6 +930,112 @@ fn order_by_a_where_variable_that_is_not_projected() {
     assert_eq!(column(&mut db, "img", distinct), ["img1"]);
 }
 
+#[test]
+fn order_by_a_builtin_call_or_a_bracketed_expression() {
+    let mut db = fixture();
+    let q = |key: &str| {
+        format!("SELECT ?img WHERE {{ ?img noa:hasAcquisitionTime ?t }} ORDER BY {key}")
+    };
+    assert_eq!(column(&mut db, "img", &q("STR(?t)")), ["img1", "img2"]);
+    assert_eq!(column(&mut db, "img", &q("DESC(STR(?t))")), ["img2", "img1"]);
+    let q = |key: &str| format!("SELECT ?h WHERE {{ ?h noa:hasConfidence ?c }} ORDER BY {key}");
+    assert_eq!(column(&mut db, "h", &q("(?c * -1) ?h")), ["h1", "h3", "h2"]);
+    assert_eq!(column(&mut db, "h", &q("STRLEN(STR(?h)) DESC(?c)")), ["h1", "h3", "h2"]);
+}
+
+// --- solutions move a block at a time ------------------------------------
+
+/// `n` subjects `ex:s{i}`, each with `ex:p i`, inserted in `i` order (so
+/// the `?s ex:p ?v` scan meets them in that order) and `ex:mod "m{i % 7}"`;
+/// a label "a" when `i % 3 == 0` and a second one, "b", when `i % 6 ==
+/// 0`; `ex:odd true` for odd `i`, `ex:five true` when `i % 5 == 0`.
+fn blocks_fixture(n: usize) -> Strabon {
+    let mut db = Strabon::new();
+    let ex = |s: &str| Term::iri(format!("http://example.org/{s}"));
+    for i in 0..n {
+        let s = ex(&format!("s{i}"));
+        db.insert(&s, &ex("p"), &Term::int(i as i64));
+        db.insert(&s, &ex("mod"), &Term::literal(format!("m{}", i % 7)));
+        for (test, label) in [(i % 3 == 0, "a"), (i % 6 == 0, "b")] {
+            if test {
+                db.insert(&s, &ex("label"), &Term::literal(label));
+            }
+        }
+        for (test, p) in [(i % 2 == 1, "odd"), (i % 5 == 0, "five")] {
+            if test {
+                db.insert(&s, &ex(p), &Term::boolean(true));
+            }
+        }
+    }
+    db
+}
+
+/// Around one block (1 024 rows) and past three, the first scan's rows
+/// answer every solution modifier and nested body as a step-by-step
+/// walk would: counts, DISTINCT, and the row sequence under ORDER BY
+/// or a LIMIT that cuts the walk's order, OFFSETs crossing a block.
+#[test]
+fn answers_hold_across_block_boundaries() {
+    for n in [1023, 1024, 1025, 3079] {
+        let mut db = blocks_fixture(n);
+        let len = |db: &mut Strabon, q: &str| db.query(&format!("{PREFIXES} {q}")).unwrap().len();
+        let values = |db: &mut Strabon, q: &str| -> Vec<i64> {
+            column(db, "v", q).iter().map(|v| v.parse().unwrap()).collect()
+        };
+        let count = |f: fn(usize) -> bool| (0..n).filter(|&i| f(i)).count();
+        let plan = db
+            .explain(&format!(
+                "{PREFIXES} SELECT ?s WHERE {{ ?s ex:p ?v MINUS {{ ?s ex:odd true }} }}"
+            ))
+            .unwrap();
+        assert!(plan.contains("1. match ?s <http://example.org/p> ?v"), "{plan}");
+
+        assert_eq!(len(&mut db, "SELECT ?s WHERE { ?s ex:p ?v }"), n);
+        let optional = "SELECT ?s ?l WHERE { ?s ex:p ?v OPTIONAL { ?s ex:label ?l } }";
+        assert_eq!(len(&mut db, optional), n + count(|i| i % 6 == 0), "n = {n}");
+        let labels = "SELECT DISTINCT ?l WHERE { ?s ex:p ?v OPTIONAL { ?s ex:label ?l } }";
+        assert_eq!(len(&mut db, labels), 3, "unbound, a, b");
+        let minus = "SELECT ?s WHERE { ?s ex:p ?v MINUS { ?s ex:odd true } }";
+        assert_eq!(len(&mut db, minus), count(|i| i % 2 == 0));
+        let exists = "SELECT ?s WHERE { ?s ex:p ?v FILTER EXISTS { ?s ex:five true } }";
+        assert_eq!(len(&mut db, exists), count(|i| i % 5 == 0));
+        let not_exists = "SELECT ?s WHERE { ?s ex:p ?v FILTER NOT EXISTS { ?s ex:five true } }";
+        assert_eq!(len(&mut db, not_exists), count(|i| i % 5 != 0));
+        let distinct = "SELECT DISTINCT ?m WHERE { ?s ex:p ?v ; ex:mod ?m }";
+        assert_eq!(len(&mut db, distinct), 7);
+        assert_eq!(column(&mut db, "m", &format!("{distinct} LIMIT 3")), ["m0", "m1", "m2"]);
+
+        // The walk's order: `?v` ascending, sliced across a block.
+        let window: Vec<i64> = (0..n as i64).skip(1020).take(10).collect();
+        assert_eq!(values(&mut db, "SELECT ?v WHERE { ?s ex:p ?v } OFFSET 1020 LIMIT 10"), window);
+        let descending: Vec<i64> = (0..n as i64).rev().skip(1020).take(10).collect();
+        let ordered = "SELECT ?v WHERE { ?s ex:p ?v } ORDER BY DESC(?v) OFFSET 1020 LIMIT 10";
+        assert_eq!(values(&mut db, ordered), descending);
+        // Two labels on every sixth subject: ORDER BY ties keep the walk's order.
+        let tied = "SELECT ?v ?l WHERE { ?s ex:p ?v OPTIONAL { ?s ex:label ?l } } ORDER BY DESC(?l) LIMIT 4";
+        let sols = db.query(&format!("{PREFIXES} {tied}")).unwrap();
+        let first: Vec<_> =
+            (0..4).map(|i| sols.get(i, "v").unwrap().lexical().unwrap().to_string()).collect();
+        assert_eq!(first, ["0", "6", "12", "18"], "n = {n}");
+
+        // A UNION runs each branch over all of its input in turn: the
+        // odd subjects, then every fifth, each in the walk's order.
+        let union = "SELECT ?v WHERE { ?s ex:p ?v { ?s ex:odd true } UNION { ?s ex:five true } }";
+        let mut expected: Vec<i64> = (0..n as i64).filter(|i| i % 2 == 1).collect();
+        expected.extend((0..n as i64).filter(|i| i % 5 == 0));
+        assert_eq!(values(&mut db, union), expected);
+        let sliced =
+            expected.iter().copied().skip(count(|i| i % 2 == 1) - 2).take(4).collect::<Vec<_>>();
+        let offset = count(|i| i % 2 == 1) - 2;
+        assert_eq!(values(&mut db, &format!("{union} OFFSET {offset} LIMIT 4")), sliced);
+        let twice = "SELECT ?v WHERE { ?s ex:p ?v { ?s ex:odd true } UNION { ?s ex:five true } { ?s ex:mod \"m0\" } UNION { ?s ex:mod \"m1\" } }";
+        let mut expected_twice: Vec<i64> =
+            expected.iter().copied().filter(|i| i % 7 == 0).collect();
+        expected_twice.extend(expected.iter().copied().filter(|i| i % 7 == 1));
+        assert_eq!(values(&mut db, twice), expected_twice);
+    }
+}
+
 // --- EXPLAIN prints the plan the evaluator walks ---------------------------
 
 /// The data of `explain_orders_later_runs_with_earlier_bindings`: 40

@@ -18,6 +18,7 @@
 #                              grammar-per-family,
 #                              one-expression-evaluator (the SQL
 #                              family's and stSPARQL's),
+#                              one-stSPARQL-solution-layout,
 #                              one-transaction-doorway,
 #                              one-chain-batch-executor and
 #                              one-checksum greps, the
@@ -26,7 +27,8 @@
 #                              the E3/E6/E11 smoke runs and the E0
 #                              benchmark's self-test
 #   scripts/check.sh --full    default gate, plus the exhaustive
-#                              WAL-truncation recovery sweep
+#                              WAL-truncation recovery sweep and the
+#                              strabon cross product under ulimit -v
 #
 # Both test steps build first and then run under `timeout`, so a
 # hung-stage or wedged-replay regression in a test (the deadline and
@@ -284,9 +286,9 @@ fi
 # stSPARQL evaluates rows over the form eval::prepare lowers each
 # expression to once per statement (expr::lower: slots, function
 # variants, constants with their numbers and geometries). A library
-# `fn` under crates/strabon/src whose signature takes both a binding
-# (`Binding`, `[Option<Bound>]`) and an `ast::Expression` is a second
-# row evaluator over the syntax tree beside `expr::eval`.
+# `fn` under crates/strabon/src whose signature takes both a solution
+# row (`[TermId]`) and an `ast::Expression` is a second row evaluator
+# over the syntax tree beside `expr::eval`.
 echo "==> one stSPARQL row evaluator (no fn takes a binding and an ast::Expression)"
 sites=$(find crates/strabon/src -name '*.rs' | sort | xargs awk '
     FNR == 1 { live = 1; open = 0 } /^#\[cfg\(test\)\]/ { live = 0 }
@@ -294,7 +296,7 @@ sites=$(find crates/strabon/src -name '*.rs' | sort | xargs awk '
     live && open { sig = sig " " $0 }
     live && open && /[{;][[:space:]]*$/ {
         open = 0
-        if (sig ~ /(^|[^A-Za-z0-9_])(Binding|\[Option<Bound>\])([^A-Za-z0-9_]|$)/ \
+        if (sig ~ /\[TermId\]/ \
             && sig ~ /(^|[^A-Za-z0-9_])Expression([^A-Za-z0-9_]|$)/) {
             match(sig, /fn [A-Za-z0-9_]+/)
             print FILENAME ":" at " in " substr(sig, RSTART + 3, RLENGTH - 3)
@@ -303,6 +305,16 @@ sites=$(find crates/strabon/src -name '*.rs' | sort | xargs awk '
 if [ -n "$sites" ]; then
     echo "$sites" >&2
     echo "a row evaluator over the syntax tree above: lower the expression in eval::prepare and evaluate it with expr::eval" >&2; exit 1
+fi
+
+# A stSPARQL solution is a row of dictionary ids (`[TermId]`, one slot
+# per variable, `expr::UNBOUND` for none), moved through eval::walk a
+# block at a time. A `Bound` enum of ids and terms, or a
+# `Vec<Option<…>>` row type beside the id rows, is a second solution
+# layout: a computed term takes an id in the statement's overlay.
+echo "==> one stSPARQL solution layout (rows of TermIds)"
+if grep -rnE 'enum Bound\b|Option<Bound>|type [A-Za-z]+ *= *Vec<Option<' crates/strabon/src --include='*.rs'; then
+    echo "a second solution layout under crates/strabon/src: keep solutions as rows of TermIds" >&2; exit 1
 fi
 
 # Prints `file:line in fn` for every line of library code matching the
@@ -405,6 +417,11 @@ if [ "$full" -eq 1 ]; then
     # in tier 1; this is the #[ignore]d large variant).
     echo "==> store recovery property sweep (exhaustive)"
     timeout 600 cargo test --release --offline -p teleios-store --test recovery_properties -- --ignored
+    # ASK, LIMIT and DISTINCT over a 7-million-binding cross product in
+    # a shell capped by `ulimit -v` at about 1 GB (the test sets it).
+    echo "==> strabon cross product, a block at a time (release, ulimit -v)"
+    timeout 600 cargo test --release --offline -p teleios-strabon --test differential -- \
+        --ignored --exact a_cross_product_is_walked_a_block_at_a_time
 fi
 
 echo "==> all checks passed"
