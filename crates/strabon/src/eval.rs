@@ -35,7 +35,8 @@
 //!    row of dictionary ids, one slot per variable; a term the
 //!    statement computes takes the store's id, or one in `Env`'s
 //!    overlay. Rows move in blocks of at most `BLOCK`, depth first, so
-//!    a plan without UNION holds one block per step;
+//!    a plan without UNION holds one block per step (the overlay grows
+//!    by each distinct term the statement computes);
 //! 4. `finish` applies SELECT's solution modifiers over the ids and
 //!    decodes only the projected slots of the rows it returns. ASK, and
 //!    LIMIT without ORDER BY, stop the walk once they are answered.
@@ -841,18 +842,20 @@ const BLOCK: usize = 1024;
 /// Step 3: stream the rows of `input` through `plan` into `sink` in
 /// blocks of at most [`BLOCK`] rows, depth first, so a plan without
 /// UNION holds one block per step. A UNION runs each branch over all
-/// of its input in turn: the steps before it are collected first, and
-/// its own output too when another UNION follows, so rows come out in
-/// the order a step-by-step walk gives them.
+/// of its input in turn: the steps before it and its branches' output
+/// are collected, so rows come out in the order a step-by-step walk
+/// gives them.
 fn walk(
     env: &Env<'_>,
     plan: &[(Step<'_>, f64)],
     input: &[TermId],
     sink: &mut Sink<'_>,
 ) -> ControlFlow<()> {
-    let union =
-        |plan: &[(Step<'_>, f64)]| plan.iter().position(|(s, _)| matches!(s, Step::Union(_)));
-    let Some((at, Step::Union(branches))) = union(plan).map(|at| (at, &plan[at].0)) else {
+    let union = plan.iter().enumerate().find_map(|(at, (step, _))| match step {
+        Step::Union(branches) => Some((at, branches)),
+        _ => None,
+    });
+    let Some((at, branches)) = union else {
         for block in input.chunks(BLOCK * env.width) {
             run(env, plan, block, sink)?;
         }
@@ -866,23 +869,17 @@ fn walk(
         })?;
         ControlFlow::Continue(out)
     };
-    let (mid, rest) = (collect(&plan[..at], input)?, &plan[at + 1..]);
-    if union(rest).is_some() {
-        let mut out = Vec::new();
-        for br in branches {
-            out.extend(collect(br, &mid)?);
-        }
-        return walk(env, rest, &out, sink);
-    }
+    let mid = collect(&plan[..at], input)?;
+    let mut out = Vec::new();
     for br in branches {
-        walk(env, br, &mid, &mut |rows| walk(env, rest, rows, sink))?;
+        out.extend(collect(br, &mid)?);
     }
-    ControlFlow::Continue(())
+    walk(env, &plan[at + 1..], &out, sink)
 }
 
 /// One block through a plan without UNION. Nested bodies run once per
-/// row, seeded with it; an EXISTS or MINUS body stops at its first
-/// solution.
+/// row, seeded with it; an EXISTS or MINUS body stops once its first
+/// block reaches the probe's sink.
 fn run(
     env: &Env<'_>,
     plan: &[(Step<'_>, f64)],
