@@ -14,11 +14,11 @@ use teleios_mining::ontology::Ontology;
 use teleios_monet::array::NdArray;
 use teleios_monet::catalog::ResultSet;
 use teleios_monet::Catalog;
-use teleios_noa::chain::{panic_message, ChainOutput};
+use teleios_noa::chain::ChainOutput;
 use teleios_noa::firemap::{build_fire_map, FireMap};
 use teleios_noa::refine::{publish_hotspots, refine_product_against_landmass, RefineStats};
 use teleios_noa::ProcessingChain;
-use teleios_resilience::{BatchReport, SceneOutcome, SceneReport, Supervisor};
+use teleios_resilience::{panic_message, BatchReport, SceneOutcome, SceneReport, Supervisor};
 use teleios_sciql::SciqlResult;
 use teleios_strabon::{Solutions, Strabon};
 use teleios_vault::format::{encode_gtf1, encode_sev1, Gtf1Header, Sev1Header};

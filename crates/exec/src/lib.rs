@@ -70,4 +70,4 @@ pub mod pool;
 pub use cancel::CancelToken;
 pub use morsel::concat;
 pub use ordered_lock::{LockWitness, OrderedMutex, OrderedMutexGuard};
-pub use pool::{default_threads, WorkerPool};
+pub use pool::{default_threads, panic_message, WorkerPool};

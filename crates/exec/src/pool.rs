@@ -35,6 +35,17 @@ fn parse_threads(value: Option<&str>) -> Option<usize> {
     value?.trim().parse().ok().filter(|&n| n >= 1)
 }
 
+/// The message of a panic payload, such as one [`WorkerPool::try_run`] returns.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
+
 /// A morsel-driven worker pool. `Copy` and stateless between calls:
 /// construct one per operator invocation (or keep one around — both
 /// are free).
@@ -160,14 +171,6 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-        payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default()
-    }
 
     /// The pool contract, at every thread count: one table of
     /// properties instead of one copy per entry point.

@@ -216,17 +216,6 @@ impl ProcessingChain {
     }
 }
 
-/// Extract a human-readable message from a panic payload.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// The chain's products.
 #[derive(Debug, Clone)]
 pub struct ChainOutput {

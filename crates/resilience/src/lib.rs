@@ -48,3 +48,5 @@ pub mod supervisor;
 
 pub use fault::{Fault, FaultPlan, SEEDED_KINDS};
 pub use supervisor::{BatchReport, SceneOutcome, SceneReport, Supervisor};
+// For crates that reach `teleios-exec` only through this one.
+pub use teleios_exec::panic_message;

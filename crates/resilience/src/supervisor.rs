@@ -31,10 +31,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use teleios_exec::{default_threads, CancelToken, OrderedMutex, WorkerPool};
+use teleios_exec::{default_threads, panic_message, CancelToken, OrderedMutex, WorkerPool};
 use teleios_ingest::raster::GeoRaster;
 use teleios_monet::Catalog;
-use teleios_noa::chain::{panic_message, ChainStage};
+use teleios_noa::chain::ChainStage;
 use teleios_noa::{ChainOutput, HotspotClassifier, ProcessingChain};
 
 /// How one scene fared under supervision.

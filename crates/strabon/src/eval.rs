@@ -5,9 +5,10 @@
 //!
 //! 1. `prepare` catches the spatial sidecar up with the dictionary,
 //!    collects the statement's variables, lowers every FILTER, BIND,
-//!    projected, ORDER BY and aggregate expression once (slots for
-//!    variables, function variants for names, constants with their
-//!    numbers and geometries: `expr::lower`) and builds its one `Env`;
+//!    projected and ORDER BY expression once (slots for variables,
+//!    function variants for names, constants with their numbers and
+//!    geometries: `expr::lower`; a projection's aggregate calls become
+//!    folds into hidden slots) and builds its one `Env`;
 //! 2. `plan_group` orders each BGP run on a cardinality carried from
 //!    step to step (E4) and recurses into nested groups, once per
 //!    statement. A pattern's fanout is its constants' match count
@@ -37,17 +38,18 @@
 //!    overlay. Rows move in blocks of at most `BLOCK`, depth first, so
 //!    a plan without UNION holds one block per step (the overlay grows
 //!    by each distinct term the statement computes);
-//! 4. `finish` applies SELECT's solution modifiers over the ids and
-//!    decodes only the projected slots of the rows it returns. ASK, and
-//!    LIMIT without ORDER BY, stop the walk once they are answered.
+//! 4. `finish` applies SELECT's solution modifiers over the ids, folding
+//!    aggregates group by group as the rows arrive, and decodes only the
+//!    projected slots of the rows it returns. ASK, and LIMIT without
+//!    ORDER BY, stop the walk once they are answered.
 //!
 //! [`crate::StrabonConfig`] toggles the join ordering and the spatial
 //! join; both only ever change the plan, never the answer.
 
 use crate::ast::*;
 use crate::expr::{
-    eval, eval_group, lower, order, Aggregate, Env, Func, Lowered, Operand, SpatialFn, SpatialTest,
-    Value, VarTable, UNBOUND,
+    eval, lower, order, Acc, Env, Func, Lowered, Operand, SpatialFn, SpatialTest, Value, VarTable,
+    UNBOUND,
 };
 use crate::spatial::window;
 use crate::{Result, Solutions, Strabon, StrabonError};
@@ -62,9 +64,10 @@ use teleios_rdf::vocab;
 
 /// Step 1 of every statement: catch the sidecar up with the store,
 /// lower the WHERE clause, reject template variables it cannot bind,
-/// lower a SELECT's projected and ORDER BY expressions, and build the
-/// statement's environment. Lowering registers each variable at its
-/// first mention, in that order: the slot order `SELECT *` projects.
+/// lower a SELECT's projected (aggregate calls into folds) and ORDER BY
+/// expressions, and build the statement's environment. Lowering
+/// registers each variable at its first mention, in that order: the
+/// slot order `SELECT *` projects.
 pub(crate) fn prepare<'a, 't>(
     engine: &'a mut Strabon,
     where_clause: &'a GroupPattern,
@@ -84,20 +87,21 @@ pub(crate) fn prepare<'a, 't>(
             }
         }
     }
-    let (mut projected, mut order_by) = (Vec::new(), Vec::new());
+    let (mut projected, mut folds, mut order_by) = (Vec::new(), Some(Vec::new()), Vec::new());
     if let Some(q) = select {
         if let Projection::Vars(items) = &q.projection {
             for item in items {
                 match item {
                     ProjectionItem::Expr { expr, var } => {
-                        let expr = lower(expr, &mut vars);
+                        let expr = lower(expr, &mut vars, &mut folds);
                         projected.push((vars.slot(var), expr));
                     }
                     ProjectionItem::Var(var) => _ = vars.slot(var),
                 }
             }
         }
-        order_by = q.order_by.iter().map(|k| (lower(&k.expr, &mut vars), k.desc)).collect();
+        order_by =
+            q.order_by.iter().map(|k| (lower(&k.expr, &mut vars, &mut None), k.desc)).collect();
     }
     Ok(Env {
         store: &engine.store,
@@ -107,6 +111,7 @@ pub(crate) fn prepare<'a, 't>(
         config: engine.config,
         pattern,
         projected,
+        folds: folds.unwrap_or_default(),
         order_by,
         overlay: RefCell::default(),
     })
@@ -144,9 +149,9 @@ fn lower_group<'q>(g: &'q GroupPattern, vars: &mut VarTable) -> Vec<Element<'q>>
                     .for_each(|v| _ = vars.slot(v));
                 Element::Triple(t)
             }
-            PatternElement::Filter(e) => Element::Filter(lower(e, vars)),
+            PatternElement::Filter(e) => Element::Filter(lower(e, vars, &mut None)),
             PatternElement::Bind { expr, var } => {
-                Element::Bind { expr: lower(expr, vars), slot: vars.slot(var) }
+                Element::Bind { expr: lower(expr, vars, &mut None), slot: vars.slot(var) }
             }
             PatternElement::Optional(inner) => Element::Optional(lower_group(inner, vars)),
             PatternElement::Union(branches) => {
@@ -217,21 +222,18 @@ pub(crate) fn evaluate_construct(
 /// Steps 3 and 4: walk the WHERE clause, then apply SELECT's solution
 /// modifiers in SPARQL's order: (group and aggregate | extend with the
 /// projected expressions) → ORDER BY → project → DISTINCT → OFFSET →
-/// LIMIT. Aggregates and projected expressions land in their alias's
-/// slot, so ORDER BY and the projection read an alias like any other
-/// variable. Rows stay ids: only the projected slots of the rows
-/// returned are decoded. Without ORDER BY or aggregates the rows keep
-/// the walk's order, so DISTINCT drops a repeated projection as it
-/// arrives and the walk stops once OFFSET + LIMIT rows are in.
+/// LIMIT. Projected expressions land in their alias's slot, so ORDER BY
+/// and the projection read an alias like any other variable. Rows stay
+/// ids: only the projected slots of the rows returned are decoded.
+/// Without ORDER BY or aggregates the rows keep the walk's order, so
+/// DISTINCT drops a repeated projection as it arrives, hashing each row
+/// once, and the walk stops once OFFSET + LIMIT rows are in.
 fn finish(env: &Env<'_>, q: &SelectQuery) -> Result<Solutions> {
     let items: &[ProjectionItem] = match &q.projection {
         Projection::Vars(items) => items,
         Projection::All => &[],
     };
-    let aggregated = !q.group_by.is_empty()
-        || items
-            .iter()
-            .any(|i| matches!(i, ProjectionItem::Expr { expr, .. } if expr_has_aggregate(expr)));
+    let aggregated = !q.group_by.is_empty() || !env.folds.is_empty();
     let vars: Vec<String> = match &q.projection {
         Projection::Vars(items) => items
             .iter()
@@ -251,24 +253,22 @@ fn finish(env: &Env<'_>, q: &SelectQuery) -> Result<Solutions> {
     let in_walk_order = !aggregated && env.order_by.is_empty();
     let wanted = q.limit.filter(|_| in_walk_order).map(|n| q.offset.saturating_add(n));
     let (mut rows, mut seen) = (Vec::new(), HashSet::new());
-    solve(env, &mut |block| {
-        for row in block.chunks_exact(w) {
-            let start = rows.len();
-            rows.extend_from_slice(row);
-            if aggregated {
-                continue;
-            }
-            extend(env, &mut rows[start..]);
-            if in_walk_order && q.distinct && !seen.insert(project(&rows[start..])) {
-                rows.truncate(start);
-            } else if wanted.is_some_and(|n| rows.len() / w >= n) {
-                return ControlFlow::Break(());
-            }
-        }
-        ControlFlow::Continue(())
-    });
     if aggregated {
-        rows = aggregate(env, q, items, &rows)?;
+        rows = aggregate(env, q, items)?;
+    } else {
+        solve(env, &mut |block| {
+            for row in block.chunks_exact(w) {
+                let start = rows.len();
+                rows.extend_from_slice(row);
+                extend(env, &mut rows[start..]);
+                if in_walk_order && q.distinct && !seen.insert(project(&rows[start..])) {
+                    rows.truncate(start);
+                } else if wanted.is_some_and(|n| rows.len() / w >= n) {
+                    return ControlFlow::Break(());
+                }
+            }
+            ControlFlow::Continue(())
+        });
     }
 
     let mut sorted: Vec<usize> = (0..rows.len() / w).collect();
@@ -294,11 +294,11 @@ fn finish(env: &Env<'_>, q: &SelectQuery) -> Result<Solutions> {
         });
     }
 
-    seen.clear();
     let rows = sorted
         .into_iter()
         .map(|i| project(&rows[i * w..(i + 1) * w]))
-        .filter(|p| !q.distinct || seen.insert(p.clone()))
+        // In walk order, DISTINCT held already.
+        .filter(|p| in_walk_order || !q.distinct || seen.insert(p.clone()))
         .skip(q.offset)
         .take(q.limit.unwrap_or(usize::MAX))
         .map(|p| {
@@ -325,29 +325,13 @@ fn value_id(env: &Env<'_>, row: &[TermId], expr: &Lowered) -> TermId {
     }
 }
 
-fn expr_has_aggregate(e: &Expression) -> bool {
-    match e {
-        Expression::Var(_) | Expression::Const(_) => false,
-        Expression::Not(e) | Expression::Neg(e) => expr_has_aggregate(e),
-        Expression::Binary { left, right, .. } => {
-            expr_has_aggregate(left) || expr_has_aggregate(right)
-        }
-        Expression::Call { name, args } => {
-            Aggregate::named(name).is_some() || args.iter().any(expr_has_aggregate)
-        }
-    }
-}
-
-/// Collapse solution rows into one row per group, in first-seen order
-/// (one global group when GROUP BY is absent): the GROUP BY slots carry
-/// the key, each `(aggregate AS ?v)` lands in `?v`'s slot. Projected
-/// plain variables must be grouping variables.
-fn aggregate(
-    env: &Env<'_>,
-    q: &SelectQuery,
-    items: &[ProjectionItem],
-    rows: &[TermId],
-) -> Result<Vec<TermId>> {
+/// Fold the walk's rows into groups as they stream in, in first-seen
+/// order (one global group, which exists even over zero solutions, when
+/// GROUP BY is absent): a group keeps its first row and an accumulator
+/// per fold. Then [`extend`] reads the folds' slots, and only the key
+/// and alias slots stay bound for ORDER BY. Projected plain variables
+/// must be grouping variables.
+fn aggregate(env: &Env<'_>, q: &SelectQuery, items: &[ProjectionItem]) -> Result<Vec<TermId>> {
     let group_slots: Vec<usize> = q
         .group_by
         .iter()
@@ -357,44 +341,43 @@ fn aggregate(
                 .ok_or_else(|| StrabonError::Eval(format!("GROUP BY ?{v} is not bound anywhere")))
         })
         .collect::<Result<_>>()?;
-    for item in items {
-        if let ProjectionItem::Var(v) = item {
-            if !q.group_by.contains(v) {
-                return Err(StrabonError::Eval(format!(
-                    "non-aggregated ?{v} must appear in GROUP BY"
-                )));
-            }
-        }
+    if let Some(v) = items.iter().find_map(|i| match i {
+        ProjectionItem::Var(v) if !q.group_by.contains(v) => Some(v),
+        _ => None,
+    }) {
+        return Err(StrabonError::Eval(format!("non-aggregated ?{v} must appear in GROUP BY")));
     }
 
-    let mut groups: Vec<Vec<&[TermId]>> = Vec::new();
-    let mut index: HashMap<Vec<TermId>, usize> = HashMap::new();
-    for row in rows.chunks_exact(env.width) {
-        let key = group_slots.iter().map(|&s| row[s]).collect();
-        let gi = *index.entry(key).or_insert_with(|| {
-            groups.push(Vec::new());
+    let (mut rows, mut groups, mut index) = (Vec::new(), Vec::new(), HashMap::new());
+    let start = || env.folds.iter().map(|_| Acc::default()).collect::<Vec<_>>();
+    solve_rows(env, |row| {
+        let key: Vec<TermId> = group_slots.iter().map(|&s| row[s]).collect();
+        let g = *index.entry(key).or_insert_with(|| {
+            rows.extend_from_slice(row);
+            groups.push(start());
             groups.len() - 1
         });
-        groups[gi].push(row);
-    }
-    // A global aggregate over zero solutions still yields one row.
+        for (fold, acc) in env.folds.iter().zip(&mut groups[g]) {
+            fold.add(env, row, acc);
+        }
+    });
     if groups.is_empty() && q.group_by.is_empty() {
-        groups.push(Vec::new());
+        rows = vec![UNBOUND; env.width];
+        groups.push(start());
     }
 
-    let mut out = vec![UNBOUND; groups.len() * env.width];
-    for (members, row) in groups.iter().zip(out.chunks_exact_mut(env.width)) {
-        if let Some(first) = members.first() {
-            for &s in &group_slots {
-                row[s] = first[s];
-            }
+    let keep: Vec<usize> =
+        group_slots.into_iter().chain(env.projected.iter().map(|p| p.0)).collect();
+    for (row, accs) in rows.chunks_exact_mut(env.width).zip(groups) {
+        for (fold, acc) in env.folds.iter().zip(accs) {
+            row[fold.slot] = fold.value(acc).map_or(UNBOUND, |v| env.intern(&v.into_cow()));
         }
-        for (slot, expr) in &env.projected {
-            row[*slot] =
-                eval_group(env, expr, members).map_or(UNBOUND, |v| env.intern(&v.into_cow()));
+        extend(env, row);
+        for (_, id) in row.iter_mut().enumerate().filter(|(s, _)| !keep.contains(s)) {
+            *id = UNBOUND;
         }
     }
-    Ok(out)
+    Ok(rows)
 }
 
 /// Fraction of its input a FILTER is costed to keep. One constant for

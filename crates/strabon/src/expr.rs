@@ -2,12 +2,13 @@
 //!
 //! `eval::prepare` lowers each expression of a statement once
 //! ([`lower`]): a variable becomes its slot, a function name a [`Func`],
-//! a constant a [`Constant`] holding its numeric view and geometry.
-//! [`eval`] walks the lowered form under a solution row of dictionary
+//! a constant a [`Constant`] holding its numeric view and geometry, a
+//! projected aggregate call a [`Fold`] into a hidden slot. [`eval`], the
+//! one row evaluator, walks the lowered form under a row of dictionary
 //! ids to a [`Value`] that borrows the dictionary's or the constant's
 //! term where one exists; a term is built only for a new value (CONCAT,
-//! buffer, …) or one that is stored (a BIND target, a projected alias,
-//! an aggregate), which [`Env::intern`] gives an id.
+//! buffer, …) or a stored one (a BIND target, an alias, a fold's
+//! result), which [`Env::intern`] gives an id.
 //!
 //! Per the SPARQL semantics, errors inside FILTER expressions are not
 //! fatal: they produce an *error value* that makes the filter reject the
@@ -78,10 +79,12 @@ pub(crate) struct Env<'a> {
     /// SELECT's `(expr AS ?v)` items: `?v`'s slot and the lowered
     /// expression, in order.
     pub projected: Vec<(usize, Lowered)>,
+    /// The aggregate calls hoisted out of `projected`, in order.
+    pub folds: Vec<Fold>,
     /// SELECT's ORDER BY keys, lowered, each with its DESC flag.
     pub order_by: Vec<(Lowered, bool)>,
     /// The terms the statement computed (BIND results, projected
-    /// expressions, aggregates) that the store does not hold, their ids
+    /// expressions, folds) that the store does not hold, their ids
     /// numbered on from the store's: id equality stays term equality.
     pub overlay: RefCell<Dictionary>,
 }
@@ -138,8 +141,8 @@ pub(crate) struct Constant {
     geometry: Option<Arc<Geometry>>,
 }
 
-/// A builtin, an aggregate, or an strdf (or GeoSPARQL `geof:`)
-/// function; `Unknown` names none and always errs.
+/// A builtin, or an strdf (or GeoSPARQL `geof:`) function; `Unknown`
+/// names none and always errs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Func {
     Bound,
@@ -165,7 +168,6 @@ pub(crate) enum Func {
     Regex,
     If,
     Coalesce,
-    Aggregate(Aggregate),
     Topological(SpatialFn),
     Disjoint,
     Distance,
@@ -196,7 +198,7 @@ pub(crate) enum Aggregate {
 }
 
 impl Aggregate {
-    pub(crate) fn named(name: &str) -> Option<Aggregate> {
+    fn named(name: &str) -> Option<Aggregate> {
         Some(match name {
             "COUNT" => Aggregate::Count,
             "SUM" => Aggregate::Sum,
@@ -210,8 +212,8 @@ impl Aggregate {
 }
 
 impl Func {
-    /// The function a call names: an upper-case builtin or aggregate,
-    /// or an strdf or `geof:` IRI.
+    /// The function a call names: an upper-case builtin, or an strdf or
+    /// `geof:` IRI.
     fn named(name: &str) -> Func {
         let spatial = name
             .strip_prefix(vocab::strdf::NS)
@@ -258,7 +260,7 @@ impl Func {
             "REGEX" => Func::Regex,
             "IF" => Func::If,
             "COALESCE" => Func::Coalesce,
-            _ => Aggregate::named(name).map_or(Func::Unknown, Func::Aggregate),
+            _ => Func::Unknown,
         }
     }
 
@@ -276,9 +278,11 @@ impl Func {
     }
 }
 
-/// Lower `e` over the statement's variables (all registered already).
-pub(crate) fn lower(e: &Expression, vars: &mut VarTable) -> Lowered {
-    let boxed = |e: &Expression, vars: &mut VarTable| Box::new(lower(e, vars));
+/// Lower `e` over the statement's variables. With `Some` folds (a SELECT
+/// projection), an aggregate call becomes a [`Fold`] into a hidden slot
+/// `#n`, a name no SPARQL variable has; elsewhere it is the error value.
+pub(crate) fn lower(e: &Expression, vars: &mut VarTable, folds: &mut Option<Vec<Fold>>) -> Lowered {
+    let mut boxed = |e: &Expression, vars: &mut VarTable| Box::new(lower(e, vars, folds));
     match e {
         Expression::Var(name) => Lowered::Slot(vars.slot(name)),
         Expression::Const(t) => Lowered::Const(Constant {
@@ -291,9 +295,21 @@ pub(crate) fn lower(e: &Expression, vars: &mut VarTable) -> Lowered {
         Expression::Binary { op, left, right } => {
             Lowered::Binary(*op, boxed(left, vars), boxed(right, vars))
         }
-        Expression::Call { name, args } => {
-            Lowered::Call(Func::named(name), args.iter().map(|a| lower(a, vars)).collect())
-        }
+        Expression::Call { name, args } => match (Aggregate::named(name), folds.as_mut()) {
+            (Some(agg), Some(list)) => {
+                // `AGG(*)` counts solutions; an aggregate call inside the
+                // argument stays the error value.
+                let arg = args.first().map(|a| lower(a, vars, &mut None));
+                let agg = if arg.is_some() { agg } else { Aggregate::Count };
+                let slot = vars.slot(&format!("#{}", list.len()));
+                list.push(Fold { agg, arg, slot });
+                Lowered::Slot(slot)
+            }
+            _ => Lowered::Call(
+                Func::named(name),
+                args.iter().map(|a| lower(a, vars, folds)).collect(),
+            ),
+        },
     }
 }
 
@@ -643,7 +659,7 @@ fn call<'a>(env: &'a Env<'_>, b: &[TermId], f: Func, args: &'a [Lowered]) -> Opt
         // COALESCE returns its first argument that is no error.
         Func::If => return arg(if arg(0)?.ebv()? { 1 } else { 2 }),
         Func::Coalesce => return args.iter().find_map(|a| eval(env, b, a)),
-        Func::Aggregate(_) | Func::Unknown => return None,
+        Func::Unknown => return None,
         f => return strdf_call(env, b, f, args),
     })
 }
@@ -712,59 +728,62 @@ fn strdf_call<'a>(
     })
 }
 
-/// Evaluate a projected expression over a group of solutions: an
-/// aggregate folds its argument's values (errors skipped), arithmetic
-/// and comparisons combine aggregate results, and anything else reads
-/// the group's first solution.
-pub(crate) fn eval_group<'a>(
-    env: &'a Env<'_>,
-    e: &'a Lowered,
-    group: &[&[TermId]],
-) -> Option<Value<'a>> {
-    match e {
-        Lowered::Call(Func::Aggregate(f), args) => {
-            // COUNT(*): every solution counts.
-            let Some(arg) = args.first() else {
-                return Some(Value::Int(group.len() as i64));
-            };
-            let values: Vec<Value<'a>> = group.iter().filter_map(|&b| eval(env, b, arg)).collect();
-            match f {
-                Aggregate::Count => Some(Value::Int(values.len() as i64)),
-                Aggregate::Sample => values.into_iter().next(),
-                Aggregate::Sum | Aggregate::Avg => {
-                    let nums: Vec<f64> = values.iter().filter_map(Value::as_f64).collect();
-                    if nums.is_empty() {
-                        return (*f == Aggregate::Sum).then_some(Value::Int(0));
-                    }
-                    let sum: f64 = nums.iter().sum();
-                    Some(if *f == Aggregate::Avg {
-                        Value::Double(sum / nums.len() as f64)
-                    } else if values.iter().all(Value::is_integer) {
-                        Value::Int(sum as i64)
-                    } else {
-                        Value::Double(sum)
-                    })
-                }
-                // The first of equal values stays.
-                Aggregate::Min | Aggregate::Max => {
-                    let wanted =
-                        if *f == Aggregate::Min { Ordering::Less } else { Ordering::Greater };
-                    values.into_iter().reduce(|best, v| {
-                        if order(Some(&v), Some(&best)) == wanted {
-                            v
-                        } else {
-                            best
-                        }
-                    })
+/// An aggregate call of a SELECT projection, hoisted by [`lower`]:
+/// each group folds the argument's values over its rows, in row order,
+/// into `slot`.
+pub(crate) struct Fold {
+    agg: Aggregate,
+    /// `None` for `COUNT(*)`.
+    arg: Option<Lowered>,
+    pub slot: usize,
+}
+
+/// One group's running [`Fold`]: the values counted (for SUM and AVG,
+/// the numbers), their sum, whether a value was no integer, and the
+/// value MIN, MAX or SAMPLE keeps.
+#[derive(Default)]
+pub(crate) struct Acc<'a> {
+    nums: usize,
+    sum: Option<f64>,
+    mixed: bool,
+    kept: Option<Value<'a>>,
+}
+
+impl Fold {
+    /// Fold one row into `acc`: `COUNT(*)` counts it, any other fold
+    /// skips the error value. A sum starts at its first number, as
+    /// `Iterator::sum` adds; MIN and MAX keep the first of equal values.
+    pub(crate) fn add<'a>(&'a self, env: &'a Env<'_>, b: &[TermId], acc: &mut Acc<'a>) {
+        let Some(v) = self.arg.as_ref().map_or(Some(Value::Int(1)), |a| eval(env, b, a)) else {
+            return;
+        };
+        let want = if self.agg == Aggregate::Min { Ordering::Less } else { Ordering::Greater };
+        match (self.agg, &acc.kept) {
+            (Aggregate::Count, _) => acc.nums += 1,
+            (Aggregate::Sum | Aggregate::Avg, _) => {
+                acc.mixed |= !v.is_integer();
+                if let Some(x) = v.as_f64() {
+                    acc.sum = Some(acc.sum.map_or(x, |sum| sum + x));
+                    acc.nums += 1;
                 }
             }
+            (Aggregate::Sample, Some(_)) => {}
+            (_, Some(best)) if order(Some(&v), Some(best)) != want => {}
+            _ => acc.kept = Some(v),
         }
-        Lowered::Binary(op, l, r) => {
-            let l = eval_group(env, l, group)?;
-            let r = eval_group(env, r, group)?;
-            binary(*op, Some(l), || Some(r))
-        }
-        e => eval(env, group.first()?, e),
+    }
+
+    /// The group's result: the SUM of no numbers is 0, their AVG (and
+    /// the MIN, MAX or SAMPLE of no values) the error value.
+    pub(crate) fn value<'a>(&self, acc: Acc<'a>) -> Option<Value<'a>> {
+        Some(match (self.agg, acc.sum) {
+            (Aggregate::Count, _) => Value::Int(acc.nums as i64),
+            (Aggregate::Sum, None) => Value::Int(0),
+            (Aggregate::Sum, Some(sum)) if !acc.mixed => Value::Int(sum as i64),
+            (Aggregate::Sum, Some(sum)) => Value::Double(sum),
+            (Aggregate::Avg, sum) => Value::Double(sum? / acc.nums as f64),
+            _ => return acc.kept,
+        })
     }
 }
 
@@ -911,7 +930,7 @@ mod tests {
 
     fn eval_const(expr: &Expression) -> Option<Term> {
         let (store, spatial, mut vars) = env_fixture();
-        let lowered = lower(expr, &mut vars);
+        let lowered = lower(expr, &mut vars, &mut None);
         let env = Env {
             store: &store,
             spatial: &spatial,
@@ -920,6 +939,7 @@ mod tests {
             config: StrabonConfig::default(),
             pattern: Vec::new(),
             projected: Vec::new(),
+            folds: Vec::new(),
             order_by: Vec::new(),
             overlay: RefCell::default(),
         };

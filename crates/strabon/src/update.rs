@@ -5,7 +5,7 @@
 use crate::ast::{GroupPattern, PatternElement, PatternTriple, Update, VarOrTerm};
 use crate::eval::{prepare, solve_rows};
 use crate::expr::{Env, UNBOUND};
-use crate::{Result, Strabon, StrabonError};
+use crate::{Result, Strabon};
 use teleios_rdf::dictionary::TermId;
 use teleios_rdf::term::Term;
 use teleios_rdf::triple::Triple;
@@ -13,8 +13,10 @@ use teleios_rdf::triple::Triple;
 /// Execute an update. Returns the number of triples added plus removed.
 pub fn execute_update(engine: &mut Strabon, update: &Update) -> Result<usize> {
     let (to_delete, to_insert) = match update {
-        Update::InsertData(triples) => (Vec::new(), ground_triples(triples)?),
-        Update::DeleteData(triples) => (ground_triples(triples)?, Vec::new()),
+        // A DATA block is a template over the one solution of an empty
+        // WHERE, so a variable in it is one the WHERE does not bind.
+        Update::InsertData(triples) => matches(engine, &[], triples, &GroupPattern::default())?,
+        Update::DeleteData(triples) => matches(engine, triples, &[], &GroupPattern::default())?,
         // DELETE WHERE { p }: the template doubles as the pattern.
         Update::DeleteWhere(patterns) => {
             let elements = patterns.iter().cloned().map(PatternElement::Triple).collect();
@@ -82,14 +84,4 @@ pub(crate) fn instantiate(
             out.push((s, p, o));
         }
     }
-}
-
-fn ground_triples(templates: &[PatternTriple]) -> Result<Triples> {
-    let ground = |v: &VarOrTerm| match v {
-        VarOrTerm::Term(t) => Ok(t.clone()),
-        VarOrTerm::Var(name) => {
-            Err(StrabonError::Eval(format!("variable ?{name} not allowed in DATA block")))
-        }
-    };
-    templates.iter().map(|t| Ok((ground(&t.s)?, ground(&t.p)?, ground(&t.o)?))).collect()
 }

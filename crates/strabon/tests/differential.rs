@@ -449,6 +449,7 @@ fn gen_select(g: &mut Gen) -> Case {
                         &("MIN(?c)", "lo"),
                         &("MAX(?c)", "hi"),
                         &("MAX(?c) - MIN(?c)", "spread"),
+                        &("ABS(SUM(?c))", "abssum"),
                     ],
                 );
                 if !names.iter().any(|n| n == alias) {
@@ -640,16 +641,17 @@ fn peak_rss_kib() -> u64 {
 }
 
 /// ASK and an unordered LIMIT over [`CROSS`] stop at the first block,
-/// and DISTINCT keeps one row per distinct projection as they come, so
-/// all three stay within a few blocks' memory; COUNT(*) keeps every
-/// binding, as ids (4 bytes a slot). Run in release from a shell of its
-/// own whose address space `ulimit -v` caps at about 1 GB: a walk that
-/// kept every binding as terms would need several GB and abort.
+/// DISTINCT keeps one row per distinct projection as they come, and
+/// COUNT(*) folds each block into one accumulator as it streams, so
+/// all four stay within a few blocks' memory. Run in release from a
+/// shell of its own whose address space `ulimit -v` caps at about
+/// 1 GB: a walk that kept every binding as terms would need several GB
+/// and abort.
 /// `cargo test --release -p teleios-strabon --test differential --
 /// --ignored --exact a_cross_product_is_walked_a_block_at_a_time`
-/// (`scripts/check.sh --full` runs it).
+/// (`scripts/check.sh` runs it).
 #[test]
-#[ignore = "release build, under ulimit -v: scripts/check.sh --full"]
+#[ignore = "release build, under ulimit -v: scripts/check.sh"]
 fn a_cross_product_is_walked_a_block_at_a_time() {
     const NAME: &str = "a_cross_product_is_walked_a_block_at_a_time";
     if std::env::var_os("STRABON_UNDER_ULIMIT").is_none() {
@@ -674,13 +676,11 @@ fn a_cross_product_is_walked_a_block_at_a_time() {
     let count = query(&format!("SELECT (COUNT(*) AS ?n) WHERE {{ {CROSS} }}"));
     let bindings = HOTSPOTS * HOTSPOTS * HOTSPOTS * SITES;
     assert_eq!(count.get(0, "n"), Some(&Term::int(bindings as i64)));
-    // An eighth of the 6.9 GB a walk of term-sized bindings peaked at
-    // over about 5 million of them.
     let counted = peak_rss_kib();
     eprintln!(
         "peak RSS: {streamed} KiB after ASK, LIMIT and DISTINCT; {counted} KiB after COUNT(*)"
     );
-    assert!(counted < 6_900_000 / 8, "COUNT(*) over {bindings} bindings peaked at {counted} KiB");
+    assert!(counted < 64 * 1024, "COUNT(*) over {bindings} bindings peaked at {counted} KiB");
 }
 
 // --- the pinned corpus -------------------------------------------------

@@ -2,7 +2,7 @@
 
 use teleios_rdf::term::Term;
 use teleios_rdf::TripleStore;
-use teleios_strabon::{Strabon, StrabonConfig};
+use teleios_strabon::{Strabon, StrabonConfig, StrabonError};
 
 const PREFIXES: &str = "\
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n\
@@ -317,6 +317,17 @@ fn template_var_not_in_where_is_error() {
 }
 
 #[test]
+fn a_variable_in_a_data_block_is_an_error() {
+    let mut db = fixture();
+    for op in ["INSERT", "DELETE"] {
+        let r = db
+            .update(&format!("{PREFIXES} {op} DATA {{ ex:h1 a noa:Hotspot . ?h a noa:Hotspot }}"));
+        assert!(matches!(&r, Err(StrabonError::Eval(m)) if m.contains("?h")), "{op} DATA: {r:?}");
+    }
+    assert_eq!(db.len(), fixture().len(), "a rejected block changes nothing");
+}
+
+#[test]
 fn str_and_regex_builtins() {
     let mut db = fixture();
     let sols = db
@@ -415,6 +426,29 @@ fn aggregate_over_empty_group_is_one_row() {
         .unwrap();
     assert_eq!(sols.len(), 1);
     assert_eq!(sols.get(0, "n"), Some(&Term::int(0)));
+}
+
+/// An aggregate call anywhere in a projected expression folds into a
+/// slot of its own, which the expression reads like a variable.
+#[test]
+fn aggregate_calls_nest_inside_projected_expressions() {
+    let mut db = Strabon::new();
+    db.load_turtle("@prefix ex: <http://example.org/> . ex:a ex:v 3 . ex:b ex:v -5 .").unwrap();
+    let sols = db
+        .query(&format!(
+            "{PREFIXES} SELECT (ABS(SUM(?c)) AS ?abs) (-COUNT(?c) AS ?neg) (STR(COUNT(?c)) AS ?str) \
+             (IF(COUNT(?c) > 1, \"many\", \"few\") AS ?if) WHERE {{ ?x ex:v ?c }}"
+        ))
+        .unwrap();
+    assert_eq!(sols.get(0, "abs"), Some(&Term::int(2)));
+    assert_eq!(sols.get(0, "neg"), Some(&Term::int(-2)));
+    assert_eq!(sols.get(0, "str"), Some(&Term::literal("2")));
+    assert_eq!(sols.get(0, "if"), Some(&Term::literal("many")));
+    // A global aggregate over zero solutions still has its one row.
+    let empty = db
+        .query(&format!("{PREFIXES} SELECT (COUNT(*) + 1 AS ?n) WHERE {{ ?x ex:nothing ?c }}"))
+        .unwrap();
+    assert_eq!(empty.rows, [[Some(Term::int(1))]]);
 }
 
 #[test]

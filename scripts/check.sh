@@ -24,11 +24,11 @@
 #                              one-checksum greps, the
 #                              public-name census,
 #                              warning-free clippy outside crates/e0,
-#                              the E3/E6/E11 smoke runs and the E0
-#                              benchmark's self-test
+#                              the E3/E6/E11 smoke runs, the strabon
+#                              cross product under ulimit -v (release)
+#                              and the E0 benchmark's self-test
 #   scripts/check.sh --full    default gate, plus the exhaustive
-#                              WAL-truncation recovery sweep and the
-#                              strabon cross product under ulimit -v
+#                              WAL-truncation recovery sweep
 #
 # Both test steps build first and then run under `timeout`, so a
 # hung-stage or wedged-replay regression in a test (the deadline and
@@ -406,6 +406,13 @@ timeout 300 cargo run --release --offline -p teleios-bench --bin exp_column_vs_r
 echo "==> E3 smoke (flagship query vs archive size and hotspot:image ratio)"
 timeout 300 cargo run --release --offline -p teleios-bench --bin exp_flagship_query -- --smoke
 
+# ASK, LIMIT, DISTINCT and COUNT(*) over a 7-million-binding cross
+# product in a shell capped by `ulimit -v` at about 1 GB (the test sets
+# it), each within a few blocks' memory.
+echo "==> strabon cross product, a block at a time (release, ulimit -v)"
+timeout 600 cargo test --release --offline -p teleios-strabon --test differential -- \
+    --ignored --exact a_cross_product_is_walked_a_block_at_a_time
+
 # The E0 benchmark's own unit and integration tests (every workload
 # correct at smoke scale, digests frozen, negative controls fail).
 echo "==> E0 self-test"
@@ -417,11 +424,6 @@ if [ "$full" -eq 1 ]; then
     # in tier 1; this is the #[ignore]d large variant).
     echo "==> store recovery property sweep (exhaustive)"
     timeout 600 cargo test --release --offline -p teleios-store --test recovery_properties -- --ignored
-    # ASK, LIMIT and DISTINCT over a 7-million-binding cross product in
-    # a shell capped by `ulimit -v` at about 1 GB (the test sets it).
-    echo "==> strabon cross product, a block at a time (release, ulimit -v)"
-    timeout 600 cargo test --release --offline -p teleios-strabon --test differential -- \
-        --ignored --exact a_cross_product_is_walked_a_block_at_a_time
 fi
 
 echo "==> all checks passed"
