@@ -199,14 +199,14 @@ fn run_layer(
     region_lit: &str,
     label_prop: Option<&str>,
 ) -> Result<MapLayer, StrabonError> {
-    let sols = db.query(&layer_query(class, region_lit, label_prop))?;
-    let mut features = Vec::with_capacity(sols.len());
-    for i in 0..sols.len() {
-        let Some(geom) = sols.get(i, "g").and_then(|g| db.geometry(g)) else { continue };
-        let label = sols
-            .get(i, "label")
+    let rows = db.select(&layer_query(class, region_lit, label_prop))?;
+    let mut features = Vec::with_capacity(rows.len());
+    for i in 0..rows.len() {
+        let Some(geom) = rows.geometry(i, "g") else { continue };
+        let label = rows
+            .term(i, "label")
             .and_then(|t| t.lexical().map(str::to_string))
-            .or_else(|| sols.get(i, "f").and_then(|t| t.as_iri().map(short_iri)))
+            .or_else(|| rows.term(i, "f").and_then(|t| t.as_iri().map(short_iri)))
             .unwrap_or_default();
         features.push((geom, label));
     }
@@ -240,8 +240,8 @@ fn layers() -> [(&'static str, String, Option<String>); 6] {
 
 /// Generate the fire map for a region: coastline, land cover, roads,
 /// populated places, archaeological sites, and the detected hotspots.
-/// Each feature's geometry is the engine's parsed copy
-/// ([`Strabon::geometry`]), not a second parse of the answer's WKT.
+/// Each feature's geometry is the engine's parsed copy, read by id
+/// ([`teleios_strabon::Rows::geometry`]): no answer's WKT is decoded.
 pub fn build_fire_map(db: &mut Strabon, region: &Envelope) -> Result<FireMap, StrabonError> {
     let region_lit =
         geometry_literal_wgs84(&Geometry::Polygon(Polygon::from_envelope(region))).to_string();
@@ -318,9 +318,9 @@ mod tests {
         assert_eq!(map.layer("hotspots").unwrap().features.len(), 1);
     }
 
-    /// Each feature's geometry, read back from the engine by term, is
-    /// the parse of the WKT its layer query projects — the id ↔ term
-    /// lookup behind `Strabon::geometry` hands out no other geometry.
+    /// Each feature's geometry, the sidecar's copy read by id, is a
+    /// fresh parse of the WKT its layer query projects: the id a layer
+    /// row holds names no other geometry.
     #[test]
     fn feature_geometries_are_the_parsed_layer_answers() {
         let (mut db, world) = db_with_world();

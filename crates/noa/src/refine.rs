@@ -140,11 +140,11 @@ pub fn refine_product_against_landmass(
 ) -> Result<RefineStats, StrabonError> {
     let scope = scope_clause(Some(product_id));
     let count = |db: &mut Strabon, class: &str| -> Result<usize, StrabonError> {
-        let sols = db.query(&format!(
+        let rows = db.select(&format!(
             "PREFIX noa: <{}>\nSELECT ?h WHERE {{ ?h a <{class}>{scope} }}",
             noa::NS,
         ))?;
-        Ok(sols.len())
+        Ok(rows.len())
     };
     let before = count(db, noa::HOTSPOT)?;
     let [refute, clip] = refinement_updates_scoped(landmass_wkt, Some(product_id));
@@ -187,21 +187,21 @@ pub fn features_to_mask(
 }
 
 /// Fetch the geometries of surviving hotspots of a product, as the
-/// engine parsed them ([`Strabon::geometry`]).
+/// engine parsed them ([`teleios_strabon::Rows::geometry`]).
 pub fn surviving_hotspot_geometries(
     db: &mut Strabon,
     product_id: &str,
 ) -> Result<Vec<Polygon>, StrabonError> {
     let product = format!("http://teleios.di.uoa.gr/products/{product_id}");
-    let sols = db.query(&format!(
+    let rows = db.select(&format!(
         "PREFIX noa: <{}>\nPREFIX strdf: <{}>\n\
          SELECT ?g WHERE {{ ?h a noa:Hotspot ; noa:isDerivedFrom <{product}> ; strdf:hasGeometry ?g }}",
         noa::NS,
         strdf::NS,
     ))?;
-    let mut out = Vec::with_capacity(sols.len());
-    for term in sols.rows.iter().filter_map(|row| row[0].as_ref()) {
-        match db.geometry(term).as_deref() {
+    let mut out = Vec::with_capacity(rows.len());
+    for i in 0..rows.len() {
+        match rows.geometry(i, "g").as_deref() {
             Some(teleios_geo::Geometry::Polygon(p)) => out.push(p.clone()),
             // Clipped hotspots are MultiPolygon literals.
             Some(teleios_geo::Geometry::MultiPolygon(ps)) => out.extend(ps.iter().cloned()),
@@ -241,6 +241,48 @@ mod tests {
         let mut db = Strabon::new();
         let n = publish_hotspots(&features(), "p1", "threshold-318", &mut db);
         assert_eq!(n, 10);
+    }
+
+    /// The clip update computes each clipped geometry into the
+    /// statement's overlay and interns it when it applies: a twin store
+    /// that makes the same writes through `Strabon::insert`, in the
+    /// update's order, ends with the same dictionary, id for id.
+    #[test]
+    fn clip_interns_terms_as_inserting_its_triples_would() {
+        // Two blobs crossing the coast at x = 6, one row apart.
+        let mut m = NdArray::matrix(10, 10, vec![0.0; 100]).unwrap();
+        for (r, c) in [(0, 5), (0, 6), (2, 5), (2, 6)] {
+            m.set(&[r, c], 1.0).unwrap();
+        }
+        let mut db = Strabon::new();
+        publish_hotspots(&crate::shapefile::mask_to_features(&m, &geo()).unwrap(), "p1", "t", &mut db);
+        let mut twin = Strabon::new();
+        *twin.store_mut() = db.store().clone();
+
+        let [_, clip] = refinement_updates_scoped(&landmass(), Some("p1"));
+        let (head, body) = clip.split_at(clip.find("WHERE").unwrap());
+        let prefixes = &head[..head.find("DELETE").unwrap()];
+        let sols = twin.query(&format!("{prefixes}SELECT ?h ?g ?clipped {body}")).unwrap();
+        assert_eq!(sols.len(), 2);
+        let has_geometry = Term::iri(strdf::HAS_GEOMETRY);
+        let row = |i: usize, v: &str| sols.get(i, v).unwrap().clone();
+        for i in 0..sols.len() {
+            let store = twin.store_mut();
+            let id = |t: &Term| store.id_of(t).unwrap();
+            let t = teleios_rdf::triple::Triple::new(id(&row(i, "h")), id(&has_geometry), id(&row(i, "g")));
+            assert!(store.remove(&t));
+        }
+        for i in 0..sols.len() {
+            assert!(twin.insert(&row(i, "h"), &has_geometry, &row(i, "clipped")));
+        }
+
+        assert_eq!(db.update(&clip).unwrap(), 4);
+        let (ours, theirs) = (db.store().dictionary(), twin.store().dictionary());
+        assert_eq!(ours.len(), theirs.len());
+        for id in 0..ours.len() as teleios_rdf::dictionary::TermId {
+            assert_eq!(ours.term(id), theirs.term(id), "id {id}");
+        }
+        assert_eq!(db.store().iter().collect::<Vec<_>>(), twin.store().iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -80,8 +80,9 @@ impl TripleStore {
         self.dict.term(id)
     }
 
-    /// Insert an encoded triple. Returns false when it already existed.
-    pub(crate) fn insert(&mut self, t: Triple) -> bool {
+    /// Insert a triple of this store's ids. Returns false when it
+    /// already existed.
+    pub fn insert(&mut self, t: Triple) -> bool {
         if !self.spo.insert((t.s, t.p, t.o)) {
             return false;
         }

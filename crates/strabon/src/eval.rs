@@ -39,9 +39,11 @@
 //!    a plan without UNION holds one block per step (the overlay grows
 //!    by each distinct term the statement computes);
 //! 4. `finish` applies SELECT's solution modifiers over the ids, folding
-//!    aggregates group by group as the rows arrive, and decodes only the
-//!    projected slots of the rows it returns. ASK, and LIMIT without
-//!    ORDER BY, stop the walk once they are answered.
+//!    aggregates group by group as the rows arrive, and hands the
+//!    projected slots of the rows it keeps, still ids, to a `Rows` that
+//!    owns the statement's overlay: a caller decodes only what it reads.
+//!    ASK, and LIMIT without ORDER BY, stop the walk once they are
+//!    answered.
 //!
 //! [`crate::StrabonConfig`] toggles the join ordering and the spatial
 //! join; both only ever change the plan, never the answer.
@@ -52,7 +54,8 @@ use crate::expr::{
     UNBOUND,
 };
 use crate::spatial::window;
-use crate::{Result, Solutions, Strabon, StrabonError};
+use crate::update::{instantiate, templates};
+use crate::{Result, Rows, Solutions, Strabon, StrabonError};
 use std::cell::{OnceCell, RefCell};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -188,34 +191,45 @@ pub(crate) fn solve_rows(env: &Env<'_>, mut f: impl FnMut(&[TermId])) {
 
 /// Evaluate a parsed query against the engine.
 pub fn evaluate_query(engine: &mut Strabon, query: &Query) -> Result<Solutions> {
-    match query {
-        Query::Select(q) => {
-            let env = prepare(engine, &q.where_clause, Some(q), [])?;
-            finish(&env, q)
-        }
-        Query::Ask(q) => {
-            let env = prepare(engine, &q.where_clause, None, [])?;
-            let found = solve(&env, &mut |_| ControlFlow::Break(()));
-            Ok(Solutions { vars: vec!["ask".into()], rows: vec![vec![Some(Term::boolean(found))]] })
-        }
+    Ok(select(engine, query)?.to_solutions())
+}
+
+/// Evaluate a SELECT or ASK, its answer left as ids: ASK's is one row
+/// holding the boolean's id.
+pub(crate) fn select<'e>(engine: &'e mut Strabon, query: &Query) -> Result<Rows<'e>> {
+    let (where_clause, select) = match query {
+        Query::Select(q) => (&q.where_clause, Some(q)),
+        Query::Ask(q) => (&q.where_clause, None),
         Query::Construct(_) => {
-            Err(StrabonError::Eval("CONSTRUCT queries go through Strabon::construct".into()))
+            return Err(StrabonError::Eval("CONSTRUCT queries go through Strabon::construct".into()))
         }
-    }
+    };
+    let env = prepare(engine, where_clause, select, [])?;
+    let (vars, rows) = match select {
+        Some(q) => finish(&env, q)?,
+        None => {
+            let found = solve(&env, &mut |_| ControlFlow::Break(()));
+            (vec!["ask".into()], vec![vec![env.intern(&Term::boolean(found))]])
+        }
+    };
+    Ok(Rows { vars, rows, overlay: env.overlay.into_inner(), engine })
 }
 
 /// Evaluate a CONSTRUCT query: matched solutions instantiate the
-/// template; duplicate triples collapse.
+/// template; duplicate triples collapse before they are decoded.
 pub(crate) fn evaluate_construct(
     engine: &mut Strabon,
     q: &ConstructQuery,
 ) -> Result<Vec<(Term, Term, Term)>> {
     let env = prepare(engine, &q.where_clause, None, &q.template)?;
-    let mut out: Vec<(Term, Term, Term)> = Vec::new();
-    solve_rows(&env, |row| crate::update::instantiate(&env, row, &q.template, &mut out));
-    // Set semantics: CONSTRUCT produces a graph.
+    let template = templates(&env, &q.template);
+    let mut ids = Vec::new();
+    solve_rows(&env, |row| instantiate(row, &template, &mut ids));
+    // Set semantics: CONSTRUCT produces a graph. Equal ids are equal terms.
+    ids.sort_unstable();
+    ids.dedup();
+    let mut out: Vec<_> = ids.iter().map(|t| t.map(|id| env.value(id).into_term()).into()).collect();
     out.sort();
-    out.dedup();
     Ok(out)
 }
 
@@ -224,11 +238,11 @@ pub(crate) fn evaluate_construct(
 /// projected expressions) → ORDER BY → project → DISTINCT → OFFSET →
 /// LIMIT. Projected expressions land in their alias's slot, so ORDER BY
 /// and the projection read an alias like any other variable. Rows stay
-/// ids: only the projected slots of the rows returned are decoded.
+/// ids: the projected slots of the rows kept are returned undecoded.
 /// Without ORDER BY or aggregates the rows keep the walk's order, so
 /// DISTINCT drops a repeated projection as it arrives, hashing each row
 /// once, and the walk stops once OFFSET + LIMIT rows are in.
-fn finish(env: &Env<'_>, q: &SelectQuery) -> Result<Solutions> {
+fn finish(env: &Env<'_>, q: &SelectQuery) -> Result<(Vec<String>, Vec<Vec<TermId>>)> {
     let items: &[ProjectionItem] = match &q.projection {
         Projection::Vars(items) => items,
         Projection::All => &[],
@@ -301,11 +315,8 @@ fn finish(env: &Env<'_>, q: &SelectQuery) -> Result<Solutions> {
         .filter(|p| in_walk_order || !q.distinct || seen.insert(p.clone()))
         .skip(q.offset)
         .take(q.limit.unwrap_or(usize::MAX))
-        .map(|p| {
-            p.into_iter().map(|id| (id != UNBOUND).then(|| env.value(id).into_term())).collect()
-        })
         .collect();
-    Ok(Solutions { vars, rows })
+    Ok((vars, rows))
 }
 
 /// Bind each `(expr AS ?v)` of the projection to its value in `?v`'s
@@ -330,7 +341,8 @@ fn value_id(env: &Env<'_>, row: &[TermId], expr: &Lowered) -> TermId {
 /// GROUP BY is absent): a group keeps its first row and an accumulator
 /// per fold. Then [`extend`] reads the folds' slots, and only the key
 /// and alias slots stay bound for ORDER BY. Projected plain variables
-/// must be grouping variables.
+/// must be grouping variables, and projected expressions read only
+/// those, folds and earlier aliases.
 fn aggregate(env: &Env<'_>, q: &SelectQuery, items: &[ProjectionItem]) -> Result<Vec<TermId>> {
     let group_slots: Vec<usize> = q
         .group_by
@@ -341,11 +353,20 @@ fn aggregate(env: &Env<'_>, q: &SelectQuery, items: &[ProjectionItem]) -> Result
                 .ok_or_else(|| StrabonError::Eval(format!("GROUP BY ?{v} is not bound anywhere")))
         })
         .collect::<Result<_>>()?;
-    if let Some(v) = items.iter().find_map(|i| match i {
-        ProjectionItem::Var(v) if !q.group_by.contains(v) => Some(v),
-        _ => None,
-    }) {
-        return Err(StrabonError::Eval(format!("non-aggregated ?{v} must appear in GROUP BY")));
+    // A projection reads only grouping variables, folds and earlier
+    // aliases: bare variables first, then each expression.
+    let mut grouped: Vec<usize> =
+        group_slots.iter().copied().chain(env.folds.iter().map(|f| f.slot)).collect();
+    let bare = items.iter().filter_map(|i| match i {
+        ProjectionItem::Var(v) => env.vars.get(v).map(|s| (vec![s], None)),
+        ProjectionItem::Expr { .. } => None,
+    });
+    for (reads, alias) in bare.chain(env.projected.iter().map(|(a, e)| (e.slots(), Some(*a)))) {
+        if let Some(&s) = reads.iter().find(|s| !grouped.contains(s)) {
+            let v = &env.vars.names()[s];
+            return Err(StrabonError::Eval(format!("non-aggregated ?{v} must appear in GROUP BY")));
+        }
+        grouped.extend(alias);
     }
 
     let (mut rows, mut groups, mut index) = (Vec::new(), Vec::new(), HashMap::new());

@@ -41,15 +41,16 @@
 //!     <http://x/h1> a noa:Hotspot ;
 //!         strdf:hasGeometry "POINT (23.5 38.0)"^^strdf:WKT .
 //! "#).unwrap();
-//! let sols = db.query(r#"
+//! let rows = db.select(r#"
 //!     PREFIX noa: <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#>
 //!     PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>
-//!     SELECT ?h WHERE {
+//!     SELECT ?h ?g WHERE {
 //!         ?h a noa:Hotspot ; strdf:hasGeometry ?g .
 //!         FILTER(strdf:intersects(?g, "POLYGON ((23 37, 24 37, 24 39, 23 39, 23 37))"^^strdf:WKT))
 //!     }
 //! "#).unwrap();
-//! assert_eq!(sols.len(), 1);
+//! assert_eq!(rows.term(0, "h").and_then(|h| h.as_iri()), Some("http://x/h1"));
+//! assert_eq!(rows.geometry(0, "g").unwrap().envelope().min.x, 23.5);
 //! ```
 
 pub mod ast;
@@ -62,6 +63,7 @@ pub mod update;
 use std::sync::Arc;
 use teleios_exec::WorkerPool;
 use teleios_geo::Geometry;
+use teleios_rdf::dictionary::{Dictionary, TermId};
 use teleios_rdf::store::TripleStore;
 use teleios_rdf::term::Term;
 use teleios_rdf::RdfError;
@@ -202,6 +204,66 @@ impl Solutions {
     }
 }
 
+/// A SELECT or ASK answer as the walk left it: rows of dictionary ids,
+/// read in place. [`Rows::to_solutions`] is the one place an answer
+/// becomes owned terms.
+#[derive(Debug)]
+pub struct Rows<'a> {
+    engine: &'a Strabon,
+    vars: Vec<String>,
+    /// One id per projected variable, [`expr::UNBOUND`] for none.
+    rows: Vec<Vec<TermId>>,
+    /// The terms the statement computed, numbered on from the store's.
+    overlay: Dictionary,
+}
+
+impl Rows<'_> {
+    /// Number of solutions.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when there are no solutions.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn id(&self, row: usize, var: &str) -> Option<TermId> {
+        let i = self.vars.iter().position(|v| v == var)?;
+        self.rows.get(row)?.get(i).copied().filter(|&id| id != expr::UNBOUND)
+    }
+
+    /// A bound id's term: the store's, or past its last id the overlay's.
+    fn term_of(&self, id: TermId) -> &Term {
+        let base = self.engine.store.dictionary().len() as TermId;
+        id.checked_sub(base).map_or_else(|| self.engine.store.term(id), |i| self.overlay.term(i))
+    }
+
+    /// The binding of `var` in row `row`, borrowed from the dictionary
+    /// or the overlay.
+    pub fn term(&self, row: usize, var: &str) -> Option<&Term> {
+        self.id(row, var).map(|id| self.term_of(id))
+    }
+
+    /// The parsed geometry `var` is bound to in row `row`: the sidecar's
+    /// copy by id, parsed only for a term the statement computed (a
+    /// projected `strdf:buffer`, say).
+    pub fn geometry(&self, row: usize, var: &str) -> Option<Arc<Geometry>> {
+        let id = self.id(row, var)?;
+        self.engine.spatial.geometry(id).or_else(|| {
+            teleios_rdf::strdf::parse_geometry(self.term_of(id)).ok().map(|(g, _)| Arc::new(g))
+        })
+    }
+
+    /// The answer decoded into owned terms.
+    pub fn to_solutions(&self) -> Solutions {
+        let decode = |row: &Vec<TermId>| {
+            row.iter().map(|&id| (id != expr::UNBOUND).then(|| self.term_of(id).clone())).collect()
+        };
+        Solutions { vars: self.vars.clone(), rows: self.rows.iter().map(decode).collect() }
+    }
+}
+
 /// The Strabon engine: a triple store plus spatial sidecar and config.
 #[derive(Debug, Default)]
 pub struct Strabon {
@@ -274,24 +336,15 @@ impl Strabon {
         self.store.insert_terms(s, p, o)
     }
 
-    /// The parsed geometry of an `strdf:WKT` term: the sidecar's copy
-    /// when the term is in the dictionary the sidecar read (as every
-    /// query answer's geometry is), parsed from the literal only for a
-    /// term the sidecar lacks — or for every term after a replaced
-    /// store, until a statement catches the sidecar up; `None` when it
-    /// is no geometry.
-    pub fn geometry(&self, term: &Term) -> Option<Arc<Geometry>> {
-        let cached =
-            self.spatial.reads(&self.store).then(|| self.spatial.geometry(self.store.id_of(term)?));
-        cached
-            .flatten()
-            .or_else(|| teleios_rdf::strdf::parse_geometry(term).ok().map(|(g, _)| Arc::new(g)))
+    /// Run a SELECT or ASK query, its answer left as ids ([`Rows`]).
+    pub fn select(&mut self, text: &str) -> Result<Rows<'_>> {
+        let query = parser::parse_query(text)?;
+        eval::select(self, &query)
     }
 
-    /// Run a SELECT or ASK query.
+    /// Run a SELECT or ASK query, its answer decoded into owned terms.
     pub fn query(&mut self, text: &str) -> Result<Solutions> {
-        let query = parser::parse_query(text)?;
-        eval::evaluate_query(self, &query)
+        Ok(self.select(text)?.to_solutions())
     }
 
     /// Run an update. Returns the number of triples added plus removed.

@@ -10,7 +10,7 @@
 //! runs on the candidates' cached geometries, and
 //! [`SpatialSidecar::estimate`] costs the probe; as a check, the exact
 //! predicate runs on the two bound arguments' cached geometries.
-//! `Strabon::geometry` hands the cached geometries to front ends.
+//! `Rows::geometry` hands the cached geometries to front ends by id.
 //!
 //! The sidecar indexes dictionary ids, not triples, and the dictionary
 //! is append-only (removing a triple never removes a term), so in-place
@@ -85,11 +85,6 @@ impl SpatialSidecar {
         if self.items.len() > indexed {
             self.rtree = RTree::bulk_load_with(pool, self.items.clone());
         }
-    }
-
-    /// Whether the sidecar's ids are `store`'s: it read that dictionary.
-    pub(crate) fn reads(&self, store: &TripleStore) -> bool {
-        self.dictionary == store.dictionary().identity()
     }
 
     /// Parsed geometry for a term id (after `catch_up`).

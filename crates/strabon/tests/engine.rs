@@ -464,13 +464,29 @@ fn spatial_aggregate_total_area() {
     assert_eq!(sols.get(0, "total").unwrap().as_f64(), Some(18.0));
 }
 
+/// An aggregating projection reads a variable only through GROUP BY, a
+/// fold or an earlier alias: bare, or inside an expression.
 #[test]
 fn non_grouped_var_in_aggregate_projection_errors() {
     let mut db = fixture();
-    let r = db.query(&format!(
-        "{PREFIXES} SELECT ?h (COUNT(?c) AS ?n) WHERE {{ ?h noa:hasConfidence ?c }}"
-    ));
-    assert!(r.is_err());
+    let answer = |db: &mut Strabon, projection: &str, group_by: &str| {
+        db.query(&format!(
+            "{PREFIXES} SELECT {projection} WHERE {{ ?h noa:isDerivedFrom ?img ; \
+             noa:hasConfidence ?c }} {group_by}"
+        ))
+        .map(|sols| sols.len())
+    };
+    for (projection, group_by, v) in [
+        ("?h (COUNT(?c) AS ?n)", "", "h"),
+        ("(?c AS ?first) (COUNT(?c) AS ?n)", "GROUP BY ?img", "c"),
+        ("(COUNT(?c) + ?c AS ?n)", "", "c"),
+        ("(STR(?h) AS ?s) (COUNT(?c) AS ?n)", "GROUP BY ?img", "h"),
+    ] {
+        let error = format!("non-aggregated ?{v} must appear in GROUP BY");
+        assert_eq!(answer(&mut db, projection, group_by), Err(StrabonError::Eval(error)));
+    }
+    let grouped = "(STR(?img) AS ?i) (COUNT(?c) AS ?n) (?n + 1 AS ?m)";
+    assert_eq!(answer(&mut db, grouped, "GROUP BY ?img"), Ok(2));
 }
 
 #[test]
@@ -1265,26 +1281,32 @@ fn replacing_the_store_forgets_its_geometries() {
     assert!(rows.is_empty(), "{rows:?}");
 }
 
-/// `Strabon::geometry` reads the sidecar's copy only through the
-/// dictionary the sidecar read: after a replaced store, before a
-/// statement catches it up, an id the old dictionary gave another
-/// geometry must not answer for a term of the new one.
+/// A `Rows` reads the sidecar by id, and every statement catches the
+/// sidecar up first: one taken after `*store_mut() = recovered`, where
+/// the old dictionary gave the new geometry's id to another geometry,
+/// reads the new dictionary's terms and geometries.
 #[test]
-fn geometry_lookup_follows_a_replaced_store() {
+fn rows_follow_a_replaced_store() {
     let geom = Term::iri("http://strdf.di.uoa.gr/ontology#hasGeometry");
     let point = |x: f64| {
         Term::typed_literal(format!("POINT ({x} {x})"), "http://strdf.di.uoa.gr/ontology#WKT")
     };
+    let query = "SELECT ?f ?g WHERE { ?f <http://strdf.di.uoa.gr/ontology#hasGeometry> ?g }";
     let mut db = Strabon::new();
     db.insert(&Term::iri("http://example.org/a"), &geom, &point(1.0));
-    assert_eq!(served(&mut db, "POLYGON ((0 0, 3 0, 3 3, 0 3, 0 0))").len(), 1);
-    assert_eq!(db.geometry(&point(1.0)).unwrap().envelope().min.x, 1.0);
-    let mut other = TripleStore::new();
-    other.insert_terms(&Term::iri("http://example.org/b"), &geom, &point(2.0));
-    assert_eq!(other.id_of(&point(2.0)), db.store().id_of(&point(1.0)));
-    *db.store_mut() = other;
-    assert_eq!(db.geometry(&point(2.0)).unwrap().envelope().min.x, 2.0);
-    assert!(db.geometry(&Term::literal("no geometry")).is_none());
+    let rows = db.select(query).unwrap();
+    assert_eq!(rows.geometry(0, "g").unwrap().envelope().min.x, 1.0);
+    let mut recovered = TripleStore::new();
+    recovered.insert_terms(&Term::iri("http://example.org/b"), &geom, &point(2.0));
+    assert_eq!(recovered.id_of(&point(2.0)), db.store().id_of(&point(1.0)));
+    *db.store_mut() = recovered;
+    let rows = db.select(query).unwrap();
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows.term(0, "f"), Some(&Term::iri("http://example.org/b")));
+    assert_eq!(rows.term(0, "g"), Some(&point(2.0)));
+    assert_eq!(rows.geometry(0, "g").unwrap().envelope().min.x, 2.0);
+    // An IRI is no geometry.
+    assert!(rows.geometry(0, "f").is_none());
 }
 
 /// A store whose dictionary has `like`'s length and last term, and
@@ -1645,4 +1667,109 @@ ex:r5 ex:k ex:thing . ex:r6 ex:k 12 . ex:r7 ex:other 0 .
     assert_eq!(order("DESC(?k)"), ["<r6>", "<r1>", "<r2>", "<r3>", "<r4>", "<r5>", "<r7>"]);
     // `?k * 1` errs on the IRI and is unbound on r7: both sort first.
     assert_eq!(order("ASC(?k * 1)"), ["<r5>", "<r7>", "<r2>", "<r3>", "<r4>", "<r1>", "<r6>"]);
+}
+
+
+// --- answers as id rows ----------------------------------------------------
+
+/// A term the statement computed — a BIND result, a projected
+/// `strdf:buffer` — has an id in the statement's overlay: `Rows` reads
+/// its term there and parses its geometry, while a stored geometry is
+/// the sidecar's.
+#[test]
+fn rows_read_computed_terms_from_the_overlay() {
+    let mut db = fixture();
+    let text = format!(
+        "{PREFIXES} SELECT ?g ?label (strdf:buffer(?g, 1) AS ?b) WHERE {{ \
+           ex:h1 strdf:hasGeometry ?g . BIND(CONCAT(\"at \", STR(?g)) AS ?label) }}"
+    );
+    let sols = db.query(&text).unwrap();
+    assert!(db.store().id_of(sols.get(0, "b").unwrap()).is_none(), "a stored buffer");
+    let rows = db.select(&text).unwrap();
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows.term(0, "label"), Some(&Term::literal("at POINT (22.3 37.5)")));
+    assert!(rows.geometry(0, "label").is_none());
+    let buffered = rows.term(0, "b").unwrap();
+    assert_eq!(Some(buffered), sols.get(0, "b"));
+    let parsed = teleios_rdf::strdf::parse_geometry(buffered).unwrap().0;
+    assert_eq!(*rows.geometry(0, "b").unwrap(), parsed);
+    let envelope = parsed.envelope();
+    assert!((envelope.min.x - 21.3).abs() < 1e-9 && (envelope.max.y - 38.5).abs() < 1e-9);
+    assert_eq!(rows.geometry(0, "g").unwrap().envelope().min.x, 22.3);
+    assert_eq!(rows.to_solutions(), sols);
+}
+
+/// An unbound slot, an unknown variable and a row past the end all
+/// read `None`.
+#[test]
+fn rows_read_none_where_nothing_is_bound() {
+    let mut db = fixture();
+    let rows = db
+        .select(&format!(
+            "{PREFIXES} SELECT ?img ?h WHERE {{ ?img a noa:RawImage . \
+               OPTIONAL {{ ?h noa:isDerivedFrom ?img ; noa:hasConfidence 0.7 }} }} ORDER BY ?img"
+        ))
+        .unwrap();
+    assert_eq!(rows.len(), 2);
+    assert_eq!(rows.term(0, "img"), Some(&Term::iri("http://example.org/img1")));
+    assert_eq!(rows.term(0, "h"), None);
+    assert!(rows.geometry(0, "h").is_none());
+    assert_eq!(rows.term(1, "h"), Some(&Term::iri("http://example.org/h3")));
+    assert_eq!(rows.term(0, "nope"), None);
+    assert_eq!(rows.term(2, "img"), None);
+    assert_eq!(rows.to_solutions().rows[0][1], None);
+}
+
+/// ASK answers one row holding its boolean, which the store need not
+/// hold.
+#[test]
+fn rows_answer_ask() {
+    let mut db = fixture();
+    for (pattern, found) in [("ex:h1 a noa:Hotspot", true), ("ex:h1 a noa:RawImage", false)] {
+        let text = format!("{PREFIXES} ASK {{ {pattern} }}");
+        let rows = db.select(&text).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows.term(0, "ask"), Some(&Term::boolean(found)));
+        assert_eq!(rows.to_solutions(), db.query(&text).unwrap());
+    }
+}
+
+/// An update's template triples are ids: a term it computes, or a
+/// constant the store lacks, is interned when the update applies, in
+/// the order inserting each triple's terms would intern them — so a
+/// twin store fed the same triples through `Strabon::insert` holds the
+/// same dictionary, id for id.
+#[test]
+fn updates_intern_terms_in_insertion_order() {
+    let mut db = fixture();
+    let mut twin = fixture();
+    let update = format!(
+        "{PREFIXES} INSERT {{ ?h ex:area ?b . ?h ex:tag ex:fresh . ?h ex:tag ?label }} WHERE {{ \
+           ?h a noa:Hotspot ; strdf:hasGeometry ?g . \
+           BIND(strdf:buffer(?g, 1) AS ?b) BIND(CONCAT(\"tag \", STR(?h)) AS ?label) }}"
+    );
+    let sols = twin
+        .query(&format!(
+            "{PREFIXES} SELECT ?h ?b ?label WHERE {{ ?h a noa:Hotspot ; strdf:hasGeometry ?g . \
+               BIND(strdf:buffer(?g, 1) AS ?b) BIND(CONCAT(\"tag \", STR(?h)) AS ?label) }}"
+        ))
+        .unwrap();
+    let ex = |local: &str| Term::iri(format!("http://example.org/{local}"));
+    for i in 0..sols.len() {
+        let h = sols.get(i, "h").unwrap();
+        twin.insert(h, &ex("area"), sols.get(i, "b").unwrap());
+        twin.insert(h, &ex("tag"), &ex("fresh"));
+        twin.insert(h, &ex("tag"), sols.get(i, "label").unwrap());
+    }
+    assert_eq!(db.update(&update).unwrap(), 9);
+    let (ours, theirs) = (db.store().dictionary(), twin.store().dictionary());
+    assert_eq!(ours.len(), theirs.len());
+    for id in 0..ours.len() as teleios_rdf::dictionary::TermId {
+        assert_eq!(ours.term(id), theirs.term(id), "id {id}");
+    }
+    assert_eq!(db.store().iter().collect::<Vec<_>>(), twin.store().iter().collect::<Vec<_>>());
+    // A delete of a term the store lacks matches nothing.
+    let gone = format!("{PREFIXES} DELETE {{ ?h ex:tag ex:never }} WHERE {{ ?h a noa:Hotspot }}");
+    assert_eq!(db.update(&gone).unwrap(), 0);
+    assert!(db.store().id_of(&ex("never")).is_none());
 }

@@ -18,15 +18,17 @@
 #                              grammar-per-family,
 #                              one-expression-evaluator (the SQL
 #                              family's and stSPARQL's),
-#                              one-stSPARQL-solution-layout,
+#                              one-stSPARQL-solution-layout (and
+#                              one decode point, Rows::to_solutions),
 #                              one-transaction-doorway,
 #                              one-chain-batch-executor and
 #                              one-checksum greps, the
 #                              public-name census,
 #                              warning-free clippy outside crates/e0,
 #                              the E3/E6/E11 smoke runs, the strabon
-#                              cross product under ulimit -v (release)
-#                              and the E0 benchmark's self-test
+#                              cross product under ulimit -v (release),
+#                              the E0 benchmark's self-test and the
+#                              pairs tool's self-test
 #   scripts/check.sh --full    default gate, plus the exhaustive
 #                              WAL-truncation recovery sweep
 #
@@ -316,6 +318,18 @@ echo "==> one stSPARQL solution layout (rows of TermIds)"
 if grep -rnE 'enum Bound\b|Option<Bound>|type [A-Za-z]+ *= *Vec<Option<' crates/strabon/src --include='*.rs'; then
     echo "a second solution layout under crates/strabon/src: keep solutions as rows of TermIds" >&2; exit 1
 fi
+# An answer stays ids until a caller reads it (`Rows`), and becomes
+# owned terms in one place: `Rows::to_solutions` builds every
+# `Solutions`, ASK's included. Another `Solutions {` under
+# crates/strabon/src, tests in src included, is a second decode point.
+builders=$(find crates/strabon/src -name '*.rs' | sort | xargs awk '
+    match($0, /fn [A-Za-z0-9_]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+    /(^|[^A-Za-z0-9_])Solutions *[{]/ && !/(struct|impl) Solutions|-> *Solutions/ { print FILENAME ":" FNR " in " cur }')
+if [ "$(wc -l <<<"$builders")" -ne 1 ] \
+    || ! grep -qxE 'crates/strabon/src/lib\.rs:[0-9]+ in to_solutions' <<<"$builders"; then
+    echo "${builders:-no Solutions built}" >&2
+    echo "Solutions built above outside Rows::to_solutions: keep answers as Rows and decode them there" >&2; exit 1
+fi
 
 # Prints `file:line in fn` for every line of library code matching the
 # awk regex $1, under crates/*/src minus the crates named after it: a
@@ -417,6 +431,12 @@ timeout 600 cargo test --release --offline -p teleios-strabon --test differentia
 # correct at smoke scale, digests frozen, negative controls fail).
 echo "==> E0 self-test"
 timeout 600 python3 crates/e0/run.py --self-test
+
+# The alternated-pairs tool (scripts/pairs.py) on a stub command that
+# prints fixed JSON lines: its medians, quartiles, wins, verdicts, run
+# order, and the stop on an incorrect run.
+echo "==> pairs.py self-test"
+timeout 120 python3 scripts/pairs.py --self-test
 
 if [ "$full" -eq 1 ]; then
     # The exhaustive WAL-truncation sweep: recovery at every byte
