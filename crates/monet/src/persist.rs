@@ -289,14 +289,14 @@ pub fn persist_catalog(
     }
     let widths: BTreeMap<Vec<u8>, usize> =
         tables.iter().map(|(name, table)| (table_key(name), table.num_columns())).collect();
-    for (key, _) in backend.scan(SCHEMA_KEYSPACE)? {
+    for key in backend.keys(SCHEMA_KEYSPACE)? {
         if !widths.contains_key(&key) {
             backend.delete(SCHEMA_KEYSPACE, &key)?;
         }
     }
     // One pass over the committed column pages: a page is stale when
     // its table is gone or its index is at or past the table's width.
-    for (key, _) in backend.scan(COL_KEYSPACE)? {
+    for key in backend.keys(COL_KEYSPACE)? {
         let mut parts = key.splitn(2, |b| *b == 0);
         let width = parts.next().and_then(|t| widths.get(t));
         let idx = parts.next().and_then(|i| <[u8; 4]>::try_from(i).ok()).map(u32::from_be_bytes);

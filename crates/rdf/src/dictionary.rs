@@ -71,6 +71,14 @@ impl Dictionary {
         id
     }
 
+    /// The dictionary naming `terms[i]` by id `i`, built in one pass;
+    /// `None` when a term repeats.
+    pub(crate) fn from_terms(terms: Vec<Term>) -> Option<Dictionary> {
+        let by_term: HashMap<Term, TermId> = terms.iter().cloned().zip(0..).collect();
+        (by_term.len() == terms.len())
+            .then(|| Dictionary { by_term, by_id: terms, ..Dictionary::default() })
+    }
+
     /// Look up an already-interned term.
     pub(crate) fn id_of(&self, term: &Term) -> Option<TermId> {
         self.by_term.get(term).copied()

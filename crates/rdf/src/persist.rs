@@ -5,20 +5,25 @@
 //! terms in id order — a tag byte (0 = IRI, 1 = blank, 2 = plain
 //! literal, 3 = typed literal, 4 = language-tagged literal) followed
 //! by the term's length-prefixed strings. Because `Dictionary::intern`
-//! assigns dense sequential ids in insertion order, re-interning the
-//! decoded terms into a fresh dictionary reproduces the identical
-//! id assignment, so the delta-coded triples below remain valid.
+//! assigns dense sequential ids in insertion order, the decoded terms
+//! in page order are the identical id assignment, so the delta-coded
+//! triples below remain valid; a term the page repeats is damage.
 //!
-//! Encoding (keyspace `rdf/spo`, key `triples`): a varint triple
-//! count, then per triple (in SPO index order) the zigzag-varint
-//! deltas `(Δs, Δp, Δo)` against the previous triple, starting from
-//! `(0, 0, 0)`. Sorted SPO ids make consecutive deltas tiny, so the
-//! log and snapshot stay compact without a general-purpose
-//! compressor.
+//! Encoding (keyspace `rdf/spo`, key `triples`): per triple (in SPO
+//! index order) the zigzag-varint deltas `(Δs, Δp, Δo)` against the
+//! previous triple, starting from `(0, 0, 0)`. Sorted SPO ids make
+//! consecutive deltas tiny, so the log and snapshot stay compact
+//! without a general-purpose compressor.
+//!
+//! Each page ends with its item count as a fixed 8-byte little-endian
+//! trailer, not a leading varint: a grown dictionary, or triples that
+//! sort last, leave the page's earlier bytes as they were, and the
+//! store logs the re-put as a patch of the bytes that changed.
 
-use teleios_store::codec::{put_str, put_varint, put_zigzag, Reader};
+use teleios_store::codec::{put_str, put_zigzag, Reader};
 use teleios_store::{StorageBackend, StoreError};
 
+use crate::dictionary::Dictionary;
 use crate::store::TripleStore;
 use crate::term::Term;
 use crate::triple::Triple;
@@ -38,45 +43,52 @@ const TAG_PLAIN: u8 = 2;
 const TAG_TYPED: u8 = 3;
 const TAG_LANG: u8 = 4;
 
+/// A term's tag and its one or two strings.
+fn parts(term: &Term) -> (u8, &str, Option<&str>) {
+    match term {
+        Term::Iri(value) => (TAG_IRI, value, None),
+        Term::Blank(label) => (TAG_BLANK, label, None),
+        Term::Literal { lexical, datatype: Some(dt), .. } => (TAG_TYPED, lexical, Some(dt)),
+        Term::Literal { lexical, lang: Some(lang), .. } => (TAG_LANG, lexical, Some(lang)),
+        Term::Literal { lexical, .. } => (TAG_PLAIN, lexical, None),
+    }
+}
+
+/// Close a page with its item count.
+fn put_count(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+}
+
+/// A page's items and the count its trailer claims.
+fn split_count<'a>(page: &'a [u8], what: &str) -> Result<(Reader<'a>, u64), StoreError> {
+    let (items, count) = page
+        .split_last_chunk::<8>()
+        .ok_or_else(|| StoreError::Codec(format!("{what} page shorter than its count")))?;
+    Ok((Reader::new(items), u64::from_le_bytes(*count)))
+}
+
 fn encode_terms(store: &TripleStore) -> Vec<u8> {
     let dict = store.dictionary();
-    let mut out = Vec::new();
-    put_varint(&mut out, dict.len() as u64);
-    for id in 0..dict.len() as u32 {
-        match dict.term(id) {
-            Term::Iri(value) => {
-                out.push(TAG_IRI);
-                put_str(&mut out, value);
-            }
-            Term::Blank(label) => {
-                out.push(TAG_BLANK);
-                put_str(&mut out, label);
-            }
-            Term::Literal { lexical, datatype: Some(dt), .. } => {
-                out.push(TAG_TYPED);
-                put_str(&mut out, lexical);
-                put_str(&mut out, dt);
-            }
-            Term::Literal { lexical, lang: Some(lang), .. } => {
-                out.push(TAG_LANG);
-                put_str(&mut out, lexical);
-                put_str(&mut out, lang);
-            }
-            Term::Literal { lexical, .. } => {
-                out.push(TAG_PLAIN);
-                put_str(&mut out, lexical);
-            }
+    let terms = (0..dict.len() as u32).map(|id| parts(dict.term(id)));
+    // A tag and two 5-byte lengths bound a term's framing.
+    let size: usize = terms.clone().map(|(_, a, b)| 11 + a.len() + b.map_or(0, str::len)).sum();
+    let mut out = Vec::with_capacity(size + 8);
+    for (tag, a, b) in terms {
+        out.push(tag);
+        put_str(&mut out, a);
+        if let Some(b) = b {
+            put_str(&mut out, b);
         }
     }
+    put_count(&mut out, dict.len());
     out
 }
 
 fn decode_terms(bytes: &[u8]) -> Result<Vec<Term>, StoreError> {
-    let mut r = Reader::new(bytes);
-    let n = r.varint()?;
+    let (mut r, n) = split_count(bytes, "term")?;
     // A term is at least a tag byte and a one-byte length.
     let mut terms = Vec::with_capacity(r.capacity_for(n, 2));
-    for _ in 0..n {
+    while !r.is_empty() {
         let term = match r.u8()? {
             TAG_IRI => Term::Iri(r.string()?),
             TAG_BLANK => Term::Blank(r.string()?),
@@ -97,15 +109,15 @@ fn decode_terms(bytes: &[u8]) -> Result<Vec<Term>, StoreError> {
         };
         terms.push(term);
     }
-    if !r.is_empty() {
-        return Err(StoreError::Codec("trailing bytes after term dictionary".into()));
+    if terms.len() as u64 != n {
+        return Err(StoreError::Codec(format!("term page holds {} terms, counts {n}", terms.len())));
     }
     Ok(terms)
 }
 
 fn encode_triples(store: &TripleStore) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint(&mut out, store.len() as u64);
+    // Three deltas of at most 33 bits take at most 15 bytes.
+    let mut out = Vec::with_capacity(15 * store.len() + 8);
     let (mut ps, mut pp, mut po) = (0i64, 0i64, 0i64);
     for t in store.iter() {
         put_zigzag(&mut out, t.s as i64 - ps);
@@ -115,6 +127,7 @@ fn encode_triples(store: &TripleStore) -> Vec<u8> {
         pp = t.p as i64;
         po = t.o as i64;
     }
+    put_count(&mut out, store.len());
     out
 }
 
@@ -123,19 +136,21 @@ fn id_from(v: i64) -> Result<u32, StoreError> {
 }
 
 fn decode_triples(bytes: &[u8]) -> Result<Vec<Triple>, StoreError> {
-    let mut r = Reader::new(bytes);
-    let n = r.varint()?;
+    let (mut r, n) = split_count(bytes, "triple")?;
     // A triple is at least three one-byte deltas.
     let mut triples = Vec::with_capacity(r.capacity_for(n, 3));
     let (mut s, mut p, mut o) = (0i64, 0i64, 0i64);
-    for _ in 0..n {
+    while !r.is_empty() {
         s += r.zigzag()?;
         p += r.zigzag()?;
         o += r.zigzag()?;
         triples.push(Triple::new(id_from(s)?, id_from(p)?, id_from(o)?));
     }
-    if !r.is_empty() {
-        return Err(StoreError::Codec("trailing bytes after triple page".into()));
+    if triples.len() as u64 != n {
+        return Err(StoreError::Codec(format!(
+            "triple page holds {} triples, counts {n}",
+            triples.len()
+        )));
     }
     Ok(triples)
 }
@@ -155,9 +170,10 @@ pub fn persist_triple_store(
 
 /// Load the triple store persisted by [`persist_triple_store`];
 /// `Ok(None)` if nothing was ever persisted. The two pages are written
-/// in one transaction and the triple page always starts with its
-/// count, so a dictionary without a triple page, or an empty one, is
-/// damage: `Err(Codec)`, not an empty store.
+/// in one transaction and the triple page always ends with its count,
+/// so a dictionary without a triple page, or an empty one, is damage:
+/// `Err(Codec)`, not an empty store. The dictionary and the three
+/// orderings are built in bulk, not triple by triple.
 pub fn load_triple_store(
     backend: &dyn StorageBackend,
 ) -> Result<Option<TripleStore>, StoreError> {
@@ -167,26 +183,14 @@ pub fn load_triple_store(
     let Some(triple_bytes) = backend.get(SPO_KEYSPACE, TRIPLES_KEY)? else {
         return Err(StoreError::Codec("term dictionary without a triple page".into()));
     };
-    let terms = decode_terms(&term_bytes)?;
-    let mut store = TripleStore::new();
-    for (expect_id, term) in terms.iter().enumerate() {
-        let id = store.intern(term);
-        if id as usize != expect_id {
-            return Err(StoreError::Codec(format!(
-                "dictionary replay assigned id {id}, expected {expect_id}"
-            )));
-        }
+    let dict = Dictionary::from_terms(decode_terms(&term_bytes)?)
+        .ok_or_else(|| StoreError::Codec("the term dictionary repeats a term".into()))?;
+    let triples = decode_triples(&triple_bytes)?;
+    let known = |id: u32| (id as usize) < dict.len();
+    if !triples.iter().all(|t| known(t.s) && known(t.p) && known(t.o)) {
+        return Err(StoreError::Codec("triple references a term id beyond the dictionary".into()));
     }
-    let dict_len = store.dictionary().len() as i64;
-    for t in decode_triples(&triple_bytes)? {
-        if t.s as i64 >= dict_len || t.p as i64 >= dict_len || t.o as i64 >= dict_len {
-            return Err(StoreError::Codec(
-                "triple references a term id beyond the dictionary".into(),
-            ));
-        }
-        store.insert(t);
-    }
-    Ok(Some(store))
+    Ok(Some(TripleStore::bulk(dict, &triples)))
 }
 
 #[cfg(test)]
@@ -305,9 +309,7 @@ mod tests {
     }
 
     fn huge_count() -> Vec<u8> {
-        let mut page = Vec::new();
-        put_varint(&mut page, 1 << 40);
-        page
+        (1u64 << 40).to_le_bytes().to_vec()
     }
 
     #[test]
@@ -327,16 +329,16 @@ mod tests {
 
     #[test]
     fn term_count_beyond_the_page_is_a_codec_error_not_an_allocation() {
-        // Six bytes claiming 2^40 terms.
+        // A trailer claiming 2^40 terms.
         let backend = backend_with(&[(DICT_KEYSPACE, TERMS_KEY, &huge_count())]);
         assert!(matches!(load_triple_store(&backend), Err(StoreError::Codec(_))));
     }
 
     #[test]
     fn triple_count_beyond_the_page_is_a_codec_error_not_an_allocation() {
-        // An empty dictionary, then six bytes claiming 2^40 triples.
+        // An empty dictionary, then a trailer claiming 2^40 triples.
         let backend = backend_with(&[
-            (DICT_KEYSPACE, TERMS_KEY, &[0]),
+            (DICT_KEYSPACE, TERMS_KEY, &[0; 8]),
             (SPO_KEYSPACE, TRIPLES_KEY, &huge_count()),
         ]);
         assert!(matches!(load_triple_store(&backend), Err(StoreError::Codec(_))));
@@ -359,6 +361,48 @@ mod tests {
                 load_triple_store(&backend_with(&staged))
             });
         }
+    }
+
+    /// Pages once led with a varint count; such a page, and a page
+    /// naming one term twice, are refused, never loaded.
+    #[test]
+    fn a_leading_count_page_or_a_repeated_term_is_a_codec_error() {
+        let store = sample_store();
+        let triples = encode_triples(&store);
+        let terms = encode_terms(&store);
+        let body = &terms[..terms.len() - 8];
+        let mut leading = vec![store.dictionary().len() as u8];
+        leading.extend_from_slice(body);
+        let first_term_len = 1 + 1 + "http://teleios.example/img/0042".len();
+        let mut repeated = [&body[..first_term_len], body].concat();
+        repeated.extend_from_slice(&(store.dictionary().len() as u64 + 1).to_le_bytes());
+        for page in [leading, repeated] {
+            let backend = backend_with(&[
+                (DICT_KEYSPACE, TERMS_KEY, &page),
+                (SPO_KEYSPACE, TRIPLES_KEY, &triples),
+            ]);
+            assert!(matches!(load_triple_store(&backend), Err(StoreError::Codec(_))));
+        }
+        let mut leading = vec![store.len() as u8];
+        leading.extend_from_slice(&triples[..triples.len() - 8]);
+        let backend = backend_with(&[
+            (DICT_KEYSPACE, TERMS_KEY, &terms),
+            (SPO_KEYSPACE, TRIPLES_KEY, &leading),
+        ]);
+        assert!(matches!(load_triple_store(&backend), Err(StoreError::Codec(_))));
+    }
+
+    /// A grown dictionary re-encodes as the old page's terms, then the
+    /// new ones, then the count: the store's patch keeps the prefix.
+    #[test]
+    fn a_grown_store_keeps_its_pages_prefixes() {
+        let mut store = sample_store();
+        let (terms, triples) = (encode_terms(&store), encode_triples(&store));
+        let last = Term::iri("http://teleios.example/zzz");
+        store.insert_terms(&last, &last, &last);
+        let (grown_terms, grown_triples) = (encode_terms(&store), encode_triples(&store));
+        assert!(grown_terms.starts_with(&terms[..terms.len() - 8]));
+        assert!(grown_triples.starts_with(&triples[..triples.len() - 8]));
     }
 
     #[test]

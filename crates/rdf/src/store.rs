@@ -50,6 +50,35 @@ impl TripleStore {
         TripleStore::default()
     }
 
+    /// A store over `dict` holding `triples` (in any order, repeats
+    /// folded): each ordering collected in bulk and the statistics
+    /// counted over the orderings that group them, where `insert` would
+    /// probe two ranges per triple.
+    pub(crate) fn bulk(dict: Dictionary, triples: &[Triple]) -> TripleStore {
+        let spo: BTreeSet<Key> = triples.iter().map(|t| (t.s, t.p, t.o)).collect();
+        let pos = spo.iter().map(|&(s, p, o)| (p, o, s)).collect();
+        let osp = spo.iter().map(|&(s, p, o)| (o, s, p)).collect();
+        let (stats, totals) = (HashMap::new(), PredicateStats::default());
+        let mut store = TripleStore { dict, spo, pos, osp, stats, totals };
+        // POS runs each predicate's objects together, SPO each subject's
+        // predicates.
+        let (mut object, mut subject) = (None, None);
+        for &(p, o, _) in &store.pos {
+            let new = object.replace((p, o)) != Some((p, o));
+            for stats in [store.stats.entry(p).or_default(), &mut store.totals] {
+                stats.triples += 1;
+                stats.objects += usize::from(new);
+            }
+        }
+        for &(s, p, _) in &store.spo {
+            if subject.replace((s, p)) != Some((s, p)) {
+                store.stats.entry(p).or_default().subjects += 1;
+                store.totals.subjects += 1;
+            }
+        }
+        store
+    }
+
     /// Number of triples.
     pub fn len(&self) -> usize {
         self.spo.len()

@@ -79,6 +79,12 @@ pub trait StorageBackend {
     /// All committed `(key, value)` pairs in `keyspace`, key-sorted.
     fn scan(&self, keyspace: &str) -> Result<Vec<(Vec<u8>, Vec<u8>)>>;
 
+    /// The committed keys in `keyspace`, sorted: `scan`'s keys, which
+    /// an engine can list without cloning the values.
+    fn keys(&self, keyspace: &str) -> Result<Vec<Vec<u8>>> {
+        Ok(self.scan(keyspace)?.into_iter().map(|(key, _)| key).collect())
+    }
+
     /// Sorted names of keyspaces holding at least one committed key.
     fn keyspaces(&self) -> Result<Vec<String>>;
 
@@ -190,6 +196,24 @@ mod tests {
         assert_eq!(stats.puts, 2);
         assert_eq!(stats.deletes, 1);
         assert_eq!(stats.entries, 2);
+    }
+
+    /// `DurableBackend`'s `keys` lists what the provided method (keys of
+    /// `scan`) lists, without cloning values.
+    #[test]
+    fn keys_override_equals_the_default() {
+        let mut b = mem();
+        transact(&mut b, |b| {
+            b.put("ks", b"b", b"2")?;
+            b.put("ks", b"a", &[1; 90])?;
+            b.put("other", b"z", b"")
+        })
+        .unwrap();
+        transact(&mut b, |b| b.delete("other", b"z")).unwrap();
+        for ks in ["ks", "other", "never"] {
+            let default: Vec<Vec<u8>> = b.scan(ks).unwrap().into_iter().map(|(k, _)| k).collect();
+            assert_eq!(b.keys(ks).unwrap(), default, "{ks}");
+        }
     }
 
     /// A stage that fails after staging puts leaves no transaction

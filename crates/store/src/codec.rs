@@ -51,6 +51,33 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+/// Bytes compared as one slice before falling back to single bytes.
+const RUN: usize = 64;
+
+/// Length of the longest common prefix of `a` and `b`: whole runs of
+/// [`RUN`] bytes compared as slices, then the first unequal run byte by
+/// byte.
+pub(crate) fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + RUN <= n && a[i..i + RUN] == b[i..i + RUN] {
+        i += RUN;
+    }
+    i + a[i..n].iter().zip(&b[i..n]).take_while(|(x, y)| x == y).count()
+}
+
+/// Length of the longest common suffix of `a` and `b`, found like
+/// [`shared_prefix`] from the back.
+pub(crate) fn shared_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let mut i = n;
+    while i >= RUN && a[i - RUN..i] == b[i - RUN..i] {
+        i -= RUN;
+    }
+    n - i + a[..i].iter().rev().zip(b[..i].iter().rev()).take_while(|(x, y)| x == y).count()
+}
+
 /// Odd 64-bit multipliers: multiplying by one is a bijection mod 2⁶⁴.
 const PRIME: [u64; 3] = [0x9e37_79b1_85eb_ca87, 0xc2b2_ae3d_27d4_eb4f, 0x1656_67b1_9e37_79f9];
 
@@ -173,8 +200,12 @@ impl<'a> Reader<'a> {
     }
 
     pub fn string(&mut self) -> Result<String> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec())
+        self.str().map(str::to_owned)
+    }
+
+    /// A length-prefixed UTF-8 string, borrowed from the buffer.
+    pub(crate) fn str(&mut self) -> Result<&'a str> {
+        std::str::from_utf8(self.bytes()?)
             .map_err(|_| StoreError::Codec("invalid utf-8 in string field".into()))
     }
 
@@ -258,6 +289,25 @@ mod tests {
         let mut buf = Vec::new();
         put_varint(&mut buf, u64::MAX);
         assert!(Reader::new(&buf).bytes().is_err());
+    }
+
+    #[test]
+    fn shared_prefix_and_suffix_agree_with_a_byte_walk() {
+        let by_byte = |a: &[u8], b: &[u8]| a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        let base: Vec<u8> = (0..300u32).map(|i| (i * 7 % 251) as u8).collect();
+        for cut in [0, 1, 63, 64, 65, 128, 200, 299, 300] {
+            let mut other = base.clone();
+            if let Some(byte) = other.get_mut(cut) {
+                *byte ^= 0x80;
+            }
+            let (base, other) = (&base[..], &other[..]);
+            for (a, b) in [(base, other), (&base[..cut], other), (base, &other[..cut])] {
+                assert_eq!(shared_prefix(a, b), by_byte(a, b), "prefix, cut {cut}");
+                let ra: Vec<u8> = a.iter().rev().copied().collect();
+                let rb: Vec<u8> = b.iter().rev().copied().collect();
+                assert_eq!(shared_suffix(a, b), by_byte(&ra, &rb), "suffix, cut {cut}");
+            }
+        }
     }
 
     #[test]

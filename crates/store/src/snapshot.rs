@@ -21,7 +21,7 @@
 //! shared-prefix compression does real work on the domain encodings.
 
 use crate::backend::KeyspaceState;
-use crate::codec::{checksum, put_bytes, put_str, put_varint, Reader};
+use crate::codec::{checksum, put_bytes, put_str, put_varint, shared_prefix, Reader};
 use crate::{Result, StoreError};
 
 /// Magic prefix identifying a snapshot file.
@@ -45,10 +45,6 @@ pub(crate) fn parse_snapshot_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-fn shared_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
-}
-
 /// Encode the full state at `seq` as a snapshot file body.
 pub(crate) fn encode(seq: u64, state: &KeyspaceState) -> Vec<u8> {
     let mut payload = Vec::new();
@@ -59,7 +55,7 @@ pub(crate) fn encode(seq: u64, state: &KeyspaceState) -> Vec<u8> {
         put_varint(&mut payload, entries.len() as u64);
         let mut prev: &[u8] = &[];
         for (key, value) in entries {
-            let shared = shared_prefix_len(prev, key);
+            let shared = shared_prefix(prev, key);
             put_varint(&mut payload, shared as u64);
             put_bytes(&mut payload, &key[shared..]);
             put_bytes(&mut payload, value);

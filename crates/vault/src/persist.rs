@@ -99,7 +99,7 @@ pub fn persist_vault_state(
     quarantine: &BTreeSet<String>,
     backend: &mut dyn StorageBackend,
 ) -> Result<(), StoreError> {
-    for (key, _) in backend.scan(CATALOG_KEYSPACE)? {
+    for key in backend.keys(CATALOG_KEYSPACE)? {
         let still_here =
             std::str::from_utf8(&key).is_ok_and(|name| catalog.get(name).is_some());
         if !still_here {
@@ -109,7 +109,7 @@ pub fn persist_vault_state(
     for record in catalog.iter() {
         backend.put(CATALOG_KEYSPACE, record.name.as_bytes(), &encode_record(record))?;
     }
-    for (key, _) in backend.scan(QUARANTINE_KEYSPACE)? {
+    for key in backend.keys(QUARANTINE_KEYSPACE)? {
         let still_fenced =
             std::str::from_utf8(&key).is_ok_and(|name| quarantine.contains(name));
         if !still_fenced {
@@ -128,7 +128,7 @@ pub fn load_vault_state(
     backend: &dyn StorageBackend,
 ) -> Result<Option<(VaultCatalog, BTreeSet<String>)>, StoreError> {
     let records = backend.scan(CATALOG_KEYSPACE)?;
-    let fenced = backend.scan(QUARANTINE_KEYSPACE)?;
+    let fenced = backend.keys(QUARANTINE_KEYSPACE)?;
     if records.is_empty() && fenced.is_empty() {
         return Ok(None);
     }
@@ -137,7 +137,7 @@ pub fn load_vault_state(
         catalog.register(decode_record(&value)?);
     }
     let mut quarantine = BTreeSet::new();
-    for (key, _) in fenced {
+    for key in fenced {
         let name = String::from_utf8(key)
             .map_err(|_| StoreError::Codec("non-utf8 quarantine entry".into()))?;
         quarantine.insert(name);
