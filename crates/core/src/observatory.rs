@@ -964,12 +964,15 @@ mod tests {
         let report = obs.run_chain(&id, &ProcessingChain::operational()).unwrap();
         // The derived mask lives in the vault catalog as a gtf1 product.
         assert_eq!(obs.vault.catalog().len(), 2); // raw + derived
-        let reloaded = obs.vault.array_for(&format!("{}.gtf1", report.derived_id)).unwrap();
+        let file = format!("{}.gtf1", report.derived_id);
+        let reloaded = obs.vault.array_for(&file).unwrap();
         assert_eq!(reloaded.shape()[0] * reloaded.shape()[1], 64 * 64);
-        assert_eq!(
-            reloaded.data().iter().filter(|&&v| v > 0.0).count(),
-            report.output.hotspot_pixels()
-        );
+        let bits = |cells: &[f64]| cells.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(reloaded.data()), bits(report.output.mask.data()));
+        assert!(report.output.hotspot_pixels() > 0);
+        // The mask is archived as runs, far below its raw cells.
+        let archived = obs.vault.repository().get(&file).unwrap().len();
+        assert!(archived * 20 < 64 * 64 * 8, "{archived} bytes");
     }
 
     #[test]

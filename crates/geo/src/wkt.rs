@@ -162,12 +162,15 @@ fn write_coord_seq(coords: &[Coord], out: &mut String) {
 }
 
 fn write_num(v: f64, out: &mut String) {
+    use std::fmt::Write;
     // Integral values print without a decimal point, matching common WKT.
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        out.push_str(&format!("{}", v as i64));
+    let written = if v.fract() == 0.0 && v.abs() < 1e15 {
+        write!(out, "{}", v as i64)
     } else {
-        out.push_str(&format!("{v}"));
-    }
+        write!(out, "{v}")
+    };
+    // Writing into a `String` cannot fail.
+    written.unwrap_or(());
 }
 
 /// How deep GEOMETRYCOLLECTIONs may nest: past it the reader returns an
@@ -438,6 +441,39 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `write_num` writes what `format!` of the same value would, in
+    /// place: integral values below 10¹⁵ as integers, the rest by
+    /// `f64`'s `Display`.
+    #[test]
+    fn write_num_matches_format() {
+        let table = [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (-7.0, "-7"),
+            (1e15 - 1.0, "999999999999999"),
+            (1e15, "1000000000000000"),
+            (-1e15, "-1000000000000000"),
+            (1e-7, "0.0000001"),
+            (-12.5, "-12.5"),
+            (21.123456789012344, "21.123456789012344"),
+            (37.98765432109876, "37.98765432109876"),
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ];
+        for (v, want) in table {
+            let old = if v.fract() == 0.0 && v.abs() < 1e15 {
+                format!("{}", v as i64)
+            } else {
+                format!("{v}")
+            };
+            assert_eq!(old, want);
+            let mut out = String::from("x");
+            write_num(v, &mut out);
+            assert_eq!(out, format!("x{want}"), "{v:?}");
+        }
+    }
 
     #[test]
     fn point_roundtrip() {

@@ -135,18 +135,24 @@ impl Term {
     }
 }
 
-/// Escape a literal's lexical form for Turtle/N-Triples output.
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
-        }
+/// Write a literal's lexical form escaped for Turtle/N-Triples: the
+/// stretches between the five special characters go out whole.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        f.write_str(&s[plain..i])?;
+        f.write_str(escaped)?;
+        plain = i + 1;
     }
+    f.write_str(&s[plain..])
 }
 
 impl fmt::Display for Term {
@@ -156,9 +162,9 @@ impl fmt::Display for Term {
             Term::Iri(iri) => write!(f, "<{iri}>"),
             Term::Blank(label) => write!(f, "_:{label}"),
             Term::Literal { lexical, datatype, lang } => {
-                let mut buf = String::with_capacity(lexical.len() + 2);
-                escape(lexical, &mut buf);
-                write!(f, "\"{buf}\"")?;
+                f.write_str("\"")?;
+                write_escaped(f, lexical)?;
+                f.write_str("\"")?;
                 if let Some(dt) = datatype {
                     write!(f, "^^<{dt}>")?;
                 } else if let Some(lang) = lang {
@@ -202,6 +208,25 @@ mod tests {
     fn display_escapes() {
         let t = Term::literal("line1\nline2 \"quoted\" back\\slash");
         assert_eq!(t.to_string(), "\"line1\\nline2 \\\"quoted\\\" back\\\\slash\"");
+    }
+
+    #[test]
+    fn display_escapes_at_every_position() {
+        let specials = [('"', "\\\""), ('\\', "\\\\"), ('\n', "\\n"), ('\r', "\\r"), ('\t', "\\t")];
+        for (c, esc) in specials {
+            for (lexical, want) in [
+                (format!("{c}é火x"), format!("{esc}é火x")),
+                (format!("é{c}{c}火"), format!("é{esc}{esc}火")),
+                (format!("x火é{c}"), format!("x火é{esc}")),
+                (c.to_string(), esc.to_string()),
+            ] {
+                assert_eq!(Term::literal(lexical).to_string(), format!("\"{want}\""));
+            }
+        }
+        let all: String = specials.iter().map(|(c, _)| *c).collect();
+        assert_eq!(Term::literal(all).to_string(), "\"\\\"\\\\\\n\\r\\t\"");
+        assert_eq!(Term::literal("").to_string(), "\"\"");
+        assert_eq!(Term::lang_literal("Ψ\"π", "el").to_string(), "\"Ψ\\\"π\"@el");
     }
 
     #[test]

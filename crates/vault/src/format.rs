@@ -13,9 +13,24 @@
 //! into the processing chains. Header-only parses skip verification —
 //! registration stays cheap; corruption surfaces on first payload access,
 //! matching the vault's just-in-time philosophy.
+//!
+//! A `.sev1` payload is raw big-endian cells: radiances do not repeat.
+//! A `.gtf1` payload holds derived products (hotspot masks of 0s and
+//! 1s), so it is a sequence of runs, in the spirit of GeoTIFF's
+//! PackBits: each run is a LEB128 varint cell count followed by the
+//! cell's 8 big-endian bytes, and covers cells whose bits are identical
+//! (so ±0.0 and NaN payloads round-trip exactly). The file is sized to
+//! the runs it holds, not to the raster. The header's `rows × cols`
+//! sits outside the checksum, so the decoder refuses a raster above
+//! [`MAX_GTF1_CELLS`] and sums the runs against it before allocating:
+//! a few crafted bytes cannot ask for gigabytes.
 
 use crate::{Result, VaultError};
-use teleios_store::codec::{checksum, Reader};
+use teleios_store::codec::{checksum, put_varint, Reader};
+
+/// The most cells a `.gtf1` raster may declare: 4 096², which holds a
+/// full SEVIRI disk (3 712²) at 128 MiB of `f64`s.
+pub const MAX_GTF1_CELLS: usize = 1 << 24;
 
 fn verify_payload(kind: &str, expected: u64, payload: &[u8]) -> Result<()> {
     let actual = checksum(payload);
@@ -85,7 +100,9 @@ pub fn encode_sev1(header: &Sev1Header, payload: &[f64]) -> Result<Vec<u8>> {
     put_string(&mut out, &header.acquisition);
     let (x0, y0, x1, y1) = header.bbox;
     put_cells(&mut out, &[x0, y0, x1, y1]);
-    Ok(finish_file(out, payload))
+    let body = out.len();
+    put_cells(&mut out, payload);
+    Ok(seal(out, body))
 }
 
 /// Parse only the header of a `.sev1` file (cheap metadata extraction;
@@ -132,16 +149,26 @@ impl Gtf1Header {
     }
 }
 
-/// Encode a `.gtf1` file.
+/// Encode a `.gtf1` file: the header, then the cells as runs of
+/// identical bits. The buffer is sized to the encoded runs.
 pub fn encode_gtf1(header: &Gtf1Header, payload: &[f64]) -> Result<Vec<u8>> {
     check_cells(payload, &[header.rows, header.cols])?;
-    let mut out = start_file(FormatKind::Gtf1, 56 + payload.len() * 8);
+    let runs = || payload.chunk_by(|a, b| a.to_bits() == b.to_bits());
+    // A varint carries 7 bits a byte.
+    let body: usize =
+        runs().map(|run| (usize::BITS - run.len().leading_zeros()).div_ceil(7) as usize + 8).sum();
+    let mut out = start_file(FormatKind::Gtf1, 56 + body);
     put_u32(&mut out, header.rows);
     put_u32(&mut out, header.cols);
     put_u32(&mut out, header.epsg);
     let (ox, oy, pw, ph) = header.transform;
     put_cells(&mut out, &[ox, oy, pw, ph]);
-    Ok(finish_file(out, payload))
+    let start = out.len();
+    for run in runs() {
+        put_varint(&mut out, run.len() as u64);
+        put_cells(&mut out, &run[..1]);
+    }
+    Ok(seal(out, start))
 }
 
 /// Parse only the header of a `.gtf1` file (checksum not verified).
@@ -156,11 +183,49 @@ fn gtf1_header(r: &mut Fields) -> Result<Gtf1Header> {
 }
 
 /// Parse the full `.gtf1` file: header plus checksum-verified payload.
+/// The runs are checked to cover exactly `rows × cols` cells, at most
+/// [`MAX_GTF1_CELLS`], before the raster is allocated.
 pub fn decode_gtf1(bytes: &[u8]) -> Result<(Gtf1Header, Vec<f64>)> {
     let (sum, mut r) = open_file(bytes, FormatKind::Gtf1)?;
     let header = gtf1_header(&mut r)?;
-    let payload = r.cells("gtf1", sum, &[header.rows, header.cols])?;
+    let runs = r.rest();
+    verify_payload("gtf1", sum, runs)?;
+    let dims = [header.rows, header.cols];
+    let cells = cell_count(&dims).filter(|&n| n <= MAX_GTF1_CELLS).ok_or_else(|| {
+        VaultError::Malformed(format!("gtf1 header declares {dims:?} cells, over {MAX_GTF1_CELLS}"))
+    })?;
+    walk_runs(runs, cells, |_, _| {})?;
+    let mut payload = Vec::with_capacity(cells);
+    walk_runs(runs, cells, |n, cell| payload.resize(payload.len() + n, cell))?;
     Ok((header, payload))
+}
+
+/// Hand each run of a `.gtf1` body to `visit` as (cells, value). A run
+/// of no cells, a run past the `cells`-cell raster and runs short of it
+/// are `Malformed`.
+fn walk_runs(body: &[u8], cells: usize, mut visit: impl FnMut(usize, f64)) -> Result<()> {
+    let mut r = Fields(Reader::new(body));
+    let mut seen = 0;
+    while !r.0.is_empty() {
+        let len =
+            r.0.varint().map_err(|_| VaultError::Malformed("truncated gtf1 run length".into()))?;
+        let cell = r.f64()?;
+        match usize::try_from(len) {
+            Ok(n) if n > 0 && n <= cells - seen => {
+                visit(n, cell);
+                seen += n;
+            }
+            _ => {
+                return Err(VaultError::Malformed(format!(
+                    "gtf1 run of {len} cells at cell {seen} of {cells}"
+                )))
+            }
+        }
+    }
+    if seen < cells {
+        return Err(VaultError::Malformed(format!("gtf1 runs cover {seen} of {cells} cells")));
+    }
+    Ok(())
 }
 
 /// A `.shp1` record: WKT geometry plus a label attribute.
@@ -227,13 +292,6 @@ fn start_file(kind: FormatKind, capacity: usize) -> Vec<u8> {
     out.extend_from_slice(kind.magic());
     out.extend_from_slice(&[0; 8]);
     out
-}
-
-/// Append the payload cells and seal the file.
-fn finish_file(mut out: Vec<u8>, payload: &[f64]) -> Vec<u8> {
-    let body = out.len();
-    put_cells(&mut out, payload);
-    seal(out, body)
 }
 
 /// Write the checksum of `out[body..]` into the slot after the magic.
@@ -394,6 +452,107 @@ mod tests {
         assert_eq!(bbox, (21.0, 39.0, 23.0, 40.0));
     }
 
+    /// Cells a raster is drawn from: signed zeros, NaNs with distinct
+    /// payload bits, infinities, and (via `None`) an arbitrary float.
+    const PALETTE: [Option<u64>; 8] = [
+        Some(0x0000_0000_0000_0000), // +0.0
+        Some(0x8000_0000_0000_0000), // -0.0
+        Some(0x3ff0_0000_0000_0000), // 1.0
+        Some(0x7ff8_0000_0000_0001), // quiet NaN, payload 1
+        Some(0xfff0_0000_0000_0002), // negative signalling NaN
+        Some(0x7ff0_0000_0000_0000), // +inf
+        None,
+        None,
+    ];
+
+    #[test]
+    fn gtf1_runs_round_trip_bit_for_bit() {
+        teleios_check::forall(
+            |g| {
+                let (rows, cols) = (g.size(1..14), g.size(1..14));
+                let mut cells = Vec::with_capacity(rows * cols);
+                while cells.len() < rows * cols {
+                    let bits = PALETTE[g.below(PALETTE.len())]
+                        .unwrap_or_else(|| g.float(-1e6..1e6).to_bits());
+                    // Mostly single cells (all distinct), sometimes long runs.
+                    let len = if g.bool() { 1 } else { g.size(1..rows * cols + 1) };
+                    cells.extend(std::iter::repeat_n(bits, len.min(rows * cols - cells.len())));
+                }
+                (rows as u32, cols as u32, cells)
+            },
+            |(rows, cols, bits)| {
+                let h = Gtf1Header { rows, cols, ..gtf1_header() };
+                let cells: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+                let file = encode_gtf1(&h, &cells).unwrap();
+                assert_eq!(file.capacity(), file.len(), "the encoder sizes its buffer exactly");
+                let (h2, decoded) = decode_gtf1(&file).unwrap();
+                assert_eq!(h2, h);
+                assert_eq!(decoded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
+            },
+        );
+        // +0.0 beside -0.0, and two NaNs, are four runs, not one or two.
+        let cells = [0.0, -0.0, f64::from_bits(0x7ff8_0000_0000_0001), f64::NAN];
+        let file = encode_gtf1(&Gtf1Header { rows: 2, cols: 2, ..gtf1_header() }, &cells).unwrap();
+        assert_eq!(file.len(), 56 + 4 * 9);
+        let decoded = decode_gtf1(&file).unwrap().1;
+        assert!(decoded.iter().zip(&cells).all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    #[test]
+    fn an_all_zero_mask_is_a_few_bytes() {
+        let h = Gtf1Header { rows: 144, cols: 144, ..gtf1_header() };
+        let file = encode_gtf1(&h, &vec![0.0; 144 * 144]).unwrap();
+        assert!(file.len() <= 96, "{} bytes", file.len());
+        assert_eq!(decode_gtf1(&file).unwrap().1, vec![0.0; 144 * 144]);
+    }
+
+    /// A `.gtf1` file with these header dimensions and runs, its
+    /// checksum valid: what only the run checks can refuse.
+    fn crafted_gtf1(rows: u32, cols: u32, runs: &[(u64, f64)]) -> Vec<u8> {
+        let mut out = start_file(FormatKind::Gtf1, 0);
+        put_u32(&mut out, rows);
+        put_u32(&mut out, cols);
+        put_u32(&mut out, 4326);
+        put_cells(&mut out, &[21.0, 40.0, 0.5, 0.25]);
+        for &(len, cell) in runs {
+            put_varint(&mut out, len);
+            put_cells(&mut out, &[cell]);
+        }
+        seal(out, 56)
+    }
+
+    #[test]
+    fn bad_runs_and_oversized_headers_are_malformed() {
+        let good = crafted_gtf1(2, 2, &[(3, 1.0), (1, 0.0)]);
+        assert_eq!(decode_gtf1(&good).unwrap().1, [1.0, 1.0, 1.0, 0.0]);
+        let side = 1u32 << 12; // MAX_GTF1_CELLS = side²
+        let over = side as u64 * (side as u64 + 1);
+        let huge = u32::MAX as u64 * u32::MAX as u64;
+        let refused = [
+            ("a zero run", crafted_gtf1(2, 2, &[(0, 1.0), (4, 0.0)])),
+            ("a run past the raster", crafted_gtf1(2, 2, &[(3, 1.0), (2, 0.0)])),
+            ("a run of u64::MAX cells", crafted_gtf1(2, 2, &[(u64::MAX, 1.0)])),
+            ("runs short of the raster", crafted_gtf1(2, 2, &[(3, 1.0)])),
+            ("no runs at all", crafted_gtf1(2, 2, &[])),
+            ("a truncated run", seal(crafted_gtf1(2, 2, &[(4, 1.0)])[..64].to_vec(), 56)),
+            // One cell over the cap, covered by one run.
+            ("a header over the cap", crafted_gtf1(side, side + 1, &[(over, 1.0)])),
+            // 1.8e19 cells declared by a 74-byte file: refused before
+            // any allocation, or the test would abort.
+            ("a huge header", crafted_gtf1(u32::MAX, u32::MAX, &[(huge, 1.0)])),
+        ];
+        for (what, file) in refused {
+            let got = decode_gtf1(&file);
+            assert!(matches!(got, Err(VaultError::Malformed(_))), "{what}: {got:?}");
+        }
+        // A header at the cap passes it and reaches the run checks.
+        let at_cap = decode_gtf1(&crafted_gtf1(side, side, &[(1, 0.0)]));
+        assert!(
+            matches!(&at_cap, Err(VaultError::Malformed(m)) if m.contains("cover 1 of 16777216")),
+            "{at_cap:?}"
+        );
+    }
+
     #[test]
     fn shp1_roundtrip() {
         let records = vec![
@@ -480,8 +639,8 @@ mod tests {
         );
         assert_eq!(
             hex(&encode_gtf1(&gtf1_header(), &[0.0, 300.25]).unwrap()),
-            "47544631100fc6ce3a7445cf0000000200000001000010e640350000000000004044000000000000\
-             3fe00000000000003fd000000000000000000000000000004072c40000000000"
+            "4754463159b81f386c30eb680000000200000001000010e640350000000000004044000000000000\
+             3fe00000000000003fd0000000000000010000000000000000014072c40000000000"
         );
         assert_eq!(
             hex(&encode_shp1(&shp1_records())),

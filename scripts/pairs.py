@@ -12,8 +12,9 @@ not, as they stand when the tool starts (`git add` a new file first).
 
 The tool stops at the first run that reads `correct: false` or a failed op.
 Per workload it appends one row to BENCH_e0.json at the repository root:
-medians and quartiles of every end-to-end metric on both sides, the pairs the
-rev won, and a verdict from BENCHMARK.json's bound: `worse` when the rev's
+medians and quartiles of every end-to-end metric on both sides beside each
+side's raw per-run values (`runs`, in seed order, so later rows can pool A/A
+spread), the pairs the rev won, and a verdict from BENCHMARK.json's bound: `worse` when the rev's
 median is worse by more than the bound, `better` when it won at least nine
 pairs in ten and its median moved by more than the parent's interquartile
 distance, `unresolved` when either side's interquartile distance exceeds the
@@ -99,8 +100,8 @@ def summarize(metric, parent, rev):
         verdict = "unresolved"
     else:
         verdict = "within"
-    return {"parent": {"q1": p1, "median": pm, "q3": p3}, "rev": {"q1": r1, "median": rm, "q3": r3},
-            "wins": wins, "verdict": verdict}
+    return {"parent": {"q1": p1, "median": pm, "q3": p3, "runs": list(parent)},
+            "rev": {"q1": r1, "median": rm, "q3": r3, "runs": list(rev)}, "wins": wins, "verdict": verdict}
 
 
 def run_pairs(bench, workload, pairs, parent_run, rev_run, trace):
@@ -182,6 +183,7 @@ def self_test():
     ops, p95 = row["metrics"]["ops_per_s"], row["metrics"]["op_p95_ms"]
     assert ops["parent"]["median"] == 802.5 and ops["rev"]["median"] == 1052.5, ops
     assert (ops["parent"]["q1"], ops["parent"]["q3"]) == (792.5, 808.75), ops
+    assert ops["parent"]["runs"] == [800, 810, 790, 805] and p95["rev"]["runs"] == [2.0, 4.0, 2.1, 2.0], row
     assert ops["wins"] == 4 and ops["verdict"] == "better", ops
     # One pair in four lost, and its outlier spreads the rev's runs past the bound.
     assert p95["wins"] == 3 and p95["rev"]["median"] == 2.05 and p95["verdict"] == "unresolved", p95
